@@ -11,6 +11,7 @@ package flogic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -62,68 +63,117 @@ func (t Term) String() string {
 // Equal reports term equality.
 func (t Term) Equal(o Term) bool { return t == o }
 
+// factKind says what a fact asserts about its object.
+type factKind uint8
+
+const (
+	factIsA    factKind = iota // o : name
+	factFunct                  // o[name → val]
+	factMember                 // o[name ⇒ val], one member of the set
+)
+
+// fact is one assertion about an object. An object's state is the list of
+// its facts in assertion order; the handful a page object carries is
+// cheaper to scan than to hash. The value is kept packed — a Term is half
+// again as large, and a page's facts are most of what its store weighs.
+type fact struct {
+	name string // class or attribute name
+	str  string // the value's Str or Ref
+	num  int64  // the value's Int
+	kind factKind
+	term TermKind
+}
+
+func newFact(kind factKind, name string, val Term) fact {
+	f := fact{kind: kind, name: name}
+	f.set(val)
+	return f
+}
+
+func (f *fact) set(val Term) {
+	f.term, f.num, f.str = val.Kind, val.Int, val.Str
+	if val.Kind == TermRef {
+		f.str = string(val.Ref)
+	}
+}
+
+func (f *fact) val() Term {
+	if f.term == TermRef {
+		return Term{Kind: TermRef, Int: f.num, Ref: OID(f.str)}
+	}
+	return Term{Kind: f.term, Int: f.num, Str: f.str}
+}
+
 // Object is one F-logic object.
 type Object struct {
-	ID      OID
-	classes map[string]bool
-	funct   map[string]Term   // single-valued attributes (→)
-	setval  map[string][]Term // set-valued attributes (⇒)
+	ID    OID
+	facts []fact
 }
 
-// newObject allocates an empty object.
-func newObject(id OID) *Object {
-	return &Object{
-		ID:      id,
-		classes: make(map[string]bool),
-		funct:   make(map[string]Term),
-		setval:  make(map[string][]Term),
+// names returns the distinct names of the object's facts of one kind,
+// sorted.
+func (o *Object) names(kind factKind) []string {
+	var out []string
+	for i := range o.facts {
+		if f := &o.facts[i]; f.kind == kind && !slices.Contains(out, f.name) {
+			out = append(out, f.name)
+		}
 	}
-}
-
-// Classes returns the direct classes of the object, sorted.
-func (o *Object) Classes() []string {
-	out := make([]string, 0, len(o.classes))
-	for c := range o.classes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-// Get returns the functional attribute's value.
-func (o *Object) Get(attr string) (Term, bool) {
-	t, ok := o.funct[attr]
-	return t, ok
+// find returns the object's first fact of the kind with the name, or nil.
+func (o *Object) find(kind factKind, name string) *fact {
+	for i := range o.facts {
+		if f := &o.facts[i]; f.kind == kind && f.name == name {
+			return f
+		}
+	}
+	return nil
 }
 
-// GetAll returns the set-valued attribute's members (nil when absent).
-func (o *Object) GetAll(attr string) []Term { return o.setval[attr] }
+// Classes returns the direct classes of the object, sorted.
+func (o *Object) Classes() []string { return o.names(factIsA) }
+
+// Get returns the functional attribute's value.
+func (o *Object) Get(attr string) (Term, bool) {
+	if f := o.find(factFunct, attr); f != nil {
+		return f.val(), true
+	}
+	return Term{}, false
+}
+
+// GetAll returns the set-valued attribute's members in assertion order
+// (nil when absent).
+func (o *Object) GetAll(attr string) []Term {
+	var out []Term
+	for i := range o.facts {
+		if f := &o.facts[i]; f.kind == factMember && f.name == attr {
+			out = append(out, f.val())
+		}
+	}
+	return out
+}
 
 // FunctAttrs returns the names of the functional attributes, sorted.
-func (o *Object) FunctAttrs() []string { return sortedKeys(o.funct) }
+func (o *Object) FunctAttrs() []string { return o.names(factFunct) }
 
 // SetAttrs returns the names of the set-valued attributes, sorted.
-func (o *Object) SetAttrs() []string { return sortedKeys(o.setval) }
+func (o *Object) SetAttrs() []string { return o.names(factMember) }
 
 // AttrCount returns the total number of attribute assertions on the
 // object: functional attributes count one each, set-valued attributes one
 // per member. The map-builder statistics of Section 7 are counted in these
 // units.
 func (o *Object) AttrCount() int {
-	n := len(o.funct)
-	for _, ts := range o.setval {
-		n += len(ts)
+	n := 0
+	for i := range o.facts {
+		if o.facts[i].kind != factIsA {
+			n++
+		}
 	}
 	return n
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // AttrSig declares one attribute in a class signature: its name, whether
@@ -169,21 +219,51 @@ func (s *Signature) String() string {
 	return sb.String()
 }
 
-// Store is a collection of F-logic objects with class signatures and a
-// subclass lattice. A Store is the object half of a navigation-calculus
-// database state.
-type Store struct {
-	objects    map[OID]*Object
+// schema is the part of a store that every store derived from it shares:
+// the class signatures and the subclass lattice.
+type schema struct {
 	signatures map[string]*Signature
 	supers     map[string][]string // class → direct superclasses
 }
 
+// factWindow is how many facts of each object live in the store's fact
+// slab; a link or action object of Figure 3 has exactly this many. Further
+// facts spill to the object's own slice.
+const factWindow = 3
+
+// Store is a collection of F-logic objects with class signatures and a
+// subclass lattice. A Store is the object half of a navigation-calculus
+// database state.
+type Store struct {
+	*schema
+	byID  map[OID]*Object
+	order []*Object // in creation order
+	// Objects and their first facts are carved from slabs, so that a store
+	// costs a few allocations however many objects it holds. A full slab is
+	// replaced, never grown: pointers into it stay valid.
+	objSlab  []Object
+	factSlab []fact
+}
+
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		objects:    make(map[OID]*Object),
+	st := &Store{schema: &schema{
 		signatures: make(map[string]*Signature),
 		supers:     make(map[string][]string),
+	}}
+	return st.Fresh(0)
+}
+
+// Fresh returns an empty store with room for n objects over st's signatures
+// and subclass lattice. Those are schema, not state: every store derived
+// from st shares them, so declare them before deriving.
+func (st *Store) Fresh(n int) *Store {
+	return &Store{
+		schema:   st.schema,
+		byID:     make(map[OID]*Object, n),
+		order:    make([]*Object, 0, n),
+		objSlab:  make([]Object, 0, n),
+		factSlab: make([]fact, 0, n*factWindow),
 	}
 }
 
@@ -208,64 +288,87 @@ func (st *Store) Signatures() []*Signature {
 
 // Put creates (or returns the existing) object with the given id.
 func (st *Store) Put(id OID) *Object {
-	if o, ok := st.objects[id]; ok {
+	if o, ok := st.byID[id]; ok {
 		return o
 	}
-	o := newObject(id)
-	st.objects[id] = o
+	if len(st.objSlab) == cap(st.objSlab) {
+		n := max(2*cap(st.objSlab), 8)
+		st.objSlab = make([]Object, 0, n)
+		st.factSlab = make([]fact, 0, n*factWindow)
+	}
+	k := len(st.factSlab)
+	st.factSlab = st.factSlab[:k+factWindow]
+	st.objSlab = append(st.objSlab, Object{ID: id, facts: st.factSlab[k : k : k+factWindow]})
+	o := &st.objSlab[len(st.objSlab)-1]
+	st.byID[id] = o
+	st.order = append(st.order, o)
 	return o
 }
 
 // Get returns the object with the given id, or nil.
-func (st *Store) Get(id OID) *Object { return st.objects[id] }
+func (st *Store) Get(id OID) *Object { return st.byID[id] }
 
 // Len returns the number of objects in the store.
-func (st *Store) Len() int { return len(st.objects) }
+func (st *Store) Len() int { return len(st.order) }
 
 // AddClass asserts id : class.
-func (st *Store) AddClass(id OID, class string) { st.Put(id).classes[class] = true }
+func (st *Store) AddClass(id OID, class string) {
+	o := st.Put(id)
+	if o.find(factIsA, class) == nil {
+		o.facts = append(o.facts, fact{kind: factIsA, name: class})
+	}
+}
 
 // SetAttr asserts the functional attribute id[attr → val].
-func (st *Store) SetAttr(id OID, attr string, val Term) { st.Put(id).funct[attr] = val }
+func (st *Store) SetAttr(id OID, attr string, val Term) {
+	o := st.Put(id)
+	if f := o.find(factFunct, attr); f != nil {
+		f.set(val)
+		return
+	}
+	o.facts = append(o.facts, newFact(factFunct, attr, val))
+}
 
 // AddAttr asserts membership in the set-valued attribute id[attr ⇒ val],
 // deduplicating.
 func (st *Store) AddAttr(id OID, attr string, val Term) {
 	o := st.Put(id)
-	for _, t := range o.setval[attr] {
-		if t.Equal(val) {
+	for i := range o.facts {
+		if f := &o.facts[i]; f.kind == factMember && f.name == attr && f.val().Equal(val) {
 			return
 		}
 	}
-	o.setval[attr] = append(o.setval[attr], val)
+	o.facts = append(o.facts, newFact(factMember, attr, val))
 }
 
 // IsA reports whether the object belongs to the class, directly or through
 // the subclass lattice.
 func (st *Store) IsA(id OID, class string) bool {
-	o := st.objects[id]
-	if o == nil {
-		return false
-	}
-	seen := make(map[string]bool)
-	var reach func(c string) bool
-	reach = func(c string) bool {
-		if c == class {
+	o := st.byID[id]
+	return o != nil && st.isA(o, class)
+}
+
+func (st *Store) isA(o *Object, class string) bool {
+	for i := range o.facts {
+		if f := &o.facts[i]; f.kind == factIsA && st.reaches(f.name, class, len(st.supers)) {
 			return true
 		}
-		if seen[c] {
-			return false
-		}
-		seen[c] = true
-		for _, sup := range st.supers[c] {
-			if reach(sup) {
-				return true
-			}
-		}
+	}
+	return false
+}
+
+// reaches reports sub ⊑ class. No acyclic path through the lattice has more
+// edges than there are classes with a superclass, so bounding the walk by
+// that many hops makes a cyclic lattice terminate without a visited set.
+func (s *schema) reaches(sub, class string, hops int) bool {
+	if sub == class {
+		return true
+	}
+	if hops == 0 {
 		return false
 	}
-	for c := range o.classes {
-		if reach(c) {
+	for _, sup := range s.supers[sub] {
+		if s.reaches(sup, class, hops-1) {
 			return true
 		}
 	}
@@ -273,25 +376,25 @@ func (st *Store) IsA(id OID, class string) bool {
 }
 
 // Members returns the ids of all objects belonging to the class (including
-// through subclassing), sorted.
+// through subclassing) in the order the objects were created — for a page,
+// document order.
 func (st *Store) Members(class string) []OID {
-	var out []OID
-	for id := range st.objects {
-		if st.IsA(id, class) {
-			out = append(out, id)
+	out := make([]OID, 0, len(st.order))
+	for _, o := range st.order {
+		if st.isA(o, class) {
+			out = append(out, o.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Objects returns all object ids, sorted.
 func (st *Store) Objects() []OID {
-	out := make([]OID, 0, len(st.objects))
-	for id := range st.objects {
-		out = append(out, id)
+	out := make([]OID, 0, len(st.order))
+	for _, o := range st.order {
+		out = append(out, o.ID)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -304,15 +407,15 @@ func (st *Store) Path(id OID, attrs ...string) (Term, bool) {
 		if cur.Kind != TermRef {
 			return Term{}, false
 		}
-		o := st.objects[cur.Ref]
+		o := st.byID[cur.Ref]
 		if o == nil {
 			return Term{}, false
 		}
-		t, ok := o.funct[a]
-		if !ok {
+		f := o.find(factFunct, a)
+		if f == nil {
 			return Term{}, false
 		}
-		cur = t
+		cur = f.val()
 	}
 	return cur, true
 }
@@ -324,36 +427,28 @@ func (st *Store) Path(id OID, attrs ...string) (Term, bool) {
 // world of the Web always contains unanticipated structure.
 func (st *Store) TypeErrors() []string {
 	var errs []string
-	for _, id := range st.Objects() {
-		o := st.objects[id]
-		for c := range o.classes {
-			sig := st.signatures[c]
-			if sig == nil {
+	for _, o := range st.order {
+		for i := range o.facts {
+			sig := st.signatures[o.facts[i].name]
+			if o.facts[i].kind != factIsA || sig == nil {
 				continue
 			}
-			for attr, val := range o.funct {
-				decl, ok := sig.attr(attr)
-				if !ok {
+			for j := range o.facts {
+				f := &o.facts[j]
+				decl, ok := sig.attr(f.name)
+				if f.kind == factIsA || !ok {
 					continue // attribute may belong to another of o's classes
 				}
-				if decl.SetValued {
-					errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is set-valued but used functionally", id, attr, c))
-				} else if msg := typeMatch(decl.Type, val); msg != "" {
-					errs = append(errs, fmt.Sprintf("%s.%s: %s", id, attr, msg))
-				}
-			}
-			for attr, vals := range o.setval {
-				decl, ok := sig.attr(attr)
-				if !ok {
-					continue
-				}
-				if !decl.SetValued {
-					errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is functional but used set-valued", id, attr, c))
-					continue
-				}
-				for _, val := range vals {
-					if msg := typeMatch(decl.Type, val); msg != "" {
-						errs = append(errs, fmt.Sprintf("%s.%s: %s", id, attr, msg))
+				switch {
+				case f.kind == factFunct && decl.SetValued:
+					errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is set-valued but used functionally", o.ID, f.name, sig.Class))
+				case f.kind == factMember && !decl.SetValued:
+					if o.find(factMember, f.name) == f { // once per attribute, not per member
+						errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is functional but used set-valued", o.ID, f.name, sig.Class))
+					}
+				default:
+					if msg := typeMatch(decl.Type, f.val()); msg != "" {
+						errs = append(errs, fmt.Sprintf("%s.%s: %s", o.ID, f.name, msg))
 					}
 				}
 			}
@@ -384,23 +479,10 @@ func typeMatch(declared string, val Term) string {
 // Clone deep-copies the store's objects. Signatures and the subclass
 // lattice are shared: they are schema, not state.
 func (st *Store) Clone() *Store {
-	out := &Store{
-		objects:    make(map[OID]*Object, len(st.objects)),
-		signatures: st.signatures,
-		supers:     st.supers,
-	}
-	for id, o := range st.objects {
-		n := newObject(id)
-		for c := range o.classes {
-			n.classes[c] = true
-		}
-		for k, v := range o.funct {
-			n.funct[k] = v
-		}
-		for k, vs := range o.setval {
-			n.setval[k] = append([]Term(nil), vs...)
-		}
-		out.objects[id] = n
+	out := st.Fresh(len(st.order))
+	for _, o := range st.order {
+		n := out.Put(o.ID)
+		n.facts = append(n.facts, o.facts...)
 	}
 	return out
 }

@@ -1,9 +1,13 @@
 package flogic
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"webbase/internal/race"
 )
 
 // figure3Store builds a store with the paper's Figure 3 signatures and the
@@ -246,4 +250,178 @@ func totalAttrs(st *Store) int {
 		n += st.Get(id).AttrCount()
 	}
 	return n
+}
+
+// TestMembersInCreationOrder: members come back in the order the objects
+// were created — for a page, document order — not sorted as strings, which
+// would put follow100 before follow11.
+func TestMembersInCreationOrder(t *testing.T) {
+	st := NewStore()
+	st.DeclareSubclass("follow_link", "action")
+	var want []OID
+	for i := 0; i < 120; i++ {
+		id := OID(fmt.Sprintf("follow%02d", i))
+		st.AddClass(id, "follow_link")
+		want = append(want, id)
+	}
+	for _, class := range []string{"follow_link", "action"} {
+		if got := st.Members(class); !reflect.DeepEqual(got, want) {
+			t.Errorf("Members(%s) = %v, want creation order", class, got)
+		}
+	}
+	if got := st.Clone().Members("action"); !reflect.DeepEqual(got, want) {
+		t.Errorf("clone's Members(action) = %v, want creation order", got)
+	}
+	if got := st.Members("nosuch"); len(got) != 0 {
+		t.Errorf("Members(nosuch) = %v, want none", got)
+	}
+}
+
+// TestCloneIndependenceAcrossTheFactWindow: an object's first facts live in
+// the store's slab and the rest in its own slice. Whichever side of that
+// boundary an object is on, a write through the clone or through the
+// original must not show in the other, nor in a neighbouring object.
+func TestCloneIndependenceAcrossTheFactWindow(t *testing.T) {
+	st := NewStore()
+	for n := 0; n <= 2*factWindow; n++ { // objects o0..o6 with 0..6 facts
+		id := OID(fmt.Sprintf("o%d", n))
+		st.Put(id)
+		for k := 0; k < n; k++ {
+			st.SetAttr(id, fmt.Sprintf("a%d", k), I(int64(k)))
+		}
+	}
+	snapshot := func(s *Store) string {
+		var sb strings.Builder
+		for _, id := range s.Objects() {
+			o := s.Get(id)
+			fmt.Fprintf(&sb, "%s %v", id, o.Classes())
+			for _, a := range o.FunctAttrs() {
+				v, _ := o.Get(a)
+				fmt.Fprintf(&sb, " %s=%s", a, v)
+			}
+			for _, a := range o.SetAttrs() {
+				fmt.Fprintf(&sb, " %s=%v", a, o.GetAll(a))
+			}
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	before := snapshot(st)
+	cp := st.Clone()
+	if got := snapshot(cp); got != before {
+		t.Fatalf("clone differs from original:\n%s\nwant\n%s", got, before)
+	}
+	mutate := func(s *Store) {
+		for _, id := range s.Objects() {
+			s.SetAttr(id, "a0", S("overwritten"))
+			s.SetAttr(id, "fresh", S("x"))
+			s.AddAttr(id, "set", S("m"))
+			s.AddClass(id, "c")
+		}
+	}
+	mutate(cp)
+	if got := snapshot(st); got != before {
+		t.Errorf("writes to the clone reached the original:\n%s\nwant\n%s", got, before)
+	}
+	after := snapshot(cp)
+	mutate(st)
+	st.SetAttr("o3", "a1", S("original only"))
+	if got := snapshot(cp); got != after {
+		t.Errorf("writes to the original reached the clone:\n%s\nwant\n%s", got, after)
+	}
+}
+
+// TestAttrCountOnSliceBackedObjects: the Section-7 unit is one per
+// functional attribute and one per member of a set-valued one. Overwrites,
+// duplicate members and class memberships do not count, and an attribute
+// name used both ways counts on both sides.
+func TestAttrCountOnSliceBackedObjects(t *testing.T) {
+	st := NewStore()
+	st.AddClass("o", "c1")
+	st.AddClass("o", "c2")
+	st.AddClass("o", "c1")
+	if n := st.Get("o").AttrCount(); n != 0 {
+		t.Errorf("classes counted as attributes: %d", n)
+	}
+	st.SetAttr("o", "f", S("v1"))
+	st.SetAttr("o", "f", S("v2")) // overwrite
+	st.SetAttr("o", "g", I(1))
+	st.AddAttr("o", "s", S("m1"))
+	st.AddAttr("o", "s", S("m1")) // duplicate
+	st.AddAttr("o", "s", S("m2"))
+	st.AddAttr("o", "f", S("as a set too"))
+	for i := 0; i < 10; i++ { // well past the fact window
+		st.AddAttr("o", "big", I(int64(i)))
+	}
+	o := st.Get("o")
+	if n := o.AttrCount(); n != 2+2+1+10 {
+		t.Errorf("AttrCount = %d, want 15", n)
+	}
+	if v, _ := o.Get("f"); v != S("v2") {
+		t.Errorf("f = %v, want the overwriting value", v)
+	}
+	if got := o.GetAll("big"); len(got) != 10 || got[0] != I(0) || got[9] != I(9) {
+		t.Errorf("big = %v, want 0..9 in assertion order", got)
+	}
+	if got := strings.Join(o.FunctAttrs(), ","); got != "f,g" {
+		t.Errorf("FunctAttrs = %s", got)
+	}
+	if got := strings.Join(o.SetAttrs(), ","); got != "big,f,s" {
+		t.Errorf("SetAttrs = %s", got)
+	}
+	if got := strings.Join(o.Classes(), ","); got != "c1,c2" {
+		t.Errorf("Classes = %s", got)
+	}
+	if got := st.Clone().Get("o").AttrCount(); got != 15 {
+		t.Errorf("clone's AttrCount = %d, want 15", got)
+	}
+}
+
+// TestTermsRoundTrip: a fact stores its value packed; every kind of term
+// comes back as it went in.
+func TestTermsRoundTrip(t *testing.T) {
+	st := NewStore()
+	for i, v := range []Term{S(""), S("text"), I(0), I(-7), R("other"), R("")} {
+		attr := fmt.Sprintf("a%d", i)
+		st.SetAttr("o", attr, v)
+		st.AddAttr("o", "all", v)
+		if got, ok := st.Get("o").Get(attr); !ok || got != v {
+			t.Errorf("%s: got %#v, want %#v", attr, got, v)
+		}
+	}
+	if got := st.Get("o").GetAll("all"); len(got) != 6 {
+		t.Errorf("members = %v, want six distinct terms", got)
+	}
+}
+
+// TestAllocsOfGuardQueries is the allocation ceiling for what the calculus'
+// guards ask of a page's store: IsA and Path allocate nothing, Members its
+// result and nothing else.
+func TestAllocsOfGuardQueries(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	st := figure3Store()
+	for i := 0; i < 50; i++ {
+		id := OID(fmt.Sprintf("follow%02d", i))
+		st.AddClass(id, "follow_link")
+		st.SetAttr(id, "source", R("page01"))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !st.IsA("follow07", "action") || st.IsA("follow07", "web_page") {
+			t.Fatal("IsA wrong")
+		}
+		if v, ok := st.Path("follow07", "source", "title"); !ok || v.Str == "" {
+			t.Fatal("Path wrong")
+		}
+	}); n != 0 {
+		t.Errorf("IsA + Path allocate %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if len(st.Members("action")) != 51 {
+			t.Fatal("Members wrong")
+		}
+	}); n != 1 {
+		t.Errorf("Members allocates %v times, want 1 (its result)", n)
+	}
 }

@@ -97,6 +97,72 @@ func Resolve(base, ref string) string {
 	return b.ResolveReference(r).String()
 }
 
+// resolver is Resolve against one base for the many references of a page:
+// the base is parsed once, and only when a reference needs resolving.
+type resolver struct {
+	raw    string
+	parsed bool
+	base   *url.URL // nil when raw is unparsable: references pass through
+	origin string   // the base's scheme://host, or "" when it has no host
+}
+
+func (r *resolver) resolve(ref string) string {
+	if !r.parsed {
+		r.parsed = true
+		if b, err := url.Parse(r.raw); err == nil {
+			r.base = b
+			if b.Host != "" {
+				r.origin = (&url.URL{Scheme: b.Scheme, User: b.User, Host: b.Host}).String()
+			}
+		}
+	}
+	if r.base == nil {
+		return ref
+	}
+	// The references generated pages are made of — /path?query and the
+	// same under the page's own scheme://host, with nothing to escape or
+	// normalize — resolve to a concatenation or to themselves. The rest go
+	// through net/url.
+	if r.origin != "" {
+		if plainPathQuery(ref) {
+			return r.origin + ref
+		}
+		if strings.HasPrefix(ref, r.origin) && plainPathQuery(ref[len(r.origin):]) {
+			return ref
+		}
+	}
+	u, err := url.Parse(ref)
+	if err != nil {
+		return ref
+	}
+	return r.base.ResolveReference(u).String()
+}
+
+// plainPathQuery reports whether s is an absolute path with an optional
+// query that url.Parse followed by URL.String hands back unchanged:
+// unreserved characters only, no dot segment, no fragment.
+func plainPathQuery(s string) bool {
+	if s == "" || s[0] != '/' || strings.HasPrefix(s, "//") {
+		return false
+	}
+	query := false
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case isNameChar(c) && c != ':', c == '/', c == '~':
+		case c == '.':
+			if !query && s[i-1] == '/' {
+				return false
+			}
+		case c == '?':
+			query = true
+		case query && (c == '=' || c == '&' || c == '+' || c == '%'):
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // Title returns the document title, or "" when absent.
 func Title(doc *Node) string {
 	if t := doc.Find("title"); t != nil {
@@ -105,56 +171,80 @@ func Title(doc *Node) string {
 	return ""
 }
 
-// Links extracts all <a href> links, resolving addresses against baseURL.
-func Links(doc *Node, baseURL string) []Link {
-	var out []Link
-	for _, a := range doc.FindAll("a") {
-		href, ok := a.Attr("href")
-		if !ok || href == "" {
-			continue
-		}
-		out = append(out, Link{Name: a.Text(), Address: Resolve(baseURL, href)})
-	}
-	return out
+// Page is what the navigation layer reads off a document.
+type Page struct {
+	Title    string // "" when absent
+	Links    []Link
+	Forms    []Form
+	HasTable bool
 }
+
+// Scan gathers a document's title, links, forms and table presence in one
+// walk, resolving addresses against baseURL.
+func Scan(doc *Node, baseURL string) Page {
+	r := resolver{raw: baseURL}
+	var p Page
+	titled := false
+	doc.Walk(func(n *Node) bool {
+		if n.Type != ElementNode {
+			return true
+		}
+		switch n.Data {
+		case "title":
+			if !titled {
+				p.Title, titled = n.Text(), true
+			}
+		case "a":
+			if href, ok := n.Attr("href"); ok && href != "" {
+				p.Links = append(p.Links, Link{Name: n.Text(), Address: r.resolve(href)})
+			}
+		case "form":
+			p.Forms = append(p.Forms, formOf(n, &r))
+		case "table":
+			p.HasTable = true
+		}
+		return true
+	})
+	return p
+}
+
+// Links extracts all <a href> links, resolving addresses against baseURL.
+func Links(doc *Node, baseURL string) []Link { return Scan(doc, baseURL).Links }
 
 // Forms extracts all forms with their typed fields, resolving action URLs
 // against baseURL. Radio groups collapse into a single Field whose Domain
 // lists the group's values.
-func Forms(doc *Node, baseURL string) []Form {
-	var out []Form
-	for _, fn := range doc.FindAll("form") {
-		f := Form{
-			Name:   fn.AttrOr("name", ""),
-			Action: Resolve(baseURL, fn.AttrOr("action", baseURL)),
-			Method: strings.ToLower(fn.AttrOr("method", "get")),
-		}
-		radio := make(map[string]*Field)
-		fn.Walk(func(n *Node) bool {
-			if n.Type != ElementNode {
-				return true
-			}
-			switch n.Data {
-			case "input":
-				extractInput(n, &f, radio)
-			case "select":
-				extractSelect(n, &f)
-				return false // options handled inside
-			case "textarea":
-				f.Fields = append(f.Fields, Field{
-					Name:    n.AttrOr("name", ""),
-					Widget:  WidgetTextarea,
-					Default: n.Text(),
-				})
-			}
-			return true
-		})
-		out = append(out, f)
+func Forms(doc *Node, baseURL string) []Form { return Scan(doc, baseURL).Forms }
+
+func formOf(fn *Node, r *resolver) Form {
+	f := Form{
+		Name:   fn.AttrOr("name", ""),
+		Action: r.resolve(fn.AttrOr("action", r.raw)),
+		Method: strings.ToLower(fn.AttrOr("method", "get")),
 	}
-	return out
+	fn.Walk(func(n *Node) bool {
+		if n.Type != ElementNode {
+			return true
+		}
+		switch n.Data {
+		case "input":
+			extractInput(n, &f)
+		case "select":
+			extractSelect(n, &f)
+			return false // options handled inside
+		case "textarea":
+			f.Fields = append(f.Fields, Field{
+				Name:    n.AttrOr("name", ""),
+				Widget:  WidgetTextarea,
+				Default: n.Text(),
+			})
+		}
+		return true
+	})
+	return f
 }
 
-func extractInput(n *Node, f *Form, radio map[string]*Field) {
+func extractInput(n *Node, f *Form) {
 	name := n.AttrOr("name", "")
 	typ := strings.ToLower(n.AttrOr("type", "text"))
 	val := n.AttrOr("value", "")
@@ -162,11 +252,15 @@ func extractInput(n *Node, f *Form, radio map[string]*Field) {
 	case "radio":
 		// Radio buttons imply a mandatory attribute whose domain is the
 		// union of the group's values (Section 7).
-		fl, ok := radio[name]
-		if !ok {
+		var fl *Field
+		for i := range f.Fields {
+			if f.Fields[i].Widget == WidgetRadio && f.Fields[i].Name == name {
+				fl = &f.Fields[i]
+			}
+		}
+		if fl == nil {
 			f.Fields = append(f.Fields, Field{Name: name, Widget: WidgetRadio, Mandatory: true})
 			fl = &f.Fields[len(f.Fields)-1]
-			radio[name] = fl
 		}
 		fl.Domain = append(fl.Domain, val)
 		if _, checked := n.Attr("checked"); checked {
@@ -199,7 +293,11 @@ func defaultChecked(n *Node, val string) string {
 
 func extractSelect(n *Node, f *Form) {
 	fl := Field{Name: n.AttrOr("name", ""), Widget: WidgetSelect}
-	for _, opt := range n.FindAll("option") {
+	opts := n.FindAll("option")
+	if len(opts) > 0 {
+		fl.Domain = make([]string, 0, len(opts))
+	}
+	for _, opt := range opts {
 		v := opt.AttrOr("value", opt.Text())
 		fl.Domain = append(fl.Domain, v)
 		if _, sel := opt.Attr("selected"); sel || fl.Default == "" {
@@ -239,20 +337,22 @@ func Tables(doc *Node) [][][]string {
 // name, plus any links found in the row's cells by link text.
 type DataRow struct {
 	Cells map[string]string
-	Links map[string]string // link text → absolute URL
+	Links map[string]string // link text → absolute URL; nil when the row has none
 }
 
 // DataTable finds the first table whose header contains all the given
 // columns (case-insensitive) and returns its body rows with per-row links
 // resolved against baseURL. It returns nil when no table matches.
 func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
+	r := resolver{raw: baseURL}
+	var cells []*Node
 	for _, tbl := range doc.FindAll("table") {
 		trs := rowsOf(tbl)
 		if len(trs) == 0 {
 			continue
 		}
 		idx := make(map[string]int)
-		for i, c := range cellsOf(trs[0]) {
+		for i, c := range cellsOf(cells[:0], trs[0]) {
 			idx[strings.ToLower(strings.TrimSpace(c.Text()))] = i
 		}
 		ok := true
@@ -268,24 +368,28 @@ func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 		// Non-nil even when empty: a matching table with no body rows is
 		// still a data page (a search that found nothing), distinct from
 		// "no such table here".
-		rows := []DataRow{}
+		rows := make([]DataRow, 0, len(trs)-1)
 		for _, tr := range trs[1:] {
-			cells := cellsOf(tr)
+			cells = cellsOf(cells[:0], tr)
 			if len(cells) == 0 {
 				continue
 			}
-			row := DataRow{Cells: make(map[string]string), Links: make(map[string]string)}
+			row := DataRow{Cells: make(map[string]string, len(idx))}
 			for name, i := range idx {
 				if i < len(cells) {
 					row.Cells[name] = cells[i].Text()
 				}
 			}
 			for _, cell := range cells {
-				for _, a := range cell.FindAll("a") {
-					if href, has := a.Attr("href"); has {
-						row.Links[a.Text()] = Resolve(baseURL, href)
+				cell.Walk(func(a *Node) bool {
+					if href, has := a.Attr("href"); a.IsElement("a") && has {
+						if row.Links == nil {
+							row.Links = make(map[string]string)
+						}
+						row.Links[a.Text()] = r.resolve(href)
 					}
-				}
+					return true
+				})
 			}
 			rows = append(rows, row)
 		}
@@ -294,14 +398,14 @@ func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 	return nil
 }
 
-func cellsOf(tr *Node) []*Node {
-	var out []*Node
+// cellsOf appends tr's <td> and <th> children to dst.
+func cellsOf(dst []*Node, tr *Node) []*Node {
 	for _, c := range tr.Children {
 		if c.IsElement("td") || c.IsElement("th") {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // rowsOf returns the <tr> rows belonging to tbl itself, descending through

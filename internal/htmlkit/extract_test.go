@@ -129,6 +129,55 @@ func TestTableWithHeader(t *testing.T) {
 	}
 }
 
+func TestDataTable(t *testing.T) {
+	src := `
+<table><tr><th>Make</th><th>Model</th><th>Price</th><th>More</th></tr>
+<tr><td>ford</td><td>escort</td><td>$3,000</td><td><a href="/ad?id=1">Details</a> <a href="http://h/pic/1">Photo</a></td></tr>
+<tr><td>jaguar</td><td>xj6</td><td>$15,000</td><td>sold</td></tr></table>
+<table><tr><th>Empty</th></tr></table>`
+	doc := Parse([]byte(src))
+	rows := DataTable(doc, "http://h/list?page=2", "make", "price")
+	if len(rows) != 2 {
+		t.Fatalf("rows: %d", len(rows))
+	}
+	if rows[0].Cells["make"] != "ford" || rows[1].Cells["price"] != "$15,000" {
+		t.Errorf("rows = %v", rows)
+	}
+	wantLinks := map[string]string{"Details": "http://h/ad?id=1", "Photo": "http://h/pic/1"}
+	if !reflect.DeepEqual(rows[0].Links, wantLinks) {
+		t.Errorf("links = %v, want %v", rows[0].Links, wantLinks)
+	}
+	// A row without links carries no map, and reads as one without entries.
+	if rows[1].Links != nil || rows[1].Links["Details"] != "" {
+		t.Errorf("linkless row has links %v", rows[1].Links)
+	}
+	if got := DataTable(doc, "http://h/", "nonexistent"); got != nil {
+		t.Errorf("expected nil for missing header, got %v", got)
+	}
+	// A matching table with no body rows is still a data page.
+	if got := DataTable(doc, "http://h/", "Empty"); got == nil || len(got) != 0 {
+		t.Errorf("header-only table: got %v, want empty and non-nil", got)
+	}
+}
+
+// TestRadioGroupSplitByOtherFields: the buttons of one radio group collapse
+// into one Field wherever they stand in the form — also when other fields
+// between them have made the field list grow in the meantime.
+func TestRadioGroupSplitByOtherFields(t *testing.T) {
+	src := `<form><input type=radio name=cond value=good>
+<input type=hidden name=h1 value=1><input type=hidden name=h2 value=2><input type=text name=q>
+<input type=radio name=cond value=fair checked><input type=radio name=other value=x>
+<input type=radio name=cond value=poor></form>`
+	forms := Forms(Parse([]byte(src)), "http://h/")
+	if len(forms) != 1 || len(forms[0].Fields) != 5 {
+		t.Fatalf("forms = %+v", forms)
+	}
+	cond, _ := forms[0].Field("cond")
+	if want := []string{"good", "fair", "poor"}; !reflect.DeepEqual(cond.Domain, want) || cond.Default != "fair" {
+		t.Errorf("cond = %+v, want domain %v and default fair", cond, want)
+	}
+}
+
 func TestNestedLayoutTablesDoNotLeakRows(t *testing.T) {
 	// A 1990s layout: the data table lives inside a layout table cell, and
 	// a data cell itself contains a decorative inner table. Outer layout

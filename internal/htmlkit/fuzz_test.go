@@ -1,14 +1,19 @@
 package htmlkit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzParse drives the lenient parser with arbitrary bytes: it must never
 // panic, must terminate, and must produce a tree whose parent pointers are
-// consistent. Run with `go test -fuzz=FuzzParse ./internal/htmlkit` to
-// search beyond the seed corpus.
+// consistent. It also holds the allocation-lean paths to the reference
+// implementations in reference_test.go: the token stream (every tag and
+// attribute name lower-cased from its source bytes, every text run and
+// attribute value entity-decoded), Node.Text, and the one-walk Scan. Run
+// with `go test -fuzz=FuzzParse ./internal/htmlkit` to search beyond the
+// seed corpus.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -21,6 +26,21 @@ func FuzzParse(f *testing.F) {
 		"&amp;&#65;&#x41;&nope;&",
 		"<<<>>><//><1>",
 		strings.Repeat("<div>", 100),
+		// Mixed-case tag and attribute names, known and unknown.
+		"<TABLE Border=1><Tr><TD ALIGN=left>a</tD><td NoWrap>b</TABLE><BlockQuote CITE=x>q</BLOCKQUOTE>",
+		"<A HREF='/x' Name=n>up</A><a HrEf=\"http://h.example/p?q=1\">mixed</a><Ünï Çödé=1>u</Ünï>",
+		// Entities in attribute values and text, good and bad.
+		"<a href=\"/cgi?a=1&amp;b=2&c=3\" title='&quot;q&quot; &#65;&#x42; &bogus; &'>x &lt; y &amp;&amp; z</a>",
+		"<input value=&amp;unquoted&gt; name=\"a&#0;b\"><option value='&nbsp;'>&nbsp; &copy; </option>",
+		// Unterminated tags, attributes and comments.
+		"<a href=\"never closed",
+		"<table><tr><td>cell<td attr",
+		"<p>text<b",
+		"<!-- unterminated comment <a href=x>",
+		"<script>var s = '</SCRIPT'; <a href=y>z</a>",
+		// White space of every kind inside and between text nodes.
+		"<p> a \t\n b\u00a0c\u2003d <b> e </b>f<i></i> g\r\n</p><td>one</td><td> two  words </td>",
+		"<title> T </title><title>second</title><form action=go><a href=in>inside <b>form</b></a><table></table></form>",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -36,10 +56,63 @@ func FuzzParse(f *testing.F) {
 			return true
 		})
 		// Extraction helpers must also be total.
-		_ = Links(doc, "http://fuzz.example/")
 		_ = Forms(doc, "http://fuzz.example/")
 		_ = Tables(doc)
-		_ = Title(doc)
+
+		if got, want := tokens(t, string(data)), refTokens(data); !reflect.DeepEqual(got, want) {
+			t.Fatalf("token stream differs from the reference\n got: %#v\nwant: %#v", got, want)
+		}
+		doc.Walk(func(n *Node) bool {
+			if got, want := n.Text(), refText(n); got != want {
+				t.Fatalf("Text() = %q, reference %q", got, want)
+			}
+			return true
+		})
+		const base = "http://fuzz.example/dir/page?x=1"
+		page := Scan(doc, base)
+		if want := refLinks(doc, base); !reflect.DeepEqual(page.Links, want) {
+			t.Fatalf("Scan links = %#v, reference %#v", page.Links, want)
+		}
+		if want := Title(doc); page.Title != want {
+			t.Fatalf("Scan title = %q, reference %q", page.Title, want)
+		}
+		if want := doc.Find("table") != nil; page.HasTable != want {
+			t.Fatalf("Scan HasTable = %v, reference %v", page.HasTable, want)
+		}
+		if want := len(doc.FindAll("form")); len(page.Forms) != want {
+			t.Fatalf("Scan found %d forms, FindAll %d", len(page.Forms), want)
+		}
+	})
+}
+
+// FuzzResolve holds the page resolver — base parsed once, plain references
+// concatenated or passed through — to Resolve, which parses both URLs
+// every time.
+func FuzzResolve(f *testing.F) {
+	bases := []string{
+		"http://site.example/", "http://site.example/dir/page?x=1#frag", "https://u:p@Site.Example:8080/a/b",
+		"http://site.example", "//site.example/x", "/only/a/path", "mailto:someone@site.example", "file:///tmp/x",
+		"", "http://[::1]/x", "%zz", "http://site.example/%7Euser/",
+	}
+	refs := []string{
+		"/help", "/cgi-bin/q?make=ford&model=escort", "/", "/a/./b", "/a/../b", "/a//b", "/.hidden", "/a.b/c.html",
+		"/q?", "/q?a=b?c", "/q?a=%41+b", "/p%41th", "/sp ace", "/frag#x", "//other.example/x", "/~user/",
+		"http://other.example/p?q=1", "https://Other.Example/p", "http://other.example", "http://other.example:80/p",
+		"http:///p", "HTTP://other.example/p", "http://other.example/a/../b", "http://other.example/p?q=a b",
+		"rel/path", "../up", "?only=query", "#frag", "", "mailto:x@y", "http://bad host/", "/ctl\x7f", ":", "/q?a=b&amp;c",
+	}
+	for _, b := range bases {
+		for _, r := range refs {
+			f.Add(b, r)
+		}
+	}
+	f.Fuzz(func(t *testing.T, base, ref string) {
+		r := resolver{raw: base}
+		for i := 0; i < 2; i++ { // the second call takes the parsed-base path
+			if got, want := r.resolve(ref), Resolve(base, ref); got != want {
+				t.Fatalf("resolve(%q, %q) = %q, Resolve gives %q", base, ref, got, want)
+			}
+		}
 	})
 }
 

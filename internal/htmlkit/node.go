@@ -1,6 +1,9 @@
 package htmlkit
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+)
 
 // NodeType discriminates tree nodes.
 type NodeType uint8
@@ -87,15 +90,69 @@ func (n *Node) Find(tag string) *Node {
 // Text returns the concatenated text content of the subtree, with runs of
 // whitespace collapsed to single spaces and leading/trailing space trimmed.
 func (n *Node) Text() string {
-	var sb strings.Builder
+	var only string
+	nodes, size := 0, 0
 	n.Walk(func(m *Node) bool {
 		if m.Type == TextNode {
-			sb.WriteString(m.Data)
-			sb.WriteByte(' ')
+			only = m.Data
+			nodes++
+			size += len(m.Data) + 1
 		}
 		return true
 	})
-	return strings.Join(strings.Fields(sb.String()), " ")
+	if nodes == 1 {
+		// The usual cell, anchor or title: one text node, whose content is
+		// its own normal form but for the space around it.
+		if t := strings.TrimSpace(only); collapsed(t) {
+			return t
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	n.Walk(func(m *Node) bool {
+		if m.Type == TextNode {
+			writeFields(&sb, m.Data)
+		}
+		return true
+	})
+	return sb.String()
+}
+
+// collapsed reports whether t, already trimmed, is its own normal form: its
+// only white space is single ' ' characters between words.
+func collapsed(t string) bool {
+	afterSpace := false
+	for _, r := range t {
+		if unicode.IsSpace(r) && (r != ' ' || afterSpace) {
+			return false
+		}
+		afterSpace = r == ' '
+	}
+	return true
+}
+
+// writeFields appends the white-space-separated fields of s to sb, each
+// preceded by a single space unless it is the first thing written.
+func writeFields(sb *strings.Builder, s string) {
+	start := -1 // where the field being read began, or -1 between fields
+	for i, r := range s {
+		if space := unicode.IsSpace(r); space && start >= 0 {
+			writeField(sb, s[start:i])
+			start = -1
+		} else if !space && start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		writeField(sb, s[start:])
+	}
+}
+
+func writeField(sb *strings.Builder, f string) {
+	if sb.Len() > 0 {
+		sb.WriteByte(' ')
+	}
+	sb.WriteString(f)
 }
 
 // voidElements never have children; their start tag is the whole element.
@@ -123,11 +180,24 @@ var autoClose = map[string][]string{
 // elements are closed at end of input, stray end tags are dropped, and
 // mis-nesting is repaired by popping to the nearest matching open element.
 func Parse(src []byte) *Node {
-	doc := &Node{Type: DocumentNode}
-	stack := []*Node{doc}
+	z := Tokenizer{src: string(src)}
+	// Nodes are carved from slabs, so a document costs an allocation per
+	// slab and not per node. A full slab is replaced, never grown: node
+	// pointers stay valid. The first holds a node for every 24 bytes, which
+	// is most of a page of prose and forms; each further one is half the
+	// size of the last, so a dense data table takes two or three.
+	slab := make([]Node, 0, 8+len(src)/24)
+	newNode := func(typ NodeType, data string, attrs []Attr) *Node {
+		if len(slab) == cap(slab) {
+			slab = make([]Node, 0, max(cap(slab)/2, 8))
+		}
+		slab = append(slab, Node{Type: typ, Data: data, Attrs: attrs})
+		return &slab[len(slab)-1]
+	}
+	doc := newNode(DocumentNode, "", nil)
+	stack := append(make([]*Node, 0, 16), doc)
 	top := func() *Node { return stack[len(stack)-1] }
 
-	z := NewTokenizer(src)
 	for {
 		tok, ok := z.Next()
 		if !ok {
@@ -138,16 +208,16 @@ func Parse(src []byte) *Node {
 			if strings.TrimSpace(tok.Data) == "" {
 				continue
 			}
-			top().appendChild(&Node{Type: TextNode, Data: tok.Data})
+			top().appendChild(newNode(TextNode, tok.Data, nil))
 		case CommentToken:
-			top().appendChild(&Node{Type: CommentNode, Data: tok.Data})
+			top().appendChild(newNode(CommentNode, tok.Data, nil))
 		case DoctypeToken:
 			// Ignored; the webbase does not need doctype information.
 		case StartTagToken, SelfClosingTagToken:
 			if closes, ok := autoClose[tok.Data]; ok {
 				popAutoClosed(&stack, closes)
 			}
-			el := &Node{Type: ElementNode, Data: tok.Data, Attrs: tok.Attrs}
+			el := newNode(ElementNode, tok.Data, tok.Attrs)
 			top().appendChild(el)
 			if tok.Type == StartTagToken && !voidElements[tok.Data] {
 				stack = append(stack, el)

@@ -51,17 +51,49 @@ func (t Token) Attr(name string) (string, bool) {
 // Tokenizer walks an HTML document byte by byte. It is resilient: any input
 // produces a token stream; garbage becomes text.
 type Tokenizer struct {
-	src []byte
+	// src is the document, copied to a string once: every text run,
+	// attribute value and comment that needs no decoding is a substring of
+	// it, not a copy of its own.
+	src string
 	pos int
 	// rawEnd holds the closing tag we are looking for while inside a raw
 	// text element (script/style), or "" otherwise.
 	rawEnd string
+	// attrs is the slab the tokens' attribute lists are carved from.
+	attrs []Attr
 }
 
-// NewTokenizer returns a tokenizer over src. The tokenizer does not copy
-// src; callers must not mutate it during tokenization.
+// NewTokenizer returns a tokenizer over a copy of src.
 func NewTokenizer(src []byte) *Tokenizer {
-	return &Tokenizer{src: src}
+	return &Tokenizer{src: string(src)}
+}
+
+// knownNames interns the tag and attribute names of the era's HTML in the
+// two casings its authors used, so that naming a token allocates only for
+// a name outside the table or in mixed case.
+var knownNames = func() map[string]string {
+	m := make(map[string]string)
+	for _, n := range strings.Fields(`a b i p u br dd dl dt em h1 h2 h3 h4 hr li ol td th tr tt ul
+		big div img pre body font form head html link meta span base code
+		input label small style table tbody tfoot thead title center option
+		script select strong caption textarea blockquote
+		id alt for src rel href name size type rows cols align class color
+		value width action border height method valign bgcolor checked content
+		colspan rowspan enctype required selected maxlength cellpadding
+		cellspacing http-equiv`) {
+		m[n] = n
+		m[strings.ToUpper(n)] = n
+	}
+	return m
+}()
+
+// lowerName returns strings.ToLower(name), without allocating when the name
+// is in knownNames.
+func lowerName(name string) string {
+	if n, ok := knownNames[name]; ok {
+		return n
+	}
+	return strings.ToLower(name)
 }
 
 // Next returns the next token and true, or a zero token and false at end of
@@ -88,28 +120,43 @@ func (z *Tokenizer) Next() (Token, bool) {
 // text consumes up to the next '<'.
 func (z *Tokenizer) text() Token {
 	start := z.pos
-	for z.pos < len(z.src) && z.src[z.pos] != '<' {
-		z.pos++
+	if i := strings.IndexByte(z.src[start:], '<'); i >= 0 {
+		z.pos += i
+	} else {
+		z.pos = len(z.src)
 	}
-	return Token{Type: TextToken, Data: DecodeEntities(string(z.src[start:z.pos]))}
+	return Token{Type: TextToken, Data: DecodeEntities(z.src[start:z.pos])}
 }
 
 // rawText consumes everything up to the matching </script> or </style>.
 func (z *Tokenizer) rawText() Token {
-	end := "</" + z.rawEnd
-	lower := strings.ToLower(string(z.src[z.pos:]))
-	idx := strings.Index(lower, end)
+	idx := indexCloseTag(z.src[z.pos:], z.rawEnd)
 	var data string
 	if idx < 0 {
-		data = string(z.src[z.pos:])
+		data = z.src[z.pos:]
 		z.pos = len(z.src)
 	} else {
-		data = string(z.src[z.pos : z.pos+idx])
+		data = z.src[z.pos : z.pos+idx]
 		z.pos += idx
 	}
 	z.rawEnd = ""
 	// Raw text is returned verbatim (scripts are not entity-decoded).
 	return Token{Type: TextToken, Data: data}
+}
+
+// indexCloseTag returns the index of the first "</name" in s, whatever the
+// case of the name's letters, or -1.
+func indexCloseTag(s, name string) int {
+	for i := 0; ; i++ {
+		j := strings.IndexByte(s[i:], '<')
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if rest := s[i+1:]; len(rest) > len(name) && rest[0] == '/' && strings.EqualFold(rest[1:1+len(name)], name) {
+			return i
+		}
+	}
 }
 
 // tag parses a construct starting with '<'. Returns ok=false when the '<'
@@ -135,27 +182,27 @@ func (z *Tokenizer) tag() (Token, bool) {
 // markupDeclaration handles <!-- comments --> and <!DOCTYPE ...>.
 func (z *Tokenizer) markupDeclaration() Token {
 	src := z.src
-	if strings.HasPrefix(string(src[z.pos:]), "<!--") {
-		end := strings.Index(string(src[z.pos+4:]), "-->")
+	if strings.HasPrefix(src[z.pos:], "<!--") {
+		end := strings.Index(src[z.pos+4:], "-->")
 		var body string
 		if end < 0 {
-			body = string(src[z.pos+4:]) // unterminated comment: recover
+			body = src[z.pos+4:] // unterminated comment: recover
 			z.pos = len(src)
 		} else {
-			body = string(src[z.pos+4 : z.pos+4+end])
+			body = src[z.pos+4 : z.pos+4+end]
 			z.pos += 4 + end + 3
 		}
 		return Token{Type: CommentToken, Data: body}
 	}
 	// <!DOCTYPE ...> or any other <!...>: consume to '>'.
-	end := indexByteFrom(src, z.pos, '>')
+	end := strings.IndexByte(src[z.pos:], '>')
 	var body string
 	if end < 0 {
-		body = string(src[z.pos+2:])
+		body = src[z.pos+2:]
 		z.pos = len(src)
 	} else {
-		body = string(src[z.pos+2 : end])
-		z.pos = end + 1
+		body = src[z.pos+2 : z.pos+end]
+		z.pos += end + 1
 	}
 	return Token{Type: DoctypeToken, Data: strings.TrimSpace(body)}
 }
@@ -167,7 +214,7 @@ func (z *Tokenizer) endTag() Token {
 	for i < len(src) && isNameChar(src[i]) {
 		i++
 	}
-	name := strings.ToLower(string(src[start:i]))
+	name := lowerName(src[start:i])
 	// Skip to '>' (tolerating junk attributes on end tags).
 	for i < len(src) && src[i] != '>' {
 		i++
@@ -186,8 +233,9 @@ func (z *Tokenizer) startTag() Token {
 	for i < len(src) && isNameChar(src[i]) {
 		i++
 	}
-	name := strings.ToLower(string(src[start:i]))
+	name := lowerName(src[start:i])
 	tok := Token{Type: StartTagToken, Data: name}
+	first := len(z.attrs)
 	for {
 		// Skip whitespace.
 		for i < len(src) && isSpace(src[i]) {
@@ -214,7 +262,7 @@ func (z *Tokenizer) startTag() Token {
 		for i < len(src) && !isSpace(src[i]) && src[i] != '=' && src[i] != '>' && src[i] != '/' {
 			i++
 		}
-		aName := strings.ToLower(string(src[aStart:i]))
+		aName := lowerName(src[aStart:i])
 		if aName == "" {
 			i++ // stray byte; skip to make progress
 			continue
@@ -236,7 +284,7 @@ func (z *Tokenizer) startTag() Token {
 				for i < len(src) && src[i] != q {
 					i++
 				}
-				val = string(src[vStart:i])
+				val = src[vStart:i]
 				if i < len(src) {
 					i++ // closing quote
 				}
@@ -245,10 +293,13 @@ func (z *Tokenizer) startTag() Token {
 				for i < len(src) && !isSpace(src[i]) && src[i] != '>' {
 					i++
 				}
-				val = string(src[vStart:i])
+				val = src[vStart:i]
 			}
 		}
-		tok.Attrs = append(tok.Attrs, Attr{Name: aName, Value: DecodeEntities(val)})
+		z.attrs = append(z.attrs, Attr{Name: aName, Value: DecodeEntities(val)})
+	}
+	if n := len(z.attrs); n > first {
+		tok.Attrs = z.attrs[first:n:n]
 	}
 	z.pos = i
 	if tok.Type == StartTagToken && (name == "script" || name == "style") {
@@ -267,13 +318,4 @@ func isNameChar(b byte) bool {
 
 func isSpace(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '\r' || b == '\f'
-}
-
-func indexByteFrom(src []byte, from int, c byte) int {
-	for i := from; i < len(src); i++ {
-		if src[i] == c {
-			return i
-		}
-	}
-	return -1
 }

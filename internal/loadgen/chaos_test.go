@@ -1,9 +1,7 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"testing"
 
@@ -68,8 +66,8 @@ func TestConnectionChaos(t *testing.T) {
 	writeChaosReport(t, rep)
 }
 
-// writeChaosReport emits the run as BENCH_resume.json in the repo root,
-// alongside the other committed benchmark artifacts.
+// writeChaosReport emits the run as BENCH_resume.json, when asked to (see
+// reportDirEnv).
 func writeChaosReport(t *testing.T, rep *ChaosReport) {
 	t.Helper()
 	doc := map[string]any{
@@ -82,11 +80,5 @@ func writeChaosReport(t *testing.T, rep *ChaosReport) {
 			"tuple multiset exactly equal to the uninterrupted answer.",
 		"results": rep,
 	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_resume.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeReport(t, "BENCH_resume.json", doc)
 }

@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
@@ -70,8 +68,8 @@ func buildWebbased(t *testing.T) string {
 	return bin
 }
 
-// writeFleetReport emits the run as BENCH_fleet.json in the repo root,
-// alongside the other committed benchmark artifacts.
+// writeFleetReport emits the run as BENCH_fleet.json, when asked to (see
+// reportDirEnv).
 func writeFleetReport(t *testing.T, rep *FleetReport) {
 	t.Helper()
 	doc := map[string]any{
@@ -85,11 +83,5 @@ func writeFleetReport(t *testing.T, rep *FleetReport) {
 			"stream to complete with a tuple multiset exactly equal to the uninterrupted answer.",
 		"results": rep,
 	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_fleet.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeReport(t, "BENCH_fleet.json", doc)
 }

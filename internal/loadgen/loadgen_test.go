@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -168,8 +169,8 @@ func envelopeP99(t *testing.T) float64 {
 	return doc.Results.Unprotected.P99Ms
 }
 
-// writeBenchReport emits the run as BENCH_server.json in the repo root,
-// alongside the other committed benchmark artifacts.
+// writeBenchReport emits the run as BENCH_server.json, when asked to (see
+// reportDirEnv).
 func writeBenchReport(t *testing.T, rep *Report, bound float64) {
 	t.Helper()
 	doc := map[string]any{
@@ -186,11 +187,26 @@ func writeBenchReport(t *testing.T, rep *Report, bound float64) {
 		},
 		"results": rep,
 	}
+	writeReport(t, "BENCH_server.json", doc)
+}
+
+// reportDirEnv names the environment variable that opts a test run into
+// writing its BENCH_*.json reports, into the directory it holds. Unset, the
+// default, a run writes nothing: `go test ./...` leaves the tree clean.
+const reportDirEnv = "WEBBASE_BENCH_OUT"
+
+// writeReport writes doc as name under $WEBBASE_BENCH_OUT, if that is set.
+func writeReport(t *testing.T, name string, doc map[string]any) {
+	t.Helper()
+	dir := os.Getenv(reportDirEnv)
+	if dir == "" {
+		return
+	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("../../BENCH_server.json", append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name), append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

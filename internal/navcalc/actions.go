@@ -172,7 +172,7 @@ func isFatalNav(err error) bool {
 }
 
 func findForm(b *BrowseState, name string) (htmlkit.Form, bool) {
-	forms := htmlkit.Forms(b.doc, b.url)
+	forms := b.forms
 	if name == "" {
 		if len(forms) == 0 {
 			return htmlkit.Form{}, false
@@ -258,7 +258,7 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 	if a.spec.Pattern != nil {
 		return a.runPattern(b, env)
 	}
-	rows := htmlkit.DataTable(b.doc, b.url, a.spec.headers()...)
+	rows := b.dataTable(a.spec.headers())
 	if rows == nil {
 		// No table carries the expected headers. On the page the map calls
 		// a data page this is the classic wrapper-breaking redesign; on a
@@ -268,14 +268,18 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 		return nil, nil
 	}
 	nb := b.Clone().(*BrowseState)
+	cellKeys := make([]string, len(a.spec.Columns)) // DataRow.Cells is keyed by lower-cased header
+	for k, c := range a.spec.Columns {
+		cellKeys[k] = strings.ToLower(c.Header)
+	}
 	for _, row := range rows {
 		t := make(relation.Tuple, len(nb.schema))
-		for _, c := range a.spec.Columns {
+		for k, c := range a.spec.Columns {
 			i := nb.schema.IndexOf(c.Attr)
 			if i < 0 {
 				return nil, fmt.Errorf("navcalc: extract attribute %q not in schema %v", c.Attr, nb.schema)
 			}
-			raw := row.Cells[strings.ToLower(c.Header)]
+			raw := row.Cells[cellKeys[k]]
 			if c.Money {
 				t[i] = relation.ParseMoney(raw)
 			} else {
@@ -423,7 +427,7 @@ func IsDataPage(headers ...string) tlogic.Formula {
 			if !b.store.IsA(b.pageID, "data_page") {
 				return false
 			}
-			return htmlkit.DataTable(b.doc, b.url, headers...) != nil
+			return b.dataTable(headers) != nil
 		},
 	}}
 }

@@ -3,6 +3,7 @@ package navcalc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -475,5 +476,45 @@ func TestStartPageFetchFailure(t *testing.T) {
 	}
 	if _, _, err := expr.Execute(w.Server, nil); err == nil {
 		t.Error("unknown host must error")
+	}
+}
+
+// TestFollowLinkTriesLinksInDocumentOrder: when several links on a page
+// carry the name being followed, the calculus tries them in the order they
+// stand on the page, and the interpreter keeps the first that leads
+// somewhere. On a page of more than a hundred links that is not the order
+// of the object ids as strings — follow100 sorts before follow11 — which is
+// the order the store used to hand its members back in.
+func TestFollowLinkTriesLinksInDocumentOrder(t *testing.T) {
+	var home strings.Builder
+	home.WriteString("<html><head><title>Directory</title></head><body>\n")
+	for i := 0; i < 120; i++ {
+		name := fmt.Sprintf("Entry %d", i)
+		if i == 11 || i == 100 {
+			name = "Listing"
+		}
+		fmt.Fprintf(&home, "<a href=\"/page%d\">%s</a><br>\n", i, name)
+	}
+	home.WriteString("</body></html>")
+	mux := web.NewMux("directory.example")
+	mux.Handle("/", func(req *web.Request) (*web.Response, error) { return web.HTML(req.URL, home.String()), nil })
+	for _, i := range []int{11, 100} {
+		body := fmt.Sprintf("<html><head><title>Target %d</title></head><body>here</body></html>", i)
+		mux.Handle(fmt.Sprintf("/page%d", i), func(req *web.Request) (*web.Response, error) { return web.HTML(req.URL, body), nil })
+	}
+	st, err := NewBrowseState(web.FetcherFunc(mux.Serve), "http://directory.example/", relation.NewSchema("A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Store().Members("follow_link"); len(got) != 120 || got[11] != "follow11" || got[100] != "follow100" {
+		t.Fatalf("follow_link members are not in document order: %v", got)
+	}
+	in := &tlogic.Interp{Program: tlogic.NewProgram()}
+	out, _, ok, err := in.Run(Follow("Listing"), st, tlogic.Env{})
+	if err != nil || !ok {
+		t.Fatalf("follow failed: ok=%v err=%v", ok, err)
+	}
+	if got := out.State.(*BrowseState).URL(); got != "http://directory.example/page11" {
+		t.Errorf("followed to %s, want the first Listing link in document order, /page11", got)
 	}
 }

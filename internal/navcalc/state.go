@@ -14,6 +14,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"webbase/internal/flogic"
 	"webbase/internal/htmlkit"
@@ -64,19 +67,41 @@ func (p *pageBudget) noteInputShortfall() { p.sawInputShortfall = true }
 var ErrPageBudget = errors.New("navcalc: page budget exceeded")
 
 // BrowseState is the database state of a navigation execution: the current
-// page (both parsed and as F-logic objects), the fetcher used to move, and
-// the tuples collected so far. It implements tlogic.State.
+// page, the fetcher used to move, and the tuples collected so far. It
+// implements tlogic.State.
 type BrowseState struct {
 	ctx     context.Context
 	fetcher web.Fetcher
 	budget  *pageBudget // shared across clones
-	url     string
-	doc     *htmlkit.Node // parsed page; immutable once built
-	store   *flogic.Store // F-logic view of the page; immutable once built
-	pageID  flogic.OID
+	*page               // shared across clones
 
 	schema    relation.Schema
 	collected []relation.Tuple
+}
+
+// page is everything load derives from one fetched page, once. The states
+// on that page share it, and it goes when the last of them does: nothing
+// about a page is kept between loads.
+type page struct {
+	url    string
+	doc    *htmlkit.Node  // parsed page; immutable once built
+	store  *flogic.Store  // F-logic view of the page; immutable once built
+	pageID flogic.OID     // the page object in store
+	forms  []htmlkit.Form // the forms behind store's form objects
+
+	// The data table last looked up and the headers it was looked up by:
+	// the isdata guard finds the table extract then reads. Navigation
+	// within one execution is sequential, so filling this in needs no lock.
+	tableFor []string
+	table    []htmlkit.DataRow
+}
+
+// dataTable is htmlkit.DataTable on the current page.
+func (p *page) dataTable(headers []string) []htmlkit.DataRow {
+	if p.tableFor == nil || !slices.Equal(p.tableFor, headers) {
+		p.tableFor, p.table = headers, htmlkit.DataTable(p.doc, p.url, headers...)
+	}
+	return p.table
 }
 
 // NewBrowseState fetches startURL and returns the initial state of a
@@ -127,6 +152,10 @@ func (b *BrowseState) load(req *web.Request) error {
 		rctx = trace.ContextWith(b.ctx, sp)
 	}
 	req = req.WithContext(rctx)
+	// The URL was read off the page being left, as a substring of its
+	// text. The fetch stack keeps what it is given (the cache stores the
+	// URL with the response), and must not keep that page alive with it.
+	req.URL = strings.Clone(req.URL)
 	resp, err := b.fetcher.Fetch(req)
 	if err != nil {
 		sp.EndErr(err)
@@ -140,14 +169,14 @@ func (b *BrowseState) load(req *web.Request) error {
 		return web.MarkSiteAnswer(fmt.Errorf("navcalc: %s returned status %d", req.URL, resp.Status))
 	}
 	sp.End()
-	b.url = resp.URL
-	b.doc = htmlkit.Parse(resp.Body)
-	b.store, b.pageID = PageToObjects(b.doc, b.url)
+	doc := htmlkit.Parse(resp.Body)
+	view := htmlkit.Scan(doc, resp.URL)
+	store, pageID := pageObjects(view, resp.URL)
+	b.page = &page{url: resp.URL, doc: doc, store: store, pageID: pageID, forms: view.Forms}
 	return nil
 }
 
-// Clone implements tlogic.State. The page document and object store are
-// immutable after construction and therefore shared; the collected-tuple
+// Clone implements tlogic.State. The page is shared; the collected-tuple
 // list is copied so that backtracking discards a failed branch's
 // extractions.
 func (b *BrowseState) Clone() tlogic.State {
@@ -246,6 +275,14 @@ func DeclareWWWSignatures(st *flogic.Store) {
 	st.DeclareSubclass("data_page", "web_page")
 }
 
+// wwwStore holds the Figure 3 signatures, declared once: every page's
+// store is derived from it and shares them.
+var wwwStore = func() *flogic.Store {
+	st := flogic.NewStore()
+	DeclareWWWSignatures(st)
+	return st
+}()
+
 // PageToObjects parses a page into its F-logic object representation per
 // Figure 3: one web_page object whose set-valued actions attribute holds a
 // follow_link object per hyperlink and a submit_form object per form, with
@@ -256,35 +293,44 @@ func DeclareWWWSignatures(st *flogic.Store) {
 // "85 objects with over 600 attributes" for Newsday's map) and the one the
 // calculus' guards query.
 func PageToObjects(doc *htmlkit.Node, pageURL string) (*flogic.Store, flogic.OID) {
-	st := flogic.NewStore()
-	DeclareWWWSignatures(st)
+	return pageObjects(htmlkit.Scan(doc, pageURL), pageURL)
+}
+
+func pageObjects(view htmlkit.Page, pageURL string) (*flogic.Store, flogic.OID) {
+	objects := 1 + 2*len(view.Links) + 2*len(view.Forms)
+	for i := range view.Forms {
+		objects += len(view.Forms[i].Fields)
+	}
+	st := wwwStore.Fresh(objects)
+	var ids strings.Builder
+	ids.Grow(8 * objects)
 
 	pageID := flogic.OID("page")
 	st.AddClass(pageID, "web_page")
 	st.SetAttr(pageID, "address", flogic.S(pageURL))
-	st.SetAttr(pageID, "title", flogic.S(htmlkit.Title(doc)))
+	st.SetAttr(pageID, "title", flogic.S(view.Title))
 
-	for i, l := range htmlkit.Links(doc, pageURL) {
-		linkID := flogic.OID(fmt.Sprintf("link%02d", i))
+	for i, l := range view.Links {
+		linkID := mintOID(&ids, "link", i)
 		st.AddClass(linkID, "link")
 		st.SetAttr(linkID, "name", flogic.S(l.Name))
 		st.SetAttr(linkID, "address", flogic.S(l.Address))
 
-		actID := flogic.OID(fmt.Sprintf("follow%02d", i))
+		actID := mintOID(&ids, "follow", i)
 		st.AddClass(actID, "follow_link")
 		st.SetAttr(actID, "object", flogic.R(linkID))
 		st.SetAttr(actID, "source", flogic.R(pageID))
 		st.AddAttr(pageID, "actions", flogic.R(actID))
 	}
 
-	for i, f := range htmlkit.Forms(doc, pageURL) {
-		formID := flogic.OID(fmt.Sprintf("form%02d", i))
+	for i, f := range view.Forms {
+		formID := mintOID(&ids, "form", i)
 		st.AddClass(formID, "form")
 		st.SetAttr(formID, "name", flogic.S(f.Name))
 		st.SetAttr(formID, "cgi", flogic.S(f.Action))
 		st.SetAttr(formID, "method", flogic.S(f.Method))
 		for j, fl := range f.Fields {
-			avID := flogic.OID(fmt.Sprintf("attr%02d_%02d", i, j))
+			avID := mintOID(&ids, "attr", i, j)
 			st.AddClass(avID, "attrValPair")
 			st.SetAttr(avID, "attrName", flogic.S(fl.Name))
 			st.SetAttr(avID, "type", flogic.S(string(fl.Widget)))
@@ -304,7 +350,7 @@ func PageToObjects(doc *htmlkit.Node, pageURL string) (*flogic.Store, flogic.OID
 			}
 		}
 
-		actID := flogic.OID(fmt.Sprintf("submit%02d", i))
+		actID := mintOID(&ids, "submit", i)
 		st.AddClass(actID, "submit_form")
 		st.SetAttr(actID, "object", flogic.R(formID))
 		st.SetAttr(actID, "source", flogic.R(pageID))
@@ -312,9 +358,29 @@ func PageToObjects(doc *htmlkit.Node, pageURL string) (*flogic.Store, flogic.OID
 	}
 
 	// A page carrying at least one data table is also a data_page.
-	if len(doc.FindAll("table")) > 0 {
+	if view.HasTable {
 		st.AddClass(pageID, "data_page")
 		st.SetAttr(pageID, "extract", flogic.S("table"))
 	}
 	return st, pageID
+}
+
+// mintOID returns prefix followed by the indexes, each of two digits at
+// least and "_" between them: link07, attr00_12. The id is a substring of
+// the string ids grows, so that naming all the objects of a page costs an
+// allocation or two and not one per object.
+func mintOID(ids *strings.Builder, prefix string, idx ...int) flogic.OID {
+	start := ids.Len()
+	ids.WriteString(prefix)
+	for k, i := range idx {
+		if k > 0 {
+			ids.WriteByte('_')
+		}
+		if i < 10 {
+			ids.WriteByte('0')
+		}
+		var digits [20]byte
+		ids.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	return flogic.OID(ids.String()[start:])
 }

@@ -1,8 +1,10 @@
 package vps
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -121,11 +123,21 @@ func TestSwapDuringConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	repaired, rw := repairedNewsdayMap(t, reg)
-	// The site serves BOTH designs here (rewrite inactive), so old-map and
-	// new-map navigations both succeed; what's under test is the
+	// The site serves BOTH designs here — the old link and, next to it, the
+	// renamed one — so old-map and new-map navigations both succeed,
+	// whichever map an invocation starts on; what's under test is the
 	// concurrency of the swap, not the drift.
-	_ = rw
-	w := sites.BuildWorld()
+	world := sites.BuildWorld()
+	both := strings.TrimSuffix(rw.Old, "<") + "</a> <a href=\"http://" + sites.NewsdayHost + "/auto\"" + rw.New
+	bothDesigns := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		resp, err := world.Server.Fetch(req)
+		if err == nil {
+			cp := *resp
+			cp.Body = bytes.Replace(resp.Body, []byte(rw.Old), []byte(both), 1)
+			resp = &cp
+		}
+		return resp, err
+	})
 	inputs := map[string]relation.Value{"Make": v("ford"), "Model": v("escort")}
 
 	var wg sync.WaitGroup
@@ -140,7 +152,7 @@ func TestSwapDuringConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				rel, _, err := reg.PopulateContext(context.Background(), w.Server, "newsday", inputs)
+				rel, _, err := reg.PopulateContext(context.Background(), bothDesigns, "newsday", inputs)
 				if err != nil {
 					t.Errorf("query during swap failed: %v", err)
 					return

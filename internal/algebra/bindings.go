@@ -117,6 +117,40 @@ func bindings(e Expr, cat Catalog) ([]relation.AttrSet, error) {
 	}
 }
 
+// Forwardable is the set of bound attributes that can change how e
+// evaluates, by the structural recursion of Bindings: a base relation's own
+// set, ρ renames it, σ and π pass it through, and a binary operator hands
+// its bound values to both sides. It may exceed e's schema.
+func Forwardable(e Expr, cat Catalog) relation.AttrSet {
+	both := func(l, r Expr) relation.AttrSet { return Forwardable(l, cat).Union(Forwardable(r, cat)) }
+	switch e := e.(type) {
+	case *Scan:
+		return cat.Forwardable(e.Relation)
+	case *Select:
+		return Forwardable(e.Input, cat)
+	case *Project:
+		return Forwardable(e.Input, cat)
+	case *Rename:
+		out := relation.NewAttrSet()
+		for a := range Forwardable(e.Input, cat) {
+			if n, ok := e.Mapping[a]; ok {
+				a = n
+			}
+			out.Add(a)
+		}
+		return out
+	case *Union:
+		return both(e.Left, e.Right)
+	case *RelaxedUnion:
+		return both(e.Left, e.Right)
+	case *Diff:
+		return both(e.Left, e.Right)
+	case *Join:
+		return both(e.Left, e.Right)
+	}
+	return nil
+}
+
 // crossUnion implements the ∪/− rule: every pairwise union of binding
 // sets.
 func crossUnion(left, right Expr, cat Catalog) ([]relation.AttrSet, error) {

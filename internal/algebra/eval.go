@@ -221,14 +221,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		if err := firstError(errs); err != nil {
 			return nil, err
 		}
-		acc := rels[0]
-		var err error
-		for _, r := range rels[1:] {
-			if acc, err = acc.Union(r); err != nil {
-				return nil, err
-			}
-		}
-		return acc, nil
+		return relation.UnionAll(rels)
 
 	case *RelaxedUnion:
 		sch, err := e.Schema(cat)
@@ -237,8 +230,8 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		}
 		// Every branch always evaluates (no short-circuit): a binding
 		// failure on one must not suppress the others' partial answers.
-		// Like Union, chains flatten into one fan-out; the left-fold merge
-		// in leaf order reproduces the pairwise result exactly.
+		// Like Union, chains flatten into one fan-out; merging in leaf
+		// order reproduces the pairwise result exactly.
 		leaves := flattenRelaxedUnion(e)
 		rels := make([]*relation.Relation, len(leaves))
 		sps := opSpans(ctx, leaves)
@@ -247,28 +240,24 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 			rels[i] = rel
 			return err
 		})
-		var acc *relation.Relation
 		for i, lerr := range errs {
 			switch {
 			case lerr == nil:
-				if acc == nil {
-					acc = rels[i]
-				} else if acc, err = acc.Union(rels[i]); err != nil {
-					return nil, err
-				}
 			case bindingFailure(lerr):
 				// This branch is unreachable with the current bindings:
 				// drop it, keep the partial answer.
+				rels[i] = nil
 			default:
 				return nil, lerr
 			}
 		}
-		if acc == nil {
+		acc, err := relation.UnionAll(rels)
+		if acc == nil && err == nil {
 			// No branch reachable with these bindings: empty partial
 			// answer rather than an error — the relaxed semantics.
-			return relation.New("", sch), nil
+			acc = relation.New("", sch)
 		}
-		return acc, nil
+		return acc, err
 
 	case *Diff:
 		l, err := EvalContext(ctx, e.Left, cat, bound)
@@ -362,12 +351,14 @@ func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relati
 	return acc, nil
 }
 
-// dependentJoin evaluates next once per distinct combination of shared
-// attributes in acc (sideways information passing) and joins the union of
-// the per-combination results with acc. The per-combination invocations
-// are independent handle calls, so they run in parallel when the context
-// carries a pool; the partial results are merged in combination order,
-// keeping the output deterministic.
+// dependentJoin evaluates next once per distinct combination in acc of the
+// shared attributes next can forward (sideways information passing) and
+// joins the union of the per-combination results with acc. A shared
+// attribute no handle under next forwards is not fed — k values of it would
+// repeat one navigation k times and post-filter it k ways — and is matched
+// by the natural join instead. The invocations are independent handle
+// calls, so they run in parallel when the context carries a pool; the
+// parts are merged in combination order, keeping the output deterministic.
 func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextSchema relation.Schema,
 	cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
 
@@ -379,7 +370,25 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 		}
 		return acc.NaturalJoin(r), nil
 	}
-	combos, err := acc.Project(shared...)
+	// A row with a null in a shared attribute never joins, fed or not: it
+	// must neither cause an invocation nor meet the natural join below.
+	accSch := acc.Schema()
+	acc = acc.Select(func(t relation.Tuple) bool {
+		for _, a := range shared {
+			if t[accSch.IndexOf(a)].IsNull() {
+				return false
+			}
+		}
+		return true
+	})
+	forwardable := Forwardable(next, cat)
+	var feed relation.Schema
+	for _, a := range shared {
+		if forwardable.Has(a) {
+			feed = append(feed, a)
+		}
+	}
+	combos, err := acc.Project(feed...)
 	if err != nil {
 		return nil, err
 	}
@@ -397,10 +406,9 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 	// fed inputs, so a part tuple always carries its combination's values.
 	var prunedCombo []bool
 	if st := prune.FromContext(ctx); st != nil && len(tuples) > 0 {
-		accSch := acc.Schema()
 		live := acc.Select(func(t relation.Tuple) bool { return !st.IrrelevantTuple(accSch, t) })
 		if live.Len() != acc.Len() {
-			liveCombos, err := live.Project(shared...)
+			liveCombos, err := live.Project(feed...)
 			if err != nil {
 				return nil, err
 			}
@@ -420,7 +428,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 	// share one name; the rendered plan aggregates them into invocations=N.
 	var sps []*trace.Span
 	if trace.FromContext(ctx) != nil {
-		name := "invoke {" + strings.Join(shared, ", ") + "} → " + opLabel(next)
+		name := "invoke {" + strings.Join(feed, ", ") + "} → " + opLabel(next)
 		sps = make([]*trace.Span, len(tuples))
 		for i := range tuples {
 			sps[i] = trace.Start(ctx, trace.KindInvoke, name)
@@ -454,12 +462,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			return err
 		}
 		inputs := cloneBound(bound)
-		for k, a := range shared {
-			if tuples[i][k].IsNull() {
-				sp.Set("skipped", 1)
-				sp.End()
-				return nil // cannot feed a null binding to a form; skip
-			}
+		for k, a := range feed {
 			inputs[a] = tuples[i][k]
 		}
 		part, err := EvalContext(ictx, next, cat, inputs)
@@ -475,18 +478,10 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	var merged *relation.Relation
-	for _, part := range parts {
-		if part == nil {
-			continue // skipped null-binding combination
-		}
-		if merged == nil {
-			merged = part
-			continue
-		}
-		if merged, err = merged.Union(part); err != nil {
-			return nil, err
-		}
+	// A single part is deduplicated exactly as several are.
+	merged, err := relation.UnionAll(parts)
+	if err != nil {
+		return nil, err
 	}
 	if merged == nil {
 		// No usable combinations: the join is empty.

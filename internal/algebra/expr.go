@@ -14,12 +14,17 @@ import (
 )
 
 // Catalog resolves base relations: their schemas, their alternative
-// binding sets (sets of mandatory attributes, one per handle), and their
-// population given input bindings. The VPS registry and the logical layer
-// both implement it, so algebra expressions compose across layers.
+// binding sets (sets of mandatory attributes, one per handle), the inputs
+// their population can forward, and their population given input bindings.
+// The VPS registry and the logical layer both implement it, so algebra
+// expressions compose across layers.
 type Catalog interface {
 	Schema(name string) (relation.Schema, error)
 	Bindings(name string) ([]relation.AttrSet, error)
+	// Forwardable returns the inputs that can change what Populate fetches
+	// (the union of the handles' selection attributes); any other input
+	// only post-filters. Read-only; empty for an unknown relation.
+	Forwardable(name string) relation.AttrSet
 	Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error)
 }
 

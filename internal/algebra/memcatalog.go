@@ -65,6 +65,13 @@ func (c *MemCatalog) Bindings(name string) ([]relation.AttrSet, error) {
 	return r.bindings, nil
 }
 
+// Forwardable implements Catalog: Populate filters on every schema
+// attribute it is given.
+func (c *MemCatalog) Forwardable(name string) relation.AttrSet {
+	sch, _ := c.Schema(name) // unknown relation: no schema, empty set
+	return relation.SetFromSchema(sch)
+}
+
 // Populate implements Catalog: it checks the binding restriction, then
 // filters the materialized data by the inputs (a site returns only
 // matching rows).

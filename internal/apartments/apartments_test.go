@@ -80,6 +80,35 @@ func TestMapsTranslateAndRun(t *testing.T) {
 	}
 }
 
+// TestSelectionsCoverWhatExpressionsRead: the hand-declared selections of
+// the apartment VPS list every schema attribute the derived expressions
+// read from their inputs (cityRentals forwards the optional Bedrooms).
+func TestSelectionsCoverWhatExpressionsRead(t *testing.T) {
+	reg, err := Registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	optional := 0
+	for _, ri := range reg.Relations() {
+		for _, h := range ri.Handles {
+			for _, a := range h.Expr.Vars() {
+				if !ri.Schema.Has(a) {
+					continue
+				}
+				if !h.Selection.Has(a) {
+					t.Errorf("%s reads %s, which its selection omits", h, a)
+				}
+				if !h.Mandatory.Has(a) {
+					optional++
+				}
+			}
+		}
+	}
+	if optional == 0 {
+		t.Error("no handle forwards an optional attribute; the check is vacuous")
+	}
+}
+
 func TestApartmentURPlanning(t *testing.T) {
 	s, err := UR()
 	if err != nil {

@@ -97,6 +97,10 @@ func chaosDriftOutcome(t *testing.T, failEvery uint64, workers int) string {
 	var sb strings.Builder
 	stage := func(name string) {
 		res, qs, err := wb.QueryString(wideCarQuery)
+		// Quiesce, then observe: the query may have launched a background
+		// repair, and the site state is a function of completed work only
+		// once that repair has finished.
+		wb.SiteHealth().Wait()
 		fmt.Fprintf(&sb, "=== %s (newsday=%s) ===\n", name, wb.SiteHealth().SiteState(sites.NewsdayHost))
 		if err != nil {
 			fmt.Fprintf(&sb, "error: %s\n", err)
@@ -117,7 +121,6 @@ func chaosDriftOutcome(t *testing.T, failEvery uint64, workers int) string {
 	clk.Advance(2 * time.Minute) // the whole cache is now stale-eligible
 	for i := 0; i < 3; i++ {
 		stage(fmt.Sprintf("chaos-%d", i))
-		wb.SiteHealth().Wait()
 	}
 	fmt.Fprintf(&sb, "attempts=%d\n", wb.SiteHealth().Attempts(sites.NewsdayHost))
 	return sb.String()

@@ -141,6 +141,10 @@ func TestPruneChaosStaleDrift(t *testing.T) {
 		var sb strings.Builder
 		stage := func(name string) {
 			res, qs, err := wb.QueryString(wideCarQuery)
+			// Quiesce, then observe: the query may have launched a background
+			// repair, and the site state is a function of completed work only
+			// once that repair has finished.
+			wb.SiteHealth().Wait()
 			fmt.Fprintf(&sb, "=== %s (newsday=%s) ===\n", name, wb.SiteHealth().SiteState(sites.NewsdayHost))
 			if err != nil {
 				fmt.Fprintf(&sb, "error: %s\n", err)
@@ -157,7 +161,6 @@ func TestPruneChaosStaleDrift(t *testing.T) {
 		clk.Advance(2 * time.Minute)
 		for i := 0; i < 3; i++ {
 			stage(fmt.Sprintf("chaos-%d", i))
-			wb.SiteHealth().Wait()
 		}
 		return sb.String()
 	}

@@ -60,13 +60,17 @@ func selfHealSequence(t *testing.T, workers int) string {
 		web.Rewrite{Old: ">Automobiles<", New: ">Cars and Trucks<"})
 
 	var sb strings.Builder
-	stage := func(name string, outcome string) {
+	stage := func(name string) {
+		outcome := queryOutcome(t, wb)
+		// Quiesce, then observe: every repair the query launched has
+		// finished, so the state is a function of completed work.
+		wb.SiteHealth().Wait()
 		fmt.Fprintf(&sb, "=== %s (newsday=%s) ===\n%s\n",
 			name, wb.SiteHealth().SiteState(sites.NewsdayHost), outcome)
 	}
 
 	// Stage 1: pristine site, full answer.
-	stage("healthy", queryOutcome(t, wb))
+	stage("healthy")
 
 	// The site redesigns mid-workload. Cached pre-redesign pages would
 	// mask it from this test's first post-redesign query, so drop them
@@ -75,16 +79,14 @@ func selfHealSequence(t *testing.T, workers int) string {
 	wb.Cache().Clear()
 
 	// Stage 2: first drift observation — answer degrades, site is suspect.
-	stage("first drift", queryOutcome(t, wb))
+	stage("first drift")
 
-	// Stage 3: second observation confirms; quarantine + background repair.
-	stage("second drift", queryOutcome(t, wb))
-
-	// Quiescent point: every launched repair has finished.
-	wb.SiteHealth().Wait()
+	// Stage 3: second observation confirms; quarantine + background repair,
+	// finished by the time the stage reads the state.
+	stage("second drift")
 
 	// Stage 4: repaired map hot-swapped in; full answer is back.
-	stage("healed", queryOutcome(t, wb))
+	stage("healed")
 	fmt.Fprintf(&sb, "attempts=%d\n", wb.SiteHealth().Attempts(sites.NewsdayHost))
 	return sb.String()
 }

@@ -43,6 +43,15 @@ func (c *VPSCatalog) Bindings(name string) ([]relation.AttrSet, error) {
 	return c.Registry.Bindings(name)
 }
 
+// Forwardable implements algebra.Catalog: the union of the relation's
+// handles' selection attributes.
+func (c *VPSCatalog) Forwardable(name string) relation.AttrSet {
+	if ri, ok := c.Registry.Relation(name); ok {
+		return ri.Forwardable()
+	}
+	return nil
+}
+
 // Populate implements algebra.Catalog by executing the relation's
 // navigation expression against the Web.
 func (c *VPSCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
@@ -78,19 +87,21 @@ type View struct {
 type Catalog struct {
 	base  algebra.Catalog
 	views map[string]*View
-	// Derived-schema and binding caches: views are static, so both are
-	// computed once.
-	schemas  map[string]relation.Schema
-	bindings map[string][]relation.AttrSet
+	// Derived schemas, binding sets and forwardable inputs: views are
+	// static, so all three are computed once, in Define.
+	schemas     map[string]relation.Schema
+	bindings    map[string][]relation.AttrSet
+	forwardable map[string]relation.AttrSet
 }
 
 // NewCatalog returns an empty logical catalog over the base.
 func NewCatalog(base algebra.Catalog) *Catalog {
 	return &Catalog{
-		base:     base,
-		views:    make(map[string]*View),
-		schemas:  make(map[string]relation.Schema),
-		bindings: make(map[string][]relation.AttrSet),
+		base:        base,
+		views:       make(map[string]*View),
+		schemas:     make(map[string]relation.Schema),
+		bindings:    make(map[string][]relation.AttrSet),
+		forwardable: make(map[string]relation.AttrSet),
 	}
 }
 
@@ -113,6 +124,7 @@ func (c *Catalog) Define(name string, def algebra.Expr) error {
 	c.views[name] = &View{Name: name, Def: def}
 	c.schemas[name] = sch
 	c.bindings[name] = bs
+	c.forwardable[name] = algebra.Forwardable(def, c.base)
 	return nil
 }
 
@@ -148,6 +160,9 @@ func (c *Catalog) Bindings(name string) ([]relation.AttrSet, error) {
 	}
 	return nil, fmt.Errorf("logical: unknown relation %q", name)
 }
+
+// Forwardable implements algebra.Catalog, as derived in Define.
+func (c *Catalog) Forwardable(name string) relation.AttrSet { return c.forwardable[name] }
 
 // Populate implements algebra.Catalog by evaluating the view definition
 // over the base catalog with the inputs as bound values, then restricting

@@ -50,6 +50,32 @@ func TestStandardCatalogViews(t *testing.T) {
 	}
 }
 
+// TestForwardableDerivedAtDefine: a view forwards what the handles under it
+// forward — no view over the dealer or classified sites can pass a Year to
+// a site, the blue book can — and a bare VPS relation forwards the union of
+// its handles' selections.
+func TestForwardableDerivedAtDefine(t *testing.T) {
+	cat, _, _ := standard(t)
+	for name, want := range map[string]relation.AttrSet{
+		"classifieds": relation.NewAttrSet("Make", "Model", "Url"),
+		"dealers":     relation.NewAttrSet("Make", "Model", "ZipCode"),
+		"bluePrice":   relation.NewAttrSet("Make", "Model", "Year", "Condition"),
+		"reliability": relation.NewAttrSet("Make"),
+		"ghost":       relation.NewAttrSet(),
+	} {
+		if got := cat.Forwardable(name); !got.Equal(want) {
+			t.Errorf("%s forwards %s, want %s", name, got, want)
+		}
+	}
+	base := cat.base
+	if got, want := base.Forwardable("newsday"), relation.NewAttrSet("Make", "Model"); !got.Equal(want) {
+		t.Errorf("newsday forwards %s, want %s", got, want)
+	}
+	if got := base.Forwardable("ghost"); len(got) != 0 {
+		t.Errorf("unknown VPS relation forwards %s", got)
+	}
+}
+
 // TestClassifiedsBindingIsMake reproduces the paper's binding propagation
 // example (Section 5): "{Make} turns out also to be the only mandatory
 // binding for newsday ⋈ newsdayCarFeatures... Therefore, by the union and

@@ -2,6 +2,7 @@ package navcalc
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"webbase/internal/relation"
@@ -61,6 +62,62 @@ func ruleNames(p *tlogic.Program) []string {
 		}
 	}
 	return names
+}
+
+// Vars returns, sorted, every input binding the expression can read: the
+// start-URL variable and the variables of follow(?V), submit(...; f=?V)
+// and extract(A <- env ?V) in the goal and in every rule of the program.
+// A handle's selection attributes must cover the ones that name schema
+// attributes, or the planner, which feeds a handle only what its selection
+// lists, would withhold an input the navigation uses.
+func (e *Expression) Vars() []string {
+	seen := map[string]bool{}
+	if e.StartURLVar != "" {
+		seen[e.StartURLVar] = true
+	}
+	var visit func(f tlogic.Formula)
+	visit = func(f tlogic.Formula) {
+		switch f := f.(type) {
+		case tlogic.Serial:
+			visit(f.Left)
+			visit(f.Right)
+		case tlogic.Choice:
+			visit(f.Left)
+			visit(f.Right)
+		case tlogic.Not:
+			visit(f.Body)
+		case tlogic.Prim:
+			switch a := f.Action.(type) {
+			case followLink:
+				if a.fromVar != "" {
+					seen[a.fromVar] = true
+				}
+			case submitForm:
+				for _, fl := range a.fills {
+					if fl.Const == "" {
+						seen[fl.Var] = true
+					}
+				}
+			case extract:
+				for _, ec := range a.spec.EnvCols {
+					seen[ec.Var] = true
+				}
+			}
+		}
+	}
+	visit(e.Goal)
+	if e.Program != nil {
+		for _, name := range ruleNames(e.Program) {
+			body, _ := e.Program.Rule(name)
+			visit(body)
+		}
+	}
+	vars := make([]string, 0, len(seen))
+	for v := range seen {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	return vars
 }
 
 // formatFormula renders a formula; parenthesize marks choice contexts.

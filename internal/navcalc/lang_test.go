@@ -103,6 +103,31 @@ goal extract(Features <- "Features", Picture <- "Picture", Url <- env ?Url)
 	}
 }
 
+// TestVarsListsEveryInputRead: start variable, variable links, variable
+// fills (constants are not inputs) and env columns, in the goal and in
+// rules the goal reaches only through a call.
+func TestVarsListsEveryInputRead(t *testing.T) {
+	expr, err := ParseExpression(`
+expression dir(Make, Model, Zip, Url)
+start ?Url
+goal follow(?Make) ; submit("f"; model=?Model, kind="used") ; collect
+rule collect = extract(Make <- "Make", Zip <- env ?Zip) ; ( follow("More") ; collect | () )
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(expr.Vars(), ","); got != "Make,Model,Url,Zip" {
+		t.Errorf("Vars = %s", got)
+	}
+	nd, err := ParseExpression(newsdayText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(nd.Vars(), ","); got != "Featrs,Make,Model" {
+		t.Errorf("newsday Vars = %s", got)
+	}
+}
+
 func TestParsePatternExtract(t *testing.T) {
 	text := `
 expression lots(Make, Price)

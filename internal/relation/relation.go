@@ -10,12 +10,18 @@ import (
 type Tuple []Value
 
 // Key returns a canonical key for deduplication.
-func (t Tuple) Key() string {
-	parts := make([]string, len(t))
+func (t Tuple) Key() string { return string(t.appendKey(make([]byte, 0, 64))) }
+
+// appendKey appends the tuple's key to buf (the values' keys, NUL-separated),
+// so a dedup loop can reuse one buffer instead of building a string per probe.
+func (t Tuple) appendKey(buf []byte) []byte {
 	for i, v := range t {
-		parts[i] = v.Key()
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		buf = v.appendKey(buf)
 	}
-	return strings.Join(parts, "\x00")
+	return buf
 }
 
 // Clone copies the tuple.
@@ -163,27 +169,46 @@ func (r *Relation) SelectEq(attr string, val Value) (*Relation, error) {
 // Union returns the set union of r and other. The schemas must contain the
 // same attribute set; other's columns are permuted to match r's order.
 func (r *Relation) Union(other *Relation) (*Relation, error) {
-	perm, err := alignment(r.schema, other.schema, "union")
-	if err != nil {
-		return nil, err
-	}
-	out := New("", r.schema)
-	seen := make(map[string]bool, len(r.tuples)+len(other.tuples))
-	add := func(t Tuple) {
-		if k := t.Key(); !seen[k] {
-			seen[k] = true
-			out.tuples = append(out.tuples, t)
+	return UnionAll([]*Relation{r, other})
+}
+
+// UnionAll returns the set union of rels in first-occurrence order, under
+// the schema of the first (the others' columns are permuted to match it):
+// one pass and one seen-set, where a pairwise fold re-keys everything
+// merged so far at every step. Nil entries (branches that produced
+// nothing) are skipped; the result is nil when every entry is. Tuples are
+// immutable, so the result shares them with its inputs.
+func UnionAll(rels []*Relation) (*Relation, error) {
+	var out *Relation
+	var buf []byte
+	seen := make(map[string]struct{})
+	for _, r := range rels {
+		if r == nil {
+			continue
 		}
-	}
-	for _, t := range r.tuples {
-		add(t.Clone())
-	}
-	for _, t := range other.tuples {
-		nt := make(Tuple, len(perm))
-		for i, j := range perm {
-			nt[i] = t[j]
+		var perm []int
+		if out == nil {
+			out = New("", r.schema)
+		} else if !out.schema.Equal(r.schema) {
+			var err error
+			if perm, err = alignment(out.schema, r.schema, "union"); err != nil {
+				return nil, err
+			}
 		}
-		add(nt)
+		for _, t := range r.tuples {
+			if perm != nil {
+				nt := make(Tuple, len(perm))
+				for i, j := range perm {
+					nt[i] = t[j]
+				}
+				t = nt
+			}
+			buf = t.appendKey(buf[:0])
+			if _, dup := seen[string(buf)]; !dup {
+				seen[string(buf)] = struct{}{}
+				out.tuples = append(out.tuples, t)
+			}
+		}
 	}
 	return out, nil
 }
@@ -247,13 +272,14 @@ func (r *Relation) NaturalJoin(other *Relation) *Relation {
 
 	// Hash join on the common-attribute key.
 	buckets := make(map[string][]Tuple, len(other.tuples))
+	var buf []byte
 	for _, t := range other.tuples {
-		key := joinKey(t, oIdx)
-		buckets[key] = append(buckets[key], t)
+		buf = appendJoinKey(buf[:0], t, oIdx)
+		buckets[string(buf)] = append(buckets[string(buf)], t)
 	}
 	for _, t := range r.tuples {
-		key := joinKey(t, rIdx)
-		for _, ot := range buckets[key] {
+		buf = appendJoinKey(buf[:0], t, rIdx)
+		for _, ot := range buckets[string(buf)] {
 			nt := make(Tuple, 0, len(outSchema))
 			nt = append(nt, t...)
 			for _, j := range extraIdx {
@@ -265,12 +291,15 @@ func (r *Relation) NaturalJoin(other *Relation) *Relation {
 	return out
 }
 
-func joinKey(t Tuple, idx []int) string {
-	parts := make([]string, len(idx))
+// appendJoinKey appends the key of t's idx columns to buf.
+func appendJoinKey(buf []byte, t Tuple, idx []int) []byte {
 	for i, j := range idx {
-		parts[i] = t[j].Key()
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		buf = t[j].appendKey(buf)
 	}
-	return strings.Join(parts, "\x00")
+	return buf
 }
 
 // Distinct returns r with duplicate tuples removed.

@@ -100,6 +100,63 @@ func TestUnionAlignsSchemas(t *testing.T) {
 	}
 }
 
+// TestUnionAllOnePassEqualsTheFold: one pass over many relations gives the
+// tuples of the pairwise fold in the same first-occurrence order, skips
+// the nil slots of branches that produced nothing, deduplicates a single
+// relation too, and leaves its inputs alone.
+func TestUnionAllOnePassEqualsTheFold(t *testing.T) {
+	a := New("a", NewSchema("X", "Y"))
+	a.MustInsert(Int(1), Int(2))
+	a.MustInsert(Int(1), Int(2)) // duplicate within one input
+	a.MustInsert(Int(3), Null())
+	b := New("b", NewSchema("Y", "X"))
+	b.MustInsert(Int(2), Int(1)) // a's first tuple, permuted
+	b.MustInsert(Int(9), Int(8))
+	c := New("c", NewSchema("X", "Y"))
+	c.MustInsert(Int(8), Int(9)) // b's second tuple
+	c.MustInsert(Int(3), Null())
+	c.MustInsert(Float(3), Null()) // a float is not the int it equals
+
+	got, err := UnionAll([]*Relation{nil, a, nil, b, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold, _ := a.Union(b)
+	fold, _ = fold.Union(c)
+	if got.String() != fold.String() {
+		t.Errorf("one pass differs from the fold\n--- one pass ---\n%s--- fold ---\n%s", got, fold)
+	}
+	if got.Len() != 4 || !got.Schema().Equal(a.Schema()) {
+		t.Errorf("union = %d tuples under %v, want 4 under %v", got.Len(), got.Schema(), a.Schema())
+	}
+	if a.Len() != 3 || b.Len() != 2 {
+		t.Error("UnionAll mutated an input")
+	}
+	if one, _ := UnionAll([]*Relation{a}); one.Len() != 2 {
+		t.Errorf("a single relation must be deduplicated: %d tuples", one.Len())
+	}
+	if none, err := UnionAll([]*Relation{nil, nil}); none != nil || err != nil {
+		t.Errorf("no relation at all: %v, %v", none, err)
+	}
+	if _, err := UnionAll([]*Relation{a, New("z", NewSchema("X", "Z"))}); err == nil {
+		t.Error("expected schema mismatch error")
+	}
+}
+
+// TestKeysAppendWhatTheyReturn: the appended key bytes are the Key string,
+// for every kind, so one buffer reused across tuples keys them as before.
+func TestKeysAppendWhatTheyReturn(t *testing.T) {
+	tup := Tuple{Null(), String("a\x00b"), Int(-7), Float(2.5), Bool(true), Bool(false), String("")}
+	want := "n:\x00s:a\x00b\x00i:-7\x00f:2.5\x00b:1\x00b:0\x00s:"
+	if tup.Key() != want {
+		t.Errorf("Key = %q, want %q", tup.Key(), want)
+	}
+	buf := []byte("junk")
+	if got := string(tup.appendKey(buf[:0])); got != want {
+		t.Errorf("appendKey into a reused buffer = %q", got)
+	}
+}
+
 func TestDiff(t *testing.T) {
 	a := New("a", NewSchema("X"))
 	a.MustInsert(Int(1))

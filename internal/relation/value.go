@@ -117,21 +117,24 @@ func (v Value) String() string {
 // Key returns a string that uniquely identifies the value within its kind,
 // suitable for use as a map key when deduplicating tuples. This sits on
 // the hot path of joins, unions and distinct, so it avoids fmt.
-func (v Value) Key() string {
+func (v Value) Key() string { return string(v.appendKey(make([]byte, 0, 32))) }
+
+// appendKey appends Key's bytes to buf.
+func (v Value) appendKey(buf []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "n:"
+		return append(buf, "n:"...)
 	case KindString:
-		return "s:" + v.s
+		return append(append(buf, "s:"...), v.s...)
 	case KindInt:
-		return "i:" + strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(append(buf, "i:"...), v.i, 10)
 	case KindFloat:
-		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(buf, "f:"...), v.f, 'g', -1, 64)
 	default: // KindBool
 		if v.b {
-			return "b:1"
+			return append(buf, "b:1"...)
 		}
-		return "b:0"
+		return append(buf, "b:0"...)
 	}
 }
 
@@ -196,20 +199,28 @@ func compareFloats(a, b float64) int {
 
 // Parse converts raw text (typically extracted from an HTML page or typed
 // into a form) into the most specific value kind: int, then float, then
-// bool, then string. Empty text parses to null.
+// bool, then string. Empty text parses to null. Most cells are words and
+// strconv allocates an error per failed parse, so the number parsers run
+// only on text that can be a number.
 func Parse(text string) Value {
 	t := strings.TrimSpace(text)
 	if t == "" {
 		return Null()
 	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return Int(i)
+	if c := t[0]; c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.' ||
+		strings.EqualFold(t, "inf") || strings.EqualFold(t, "infinity") || strings.EqualFold(t, "nan") {
+		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return Int(i)
+		}
+		if f, err := strconv.ParseFloat(t, 64); err == nil {
+			return Float(f)
+		}
 	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
-		return Float(f)
-	}
-	if b, err := strconv.ParseBool(t); err == nil {
-		return Bool(b)
+	switch t { // strconv.ParseBool's spellings, less "1" and "0", which are ints
+	case "t", "T", "TRUE", "true", "True":
+		return Bool(true)
+	case "f", "F", "FALSE", "false", "False":
+		return Bool(false)
 	}
 	return String(t)
 }

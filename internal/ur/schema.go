@@ -483,8 +483,8 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 	})
 	var firstOutage error
 	for i, obj := range plan.Objects {
-		rel, err := rels[i], errs[i]
-		if err != nil {
+		if err := errs[i]; err != nil {
+			rels[i] = nil // a failed object contributes nothing to the union
 			if isBindingFailure(err) {
 				res.Skipped = append(res.Skipped,
 					fmt.Sprintf("{%s}: %v", strings.Join(obj.Relations, ", "), err))
@@ -518,13 +518,9 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 			}
 			return nil, fmt.Errorf("ur: evaluating object {%s}: %w", strings.Join(obj.Relations, ", "), err)
 		}
-		if res.Relation == nil {
-			res.Relation = rel
-			continue
-		}
-		if res.Relation, err = res.Relation.Union(rel); err != nil {
-			return nil, err
-		}
+	}
+	if res.Relation, err = relation.UnionAll(rels); err != nil {
+		return nil, err
 	}
 	if res.Relation == nil {
 		if res.Degradation.Degraded() {
@@ -540,7 +536,6 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 	if res.Degradation.Degraded() {
 		trace.FromContext(ctx).Set("degraded-objects", int64(len(res.Degradation.Unavailable)))
 	}
-	res.Relation = res.Relation.Distinct()
 	if len(q.OrderBy) > 0 {
 		res.Relation = res.Relation.SortKeys(q.OrderBy...)
 	}

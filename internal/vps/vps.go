@@ -75,6 +75,9 @@ type RelationInfo struct {
 	Schema  relation.Schema
 	Handles []*Handle
 
+	// forwardable is the union of the handles' Selection, kept by AddHandle.
+	forwardable relation.AttrSet
+
 	// baseMap is the navigation map the relation's handles were translated
 	// from (nil for relations registered without one). It is what repair
 	// re-checks against the live site.
@@ -97,6 +100,11 @@ func (ri *RelationInfo) Bindings() []relation.AttrSet {
 	}
 	return out
 }
+
+// Forwardable returns every input some handle can pass to the site: the
+// union of the handles' selection attributes. Any other input cannot change
+// a navigation, only post-filter its result. Callers must not mutate it.
+func (ri *RelationInfo) Forwardable() relation.AttrSet { return ri.forwardable }
 
 // Registry is the virtual physical schema: the set of VPS relations with
 // their handles.
@@ -130,9 +138,9 @@ func (r *Registry) Declare(name string, schema relation.Schema) error {
 
 // AddHandle attaches a handle to its relation, enforcing the paper's
 // constraints: mandatory ⊆ selection, selection attributes drawn from the
-// relation schema, and distinct mandatory sets across the relation's
-// handles ("different handles for the same relation must use different
-// sets of mandatory attributes").
+// relation schema and covering every one the expression reads, and distinct
+// mandatory sets across the relation's handles ("different handles for the
+// same relation must use different sets of mandatory attributes").
 func (r *Registry) AddHandle(h *Handle) error {
 	ri, ok := r.relations[h.Relation]
 	if !ok {
@@ -148,12 +156,21 @@ func (r *Registry) AddHandle(h *Handle) error {
 	if !h.Expr.Schema.EqualUnordered(ri.Schema) {
 		return fmt.Errorf("vps: handle for %s: expression schema %v ≠ relation schema %v", h.Relation, h.Expr.Schema, ri.Schema)
 	}
+	// The planner trusts the declaration: a dependent join feeds a relation
+	// only its selection attributes, so omitting one the navigation reads
+	// would silently turn k distinct navigations into one.
+	for _, a := range h.Expr.Vars() {
+		if schemaSet.Has(a) && !h.Selection.Has(a) {
+			return fmt.Errorf("vps: handle for %s: expression reads %s, which selection %s omits", h.Relation, a, h.Selection)
+		}
+	}
 	for _, other := range ri.Handles {
 		if other.Mandatory.Equal(h.Mandatory) {
 			return fmt.Errorf("vps: relation %s already has a handle with mandatory set %s", h.Relation, h.Mandatory)
 		}
 	}
 	ri.Handles = append(ri.Handles, h)
+	ri.forwardable = ri.forwardable.Union(h.Selection)
 	return nil
 }
 

@@ -233,6 +233,45 @@ func TestHandleAgreement(t *testing.T) {
 	}
 }
 
+// TestSelectionMustCoverWhatTheExpressionReads: the planner feeds a
+// relation only the attributes its handles declare forwardable, so a
+// declaration that omits an input the expression reads is refused at
+// registration — for the standard VPS that means every handle is covered.
+func TestSelectionMustCoverWhatTheExpressionReads(t *testing.T) {
+	std, err := StandardRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kellys, _ := std.Relation("kellys")
+	if got, want := kellys.Forwardable(), relation.NewAttrSet("Make", "Model", "Year", "Condition"); !got.Equal(want) {
+		t.Errorf("kellys forwards %s, want %s", got, want)
+	}
+	for _, ri := range std.Relations() {
+		for _, h := range ri.Handles {
+			for _, a := range h.Expr.Vars() {
+				if ri.Schema.Has(a) && !h.Selection.Has(a) {
+					t.Errorf("%s reads %s, which its selection omits", h, a)
+				}
+			}
+		}
+	}
+	// kellys forwards the optional Year; a hand-declared selection without
+	// it would turn one navigation per year into one for all years.
+	reg := NewRegistry()
+	if err := reg.Declare("kellys", kellys.Schema); err != nil {
+		t.Fatal(err)
+	}
+	err = reg.AddHandle(&Handle{
+		Relation:  "kellys",
+		Mandatory: relation.NewAttrSet("Make", "Model", "Condition"),
+		Selection: relation.NewAttrSet("Make", "Model", "Condition"),
+		Expr:      kellys.Handles[0].Expr,
+	})
+	if err == nil || !strings.Contains(err.Error(), "Year") {
+		t.Errorf("a selection omitting the forwarded Year was accepted: %v", err)
+	}
+}
+
 func TestHandleString(t *testing.T) {
 	reg, _ := StandardRegistry()
 	ri, _ := reg.Relation("kellys")

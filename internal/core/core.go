@@ -324,8 +324,9 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 		f = wb.breaker
 	}
 	f = web.WithOutageMemo(f)
-	f = web.WithSingleflight(f, wb.stats)
-	if !cfg.DisableCache {
+	if cfg.DisableCache {
+		f = web.WithSingleflight(f, wb.stats)
+	} else {
 		wb.cache = web.NewCache()
 		wb.cache.MaxAge = cfg.CacheMaxAge
 		wb.cache.AllowStale = cfg.AllowStale
@@ -334,7 +335,10 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 			wb.pageTier = store.NewPageTier(wb.store, cfg.StateMaxBytes)
 			wb.cache.Tier = wb.pageTier
 		}
-		f = web.WithCache(f, wb.cache)
+		// The fill sits inside the flight and the lookup outside it: a hit
+		// never touches singleflight, and a page is in the cache before the
+		// flight that fetched it is forgotten.
+		f = web.WithCacheLookup(web.WithSingleflight(web.WithCacheFill(f, wb.cache), wb.stats), wb.cache)
 	}
 	if cfg.Deadline > 0 {
 		f = web.WithDeadlineBudget(f, wb.stats)

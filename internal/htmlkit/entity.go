@@ -81,14 +81,15 @@ func decodeEntityName(name string) (rune, bool) {
 	return r, ok
 }
 
+// The escapers are built once: a Replacer is safe for concurrent use, and
+// building one costs far more than running it over a table cell.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
 // EscapeText escapes s for inclusion as HTML text content.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes s for inclusion inside a double-quoted attribute.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }

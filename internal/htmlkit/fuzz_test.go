@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzParse drives the lenient parser with arbitrary bytes: it must never
-// panic, must terminate, and must produce a tree whose parent pointers are
-// consistent. It also holds the allocation-lean paths to the reference
-// implementations in reference_test.go: the token stream (every tag and
+// panic, must terminate, and must produce the tree the reference parser
+// does, child for child and parent pointer for parent pointer. It also
+// holds the other allocation-lean paths to the reference implementations
+// in reference_test.go: the token stream (every tag and
 // attribute name lower-cased from its source bytes, every text run and
 // attribute value entity-decoded), Node.Text, and the one-walk Scan. Run
 // with `go test -fuzz=FuzzParse ./internal/htmlkit` to search beyond the
@@ -26,6 +27,14 @@ func FuzzParse(f *testing.F) {
 		"&amp;&#65;&#x41;&nope;&",
 		"<<<>>><//><1>",
 		strings.Repeat("<div>", 100),
+		// One for each way an element closes: implied by a start tag (one
+		// level and two), by its own end tag, by an outer end tag several
+		// levels up, by a stray end tag (not at all), and by end of input.
+		"<table><tr><td>a<tr><td>b</table>after",
+		"<ul><li>a<li>b<ul><li>c</ul><li>d</ul>",
+		"<div><p><b><i>deep</div>tail</i></b>",
+		"</td>x</tr><p>y</span>z",
+		"<html><body><table><tr><td><a href=x>unclosed",
 		// Mixed-case tag and attribute names, known and unknown.
 		"<TABLE Border=1><Tr><TD ALIGN=left>a</tD><td NoWrap>b</TABLE><BlockQuote CITE=x>q</BLOCKQUOTE>",
 		"<A HREF='/x' Name=n>up</A><a HrEf=\"http://h.example/p?q=1\">mixed</a><Ünï Çödé=1>u</Ünï>",
@@ -47,14 +56,10 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc := Parse(data)
-		doc.Walk(func(n *Node) bool {
-			for _, c := range n.Children {
-				if c.Parent != n {
-					t.Fatal("broken parent pointer")
-				}
-			}
-			return true
-		})
+		if doc.Parent != nil {
+			t.Fatal("the document has a parent")
+		}
+		sameTree(t, doc, refParse(data))
 		// Extraction helpers must also be total.
 		_ = Forms(doc, "http://fuzz.example/")
 		_ = Tables(doc)
@@ -83,6 +88,29 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Scan found %d forms, FindAll %d", len(page.Forms), want)
 		}
 	})
+}
+
+// sameTree fails unless got has the shape of want, the reference parse of
+// the same bytes: the same nodes with the same children in the same order,
+// every child pointing back at its parent, and every child list exactly
+// sized (a caller's append must not reach a neighbouring list).
+func sameTree(t *testing.T, got, want *Node) {
+	t.Helper()
+	if got.Type != want.Type || got.Data != want.Data || !reflect.DeepEqual(got.Attrs, want.Attrs) {
+		t.Fatalf("node %v %q %v, reference %v %q %v", got.Type, got.Data, got.Attrs, want.Type, want.Data, want.Attrs)
+	}
+	if len(got.Children) != len(want.Children) {
+		t.Fatalf("<%s> has %d children, reference %d", got.Data, len(got.Children), len(want.Children))
+	}
+	if cap(got.Children) != len(got.Children) {
+		t.Fatalf("<%s>: child list has len %d but cap %d", got.Data, len(got.Children), cap(got.Children))
+	}
+	for i, c := range got.Children {
+		if c.Parent != got {
+			t.Fatalf("child %d of <%s> does not point back at it", i, got.Data)
+		}
+		sameTree(t, c, want.Children[i])
+	}
 }
 
 // FuzzResolve holds the page resolver — base parsed once, plain references

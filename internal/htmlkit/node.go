@@ -1,6 +1,7 @@
 package htmlkit
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -46,12 +47,6 @@ func (n *Node) AttrOr(name, def string) string {
 // IsElement reports whether n is an element with the given tag name.
 func (n *Node) IsElement(tag string) bool {
 	return n.Type == ElementNode && n.Data == tag
-}
-
-// appendChild attaches c as the last child of n.
-func (n *Node) appendChild(c *Node) {
-	c.Parent = n
-	n.Children = append(n.Children, c)
 }
 
 // Walk visits n and all descendants in document order. Returning false from
@@ -194,9 +189,39 @@ func Parse(src []byte) *Node {
 		slab = append(slab, Node{Type: typ, Data: data, Attrs: attrs})
 		return &slab[len(slab)-1]
 	}
+	// A child list is built once, exactly sized, when its element closes.
+	// Until then the children of every open element wait on one scratch
+	// stack: those of stack[i] begin at pending[base[i]], and only the
+	// innermost open element's run grows. Finished lists are carved from
+	// slabs sized like the node slabs (every node but the document is in
+	// exactly one list).
 	doc := newNode(DocumentNode, "", nil)
 	stack := append(make([]*Node, 0, 16), doc)
-	top := func() *Node { return stack[len(stack)-1] }
+	base := append(make([]int, 0, 16), 0)
+	pending := make([]*Node, 0, 64)
+	kids := make([]*Node, 0, cap(slab))
+	add := func(c *Node) {
+		c.Parent = stack[len(stack)-1]
+		pending = append(pending, c)
+	}
+	// closeTo closes open elements until only depth remain; it is the one
+	// place that pops.
+	closeTo := func(depth int) {
+		for i := len(stack) - 1; i >= depth; i-- {
+			if run := pending[base[i]:]; len(run) > 0 {
+				if len(run) > cap(kids)-len(kids) {
+					kids = make([]*Node, 0, max(cap(kids)/2, len(run), 8))
+				}
+				at := len(kids)
+				kids = append(kids, run...)
+				// Three-index: an append by a caller reallocates and
+				// cannot run into the next element's list.
+				stack[i].Children = kids[at:len(kids):len(kids)]
+			}
+			pending = pending[:base[i]]
+		}
+		stack, base = stack[:depth], base[:depth]
+	}
 
 	for {
 		tok, ok := z.Next()
@@ -208,51 +233,39 @@ func Parse(src []byte) *Node {
 			if strings.TrimSpace(tok.Data) == "" {
 				continue
 			}
-			top().appendChild(newNode(TextNode, tok.Data, nil))
+			add(newNode(TextNode, tok.Data, nil))
 		case CommentToken:
-			top().appendChild(newNode(CommentNode, tok.Data, nil))
+			add(newNode(CommentNode, tok.Data, nil))
 		case DoctypeToken:
 			// Ignored; the webbase does not need doctype information.
 		case StartTagToken, SelfClosingTagToken:
+			// A start tag closes the innermost run of elements it implies
+			// the end of: a new <tr> closes an open <td> and then an open
+			// <tr>, but never escapes the enclosing <table>.
 			if closes, ok := autoClose[tok.Data]; ok {
-				popAutoClosed(&stack, closes)
+				d := len(stack)
+				for d > 1 && slices.Contains(closes, stack[d-1].Data) {
+					d--
+				}
+				closeTo(d)
 			}
 			el := newNode(ElementNode, tok.Data, tok.Attrs)
-			top().appendChild(el)
+			add(el)
 			if tok.Type == StartTagToken && !voidElements[tok.Data] {
 				stack = append(stack, el)
+				base = append(base, len(pending))
 			}
 		case EndTagToken:
 			// Pop to the matching open element if one exists; otherwise
 			// drop the stray end tag.
 			for i := len(stack) - 1; i >= 1; i-- {
 				if stack[i].Data == tok.Data {
-					stack = stack[:i]
+					closeTo(i)
 					break
 				}
 			}
 		}
 	}
+	closeTo(0)
 	return doc
-}
-
-// popAutoClosed closes the innermost run of elements named in closes. Only
-// the immediate top of stack is considered at each step so that, e.g., a
-// new <tr> closes an open <td> and then an open <tr>, but never escapes the
-// enclosing <table>.
-func popAutoClosed(stack *[]*Node, closes []string) {
-	for len(*stack) > 1 {
-		topName := (*stack)[len(*stack)-1].Data
-		matched := false
-		for _, c := range closes {
-			if topName == c {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return
-		}
-		*stack = (*stack)[:len(*stack)-1]
-	}
 }

@@ -1,6 +1,9 @@
 package htmlkit
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -130,5 +133,81 @@ func TestParseNeverPanicsAndIsWellFormed(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// outline renders a tree as nested tag(children) text, the form the
+// closing cases below are written in.
+func outline(n *Node) string {
+	switch n.Type {
+	case TextNode:
+		return strconv.Quote(n.Data)
+	case CommentNode:
+		return "<!--" + n.Data + "-->"
+	}
+	var kids []string
+	for _, c := range n.Children {
+		kids = append(kids, outline(c))
+	}
+	s := strings.Join(kids, " ")
+	if n.Type == DocumentNode {
+		return s
+	}
+	return n.Data + "(" + s + ")"
+}
+
+// TestParseClosesElements has a case for each way an open element comes to
+// be closed — each was a pop of its own before closeTo — and holds the
+// result to the expected tree and to the reference parser's.
+func TestParseClosesElements(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"start tag closes one level", `<ul><li>a<li>b</ul>`, `ul(li("a") li("b"))`},
+		{"tr closes td and then tr, not table", `<table><tr><td>a<tr><td>b</table>x`,
+			`table(tr(td("a")) tr(td("b"))) "x"`},
+		{"start tag with nothing to close", `<div><li>a</div>`, `div(li("a"))`},
+		{"auto-close stops at a non-matching parent", `<li>a<b><li>c`, `li("a" b(li("c")))`},
+		{"end tag closes its element", `<p><b>x</b>y</p>z`, `p(b("x") "y") "z"`},
+		{"end tag closes several levels", `<div><p><b><i>deep</div>tail`, `div(p(b(i("deep")))) "tail"`},
+		{"mis-nested end tags", `<b><i>x</b></i>y`, `b(i("x")) "y"`},
+		{"stray end tags are dropped", `</td>x</tr><p>y</span>z`, `"x" p("y" "z")`},
+		{"unclosed tail", `<html><body><table><tr><td><a href=x>open`, `html(body(table(tr(td(a("open"))))))`},
+		{"void and self-closing elements hold nothing", `<p>a<br>b<img/>c<div/>d`, `p("a" br() "b" img() "c" div() "d")`},
+		{"nothing at all", ``, ``},
+	} {
+		doc := Parse([]byte(tc.src))
+		if got := outline(doc); got != tc.want {
+			t.Errorf("%s: %s\n got %s\nwant %s", tc.name, tc.src, got, tc.want)
+		}
+		sameTree(t, doc, refParse([]byte(tc.src)))
+	}
+}
+
+// TestChildListsDoNotAlias: child lists are carved from shared slabs, so
+// each must be exactly sized — appending to one node's list reallocates it
+// and leaves every other node's list as it was.
+func TestChildListsDoNotAlias(t *testing.T) {
+	for _, p := range append(fixturePages(t), []byte(`<table><tr><td>a<td>b<tr><td>c</table><p>d<b>e</b>`)) {
+		doc := Parse(p)
+		var nodes []*Node
+		doc.Walk(func(n *Node) bool {
+			nodes = append(nodes, n)
+			return true
+		})
+		before := make([][]*Node, len(nodes))
+		for i, n := range nodes {
+			if cap(n.Children) != len(n.Children) {
+				t.Fatalf("<%s>: child list has len %d, cap %d", n.Data, len(n.Children), cap(n.Children))
+			}
+			before[i] = append([]*Node(nil), n.Children...)
+		}
+		intruder := &Node{Type: CommentNode, Data: "intruder"}
+		for _, n := range nodes {
+			n.Children = append(n.Children, intruder)
+		}
+		for i, n := range nodes {
+			if len(n.Children) != len(before[i])+1 || !slices.Equal(n.Children[:len(before[i])], before[i]) {
+				t.Fatalf("<%s>: an append to another node's children changed this node's", n.Data)
+			}
+		}
 	}
 }

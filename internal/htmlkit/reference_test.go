@@ -262,3 +262,72 @@ func refLinks(doc *Node, baseURL string) []Link {
 	}
 	return out
 }
+
+// refParse is Parse as it was: every node appended to its parent's child
+// list as it is met (one slice growth after another), the open-element
+// stack popped in three places. It is the reference the parser's tree
+// shape — Children order and every Parent pointer — is held to.
+func refParse(src []byte) *Node {
+	z := Tokenizer{src: string(src)}
+	appendChild := func(n, c *Node) {
+		c.Parent = n
+		n.Children = append(n.Children, c)
+	}
+	doc := &Node{Type: DocumentNode}
+	stack := []*Node{doc}
+	top := func() *Node { return stack[len(stack)-1] }
+	for {
+		tok, ok := z.Next()
+		if !ok {
+			break
+		}
+		switch tok.Type {
+		case TextToken:
+			if strings.TrimSpace(tok.Data) == "" {
+				continue
+			}
+			appendChild(top(), &Node{Type: TextNode, Data: tok.Data})
+		case CommentToken:
+			appendChild(top(), &Node{Type: CommentNode, Data: tok.Data})
+		case StartTagToken, SelfClosingTagToken:
+			if closes, ok := autoClose[tok.Data]; ok {
+				// Only the immediate top of stack is considered at each
+				// step: a new <tr> closes an open <td> and then an open
+				// <tr>, but never escapes the enclosing <table>.
+			pop:
+				for len(stack) > 1 {
+					for _, c := range closes {
+						if top().Data == c {
+							stack = stack[:len(stack)-1]
+							continue pop
+						}
+					}
+					break
+				}
+			}
+			el := &Node{Type: ElementNode, Data: tok.Data, Attrs: tok.Attrs}
+			appendChild(top(), el)
+			if tok.Type == StartTagToken && !voidElements[tok.Data] {
+				stack = append(stack, el)
+			}
+		case EndTagToken:
+			for i := len(stack) - 1; i >= 1; i-- {
+				if stack[i].Data == tok.Data {
+					stack = stack[:i]
+					break
+				}
+			}
+		}
+	}
+	return doc
+}
+
+// refEscapeText and refEscapeAttr are the escapers as they were: a
+// Replacer built on every call.
+func refEscapeText(s string) string {
+	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace(s)
+}
+
+func refEscapeAttr(s string) string {
+	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace(s)
+}

@@ -28,7 +28,11 @@ func (t Tuple) appendKey(buf []byte) []byte {
 func (t Tuple) Clone() Tuple { return append(Tuple{}, t...) }
 
 // Relation is an in-memory relation: a named schema plus a bag of tuples.
-// Operations that produce new relations never mutate their receivers.
+// Operations that produce new relations never mutate their receivers, and
+// those that keep whole tuples (Select, Distinct, Diff, Rename, the sorts,
+// Limit, UnionAll) share them with the result: a tuple is immutable once
+// inserted, which is why Insert copies the caller's slice and nothing after
+// it does.
 type Relation struct {
 	name   string
 	schema Schema
@@ -105,11 +109,7 @@ func (r *Relation) Rename(newName string, mapping map[string]string) *Relation {
 			sch[i] = a
 		}
 	}
-	out := &Relation{name: newName, schema: sch, tuples: make([]Tuple, len(r.tuples))}
-	for i, t := range r.tuples {
-		out.tuples[i] = t.Clone()
-	}
-	return out
+	return &Relation{name: newName, schema: sch, tuples: append([]Tuple(nil), r.tuples...)}
 }
 
 // Project returns the projection of r onto attrs (which must all exist),
@@ -149,7 +149,7 @@ func (r *Relation) Select(pred func(Tuple) bool) *Relation {
 	out := New(r.name, r.schema)
 	for _, t := range r.tuples {
 		if pred(t) {
-			out.tuples = append(out.tuples, t.Clone())
+			out.tuples = append(out.tuples, t)
 		}
 	}
 	return out
@@ -231,7 +231,7 @@ func (r *Relation) Diff(other *Relation) (*Relation, error) {
 	out := New("", r.schema)
 	for _, t := range r.tuples {
 		if !drop[t.Key()] {
-			out.tuples = append(out.tuples, t.Clone())
+			out.tuples = append(out.tuples, t)
 		}
 	}
 	return out, nil
@@ -309,7 +309,7 @@ func (r *Relation) Distinct() *Relation {
 	for _, t := range r.tuples {
 		if k := t.Key(); !seen[k] {
 			seen[k] = true
-			out.tuples = append(out.tuples, t.Clone())
+			out.tuples = append(out.tuples, t)
 		}
 	}
 	return out
@@ -326,10 +326,7 @@ func (r *Relation) SortBy(attrs ...string) *Relation {
 		}
 	}
 	out := New(r.name, r.schema)
-	out.tuples = make([]Tuple, len(r.tuples))
-	for i, t := range r.tuples {
-		out.tuples[i] = t.Clone()
-	}
+	out.tuples = append([]Tuple(nil), r.tuples...)
 	sort.SliceStable(out.tuples, func(i, j int) bool {
 		for _, k := range idx {
 			if c := out.tuples[i][k].Compare(out.tuples[j][k]); c != 0 {
@@ -361,10 +358,7 @@ func (r *Relation) SortKeys(keys ...SortKey) *Relation {
 		}
 	}
 	out := New(r.name, r.schema)
-	out.tuples = make([]Tuple, len(r.tuples))
-	for i, t := range r.tuples {
-		out.tuples[i] = t.Clone()
-	}
+	out.tuples = append([]Tuple(nil), r.tuples...)
 	sort.SliceStable(out.tuples, func(i, j int) bool {
 		for _, k := range idx {
 			c := out.tuples[i][k.idx].Compare(out.tuples[j][k.idx])
@@ -387,10 +381,7 @@ func (r *Relation) Limit(n int) *Relation {
 	if n <= 0 || n > len(r.tuples) {
 		n = len(r.tuples)
 	}
-	out.tuples = make([]Tuple, n)
-	for i := 0; i < n; i++ {
-		out.tuples[i] = r.tuples[i].Clone()
-	}
+	out.tuples = append([]Tuple(nil), r.tuples[:n]...)
 	return out
 }
 

@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -401,4 +402,77 @@ func sameTupleSet(a, b *Relation) bool {
 	d1, err1 := a.Diff(b)
 	d2, err2 := b.Diff(a)
 	return err1 == nil && err2 == nil && d1.Len() == 0 && d2.Len() == 0
+}
+
+// TestOperatorsShareTuples: the operators that keep whole tuples hand
+// their input's tuples on instead of copying them (a tuple is immutable
+// once inserted), with the same content as before, and nothing done to the
+// output afterwards — sorting it, cutting it short — reaches the input:
+// the output has its own tuple list, only the tuples are shared.
+func TestOperatorsShareTuples(t *testing.T) {
+	build := func() *Relation {
+		r := New("r", NewSchema("A", "B"))
+		r.MustInsert(Int(3), String("c"))
+		r.MustInsert(Int(1), String("a"))
+		r.MustInsert(Int(3), String("c")) // duplicate
+		r.MustInsert(Int(2), String("b"))
+		return r
+	}
+	other := New("o", NewSchema("B", "A"))
+	other.MustInsert(String("a"), Int(1))
+
+	ops := []struct {
+		name string
+		run  func(*Relation) *Relation
+		want [][2]string // content, in order
+	}{
+		{"Select", func(r *Relation) *Relation {
+			return r.Select(func(tu Tuple) bool { return tu[0].IntVal() >= 2 })
+		}, [][2]string{{"3", "c"}, {"3", "c"}, {"2", "b"}}},
+		{"Distinct", (*Relation).Distinct, [][2]string{{"3", "c"}, {"1", "a"}, {"2", "b"}}},
+		{"Diff", func(r *Relation) *Relation {
+			d, err := r.Diff(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}, [][2]string{{"3", "c"}, {"3", "c"}, {"2", "b"}}},
+		{"Rename", func(r *Relation) *Relation { return r.Rename("q", map[string]string{"A": "X"}) },
+			[][2]string{{"3", "c"}, {"1", "a"}, {"3", "c"}, {"2", "b"}}},
+		{"SortBy", func(r *Relation) *Relation { return r.SortBy("A") },
+			[][2]string{{"1", "a"}, {"2", "b"}, {"3", "c"}, {"3", "c"}}},
+		{"SortKeys", func(r *Relation) *Relation { return r.SortKeys(SortKey{Attr: "A", Desc: true}) },
+			[][2]string{{"3", "c"}, {"3", "c"}, {"2", "b"}, {"1", "a"}}},
+		{"Limit", func(r *Relation) *Relation { return r.Limit(2) }, [][2]string{{"3", "c"}, {"1", "a"}}},
+	}
+	for _, op := range ops {
+		r := build()
+		before := r.String()
+		mine := make(map[*Value]bool) // the first cell of each input tuple
+		for _, tu := range r.Tuples() {
+			mine[&tu[0]] = true
+		}
+		out := op.run(r)
+		if out.Len() != len(op.want) {
+			t.Errorf("%s: %d tuples, want %d\n%s", op.name, out.Len(), len(op.want), out)
+			continue
+		}
+		for i, tu := range out.Tuples() {
+			if got := [2]string{tu[0].String(), tu[1].String()}; got != op.want[i] {
+				t.Errorf("%s: tuple %d = %v, want %v", op.name, i, got, op.want[i])
+			}
+			if !mine[&tu[0]] {
+				t.Errorf("%s: tuple %d is a copy, not the input's tuple", op.name, i)
+			}
+		}
+		// The output has its own list: reordering it in place, as SortBy
+		// does to its copy, must not reorder the input, and appending to a
+		// prefix of it must not write into the input's list (it would if
+		// Limit returned a window).
+		sort.SliceStable(out.tuples, func(i, j int) bool { return out.tuples[i][0].Compare(out.tuples[j][0]) > 0 })
+		out.tuples = append(out.tuples[:1], Tuple{Null(), Null()})
+		if after := r.String(); after != before {
+			t.Errorf("%s: input changed\n--- before ---\n%s--- after ---\n%s", op.name, before, after)
+		}
+	}
 }

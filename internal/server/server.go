@@ -173,13 +173,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the defer covers the pre-stream envelope paths below.
 	sw.startKeepalive(s.keepalive)
 	defer sw.stopKeepalive()
-	res, qs, tr, err := s.sys.QueryStreamTraced(ctx, q, sw.writeDelivery)
-	if tr != nil {
-		// Request identity on the root span: a Label, not a Set, because
-		// it is request-scoped rather than a deterministic counter.
-		tr.Root.Label("request-id", rid)
-		tr.Root.Label("tenant", tenant.Name)
-	}
+	res, qs, err := s.sys.QueryStream(ctx, q, sw.writeDelivery)
 	if err != nil {
 		body := s.errorBody(rid, err)
 		s.account(tenant.Name, body.Status)

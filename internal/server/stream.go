@@ -4,6 +4,8 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -168,10 +170,12 @@ func newStreamWriter(w http.ResponseWriter, rid, query string, schema []string, 
 	}
 }
 
-// startLocked commits the response to a 200 NDJSON stream and emits the
+// startLocked commits the response to a 200 NDJSON stream and encodes the
 // meta event (suppressed on a resume — the client has it). Idempotent;
 // called lazily by the first event so pre-stream failures can still use
-// a proper status code. Callers hold mu.
+// a proper status code: meta is therefore always followed, under the same
+// hold of mu, by the event that caused the start, and rides out on that
+// event's flush instead of paying for one of its own. Callers hold mu.
 func (sw *streamWriter) startLocked() {
 	if sw.started {
 		return
@@ -192,7 +196,7 @@ func (sw *streamWriter) startLocked() {
 		sw.skipped++ // the meta event, seq 0, already delivered originally
 		return
 	}
-	sw.emitLocked(sw.meta)
+	sw.enc.Encode(sw.meta)
 }
 
 func (sw *streamWriter) emitLocked(event any) {
@@ -346,60 +350,23 @@ func encodeTuples(ts []relation.Tuple) [][]any {
 	return out
 }
 
-// gzipAccepted reports whether the request allows a gzip response body.
+// gzipAccepted reports whether the request allows a gzip response body:
+// an Accept-Encoding entry names the gzip coding (codings are
+// case-insensitive) and does not weigh it q=0, which is an explicit
+// refusal (RFC 9110 §12.5.3).
 func gzipAccepted(r *http.Request) bool {
 	for _, enc := range r.Header.Values("Accept-Encoding") {
-		for _, part := range splitComma(enc) {
-			if part == "gzip" || hasPrefixFold(part, "gzip;") {
-				return true
+		for _, part := range strings.Split(enc, ",") {
+			coding, params, _ := strings.Cut(part, ";")
+			if !strings.EqualFold(strings.TrimSpace(coding), "gzip") {
+				continue
 			}
+			q, weighed := strings.CutPrefix(strings.ToLower(strings.TrimSpace(params)), "q=")
+			weight, err := strconv.ParseFloat(q, 64)
+			return !weighed || err != nil || weight > 0
 		}
 	}
 	return false
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			part := trimSpace(s[start:i])
-			if part != "" {
-				out = append(out, part)
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func trimSpace(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func hasPrefixFold(s, prefix string) bool {
-	if len(s) < len(prefix) {
-		return false
-	}
-	for i := 0; i < len(prefix); i++ {
-		a, b := s[i], prefix[i]
-		if 'A' <= a && a <= 'Z' {
-			a += 'a' - 'A'
-		}
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // gzipWriter compresses one non-streaming response (GET /metrics).

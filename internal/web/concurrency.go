@@ -22,6 +22,12 @@ import (
 // they would all miss the cache simultaneously and fetch redundantly.
 // Followers are counted in stats.Deduped. The shared *Response is treated
 // as immutable by the whole stack (the cache already shares responses).
+//
+// The guarantee is "overlapping fetches collapse", not "one fetch per
+// key": a flight is forgotten the moment inner returns, and a request
+// arriving after that starts a new one. A stack that wants each page
+// fetched once therefore makes the result findable before inner returns —
+// WithCacheFill inside the flight, WithCacheLookup outside it.
 func WithSingleflight(inner Fetcher, stats *Stats) Fetcher {
 	type call struct {
 		done chan struct{}

@@ -422,7 +422,7 @@ func TestSingleflightUnderSharedStats(t *testing.T) {
 	inner := newCountingInner(time.Millisecond)
 	stats := &Stats{}
 	cache := NewCache()
-	f := WithCache(WithSingleflight(WithHostLimit(Counting(inner, stats), 2, stats), stats), cache)
+	f := WithCacheLookup(WithSingleflight(WithCacheFill(WithHostLimit(Counting(inner, stats), 2, stats), cache), stats), cache)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 24; g++ {
@@ -439,14 +439,52 @@ func TestSingleflightUnderSharedStats(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// 3 hosts × 4 pages = 12 distinct requests end up cached. Pages can
-	// slightly exceed 12 (a fetch may miss the cache in the window before
-	// the first fetcher stores its response) but the cache + singleflight
-	// absorb the overwhelming majority of the 240 calls.
+	// 3 hosts × 4 pages = 12 distinct requests end up cached, each fetched
+	// exactly once: the fill happens inside the flight, so there is no
+	// window in which a page is neither in flight nor in the cache.
 	if cache.Len() != 12 {
 		t.Errorf("cache holds %d entries, want 12", cache.Len())
 	}
-	if p := stats.Pages(); p < 12 || p > 48 {
-		t.Errorf("pages = %d, want ~12 (dedup not effective)", p)
+	if p := stats.Pages(); p != 12 {
+		t.Errorf("pages = %d, want 12", p)
+	}
+}
+
+// TestFillVisibleBeforeFlightForgotten replays, step by step, the
+// interleaving that used to fetch a page twice: B misses the cache, A then
+// fetches and stores the page and its flight ends, and only then does B
+// reach singleflight. B must find A's page, not start a second fetch.
+func TestFillVisibleBeforeFlightForgotten(t *testing.T) {
+	inner := newCountingInner(0)
+	stats := &Stats{}
+	cache := NewCache()
+	flight := WithSingleflight(WithCacheFill(Counting(inner, stats), cache), stats)
+	bMissed, aDone := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool // B is the first request to get past the lookup
+	f := WithCacheLookup(FetcherFunc(func(req *Request) (*Response, error) {
+		if held.CompareAndSwap(false, true) {
+			close(bMissed)
+			<-aDone
+		}
+		return flight.Fetch(req)
+	}), cache)
+
+	const url = "http://h.example/p"
+	bErr := make(chan error, 1)
+	go func() {
+		_, err := f.Fetch(NewGet(url))
+		bErr <- err
+	}()
+	<-bMissed
+	if _, err := f.Fetch(NewGet(url)); err != nil {
+		t.Fatal(err)
+	}
+	close(aDone)
+	if err := <-bErr; err != nil {
+		t.Fatal(err)
+	}
+	if inner.Calls() != 1 || cache.Hits() != 1 || cache.Misses() != 1 || stats.Deduped() != 0 {
+		t.Errorf("network=%d hits=%d misses=%d deduped=%d, want 1 1 1 0",
+			inner.Calls(), cache.Hits(), cache.Misses(), stats.Deduped())
 	}
 }

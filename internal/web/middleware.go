@@ -327,21 +327,50 @@ func (c *Cache) now() time.Time {
 	return time.Now()
 }
 
+// peek returns the entry stored under key, if any, and the generation it
+// was read under: a fill decided on after this read is dropped if a Clear
+// has intervened.
+func (c *Cache) peek(key string) (*cacheEntry, uint64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.entries[key], c.gen
+}
+
+// fresh reports whether an entry fetched at fetchedAt still satisfies a
+// fetch outright at now.
+func (c *Cache) fresh(fetchedAt, now time.Time) bool {
+	return c.MaxAge <= 0 || now.Sub(fetchedAt) <= c.MaxAge
+}
+
+// hit serves a cached response: counted and labeled on the request's span.
+func (c *Cache) hit(req *Request, resp *Response) (*Response, error) {
+	c.hits.Add(1)
+	trace.FromContext(req.Context()).Label("outcome", "cache")
+	return resp, nil
+}
+
 // WithCache wraps inner with the cache. Responses are cached by full
 // request key, so identical form submissions hit too — dynamic pages for
-// the same inputs are assumed stable within a query session.
+// the same inputs are assumed stable within a query session. It is
+// WithCacheLookup directly over WithCacheFill; a stack that collapses
+// concurrent misses puts WithSingleflight between the two, so that a fill
+// is in the cache before its flight is forgotten and a request that just
+// missed either joins the flight or finds the page.
 func WithCache(inner Fetcher, cache *Cache) Fetcher {
+	return WithCacheLookup(WithCacheFill(inner, cache), cache)
+}
+
+// WithCacheLookup is the read half of WithCache: hits (memory, then the
+// lower tier) are served without calling inner, and an expired entry is
+// served stale when inner fails and AllowStale is on. It stores nothing
+// fetched; inner must end in WithCacheFill.
+func WithCacheLookup(inner Fetcher, cache *Cache) Fetcher {
 	return FetcherFunc(func(req *Request) (*Response, error) {
 		key := req.Key()
-		cache.mu.RLock()
-		e := cache.entries[key]
-		gen := cache.gen
-		cache.mu.RUnlock()
+		e, gen := cache.peek(key)
 		now := cache.now()
-		if e != nil && (cache.MaxAge <= 0 || now.Sub(e.fetchedAt) <= cache.MaxAge) {
-			cache.hits.Add(1)
-			trace.FromContext(req.Context()).Label("outcome", "cache")
-			return e.resp, nil
+		if e != nil && cache.fresh(e.fetchedAt, now) {
+			return cache.hit(req, e.resp)
 		}
 		// Memory miss: consult the lower tier before the network. A tier
 		// entry is judged by the same freshness rule; a fresh one is
@@ -356,28 +385,42 @@ func WithCache(inner Fetcher, cache *Cache) Fetcher {
 					cache.entries[key] = te
 				}
 				cache.mu.Unlock()
-				if cache.MaxAge <= 0 || now.Sub(fetchedAt) <= cache.MaxAge {
-					cache.hits.Add(1)
+				if cache.fresh(fetchedAt, now) {
 					cache.tierHits.Add(1)
-					trace.FromContext(req.Context()).Label("outcome", "cache")
-					return resp, nil
+					return cache.hit(req, resp)
 				}
 				e = te
 			}
 		}
 		resp, err := inner.Fetch(req)
+		// Stale-on-error: the site is unreachable but we still hold
+		// its last answer. Cancellation is the caller's choice, not
+		// the site's failure — never paper over it with stale data.
+		if err != nil && e != nil && cache.AllowStale &&
+			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			cache.stale.Add(1)
+			sp := trace.FromContext(req.Context())
+			sp.Label("outcome", "stale")
+			sp.Label("stale-age", now.Sub(e.fetchedAt).String())
+			return e.resp, nil
+		}
+		return resp, err
+	})
+}
+
+// WithCacheFill is the write half of WithCache: it stores what inner
+// fetches. It looks first, because the request may have missed in
+// WithCacheLookup while another request's fill of the same page was
+// finishing; that costs a miss one map read and a hit nothing.
+func WithCacheFill(inner Fetcher, cache *Cache) Fetcher {
+	return FetcherFunc(func(req *Request) (*Response, error) {
+		key := req.Key()
+		e, gen := cache.peek(key)
+		if e != nil && cache.fresh(e.fetchedAt, cache.now()) {
+			return cache.hit(req, e.resp)
+		}
+		resp, err := inner.Fetch(req)
 		if err != nil {
-			// Stale-on-error: the site is unreachable but we still hold
-			// its last answer. Cancellation is the caller's choice, not
-			// the site's failure — never paper over it with stale data.
-			if e != nil && cache.AllowStale &&
-				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				cache.stale.Add(1)
-				sp := trace.FromContext(req.Context())
-				sp.Label("outcome", "stale")
-				sp.Label("stale-age", now.Sub(e.fetchedAt).String())
-				return e.resp, nil
-			}
 			return nil, err
 		}
 		cache.misses.Add(1)

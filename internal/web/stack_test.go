@@ -10,10 +10,10 @@ import (
 	"webbase/internal/trace"
 )
 
-// buildStack composes the full production middleware order — cache →
-// singleflight → outage memo → breaker → host limiter → retry(flaky) —
-// exactly as core.NewDomain assembles it, returning the outermost
-// fetcher plus the observable pieces.
+// buildStack composes the full production middleware order — cache
+// lookup → singleflight → cache fill → outage memo → breaker → host
+// limiter → retry(flaky) — exactly as core.NewDomain assembles it,
+// returning the outermost fetcher plus the observable pieces.
 func buildStack(failEvery uint64, retries int) (Fetcher, *Stats, *Cache) {
 	stats := &Stats{}
 	raw := &Flaky{Inner: okFetcher(), FailEvery: failEvery}
@@ -23,9 +23,8 @@ func buildStack(failEvery uint64, retries int) (Fetcher, *Stats, *Cache) {
 	f = WithBreaker(f, BreakerConfig{Window: 64, FailureRatio: 0.99,
 		Cooldown: time.Hour, Clock: newTick().Clock()}, stats)
 	f = WithOutageMemo(f)
-	f = WithSingleflight(f, stats)
 	cache := NewCache()
-	f = WithCache(f, cache)
+	f = WithCacheLookup(WithSingleflight(WithCacheFill(f, cache), stats), cache)
 	return f, stats, cache
 }
 
@@ -87,7 +86,10 @@ func TestStackEndToEndAccounting(t *testing.T) {
 				t.Errorf("identity broken: hits=%d + deduped=%d + network=%d + stale=%d = %d, want %d",
 					cache.Hits(), stats.Deduped(), stats.Pages(), cache.Stale(), served, total)
 			}
-			// Every distinct URL touched the network exactly once.
+			// Every distinct URL touched the network exactly once, at any
+			// worker count: a request that missed the cache either joins
+			// the flight fetching its page or, arriving after the flight
+			// ended, finds the page the flight stored before it ended.
 			if stats.Pages() != int64(len(urls)) {
 				t.Errorf("network fetches = %d, want %d", stats.Pages(), len(urls))
 			}
@@ -139,9 +141,8 @@ func TestStackDeadHostIsolated(t *testing.T) {
 			f = Counting(f, stats)
 			f = WithHostLimit(f, 2, stats)
 			f = WithOutageMemo(f)
-			f = WithSingleflight(f, stats)
 			cache := NewCache()
-			f = WithCache(f, cache)
+			f = WithCacheLookup(WithSingleflight(WithCacheFill(f, cache), stats), cache)
 			ctx := ContextWithOutageMemo(context.Background(), NewOutageMemo())
 
 			var ops []string

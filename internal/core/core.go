@@ -459,7 +459,10 @@ func (wb *Webbase) repairHost(host string) error {
 	return nil
 }
 
-// Stats exposes the cumulative fetch statistics.
+// Stats exposes the webbase-lifetime fetch statistics: the bill of every
+// finished query (a running query's counts arrive when it ends, failed or
+// not) plus, live, the fetches no query owns — the repair worker,
+// PopulateAll — and the stack-wide PeakInFlight and PerHost.
 func (wb *Webbase) Stats() *web.Stats { return wb.stats }
 
 // Cache exposes the page cache (nil when disabled).
@@ -484,13 +487,16 @@ func (wb *Webbase) now() time.Time {
 	return time.Now()
 }
 
-// QueryStats reports what one query cost.
+// QueryStats reports what one query cost. Every fetch-side count is read
+// off the query's own web.Query, so it is this query's and nobody else's
+// however many queries ran beside it (see web.Query for who is billed a
+// shared page); PeakInFlight is the one exception.
 type QueryStats struct {
 	Pages     int64         // pages fetched from sites (cache misses)
 	Bytes     int64         // body bytes fetched
 	Elapsed   time.Duration // wall-clock time of the evaluation
 	Simulated time.Duration // simulated network latency accrued
-	CacheHits int64         // pages served from the cache
+	CacheHits int64         // pages served to this query from the cache
 	// Deduped counts fetches collapsed onto an identical in-flight
 	// request by the singleflight middleware during this query.
 	Deduped int64
@@ -498,8 +504,8 @@ type QueryStats struct {
 	// behind the per-host concurrency cap.
 	LimiterWait time.Duration
 	// PeakInFlight is the webbase's high-water mark of concurrently
-	// executing fetches as of the end of this query (a lifetime maximum,
-	// not a per-query delta).
+	// executing fetches as of the end of this query: a lifetime maximum
+	// over every query's fetches, because host slots are shared.
 	PeakInFlight int64
 	// Retries counts re-issued fetch attempts (transport failures retried
 	// by the retry middleware) during this query.
@@ -567,7 +573,8 @@ func (wb *Webbase) Query(q ur.Query) (*ur.Result, *QueryStats, error) {
 // unwinds, and ctx.Err() is returned. Use it to put deadlines on queries
 // over slow or hung sites.
 func (wb *Webbase) QueryContext(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, error) {
-	return wb.run(ctx, q)
+	res, qs, _, err := wb.query(ctx, q, nil, false)
+	return res, qs, err
 }
 
 // QueryTraced is QueryContext with execution tracing: the returned trace
@@ -584,20 +591,7 @@ func (wb *Webbase) QueryContext(ctx context.Context, q ur.Query) (*ur.Result, *Q
 // root span starts, so queue time never inflates the trace's timings
 // (it is reported separately in QueryStats.AdmissionWait).
 func (wb *Webbase) QueryTraced(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, *trace.Trace, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer wb.admission.release()
-	tr := trace.New(q.String(), wb.clock)
-	res, qs, err := wb.runAdmitted(trace.ContextWith(ctx, tr.Root), q, wait, nil)
-	if err != nil {
-		tr.Root.EndErr(err)
-		return nil, nil, tr, err
-	}
-	tr.Root.Set("tuples", int64(res.Relation.Len()))
-	tr.Root.End()
-	return res, qs, tr, nil
+	return wb.query(ctx, q, nil, true)
 }
 
 // QueryStream is QueryContext with incremental answer delivery: as each
@@ -609,71 +603,56 @@ func (wb *Webbase) QueryTraced(ctx context.Context, q ur.Query) (*ur.Result, *Qu
 // Config.Workers is. Queries with ORDER BY or LIMIT deliver once,
 // buffered, after sort and truncation (see ur.ObjectDelivery.Buffered).
 func (wb *Webbase) QueryStream(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur.Result, *QueryStats, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer wb.admission.release()
-	return wb.runAdmitted(ctx, q, wait, sink)
+	res, qs, _, err := wb.query(ctx, q, sink, false)
+	return res, qs, err
 }
 
 // QueryStreamTraced is QueryStream with execution tracing (see
 // QueryTraced). Like QueryTraced, a query the admission gate sheds
 // returns a nil trace; the sink never fires for a shed query.
 func (wb *Webbase) QueryStreamTraced(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur.Result, *QueryStats, *trace.Trace, error) {
+	return wb.query(ctx, q, sink, true)
+}
+
+// query is the one body behind every Query* entry point: admission, the
+// optional trace, execution. The execution clock starts after admission,
+// so queue time appears only in AdmissionWait, never in Elapsed or in
+// span durations. A non-nil sink receives per-object deliveries as
+// evaluation streams (see QueryStream).
+func (wb *Webbase) query(ctx context.Context, q ur.Query, sink ur.ObjectSink, traced bool) (*ur.Result, *QueryStats, *trace.Trace, error) {
 	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer wb.admission.release()
-	tr := trace.New(q.String(), wb.clock)
-	res, qs, err := wb.runAdmitted(trace.ContextWith(ctx, tr.Root), q, wait, sink)
+	var tr *trace.Trace
+	if traced {
+		tr = trace.New(q.String(), wb.clock)
+		ctx = trace.ContextWith(ctx, tr.Root)
+	}
+	res, qs, err := wb.runAdmitted(ctx, q, wait, sink)
 	if err != nil {
-		tr.Root.EndErr(err)
+		if traced {
+			tr.Root.EndErr(err)
+		}
 		return nil, nil, tr, err
 	}
-	tr.Root.Set("tuples", int64(res.Relation.Len()))
-	tr.Root.End()
+	if traced {
+		tr.Root.Set("tuples", int64(res.Relation.Len()))
+		tr.Root.End()
+	}
 	return res, qs, tr, nil
 }
 
-// run is the common evaluation path of Query and QueryContext: admission,
-// then execution.
-func (wb *Webbase) run(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer wb.admission.release()
-	return wb.runAdmitted(ctx, q, wait, nil)
-}
-
-// runAdmitted evaluates an already-admitted query: per-query stats delta,
-// bounded worker pool, metrics observation. The execution clock starts
-// here — after admission — so queue time appears only in AdmissionWait,
-// never in Elapsed or in span durations. A non-nil sink receives
-// per-object deliveries as evaluation streams (see QueryStream).
+// runAdmitted evaluates an already-admitted query on a bounded worker
+// pool and closes its bill: whatever the outcome, what the query's own
+// fetches cost is read off its web.Query, folded once into the lifetime
+// Stats and observed in the metrics registry.
 func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait time.Duration, sink ur.ObjectSink) (*ur.Result, *QueryStats, error) {
-	before := wb.snapshot()
 	start := wb.now()
 	ctx = algebra.WithPool(ctx, algebra.NewPool(wb.workers))
-	// Per-query fault-tolerance state: the outage memo replays terminal
-	// site failures within this query; the retry budget (when configured)
-	// caps this query's total re-issued attempts; strict mode turns
-	// degradation back into fail-fast; the budget policy lets the UR
-	// layer mint one deadline budget per maximal object.
-	ctx = web.ContextWithOutageMemo(ctx, web.NewOutageMemo())
-	if wb.retryBudget > 0 {
-		ctx = web.ContextWithRetryBudget(ctx, web.NewRetryBudget(wb.retryBudget))
-	}
-	if wb.hedgeBudget > 0 {
-		ctx = web.ContextWithHedgeBudget(ctx, web.NewRetryBudget(wb.hedgeBudget))
-	}
 	if wb.strict {
 		ctx = ur.WithStrict(ctx)
-	}
-	if wb.deadline > 0 {
-		ctx = web.ContextWithBudgetPolicy(ctx, web.BudgetPolicy{Deadline: wb.deadline, Clock: wb.clock})
 	}
 	// Quarantine snapshot: the set of drift-confirmed hosts is read once,
 	// here, so a health transition mid-query cannot change which sites a
@@ -689,17 +668,42 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 		pst = ur.NewPruneState(q)
 		ctx = prune.ContextWith(ctx, pst)
 	}
-	res, err := wb.UR.EvalStream(ctx, q, wb.Logical, sink)
-	if err != nil {
-		wb.metrics.Counter("queries_failed_total").Add(1)
-		return nil, nil, err
+	// The fetch stack's per-query state and bill: the outage memo replays
+	// terminal site failures within this query, the budgets (when
+	// configured) cap its re-issued and hedged attempts, and the UR layer
+	// mints one deadline budget per maximal object from it. Attached last,
+	// so it is the first value a fetch's context lookup meets.
+	wq := &web.Query{RetryBudget: wb.retryBudget, HedgeBudget: wb.hedgeBudget,
+		Deadline: wb.deadline, Clock: wb.clock}
+	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink)
+	wb.stats.Add(&wq.Stats)
+	qs := &QueryStats{
+		Pages:            wq.Stats.Pages(),
+		Bytes:            wq.Stats.Bytes(),
+		Simulated:        wq.Stats.SimulatedLatency(),
+		CacheHits:        wq.Stats.CacheHits(),
+		Deduped:          wq.Stats.Deduped(),
+		LimiterWait:      wq.Stats.LimiterWait(),
+		PeakInFlight:     wb.stats.PeakInFlight(),
+		Retries:          wq.Stats.Retries(),
+		StaleServed:      wq.Stats.StaleServed(),
+		BreakerRejects:   wq.Stats.BreakerRejects(),
+		AdmissionWait:    admissionWait,
+		Hedges:           wq.Stats.Hedges(),
+		HedgeWins:        wq.Stats.HedgeWins(),
+		BulkheadSheds:    wq.Stats.BulkheadSheds(),
+		BudgetSheds:      wq.Stats.BudgetSheds(),
+		HedgesSuppressed: wq.Stats.HedgesSuppressed(),
 	}
-	qs := wb.delta(before, wb.now().Sub(start))
-	qs.AdmissionWait = admissionWait
 	if pst != nil {
 		qs.PrunedFetches = pst.Total()
 		qs.PrunedByReason = pst.Counts()
 	}
+	if err != nil {
+		wb.observe(qs, true)
+		return nil, nil, err
+	}
+	qs.Elapsed = wb.now().Sub(start)
 	// Degradation is reported whenever the answer differs from (or was
 	// rescued relative to) the fully-healthy one: objects lost to
 	// outages, or pages served stale.
@@ -720,14 +724,21 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 			}
 		}
 	}
-	wb.observe(qs)
+	wb.observe(qs, false)
 	return res, qs, nil
 }
 
-// observe folds one query's stats into the webbase-lifetime metrics.
-func (wb *Webbase) observe(qs *QueryStats) {
+// observe folds one query's bill into the webbase-lifetime metrics. A
+// failed query is counted as failed and still pays for what it fetched;
+// the per-answer metrics (degradation, histograms) describe answered
+// queries only.
+func (wb *Webbase) observe(qs *QueryStats, failed bool) {
 	m := wb.metrics
-	m.Counter("queries_total").Add(1)
+	if failed {
+		m.Counter("queries_failed_total").Add(1)
+	} else {
+		m.Counter("queries_total").Add(1)
+	}
 	m.Counter("pages_fetched_total").Add(qs.Pages)
 	m.Counter("bytes_fetched_total").Add(qs.Bytes)
 	m.Counter("cache_hits_total").Add(qs.CacheHits)
@@ -749,11 +760,14 @@ func (wb *Webbase) observe(qs *QueryStats) {
 			m.Counter(`fetches_pruned_total{reason="` + r + `"}`).Add(n)
 		}
 	}
+	m.Gauge("peak_inflight").SetMax(qs.PeakInFlight)
+	if failed {
+		return
+	}
 	if qs.DegradedObjects > 0 {
 		m.Counter("queries_degraded_total").Add(1)
 		m.Counter("objects_unavailable_total").Add(int64(qs.DegradedObjects))
 	}
-	m.Gauge("peak_inflight").SetMax(qs.PeakInFlight)
 	m.Histogram("query_elapsed_seconds", 0.001, 0.01, 0.1, 1, 10).Observe(qs.Elapsed.Seconds())
 	m.Histogram("query_pages", 1, 5, 10, 50, 100, 500).Observe(float64(qs.Pages))
 	if qs.AdmissionWait > 0 {
@@ -774,58 +788,6 @@ func (wb *Webbase) QueryStringContext(ctx context.Context, text string) (*ur.Res
 		return nil, nil, err
 	}
 	return wb.QueryContext(ctx, q)
-}
-
-type statSnapshot struct {
-	pages, bytes, hits, deduped, retries, stale, breakerRejects     int64
-	hedges, hedgeWins, hedgesSuppressed, bulkheadSheds, budgetSheds int64
-	simulated, limiterWait                                          time.Duration
-}
-
-func (wb *Webbase) snapshot() statSnapshot {
-	s := statSnapshot{
-		pages:            wb.stats.Pages(),
-		bytes:            wb.stats.Bytes(),
-		simulated:        wb.stats.SimulatedLatency(),
-		deduped:          wb.stats.Deduped(),
-		retries:          wb.stats.Retries(),
-		breakerRejects:   wb.stats.BreakerRejects(),
-		limiterWait:      wb.stats.LimiterWait(),
-		hedges:           wb.stats.Hedges(),
-		hedgeWins:        wb.stats.HedgeWins(),
-		hedgesSuppressed: wb.stats.HedgesSuppressed(),
-		bulkheadSheds:    wb.stats.BulkheadSheds(),
-		budgetSheds:      wb.stats.BudgetSheds(),
-	}
-	if wb.cache != nil {
-		s.hits = wb.cache.Hits()
-		s.stale = wb.cache.Stale()
-	}
-	return s
-}
-
-func (wb *Webbase) delta(before statSnapshot, elapsed time.Duration) *QueryStats {
-	qs := &QueryStats{
-		Pages:            wb.stats.Pages() - before.pages,
-		Bytes:            wb.stats.Bytes() - before.bytes,
-		Simulated:        wb.stats.SimulatedLatency() - before.simulated,
-		Elapsed:          elapsed,
-		Deduped:          wb.stats.Deduped() - before.deduped,
-		Retries:          wb.stats.Retries() - before.retries,
-		BreakerRejects:   wb.stats.BreakerRejects() - before.breakerRejects,
-		LimiterWait:      wb.stats.LimiterWait() - before.limiterWait,
-		PeakInFlight:     wb.stats.PeakInFlight(),
-		Hedges:           wb.stats.Hedges() - before.hedges,
-		HedgeWins:        wb.stats.HedgeWins() - before.hedgeWins,
-		HedgesSuppressed: wb.stats.HedgesSuppressed() - before.hedgesSuppressed,
-		BulkheadSheds:    wb.stats.BulkheadSheds() - before.bulkheadSheds,
-		BudgetSheds:      wb.stats.BudgetSheds() - before.budgetSheds,
-	}
-	if wb.cache != nil {
-		qs.CacheHits = wb.cache.Hits() - before.hits
-		qs.StaleServed = wb.cache.Stale() - before.stale
-	}
-	return qs
 }
 
 // SiteResult is the outcome of populating one VPS relation during a

@@ -227,40 +227,45 @@ func (t *Tracker) repairLoop(host string) {
 		}
 		s.attempts++
 		attempt := s.attempts
-		s.state = Repairing
-		t.mu.Unlock()
-		t.changed()
-
-		counter(t.cfg.Metrics, "remaps_started_total")
-		err := t.cfg.Repair(host)
-
-		t.mu.Lock()
-		if err == nil {
-			s.state = Healthy
-			s.drifts = 0
-			s.attempts = 0
-			s.exhausted = false
-			s.since = t.cfg.Clock()
-			t.gaugeLocked()
-			t.mu.Unlock()
-			counter(t.cfg.Metrics, "remaps_succeeded_total")
-			t.changed()
-			return
-		}
-		s.state = Quarantined
-		exhausted := attempt >= t.cfg.MaxAttempts
-		if exhausted {
-			s.exhausted = true
-			t.launchRecoveryLocked(host, s)
-		}
-		t.gaugeLocked()
-		t.mu.Unlock()
-		t.changed()
-		if exhausted {
+		last := attempt >= t.cfg.MaxAttempts
+		if t.attemptLocked(host, s, "remaps_started_total", last) || last {
 			return
 		}
 		t.cfg.Sleep(t.cfg.Backoff << (attempt - 1))
 	}
+}
+
+// attemptLocked is one repair of a site, shared by the fast remap loop
+// and the slow recovery probes: mark repairing → Repair → reset to healthy
+// (the only place a site is reset) or re-quarantine, a failed last attempt
+// also exhausting the site and handing it to the recovery loop. It is
+// entered with t.mu held and returns with it released, reporting whether
+// the site healed; metric counts the attempt.
+func (t *Tracker) attemptLocked(host string, s *site, metric string, last bool) bool {
+	s.state = Repairing
+	t.mu.Unlock()
+	t.changed()
+
+	counter(t.cfg.Metrics, metric)
+	err := t.cfg.Repair(host)
+
+	t.mu.Lock()
+	if err == nil {
+		*s = site{state: Healthy, since: t.cfg.Clock()}
+	} else {
+		s.state = Quarantined
+		if last {
+			s.exhausted = true
+			t.launchRecoveryLocked(host, s)
+		}
+	}
+	t.gaugeLocked()
+	t.mu.Unlock()
+	if err == nil {
+		counter(t.cfg.Metrics, "remaps_succeeded_total")
+	}
+	t.changed()
+	return err == nil
 }
 
 // launchRecoveryLocked starts the slow recovery probe loop for an
@@ -301,32 +306,7 @@ func (t *Tracker) recoverLoop(host string) {
 			t.mu.Unlock()
 			return
 		}
-		s.state = Repairing
-		t.mu.Unlock()
-		t.changed()
-
-		counter(t.cfg.Metrics, "recovery_probes_total")
-		err := t.cfg.Repair(host)
-
-		t.mu.Lock()
-		if err == nil {
-			s.state = Healthy
-			s.drifts = 0
-			s.attempts = 0
-			s.exhausted = false
-			s.recovering = false
-			s.since = t.cfg.Clock()
-			t.gaugeLocked()
-			t.mu.Unlock()
-			counter(t.cfg.Metrics, "remaps_succeeded_total")
-			t.changed()
-			return
-		}
-		s.state = Quarantined
-		t.gaugeLocked()
-		t.mu.Unlock()
-		t.changed()
-		if t.stopped() {
+		if t.attemptLocked(host, s, "recovery_probes_total", false) || t.stopped() {
 			return
 		}
 		if backoff < maxBackoff {

@@ -31,13 +31,20 @@ func TestRecoveryProbeHealsExhaustedSite(t *testing.T) {
 	reg := trace.NewRegistry()
 	var fixed atomic.Bool
 	var repairCalls atomic.Int64
+	// Recovery loops are not in Wait's WaitGroup, so the first probe is
+	// held in its Sleep until the exhausted state has been observed.
+	release := make(chan struct{})
 	tr := New(Config{
 		Threshold:       1,
 		MaxAttempts:     2,
 		Backoff:         time.Nanosecond,
-		RecoveryBackoff: time.Nanosecond,
-		Sleep:           func(time.Duration) { time.Sleep(time.Microsecond) },
-		Metrics:         reg,
+		RecoveryBackoff: time.Hour,
+		Sleep: func(d time.Duration) {
+			if d >= time.Hour { // only the recovery loop sleeps this long
+				<-release
+			}
+		},
+		Metrics: reg,
 		Repair: func(host string) error {
 			repairCalls.Add(1)
 			if fixed.Load() {
@@ -59,6 +66,7 @@ func TestRecoveryProbeHealsExhaustedSite(t *testing.T) {
 
 	// The site comes back; the next probe heals it.
 	fixed.Store(true)
+	close(release)
 	waitFor(t, "recovery probe to heal the site", func() bool {
 		return tr.SiteState("flaky.test") == Healthy
 	})

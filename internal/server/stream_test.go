@@ -1,8 +1,12 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"webbase/internal/core"
@@ -102,5 +106,71 @@ func TestStreamMatchesInProcessUnderChaos(t *testing.T) {
 	}
 	if want := mustJSON(t, encodeTuples(res.Relation.Tuples())); got != want {
 		t.Errorf("streamed union != in-process answer under chaos\nstream:     %s\nin-process: %s", got, want)
+	}
+}
+
+// trailerStats streams wideQuery and returns its trailer's stats. It
+// reports errors instead of failing the test, so goroutines may call it.
+func trailerStats(url string) (map[string]any, error) {
+	resp, err := http.Post(url+"/query", "text/plain", strings.NewReader(wideQuery))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status = %d", resp.StatusCode)
+	}
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev map[string]any
+		if err := dec.Decode(&ev); err != nil {
+			return nil, fmt.Errorf("no trailer: %w", err)
+		}
+		if ev["event"] == "trailer" {
+			stats, _ := ev["stats"].(map[string]any)
+			return stats, nil
+		}
+	}
+}
+
+// TestConcurrentStreamsBilledAlone: overlapping streams of one warm query
+// each carry the trailer stats the same stream carries alone — a client's
+// bill does not depend on who else the server was serving.
+func TestConcurrentStreamsBilledAlone(t *testing.T) {
+	ts, _ := newCarServer(t, core.Config{Workers: 4}, Config{})
+	if _, err := trailerStats(ts.URL); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	solo, err := trailerStats(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo["CacheHits"].(float64) == 0 {
+		t.Fatalf("warm solo trailer bills no cache hit: %v", solo)
+	}
+	const streams = 4
+	got := make([]map[string]any, streams)
+	errs := make([]error, streams)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < streams; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = trailerStats(ts.URL)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, stats := range got {
+		if errs[i] != nil {
+			t.Fatalf("stream %d: %v", i, errs[i])
+		}
+		for _, field := range []string{"Pages", "CacheHits", "Bytes", "StaleServed", "Retries"} {
+			if stats[field] != solo[field] {
+				t.Errorf("stream %d of %d: %s = %v, alone the stream is billed %v", i, streams, field, stats[field], solo[field])
+			}
+		}
 	}
 }

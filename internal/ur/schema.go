@@ -443,7 +443,7 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 		// earlier ones run, degrading differently at Workers=1 and
 		// Workers=8; a per-object clock keeps exhaustion a property of
 		// the object, not of the schedule.
-		if b := web.BudgetPolicyFrom(ctx).NewBudget(); b != nil {
+		if b := web.QueryFrom(ctx).NewBudget(); b != nil {
 			octx = web.ContextWithBudget(octx, b)
 		}
 		// The paper: "once translated, these queries can be optimized

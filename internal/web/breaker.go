@@ -163,9 +163,7 @@ func (b *Breaker) Fetch(req *Request) (*Response, error) {
 	host := hostOf(req.URL)
 	hc := b.host(host)
 	if !hc.allow(b.cfg.Clock(), b.cfg) {
-		if b.stats != nil {
-			b.stats.breakerRejects.Add(1)
-		}
+		statsFor(req.Context(), b.stats).add(breakerRejects, 1)
 		trace.FromContext(req.Context()).Label("outcome", "breaker-open")
 		return nil, MarkOutage(&HostError{Host: host,
 			Err: fmt.Errorf("%w (cooling down)", ErrCircuitOpen)})

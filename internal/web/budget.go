@@ -62,37 +62,7 @@ func (b *Budget) Exhausted() bool {
 	return !b.clock().Before(b.deadline)
 }
 
-// BudgetPolicy mints budgets. The core layer puts one on the query
-// context; the UR layer calls NewBudget once per maximal object so each
-// object's clock starts at its own evaluation, not at query start —
-// sequential evaluation would otherwise burn the later objects' budgets
-// while the earlier ones run, making Workers=1 degrade differently from
-// Workers=8.
-type BudgetPolicy struct {
-	// Deadline is the per-object budget; 0 disables budgets.
-	Deadline time.Duration
-	// Clock supplies budget timestamps; nil means time.Now.
-	Clock func() time.Time
-}
-
-// NewBudget mints a budget under the policy (nil when disabled).
-func (p BudgetPolicy) NewBudget() *Budget { return NewBudget(p.Deadline, p.Clock) }
-
-type budgetPolicyKey struct{}
 type budgetKey struct{}
-
-// ContextWithBudgetPolicy attaches the minting policy to ctx.
-func ContextWithBudgetPolicy(ctx context.Context, p BudgetPolicy) context.Context {
-	return context.WithValue(ctx, budgetPolicyKey{}, p)
-}
-
-// BudgetPolicyFrom returns the policy on ctx (zero policy if none).
-func BudgetPolicyFrom(ctx context.Context) BudgetPolicy {
-	if p, ok := ctx.Value(budgetPolicyKey{}).(BudgetPolicy); ok {
-		return p
-	}
-	return BudgetPolicy{}
-}
 
 // ContextWithBudget attaches an evaluation unit's budget to ctx.
 func ContextWithBudget(ctx context.Context, b *Budget) context.Context {
@@ -126,9 +96,7 @@ func WithDeadlineBudget(inner Fetcher, stats *Stats) Fetcher {
 		if !BudgetFrom(req.Context()).Exhausted() {
 			return inner.Fetch(req)
 		}
-		if stats != nil {
-			stats.budgetSheds.Add(1)
-		}
+		statsFor(req.Context(), stats).add(budgetSheds, 1)
 		trace.FromContext(req.Context()).Label("outcome", "budget-exhausted")
 		return nil, budgetErr(hostOf(req.URL))
 	})

@@ -54,8 +54,8 @@ func TestBudgetNilSafety(t *testing.T) {
 
 func TestBudgetPolicyMints(t *testing.T) {
 	clock := newFakeClock()
-	ctx := ContextWithBudgetPolicy(context.Background(), BudgetPolicy{Deadline: time.Second, Clock: clock.Now})
-	b := BudgetPolicyFrom(ctx).NewBudget()
+	ctx := WithQuery(context.Background(), &Query{Deadline: time.Second, Clock: clock.Now})
+	b := QueryFrom(ctx).NewBudget()
 	if b == nil {
 		t.Fatal("policy with a deadline minted no budget")
 	}
@@ -63,9 +63,13 @@ func TestBudgetPolicyMints(t *testing.T) {
 	if !b.Exhausted() {
 		t.Fatal("minted budget ignores the policy clock")
 	}
-	// No policy → zero policy → nil budget.
-	if BudgetPolicyFrom(context.Background()).NewBudget() != nil {
+	// No query → no policy → nil budget; likewise a query without a
+	// Deadline.
+	if QueryFrom(context.Background()).NewBudget() != nil {
 		t.Fatal("missing policy should mint no budget")
+	}
+	if (&Query{}).NewBudget() != nil {
+		t.Fatal("a query without a deadline should mint no budget")
 	}
 }
 
@@ -122,8 +126,9 @@ func TestOutageMemoSkipsBudgetSheds(t *testing.T) {
 	inner := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, budgetErr(hostOf(req.URL))
 	})
-	memo := NewOutageMemo()
-	ctx := ContextWithOutageMemo(context.Background(), memo)
+	q := &Query{}
+	memo := &q.Memo
+	ctx := WithQuery(context.Background(), q)
 	f := WithOutageMemo(inner)
 	if _, err := f.Fetch(NewGet("http://slow.example/p").WithContext(ctx)); !IsBudgetExhausted(err) {
 		t.Fatalf("unexpected error %v", err)

@@ -42,9 +42,7 @@ func WithSingleflight(inner Fetcher, stats *Stats) Fetcher {
 		if c, ok := calls[key]; ok {
 			mu.Unlock()
 			<-c.done
-			if stats != nil {
-				stats.deduped.Add(1)
-			}
+			statsFor(req.Context(), stats).add(deduped, 1)
 			trace.FromContext(req.Context()).Label("outcome", "dedup")
 			return c.resp, c.err
 		}
@@ -83,9 +81,9 @@ func WithHostLimit(inner Fetcher, perHost int, stats *Stats) Fetcher {
 //
 // Queued fetches honor context cancellation, and blocked senders on the
 // slot channel are woken in arrival order, so waiters that do run are
-// served FIFO-ish. Waiting time accumulates in stats.LimiterWait, sheds
-// in stats.BulkheadSheds, and the global in-flight high-water mark in
-// stats.PeakInFlight.
+// served FIFO-ish. Waiting time accumulates in LimiterWait and sheds in
+// BulkheadSheds, on the bill of the fetch's query or in stats; the global
+// in-flight high-water mark is always stats.PeakInFlight.
 //
 // Like the circuit breaker, a saturation shed trades the byte-identical
 // answer for bounded resource use: whether a fetch sheds depends on how
@@ -124,9 +122,7 @@ func WithBulkhead(inner Fetcher, perHost, maxQueue int, stats *Stats) Fetcher {
 			// concurrent arrivals.
 			if w := bh.waiting.Add(1); maxQueue > 0 && w > int64(maxQueue) {
 				bh.waiting.Add(-1)
-				if stats != nil {
-					stats.bulkheadSheds.Add(1)
-				}
+				statsFor(req.Context(), stats).add(bulkheadSheds, 1)
 				trace.FromContext(req.Context()).Label("outcome", "host-saturated")
 				return nil, MarkOutage(&HostError{Host: host, Err: ErrHostSaturated})
 			}
@@ -139,8 +135,8 @@ func WithBulkhead(inner Fetcher, perHost, maxQueue int, stats *Stats) Fetcher {
 			}
 		}
 		defer func() { <-bh.sem }()
+		statsFor(req.Context(), stats).add(limiterWait, int64(time.Since(start)))
 		if stats != nil {
-			stats.limiterWait.Add(int64(time.Since(start)))
 			in := stats.inflight.Add(1)
 			for {
 				peak := stats.peakInflight.Load()

@@ -129,8 +129,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // The request's context is honored between attempts: a cancelled context
 // aborts the loop (and any backoff wait) immediately, returning the
 // context's error unclassified rather than burning the remaining
-// retries. A retry budget on the context (ContextWithRetryBudget) caps
-// the total re-issues a query may spend across all its fetches; when it
+// retries. The retry budget of the query on the context (Query.RetryBudget)
+// caps the total re-issues it may spend across all its fetches; when it
 // runs dry the fetch fails over to the terminal path without further
 // attempts. Terminal failures — retries exhausted, budget dry — are
 // classified as an Outage and attributed to the host (HostError), which
@@ -162,12 +162,9 @@ func WithRetryPolicy(inner Fetcher, p RetryPolicy, stats *Stats) Fetcher {
 			if attempt == p.Retries {
 				break
 			}
-			if !retryBudgetFrom(ctx).take() {
+			if !spend(ctx, stats, retries) {
 				trace.FromContext(ctx).Label("retry-budget", "exhausted")
 				break
-			}
-			if stats != nil {
-				stats.retries.Add(1)
 			}
 			trace.FromContext(ctx).Label("attempts", strconv.Itoa(attempt+2))
 			if d := p.Backoff.Delay(req.URL, attempt+1); d > 0 {
@@ -187,52 +184,8 @@ func WithRetry(inner Fetcher, retries int, stats *Stats) Fetcher {
 	return WithRetryPolicy(inner, RetryPolicy{Retries: retries}, stats)
 }
 
-// RetryBudget caps how many re-issued attempts a query may spend across
-// all of its fetches, so a query over many flaky sites cannot multiply
-// its own page count unboundedly. A nil budget (no budget on the
-// context) is unlimited.
-type RetryBudget struct {
-	limited   bool
-	remaining atomic.Int64
-}
-
-// NewRetryBudget returns a budget of n re-issues; n <= 0 means
-// unlimited.
-func NewRetryBudget(n int64) *RetryBudget {
-	b := &RetryBudget{}
-	if n > 0 {
-		b.limited = true
-		b.remaining.Store(n)
-	}
-	return b
-}
-
-// take consumes one re-issue, reporting false when the budget is dry.
-func (b *RetryBudget) take() bool {
-	if b == nil || !b.limited {
-		return true
-	}
-	return b.remaining.Add(-1) >= 0
-}
-
-// Remaining reports the re-issues left (meaningless for unlimited
-// budgets).
-func (b *RetryBudget) Remaining() int64 { return b.remaining.Load() }
-
-type retryBudgetKey struct{}
-
-// ContextWithRetryBudget attaches a per-query retry budget consulted by
-// WithRetryPolicy.
-func ContextWithRetryBudget(ctx context.Context, b *RetryBudget) context.Context {
-	return context.WithValue(ctx, retryBudgetKey{}, b)
-}
-
-func retryBudgetFrom(ctx context.Context) *RetryBudget {
-	b, _ := ctx.Value(retryBudgetKey{}).(*RetryBudget)
-	return b
-}
-
-// OutageMemo remembers, for the lifetime of one query, which requests
+// OutageMemo remembers, for the lifetime of one query (it is a field of
+// the query's Query; the zero value is ready), which requests
 // have already failed terminally, so sibling maximal objects and later
 // navigation steps don't re-pay the full retry ladder for a site the
 // query already knows is down.
@@ -250,11 +203,6 @@ type OutageMemo struct {
 	failed map[string]error
 }
 
-// NewOutageMemo returns an empty memo.
-func NewOutageMemo() *OutageMemo {
-	return &OutageMemo{failed: make(map[string]error)}
-}
-
 func (m *OutageMemo) lookup(key string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -264,6 +212,9 @@ func (m *OutageMemo) lookup(key string) error {
 func (m *OutageMemo) record(key string, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.failed == nil {
+		m.failed = make(map[string]error)
+	}
 	if _, ok := m.failed[key]; !ok {
 		m.failed[key] = err
 	}
@@ -276,29 +227,18 @@ func (m *OutageMemo) Len() int {
 	return len(m.failed)
 }
 
-type outageMemoKey struct{}
-
-// ContextWithOutageMemo attaches a per-query outage memo consulted by
-// WithOutageMemo.
-func ContextWithOutageMemo(ctx context.Context, m *OutageMemo) context.Context {
-	return context.WithValue(ctx, outageMemoKey{}, m)
-}
-
-func outageMemoFrom(ctx context.Context) *OutageMemo {
-	m, _ := ctx.Value(outageMemoKey{}).(*OutageMemo)
-	return m
-}
-
 // WithOutageMemo wraps inner so that Outage-classified failures are
-// remembered in the request context's memo (if any) and replayed for
-// subsequent fetches of the same request without touching inner.
-// Replayed failures are labeled outcome=unavailable on the trace span.
+// remembered in the memo of the query on the request context (if any)
+// and replayed for subsequent fetches of the same request without
+// touching inner. Replayed failures are labeled outcome=unavailable on
+// the trace span.
 func WithOutageMemo(inner Fetcher) Fetcher {
 	return FetcherFunc(func(req *Request) (*Response, error) {
-		memo := outageMemoFrom(req.Context())
-		if memo == nil {
+		q := QueryFrom(req.Context())
+		if q == nil {
 			return inner.Fetch(req)
 		}
+		memo := &q.Memo
 		key := req.Key()
 		if err := memo.lookup(key); err != nil {
 			trace.FromContext(req.Context()).Label("outcome", "unavailable")

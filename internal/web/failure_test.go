@@ -317,7 +317,7 @@ func TestRetryBudget(t *testing.T) {
 		return nil, ErrSimulatedOutage
 	})
 	f := WithRetry(always, 10, nil)
-	ctx := ContextWithRetryBudget(context.Background(), NewRetryBudget(3))
+	ctx := WithQuery(context.Background(), &Query{RetryBudget: 3})
 
 	_, err := f.Fetch(NewGet("http://h/a").WithContext(ctx))
 	if !IsOutage(err) {
@@ -354,8 +354,9 @@ func TestOutageMemoReplays(t *testing.T) {
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
 	})
 	f := WithOutageMemo(WithRetry(always, 2, nil))
-	memo := NewOutageMemo()
-	ctx := ContextWithOutageMemo(context.Background(), memo)
+	q := &Query{}
+	memo := &q.Memo
+	ctx := WithQuery(context.Background(), q)
 
 	_, err1 := f.Fetch(NewGet("http://dead/x").WithContext(ctx))
 	if !IsOutage(err1) {
@@ -379,7 +380,7 @@ func TestOutageMemoReplays(t *testing.T) {
 	// A new query (fresh memo) retries the site.
 	before := calls.Load()
 	f.Fetch(NewGet("http://dead/x").WithContext(
-		ContextWithOutageMemo(context.Background(), NewOutageMemo())))
+		WithQuery(context.Background(), &Query{})))
 	if calls.Load() == before {
 		t.Fatal("fresh memo should have touched the network again")
 	}

@@ -1,27 +1,10 @@
 package web
 
 import (
-	"context"
 	"time"
 
 	"webbase/internal/trace"
 )
-
-type hedgeBudgetKey struct{}
-
-// ContextWithHedgeBudget attaches a per-query hedge budget consulted by
-// WithHedge. It reuses the RetryBudget mechanism: each hedged (second)
-// attempt consumes one unit, and when the budget runs dry the fetch waits
-// for its primary attempt instead of issuing a hedge — so a query over a
-// slow site amplifies load by at most the budget, not by its fetch count.
-func ContextWithHedgeBudget(ctx context.Context, b *RetryBudget) context.Context {
-	return context.WithValue(ctx, hedgeBudgetKey{}, b)
-}
-
-func hedgeBudgetFrom(ctx context.Context) *RetryBudget {
-	b, _ := ctx.Value(hedgeBudgetKey{}).(*RetryBudget)
-	return b
-}
 
 // WithHedge wraps inner with hedged requests: when a fetch has not
 // answered after the configured delay, a second identical attempt is
@@ -38,7 +21,8 @@ func hedgeBudgetFrom(ctx context.Context) *RetryBudget {
 // wins. When both fail, the PRIMARY attempt's error is returned whatever
 // order the two failures arrived in, so error text, host attribution and
 // the resulting degradation report are schedule-independent. The losing
-// attempt is not cancelled — its pages land in volatile stats only.
+// attempt is not cancelled: a page it fetches is billed like any other,
+// unless it lands after the query's bill was folded (see Query).
 func WithHedge(inner Fetcher, after time.Duration, stats *Stats) Fetcher {
 	if after <= 0 {
 		return inner
@@ -68,13 +52,14 @@ func WithHedge(inner Fetcher, after time.Duration, stats *Stats) Fetcher {
 			return nil, ctx.Err()
 		case <-timer.C:
 		}
-		if !hedgeBudgetFrom(ctx).take() {
+		// Each hedged attempt spends one unit of the query's hedge budget,
+		// so a query over a slow site amplifies load by at most the budget,
+		// not by its fetch count.
+		if !spend(ctx, stats, hedges) {
 			// Budget dry: no second attempt. Waiting on the primary keeps
 			// the outcome identical to an unhedged fetch, so suppression
 			// never changes what a query answers — only its tail latency.
-			if stats != nil {
-				stats.hedgesSuppressed.Add(1)
-			}
+			statsFor(ctx, stats).add(hedgesSuppressed, 1)
 			trace.FromContext(ctx).Label("hedge", "suppressed")
 			select {
 			case a := <-results:
@@ -82,9 +67,6 @@ func WithHedge(inner Fetcher, after time.Duration, stats *Stats) Fetcher {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		}
-		if stats != nil {
-			stats.hedges.Add(1)
 		}
 		trace.FromContext(ctx).Label("hedged", "true")
 		launch(true)
@@ -94,9 +76,7 @@ func WithHedge(inner Fetcher, after time.Duration, stats *Stats) Fetcher {
 			case a := <-results:
 				if a.err == nil {
 					if a.hedge {
-						if stats != nil {
-							stats.hedgeWins.Add(1)
-						}
+						statsFor(ctx, stats).add(hedgeWins, 1)
 						trace.FromContext(ctx).Label("hedge", "win")
 					}
 					return a.resp, nil

@@ -146,7 +146,8 @@ func TestHedgeBudgetCapsDuplicates(t *testing.T) {
 	inner := &slowEveryAttempt{delay: 30 * time.Millisecond}
 	stats := &Stats{}
 	f := WithHedge(inner, 5*time.Millisecond, stats)
-	ctx := ContextWithHedgeBudget(context.Background(), NewRetryBudget(1))
+	q := &Query{HedgeBudget: 1}
+	ctx := WithQuery(context.Background(), q)
 
 	for i := 0; i < 3; i++ {
 		req := NewGet("http://slow.example/p" + string(rune('a'+i))).WithContext(ctx)
@@ -154,6 +155,7 @@ func TestHedgeBudgetCapsDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	stats.Add(&q.Stats) // the query's bill, folded as core does when it ends
 	if got := stats.Hedges(); got != 1 {
 		t.Errorf("hedges = %d, want 1 (budget)", got)
 	}

@@ -11,88 +11,124 @@ import (
 	"webbase/internal/trace"
 )
 
+// counter names one additive count of a Stats.
+type counter int
+
+const (
+	pages counter = iota
+	bodyBytes
+	simulated   // accumulated simulated latency, nanoseconds
+	cacheHits   // pages a Cache served a query without calling below it
+	staleServed // expired entries a Cache served a query on error
+	deduped     // fetches collapsed onto an in-flight one by WithSingleflight
+	limiterWait // accumulated time spent waiting for host slots, ns
+	retries     // failed attempts that WithRetry re-issued
+	breakerRejects
+	hedges
+	hedgeWins
+	hedgesSuppressed
+	bulkheadSheds
+	budgetSheds
+	numCounters
+)
+
 // Stats accumulates fetch statistics. It is safe for concurrent use and is
 // how the experiment harness reports the paper's "# of pages" column.
+//
+// A Stats is either one query's bill (Query.Stats: every middleware counts
+// there while that query rides the request's context) or the Stats a stack
+// was constructed with, which counts the fetches no query owns (the repair
+// worker, PopulateAll, hand-built stacks) and receives each finished
+// query's bill through Add.
 type Stats struct {
-	pages   atomic.Int64
-	bytes   atomic.Int64
-	virtual atomic.Int64 // accumulated simulated latency, nanoseconds
-	// Concurrency counters, maintained by WithSingleflight and
-	// WithHostLimit.
-	deduped      atomic.Int64
+	n [numCounters]atomic.Int64
+	// Lifetime-only state, kept on the Stats a middleware was constructed
+	// with and never on a query's: the in-flight gauge with its high-water
+	// mark (WithBulkhead) and the per-host page counts (Counting).
 	inflight     atomic.Int64
 	peakInflight atomic.Int64
-	limiterWait  atomic.Int64 // accumulated time spent waiting for host slots, ns
-	retries      atomic.Int64 // failed attempts that WithRetry re-issued
-	// breakerRejects counts fetches the circuit breaker refused without
-	// touching the network.
-	breakerRejects atomic.Int64
-	// Overload-protection counters, maintained by WithHedge, WithBulkhead
-	// and WithDeadlineBudget.
-	hedges           atomic.Int64
-	hedgeWins        atomic.Int64
-	hedgesSuppressed atomic.Int64
-	bulkheadSheds    atomic.Int64
-	budgetSheds      atomic.Int64
-	mu               sync.Mutex
-	perHost          map[string]int64
+	mu           sync.Mutex
+	perHost      map[string]int64
+}
+
+// add counts d under c; a nil Stats counts nothing.
+func (s *Stats) add(c counter, d int64) {
+	if s != nil {
+		s.n[c].Add(d)
+	}
+}
+
+// Add folds a finished query's counts into s.
+func (s *Stats) Add(q *Stats) {
+	for c := range s.n {
+		s.n[c].Add(q.n[c].Load())
+	}
 }
 
 // Pages returns the number of successful fetches observed.
-func (s *Stats) Pages() int64 { return s.pages.Load() }
+func (s *Stats) Pages() int64 { return s.n[pages].Load() }
 
 // Bytes returns the total body bytes fetched.
-func (s *Stats) Bytes() int64 { return s.bytes.Load() }
+func (s *Stats) Bytes() int64 { return s.n[bodyBytes].Load() }
 
 // SimulatedLatency returns the total simulated network latency accumulated
 // by latency fetchers sharing this Stats, whether or not they actually
 // slept.
 func (s *Stats) SimulatedLatency() time.Duration {
-	return time.Duration(s.virtual.Load())
+	return time.Duration(s.n[simulated].Load())
 }
+
+// CacheHits returns how many pages a Cache served to queries billed here
+// (a hit outside any query counts only in Cache.Hits).
+func (s *Stats) CacheHits() int64 { return s.n[cacheHits].Load() }
+
+// StaleServed returns how many expired cache entries were served to
+// queries billed here because the network path failed.
+func (s *Stats) StaleServed() int64 { return s.n[staleServed].Load() }
 
 // Deduped returns how many fetches were collapsed onto an identical
 // in-flight request by WithSingleflight (each counted fetch got its answer
 // without touching the network).
-func (s *Stats) Deduped() int64 { return s.deduped.Load() }
+func (s *Stats) Deduped() int64 { return s.n[deduped].Load() }
 
 // PeakInFlight returns the high-water mark of concurrently executing
 // fetches observed by WithHostLimit — how parallel the fetch stack
-// actually ran.
+// actually ran. It is a gauge of the stack, not a count: queries' fetches
+// overlap, so it lives only on the Stats the stack was constructed with.
 func (s *Stats) PeakInFlight() int64 { return s.peakInflight.Load() }
 
 // LimiterWait returns the total time fetches spent queued behind the
 // per-host concurrency cap of WithHostLimit.
 func (s *Stats) LimiterWait() time.Duration {
-	return time.Duration(s.limiterWait.Load())
+	return time.Duration(s.n[limiterWait].Load())
 }
 
 // Retries returns how many failed fetch attempts WithRetry re-issued.
-func (s *Stats) Retries() int64 { return s.retries.Load() }
+func (s *Stats) Retries() int64 { return s.n[retries].Load() }
 
 // BreakerRejects returns how many fetches an open circuit breaker
 // rejected without touching the network.
-func (s *Stats) BreakerRejects() int64 { return s.breakerRejects.Load() }
+func (s *Stats) BreakerRejects() int64 { return s.n[breakerRejects].Load() }
 
 // Hedges returns how many fetches WithHedge backed with a second
 // attempt because the first had not answered within the hedge delay.
-func (s *Stats) Hedges() int64 { return s.hedges.Load() }
+func (s *Stats) Hedges() int64 { return s.n[hedges].Load() }
 
 // HedgeWins returns how many hedged fetches were answered by the second
 // attempt rather than the first.
-func (s *Stats) HedgeWins() int64 { return s.hedgeWins.Load() }
+func (s *Stats) HedgeWins() int64 { return s.n[hedgeWins].Load() }
 
 // HedgesSuppressed returns how many hedges WithHedge declined to issue
 // because the query's hedge budget was dry.
-func (s *Stats) HedgesSuppressed() int64 { return s.hedgesSuppressed.Load() }
+func (s *Stats) HedgesSuppressed() int64 { return s.n[hedgesSuppressed].Load() }
 
 // BulkheadSheds returns how many fetches a saturated host bulkhead shed
 // without queueing.
-func (s *Stats) BulkheadSheds() int64 { return s.bulkheadSheds.Load() }
+func (s *Stats) BulkheadSheds() int64 { return s.n[bulkheadSheds].Load() }
 
 // BudgetSheds returns how many fetches were refused because their
 // evaluation unit's deadline budget was exhausted.
-func (s *Stats) BudgetSheds() int64 { return s.budgetSheds.Load() }
+func (s *Stats) BudgetSheds() int64 { return s.n[budgetSheds].Load() }
 
 // PerHost returns a copy of the per-host page counts.
 func (s *Stats) PerHost() map[string]int64 {
@@ -105,12 +141,8 @@ func (s *Stats) PerHost() map[string]int64 {
 	return out
 }
 
-func (s *Stats) record(req *Request, resp *Response) {
-	s.pages.Add(1)
-	if resp != nil {
-		s.bytes.Add(int64(len(resp.Body)))
-	}
-	host := hostOf(req.URL)
+// countHost adds one page to the host's lifetime count.
+func (s *Stats) countHost(host string) {
 	s.mu.Lock()
 	if s.perHost == nil {
 		s.perHost = make(map[string]int64)
@@ -148,15 +180,21 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
-// Counting wraps inner so that every fetch is recorded in stats. A fetch
-// that reaches this layer touched the network (the cache and singleflight
-// sit above), so the request's trace span — when one rides the request
-// context — is marked outcome=network.
+// Counting wraps inner so that every fetch is recorded: the page and its
+// bytes on the bill of the query that made it (stats when there is none),
+// the host always in stats. A fetch that reaches this layer touched the
+// network (the cache and singleflight sit above), so the request's trace
+// span — when one rides the request context — is marked outcome=network.
 func Counting(inner Fetcher, stats *Stats) Fetcher {
 	return FetcherFunc(func(req *Request) (*Response, error) {
 		resp, err := inner.Fetch(req)
 		if err == nil {
-			stats.record(req, resp)
+			bill := statsFor(req.Context(), stats)
+			bill.add(pages, 1)
+			if resp != nil {
+				bill.add(bodyBytes, int64(len(resp.Body)))
+			}
+			stats.countHost(hostOf(req.URL))
 			trace.FromContext(req.Context()).Label("outcome", "network")
 		}
 		return resp, err
@@ -198,7 +236,7 @@ func WithLatency(inner Fetcher, model LatencyModel, stats *Stats) Fetcher {
 			return resp, err
 		}
 		d := model.Latency(req.URL, len(resp.Body))
-		stats.virtual.Add(int64(d))
+		statsFor(req.Context(), stats).add(simulated, int64(d))
 		trace.FromContext(req.Context()).Label("simulated-latency", d.String())
 		if model.Sleep {
 			time.Sleep(d)
@@ -342,9 +380,11 @@ func (c *Cache) fresh(fetchedAt, now time.Time) bool {
 	return c.MaxAge <= 0 || now.Sub(fetchedAt) <= c.MaxAge
 }
 
-// hit serves a cached response: counted and labeled on the request's span.
+// hit serves a cached response: counted, billed to the request's query
+// and labeled on its span.
 func (c *Cache) hit(req *Request, resp *Response) (*Response, error) {
 	c.hits.Add(1)
+	statsFor(req.Context(), nil).add(cacheHits, 1)
 	trace.FromContext(req.Context()).Label("outcome", "cache")
 	return resp, nil
 }
@@ -399,6 +439,7 @@ func WithCacheLookup(inner Fetcher, cache *Cache) Fetcher {
 		if err != nil && e != nil && cache.AllowStale &&
 			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			cache.stale.Add(1)
+			statsFor(req.Context(), nil).add(staleServed, 1)
 			sp := trace.FromContext(req.Context())
 			sp.Label("outcome", "stale")
 			sp.Label("stale-age", now.Sub(e.fetchedAt).String())

@@ -57,7 +57,8 @@ func TestStackEndToEndAccounting(t *testing.T) {
 			f, stats, cache := buildStack(2, 5)
 			tr := trace.New("stack", nil)
 			ctx := trace.ContextWith(context.Background(), tr.Root)
-			ctx = ContextWithOutageMemo(ctx, NewOutageMemo())
+			q := &Query{}
+			ctx = WithQuery(ctx, q)
 
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -79,6 +80,7 @@ func TestStackEndToEndAccounting(t *testing.T) {
 			}
 			wg.Wait()
 			tr.Root.End()
+			stats.Add(&q.Stats) // the query's bill, folded as core does when it ends
 
 			total := int64(len(ops))
 			served := cache.Hits() + stats.Deduped() + stats.Pages() + cache.Stale()
@@ -143,7 +145,8 @@ func TestStackDeadHostIsolated(t *testing.T) {
 			f = WithOutageMemo(f)
 			cache := NewCache()
 			f = WithCacheLookup(WithSingleflight(WithCacheFill(f, cache), stats), cache)
-			ctx := ContextWithOutageMemo(context.Background(), NewOutageMemo())
+			q := &Query{}
+			ctx := WithQuery(context.Background(), q)
 
 			var ops []string
 			for p := 0; p < 4; p++ {
@@ -175,6 +178,7 @@ func TestStackDeadHostIsolated(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
+			stats.Add(&q.Stats)
 
 			if failures != 8 { // 4 dead URLs × 2 ops each
 				t.Errorf("failures = %d, want 8", failures)
@@ -183,5 +187,54 @@ func TestStackDeadHostIsolated(t *testing.T) {
 				t.Errorf("identity: served=%d < successes=%d", served, successes)
 			}
 		})
+	}
+}
+
+// TestStackBillsQueryOrConstructorStats: a fetch with no query on its
+// context (the repair worker, PopulateAll) counts into the Stats the
+// stack was constructed with; a fetch with one counts into the query's
+// bill and nowhere else — except the lifetime-only per-host counts and the
+// cache's own hit counter, which every fetch moves.
+func TestStackBillsQueryOrConstructorStats(t *testing.T) {
+	f, stats, cache := buildStack(2, 5)
+	urls := []string{"http://host0/a", "http://host0/b", "http://host1/a"}
+	fetchAll := func(ctx context.Context) {
+		t.Helper()
+		for _, u := range urls {
+			if _, err := f.Fetch(NewGet(u).WithContext(ctx)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fetchAll(context.Background())
+	if stats.Pages() != 3 || stats.Retries() == 0 || stats.Bytes() == 0 {
+		t.Fatalf("queryless fetches: constructor stats pages=%d retries=%d bytes=%d, want 3, >0, >0",
+			stats.Pages(), stats.Retries(), stats.Bytes())
+	}
+	fetchAll(context.Background()) // hits outside any query: the cache counts them, no bill does
+	if cache.Hits() != 3 || stats.CacheHits() != 0 {
+		t.Fatalf("queryless hits: cache.Hits=%d stats.CacheHits=%d, want 3 and 0", cache.Hits(), stats.CacheHits())
+	}
+
+	cache.Clear()
+	pages, retries, bytes := stats.Pages(), stats.Retries(), stats.Bytes()
+	q := &Query{}
+	ctx := WithQuery(context.Background(), q)
+	fetchAll(ctx)
+	fetchAll(ctx)
+	if q.Stats.Pages() != 3 || q.Stats.CacheHits() != 3 || q.Stats.Bytes() != bytes {
+		t.Errorf("query's bill: pages=%d cache-hits=%d bytes=%d, want 3, 3, %d",
+			q.Stats.Pages(), q.Stats.CacheHits(), q.Stats.Bytes(), bytes)
+	}
+	if stats.Pages() != pages || stats.Retries() != retries || stats.Bytes() != bytes {
+		t.Errorf("a query's fetches leaked into the constructor stats: pages %d→%d retries %d→%d bytes %d→%d",
+			pages, stats.Pages(), retries, stats.Retries(), bytes, stats.Bytes())
+	}
+	if got := stats.PerHost()["host0"]; got != 4 {
+		t.Errorf("per-host count for host0 = %d, want 4 (lifetime-only, query or not)", got)
+	}
+	if cache.Hits() != 6 {
+		t.Errorf("cache.Hits = %d, want 6", cache.Hits())
 	}
 }

@@ -156,12 +156,12 @@ type cancellingCatalog struct {
 	count  int
 }
 
-func (c *cancellingCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+func (c *cancellingCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	c.mu.Lock()
 	c.count++
 	n := c.count
 	c.mu.Unlock()
-	rel, err := c.MemCatalog.Populate(name, inputs)
+	rel, err := c.MemCatalog.Populate(ctx, name, inputs)
 	if n >= c.after {
 		c.cancel()
 	}

@@ -12,22 +12,6 @@ import (
 	"webbase/internal/web"
 )
 
-// CatalogContext is optionally implemented by catalogs whose Populate can
-// honor cancellation: catalogs over the VPS thread the context all the way
-// into navigation execution, so a cancelled query stops fetching pages.
-type CatalogContext interface {
-	Catalog
-	PopulateContext(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error)
-}
-
-// populate routes through PopulateContext when the catalog supports it.
-func populate(ctx context.Context, cat Catalog, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
-	if cc, ok := cat.(CatalogContext); ok {
-		return cc.PopulateContext(ctx, name, inputs)
-	}
-	return cat.Populate(name, inputs)
-}
-
 // Eval evaluates the expression against the catalog. bound carries the
 // attribute values already known to the evaluator — the constants of
 // enclosing equality selections and, inside dependent joins, values taken
@@ -144,7 +128,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 				inputs[a] = v
 			}
 		}
-		return populate(ctx, cat, e.Relation, inputs)
+		return cat.Populate(ctx, e.Relation, inputs)
 
 	case *Select:
 		sub := bound

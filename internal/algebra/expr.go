@@ -7,6 +7,7 @@
 package algebra
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -25,7 +26,10 @@ type Catalog interface {
 	// (the union of the handles' selection attributes); any other input
 	// only post-filters. Read-only; empty for an unknown relation.
 	Forwardable(name string) relation.AttrSet
-	Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error)
+	// Populate returns the relation's tuples matching the inputs. Catalogs
+	// over the VPS thread ctx all the way into navigation execution, so a
+	// cancelled query stops fetching pages.
+	Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error)
 }
 
 // CmpOp is a comparison operator in a selection condition.

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -75,7 +76,7 @@ func (c *MemCatalog) Forwardable(name string) relation.AttrSet {
 // Populate implements Catalog: it checks the binding restriction, then
 // filters the materialized data by the inputs (a site returns only
 // matching rows).
-func (c *MemCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+func (c *MemCatalog) Populate(_ context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	r, ok := c.rels[name]
 	if !ok {
 		return nil, fmt.Errorf("algebra: unknown relation %q", name)

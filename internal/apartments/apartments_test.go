@@ -1,6 +1,7 @@
 package apartments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -195,7 +196,7 @@ func TestListingsRelaxedUnion(t *testing.T) {
 	}
 	// Borough-only: aptFinder (mandatory Bedrooms radio) is skipped; only
 	// owner listings answer.
-	rel, err := sys.Logical.Populate("listings", map[string]relation.Value{
+	rel, err := sys.Logical.Populate(context.Background(), "listings", map[string]relation.Value{
 		"Borough": relation.String("bronx")})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +206,7 @@ func TestListingsRelaxedUnion(t *testing.T) {
 		t.Errorf("listings = %d, want %d (owner side only)", rel.Len(), want)
 	}
 	// Borough+Bedrooms: both sides answer.
-	rel2, err := sys.Logical.Populate("listings", map[string]relation.Value{
+	rel2, err := sys.Logical.Populate(context.Background(), "listings", map[string]relation.Value{
 		"Borough": relation.String("bronx"), "Bedrooms": relation.Int(1)})
 	if err != nil {
 		t.Fatal(err)

@@ -651,9 +651,6 @@ func (wb *Webbase) query(ctx context.Context, q ur.Query, sink ur.ObjectSink, tr
 func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait time.Duration, sink ur.ObjectSink) (*ur.Result, *QueryStats, error) {
 	start := wb.now()
 	ctx = algebra.WithPool(ctx, algebra.NewPool(wb.workers))
-	if wb.strict {
-		ctx = ur.WithStrict(ctx)
-	}
 	// Quarantine snapshot: the set of drift-confirmed hosts is read once,
 	// here, so a health transition mid-query cannot change which sites a
 	// running query consults (outcomes stay schedule-independent).
@@ -675,7 +672,7 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 	// so it is the first value a fetch's context lookup meets.
 	wq := &web.Query{RetryBudget: wb.retryBudget, HedgeBudget: wb.hedgeBudget,
 		Deadline: wb.deadline, Clock: wb.clock}
-	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink)
+	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink, wb.strict)
 	wb.stats.Add(&wq.Stats)
 	qs := &QueryStats{
 		Pages:            wq.Stats.Pages(),

@@ -16,11 +16,9 @@ import (
 	"errors"
 	"fmt"
 
-	"webbase/internal/health"
 	"webbase/internal/navmap"
 	"webbase/internal/store"
 	"webbase/internal/vps"
-	"webbase/internal/web"
 )
 
 // Store tier names.
@@ -84,68 +82,67 @@ func (wb *Webbase) restoreMaps() {
 	})
 }
 
-// persistBreaker snapshots the open circuits. Called from the breaker's
-// OnChange hook (outside its locks) on every trip and close, so the
-// durable view tracks transitions, not a shutdown-only flush. An empty
-// snapshot — every circuit closed again — carries nothing a cold boot
-// wouldn't assume, so the stale record is GCed instead of rewritten.
-func (wb *Webbase) persistBreaker() {
-	if wb.store == nil || wb.breaker == nil {
-		return
-	}
-	snap := wb.breaker.Snapshot()
+// persistSnapshot writes a snapshot tier's single record. An empty
+// snapshot — every circuit closed again, every site healthy — carries
+// nothing a cold boot wouldn't assume, so the stale record is GCed
+// instead of rewritten.
+func persistSnapshot[T any](wb *Webbase, tier, key string, snap map[string]T) {
 	if len(snap) == 0 {
-		wb.gcRecord(tierBreaker, breakerKey)
+		wb.gcRecord(tier, key)
 		return
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
 		return
 	}
-	wb.store.Put(tierBreaker, breakerKey, 0, data)
+	wb.store.Put(tier, key, 0, data)
+}
+
+// restoreSnapshot hands a snapshot tier's record to restore at boot. A
+// missing record is a cold start and a corrupt file was already counted
+// by Get; a payload that does not decode counts as corruption here.
+func restoreSnapshot[T any](wb *Webbase, tier, key string, restore func(map[string]T)) {
+	payload, _, err := wb.store.Get(tier, key)
+	if err != nil {
+		return
+	}
+	var snap map[string]T
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		wb.store.CountCorrupt(tier)
+		return
+	}
+	if len(snap) == 0 {
+		// A stale record from before delete-on-empty: GC it at boot.
+		wb.gcRecord(tier, key)
+		return
+	}
+	restore(snap)
+}
+
+// persistBreaker snapshots the open circuits. Called from the breaker's
+// OnChange hook (outside its locks) on every trip and close, so the
+// durable view tracks transitions, not a shutdown-only flush.
+func (wb *Webbase) persistBreaker() {
+	if wb.store != nil && wb.breaker != nil {
+		persistSnapshot(wb, tierBreaker, breakerKey, wb.breaker.Snapshot())
+	}
 }
 
 // restoreBreaker pre-populates open circuits at boot: a restarted process
 // fast-fails a known-dead host immediately instead of re-earning the
 // verdict through a fresh failure window.
 func (wb *Webbase) restoreBreaker() {
-	if wb.store == nil || wb.breaker == nil {
-		return
+	if wb.store != nil && wb.breaker != nil {
+		restoreSnapshot(wb, tierBreaker, breakerKey, wb.breaker.Restore)
 	}
-	payload, _, err := wb.store.Get(tierBreaker, breakerKey)
-	if err != nil {
-		return // missing = cold; corrupt was already counted by Get
-	}
-	var snap map[string]web.BreakerSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		wb.store.CountCorrupt(tierBreaker)
-		return
-	}
-	if len(snap) == 0 {
-		// A stale record from before delete-on-empty: GC it at boot.
-		wb.gcRecord(tierBreaker, breakerKey)
-		return
-	}
-	wb.breaker.Restore(snap)
 }
 
 // persistHealth snapshots site health. Called from the tracker's OnChange
-// hook (outside its lock) on every transition. Like the breaker tier, an
-// empty snapshot GCs the record instead of persisting emptiness.
+// hook (outside its lock) on every transition.
 func (wb *Webbase) persistHealth() {
-	if wb.store == nil || wb.health == nil {
-		return
+	if wb.store != nil && wb.health != nil {
+		persistSnapshot(wb, tierHealth, healthKey, wb.health.Snapshot())
 	}
-	snap := wb.health.Snapshot()
-	if len(snap) == 0 {
-		wb.gcRecord(tierHealth, healthKey)
-		return
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	wb.store.Put(tierHealth, healthKey, 0, data)
 }
 
 // restoreHealth resumes persisted quarantines at boot (attempt counts
@@ -153,23 +150,9 @@ func (wb *Webbase) persistHealth() {
 // probes). May relaunch repair workers, exactly as the original process
 // would have after the same transitions.
 func (wb *Webbase) restoreHealth() {
-	if wb.store == nil || wb.health == nil {
-		return
+	if wb.store != nil && wb.health != nil {
+		restoreSnapshot(wb, tierHealth, healthKey, wb.health.Restore)
 	}
-	payload, _, err := wb.store.Get(tierHealth, healthKey)
-	if err != nil {
-		return
-	}
-	var snap map[string]health.SiteSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		wb.store.CountCorrupt(tierHealth)
-		return
-	}
-	if len(snap) == 0 {
-		wb.gcRecord(tierHealth, healthKey)
-		return
-	}
-	wb.health.Restore(snap)
 }
 
 // gcRecord deletes one durable record that no longer carries information

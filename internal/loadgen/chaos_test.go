@@ -17,7 +17,6 @@ import (
 // absolute: every stream completes, and every completed stream's tuple
 // multiset equals the uninterrupted answer — zero duplicates, zero
 // missing — while the kill counter proves the chaos actually happened.
-// The run's numbers are emitted as BENCH_resume.json.
 func TestConnectionChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load harness")
@@ -62,23 +61,4 @@ func TestConnectionChaos(t *testing.T) {
 	if rep.Resumes == 0 {
 		t.Fatal("no stream ever reconnected, yet connections were killed")
 	}
-
-	writeChaosReport(t, rep)
-}
-
-// writeChaosReport emits the run as BENCH_resume.json, when asked to (see
-// reportDirEnv).
-func writeChaosReport(t *testing.T, rep *ChaosReport) {
-	t.Helper()
-	doc := map[string]any{
-		"benchmark": "TestConnectionChaos",
-		"query":     loadQuery,
-		"scenario": "8 concurrent clients stream 4 queries each through a chaos transport that severs " +
-			"~70% of connections (half of them mid-line) with a deterministic, progress-guaranteeing " +
-			"byte schedule; the resumable client reconnects with Last-Event-Index and the server " +
-			"suppresses the already-delivered prefix. Pass requires every stream to complete with a " +
-			"tuple multiset exactly equal to the uninterrupted answer.",
-		"results": rep,
-	}
-	writeReport(t, "BENCH_resume.json", doc)
 }

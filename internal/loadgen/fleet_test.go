@@ -14,7 +14,7 @@ import (
 // condition is absolute: every stream completes, every completed stream's
 // tuple multiset equals the uninterrupted answer — zero duplicates, zero
 // missing — and the kill counters prove the fleet actually lost and
-// regained processes. The run's numbers are emitted as BENCH_fleet.json.
+// regained processes.
 func TestFleetChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet harness")
@@ -52,7 +52,6 @@ func TestFleetChaos(t *testing.T) {
 		t.Fatal("no stream ever switched replica, yet whole processes were killed")
 	}
 
-	writeFleetReport(t, rep)
 }
 
 // buildWebbased compiles the real cmd/webbased binary the fleet boots —
@@ -66,22 +65,4 @@ func buildWebbased(t *testing.T) string {
 		t.Fatalf("building webbased: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// writeFleetReport emits the run as BENCH_fleet.json, when asked to (see
-// reportDirEnv).
-func writeFleetReport(t *testing.T, rep *FleetReport) {
-	t.Helper()
-	doc := map[string]any{
-		"benchmark": "TestFleetChaos",
-		"query":     loadQuery,
-		"scenario": "3 webbased replica processes serve the same deterministic simulated Web; 32 streams " +
-			"run through one multi-endpoint client over a transport severing ~40% of connections while " +
-			"two replicas are SIGKILLed mid-run (one at a time) and rebooted on their old ports. The " +
-			"client benches dead replicas, fails over, resumes across replicas via the shared " +
-			"consistency token, and restarts from zero if a resume is refused. Pass requires every " +
-			"stream to complete with a tuple multiset exactly equal to the uninterrupted answer.",
-		"results": rep,
-	}
-	writeReport(t, "BENCH_fleet.json", doc)
 }

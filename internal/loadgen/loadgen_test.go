@@ -1,12 +1,9 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -24,10 +21,9 @@ const loadQuery = "SELECT Make, Model, Year, Price WHERE Make = 'jaguar' AND Con
 // admission-protected server. The fixed-window quotas make shed
 // accounting exact — alice (quota 10) sheds exactly 54 of her 64
 // requests, bob (quota 6) sheds exactly 58 — and the interactive
-// tenant's served p99 must sit inside the committed overload envelope's
-// worst case: the protection stack keeps the served tail flat no matter
-// how wide the burst is. The run's numbers are emitted as
-// BENCH_server.json.
+// tenant's served p99 must sit inside interactiveP99BoundMs: the
+// protection stack keeps the served tail flat no matter how wide the
+// burst is.
 func TestServerLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load harness")
@@ -112,24 +108,27 @@ func TestServerLoad(t *testing.T) {
 		}
 	}
 
-	// The interactive tenant's tail must stay inside the overload
-	// envelope's worst case — the committed unprotected p99, measured
-	// with the cache disabled and a straggler-injecting web. This run is
-	// strictly gentler (warm cache, healthy web), so clearing the bound
-	// says the HTTP+streaming layer adds no pathological overhead. Race
-	// instrumentation slows everything severalfold, so that build gets a
-	// proportionally wider bound.
-	bound := envelopeP99(t)
+	// The interactive tenant's tail must stay inside the bound. This run
+	// is strictly gentler than the one the bound was measured on (warm
+	// cache, healthy web), so clearing it says the HTTP+streaming layer
+	// adds no pathological overhead. Race instrumentation slows everything
+	// severalfold, so that build gets a proportionally wider bound.
+	bound := interactiveP99BoundMs
 	if raceEnabled {
 		bound *= 4
 	}
 	alice := rep.ByTenant("alice")
 	if alice.P99Ms >= bound {
-		t.Errorf("interactive p99 = %.1fms, want < %.1fms (BENCH_overload.json unprotected envelope)", alice.P99Ms, bound)
+		t.Errorf("interactive p99 = %.1fms, want < %.1fms", alice.P99Ms, bound)
 	}
-
-	writeBenchReport(t, rep, bound)
 }
+
+// interactiveP99BoundMs is the loosest latency this system has ever called
+// acceptable: the served p99 of 32 simultaneous unprotected clients (no
+// admission control, no hedging, cache disabled) against a web whose
+// classifieds host makes every 7th fetch a 25 ms straggler, as measured
+// when the overload protection was introduced.
+const interactiveP99BoundMs = 1044.0
 
 func fetchMetrics(t *testing.T, baseURL string) string {
 	t.Helper()
@@ -143,70 +142,4 @@ func fetchMetrics(t *testing.T, baseURL string) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// envelopeP99 reads the committed overload benchmark's unprotected p99 —
-// the loosest latency this system has ever called acceptable.
-func envelopeP99(t *testing.T) float64 {
-	t.Helper()
-	raw, err := os.ReadFile("../../BENCH_overload.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Results struct {
-			Unprotected struct {
-				P99Ms float64 `json:"p99_ms"`
-			} `json:"unprotected"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Results.Unprotected.P99Ms <= 0 {
-		t.Fatal("BENCH_overload.json carries no unprotected p99")
-	}
-	return doc.Results.Unprotected.P99Ms
-}
-
-// writeBenchReport emits the run as BENCH_server.json, when asked to (see
-// reportDirEnv).
-func writeBenchReport(t *testing.T, rep *Report, bound float64) {
-	t.Helper()
-	doc := map[string]any{
-		"benchmark": "TestServerLoad",
-		"query":     loadQuery,
-		"scenario": "64 concurrent clients split across two tenants (alice: interactive, quota 10; " +
-			"bob: batch, quota 6; 1h windows) against one admission-protected server (max-inflight 2, " +
-			"queue 64) over HTTP; each client posts 2 queries and drains the full NDJSON stream. " +
-			"Sheds are quota rejections; the deep admission queue sheds nothing, it only gives freed " +
-			"slots to interactive waiters first.",
-		"envelope": map[string]any{
-			"source":                   "BENCH_overload.json results.unprotected.p99_ms",
-			"interactive_p99_bound_ms": bound,
-		},
-		"results": rep,
-	}
-	writeReport(t, "BENCH_server.json", doc)
-}
-
-// reportDirEnv names the environment variable that opts a test run into
-// writing its BENCH_*.json reports, into the directory it holds. Unset, the
-// default, a run writes nothing: `go test ./...` leaves the tree clean.
-const reportDirEnv = "WEBBASE_BENCH_OUT"
-
-// writeReport writes doc as name under $WEBBASE_BENCH_OUT, if that is set.
-func writeReport(t *testing.T, name string, doc map[string]any) {
-	t.Helper()
-	dir := os.Getenv(reportDirEnv)
-	if dir == "" {
-		return
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }

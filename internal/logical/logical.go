@@ -53,14 +53,9 @@ func (c *VPSCatalog) Forwardable(name string) relation.AttrSet {
 }
 
 // Populate implements algebra.Catalog by executing the relation's
-// navigation expression against the Web.
-func (c *VPSCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
-	return c.PopulateContext(context.Background(), name, inputs)
-}
-
-// PopulateContext implements algebra.CatalogContext: the context reaches
-// navigation execution, so cancellation stops page fetches.
-func (c *VPSCatalog) PopulateContext(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+// navigation expression against the Web; the context reaches navigation
+// execution, so cancellation stops page fetches.
+func (c *VPSCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	rel, _, err := c.Registry.PopulateContext(ctx, c.Fetcher, name, inputs)
 	if err != nil {
 		if errors.Is(err, vps.ErrNoUsableHandle) {
@@ -70,8 +65,6 @@ func (c *VPSCatalog) PopulateContext(ctx context.Context, name string, inputs ma
 	}
 	return rel, nil
 }
-
-var _ algebra.CatalogContext = (*VPSCatalog)(nil)
 
 // View is one logical relation: a named algebra expression over VPS
 // relations (a row of Table 2).
@@ -166,16 +159,11 @@ func (c *Catalog) Forwardable(name string) relation.AttrSet { return c.forwardab
 
 // Populate implements algebra.Catalog by evaluating the view definition
 // over the base catalog with the inputs as bound values, then restricting
-// the result to tuples matching the inputs.
-func (c *Catalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
-	return c.PopulateContext(context.Background(), name, inputs)
-}
-
-// PopulateContext implements algebra.CatalogContext, forwarding the
-// context (with any worker pool it carries) into the view's evaluation —
-// a view whose definition unions several sites evaluates those sites
-// concurrently under the query's pool.
-func (c *Catalog) PopulateContext(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+// the result to tuples matching the inputs. The context (with any worker
+// pool it carries) is forwarded into the view's evaluation — a view whose
+// definition unions several sites evaluates those sites concurrently
+// under the query's pool.
+func (c *Catalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	v, ok := c.views[name]
 	if !ok {
 		return nil, fmt.Errorf("logical: unknown relation %q", name)
@@ -209,5 +197,3 @@ func (c *Catalog) PopulateContext(ctx context.Context, name string, inputs map[s
 		return true
 	}), nil
 }
-
-var _ algebra.CatalogContext = (*Catalog)(nil)

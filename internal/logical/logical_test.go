@@ -1,6 +1,7 @@
 package logical
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestDealersRelaxedBindings(t *testing.T) {
 
 func TestClassifiedsPopulation(t *testing.T) {
 	cat, w, _ := standard(t)
-	rel, err := cat.Populate("classifieds", map[string]relation.Value{
+	rel, err := cat.Populate(context.Background(), "classifieds", map[string]relation.Value{
 		"Make": sv("ford"), "Model": sv("escort")})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func TestDealersRelaxedPopulation(t *testing.T) {
 	cat, w, _ := standard(t)
 	// Make-only query: yahooCars (needs Model) is skipped; the other
 	// three dealers answer.
-	rel, err := cat.Populate("dealers", map[string]relation.Value{"Make": sv("bmw")})
+	rel, err := cat.Populate(context.Background(), "dealers", map[string]relation.Value{"Make": sv("bmw")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestDealersRelaxedPopulation(t *testing.T) {
 		t.Errorf("dealers rows = %d, want %d (yahooCars skipped)", rel.Len(), oracle)
 	}
 	// Make+Model query: yahooCars participates too.
-	rel2, err := cat.Populate("dealers", map[string]relation.Value{
+	rel2, err := cat.Populate(context.Background(), "dealers", map[string]relation.Value{
 		"Make": sv("bmw"), "Model": sv("325i")})
 	if err != nil {
 		t.Fatal(err)
@@ -194,14 +195,14 @@ func TestViewJoinAcrossLayers(t *testing.T) {
 
 func TestPopulateUnknownAndBindingErrors(t *testing.T) {
 	cat, _, _ := standard(t)
-	if _, err := cat.Populate("ghost", nil); err == nil {
+	if _, err := cat.Populate(context.Background(), "ghost", nil); err == nil {
 		t.Error("unknown view should error")
 	}
 	if _, err := cat.Bindings("ghost"); err == nil {
 		t.Error("unknown view bindings should error")
 	}
 	// classifieds without Make cannot run.
-	_, err := cat.Populate("classifieds", map[string]relation.Value{"Model": sv("escort")})
+	_, err := cat.Populate(context.Background(), "classifieds", map[string]relation.Value{"Model": sv("escort")})
 	if err == nil {
 		t.Error("classifieds without Make should fail")
 	}
@@ -221,7 +222,7 @@ func TestVPSCatalogErrorTranslation(t *testing.T) {
 	w := sites.BuildWorld()
 	reg, _ := vps.StandardRegistry()
 	base := &VPSCatalog{Registry: reg, Fetcher: w.Server}
-	_, err := base.Populate("kellys", map[string]relation.Value{"Make": sv("jaguar")})
+	_, err := base.Populate(context.Background(), "kellys", map[string]relation.Value{"Make": sv("jaguar")})
 	if err == nil || !strings.Contains(err.Error(), "no handle") {
 		t.Fatalf("err = %v", err)
 	}

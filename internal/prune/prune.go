@@ -20,7 +20,10 @@
 //     short-circuits chains whose upstream bindings are already doomed.
 //  3. limit: with LIMIT n and no effective ORDER BY, once the completed
 //     plan-order prefix of maximal objects holds ≥ n distinct tuples, no
-//     later object can change the answer and is skipped outright.
+//     later object can change the answer and is skipped outright. The
+//     State only carries n (Limit) and counts the skips; the prefix is the
+//     answer so far, which package ur's plan-order gate already holds, so
+//     the decision is made there.
 //
 // Rules 1–2 are pure functions of deterministic inputs, so with a fixed
 // worker count the pruned spans and counts are reproducible. Rule 3
@@ -93,24 +96,12 @@ const (
 	ReasonLimit = "limit"
 )
 
-// shared is the per-query mutable half of a State: decision counters and
-// the plan-order object tracker for the LIMIT early-exit. Restricted
-// views of a State (see Restrict) share it, so counts observed by the
-// core layer cover every evaluation depth.
+// shared is the per-query mutable half of a State: the decision counters.
+// Restricted views of a State (see Restrict) share it, so counts observed
+// by the core layer cover every evaluation depth.
 type shared struct {
 	mu     sync.Mutex
 	counts map[string]int64
-
-	// LIMIT early-exit bookkeeping: done/keys record finished objects,
-	// prefixLen counts the distinct tuples contributed by the contiguous
-	// completed prefix of the plan order. Only that prefix is sound to
-	// count — the answer is the plan-order union, so tuples from a later
-	// object cannot displace the first n distinct tuples of the prefix.
-	done       []bool
-	keys       [][]string
-	prefixNext int
-	seen       map[string]struct{}
-	prefixLen  int
 }
 
 // State is the compiled relevance state of one query: its conjuncts, the
@@ -254,8 +245,8 @@ func (st *State) IrrelevantTuple(sch relation.Schema, t relation.Tuple) bool {
 }
 
 // Restrict returns a view of the state containing only the conditions
-// whose attributes all lie within sch, sharing the counters and the
-// object tracker. The logical layer installs the restricted state before
+// whose attributes all lie within sch, sharing the counters. The logical
+// layer installs the restricted state before
 // evaluating a view definition: an attribute a view uses internally but
 // drops from its output is not the query's attribute of the same name,
 // so conditions on it must not fire inside (the static-unsatisfiability
@@ -338,60 +329,13 @@ func (st *State) Reasons() []string {
 	return out
 }
 
-// LimitArmed reports whether the cardinality early-exit is active.
-func (st *State) LimitArmed() bool { return st != nil && st.limit > 0 }
-
-// BeginObjects sizes the plan-order object tracker; the UR layer calls it
-// once planning has fixed the object count.
-func (st *State) BeginObjects(n int) {
-	if st == nil || st.limit <= 0 {
-		return
+// Limit returns the LIMIT the cardinality early-exit is armed with, 0 when
+// it is not armed.
+func (st *State) Limit() int {
+	if st == nil {
+		return 0
 	}
-	st.sh.mu.Lock()
-	defer st.sh.mu.Unlock()
-	st.sh.done = make([]bool, n)
-	st.sh.keys = make([][]string, n)
-	st.sh.prefixNext = 0
-	st.sh.seen = make(map[string]struct{})
-	st.sh.prefixLen = 0
-}
-
-// ObjectDone records that plan-order object i finished with the given
-// distinct-tuple keys (nil for a failed, skipped or pruned object — it
-// contributes nothing, but the prefix must still advance past it).
-func (st *State) ObjectDone(i int, keys []string) {
-	if st == nil || st.limit <= 0 {
-		return
-	}
-	st.sh.mu.Lock()
-	defer st.sh.mu.Unlock()
-	if st.sh.done == nil || i >= len(st.sh.done) || st.sh.done[i] {
-		return
-	}
-	st.sh.done[i] = true
-	st.sh.keys[i] = keys
-	for st.sh.prefixNext < len(st.sh.done) && st.sh.done[st.sh.prefixNext] {
-		for _, k := range st.sh.keys[st.sh.prefixNext] {
-			if _, dup := st.sh.seen[k]; !dup {
-				st.sh.seen[k] = struct{}{}
-				st.sh.prefixLen++
-			}
-		}
-		st.sh.keys[st.sh.prefixNext] = nil
-		st.sh.prefixNext++
-	}
-}
-
-// LimitSatisfied reports whether the completed contiguous plan-order
-// prefix already holds at least LIMIT distinct tuples — the condition
-// under which every not-yet-started object is irrelevant.
-func (st *State) LimitSatisfied() bool {
-	if st == nil || st.limit <= 0 {
-		return false
-	}
-	st.sh.mu.Lock()
-	defer st.sh.mu.Unlock()
-	return st.sh.prefixLen >= st.limit
+	return st.limit
 }
 
 type ctxKey struct{}

@@ -190,7 +190,7 @@ func TestRestrict(t *testing.T) {
 
 	// Restricted states never re-arm the LIMIT early-exit but share the
 	// decision counters with the root.
-	if r.LimitArmed() {
+	if r.Limit() != 0 {
 		t.Error("restricted state must not arm the limit early-exit")
 	}
 	r.Count(ReasonUnsatWhere)
@@ -230,54 +230,9 @@ func TestCountsAndReasons(t *testing.T) {
 	}
 }
 
-func TestLimitTracker(t *testing.T) {
-	st := NewState(nil, 2)
-	if !st.LimitArmed() {
-		t.Fatal("limit should be armed")
-	}
-	st.BeginObjects(4)
-	if st.LimitSatisfied() {
-		t.Error("satisfied before any object finished")
-	}
-
-	// Object 1 finishing out of order must not count: the plan-order
-	// prefix is still open at object 0.
-	st.ObjectDone(1, []string{"a", "b"})
-	if st.LimitSatisfied() {
-		t.Error("out-of-order completion must not satisfy the limit")
-	}
-	// Object 0 closes the prefix; its tuple plus object 1's two distinct
-	// ones reach the limit (duplicate keys collapse).
-	st.ObjectDone(0, []string{"a"})
-	if !st.LimitSatisfied() {
-		t.Error("limit should be satisfied: prefix holds {a, b}")
-	}
-
-	// A failed object (nil keys) advances the prefix without contributing.
-	st2 := NewState(nil, 1)
-	st2.BeginObjects(3)
-	st2.ObjectDone(0, nil)
-	if st2.LimitSatisfied() {
-		t.Error("failed object contributes nothing")
-	}
-	st2.ObjectDone(1, []string{"x"})
-	if !st2.LimitSatisfied() {
-		t.Error("prefix {fail, x} holds 1 distinct tuple")
-	}
-
-	// Duplicate ObjectDone calls are idempotent.
-	st2.ObjectDone(1, []string{"y", "z"})
-	st3 := NewState(nil, 0)
-	st3.BeginObjects(2) // unarmed: no-op
-	st3.ObjectDone(0, []string{"k"})
-	if st3.LimitSatisfied() {
-		t.Error("unarmed state never satisfies")
-	}
-}
-
 func TestNilStateInert(t *testing.T) {
 	var st *State
-	if st.Unsat() || st.LimitArmed() || st.LimitSatisfied() || st.Total() != 0 {
+	if st.Unsat() || st.Limit() != 0 || st.Total() != 0 {
 		t.Error("nil state must report nothing prunable")
 	}
 	if st.IrrelevantInputs(map[string]relation.Value{"A": relation.Int(1)}) {
@@ -290,8 +245,6 @@ func TestNilStateInert(t *testing.T) {
 		t.Error("nil Restrict must stay nil")
 	}
 	st.Count("x")
-	st.BeginObjects(3)
-	st.ObjectDone(0, nil)
 	if st.Counts() != nil || st.Reasons() != nil {
 		t.Error("nil state has no counters")
 	}

@@ -173,45 +173,81 @@ func (r *Relation) Union(other *Relation) (*Relation, error) {
 }
 
 // UnionAll returns the set union of rels in first-occurrence order, under
-// the schema of the first (the others' columns are permuted to match it):
-// one pass and one seen-set, where a pairwise fold re-keys everything
-// merged so far at every step. Nil entries (branches that produced
-// nothing) are skipped; the result is nil when every entry is. Tuples are
-// immutable, so the result shares them with its inputs.
+// the schema of the first (the others' columns are permuted to match it).
+// Nil entries (branches that produced nothing) are skipped; the result is
+// nil when every entry is. Tuples are immutable, so the result shares
+// them with its inputs.
 func UnionAll(rels []*Relation) (*Relation, error) {
-	var out *Relation
-	var buf []byte
-	seen := make(map[string]struct{})
+	var m Merge
 	for _, r := range rels {
-		if r == nil {
-			continue
-		}
-		var perm []int
-		if out == nil {
-			out = New("", r.schema)
-		} else if !out.schema.Equal(r.schema) {
-			var err error
-			if perm, err = alignment(out.schema, r.schema, "union"); err != nil {
-				return nil, err
-			}
-		}
-		for _, t := range r.tuples {
-			if perm != nil {
-				nt := make(Tuple, len(perm))
-				for i, j := range perm {
-					nt[i] = t[j]
-				}
-				t = nt
-			}
-			buf = t.appendKey(buf[:0])
-			if _, dup := seen[string(buf)]; !dup {
-				seen[string(buf)] = struct{}{}
-				out.tuples = append(out.tuples, t)
-			}
+		if _, err := m.Add(r); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return m.Relation(), nil
 }
+
+// Merge is a set union built one relation at a time, in first-occurrence
+// order: one seen-set and one reused key buffer for the whole union, where
+// a pairwise fold re-keys everything merged so far at every step. The zero
+// value is an empty union ready for Add.
+type Merge struct {
+	out  *Relation
+	seen map[string]struct{}
+	buf  []byte
+}
+
+// Add merges r into the union and returns the tuples it contributed that
+// no earlier relation (and no earlier tuple of r) had: a sub-slice of the
+// union's own tuples with cap == len, so appending to it cannot reach the
+// tuples a later Add lands. The first relation fixes the schema; a later
+// one with the same attribute set in another order has its columns
+// permuted to match, and one with a different attribute set is an error
+// that leaves the union as it was. A nil r contributes nothing.
+func (m *Merge) Add(r *Relation) ([]Tuple, error) {
+	if r == nil {
+		return nil, nil
+	}
+	var perm []int
+	if m.out == nil {
+		m.out = New("", r.schema)
+		m.seen = make(map[string]struct{})
+	} else if !m.out.schema.Equal(r.schema) {
+		var err error
+		if perm, err = alignment(m.out.schema, r.schema, "union"); err != nil {
+			return nil, err
+		}
+	}
+	start := len(m.out.tuples)
+	for _, t := range r.tuples {
+		if perm != nil {
+			nt := make(Tuple, len(perm))
+			for i, j := range perm {
+				nt[i] = t[j]
+			}
+			t = nt
+		}
+		m.buf = t.appendKey(m.buf[:0])
+		if _, dup := m.seen[string(m.buf)]; !dup {
+			m.seen[string(m.buf)] = struct{}{}
+			m.out.tuples = append(m.out.tuples, t)
+		}
+	}
+	end := len(m.out.tuples)
+	return m.out.tuples[start:end:end], nil
+}
+
+// Len is the number of distinct tuples merged so far.
+func (m *Merge) Len() int {
+	if m.out == nil {
+		return 0
+	}
+	return len(m.out.tuples)
+}
+
+// Relation returns the union merged so far, nil until a non-nil relation
+// has been added. It is the union's own storage, not a copy.
+func (m *Merge) Relation() *Relation { return m.out }
 
 // Diff returns the set difference r − other. Schemas must contain the same
 // attribute set.

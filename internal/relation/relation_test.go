@@ -144,6 +144,64 @@ func TestUnionAllOnePassEqualsTheFold(t *testing.T) {
 	}
 }
 
+// TestMergeReturnsWhatEachRelationAdded: Add hands back exactly the
+// tuples its relation contributed, as a clipped stretch of the union's own
+// storage.
+func TestMergeReturnsWhatEachRelationAdded(t *testing.T) {
+	var m Merge
+	if m.Len() != 0 || m.Relation() != nil {
+		t.Fatal("zero Merge is not an empty union")
+	}
+	if fresh, err := m.Add(nil); fresh != nil || err != nil || m.Relation() != nil {
+		t.Errorf("Add(nil) = %v, %v", fresh, err)
+	}
+	a := New("a", NewSchema("X", "Y"))
+	a.MustInsert(Int(1), Int(2))
+	a.MustInsert(Int(1), Int(2)) // duplicate within one input
+	a.MustInsert(Int(3), Int(4))
+	fresh, err := m.Add(a)
+	if err != nil || len(fresh) != 2 || m.Len() != 2 {
+		t.Fatalf("Add(a) = %v, %v; Len %d", fresh, err, m.Len())
+	}
+
+	// A column-permuted schema aligns: b's first tuple is a's, its second
+	// is new and lands under the union's column order.
+	b := New("b", NewSchema("Y", "X"))
+	b.MustInsert(Int(2), Int(1))
+	b.MustInsert(Int(9), Int(8))
+	fresh, err = m.Add(b)
+	if err != nil || len(fresh) != 1 || !fresh[0][0].Equal(Int(8)) || !fresh[0][1].Equal(Int(9)) {
+		t.Fatalf("Add(b) = %v, %v; want the one tuple (8, 9)", fresh, err)
+	}
+	if !m.Relation().Schema().Equal(a.Schema()) {
+		t.Errorf("union schema = %v, want the first relation's %v", m.Relation().Schema(), a.Schema())
+	}
+
+	// A mismatched attribute set errors and leaves the union unchanged.
+	before := m.Relation().String()
+	if fresh, err := m.Add(New("z", NewSchema("X", "Z"))); err == nil || fresh != nil {
+		t.Errorf("Add of a mismatched schema = %v, %v; want an error", fresh, err)
+	}
+	if m.Len() != 3 || m.Relation().String() != before {
+		t.Errorf("a failed Add changed the union:\n%s", m.Relation())
+	}
+
+	// Appending to a returned slice cannot reach the union's next tuple.
+	if cap(fresh) != len(fresh) {
+		t.Fatalf("returned slice has cap %d, len %d", cap(fresh), len(fresh))
+	}
+	c := New("c", NewSchema("X", "Y"))
+	c.MustInsert(Int(5), Int(6))
+	next, _ := m.Add(c)
+	_ = append(fresh, Tuple{Int(0), Int(0)})
+	if got := m.Relation().Tuples()[3]; len(next) != 1 || !got[0].Equal(Int(5)) || !got[1].Equal(Int(6)) {
+		t.Errorf("union's fourth tuple = %v after an append to the third's slice, want (5, 6)", got)
+	}
+	if &next[0] != &m.Relation().Tuples()[3] {
+		t.Error("Add returned a copy, not a stretch of the union's tuples")
+	}
+}
+
 // TestKeysAppendWhatTheyReturn: the appended key bytes are the Key string,
 // for every kind, so one buffer reused across tuples keys them as before.
 func TestKeysAppendWhatTheyReturn(t *testing.T) {

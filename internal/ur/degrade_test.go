@@ -20,12 +20,12 @@ type downCatalog struct {
 	down map[string]string // relation → dead host
 }
 
-func (c *downCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+func (c *downCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	if host, ok := c.down[name]; ok {
 		return nil, web.MarkOutage(&web.HostError{Host: host,
 			Err: fmt.Errorf("web: 3 attempts failed: connection refused")})
 	}
-	return c.MemCatalog.Populate(name, inputs)
+	return c.MemCatalog.Populate(ctx, name, inputs)
 }
 
 // TestEvalDeadSiteInOnlyObject: when every plan object needs the dead
@@ -161,12 +161,12 @@ type driftCatalog struct {
 	drifted map[string]string // relation → drifted host
 }
 
-func (c *driftCatalog) Populate(name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+func (c *driftCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	if host, ok := c.drifted[name]; ok {
 		return nil, web.MarkDrift(&web.HostError{Host: host,
 			Err: fmt.Errorf("navcalc: navigation failed: link \"Automobiles\" not found")})
 	}
-	return c.MemCatalog.Populate(name, inputs)
+	return c.MemCatalog.Populate(ctx, name, inputs)
 }
 
 // TestEvalDriftDegradesWithKind: a drifted site degrades the answer like
@@ -225,7 +225,7 @@ func TestEvalDriftDegradesWithKind(t *testing.T) {
 func TestEvalStrictFailsFastOnDrift(t *testing.T) {
 	s, mem := miniTwoObjectWorld()
 	cat := &driftCatalog{MemCatalog: mem, drifted: map[string]string{"b": "b.example"}}
-	_, err := s.EvalContext(WithStrict(context.Background()), Query{Output: []string{"K", "V"}}, cat)
+	_, err := s.EvalStream(context.Background(), Query{Output: []string{"K", "V"}}, cat, nil, true)
 	if err == nil {
 		t.Fatal("strict eval succeeded over a drifted site")
 	}
@@ -244,7 +244,7 @@ func TestEvalStrictFailsFast(t *testing.T) {
 	cat := &downCatalog{MemCatalog: mem, down: map[string]string{"b": "b.example"}}
 	q := Query{Output: []string{"K", "V"}}
 
-	_, err := s.EvalContext(WithStrict(context.Background()), q, cat)
+	_, err := s.EvalStream(context.Background(), q, cat, nil, true)
 	if err == nil {
 		t.Fatal("strict eval succeeded over a dead site")
 	}

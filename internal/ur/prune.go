@@ -19,7 +19,9 @@ var pruneOps = map[algebra.CmpOp]prune.Op{
 // handle invocations whose inputs violate the clause are skipped
 // pre-fetch, dependent-join feeds whose upstream bindings are doomed are
 // never invoked, and — when sound — maximal objects stop launching once
-// LIMIT is satisfied.
+// LIMIT is satisfied. For that last rule the state only carries the LIMIT
+// and counts the skips; EvalStream's gate holds the answer so far and
+// decides from its length.
 //
 // The cardinality early-exit is armed only when truncation is oblivious
 // to evaluation order: LIMIT n with no ORDER BY, or with every sort key

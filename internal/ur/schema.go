@@ -335,22 +335,6 @@ func (d *Degradation) String() string {
 	return sb.String()
 }
 
-// strictKey flags a context as strict: site outages abort the query
-// instead of degrading it.
-type strictKey struct{}
-
-// WithStrict marks ctx so that EvalContext fails fast on the first site
-// outage (the taxonomized error is returned) instead of evaluating the
-// surviving maximal objects.
-func WithStrict(ctx context.Context) context.Context {
-	return context.WithValue(ctx, strictKey{}, true)
-}
-
-func strictFrom(ctx context.Context) bool {
-	v, _ := ctx.Value(strictKey{}).(bool)
-	return v
-}
-
 // Eval plans and evaluates the query against the logical catalog, taking
 // the union of the qualifying maximal objects' answers. Objects that fail
 // on binding grounds are skipped and reported; any other failure aborts.
@@ -363,42 +347,41 @@ func (s *Schema) Eval(q Query, cat algebra.Catalog) (*Result, error) {
 // combinations; the fetch stack is concurrency-safe), so they evaluate
 // concurrently under the worker pool the context carries (algebra.WithPool);
 // without a pool they evaluate sequentially. Per-object answers are
-// written into indexed slots and unioned in plan order, so the result is
-// identical tuple for tuple regardless of scheduling. Cancelling ctx
-// stops further page fetches and surfaces ctx.Err().
+// merged in plan order, so the result is identical tuple for tuple
+// regardless of scheduling. Cancelling ctx stops further page fetches and
+// surfaces ctx.Err().
 func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) (*Result, error) {
-	return s.EvalStream(ctx, q, cat, nil)
+	return s.EvalStream(ctx, q, cat, nil, false)
 }
 
 // EvalStream is EvalContext with incremental per-object delivery: as
 // each maximal object completes, its finished contribution (new unique
 // tuples, a degradation failure, or a binding skip) is handed to sink in
 // plan order, gated so the stream is byte-identical whatever the worker
-// count. The concatenation of delivered tuples equals Result.Relation's
-// tuple sequence. Queries with ORDER BY or LIMIT cannot stream
+// count. The delivered tuples are sub-slices of Result.Relation's tuple
+// sequence, in order. Queries with ORDER BY or LIMIT cannot stream
 // incrementally — the answer is not final until every object has
 // reported — so they emit a single terminal Buffered delivery instead.
-// A nil sink degenerates to EvalContext.
-func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink) (*Result, error) {
+// A nil sink only assembles the Result. With strict set, the first site
+// outage or drift fails the query (the taxonomized error is returned)
+// instead of degrading it to the surviving maximal objects.
+func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink, strict bool) (*Result, error) {
 	plan, err := s.Plan(q)
 	if err != nil {
 		return nil, err
 	}
 	buffered := len(q.OrderBy) > 0 || q.Limit > 0
-	var gate *streamGate
-	if sink != nil && !buffered {
-		gate = newStreamGate(sink, plan.Objects, strictFrom(ctx))
-	}
-	// Access-relevance pruning (when the context carries a state): the
-	// cardinality early-exit tracks finished objects in plan order and,
-	// once the completed prefix holds ≥ LIMIT distinct tuples, skips every
-	// object not yet started. It only arms on queries where truncation is
-	// order-oblivious (see NewPruneState) — all of which are buffered, so
-	// the stream gate never sees a rule-3 decision.
+	// Access-relevance pruning (when the context carries a state): once
+	// the merged plan-order prefix holds ≥ LIMIT distinct tuples, every
+	// object not yet started is skipped. The state arms it only on queries
+	// where truncation is order-oblivious (see NewPruneState) — all of
+	// which are buffered, so no sink ever sees a rule-3 decision.
 	pst := prune.FromContext(ctx)
-	pst.BeginObjects(len(plan.Objects))
-	res := &Result{Plan: plan}
-	rels := make([]*relation.Relation, len(plan.Objects))
+	perObject := sink
+	if buffered {
+		perObject = nil // the one terminal delivery is made below
+	}
+	gate := newStreamGate(perObject, plan, strict, pst.Limit())
 	// One span per maximal object, pre-created in plan order before any
 	// object is dispatched, so the trace tree is identical whatever the
 	// worker count.
@@ -413,7 +396,7 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 	// Every object evaluates even when a sibling fails: binding-failure
 	// errors must not abort the other objects' partial answers.
 	errs := algebra.ForEach(ctx, len(plan.Objects), false, func(i int) error {
-		if pst.LimitArmed() && pst.LimitSatisfied() {
+		if gate.limitSatisfied() {
 			// Earlier objects already satisfy LIMIT n: the answer is the
 			// plan-order union truncated to n, so nothing this object could
 			// return survives. Contribute ∅ without evaluating (or fetching)
@@ -421,16 +404,14 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 			// order — like cache hits, the saving is schedule-dependent —
 			// but the contribution is provably empty either way, so the
 			// answer stays byte-identical.
-			rels[i] = relation.New("", relation.Schema(q.Output))
 			pst.Count(prune.ReasonLimit)
-			pst.ObjectDone(i, nil)
 			if sps != nil {
 				sps[i].Set("pruned", 1)
 				sps[i].Label("pruned-reason", prune.ReasonLimit)
 				sps[i].Set("tuples", 0)
 				sps[i].End()
 			}
-			gate.complete(i, rels[i], nil)
+			gate.complete(i, nil, nil)
 			return nil
 		}
 		octx := ctx
@@ -449,20 +430,6 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 		// The paper: "once translated, these queries can be optimized
 		// and evaluated by standard query evaluation techniques."
 		rel, err := algebra.EvalContext(octx, algebra.Optimize(plan.Objects[i].Expr, cat), cat, nil)
-		rels[i] = rel
-		if pst.LimitArmed() {
-			// Feed the cardinality tracker this object's distinct-tuple
-			// keys (nil for a failed object: it contributes nothing, but
-			// the plan-order prefix must still advance past it).
-			var keys []string
-			if err == nil && rel != nil {
-				keys = make([]string, rel.Len())
-				for k, t := range rel.Tuples() {
-					keys[k] = t.Key()
-				}
-			}
-			pst.ObjectDone(i, keys)
-		}
 		if sps != nil {
 			if rel != nil {
 				sps[i].Set("tuples", int64(rel.Len()))
@@ -481,57 +448,16 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 		gate.complete(i, rel, err)
 		return err
 	})
-	var firstOutage error
-	for i, obj := range plan.Objects {
-		if err := errs[i]; err != nil {
-			rels[i] = nil // a failed object contributes nothing to the union
-			if isBindingFailure(err) {
-				res.Skipped = append(res.Skipped,
-					fmt.Sprintf("{%s}: %v", strings.Join(obj.Relations, ", "), err))
-				continue
-			}
-			// Graceful degradation: a terminally-failed site (outage
-			// class) or a drifted site (answering, but no longer matching
-			// its navigation map) abandons only the maximal objects that
-			// depend on it; the survivors still answer. Strict mode
-			// restores the historical whole-query fail-fast. Cancellation
-			// is neither: it aborts regardless, as an unclassified
-			// context error.
-			if (web.IsOutage(err) || web.IsDrift(err)) && !strictFrom(ctx) {
-				if firstOutage == nil {
-					firstOutage = err
-				}
-				if res.Degradation == nil {
-					res.Degradation = &Degradation{}
-				}
-				kind := FailureOutage
-				if web.IsDrift(err) {
-					kind = FailureDrift
-				}
-				res.Degradation.Unavailable = append(res.Degradation.Unavailable, SiteFailure{
-					Object: obj.Relations,
-					Host:   web.FailingHost(err),
-					Kind:   kind,
-					Err:    err.Error(),
-				})
-				continue
-			}
-			return nil, fmt.Errorf("ur: evaluating object {%s}: %w", strings.Join(obj.Relations, ", "), err)
+	// An object the cancelled context kept from starting never reached
+	// the gate; ForEach left ctx.Err() in its slot.
+	for i, err := range errs {
+		if err != nil {
+			gate.complete(i, nil, err)
 		}
 	}
-	if res.Relation, err = relation.UnionAll(rels); err != nil {
+	res, err := gate.finish()
+	if err != nil {
 		return nil, err
-	}
-	if res.Relation == nil {
-		if res.Degradation.Degraded() {
-			var gone []string
-			for _, f := range res.Degradation.Unavailable {
-				gone = append(gone, fmt.Sprintf("{%s}: %s", strings.Join(f.Object, ", "), f.Err))
-			}
-			return nil, fmt.Errorf("ur: every maximal object was unavailable or skipped: %s: %w",
-				strings.Join(append(gone, res.Skipped...), "; "), firstOutage)
-		}
-		return nil, fmt.Errorf("ur: every maximal object was skipped: %s", strings.Join(res.Skipped, "; "))
 	}
 	if res.Degradation.Degraded() {
 		trace.FromContext(ctx).Set("degraded-objects", int64(len(res.Degradation.Unavailable)))

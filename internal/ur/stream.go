@@ -9,21 +9,19 @@ import (
 	"webbase/internal/web"
 )
 
-// This file is the per-object result delivery surface behind streaming
-// query answers. The UR answer is the union of independent maximal
-// objects, so partial answers are already well-defined: as soon as an
-// object's evaluation finishes, its contribution to the answer is final
-// and can be shipped to the caller while the remaining objects are still
-// navigating their sites.
+// This file is where a query's answer is assembled (DESIGN.md §10) and
+// the per-object delivery surface behind streaming answers. The UR answer
+// is the union of independent maximal objects, so partial answers are
+// already well-defined: as soon as an object's evaluation finishes, its
+// contribution to the answer is final and can be shipped to the caller
+// while the remaining objects are still navigating their sites.
 //
 // Determinism is preserved by a plan-order gate: workers complete
-// objects in arbitrary order, but deliveries are released only for the
-// contiguous plan-order prefix of completed objects, and a shared
-// seen-set drops tuples an earlier object already contributed — exactly
-// the first-occurrence discipline of Relation.Union followed by
-// Distinct. The concatenation of all delivered tuples is therefore
-// byte-identical to Result.Relation's tuple sequence, whatever the
-// worker count.
+// objects in arbitrary order, but an object is classified and merged into
+// the answer only once every object before it in the plan has been, and
+// what a delivery carries is exactly what that merge added — the tuples no
+// earlier object had. The concatenation of all delivered tuples therefore
+// is Result.Relation's tuple sequence, whatever the worker count.
 
 // ObjectDelivery is one maximal object's finished contribution to a
 // streaming answer.
@@ -43,7 +41,9 @@ type ObjectDelivery struct {
 	Object []string
 	// Tuples are the new unique tuples this object contributed — tuples
 	// an earlier plan-order object already delivered are omitted, so the
-	// concatenation across deliveries is duplicate-free.
+	// concatenation across deliveries is duplicate-free. The slice is a
+	// stretch of Result.Relation's own tuples: read it, or append to it
+	// (which copies), but do not write its elements.
 	Tuples []relation.Tuple
 	// Failure is non-nil when the object degraded out of the answer
 	// (site outage or drift under non-strict evaluation).
@@ -65,19 +65,24 @@ type ObjectDelivery struct {
 // the gate neither knows about nor orders those writers.
 type ObjectSink func(ObjectDelivery)
 
-// streamGate buffers out-of-order object completions and releases them
-// to the sink strictly in plan order, deduplicating tuples across
-// objects with first-occurrence semantics.
+// streamGate is the one place a finished maximal object is classified and
+// merged into the answer. It buffers out-of-order completions and takes
+// them strictly in plan order: a binding skip goes to Result.Skipped, a
+// degradable outage or drift to Result.Degradation, an answer into the
+// union (first occurrence wins), anything else is fatal and ends the
+// merge. Each step is mirrored to the sink when there is one.
 type streamGate struct {
-	sink    ObjectSink
-	objects []PlanObject
-	strict  bool
+	sink   ObjectSink // nil: merge only
+	strict bool
+	limit  int // LIMIT of the armed cardinality early-exit, else 0
 
-	mu      sync.Mutex
-	next    int                // next plan index eligible for delivery
-	ready   map[int]*gateEntry // completed but not yet deliverable
-	seen    map[string]bool    // tuple keys already delivered
-	aborted bool               // a fatal error stops all further delivery
+	mu          sync.Mutex
+	next        int          // next plan index to merge
+	ready       []*gateEntry // completed objects, by plan index
+	res         *Result      // Plan set; the rest filled in as objects merge
+	union       relation.Merge
+	firstOutage error // first degraded object's error
+	fatal       error // set once: the merge has stopped and the query fails
 }
 
 type gateEntry struct {
@@ -85,74 +90,115 @@ type gateEntry struct {
 	err error
 }
 
-func newStreamGate(sink ObjectSink, objects []PlanObject, strict bool) *streamGate {
+func newStreamGate(sink ObjectSink, plan *Plan, strict bool, limit int) *streamGate {
 	return &streamGate{
-		sink:    sink,
-		objects: objects,
-		strict:  strict,
-		ready:   make(map[int]*gateEntry, len(objects)),
-		seen:    make(map[string]bool),
+		sink:   sink,
+		strict: strict,
+		limit:  limit,
+		ready:  make([]*gateEntry, len(plan.Objects)),
+		res:    &Result{Plan: plan},
 	}
 }
 
-// complete records object i's outcome and flushes the contiguous
-// plan-order prefix of completed objects to the sink. Safe for
-// concurrent use by the worker pool; sink calls happen under the gate
-// lock, so they are serialized and ordered.
+// complete records object i's outcome and merges the contiguous
+// plan-order prefix of completed objects. Only an object's first
+// completion counts. Safe for concurrent use by the worker pool; sink
+// calls happen under the gate lock, so they are serialized and ordered.
 func (g *streamGate) complete(i int, rel *relation.Relation, err error) {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.ready[i] != nil {
+		return
+	}
 	g.ready[i] = &gateEntry{rel: rel, err: err}
-	for !g.aborted {
-		e, ok := g.ready[g.next]
-		if !ok {
-			return
-		}
-		delete(g.ready, g.next)
-		g.deliver(g.next, e)
+	for g.fatal == nil && g.next < len(g.ready) && g.ready[g.next] != nil {
+		g.merge(g.next, g.ready[g.next])
 		g.next++
 	}
 }
 
-// deliver classifies one completed object exactly as EvalContext's
-// post-loop does and emits the matching delivery. A fatal error (neither
-// a binding failure nor a degradable outage/drift) aborts the stream:
-// the query is going to return an error and no further objects are
-// observable parts of the answer. Exactly one delivery is emitted per
-// plan-order object, so the sequence number is simply i+1 — the
-// plan-order index shifted to leave 0 for a stream's preamble.
-func (g *streamGate) deliver(i int, e *gateEntry) {
-	obj := g.objects[i]
+// limitSatisfied reports whether the merged plan-order prefix already
+// holds LIMIT distinct tuples, so that no object not yet started can
+// change the answer. Only the merged prefix is sound to count: the answer
+// is the plan-order union truncated to LIMIT, and tuples of an object
+// that finished ahead of an earlier one may yet be displaced by it.
+func (g *streamGate) limitSatisfied() bool {
+	if g.limit <= 0 {
+		return false
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.union.Len() >= g.limit
+}
+
+// merge classifies one completed object and emits the matching delivery.
+// Exactly one delivery is emitted per plan-order object, so the sequence
+// number is simply i+1 — the plan-order index shifted to leave 0 for a
+// stream's preamble. A fatal error (neither a binding failure nor a
+// degradable outage/drift) stops the merge: the query is going to return
+// it and no further objects are observable parts of the answer.
+func (g *streamGate) merge(i int, e *gateEntry) {
+	obj := g.res.Plan.Objects[i]
+	d := ObjectDelivery{Index: i, Seq: i + 1, Object: obj.Relations}
 	switch {
 	case e.err == nil:
-		var fresh []relation.Tuple
-		if e.rel != nil {
-			for _, t := range e.rel.Tuples() {
-				if k := t.Key(); !g.seen[k] {
-					g.seen[k] = true
-					fresh = append(fresh, t)
-				}
-			}
+		if d.Tuples, g.fatal = g.union.Add(e.rel); g.fatal != nil {
+			return
 		}
-		g.sink(ObjectDelivery{Index: i, Seq: i + 1, Object: obj.Relations, Tuples: fresh})
 	case isBindingFailure(e.err):
-		g.sink(ObjectDelivery{Index: i, Seq: i + 1, Object: obj.Relations,
-			Skipped: fmt.Sprintf("{%s}: %v", strings.Join(obj.Relations, ", "), e.err)})
+		d.Skipped = fmt.Sprintf("{%s}: %v", strings.Join(obj.Relations, ", "), e.err)
+		g.res.Skipped = append(g.res.Skipped, d.Skipped)
 	case (web.IsOutage(e.err) || web.IsDrift(e.err)) && !g.strict:
+		// Graceful degradation: a terminally-failed site (outage class) or
+		// a drifted site (answering, but no longer matching its navigation
+		// map) abandons only the maximal objects that depend on it; the
+		// survivors still answer. Strict mode is whole-query fail-fast.
+		// Cancellation is neither: it is fatal, as an unclassified context
+		// error.
 		kind := FailureOutage
 		if web.IsDrift(e.err) {
 			kind = FailureDrift
 		}
-		g.sink(ObjectDelivery{Index: i, Seq: i + 1, Object: obj.Relations, Failure: &SiteFailure{
+		d.Failure = &SiteFailure{
 			Object: obj.Relations,
 			Host:   web.FailingHost(e.err),
 			Kind:   kind,
 			Err:    e.err.Error(),
-		}})
+		}
+		if g.res.Degradation == nil {
+			g.res.Degradation = &Degradation{}
+			g.firstOutage = e.err
+		}
+		g.res.Degradation.Unavailable = append(g.res.Degradation.Unavailable, *d.Failure)
 	default:
-		g.aborted = true
+		g.fatal = fmt.Errorf("ur: evaluating object {%s}: %w", strings.Join(obj.Relations, ", "), e.err)
+		return
 	}
+	if g.sink != nil {
+		g.sink(d)
+	}
+}
+
+// finish returns the assembled answer once every object has completed:
+// the first fatal error in plan order, or an error when no object
+// answered, else the union with what was skipped and what degraded.
+func (g *streamGate) finish() (*Result, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.fatal != nil {
+		return nil, g.fatal
+	}
+	res := g.res
+	if res.Relation = g.union.Relation(); res.Relation == nil {
+		if res.Degradation.Degraded() {
+			var gone []string
+			for _, f := range res.Degradation.Unavailable {
+				gone = append(gone, fmt.Sprintf("{%s}: %s", strings.Join(f.Object, ", "), f.Err))
+			}
+			return nil, fmt.Errorf("ur: every maximal object was unavailable or skipped: %s: %w",
+				strings.Join(append(gone, res.Skipped...), "; "), g.firstOutage)
+		}
+		return nil, fmt.Errorf("ur: every maximal object was skipped: %s", strings.Join(res.Skipped, "; "))
+	}
+	return res, nil
 }

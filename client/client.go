@@ -27,8 +27,8 @@
 // never mistaken for a dead one.
 //
 // When the failure is one a retry cannot change (bad query, quota,
-// strict-mode outage), iteration stops with a typed error that mirrors
-// the server's status code table — see errors.go.
+// strict-mode outage), iteration stops with a typed error, one sentinel
+// per code of internal/wire's table — see errors.go.
 package client
 
 import (
@@ -41,6 +41,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"webbase/internal/web"
 )
 
 // Defaults for the zero Config fields.
@@ -192,13 +194,7 @@ func (c *Client) Query(ctx context.Context, query string) (*Stream, error) {
 // (request ID, attempt) — two clients thundering against a restarted
 // server spread out, yet every run of the same client is reproducible.
 func (c *Client) backoffDelay(rid string, attempt int) time.Duration {
-	d := c.backoffBase
-	for i := 2; i < attempt && d < c.backoffMax; i++ {
-		d *= 2
-	}
-	if d > c.backoffMax {
-		d = c.backoffMax
-	}
+	d := web.Backoff{Base: c.backoffBase, Max: c.backoffMax}.Nominal(attempt - 1)
 	h := fnv.New64a()
 	h.Write([]byte(rid))
 	binary.Write(h, binary.LittleEndian, int64(attempt))

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"webbase/internal/relation"
+	"webbase/internal/wire"
 )
 
 // noSleep makes retry loops instant in tests.
@@ -93,6 +94,33 @@ func TestErrorEnvelopeTable(t *testing.T) {
 	}
 }
 
+// TestCodeSentinels: server and client agree on the code set. Every code
+// internal/wire declares has a sentinel here, except the one no client
+// is left to read, and there is no sentinel for a code wire does not
+// have; what wire calls transient is exactly what the envelope table
+// above retries.
+func TestCodeSentinels(t *testing.T) {
+	for code := range wire.Status {
+		if _, ok := codeSentinel[code]; ok == (code == wire.CodeClientClosed) {
+			t.Errorf("code %s: has a sentinel = %v", code, ok)
+		}
+	}
+	seen := map[error]string{}
+	for code, sentinel := range codeSentinel {
+		if _, ok := wire.Status[code]; !ok {
+			t.Errorf("sentinel %v is for %q, which is not a wire code", sentinel, code)
+		}
+		if prev, dup := seen[sentinel]; dup {
+			t.Errorf("codes %s and %s share sentinel %v", prev, code, sentinel)
+		}
+		seen[sentinel] = code
+		ae := &APIError{Code: code, Status: wire.Status[code]}
+		if got, want := retryable(ae, false), wire.Transient(code); got != want {
+			t.Errorf("code %s: retryable = %v, transient = %v", code, got, want)
+		}
+	}
+}
+
 // scriptedStream writes NDJSON lines verbatim.
 func scriptedStream(lines ...string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -164,7 +192,7 @@ func TestMidStreamRetryableErrorResumes(t *testing.T) {
 			)(w, r)
 			return
 		}
-		var qr queryRequest
+		var qr wire.QueryRequest
 		readJSON(r, &qr)
 		gotResume.Lock()
 		if qr.LastEventIndex != nil {

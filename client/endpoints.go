@@ -3,6 +3,8 @@ package client
 import (
 	"sync"
 	"time"
+
+	"webbase/internal/web"
 )
 
 // Fleet failover: a Client can hold a set of replica endpoints instead of
@@ -27,15 +29,14 @@ type endpointState struct {
 // which is the point: a replica one stream watched die is a replica the
 // next stream avoids.
 type endpointSet struct {
-	mu   sync.Mutex
-	eps  []*endpointState
-	now  func() time.Time
-	base time.Duration // first bench cooldown; doubles per consecutive failure
-	max  time.Duration // cooldown cap
+	mu    sync.Mutex
+	eps   []*endpointState
+	now   func() time.Time
+	bench web.Backoff // cooldown of the n-th consecutive failure
 }
 
 func newEndpointSet(urls []string, base, max time.Duration, now func() time.Time) *endpointSet {
-	s := &endpointSet{now: now, base: base, max: max}
+	s := &endpointSet{now: now, bench: web.Backoff{Base: base, Max: max}}
 	for _, u := range urls {
 		s.eps = append(s.eps, &endpointState{url: u})
 	}
@@ -102,14 +103,7 @@ func (s *endpointSet) fail(url string) {
 			continue
 		}
 		ep.fails++
-		cooldown := s.base
-		for i := 1; i < ep.fails && cooldown < s.max; i++ {
-			cooldown *= 2
-		}
-		if cooldown > s.max {
-			cooldown = s.max
-		}
-		ep.benchedUntil = s.now().Add(cooldown)
+		ep.benchedUntil = s.now().Add(s.bench.Nominal(ep.fails))
 		return
 	}
 }

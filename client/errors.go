@@ -5,14 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"webbase/internal/wire"
 )
 
-// The client-side error taxonomy mirrors the server's status-code table
-// one to one: every error envelope and terminal error event decodes to an
-// *APIError whose Code is the server's stable machine-readable code, and
-// each code matches a sentinel below under errors.Is — so callers branch
-// on classes (`errors.Is(err, client.ErrQuotaExhausted)`) without string
-// comparisons, exactly as they would against the in-process taxonomy.
+// The client-side error taxonomy is internal/wire's code table seen from
+// the caller: every error envelope and terminal error event decodes to an
+// *APIError whose Code is one of wire's stable machine-readable codes,
+// and each code matches a sentinel below under errors.Is — so callers
+// branch on classes (`errors.Is(err, client.ErrQuotaExhausted)`) without
+// string comparisons, exactly as they would against the in-process
+// taxonomy.
 
 // Sentinels, one per server error code. Match with errors.Is.
 var (
@@ -58,19 +61,19 @@ var (
 
 // codeSentinel maps a server error code to its sentinel.
 var codeSentinel = map[string]error{
-	"unauthorized":        ErrUnauthorized,
-	"quota-exhausted":     ErrQuotaExhausted,
-	"tenant-saturated":    ErrTenantSaturated,
-	"shedded":             ErrShedded,
-	"bad-query":           ErrBadQuery,
-	"bad-resume":          ErrBadResume,
-	"resume-inconsistent": ErrResumeInconsistent,
-	"body-too-large":      ErrBodyTooLarge,
-	"deadline":            ErrDeadline,
-	"site-outage":         ErrSiteOutage,
-	"site-drift":          ErrSiteDrift,
-	"site-answer":         ErrSiteAnswer,
-	"internal":            ErrInternal,
+	wire.CodeUnauthorized:       ErrUnauthorized,
+	wire.CodeQuotaExhausted:     ErrQuotaExhausted,
+	wire.CodeTenantSaturated:    ErrTenantSaturated,
+	wire.CodeShedded:            ErrShedded,
+	wire.CodeBadQuery:           ErrBadQuery,
+	wire.CodeBadResume:          ErrBadResume,
+	wire.CodeResumeInconsistent: ErrResumeInconsistent,
+	wire.CodeBodyTooLarge:       ErrBodyTooLarge,
+	wire.CodeDeadline:           ErrDeadline,
+	wire.CodeSiteOutage:         ErrSiteOutage,
+	wire.CodeSiteDrift:          ErrSiteDrift,
+	wire.CodeSiteAnswer:         ErrSiteAnswer,
+	wire.CodeInternal:           ErrInternal,
 }
 
 // APIError is a typed server failure: an error envelope (pre-stream) or
@@ -93,6 +96,10 @@ type APIError struct {
 	RetryAfter time.Duration
 }
 
+func apiError(b wire.ErrorBody) *APIError {
+	return &APIError{Code: b.Code, Status: b.Status, Message: b.Message, RequestID: b.RequestID}
+}
+
 func (e *APIError) Error() string {
 	return fmt.Sprintf("client: server error %s (status %d, request %s): %s",
 		e.Code, e.Status, e.RequestID, e.Message)
@@ -102,38 +109,25 @@ func (e *APIError) Error() string {
 // errors.Is(err, client.ErrBadQuery) works through any wrapping.
 func (e *APIError) Is(target error) bool { return codeSentinel[e.Code] == target }
 
-// retryableCode lists the server codes worth retrying: transient
-// server-side pressure that a backed-off reattempt can outwait. Quota
-// exhaustion, query errors, consistency refusals and site failures are
-// deliberately absent — retrying cannot change their outcome.
-var retryableCode = map[string]bool{
-	"shedded":          true,
-	"tenant-saturated": true,
-}
-
 // retryable classifies a failure for the reconnect loop: true for
 // transport-level failures (dropped connections, truncated bodies, dead
-// servers mid-restart) and for the retryable server codes; false for
-// everything whose outcome a retry cannot change. With a multi-replica
-// endpoint set (failover true), 5xx answers are also retryable: the
-// failure may be local to the replica that produced it — a restarting
-// process, a replica whose breakers are open — and the rotation will
-// put the next attempt on a different replica. Context errors are
-// judged by the caller against its own context — a canceled attempt
-// watchdog looks like context.Canceled but is retryable, so the stream
-// checks its parent context before consulting this.
+// servers mid-restart) and for the codes wire calls transient — pressure
+// a backed-off reattempt can outwait; false for everything whose outcome
+// a retry cannot change (quota exhaustion, query errors, consistency
+// refusals, site failures). With a multi-replica endpoint set (failover
+// true), 5xx answers are also retryable: the failure may be local to the
+// replica that produced it — a restarting process, a replica whose
+// breakers are open — and the rotation will put the next attempt on a
+// different replica. Context errors are judged by the caller against its
+// own context — a canceled attempt watchdog looks like context.Canceled
+// but is retryable, so the stream checks its parent context before
+// consulting this.
 func retryable(err error, failover bool) bool {
 	var ae *APIError
 	if errors.As(err, &ae) {
-		if retryableCode[ae.Code] {
-			return true
-		}
-		return failover && ae.Status >= 500
+		return wire.Transient(ae.Code) || failover && ae.Status >= 500
 	}
-	if errors.Is(err, ErrProtocol) {
-		return false
-	}
-	return true
+	return !errors.Is(err, ErrProtocol)
 }
 
 // endpointFault reports whether a failure indicts the endpoint that
@@ -144,12 +138,9 @@ func retryable(err error, failover bool) bool {
 func endpointFault(err error) bool {
 	var ae *APIError
 	if errors.As(err, &ae) {
-		return ae.Status >= 500 || retryableCode[ae.Code]
+		return ae.Status >= 500 || wire.Transient(ae.Code)
 	}
-	if errors.Is(err, ErrProtocol) {
-		return true
-	}
-	return true // transport-level: dropped connection, truncated body, stall
+	return true // a protocol error, or transport-level: dropped connection, truncated body, stall
 }
 
 // retryAfterOf extracts a failure's Retry-After hint, zero when absent.

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"webbase/internal/wire"
 )
 
 // The failover surface, unit-scale: endpoint rotation and benching,
@@ -116,7 +118,7 @@ func TestFailoverRestartsAfterRefusedResume(t *testing.T) {
 	// Replica B: refuses any resume, serves fresh queries in full.
 	var resumesRefused, fresh atomic.Int64
 	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var qr queryRequest
+		var qr wire.QueryRequest
 		readJSON(r, &qr)
 		if qr.LastEventIndex != nil {
 			resumesRefused.Add(1)

@@ -15,36 +15,22 @@ import (
 	"time"
 
 	"webbase"
-	"webbase/internal/relation"
+	"webbase/internal/wire"
 )
 
-// Meta is the stream's opening event: the request identity, the answer
-// schema, and the consistency token resumes present back to the server.
-type Meta struct {
-	RequestID   string
-	Query       string
-	Schema      []string
-	ResumeToken string
-}
-
-// TrailerDegradation mirrors the trailer's degradation report.
-type TrailerDegradation struct {
-	Unavailable []webbase.SiteFailure `json:"unavailable"`
-	StaleServed int64                 `json:"stale_served"`
-	Report      string                `json:"report"`
-}
-
-// Trailer is the stream's closing event: the answer's totals and the
-// server-side QueryStats. On a resumed stream the totals cover the whole
-// answer, delivered prefix included, while Stats covers only the final
-// (resumed) execution.
-type Trailer struct {
-	Tuples      int
-	Objects     int
-	Skipped     []string
-	Degradation *TrailerDegradation
-	Stats       *webbase.QueryStats
-}
+// The stream's opening and closing events, as internal/wire declares them.
+type (
+	// Meta is the opening event: the request identity, the answer schema,
+	// and the consistency token resumes present back to the server.
+	Meta = wire.Meta
+	// Trailer is the closing event: the answer's totals and the
+	// server-side QueryStats. On a resumed stream the totals cover the
+	// whole answer, delivered prefix included, while Stats covers only
+	// the final (resumed) execution.
+	Trailer = wire.Trailer
+	// TrailerDegradation is the trailer's degradation report.
+	TrailerDegradation = wire.Degradation
+)
 
 // Stream iterates one query's answer in the bufio.Scanner style:
 //
@@ -176,38 +162,38 @@ func (s *Stream) Next() bool {
 			s.terminate(err)
 			return false
 		}
-		switch ev.kind {
-		case "meta":
+		switch ev.Kind {
+		case wire.KindMeta:
 			// A repeated meta (server replayed from scratch after the
 			// client lost state) carries nothing new; skip it.
 			continue
-		case "tuples", "unavailable", "skipped":
+		case wire.KindTuples, wire.KindUnavailable, wire.KindSkipped:
 			// Exactly-once guard: the server suppresses the acked prefix,
 			// but a delivery at or below the resume offset (a replay bug or
 			// a hostile server) must still never reach the caller twice.
-			if ev.delivery.Seq <= s.lastSeq {
+			if ev.Delivery.Seq <= s.lastSeq {
 				continue
 			}
-			s.lastSeq = ev.delivery.Seq
-			s.cur = ev.delivery
+			s.lastSeq = ev.Delivery.Seq
+			s.cur = ev.Delivery
 			return true
-		case "keepalive":
+		case wire.KindKeepalive:
 			// Seq-less liveness probe. Its whole effect — re-arming the
 			// stall watchdog — already happened in readLine.
 			s.keepalives++
 			continue
-		case "trailer":
-			s.trailer = ev.trailer
+		case wire.KindTrailer:
+			s.trailer = ev.Trailer
 			s.done = true
 			s.closeBody()
 			return false
-		case "error":
-			if !s.recover(ev.apiErr) {
+		case wire.KindError:
+			if !s.recover(apiError(ev.Error)) {
 				return false
 			}
 			continue
 		default:
-			s.terminate(fmt.Errorf("%w: unknown event %q", ErrProtocol, ev.kind))
+			s.terminate(fmt.Errorf("%w: unknown event %q", ErrProtocol, ev.Kind))
 			return false
 		}
 	}
@@ -224,19 +210,10 @@ func (s *Stream) recover(cause error) bool {
 		s.terminate(ctxErr(s.ctx))
 		return false
 	}
-	if s.ep != "" && endpointFault(cause) {
-		s.c.endpoints.fail(s.ep)
-	}
-	if s.gotMeta && errors.Is(cause, ErrResumeInconsistent) {
-		// The replica refused to extend the delivered prefix: its web
-		// view diverged from the one that produced it. Splicing would be
-		// unsound (see DESIGN.md), so restart from zero instead.
-		s.restart()
-	} else if !retryable(cause, s.c.endpoints.multi()) {
+	if !s.retry(cause) {
 		s.terminate(cause)
 		return false
 	}
-	s.lastErr = cause
 	if err := s.connect(); err != nil {
 		s.terminate(err)
 		return false
@@ -244,14 +221,26 @@ func (s *Stream) recover(cause error) bool {
 	return true
 }
 
-// restart abandons the delivered prefix and rewinds the stream to a
-// fresh query: the next dial carries no resume parameters and the whole
-// answer is re-fetched. Restarts/Restarted surface this to the caller.
-func (s *Stream) restart() {
-	s.restarts++
-	s.gotMeta = false
-	s.meta = Meta{}
-	s.lastSeq = 0
+// retry files one failed attempt, whether it died at dial or mid-stream,
+// and reports whether another may follow. An endpoint fault benches the
+// endpoint. A refused resume — the replica cannot extend the prefix
+// another delivered, because its web view diverged, and splicing would
+// be unsound (see DESIGN.md) — rewinds the stream to a fresh query: the
+// next dial carries no resume parameters and the whole answer is
+// re-fetched, which Restarts/Restarted surface to the caller. Only a
+// resume is rewound; a fresh query's 409 falls through as terminal, like
+// everything else a retry cannot change.
+func (s *Stream) retry(cause error) bool {
+	s.lastErr = cause
+	if s.ep != "" && endpointFault(cause) {
+		s.c.endpoints.fail(s.ep)
+	}
+	if s.gotMeta && errors.Is(cause, ErrResumeInconsistent) {
+		s.restarts++
+		s.gotMeta, s.meta, s.lastSeq = false, Meta{}, 0
+		return true
+	}
+	return retryable(cause, s.c.endpoints.multi())
 }
 
 func (s *Stream) terminate(err error) {
@@ -291,22 +280,10 @@ func (s *Stream) connect() error {
 		if err == nil {
 			return nil
 		}
-		s.lastErr = err
 		if s.ctx.Err() != nil {
 			return ctxErr(s.ctx)
 		}
-		if s.ep != "" && endpointFault(err) {
-			s.c.endpoints.fail(s.ep)
-		}
-		if s.gotMeta && errors.Is(err, ErrResumeInconsistent) {
-			// This replica cannot extend the prefix another replica
-			// delivered; restart from zero rather than fail (a fresh
-			// query's 409 stays terminal — only a refused resume
-			// reaches here).
-			s.restart()
-			continue
-		}
-		if !retryable(err, s.c.endpoints.multi()) {
+		if !s.retry(err) {
 			return err
 		}
 	}
@@ -316,7 +293,7 @@ func (s *Stream) connect() error {
 // when a meta is held), expect a 200 NDJSON stream, and on a fresh stream
 // read the meta event. Any non-200 decodes to an *APIError.
 func (s *Stream) dial() error {
-	req := queryRequest{Query: s.query}
+	req := wire.QueryRequest{Query: s.query}
 	if s.gotMeta {
 		idx := s.lastSeq
 		req.LastEventIndex = &idx
@@ -345,7 +322,7 @@ func (s *Stream) dial() error {
 		return fmt.Errorf("%w: building request: %v", ErrProtocol, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("X-Request-Id", s.rid)
+	hreq.Header.Set(wire.HeaderRequestID, s.rid)
 	hreq.Header.Set("Accept-Encoding", "gzip")
 	if s.c.apiKey != "" {
 		hreq.Header.Set("Authorization", "Bearer "+s.c.apiKey)
@@ -399,11 +376,11 @@ func (s *Stream) dial() error {
 			s.closeBody()
 			return err
 		}
-		if ev.kind != "meta" {
+		if ev.Kind != wire.KindMeta {
 			s.closeBody()
-			return fmt.Errorf("%w: stream opened with %q, want meta", ErrProtocol, ev.kind)
+			return fmt.Errorf("%w: stream opened with %q, want %s", ErrProtocol, ev.Kind, wire.KindMeta)
 		}
-		s.meta = *ev.meta
+		s.meta = ev.Meta
 		s.gotMeta = true
 	}
 	s.c.endpoints.ok(ep)
@@ -454,40 +431,17 @@ func (s *Stream) closeBody() {
 	s.body = nil
 }
 
-// queryRequest is the JSON request body; the resume fields mirror the
-// server's Last-Event-Index / X-Resume-Token headers.
-type queryRequest struct {
-	Query          string `json:"query"`
-	LastEventIndex *int   `json:"last_event_index,omitempty"`
-	ResumeToken    string `json:"resume_token,omitempty"`
-}
-
-// wireError is the server's error payload, both envelope and event form.
-type wireError struct {
-	Code      string `json:"code"`
-	Status    int    `json:"status"`
-	Message   string `json:"message"`
-	RequestID string `json:"request_id"`
-}
-
-func (we wireError) api() *APIError {
-	return &APIError{Code: we.Code, Status: we.Status, Message: we.Message, RequestID: we.RequestID}
-}
-
 // decodeEnvelope turns a non-200 response into its *APIError.
 func decodeEnvelope(resp *http.Response) error {
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
 		return fmt.Errorf("client: reading error envelope: %w", err)
 	}
-	var env struct {
-		Error wireError `json:"error"`
+	body, err := wire.DecodeEnvelope(raw)
+	if err != nil {
+		return fmt.Errorf("%w: status %d with %v", ErrProtocol, resp.StatusCode, err)
 	}
-	if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code == "" {
-		return fmt.Errorf("%w: status %d with undecodable error envelope %q",
-			ErrProtocol, resp.StatusCode, truncate(raw, 200))
-	}
-	ae := env.Error.api()
+	ae := apiError(body)
 	// Retry-After (whole seconds) rides the envelope's headers; the
 	// reconnect loop honors it on retryable codes, capped by BackoffMax.
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
@@ -498,154 +452,11 @@ func decodeEnvelope(resp *http.Response) error {
 	return ae
 }
 
-// event is one parsed NDJSON line.
-type event struct {
-	kind     string
-	meta     *Meta
-	delivery webbase.ObjectDelivery
-	trailer  *Trailer
-	apiErr   *APIError
-}
-
-// parseEvent decodes one stream line. Numbers inside tuples decode via
-// json.Number so integer values stay integers.
-func parseEvent(line []byte) (event, error) {
-	var probe struct {
-		Event string `json:"event"`
+// parseEvent decodes one stream line.
+func parseEvent(line []byte) (wire.Event, error) {
+	ev, err := wire.Decode(line)
+	if err != nil {
+		return ev, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	if err := json.Unmarshal(line, &probe); err != nil || probe.Event == "" {
-		return event{}, fmt.Errorf("%w: undecodable event line %q", ErrProtocol, truncate(line, 200))
-	}
-	switch probe.Event {
-	case "meta":
-		var ev struct {
-			RequestID   string   `json:"request_id"`
-			Query       string   `json:"query"`
-			Schema      []string `json:"schema"`
-			ResumeToken string   `json:"resume_token"`
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return event{}, fmt.Errorf("%w: meta: %v", ErrProtocol, err)
-		}
-		return event{kind: "meta", meta: &Meta{
-			RequestID: ev.RequestID, Query: ev.Query, Schema: ev.Schema, ResumeToken: ev.ResumeToken,
-		}}, nil
-	case "tuples":
-		var ev struct {
-			Seq      int      `json:"seq"`
-			Index    int      `json:"index"`
-			Object   []string `json:"object"`
-			Buffered bool     `json:"buffered"`
-			Tuples   [][]any  `json:"tuples"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.UseNumber()
-		if err := dec.Decode(&ev); err != nil {
-			return event{}, fmt.Errorf("%w: tuples: %v", ErrProtocol, err)
-		}
-		tuples, err := decodeTuples(ev.Tuples)
-		if err != nil {
-			return event{}, err
-		}
-		return event{kind: "tuples", delivery: webbase.ObjectDelivery{
-			Seq: ev.Seq, Index: ev.Index, Object: ev.Object, Buffered: ev.Buffered, Tuples: tuples,
-		}}, nil
-	case "unavailable":
-		var ev struct {
-			Seq     int                 `json:"seq"`
-			Index   int                 `json:"index"`
-			Object  []string            `json:"object"`
-			Failure webbase.SiteFailure `json:"failure"`
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return event{}, fmt.Errorf("%w: unavailable: %v", ErrProtocol, err)
-		}
-		return event{kind: "unavailable", delivery: webbase.ObjectDelivery{
-			Seq: ev.Seq, Index: ev.Index, Object: ev.Object, Failure: &ev.Failure,
-		}}, nil
-	case "skipped":
-		var ev struct {
-			Seq    int      `json:"seq"`
-			Index  int      `json:"index"`
-			Object []string `json:"object"`
-			Reason string   `json:"reason"`
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return event{}, fmt.Errorf("%w: skipped: %v", ErrProtocol, err)
-		}
-		return event{kind: "skipped", delivery: webbase.ObjectDelivery{
-			Seq: ev.Seq, Index: ev.Index, Object: ev.Object, Skipped: ev.Reason,
-		}}, nil
-	case "trailer":
-		var ev struct {
-			Tuples      int                 `json:"tuples"`
-			Objects     int                 `json:"objects"`
-			Skipped     []string            `json:"skipped"`
-			Degradation *TrailerDegradation `json:"degradation"`
-			Stats       *webbase.QueryStats `json:"stats"`
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return event{}, fmt.Errorf("%w: trailer: %v", ErrProtocol, err)
-		}
-		return event{kind: "trailer", trailer: &Trailer{
-			Tuples: ev.Tuples, Objects: ev.Objects, Skipped: ev.Skipped,
-			Degradation: ev.Degradation, Stats: ev.Stats,
-		}}, nil
-	case "keepalive":
-		// Liveness probe: no seq, no payload worth decoding.
-		return event{kind: "keepalive"}, nil
-	case "error":
-		var ev struct {
-			Error wireError `json:"error"`
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return event{}, fmt.Errorf("%w: error event: %v", ErrProtocol, err)
-		}
-		return event{kind: "error", apiErr: ev.Error.api()}, nil
-	default:
-		return event{kind: probe.Event}, nil
-	}
-}
-
-// decodeTuples converts wire tuples (JSON arrays of null/string/number/
-// bool) back into relation tuples. Numeric kinds normalize over the wire:
-// a float with an integral value (5.0) encodes as "5" and decodes as an
-// Int — the JSON number grammar carries no float/int distinction for
-// integral values.
-func decodeTuples(rows [][]any) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, len(rows))
-	for i, row := range rows {
-		t := make(relation.Tuple, len(row))
-		for j, v := range row {
-			switch x := v.(type) {
-			case nil:
-				t[j] = relation.Null()
-			case string:
-				t[j] = relation.String(x)
-			case bool:
-				t[j] = relation.Bool(x)
-			case json.Number:
-				if n, err := x.Int64(); err == nil && !strings.ContainsAny(x.String(), ".eE") {
-					t[j] = relation.Int(n)
-				} else {
-					f, err := x.Float64()
-					if err != nil {
-						return nil, fmt.Errorf("%w: bad number %q in tuple", ErrProtocol, x.String())
-					}
-					t[j] = relation.Float(f)
-				}
-			default:
-				return nil, fmt.Errorf("%w: unexpected tuple value of type %T", ErrProtocol, v)
-			}
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) <= n {
-		return string(b)
-	}
-	return string(b[:n]) + "..."
+	return ev, nil
 }

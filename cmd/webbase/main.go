@@ -28,64 +28,33 @@ import (
 	"strings"
 
 	"webbase"
+	"webbase/cmd/internal/sysflags"
 )
 
 func main() {
+	shared := sysflags.Register(flag.CommandLine)
+	cfg := &shared.Config
 	var (
 		showPlan    = flag.Bool("plan", false, "print the query plan (maximal objects and covers)")
 		explain     = flag.Bool("explain", false, "explain the query (plan, bindings, handles) without fetching, then exit")
 		showStats   = flag.Bool("stats", false, "print fetch statistics")
-		withLatency = flag.Bool("latency", false, "simulate network latency (sleeping)")
 		listAttrs   = flag.Bool("attrs", false, "list the universal relation's attributes and exit")
 		listObjects = flag.Bool("objects", false, "list the maximal objects and exit")
-		domain      = flag.String("domain", "usedcars", "application domain: usedcars or apartments")
-		workers     = flag.Int("workers", 0, "parallel evaluation width (0 = GOMAXPROCS, 1 = sequential)")
-		hostLimit   = flag.Int("hostlimit", 0, "max concurrent fetches per site (0 = default, negative = unlimited)")
 		timeout     = flag.Duration("timeout", 0, "abort the query after this long (0 = no deadline)")
 		analyze     = flag.Bool("explain-analyze", false, "run the query and print the plan annotated with actual per-operator costs")
 		traceFile   = flag.String("trace", "", "run the query traced and write the span tree as JSON to this file")
 		showMetrics = flag.Bool("metrics", false, "print the webbase metrics snapshot after the query")
-		retries     = flag.Int("retries", 0, "retry failed page fetches this many additional times")
-		failEvery   = flag.Uint64("failevery", 0, "chaos: deterministically fail roughly every n-th fetch attempt (0 = off)")
 		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1]; 0 disables the breaker")
-		allowStale  = flag.Bool("allow-stale", false, "serve expired cached pages when a site is unreachable (stale-on-error)")
-		cacheMaxAge = flag.Duration("cache-maxage", 0, "cached pages older than this no longer count as fresh (0 = never expire)")
-		strict      = flag.Bool("strict", false, "fail the whole query on any site outage instead of degrading to the surviving maximal objects")
-		deadline    = flag.Duration("deadline", 0, "per-maximal-object time budget; objects over budget degrade out of the answer (0 = none)")
-		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently executing queries (0 = unlimited)")
-		queueDepth  = flag.Int("queue-depth", 0, "admission control: bounded FIFO wait queue behind -max-inflight; excess queries shed immediately")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "issue a second attempt for any fetch still unanswered after this delay (0 = off)")
-		hostQueue   = flag.Int("host-queue", 0, "per-host bulkhead wait-queue bound; fetches beyond it are shed (0 = unbounded)")
-		hedgeBudget = flag.Int64("hedge-budget", 0, "max hedged (duplicate) fetch attempts per query (0 = unlimited)")
 		queryClass  = flag.String("query-class", "interactive", "admission class: interactive (shed last) or batch (shed first)")
-		driftThr    = flag.Int("drift-threshold", 0, "drift reports that confirm a site redesign and quarantine the site (0 = default 2)")
-		maxRepairs  = flag.Int("max-repair-attempts", 0, "background remap attempts per quarantined site (0 = default 3)")
-		repairWait  = flag.Duration("repair-backoff", 0, "wait before the second remap attempt, doubling per attempt (0 = default 100ms)")
-		pruneOn     = flag.Bool("prune", false, "skip page fetches that cannot contribute answer tuples (access-relevance pruning)")
 	)
+	flag.IntVar(&cfg.HostLimit, "hostlimit", 0, "max concurrent fetches per site (0 = default, negative = unlimited)")
+	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "issue a second attempt for any fetch still unanswered after this delay (0 = off)")
+	flag.IntVar(&cfg.HostQueue, "host-queue", 0, "per-host bulkhead wait-queue bound; fetches beyond it are shed (0 = unbounded)")
+	flag.Int64Var(&cfg.HedgeBudget, "hedge-budget", 0, "max hedged (duplicate) fetch attempts per query (0 = unlimited)")
+	flag.IntVar(&cfg.MaxRepairAttempts, "max-repair-attempts", 0, "background remap attempts per quarantined site (0 = default 3)")
+	flag.DurationVar(&cfg.RepairBackoff, "repair-backoff", 0, "wait before the second remap attempt, doubling per attempt (0 = default 100ms)")
 	flag.Parse()
 
-	var cfg webbase.Config
-	if *withLatency {
-		cfg.Latency = webbase.DefaultLatency
-		cfg.Latency.Sleep = true
-	}
-	cfg.Workers = *workers
-	cfg.HostLimit = *hostLimit
-	cfg.Retries = *retries
-	cfg.AllowStale = *allowStale
-	cfg.CacheMaxAge = *cacheMaxAge
-	cfg.Strict = *strict
-	cfg.Deadline = *deadline
-	cfg.MaxInFlight = *maxInflight
-	cfg.QueueDepth = *queueDepth
-	cfg.HedgeAfter = *hedgeAfter
-	cfg.HostQueue = *hostQueue
-	cfg.HedgeBudget = *hedgeBudget
-	cfg.DriftThreshold = *driftThr
-	cfg.MaxRepairAttempts = *maxRepairs
-	cfg.RepairBackoff = *repairWait
-	cfg.Prune = *pruneOn
 	switch *queryClass {
 	case "interactive":
 		cfg.QueryClass = webbase.ClassInteractive
@@ -97,26 +66,7 @@ func main() {
 	if *breakerThr > 0 {
 		cfg.Breaker = &webbase.BreakerConfig{FailureRatio: *breakerThr}
 	}
-	chaos := func(f webbase.Fetcher) webbase.Fetcher {
-		if *failEvery > 0 {
-			return &webbase.Flaky{Inner: f, FailEvery: *failEvery}
-		}
-		return f
-	}
-	var (
-		sys *webbase.System
-		err error
-	)
-	switch *domain {
-	case "usedcars":
-		cfg.Fetcher = chaos(webbase.NewSimulatedWorld().Server)
-		sys, err = webbase.New(cfg)
-	case "apartments":
-		cfg.Fetcher = chaos(webbase.NewApartmentWorld().Server)
-		sys, err = webbase.NewApartments(cfg)
-	default:
-		err = fmt.Errorf("unknown domain %q (usedcars or apartments)", *domain)
-	}
+	sys, err := shared.Build()
 	if err != nil {
 		fatal(err)
 	}

@@ -41,7 +41,7 @@ import (
 	"syscall"
 	"time"
 
-	"webbase"
+	"webbase/cmd/internal/sysflags"
 	"webbase/internal/core"
 	"webbase/internal/server"
 )
@@ -95,71 +95,22 @@ func (t *tenantFlags) Set(v string) error {
 
 func main() {
 	var tenants tenantFlags
+	shared := sysflags.Register(flag.CommandLine)
+	cfg := &shared.Config
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		domain      = flag.String("domain", "usedcars", "application domain: usedcars or apartments")
-		workers     = flag.Int("workers", 0, "parallel evaluation width (0 = GOMAXPROCS, 1 = sequential)")
-		retries     = flag.Int("retries", 0, "retry failed page fetches this many additional times")
-		failEvery   = flag.Uint64("failevery", 0, "chaos: deterministically fail roughly every n-th fetch attempt (0 = off)")
-		withLatency = flag.Bool("latency", false, "simulate network latency (sleeping)")
-		strict      = flag.Bool("strict", false, "fail whole queries on any site outage instead of degrading")
-		deadline    = flag.Duration("deadline", 0, "per-maximal-object time budget (0 = none)")
-		maxInflight = flag.Int("max-inflight", 0, "admission control: max concurrently executing queries (0 = unlimited)")
-		queueDepth  = flag.Int("queue-depth", 0, "admission control: bounded FIFO wait queue behind -max-inflight")
-		allowStale  = flag.Bool("allow-stale", false, "serve expired cached pages when a site is unreachable")
-		cacheMaxAge = flag.Duration("cache-maxage", 0, "cached pages older than this no longer count as fresh (0 = never expire)")
-		driftThr    = flag.Int("drift-threshold", 0, "drift reports that confirm a site redesign (0 = default 2)")
-		maxBody     = flag.Int64("max-body", 0, "request body size bound in bytes (0 = default 1MiB)")
-		pruneOn     = flag.Bool("prune", false, "skip page fetches that cannot contribute answer tuples (access-relevance pruning)")
-		stateDir    = flag.String("state-dir", "", "durable state directory: persist warmed pages, repaired maps and breaker/health verdicts across restarts (empty = no persistence)")
-		stateMax    = flag.Int64("state-max-bytes", 0, "size bound for the durable page tier; least-recently-used pages are evicted past it (0 = unbounded)")
-		recoveryBkf = flag.Duration("recovery-backoff", 0, "re-probe repair-exhausted quarantined sites in the background, starting at this interval and doubling (0 = off)")
-		keepalive   = flag.Duration("keepalive", 0, "emit a seq-less keepalive event on idle streams at this interval so clients can detect stalls (0 = off; off keeps stream bytes identical to older servers)")
+		addr      = flag.String("addr", ":8080", "listen address")
+		maxBody   = flag.Int64("max-body", 0, "request body size bound in bytes (0 = default 1MiB)")
+		keepalive = flag.Duration("keepalive", 0, "emit a seq-less keepalive event on idle streams at this interval so clients can detect stalls (0 = off; off keeps stream bytes identical to older servers)")
 	)
+	flag.StringVar(&cfg.StateDir, "state-dir", "", "durable state directory: persist warmed pages, repaired maps and breaker/health verdicts across restarts (empty = no persistence)")
+	flag.Int64Var(&cfg.StateMaxBytes, "state-max-bytes", 0, "size bound for the durable page tier; least-recently-used pages are evicted past it (0 = unbounded)")
+	flag.DurationVar(&cfg.RecoveryBackoff, "recovery-backoff", 0, "re-probe repair-exhausted quarantined sites in the background, starting at this interval and doubling (0 = off)")
 	flag.Var(&tenants, "tenant", "tenant spec name:key[:class[:quota[:window[:maxconc]]]]; repeatable. Empty = open server")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "webbased ", log.LstdFlags)
 
-	cfg := webbase.Config{
-		Workers:         *workers,
-		Retries:         *retries,
-		Strict:          *strict,
-		Deadline:        *deadline,
-		MaxInFlight:     *maxInflight,
-		QueueDepth:      *queueDepth,
-		AllowStale:      *allowStale,
-		CacheMaxAge:     *cacheMaxAge,
-		DriftThreshold:  *driftThr,
-		Prune:           *pruneOn,
-		StateDir:        *stateDir,
-		StateMaxBytes:   *stateMax,
-		RecoveryBackoff: *recoveryBkf,
-	}
-	if *withLatency {
-		cfg.Latency = webbase.DefaultLatency
-		cfg.Latency.Sleep = true
-	}
-	chaos := func(f webbase.Fetcher) webbase.Fetcher {
-		if *failEvery > 0 {
-			return &webbase.Flaky{Inner: f, FailEvery: *failEvery}
-		}
-		return f
-	}
-	var (
-		sys *webbase.System
-		err error
-	)
-	switch *domain {
-	case "usedcars":
-		cfg.Fetcher = chaos(webbase.NewSimulatedWorld().Server)
-		sys, err = webbase.New(cfg)
-	case "apartments":
-		cfg.Fetcher = chaos(webbase.NewApartmentWorld().Server)
-		sys, err = webbase.NewApartments(cfg)
-	default:
-		err = fmt.Errorf("unknown domain %q (usedcars or apartments)", *domain)
-	}
+	sys, err := shared.Build()
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -199,11 +150,11 @@ func main() {
 		defer cancel()
 		hs.Shutdown(sctx)
 		sys.Close()
-		if *stateDir != "" {
-			logger.Printf("state flushed to %s", *stateDir)
+		if cfg.StateDir != "" {
+			logger.Printf("state flushed to %s", cfg.StateDir)
 		}
 	}()
-	logger.Printf("serving %s domain on %s (tenants: %s)", *domain, ln.Addr().String(), tenants.String())
+	logger.Printf("serving %s domain on %s (tenants: %s)", shared.Domain, ln.Addr().String(), tenants.String())
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Fatal(err)
 	}

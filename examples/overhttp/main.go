@@ -10,7 +10,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -21,6 +20,7 @@ import (
 	"webbase"
 	"webbase/internal/server"
 	"webbase/internal/web"
+	"webbase/internal/wire"
 )
 
 func main() {
@@ -70,21 +70,18 @@ func main() {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		// "tuples" carries the rows in a tuples event but the total count
-		// in the trailer, so decode each line generically.
-		var ev map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		ev, err := wire.Decode(sc.Bytes())
+		if err != nil {
 			log.Fatal(err)
 		}
-		switch ev["event"] {
-		case "tuples":
-			for _, t := range ev["tuples"].([]any) {
+		switch ev.Kind {
+		case wire.KindTuples:
+			for _, t := range ev.Delivery.Tuples {
 				fmt.Println(" ", t)
 			}
-		case "trailer":
-			stats := ev["stats"].(map[string]any)
-			fmt.Printf("\n%.0f pages fetched, %.0f deduped\n", stats["Pages"].(float64), stats["Deduped"].(float64))
-		case "error":
+		case wire.KindTrailer:
+			fmt.Printf("\n%d pages fetched, %d deduped\n", ev.Trailer.Stats.Pages, ev.Trailer.Stats.Deduped)
+		case wire.KindError:
 			log.Fatalf("query failed: %s", sc.Text())
 		}
 	}

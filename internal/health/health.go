@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"webbase/internal/trace"
+	"webbase/internal/web"
 )
 
 // State is a site's position in the health state machine.
@@ -231,7 +232,7 @@ func (t *Tracker) repairLoop(host string) {
 		if t.attemptLocked(host, s, "remaps_started_total", last) || last {
 			return
 		}
-		t.cfg.Sleep(t.cfg.Backoff << (attempt - 1))
+		t.cfg.Sleep(web.Backoff{Base: t.cfg.Backoff}.Nominal(attempt))
 	}
 }
 
@@ -288,10 +289,9 @@ func (t *Tracker) launchRecoveryLocked(host string, s *site) {
 // not count against MaxAttempts (the exhaustion bound is about the fast
 // remap loop, not about eventual recovery).
 func (t *Tracker) recoverLoop(host string) {
-	backoff := t.cfg.RecoveryBackoff
-	maxBackoff := t.cfg.RecoveryBackoff << 6
-	for {
-		t.cfg.Sleep(backoff)
+	backoff := web.Backoff{Base: t.cfg.RecoveryBackoff, Max: 64 * t.cfg.RecoveryBackoff}
+	for probe := 1; ; probe++ {
+		t.cfg.Sleep(backoff.Nominal(probe))
 		if t.stopped() {
 			return
 		}
@@ -308,9 +308,6 @@ func (t *Tracker) recoverLoop(host string) {
 		}
 		if t.attemptLocked(host, s, "recovery_probes_total", false) || t.stopped() {
 			return
-		}
-		if backoff < maxBackoff {
-			backoff <<= 1
 		}
 	}
 }

@@ -40,19 +40,27 @@ type ChaosLoad struct {
 	Seed int64 `json:"seed"`
 }
 
+// StreamAudit is what driving a batch of streams through the resumable
+// client established: how many finished, what finishing cost, and
+// whether every finished stream's tuple multiset was exactly the
+// uninterrupted answer.
+type StreamAudit struct {
+	Completed       int     `json:"completed"`
+	Failed          int     `json:"failed"`
+	Resumes         int     `json:"resumes"`          // reconnect attempts the client spent
+	DuplicateTuples int     `json:"duplicate_tuples"` // tuples delivered more than once within a stream
+	MissingTuples   int     `json:"missing_tuples"`   // expected tuples a stream never delivered
+	P50Ms           float64 `json:"p50_ms"`           // completed-stream latency, kills and backoff included
+	P99Ms           float64 `json:"p99_ms"`
+}
+
 // ChaosReport aggregates a chaos run. A run proves resumability exactly
 // when DuplicateTuples == MissingTuples == Failed == 0 while Kills > 0.
 type ChaosReport struct {
-	Load            ChaosLoad `json:"load"`
-	Streams         int       `json:"streams"`
-	Completed       int       `json:"completed"`
-	Failed          int       `json:"failed"`
-	Kills           int64     `json:"kills"`            // connections severed by the chaos transport
-	Resumes         int       `json:"resumes"`          // reconnect attempts the client spent
-	DuplicateTuples int       `json:"duplicate_tuples"` // tuples delivered more than once within a stream
-	MissingTuples   int       `json:"missing_tuples"`   // expected tuples a stream never delivered
-	P50Ms           float64   `json:"p50_ms"`           // completed-stream latency, kills and backoff included
-	P99Ms           float64   `json:"p99_ms"`
+	Load    ChaosLoad `json:"load"`
+	Streams int       `json:"streams"`
+	Kills   int64     `json:"kills"` // connections severed by the chaos transport
+	StreamAudit
 }
 
 // RunChaos executes load.Clients*load.PerClient streams against baseURL
@@ -73,7 +81,7 @@ func RunChaos(baseURL string, load ChaosLoad) (*ChaosReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	want, err := collectTuples(ctx, calm, load.Query)
+	want, _, err := collect(ctx, calm, load.Query)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: ground-truth stream: %w", err)
 	}
@@ -97,58 +105,85 @@ func RunChaos(baseURL string, load ChaosLoad) (*ChaosReport, error) {
 	}
 
 	rep := &ChaosReport{Load: load, Streams: load.Clients * load.PerClient}
-	var mu sync.Mutex
-	var latencies []time.Duration
-	var wg sync.WaitGroup
-	for i := 0; i < load.Clients; i++ {
+	rep.StreamAudit = driveStreams(ctx, victim, load.Query, rep.Streams, load.Clients, want, nil)
+	rep.Kills = chaos.kills.Load()
+	return rep, nil
+}
+
+// driveStreams runs streams streams of query through c, workers at a
+// time, and audits every completed one against want. each, when non-nil,
+// sees every stream as it ends — nil for one whose Query failed — one
+// call at a time.
+func driveStreams(ctx context.Context, c *client.Client, query string, streams, workers int,
+	want map[string]int, each func(*client.Stream)) StreamAudit {
+	var (
+		mu        sync.Mutex
+		audit     StreamAudit
+		latencies []time.Duration
+		wg        sync.WaitGroup
+	)
+	work := make(chan struct{})
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := 0; n < load.PerClient; n++ {
+			for range work {
 				start := time.Now()
-				got, resumes, err := collectChaos(ctx, victim, load.Query)
+				got, st, err := collect(ctx, c, query)
 				elapsed := time.Since(start)
 				mu.Lock()
-				rep.Resumes += resumes
+				if st != nil {
+					audit.Resumes += st.Attempts() - 1
+				}
 				if err != nil {
-					rep.Failed++
+					audit.Failed++
 				} else {
-					rep.Completed++
+					audit.Completed++
 					latencies = append(latencies, elapsed)
 					dup, miss := diffMultiset(got, want)
-					rep.DuplicateTuples += dup
-					rep.MissingTuples += miss
+					audit.DuplicateTuples += dup
+					audit.MissingTuples += miss
+				}
+				if each != nil {
+					each(st)
 				}
 				mu.Unlock()
 			}
 		}()
 	}
+	for i := 0; i < streams; i++ {
+		work <- struct{}{}
+	}
+	close(work)
 	wg.Wait()
-	rep.Kills = chaos.kills.Load()
-	rep.P50Ms = percentileMs(latencies, 50)
-	rep.P99Ms = percentileMs(latencies, 99)
-	return rep, nil
+	audit.P50Ms = percentileMs(latencies, 50)
+	audit.P99Ms = percentileMs(latencies, 99)
+	return audit
 }
 
-// collectTuples drains one stream into a tuple multiset.
-func collectTuples(ctx context.Context, c *client.Client, query string) (map[string]int, error) {
-	got, _, err := collectChaos(ctx, c, query)
-	return got, err
-}
-
-func collectChaos(ctx context.Context, c *client.Client, query string) (map[string]int, int, error) {
+// collect drains one stream into a tuple multiset, restart-aware: when
+// Restarts() advances between deliveries, everything accumulated so far
+// belongs to an answer the fleet refused to resume — the client started
+// over from seq zero, so the audit must too. The stream comes back
+// closed, for its counters; nil when Query itself failed.
+func collect(ctx context.Context, c *client.Client, query string) (map[string]int, *client.Stream, error) {
 	st, err := c.Query(ctx, query)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	defer st.Close()
 	got := map[string]int{}
+	restarts := 0
 	for st.Next() {
+		if r := st.Restarts(); r > restarts {
+			restarts = r
+			got = map[string]int{}
+		}
 		for _, t := range st.Delivery().Tuples {
 			got[fmt.Sprint(t)]++
 		}
 	}
-	return got, st.Attempts() - 1, st.Err()
+	return got, st, st.Err()
 }
 
 // diffMultiset reports how many tuple deliveries exceeded (dup) or fell

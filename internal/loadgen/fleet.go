@@ -56,19 +56,13 @@ type FleetLoad struct {
 type FleetReport struct {
 	Load            FleetLoad `json:"load"`
 	Streams         int       `json:"streams"`
-	Completed       int       `json:"completed"`
-	Failed          int       `json:"failed"`
 	ReplicaKills    int       `json:"replica_kills"`    // whole processes SIGKILLed
 	ReplicaRestarts int       `json:"replica_restarts"` // processes booted again on their old port
 	ConnKills       int64     `json:"conn_kills"`       // connections severed by the chaos transport
-	Resumes         int       `json:"resumes"`          // reconnect attempts the client spent
 	Failovers       int       `json:"failovers"`        // reconnects that switched replica
 	ClientRestarts  int       `json:"client_restarts"`  // restart-from-zero after a refused resume
 	Keepalives      int       `json:"keepalives"`       // keepalive events consumed by clients
-	DuplicateTuples int       `json:"duplicate_tuples"`
-	MissingTuples   int       `json:"missing_tuples"`
-	P50Ms           float64   `json:"p50_ms"` // completed-stream latency, chaos included
-	P99Ms           float64   `json:"p99_ms"`
+	StreamAudit
 }
 
 // fleetServingRE scrapes the actual listen address from a replica's
@@ -224,7 +218,7 @@ func RunFleet(bin string, load FleetLoad) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	want, err := collectTuples(ctx, calm, load.Query)
+	want, _, err := collect(ctx, calm, load.Query)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: ground-truth stream: %w", err)
 	}
@@ -249,9 +243,7 @@ func RunFleet(bin string, load FleetLoad) (*FleetReport, error) {
 
 	rep := &FleetReport{Load: load, Streams: load.Streams}
 	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		ctlErr    error
+		ctlErr    error // with the replica counts, the controller's until ctlDone closes
 		completed atomic.Int64
 	)
 
@@ -264,34 +256,29 @@ func RunFleet(bin string, load FleetLoad) (*FleetReport, error) {
 	go func() {
 		defer close(ctlDone)
 		s := int64(load.Streams)
-		record := func(f func()) {
-			mu.Lock()
-			f()
-			mu.Unlock()
-		}
 		steps := []struct {
 			at  int64
 			act func()
 		}{
 			{s / 4, func() {
 				replicas[1].kill()
-				record(func() { rep.ReplicaKills++ })
+				rep.ReplicaKills++
 			}},
 			{s / 2, func() {
 				if err := replicas[1].restart(load.Keepalive); err != nil {
-					record(func() { ctlErr = err })
+					ctlErr = err
 					return
 				}
-				record(func() { rep.ReplicaRestarts++ })
+				rep.ReplicaRestarts++
 				replicas[2%len(replicas)].kill()
-				record(func() { rep.ReplicaKills++ })
+				rep.ReplicaKills++
 			}},
 			{3 * s / 4, func() {
 				if err := replicas[2%len(replicas)].restart(load.Keepalive); err != nil {
-					record(func() { ctlErr = err })
+					ctlErr = err
 					return
 				}
-				record(func() { rep.ReplicaRestarts++ })
+				rep.ReplicaRestarts++
 			}},
 		}
 		for _, step := range steps {
@@ -306,82 +293,20 @@ func RunFleet(bin string, load FleetLoad) (*FleetReport, error) {
 		}
 	}()
 
-	var wg sync.WaitGroup
-	work := make(chan struct{})
-	for w := 0; w < load.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range work {
-				start := time.Now()
-				got, st, err := collectFleet(ctx, fleet, load.Query)
-				elapsed := time.Since(start)
-				mu.Lock()
-				rep.Resumes += st.resumes
-				rep.Failovers += st.failovers
-				rep.ClientRestarts += st.restarts
-				rep.Keepalives += st.keepalives
-				if err != nil {
-					rep.Failed++
-				} else {
-					rep.Completed++
-					latencies = append(latencies, elapsed)
-					dup, miss := diffMultiset(got, want)
-					rep.DuplicateTuples += dup
-					rep.MissingTuples += miss
-				}
-				mu.Unlock()
-				completed.Add(1)
-			}
-		}()
-	}
-	for i := 0; i < load.Streams; i++ {
-		work <- struct{}{}
-	}
-	close(work)
-	wg.Wait()
+	rep.StreamAudit = driveStreams(ctx, fleet, load.Query, load.Streams, load.Workers, want, func(st *client.Stream) {
+		if st != nil {
+			rep.Failovers += st.Failovers()
+			rep.ClientRestarts += st.Restarts()
+			rep.Keepalives += st.Keepalives()
+		}
+		completed.Add(1)
+	})
 	close(stop)
 	<-ctlDone
 
 	rep.ConnKills = chaos.kills.Load()
-	rep.P50Ms = percentileMs(latencies, 50)
-	rep.P99Ms = percentileMs(latencies, 99)
 	if ctlErr != nil {
 		return rep, fmt.Errorf("loadgen: chaos controller: %w", ctlErr)
 	}
 	return rep, nil
-}
-
-// fleetStreamStats is what one stream's iteration spent to finish.
-type fleetStreamStats struct {
-	resumes, failovers, restarts, keepalives int
-}
-
-// collectFleet drains one stream into a tuple multiset, restart-aware:
-// when Restarts() advances between deliveries, everything accumulated so
-// far belongs to an answer the fleet refused to resume — the client
-// started over from seq zero, so the audit must too.
-func collectFleet(ctx context.Context, c *client.Client, query string) (map[string]int, fleetStreamStats, error) {
-	var stats fleetStreamStats
-	st, err := c.Query(ctx, query)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer st.Close()
-	got := map[string]int{}
-	restarts := 0
-	for st.Next() {
-		if r := st.Restarts(); r > restarts {
-			restarts = r
-			got = map[string]int{}
-		}
-		for _, t := range st.Delivery().Tuples {
-			got[fmt.Sprint(t)]++
-		}
-	}
-	stats.resumes = st.Attempts() - 1
-	stats.failovers = st.Failovers()
-	stats.restarts = st.Restarts()
-	stats.keepalives = st.Keepalives()
-	return got, stats, st.Err()
 }

@@ -11,6 +11,7 @@ import (
 
 	"webbase/internal/core"
 	"webbase/internal/sites"
+	"webbase/internal/wire"
 )
 
 // FuzzQueryEndpoint throws arbitrary bytes at POST /query. Whatever the
@@ -81,7 +82,7 @@ func FuzzQueryEndpoint(f *testing.F) {
 				t.Fatalf("body %q: 200 stream of %d events ends with %q, want trailer or error", body, n, last)
 			}
 		default:
-			var env errorEnvelope
+			var env wire.Envelope
 			dec := json.NewDecoder(resp.Body)
 			if err := dec.Decode(&env); err != nil {
 				t.Fatalf("body %q: status %d with non-envelope body: %v", body, resp.StatusCode, err)
@@ -147,7 +148,7 @@ func FuzzResumeOffset(f *testing.F) {
 		resp := rec.Result()
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			var env errorEnvelope
+			var env wire.Envelope
 			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
 				t.Fatalf("offset %q token %q: status %d with non-envelope body: %v", offset, tok, resp.StatusCode, err)
 			}

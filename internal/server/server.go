@@ -10,7 +10,9 @@
 // in the UR layer keeps the stream byte-identical whatever the worker
 // count.
 //
-// Failures map the error taxonomy onto accurate status codes: a shed
+// The format — line shapes, header names, request and error bodies, the
+// error codes and their statuses — is internal/wire's; this package keeps
+// the policy. Failures map the error taxonomy onto wire's codes: a shed
 // query (admission gate or tenant quota) is 429, an exhausted deadline
 // budget is 504, a malformed or unplannable query is 400, and a
 // strict-mode site outage or drift is 502 — each as a JSON error
@@ -40,6 +42,7 @@ import (
 	"webbase/internal/core"
 	"webbase/internal/ur"
 	"webbase/internal/web"
+	"webbase/internal/wire"
 )
 
 // DefaultMaxBodyBytes bounds POST /query bodies when Config.MaxBodyBytes
@@ -118,17 +121,14 @@ func (s *Server) Handler() http.Handler {
 // accurate status code; after the stream starts, failures become a
 // terminal error event.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
+	rid := r.Header.Get(wire.HeaderRequestID)
 	if rid == "" {
 		rid = fmt.Sprintf("r-%06d", s.reqSeq.Add(1))
 	}
 
 	tenant, release, err := s.tenants.admit(apiKey(r))
 	if err != nil {
-		body := s.errorBody(rid, err)
-		s.account(tenant.Name, body.Status)
-		writeEnvelope(w, body)
-		s.logger.Printf("req=%s tenant=%s status=%d code=%s", rid, tenantLabel(tenant), body.Status, body.Code)
+		s.fail(w, rid, tenant, err)
 		return
 	}
 	// The concurrency slot is held for the whole request, streaming
@@ -136,11 +136,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.count("server_queries_total", tenant.Name)
 
-	text, qr, err := readQueryRequest(r.Body, s.maxBody)
+	qr, err := readQueryRequest(r.Body, s.maxBody)
 	if err != nil {
 		s.fail(w, rid, tenant, err)
 		return
 	}
+	text := qr.Query
 	q, err := ur.ParseQuery(s.sys.UR, text)
 	if err != nil {
 		s.fail(w, rid, tenant, badQuery(err))
@@ -203,7 +204,7 @@ func (s *Server) fail(w http.ResponseWriter, rid string, tenant Tenant, err erro
 	body := s.errorBody(rid, err)
 	s.account(tenant.Name, body.Status)
 	writeEnvelope(w, body)
-	s.logger.Printf("req=%s tenant=%s status=%d code=%s", rid, tenant.Name, body.Status, body.Code)
+	s.logger.Printf("req=%s tenant=%s status=%d code=%s", rid, tenantLabel(tenant), body.Status, body.Code)
 }
 
 // handleMetrics renders the webbase registry — every in-process counter,
@@ -263,129 +264,91 @@ func (s *Server) account(tenant string, status int) {
 	}
 }
 
-// errParse tags query-text failures so errorBody maps them to 400.
-type parseError struct{ err error }
+// codedError is a failure the server raises itself and so knows the code
+// of where it raises it; errorBody has only foreign errors to classify.
+type codedError struct {
+	code string
+	err  error
+}
 
-func (e *parseError) Error() string { return e.err.Error() }
-func (e *parseError) Unwrap() error { return e.err }
+func (e *codedError) Error() string { return e.err.Error() }
+func (e *codedError) Unwrap() error { return e.err }
 
-func badQuery(err error) error { return &parseError{err: err} }
+func coded(code, msg string) error { return &codedError{code, errors.New(msg)} }
+func badQuery(err error) error     { return &codedError{wire.CodeBadQuery, err} }
+func badResume(err error) error    { return &codedError{wire.CodeBadResume, err} }
 
 // errBodyTooLarge is returned when the request body exceeds the bound.
-var errBodyTooLarge = errors.New("server: request body too large")
+var errBodyTooLarge = coded(wire.CodeBodyTooLarge, "server: request body too large")
 
 // errResumeInconsistent refuses a resume whose token no longer matches
 // the current web view (a cache clear or a map swap happened since the
 // stream began). Re-running would not reproduce the delivered prefix, so
 // splicing is unsound; the client must restart the query from scratch.
-var errResumeInconsistent = errors.New("server: resume token does not match the current web state")
+var errResumeInconsistent = coded(wire.CodeResumeInconsistent, "server: resume token does not match the current web state")
 
-// resumeError tags malformed resume parameters so errorBody maps them to
-// 400 bad-resume rather than bad-query.
-type resumeError struct{ err error }
-
-func (e *resumeError) Error() string { return e.err.Error() }
-func (e *resumeError) Unwrap() error { return e.err }
-
-func badResume(err error) error { return &resumeError{err: err} }
-
-// errorBody maps the error taxonomy onto the wire: status code + stable
-// machine-readable code. Order matters — a strict-mode budget error is
-// classified both budget-exhausted and outage, and 504 (the caller's
-// deadline economics) must win over 502 (the site's fault).
-func (s *Server) errorBody(rid string, err error) errorBody {
-	status, code := http.StatusInternalServerError, "internal"
-	var pe *parseError
-	var re *resumeError
+// errorBody names the wire code for a failure; the status rides along
+// from wire's table. Order matters — a strict-mode budget error is
+// classified both budget-exhausted and outage, and the deadline (the
+// caller's economics) must win over the outage (the site's fault).
+func (s *Server) errorBody(rid string, err error) wire.ErrorBody {
+	code := wire.CodeInternal
+	var ce *codedError
 	switch {
-	case errors.Is(err, errUnknownKey):
-		status, code = http.StatusUnauthorized, "unauthorized"
-	case errors.Is(err, errQuotaExhausted):
-		status, code = http.StatusTooManyRequests, "quota-exhausted"
-	case errors.Is(err, errTenantSaturated):
-		status, code = http.StatusTooManyRequests, "tenant-saturated"
+	case errors.As(err, &ce):
+		code = ce.code
 	case errors.Is(err, core.ErrShedded):
-		status, code = http.StatusTooManyRequests, "shedded"
-	case errors.Is(err, errBodyTooLarge):
-		status, code = http.StatusRequestEntityTooLarge, "body-too-large"
-	case errors.Is(err, errResumeInconsistent):
-		status, code = http.StatusConflict, "resume-inconsistent"
-	case errors.As(err, &re):
-		status, code = http.StatusBadRequest, "bad-resume"
-	case errors.As(err, &pe),
-		errors.Is(err, ur.ErrBadQuery),
+		code = wire.CodeShedded
+	case errors.Is(err, ur.ErrBadQuery),
 		errors.Is(err, ur.ErrUnknownAttribute),
 		errors.Is(err, ur.ErrNotCoverable):
-		status, code = http.StatusBadRequest, "bad-query"
+		code = wire.CodeBadQuery
 	case web.IsBudgetExhausted(err), errors.Is(err, context.DeadlineExceeded):
-		status, code = http.StatusGatewayTimeout, "deadline"
+		code = wire.CodeDeadline
 	case web.IsDrift(err):
-		status, code = http.StatusBadGateway, "site-drift"
+		code = wire.CodeSiteDrift
 	case web.IsOutage(err):
-		status, code = http.StatusBadGateway, "site-outage"
+		code = wire.CodeSiteOutage
 	case web.IsSiteAnswer(err):
-		status, code = http.StatusBadGateway, "site-answer"
+		code = wire.CodeSiteAnswer
 	case errors.Is(err, context.Canceled):
-		// Client went away; the nginx convention for "nobody is reading
-		// this status anyway".
-		status, code = 499, "client-closed-request"
+		code = wire.CodeClientClosed
 	}
-	return errorBody{Code: code, Status: status, Message: err.Error(), RequestID: rid}
+	return wire.ErrorBody{Code: code, Status: wire.Status[code], Message: err.Error(), RequestID: rid}
 }
 
-// errorEnvelope is the pre-stream error shape: {"error":{...}}.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-func writeEnvelope(w http.ResponseWriter, body errorBody) {
+func writeEnvelope(w http.ResponseWriter, body wire.ErrorBody) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Request-Id", body.RequestID)
-	if body.Status == http.StatusTooManyRequests && body.Code != "quota-exhausted" {
-		// Shed and saturation clear as soon as load drains or a stream
-		// slot frees; hint clients to pause a beat before retrying. A
-		// spent quota needs its window to roll, so no hint there.
+	w.Header().Set(wire.HeaderRequestID, body.RequestID)
+	if wire.Transient(body.Code) {
+		// Hint clients to pause a beat before retrying.
 		w.Header().Set("Retry-After", "1")
 	}
 	w.WriteHeader(body.Status)
-	json.NewEncoder(w).Encode(errorEnvelope{Error: body})
+	json.NewEncoder(w).Encode(wire.Envelope{Error: body})
 }
 
-// queryRequest is the JSON form of a query body. The two resume fields
-// mirror the Last-Event-Index / X-Resume-Token headers for clients that
-// prefer everything in the body.
-type queryRequest struct {
-	Query          string `json:"query"`
-	LastEventIndex *int   `json:"last_event_index,omitempty"`
-	ResumeToken    string `json:"resume_token,omitempty"`
-}
-
-// readQueryRequest extracts the UR query text from the body: either a
-// JSON envelope {"query":"SELECT ..."} or the raw query text itself,
-// distinguished by the first non-space byte. For JSON bodies the parsed
-// envelope is also returned so resume fields can be read from it.
-func readQueryRequest(body io.Reader, maxBody int64) (string, *queryRequest, error) {
+// readQueryRequest reads the body in either of its forms, told apart by
+// the first non-space byte: the JSON wire.QueryRequest, or the raw query
+// text itself, which is a request with nothing but Query set.
+func readQueryRequest(body io.Reader, maxBody int64) (wire.QueryRequest, error) {
+	var qr wire.QueryRequest
 	raw, err := io.ReadAll(io.LimitReader(body, maxBody+1))
 	if err != nil {
-		return "", nil, badQuery(fmt.Errorf("server: reading request body: %w", err))
+		return qr, badQuery(fmt.Errorf("server: reading request body: %w", err))
 	}
 	if int64(len(raw)) > maxBody {
-		return "", nil, errBodyTooLarge
+		return qr, errBodyTooLarge
 	}
-	text := strings.TrimSpace(string(raw))
-	var envelope *queryRequest
-	if strings.HasPrefix(text, "{") {
-		var qr queryRequest
-		if err := json.Unmarshal([]byte(text), &qr); err != nil {
-			return "", nil, badQuery(fmt.Errorf("server: decoding JSON query body: %w", err))
-		}
-		envelope = &qr
-		text = qr.Query
+	if text := strings.TrimSpace(string(raw)); !strings.HasPrefix(text, "{") {
+		qr.Query = text
+	} else if err := json.Unmarshal([]byte(text), &qr); err != nil {
+		return qr, badQuery(fmt.Errorf("server: decoding JSON query body: %w", err))
 	}
-	if text == "" {
-		return "", nil, badQuery(errors.New("server: empty query"))
+	if qr.Query == "" {
+		return qr, badQuery(errors.New("server: empty query"))
 	}
-	return text, envelope, nil
+	return qr, nil
 }
 
 // resumeSpec is a validated resume request: the last event index the
@@ -395,29 +358,22 @@ type resumeSpec struct {
 	token     string
 }
 
-// parseResume reads the resume parameters from headers (which win) or
-// the JSON body envelope. No parameters at all means a fresh stream
-// (nil, nil); a half-specified or malformed resume is a 400 bad-resume.
-func parseResume(r *http.Request, qr *queryRequest) (*resumeSpec, error) {
-	var lastIndex *int
-	if h := r.Header.Get("Last-Event-Index"); h != "" {
+// parseResume reads the resume parameters from the headers (which win)
+// or the request body. No parameters at all means a fresh stream (nil,
+// nil); a half-specified or malformed resume is a 400 bad-resume.
+func parseResume(r *http.Request, qr wire.QueryRequest) (*resumeSpec, error) {
+	lastIndex, token := qr.LastEventIndex, qr.ResumeToken
+	if h := r.Header.Get(wire.HeaderLastEventIndex); h != "" {
 		n, err := strconv.Atoi(h)
 		if err != nil || n < 0 {
-			return nil, badResume(fmt.Errorf("server: Last-Event-Index %q is not a non-negative integer", h))
+			return nil, badResume(fmt.Errorf("server: %s %q is not a non-negative integer", wire.HeaderLastEventIndex, h))
 		}
 		lastIndex = &n
+	} else if lastIndex != nil && *lastIndex < 0 {
+		return nil, badResume(fmt.Errorf("server: last_event_index %d is negative", *lastIndex))
 	}
-	token := r.Header.Get("X-Resume-Token")
-	if qr != nil {
-		if lastIndex == nil && qr.LastEventIndex != nil {
-			if *qr.LastEventIndex < 0 {
-				return nil, badResume(fmt.Errorf("server: last_event_index %d is negative", *qr.LastEventIndex))
-			}
-			lastIndex = qr.LastEventIndex
-		}
-		if token == "" {
-			token = qr.ResumeToken
-		}
+	if h := r.Header.Get(wire.HeaderResumeToken); h != "" {
+		token = h
 	}
 	switch {
 	case lastIndex == nil && token == "":

@@ -16,6 +16,7 @@ import (
 	"webbase/internal/core"
 	"webbase/internal/sites"
 	"webbase/internal/web"
+	"webbase/internal/wire"
 )
 
 // carQuery is the paper's headline query: no ORDER BY, so the answer
@@ -232,7 +233,7 @@ func TestStreamUnionEqualsInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := mustJSON(t, encodeTuples(res.Relation.Tuples()))
+			want := mustJSON(t, wire.EncodeTuples(res.Relation.Tuples()))
 			got := mustJSON(t, streamedTuples(lines))
 			if got != want {
 				t.Errorf("streamed union != in-process answer\nstream:     %s\nin-process: %s", got, want)
@@ -282,9 +283,9 @@ func slowClassifieds(delay time.Duration) web.Fetcher {
 
 // envelope decodes a JSON error envelope, failing if the body is not
 // exactly that shape.
-func envelope(t *testing.T, resp *http.Response) errorBody {
+func envelope(t *testing.T, resp *http.Response) wire.ErrorBody {
 	t.Helper()
-	var env errorEnvelope
+	var env wire.Envelope
 	dec := json.NewDecoder(resp.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&env); err != nil {
@@ -464,7 +465,7 @@ func TestMidStreamOutageTrailer(t *testing.T) {
 	if got, want := mustJSON(t, deg["unavailable"]), mustJSON(t, res.Degradation.Unavailable); got != want {
 		t.Errorf("trailer unavailable list differs\nwire:       %s\nin-process: %s", got, want)
 	}
-	if got, want := mustJSON(t, streamedTuples(lines)), mustJSON(t, encodeTuples(res.Relation.Tuples())); got != want {
+	if got, want := mustJSON(t, streamedTuples(lines)), mustJSON(t, wire.EncodeTuples(res.Relation.Tuples())); got != want {
 		t.Errorf("degraded stream union differs from in-process answer")
 	}
 }
@@ -542,7 +543,7 @@ func TestRequestID(t *testing.T) {
 // raw text body.
 func TestJSONQueryBody(t *testing.T) {
 	ts, _ := newCarServer(t, core.Config{}, Config{})
-	body, err := json.Marshal(queryRequest{Query: carQuery})
+	body, err := json.Marshal(wire.QueryRequest{Query: carQuery})
 	if err != nil {
 		t.Fatal(err)
 	}

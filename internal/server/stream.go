@@ -10,127 +10,11 @@ import (
 	"time"
 
 	"webbase/internal/core"
-	"webbase/internal/relation"
 	"webbase/internal/ur"
+	"webbase/internal/wire"
 )
 
-// The NDJSON wire protocol: one JSON object per line, flushed as
-// produced. A successful stream is
-//
-//	{"event":"meta","seq":0, ...}
-//	{"event":"tuples"|"unavailable"|"skipped","seq":1..N, ...}   // one per maximal object, plan order
-//	{"event":"trailer","seq":N+1, ...}
-//
-// and a query that fails after streaming began ends with an
-// {"event":"error", ...} line instead of the trailer. A query that
-// fails before anything streamed gets a plain JSON error envelope with
-// an accurate status code (see writeEnvelope); the stream path is
-// committed to 200 only once the first event is written.
-//
-// Every event carries a deterministic sequence number: deliveries are
-// released by the UR layer's plan-order gate, so seq k names the same
-// event bytes on every execution of the same query against the same web
-// state. That makes the stream resumable — a client that received events
-// through seq k repeats the request with Last-Event-Index: k and the
-// original meta event's resume_token, and the server re-executes the
-// query with events seq <= k suppressed (acked, not re-sent). The
-// stitched sequence is byte-identical to an uninterrupted run; if the
-// token no longer matches (a cache clear or a map swap changed the web
-// view), the resume is refused with 409 resume-inconsistent instead of
-// splicing answers from two different webs.
-
-// metaEvent opens a stream: the request identity, the answer schema, and
-// the consistency token a resume must present.
-type metaEvent struct {
-	Event     string   `json:"event"` // "meta"
-	Seq       int      `json:"seq"`   // always 0
-	RequestID string   `json:"request_id"`
-	Query     string   `json:"query"`
-	Schema    []string `json:"schema"`
-	// ResumeToken fingerprints the web view (cache generation + map
-	// versions) this stream's bytes are a function of. A reconnecting
-	// client echoes it in X-Resume-Token.
-	ResumeToken string `json:"resume_token"`
-}
-
-// tuplesEvent carries one maximal object's new unique tuples — or, for
-// an ORDER BY / LIMIT query (index -1, buffered), the whole sorted
-// answer at once.
-type tuplesEvent struct {
-	Event    string   `json:"event"` // "tuples"
-	Seq      int      `json:"seq"`
-	Index    int      `json:"index"`
-	Object   []string `json:"object,omitempty"`
-	Buffered bool     `json:"buffered,omitempty"`
-	Count    int      `json:"count"`
-	Tuples   [][]any  `json:"tuples"`
-}
-
-// unavailableEvent reports a maximal object degraded out of the answer.
-type unavailableEvent struct {
-	Event   string         `json:"event"` // "unavailable"
-	Seq     int            `json:"seq"`
-	Index   int            `json:"index"`
-	Object  []string       `json:"object"`
-	Failure ur.SiteFailure `json:"failure"`
-}
-
-// skippedEvent reports a maximal object skipped on binding grounds.
-type skippedEvent struct {
-	Event  string   `json:"event"` // "skipped"
-	Seq    int      `json:"seq"`
-	Index  int      `json:"index"`
-	Object []string `json:"object"`
-	Reason string   `json:"reason"`
-}
-
-// keepaliveEvent is a seq-less liveness probe: emitted on a timer while
-// evaluation sits between deliveries, so a client watchdog can tell an
-// idle-but-alive stream from a stalled one. It carries no sequence
-// number, is never acked by a resume, and never counts toward resume
-// numbering — suppression and seq continuation see only real events.
-type keepaliveEvent struct {
-	Event string `json:"event"` // "keepalive"
-}
-
-// errorBody is the error payload shared by mid-stream error events and
-// pre-stream error envelopes.
-type errorBody struct {
-	Code      string `json:"code"`
-	Status    int    `json:"status"`
-	Message   string `json:"message"`
-	RequestID string `json:"request_id"`
-}
-
-// errorEvent ends a stream that failed after its 200 was committed.
-type errorEvent struct {
-	Event string    `json:"event"` // "error"
-	Seq   int       `json:"seq"`
-	Error errorBody `json:"error"`
-}
-
-// trailerEvent closes a successful stream with everything the
-// in-process caller would have gotten from Result and QueryStats.
-type trailerEvent struct {
-	Event   string   `json:"event"` // "trailer"
-	Seq     int      `json:"seq"`
-	Tuples  int      `json:"tuples"`
-	Objects int      `json:"objects"`
-	Skipped []string `json:"skipped,omitempty"`
-	// Degradation mirrors Result.Degradation; Report is its exact
-	// String() rendering so remote callers see byte-for-byte what an
-	// in-process caller would print.
-	Degradation *degradationReport `json:"degradation,omitempty"`
-	Stats       *core.QueryStats   `json:"stats"`
-}
-
-type degradationReport struct {
-	Unavailable []ur.SiteFailure `json:"unavailable"`
-	StaleServed int64            `json:"stale_served"`
-	Report      string           `json:"report"`
-}
-
-// streamWriter writes the NDJSON protocol onto one response. Deliveries
+// streamWriter writes the NDJSON protocol (package wire) onto one response. Deliveries
 // come through the plan-order gate and the trailer is written after
 // evaluation joins its workers, so those writers are serialized among
 // themselves — but the keepalive ticker is an out-of-band goroutine that
@@ -148,7 +32,7 @@ type streamWriter struct {
 	flusher http.Flusher
 	gz      *gzip.Writer
 	enc     *json.Encoder
-	meta    metaEvent
+	meta    wire.Meta
 	started bool
 
 	resumeFrom int // suppress events with seq <= resumeFrom; -1 = fresh stream
@@ -164,7 +48,7 @@ func newStreamWriter(w http.ResponseWriter, rid, query string, schema []string, 
 	f, _ := w.(http.Flusher)
 	return &streamWriter{
 		w: w, flusher: f, enc: json.NewEncoder(w),
-		meta:       metaEvent{Event: "meta", Seq: 0, RequestID: rid, Query: query, Schema: schema, ResumeToken: token},
+		meta:       wire.Meta{RequestID: rid, Query: query, Schema: schema, ResumeToken: token},
 		resumeFrom: resumeFrom,
 		useGzip:    useGzip,
 	}
@@ -181,8 +65,8 @@ func (sw *streamWriter) startLocked() {
 		return
 	}
 	sw.started = true
-	sw.w.Header().Set("Content-Type", "application/x-ndjson")
-	sw.w.Header().Set("X-Request-Id", sw.meta.RequestID)
+	sw.w.Header().Set("Content-Type", wire.ContentType)
+	sw.w.Header().Set(wire.HeaderRequestID, sw.meta.RequestID)
 	if sw.useGzip {
 		sw.w.Header().Set("Content-Encoding", "gzip")
 		sw.w.Header().Set("Vary", "Accept-Encoding")
@@ -196,11 +80,11 @@ func (sw *streamWriter) startLocked() {
 		sw.skipped++ // the meta event, seq 0, already delivered originally
 		return
 	}
-	sw.enc.Encode(sw.meta)
+	sw.enc.Encode(wire.MetaLine(sw.meta))
 }
 
-func (sw *streamWriter) emitLocked(event any) {
-	sw.enc.Encode(event) // an aborted client surfaces at the next write; nothing to do here
+func (sw *streamWriter) emitLocked(line any) {
+	sw.enc.Encode(line) // an aborted client surfaces at the next write; nothing to do here
 	if sw.gz != nil {
 		// Push the event out of the compressor: resumability depends on the
 		// client seeing each event as soon as it exists, compressed or not.
@@ -242,7 +126,7 @@ func (sw *streamWriter) startKeepalive(interval time.Duration) {
 			case <-t.C:
 				sw.mu.Lock()
 				if sw.started {
-					sw.emitLocked(keepaliveEvent{Event: "keepalive"})
+					sw.emitLocked(wire.KeepaliveLine())
 				}
 				sw.mu.Unlock()
 			}
@@ -277,15 +161,7 @@ func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
 		sw.skipped++
 		return
 	}
-	switch {
-	case d.Failure != nil:
-		sw.emitLocked(unavailableEvent{Event: "unavailable", Seq: d.Seq, Index: d.Index, Object: d.Object, Failure: *d.Failure})
-	case d.Skipped != "":
-		sw.emitLocked(skippedEvent{Event: "skipped", Seq: d.Seq, Index: d.Index, Object: d.Object, Reason: d.Skipped})
-	default:
-		sw.emitLocked(tuplesEvent{Event: "tuples", Seq: d.Seq, Index: d.Index, Object: d.Object,
-			Buffered: d.Buffered, Count: len(d.Tuples), Tuples: encodeTuples(d.Tuples)})
-	}
+	sw.emitLocked(wire.DeliveryLine(d))
 }
 
 // writeTrailer closes a successful stream. The trailer's sequence number
@@ -296,58 +172,31 @@ func (sw *streamWriter) writeTrailer(res *ur.Result, qs *core.QueryStats) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	sw.startLocked()
-	ev := trailerEvent{
-		Event:   "trailer",
-		Seq:     sw.lastSeq + 1,
+	tl := wire.Trailer{
 		Tuples:  res.Relation.Len(),
 		Objects: len(res.Plan.Objects),
 		Skipped: res.Skipped,
 		Stats:   qs,
 	}
 	if res.Degradation != nil {
-		ev.Degradation = &degradationReport{
+		tl.Degradation = &wire.Degradation{
 			Unavailable: res.Degradation.Unavailable,
 			StaleServed: res.Degradation.StaleServed,
 			Report:      res.Degradation.String(),
 		}
 	}
-	sw.emitLocked(ev)
+	sw.emitLocked(wire.TrailerLine(sw.lastSeq+1, tl))
 	sw.finishLocked()
 }
 
 // writeErrorEvent ends a stream whose query failed after events were
 // already written.
-func (sw *streamWriter) writeErrorEvent(body errorBody) {
+func (sw *streamWriter) writeErrorEvent(body wire.ErrorBody) {
 	sw.stopKeepalive()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.emitLocked(errorEvent{Event: "error", Seq: sw.lastSeq + 1, Error: body})
+	sw.emitLocked(wire.ErrorLine(sw.lastSeq+1, body))
 	sw.finishLocked()
-}
-
-// encodeTuples renders tuples as JSON arrays of native values (null,
-// string, number, bool), positionally aligned with the meta schema.
-func encodeTuples(ts []relation.Tuple) [][]any {
-	out := make([][]any, len(ts))
-	for i, t := range ts {
-		row := make([]any, len(t))
-		for j, v := range t {
-			switch v.Kind() {
-			case relation.KindString:
-				row[j] = v.Str()
-			case relation.KindInt:
-				row[j] = v.IntVal()
-			case relation.KindFloat:
-				row[j] = v.FloatVal()
-			case relation.KindBool:
-				row[j] = v.BoolVal()
-			default:
-				row[j] = nil
-			}
-		}
-		out[i] = row
-	}
-	return out
 }
 
 // gzipAccepted reports whether the request allows a gzip response body:

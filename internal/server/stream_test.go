@@ -12,6 +12,7 @@ import (
 	"webbase/internal/core"
 	"webbase/internal/sites"
 	"webbase/internal/web"
+	"webbase/internal/wire"
 )
 
 // wideQuery projects Contact too, so both source objects contribute
@@ -104,7 +105,7 @@ func TestStreamMatchesInProcessUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := mustJSON(t, encodeTuples(res.Relation.Tuples())); got != want {
+	if want := mustJSON(t, wire.EncodeTuples(res.Relation.Tuples())); got != want {
 		t.Errorf("streamed union != in-process answer under chaos\nstream:     %s\nin-process: %s", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -9,13 +8,14 @@ import (
 	"time"
 
 	"webbase/internal/core"
+	"webbase/internal/wire"
 )
 
-// Tenant identification errors; writeEnvelope maps them onto 401/429.
+// Tenant identification errors, under the codes they answer with.
 var (
-	errUnknownKey      = errors.New("server: unknown API key")
-	errQuotaExhausted  = errors.New("server: tenant quota exhausted")
-	errTenantSaturated = errors.New("server: tenant concurrency limit reached")
+	errUnknownKey      = coded(wire.CodeUnauthorized, "server: unknown API key")
+	errQuotaExhausted  = coded(wire.CodeQuotaExhausted, "server: tenant quota exhausted")
+	errTenantSaturated = coded(wire.CodeTenantSaturated, "server: tenant concurrency limit reached")
 )
 
 // DefaultQuotaWindow is the fixed quota window applied when a Tenant

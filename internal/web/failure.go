@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,23 +73,33 @@ type Backoff struct {
 	Max  time.Duration // cap on the exponential growth; 0 = uncapped
 }
 
+// Nominal is the n-th delay (n counts from 1) before jitter: Base·2ⁿ⁻¹,
+// capped at Max, and with no cap saturating instead of overflowing. It
+// is the one place a capped doubling is computed — retries here, the
+// client's reconnects and endpoint benches, and the health tracker's
+// repair and recovery waits all space themselves by it.
+func (b Backoff) Nominal(n int) time.Duration {
+	if b.Base <= 0 || n <= 0 {
+		return 0
+	}
+	limit := b.Max
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	d := b.Base
+	for ; n > 1; n-- {
+		if d > limit/2 {
+			return limit
+		}
+		d *= 2
+	}
+	return min(d, limit)
+}
+
 // Delay returns the wait before the retry-th re-issued attempt (retry
 // counts from 1) of rawurl.
 func (b Backoff) Delay(rawurl string, retry int) time.Duration {
-	if b.Base <= 0 || retry <= 0 {
-		return 0
-	}
-	d := b.Base
-	for i := 1; i < retry; i++ {
-		d *= 2
-		if b.Max > 0 && d >= b.Max {
-			d = b.Max
-			break
-		}
-	}
-	if b.Max > 0 && d > b.Max {
-		d = b.Max
-	}
+	d := b.Nominal(retry)
 	if half := d / 2; half > 0 {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%d|%s", retry, rawurl)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,6 +263,42 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 	if (Backoff{}).Delay("http://h/x", 1) != 0 {
 		t.Error("zero backoff must not wait")
+	}
+}
+
+// TestBackoffNominal: Base·2ⁿ⁻¹ up to the cap, on the four schedules
+// that used to be written out where they were used — and past the point
+// where the uncapped one, a plain shift, overflowed.
+func TestBackoffNominal(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name string
+		b    Backoff
+		want []time.Duration // Nominal(1), Nominal(2), ...
+	}{
+		{"retries", Backoff{Base: 100 * ms, Max: time.Second}, []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, time.Second, time.Second}},
+		{"endpoint bench", Backoff{Base: 100 * ms, Max: 250 * ms}, []time.Duration{100 * ms, 200 * ms, 250 * ms, 250 * ms}},
+		{"base over the cap", Backoff{Base: time.Second, Max: 300 * ms}, []time.Duration{300 * ms, 300 * ms}},
+		{"repair, uncapped", Backoff{Base: 100 * ms}, []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms}},
+		{"recovery, 64x", Backoff{Base: ms, Max: 64 * ms}, []time.Duration{ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 64 * ms, 64 * ms, 64 * ms}},
+		{"off", Backoff{}, []time.Duration{0, 0}},
+	} {
+		for i, want := range tc.want {
+			if got := tc.b.Nominal(i + 1); got != want {
+				t.Errorf("%s: Nominal(%d) = %v, want %v", tc.name, i+1, got, want)
+			}
+		}
+	}
+	if (Backoff{Base: ms}).Nominal(0) != 0 {
+		t.Error("there is no wait before a first attempt")
+	}
+	for _, n := range []int{63, 64, 65, 1 << 30} {
+		if got := (Backoff{Base: 100 * ms}).Nominal(n); got != math.MaxInt64 {
+			t.Errorf("uncapped Nominal(%d) = %v, want saturation", n, got)
+		}
+		if got := (Backoff{Base: 100 * ms, Max: time.Hour}).Nominal(n); got != time.Hour {
+			t.Errorf("capped Nominal(%d) = %v, want the cap", n, got)
+		}
 	}
 }
 

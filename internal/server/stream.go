@@ -1,7 +1,6 @@
 package server
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -30,7 +29,7 @@ type streamWriter struct {
 	mu      sync.Mutex
 	w       http.ResponseWriter
 	flusher http.Flusher
-	gz      *gzip.Writer
+	gz      *gzipStream
 	enc     *json.Encoder
 	meta    wire.Meta
 	started bool
@@ -73,7 +72,7 @@ func (sw *streamWriter) startLocked() {
 	}
 	sw.w.WriteHeader(http.StatusOK)
 	if sw.useGzip {
-		sw.gz = gzip.NewWriter(sw.w)
+		sw.gz = newGzipStream(sw.w)
 		sw.enc = json.NewEncoder(sw.gz)
 	}
 	if sw.resumeFrom >= 0 {
@@ -218,13 +217,13 @@ func gzipAccepted(r *http.Request) bool {
 	return false
 }
 
-// gzipWriter compresses one non-streaming response (GET /metrics).
+// writeGzipped compresses one non-streaming response (GET /metrics).
 func writeGzipped(w http.ResponseWriter, status int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Set("Vary", "Accept-Encoding")
 	w.WriteHeader(status)
-	gz := gzip.NewWriter(w)
+	gz := newGzipStream(w)
 	gz.Write(body)
 	gz.Close()
 }

@@ -112,43 +112,55 @@ func TestExplainAnalyzeParallelDeterminism(t *testing.T) {
 }
 
 // TestTraceAccounting is the cross-layer accounting property: what the
-// trace records must reconcile with what the fetch stack counted.
+// trace records must reconcile with what the fetch stack and the query's
+// page set counted. Every page visit has a fetch span, served by the
+// network, the cache, an in-flight twin or the query's kept page, and the
+// bill counts each kind exactly as often as the spans say.
 func TestTraceAccounting(t *testing.T) {
-	res, qs, tr, _ := tracedRun(t, 4)
+	for _, workers := range []int{1, 8} {
+		res, qs, tr, _ := tracedRun(t, workers)
 
-	var total, network, cacheHits, deduped int64
-	tr.Root.Walk(func(s *trace.Span) {
-		if s.Kind() != trace.KindFetch {
-			return
+		var total, network, cacheHits, deduped, reused int64
+		tr.Root.Walk(func(s *trace.Span) {
+			if s.Kind() != trace.KindFetch {
+				return
+			}
+			total++
+			switch s.LabelValue("outcome") {
+			case "network":
+				network++
+			case "cache":
+				cacheHits++
+			case "dedup":
+				deduped++
+			case "reuse":
+				reused++
+			}
+		})
+		for _, c := range []struct {
+			what         string
+			spans, stats int64
+		}{
+			{"network fetches (Pages)", network, qs.Pages},
+			{"cache hits", cacheHits, qs.CacheHits},
+			{"deduped fetches", deduped, qs.Deduped},
+			{"reused pages", reused, qs.Reused},
+		} {
+			if c.spans != c.stats {
+				t.Errorf("workers=%d: trace records %d %s; stats counted %d", workers, c.spans, c.what, c.stats)
+			}
 		}
-		total++
-		switch s.LabelValue("outcome") {
-		case "network":
-			network++
-		case "cache":
-			cacheHits++
-		case "dedup":
-			deduped++
+		if network+cacheHits+deduped+reused != total {
+			t.Errorf("workers=%d: %d fetch spans lack an outcome label (total=%d network=%d cache=%d dedup=%d reuse=%d)",
+				workers, total-network-cacheHits-deduped-reused, total, network, cacheHits, deduped, reused)
 		}
-	})
-	if network != qs.Pages {
-		t.Errorf("trace records %d network fetches; stats counted %d pages", network, qs.Pages)
-	}
-	if cacheHits != qs.CacheHits {
-		t.Errorf("trace records %d cache hits; stats counted %d", cacheHits, qs.CacheHits)
-	}
-	if deduped != qs.Deduped {
-		t.Errorf("trace records %d deduped fetches; stats counted %d", deduped, qs.Deduped)
-	}
-	if network+cacheHits+deduped != total {
-		t.Errorf("%d fetch spans lack an outcome label (total=%d network=%d cache=%d dedup=%d)",
-			total-network-cacheHits-deduped, total, network, cacheHits, deduped)
-	}
-	if total == 0 {
-		t.Fatal("no fetch spans recorded")
-	}
-	if got := tr.Root.Counter("tuples"); got != int64(res.Relation.Len()) {
-		t.Errorf("root span tuples=%d; answer has %d", got, res.Relation.Len())
+		if total == 0 || reused == 0 {
+			t.Fatalf("workers=%d: %d fetch spans, %d of them reused; the headline query repeats the blue book's pages",
+				workers, total, reused)
+		}
+		if got := tr.Root.Counter("tuples"); got != int64(res.Relation.Len()) {
+			t.Errorf("workers=%d: root span tuples=%d; answer has %d", workers, got, res.Relation.Len())
+		}
 	}
 }
 

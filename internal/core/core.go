@@ -500,6 +500,9 @@ type QueryStats struct {
 	// Deduped counts fetches collapsed onto an identical in-flight
 	// request by the singleflight middleware during this query.
 	Deduped int64
+	// Reused counts page visits served a page this query had already
+	// loaded twice and kept (web.Query.Visit): no fetch, no parse.
+	Reused int64
 	// LimiterWait is the total time this query's fetches spent queued
 	// behind the per-host concurrency cap.
 	LimiterWait time.Duration
@@ -557,8 +560,8 @@ type QueryStats struct {
 
 // String renders the stats line the experiment harness prints.
 func (qs *QueryStats) String() string {
-	return fmt.Sprintf("pages=%d bytes=%d elapsed=%v simulated-net=%v cache-hits=%d deduped=%d retries=%d stale=%d breaker-rejects=%d degraded-objects=%d peak-inflight=%d limiter-wait=%v admission-wait=%v hedges=%d hedge-wins=%d hedges-suppressed=%d bulkhead-shed=%d budget-shed=%d drift-detected=%d pruned=%d",
-		qs.Pages, qs.Bytes, qs.Elapsed, qs.Simulated, qs.CacheHits, qs.Deduped, qs.Retries, qs.StaleServed, qs.BreakerRejects, qs.DegradedObjects, qs.PeakInFlight, qs.LimiterWait, qs.AdmissionWait, qs.Hedges, qs.HedgeWins, qs.HedgesSuppressed, qs.BulkheadSheds, qs.BudgetSheds, qs.DriftDetected, qs.PrunedFetches)
+	return fmt.Sprintf("pages=%d bytes=%d elapsed=%v simulated-net=%v cache-hits=%d deduped=%d reused=%d retries=%d stale=%d breaker-rejects=%d degraded-objects=%d peak-inflight=%d limiter-wait=%v admission-wait=%v hedges=%d hedge-wins=%d hedges-suppressed=%d bulkhead-shed=%d budget-shed=%d drift-detected=%d pruned=%d",
+		qs.Pages, qs.Bytes, qs.Elapsed, qs.Simulated, qs.CacheHits, qs.Deduped, qs.Reused, qs.Retries, qs.StaleServed, qs.BreakerRejects, qs.DegradedObjects, qs.PeakInFlight, qs.LimiterWait, qs.AdmissionWait, qs.Hedges, qs.HedgeWins, qs.HedgesSuppressed, qs.BulkheadSheds, qs.BudgetSheds, qs.DriftDetected, qs.PrunedFetches)
 }
 
 // Query evaluates a universal relation query end to end. Evaluation runs
@@ -680,6 +683,7 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 		Simulated:        wq.Stats.SimulatedLatency(),
 		CacheHits:        wq.Stats.CacheHits(),
 		Deduped:          wq.Stats.Deduped(),
+		Reused:           wq.Stats.Reused(),
 		LimiterWait:      wq.Stats.LimiterWait(),
 		PeakInFlight:     wb.stats.PeakInFlight(),
 		Retries:          wq.Stats.Retries(),
@@ -740,6 +744,7 @@ func (wb *Webbase) observe(qs *QueryStats, failed bool) {
 	m.Counter("bytes_fetched_total").Add(qs.Bytes)
 	m.Counter("cache_hits_total").Add(qs.CacheHits)
 	m.Counter("deduped_total").Add(qs.Deduped)
+	m.Counter("pages_reused_total").Add(qs.Reused)
 	m.Counter("retries_total").Add(qs.Retries)
 	m.Counter("stale_served_total").Add(qs.StaleServed)
 	m.Counter("breaker_rejects_total").Add(qs.BreakerRejects)

@@ -97,7 +97,9 @@ func firstDiff(want, got string) string {
 // one T2 and one T3 query on a fresh sequential webbase. Feeding every
 // shared attribute these were 423 and 322; feeding only forwardable ones
 // they are 73 and 310 (T3 keeps one blue-book navigation per model and
-// year, because the blue book can forward Year).
+// year, because the blue book can forward Year); keeping the pages a query
+// reads twice, T3 is 186 (those navigations re-read the blue book's two
+// input-free pages from the query's own page set).
 func TestJoinFeedPageCeilings(t *testing.T) {
 	for _, c := range []struct {
 		name, query string
@@ -106,7 +108,7 @@ func TestJoinFeedPageCeilings(t *testing.T) {
 		{"T2 bmw/325i", "SELECT Make, Model, Year, Price, BBPrice WHERE Make='bmw' AND Model='325i' " +
 			"AND Condition='good' AND Price < BBPrice", 75},
 		{"T3 bmw", "SELECT Make, Model, Year, Price, BBPrice WHERE Make='bmw' AND Year >= 1993 " +
-			"AND Safety='good' AND Condition='good' AND Price < BBPrice", 315},
+			"AND Safety='good' AND Condition='good' AND Price < BBPrice", 190},
 	} {
 		wb, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: 1})
 		if err != nil {
@@ -120,6 +122,60 @@ func TestJoinFeedPageCeilings(t *testing.T) {
 			t.Errorf("%s: %d page accesses, ceiling %d", c.name, got, c.ceiling)
 		} else {
 			t.Logf("%s: %d page accesses (ceiling %d)", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// TestDeckPageAccesses pins the page accesses — visits that went to the
+// fetch stack: network, cache or an in-flight twin — of the benchmark's
+// query deck (bench/deck.go) per query class, exactly, at Workers 1, 2
+// and 8, on a cold pass over a fresh webbase and on the warm pass after
+// it. A query keeps the page of a request it visits a second time and
+// serves every later visit from it, so a request visited n ≥ 2 times
+// costs two accesses whatever the schedule. T1 and T2 repeat almost
+// nothing (45.208 and 51.208 a query, as before any page was kept); T3's
+// 278.625 page visits cost 164.125 accesses.
+func TestDeckPageAccesses(t *testing.T) {
+	type class struct {
+		name    string
+		queries []string
+		// Summed over the class's queries: page accesses, and visits
+		// (accesses plus reused visits: the accesses before any page was kept).
+		accesses, visits int64
+	}
+	t1 := class{name: "T1", accesses: 1085, visits: 1085} // 24 queries, 45.208 each
+	t2 := class{name: "T2", accesses: 1229, visits: 1229} // 24 queries, 51.208 each
+	t3 := class{name: "T3", accesses: 1313, visits: 2229} // 8 queries, 164.125 of 278.625 each
+	for _, mk := range sites.Makes() {
+		for _, md := range sites.Catalog[mk] {
+			t1.queries = append(t1.queries, fmt.Sprintf("SELECT Make, Model, Year, Price WHERE Make='%s' AND Model='%s'", mk, md))
+			t2.queries = append(t2.queries, fmt.Sprintf("SELECT Make, Model, Year, Price, BBPrice WHERE Make='%s' AND Model='%s' "+
+				"AND Condition='good' AND Price < BBPrice", mk, md))
+		}
+		t3.queries = append(t3.queries, fmt.Sprintf("SELECT Make, Model, Year, Price, BBPrice WHERE Make='%s' AND Year >= 1993 "+
+			"AND Safety='good' AND Condition='good' AND Price < BBPrice", mk))
+	}
+	for _, workers := range []int{1, 2, 8} {
+		wb, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			for _, c := range []class{t1, t2, t3} {
+				var accesses, reused int64
+				for _, q := range c.queries {
+					_, qs, err := wb.QueryString(q)
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					accesses += qs.Pages + qs.CacheHits + qs.Deduped
+					reused += qs.Reused
+				}
+				if accesses != c.accesses || accesses+reused != c.visits {
+					t.Errorf("workers=%d %s pass: %s makes %d page accesses (%.3f a query) and %d visits, want %d and %d",
+						workers, pass, c.name, accesses, float64(accesses)/float64(len(c.queries)), accesses+reused, c.accesses, c.visits)
+				}
+			}
 		}
 	}
 }

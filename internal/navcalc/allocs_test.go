@@ -1,6 +1,7 @@
 package navcalc_test
 
 import (
+	"context"
 	"testing"
 
 	"webbase/internal/htmlkit"
@@ -37,6 +38,46 @@ func TestPageToObjectsAllocs(t *testing.T) {
 	t.Logf("PageToObjects: %.0f allocations over %d pages, %.1f a page (ceiling %d)", got, len(pages), got/float64(len(pages)), ceiling)
 	if got > ceiling {
 		t.Errorf("PageToObjects allocates %.0f times over the %d recorded pages, ceiling %d", got, len(pages), ceiling)
+	}
+}
+
+// TestPageSetAllocs: a query that repeats no request keeps no page, and the
+// set that remembers which requests it has visited costs it at most about
+// one allocation a page: the recorded pages, each loaded once, inside a
+// query and outside one.
+func TestPageSetAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	bodies := map[string][]byte{}
+	for _, p := range loadFixtures(t) {
+		bodies[p.url] = p.body
+	}
+	canned := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		return &web.Response{Status: 200, URL: req.URL, Body: bodies[req.URL]}, nil
+	})
+	schema := relation.NewSchema("A")
+	loadAll := func(ctx context.Context) {
+		for u := range bodies {
+			if _, err := navcalc.NewBrowseStateContext(ctx, canned, u, schema, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	outside := testing.AllocsPerRun(20, func() { loadAll(context.Background()) })
+	var q *web.Query
+	inside := testing.AllocsPerRun(20, func() {
+		q = &web.Query{}
+		loadAll(web.WithQuery(context.Background(), q))
+	})
+	perPage := (inside - outside) / float64(len(bodies))
+	t.Logf("%d distinct pages: %.0f allocations outside a query, %.0f inside, %.2f a page for the page set", len(bodies), outside, inside, perPage)
+	if q.Stats.Reused() != 0 {
+		t.Fatalf("%d visits reused, of pages each visited once", q.Stats.Reused())
+	}
+	const ceiling = 1.0 // 0.24 when set: the map's growth, nothing per page
+	if perPage > ceiling {
+		t.Errorf("the page set costs %.2f allocations a page of a query that repeats nothing, ceiling %.1f", perPage, ceiling)
 	}
 }
 
@@ -79,7 +120,7 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 		}
 		tuples = len(out.State.(*navcalc.BrowseState).Collected())
 	}
-	const ceiling = 132 // 120 when set; 204 while the parser grew each child list by append; 1249 before the page view
+	const ceiling = 132 // 119 when set (120 while load cloned the URL); 204 while the parser grew each child list by append; 1249 before the page view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + isdata + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
 	if tuples == 0 {

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"webbase/internal/flogic"
 	"webbase/internal/htmlkit"
@@ -72,6 +73,7 @@ var ErrPageBudget = errors.New("navcalc: page budget exceeded")
 type BrowseState struct {
 	ctx     context.Context
 	fetcher web.Fetcher
+	query   *web.Query  // the query navigating, nil outside one; keeps the pages it reads twice
 	budget  *pageBudget // shared across clones
 	*page               // shared across clones
 
@@ -80,24 +82,29 @@ type BrowseState struct {
 }
 
 // page is everything load derives from one fetched page, once. The states
-// on that page share it, and it goes when the last of them does: nothing
-// about a page is kept between loads.
+// on that page share it, and it goes when the last of them does — or, for
+// a page its query has read twice, when the query ends (web.Query.Visit):
+// such a page is shared by every execution of the query that reaches it.
 type page struct {
 	url    string
+	bytes  int64          // body length, counted on the fetch span of every visit
 	doc    *htmlkit.Node  // parsed page; immutable once built
 	store  *flogic.Store  // F-logic view of the page; immutable once built
 	pageID flogic.OID     // the page object in store
 	forms  []htmlkit.Form // the forms behind store's form objects
 
 	// The data table last looked up and the headers it was looked up by:
-	// the isdata guard finds the table extract then reads. Navigation
-	// within one execution is sequential, so filling this in needs no lock.
+	// the isdata guard finds the table extract then reads. A kept page is
+	// read by concurrent executions, so the slot takes a lock.
+	mu       sync.Mutex
 	tableFor []string
 	table    []htmlkit.DataRow
 }
 
 // dataTable is htmlkit.DataTable on the current page.
 func (p *page) dataTable(headers []string) []htmlkit.DataRow {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.tableFor == nil || !slices.Equal(p.tableFor, headers) {
 		p.tableFor, p.table = headers, htmlkit.DataTable(p.doc, p.url, headers...)
 	}
@@ -117,6 +124,7 @@ func NewBrowseStateContext(ctx context.Context, f web.Fetcher, startURL string,
 	st := &BrowseState{
 		ctx:     ctx,
 		fetcher: f,
+		query:   web.QueryFrom(ctx),
 		budget:  &pageBudget{max: maxPages},
 		schema:  schema,
 	}
@@ -126,11 +134,17 @@ func NewBrowseStateContext(ctx context.Context, f web.Fetcher, startURL string,
 	return st, nil
 }
 
-// load fetches req and replaces the current page. A non-success status is
-// reported as an error; callers that want soft failure check first.
-// Cancellation and budget exhaustion are hard errors: they must abort the
-// whole execution rather than trigger backtracking into other branches
-// (which would fetch even more).
+// load visits the page req leads to and makes it the current page. A
+// non-success status is reported as an error; callers that want soft
+// failure check first. Cancellation and budget exhaustion are hard errors:
+// they must abort the whole execution rather than trigger backtracking into
+// other branches (which would fetch even more).
+//
+// Every visit counts against the page budget and gets a fetch span, kept
+// page or not, so the budget and the trace's structure do not depend on
+// which visits of a repeated request ran first. A visit served the query's
+// kept page never reaches the fetch stack: it meets no cache, retry, hedge
+// or fetch-start deadline check, and its span says outcome=reuse.
 func (b *BrowseState) load(req *web.Request) error {
 	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("navcalc: navigation cancelled: %w", err)
@@ -139,41 +153,61 @@ func (b *BrowseState) load(req *web.Request) error {
 		return fmt.Errorf("%w (%d pages)", ErrPageBudget, b.budget.fetched)
 	}
 	b.budget.fetched++
-	// One trace span per page load, created here — navigation within a
+	// One trace span per page visit, created here — navigation within a
 	// handle invocation is sequential, so fetch spans land in deterministic
-	// order. The navigation context always rides the request (the retry,
-	// breaker and outage-memo middlewares consult it for cancellation and
-	// per-query state); the span is added to it when tracing is on so the
-	// middleware stack can annotate how the load was served (cache /
-	// network / dedup / stale).
-	rctx := b.ctx
+	// order.
 	sp := trace.Start(b.ctx, trace.KindFetch, req.URL)
+	kept, keep := b.query.Visit(req.Key())
+	if kept != nil {
+		b.page = kept.(*page)
+		sp.Add("bytes", b.page.bytes)
+		sp.Label("outcome", "reuse")
+		sp.End()
+		return nil
+	}
+	p, err := b.fetch(req, sp)
+	if keep {
+		if err != nil {
+			b.query.Loaded(req.Key(), nil)
+		} else {
+			b.query.Loaded(req.Key(), p)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	b.page = p
+	return nil
+}
+
+// fetch loads req through the fetch stack and derives its page, ending sp.
+func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (*page, error) {
+	// The navigation context always rides the request (the retry, breaker
+	// and outage-memo middlewares consult it for cancellation and per-query
+	// state); the span is added to it when tracing is on so the middleware
+	// stack can annotate how the load was served (cache / network / dedup /
+	// stale).
+	rctx := b.ctx
 	if sp != nil {
 		rctx = trace.ContextWith(b.ctx, sp)
 	}
-	req = req.WithContext(rctx)
-	// The URL was read off the page being left, as a substring of its
-	// text. The fetch stack keeps what it is given (the cache stores the
-	// URL with the response), and must not keep that page alive with it.
-	req.URL = strings.Clone(req.URL)
-	resp, err := b.fetcher.Fetch(req)
+	resp, err := b.fetcher.Fetch(req.WithContext(rctx))
 	if err != nil {
 		sp.EndErr(err)
-		return err
+		return nil, err
 	}
 	sp.Add("bytes", int64(len(resp.Body)))
 	if !resp.OK() {
 		sp.EndErr(fmt.Errorf("status %d", resp.Status))
 		// The site answered; the answer just wasn't a success. Classified
 		// as SiteAnswer so upper layers don't mistake a 404 for an outage.
-		return web.MarkSiteAnswer(fmt.Errorf("navcalc: %s returned status %d", req.URL, resp.Status))
+		return nil, web.MarkSiteAnswer(fmt.Errorf("navcalc: %s returned status %d", req.URL, resp.Status))
 	}
 	sp.End()
 	doc := htmlkit.Parse(resp.Body)
 	view := htmlkit.Scan(doc, resp.URL)
 	store, pageID := pageObjects(view, resp.URL)
-	b.page = &page{url: resp.URL, doc: doc, store: store, pageID: pageID, forms: view.Forms}
-	return nil
+	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: doc, store: store, pageID: pageID, forms: view.Forms}, nil
 }
 
 // Clone implements tlogic.State. The page is shared; the collected-tuple

@@ -488,3 +488,51 @@ func TestFillVisibleBeforeFlightForgotten(t *testing.T) {
 			inner.Calls(), cache.Hits(), cache.Misses(), stats.Deduped())
 	}
 }
+
+// TestQueryVisitHandsOverAFailedKeep: visits that wait on a query's keeping
+// load are handed its page when it succeeds; when it fails, the next visit
+// — one that was waiting or one that comes later — loads and keeps in its
+// place. Whichever way the goroutines interleave, the outcome is the same.
+func TestQueryVisitHandsOverAFailedKeep(t *testing.T) {
+	q := &Query{}
+	if p, keep := q.Visit("k"); p != nil || keep {
+		t.Fatalf("first visit: page %v, keep %v; want neither", p, keep)
+	}
+	if p, keep := q.Visit("k"); p != nil || !keep {
+		t.Fatalf("second visit: page %v, keep %v; want to keep", p, keep)
+	}
+	type outcome struct {
+		page any
+		keep bool
+	}
+	next := make(chan outcome)
+	go func() {
+		p, keep := q.Visit("k")
+		next <- outcome{p, keep}
+	}()
+	q.Loaded("k", nil)
+	if o := <-next; o.page != nil || !o.keep {
+		t.Fatalf("visit after a failed keeping load: page %v, keep %v; want to keep", o.page, o.keep)
+	}
+	const waiters = 4
+	got := make(chan any, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			p, _ := q.Visit("k")
+			got <- p
+		}()
+	}
+	q.Loaded("k", "page")
+	for i := 0; i < waiters; i++ {
+		if p := <-got; p != "page" {
+			t.Errorf("a visit after the keeping load got %v", p)
+		}
+	}
+	if q.Stats.Reused() != waiters {
+		t.Errorf("Reused = %d, want %d", q.Stats.Reused(), waiters)
+	}
+	var none *Query
+	if p, keep := none.Visit("k"); p != nil || keep {
+		t.Errorf("a nil query: page %v, keep %v; want neither", p, keep)
+	}
+}

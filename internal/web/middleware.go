@@ -29,6 +29,7 @@ const (
 	hedgesSuppressed
 	bulkheadSheds
 	budgetSheds
+	reused // page visits served from the query's own page set (Query.Visit)
 	numCounters
 )
 
@@ -129,6 +130,10 @@ func (s *Stats) BulkheadSheds() int64 { return s.n[bulkheadSheds].Load() }
 // BudgetSheds returns how many fetches were refused because their
 // evaluation unit's deadline budget was exhausted.
 func (s *Stats) BudgetSheds() int64 { return s.n[budgetSheds].Load() }
+
+// Reused returns how many page visits were served a page their query had
+// already loaded and kept (Query.Visit), without calling the fetch stack.
+func (s *Stats) Reused() int64 { return s.n[reused].Load() }
 
 // PerHost returns a copy of the per-host page counts.
 func (s *Stats) PerHost() map[string]int64 {

@@ -19,11 +19,16 @@ import (
 )
 
 // Request is a page request: following a link issues a GET with no form
-// data; submitting a form issues the form's method with its fields.
+// data; submitting a form issues the form's method with its fields. A
+// request built by NewGet or NewSubmit carries its key, and its fields are
+// not changed afterwards.
 type Request struct {
 	URL    string     // absolute URL
 	Method string     // "GET" or "POST"; empty means GET
 	Form   url.Values // submitted form fields (nil for plain navigation)
+
+	// key is Key(), computed once by NewGet/NewSubmit; empty in a literal.
+	key string
 
 	// ctx carries the caller's context — and with it the current trace
 	// span — through the middleware stack, following net/http's
@@ -51,7 +56,7 @@ func (r *Request) WithContext(ctx context.Context) *Request {
 
 // NewGet returns a GET request for rawurl.
 func NewGet(rawurl string) *Request {
-	return &Request{URL: rawurl, Method: "GET"}
+	return keyed(&Request{URL: rawurl, Method: "GET"})
 }
 
 // NewSubmit returns a form-submission request.
@@ -60,12 +65,27 @@ func NewSubmit(action, method string, form url.Values) *Request {
 	if m == "" {
 		m = "GET"
 	}
-	return &Request{URL: action, Method: m, Form: form}
+	return keyed(&Request{URL: action, Method: m, Form: form})
+}
+
+// keyed stores r's key and points r.URL into it. The cache, singleflight,
+// outage memo and the query's page set all read the key, so it is built
+// once; and a URL read off a page is a substring of that page's text,
+// which the fetch stack (the cache keeps a response's URL) must not keep
+// alive — the key is a fresh string, so the URL stops pinning the page.
+func keyed(r *Request) *Request {
+	r.key = r.Key()
+	at := len(r.Method) + 1 // the key is "METHOD URL?form"
+	r.URL = r.key[at : at+len(r.URL)]
+	return r
 }
 
 // Key returns a canonical cache key for the request: method, URL and the
 // sorted form encoding.
 func (r *Request) Key() string {
+	if r.key != "" {
+		return r.key
+	}
 	m := r.Method
 	if m == "" {
 		m = "GET"

@@ -1,12 +1,14 @@
 package web
 
 import (
+	"context"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func demoSite(host string) *Mux {
@@ -73,6 +75,36 @@ func TestRequestKeyCanonical(t *testing.T) {
 	c := NewGet("http://h/s")
 	if a.Key() == c.Key() {
 		t.Error("method must differentiate keys")
+	}
+	// A built request carries its key; a literal builds the same one on
+	// demand, and a copy made by WithContext keeps it.
+	for _, r := range []*Request{a, c, NewSubmit("http://h/s?q=1", "", nil)} {
+		lit := &Request{URL: r.URL, Method: r.Method, Form: r.Form}
+		if r.Key() != lit.Key() || r.WithContext(context.Background()).Key() != r.Key() {
+			t.Errorf("built key %q, literal's %q, copy's %q", r.Key(), lit.Key(), r.WithContext(context.Background()).Key())
+		}
+	}
+	if got := (&Request{URL: "http://h/s"}).Key(); got != c.Key() {
+		t.Errorf("a literal with no method keys as %q, want the GET key %q", got, c.Key())
+	}
+}
+
+// TestBuiltRequestURLOwnsItsBytes: a URL is read off a page as a substring
+// of its text, and the fetch stack keeps the URL it is given (the cache
+// stores it with the response); a built request's URL must not share the
+// page's bytes, or the cache would keep every page a link was read off.
+func TestBuiltRequestURLOwnsItsBytes(t *testing.T) {
+	page := `<a href="http://h/next?p=2">More</a>`
+	link := page[9:26]
+	for _, r := range []*Request{NewGet(link), NewSubmit(link, "post", url.Values{"a": {"b"}})} {
+		if r.URL != link {
+			t.Fatalf("URL = %q, want %q", r.URL, link)
+		}
+		start := uintptr(unsafe.Pointer(unsafe.StringData(page)))
+		at := uintptr(unsafe.Pointer(unsafe.StringData(r.URL)))
+		if at >= start && at < start+uintptr(len(page)) {
+			t.Errorf("%s request's URL points into the page it was read off", r.Method)
+		}
 	}
 }
 

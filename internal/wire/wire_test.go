@@ -44,8 +44,10 @@ var goldenLines = []struct {
 	{KindTrailer,
 		TrailerLine(4, Trailer{Tuples: 2, Objects: 3, Skipped: []string{"Lease: no binding for Term"},
 			Degradation: &Degradation{Unavailable: []ur.SiteFailure{{Object: []string{"Dealers"}, Host: "dealers.example", Kind: "outage", Err: "connection refused"}},
-				StaleServed: 1, Report: "1 of 3 objects unavailable\n"}}),
-		`{"event":"trailer","seq":4,"tuples":2,"objects":3,"skipped":["Lease: no binding for Term"],"degradation":{"unavailable":[{"Object":["Dealers"],"Host":"dealers.example","Kind":"outage","Err":"connection refused"}],"stale_served":1,"report":"1 of 3 objects unavailable\n"},"stats":null}`},
+				StaleServed: 1, Report: "1 of 3 objects unavailable\n"},
+			Stats: &core.QueryStats{Pages: 12, CacheHits: 30, Reused: 4, StaleServed: 1, DegradedObjects: 1}}),
+		`{"event":"trailer","seq":4,"tuples":2,"objects":3,"skipped":["Lease: no binding for Term"],"degradation":{"unavailable":[{"Object":["Dealers"],"Host":"dealers.example","Kind":"outage","Err":"connection refused"}],"stale_served":1,"report":"1 of 3 objects unavailable\n"},` +
+			`"stats":{"Pages":12,"Bytes":0,"Elapsed":0,"Simulated":0,"CacheHits":30,"Deduped":0,"Reused":4,"LimiterWait":0,"PeakInFlight":0,"Retries":0,"StaleServed":1,"BreakerRejects":0,"DegradedObjects":1,"AdmissionWait":0,"Hedges":0,"HedgeWins":0,"BulkheadSheds":0,"BudgetSheds":0,"HedgesSuppressed":0,"DriftDetected":0,"PrunedFetches":0,"PrunedByReason":null}}`},
 }
 
 func TestGoldenLines(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Link is a hyperlink found on a page: the F-logic link class of Figure 3
@@ -333,51 +335,53 @@ func Tables(doc *Node) [][][]string {
 	return out
 }
 
-// DataRow is one extracted table row: cell texts by lower-cased column
-// name, plus any links found in the row's cells by link text.
+// DataRow is one extracted table row: the texts of the requested columns
+// in request order ("" where the row is too short to reach a column), plus
+// any links found in the row's cells by link text.
 type DataRow struct {
-	Cells map[string]string
+	Cells []string
 	Links map[string]string // link text → absolute URL; nil when the row has none
 }
 
 // DataTable finds the first table whose header contains all the given
-// columns (case-insensitive) and returns its body rows with per-row links
-// resolved against baseURL. It returns nil when no table matches.
+// columns and returns its body rows with per-row links resolved against
+// baseURL. A column matches a header cell whose trimmed text is the same
+// once both are lower-cased; of two such cells, the last one is read. It
+// returns nil when no table matches.
 func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 	r := resolver{raw: baseURL}
-	var cells []*Node
+	// Scratch for one row's cells and one header's texts; sixteen columns
+	// hold every table the simulated sites serve without growing.
+	cells := make([]*Node, 0, 16)
+	header := make([]string, 0, 16)
+	at := make([]int, len(columns)) // header index of each column
 	for _, tbl := range doc.FindAll("table") {
 		trs := rowsOf(tbl)
 		if len(trs) == 0 {
 			continue
 		}
-		idx := make(map[string]int)
-		for i, c := range cellsOf(cells[:0], trs[0]) {
-			idx[strings.ToLower(strings.TrimSpace(c.Text()))] = i
+		header = header[:0]
+		for _, c := range cellsOf(cells[:0], trs[0]) {
+			header = append(header, strings.TrimSpace(c.Text()))
 		}
-		ok := true
-		for _, c := range columns {
-			if _, found := idx[strings.ToLower(c)]; !found {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !headerIndexes(at, header, columns) {
 			continue
 		}
 		// Non-nil even when empty: a matching table with no body rows is
 		// still a data page (a search that found nothing), distinct from
 		// "no such table here".
 		rows := make([]DataRow, 0, len(trs)-1)
+		texts := make([]string, len(columns)*(len(trs)-1)) // every row's Cells, carved in turn
 		for _, tr := range trs[1:] {
 			cells = cellsOf(cells[:0], tr)
 			if len(cells) == 0 {
 				continue
 			}
-			row := DataRow{Cells: make(map[string]string, len(idx))}
-			for name, i := range idx {
+			row := DataRow{Cells: texts[:len(columns):len(columns)]}
+			texts = texts[len(columns):]
+			for k, i := range at {
 				if i < len(cells) {
-					row.Cells[name] = cells[i].Text()
+					row.Cells[k] = cells[i].Text()
 				}
 			}
 			for _, cell := range cells {
@@ -396,6 +400,38 @@ func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 		return rows
 	}
 	return nil
+}
+
+// headerIndexes sets at[k] to the index of the last header matching
+// columns[k], and reports whether every column has one.
+func headerIndexes(at []int, header, columns []string) bool {
+	for k, c := range columns {
+		at[k] = -1
+		for i, h := range header {
+			if lowerEqual(h, c) {
+				at[k] = i
+			}
+		}
+		if at[k] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerEqual reports whether strings.ToLower(a) == strings.ToLower(b)
+// without building either: rune by rune, each invalid byte read as the
+// U+FFFD strings.ToLower turns it into.
+func lowerEqual(a, b string) bool {
+	for a != "" && b != "" {
+		ra, na := utf8.DecodeRuneInString(a)
+		rb, nb := utf8.DecodeRuneInString(b)
+		if ra != rb && unicode.ToLower(ra) != unicode.ToLower(rb) {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return a == b
 }
 
 // cellsOf appends tr's <td> and <th> children to dst.

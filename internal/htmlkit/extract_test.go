@@ -140,7 +140,7 @@ func TestDataTable(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows: %d", len(rows))
 	}
-	if rows[0].Cells["make"] != "ford" || rows[1].Cells["price"] != "$15,000" {
+	if !reflect.DeepEqual(rows[0].Cells, []string{"ford", "$3,000"}) || !reflect.DeepEqual(rows[1].Cells, []string{"jaguar", "$15,000"}) {
 		t.Errorf("rows = %v", rows)
 	}
 	wantLinks := map[string]string{"Details": "http://h/ad?id=1", "Photo": "http://h/pic/1"}
@@ -195,10 +195,10 @@ func TestNestedLayoutTablesDoNotLeakRows(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2: %v", len(rows), rows)
 	}
-	if rows[0].Cells["make"] != "ford" || rows[1].Cells["price"] != "$15,000" {
+	if rows[0].Cells[0] != "ford" || rows[1].Cells[1] != "$15,000" {
 		t.Errorf("rows = %v", rows)
 	}
-	if !strings.Contains(rows[1].Cells["make"], "jaguar") {
+	if !strings.Contains(rows[1].Cells[0], "jaguar") {
 		t.Errorf("inner decoration swallowed the cell text: %v", rows[1])
 	}
 	// Tables(): first (outer) table has one row of two layout cells; the

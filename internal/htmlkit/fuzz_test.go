@@ -113,6 +113,60 @@ func sameTree(t *testing.T, got, want *Node) {
 	}
 }
 
+// FuzzDataTable holds DataTable to the map-based implementation it
+// replaced (refDataTable): the same table found or none, nil and empty
+// kept apart, the same rows with the same links, and each row's cells the
+// old row's cells of the requested columns, in request order. The columns
+// are the "|"-prefixed fields of cols: "" asks for none, "|" for one empty
+// header. Run with `go test -fuzz=FuzzDataTable ./internal/htmlkit`.
+func FuzzDataTable(f *testing.F) {
+	seeds := []struct{ doc, cols string }{
+		{"", ""},
+		{"<p>no table</p>", "|make"},
+		{"<table></table>", ""},
+		{"<table><tr><th>Make</th><th>Price</th></tr></table>", "|make|price"},
+		{"<table><tr><th>Make</th><th>Price</th></tr><tr><td>ford<td>$3,000<tr><td>saab</table>", "|price|make"},
+		{"<table><tr><th>Make<th>Price</tr><tr><td>ford<td>$3,000</table>", ""},
+		{"<table><tr><th>Make</th><th>MAKE</th><th> make </th></tr><tr><td>a<td>b<td>c</table>", "|Make|make"},
+		{"<table><tr><th>Make</th></tr><tr></tr><tr><td>x</td><td>extra</td></tr></table>", "|make|make"},
+		{"<table><tr><td>layout<td><table><tr><th>Make<th>Price<tr><td><table><tr><td>badge</table>jaguar<td>$9</table></table>", "|make|price"},
+		{"<table><tr><th>Make</th><th>More</th></tr><tr><td>ford</td><td><a href='/ad?id=1'>Details</a> <a href=http://h/p>Photo</a><a>bare</a></td></tr></table>", "|make"},
+		{"<table><tr><th>Make<th>More<tr><td><a href=x>Same</a><td><a href=y>Same</a></table>", "|more"},
+		// Non-ASCII case: capital sharp s, long s, the Kelvin sign, final
+		// sigma, dotted capital I, and invalid bytes beside U+FFFD.
+		{"<table><tr><th>ÜBER</th><th>STRAẞE</th><th>ſ</th><th>K</th><th>ΣΊΣΥΦΟΣ</th></tr><tr><td>1<td>2<td>3<td>4<td>5</table>", "|über|straße|s|k|σίσυφος"},
+		{"<table><tr><th>\xff\xfe</th><th>�</th><th>İ</th></tr><tr><td>1<td>2<td>3</table>", "|�|\xfd|i̇|i"},
+		{"<table><tr><th></th><th>Make</th></tr><tr><td>blank<td>ford</table>", "|"},
+		{"<table><tr><th>a</th></tr><tr><td>1</td></tr></table><table><tr><th>b</th></tr><tr><td>2</td></tr></table>", "|b"},
+		{"<table><thead><tr><th>Make</th></tr></thead><tbody><tr><td>ford</td></tr></tbody><tfoot><tr><td>total</td></tr></tfoot></table>", "|MAKE"},
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s.doc), s.cols)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cols string) {
+		columns := strings.Split(cols, "|")[1:]
+		doc := Parse(data)
+		const base = "http://fuzz.example/dir/list?page=2"
+		got := DataTable(doc, base, columns...)
+		want := refDataTable(doc, base, columns...)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("DataTable(%q) = %d rows (nil: %v), reference %d (nil: %v)", columns, len(got), got == nil, len(want), want == nil)
+		}
+		for i, w := range want {
+			cells := make([]string, len(columns))
+			for k, c := range columns {
+				cells[k] = w.Cells[strings.ToLower(c)]
+			}
+			if !reflect.DeepEqual(got[i].Cells, cells) || cap(got[i].Cells) != len(columns) {
+				t.Fatalf("row %d of %q: cells %q (cap %d), reference %q", i, columns, got[i].Cells, cap(got[i].Cells), cells)
+			}
+			if !reflect.DeepEqual(got[i].Links, w.Links) {
+				t.Fatalf("row %d: links %v, reference %v", i, got[i].Links, w.Links)
+			}
+		}
+	})
+}
+
 // FuzzResolve holds the page resolver — base parsed once, plain references
 // concatenated or passed through — to Resolve, which parses both URLs
 // every time.

@@ -322,6 +322,65 @@ func refParse(src []byte) *Node {
 	return doc
 }
 
+// refDataRow and refDataTable are DataTable as it was: every header column
+// of every row in a map keyed by the lower-cased, trimmed header text.
+type refDataRow struct {
+	Cells map[string]string
+	Links map[string]string
+}
+
+func refDataTable(doc *Node, baseURL string, columns ...string) []refDataRow {
+	r := resolver{raw: baseURL}
+	var cells []*Node
+	for _, tbl := range doc.FindAll("table") {
+		trs := rowsOf(tbl)
+		if len(trs) == 0 {
+			continue
+		}
+		idx := make(map[string]int)
+		for i, c := range cellsOf(cells[:0], trs[0]) {
+			idx[strings.ToLower(strings.TrimSpace(c.Text()))] = i
+		}
+		ok := true
+		for _, c := range columns {
+			if _, found := idx[strings.ToLower(c)]; !found {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		rows := make([]refDataRow, 0, len(trs)-1)
+		for _, tr := range trs[1:] {
+			cells = cellsOf(cells[:0], tr)
+			if len(cells) == 0 {
+				continue
+			}
+			row := refDataRow{Cells: make(map[string]string, len(idx))}
+			for name, i := range idx {
+				if i < len(cells) {
+					row.Cells[name] = cells[i].Text()
+				}
+			}
+			for _, cell := range cells {
+				cell.Walk(func(a *Node) bool {
+					if href, has := a.Attr("href"); a.IsElement("a") && has {
+						if row.Links == nil {
+							row.Links = make(map[string]string)
+						}
+						row.Links[a.Text()] = r.resolve(href)
+					}
+					return true
+				})
+			}
+			rows = append(rows, row)
+		}
+		return rows
+	}
+	return nil
+}
+
 // refEscapeText and refEscapeAttr are the escapers as they were: a
 // Replacer built on every call.
 func refEscapeText(s string) string {

@@ -47,13 +47,14 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 	matched := false
 	// The calculus consults the F-logic view: every follow_link action
 	// object whose link's name matches is a possible next step.
-	for _, actID := range b.store.Members("follow_link") {
-		nameT, ok := b.store.Path(actID, "object", "name")
+	store, _ := b.view()
+	for _, actID := range store.Members("follow_link") {
+		nameT, ok := store.Path(actID, "object", "name")
 		if !ok || !strings.EqualFold(nameT.Str, want) {
 			continue
 		}
 		matched = true
-		addrT, ok := b.store.Path(actID, "object", "address")
+		addrT, ok := store.Path(actID, "object", "address")
 		if !ok {
 			continue
 		}
@@ -172,7 +173,7 @@ func isFatalNav(err error) bool {
 }
 
 func findForm(b *BrowseState, name string) (htmlkit.Form, bool) {
-	forms := b.forms
+	forms := b.scanned().Forms
 	if name == "" {
 		if len(forms) == 0 {
 			return htmlkit.Form{}, false
@@ -268,45 +269,66 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 		return nil, nil
 	}
 	nb := b.Clone().(*BrowseState)
-	cellKeys := make([]string, len(a.spec.Columns)) // DataRow.Cells is keyed by lower-cased header
-	for k, c := range a.spec.Columns {
-		cellKeys[k] = strings.ToLower(c.Header)
+	if len(rows) == 0 { // a table with no rows checks no attribute against the schema
+		return []tlogic.Outcome{{State: nb, Env: env}}, nil
+	}
+	cols, links, envs, err := a.spec.indexes(nb.schema)
+	if err != nil {
+		return nil, err
 	}
 	for _, row := range rows {
 		t := make(relation.Tuple, len(nb.schema))
 		for k, c := range a.spec.Columns {
-			i := nb.schema.IndexOf(c.Attr)
-			if i < 0 {
-				return nil, fmt.Errorf("navcalc: extract attribute %q not in schema %v", c.Attr, nb.schema)
-			}
-			raw := row.Cells[cellKeys[k]]
 			if c.Money {
-				t[i] = relation.ParseMoney(raw)
+				t[cols[k]] = relation.ParseMoney(row.Cells[k])
 			} else {
-				t[i] = relation.Parse(raw)
+				t[cols[k]] = relation.Parse(row.Cells[k])
 			}
 		}
-		for _, lc := range a.spec.LinkCols {
-			i := nb.schema.IndexOf(lc.Attr)
-			if i < 0 {
-				return nil, fmt.Errorf("navcalc: link attribute %q not in schema %v", lc.Attr, nb.schema)
-			}
+		for k, lc := range a.spec.LinkCols {
 			if addr, ok := row.Links[lc.LinkName]; ok {
-				t[i] = relation.String(addr)
+				t[links[k]] = relation.String(addr)
 			}
 		}
-		for _, ec := range a.spec.EnvCols {
-			i := nb.schema.IndexOf(ec.Attr)
-			if i < 0 {
-				return nil, fmt.Errorf("navcalc: env attribute %q not in schema %v", ec.Attr, nb.schema)
-			}
+		for k, ec := range a.spec.EnvCols {
 			if v, ok := env.Lookup(ec.Var); ok {
-				t[i] = relation.Parse(v)
+				t[envs[k]] = relation.Parse(v)
 			}
 		}
 		nb.collected = append(nb.collected, t)
 	}
 	return []tlogic.Outcome{{State: nb, Env: env}}, nil
+}
+
+// indexes resolves the schema index of each of the spec's Columns,
+// LinkCols and EnvCols, or names the first attribute the schema lacks.
+func (s ExtractSpec) indexes(schema relation.Schema) (cols, links, envs []int, err error) {
+	at := make([]int, 0, len(s.Columns)+len(s.LinkCols)+len(s.EnvCols))
+	resolve := func(kind, attr string) error {
+		i := schema.IndexOf(attr)
+		if i < 0 {
+			return fmt.Errorf("navcalc: %s attribute %q not in schema %v", kind, attr, schema)
+		}
+		at = append(at, i)
+		return nil
+	}
+	for _, c := range s.Columns {
+		if err := resolve("extract", c.Attr); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	for _, lc := range s.LinkCols {
+		if err := resolve("link", lc.Attr); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	for _, ec := range s.EnvCols {
+		if err := resolve("env", ec.Attr); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	n, m := len(s.Columns), len(s.Columns)+len(s.LinkCols)
+	return at[:n], at[n:m], at[m:], nil
 }
 
 // runPattern extracts via the wrapper script instead of a table.
@@ -391,8 +413,9 @@ func HasLink(linkName string) tlogic.Formula {
 	return tlogic.Prim{Action: guard{
 		name: fmt.Sprintf("haslink(%q)", linkName),
 		test: func(b *BrowseState, _ tlogic.Env) bool {
-			for _, id := range b.store.Members("link") {
-				if n, ok := b.store.Path(id, "name"); ok && strings.EqualFold(n.Str, linkName) {
+			store, _ := b.view()
+			for _, id := range store.Members("link") {
+				if n, ok := store.Path(id, "name"); ok && strings.EqualFold(n.Str, linkName) {
 					return true
 				}
 			}
@@ -414,6 +437,8 @@ func HasForm(formName string) tlogic.Formula {
 
 // IsDataPage succeeds iff the current page is a data page carrying a table
 // with all the given headers — the "CarPg : data_page" test of Figure 4.
+// It reads the table alone: the view asserts data_page exactly when the
+// page has a table, and a table with the headers is one.
 func IsDataPage(headers ...string) tlogic.Formula {
 	return tlogic.Prim{Action: guard{
 		name: func() string {
@@ -424,9 +449,6 @@ func IsDataPage(headers ...string) tlogic.Formula {
 			return fmt.Sprintf("isdata(%s)", strings.Join(qs, ", "))
 		}(),
 		test: func(b *BrowseState, _ tlogic.Env) bool {
-			if !b.store.IsA(b.pageID, "data_page") {
-				return false
-			}
 			return b.dataTable(headers) != nil
 		},
 	}}

@@ -300,6 +300,62 @@ func TestExtractSchemaMismatchIsHardError(t *testing.T) {
 	}
 }
 
+// TestExtractSchemaMismatchNeedsARow: extract checks a column, link or env
+// attribute against the schema only on a table with a row, and names the
+// first one missing, columns before links before env bindings. A matching
+// table without rows extracts nothing and succeeds.
+func TestExtractSchemaMismatchNeedsARow(t *testing.T) {
+	const rowsURL, emptyURL = "http://t.example/rows", "http://t.example/empty"
+	f := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		body := `<table><tr><th>Make</th></tr></table>`
+		if req.URL == rowsURL {
+			body = `<table><tr><th>Make</th></tr><tr><td>ford <a href="/ad">More</a></td></tr></table>`
+		}
+		return web.HTML(req.URL, body), nil
+	})
+	schema := relation.NewSchema("Make", "Url", "Q")
+	spec := func(col, link, env string) ExtractSpec {
+		return ExtractSpec{
+			Columns:  []Column{{Header: "Make", Attr: col}},
+			LinkCols: []LinkCol{{LinkName: "More", Attr: link}},
+			EnvCols:  []EnvCol{{Var: "q", Attr: env}},
+		}
+	}
+	cases := []struct {
+		spec ExtractSpec
+		want string // error on the table with a row; "" for none
+	}{
+		{spec("Make", "Url", "Q"), ""},
+		{spec("Nope", "Nix", "Q"), `navcalc: extract attribute "Nope" not in schema (Make, Url, Q)`},
+		{spec("Make", "Nix", "Nada"), `navcalc: link attribute "Nix" not in schema (Make, Url, Q)`},
+		{spec("Make", "Url", "Nada"), `navcalc: env attribute "Nada" not in schema (Make, Url, Q)`},
+	}
+	interp := &tlogic.Interp{Program: tlogic.NewProgram()}
+	for _, c := range cases {
+		for _, url := range []string{rowsURL, emptyURL} {
+			st, err := NewBrowseState(f, url, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, ok, err := interp.Run(Extract(c.spec), st, tlogic.Env{"q": "x"})
+			want, rows := c.want, 1
+			if url == emptyURL {
+				want, rows = "", 0
+			}
+			switch {
+			case want != "":
+				if err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("%+v on %s: err = %v, want %q", c.spec, url, err, want)
+				}
+			case err != nil || !ok:
+				t.Errorf("%+v on %s: ok=%v err=%v, want success", c.spec, url, ok, err)
+			case len(out.State.(*BrowseState).Collected()) != rows:
+				t.Errorf("%+v on %s: %d tuples, want %d", c.spec, url, len(out.State.(*BrowseState).Collected()), rows)
+			}
+		}
+	}
+}
+
 // TestPatternExtraction drives a synthetic site whose data page uses
 // label–value records instead of tables, exercising the wrapper-script
 // extraction path end to end.

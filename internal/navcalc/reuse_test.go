@@ -3,10 +3,13 @@ package navcalc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"webbase/internal/flogic"
 	"webbase/internal/relation"
 	"webbase/internal/tlogic"
 	"webbase/internal/web"
@@ -20,10 +23,12 @@ const (
 	reuseHome = "http://reuse.example/"
 	reuseData = "http://reuse.example/data"
 	reuseLoop = "http://reuse.example/loop"
+	reuseHub  = "http://reuse.example/hub"
 )
 
-// reuseSite serves a home page, a data page of three cars, and a data page
-// whose "More" link leads back to itself. It counts the fetches of each
+// reuseSite serves a home page, a data page of three cars, a data page
+// whose "More" link leads back to itself, and a hub page carrying a link,
+// a search form and the data table. It counts the fetches of each
 // URL; fail, when set, fails the next fetch of a URL with a transport
 // error and is cleared.
 type reuseSite struct {
@@ -55,6 +60,9 @@ func (s *reuseSite) Fetch(req *web.Request) (*web.Response, error) {
 		return web.HTML(req.URL, `<html><body>`+reuseTable+`</body></html>`), nil
 	case reuseLoop:
 		return web.HTML(req.URL, `<html><body>`+reuseTable+`<a href="/loop">More</a></body></html>`), nil
+	case reuseHub:
+		return web.HTML(req.URL, `<html><body><a href="/data">Data</a>`+
+			`<form name="find" action="/data"><input type="text" name="make"></form>`+reuseTable+`</body></html>`), nil
 	}
 	return web.NotFound(req.URL), nil
 }
@@ -203,6 +211,97 @@ func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 	if got := site.fetches(reuseData); got != 2 || q.Stats.Reused() != executions*rounds-2 {
 		t.Errorf("%d visits: %d fetches and %d reused, want 2 and %d",
 			executions*rounds, got, q.Stats.Reused(), executions*rounds-2)
+	}
+}
+
+// TestKeptPageViewBuiltOnFirstUseConcurrently: a kept page is only parsed
+// when loaded; its scan and F-logic view are built by whichever execution
+// sharing it first needs them. Eight executions stand on one kept page
+// whose view nothing has built yet and run every step that reads the scan
+// or the view, each starting from a different one: all of them see one
+// store, and the answers a sequential run on an unshared page gives. Run
+// under -race.
+func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
+	steps := []struct {
+		name string
+		goal tlogic.Formula
+	}{
+		{"follow", Follow("Data")},
+		{"haslink", HasLink("Data")},
+		{"hasform", HasForm("find")},
+		{"submit", Submit("find", FillConst("make", "ford"))},
+		{"isdata", IsDataPage("Make", "Price")},
+		{"Store", nil},
+	}
+	// run takes the steps in turn from first on and reports what each did.
+	run := func(st *BrowseState, first int) (string, *flogic.Store) {
+		interp := &tlogic.Interp{Program: tlogic.NewProgram()}
+		got := make([]string, len(steps))
+		var store *flogic.Store
+		for i := range steps {
+			k := (first + i) % len(steps)
+			if steps[k].goal == nil {
+				store = st.Store()
+				got[k] = fmt.Sprintf("Store: %v %q", store.IsA(st.PageID(), "data_page"), store.Members("follow_link"))
+				continue
+			}
+			out, _, ok, err := interp.Run(steps[k].goal, st, tlogic.Env{})
+			got[k] = fmt.Sprintf("%s: ok=%v err=%v", steps[k].name, ok, err)
+			if ok {
+				got[k] += " at " + out.State.(*BrowseState).URL()
+			}
+		}
+		return strings.Join(got, "; "), store
+	}
+
+	site := newReuseSite()
+	alone, err := visit(t, context.Background(), site, reuseHub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := run(alone, 0)
+
+	ctx := web.WithQuery(context.Background(), &web.Query{})
+	var kept *page
+	for i := 0; i < 2; i++ { // the second visit keeps the page
+		st, err := visit(t, ctx, site, reuseHub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = st.page
+	}
+	if kept.store != nil || kept.scan.HasTable {
+		t.Fatal("loading the page built its scan or its view")
+	}
+	const executions = 8
+	answers := make([]string, executions)
+	stores := make([]*flogic.Store, executions)
+	var wg sync.WaitGroup
+	for g := 0; g < executions; g++ {
+		st, err := visit(t, ctx, site, reuseHub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.page != kept {
+			t.Fatal("a visit was not served the kept page")
+		}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			answers[g], stores[g] = run(st, g)
+		}(g)
+	}
+	wg.Wait()
+	for g := range answers {
+		if answers[g] != want {
+			t.Errorf("execution %d on the kept page:\n got %s\nwant %s", g, answers[g], want)
+		}
+		if stores[g] != stores[0] {
+			t.Errorf("execution %d saw a store of its own", g)
+		}
+	}
+	if st, _ := kept.view(); st != stores[0] {
+		t.Error("the executions' store is not the kept page's")
 	}
 }
 

@@ -81,24 +81,45 @@ type BrowseState struct {
 	collected []relation.Tuple
 }
 
-// page is everything load derives from one fetched page, once. The states
-// on that page share it, and it goes when the last of them does — or, for
-// a page its query has read twice, when the query ends (web.Query.Visit):
-// such a page is shared by every execution of the query that reaches it.
+// page is everything derived from one fetched page, each part at most
+// once. The states on that page share it, and it goes when the last of
+// them does — or, for a page its query has read twice, when the query ends
+// (web.Query.Visit): such a page is shared by every execution of the query
+// that reaches it, so whatever is built on first use is built under a lock.
+//
+// Load only parses. The links-and-forms scan is built when a step first
+// reads a link or form, and the F-logic view from it when a step first
+// consults the view: a page that is only extracted builds neither.
 type page struct {
-	url    string
-	bytes  int64          // body length, counted on the fetch span of every visit
-	doc    *htmlkit.Node  // parsed page; immutable once built
-	store  *flogic.Store  // F-logic view of the page; immutable once built
-	pageID flogic.OID     // the page object in store
-	forms  []htmlkit.Form // the forms behind store's form objects
+	url   string
+	bytes int64         // body length, counted on the fetch span of every visit
+	doc   *htmlkit.Node // parsed page; immutable once built
+
+	scanOnce sync.Once
+	scan     htmlkit.Page // links, forms and table presence; see scanned
+
+	viewOnce sync.Once
+	store    *flogic.Store // F-logic view of the page; see view
+	pageID   flogic.OID    // the page object in store
 
 	// The data table last looked up and the headers it was looked up by:
-	// the isdata guard finds the table extract then reads. A kept page is
-	// read by concurrent executions, so the slot takes a lock.
+	// the isdata guard finds the table extract then reads.
 	mu       sync.Mutex
 	tableFor []string
 	table    []htmlkit.DataRow
+}
+
+// scanned is htmlkit.Scan of the page, built on first use.
+func (p *page) scanned() *htmlkit.Page {
+	p.scanOnce.Do(func() { p.scan = htmlkit.Scan(p.doc, p.url) })
+	return &p.scan
+}
+
+// view is the page's Figure-3 F-logic view and the page object in it,
+// built from the scan on first use.
+func (p *page) view() (*flogic.Store, flogic.OID) {
+	p.viewOnce.Do(func() { p.store, p.pageID = pageObjects(*p.scanned(), p.url) })
+	return p.store, p.pageID
 }
 
 // dataTable is htmlkit.DataTable on the current page.
@@ -204,10 +225,7 @@ func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (*page, error) {
 		return nil, web.MarkSiteAnswer(fmt.Errorf("navcalc: %s returned status %d", req.URL, resp.Status))
 	}
 	sp.End()
-	doc := htmlkit.Parse(resp.Body)
-	view := htmlkit.Scan(doc, resp.URL)
-	store, pageID := pageObjects(view, resp.URL)
-	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: doc, store: store, pageID: pageID, forms: view.Forms}, nil
+	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.Parse(resp.Body)}, nil
 }
 
 // Clone implements tlogic.State. The page is shared; the collected-tuple
@@ -226,10 +244,16 @@ func (b *BrowseState) URL() string { return b.url }
 func (b *BrowseState) Doc() *htmlkit.Node { return b.doc }
 
 // Store returns the F-logic object view of the current page.
-func (b *BrowseState) Store() *flogic.Store { return b.store }
+func (b *BrowseState) Store() *flogic.Store {
+	st, _ := b.view()
+	return st
+}
 
 // PageID returns the OID of the current page object in Store.
-func (b *BrowseState) PageID() flogic.OID { return b.pageID }
+func (b *BrowseState) PageID() flogic.OID {
+	_, id := b.view()
+	return id
+}
 
 // Collected returns the tuples extracted so far.
 func (b *BrowseState) Collected() []relation.Tuple { return b.collected }

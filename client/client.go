@@ -33,9 +33,7 @@ package client
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"net/url"
 	"strings"
@@ -190,17 +188,11 @@ func (c *Client) Query(ctx context.Context, query string) (*Stream, error) {
 }
 
 // backoffDelay spaces attempt n (n >= 2): base doubled per prior retry,
-// capped, with deterministic jitter in [1/2, 1) of the cap derived from
-// (request ID, attempt) — two clients thundering against a restarted
-// server spread out, yet every run of the same client is reproducible.
+// capped, with web.Backoff's deterministic jitter keyed by the request ID
+// — two clients thundering against a restarted server spread out, yet
+// every run of the same client is reproducible.
 func (c *Client) backoffDelay(rid string, attempt int) time.Duration {
-	d := web.Backoff{Base: c.backoffBase, Max: c.backoffMax}.Nominal(attempt - 1)
-	h := fnv.New64a()
-	h.Write([]byte(rid))
-	binary.Write(h, binary.LittleEndian, int64(attempt))
-	frac := h.Sum64() % 1024
-	half := d / 2
-	return half + time.Duration(uint64(half)*frac/1024)
+	return web.Backoff{Base: c.backoffBase, Max: c.backoffMax}.Delay(rid, attempt-1)
 }
 
 // sleepCtx waits d or until ctx is done.

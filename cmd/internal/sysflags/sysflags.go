@@ -34,11 +34,8 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.latency, "latency", false, "simulate network latency (sleeping)")
 	fs.BoolVar(&c.Strict, "strict", false, "fail the whole query on any site outage instead of degrading to the surviving maximal objects")
 	fs.DurationVar(&c.Deadline, "deadline", 0, "per-maximal-object time budget; objects over budget degrade out of the answer (0 = none)")
-	fs.IntVar(&c.MaxInFlight, "max-inflight", 0, "admission control: max concurrently executing queries (0 = unlimited)")
-	fs.IntVar(&c.QueueDepth, "queue-depth", 0, "admission control: bounded FIFO wait queue behind -max-inflight; excess queries shed immediately")
 	fs.BoolVar(&c.AllowStale, "allow-stale", false, "serve expired cached pages when a site is unreachable (stale-on-error)")
 	fs.DurationVar(&c.CacheMaxAge, "cache-maxage", 0, "cached pages older than this no longer count as fresh (0 = never expire)")
-	fs.IntVar(&c.DriftThreshold, "drift-threshold", 0, "drift reports that confirm a site redesign and quarantine the site (0 = default 2)")
 	fs.BoolVar(&c.Prune, "prune", false, "skip page fetches that cannot contribute answer tuples (access-relevance pruning)")
 	return f
 }

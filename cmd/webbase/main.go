@@ -12,7 +12,7 @@
 //	webbase -failevery 3 -retries 2 "SELECT ..."       # chaos: survive a flaky Web
 //	webbase -failevery 3 -strict    "SELECT ..."       # ... or fail fast instead
 //	webbase -breaker-threshold 0.5 -allow-stale "SELECT ..."   # breaker + stale-on-error
-//	webbase -max-inflight 8 -queue-depth 8 -deadline 500ms -hedge-after 50ms "SELECT ..."   # overload protection
+//	webbase -deadline 500ms -hedge-after 50ms "SELECT ..."   # bound the tail: per-object budget, hedged fetches
 //	webbase -prune -stats    "SELECT ... LIMIT 3"      # skip fetches that cannot contribute answers
 //
 // The query language is the structured universal relation interface of
@@ -45,24 +45,13 @@ func main() {
 		traceFile   = flag.String("trace", "", "run the query traced and write the span tree as JSON to this file")
 		showMetrics = flag.Bool("metrics", false, "print the webbase metrics snapshot after the query")
 		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1]; 0 disables the breaker")
-		queryClass  = flag.String("query-class", "interactive", "admission class: interactive (shed last) or batch (shed first)")
 	)
 	flag.IntVar(&cfg.HostLimit, "hostlimit", 0, "max concurrent fetches per site (0 = default, negative = unlimited)")
 	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "issue a second attempt for any fetch still unanswered after this delay (0 = off)")
 	flag.IntVar(&cfg.HostQueue, "host-queue", 0, "per-host bulkhead wait-queue bound; fetches beyond it are shed (0 = unbounded)")
 	flag.Int64Var(&cfg.HedgeBudget, "hedge-budget", 0, "max hedged (duplicate) fetch attempts per query (0 = unlimited)")
-	flag.IntVar(&cfg.MaxRepairAttempts, "max-repair-attempts", 0, "background remap attempts per quarantined site (0 = default 3)")
-	flag.DurationVar(&cfg.RepairBackoff, "repair-backoff", 0, "wait before the second remap attempt, doubling per attempt (0 = default 100ms)")
 	flag.Parse()
 
-	switch *queryClass {
-	case "interactive":
-		cfg.QueryClass = webbase.ClassInteractive
-	case "batch":
-		cfg.QueryClass = webbase.ClassBatch
-	default:
-		fatal(fmt.Errorf("unknown -query-class %q (interactive or batch)", *queryClass))
-	}
 	if *breakerThr > 0 {
 		cfg.Breaker = &webbase.BreakerConfig{FailureRatio: *breakerThr}
 	}

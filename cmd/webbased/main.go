@@ -102,6 +102,9 @@ func main() {
 		maxBody   = flag.Int64("max-body", 0, "request body size bound in bytes (0 = default 1MiB)")
 		keepalive = flag.Duration("keepalive", 0, "emit a seq-less keepalive event on idle streams at this interval so clients can detect stalls (0 = off; off keeps stream bytes identical to older servers)")
 	)
+	flag.IntVar(&cfg.MaxInFlight, "max-inflight", 0, "admission control: max concurrently executing queries (0 = unlimited)")
+	flag.IntVar(&cfg.QueueDepth, "queue-depth", 0, "admission control: bounded FIFO wait queue behind -max-inflight; excess queries shed immediately")
+	flag.IntVar(&cfg.DriftThreshold, "drift-threshold", 0, "drift reports that confirm a site redesign and quarantine the site (0 = default 2)")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "durable state directory: persist warmed pages, repaired maps and breaker/health verdicts across restarts (empty = no persistence)")
 	flag.Int64Var(&cfg.StateMaxBytes, "state-max-bytes", 0, "size bound for the durable page tier; least-recently-used pages are evicted past it (0 = unbounded)")
 	flag.DurationVar(&cfg.RecoveryBackoff, "recovery-backoff", 0, "re-probe repair-exhausted quarantined sites in the background, starting at this interval and doubling (0 = off)")

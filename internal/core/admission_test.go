@@ -275,15 +275,15 @@ func TestAdmissionReleaseGrantsInteractiveFirst(t *testing.T) {
 	}
 }
 
-// TestQueryClassFromContext: WithQueryClass overrides the webbase default
-// for one query; absent an override the configured default applies.
+// TestQueryClassFromContext: WithQueryClass sets one query's class;
+// absent it a query is interactive.
 func TestQueryClassFromContext(t *testing.T) {
-	if got := queryClassFrom(context.Background(), ClassBatch); got != ClassBatch {
-		t.Errorf("default class = %v, want batch", got)
+	if got := queryClassFrom(context.Background()); got != ClassInteractive {
+		t.Errorf("default class = %v, want interactive", got)
 	}
-	ctx := WithQueryClass(context.Background(), ClassInteractive)
-	if got := queryClassFrom(ctx, ClassBatch); got != ClassInteractive {
-		t.Errorf("override class = %v, want interactive", got)
+	ctx := WithQueryClass(context.Background(), ClassBatch)
+	if got := queryClassFrom(ctx); got != ClassBatch {
+		t.Errorf("marked class = %v, want batch", got)
 	}
 }
 

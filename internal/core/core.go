@@ -43,10 +43,6 @@ type Config struct {
 	// network latency model (see web.LatencyModel.Sleep for whether it
 	// actually sleeps or only accounts).
 	Latency web.LatencyModel
-	// DisableCache turns off the page cache. The default (caching on)
-	// follows Section 7's observation that caching is needed for
-	// acceptable response times.
-	DisableCache bool
 	// Workers bounds parallel query evaluation: union branches,
 	// dependent-join handle invocations and maximal objects evaluate on
 	// up to Workers goroutines (and PopulateAll sweeps up to Workers
@@ -119,10 +115,6 @@ type Config struct {
 	// wait for their primary attempt instead of doubling load. 0 =
 	// unlimited (every eligible fetch may hedge).
 	HedgeBudget int64
-	// QueryClass is the default admission class of this webbase's
-	// queries; WithQueryClass overrides it per query. Under overload the
-	// gate sheds ClassBatch before ClassInteractive.
-	QueryClass QueryClass
 	// DriftThreshold is how many drift-degraded queries confirm a site
 	// redesign and quarantine the site (self-healing; active only when
 	// the Domain supplies SampleInputs). <= 0 means 2 — one bad page
@@ -188,7 +180,6 @@ type Webbase struct {
 	prune       bool
 	admission   *admission
 	deadline    time.Duration
-	class       QueryClass
 
 	// Self-healing: health tracks per-site drift state and drives the
 	// background repair worker; repairFetcher is the middleware stack
@@ -250,7 +241,7 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 	wb := &Webbase{stats: &web.Stats{}, workers: cfg.Workers,
 		clock: cfg.Clock, metrics: trace.NewRegistry(),
 		retryBudget: cfg.RetryBudget, hedgeBudget: cfg.HedgeBudget,
-		strict: cfg.Strict, prune: cfg.Prune, class: cfg.QueryClass,
+		strict: cfg.Strict, prune: cfg.Prune,
 		sampleInputs: d.SampleInputs}
 	if wb.workers <= 0 {
 		wb.workers = runtime.GOMAXPROCS(0)
@@ -324,22 +315,20 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 		f = wb.breaker
 	}
 	f = web.WithOutageMemo(f)
-	if cfg.DisableCache {
-		f = web.WithSingleflight(f, wb.stats)
-	} else {
-		wb.cache = web.NewCache()
-		wb.cache.MaxAge = cfg.CacheMaxAge
-		wb.cache.AllowStale = cfg.AllowStale
-		wb.cache.Clock = cfg.Clock
-		if wb.store != nil {
-			wb.pageTier = store.NewPageTier(wb.store, cfg.StateMaxBytes)
-			wb.cache.Tier = wb.pageTier
-		}
-		// The fill sits inside the flight and the lookup outside it: a hit
-		// never touches singleflight, and a page is in the cache before the
-		// flight that fetched it is forgotten.
-		f = web.WithCacheLookup(web.WithSingleflight(web.WithCacheFill(f, wb.cache), wb.stats), wb.cache)
+	// Every webbase caches pages: Section 7 observes that caching is
+	// needed for acceptable response times.
+	wb.cache = web.NewCache()
+	wb.cache.MaxAge = cfg.CacheMaxAge
+	wb.cache.AllowStale = cfg.AllowStale
+	wb.cache.Clock = cfg.Clock
+	if wb.store != nil {
+		wb.pageTier = store.NewPageTier(wb.store, cfg.StateMaxBytes)
+		wb.cache.Tier = wb.pageTier
 	}
+	// The fill sits inside the flight and the lookup outside it: a hit
+	// never touches singleflight, and a page is in the cache before the
+	// flight that fetched it is forgotten.
+	f = web.WithCacheLookup(web.WithSingleflight(web.WithCacheFill(f, wb.cache), wb.stats), wb.cache)
 	if cfg.Deadline > 0 {
 		f = web.WithDeadlineBudget(f, wb.stats)
 	}
@@ -453,7 +442,7 @@ func (wb *Webbase) repairHost(host string) error {
 	}
 	// Cached pages of the old design would keep answering queries with the
 	// pre-redesign layout; drop them so the swapped-in map sees live pages.
-	if repaired > 0 && wb.cache != nil {
+	if repaired > 0 {
 		wb.cache.Clear()
 	}
 	return nil
@@ -465,7 +454,7 @@ func (wb *Webbase) repairHost(host string) error {
 // PopulateAll — and the stack-wide PeakInFlight and PerHost.
 func (wb *Webbase) Stats() *web.Stats { return wb.stats }
 
-// Cache exposes the page cache (nil when disabled).
+// Cache exposes the page cache.
 func (wb *Webbase) Cache() *web.Cache { return wb.cache }
 
 // Fetcher returns the fully wrapped fetcher the webbase navigates with.
@@ -623,7 +612,7 @@ func (wb *Webbase) QueryStreamTraced(ctx context.Context, q ur.Query, sink ur.Ob
 // span durations. A non-nil sink receives per-object deliveries as
 // evaluation streams (see QueryStream).
 func (wb *Webbase) query(ctx context.Context, q ur.Query, sink ur.ObjectSink, traced bool) (*ur.Result, *QueryStats, *trace.Trace, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx, wb.class))
+	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx))
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -185,12 +185,9 @@ func (wb *Webbase) gcRecord(tier, key string) {
 // answer bytes.
 func (wb *Webbase) ConsistencyToken() string {
 	h := sha256.New()
-	gen := uint64(0)
-	switch {
-	case wb.pageTier != nil:
+	gen := wb.cache.Generation()
+	if wb.pageTier != nil {
 		gen = wb.pageTier.Generation()
-	case wb.cache != nil:
-		gen = wb.cache.Generation()
 	}
 	fmt.Fprintf(h, "cache-gen=%d\n", gen)
 	// Relations() is sorted by name, so the digest is deterministic.

@@ -35,30 +35,30 @@ func TestConnectionChaos(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	load := ChaosLoad{
-		Clients:   8,
-		PerClient: 4,
-		Query:     loadQuery,
+	rep, err := Run(Scenario{
+		Endpoints: []string{ts.URL},
+		Tenants:   []Tenant{{Name: "chaos", Streams: 32, Concurrency: 8}},
 		KillProb:  0.7,
 		Seed:      1,
-	}
-	rep, err := RunChaos(ts.URL, load)
+		Query:     loadQuery,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if rep.Kills == 0 {
+	row := rep.Tenants[0]
+	if rep.ConnKills == 0 {
 		t.Fatal("chaos transport severed nothing — the run proved nothing")
 	}
-	if rep.Completed != rep.Streams || rep.Failed != 0 {
-		t.Fatalf("completed=%d failed=%d, want %d/0 — resumability must survive every kill",
-			rep.Completed, rep.Failed, rep.Streams)
+	if row.Served != row.Streams || row.Shed != 0 || row.Failed != 0 {
+		t.Fatalf("served=%d shed=%d failed=%d, want %d/0/0 — resumability must survive every kill",
+			row.Served, row.Shed, row.Failed, row.Streams)
 	}
-	if rep.DuplicateTuples != 0 || rep.MissingTuples != 0 {
+	if row.DuplicateTuples != 0 || row.MissingTuples != 0 {
 		t.Fatalf("duplicate=%d missing=%d tuples, want 0/0 — resumed streams must be exactly-once",
-			rep.DuplicateTuples, rep.MissingTuples)
+			row.DuplicateTuples, row.MissingTuples)
 	}
-	if rep.Resumes == 0 {
+	if row.Resumes == 0 {
 		t.Fatal("no stream ever reconnected, yet connections were killed")
 	}
 }

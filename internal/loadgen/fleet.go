@@ -2,68 +2,29 @@ package loadgen
 
 import (
 	"bufio"
-	"context"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os/exec"
 	"regexp"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"webbase/client"
 )
 
-// Fleet mode: the multi-process half of the chaos harness. Where RunChaos
-// attacks the transport under a single in-process server, RunFleet boots a
-// real fleet — N webbased replicas as separate OS processes, each building
-// the same deterministic simulated Web, so together they serve one logical
-// Web — and attacks the fleet itself: replicas are SIGKILLed and restarted
-// on a schedule keyed to stream progress while a connection-severing
-// transport keeps killing individual streams. Every query runs through one
-// multi-endpoint client, so the run exercises the whole failover surface:
-// replica benching, health-ordered rotation, cross-replica resume (fresh
-// replicas share a consistency token over the same deterministic world),
-// and — should a resume be refused — restart-from-zero. The audit is the
-// same absolute property as RunChaos: every stream's final tuple multiset
-// equals the uninterrupted answer, exactly once.
+// Fleet mode: a Scenario that names a Binary boots a real fleet — N
+// webbased replicas as separate OS processes, each building the same
+// deterministic simulated Web, so together they serve one logical Web —
+// and attacks the fleet itself: replicas are SIGKILLed and restarted on a
+// schedule keyed to stream progress while the streams run. Every tenant's
+// client holds the whole replica set, so the run exercises the whole
+// failover surface: replica benching, health-ordered rotation,
+// cross-replica resume (fresh replicas share a consistency token over the
+// same deterministic world), and — should a resume be refused —
+// restart-from-zero.
 
-// FleetLoad configures one fleet chaos run.
-type FleetLoad struct {
-	// Replicas is the number of webbased processes to boot (at least 2,
-	// so a killed replica always leaves a survivor).
-	Replicas int `json:"replicas"`
-	// Streams is the total number of client streams; Workers how many run
-	// concurrently.
-	Streams int `json:"streams"`
-	Workers int `json:"workers"`
-	// Query is the streamed query text.
-	Query string `json:"-"`
-	// KillProb is the connection-sever probability of the transport-level
-	// chaos riding along (0 defaults to 0.4) — replica kills come on top.
-	KillProb float64 `json:"kill_prob"`
-	// Seed drives the connection-kill schedule deterministically.
-	Seed int64 `json:"seed"`
-	// Keepalive is the -keepalive interval the replicas are booted with
-	// (0 defaults to 25ms), so client stall watchdogs stay sound.
-	Keepalive time.Duration `json:"keepalive_ns"`
-}
-
-// FleetReport aggregates a fleet run. A run proves fleet-grade failover
-// exactly when DuplicateTuples == MissingTuples == Failed == 0 while
-// ReplicaKills > 0 and ConnKills > 0.
-type FleetReport struct {
-	Load            FleetLoad `json:"load"`
-	Streams         int       `json:"streams"`
-	ReplicaKills    int       `json:"replica_kills"`    // whole processes SIGKILLed
-	ReplicaRestarts int       `json:"replica_restarts"` // processes booted again on their old port
-	ConnKills       int64     `json:"conn_kills"`       // connections severed by the chaos transport
-	Failovers       int       `json:"failovers"`        // reconnects that switched replica
-	ClientRestarts  int       `json:"client_restarts"`  // restart-from-zero after a refused resume
-	Keepalives      int       `json:"keepalives"`       // keepalive events consumed by clients
-	StreamAudit
-}
+// replicaKeepalive is the -keepalive interval replicas boot with, so the
+// clients' stall watchdogs stay sound.
+const replicaKeepalive = 25 * time.Millisecond
 
 // fleetServingRE scrapes the actual listen address from a replica's
 // announce line — replicas boot on port 0 and let the kernel pick.
@@ -171,142 +132,75 @@ func (r *fleetReplica) waitHealthy() error {
 	return fmt.Errorf("loadgen: replica %s never became healthy", r.addr)
 }
 
-// RunFleet boots load.Replicas webbased processes from bin, drives
-// load.Streams queries through one multi-endpoint client over a
-// connection-severing transport, and — on a schedule keyed to completed
-// streams — SIGKILLs replicas and restarts them on their old ports. Every
-// completed stream's tuples are audited against a ground-truth answer
-// fetched once from a healthy replica.
-func RunFleet(bin string, load FleetLoad) (*FleetReport, error) {
-	if load.Replicas < 2 || load.Streams <= 0 || load.Workers <= 0 || load.Query == "" {
-		return nil, fmt.Errorf("loadgen: bad fleet load %+v", load)
-	}
-	if load.KillProb == 0 {
-		load.KillProb = 0.4
-	}
-	if load.Keepalive == 0 {
-		load.Keepalive = 25 * time.Millisecond
-	}
-	ctx := context.Background()
+// fleet is the booted replicas, in endpoint order.
+type fleet []*fleetReplica
 
-	replicas := make([]*fleetReplica, load.Replicas)
-	for i := range replicas {
+// bootFleet starts n replicas from bin. On failure none is left running.
+func bootFleet(bin string, n int) (fleet, error) {
+	f := make(fleet, 0, n)
+	for i := 0; i < n; i++ {
 		r := &fleetReplica{bin: bin}
-		if err := r.start(load.Keepalive); err != nil {
-			for _, prev := range replicas[:i] {
-				prev.kill()
-			}
+		if err := r.start(replicaKeepalive); err != nil {
+			f.kill()
 			return nil, err
 		}
-		replicas[i] = r
+		f = append(f, r)
 	}
-	defer func() {
-		for _, r := range replicas {
-			r.kill()
-		}
-	}()
+	return f, nil
+}
 
-	endpoints := make([]string, len(replicas))
-	for i, r := range replicas {
-		endpoints[i] = "http://" + r.addr
+func (f fleet) kill() {
+	for _, r := range f {
+		r.kill()
 	}
+}
 
-	// Ground truth: one uninterrupted stream from replica 0 over a plain
-	// transport. This also warms replica 0's page cache; the others warm
-	// on first contact, which is part of what the run exercises.
-	calm, err := client.New(client.Config{BaseURL: endpoints[0]})
-	if err != nil {
-		return nil, err
+func (f fleet) endpoints() []string {
+	urls := make([]string, len(f))
+	for i, r := range f {
+		urls[i] = "http://" + r.addr
 	}
-	want, _, err := collect(ctx, calm, load.Query)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: ground-truth stream: %w", err)
-	}
+	return urls
+}
 
-	chaos := &chaosTransport{
-		base: &http.Transport{MaxIdleConnsPerHost: 256},
-		rng:  rand.New(rand.NewSource(load.Seed)),
-		prob: load.KillProb,
+// schedule kills and reboots replicas at points keyed to how many of
+// total streams have ended — kill the second at ¼; reboot it and kill
+// the third at ½; reboot that at ¾ — so the fleet loses capacity while
+// streams are provably in flight and gets it back before the run drains.
+// At most one replica is down at a time, so a survivor always exists. It
+// returns when the schedule is done, a reboot fails, or stop closes; an
+// empty fleet has no schedule.
+func (f fleet) schedule(total int64, ended *atomic.Int64, stop <-chan struct{}, rep *Report) error {
+	if len(f) == 0 {
+		return nil
 	}
-	defer chaos.base.(*http.Transport).CloseIdleConnections()
-	fleet, err := client.New(client.Config{
-		Endpoints:    endpoints,
-		HTTPClient:   &http.Client{Transport: chaos},
-		MaxAttempts:  200, // the chaos schedule guarantees progress, not luck
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   16 * time.Millisecond,
-		StallTimeout: 10 * time.Second, // replicas emit keepalives, so this only fires on true stalls
-	})
-	if err != nil {
-		return nil, err
+	third := f[2%len(f)]
+	steps := []struct {
+		at           int64
+		reboot, kill *fleetReplica
+	}{
+		{total / 4, nil, f[1]},
+		{total / 2, f[1], third},
+		{3 * total / 4, third, nil},
 	}
-
-	rep := &FleetReport{Load: load, Streams: load.Streams}
-	var (
-		ctlErr    error // with the replica counts, the controller's until ctlDone closes
-		completed atomic.Int64
-	)
-
-	// Chaos controller: replica kills and restarts keyed to aggregate
-	// stream progress, so the fleet loses capacity while streams are
-	// provably in flight and gets it back before the run drains. At most
-	// one replica is down at a time — a survivor always exists.
-	stop := make(chan struct{})
-	ctlDone := make(chan struct{})
-	go func() {
-		defer close(ctlDone)
-		s := int64(load.Streams)
-		steps := []struct {
-			at  int64
-			act func()
-		}{
-			{s / 4, func() {
-				replicas[1].kill()
-				rep.ReplicaKills++
-			}},
-			{s / 2, func() {
-				if err := replicas[1].restart(load.Keepalive); err != nil {
-					ctlErr = err
-					return
-				}
-				rep.ReplicaRestarts++
-				replicas[2%len(replicas)].kill()
-				rep.ReplicaKills++
-			}},
-			{3 * s / 4, func() {
-				if err := replicas[2%len(replicas)].restart(load.Keepalive); err != nil {
-					ctlErr = err
-					return
-				}
-				rep.ReplicaRestarts++
-			}},
-		}
-		for _, step := range steps {
-			for completed.Load() < step.at {
-				select {
-				case <-stop:
-					return
-				case <-time.After(5 * time.Millisecond):
-				}
+	for _, step := range steps {
+		for ended.Load() < step.at {
+			select {
+			case <-stop:
+				return nil
+			case <-time.After(5 * time.Millisecond):
 			}
-			step.act()
 		}
-	}()
-
-	rep.StreamAudit = driveStreams(ctx, fleet, load.Query, load.Streams, load.Workers, want, func(st *client.Stream) {
-		if st != nil {
-			rep.Failovers += st.Failovers()
-			rep.ClientRestarts += st.Restarts()
-			rep.Keepalives += st.Keepalives()
+		if step.reboot != nil {
+			if err := step.reboot.restart(replicaKeepalive); err != nil {
+				return err
+			}
+			rep.ReplicaRestarts++
 		}
-		completed.Add(1)
-	})
-	close(stop)
-	<-ctlDone
-
-	rep.ConnKills = chaos.kills.Load()
-	if ctlErr != nil {
-		return rep, fmt.Errorf("loadgen: chaos controller: %w", ctlErr)
+		if step.kill != nil {
+			step.kill.kill()
+			rep.ReplicaKills++
+		}
 	}
-	return rep, nil
+	return nil
 }

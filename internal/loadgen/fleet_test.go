@@ -8,7 +8,7 @@ import (
 
 // TestFleetChaos is the fleet acceptance run: three webbased replica
 // processes serve one deterministic simulated Web while 32 streams run
-// through a single multi-endpoint client; mid-run, two replicas are (one
+// through one multi-endpoint client; mid-run, two replicas are (one
 // at a time) SIGKILLed and later rebooted on their old ports, and the
 // chaos transport keeps severing individual connections on top. The pass
 // condition is absolute: every stream completes, every completed stream's
@@ -19,20 +19,19 @@ func TestFleetChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process fleet harness")
 	}
-	bin := buildWebbased(t)
-	load := FleetLoad{
+	rep, err := Run(Scenario{
+		Binary:   buildWebbased(t),
 		Replicas: 3,
-		Streams:  32,
-		Workers:  8,
-		Query:    loadQuery,
+		Tenants:  []Tenant{{Name: "fleet", Streams: 32, Concurrency: 8}},
 		KillProb: 0.4,
 		Seed:     1,
-	}
-	rep, err := RunFleet(bin, load)
+		Query:    loadQuery,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	row := rep.Tenants[0]
 	if rep.ReplicaKills < 2 || rep.ReplicaRestarts < 2 {
 		t.Fatalf("replica kills=%d restarts=%d, want >=2/>=2 — the fleet chaos never happened",
 			rep.ReplicaKills, rep.ReplicaRestarts)
@@ -40,18 +39,17 @@ func TestFleetChaos(t *testing.T) {
 	if rep.ConnKills == 0 {
 		t.Fatal("chaos transport severed nothing — the transport chaos never happened")
 	}
-	if rep.Completed != rep.Streams || rep.Failed != 0 {
-		t.Fatalf("completed=%d failed=%d, want %d/0 — failover must survive every kill",
-			rep.Completed, rep.Failed, rep.Streams)
+	if row.Served != row.Streams || row.Shed != 0 || row.Failed != 0 {
+		t.Fatalf("served=%d shed=%d failed=%d, want %d/0/0 — failover must survive every kill",
+			row.Served, row.Shed, row.Failed, row.Streams)
 	}
-	if rep.DuplicateTuples != 0 || rep.MissingTuples != 0 {
+	if row.DuplicateTuples != 0 || row.MissingTuples != 0 {
 		t.Fatalf("duplicate=%d missing=%d tuples, want 0/0 — failover must stay exactly-once",
-			rep.DuplicateTuples, rep.MissingTuples)
+			row.DuplicateTuples, row.MissingTuples)
 	}
-	if rep.Failovers == 0 {
+	if row.Failovers == 0 {
 		t.Fatal("no stream ever switched replica, yet whole processes were killed")
 	}
-
 }
 
 // buildWebbased compiles the real cmd/webbased binary the fleet boots —

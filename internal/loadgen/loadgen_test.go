@@ -17,13 +17,13 @@ import (
 const loadQuery = "SELECT Make, Model, Year, Price WHERE Make = 'jaguar' AND Condition = 'good' AND Price < BBPrice"
 
 // TestServerLoad is the load-harness acceptance run: 64 concurrent
-// clients split across an interactive and a batch tenant hammer one
+// streams split across an interactive and a batch tenant hammer one
 // admission-protected server. The fixed-window quotas make shed
-// accounting exact — alice (quota 10) sheds exactly 54 of her 64
-// requests, bob (quota 6) sheds exactly 58 — and the interactive
-// tenant's served p99 must sit inside interactiveP99BoundMs: the
-// protection stack keeps the served tail flat no matter how wide the
-// burst is.
+// accounting exact — alice (quota 10) sheds exactly 54 of its 64
+// streams, bob (quota 6) sheds exactly 58 — every served stream must be
+// the whole answer exactly once, and the interactive tenant's served p99
+// must sit inside interactiveP99BoundMs: the protection stack keeps the
+// served tail flat no matter how wide the burst is.
 func TestServerLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load harness")
@@ -46,7 +46,7 @@ func TestServerLoad(t *testing.T) {
 		Tenants: []server.Tenant{
 			{Key: "alicekey", Name: "alice", Class: core.ClassInteractive, Quota: 10, Window: time.Hour},
 			{Key: "bobkey", Name: "bob", Class: core.ClassBatch, Quota: 6, Window: time.Hour},
-			{Key: "warmkey", Name: "warmup", Class: core.ClassBatch}, // no quota; pre-run cache warming only
+			{Key: "warmkey", Name: "warmup", Class: core.ClassBatch}, // no quota; the ground-truth stream only
 		},
 	})
 	if err != nil {
@@ -55,25 +55,26 @@ func TestServerLoad(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// One warmup query populates the page cache, so the measured run
-	// exercises HTTP + streaming + admission rather than 64 simultaneous
-	// cold crawls of the simulated web — matching the envelope's
-	// steady-state framing.
-	if _, err := Run(ts.URL, []TenantLoad{{Name: "warmup", Key: "warmkey", Clients: 1, PerClient: 1}}, loadQuery); err != nil {
-		t.Fatal(err)
-	}
-
-	loads := []TenantLoad{
-		{Name: "alice", Key: "alicekey", Clients: 32, PerClient: 2},
-		{Name: "bob", Key: "bobkey", Clients: 32, PerClient: 2},
-	}
-	rep, err := Run(ts.URL, loads, loadQuery)
+	// The ground-truth stream runs under the quota-free warmup key first,
+	// so it also populates the page cache: the measured run exercises
+	// HTTP + streaming + admission rather than 64 simultaneous cold crawls
+	// of the simulated web — matching the envelope's steady-state framing.
+	rep, err := Run(Scenario{
+		Endpoints: []string{ts.URL},
+		Tenants: []Tenant{
+			{Name: "alice", Key: "alicekey", Streams: 64, Concurrency: 32},
+			{Name: "bob", Key: "bobkey", Streams: 64, Concurrency: 32},
+		},
+		GroundKey: "warmkey",
+		Query:     loadQuery,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Exact per-tenant shed accounting: requests beyond the window quota
-	// shed, nothing fails.
+	// Exact per-tenant shed accounting: streams beyond the window quota
+	// shed, nothing fails, and every served stream is the whole answer
+	// exactly once.
 	wantOutcomes := []struct {
 		name         string
 		served, shed int
@@ -81,14 +82,18 @@ func TestServerLoad(t *testing.T) {
 		{"alice", 10, 54},
 		{"bob", 6, 58},
 	}
-	for _, w := range wantOutcomes {
-		tr := rep.ByTenant(w.name)
-		if tr == nil {
-			t.Fatalf("no report for tenant %s", w.name)
+	for i, w := range wantOutcomes {
+		tr := rep.Tenants[i]
+		if tr.Name != w.name {
+			t.Fatalf("row %d is tenant %s, want %s", i, tr.Name, w.name)
 		}
-		if tr.Requests != 64 || tr.Served != w.served || tr.Shed != w.shed || tr.Failed != 0 {
-			t.Errorf("%s: requests=%d served=%d shed=%d failed=%d, want 64/%d/%d/0",
-				w.name, tr.Requests, tr.Served, tr.Shed, tr.Failed, w.served, w.shed)
+		if tr.Streams != 64 || tr.Served != w.served || tr.Shed != w.shed || tr.Failed != 0 {
+			t.Errorf("%s: streams=%d served=%d shed=%d failed=%d, want 64/%d/%d/0",
+				w.name, tr.Streams, tr.Served, tr.Shed, tr.Failed, w.served, w.shed)
+		}
+		if tr.DuplicateTuples != 0 || tr.MissingTuples != 0 {
+			t.Errorf("%s: duplicate=%d missing=%d tuples over served streams, want 0/0",
+				w.name, tr.DuplicateTuples, tr.MissingTuples)
 		}
 		if tr.Served > 0 && (tr.P50Ms <= 0 || tr.P99Ms < tr.P50Ms) {
 			t.Errorf("%s: implausible latency percentiles p50=%.1fms p99=%.1fms", w.name, tr.P50Ms, tr.P99Ms)
@@ -117,8 +122,7 @@ func TestServerLoad(t *testing.T) {
 	if raceEnabled {
 		bound *= 4
 	}
-	alice := rep.ByTenant("alice")
-	if alice.P99Ms >= bound {
+	if alice := rep.Tenants[0]; alice.P99Ms >= bound {
 		t.Errorf("interactive p99 = %.1fms, want < %.1fms", alice.P99Ms, bound)
 	}
 }
@@ -142,4 +146,39 @@ func fetchMetrics(t *testing.T, baseURL string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestScenarioValidation: a scenario that cannot run is refused; Run
+// checks this before anything boots or connects.
+func TestScenarioValidation(t *testing.T) {
+	ok := Scenario{
+		Endpoints: []string{"http://127.0.0.1:1"},
+		Tenants:   []Tenant{{Name: "a", Streams: 1, Concurrency: 1}},
+		Query:     loadQuery,
+	}
+	cases := []struct {
+		name string
+		edit func(*Scenario)
+	}{
+		{"no tenants", func(s *Scenario) { s.Tenants = nil }},
+		{"tenant without streams", func(s *Scenario) { s.Tenants = []Tenant{{Name: "a", Concurrency: 1}} }},
+		{"tenant without concurrency", func(s *Scenario) { s.Tenants = []Tenant{{Name: "a", Streams: 1}} }},
+		{"tenant without name", func(s *Scenario) { s.Tenants = []Tenant{{Streams: 1, Concurrency: 1}} }},
+		{"one replica", func(s *Scenario) { s.Endpoints, s.Binary, s.Replicas = nil, "webbased", 1 }},
+		{"replicas and endpoints", func(s *Scenario) { s.Binary, s.Replicas = "webbased", 3 }},
+		{"nowhere", func(s *Scenario) { s.Endpoints = nil }},
+		{"empty query", func(s *Scenario) { s.Query = "" }},
+	}
+	if err := ok.validate(); err != nil {
+		t.Fatalf("valid scenario refused: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := ok
+			tc.edit(&s)
+			if err := s.validate(); err == nil {
+				t.Fatalf("scenario accepted: %+v", s)
+			}
+		})
+	}
 }

@@ -311,7 +311,7 @@ func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
 // does reach the stack still meets them.
 func TestReusedVisitSpendsNothingBelow(t *testing.T) {
 	site := newReuseSite()
-	stack := web.WithDeadlineBudget(web.WithRetry(site, 1, nil), nil)
+	stack := web.WithDeadlineBudget(web.WithRetryPolicy(site, web.RetryPolicy{Retries: 1}, nil), nil)
 	q := &web.Query{RetryBudget: 1}
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

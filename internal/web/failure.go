@@ -63,11 +63,12 @@ func (f *Flaky) Fetch(req *Request) (*Response, error) {
 func (f *Flaky) Attempts() uint64 { return f.seq.Load() }
 
 // Backoff spaces re-issued attempts exponentially: the n-th retry waits
-// roughly Base·2ⁿ⁻¹, capped at Max, with deterministic per-URL jitter —
-// the final delay lands in [d/2, d] at a point chosen by hashing
-// (attempt, URL), so concurrent retries against one host decorrelate
-// without introducing real randomness (runs stay reproducible). The zero
-// value disables waiting entirely (the historical tight loop).
+// roughly Base·2ⁿ⁻¹, capped at Max, with deterministic per-request jitter
+// — the final delay lands in [d/2, d] at a point chosen by hashing
+// (attempt, request), so concurrent retries against one host decorrelate
+// without introducing real randomness (runs stay reproducible). It is the
+// one jitter: fetch retries key it by URL, the client's reconnects by
+// request ID. The zero value disables waiting entirely.
 type Backoff struct {
 	Base time.Duration // first retry's nominal delay; 0 disables backoff
 	Max  time.Duration // cap on the exponential growth; 0 = uncapped
@@ -97,12 +98,12 @@ func (b Backoff) Nominal(n int) time.Duration {
 }
 
 // Delay returns the wait before the retry-th re-issued attempt (retry
-// counts from 1) of rawurl.
-func (b Backoff) Delay(rawurl string, retry int) time.Duration {
+// counts from 1) of the request id names.
+func (b Backoff) Delay(id string, retry int) time.Duration {
 	d := b.Nominal(retry)
 	if half := d / 2; half > 0 {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s", retry, rawurl)
+		fmt.Fprintf(h, "%d|%s", retry, id)
 		d = half + time.Duration(h.Sum64()%uint64(half+1))
 	}
 	return d
@@ -187,12 +188,6 @@ func WithRetryPolicy(inner Fetcher, p RetryPolicy, stats *Stats) Fetcher {
 		return nil, MarkOutage(&HostError{Host: hostOf(req.URL),
 			Err: fmt.Errorf("web: %d attempts failed: %w", attempts, lastErr)})
 	})
-}
-
-// WithRetry is WithRetryPolicy without backoff, kept for callers that
-// only care about the attempt count.
-func WithRetry(inner Fetcher, retries int, stats *Stats) Fetcher {
-	return WithRetryPolicy(inner, RetryPolicy{Retries: retries}, stats)
 }
 
 // OutageMemo remembers, for the lifetime of one query (it is a field of

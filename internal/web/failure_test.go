@@ -138,7 +138,7 @@ func TestFlakyDisabled(t *testing.T) {
 
 func TestWithRetryRecovers(t *testing.T) {
 	flaky := &Flaky{Inner: okFetcher(), FailEvery: 2} // ~half of fetches fail
-	f := WithRetry(flaky, 5, &Stats{})
+	f := WithRetryPolicy(flaky, RetryPolicy{Retries: 5}, &Stats{})
 	for i := 0; i < 100; i++ {
 		if _, err := f.Fetch(NewGet("http://h/x")); err != nil {
 			t.Fatalf("retry did not recover: %v", err)
@@ -150,7 +150,7 @@ func TestWithRetryGivesUp(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	f := WithRetry(always, 2, nil)
+	f := WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil)
 	_, err := f.Fetch(NewGet("http://h/x"))
 	if !errors.Is(err, ErrSimulatedOutage) {
 		t.Fatalf("err = %v", err)
@@ -161,7 +161,7 @@ func TestWithRetryPassesStatusThrough(t *testing.T) {
 	notFound := FetcherFunc(func(req *Request) (*Response, error) {
 		return NotFound(req.URL), nil
 	})
-	resp, err := WithRetry(notFound, 3, nil).Fetch(NewGet("http://h/x"))
+	resp, err := WithRetryPolicy(notFound, RetryPolicy{Retries: 3}, nil).Fetch(NewGet("http://h/x"))
 	if err != nil || resp.Status != 404 {
 		t.Fatalf("404 should pass through unretried: %v %v", resp, err)
 	}
@@ -178,7 +178,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first attempt
-	f := WithRetry(always, 100, nil)
+	f := WithRetryPolicy(always, RetryPolicy{Retries: 100}, nil)
 	_, err := f.Fetch(NewGet("http://h/x").WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -196,7 +196,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 		}
 		return nil, ErrSimulatedOutage
 	})
-	_, err = WithRetry(cancelling, 100, nil).Fetch(NewGet("http://h/y").WithContext(ctx2))
+	_, err = WithRetryPolicy(cancelling, RetryPolicy{Retries: 100}, nil).Fetch(NewGet("http://h/y").WithContext(ctx2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-retry err = %v, want context.Canceled", err)
 	}
@@ -212,7 +212,7 @@ func TestWithRetryClassifiesTerminalFailure(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	_, err := WithRetry(always, 2, nil).Fetch(NewGet("http://dead.example/x"))
+	_, err := WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil).Fetch(NewGet("http://dead.example/x"))
 	if !IsOutage(err) {
 		t.Fatalf("terminal failure not classified as outage: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestRetryBudget(t *testing.T) {
 		calls.Add(1)
 		return nil, ErrSimulatedOutage
 	})
-	f := WithRetry(always, 10, nil)
+	f := WithRetryPolicy(always, RetryPolicy{Retries: 10}, nil)
 	ctx := WithQuery(context.Background(), &Query{RetryBudget: 3})
 
 	_, err := f.Fetch(NewGet("http://h/a").WithContext(ctx))
@@ -390,7 +390,7 @@ func TestOutageMemoReplays(t *testing.T) {
 		}
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
 	})
-	f := WithOutageMemo(WithRetry(always, 2, nil))
+	f := WithOutageMemo(WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil))
 	q := &Query{}
 	memo := &q.Memo
 	ctx := WithQuery(context.Background(), q)

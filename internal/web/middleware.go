@@ -22,7 +22,7 @@ const (
 	staleServed // expired entries a Cache served a query on error
 	deduped     // fetches collapsed onto an in-flight one by WithSingleflight
 	limiterWait // accumulated time spent waiting for host slots, ns
-	retries     // failed attempts that WithRetry re-issued
+	retries     // failed attempts that WithRetryPolicy re-issued
 	breakerRejects
 	hedges
 	hedgeWins
@@ -93,18 +93,18 @@ func (s *Stats) StaleServed() int64 { return s.n[staleServed].Load() }
 func (s *Stats) Deduped() int64 { return s.n[deduped].Load() }
 
 // PeakInFlight returns the high-water mark of concurrently executing
-// fetches observed by WithHostLimit — how parallel the fetch stack
+// fetches observed by WithBulkhead — how parallel the fetch stack
 // actually ran. It is a gauge of the stack, not a count: queries' fetches
 // overlap, so it lives only on the Stats the stack was constructed with.
 func (s *Stats) PeakInFlight() int64 { return s.peakInflight.Load() }
 
 // LimiterWait returns the total time fetches spent queued behind the
-// per-host concurrency cap of WithHostLimit.
+// per-host concurrency cap of WithBulkhead.
 func (s *Stats) LimiterWait() time.Duration {
 	return time.Duration(s.n[limiterWait].Load())
 }
 
-// Retries returns how many failed fetch attempts WithRetry re-issued.
+// Retries returns how many failed fetch attempts WithRetryPolicy re-issued.
 func (s *Stats) Retries() int64 { return s.n[retries].Load() }
 
 // BreakerRejects returns how many fetches an open circuit breaker

@@ -19,7 +19,7 @@ func buildStack(failEvery uint64, retries int) (Fetcher, *Stats, *Cache) {
 	raw := &Flaky{Inner: okFetcher(), FailEvery: failEvery}
 	f := WithRetryPolicy(raw, RetryPolicy{Retries: retries}, stats)
 	f = Counting(f, stats)
-	f = WithHostLimit(f, 2, stats)
+	f = WithBulkhead(f, 2, 0, stats)
 	f = WithBreaker(f, BreakerConfig{Window: 64, FailureRatio: 0.99,
 		Cooldown: time.Hour, Clock: newTick().Clock()}, stats)
 	f = WithOutageMemo(f)
@@ -141,7 +141,7 @@ func TestStackDeadHostIsolated(t *testing.T) {
 			})
 			f := WithRetryPolicy(raw, RetryPolicy{Retries: 2}, stats)
 			f = Counting(f, stats)
-			f = WithHostLimit(f, 2, stats)
+			f = WithBulkhead(f, 2, 0, stats)
 			f = WithOutageMemo(f)
 			cache := NewCache()
 			f = WithCacheLookup(WithSingleflight(WithCacheFill(f, cache), stats), cache)

@@ -110,8 +110,8 @@ type (
 	Redesign = web.Redesign
 	// Rewrite is one textual substitution a Redesign applies.
 	Rewrite = web.Rewrite
-	// QueryClass is a query's admission priority (Config.QueryClass,
-	// WithQueryClass); under overload ClassBatch sheds first.
+	// QueryClass is a query's admission priority (WithQueryClass);
+	// under overload ClassBatch sheds first.
 	QueryClass = core.QueryClass
 	// World is the built-in simulated car-shopping Web with its
 	// ground-truth datasets.
@@ -176,7 +176,7 @@ var (
 	IsDrift = web.IsDrift
 )
 
-// Admission priority classes (Config.QueryClass, WithQueryClass).
+// Admission priority classes (WithQueryClass).
 const (
 	// ClassInteractive: a user is waiting; shed last.
 	ClassInteractive = core.ClassInteractive
@@ -185,7 +185,7 @@ const (
 )
 
 // WithQueryClass marks ctx so queries issued under it are admitted at the
-// given class, overriding Config.QueryClass.
+// given class. A query without one is ClassInteractive.
 var WithQueryClass = core.WithQueryClass
 
 // Durable state tier (Config.StateDir). The store sits strictly below the

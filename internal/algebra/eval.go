@@ -35,7 +35,11 @@ func Eval(e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relat
 // leftmost branch's error is reported (sibling branches are not aborted
 // mid-flight, but their results are discarded).
 func EvalContext(ctx context.Context, e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
-	return evalSpanned(ctx, trace.Start(ctx, trace.KindOp, opLabel(e)), e, cat, bound)
+	var sp *trace.Span
+	if parent := trace.FromContext(ctx); parent != nil {
+		sp = parent.Start(trace.KindOp, opLabel(e)) // a label is built only for a span
+	}
+	return evalSpanned(ctx, sp, e, cat, bound)
 }
 
 // opLabel names an operator span: the operator symbol plus its own

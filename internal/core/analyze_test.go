@@ -111,6 +111,45 @@ func TestExplainAnalyzeParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestSharedEvaluationsTracedOnce: a relation both maximal objects read
+// is traced where a sequential run evaluates it. Each scan of the blue book
+// or of reliability either carries its evaluation or is marked shared=1
+// and has nothing beneath it; reliability, read with the same make by both
+// objects, is evaluated under the first object and shared by the second,
+// at any worker count.
+func TestSharedEvaluationsTracedOnce(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		_, _, tr, _ := tracedRun(t, workers)
+		counts := map[string][2]int{} // relation → evaluated, shared
+		for i, obj := range tr.Root.Children() {
+			obj.Walk(func(s *trace.Span) {
+				if s.Kind() != trace.KindOp || (s.Name() != "bluePrice" && s.Name() != "reliability") {
+					return
+				}
+				c := counts[s.Name()]
+				switch shared, kids := s.Counter("shared"), len(s.Children()); {
+				case shared == 1 && kids == 0:
+					c[1]++
+				case shared == 0 && kids > 0:
+					c[0]++
+					if s.Name() == "reliability" && i != 0 {
+						t.Errorf("workers=%d: reliability evaluated under object %d, not the first", workers, i)
+					}
+				default:
+					t.Errorf("workers=%d: %s %s has shared=%d and %d children", workers, s.ID(), s.Name(), shared, kids)
+				}
+				counts[s.Name()] = c
+			})
+		}
+		if c := counts["reliability"]; c != [2]int{1, 1} {
+			t.Errorf("workers=%d: reliability evaluated %d times and shared %d, want once each", workers, c[0], c[1])
+		}
+		if c := counts["bluePrice"]; c[0] == 0 || c[1] == 0 {
+			t.Errorf("workers=%d: bluePrice evaluated %d times and shared %d; both objects read it", workers, c[0], c[1])
+		}
+	}
+}
+
 // TestTraceAccounting is the cross-layer accounting property: what the
 // trace records must reconcile with what the fetch stack and the query's
 // page set counted. Every page visit has a fetch span, served by the

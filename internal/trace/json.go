@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"strconv"
 	"time"
 )
 
@@ -29,11 +30,11 @@ func (t *Trace) JSON() ([]byte, error) {
 // Export converts the span tree to its JSON form.
 func (t *Trace) Export() *SpanJSON {
 	epoch := t.Root.startTime()
-	var conv func(s *Span) *SpanJSON
-	conv = func(s *Span) *SpanJSON {
+	var conv func(s *Span, id string) *SpanJSON
+	conv = func(s *Span, id string) *SpanJSON {
 		s.mu.Lock()
 		j := &SpanJSON{
-			ID:      s.id,
+			ID:      id,
 			Kind:    s.kind.String(),
 			Name:    s.name,
 			StartNS: s.start.Sub(epoch).Nanoseconds(),
@@ -56,12 +57,12 @@ func (t *Trace) Export() *SpanJSON {
 		}
 		children := append([]*Span(nil), s.children...)
 		s.mu.Unlock()
-		for _, c := range children {
-			j.Children = append(j.Children, conv(c))
+		for i, c := range children {
+			j.Children = append(j.Children, conv(c, id+"."+strconv.Itoa(i)))
 		}
 		return j
 	}
-	return conv(t.Root)
+	return conv(t.Root, t.Root.ID())
 }
 
 func (s *Span) startTime() time.Time {

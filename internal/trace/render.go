@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -37,19 +38,19 @@ func (t *Trace) Render(opts RenderOptions) string {
 // exactly that.
 func (t *Trace) Structure() string {
 	var sb strings.Builder
-	var walk func(s *Span, depth int)
-	walk = func(s *Span, depth int) {
-		fmt.Fprintf(&sb, "%s%s %s %s", strings.Repeat("  ", depth), s.ID(), s.Kind(), s.Name())
+	var walk func(s *Span, id string, depth int)
+	walk = func(s *Span, id string, depth int) {
+		fmt.Fprintf(&sb, "%s%s %s %s", strings.Repeat("  ", depth), id, s.Kind(), s.Name())
 		writeCounters(&sb, s.countersSnapshot())
 		if e := s.Err(); e != "" {
 			fmt.Fprintf(&sb, " error=%q", e)
 		}
 		sb.WriteByte('\n')
-		for _, c := range s.Children() {
-			walk(c, depth+1)
+		for i, c := range s.Children() {
+			walk(c, id+"."+strconv.Itoa(i), depth+1)
 		}
 	}
-	walk(t.Root, 0)
+	walk(t.Root, t.Root.ID(), 0)
 	return sb.String()
 }
 

@@ -23,6 +23,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -76,7 +77,7 @@ func New(rootName string, clock func() time.Time) *Trace {
 		clock = time.Now
 	}
 	t := &Trace{clock: clock}
-	t.Root = &Span{trace: t, kind: KindQuery, name: rootName, id: "0", start: clock()}
+	t.Root = &Span{trace: t, kind: KindQuery, name: rootName, start: clock()}
 	return t
 }
 
@@ -88,9 +89,14 @@ type Span struct {
 	trace *Trace
 	kind  Kind
 	name  string
-	id    string // plan-order path ID: "0", "0.1", "0.1.2", ...
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// The span's place in the tree: its parent (nil for the root) and its
+	// position among the parent's children. The plan-order path ID
+	// ("0", "0.1", "0.1.2", ...) is read off them, so a subtree Share
+	// moves is numbered where it lands.
+	parent   *Span
+	index    int
 	start    time.Time
 	end      time.Time
 	err      string
@@ -107,9 +113,9 @@ func (s *Span) Start(kind Kind, name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{trace: s.trace, kind: kind, name: name, start: s.trace.clock()}
+	c := &Span{trace: s.trace, kind: kind, name: name, parent: s, start: s.trace.clock()}
 	s.mu.Lock()
-	c.id = fmt.Sprintf("%s.%d", s.id, len(s.children))
+	c.index = len(s.children)
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
@@ -197,7 +203,80 @@ func (s *Span) ID() string {
 	if s == nil {
 		return ""
 	}
-	return s.id
+	id := []byte{'0'}
+	for _, i := range s.path() {
+		id = strconv.AppendInt(append(id, '.'), int64(i), 10)
+	}
+	return string(id)
+}
+
+func (s *Span) place() (*Span, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.parent, s.index
+}
+
+// before reports whether s comes before o in plan order: depth first, the
+// children of a span in creation order.
+func (s *Span) before(o *Span) bool {
+	a, b := s.path(), o.path()
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}
+
+// path returns the child positions from the root down to s.
+func (s *Span) path() []int {
+	var p []int
+	for parent, index := s.place(); parent != nil; parent, index = parent.place() {
+		p = append(p, index)
+	}
+	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// Share records one evaluation that several spans read: it ran under
+// evaluator, itself one of readers, and every reader got its result. The
+// evaluation's spans move under the reader that comes first in plan order,
+// and every other reader is marked shared=1. That is where a sequential
+// run records them, whichever reader happened to run the evaluation, so
+// the tree stays the same at any worker count. Call it once the evaluation
+// and all its readers are done.
+func Share(evaluator *Span, readers []*Span) {
+	if evaluator == nil || len(readers) == 0 {
+		return
+	}
+	first := readers[0]
+	for _, r := range readers[1:] {
+		if r.before(first) {
+			first = r
+		}
+	}
+	if first != evaluator {
+		evaluator.mu.Lock()
+		moved := evaluator.children
+		evaluator.children = nil
+		evaluator.mu.Unlock()
+		first.mu.Lock()
+		at := len(first.children)
+		first.children = append(first.children, moved...)
+		first.mu.Unlock()
+		for i, c := range moved {
+			c.mu.Lock()
+			c.parent, c.index = first, at+i
+			c.mu.Unlock()
+		}
+	}
+	for _, r := range readers {
+		if r != first {
+			r.Set("shared", 1)
+		}
+	}
 }
 
 // Err returns the recorded error message ("" for a clean span).

@@ -201,3 +201,38 @@ func TestConcurrentSpanUse(t *testing.T) {
 		}
 	}
 }
+
+// TestShareGivesTheEvaluationToTheFirstReader: an evaluation a later
+// reader ran moves under the reader that comes first in plan order and is
+// numbered where it lands, and the other reader is marked shared=1 with no
+// children — the tree a sequential run, in which the first reader runs the
+// evaluation itself, records.
+func TestShareGivesTheEvaluationToTheFirstReader(t *testing.T) {
+	build := func(evaluatorFirst bool) (*Trace, *Span) {
+		tr := New("q", fakeClock())
+		first := tr.Root.Start(KindObject, "object A").Start(KindOp, "book")
+		second := tr.Root.Start(KindObject, "object B").Start(KindOp, "book")
+		evaluator := second
+		if evaluatorFirst {
+			evaluator = first
+		}
+		h := evaluator.Start(KindHandle, "book via kellys")
+		h.Start(KindFetch, "http://kellys.example/").Set("bytes", 10)
+		Share(evaluator, []*Span{second, first})
+		return tr, h
+	}
+	sequential, _ := build(true)
+	parallel, h := build(false)
+	if got, want := parallel.Structure(), sequential.Structure(); got != want {
+		t.Errorf("structure depends on which reader ran the evaluation\n--- first ran it ---\n%s--- second ran it ---\n%s", want, got)
+	}
+	if h.ID() != "0.0.0.0" {
+		t.Errorf("moved handle span has ID %s, want 0.0.0.0", h.ID())
+	}
+	if !strings.Contains(parallel.Structure(), "    0.1.0 op book shared=1\n") {
+		t.Errorf("second reader not marked shared:\n%s", parallel.Structure())
+	}
+	if root := parallel.Export(); root.Children[0].Children[0].Children[0].ID != "0.0.0.0" {
+		t.Errorf("exported IDs do not follow the move: %+v", root.Children[0].Children[0])
+	}
+}

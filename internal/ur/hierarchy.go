@@ -165,22 +165,6 @@ func (h *Hierarchy) AttrsOf(rel string) []string {
 	return attrLeaves(node)
 }
 
-// RelationsWithAttr returns the relations whose leaves include attr,
-// sorted — the candidate sources the planner considers for each query
-// attribute.
-func (h *Hierarchy) RelationsWithAttr(attr string) []string {
-	var out []string
-	for _, r := range h.Relations() {
-		for _, a := range h.AttrsOf(r) {
-			if a == attr {
-				out = append(out, r)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // AllAttrs returns every distinct attribute leaf, sorted: the universal
 // relation's schema as presented to the user.
 func (h *Hierarchy) AllAttrs() []string {

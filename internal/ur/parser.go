@@ -101,12 +101,8 @@ func ParseQuery(s *Schema, text string) (Query, error) {
 	if wherePart == "" {
 		return q, nil
 	}
-	attrs := make(map[string]bool)
-	for _, a := range s.Hierarchy.AllAttrs() {
-		attrs[a] = true
-	}
 	for _, clause := range splitFold(wherePart, "and") {
-		cond, err := parseCondition(strings.TrimSpace(clause), attrs)
+		cond, err := parseCondition(strings.TrimSpace(clause), s.attrs)
 		if err != nil {
 			return q, err
 		}

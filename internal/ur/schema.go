@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,12 +28,74 @@ type Schema struct {
 	// relation of the same name.
 	Mapping map[string]string
 
-	// maximal objects are precomputed at construction.
+	// Derived at construction, which fixes the hierarchy and the rules:
+	// the maximal objects, what planning needs to know of each, and every
+	// attribute leaf.
 	objects [][]string
+	index   []objectIndex
+	attrs   map[string]bool
+}
+
+// objectIndex is one maximal object as the planner reads it. A subset of
+// the object is a bit set over its relations, in the object's (sorted)
+// order, so a candidate cover is tested without building it.
+type objectIndex struct {
+	// carriers sends an attribute to the object's relations that carry it.
+	carriers map[string]uint32
+	// rules are the positive rules every relation of which lies in the
+	// object; no other rule can justify a member of a subset of it. No
+	// negative rule can veto one either: a negative rule whose relations
+	// all lay in the object would veto the object itself.
+	rules []maskRule
+}
+
+type maskRule struct{ target, context uint32 }
+
+// newObjectIndex indexes one maximal object (MaximalObjects bounds its
+// size to MaxRelationsForEnumeration, well inside 32 bits).
+func newObjectIndex(leaves map[string][]string, object []string, rules []Rule) objectIndex {
+	bit := make(map[string]uint32, len(object))
+	ix := objectIndex{carriers: make(map[string]uint32)}
+	for i, r := range object {
+		bit[r] = 1 << uint(i)
+		for _, a := range leaves[r] {
+			ix.carriers[a] |= 1 << uint(i)
+		}
+	}
+rules:
+	for _, rule := range rules {
+		mr := maskRule{target: bit[rule.Target]}
+		if rule.Negative || mr.target == 0 {
+			continue
+		}
+		for _, c := range rule.Context {
+			if bit[c] == 0 {
+				continue rules
+			}
+			mr.context |= bit[c]
+		}
+		// A relation is not its own justification (Compatible).
+		if mr.context&mr.target == 0 {
+			ix.rules = append(ix.rules, mr)
+		}
+	}
+	return ix
+}
+
+// compatible is Compatible for the subset sub of the object: every member
+// is justified by a rule whose context lies in sub.
+func (ix *objectIndex) compatible(sub uint32) bool {
+	var justified uint32
+	for _, r := range ix.rules {
+		if r.context&^sub == 0 {
+			justified |= r.target
+		}
+	}
+	return justified&sub == sub
 }
 
 // NewSchema validates and assembles a UR schema, precomputing its maximal
-// objects.
+// objects and what planning reads of them.
 func NewSchema(name string, h *Hierarchy, rules []Rule, mapping map[string]string) (*Schema, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
@@ -51,10 +115,21 @@ func NewSchema(name string, h *Hierarchy, rules []Rule, mapping map[string]strin
 			}
 		}
 	}
-	s := &Schema{Name: name, Hierarchy: h, Rules: rules, Mapping: mapping}
+	s := &Schema{Name: name, Hierarchy: h, Rules: rules, Mapping: mapping, attrs: make(map[string]bool)}
 	s.objects = MaximalObjects(rels, rules)
 	if len(s.objects) == 0 {
 		return nil, fmt.Errorf("ur: schema %s has no compatible relation sets — check the ⊕ rules", name)
+	}
+	leaves := make(map[string][]string, len(rels))
+	for _, r := range rels {
+		leaves[r] = h.AttrsOf(r)
+		for _, a := range leaves[r] {
+			s.attrs[a] = true
+		}
+	}
+	s.index = make([]objectIndex, len(s.objects))
+	for i, obj := range s.objects {
+		s.index[i] = newObjectIndex(leaves, obj, rules)
 	}
 	return s, nil
 }
@@ -83,13 +158,11 @@ type Query struct {
 	Limit   int
 }
 
-// Attrs returns every attribute the query mentions.
+// Attrs returns every attribute the query mentions, sorted.
 func (q Query) Attrs() []string {
-	seen := make(map[string]bool)
-	var out []string
+	out := make([]string, 0, len(q.Output)+2*len(q.Conditions))
 	add := func(a string) {
-		if a != "" && !seen[a] {
-			seen[a] = true
+		if a != "" && !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}
@@ -144,6 +217,11 @@ type PlanObject struct {
 type Plan struct {
 	Query   Query
 	Objects []PlanObject
+	// Shared names, in plan order, the logical relations that the
+	// expressions of more than one object read. EvalStream evaluates each
+	// of them once per distinct inputs for the whole query; nil when the
+	// objects read disjoint relations.
+	Shared []string
 }
 
 // String renders the plan in the style of Example 6.2's object listing.
@@ -174,33 +252,35 @@ func (s *Schema) Plan(q Query) (*Plan, error) {
 	if len(q.Output) == 0 {
 		return nil, fmt.Errorf("ur: query has no output attributes")
 	}
-	outSeen := make(map[string]bool, len(q.Output))
-	for _, a := range q.Output {
-		if outSeen[a] {
+	for i, a := range q.Output {
+		if slices.Contains(q.Output[:i], a) {
 			return nil, fmt.Errorf("ur: output attribute %q listed twice", a)
 		}
-		outSeen[a] = true
 	}
 	for _, a := range attrs {
-		if len(s.Hierarchy.RelationsWithAttr(a)) == 0 {
+		if !s.attrs[a] {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownAttribute, a)
 		}
 	}
 	plan := &Plan{Query: q}
-	seen := make(map[string]bool)
-	for _, obj := range s.objects {
-		if !coversAll(s.Hierarchy, obj, attrs) {
-			continue
+	need := make([]uint32, len(attrs))
+objects:
+	for i, obj := range s.objects {
+		// need[k]: the object's relations that carry the k-th attribute.
+		for k, a := range attrs {
+			if need[k] = s.index[i].carriers[a]; need[k] == 0 {
+				continue objects
+			}
 		}
-		sub := s.minimalCover(obj, attrs)
+		sub := minimalCover(obj, &s.index[i], need)
 		if sub == nil {
 			continue
 		}
-		key := strings.Join(sub, ",")
-		if seen[key] {
-			continue
+		for _, o := range plan.Objects {
+			if slices.Equal(o.Relations, sub) {
+				continue objects
+			}
 		}
-		seen[key] = true
 		expr, err := s.buildExpr(sub, q)
 		if err != nil {
 			return nil, err
@@ -210,45 +290,69 @@ func (s *Schema) Plan(q Query) (*Plan, error) {
 	if len(plan.Objects) == 0 {
 		return nil, fmt.Errorf("%w: attributes %v (objects: %v)", ErrNotCoverable, attrs, s.objects)
 	}
+	plan.Shared = s.shared(plan.Objects)
 	return plan, nil
 }
 
 // minimalCover finds the smallest compatible subset of object covering the
-// attributes; among equal sizes the lexicographically first is taken.
-func (s *Schema) minimalCover(object, attrs []string) []string {
-	n := len(object)
-	var best []string
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		var sub []string
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				sub = append(sub, object[i])
+// attributes, given as need (see Plan); among equal sizes the first in
+// subset-mask order is taken. Only the winner is built.
+func minimalCover(object []string, ix *objectIndex, need []uint32) []string {
+	best, size := uint32(0), len(object)+1
+subsets:
+	for sub := uint32(1); sub < 1<<uint(len(object)); sub++ {
+		n := bits.OnesCount32(sub)
+		if n >= size {
+			continue
+		}
+		for _, m := range need {
+			if m&sub == 0 {
+				continue subsets
 			}
 		}
-		if best != nil && len(sub) >= len(best) {
-			continue
+		if ix.compatible(sub) {
+			best, size = sub, n
 		}
-		if !coversAll(s.Hierarchy, sub, attrs) || !Compatible(sub, s.Rules) {
-			continue
-		}
-		best = sub
 	}
-	return best
+	if best == 0 {
+		return nil
+	}
+	out := make([]string, 0, size)
+	for i, r := range object {
+		if best&(1<<uint(i)) != 0 {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
-func coversAll(h *Hierarchy, rels, attrs []string) bool {
-	have := make(map[string]bool)
-	for _, r := range rels {
-		for _, a := range h.AttrsOf(r) {
-			have[a] = true
+// shared returns the logical relations more than one object reads, in
+// the order the plan first reads them.
+func (s *Schema) shared(objects []PlanObject) []string {
+	var out []string
+	reads := func(o PlanObject, name string) bool {
+		for _, r := range o.Relations {
+			if s.LogicalName(r) == name {
+				return true
+			}
+		}
+		return false
+	}
+	for i, o := range objects {
+		for _, r := range o.Relations {
+			name := s.LogicalName(r)
+			if slices.Contains(out, name) {
+				continue
+			}
+			for _, later := range objects[i+1:] {
+				if reads(later, name) {
+					out = append(out, name)
+					break
+				}
+			}
 		}
 	}
-	for _, a := range attrs {
-		if !have[a] {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // buildExpr assembles σ[conditions](⋈ mapped relations) projected onto the
@@ -382,6 +486,14 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 		perObject = nil // the one terminal delivery is made below
 	}
 	gate := newStreamGate(perObject, plan, strict, pst.Limit())
+	// A relation several objects read is populated once per distinct
+	// inputs for the whole query (sharedCatalog); a plan whose objects
+	// read disjoint relations reads the catalog directly.
+	var shared *sharedCatalog
+	if len(plan.Shared) > 0 {
+		shared = newSharedCatalog(cat, plan.Shared)
+		cat = shared
+	}
 	// One span per maximal object, pre-created in plan order before any
 	// object is dispatched, so the trace tree is identical whatever the
 	// worker count.
@@ -448,6 +560,9 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 		gate.complete(i, rel, err)
 		return err
 	})
+	if shared != nil {
+		shared.placeSpans()
+	}
 	// An object the cancelled context kept from starting never reached
 	// the gate; ForEach left ctx.Err() in its slot.
 	for i, err := range errs {

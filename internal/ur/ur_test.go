@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"webbase/internal/algebra"
+	"webbase/internal/race"
 	"webbase/internal/relation"
 )
 
@@ -46,9 +47,6 @@ func TestHierarchyQueries(t *testing.T) {
 	}
 	if got := h.AttrsOf("nope"); got != nil {
 		t.Errorf("AttrsOf(nope) = %v", got)
-	}
-	if got := h.RelationsWithAttr("A"); !reflect.DeepEqual(got, []string{"R", "S"}) {
-		t.Errorf("RelationsWithAttr(A) = %v", got)
 	}
 	if got := h.AllAttrs(); !reflect.DeepEqual(got, []string{"A", "B", "C"}) {
 		t.Errorf("AllAttrs = %v", got)
@@ -234,6 +232,69 @@ func TestPlanErrors(t *testing.T) {
 	}
 	if _, err := s.Plan(Query{Output: []string{"Make", "Make"}}); err == nil {
 		t.Error("duplicate output attribute accepted")
+	}
+}
+
+// carDeck is one query of each class of the benchmark's deck: a T1
+// lookup, a T2 blue-book join and a T3 headline query.
+var carDeck = []struct{ class, text string }{
+	{"T1", "SELECT Make, Model, Year, Price WHERE Make='bmw' AND Model='325i'"},
+	{"T2", "SELECT Make, Model, Year, Price, BBPrice WHERE Make='bmw' AND Model='325i' " +
+		"AND Condition='good' AND Price < BBPrice"},
+	{"T3", "SELECT Make, Model, Year, Price, BBPrice WHERE Make='bmw' AND Year >= 1993 " +
+		"AND Safety='good' AND Condition='good' AND Price < BBPrice"},
+}
+
+// TestPlanShared: the plan names the logical relations more than one
+// object reads — none when the objects are the two ad sources alone, the
+// blue book once they join it, and reliability too once they join that.
+func TestPlanShared(t *testing.T) {
+	s, err := UsedCarUR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{"T1": nil, "T2": {"bluePrice"}, "T3": {"bluePrice", "reliability"}}
+	for _, c := range carDeck {
+		q, err := ParseQuery(s, c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := s.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Objects) != 2 || !reflect.DeepEqual(plan.Shared, want[c.class]) {
+			t.Errorf("%s: %d objects sharing %v, want 2 sharing %v", c.class, len(plan.Objects), plan.Shared, want[c.class])
+		}
+	}
+}
+
+// TestPlanAllocs holds the cost of planning about 10% above what it is:
+// the hierarchy is indexed once, in NewSchema, and a plan builds only the
+// covers it keeps (a T1 plan made 333 allocations while it re-walked the
+// hierarchy and built every candidate subset).
+func TestPlanAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s, err := UsedCarUR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiling := map[string]float64{"T1": 19, "T2": 29, "T3": 37}
+	for _, c := range carDeck {
+		q, err := ParseQuery(s, c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := s.Plan(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > ceiling[c.class] {
+			t.Errorf("%s: planning allocates %.0f, ceiling %.0f", c.class, got, ceiling[c.class])
+		}
 	}
 }
 

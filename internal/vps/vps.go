@@ -242,14 +242,17 @@ func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name stri
 		// The failed access attempt is itself worth tracing: Benedikt &
 		// Gottlob's relevance analysis needs the accesses that could not
 		// be made as much as the ones that were.
-		sp := trace.Start(ctx, trace.KindHandle, name+" (no usable handle)")
-		sp.EndErr(err)
+		if parent := trace.FromContext(ctx); parent != nil {
+			parent.Start(trace.KindHandle, name+" (no usable handle)").EndErr(err)
+		}
 		return nil, nil, err
 	}
 	// One span per handle execution: the chosen handle is a deterministic
-	// function of the inputs, so the span name is schedule-independent.
-	sp := trace.Start(ctx, trace.KindHandle, fmt.Sprintf("%s%s via %s", name, h.Mandatory, h.Expr.Name))
-	if sp != nil {
+	// function of the inputs, so the span name is schedule-independent. The
+	// name is built only when a trace records it.
+	var sp *trace.Span
+	if parent := trace.FromContext(ctx); parent != nil {
+		sp = parent.Start(trace.KindHandle, fmt.Sprintf("%s%s via %s", name, h.Mandatory, h.Expr.Name))
 		ctx = trace.ContextWith(ctx, sp)
 	}
 	ri := r.relations[name]

@@ -46,14 +46,14 @@ func main() {
 		showMetrics = flag.Bool("metrics", false, "print the webbase metrics snapshot after the query")
 		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1]; 0 disables the breaker")
 	)
-	flag.IntVar(&cfg.HostLimit, "hostlimit", 0, "max concurrent fetches per site (0 = default, negative = unlimited)")
-	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "issue a second attempt for any fetch still unanswered after this delay (0 = off)")
-	flag.IntVar(&cfg.HostQueue, "host-queue", 0, "per-host bulkhead wait-queue bound; fetches beyond it are shed (0 = unbounded)")
-	flag.Int64Var(&cfg.HedgeBudget, "hedge-budget", 0, "max hedged (duplicate) fetch attempts per query (0 = unlimited)")
+	flag.IntVar(&cfg.Fetch.HostLimit, "hostlimit", 0, "max concurrent fetches per site (0 = default, negative = unlimited)")
+	flag.DurationVar(&cfg.Fetch.HedgeAfter, "hedge-after", 0, "issue a second attempt for any fetch still unanswered after this delay (0 = off)")
+	flag.IntVar(&cfg.Fetch.HostQueue, "host-queue", 0, "per-host bulkhead wait-queue bound; fetches beyond it are shed (0 = unbounded)")
+	flag.Int64Var(&cfg.Fetch.HedgeBudget, "hedge-budget", 0, "max hedged (duplicate) fetch attempts per query (0 = unlimited)")
 	flag.Parse()
 
 	if *breakerThr > 0 {
-		cfg.Breaker = &webbase.BreakerConfig{FailureRatio: *breakerThr}
+		cfg.Fetch.Breaker = &webbase.BreakerConfig{FailureRatio: *breakerThr}
 	}
 	sys, err := shared.Build()
 	if err != nil {

@@ -104,10 +104,10 @@ func main() {
 	)
 	flag.IntVar(&cfg.MaxInFlight, "max-inflight", 0, "admission control: max concurrently executing queries (0 = unlimited)")
 	flag.IntVar(&cfg.QueueDepth, "queue-depth", 0, "admission control: bounded FIFO wait queue behind -max-inflight; excess queries shed immediately")
-	flag.IntVar(&cfg.DriftThreshold, "drift-threshold", 0, "drift reports that confirm a site redesign and quarantine the site (0 = default 2)")
+	flag.IntVar(&cfg.Healing.Threshold, "drift-threshold", 0, "drift reports that confirm a site redesign and quarantine the site (0 = default 2)")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "durable state directory: persist warmed pages, repaired maps and breaker/health verdicts across restarts (empty = no persistence)")
 	flag.Int64Var(&cfg.StateMaxBytes, "state-max-bytes", 0, "size bound for the durable page tier; least-recently-used pages are evicted past it (0 = unbounded)")
-	flag.DurationVar(&cfg.RecoveryBackoff, "recovery-backoff", 0, "re-probe repair-exhausted quarantined sites in the background, starting at this interval and doubling (0 = off)")
+	flag.DurationVar(&cfg.Healing.RecoveryBackoff, "recovery-backoff", 0, "re-probe repair-exhausted quarantined sites in the background, starting at this interval and doubling (0 = off)")
 	flag.Var(&tenants, "tenant", "tenant spec name:key[:class[:quota[:window[:maxconc]]]]; repeatable. Empty = open server")
 	flag.Parse()
 

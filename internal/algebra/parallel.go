@@ -19,8 +19,8 @@ type Pool struct {
 
 // NewPool returns a pool allowing up to workers concurrent evaluation
 // goroutines in total (the caller counts as one). workers <= 1 returns
-// nil: the nil pool means strictly sequential evaluation, byte-identical
-// to the historical single-threaded evaluator.
+// nil: the nil pool means strictly sequential evaluation, every task run
+// in index order on the calling goroutine.
 func NewPool(workers int) *Pool {
 	if workers <= 1 {
 		return nil

@@ -89,8 +89,12 @@ func TestConcurrentBillConservation(t *testing.T) {
 	world := sites.BuildWorld().Server
 	sw := &switchableFetcher{inner: &flakyHost{host: sites.NewsdayHost, inner: world,
 		flaky: &web.Flaky{Inner: world, FailEvery: 3}}}
-	wb, err := New(Config{Fetcher: sw, Workers: 4, Retries: 8,
-		Clock: clk.Now, CacheMaxAge: time.Minute, AllowStale: true})
+	wb, err := New(Config{
+		Fetcher: sw,
+		Workers: 4,
+		Clock:   clk.Now,
+		Fetch:   web.Policy{Retries: 8, CacheMaxAge: time.Minute, AllowStale: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +153,12 @@ func TestConcurrentBillConservation(t *testing.T) {
 // registry exactly as they reach the lifetime Stats.
 func TestStrictFailureStillBilledInMetrics(t *testing.T) {
 	world := sites.BuildWorld().Server
-	wb, err := New(Config{Fetcher: &web.Flaky{Inner: world, FailEvery: 3},
-		Workers: 4, Retries: 1, Strict: true})
+	wb, err := New(Config{
+		Fetcher: &web.Flaky{Inner: world, FailEvery: 3},
+		Workers: 4,
+		Strict:  true,
+		Fetch:   web.Policy{Retries: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

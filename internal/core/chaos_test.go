@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"webbase/internal/health"
 	"webbase/internal/sites"
 	"webbase/internal/web"
 )
@@ -22,7 +23,7 @@ func chaosOutcome(t *testing.T, failEvery uint64, workers int) string {
 	wb, err := New(Config{
 		Fetcher: &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: failEvery},
 		Workers: workers,
-		Retries: 2,
+		Fetch:   web.Policy{Retries: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,15 +82,11 @@ func chaosDriftOutcome(t *testing.T, failEvery uint64, workers int) string {
 		Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{Old: ">Automobiles<", New: ">Cars and Trucks<"}}},
 	}
 	wb, err := New(Config{
-		Fetcher:           &web.Flaky{Inner: rd, FailEvery: failEvery},
-		Workers:           workers,
-		Retries:           2,
-		Clock:             clk.Now,
-		CacheMaxAge:       time.Minute,
-		AllowStale:        true,
-		DriftThreshold:    2,
-		MaxRepairAttempts: 2,
-		RepairBackoff:     time.Millisecond,
+		Fetcher: &web.Flaky{Inner: rd, FailEvery: failEvery},
+		Workers: workers,
+		Clock:   clk.Now,
+		Fetch:   web.Policy{Retries: 2, CacheMaxAge: time.Minute, AllowStale: true},
+		Healing: health.Policy{Threshold: 2, MaxAttempts: 2, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

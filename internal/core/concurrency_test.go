@@ -99,7 +99,7 @@ func TestParallelQueryOverFlakyWeb(t *testing.T) {
 	}
 
 	flaky := &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: 4}
-	sys, err := New(Config{Fetcher: flaky, Retries: 6, Workers: 8})
+	sys, err := New(Config{Fetcher: flaky, Workers: 8, Fetch: web.Policy{Retries: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,9 @@ import (
 	"webbase/internal/web"
 )
 
-// DefaultHostLimit is the per-host concurrency cap applied when
-// Config.HostLimit is zero: wide parallel evaluation, polite sites.
-const DefaultHostLimit = 4
-
-// Config controls webbase assembly.
+// Config controls webbase assembly. The fetch stack's knobs are Fetch and
+// the self-healing ones Healing, each declared by the package that
+// enforces it.
 type Config struct {
 	// Fetcher retrieves raw pages. Required.
 	Fetcher web.Fetcher
@@ -47,109 +45,17 @@ type Config struct {
 	// dependent-join handle invocations and maximal objects evaluate on
 	// up to Workers goroutines (and PopulateAll sweeps up to Workers
 	// sites at once). 0 means GOMAXPROCS; 1 forces strictly sequential
-	// evaluation, byte-identical to the historical evaluator.
+	// evaluation on the calling goroutine.
 	Workers int
-	// Retries re-attempts failed page fetches (transport errors only;
-	// webbase navigation is read-only, so retrying is safe). 0 disables.
-	Retries int
-	// HostLimit caps concurrent fetches per site — the politeness bound
-	// that keeps Workers-wide parallelism from hammering one host. 0
-	// applies DefaultHostLimit; negative disables the cap.
-	HostLimit int
-	// Clock supplies timestamps for trace spans and query timing. nil
-	// means time.Now; tests inject a fake clock to make every rendered
-	// timing reproducible.
+	// Clock supplies timestamps for trace spans, query timing, cache
+	// entries, the breaker and deadline budgets. nil means time.Now;
+	// tests inject a fake clock to make every rendered timing
+	// reproducible.
 	Clock func() time.Time
-	// Backoff spaces re-issued retry attempts exponentially with
-	// deterministic per-URL jitter. The zero value retries immediately
-	// (the historical behavior).
-	Backoff web.Backoff
-	// RetryBudget caps the total re-issued attempts any single query may
-	// spend across all of its fetches. 0 = unlimited.
-	RetryBudget int64
-	// Breaker, when non-nil, installs the per-host circuit breaker with
-	// this configuration (its Clock defaults to Config.Clock). nil
-	// disables the breaker. Note that breaker verdicts depend on fetch
-	// completion order, so under partial failure a breaker-enabled
-	// webbase trades the byte-identical-across-workers guarantee for
-	// fast-fail; with the breaker off, degraded answers stay
-	// schedule-independent.
-	Breaker *web.BreakerConfig
-	// CacheMaxAge bounds how long a cached page satisfies a fetch
-	// outright. 0 = entries never expire (the historical behavior).
-	CacheMaxAge time.Duration
-	// AllowStale serves expired cache entries when a site cannot be
-	// reached (stale-on-error), labeled outcome=stale in traces.
-	AllowStale bool
 	// Strict restores whole-query fail-fast: a site outage aborts the
 	// query with the taxonomized per-site error instead of degrading to
 	// the surviving maximal objects.
 	Strict bool
-	// MaxInFlight caps concurrently executing queries (admission
-	// control). Excess queries wait in a bounded FIFO queue of QueueDepth
-	// and are shed with ErrShedded beyond that. 0 disables the gate.
-	MaxInFlight int
-	// QueueDepth bounds the admission wait queue behind MaxInFlight.
-	// 0 means no queue: with the gate full, queries shed immediately.
-	QueueDepth int
-	// Deadline is the per-maximal-object time budget: once an object has
-	// run this long, no new fetch or dependent-join invocation starts on
-	// its behalf and the object degrades out of the answer exactly like
-	// an unreachable site (Result.Degradation names the budget). 0
-	// disables budgets. Like the breaker, budgets trade byte-identical
-	// answers for bounded latency when the clock (not the simulated web)
-	// decides what completes.
-	Deadline time.Duration
-	// HedgeAfter issues a second attempt for any fetch still unanswered
-	// after this delay, taking the first success (tail-latency hedging;
-	// sits below the singleflight so only network attempts duplicate,
-	// never logical work). 0 disables hedging.
-	HedgeAfter time.Duration
-	// HostQueue bounds each per-host bulkhead's wait queue: fetches
-	// beyond HostLimit executing + HostQueue waiting are shed with an
-	// outage-classified error and the owning object degrades. 0 keeps
-	// the historical unbounded queue.
-	HostQueue int
-	// HedgeBudget caps the total hedged (duplicate) attempts any single
-	// query may spend across all of its fetches; beyond it, slow fetches
-	// wait for their primary attempt instead of doubling load. 0 =
-	// unlimited (every eligible fetch may hedge).
-	HedgeBudget int64
-	// DriftThreshold is how many drift-degraded queries confirm a site
-	// redesign and quarantine the site (self-healing; active only when
-	// the Domain supplies SampleInputs). <= 0 means 2 — one bad page
-	// never triggers a remap.
-	DriftThreshold int
-	// MaxRepairAttempts bounds background remap attempts per quarantined
-	// site; a site that cannot be repaired stays quarantined instead of
-	// remap-looping. <= 0 means 3.
-	MaxRepairAttempts int
-	// RepairBackoff spaces repair attempts exponentially. <= 0 means
-	// 100ms.
-	RepairBackoff time.Duration
-	// StateDir, when non-empty, roots the durable state tier: warmed
-	// pages, repaired navigation maps and breaker/health verdicts are
-	// persisted there (crash-safely, fingerprinted) and restored at the
-	// next boot. The store sits strictly below the in-memory stacks as a
-	// second cache tier — never a source of truth — so answers are
-	// byte-identical with it on or off, and a missing or corrupt state
-	// dir degrades to a cold start (counted in store_corrupt_total)
-	// rather than failing assembly or any query. Empty disables
-	// persistence (the historical behavior).
-	StateDir string
-	// StateMaxBytes bounds the durable page tier's total payload bytes
-	// (Config.StateDir): beyond it the least-recently-touched persisted
-	// pages are evicted, counted in store_evicted_total{tier="pages"}.
-	// The bound is rebuilt from disk at boot, so it holds across restarts
-	// (a tightened bound trims the tier immediately). 0 keeps the tier
-	// unbounded (the historical behavior). An evicted page is a future
-	// cache miss, never an error — the tier stays strictly a cache.
-	StateMaxBytes int64
-	// RecoveryBackoff, when > 0, gives repair-exhausted quarantined sites
-	// a slow background re-probe with doubling backoff, so a permanently-
-	// quarantined-then-fixed site eventually heals without a restart. 0
-	// keeps exhaustion terminal (the historical behavior).
-	RecoveryBackoff time.Duration
 	// Prune enables runtime access-relevance pruning (Benedikt, Gottlob &
 	// Senellart): handle invocations whose bound inputs already violate
 	// the query's WHERE clause are skipped before any page is fetched,
@@ -159,6 +65,38 @@ type Config struct {
 	// satisfied. The answer is always byte-identical to the unpruned one;
 	// only the fetch count changes. Off by default.
 	Prune bool
+	// MaxInFlight caps concurrently executing queries (admission
+	// control). Excess queries wait in a bounded FIFO queue of QueueDepth
+	// and are shed with ErrShedded beyond that. 0 disables the gate.
+	MaxInFlight int
+	// QueueDepth bounds the admission wait queue behind MaxInFlight.
+	// 0 means no queue: with the gate full, queries shed immediately.
+	QueueDepth int
+	// StateDir, when non-empty, roots the durable state tier: warmed
+	// pages, repaired navigation maps and breaker/health verdicts are
+	// persisted there (crash-safely, fingerprinted) and restored at the
+	// next boot. The store sits strictly below the in-memory stacks as a
+	// second cache tier — never a source of truth — so answers are
+	// byte-identical with it on or off, and a missing or corrupt state
+	// dir degrades to a cold start (counted in store_corrupt_total)
+	// rather than failing assembly or any query. Empty persists nothing.
+	StateDir string
+	// StateMaxBytes bounds the durable page tier's total payload bytes
+	// (Config.StateDir): beyond it the least-recently-touched persisted
+	// pages are evicted, counted in store_evicted_total{tier="pages"}.
+	// The bound is rebuilt from disk at boot, so it holds across restarts
+	// (a tightened bound trims the tier immediately). 0 keeps the tier
+	// unbounded. An evicted page is a future cache miss, never an error —
+	// the tier stays strictly a cache.
+	StateMaxBytes int64
+	// Fetch is the fetch stack's policy: retries and their budget, the
+	// per-host bulkhead, hedging, the breaker, deadline budgets and cache
+	// freshness (web.Policy; its zero value is a plain cached stack).
+	Fetch web.Policy
+	// Healing tunes self-healing, active only when the Domain supplies
+	// SampleInputs: how many drift reports quarantine a site and how its
+	// repair is retried (health.Policy).
+	Healing health.Policy
 }
 
 // Webbase is an assembled three-layer webbase.
@@ -167,28 +105,19 @@ type Webbase struct {
 	Logical  *logical.Catalog // the logical layer
 	UR       *ur.Schema       // the external schema layer
 
-	fetcher     web.Fetcher
-	stats       *web.Stats
-	cache       *web.Cache
-	breaker     *web.Breaker
-	workers     int
-	clock       func() time.Time
-	metrics     *trace.Registry
-	retryBudget int64
-	hedgeBudget int64
-	strict      bool
-	prune       bool
-	admission   *admission
-	deadline    time.Duration
+	stack     *web.Stack
+	workers   int
+	clock     func() time.Time
+	metrics   *trace.Registry
+	strict    bool
+	prune     bool
+	admission *admission
 
 	// Self-healing: health tracks per-site drift state and drives the
-	// background repair worker; repairFetcher is the middleware stack
-	// below the cache (a repair must see the live site, never a cached
-	// pre-redesign page); sampleInputs feed the repair walk through the
-	// site's forms.
-	health        *health.Tracker
-	repairFetcher web.Fetcher
-	sampleInputs  map[string]string
+	// background repair worker, which fetches through stack.Repair;
+	// sampleInputs feed the repair walk through the site's forms.
+	health       *health.Tracker
+	sampleInputs map[string]string
 
 	// Durable state tier (nil without Config.StateDir): the store holds
 	// the state files, pageTier is the disk tier behind the page cache.
@@ -234,22 +163,21 @@ func New(cfg Config) (*Webbase, error) {
 }
 
 // NewDomain assembles a webbase for an arbitrary application domain.
-func NewDomain(cfg Config, d Domain) (*Webbase, error) {
+func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 	if cfg.Fetcher == nil {
 		return nil, fmt.Errorf("core: Config.Fetcher is required")
 	}
-	wb := &Webbase{stats: &web.Stats{}, workers: cfg.Workers,
-		clock: cfg.Clock, metrics: trace.NewRegistry(),
-		retryBudget: cfg.RetryBudget, hedgeBudget: cfg.HedgeBudget,
-		strict: cfg.Strict, prune: cfg.Prune,
-		sampleInputs: d.SampleInputs}
+	wb := &Webbase{workers: cfg.Workers, clock: cfg.Clock, metrics: trace.NewRegistry(),
+		strict: cfg.Strict, prune: cfg.Prune, sampleInputs: d.SampleInputs}
 	if wb.workers <= 0 {
 		wb.workers = runtime.GOMAXPROCS(0)
 	}
-	// Durable state tier: opened first so the stacks below can plug into
-	// it. An unopenable state dir is a cold start with a metric, never an
+	// Durable state tier: opened first so the stack can plug into it. An
+	// unopenable state dir is a cold start with a metric, never an
 	// assembly failure — the store is a cache, and a broken cache may not
 	// take the system down.
+	fetch := cfg.Fetch
+	var tier web.CacheTier
 	if cfg.StateDir != "" {
 		st, err := store.Open(cfg.StateDir, store.Options{Metrics: wb.metrics})
 		if err != nil {
@@ -257,118 +185,45 @@ func NewDomain(cfg Config, d Domain) (*Webbase, error) {
 			wb.metrics.Counter(`store_corrupt_total{tier="open"}`).Add(1)
 		} else {
 			wb.store = st
+			wb.pageTier = store.NewPageTier(st, cfg.StateMaxBytes)
+			tier = wb.pageTier
+			// Every circuit transition is persisted.
+			if fetch.Breaker != nil {
+				bc := *fetch.Breaker
+				bc.OnChange = func(string, web.BreakerState) { wb.persistBreaker() }
+				fetch.Breaker = &bc
+			}
 		}
 	}
-	hostLimit := cfg.HostLimit
-	if hostLimit == 0 {
-		hostLimit = DefaultHostLimit
-	}
-
-	// The middleware stack, outermost first as a fetch traverses it:
-	//
-	//	deadline budget → cache → singleflight → outage memo → breaker →
-	//	hedge → bulkhead → latency → counting → retry → raw
-	//
-	// The deadline budget is outermost: a shed is this object's verdict
-	// about its own remaining time and must never leak into the shared
-	// cache/singleflight/memo layers. Cache next so hits bypass
-	// everything; singleflight so concurrent identical misses collapse to
-	// one fetch before anyone queues for a host slot; the per-query
-	// outage memo sits directly below singleflight so each request key's
-	// terminal verdict is decided exactly once and replayed
-	// schedule-independently; the breaker (when enabled) rejects before a
-	// doomed fetch can queue for a host slot, and it sits above the hedge
-	// so it records one verdict per logical fetch rather than one per
-	// attempt; the hedge duplicates only the network attempt (everything
-	// above it sees a single fetch); the bulkhead wraps the
-	// latency/counting pair so a
-	// fetch holds its host slot for the whole (simulated) network
-	// exchange; retry hugs the raw fetcher so each attempt is an
-	// independent transport try — and, being the innermost failure
-	// handler, it is also where terminal failures get classified as
-	// outages and attributed to their host.
-	raw := web.WithRetryPolicy(cfg.Fetcher,
-		web.RetryPolicy{Retries: cfg.Retries, Backoff: cfg.Backoff}, wb.stats)
-	f := web.Counting(raw, wb.stats)
-	if cfg.Latency != (web.LatencyModel{}) {
-		f = web.WithLatency(f, cfg.Latency, wb.stats)
-	}
-	f = web.WithBulkhead(f, hostLimit, cfg.HostQueue, wb.stats)
-	// The repair worker fetches through the stack up to here — retry,
-	// latency accounting and the politeness bulkhead apply, but never the
-	// cache (a repair must see the live redesigned site, not a cached
-	// pre-redesign page), the breaker, hedging or per-query state.
-	wb.repairFetcher = f
-	if cfg.HedgeAfter > 0 {
-		f = web.WithHedge(f, cfg.HedgeAfter, wb.stats)
-	}
-	if cfg.Breaker != nil {
-		bc := *cfg.Breaker
-		if bc.Clock == nil {
-			bc.Clock = cfg.Clock
+	// The page tier's writer runs until Close: a failed assembly stops it
+	// before returning.
+	defer func() {
+		if err != nil && wb.pageTier != nil {
+			wb.pageTier.Close()
 		}
-		if wb.store != nil {
-			bc.OnChange = func(string, web.BreakerState) { wb.persistBreaker() }
-		}
-		wb.breaker = web.NewBreaker(f, bc, wb.stats)
-		wb.restoreBreaker()
-		f = wb.breaker
-	}
-	f = web.WithOutageMemo(f)
-	// Every webbase caches pages: Section 7 observes that caching is
-	// needed for acceptable response times.
-	wb.cache = web.NewCache()
-	wb.cache.MaxAge = cfg.CacheMaxAge
-	wb.cache.AllowStale = cfg.AllowStale
-	wb.cache.Clock = cfg.Clock
-	if wb.store != nil {
-		wb.pageTier = store.NewPageTier(wb.store, cfg.StateMaxBytes)
-		wb.cache.Tier = wb.pageTier
-	}
-	// The fill sits inside the flight and the lookup outside it: a hit
-	// never touches singleflight, and a page is in the cache before the
-	// flight that fetched it is forgotten.
-	f = web.WithCacheLookup(web.WithSingleflight(web.WithCacheFill(f, wb.cache), wb.stats), wb.cache)
-	if cfg.Deadline > 0 {
-		f = web.WithDeadlineBudget(f, wb.stats)
-	}
-	wb.fetcher = f
-	wb.deadline = cfg.Deadline
+	}()
+	wb.stack = web.NewStack(cfg.Fetcher, cfg.Latency, cfg.Clock, tier, fetch)
+	wb.restoreBreaker()
 	wb.admission = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, wb.metrics, cfg.Clock)
 
-	reg, err := d.Registry()
-	if err != nil {
+	if wb.Registry, err = d.Registry(); err != nil {
 		return nil, err
 	}
-	wb.Registry = reg
 	// A healed fleet survives restarts: persisted repaired maps are
 	// installed as overrides before any query runs, at the version they
 	// were healed at — no re-running mapbuilder.Repair at boot.
 	wb.restoreMaps()
-
-	cat, err := d.Logical(reg, f)
-	if err != nil {
+	if wb.Logical, err = d.Logical(wb.Registry, wb.stack.Fetcher); err != nil {
 		return nil, err
 	}
-	wb.Logical = cat
-
-	schema, err := d.UR()
-	if err != nil {
+	if wb.UR, err = d.UR(); err != nil {
 		return nil, err
 	}
-	wb.UR = schema
 
 	// Self-healing: active only when the domain supplies the sample
 	// inputs the repair walk needs to exercise site forms.
 	if d.SampleInputs != nil {
-		hcfg := health.Config{
-			Threshold:       cfg.DriftThreshold,
-			MaxAttempts:     cfg.MaxRepairAttempts,
-			Backoff:         cfg.RepairBackoff,
-			Repair:          wb.repairHost,
-			Metrics:         wb.metrics,
-			RecoveryBackoff: cfg.RecoveryBackoff,
-		}
+		hcfg := health.Config{Policy: cfg.Healing, Repair: wb.repairHost, Metrics: wb.metrics}
 		if wb.store != nil {
 			hcfg.OnChange = func() { wb.persistHealth() }
 		}
@@ -405,7 +260,7 @@ func (wb *Webbase) repairHost(host string) error {
 		if web.HostOf(m.StartURL) != host {
 			continue
 		}
-		b := &mapbuilder.Builder{Fetcher: wb.repairFetcher}
+		b := &mapbuilder.Builder{Fetcher: wb.stack.Repair}
 		drifts, err := b.CheckMap(m, wb.sampleInputs)
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: %w", host, err)
@@ -424,7 +279,7 @@ func (wb *Webbase) repairHost(host string) error {
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: %w", host, err)
 		}
-		rel, _, err := expr.Execute(wb.repairFetcher, wb.sampleInputs)
+		rel, _, err := expr.Execute(wb.stack.Repair, wb.sampleInputs)
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: verifying %s: %w", host, ri.Name, err)
 		}
@@ -443,7 +298,7 @@ func (wb *Webbase) repairHost(host string) error {
 	// Cached pages of the old design would keep answering queries with the
 	// pre-redesign layout; drop them so the swapped-in map sees live pages.
 	if repaired > 0 {
-		wb.cache.Clear()
+		wb.stack.Cache.Clear()
 	}
 	return nil
 }
@@ -452,17 +307,17 @@ func (wb *Webbase) repairHost(host string) error {
 // finished query (a running query's counts arrive when it ends, failed or
 // not) plus, live, the fetches no query owns — the repair worker,
 // PopulateAll — and the stack-wide PeakInFlight and PerHost.
-func (wb *Webbase) Stats() *web.Stats { return wb.stats }
+func (wb *Webbase) Stats() *web.Stats { return wb.stack.Stats }
 
 // Cache exposes the page cache.
-func (wb *Webbase) Cache() *web.Cache { return wb.cache }
+func (wb *Webbase) Cache() *web.Cache { return wb.stack.Cache }
 
 // Fetcher returns the fully wrapped fetcher the webbase navigates with.
-func (wb *Webbase) Fetcher() web.Fetcher { return wb.fetcher }
+func (wb *Webbase) Fetcher() web.Fetcher { return wb.stack.Fetcher }
 
-// Breaker exposes the per-host circuit breaker (nil unless Config.Breaker
-// enabled it).
-func (wb *Webbase) Breaker() *web.Breaker { return wb.breaker }
+// Breaker exposes the per-host circuit breaker (nil unless
+// Config.Fetch.Breaker enabled it).
+func (wb *Webbase) Breaker() *web.Breaker { return wb.stack.Breaker }
 
 // Metrics exposes the webbase's metrics registry: counters, gauges and
 // histograms aggregated across every query this webbase has run.
@@ -519,7 +374,7 @@ type QueryStats struct {
 	// execution and is part of Elapsed).
 	AdmissionWait time.Duration
 	// Hedges counts fetches backed by a second attempt because the first
-	// had not answered within Config.HedgeAfter; HedgeWins counts those
+	// had not answered within Config.Fetch.HedgeAfter; HedgeWins counts those
 	// answered by the second attempt.
 	Hedges    int64
 	HedgeWins int64
@@ -658,14 +513,13 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 		ctx = prune.ContextWith(ctx, pst)
 	}
 	// The fetch stack's per-query state and bill: the outage memo replays
-	// terminal site failures within this query, the budgets (when
-	// configured) cap its re-issued and hedged attempts, and the UR layer
-	// mints one deadline budget per maximal object from it. Attached last,
-	// so it is the first value a fetch's context lookup meets.
-	wq := &web.Query{RetryBudget: wb.retryBudget, HedgeBudget: wb.hedgeBudget,
-		Deadline: wb.deadline, Clock: wb.clock}
+	// terminal site failures within this query, the retry and hedge
+	// budgets are spent against it, and the UR layer mints one deadline
+	// budget per maximal object from it. Attached last, so it is the first
+	// value a fetch's context lookup meets.
+	wq := wb.stack.NewQuery()
 	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink, wb.strict)
-	wb.stats.Add(&wq.Stats)
+	wb.stack.Stats.Add(&wq.Stats)
 	qs := &QueryStats{
 		Pages:            wq.Stats.Pages(),
 		Bytes:            wq.Stats.Bytes(),
@@ -674,7 +528,7 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 		Deduped:          wq.Stats.Deduped(),
 		Reused:           wq.Stats.Reused(),
 		LimiterWait:      wq.Stats.LimiterWait(),
-		PeakInFlight:     wb.stats.PeakInFlight(),
+		PeakInFlight:     wb.stack.Stats.PeakInFlight(),
 		Retries:          wq.Stats.Retries(),
 		StaleServed:      wq.Stats.StaleServed(),
 		BreakerRejects:   wq.Stats.BreakerRejects(),
@@ -744,8 +598,8 @@ func (wb *Webbase) observe(qs *QueryStats, failed bool) {
 	m.Counter("hedges_suppressed_total").Add(qs.HedgesSuppressed)
 	m.Counter("site_drift_detected_total").Add(int64(qs.DriftDetected))
 	if wb.prune {
-		// Registered only on pruning-enabled webbases, so a pruning-off
-		// /metrics page is byte-identical to the historical one.
+		// Registered only on pruning-enabled webbases: a pruning-off
+		// /metrics page has no pruning counters.
 		m.Counter("fetches_pruned_total").Add(qs.PrunedFetches)
 		for r, n := range qs.PrunedByReason {
 			m.Counter(`fetches_pruned_total{reason="` + r + `"}`).Add(n)
@@ -811,7 +665,7 @@ func (wb *Webbase) PopulateAllContext(ctx context.Context, relations []string, i
 	sweepCtx := algebra.WithPool(ctx, algebra.NewPool(wb.workers))
 	errs := algebra.ForEach(sweepCtx, len(relations), false, func(i int) error {
 		name := relations[i]
-		rel, _, err := wb.Registry.PopulateContext(ctx, wb.fetcher, name, inputs)
+		rel, _, err := wb.Registry.PopulateContext(ctx, wb.stack.Fetcher, name, inputs)
 		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}
 		return nil
 	})
@@ -829,7 +683,7 @@ func (wb *Webbase) PopulateAllContext(ctx context.Context, relations []string, i
 func (wb *Webbase) PopulateSequential(relations []string, inputs map[string]relation.Value) []SiteResult {
 	results := make([]SiteResult, len(relations))
 	for i, name := range relations {
-		rel, _, err := wb.Registry.Populate(wb.fetcher, name, inputs)
+		rel, _, err := wb.Registry.Populate(wb.stack.Fetcher, name, inputs)
 		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}
 	}
 	sortSiteResults(results)

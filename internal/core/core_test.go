@@ -314,7 +314,7 @@ func TestPaperArtifactRenderings(t *testing.T) {
 func TestQueryOverFlakyWeb(t *testing.T) {
 	w := sites.BuildWorld()
 	flaky := &web.Flaky{Inner: w.Server, FailEvery: 4}
-	sys, err := New(Config{Fetcher: flaky, Retries: 6})
+	sys, err := New(Config{Fetcher: flaky, Fetch: web.Policy{Retries: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,11 +188,10 @@ func TestQueryStaleOnError(t *testing.T) {
 	clk := newManualClock()
 	sw := &switchableFetcher{inner: sites.BuildWorld().Server}
 	wb, err := New(Config{
-		Fetcher:     sw,
-		Workers:     4,
-		Clock:       clk.Now,
-		CacheMaxAge: time.Minute,
-		AllowStale:  true,
+		Fetcher: sw,
+		Workers: 4,
+		Clock:   clk.Now,
+		Fetch:   web.Policy{CacheMaxAge: time.Minute, AllowStale: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +264,7 @@ func TestQueryBreakerOpensAndRejects(t *testing.T) {
 		Fetcher: counter,
 		Workers: 4,
 		Clock:   clk.Now,
-		Breaker: &web.BreakerConfig{Window: 1, MinSamples: 1, FailureRatio: 1.0, Cooldown: time.Hour},
+		Fetch:   web.Policy{Breaker: &web.BreakerConfig{Window: 1, MinSamples: 1, FailureRatio: 1.0, Cooldown: time.Hour}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
+	"webbase/internal/algebra"
 	"webbase/internal/carmaps"
 	"webbase/internal/flogic"
 	"webbase/internal/htmlkit"
@@ -271,55 +273,49 @@ type ParallelTiming struct {
 // response times".
 func ParallelSweep(raw web.Fetcher, model web.LatencyModel, workerCounts []int) ([]ParallelTiming, error) {
 	model.Sleep = true
+	reg, err := vps.StandardRegistry()
+	if err != nil {
+		return nil, err
+	}
 	var out []ParallelTiming
 	for _, workers := range workerCounts {
-		stats := &web.Stats{}
-		// A bulkhead as wide as the worker pool sheds nothing and queues
-		// nothing; it is here to count what is in flight above the sleep.
-		f := web.WithBulkhead(web.WithLatency(web.Counting(raw, stats), model, stats), workers, 0, stats)
-		wb := &Webbase{stats: stats, fetcher: f, workers: workers}
-		reg, err := vps.StandardRegistry()
+		stats, f := sweepFetcher(raw, model, workers)
+		start := time.Now()
+		err := sweep(workers, len(TimingTableRelations), func(i int) error {
+			name := TimingTableRelations[i]
+			if _, _, err := reg.Populate(f, name, TimingQueryInputs(name)); err != nil {
+				return fmt.Errorf("core: parallel sweep %s: %w", name, err)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		wb.Registry = reg
-
-		inputsByRel := make(map[string]map[string]relation.Value)
-		for _, name := range TimingTableRelations {
-			inputsByRel[name] = TimingQueryInputs(name)
-		}
-		start := time.Now()
-		results := wb.populateAllVarInputs(TimingTableRelations, inputsByRel)
-		elapsed := time.Since(start)
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("core: parallel sweep %s: %w", r.Relation, r.Err)
-			}
-		}
-		out = append(out, ParallelTiming{Workers: workers, Elapsed: elapsed,
+		out = append(out, ParallelTiming{Workers: workers, Elapsed: time.Since(start),
 			Pages: stats.Pages(), PeakInFlight: stats.PeakInFlight()})
 	}
 	return out, nil
 }
 
-// populateAllVarInputs is PopulateAll with per-relation inputs.
-func (wb *Webbase) populateAllVarInputs(relations []string, inputs map[string]map[string]relation.Value) []SiteResult {
-	results := make([]SiteResult, len(relations))
-	sem := make(chan struct{}, wb.workers)
-	done := make(chan struct{})
-	for i, name := range relations {
-		go func(i int, name string) {
-			defer func() { done <- struct{}{} }()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rel, _, err := wb.Registry.Populate(wb.fetcher, name, inputs[name])
-			results[i] = SiteResult{Relation: name, Rel: rel, Err: err}
-		}(i, name)
+// sweepFetcher is a sweep's fetch stack over raw: counted, slowed by the
+// latency model, and under a bulkhead as wide as the sweep, which sheds
+// nothing and queues nothing — it is there to count what is in flight
+// above the sleep.
+func sweepFetcher(raw web.Fetcher, model web.LatencyModel, workers int) (*web.Stats, web.Fetcher) {
+	stats := &web.Stats{}
+	return stats, web.WithBulkhead(web.WithLatency(web.Counting(raw, stats), model, stats), workers, 0, stats)
+}
+
+// sweep runs fn(0..n-1) on up to workers goroutines — the bounded fan-out
+// query evaluation uses — and returns the lowest-index error.
+func sweep(workers, n int, fn func(i int) error) error {
+	ctx := algebra.WithPool(context.Background(), algebra.NewPool(workers))
+	for _, err := range algebra.ForEach(ctx, n, false, fn) {
+		if err != nil {
+			return err
+		}
 	}
-	for range relations {
-		<-done
-	}
-	return results
+	return nil
 }
 
 // FormatParallelSweep renders the parallelization table.
@@ -441,23 +437,14 @@ func ScaledSweep(n int, model web.LatencyModel, workerCounts []int) ([]ScaledSwe
 	inputs := map[string]string{"Make": "ford", "Model": "escort"}
 	var out []ScaledSweepResult
 	for _, workers := range workerCounts {
-		stats := &web.Stats{}
-		f := web.WithBulkhead(web.WithLatency(web.Counting(world.Server, stats), model, stats), workers, 0, stats)
-		sem := make(chan struct{}, workers)
-		done := make(chan error, len(world.Hosts))
+		stats, f := sweepFetcher(world.Server, model, workers)
 		start := time.Now()
-		for _, host := range world.Hosts {
-			go func(host string) {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				_, _, err := maps[host].Execute(f, inputs)
-				done <- err
-			}(host)
-		}
-		for range world.Hosts {
-			if err := <-done; err != nil {
-				return nil, err
-			}
+		err := sweep(workers, len(world.Hosts), func(i int) error {
+			_, _, err := maps[world.Hosts[i]].Execute(f, inputs)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, ScaledSweepResult{Sites: n, Workers: workers, Elapsed: time.Since(start),
 			Pages: stats.Pages(), PeakInFlight: stats.PeakInFlight()})

@@ -12,7 +12,7 @@ import (
 )
 
 // slowHostsFetcher delays every fetch to the named hosts by delay — a
-// real sleep, so Config.Deadline (which reads the wall clock) sees the
+// real sleep, so Config.Fetch.Deadline (which reads the wall clock) sees the
 // time pass.
 type slowHostsFetcher struct {
 	inner web.Fetcher
@@ -42,9 +42,9 @@ func slowClassifieds(delay time.Duration) web.Fetcher {
 func deadlineOutcome(t *testing.T, workers int) (string, *ur.Result) {
 	t.Helper()
 	wb, err := New(Config{
-		Fetcher:  slowClassifieds(400 * time.Millisecond),
-		Workers:  workers,
-		Deadline: 150 * time.Millisecond,
+		Fetcher: slowClassifieds(400 * time.Millisecond),
+		Workers: workers,
+		Fetch:   web.Policy{Deadline: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func deadlineOutcome(t *testing.T, workers int) (string, *ur.Result) {
 }
 
 // TestDeadlineDegradationDeterministic is the budget acceptance test: a
-// query whose classifieds object outlives Config.Deadline degrades to
+// query whose classifieds object outlives Config.Fetch.Deadline degrades to
 // the surviving objects, and the answer AND the degradation report are
 // byte-identical at Workers=1 and Workers=8 — the shed error is a static
 // verdict about the budget, not about which goroutine lost a race.
@@ -99,10 +99,10 @@ func TestDeadlineDegradationDeterministic(t *testing.T) {
 // both an outage and a budget exhaustion.
 func TestDeadlineStrictSurfacesBudget(t *testing.T) {
 	wb, err := New(Config{
-		Fetcher:  slowClassifieds(400 * time.Millisecond),
-		Workers:  4,
-		Deadline: 150 * time.Millisecond,
-		Strict:   true,
+		Fetcher: slowClassifieds(400 * time.Millisecond),
+		Workers: 4,
+		Strict:  true,
+		Fetch:   web.Policy{Deadline: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,9 +125,9 @@ func TestDeadlineStrictSurfacesBudget(t *testing.T) {
 // degradation report.
 func TestDeadlineExplainAnalyzeAnnotation(t *testing.T) {
 	wb, err := New(Config{
-		Fetcher:  slowClassifieds(400 * time.Millisecond),
-		Workers:  4,
-		Deadline: 150 * time.Millisecond,
+		Fetcher: slowClassifieds(400 * time.Millisecond),
+		Workers: 4,
+		Fetch:   web.Policy{Deadline: 150 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +158,10 @@ func TestDeadlineExplainAnalyzeAnnotation(t *testing.T) {
 func TestHedgedDeterminism(t *testing.T) {
 	run := func(hedge time.Duration, workers int) (string, *Webbase) {
 		wb, err := New(Config{
-			Fetcher:    sites.BuildWorld().Server,
-			Latency:    web.LatencyModel{PerRequest: 4 * time.Millisecond, Sleep: true},
-			Workers:    workers,
-			HedgeAfter: hedge,
+			Fetcher: sites.BuildWorld().Server,
+			Latency: web.LatencyModel{PerRequest: 4 * time.Millisecond, Sleep: true},
+			Workers: workers,
+			Fetch:   web.Policy{HedgeAfter: hedge},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestHedgedDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeadlineDisabledNoBudget: without Config.Deadline the slow hosts
+// TestDeadlineDisabledNoBudget: without Config.Fetch.Deadline the slow hosts
 // simply take their time — nothing degrades, pinning that budgets are
 // opt-in.
 func TestDeadlineDisabledNoBudget(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"webbase/internal/health"
 	"webbase/internal/sites"
 	"webbase/internal/web"
 )
@@ -92,8 +93,8 @@ func TestPruneChaosFlaky(t *testing.T) {
 				return pruneChaosOutcome(t, Config{
 					Fetcher: &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: failEvery},
 					Workers: workers,
-					Retries: 2,
 					Prune:   prune,
+					Fetch:   web.Policy{Retries: 2},
 				}, wideCarQuery)
 			}
 			off1, on1 := mk(1, false), mk(1, true)
@@ -124,16 +125,12 @@ func TestPruneChaosStaleDrift(t *testing.T) {
 			Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{Old: ">Automobiles<", New: ">Cars and Trucks<"}}},
 		}
 		wb, err := New(Config{
-			Fetcher:           &web.Flaky{Inner: rd, FailEvery: failEvery},
-			Workers:           workers,
-			Retries:           2,
-			Clock:             clk.Now,
-			CacheMaxAge:       time.Minute,
-			AllowStale:        true,
-			DriftThreshold:    2,
-			MaxRepairAttempts: 2,
-			RepairBackoff:     time.Millisecond,
-			Prune:             prune,
+			Fetcher: &web.Flaky{Inner: rd, FailEvery: failEvery},
+			Workers: workers,
+			Clock:   clk.Now,
+			Prune:   prune,
+			Fetch:   web.Policy{Retries: 2, CacheMaxAge: time.Minute, AllowStale: true},
+			Healing: health.Policy{Threshold: 2, MaxAttempts: 2, Backoff: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -201,11 +198,10 @@ func TestPruneChaosStaleDrift(t *testing.T) {
 func TestPruneChaosDeadlineBudget(t *testing.T) {
 	mk := func(workers int, prune bool) pruneChaosResult {
 		return pruneChaosOutcome(t, Config{
-			Fetcher:  &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: 3},
-			Workers:  workers,
-			Retries:  2,
-			Deadline: time.Hour,
-			Prune:    prune,
+			Fetcher: &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: 3},
+			Workers: workers,
+			Prune:   prune,
+			Fetch:   web.Policy{Retries: 2, Deadline: time.Hour},
 		}, wideCarQuery)
 	}
 	for _, workers := range []int{1, 8} {

@@ -21,11 +21,9 @@ func selfHealWebbase(t *testing.T, workers int, rewrites ...web.Rewrite) (*Webba
 		Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: rewrites},
 	}
 	wb, err := New(Config{
-		Fetcher:           rd,
-		Workers:           workers,
-		DriftThreshold:    2,
-		MaxRepairAttempts: 3,
-		RepairBackoff:     time.Millisecond,
+		Fetcher: rd,
+		Workers: workers,
+		Healing: health.Policy{Threshold: 2, MaxAttempts: 3, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +180,7 @@ func TestSelfHealEndToEnd(t *testing.T) {
 
 // TestSelfHealUnfixableSiteBoundsRepairs: a redesign the repair walk
 // cannot express (a renamed extraction header — navigation checks clean
-// but the map answers nothing) burns exactly MaxRepairAttempts remap
+// but the map answers nothing) burns exactly Healing.MaxAttempts remap
 // attempts, then the site parks in quarantine and queries keep answering
 // degraded instead of remap-looping a dead site.
 func TestSelfHealUnfixableSiteBoundsRepairs(t *testing.T) {
@@ -206,7 +204,7 @@ func TestSelfHealUnfixableSiteBoundsRepairs(t *testing.T) {
 		t.Fatalf("unfixable site state = %s, want quarantined", got)
 	}
 	if got := wb.SiteHealth().Attempts(sites.NewsdayHost); got != 3 {
-		t.Errorf("repair attempts = %d, want exactly MaxRepairAttempts (3)", got)
+		t.Errorf("repair attempts = %d, want exactly Healing.MaxAttempts (3)", got)
 	}
 	m := wb.Metrics().Snapshot()
 	if got := m.Counters["remaps_started_total"]; got != 3 {

@@ -123,8 +123,8 @@ func restoreSnapshot[T any](wb *Webbase, tier, key string, restore func(map[stri
 // OnChange hook (outside its locks) on every trip and close, so the
 // durable view tracks transitions, not a shutdown-only flush.
 func (wb *Webbase) persistBreaker() {
-	if wb.store != nil && wb.breaker != nil {
-		persistSnapshot(wb, tierBreaker, breakerKey, wb.breaker.Snapshot())
+	if wb.store != nil && wb.stack.Breaker != nil {
+		persistSnapshot(wb, tierBreaker, breakerKey, wb.stack.Breaker.Snapshot())
 	}
 }
 
@@ -132,8 +132,8 @@ func (wb *Webbase) persistBreaker() {
 // fast-fails a known-dead host immediately instead of re-earning the
 // verdict through a fresh failure window.
 func (wb *Webbase) restoreBreaker() {
-	if wb.store != nil && wb.breaker != nil {
-		restoreSnapshot(wb, tierBreaker, breakerKey, wb.breaker.Restore)
+	if wb.store != nil && wb.stack.Breaker != nil {
+		restoreSnapshot(wb, tierBreaker, breakerKey, wb.stack.Breaker.Restore)
 	}
 }
 
@@ -185,7 +185,7 @@ func (wb *Webbase) gcRecord(tier, key string) {
 // answer bytes.
 func (wb *Webbase) ConsistencyToken() string {
 	h := sha256.New()
-	gen := wb.cache.Generation()
+	gen := wb.stack.Cache.Generation()
 	if wb.pageTier != nil {
 		gen = wb.pageTier.Generation()
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"webbase/internal/navmap"
 	"webbase/internal/sites"
 	"webbase/internal/store"
+	"webbase/internal/ur"
 	"webbase/internal/web"
 )
 
@@ -25,12 +28,10 @@ import (
 func durableCarWebbase(t *testing.T, dir string, fetcher web.Fetcher, mut func(*Config)) *Webbase {
 	t.Helper()
 	cfg := Config{
-		Fetcher:           fetcher,
-		Workers:           1,
-		StateDir:          dir,
-		DriftThreshold:    2,
-		MaxRepairAttempts: 3,
-		RepairBackoff:     time.Millisecond,
+		Fetcher:  fetcher,
+		Workers:  1,
+		StateDir: dir,
+		Healing:  health.Policy{Threshold: 2, MaxAttempts: 3, Backoff: time.Millisecond},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -200,7 +201,7 @@ func TestStoreRestartSurvivalBreaker(t *testing.T) {
 	dir := t.TempDir()
 	bcfg := &web.BreakerConfig{Window: 1, MinSamples: 1, Cooldown: time.Hour}
 	wb1 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server),
-		func(cfg *Config) { cfg.Breaker = bcfg })
+		func(cfg *Config) { cfg.Fetch.Breaker = bcfg })
 	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestStoreRestartSurvivalBreaker(t *testing.T) {
 	// host is rejected without a single network fetch re-earning the
 	// verdict.
 	wb2 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server),
-		func(cfg *Config) { cfg.Breaker = bcfg })
+		func(cfg *Config) { cfg.Fetch.Breaker = bcfg })
 	if got := wb2.Breaker().State(sites.NewsdayHost); got != web.BreakerOpen {
 		t.Fatalf("restored circuit = %v, want open at boot", got)
 	}
@@ -253,7 +254,7 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 		Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{Old: ">Price<", New: ">Asking<"}}},
 	}
 	wb1 := durableCarWebbase(t, dir, downHost(sites.NYTimesHost, rdBreakAgain), func(cfg *Config) {
-		cfg.Breaker = &web.BreakerConfig{Window: 1, MinSamples: 1, Cooldown: time.Hour}
+		cfg.Fetch.Breaker = &web.BreakerConfig{Window: 1, MinSamples: 1, Cooldown: time.Hour}
 	})
 	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
 		t.Fatal(err)
@@ -326,7 +327,7 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 	}
 	rd2.Activate()
 	wb2 := durableCarWebbase(t, dir, rd2, func(cfg *Config) {
-		cfg.Breaker = &web.BreakerConfig{Window: 8}
+		cfg.Fetch.Breaker = &web.BreakerConfig{Window: 8}
 	})
 	if v, _ := wb2.Registry.MapVersion("newsday"); v != 1 {
 		t.Errorf("corrupt map restored anyway: version %d", v)
@@ -395,7 +396,7 @@ func TestStoreBootGCStaleRecords(t *testing.T) {
 
 	// The breaker tier only restores (and GCs) when a breaker is wired.
 	wb2 := durableCarWebbase(t, dir, sites.BuildWorld().Server, func(cfg *Config) {
-		cfg.Breaker = &web.BreakerConfig{Window: 8}
+		cfg.Fetch.Breaker = &web.BreakerConfig{Window: 8}
 	})
 	snap := wb2.Metrics().Snapshot()
 	for _, c := range []string{
@@ -441,5 +442,32 @@ func TestStoreUnopenableStateDirIsColdStart(t *testing.T) {
 	}
 	if got := wb.Metrics().Snapshot().Counters[`store_corrupt_total{tier="open"}`]; got != 1 {
 		t.Errorf(`store_corrupt_total{tier="open"} = %d, want 1`, got)
+	}
+}
+
+// TestNewDomainErrorStopsPageTier: an assembly that fails after the
+// durable page tier opened stops the tier's writer goroutine before it
+// returns the error.
+func TestNewDomainErrorStopsPageTier(t *testing.T) {
+	writers := func() int {
+		buf := make([]byte, 1<<16)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				return strings.Count(string(buf[:n]), "(*PageTier).writer")
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	before := writers()
+	d := UsedCarsDomain
+	d.UR = func() (*ur.Schema, error) { return nil, errors.New("no schema") }
+	if _, err := NewDomain(Config{Fetcher: sites.BuildWorld().Server, StateDir: t.TempDir()}, d); err == nil {
+		t.Fatal("NewDomain succeeded with a failing UR")
+	}
+	for deadline := time.Now().Add(5 * time.Second); writers() > before; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d page-tier writers still running after the failed assembly, %d before it", writers(), before)
+		}
 	}
 }

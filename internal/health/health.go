@@ -55,17 +55,32 @@ func (s State) String() string {
 	}
 }
 
-// Config tunes a Tracker.
-type Config struct {
+// Policy is the self-healing knobs: when drift quarantines a site and how
+// its repair is retried.
+type Policy struct {
 	// Threshold is how many drift reports confirm a redesign and
-	// quarantine the site. <= 0 means the default of 2.
+	// quarantine the site. <= 0 means the default of 2 — one bad page
+	// never triggers a remap.
 	Threshold int
-	// MaxAttempts bounds the repair attempts per quarantine episode.
-	// <= 0 means the default of 3.
+	// MaxAttempts bounds the repair attempts per quarantine episode; a
+	// site that cannot be repaired stays quarantined instead of
+	// remap-looping. <= 0 means the default of 3.
 	MaxAttempts int
 	// Backoff is the wait before the second repair attempt; it doubles
 	// per attempt. <= 0 means the default of 100ms.
 	Backoff time.Duration
+	// RecoveryBackoff, when > 0, enables slow background recovery probes
+	// for repair-exhausted quarantined sites: after this initial wait
+	// (doubling per failed probe, capped at 64×) the site gets one more
+	// repair attempt, so a permanently-quarantined-then-fixed site
+	// eventually heals without a restart. <= 0 sends no probes: a
+	// repair-exhausted site stays quarantined.
+	RecoveryBackoff time.Duration
+}
+
+// Config wires a Tracker: its Policy and the hooks it calls.
+type Config struct {
+	Policy
 	// Repair rebuilds the site's navigation maps and hot-swaps them in.
 	// nil disables background repair: sites still quarantine, but stay
 	// quarantined until an operator intervenes.
@@ -80,13 +95,6 @@ type Config struct {
 	// remaps_succeeded_total, recovery_probes_total and the
 	// sites_quarantined gauge.
 	Metrics *trace.Registry
-	// RecoveryBackoff, when > 0, enables slow background recovery probes
-	// for repair-exhausted quarantined sites: after this initial wait
-	// (doubling per failed probe, capped at 64×) the site gets one more
-	// repair attempt, so a permanently-quarantined-then-fixed site
-	// eventually heals without a restart. 0 keeps exhaustion terminal
-	// (the historical behavior).
-	RecoveryBackoff time.Duration
 	// OnChange, when non-nil, is called (outside the tracker's lock) after
 	// every state transition — the durable store's persist hook. It must
 	// be safe for concurrent calls and must not report drift.

@@ -24,9 +24,9 @@ func instant(got *[]time.Duration, mu *sync.Mutex) func(time.Duration) {
 func TestThresholdConfirmsDrift(t *testing.T) {
 	var repairs atomic.Int64
 	tr := New(Config{
-		Threshold: 3,
-		Repair:    func(string) error { repairs.Add(1); return errors.New("keep quarantined") },
-		Sleep:     func(time.Duration) {},
+		Policy: Policy{Threshold: 3},
+		Repair: func(string) error { repairs.Add(1); return errors.New("keep quarantined") },
+		Sleep:  func(time.Duration) {},
 	})
 	if got := tr.ReportDrift("a.example"); got != Suspect {
 		t.Fatalf("after 1 report: %v, want suspect", got)
@@ -51,10 +51,10 @@ func TestThresholdConfirmsDrift(t *testing.T) {
 func TestRepairSuccessRestoresHealthy(t *testing.T) {
 	metrics := trace.NewRegistry()
 	tr := New(Config{
-		Threshold: 2,
-		Repair:    func(string) error { return nil },
-		Sleep:     func(time.Duration) {},
-		Metrics:   metrics,
+		Policy:  Policy{Threshold: 2},
+		Repair:  func(string) error { return nil },
+		Sleep:   func(time.Duration) {},
+		Metrics: metrics,
 	})
 	tr.ReportDrift("a.example")
 	tr.ReportDrift("a.example")
@@ -92,12 +92,10 @@ func TestRepairAttemptsBounded(t *testing.T) {
 	)
 	metrics := trace.NewRegistry()
 	tr := New(Config{
-		Threshold:   2,
-		MaxAttempts: 3,
-		Backoff:     10 * time.Millisecond,
-		Repair:      func(string) error { repairs.Add(1); return errors.New("site is gone") },
-		Sleep:       instant(&waits, &mu),
-		Metrics:     metrics,
+		Policy:  Policy{Threshold: 2, MaxAttempts: 3, Backoff: 10 * time.Millisecond},
+		Repair:  func(string) error { repairs.Add(1); return errors.New("site is gone") },
+		Sleep:   instant(&waits, &mu),
+		Metrics: metrics,
 	})
 	tr.ReportDrift("dead.example")
 	tr.ReportDrift("dead.example")
@@ -141,7 +139,7 @@ func TestRepairSingleFlight(t *testing.T) {
 	release := make(chan struct{})
 	var repairs atomic.Int64
 	tr := New(Config{
-		Threshold: 1,
+		Policy: Policy{Threshold: 1},
 		Repair: func(string) error {
 			repairs.Add(1)
 			close(started)
@@ -173,10 +171,9 @@ func TestRepairSingleFlight(t *testing.T) {
 // TestPerSiteIsolation: one site's quarantine does not leak onto another.
 func TestPerSiteIsolation(t *testing.T) {
 	tr := New(Config{
-		Threshold: 2,
-		Repair:    func(string) error { return errors.New("stay down") },
-		Sleep:     func(time.Duration) {},
-		Backoff:   time.Nanosecond,
+		Policy: Policy{Threshold: 2, Backoff: time.Nanosecond},
+		Repair: func(string) error { return errors.New("stay down") },
+		Sleep:  func(time.Duration) {},
 	})
 	tr.ReportDrift("a.example")
 	tr.ReportDrift("a.example")

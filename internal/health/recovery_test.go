@@ -35,10 +35,7 @@ func TestRecoveryProbeHealsExhaustedSite(t *testing.T) {
 	// held in its Sleep until the exhausted state has been observed.
 	release := make(chan struct{})
 	tr := New(Config{
-		Threshold:       1,
-		MaxAttempts:     2,
-		Backoff:         time.Nanosecond,
-		RecoveryBackoff: time.Hour,
+		Policy: Policy{Threshold: 1, MaxAttempts: 2, Backoff: time.Nanosecond, RecoveryBackoff: time.Hour},
 		Sleep: func(d time.Duration) {
 			if d >= time.Hour { // only the recovery loop sleeps this long
 				<-release
@@ -97,10 +94,7 @@ func TestCloseStopsRecoveryProbes(t *testing.T) {
 	var repairCalls atomic.Int64
 	reg := trace.NewRegistry()
 	tr := New(Config{
-		Threshold:       1,
-		MaxAttempts:     2,
-		Backoff:         time.Nanosecond,
-		RecoveryBackoff: time.Hour,
+		Policy: Policy{Threshold: 1, MaxAttempts: 2, Backoff: time.Nanosecond, RecoveryBackoff: time.Hour},
 		Sleep: func(d time.Duration) {
 			if d >= time.Hour { // only the recovery loop sleeps this long
 				<-recoverySleeps
@@ -132,11 +126,9 @@ func TestHealthSnapshotRestore(t *testing.T) {
 	// Build real evidence: one site repairs to exhaustion, one stays
 	// suspect below the threshold.
 	tr := New(Config{
-		Threshold:   2,
-		MaxAttempts: 2,
-		Backoff:     time.Nanosecond,
-		Sleep:       func(time.Duration) {},
-		Repair:      func(string) error { return errors.New("down") },
+		Policy: Policy{Threshold: 2, MaxAttempts: 2, Backoff: time.Nanosecond},
+		Sleep:  func(time.Duration) {},
+		Repair: func(string) error { return errors.New("down") },
 	})
 	tr.ReportDrift("bad.test")
 	tr.ReportDrift("bad.test")
@@ -164,11 +156,9 @@ func TestHealthSnapshotRestore(t *testing.T) {
 	// and the suspect site must carry its drift count.
 	var repairCalls atomic.Int64
 	tr2 := New(Config{
-		Threshold:   2,
-		MaxAttempts: 2,
-		Backoff:     time.Nanosecond,
-		Sleep:       func(time.Duration) {},
-		Repair:      func(string) error { repairCalls.Add(1); return nil },
+		Policy: Policy{Threshold: 2, MaxAttempts: 2, Backoff: time.Nanosecond},
+		Sleep:  func(time.Duration) {},
+		Repair: func(string) error { repairCalls.Add(1); return nil },
 	})
 	tr2.Restore(decoded)
 	tr2.Wait()
@@ -194,11 +184,9 @@ func TestHealthSnapshotRestore(t *testing.T) {
 func TestRestoreResumesRepairBudget(t *testing.T) {
 	var repairCalls atomic.Int64
 	tr := New(Config{
-		Threshold:   1,
-		MaxAttempts: 3,
-		Backoff:     time.Nanosecond,
-		Sleep:       func(time.Duration) {},
-		Repair:      func(string) error { repairCalls.Add(1); return errors.New("down") },
+		Policy: Policy{Threshold: 1, MaxAttempts: 3, Backoff: time.Nanosecond},
+		Sleep:  func(time.Duration) {},
+		Repair: func(string) error { repairCalls.Add(1); return errors.New("down") },
 	})
 	tr.Restore(map[string]SiteSnapshot{
 		"mid.test":   {State: "repairing", Attempts: 1}, // mid-repair persists as quarantined
@@ -219,7 +207,7 @@ func TestRestoreResumesRepairBudget(t *testing.T) {
 // TestRestoreSkipsLiveSites: restore never clobbers a site that already
 // accumulated live evidence.
 func TestRestoreSkipsLiveSites(t *testing.T) {
-	tr := New(Config{Threshold: 3})
+	tr := New(Config{Policy: Policy{Threshold: 3}})
 	tr.ReportDrift("live.test")
 	tr.Restore(map[string]SiteSnapshot{
 		"live.test": {State: "quarantined", Attempts: 2, Exhausted: true},
@@ -234,11 +222,9 @@ func TestRestoreSkipsLiveSites(t *testing.T) {
 // probe loop, exactly as in the original process.
 func TestRestoredExhaustionGetsRecoveryProbe(t *testing.T) {
 	tr := New(Config{
-		Threshold:       1,
-		MaxAttempts:     2,
-		RecoveryBackoff: time.Nanosecond,
-		Sleep:           func(time.Duration) { time.Sleep(time.Microsecond) },
-		Repair:          func(string) error { return nil },
+		Policy: Policy{Threshold: 1, MaxAttempts: 2, RecoveryBackoff: time.Nanosecond},
+		Sleep:  func(time.Duration) { time.Sleep(time.Microsecond) },
+		Repair: func(string) error { return nil },
 	})
 	defer tr.Close()
 	tr.Restore(map[string]SiteSnapshot{

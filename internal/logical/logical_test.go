@@ -19,13 +19,12 @@ func standard(t *testing.T) (*Catalog, *sites.World, *web.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats web.Stats
-	f := web.WithCache(web.Counting(w.Server, &stats), web.NewCache())
-	cat, err := StandardCatalog(reg, f)
+	stack := web.NewStack(w.Server, web.LatencyModel{}, nil, nil, web.Policy{})
+	cat, err := StandardCatalog(reg, stack.Fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cat, w, &stats
+	return cat, w, stack.Stats
 }
 
 func sv(s string) relation.Value { return relation.String(s) }

@@ -311,8 +311,8 @@ func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
 // does reach the stack still meets them.
 func TestReusedVisitSpendsNothingBelow(t *testing.T) {
 	site := newReuseSite()
-	stack := web.WithDeadlineBudget(web.WithRetryPolicy(site, web.RetryPolicy{Retries: 1}, nil), nil)
-	q := &web.Query{RetryBudget: 1}
+	stack := web.WithDeadlineBudget(web.WithRetryPolicy(site, web.Policy{Retries: 1, RetryBudget: 1}, nil), nil)
+	q := &web.Query{}
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	ctx := web.ContextWithBudget(web.WithQuery(context.Background(), q), web.NewBudget(time.Second, clock))

@@ -14,6 +14,7 @@ import (
 
 	"webbase/internal/apartments"
 	"webbase/internal/core"
+	"webbase/internal/health"
 	"webbase/internal/sites"
 	"webbase/internal/web"
 	"webbase/internal/wire"
@@ -268,7 +269,7 @@ func downNewsday() web.Fetcher {
 	})
 }
 
-// slowClassifieds delays both classifieds hosts so a Config.Deadline
+// slowClassifieds delays both classifieds hosts so a Config.Fetch.Deadline
 // budget expires mid-object.
 func slowClassifieds(delay time.Duration) web.Fetcher {
 	world := sites.BuildWorld()
@@ -321,7 +322,7 @@ func TestStatusCodeMapping(t *testing.T) {
 		{name: "strict-outage", cfg: core.Config{Fetcher: downNewsday(), Strict: true},
 			body: carQuery, status: 502, code: "site-outage"},
 		{name: "strict-deadline",
-			cfg:  core.Config{Fetcher: slowClassifieds(400 * time.Millisecond), Strict: true, Deadline: 100 * time.Millisecond},
+			cfg:  core.Config{Fetcher: slowClassifieds(400 * time.Millisecond), Strict: true, Fetch: web.Policy{Deadline: 100 * time.Millisecond}},
 			body: carQuery, status: 504, code: "deadline"},
 	}
 	for _, tc := range cases {
@@ -502,9 +503,8 @@ func TestHealthz(t *testing.T) {
 		// The repair worker fetches through the same down fetcher, so the
 		// quarantined site cannot be repaired and stays quarantined.
 		ts, wb := newCarServer(t, core.Config{
-			Fetcher:           downNewsday(),
-			MaxRepairAttempts: 1,
-			RepairBackoff:     time.Millisecond,
+			Fetcher: downNewsday(),
+			Healing: health.Policy{MaxAttempts: 1, Backoff: time.Millisecond},
 		}, Config{})
 		wb.SiteHealth().ReportDrift(sites.NewsdayHost)
 		wb.SiteHealth().ReportDrift(sites.NewsdayHost) // threshold 2: quarantined

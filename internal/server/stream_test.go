@@ -32,7 +32,7 @@ func streamOutcome(t *testing.T, failEvery uint64, workers int) string {
 	if failEvery > 0 {
 		fetcher = &web.Flaky{Inner: fetcher, FailEvery: failEvery}
 	}
-	wb, err := core.New(core.Config{Fetcher: fetcher, Workers: workers, Retries: 2})
+	wb, err := core.New(core.Config{Fetcher: fetcher, Workers: workers, Fetch: web.Policy{Retries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestStreamMatchesInProcessUnderChaos(t *testing.T) {
 	chaos := func() web.Fetcher {
 		return &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: 3}
 	}
-	wb, err := core.New(core.Config{Fetcher: chaos(), Workers: 8, Retries: 2})
+	wb, err := core.New(core.Config{Fetcher: chaos(), Workers: 8, Fetch: web.Policy{Retries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestStreamMatchesInProcessUnderChaos(t *testing.T) {
 	}
 	got := mustJSON(t, streamedTuples(decodeLines(t, resp.Body)))
 
-	twin, err := core.New(core.Config{Fetcher: chaos(), Workers: 8, Retries: 2})
+	twin, err := core.New(core.Config{Fetcher: chaos(), Workers: 8, Fetch: web.Policy{Retries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,7 @@ func (t *PageTier) Store(key string, resp *web.Response, fetchedAt time.Time) {
 // from before the clear stay dead even if the process dies immediately
 // after. With a size bound, dead entries are deleted eagerly (their bytes
 // would otherwise stay accounted against nothing); without one they are
-// collected lazily by Load, the historical behavior.
+// collected lazily, by the Load that finds them.
 func (t *PageTier) Invalidate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -190,8 +190,8 @@ func (s *Store) CountCorrupt(tier string) {
 // CountEvicted counts one eviction against a tier
 // (store_evicted_total{tier=...}): a page evicted past the size bound,
 // a superseded map version, or a stale snapshot GCed at boot or on
-// transition. Registered lazily, so a store that never evicts renders
-// the historical /metrics page byte-identically.
+// transition. Registered on the first eviction, so a store that never
+// evicts adds no eviction lines to /metrics.
 func (s *Store) CountEvicted(tier string) {
 	if s == nil || s.metrics == nil {
 		return

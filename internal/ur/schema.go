@@ -428,8 +428,8 @@ func (d *Degradation) String() string {
 		if host == "" {
 			host = "?"
 		}
-		// Outage lines keep their historical shape; other kinds carry a tag
-		// so a reader can tell "site down" from "site redesigned".
+		// Outage lines carry no tag; other kinds carry one, so a reader
+		// can tell "site down" from "site redesigned".
 		if f.Kind == "" || f.Kind == FailureOutage {
 			fmt.Fprintf(&sb, "  {%s}: host=%s: %s\n", strings.Join(f.Object, ", "), host, f.Err)
 		} else {

@@ -54,6 +54,12 @@ func (ft *fakeTier) len() int {
 	return len(ft.entries)
 }
 
+// cacheOnly is the cache alone over inner: lookup directly over fill, with
+// nothing between them.
+func cacheOnly(inner Fetcher, cache *Cache) Fetcher {
+	return WithCacheLookup(WithCacheFill(inner, cache), cache)
+}
+
 // countingFetcher counts fetches through to a canned response.
 type countingFetcher struct {
 	mu    sync.Mutex
@@ -78,7 +84,7 @@ func TestCacheTierWriteThroughAndServe(t *testing.T) {
 	cache := NewCache()
 	cache.Tier = tier
 	net := &countingFetcher{}
-	f := WithCache(net, cache)
+	f := cacheOnly(net, cache)
 	req := NewGet("http://a.test/page")
 
 	// Miss both tiers: network fetch, write-through to the tier.
@@ -94,7 +100,7 @@ func TestCacheTierWriteThroughAndServe(t *testing.T) {
 	// hit and a tier hit.
 	cache2 := NewCache()
 	cache2.Tier = tier
-	f2 := WithCache(net, cache2)
+	f2 := cacheOnly(net, cache2)
 	resp, err := f2.Fetch(req)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +132,7 @@ func TestCacheClearInvalidatesTier(t *testing.T) {
 	tier := newFakeTier()
 	cache := NewCache()
 	cache.Tier = tier
-	f := WithCache(&countingFetcher{}, cache)
+	f := cacheOnly(&countingFetcher{}, cache)
 	if _, err := f.Fetch(NewGet("http://a.test/1")); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +164,7 @@ func TestCacheTierExpiredEntry(t *testing.T) {
 	cache.MaxAge = time.Minute
 	cache.Clock = clock
 	net := &countingFetcher{}
-	f := WithCache(net, cache)
+	f := cacheOnly(net, cache)
 
 	resp, err := f.Fetch(NewGet("http://a.test/p"))
 	if err != nil {
@@ -181,7 +187,7 @@ func TestCacheTierExpiredEntry(t *testing.T) {
 	cache2.MaxAge = time.Minute
 	cache2.AllowStale = true
 	cache2.Clock = clock
-	f2 := WithCache(FetcherFunc(func(req *Request) (*Response, error) {
+	f2 := cacheOnly(FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, MarkOutage(&HostError{Host: "a.test", Err: ErrCircuitOpen})
 	}), cache2)
 	resp, err = f2.Fetch(NewGet("http://a.test/p"))

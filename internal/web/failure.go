@@ -109,18 +109,6 @@ func (b Backoff) Delay(id string, retry int) time.Duration {
 	return d
 }
 
-// RetryPolicy configures WithRetryPolicy.
-type RetryPolicy struct {
-	// Retries is how many additional attempts follow a failed fetch.
-	Retries int
-	// Backoff spaces the attempts (zero value: no waiting).
-	Backoff Backoff
-	// Sleep waits between attempts; it must return early with ctx.Err()
-	// when the context is cancelled mid-wait. nil uses a timer. Tests
-	// inject an instant sleep to keep backoff assertions fast.
-	Sleep func(ctx context.Context, d time.Duration) error
-}
-
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -141,19 +129,22 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // The request's context is honored between attempts: a cancelled context
 // aborts the loop (and any backoff wait) immediately, returning the
 // context's error unclassified rather than burning the remaining
-// retries. The retry budget of the query on the context (Query.RetryBudget)
-// caps the total re-issues it may spend across all its fetches; when it
-// runs dry the fetch fails over to the terminal path without further
-// attempts. Terminal failures — retries exhausted, budget dry — are
-// classified as an Outage and attributed to the host (HostError), which
-// is what lets the UR layer degrade around the dead site. Re-issued
-// attempts accumulate in stats (which may be nil) and on the request's
-// trace span.
-func WithRetryPolicy(inner Fetcher, p RetryPolicy, stats *Stats) Fetcher {
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = sleepCtx
-	}
+// retries. p.Retries re-attempts follow a failed fetch, spaced by
+// p.Backoff. p.RetryBudget caps the total re-issues the query on the
+// context may spend across all its fetches; when it runs dry the fetch
+// fails over to the terminal path without further attempts. Terminal
+// failures — retries exhausted, budget dry — are classified as an Outage
+// and attributed to the host (HostError), which is what lets the UR layer
+// degrade around the dead site. Re-issued attempts accumulate on the
+// query's bill or in stats (which may be nil) and on the request's trace
+// span.
+func WithRetryPolicy(inner Fetcher, p Policy, stats *Stats) Fetcher {
+	return withRetry(inner, p, stats, sleepCtx)
+}
+
+// withRetry is WithRetryPolicy waiting out each backoff with sleep, which
+// must return early with ctx.Err() when the context is cancelled mid-wait.
+func withRetry(inner Fetcher, p Policy, stats *Stats, sleep func(ctx context.Context, d time.Duration) error) Fetcher {
 	return FetcherFunc(func(req *Request) (*Response, error) {
 		ctx := req.Context()
 		var lastErr error
@@ -174,7 +165,7 @@ func WithRetryPolicy(inner Fetcher, p RetryPolicy, stats *Stats) Fetcher {
 			if attempt == p.Retries {
 				break
 			}
-			if !spend(ctx, stats, retries) {
+			if !spend(ctx, stats, retries, p.RetryBudget) {
 				trace.FromContext(ctx).Label("retry-budget", "exhausted")
 				break
 			}

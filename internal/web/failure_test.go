@@ -138,7 +138,7 @@ func TestFlakyDisabled(t *testing.T) {
 
 func TestWithRetryRecovers(t *testing.T) {
 	flaky := &Flaky{Inner: okFetcher(), FailEvery: 2} // ~half of fetches fail
-	f := WithRetryPolicy(flaky, RetryPolicy{Retries: 5}, &Stats{})
+	f := WithRetryPolicy(flaky, Policy{Retries: 5}, &Stats{})
 	for i := 0; i < 100; i++ {
 		if _, err := f.Fetch(NewGet("http://h/x")); err != nil {
 			t.Fatalf("retry did not recover: %v", err)
@@ -150,7 +150,7 @@ func TestWithRetryGivesUp(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	f := WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil)
+	f := WithRetryPolicy(always, Policy{Retries: 2}, nil)
 	_, err := f.Fetch(NewGet("http://h/x"))
 	if !errors.Is(err, ErrSimulatedOutage) {
 		t.Fatalf("err = %v", err)
@@ -161,7 +161,7 @@ func TestWithRetryPassesStatusThrough(t *testing.T) {
 	notFound := FetcherFunc(func(req *Request) (*Response, error) {
 		return NotFound(req.URL), nil
 	})
-	resp, err := WithRetryPolicy(notFound, RetryPolicy{Retries: 3}, nil).Fetch(NewGet("http://h/x"))
+	resp, err := WithRetryPolicy(notFound, Policy{Retries: 3}, nil).Fetch(NewGet("http://h/x"))
 	if err != nil || resp.Status != 404 {
 		t.Fatalf("404 should pass through unretried: %v %v", resp, err)
 	}
@@ -178,7 +178,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first attempt
-	f := WithRetryPolicy(always, RetryPolicy{Retries: 100}, nil)
+	f := WithRetryPolicy(always, Policy{Retries: 100}, nil)
 	_, err := f.Fetch(NewGet("http://h/x").WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -196,7 +196,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 		}
 		return nil, ErrSimulatedOutage
 	})
-	_, err = WithRetryPolicy(cancelling, RetryPolicy{Retries: 100}, nil).Fetch(NewGet("http://h/y").WithContext(ctx2))
+	_, err = WithRetryPolicy(cancelling, Policy{Retries: 100}, nil).Fetch(NewGet("http://h/y").WithContext(ctx2))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-retry err = %v, want context.Canceled", err)
 	}
@@ -212,7 +212,7 @@ func TestWithRetryClassifiesTerminalFailure(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	_, err := WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil).Fetch(NewGet("http://dead.example/x"))
+	_, err := WithRetryPolicy(always, Policy{Retries: 2}, nil).Fetch(NewGet("http://dead.example/x"))
 	if !IsOutage(err) {
 		t.Fatalf("terminal failure not classified as outage: %v", err)
 	}
@@ -310,15 +310,11 @@ func TestWithRetryPolicyBackoffWaits(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	p := RetryPolicy{
-		Retries: 3,
-		Backoff: Backoff{Base: 10 * time.Millisecond},
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	WithRetryPolicy(always, p, nil).Fetch(NewGet("http://h/x"))
+	p := Policy{Retries: 3, Backoff: Backoff{Base: 10 * time.Millisecond}}
+	withRetry(always, p, nil, func(ctx context.Context, d time.Duration) error {
+		slept = append(slept, d)
+		return nil
+	}).Fetch(NewGet("http://h/x"))
 	if len(slept) != 3 {
 		t.Fatalf("slept %d times, want 3", len(slept))
 	}
@@ -329,14 +325,14 @@ func TestWithRetryPolicyBackoffWaits(t *testing.T) {
 		}
 	}
 
-	// A cancellation surfaced by Sleep aborts the loop.
+	// A cancellation surfaced by the sleep aborts the loop.
 	var calls atomic.Int64
 	counting := FetcherFunc(func(req *Request) (*Response, error) {
 		calls.Add(1)
 		return nil, ErrSimulatedOutage
 	})
-	p.Sleep = func(ctx context.Context, d time.Duration) error { return context.Canceled }
-	_, err := WithRetryPolicy(counting, p, nil).Fetch(NewGet("http://h/x"))
+	cancelled := func(ctx context.Context, d time.Duration) error { return context.Canceled }
+	_, err := withRetry(counting, p, nil, cancelled).Fetch(NewGet("http://h/x"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -345,16 +341,17 @@ func TestWithRetryPolicyBackoffWaits(t *testing.T) {
 	}
 }
 
-// TestRetryBudget: a per-query budget caps total re-issues across
-// requests sharing the context; without a budget retries are unlimited.
+// TestRetryBudget: the policy's per-query budget caps total re-issues
+// across requests sharing the query; a fetch with no query on its
+// context is not capped.
 func TestRetryBudget(t *testing.T) {
 	var calls atomic.Int64
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		calls.Add(1)
 		return nil, ErrSimulatedOutage
 	})
-	f := WithRetryPolicy(always, RetryPolicy{Retries: 10}, nil)
-	ctx := WithQuery(context.Background(), &Query{RetryBudget: 3})
+	f := WithRetryPolicy(always, Policy{Retries: 10, RetryBudget: 3}, nil)
+	ctx := WithQuery(context.Background(), &Query{})
 
 	_, err := f.Fetch(NewGet("http://h/a").WithContext(ctx))
 	if !IsOutage(err) {
@@ -370,7 +367,7 @@ func TestRetryBudget(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("attempts with dry budget = %d, want 1", calls.Load())
 	}
-	// No budget on the context: all retries run.
+	// No query on the context: all retries run.
 	calls.Store(0)
 	f.Fetch(NewGet("http://h/c"))
 	if calls.Load() != 11 {
@@ -390,7 +387,7 @@ func TestOutageMemoReplays(t *testing.T) {
 		}
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
 	})
-	f := WithOutageMemo(WithRetryPolicy(always, RetryPolicy{Retries: 2}, nil))
+	f := WithOutageMemo(WithRetryPolicy(always, Policy{Retries: 2}, nil))
 	q := &Query{}
 	memo := &q.Memo
 	ctx := WithQuery(context.Background(), q)

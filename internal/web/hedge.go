@@ -7,14 +7,17 @@ import (
 )
 
 // WithHedge wraps inner with hedged requests: when a fetch has not
-// answered after the configured delay, a second identical attempt is
-// issued and the first success wins ("The Tail at Scale": a small
-// percentage of duplicated work buys a large cut of tail latency).
+// answered after p.HedgeAfter, a second identical attempt is issued and
+// the first success wins ("The Tail at Scale": a small percentage of
+// duplicated work buys a large cut of tail latency). p.HedgeBudget caps
+// the second attempts the query on the context may issue. A non-positive
+// p.HedgeAfter returns inner unwrapped.
 //
-// Placement: below the singleflight and the outage memo, above the
-// breaker. The singleflight guarantees at most one logical fetch per
-// request key is in flight, so the hedge duplicates network attempts,
-// never logical work, and every follower shares whichever attempt won.
+// Placement (NewStack): below the singleflight, the outage memo and the
+// breaker, above the bulkhead. The singleflight guarantees at most one
+// logical fetch per request key is in flight, so the hedge duplicates
+// network attempts, never logical work, and every follower shares
+// whichever attempt won.
 //
 // Determinism: the simulated web is deterministic per request key, so
 // both attempts carry identical bytes and it does not matter which one
@@ -23,8 +26,8 @@ import (
 // the resulting degradation report are schedule-independent. The losing
 // attempt is not cancelled: a page it fetches is billed like any other,
 // unless it lands after the query's bill was folded (see Query).
-func WithHedge(inner Fetcher, after time.Duration, stats *Stats) Fetcher {
-	if after <= 0 {
+func WithHedge(inner Fetcher, p Policy, stats *Stats) Fetcher {
+	if p.HedgeAfter <= 0 {
 		return inner
 	}
 	return FetcherFunc(func(req *Request) (*Response, error) {
@@ -43,7 +46,7 @@ func WithHedge(inner Fetcher, after time.Duration, stats *Stats) Fetcher {
 			}()
 		}
 		launch(false)
-		timer := time.NewTimer(after)
+		timer := time.NewTimer(p.HedgeAfter)
 		defer timer.Stop()
 		select {
 		case a := <-results:
@@ -55,7 +58,7 @@ func WithHedge(inner Fetcher, after time.Duration, stats *Stats) Fetcher {
 		// Each hedged attempt spends one unit of the query's hedge budget,
 		// so a query over a slow site amplifies load by at most the budget,
 		// not by its fetch count.
-		if !spend(ctx, stats, hedges) {
+		if !spend(ctx, stats, hedges, p.HedgeBudget) {
 			// Budget dry: no second attempt. Waiting on the primary keeps
 			// the outcome identical to an unhedged fetch, so suppression
 			// never changes what a query answers — only its tail latency.

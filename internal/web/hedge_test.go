@@ -32,7 +32,7 @@ func (s *slowFirstAttempt) Fetch(req *Request) (*Response, error) {
 func TestHedgeSecondAttemptWins(t *testing.T) {
 	inner := &slowFirstAttempt{delay: 200 * time.Millisecond}
 	stats := &Stats{}
-	f := WithHedge(inner, 5*time.Millisecond, stats)
+	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, stats)
 
 	start := time.Now()
 	resp, err := f.Fetch(NewGet("http://slow.example/p"))
@@ -60,7 +60,7 @@ func TestHedgeNotIssuedWhenPrimaryFast(t *testing.T) {
 		return HTML(req.URL, "<html></html>"), nil
 	})
 	stats := &Stats{}
-	f := WithHedge(inner, 50*time.Millisecond, stats)
+	f := WithHedge(inner, Policy{HedgeAfter: 50 * time.Millisecond}, stats)
 	if _, err := f.Fetch(NewGet("http://fast.example/p")); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestHedgeBothFailReturnsPrimaryError(t *testing.T) {
 	errPrimary := errors.New("primary transport failure")
 	errHedge := errors.New("hedge transport failure")
 	inner := &slowFirstAttempt{delay: 30 * time.Millisecond, failSlow: errPrimary, failFast: errHedge}
-	f := WithHedge(inner, 5*time.Millisecond, &Stats{})
+	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, &Stats{})
 	_, err := f.Fetch(NewGet("http://down.example/p"))
 	if !errors.Is(err, errPrimary) {
 		t.Fatalf("got %v, want the primary attempt's error", err)
@@ -99,7 +99,7 @@ func TestHedgeHonorsCancellation(t *testing.T) {
 		<-gate
 		return HTML(req.URL, "<html></html>"), nil
 	})
-	f := WithHedge(inner, 5*time.Millisecond, nil)
+	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -120,7 +120,7 @@ func TestHedgeHonorsCancellation(t *testing.T) {
 
 func TestHedgeDisabled(t *testing.T) {
 	inner := newCountingInner(0)
-	if f := WithHedge(inner, 0, nil); f != Fetcher(inner) {
+	if f := WithHedge(inner, Policy{}, nil); f != Fetcher(inner) {
 		t.Error("zero delay should return inner unwrapped")
 	}
 }
@@ -138,15 +138,15 @@ func (s *slowEveryAttempt) Fetch(req *Request) (*Response, error) {
 	return HTML(req.URL, "<html><body>"+req.URL+"</body></html>"), nil
 }
 
-// TestHedgeBudgetCapsDuplicates: with a hedge budget of 1 on the context,
-// only the first slow fetch hedges; later slow fetches wait for their
+// TestHedgeBudgetCapsDuplicates: with a hedge budget of 1, only the
+// query's first slow fetch hedges; later slow fetches wait for their
 // primary attempt and are counted suppressed — identical answers, bounded
 // duplicate load.
 func TestHedgeBudgetCapsDuplicates(t *testing.T) {
 	inner := &slowEveryAttempt{delay: 30 * time.Millisecond}
 	stats := &Stats{}
-	f := WithHedge(inner, 5*time.Millisecond, stats)
-	q := &Query{HedgeBudget: 1}
+	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond, HedgeBudget: 1}, stats)
+	q := &Query{}
 	ctx := WithQuery(context.Background(), q)
 
 	for i := 0; i < 3; i++ {
@@ -168,12 +168,12 @@ func TestHedgeBudgetCapsDuplicates(t *testing.T) {
 	}
 }
 
-// TestHedgeNoBudgetIsUnlimited: without a budget on the context every
-// eligible fetch may hedge (the historical behavior).
+// TestHedgeNoBudgetIsUnlimited: without a hedge budget every eligible
+// fetch may hedge.
 func TestHedgeNoBudgetIsUnlimited(t *testing.T) {
 	inner := &slowEveryAttempt{delay: 30 * time.Millisecond}
 	stats := &Stats{}
-	f := WithHedge(inner, 5*time.Millisecond, stats)
+	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, stats)
 	for i := 0; i < 2; i++ {
 		if _, err := f.Fetch(NewGet("http://slow.example/q" + string(rune('a'+i)))); err != nil {
 			t.Fatal(err)

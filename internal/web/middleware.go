@@ -263,7 +263,7 @@ func WithLatency(inner Fetcher, model LatencyModel, stats *Stats) Fetcher {
 // used, not concurrently with fetching.
 type Cache struct {
 	// MaxAge bounds how long an entry satisfies a fetch outright.
-	// 0 means entries never expire (the historical behavior).
+	// 0 means entries never expire.
 	MaxAge time.Duration
 	// AllowStale serves an expired entry when the wrapped fetch fails
 	// (stale-on-error). The serve is labeled outcome=stale on the trace
@@ -394,21 +394,15 @@ func (c *Cache) hit(req *Request, resp *Response) (*Response, error) {
 	return resp, nil
 }
 
-// WithCache wraps inner with the cache. Responses are cached by full
-// request key, so identical form submissions hit too — dynamic pages for
-// the same inputs are assumed stable within a query session. It is
-// WithCacheLookup directly over WithCacheFill; a stack that collapses
-// concurrent misses puts WithSingleflight between the two, so that a fill
-// is in the cache before its flight is forgotten and a request that just
-// missed either joins the flight or finds the page.
-func WithCache(inner Fetcher, cache *Cache) Fetcher {
-	return WithCacheLookup(WithCacheFill(inner, cache), cache)
-}
-
-// WithCacheLookup is the read half of WithCache: hits (memory, then the
+// WithCacheLookup is the read half of the cache: hits (memory, then the
 // lower tier) are served without calling inner, and an expired entry is
-// served stale when inner fails and AllowStale is on. It stores nothing
-// fetched; inner must end in WithCacheFill.
+// served stale when inner fails and AllowStale is on. Responses are cached
+// by full request key, so identical form submissions hit too — dynamic
+// pages for the same inputs are assumed stable within a query session. It
+// stores nothing fetched; inner must end in WithCacheFill. NewStack puts
+// WithSingleflight between the two, so that a fill is in the cache before
+// its flight is forgotten and a request that just missed either joins the
+// flight or finds the page.
 func WithCacheLookup(inner Fetcher, cache *Cache) Fetcher {
 	return FetcherFunc(func(req *Request) (*Response, error) {
 		key := req.Key()
@@ -454,7 +448,7 @@ func WithCacheLookup(inner Fetcher, cache *Cache) Fetcher {
 	})
 }
 
-// WithCacheFill is the write half of WithCache: it stores what inner
+// WithCacheFill is the write half of the cache: it stores what inner
 // fetches. It looks first, because the request may have missed in
 // WithCacheLookup while another request's fill of the same page was
 // finishing; that costs a miss one map read and a hit nothing.

@@ -9,9 +9,9 @@ import (
 // Query is everything the fetch stack keeps for one query: its bill, the
 // fault-tolerance state that must not outlive it, and the pages the
 // navigation layer keeps for it (Visit). The layer that starts a query
-// (core) mints one and attaches it with WithQuery; each middleware finds
-// it on the request's context. The zero value is an unlimited,
-// budget-free query.
+// (core) mints one (Stack.NewQuery) and attaches it with WithQuery; each
+// middleware finds it on the request's context. The zero value is a query
+// with no deadline budget.
 //
 // Billing: a page is billed to the query whose fetch reached the network;
 // a singleflight follower is billed one Deduped and nothing else for that
@@ -23,14 +23,9 @@ import (
 // query's owner has folded the bill (Stats.Add), its page is counted
 // nowhere.
 type Query struct {
-	// Stats is the query's bill.
+	// Stats is the query's bill. Its Retries and Hedges are what the
+	// query has spent of Policy.RetryBudget and Policy.HedgeBudget.
 	Stats Stats
-	// RetryBudget caps the re-issued attempts the query may spend across
-	// all its fetches (WithRetryPolicy), so a query over many flaky sites
-	// cannot multiply its own page count unboundedly; HedgeBudget caps its
-	// hedged second attempts (WithHedge). Each is a ceiling on the matching
-	// count of the bill; 0 is unlimited.
-	RetryBudget, HedgeBudget int64
 	// Deadline is the time budget of each maximal object (NewBudget) on
 	// Clock (nil means time.Now); 0 disables budgets.
 	Deadline time.Duration
@@ -127,18 +122,14 @@ func statsFor(ctx context.Context, fallback *Stats) *Stats {
 }
 
 // spend bills one retry or hedge (c) to the query on ctx and reports true
-// — unless that query's budget for c is already spent, when it bills
-// nothing and reports false. Without a query it counts into fallback,
-// unlimited.
-func spend(ctx context.Context, fallback *Stats, c counter) bool {
+// — unless that query has already spent limit of them (0 is unlimited),
+// when it bills nothing and reports false. Without a query it counts into
+// fallback, unlimited.
+func spend(ctx context.Context, fallback *Stats, c counter, limit int64) bool {
 	q := QueryFrom(ctx)
 	if q == nil {
 		fallback.add(c, 1)
 		return true
-	}
-	limit := q.RetryBudget
-	if c == hedges {
-		limit = q.HedgeBudget
 	}
 	// Count, then give back on overdraft: exact under concurrent spenders,
 	// where check-then-count would let two of them share the last unit.

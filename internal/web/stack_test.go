@@ -4,28 +4,23 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"webbase/internal/trace"
 )
 
-// buildStack composes the full production middleware order — cache
-// lookup → singleflight → cache fill → outage memo → breaker → host
-// limiter → retry(flaky) — exactly as core.NewDomain assembles it,
-// returning the outermost fetcher plus the observable pieces.
-func buildStack(failEvery uint64, retries int) (Fetcher, *Stats, *Cache) {
-	stats := &Stats{}
-	raw := &Flaky{Inner: okFetcher(), FailEvery: failEvery}
-	f := WithRetryPolicy(raw, RetryPolicy{Retries: retries}, stats)
-	f = Counting(f, stats)
-	f = WithBulkhead(f, 2, 0, stats)
-	f = WithBreaker(f, BreakerConfig{Window: 64, FailureRatio: 0.99,
-		Cooldown: time.Hour, Clock: newTick().Clock()}, stats)
-	f = WithOutageMemo(f)
-	cache := NewCache()
-	f = WithCacheLookup(WithSingleflight(WithCacheFill(f, cache), stats), cache)
-	return f, stats, cache
+// buildStack is NewStack over raw with the breaker, hedge and deadline
+// layers on (none of them fires in these workloads) and a host limit of 2.
+func buildStack(raw Fetcher, retries int) *Stack {
+	return NewStack(raw, LatencyModel{}, newTick().Clock(), nil, Policy{
+		Retries:    retries,
+		HostLimit:  2,
+		HedgeAfter: time.Minute,
+		Deadline:   time.Hour,
+		Breaker:    &BreakerConfig{Window: 64, FailureRatio: 0.99, Cooldown: time.Hour},
+	})
 }
 
 // TestStackEndToEndAccounting runs the same workload through the full
@@ -54,10 +49,11 @@ func TestStackEndToEndAccounting(t *testing.T) {
 			// FailEvery=2 with 5 retries: every request key recovers
 			// (deterministically — Flaky hashes (attempt, URL)), so all
 			// ops succeed and the identity covers the whole workload.
-			f, stats, cache := buildStack(2, 5)
+			s := buildStack(&Flaky{Inner: okFetcher(), FailEvery: 2}, 5)
+			f, stats, cache := s.Fetcher, s.Stats, s.Cache
 			tr := trace.New("stack", nil)
 			ctx := trace.ContextWith(context.Background(), tr.Root)
-			q := &Query{}
+			q := s.NewQuery()
 			ctx = WithQuery(ctx, q)
 
 			var wg sync.WaitGroup
@@ -132,20 +128,14 @@ func TestStackEndToEndAccounting(t *testing.T) {
 func TestStackDeadHostIsolated(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			stats := &Stats{}
-			raw := FetcherFunc(func(req *Request) (*Response, error) {
+			s := buildStack(FetcherFunc(func(req *Request) (*Response, error) {
 				if hostOf(req.URL) == "dead" {
 					return nil, ErrSimulatedOutage
 				}
 				return HTML(req.URL, "<html><body>ok</body></html>"), nil
-			})
-			f := WithRetryPolicy(raw, RetryPolicy{Retries: 2}, stats)
-			f = Counting(f, stats)
-			f = WithBulkhead(f, 2, 0, stats)
-			f = WithOutageMemo(f)
-			cache := NewCache()
-			f = WithCacheLookup(WithSingleflight(WithCacheFill(f, cache), stats), cache)
-			q := &Query{}
+			}), 2)
+			f, stats, cache := s.Fetcher, s.Stats, s.Cache
+			q := s.NewQuery()
 			ctx := WithQuery(context.Background(), q)
 
 			var ops []string
@@ -196,7 +186,8 @@ func TestStackDeadHostIsolated(t *testing.T) {
 // bill and nowhere else — except the lifetime-only per-host counts and the
 // cache's own hit counter, which every fetch moves.
 func TestStackBillsQueryOrConstructorStats(t *testing.T) {
-	f, stats, cache := buildStack(2, 5)
+	s := buildStack(&Flaky{Inner: okFetcher(), FailEvery: 2}, 5)
+	f, stats, cache := s.Fetcher, s.Stats, s.Cache
 	urls := []string{"http://host0/a", "http://host0/b", "http://host1/a"}
 	fetchAll := func(ctx context.Context) {
 		t.Helper()
@@ -219,7 +210,7 @@ func TestStackBillsQueryOrConstructorStats(t *testing.T) {
 
 	cache.Clear()
 	pages, retries, bytes := stats.Pages(), stats.Retries(), stats.Bytes()
-	q := &Query{}
+	q := s.NewQuery()
 	ctx := WithQuery(context.Background(), q)
 	fetchAll(ctx)
 	fetchAll(ctx)
@@ -236,5 +227,150 @@ func TestStackBillsQueryOrConstructorStats(t *testing.T) {
 	}
 	if cache.Hits() != 6 {
 		t.Errorf("cache.Hits = %d, want 6", cache.Hits())
+	}
+}
+
+// TestStackZeroPolicy pins, from outcomes, what each zero or negative
+// Policy field means in the stack NewStack builds.
+func TestStackZeroPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		p     Policy
+		check func(t *testing.T, p Policy)
+	}{
+		{"HedgeAfter=0", Policy{}, noHedge},
+		{"HedgeAfter<0", Policy{HedgeAfter: -time.Second}, noHedge},
+		{"Breaker=nil", Policy{}, noBreakerReject},
+		{"Deadline=0", Policy{}, noBudgetShed},
+		{"Deadline<0", Policy{Deadline: -time.Second}, noBudgetShed},
+		{"HostLimit=0", Policy{}, inFlightCap(DefaultHostLimit)},
+		{"HostLimit<0", Policy{HostLimit: -1}, inFlightCap(0)},
+		{"HostQueue=0", Policy{HostLimit: 1}, noShed},
+		{"HostQueue<0", Policy{HostLimit: 1, HostQueue: -1}, noShed},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, tc.p) })
+	}
+}
+
+// noHedge: a fetch far slower than any hedge delay is attempted once and
+// its span carries no hedge label.
+func noHedge(t *testing.T, p Policy) {
+	raw := &slowEveryAttempt{delay: 20 * time.Millisecond}
+	s := NewStack(raw, LatencyModel{}, nil, nil, p)
+	tr := trace.New("hedge", nil)
+	sp := trace.Start(trace.ContextWith(context.Background(), tr.Root), trace.KindFetch, "http://slow.example/p")
+	if _, err := s.Fetcher.Fetch(NewGet("http://slow.example/p").WithContext(trace.ContextWith(context.Background(), sp))); err != nil {
+		t.Fatal(err)
+	}
+	sp.End()
+	if raw.attempts.Load() != 1 || s.Stats.Hedges() != 0 || sp.LabelValue("hedged") != "" || sp.LabelValue("hedge") != "" {
+		t.Errorf("attempts %d, hedges %d, labels %q/%q; want one attempt and no hedge",
+			raw.attempts.Load(), s.Stats.Hedges(), sp.LabelValue("hedged"), sp.LabelValue("hedge"))
+	}
+}
+
+// noBreakerReject: a host failing every fetch is tried every time.
+func noBreakerReject(t *testing.T, p Policy) {
+	var calls atomic.Int64
+	s := NewStack(FetcherFunc(func(req *Request) (*Response, error) {
+		calls.Add(1)
+		return nil, ErrSimulatedOutage
+	}), LatencyModel{}, nil, nil, p)
+	for i := 0; i < 20; i++ {
+		if _, err := s.Fetcher.Fetch(NewGet("http://dead.example/p")); !IsOutage(err) {
+			t.Fatalf("fetch %d: err = %v, want an outage", i, err)
+		}
+	}
+	if s.Breaker != nil || calls.Load() != 20 || s.Stats.BreakerRejects() != 0 {
+		t.Errorf("breaker %v, %d fetches reached the host, %d rejected; want none, 20, 0",
+			s.Breaker, calls.Load(), s.Stats.BreakerRejects())
+	}
+}
+
+// noBudgetShed: a fetch under a spent deadline budget still runs, and a
+// query mints no budget.
+func noBudgetShed(t *testing.T, p Policy) {
+	s := NewStack(okFetcher(), LatencyModel{}, nil, nil, p)
+	clock := newFakeClock()
+	b := NewBudget(time.Second, clock.Now)
+	clock.Advance(time.Hour)
+	q := s.NewQuery()
+	ctx := ContextWithBudget(WithQuery(context.Background(), q), b)
+	if _, err := s.Fetcher.Fetch(NewGet("http://a.example/p").WithContext(ctx)); err != nil {
+		t.Fatalf("fetch under a spent budget: %v", err)
+	}
+	if q.Stats.BudgetSheds() != 0 || q.NewBudget() != nil {
+		t.Errorf("budget sheds %d, minted budget %v; want 0 and none", q.Stats.BudgetSheds(), q.NewBudget())
+	}
+}
+
+// inFlightCap: twelve concurrent fetches at one host run at most want at a
+// time (0: all at once).
+func inFlightCap(want int) func(t *testing.T, p Policy) {
+	return func(t *testing.T, p Policy) {
+		const n = 12
+		raw := newGatedInner()
+		s := NewStack(raw, LatencyModel{}, nil, nil, p)
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		defer close(raw.gate)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if _, err := s.Fetcher.Fetch(NewGet(fmt.Sprintf("http://one.example/p%d", i))); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		running := want
+		if want == 0 {
+			running = n
+		}
+		for i := 0; i < running; i++ {
+			select {
+			case <-raw.started:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d fetches in flight, want %d", i, running)
+			}
+		}
+		select {
+		case u := <-raw.started:
+			t.Errorf("%s started with %d already in flight", u, running)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if want > 0 && s.Stats.PeakInFlight() != int64(want) {
+			t.Errorf("peak in flight = %d, want %d", s.Stats.PeakInFlight(), want)
+		}
+	}
+}
+
+// noShed: behind a host's one busy slot, every waiting fetch queues and
+// none is shed.
+func noShed(t *testing.T, p Policy) {
+	const n = 8
+	raw := newGatedInner()
+	s := NewStack(raw, LatencyModel{}, nil, nil, p)
+	var returned atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Fetcher.Fetch(NewGet(fmt.Sprintf("http://one.example/p%d", i))); err != nil {
+				t.Error(err)
+			}
+			returned.Add(1)
+		}(i)
+	}
+	<-raw.started
+	time.Sleep(20 * time.Millisecond) // a shed would return at once
+	if got := returned.Load(); got != 0 {
+		t.Errorf("%d fetches returned while the host's slot was busy", got)
+	}
+	close(raw.gate)
+	wg.Wait()
+	if s.Stats.BulkheadSheds() != 0 {
+		t.Errorf("bulkhead sheds = %d, want 0", s.Stats.BulkheadSheds())
 	}
 }

@@ -20,7 +20,7 @@ func TestCacheStaleOnError(t *testing.T) {
 	cache.MaxAge = time.Minute
 	cache.AllowStale = true
 	cache.Clock = clk.Clock()
-	f := WithCache(inner, cache)
+	f := cacheOnly(inner, cache)
 	const url = "http://h/page"
 
 	// Prime the cache, then hit it while fresh.
@@ -73,7 +73,7 @@ func TestCacheStaleOnError(t *testing.T) {
 	cache2.MaxAge = time.Minute
 	cache2.Clock = clk.Clock()
 	inner2 := &switchFetcher{}
-	f2 := WithCache(inner2, cache2)
+	f2 := cacheOnly(inner2, cache2)
 	if _, err := f2.Fetch(NewGet(url)); err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestCacheStaleOnError(t *testing.T) {
 	cache3.MaxAge = time.Minute
 	cache3.AllowStale = true
 	cache3.Clock = clk.Clock()
-	f3 := WithCache(ctxInner, cache3)
+	f3 := cacheOnly(ctxInner, cache3)
 	ok := FetcherFunc(func(req *Request) (*Response, error) {
 		return HTML(req.URL, "<html><body>x</body></html>"), nil
 	})
-	if _, err := WithCache(ok, cache3).Fetch(NewGet(url)); err != nil {
+	if _, err := cacheOnly(ok, cache3).Fetch(NewGet(url)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Minute)
@@ -119,7 +119,7 @@ func TestCacheClearDropsInFlightFill(t *testing.T) {
 		<-release
 		return HTML(req.URL, "<html><body>pre-clear</body></html>"), nil
 	})
-	f := WithCache(inner, cache)
+	f := cacheOnly(inner, cache)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -142,7 +142,7 @@ func TestCacheClearDropsInFlightFill(t *testing.T) {
 func TestCacheClearDuringFillRace(t *testing.T) {
 	cache := NewCache()
 	inner := okFetcher()
-	f := WithCache(inner, cache)
+	f := cacheOnly(inner, cache)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 8; g++ {

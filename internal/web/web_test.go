@@ -196,9 +196,8 @@ func TestWithLatencySleeps(t *testing.T) {
 func TestCache(t *testing.T) {
 	s := NewServer()
 	s.Register(demoSite("a.example"))
-	var stats Stats
-	cache := NewCache()
-	f := WithCache(Counting(s, &stats), cache)
+	st := NewStack(s, LatencyModel{}, nil, nil, Policy{})
+	f, stats, cache := st.Fetcher, st.Stats, st.Cache
 
 	for i := 0; i < 5; i++ {
 		resp, err := f.Fetch(NewGet("http://a.example/cgi/echo?q=ford"))

@@ -41,6 +41,7 @@ package webbase
 import (
 	"webbase/internal/apartments"
 	"webbase/internal/core"
+	"webbase/internal/health"
 	"webbase/internal/prune"
 	"webbase/internal/relation"
 	"webbase/internal/sites"
@@ -56,6 +57,13 @@ type (
 	System = core.Webbase
 	// Config controls webbase assembly.
 	Config = core.Config
+	// FetchPolicy is the fetch stack's knobs (Config.Fetch): retries,
+	// the per-host bulkhead, hedging, the breaker, deadline budgets and
+	// cache freshness.
+	FetchPolicy = web.Policy
+	// HealingPolicy is the self-healing knobs (Config.Healing): when drift
+	// quarantines a site and how its repair is retried.
+	HealingPolicy = health.Policy
 	// QueryStats reports what one query cost.
 	QueryStats = core.QueryStats
 
@@ -97,10 +105,11 @@ type (
 	Fetcher = web.Fetcher
 	// LatencyModel simulates network latency deterministically.
 	LatencyModel = web.LatencyModel
-	// BreakerConfig tunes the per-host circuit breaker (Config.Breaker).
+	// BreakerConfig tunes the per-host circuit breaker
+	// (Config.Fetch.Breaker).
 	BreakerConfig = web.BreakerConfig
 	// Backoff spaces retry attempts exponentially with deterministic
-	// per-URL jitter (Config.Backoff).
+	// per-URL jitter (Config.Fetch.Backoff).
 	Backoff = web.Backoff
 	// Flaky injects deterministic fetch failures — the chaos-testing
 	// fetcher wrapper (and the CLI's -failevery).
@@ -168,11 +177,11 @@ var (
 	// unattributed).
 	FailingHost = web.FailingHost
 	// IsBudgetExhausted reports that a query (or one of its objects) was
-	// degraded because its Config.Deadline budget ran out.
+	// degraded because its Config.Fetch.Deadline budget ran out.
 	IsBudgetExhausted = web.IsBudgetExhausted
 	// IsDrift reports a site that answered but whose pages no longer
-	// match its navigation map (a redesign; see Config.DriftThreshold
-	// and System.SiteHealth).
+	// match its navigation map (a redesign; see Config.Healing and
+	// System.SiteHealth).
 	IsDrift = web.IsDrift
 )
 
@@ -191,12 +200,12 @@ var WithQueryClass = core.WithQueryClass
 // Durable state tier (Config.StateDir). The store sits strictly below the
 // in-memory stacks as a second cache tier — never a source of truth — so
 // answers are byte-identical with it on or off. What survives a restart:
-// warmed pages (honoring CacheMaxAge/AllowStale), repaired navigation
-// maps, and breaker/health verdicts (a restarted process does not
-// re-probe a known-dead host or reset its repair budget). A missing,
-// truncated, bit-flipped or version-skewed state file falls back to cold
-// state with a store_corrupt_total{tier=...} metric; it never fails a
-// query. System.FlushState forces dirty state to disk; System.Close is
+// warmed pages (honoring Config.Fetch.CacheMaxAge and AllowStale),
+// repaired navigation maps, and breaker/health verdicts (a restarted
+// process does not re-probe a known-dead host or reset its repair
+// budget). A missing, truncated, bit-flipped or version-skewed state file
+// falls back to cold state with a store_corrupt_total{tier=...} metric; it
+// never fails a query. System.FlushState forces dirty state to disk; System.Close is
 // the graceful shutdown (flush + stop background writers).
 var (
 	// ErrStoreCorrupt classifies a state file that failed an integrity
@@ -212,10 +221,10 @@ var (
 	// Config.QueueDepth) rejects a query without executing it.
 	ErrShedded = core.ErrShedded
 	// ErrHostSaturated is the cause recorded when a per-host bulkhead
-	// (Config.HostLimit / Config.HostQueue) sheds a fetch.
+	// (Config.Fetch.HostLimit / HostQueue) sheds a fetch.
 	ErrHostSaturated = web.ErrHostSaturated
 	// ErrBudgetExhausted is the cause recorded when a deadline budget
-	// (Config.Deadline) refuses to start more work.
+	// (Config.Fetch.Deadline) refuses to start more work.
 	ErrBudgetExhausted = web.ErrBudgetExhausted
 )
 

@@ -400,14 +400,13 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			if err != nil {
 				return nil, err
 			}
-			liveKeys := make(map[string]struct{}, liveCombos.Len())
+			var liveSet relation.Set
 			for _, t := range liveCombos.Tuples() {
-				liveKeys[t.Key()] = struct{}{}
+				liveSet.Add(t)
 			}
 			prunedCombo = make([]bool, len(tuples))
 			for i, t := range tuples {
-				_, ok := liveKeys[t.Key()]
-				prunedCombo[i] = !ok
+				prunedCombo[i] = !liveSet.Has(t)
 			}
 		}
 	}

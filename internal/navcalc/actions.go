@@ -268,16 +268,19 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 		b.budget.noteStructural()
 		return nil, nil
 	}
-	nb := b.Clone().(*BrowseState)
 	if len(rows) == 0 { // a table with no rows checks no attribute against the schema
-		return []tlogic.Outcome{{State: nb, Env: env}}, nil
+		return []tlogic.Outcome{{State: b.Clone(), Env: env}}, nil
 	}
-	cols, links, envs, err := a.spec.indexes(nb.schema)
+	cols, links, envs, err := a.spec.indexes(b.schema)
 	if err != nil {
 		return nil, err
 	}
+	nb := b.withRoom(len(rows))
+	w := len(nb.schema)
+	slab := make([]relation.Value, len(rows)*w)
 	for _, row := range rows {
-		t := make(relation.Tuple, len(nb.schema))
+		t := relation.Tuple(slab[:w:w]) // cap == len: an append cannot reach the next row
+		slab = slab[w:]
 		for k, c := range a.spec.Columns {
 			if c.Money {
 				t[cols[k]] = relation.ParseMoney(row.Cells[k])
@@ -340,9 +343,12 @@ func (a extract) runPattern(b *BrowseState, env tlogic.Env) ([]tlogic.Outcome, e
 		b.budget.noteStructural()
 		return nil, nil
 	}
-	nb := b.Clone().(*BrowseState)
+	nb := b.withRoom(len(records))
+	w := len(nb.schema)
+	slab := make([]relation.Value, len(records)*w)
 	for _, rec := range records {
-		t := make(relation.Tuple, len(nb.schema))
+		t := relation.Tuple(slab[:w:w])
+		slab = slab[w:]
 		for attr, val := range rec {
 			i := nb.schema.IndexOf(attr)
 			if i < 0 {

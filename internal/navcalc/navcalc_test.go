@@ -265,11 +265,46 @@ func TestBrowseStateCloneIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.collected = append(st.collected, relation.Tuple{relation.Int(1)})
+	st.collected = append(make([]relation.Tuple, 0, 4), relation.Tuple{relation.Int(1)})
 	cp := st.Clone().(*BrowseState)
 	cp.collected = append(cp.collected, relation.Tuple{relation.Int(2)})
 	if len(st.Collected()) != 1 {
 		t.Error("clone leaked collected tuples into original")
+	}
+	// Two branches from one state share its list's spare room: each must
+	// still see only its own extractions.
+	sibling := st.Clone().(*BrowseState)
+	sibling.collected = append(sibling.collected, relation.Tuple{relation.Int(3)})
+	if got := cp.Collected()[1][0]; !got.Equal(relation.Int(2)) {
+		t.Errorf("a sibling branch's extraction replaced this branch's: %v", got)
+	}
+}
+
+// TestExtractedTuplesDoNotAlias: extract carves a page's rows from one
+// slab, each with capacity equal to its length, and the relation takes
+// them as they are: appending to one reallocates it and never writes into
+// the row after it.
+func TestExtractedTuplesDoNotAlias(t *testing.T) {
+	rel, _, err := newsdayExpression().Execute(sites.BuildWorld().Server, map[string]string{"Make": "ford", "Model": "escort"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := rel.Tuples()
+	if len(tuples) < 6 {
+		t.Fatalf("%d tuples, want rows from more than one page", len(tuples))
+	}
+	for i := 0; i+1 < len(tuples); i++ {
+		if cap(tuples[i]) != len(tuples[i]) {
+			t.Errorf("tuple %d has cap %d, len %d", i, cap(tuples[i]), len(tuples[i]))
+		}
+		before := tuples[i+1].Key()
+		_ = append(tuples[i], relation.String("junk"))
+		if tuples[i+1].Key() != before {
+			t.Errorf("appending to tuple %d changed tuple %d", i, i+1)
+		}
+	}
+	if cap(tuples) != len(tuples) {
+		t.Errorf("the relation's tuple list has cap %d, len %d: an Insert could write into the state's list", cap(tuples), len(tuples))
 	}
 }
 

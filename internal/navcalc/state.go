@@ -228,12 +228,20 @@ func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (*page, error) {
 	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.Parse(resp.Body)}, nil
 }
 
-// Clone implements tlogic.State. The page is shared; the collected-tuple
-// list is copied so that backtracking discards a failed branch's
-// extractions.
-func (b *BrowseState) Clone() tlogic.State {
+// Clone implements tlogic.State. The page and the collected tuples are
+// shared; the clone's tuple list is clipped, so the first extraction on a
+// branch copies it and backtracking discards that branch's extractions.
+func (b *BrowseState) Clone() tlogic.State { return b.withRoom(0) }
+
+// withRoom is Clone with room for n more collected tuples: n > 0 copies
+// the list once, into a list that takes them without growing.
+func (b *BrowseState) withRoom(n int) *BrowseState {
 	nb := *b
-	nb.collected = append([]relation.Tuple(nil), b.collected...)
+	if n == 0 {
+		nb.collected = slices.Clip(b.collected)
+	} else {
+		nb.collected = append(make([]relation.Tuple, 0, len(b.collected)+n), b.collected...)
+	}
 	return &nb
 }
 
@@ -259,14 +267,13 @@ func (b *BrowseState) PageID() flogic.OID {
 func (b *BrowseState) Collected() []relation.Tuple { return b.collected }
 
 // Relation materializes the collected tuples as a relation over the
-// navigation's schema.
+// navigation's schema. The relation takes the tuples, not copies: they
+// were built for it, and a state never changes a tuple it has collected.
 func (b *BrowseState) Relation(name string) *relation.Relation {
-	r := relation.New(name, b.schema)
-	for _, t := range b.collected {
-		// Tuples were built against the same schema; Insert re-checks.
-		if err := r.Insert(t); err != nil {
-			panic(fmt.Sprintf("navcalc: collected tuple does not match schema: %v", err))
-		}
+	r, err := relation.FromTuples(name, b.schema, b.collected)
+	if err != nil {
+		// Tuples were built against the same schema.
+		panic(fmt.Sprintf("navcalc: collected tuple does not match schema: %v", err))
 	}
 	return r
 }

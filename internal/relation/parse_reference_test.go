@@ -33,8 +33,8 @@ func parseReference(text string) Value {
 // sameValue is identity, not Equal: same kind and same payload, with NaN
 // equal to itself and -0 distinct from +0.
 func sameValue(a, b Value) bool {
-	return a.kind == b.kind && a.s == b.s && a.i == b.i && a.b == b.b &&
-		math.Float64bits(a.f) == math.Float64bits(b.f)
+	return a.kind == b.kind && a.s == b.s && a.IntVal() == b.IntVal() && a.BoolVal() == b.BoolVal() &&
+		(math.Float64bits(a.FloatVal()) == math.Float64bits(b.FloatVal()) || a.FloatVal() != a.FloatVal() && b.FloatVal() != b.FloatVal())
 }
 
 // lookAlikes are texts that are almost, or unexpectedly, numbers or bools.

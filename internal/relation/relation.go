@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -9,11 +10,12 @@ import (
 // Tuple is a row of values positionally aligned with a relation's schema.
 type Tuple []Value
 
-// Key returns a canonical key for deduplication.
+// Key returns the values' keys joined by NUL. A string holding NUL can give
+// two different tuples one key, so the relational operations never use it:
+// they compare values (see Set).
 func (t Tuple) Key() string { return string(t.appendKey(make([]byte, 0, 64))) }
 
-// appendKey appends the tuple's key to buf (the values' keys, NUL-separated),
-// so a dedup loop can reuse one buffer instead of building a string per probe.
+// appendKey appends the tuple's key to buf.
 func (t Tuple) appendKey(buf []byte) []byte {
 	for i, v := range t {
 		if i > 0 {
@@ -24,24 +26,47 @@ func (t Tuple) appendKey(buf []byte) []byte {
 	return buf
 }
 
-// Clone copies the tuple.
-func (t Tuple) Clone() Tuple { return append(Tuple{}, t...) }
+// Clone copies the tuple. The copy's capacity is its length.
+func (t Tuple) Clone() Tuple { return append(make(Tuple, 0, len(t)), t...) }
+
+// carve cuts the next n values off the slab as a tuple whose capacity is
+// its length, so appending to it reallocates instead of writing into the
+// tuple carved after it.
+func carve(slab *[]Value, n int) Tuple {
+	t := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return t
+}
 
 // Relation is an in-memory relation: a named schema plus a bag of tuples.
-// Operations that produce new relations never mutate their receivers, and
+// Operations that produce new relations never mutate their receivers. A
+// tuple is built once and immutable after: Insert copies the caller's
+// slice, the operators that make new rows (Project, NaturalJoin, a union
+// whose columns must be permuted) carve them from one slab per call, and
 // those that keep whole tuples (Select, Distinct, Diff, Rename, the sorts,
-// Limit, UnionAll) share them with the result: a tuple is immutable once
-// inserted, which is why Insert copies the caller's slice and nothing after
-// it does.
+// Limit, UnionAll) share them with the result.
 type Relation struct {
 	name   string
 	schema Schema
 	tuples []Tuple
 }
 
-// New creates an empty relation with the given name and schema.
+// New creates an empty relation with the given name and schema. Schemas
+// are immutable, so the relation shares the caller's.
 func New(name string, schema Schema) *Relation {
-	return &Relation{name: name, schema: schema.Clone()}
+	return &Relation{name: name, schema: schema}
+}
+
+// FromTuples returns a relation over schema holding tuples, which it takes
+// rather than copies: the caller must change neither the slice nor a tuple
+// in it afterwards. Every tuple must have the schema's arity.
+func FromTuples(name string, schema Schema, tuples []Tuple) (*Relation, error) {
+	for _, t := range tuples {
+		if len(t) != len(schema) {
+			return nil, fmt.Errorf("relation %s: tuple arity %d does not match schema %s", name, len(t), schema)
+		}
+	}
+	return &Relation{name: name, schema: schema, tuples: slices.Clip(tuples)}, nil
 }
 
 // Name returns the relation's name (possibly empty for intermediate
@@ -114,7 +139,8 @@ func (r *Relation) Rename(newName string, mapping map[string]string) *Relation {
 
 // Project returns the projection of r onto attrs (which must all exist),
 // with duplicates removed — projection is a set operation in the paper's
-// algebra.
+// algebra. The first pass keeps the first source row of each distinct
+// projection; the second carves exactly those projections from one slab.
 func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	idx := make([]int, len(attrs))
 	for i, a := range attrs {
@@ -128,18 +154,22 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("project: %w", err)
 	}
-	out := New("", sch)
-	seen := make(map[string]bool, len(r.tuples))
+	out := &Relation{schema: sch, tuples: make([]Tuple, 0, len(r.tuples))}
+	x := newIndex(len(r.tuples))
 	for _, t := range r.tuples {
-		nt := make(Tuple, len(idx))
-		for i, j := range idx {
-			nt[i] = t[j]
+		h := hashAt(t, idx)
+		if free, dup := x.lookup(h, func(p int) bool { return sameAt(out.tuples[p], idx, t, idx) }); !dup {
+			*free = slot{hash: h, pos: len(out.tuples) + 1}
+			out.tuples = append(out.tuples, t)
 		}
-		k := nt.Key()
-		if !seen[k] {
-			seen[k] = true
-			out.tuples = append(out.tuples, nt)
+	}
+	slab := make([]Value, len(out.tuples)*len(idx))
+	for i, t := range out.tuples {
+		nt := carve(&slab, len(idx))
+		for k, j := range idx {
+			nt[k] = t[j]
 		}
+		out.tuples[i] = nt
 	}
 	return out, nil
 }
@@ -188,13 +218,12 @@ func UnionAll(rels []*Relation) (*Relation, error) {
 }
 
 // Merge is a set union built one relation at a time, in first-occurrence
-// order: one seen-set and one reused key buffer for the whole union, where
-// a pairwise fold re-keys everything merged so far at every step. The zero
-// value is an empty union ready for Add.
+// order: one Set for the whole union, where a pairwise fold re-indexes
+// everything merged so far at every step. The zero value is an empty union
+// ready for Add.
 type Merge struct {
-	out  *Relation
-	seen map[string]struct{}
-	buf  []byte
+	out *Relation
+	set Set // the union's tuples; out.tuples is set.tuples
 }
 
 // Add merges r into the union and returns the tuples it contributed that
@@ -211,30 +240,35 @@ func (m *Merge) Add(r *Relation) ([]Tuple, error) {
 	var perm []int
 	if m.out == nil {
 		m.out = New("", r.schema)
-		m.seen = make(map[string]struct{})
 	} else if !m.out.schema.Equal(r.schema) {
 		var err error
 		if perm, err = alignment(m.out.schema, r.schema, "union"); err != nil {
 			return nil, err
 		}
 	}
-	start := len(m.out.tuples)
-	for _, t := range r.tuples {
-		if perm != nil {
-			nt := make(Tuple, len(perm))
+	start := len(m.set.tuples)
+	m.set.grow(len(r.tuples))
+	if perm == nil {
+		for _, t := range r.tuples {
+			m.set.Add(t)
+		}
+	} else {
+		// A permuted row is carved where the next new row goes; the slab
+		// advances only when the row is new.
+		slab := make([]Value, len(r.tuples)*len(perm))
+		for _, t := range r.tuples {
+			nt := slab[:len(perm):len(perm)]
 			for i, j := range perm {
 				nt[i] = t[j]
 			}
-			t = nt
-		}
-		m.buf = t.appendKey(m.buf[:0])
-		if _, dup := m.seen[string(m.buf)]; !dup {
-			m.seen[string(m.buf)] = struct{}{}
-			m.out.tuples = append(m.out.tuples, t)
+			if m.set.Add(nt) {
+				slab = slab[len(perm):]
+			}
 		}
 	}
-	end := len(m.out.tuples)
-	return m.out.tuples[start:end:end], nil
+	m.out.tuples = m.set.tuples
+	end := len(m.set.tuples)
+	return m.set.tuples[start:end:end], nil
 }
 
 // Len is the number of distinct tuples merged so far.
@@ -256,17 +290,17 @@ func (r *Relation) Diff(other *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	drop := make(map[string]bool, len(other.tuples))
-	for _, t := range other.tuples {
-		nt := make(Tuple, len(perm))
-		for i, j := range perm {
-			nt[i] = t[j]
+	// other's rows are indexed in r's column order, read through perm.
+	x := newIndex(len(other.tuples))
+	for p, t := range other.tuples {
+		h := hashAt(t, perm)
+		if free, dup := x.lookup(h, func(q int) bool { return sameAt(other.tuples[q], perm, t, perm) }); !dup {
+			*free = slot{hash: h, pos: p + 1}
 		}
-		drop[nt.Key()] = true
 	}
-	out := New("", r.schema)
+	out := &Relation{schema: r.schema, tuples: make([]Tuple, 0, len(r.tuples))}
 	for _, t := range r.tuples {
-		if !drop[t.Key()] {
+		if _, drop := x.lookup(hashAt(t, nil), func(q int) bool { return sameAt(other.tuples[q], perm, t, nil) }); !drop {
 			out.tuples = append(out.tuples, t)
 		}
 	}
@@ -287,39 +321,69 @@ func alignment(want, have Schema, op string) ([]int, error) {
 
 // NaturalJoin returns the natural join of r and other on their common
 // attributes. With no common attributes it degenerates to the cartesian
-// product, as in the standard algebra.
+// product, as in the standard algebra. An output row is r's row followed
+// by other's attributes r lacks; when other has none, the row is r's own
+// and is shared, and otherwise the rows are carved from one slab.
 func (r *Relation) NaturalJoin(other *Relation) *Relation {
 	common := r.schema.Intersect(other.schema)
-	outSchema := r.schema.Union(other.schema)
-	out := New("", outSchema)
+	extra := other.schema.Minus(r.schema)
+	out := New("", r.schema)
+	if len(extra) > 0 {
+		out.schema = r.schema.Union(other.schema)
+	}
 
-	rIdx := make([]int, len(common))
-	oIdx := make([]int, len(common))
+	cols := make([]int, 2*len(common)+len(extra))
+	rIdx, oIdx, extraIdx := cols[:len(common)], cols[len(common):2*len(common)], cols[2*len(common):]
 	for i, a := range common {
 		rIdx[i] = r.schema.IndexOf(a)
 		oIdx[i] = other.schema.IndexOf(a)
 	}
-	// Attributes of other that are appended after r's.
-	extra := other.schema.Minus(r.schema)
-	extraIdx := make([]int, len(extra))
 	for i, a := range extra {
 		extraIdx[i] = other.schema.IndexOf(a)
 	}
 
-	// Hash join on the common-attribute key.
-	buckets := make(map[string][]Tuple, len(other.tuples))
-	var buf []byte
-	for _, t := range other.tuples {
-		buf = appendJoinKey(buf[:0], t, oIdx)
-		buckets[string(buf)] = append(buckets[string(buf)], t)
+	// Hash join on the common attributes. The index files the first row of
+	// other with each key; next chains the others in other's order, and
+	// first holds, for each row of r, the chain it matches. Positions are
+	// stored plus one, so 0 ends a chain.
+	links := make([]int, len(other.tuples)+len(r.tuples))
+	next, first := links[:len(other.tuples)], links[len(other.tuples):]
+	x := newIndex(len(other.tuples))
+	for p := len(other.tuples) - 1; p >= 0; p-- {
+		t := other.tuples[p]
+		h := hashAt(t, oIdx)
+		s, dup := x.lookup(h, func(q int) bool { return sameAt(other.tuples[q], oIdx, t, oIdx) })
+		if dup {
+			next[p] = s.pos
+		}
+		*s = slot{hash: h, pos: p + 1}
 	}
-	for _, t := range r.tuples {
-		buf = appendJoinKey(buf[:0], t, rIdx)
-		for _, ot := range buckets[string(buf)] {
-			nt := make(Tuple, 0, len(outSchema))
-			nt = append(nt, t...)
-			for _, j := range extraIdx {
-				nt = append(nt, ot[j])
+	n := 0
+	for i, t := range r.tuples {
+		if s, ok := x.lookup(hashAt(t, rIdx), func(q int) bool { return sameAt(other.tuples[q], oIdx, t, rIdx) }); ok {
+			first[i] = s.pos
+			for q := s.pos; q != 0; q = next[q-1] {
+				n++
+			}
+		}
+	}
+
+	out.tuples = make([]Tuple, 0, n)
+	width := len(out.schema)
+	var slab []Value
+	if len(extra) > 0 {
+		slab = make([]Value, n*width)
+	}
+	for i, t := range r.tuples {
+		for q := first[i]; q != 0; q = next[q-1] {
+			if len(extra) == 0 {
+				out.tuples = append(out.tuples, t)
+				continue
+			}
+			nt := carve(&slab, width)
+			copy(nt, t)
+			for k, j := range extraIdx {
+				nt[len(t)+k] = other.tuples[q-1][j]
 			}
 			out.tuples = append(out.tuples, nt)
 		}
@@ -327,28 +391,14 @@ func (r *Relation) NaturalJoin(other *Relation) *Relation {
 	return out
 }
 
-// appendJoinKey appends the key of t's idx columns to buf.
-func appendJoinKey(buf []byte, t Tuple, idx []int) []byte {
-	for i, j := range idx {
-		if i > 0 {
-			buf = append(buf, 0)
-		}
-		buf = t[j].appendKey(buf)
-	}
-	return buf
-}
-
 // Distinct returns r with duplicate tuples removed.
 func (r *Relation) Distinct() *Relation {
-	out := New(r.name, r.schema)
-	seen := make(map[string]bool, len(r.tuples))
+	var s Set
+	s.grow(len(r.tuples))
 	for _, t := range r.tuples {
-		if k := t.Key(); !seen[k] {
-			seen[k] = true
-			out.tuples = append(out.tuples, t)
-		}
+		s.Add(t)
 	}
-	return out
+	return &Relation{name: r.name, schema: r.schema, tuples: s.tuples}
 }
 
 // SortBy returns a copy of r sorted by the given attributes in order.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -531,6 +532,119 @@ func TestOperatorsShareTuples(t *testing.T) {
 		out.tuples = append(out.tuples[:1], Tuple{Null(), Null()})
 		if after := r.String(); after != before {
 			t.Errorf("%s: input changed\n--- before ---\n%s--- after ---\n%s", op.name, before, after)
+		}
+	}
+}
+
+// TestIdentityIsByValueNotByJoinedKey: two rows are one only when their
+// values are. Joining value keys with NUL gave ("a\x00s:x", "y") and
+// ("a", "x\x00s:y") one key, so Distinct, Project and UnionAll kept one of
+// them and NaturalJoin matched them. Beside that case, the pairs of values
+// that are distinct (an int and the float it equals, ±0, strings that
+// differ in case) and the one that is not (NaNs with different payloads).
+func TestIdentityIsByValueNotByJoinedKey(t *testing.T) {
+	nul := [2]Tuple{{String("a\x00s:x"), String("y")}, {String("a"), String("x\x00s:y")}}
+	if nul[0].Key() != nul[1].Key() {
+		t.Fatal("the case no longer has one joined key")
+	}
+	cases := []struct {
+		name string
+		rows [2]Tuple
+		same bool
+	}{
+		{"NUL in a string", nul, false},
+		{"int and float", [2]Tuple{{Int(5), Null()}, {Float(5), Null()}}, false},
+		{"±0", [2]Tuple{{Float(0), Null()}, {Float(math.Copysign(0, -1)), Null()}}, false},
+		{"case", [2]Tuple{{String("Ford"), Null()}, {String("ford"), Null()}}, false},
+		{"NaN payloads", [2]Tuple{{Float(math.NaN()), Null()}, {Float(math.Float64frombits(0x7ff8000000000001)), Null()}}, true},
+	}
+	for _, c := range cases {
+		want := 2
+		if c.same {
+			want = 1
+		}
+		r := New("r", NewSchema("A", "B"))
+		r.MustInsert(c.rows[0]...)
+		r.MustInsert(c.rows[1]...)
+		p, _ := r.Project("A", "B")
+		u, _ := UnionAll([]*Relation{r})
+		for op, n := range map[string]int{"Distinct": r.Distinct().Len(), "Project": p.Len(), "UnionAll": u.Len()} {
+			if n != want {
+				t.Errorf("%s: %s kept %d of the two rows, want %d", c.name, op, n, want)
+			}
+		}
+		r1, r2 := New("r1", r.Schema()), New("r2", r.Schema())
+		r1.MustInsert(c.rows[0]...)
+		r2.MustInsert(c.rows[1]...)
+		if n := r1.NaturalJoin(r2).Len(); n != 2-want {
+			t.Errorf("%s: NaturalJoin matched %d rows, want %d", c.name, n, 2-want)
+		}
+		if d, _ := r1.Diff(r2); d.Len() != want-1 {
+			t.Errorf("%s: Diff kept %d rows, want %d", c.name, d.Len(), want-1)
+		}
+	}
+}
+
+// TestCarvedTuplesDoNotAlias: the operators that make new rows cut them
+// from one slab, each with capacity equal to its length, so appending to
+// one reallocates it and never writes into the row carved after it.
+func TestCarvedTuplesDoNotAlias(t *testing.T) {
+	r := New("r", NewSchema("A", "B"))
+	for i := 0; i < 4; i++ {
+		r.MustInsert(Int(int64(i)), String("b"))
+	}
+	other := New("o", NewSchema("B", "C"))
+	other.MustInsert(String("b"), Int(7))
+	perm := New("p", NewSchema("B", "A"))
+	perm.MustInsert(String("z"), Int(8))
+	perm.MustInsert(String("z"), Int(9))
+	var m Merge
+	m.Add(r)
+	m.Add(perm)
+	proj, _ := r.Project("A")
+	for op, tuples := range map[string][]Tuple{
+		"Insert":       r.Tuples(),
+		"Project":      proj.Tuples(),
+		"NaturalJoin":  r.NaturalJoin(other).Tuples(),
+		"permuted Add": m.Relation().Tuples()[4:],
+	} {
+		for i := 0; i+1 < len(tuples); i++ {
+			if cap(tuples[i]) != len(tuples[i]) {
+				t.Errorf("%s: tuple %d has cap %d, len %d", op, i, cap(tuples[i]), len(tuples[i]))
+			}
+			before := tuples[i+1].Key()
+			grown := append(tuples[i], String("junk"))
+			if &grown[0] == &tuples[i][0] {
+				t.Errorf("%s: appending to tuple %d did not reallocate it", op, i)
+			}
+			if tuples[i+1].Key() != before {
+				t.Errorf("%s: appending to tuple %d changed tuple %d", op, i, i+1)
+			}
+		}
+	}
+}
+
+// TestDerivedInsertLeavesInputAlone: a relation derived by an operator
+// that keeps its input's rows has a tuple list of its own, so inserting
+// into it changes nothing the input holds.
+func TestDerivedInsertLeavesInputAlone(t *testing.T) {
+	for op, derive := range map[string]func(*Relation) *Relation{
+		"Select": func(r *Relation) *Relation { return r.Select(func(Tuple) bool { return true }) },
+		"Rename": func(r *Relation) *Relation { return r.Rename("q", nil) },
+		"Limit":  func(r *Relation) *Relation { return r.Limit(2) },
+	} {
+		r := New("r", NewSchema("A"))
+		r.MustInsert(Int(1))
+		r.MustInsert(Int(2))
+		before := r.String()
+		d := derive(r)
+		d.MustInsert(Int(3))
+		r.MustInsert(Int(4)) // would overwrite d's 3 if the two shared a list
+		if r.Len() != 3 || r.String() != before+"4\n" {
+			t.Errorf("%s: the input changed:\n%s", op, r)
+		}
+		if got := d.Tuples()[d.Len()-1]; !got[0].Equal(Int(3)) {
+			t.Errorf("%s: the derived relation's last tuple is %v, want 3", op, got)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func (s Schema) Intersect(other Schema) Schema {
 
 // Union returns s followed by the attributes of other not already in s.
 func (s Schema) Union(other Schema) Schema {
-	out := append(Schema{}, s...)
+	out := append(make(Schema, 0, len(s)+len(other)), s...)
 	for _, a := range other {
 		if !out.Has(a) {
 			out = append(out, a)

@@ -9,6 +9,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,12 +46,15 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed relational value. The zero Value is null.
 // Values are immutable and safe to copy.
+//
+// A Value is 32 bytes: s is the string payload, n the int, the float's bits
+// or 0/1 for a bool. A payload field a kind does not use is zero, and every
+// NaN is stored with the same bits, so two values are the same value (see
+// same) exactly when their fields are equal.
 type Value struct {
-	kind Kind
 	s    string
-	i    int64
-	f    float64
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null returns the null value.
@@ -60,13 +64,26 @@ func Null() Value { return Value{} }
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
 // Int wraps an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
+
+// canonicalNaN is the bits every float NaN is stored with.
+var canonicalNaN = math.Float64bits(math.NaN())
 
 // Float wraps a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value {
+	if f != f {
+		return Value{kind: KindFloat, n: canonicalNaN}
+	}
+	return Value{kind: KindFloat, n: math.Float64bits(f)}
+}
 
 // Bool wraps a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -79,19 +96,28 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 func (v Value) Str() string { return v.s }
 
 // IntVal returns the integer payload (0 for non-int values).
-func (v Value) IntVal() int64 { return v.i }
+func (v Value) IntVal() int64 {
+	if v.kind == KindInt {
+		return int64(v.n)
+	}
+	return 0
+}
 
 // FloatVal returns the numeric payload as a float64. Integers are widened;
 // other kinds yield 0.
 func (v Value) FloatVal() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindInt:
+		return float64(int64(v.n))
+	case KindFloat:
+		return math.Float64frombits(v.n)
+	default:
+		return 0
 	}
-	return v.f
 }
 
 // BoolVal returns the boolean payload (false for non-bool values).
-func (v Value) BoolVal() bool { return v.b }
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.n == 1 }
 
 // IsNumeric reports whether v is an int or a float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -104,19 +130,19 @@ func (v Value) String() string {
 	case KindString:
 		return v.s
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.IntVal(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.FloatVal(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.BoolVal())
 	default:
 		return "?"
 	}
 }
 
-// Key returns a string that uniquely identifies the value within its kind,
-// suitable for use as a map key when deduplicating tuples. This sits on
-// the hot path of joins, unions and distinct, so it avoids fmt.
+// Key returns a string that uniquely identifies the value: two values have
+// the same key exactly when they are the same value (see same). The
+// relational operations compare values directly and never build one.
 func (v Value) Key() string { return string(v.appendKey(make([]byte, 0, 32))) }
 
 // appendKey appends Key's bytes to buf.
@@ -127,16 +153,22 @@ func (v Value) appendKey(buf []byte) []byte {
 	case KindString:
 		return append(append(buf, "s:"...), v.s...)
 	case KindInt:
-		return strconv.AppendInt(append(buf, "i:"...), v.i, 10)
+		return strconv.AppendInt(append(buf, "i:"...), v.IntVal(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(append(buf, "f:"...), v.f, 'g', -1, 64)
+		return strconv.AppendFloat(append(buf, "f:"...), v.FloatVal(), 'g', -1, 64)
 	default: // KindBool
-		if v.b {
+		if v.BoolVal() {
 			return append(buf, "b:1"...)
 		}
 		return append(buf, "b:0"...)
 	}
 }
+
+// same reports value identity, the equality deduplication and joins use:
+// the same kind and the same payload, so strings compare case-sensitively,
+// an int is never the float it equals, every NaN is one value and -0 is
+// not +0. It is stricter than Equal, which coerces for comparisons.
+func (v Value) same(o Value) bool { return v.kind == o.kind && v.n == o.n && v.s == o.s }
 
 // Equal reports value equality. Numeric values compare across int/float.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
@@ -173,14 +205,7 @@ func (v Value) Compare(o Value) int {
 	case KindString:
 		return strings.Compare(strings.ToLower(v.s), strings.ToLower(o.s))
 	case KindBool:
-		switch {
-		case v.b == o.b:
-			return 0
-		case o.b:
-			return -1
-		default:
-			return 1
-		}
+		return int(v.n) - int(o.n)
 	default: // KindNull
 		return 0
 	}

@@ -238,6 +238,59 @@ func TestMidStreamRetryableErrorResumes(t *testing.T) {
 	}
 }
 
+// seqGap streams the scripted lines after the meta event and returns the
+// tuples the caller was handed and the stream's end.
+func seqGap(t *testing.T, lines ...string) ([]string, *Stream) {
+	t.Helper()
+	ts := httptest.NewServer(scriptedStream(append([]string{scriptedMeta}, lines...)...))
+	t.Cleanup(ts.Close)
+	st, err := newTestClient(t, ts.URL, 3).Query(context.Background(), "SELECT Make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	var got []string
+	for st.Next() {
+		for _, tp := range st.Delivery().Tuples {
+			got = append(got, tp[0].Str())
+		}
+	}
+	return got, st
+}
+
+// TestSeqGapSkippedDelivery: a delivery numbered past the next one means
+// one went missing between them. The stream ends there with ErrProtocol,
+// and neither the later delivery nor the trailer reaches the caller.
+func TestSeqGapSkippedDelivery(t *testing.T) {
+	got, st := seqGap(t,
+		`{"event":"tuples","seq":1,"index":0,"object":["cars"],"count":1,"tuples":[["jaguar"]]}`,
+		`{"event":"tuples","seq":3,"index":2,"object":["leases"],"count":1,"tuples":[["bmw"]]}`,
+		`{"event":"trailer","seq":4,"tuples":3,"objects":3,"stats":{}}`,
+	)
+	if !errors.Is(st.Err(), ErrProtocol) || st.Trailer() != nil {
+		t.Fatalf("Err = %v, trailer = %+v; want ErrProtocol and no trailer", st.Err(), st.Trailer())
+	}
+	if len(got) != 1 || got[0] != "jaguar" {
+		t.Fatalf("delivered %v, want only the delivery before the gap", got)
+	}
+}
+
+// TestSeqGapMissingLastDelivery: a trailer numbered past the next delivery
+// closes an answer whose last delivery never arrived, under totals that
+// count it. The stream ends with ErrProtocol, not that trailer.
+func TestSeqGapMissingLastDelivery(t *testing.T) {
+	got, st := seqGap(t,
+		`{"event":"tuples","seq":1,"index":0,"object":["cars"],"count":1,"tuples":[["jaguar"]]}`,
+		`{"event":"trailer","seq":3,"tuples":2,"objects":2,"stats":{}}`,
+	)
+	if !errors.Is(st.Err(), ErrProtocol) || st.Trailer() != nil {
+		t.Fatalf("Err = %v, trailer = %+v; want ErrProtocol and no trailer", st.Err(), st.Trailer())
+	}
+	if len(got) != 1 {
+		t.Fatalf("delivered %v, want the one delivery that arrived", got)
+	}
+}
+
 // TestValueKindsRoundTrip: wire tuples decode to the right relational
 // kinds — strings, ints, floats, bools, nulls.
 func TestValueKindsRoundTrip(t *testing.T) {

@@ -168,13 +168,13 @@ func (s *Stream) Next() bool {
 			// client lost state) carries nothing new; skip it.
 			continue
 		case wire.KindTuples, wire.KindUnavailable, wire.KindSkipped:
-			// Exactly-once guard: the server suppresses the acked prefix,
-			// but a delivery at or below the resume offset (a replay bug or
-			// a hostile server) must still never reach the caller twice.
-			if ev.Delivery.Seq <= s.lastSeq {
-				continue
+			// Exactly once, and none missing: the server numbers deliveries
+			// one by one and a resume suppresses exactly the acked prefix,
+			// so a delivery that is not the next one is a repeat or a gap.
+			if !s.inSequence(ev) {
+				return false
 			}
-			s.lastSeq = ev.Delivery.Seq
+			s.lastSeq = ev.Seq
 			s.cur = ev.Delivery
 			return true
 		case wire.KindKeepalive:
@@ -183,6 +183,11 @@ func (s *Stream) Next() bool {
 			s.keepalives++
 			continue
 		case wire.KindTrailer:
+			// A trailer that does not follow the last delivery closes an
+			// answer missing a delivery, under totals that count it.
+			if !s.inSequence(ev) {
+				return false
+			}
 			s.trailer = ev.Trailer
 			s.done = true
 			s.closeBody()
@@ -197,6 +202,16 @@ func (s *Stream) Next() bool {
 			return false
 		}
 	}
+}
+
+// inSequence reports whether ev, a delivery or the trailer, is numbered one
+// past the last delivery, and otherwise ends the stream with ErrProtocol.
+func (s *Stream) inSequence(ev wire.Event) bool {
+	if ev.Seq == s.lastSeq+1 {
+		return true
+	}
+	s.terminate(fmt.Errorf("%w: %s event numbered %d after delivery %d", ErrProtocol, ev.Kind, ev.Seq, s.lastSeq))
+	return false
 }
 
 // recover handles a mid-stream failure: reconnect-and-resume when the

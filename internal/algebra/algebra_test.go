@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -354,12 +355,21 @@ func TestEvalUnionDiffRename(t *testing.T) {
 	}
 }
 
+// TestEvalJoinNoOrdering: a join no ordering can feed fails with
+// ErrNoOrdering, and the error names each stuck operand, σ conditions and
+// all.
 func TestEvalJoinNoOrdering(t *testing.T) {
 	cat := carCatalog()
-	e := &Join{Left: scan("ads"), Right: scan("bluebook")}
-	_, err := Eval(e, cat, nil) // nothing bound: Make can never be supplied
+	ads := &Select{Input: scan("ads"), Cond: Condition{Attr: "Year", Op: GE, Val: relation.Int(1995)}}
+	e := &Join{Left: ads, Right: scan("bluebook")}
+	_, err := EvalContext(context.Background(), e, cat, nil) // nothing bound: Make can never be supplied
 	if !errors.Is(err, ErrNoOrdering) {
-		t.Errorf("err = %v", err)
+		t.Fatalf("err = %v", err)
+	}
+	for _, stuck := range []string{"σ[Year ≥ 1995](ads) needs {Make}", "bluebook needs {Make, Model}"} {
+		if !strings.Contains(err.Error(), stuck) {
+			t.Errorf("err = %v, want it to say %q", err, stuck)
+		}
 	}
 }
 

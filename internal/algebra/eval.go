@@ -302,7 +302,7 @@ func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relati
 		if err != nil {
 			return nil, err
 		}
-		ops[i] = Operand{Name: e.String(), Schema: sch, Bindings: bs}
+		ops[i] = Operand{Schema: sch, Bindings: bs}
 	}
 	boundSet := relation.NewAttrSet()
 	for a, v := range bound {
@@ -310,17 +310,15 @@ func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relati
 			boundSet.Add(a)
 		}
 	}
-	// Small joins afford the exhaustive min-cost planner (operands fed by
-	// query constants run before operands needing dependent feeding);
-	// larger joins fall back to the complete greedy closure.
-	var (
-		order []int
-		err   error
-	)
-	if len(ops) <= 8 {
-		order, err = MinCostOrder(ops, boundSet, nil)
-	} else {
-		order, err = GreedyOrder(ops, boundSet)
+	order, err := orderJoin(ops, boundSet)
+	if errors.Is(err, ErrNoOrdering) {
+		// Naming an operand prints it, σ conditions and all, and only this
+		// error reads the names: they are built here, and the ordering run
+		// again to say which operands are stuck.
+		for i, e := range exprs {
+			ops[i].Name = e.String()
+		}
+		_, err = orderJoin(ops, boundSet)
 	}
 	if err != nil {
 		return nil, err
@@ -337,6 +335,17 @@ func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relati
 		}
 	}
 	return acc, nil
+}
+
+// orderJoin orders a join's operands. Small joins afford the exhaustive
+// min-cost planner (operands fed by query constants run before operands
+// needing dependent feeding); larger joins fall back to the complete greedy
+// closure.
+func orderJoin(ops []Operand, bound relation.AttrSet) ([]int, error) {
+	if len(ops) <= 8 {
+		return MinCostOrder(ops, bound, nil)
+	}
+	return GreedyOrder(ops, bound)
 }
 
 // dependentJoin evaluates next once per distinct combination in acc of the

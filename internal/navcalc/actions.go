@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
 
 	"webbase/internal/htmlkit"
@@ -45,20 +46,15 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 	}
 	var outs []tlogic.Outcome
 	matched := false
-	// The calculus consults the F-logic view: every follow_link action
-	// object whose link's name matches is a possible next step.
-	store, _ := b.view()
-	for _, actID := range store.Members("follow_link") {
-		nameT, ok := store.Path(actID, "object", "name")
-		if !ok || !strings.EqualFold(nameT.Str, want) {
+	// Every link whose name matches is a possible next step, in document
+	// order: the follow_link objects of the page's F-logic view, read off
+	// the scan the view is built from (DESIGN.md §6).
+	for _, l := range b.scanned().Links {
+		if !strings.EqualFold(l.Name, want) {
 			continue
 		}
 		matched = true
-		addrT, ok := store.Path(actID, "object", "address")
-		if !ok {
-			continue
-		}
-		nb, err := b.navigate(web.NewGet(addrT.Str))
+		nb, err := b.navigate(web.NewGet(l.Address))
 		if err != nil {
 			if isFatalNav(err) {
 				return nil, err
@@ -414,18 +410,15 @@ func Extract(spec ExtractSpec) tlogic.Formula {
 	return tlogic.Prim{Action: extract{spec: spec}}
 }
 
-// HasLink succeeds iff the current page has a link with the given text.
+// HasLink succeeds iff the current page has a link with the given text:
+// a link object of the page's view, read off the scan like follow's.
 func HasLink(linkName string) tlogic.Formula {
 	return tlogic.Prim{Action: guard{
 		name: fmt.Sprintf("haslink(%q)", linkName),
 		test: func(b *BrowseState, _ tlogic.Env) bool {
-			store, _ := b.view()
-			for _, id := range store.Members("link") {
-				if n, ok := store.Path(id, "name"); ok && strings.EqualFold(n.Str, linkName) {
-					return true
-				}
-			}
-			return false
+			return slices.ContainsFunc(b.scanned().Links, func(l htmlkit.Link) bool {
+				return strings.EqualFold(l.Name, linkName)
+			})
 		},
 	}}
 }

@@ -83,6 +83,56 @@ func TestPageSetAllocs(t *testing.T) {
 	}
 }
 
+// TestFollowAllocs: one page load of the recorded Yahoo directory page,
+// the haslink guard and the follow it guards, which loads a near-empty
+// page. Both read the page's links off its scan: a follow or haslink that
+// builds the page's F-logic view again fails here.
+func TestFollowAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	var page fixturePage
+	for _, p := range loadFixtures(t) {
+		if p.name == "yahoocars_example" {
+			page = p
+		}
+	}
+	if page.body == nil {
+		t.Fatal("the Yahoo directory page is not among the fixtures")
+	}
+	landing := []byte("<html><body></body></html>")
+	canned := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		if req.URL == page.url {
+			return &web.Response{Status: 200, URL: page.url, Body: page.body}, nil
+		}
+		return &web.Response{Status: 200, URL: req.URL, Body: landing}, nil
+	})
+	schema := relation.NewSchema("Make")
+	goal := tlogic.Seq(navcalc.HasLink("ford"), navcalc.Follow("ford"))
+	interp := &tlogic.Interp{Program: tlogic.NewProgram()}
+	var reached string
+	run := func() {
+		st, err := navcalc.NewBrowseState(canned, page.url, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, ok, err := interp.Run(goal, st, tlogic.Env{})
+		if err != nil || !ok {
+			t.Fatalf("follow failed: ok=%v err=%v", ok, err)
+		}
+		reached = out.State.(*navcalc.BrowseState).URL()
+	}
+	const ceiling = 47 // 43 when set; 57 while follow and haslink built the page's view
+	got := testing.AllocsPerRun(50, run)
+	t.Logf("load + haslink + follow to %s: %.0f allocations (ceiling %d)", reached, got, ceiling)
+	if reached == page.url {
+		t.Fatal("follow stayed on the directory page")
+	}
+	if got > ceiling {
+		t.Errorf("a page load and a follow allocate %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
 // TestLoadAndExtractAllocs: one full page load through a canned fetcher —
 // fetch and parse — followed by the isdata guard and the extraction it
 // guards, on the recorded Newsday data page. Neither step reads a link or

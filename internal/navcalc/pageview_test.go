@@ -15,10 +15,13 @@ import (
 
 	"webbase/internal/apartments"
 	"webbase/internal/carmaps"
+	"webbase/internal/flogic"
 	"webbase/internal/htmlkit"
 	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
+	"webbase/internal/relation"
 	"webbase/internal/sites"
+	"webbase/internal/tlogic"
 	"webbase/internal/web"
 )
 
@@ -218,6 +221,87 @@ func TestPageViewGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("page view differs from %s in length: got %d lines, want %d", goldenFile, len(gl), len(wl))
+	}
+}
+
+// viewFollows is the reference follow: the links of the follow_link
+// objects of the page's view whose link is named name, in the view's order.
+func viewFollows(st *flogic.Store, name string) []htmlkit.Link {
+	var out []htmlkit.Link
+	for _, act := range st.Members("follow_link") {
+		n, _ := st.Path(act, "object", "name")
+		if !strings.EqualFold(n.Str, name) {
+			continue
+		}
+		a, _ := st.Path(act, "object", "address")
+		out = append(out, htmlkit.Link{Name: n.Str, Address: a.Str})
+	}
+	return out
+}
+
+// viewHasLink is the reference haslink: the view has a link object named
+// name.
+func viewHasLink(st *flogic.Store, name string) bool {
+	for _, id := range st.Members("link") {
+		if n, _ := st.Path(id, "name"); strings.EqualFold(n.Str, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestScanAnswersAsTheView: follow and haslink read the page's scan, and
+// answer as the Figure-3 view built from that scan does. On every recorded
+// page, for every link name on it, that name upper-cased and a name on no
+// page, follow fetches the addresses of the view's matching follow_link
+// objects in the view's order, and haslink holds exactly when the view has
+// a link of that name.
+func TestScanAnswersAsTheView(t *testing.T) {
+	const nowhere = "a link on no recorded page"
+	landing := []byte("<html><body></body></html>")
+	interp := &tlogic.Interp{Program: tlogic.NewProgram()}
+	for _, p := range loadFixtures(t) {
+		loaded := false
+		var fetched []string // what follow fetched, in order
+		f := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+			if !loaded {
+				return &web.Response{Status: 200, URL: p.url, Body: p.body}, nil
+			}
+			fetched = append(fetched, req.URL)
+			return &web.Response{Status: 200, URL: req.URL, Body: landing}, nil
+		})
+		st, err := navcalc.NewBrowseState(f, p.url, relation.NewSchema("A"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded = true
+		view, _ := navcalc.PageToObjects(htmlkit.Parse(p.body), p.url)
+		names := []string{nowhere}
+		for _, id := range view.Members("link") {
+			n, _ := view.Path(id, "name")
+			names = append(names, n.Str, strings.ToUpper(n.Str))
+		}
+		for _, name := range names {
+			fetched = nil
+			if _, _, _, err := interp.Run(navcalc.Follow(name), st, tlogic.Env{}); err != nil {
+				t.Fatal(err)
+			}
+			want := viewFollows(view, name)
+			same := len(fetched) == len(want)
+			for i := 0; same && i < len(want); i++ {
+				same = fetched[i] == want[i].Address
+			}
+			if !same {
+				t.Errorf("%s: follow(%q) fetched %q; the view's follow_links are %v", p.name, name, fetched, want)
+			}
+			_, _, ok, err := interp.Run(navcalc.HasLink(name), st, tlogic.Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := viewHasLink(view, name); ok != want {
+				t.Errorf("%s: haslink(%q) = %v, the view says %v", p.name, name, ok, want)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"webbase/internal/flogic"
+	"webbase/internal/htmlkit"
 	"webbase/internal/relation"
 	"webbase/internal/tlogic"
 	"webbase/internal/web"
@@ -214,14 +214,13 @@ func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 	}
 }
 
-// TestKeptPageViewBuiltOnFirstUseConcurrently: a kept page is only parsed
-// when loaded; its scan and F-logic view are built by whichever execution
-// sharing it first needs them. Eight executions stand on one kept page
-// whose view nothing has built yet and run every step that reads the scan
-// or the view, each starting from a different one: all of them see one
-// store, and the answers a sequential run on an unshared page gives. Run
-// under -race.
-func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
+// TestKeptPageScanBuiltOnFirstUseConcurrently: a kept page is only parsed
+// when loaded; its scan is built by whichever execution sharing it first
+// reads a link or a form. Eight executions stand on one kept page whose
+// scan nothing has built yet and run every step that reads it, each
+// starting from a different one: all of them read one scan, and give the
+// answers a sequential run on an unshared page gives. Run under -race.
+func TestKeptPageScanBuiltOnFirstUseConcurrently(t *testing.T) {
 	steps := []struct {
 		name string
 		goal tlogic.Formula
@@ -233,15 +232,15 @@ func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
 		{"isdata", IsDataPage("Make", "Price")},
 		{"Store", nil},
 	}
-	// run takes the steps in turn from first on and reports what each did.
-	run := func(st *BrowseState, first int) (string, *flogic.Store) {
+	// run takes the steps in turn from first on, reports what each did, and
+	// returns the first link of the scan they read.
+	run := func(st *BrowseState, first int) (string, *htmlkit.Link) {
 		interp := &tlogic.Interp{Program: tlogic.NewProgram()}
 		got := make([]string, len(steps))
-		var store *flogic.Store
 		for i := range steps {
 			k := (first + i) % len(steps)
 			if steps[k].goal == nil {
-				store = st.Store()
+				store := st.Store()
 				got[k] = fmt.Sprintf("Store: %v %q", store.IsA(st.PageID(), "data_page"), store.Members("follow_link"))
 				continue
 			}
@@ -251,7 +250,7 @@ func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
 				got[k] += " at " + out.State.(*BrowseState).URL()
 			}
 		}
-		return strings.Join(got, "; "), store
+		return strings.Join(got, "; "), &st.scanned().Links[0]
 	}
 
 	site := newReuseSite()
@@ -270,12 +269,12 @@ func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
 		}
 		kept = st.page
 	}
-	if kept.store != nil || kept.scan.HasTable {
-		t.Fatal("loading the page built its scan or its view")
+	if kept.scan.Links != nil || kept.scan.HasTable {
+		t.Fatal("loading the page built its scan")
 	}
 	const executions = 8
 	answers := make([]string, executions)
-	stores := make([]*flogic.Store, executions)
+	links := make([]*htmlkit.Link, executions)
 	var wg sync.WaitGroup
 	for g := 0; g < executions; g++ {
 		st, err := visit(t, ctx, site, reuseHub)
@@ -288,7 +287,7 @@ func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			answers[g], stores[g] = run(st, g)
+			answers[g], links[g] = run(st, g)
 		}(g)
 	}
 	wg.Wait()
@@ -296,12 +295,12 @@ func TestKeptPageViewBuiltOnFirstUseConcurrently(t *testing.T) {
 		if answers[g] != want {
 			t.Errorf("execution %d on the kept page:\n got %s\nwant %s", g, answers[g], want)
 		}
-		if stores[g] != stores[0] {
-			t.Errorf("execution %d saw a store of its own", g)
+		if links[g] == nil || links[g] != links[0] {
+			t.Errorf("execution %d read a scan of its own", g)
 		}
 	}
-	if st, _ := kept.view(); st != stores[0] {
-		t.Error("the executions' store is not the kept page's")
+	if &kept.scan.Links[0] != links[0] {
+		t.Error("the executions' scan is not the kept page's")
 	}
 }
 

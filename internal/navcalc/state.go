@@ -88,8 +88,9 @@ type BrowseState struct {
 // that reaches it, so whatever is built on first use is built under a lock.
 //
 // Load only parses. The links-and-forms scan is built when a step first
-// reads a link or form, and the F-logic view from it when a step first
-// consults the view: a page that is only extracted builds neither.
+// reads a link or form: a page that is only extracted never builds it. No
+// step builds the page's F-logic view; the steps read the scan it would be
+// built from (DESIGN.md §6).
 type page struct {
 	url   string
 	bytes int64         // body length, counted on the fetch span of every visit
@@ -97,10 +98,6 @@ type page struct {
 
 	scanOnce sync.Once
 	scan     htmlkit.Page // links, forms and table presence; see scanned
-
-	viewOnce sync.Once
-	store    *flogic.Store // F-logic view of the page; see view
-	pageID   flogic.OID    // the page object in store
 
 	// The data table last looked up and the headers it was looked up by:
 	// the isdata guard finds the table extract then reads.
@@ -113,13 +110,6 @@ type page struct {
 func (p *page) scanned() *htmlkit.Page {
 	p.scanOnce.Do(func() { p.scan = htmlkit.Scan(p.doc, p.url) })
 	return &p.scan
-}
-
-// view is the page's Figure-3 F-logic view and the page object in it,
-// built from the scan on first use.
-func (p *page) view() (*flogic.Store, flogic.OID) {
-	p.viewOnce.Do(func() { p.store, p.pageID = pageObjects(*p.scanned(), p.url) })
-	return p.store, p.pageID
 }
 
 // dataTable is htmlkit.DataTable on the current page.
@@ -251,17 +241,15 @@ func (b *BrowseState) URL() string { return b.url }
 // Doc returns the parsed current page.
 func (b *BrowseState) Doc() *htmlkit.Node { return b.doc }
 
-// Store returns the F-logic object view of the current page.
+// Store returns the F-logic object view of the current page, built from
+// its scan on every call.
 func (b *BrowseState) Store() *flogic.Store {
-	st, _ := b.view()
+	st, _ := pageObjects(*b.scanned(), b.url)
 	return st
 }
 
 // PageID returns the OID of the current page object in Store.
-func (b *BrowseState) PageID() flogic.OID {
-	_, id := b.view()
-	return id
-}
+func (b *BrowseState) PageID() flogic.OID { return pageOID }
 
 // Collected returns the tuples extracted so far.
 func (b *BrowseState) Collected() []relation.Tuple { return b.collected }
@@ -356,10 +344,14 @@ var wwwStore = func() *flogic.Store {
 //
 // This is the representation the map builder records (Section 7 reports
 // "85 objects with over 600 attributes" for Newsday's map) and the one the
-// calculus' guards query.
+// calculus is stated over. Its steps read the scan the view is built from,
+// which answers them the same (DESIGN.md §6).
 func PageToObjects(doc *htmlkit.Node, pageURL string) (*flogic.Store, flogic.OID) {
 	return pageObjects(htmlkit.Scan(doc, pageURL), pageURL)
 }
+
+// pageOID names the page object of every page's view.
+const pageOID flogic.OID = "page"
 
 func pageObjects(view htmlkit.Page, pageURL string) (*flogic.Store, flogic.OID) {
 	objects := 1 + 2*len(view.Links) + 2*len(view.Forms)
@@ -370,7 +362,7 @@ func pageObjects(view htmlkit.Page, pageURL string) (*flogic.Store, flogic.OID) 
 	var ids strings.Builder
 	ids.Grow(8 * objects)
 
-	pageID := flogic.OID("page")
+	pageID := pageOID
 	st.AddClass(pageID, "web_page")
 	st.SetAttr(pageID, "address", flogic.S(pageURL))
 	st.SetAttr(pageID, "title", flogic.S(view.Title))

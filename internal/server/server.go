@@ -175,8 +175,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sw.startKeepalive(s.keepalive)
 	defer sw.stopKeepalive()
 	res, qs, err := s.sys.QueryStream(ctx, q, sw.writeDelivery)
+	if sw.broken != nil {
+		err = sw.broken // the stream already ended with it, where the delivery would have been
+	}
 	if err != nil {
-		body := s.errorBody(rid, err)
+		body := errorBody(rid, err)
 		s.account(tenant.Name, body.Status)
 		if sw.started {
 			sw.writeErrorEvent(body)
@@ -201,7 +204,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // fail writes a pre-stream error envelope and accounts it.
 func (s *Server) fail(w http.ResponseWriter, rid string, tenant Tenant, err error) {
-	body := s.errorBody(rid, err)
+	body := errorBody(rid, err)
 	s.account(tenant.Name, body.Status)
 	writeEnvelope(w, body)
 	s.logger.Printf("req=%s tenant=%s status=%d code=%s", rid, tenantLabel(tenant), body.Status, body.Code)
@@ -291,7 +294,7 @@ var errResumeInconsistent = coded(wire.CodeResumeInconsistent, "server: resume t
 // from wire's table. Order matters — a strict-mode budget error is
 // classified both budget-exhausted and outage, and the deadline (the
 // caller's economics) must win over the outage (the site's fault).
-func (s *Server) errorBody(rid string, err error) wire.ErrorBody {
+func errorBody(rid string, err error) wire.ErrorBody {
 	code := wire.CodeInternal
 	var ce *codedError
 	switch {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -34,9 +36,10 @@ type streamWriter struct {
 	meta    wire.Meta
 	started bool
 
-	resumeFrom int // suppress events with seq <= resumeFrom; -1 = fresh stream
-	lastSeq    int // highest delivery seq observed, sent or suppressed
-	skipped    int // events suppressed by resume (meta included)
+	resumeFrom int   // suppress events with seq <= resumeFrom; -1 = fresh stream
+	lastSeq    int   // highest delivery seq observed, sent or suppressed
+	skipped    int   // events suppressed by resume (meta included)
+	broken     error // the delivery that could not be encoded: the stream ended at it
 	useGzip    bool
 
 	kaStop chan struct{} // closes to stop the keepalive ticker
@@ -82,8 +85,17 @@ func (sw *streamWriter) startLocked() {
 	sw.enc.Encode(wire.MetaLine(sw.meta))
 }
 
-func (sw *streamWriter) emitLocked(line any) {
-	sw.enc.Encode(line) // an aborted client surfaces at the next write; nothing to do here
+// emitLocked writes one line and flushes it. It reports a line that
+// cannot be encoded, which writes nothing: a line's values are strings,
+// numbers, booleans and nulls, and the one value JSON has no token for is
+// a non-finite float. A failed write is not reported: an aborted client
+// surfaces in the request's context.
+func (sw *streamWriter) emitLocked(line any) error {
+	err := sw.enc.Encode(line)
+	var refused *json.UnsupportedValueError
+	if !errors.As(err, &refused) {
+		err = nil
+	}
 	if sw.gz != nil {
 		// Push the event out of the compressor: resumability depends on the
 		// client seeing each event as soon as it exists, compressed or not.
@@ -92,10 +104,12 @@ func (sw *streamWriter) emitLocked(line any) {
 	if sw.flusher != nil {
 		sw.flusher.Flush()
 	}
+	return err
 }
 
 // finishLocked closes the compression layer (if any) after the terminal
-// event. Callers hold mu and have already stopped the keepalive ticker.
+// event. Callers hold mu, and have stopped the keepalive ticker or marked
+// the stream broken, which stops it writing.
 func (sw *streamWriter) finishLocked() {
 	if sw.gz != nil {
 		sw.gz.Close()
@@ -124,7 +138,7 @@ func (sw *streamWriter) startKeepalive(interval time.Duration) {
 				return
 			case <-t.C:
 				sw.mu.Lock()
-				if sw.started {
+				if sw.started && sw.broken == nil {
 					sw.emitLocked(wire.KeepaliveLine())
 				}
 				sw.mu.Unlock()
@@ -148,10 +162,15 @@ func (sw *streamWriter) stopKeepalive() {
 
 // writeDelivery ships one gate delivery as its wire event. Deliveries at
 // or before the resume offset were already delivered to this client by a
-// previous attempt: they are acked but not re-sent.
+// previous attempt: they are acked but not re-sent. A delivery that cannot
+// be encoded ends the stream in its place with an internal error event,
+// and nothing is written after it.
 func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	if sw.broken != nil {
+		return
+	}
 	sw.startLocked()
 	if d.Seq > sw.lastSeq {
 		sw.lastSeq = d.Seq
@@ -160,7 +179,11 @@ func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
 		sw.skipped++
 		return
 	}
-	sw.emitLocked(wire.DeliveryLine(d))
+	if err := sw.emitLocked(wire.DeliveryLine(d)); err != nil {
+		sw.broken = &codedError{wire.CodeInternal, fmt.Errorf("server: delivery %d cannot be encoded: %w", d.Seq, err)}
+		sw.emitLocked(wire.ErrorLine(d.Seq, errorBody(sw.meta.RequestID, sw.broken)))
+		sw.finishLocked()
+	}
 }
 
 // writeTrailer closes a successful stream. The trailer's sequence number
@@ -170,6 +193,9 @@ func (sw *streamWriter) writeTrailer(res *ur.Result, qs *core.QueryStats) {
 	sw.stopKeepalive()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	if sw.broken != nil {
+		return
+	}
 	sw.startLocked()
 	tl := wire.Trailer{
 		Tuples:  res.Relation.Len(),
@@ -194,6 +220,9 @@ func (sw *streamWriter) writeErrorEvent(body wire.ErrorBody) {
 	sw.stopKeepalive()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	if sw.broken != nil {
+		return
+	}
 	sw.emitLocked(wire.ErrorLine(sw.lastSeq+1, body))
 	sw.finishLocked()
 }

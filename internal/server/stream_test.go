@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -107,6 +108,48 @@ func TestStreamMatchesInProcessUnderChaos(t *testing.T) {
 	}
 	if want := mustJSON(t, wire.EncodeTuples(res.Relation.Tuples())); got != want {
 		t.Errorf("streamed union != in-process answer under chaos\nstream:     %s\nin-process: %s", got, want)
+	}
+}
+
+// TestUnencodableDeliveryEndsStream: a data page whose Contact column
+// reads NaN gives tuples JSON has no token for. The delivery carrying
+// them is not dropped from a stream that goes on: the stream ends in its
+// place, under its sequence number, with an internal error event, and
+// nothing follows — no later delivery, no trailer.
+func TestUnencodableDeliveryEndsStream(t *testing.T) {
+	world := sites.BuildWorld().Server
+	phone := regexp.MustCompile(`\(\d{3}\) \d{3}-\d{4}`)
+	nanContacts := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		resp, err := world.Fetch(req)
+		if err != nil || !resp.OK() {
+			return resp, err
+		}
+		out := *resp
+		out.Body = phone.ReplaceAll(resp.Body, []byte("NaN"))
+		return &out, nil
+	})
+	ts, _ := newCarServer(t, core.Config{Fetcher: nanContacts, Workers: 4}, Config{})
+	resp := postQuery(t, ts.URL, "", wideQuery)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	lines := decodeLines(t, resp.Body)
+	last := lines[len(lines)-1]
+	if last["event"] != "error" {
+		t.Fatalf("stream ended with %v, want an error event", last)
+	}
+	for i, l := range lines[:len(lines)-1] {
+		if l["event"] == "error" || l["event"] == "trailer" || l["seq"] != float64(i) {
+			t.Fatalf("line %d is %v, want the meta event or delivery %d", i, l, i)
+		}
+	}
+	body, _ := last["error"].(map[string]any)
+	if last["seq"] != float64(len(lines)-1) || body["code"] != wire.CodeInternal || !strings.Contains(fmt.Sprint(body["message"]), "NaN") {
+		t.Errorf("the stream ended with %v, want an internal error numbered %d naming the NaN", last, len(lines)-1)
+	}
+	if metrics := fetchMetrics(t, ts.URL); !strings.Contains(metrics, "counter server_queries_failed_total 1") ||
+		strings.Contains(metrics, "server_queries_served_total") {
+		t.Errorf("the query is not accounted as failed:\n%s", metrics)
 	}
 }
 

@@ -215,9 +215,12 @@ func KeepaliveLine() any { return kind{KindKeepalive} }
 // Meta for KindMeta; Delivery for KindTuples, KindUnavailable and
 // KindSkipped; Trailer for KindTrailer; Error for KindError; none for
 // KindKeepalive or for a kind this version does not know, which Decode
-// hands back by name rather than refusing.
+// hands back by name rather than refusing. Seq is the line's sequence
+// number on a delivery (where Delivery.Seq holds it too), a trailer or an
+// error, and 0 on any other line.
 type Event struct {
 	Kind     string
+	Seq      int
 	Meta     Meta
 	Delivery ur.ObjectDelivery
 	Trailer  *Trailer
@@ -247,22 +250,23 @@ func Decode(line []byte) (Event, error) {
 			ev.Delivery = ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Buffered: l.Buffered}
 			ev.Delivery.Tuples, err = DecodeTuples(l.Tuples)
 		}
+		ev.Seq = l.Seq
 	case KindUnavailable:
 		var l unavailableLine
 		err = json.Unmarshal(line, &l)
-		ev.Delivery = ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Failure: &l.Failure}
+		ev.Seq, ev.Delivery = l.Seq, ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Failure: &l.Failure}
 	case KindSkipped:
 		var l skippedLine
 		err = json.Unmarshal(line, &l)
-		ev.Delivery = ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Skipped: l.Reason}
+		ev.Seq, ev.Delivery = l.Seq, ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Skipped: l.Reason}
 	case KindTrailer:
 		var l trailerLine
 		err = json.Unmarshal(line, &l)
-		ev.Trailer = &l.Trailer
+		ev.Seq, ev.Trailer = l.Seq, &l.Trailer
 	case KindError:
 		var l errorLine
 		err = json.Unmarshal(line, &l)
-		ev.Error = l.Error
+		ev.Seq, ev.Error = l.Seq, l.Error
 	}
 	if err != nil {
 		return Event{}, fmt.Errorf("%s: %w", k.Event, err)

@@ -93,8 +93,8 @@ func TestRoundTrip(t *testing.T) {
 		"skipped": {Seq: 4, Index: 3, Object: []string{"A"}, Skipped: "A: unbound"},
 	}
 	for name, d := range deliveries {
-		if ev := roundTrip(t, DeliveryLine(d)); !reflect.DeepEqual(ev.Delivery, d) {
-			t.Errorf("%s: delivery came back as\n %+v\nwant\n %+v", name, ev.Delivery, d)
+		if ev := roundTrip(t, DeliveryLine(d)); ev.Seq != d.Seq || !reflect.DeepEqual(ev.Delivery, d) {
+			t.Errorf("%s: delivery came back as seq %d\n %+v\nwant\n %+v", name, ev.Seq, ev.Delivery, d)
 		}
 	}
 
@@ -111,13 +111,13 @@ func TestRoundTrip(t *testing.T) {
 			Degradation: &Degradation{Unavailable: []ur.SiteFailure{{Host: "h"}}, StaleServed: 2, Report: "r\n"}},
 	}
 	for _, tl := range trailers {
-		if ev := roundTrip(t, TrailerLine(9, tl)); ev.Kind != KindTrailer || !reflect.DeepEqual(*ev.Trailer, tl) {
-			t.Errorf("trailer came back as %+v, want %+v", ev.Trailer, tl)
+		if ev := roundTrip(t, TrailerLine(9, tl)); ev.Kind != KindTrailer || ev.Seq != 9 || !reflect.DeepEqual(*ev.Trailer, tl) {
+			t.Errorf("trailer came back as seq %d %+v, want seq 9 %+v", ev.Seq, ev.Trailer, tl)
 		}
 	}
 
 	body := ErrorBody{Code: CodeDeadline, Status: 504, Message: "budget spent", RequestID: "r-1"}
-	if ev := roundTrip(t, ErrorLine(5, body)); ev.Kind != KindError || ev.Error != body {
+	if ev := roundTrip(t, ErrorLine(5, body)); ev.Kind != KindError || ev.Seq != 5 || ev.Error != body {
 		t.Errorf("error came back as %+v", ev)
 	}
 	if got, err := DecodeEnvelope(mustMarshal(t, Envelope{Error: body})); err != nil || got != body {

@@ -345,7 +345,7 @@ type QueryStats struct {
 	// request by the singleflight middleware during this query.
 	Deduped int64
 	// Reused counts page visits served a page this query had already
-	// loaded twice and kept (web.Query.Visit): no fetch, no parse.
+	// loaded twice and kept (web.Query.Load): no fetch, no parse.
 	Reused int64
 	// LimiterWait is the total time this query's fetches spent queued
 	// behind the per-host concurrency cap.

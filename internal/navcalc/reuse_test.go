@@ -15,7 +15,7 @@ import (
 	"webbase/internal/web"
 )
 
-// The pages a query reads twice (web.Query.Visit): kept from the second
+// The pages a query reads twice (web.Query.Load): kept from the second
 // visit, shared by every later one, never kept from a first visit or a
 // failed load, and invisible to the page budget.
 
@@ -359,5 +359,64 @@ func TestPageBudgetCountsReusedVisits(t *testing.T) {
 	}
 	if site.fetches(reuseLoop) != 2 || q.Stats.Reused() != 3 {
 		t.Errorf("five visits of one page: %d fetches, %d reused; want 2 and 3", site.fetches(reuseLoop), q.Stats.Reused())
+	}
+}
+
+// TestKeptPageWaitHonoursContext: a visit waiting on its query's keeping load
+// of the same request fails at once, as a cancelled navigation, when its
+// context is cancelled; the keeping load goes on and its page is kept.
+func TestKeptPageWaitHonoursContext(t *testing.T) {
+	site := newReuseSite()
+	started, release := make(chan struct{}), make(chan struct{})
+	var homeFetches int
+	held := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		site.mu.Lock()
+		if req.URL == reuseHome {
+			homeFetches++
+		}
+		hold := req.URL == reuseHome && homeFetches == 2
+		site.mu.Unlock()
+		if hold {
+			close(started)
+			<-release
+		}
+		return site.Fetch(req)
+	})
+	q := &web.Query{}
+	ctx := web.WithQuery(context.Background(), q)
+	if _, err := visit(t, ctx, held, reuseHome); err != nil {
+		t.Fatal(err)
+	}
+	keeper := make(chan error, 1)
+	go func() {
+		_, err := visit(t, ctx, held, reuseHome)
+		keeper <- err
+	}()
+	<-started
+	wctx, cancel := context.WithCancel(ctx)
+	gaveUp := make(chan error, 1)
+	go func() {
+		_, err := visit(t, wctx, held, reuseHome)
+		gaveUp <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the visit wait
+	cancel()
+	select {
+	case err := <-gaveUp:
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "navigation cancelled") {
+			t.Fatalf("cancelled visit got %v, want a cancelled navigation", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled visit kept waiting for the keeping load")
+	}
+	close(release)
+	if err := <-keeper; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := visit(t, ctx, held, reuseHome); err != nil {
+		t.Fatal(err)
+	}
+	if site.fetches(reuseHome) != 2 || q.Stats.Reused() != 1 {
+		t.Errorf("%d fetches and %d reused, want 2 and 1", site.fetches(reuseHome), q.Stats.Reused())
 	}
 }

@@ -84,7 +84,7 @@ type BrowseState struct {
 // page is everything derived from one fetched page, each part at most
 // once. The states on that page share it, and it goes when the last of
 // them does — or, for a page its query has read twice, when the query ends
-// (web.Query.Visit): such a page is shared by every execution of the query
+// (web.Query.Load): such a page is shared by every execution of the query
 // that reaches it, so whatever is built on first use is built under a lock.
 //
 // Load only parses. The links-and-forms scan is built when a step first
@@ -168,31 +168,29 @@ func (b *BrowseState) load(req *web.Request) error {
 	// handle invocation is sequential, so fetch spans land in deterministic
 	// order.
 	sp := trace.Start(b.ctx, trace.KindFetch, req.URL)
-	kept, keep := b.query.Visit(req.Key())
-	if kept != nil {
-		b.page = kept.(*page)
+	fetched := false
+	p, reused, err := b.query.Load(b.ctx, req.Key(), func() (any, error) {
+		fetched = true
+		return b.fetch(req, sp)
+	})
+	if err != nil {
+		if !fetched { // cancelled while waiting for another visit's load
+			sp.EndErr(err)
+			return fmt.Errorf("navcalc: navigation cancelled: %w", err)
+		}
+		return err
+	}
+	b.page = p.(*page)
+	if reused {
 		sp.Add("bytes", b.page.bytes)
 		sp.Label("outcome", "reuse")
 		sp.End()
-		return nil
 	}
-	p, err := b.fetch(req, sp)
-	if keep {
-		if err != nil {
-			b.query.Loaded(req.Key(), nil)
-		} else {
-			b.query.Loaded(req.Key(), p)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	b.page = p
 	return nil
 }
 
-// fetch loads req through the fetch stack and derives its page, ending sp.
-func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (*page, error) {
+// fetch loads req through the fetch stack and derives its *page, ending sp.
+func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (any, error) {
 	// The navigation context always rides the request (the retry, breaker
 	// and outage-memo middlewares consult it for cancellation and per-query
 	// state); the span is added to it when tracing is on so the middleware

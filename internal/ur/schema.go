@@ -491,7 +491,7 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 	// read disjoint relations reads the catalog directly.
 	var shared *sharedCatalog
 	if len(plan.Shared) > 0 {
-		shared = newSharedCatalog(cat, plan.Shared)
+		shared = &sharedCatalog{Catalog: cat, shared: plan.Shared}
 		cat = shared
 	}
 	// One span per maximal object, pre-created in plan order before any

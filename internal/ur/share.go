@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"webbase/internal/algebra"
+	"webbase/internal/once"
 	"webbase/internal/relation"
 	"webbase/internal/trace"
 )
@@ -21,36 +22,30 @@ import (
 // objects differ only in their trace spans and deadline budgets. Every
 // other relation goes straight through.
 //
-// Only successes are kept. A failed run (outage, drift, spent budget,
-// cancellation) is forgotten, its own reader gets the error, and the next
-// reader populates in its place, so each object degrades exactly as it
-// would have alone. A wait cannot close a cycle: shared relations are
-// views over the catalog below, which does not share, and the worker pool
-// runs a task inline when it has no token to spare.
+// Only successes are kept (once.Successes). A failed run (outage, drift,
+// spent budget, cancellation) is forgotten, its own reader gets the error,
+// and the next reader populates in its place, so each object degrades
+// exactly as it would have alone. A wait cannot close a cycle: shared
+// relations are views over the catalog below, which does not share, and
+// the worker pool runs a task inline when it has no token to spare.
 //
 // A sharedCatalog lives in one EvalStream frame and goes with it.
 type sharedCatalog struct {
 	algebra.Catalog
 	shared []string
+	runs   once.Table[*sharedRun] // by sharedKey
 
-	mu   sync.Mutex
-	runs map[string]*sharedRun // by sharedKey: runs in flight, and those that succeeded
+	mu   sync.Mutex   // guards kept and each kept run's readers
+	kept []*sharedRun // the traced runs that succeeded
 }
 
-// sharedRun is one population of a shared relation. rel and err are
-// written before done closes and never after.
+// sharedRun is one successful population of a shared relation.
 type sharedRun struct {
-	done chan struct{}
-	rel  *relation.Relation
-	err  error
+	rel *relation.Relation
 	// The span the run recorded its work under, and the spans of every
 	// reader it served (the evaluator's among them). Tracing only.
 	evaluator *trace.Span
 	readers   []*trace.Span
-}
-
-func newSharedCatalog(cat algebra.Catalog, shared []string) *sharedCatalog {
-	return &sharedCatalog{Catalog: cat, shared: shared, runs: make(map[string]*sharedRun)}
 }
 
 // Populate implements algebra.Catalog.
@@ -58,49 +53,32 @@ func (c *sharedCatalog) Populate(ctx context.Context, name string, inputs map[st
 	if !slices.Contains(c.shared, name) {
 		return c.Catalog.Populate(ctx, name, inputs)
 	}
-	key := sharedKey(name, inputs)
 	sp := trace.FromContext(ctx)
-	for {
-		c.mu.Lock()
-		run, running := c.runs[key]
-		if !running {
-			run = &sharedRun{done: make(chan struct{}), evaluator: sp}
-			c.runs[key] = run
+	run, joined, err := c.runs.Do(ctx, sharedKey(name, inputs), func() (*sharedRun, error) {
+		rel, err := c.Catalog.Populate(ctx, name, inputs)
+		if err != nil {
+			return nil, err
 		}
-		c.mu.Unlock()
-		if !running {
-			run.rel, run.err = c.Catalog.Populate(ctx, name, inputs)
-			c.mu.Lock()
-			if run.err != nil {
-				delete(c.runs, key)
-			} else if sp != nil {
-				run.readers = append(run.readers, sp)
-			}
-			c.mu.Unlock()
-			close(run.done)
-			return run.rel, run.err
-		}
-		select {
-		case <-run.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if run.err == nil {
-			if sp != nil {
-				c.mu.Lock()
-				run.readers = append(run.readers, sp)
-				c.mu.Unlock()
-			}
-			return run.rel, nil
-		}
-		// That run failed and was forgotten: populate in its place.
+		return &sharedRun{rel: rel, evaluator: sp}, nil
+	}, once.Successes[*sharedRun])
+	if err != nil {
+		return nil, err
 	}
+	if sp != nil {
+		c.mu.Lock()
+		if !joined {
+			c.kept = append(c.kept, run)
+		}
+		run.readers = append(run.readers, sp)
+		c.mu.Unlock()
+	}
+	return run.rel, nil
 }
 
 // placeSpans gives every kept run's spans to its first reader in plan
 // order (trace.Share). Call it once every reader is done.
 func (c *sharedCatalog) placeSpans() {
-	for _, run := range c.runs {
+	for _, run := range c.kept {
 		trace.Share(run.evaluator, run.readers)
 	}
 }

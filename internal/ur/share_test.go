@@ -2,12 +2,14 @@ package ur
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"webbase/internal/algebra"
 	"webbase/internal/relation"
@@ -183,7 +185,7 @@ func TestSharedConcurrentReaders(t *testing.T) {
 			if failFirst {
 				inner.failFirst = "book"
 			}
-			c := newSharedCatalog(inner, []string{"book"})
+			c := &sharedCatalog{Catalog: inner, shared: []string{"book"}}
 			var started, done sync.WaitGroup
 			got := make([]*relation.Relation, n)
 			errs := make([]error, n)
@@ -248,6 +250,52 @@ func TestSharedConcurrentReaders(t *testing.T) {
 			t.Errorf("shared relation changed by its readers:\n%s", book)
 		}
 	})
+}
+
+// TestSharedWaitHonoursContext: a reader waiting on another's population
+// returns its context's error at once when cancelled; the population goes
+// on, and its relation still reaches the reader that stayed and is kept for
+// the next.
+func TestSharedWaitHonoursContext(t *testing.T) {
+	_, mem := bookWorld(1)
+	inner := &recordingCatalog{MemCatalog: mem, hold: "book", release: make(chan struct{})}
+	c := &sharedCatalog{Catalog: inner, shared: []string{"book"}}
+	jaguar := map[string]relation.Value{"Make": relation.String("jaguar")}
+	type result struct {
+		rel *relation.Relation
+		err error
+	}
+	read := func(ctx context.Context, out chan<- result) {
+		rel, err := c.Populate(ctx, "book", jaguar)
+		out <- result{rel, err}
+	}
+	evaluator, stayed, gaveUp := make(chan result, 1), make(chan result, 1), make(chan result, 1)
+	go read(context.Background(), evaluator)
+	for inner.populations("book") == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go read(ctx, gaveUp)
+	go read(context.Background(), stayed)
+	time.Sleep(20 * time.Millisecond) // let both readers wait
+	cancel()
+	select {
+	case r := <-gaveUp:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("cancelled reader got %v, want context.Canceled", r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled reader kept waiting for the population")
+	}
+	close(inner.release)
+	e, st := <-evaluator, <-stayed
+	if e.err != nil || st.err != nil || st.rel != e.rel {
+		t.Fatalf("evaluator got %p (%v), the reader that stayed %p (%v); want one relation", e.rel, e.err, st.rel, st.err)
+	}
+	go read(context.Background(), stayed)
+	if later := <-stayed; later.rel != e.rel || inner.populations("book") != 1 {
+		t.Errorf("a later reader got %p after %d populations, want the kept %p after 1", later.rel, inner.populations("book"), e.rel)
+	}
 }
 
 // TestSharedNothingWithoutSharedRelation: a plan whose objects read

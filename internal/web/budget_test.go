@@ -123,28 +123,35 @@ func TestDeadlineBudgetMiddleware(t *testing.T) {
 // memoized as a property of the site: an object with a healthy budget
 // must not inherit a sibling's budget verdict.
 func TestOutageMemoSkipsBudgetSheds(t *testing.T) {
+	var sheds atomic.Int64
 	inner := FetcherFunc(func(req *Request) (*Response, error) {
+		sheds.Add(1)
 		return nil, budgetErr(hostOf(req.URL))
 	})
 	q := &Query{}
-	memo := &q.Memo
 	ctx := WithQuery(context.Background(), q)
 	f := WithOutageMemo(inner)
-	if _, err := f.Fetch(NewGet("http://slow.example/p").WithContext(ctx)); !IsBudgetExhausted(err) {
-		t.Fatalf("unexpected error %v", err)
+	for i := 0; i < 2; i++ {
+		if _, err := f.Fetch(NewGet("http://slow.example/p").WithContext(ctx)); !IsBudgetExhausted(err) {
+			t.Fatalf("unexpected error %v", err)
+		}
 	}
-	if memo.Len() != 0 {
-		t.Fatalf("memo recorded %d budget sheds, want 0", memo.Len())
+	if sheds.Load() != 2 {
+		t.Fatalf("inner called %d times for two budget sheds, want 2: the first was memoized", sheds.Load())
 	}
 	// A genuine outage still memoizes.
+	var outages atomic.Int64
 	down := FetcherFunc(func(req *Request) (*Response, error) {
+		outages.Add(1)
 		return nil, MarkOutage(&HostError{Host: hostOf(req.URL), Err: errors.New("dead")})
 	})
 	f = WithOutageMemo(down)
-	if _, err := f.Fetch(NewGet("http://down.example/p").WithContext(ctx)); !IsOutage(err) {
-		t.Fatalf("unexpected error %v", err)
+	for i := 0; i < 2; i++ {
+		if _, err := f.Fetch(NewGet("http://down.example/p").WithContext(ctx)); !IsOutage(err) {
+			t.Fatalf("unexpected error %v", err)
+		}
 	}
-	if memo.Len() != 1 {
-		t.Fatalf("memo recorded %d outages, want 1", memo.Len())
+	if outages.Load() != 1 {
+		t.Fatalf("inner called %d times for two fetches of a dead site, want 1: the outage was not memoized", outages.Load())
 	}
 }

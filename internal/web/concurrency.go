@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webbase/internal/once"
 	"webbase/internal/trace"
 )
 
@@ -23,42 +24,30 @@ import (
 // Followers are counted in stats.Deduped. The shared *Response is treated
 // as immutable by the whole stack (the cache already shares responses).
 //
+// Followers take the leader's failures too, except one that follows its
+// own request's cancellation: then a live follower fetches for itself. A
+// follower whose request is cancelled stops waiting at once (once.Table).
+//
 // The guarantee is "overlapping fetches collapse", not "one fetch per
 // key": a flight is forgotten the moment inner returns, and a request
 // arriving after that starts a new one. A stack that wants each page
 // fetched once therefore makes the result findable before inner returns —
 // WithCacheFill inside the flight, WithCacheLookup outside it.
 func WithSingleflight(inner Fetcher, stats *Stats) Fetcher {
-	type call struct {
-		done chan struct{}
-		resp *Response
-		err  error
-	}
-	var mu sync.Mutex
-	calls := make(map[string]*call)
+	var flights once.Table[*Response]
 	return FetcherFunc(func(req *Request) (*Response, error) {
-		key := req.Key()
-		mu.Lock()
-		if c, ok := calls[key]; ok {
-			mu.Unlock()
-			<-c.done
+		resp, joined, err := flights.Do(req.Context(), req.Key(),
+			func() (*Response, error) { return inner.Fetch(req) }, shareAll)
+		if joined {
 			statsFor(req.Context(), stats).add(deduped, 1)
 			trace.FromContext(req.Context()).Label("outcome", "dedup")
-			return c.resp, c.err
 		}
-		c := &call{done: make(chan struct{})}
-		calls[key] = c
-		mu.Unlock()
-
-		c.resp, c.err = inner.Fetch(req)
-
-		mu.Lock()
-		delete(calls, key)
-		mu.Unlock()
-		close(c.done)
-		return c.resp, c.err
+		return resp, err
 	})
 }
+
+// shareAll hands every result of a flight to its followers and keeps none.
+func shareAll(*Response, error) (share, keep bool) { return true, false }
 
 // WithBulkhead wraps inner with a per-host bulkhead: at most perHost
 // fetches execute against any one host at a time, at most maxQueue more

@@ -489,50 +489,171 @@ func TestFillVisibleBeforeFlightForgotten(t *testing.T) {
 	}
 }
 
+// TestSingleflightWaitHonoursContext: a follower whose own request is
+// cancelled stops waiting at once; the flight goes on and its page still
+// reaches the follower that stayed.
+func TestSingleflightWaitHonoursContext(t *testing.T) {
+	inner := newGatedInner()
+	stats := &Stats{}
+	f := WithSingleflight(inner, stats)
+	const url = "http://h.example/p"
+	lead, stayed := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := f.Fetch(NewGet(url))
+		lead <- err
+	}()
+	<-inner.started
+	ctx, cancel := context.WithCancel(context.Background())
+	gaveUp := make(chan error, 1)
+	go func() {
+		_, err := f.Fetch(NewGet(url).WithContext(ctx))
+		gaveUp <- err
+	}()
+	go func() {
+		_, err := f.Fetch(NewGet(url))
+		stayed <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let both followers join the flight
+	cancel()
+	select {
+	case err := <-gaveUp:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled follower got %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled follower kept waiting for the flight")
+	}
+	close(inner.gate)
+	if err := <-lead; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-stayed; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(inner.started); n != 0 || stats.Deduped() != 1 {
+		t.Errorf("%d more fetches and %d deduped, want 0 and 1: the follower that stayed takes the flight's page", n, stats.Deduped())
+	}
+}
+
+// loadOf is a kept-page load that counts its calls and returns page, err.
+func loadOf(calls *atomic.Int64, page any, err error) func() (any, error) {
+	return func() (any, error) {
+		calls.Add(1)
+		return page, err
+	}
+}
+
 // TestQueryVisitHandsOverAFailedKeep: visits that wait on a query's keeping
 // load are handed its page when it succeeds; when it fails, the next visit
 // — one that was waiting or one that comes later — loads and keeps in its
 // place. Whichever way the goroutines interleave, the outcome is the same.
 func TestQueryVisitHandsOverAFailedKeep(t *testing.T) {
+	ctx := context.Background()
 	q := &Query{}
-	if p, keep := q.Visit("k"); p != nil || keep {
-		t.Fatalf("first visit: page %v, keep %v; want neither", p, keep)
+	var loads atomic.Int64
+	if p, reused, err := q.Load(ctx, "k", loadOf(&loads, "first", nil)); p != "first" || reused || err != nil {
+		t.Fatalf("first visit: page %v, reused %v, err %v; want its own load", p, reused, err)
 	}
-	if p, keep := q.Visit("k"); p != nil || !keep {
-		t.Fatalf("second visit: page %v, keep %v; want to keep", p, keep)
+	if p, reused, err := q.Load(ctx, "k", loadOf(&loads, nil, errors.New("down"))); p != nil || reused || err == nil {
+		t.Fatalf("second visit: page %v, reused %v, err %v; want its own failed load, the first kept nothing", p, reused, err)
 	}
-	type outcome struct {
-		page any
-		keep bool
-	}
-	next := make(chan outcome)
+	// The keeping load after the failed one is held while a visit arrives.
+	started, release := make(chan struct{}), make(chan struct{})
+	kept := make(chan any, 1)
 	go func() {
-		p, keep := q.Visit("k")
-		next <- outcome{p, keep}
+		p, _, _ := q.Load(ctx, "k", func() (any, error) {
+			close(started)
+			<-release
+			loads.Add(1)
+			return "page", nil
+		})
+		kept <- p
 	}()
-	q.Loaded("k", nil)
-	if o := <-next; o.page != nil || !o.keep {
-		t.Fatalf("visit after a failed keeping load: page %v, keep %v; want to keep", o.page, o.keep)
-	}
+	<-started
 	const waiters = 4
 	got := make(chan any, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			p, _ := q.Visit("k")
+			p, reused, err := q.Load(ctx, "k", loadOf(&loads, "own", nil))
+			if !reused || err != nil {
+				t.Errorf("a visit after the keeping load: reused %v, err %v", reused, err)
+			}
 			got <- p
 		}()
 	}
-	q.Loaded("k", "page")
+	close(release)
+	if p := <-kept; p != "page" {
+		t.Fatalf("visit after a failed keeping load got %v, want its own load", p)
+	}
 	for i := 0; i < waiters; i++ {
 		if p := <-got; p != "page" {
 			t.Errorf("a visit after the keeping load got %v", p)
 		}
 	}
-	if q.Stats.Reused() != waiters {
-		t.Errorf("Reused = %d, want %d", q.Stats.Reused(), waiters)
+	if loads.Load() != 3 || q.Stats.Reused() != waiters {
+		t.Errorf("loads = %d, Reused = %d; want 3 and %d", loads.Load(), q.Stats.Reused(), waiters)
 	}
 	var none *Query
-	if p, keep := none.Visit("k"); p != nil || keep {
-		t.Errorf("a nil query: page %v, keep %v; want neither", p, keep)
+	for i := 0; i < 2; i++ {
+		if p, reused, _ := none.Load(ctx, "k", loadOf(&loads, "own", nil)); p != "own" || reused {
+			t.Errorf("a nil query: page %v, reused %v; want its own load", p, reused)
+		}
+	}
+	if loads.Load() != 5 {
+		t.Errorf("a nil query kept a page: %d loads, want 5", loads.Load())
+	}
+}
+
+// TestQueryLoadWaitHonoursContext: a visit waiting on the keeping load
+// returns its context's error at once when cancelled; the load goes on, and
+// its page is kept for the visits that stayed and those that come later.
+func TestQueryLoadWaitHonoursContext(t *testing.T) {
+	bg := context.Background()
+	q := &Query{}
+	var loads atomic.Int64
+	q.Load(bg, "k", loadOf(&loads, "first", nil))
+	started, release := make(chan struct{}), make(chan struct{})
+	keeper := make(chan any, 1)
+	go func() {
+		p, _, _ := q.Load(bg, "k", func() (any, error) {
+			close(started)
+			<-release
+			return "page", nil
+		})
+		keeper <- p
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(bg)
+	gaveUp, stayed := make(chan error, 1), make(chan any, 1)
+	go func() {
+		_, _, err := q.Load(ctx, "k", loadOf(&loads, "own", nil))
+		gaveUp <- err
+	}()
+	go func() {
+		p, _, _ := q.Load(bg, "k", loadOf(&loads, "own", nil))
+		stayed <- p
+	}()
+	time.Sleep(20 * time.Millisecond) // let both visits wait
+	cancel()
+	select {
+	case err := <-gaveUp:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled visit got %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled visit kept waiting for the keeping load")
+	}
+	close(release)
+	if p := <-keeper; p != "page" {
+		t.Fatalf("keeping load returned %v", p)
+	}
+	if p := <-stayed; p != "page" {
+		t.Errorf("the visit that stayed got %v, want the kept page", p)
+	}
+	if p, reused, _ := q.Load(bg, "k", loadOf(&loads, "own", nil)); p != "page" || !reused {
+		t.Errorf("a later visit got %v (reused %v), want the kept page", p, reused)
+	}
+	if loads.Load() != 1 || q.Stats.Reused() != 2 {
+		t.Errorf("loads = %d, Reused = %d; want 1 (the first visit's) and 2", loads.Load(), q.Stats.Reused())
 	}
 }

@@ -181,11 +181,13 @@ func withRetry(inner Fetcher, p Policy, stats *Stats, sleep func(ctx context.Con
 	})
 }
 
-// OutageMemo remembers, for the lifetime of one query (it is a field of
-// the query's Query; the zero value is ready), which requests
-// have already failed terminally, so sibling maximal objects and later
-// navigation steps don't re-pay the full retry ladder for a site the
-// query already knows is down.
+// WithOutageMemo wraps inner so that Outage-classified failures are
+// remembered, for the lifetime of the query on the request context (if
+// any), and replayed for subsequent fetches of the same request without
+// touching inner, so sibling maximal objects and later navigation steps
+// don't re-pay the full retry ladder for a site the query already knows is
+// down. Replayed failures are labeled outcome=unavailable on the trace
+// span.
 //
 // The memo is keyed by canonical request key, not by host, and it sits
 // directly below the singleflight middleware. That pairing makes failure
@@ -195,63 +197,26 @@ func withRetry(inner Fetcher, p Policy, stats *Stats, sleep func(ctx context.Con
 // identical at Workers=1 and Workers=8. A host-keyed memo would instead
 // make request B's outcome depend on whether request A happened to fail
 // first — exactly the schedule dependence the determinism suite forbids.
-type OutageMemo struct {
-	mu     sync.Mutex
-	failed map[string]error
-}
-
-func (m *OutageMemo) lookup(key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.failed[key]
-}
-
-func (m *OutageMemo) record(key string, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.failed == nil {
-		m.failed = make(map[string]error)
-	}
-	if _, ok := m.failed[key]; !ok {
-		m.failed[key] = err
-	}
-}
-
-// Len reports how many request keys have failed terminally.
-func (m *OutageMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.failed)
-}
-
-// WithOutageMemo wraps inner so that Outage-classified failures are
-// remembered in the memo of the query on the request context (if any)
-// and replayed for subsequent fetches of the same request without
-// touching inner. Replayed failures are labeled outcome=unavailable on
-// the trace span.
 func WithOutageMemo(inner Fetcher) Fetcher {
 	return FetcherFunc(func(req *Request) (*Response, error) {
 		q := QueryFrom(req.Context())
 		if q == nil {
 			return inner.Fetch(req)
 		}
-		memo := &q.Memo
-		key := req.Key()
-		if err := memo.lookup(key); err != nil {
+		resp, replayed, err := q.memo.Do(req.Context(), req.Key(),
+			func() (*Response, error) { return inner.Fetch(req) }, keepOutages)
+		if replayed {
 			trace.FromContext(req.Context()).Label("outcome", "unavailable")
-			return nil, err
-		}
-		resp, err := inner.Fetch(req)
-		// Budget exhaustion is outage-classified so the UR layer degrades
-		// around it, but it is a statement about the calling object's
-		// remaining time, not about the site — memoizing it would replay
-		// "out of time" to objects whose budgets are healthy. (The budget
-		// middleware sits above this one, so such errors only pass here if
-		// the stack is ever reordered; the guard keeps the invariant
-		// explicit.)
-		if err != nil && IsOutage(err) && !IsBudgetExhausted(err) {
-			memo.record(key, err)
 		}
 		return resp, err
 	})
+}
+
+// keepOutages shares and keeps a terminal site failure, but not a budget
+// shed: that is the calling object's verdict on its own remaining time, and
+// replaying it would fail objects whose budgets are healthy. (The budget
+// middleware sits above the memo; the guard holds if the stack is reordered.)
+func keepOutages(_ *Response, err error) (share, keep bool) {
+	outage := err != nil && IsOutage(err) && !IsBudgetExhausted(err)
+	return outage, outage
 }

@@ -388,9 +388,7 @@ func TestOutageMemoReplays(t *testing.T) {
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
 	})
 	f := WithOutageMemo(WithRetryPolicy(always, Policy{Retries: 2}, nil))
-	q := &Query{}
-	memo := &q.Memo
-	ctx := WithQuery(context.Background(), q)
+	ctx := WithQuery(context.Background(), &Query{})
 
 	_, err1 := f.Fetch(NewGet("http://dead/x").WithContext(ctx))
 	if !IsOutage(err1) {
@@ -404,15 +402,18 @@ func TestOutageMemoReplays(t *testing.T) {
 	if err2 == nil || err2.Error() != err1.Error() {
 		t.Fatalf("replayed error differs: %v vs %v", err2, err1)
 	}
-	if memo.Len() != 1 {
-		t.Fatalf("memo len = %d", memo.Len())
+	// Different key: unaffected, and a success is not memoized.
+	before := calls.Load()
+	for i := 0; i < 2; i++ {
+		if _, err := f.Fetch(NewGet("http://alive/x").WithContext(ctx)); err != nil {
+			t.Fatalf("alive fetch failed: %v", err)
+		}
 	}
-	// Different key: unaffected.
-	if _, err := f.Fetch(NewGet("http://alive/x").WithContext(ctx)); err != nil {
-		t.Fatalf("alive fetch failed: %v", err)
+	if calls.Load() != before+2 {
+		t.Fatalf("two fetches of a live site reached it %d times, want 2", calls.Load()-before)
 	}
 	// A new query (fresh memo) retries the site.
-	before := calls.Load()
+	before = calls.Load()
 	f.Fetch(NewGet("http://dead/x").WithContext(
 		WithQuery(context.Background(), &Query{})))
 	if calls.Load() == before {
@@ -421,5 +422,53 @@ func TestOutageMemoReplays(t *testing.T) {
 	// No memo on the context: pass-through.
 	if _, err := f.Fetch(NewGet("http://alive/y")); err != nil {
 		t.Fatalf("memoless fetch failed: %v", err)
+	}
+}
+
+// TestOutageMemoWaitHonoursContext: a fetch waiting on the query's fetch of
+// the same request returns its context's error at once when cancelled; the
+// fetch goes on, and its outage still reaches the fetch that stayed and is
+// replayed to the next.
+func TestOutageMemoWaitHonoursContext(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	f := WithOutageMemo(FetcherFunc(func(req *Request) (*Response, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return nil, MarkOutage(&HostError{Host: hostOf(req.URL), Err: errors.New("dead")})
+	}))
+	qctx := WithQuery(context.Background(), &Query{})
+	const url = "http://down.example/p"
+	fetch := func(ctx context.Context, out chan<- error) {
+		_, err := f.Fetch(NewGet(url).WithContext(ctx))
+		out <- err
+	}
+	lead, stayed, gaveUp := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go fetch(qctx, lead)
+	<-started
+	ctx, cancel := context.WithCancel(qctx)
+	go fetch(ctx, gaveUp)
+	go fetch(qctx, stayed)
+	time.Sleep(20 * time.Millisecond) // let both fetches wait
+	cancel()
+	select {
+	case err := <-gaveUp:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled fetch got %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled fetch kept waiting on the memo")
+	}
+	close(release)
+	for name, ch := range map[string]chan error{"lead": lead, "stayed": stayed} {
+		if err := <-ch; !IsOutage(err) {
+			t.Errorf("%s fetch got %v, want the outage", name, err)
+		}
+	}
+	go fetch(qctx, stayed)
+	if err := <-stayed; !IsOutage(err) || calls.Load() != 1 {
+		t.Errorf("a later fetch got %v after %d calls, want the outage replayed after 1", err, calls.Load())
 	}
 }

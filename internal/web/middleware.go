@@ -29,7 +29,7 @@ const (
 	hedgesSuppressed
 	bulkheadSheds
 	budgetSheds
-	reused // page visits served from the query's own page set (Query.Visit)
+	reused // page visits served from the query's own page set (Query.Load)
 	numCounters
 )
 
@@ -132,7 +132,7 @@ func (s *Stats) BulkheadSheds() int64 { return s.n[bulkheadSheds].Load() }
 func (s *Stats) BudgetSheds() int64 { return s.n[budgetSheds].Load() }
 
 // Reused returns how many page visits were served a page their query had
-// already loaded and kept (Query.Visit), without calling the fetch stack.
+// already loaded and kept (Query.Load), without calling the fetch stack.
 func (s *Stats) Reused() int64 { return s.n[reused].Load() }
 
 // PerHost returns a copy of the per-host page counts.

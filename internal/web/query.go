@@ -4,24 +4,26 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"webbase/internal/once"
 )
 
 // Query is everything the fetch stack keeps for one query: its bill, the
 // fault-tolerance state that must not outlive it, and the pages the
-// navigation layer keeps for it (Visit). The layer that starts a query
+// navigation layer keeps for it (Load). The layer that starts a query
 // (core) mints one (Stack.NewQuery) and attaches it with WithQuery; each
 // middleware finds it on the request's context. The zero value is a query
 // with no deadline budget.
 //
 // Billing: a page is billed to the query whose fetch reached the network;
 // a singleflight follower is billed one Deduped and nothing else for that
-// page; a cache hit or stale serve is billed to the query it was served
-// to; a visit served a kept page is billed one Reused and never reaches
-// the fetch stack. A fetch with no query on its context counts into the
-// Stats its middleware was constructed with instead. A hedge's losing
-// attempt runs on after the fetch has returned: if it lands after the
-// query's owner has folded the bill (Stats.Add), its page is counted
-// nowhere.
+// page (unless its cancelled leader failed, and it fetched for itself); a
+// cache hit or stale serve is billed to the query it was served to; a visit
+// served a kept page is billed one Reused and never reaches the fetch
+// stack. A fetch with no query on its context counts into the Stats its
+// middleware was constructed with instead. A hedge's losing attempt runs on
+// after the fetch has returned: if it lands after the query's owner has
+// folded the bill (Stats.Add), its page is counted nowhere.
 type Query struct {
 	// Stats is the query's bill. Its Retries and Hedges are what the
 	// query has spent of Policy.RetryBudget and Policy.HedgeBudget.
@@ -30,73 +32,50 @@ type Query struct {
 	// Clock (nil means time.Now); 0 disables budgets.
 	Deadline time.Duration
 	Clock    func() time.Time
-	// Memo replays the query's terminal site failures (WithOutageMemo).
-	Memo OutageMemo
 
-	// pages is what Visit remembers: every request key the query has
-	// visited, and the pages it kept.
-	pagesMu sync.Mutex
-	pages   map[string]*keptPage // nil value: visited once, nothing kept
+	memo once.Table[*Response] // terminal site failures (WithOutageMemo)
+	// What Load remembers: the request keys visited, and the pages kept.
+	visitedMu sync.Mutex
+	visited   map[string]struct{}
+	kept      once.Table[any]
 }
 
-// keptPage is the page of a request its query has visited twice.
-type keptPage struct {
-	done chan struct{} // closed when the keeping load has ended
-	page any           // nil if that load failed; written before done closes
-}
-
-// Visit is asked by the navigation layer before it loads the page a request
-// leads to, with the request's key: has this query kept that page? The
-// query's first visit of a request keeps nothing. Its second is told to
-// keep its load (keep is true), and must report the load to Loaded, failed
-// or not. Every later visit, and any arriving while the keeping load runs,
-// waits for that load and is handed its page (billed one Reused); if the
-// load failed, the next visit loads and keeps in its place. A nil Query
+// Load is how the navigation layer loads the page a request leads to, by
+// the request's key: load loads it, unless this query has kept that page,
+// and the bool reports that it had (billed one Reused). The query's first
+// visit of a request keeps nothing. Its second keeps a successful load.
+// Every later visit, and any arriving while the keeping load runs, is
+// handed that page; if the load failed, the next visit loads and keeps in
+// its place. A wait ends with ctx's error when ctx is done. A nil Query
 // keeps nothing.
 //
 // Keeping from the second visit, not the first, is what lets a query that
 // repeats no request hold no page past the states standing on it
 // (DESIGN.md §12). What is kept goes with the Query, when the query ends.
-func (q *Query) Visit(key string) (page any, keep bool) {
-	if q == nil {
-		return nil, false
+func (q *Query) Load(ctx context.Context, key string, load func() (any, error)) (any, bool, error) {
+	if q == nil || q.firstVisit(key) {
+		page, err := load()
+		return page, false, err
 	}
-	for {
-		q.pagesMu.Lock()
-		k, seen := q.pages[key]
-		switch {
-		case !seen:
-			if q.pages == nil {
-				q.pages = make(map[string]*keptPage)
-			}
-			q.pages[key] = nil
-			q.pagesMu.Unlock()
-			return nil, false
-		case k == nil:
-			q.pages[key] = &keptPage{done: make(chan struct{})}
-			q.pagesMu.Unlock()
-			return nil, true
-		}
-		q.pagesMu.Unlock()
-		<-k.done
-		if k.page != nil {
-			q.Stats.add(reused, 1)
-			return k.page, false
-		}
+	page, kept, err := q.kept.Do(ctx, key, load, once.Successes[any])
+	if kept {
+		q.Stats.add(reused, 1)
 	}
+	return page, kept, err
 }
 
-// Loaded ends the keeping load Visit asked for: page is what it loaded,
-// nil if it failed. A failed load is not kept.
-func (q *Query) Loaded(key string, page any) {
-	q.pagesMu.Lock()
-	k := q.pages[key]
-	if page == nil {
-		q.pages[key] = nil
+// firstVisit records a visit of key and reports whether it was the first.
+func (q *Query) firstVisit(key string) bool {
+	q.visitedMu.Lock()
+	defer q.visitedMu.Unlock()
+	if _, seen := q.visited[key]; seen {
+		return false
 	}
-	q.pagesMu.Unlock()
-	k.page = page
-	close(k.done)
+	if q.visited == nil {
+		q.visited = make(map[string]struct{})
+	}
+	q.visited[key] = struct{}{}
+	return true
 }
 
 type queryKey struct{}

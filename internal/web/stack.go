@@ -97,9 +97,13 @@ type Stack struct {
 // the flight, so a page is in the cache before the flight that fetched it
 // is forgotten. The per-query outage memo sits directly below the
 // singleflight, so each request key's terminal verdict is decided exactly
-// once and replayed schedule-independently. The breaker rejects before a
-// doomed fetch can queue for a host slot, and it sits above the hedge so
-// it records one verdict per logical fetch rather than one per attempt.
+// once and replayed schedule-independently. Both are a once.Table keyed by
+// the request's key (the stack's and the query's), so a cancelled waiter
+// stops waiting at once and a leader's failure that follows its own
+// cancellation is handed to no one (DESIGN.md §16). The breaker rejects
+// before a doomed fetch can queue for a host slot, and it sits above the
+// hedge so it records one verdict per logical fetch rather than one per
+// attempt.
 // The hedge duplicates only the network attempt: everything above it sees
 // a single fetch. The bulkhead wraps the latency/counting pair, so a fetch
 // holds its host slot for the whole (simulated) network exchange. Retry

@@ -2,6 +2,7 @@ package web
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -372,5 +373,76 @@ func noShed(t *testing.T, p Policy) {
 	wg.Wait()
 	if s.Stats.BulkheadSheds() != 0 {
 		t.Errorf("bulkhead sheds = %d, want 0", s.Stats.BulkheadSheds())
+	}
+}
+
+// TestStackFollowerOutlivesCancelledLeader: query A leads a held fetch, query
+// B joins it, and then A's request is cancelled. A failure that follows from
+// A's cancellation is A's alone: B fetches the page for itself, billed as
+// B's page and not as a Deduped, and nothing is memoized. A fetch that
+// succeeds all the same is B's page too, and the network is reached once.
+func TestStackFollowerOutlivesCancelledLeader(t *testing.T) {
+	for _, succeeds := range []bool{false, true} {
+		t.Run(fmt.Sprintf("heldFetchSucceeds=%v", succeeds), func(t *testing.T) {
+			const url = "http://h.example/p"
+			started, release := make(chan struct{}), make(chan struct{})
+			var network atomic.Int64
+			raw := FetcherFunc(func(req *Request) (*Response, error) {
+				if network.Add(1) == 1 {
+					close(started)
+					if succeeds {
+						<-release
+					} else {
+						<-req.Context().Done()
+						return nil, req.Context().Err()
+					}
+				}
+				return HTML(req.URL, "<html><body>ok</body></html>"), nil
+			})
+			s := NewStack(raw, LatencyModel{}, nil, nil, Policy{})
+			qa, qb := s.NewQuery(), s.NewQuery()
+			actx, cancelA := context.WithCancel(WithQuery(context.Background(), qa))
+			defer cancelA()
+			aErr := make(chan error, 1)
+			go func() {
+				_, err := s.Fetcher.Fetch(NewGet(url).WithContext(actx))
+				aErr <- err
+			}()
+			<-started
+			bErr := make(chan error, 1)
+			go func() {
+				_, err := s.Fetcher.Fetch(NewGet(url).WithContext(WithQuery(context.Background(), qb)))
+				bErr <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // let B join A's flight
+			cancelA()
+			if succeeds {
+				close(release)
+			}
+			err := <-aErr
+			if !succeeds && !errors.Is(err, context.Canceled) {
+				t.Errorf("A got %v, want context.Canceled", err)
+			}
+			if err := <-bErr; err != nil {
+				t.Fatalf("B, whose request was never cancelled, got %v", err)
+			}
+			wantNetwork, wantPages, wantDeduped := int64(2), int64(1), int64(0)
+			if succeeds {
+				wantNetwork, wantPages, wantDeduped = 1, 0, 1
+			}
+			if network.Load() != wantNetwork || qb.Stats.Pages() != wantPages || qb.Stats.Deduped() != wantDeduped {
+				t.Errorf("network %d; B billed %d pages and %d deduped; want %d, %d and %d",
+					network.Load(), qb.Stats.Pages(), qb.Stats.Deduped(), wantNetwork, wantPages, wantDeduped)
+			}
+			// A's memo replays nothing: a live fetch on A's query reaches inner.
+			var probed atomic.Int64
+			probe := WithOutageMemo(FetcherFunc(func(req *Request) (*Response, error) {
+				probed.Add(1)
+				return HTML(req.URL, "<html></html>"), nil
+			}))
+			if _, err := probe.Fetch(NewGet(url).WithContext(WithQuery(context.Background(), qa))); err != nil || probed.Load() != 1 {
+				t.Errorf("A's memo replayed %v instead of fetching", err)
+			}
+		})
 	}
 }

@@ -28,7 +28,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	c := &f.Config
 	fs.StringVar(&f.Domain, "domain", "usedcars", "application domain: usedcars or apartments")
-	fs.IntVar(&c.Workers, "workers", 0, "parallel evaluation width (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&c.Workers, "workers", 0, "parallel evaluation width (0 = GOMAXPROCS, 1 = no extra goroutines)")
 	fs.IntVar(&c.Fetch.Retries, "retries", 0, "retry failed page fetches this many additional times")
 	fs.Uint64Var(&f.failEvery, "failevery", 0, "chaos: deterministically fail roughly every n-th fetch attempt (0 = off)")
 	fs.BoolVar(&f.latency, "latency", false, "simulate network latency (sleeping)")

@@ -1,8 +1,12 @@
 package algebra
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -206,7 +210,7 @@ func TestForEachPoolSemantics(t *testing.T) {
 	ctx := WithPool(context.Background(), NewPool(4))
 	var mu sync.Mutex
 	ran := make([]bool, n)
-	errs := ForEach(ctx, n, false, func(i int) error {
+	errs := ForEach(ctx, n, func(i int) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if ran[i] {
@@ -225,22 +229,59 @@ func TestForEachPoolSemantics(t *testing.T) {
 	}
 }
 
-// TestForEachSequentialShortCircuit pins the nil-pool contract: tasks run
-// in index order and stopEarly prevents any task after the first failure.
-func TestForEachSequentialShortCircuit(t *testing.T) {
+// TestForEachNilPool pins the nil-pool contract: the tasks run in index
+// order on the calling goroutine, a failing task does not stop later ones
+// (the same tasks run as under any pool), and a context already done runs
+// none of them.
+func TestForEachNilPool(t *testing.T) {
+	caller := goroutineID()
 	boom := errors.New("boom")
 	var ran []int
-	errs := ForEach(context.Background(), 5, true, func(i int) error {
+	errs := ForEach(context.Background(), 5, func(i int) error {
+		if id := goroutineID(); id != caller {
+			t.Errorf("task %d ran on goroutine %d, want the caller's %d", i, id, caller)
+		}
 		ran = append(ran, i)
 		if i == 2 {
 			return boom
 		}
 		return nil
 	})
-	if len(ran) != 3 || ran[0] != 0 || ran[1] != 1 || ran[2] != 2 {
-		t.Errorf("ran = %v, want [0 1 2]", ran)
+	if fmt.Sprint(ran) != "[0 1 2 3 4]" {
+		t.Errorf("ran = %v, want [0 1 2 3 4]", ran)
 	}
-	if !errors.Is(errs[2], boom) || errs[3] != nil || errs[4] != nil {
-		t.Errorf("errs = %v", errs)
+	for i, want := range []error{nil, nil, boom, nil, nil} {
+		if errs[i] != want {
+			t.Errorf("errs[%d] = %v, want %v", i, errs[i], want)
+		}
 	}
+	if got := firstError(errs); !errors.Is(got, boom) {
+		t.Errorf("firstError = %v, want boom", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran = nil
+	errs = ForEach(ctx, 3, func(i int) error {
+		ran = append(ran, i)
+		return nil
+	})
+	if len(ran) != 0 {
+		t.Errorf("cancelled context ran %v, want none", ran)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled errs[%d] = %v, want context.Canceled", i, err)
+		}
+	}
+}
+
+// goroutineID parses the running goroutine's ID from its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() uint64 {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	buf = bytes.TrimPrefix(buf, []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(buf[:bytes.IndexByte(buf, ' ')]), 10, 64)
+	return id
 }

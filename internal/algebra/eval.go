@@ -19,8 +19,8 @@ import (
 // with exactly those bindings, which is what lets VPS relations (only
 // accessible with mandatory attributes bound) be evaluated at all.
 //
-// Eval is the sequential entry point; EvalContext adds cancellation and
-// (through the context's Pool) bounded parallel evaluation.
+// Eval is EvalContext with a background context: no cancellation and no
+// Pool, so it runs on the calling goroutine.
 func Eval(e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
 	return EvalContext(context.Background(), e, cat, bound)
 }
@@ -30,10 +30,10 @@ func Eval(e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relat
 // returns ctx.Err(). When the context carries a Pool (WithPool), union
 // branches and dependent-join handle invocations evaluate concurrently,
 // bounded by the pool; results are merged in expression order, so the
-// answer is identical to the sequential one tuple for tuple. Errors keep
-// the sequential surface: of several failing parallel branches, the
-// leftmost branch's error is reported (sibling branches are not aborted
-// mid-flight, but their results are discarded).
+// answer is the same tuple for tuple at any worker count. Every branch
+// runs whatever the pool (ForEach), so the fetches made are the same too.
+// Of several failing branches, the leftmost branch's error is reported
+// (its siblings still run, but their results are discarded).
 func EvalContext(ctx context.Context, e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
 	var sp *trace.Span
 	if parent := trace.FromContext(ctx); parent != nil {
@@ -201,7 +201,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		leaves := flattenUnion(e)
 		rels := make([]*relation.Relation, len(leaves))
 		sps := opSpans(ctx, leaves)
-		errs := ForEach(ctx, len(leaves), true, func(i int) error {
+		errs := ForEach(ctx, len(leaves), func(i int) error {
 			rel, err := evalSpanned(ctx, spanAt(sps, i), leaves[i], cat, bound)
 			rels[i] = rel
 			return err
@@ -216,14 +216,13 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		if err != nil {
 			return nil, err
 		}
-		// Every branch always evaluates (no short-circuit): a binding
-		// failure on one must not suppress the others' partial answers.
-		// Like Union, chains flatten into one fan-out; merging in leaf
-		// order reproduces the pairwise result exactly.
+		// A binding failure on one branch must not suppress the others'
+		// partial answers. Like Union, chains flatten into one fan-out;
+		// merging in leaf order reproduces the pairwise result exactly.
 		leaves := flattenRelaxedUnion(e)
 		rels := make([]*relation.Relation, len(leaves))
 		sps := opSpans(ctx, leaves)
-		errs := ForEach(ctx, len(leaves), false, func(i int) error {
+		errs := ForEach(ctx, len(leaves), func(i int) error {
 			rel, err := evalSpanned(ctx, spanAt(sps, i), leaves[i], cat, bound)
 			rels[i] = rel
 			return err
@@ -430,7 +429,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			sps[i] = trace.Start(ctx, trace.KindInvoke, name)
 		}
 	}
-	errs := ForEach(ctx, len(tuples), true, func(i int) error {
+	errs := ForEach(ctx, len(tuples), func(i int) error {
 		sp := spanAt(sps, i)
 		ictx := ctx
 		if sp != nil {

@@ -19,8 +19,9 @@ type Pool struct {
 
 // NewPool returns a pool allowing up to workers concurrent evaluation
 // goroutines in total (the caller counts as one). workers <= 1 returns
-// nil: the nil pool means strictly sequential evaluation, every task run
-// in index order on the calling goroutine.
+// nil: the nil pool has no tokens, so every task runs inline, in index
+// order, on the calling goroutine. It runs the same tasks as any other
+// pool; only the number of goroutines differs.
 func NewPool(workers int) *Pool {
 	if workers <= 1 {
 		return nil
@@ -28,8 +29,11 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, workers-1)}
 }
 
-// tryAcquire takes a token without blocking.
+// tryAcquire takes a token without blocking. The nil pool has none.
 func (p *Pool) tryAcquire() bool {
+	if p == nil {
+		return false
+	}
 	select {
 	case p.sem <- struct{}{}:
 		return true
@@ -43,7 +47,7 @@ func (p *Pool) release() { <-p.sem }
 type poolKey struct{}
 
 // WithPool attaches the pool to the context; the evaluator and the UR
-// layer pick it up from there. A nil pool is a no-op (sequential).
+// layer pick it up from there. A nil pool leaves the context as it is.
 func WithPool(ctx context.Context, p *Pool) context.Context {
 	if p == nil {
 		return ctx
@@ -51,8 +55,8 @@ func WithPool(ctx context.Context, p *Pool) context.Context {
 	return context.WithValue(ctx, poolKey{}, p)
 }
 
-// PoolFrom returns the pool attached to the context, or nil.
-func PoolFrom(ctx context.Context) *Pool {
+// poolFrom returns the pool attached to the context, or nil.
+func poolFrom(ctx context.Context) *Pool {
 	p, _ := ctx.Value(poolKey{}).(*Pool)
 	return p
 }
@@ -62,35 +66,19 @@ func PoolFrom(ctx context.Context) *Pool {
 // into caller-owned indexed slots, which keeps output ordering
 // deterministic regardless of scheduling.
 //
-// Without a pool the tasks run in index order in the calling goroutine;
-// stopEarly then reproduces the sequential evaluator's short-circuit (no
-// task after the first failing one runs, their error slots stay nil). With
-// a pool every task runs (siblings of a failing branch are not aborted)
-// and the caller sees all errors — callers that need the sequential error
-// surface take the lowest-index one.
+// Every task runs, whatever the pool: a failing task does not stop its
+// siblings, and the caller sees all errors — callers that need one error
+// take the lowest-index one (firstError). The pool decides only how many
+// goroutines run the tasks; with no pool they all run in index order on
+// the calling goroutine. So the work a query does, and what it is billed,
+// is the same at every worker count.
 //
 // A context cancelled before a task starts records ctx.Err() in that
 // task's slot instead of running it, which is what stops a cancelled
 // query from issuing further fetches.
-func ForEach(ctx context.Context, n int, stopEarly bool, fn func(i int) error) []error {
+func ForEach(ctx context.Context, n int, fn func(i int) error) []error {
 	errs := make([]error, n)
-	pool := PoolFrom(ctx)
-	if pool == nil {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				if stopEarly {
-					return errs
-				}
-				continue
-			}
-			errs[i] = fn(i)
-			if errs[i] != nil && stopEarly {
-				return errs
-			}
-		}
-		return errs
-	}
+	pool := poolFrom(ctx)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
@@ -114,8 +102,8 @@ func ForEach(ctx context.Context, n int, stopEarly bool, fn func(i int) error) [
 	return errs
 }
 
-// firstError returns the lowest-index non-nil error — the error the
-// sequential evaluator would have surfaced.
+// firstError returns the lowest-index non-nil error — the error a caller
+// surfaces whatever the worker count.
 func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strings"
@@ -9,58 +10,82 @@ import (
 
 	"webbase/internal/health"
 	"webbase/internal/sites"
+	"webbase/internal/trace"
+	"webbase/internal/ur"
 	"webbase/internal/web"
 )
 
 var staleCount = regexp.MustCompile(`stale-served=\d+`)
 
-// chaosOutcome runs the acceptance query through a webbase whose network
-// fails every n-th attempt and folds everything observable about the
-// answer — tuples, skipped objects, the degradation report, or the error —
-// into one string.
-func chaosOutcome(t *testing.T, failEvery uint64, workers int) string {
+// chaosOutcome runs query through a webbase whose network fails every
+// n-th attempt and folds everything observable about the run into one
+// string: the answer — tuples, skipped objects, the degradation report, or
+// the error — and the accesses that produced it: the attempts that reached
+// the network, the query's pages, bytes and retries, the trace structure
+// and the rendered plan without timings.
+func chaosOutcome(t *testing.T, query string, failEvery uint64, workers int) string {
 	t.Helper()
+	flaky := &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: failEvery}
 	wb, err := New(Config{
-		Fetcher: &web.Flaky{Inner: sites.BuildWorld().Server, FailEvery: failEvery},
+		Fetcher: flaky,
 		Workers: workers,
+		Clock:   fakeClock(),
 		Fetch:   web.Policy{Retries: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := wb.QueryString(wideCarQuery)
+	q, err := ur.ParseQuery(wb.UR, query)
 	if err != nil {
-		return "error: " + err.Error()
+		t.Fatal(err)
 	}
+	res, _, tr, err := wb.QueryTraced(context.Background(), q)
 	var sb strings.Builder
-	sb.WriteString(res.Relation.String())
-	fmt.Fprintf(&sb, "\nskipped: %v\n", res.Skipped)
-	if res.Degradation != nil {
-		sb.WriteString(res.Degradation.String())
+	if err != nil {
+		sb.WriteString("error: " + err.Error())
+	} else {
+		sb.WriteString(res.Relation.String())
+		fmt.Fprintf(&sb, "\nskipped: %v\n", res.Skipped)
+		if res.Degradation != nil {
+			sb.WriteString(res.Degradation.String())
+		}
 	}
+	// The webbase is fresh, so its lifetime Stats are this query's bill —
+	// which a failed query, returning no QueryStats, has too.
+	st := wb.Stats()
+	fmt.Fprintf(&sb, "\nattempts=%d pages=%d bytes=%d retries=%d\n",
+		flaky.Attempts(), st.Pages(), st.Bytes(), st.Retries())
+	sb.WriteString(tr.Structure())
+	sb.WriteString(trace.StripTimings(tr.Render(trace.RenderOptions{Timings: true})))
 	return sb.String()
 }
 
 // TestChaosDeterministicDegradation is the fault-injection acceptance
-// test: whatever a flaky network does to the query — full recovery,
+// test: whatever a flaky network does to a query — full recovery,
 // partial answer, or total failure — the outcome is byte-identical at
-// Workers=1 and Workers=8. Terminal failure verdicts are decided once per
-// request key (the outage memo) and Flaky hashes per-request attempt
-// numbers, so nothing observable depends on goroutine interleaving.
-// Run with -race and -count=2.
+// Workers=1 and Workers=8, and so are the accesses behind it: how often
+// the network is reached, what the query is billed and its trace. Every
+// worker count runs the same tasks (algebra.ForEach), terminal failure
+// verdicts are decided once per request key (the outage memo) and Flaky
+// hashes per-request attempt numbers, so nothing observable depends on
+// goroutine interleaving. Run with -race and -count=2.
 func TestChaosDeterministicDegradation(t *testing.T) {
 	for _, failEvery := range []uint64{2, 3, 7} {
 		t.Run(fmt.Sprintf("failevery=%d", failEvery), func(t *testing.T) {
-			seq := chaosOutcome(t, failEvery, 1)
-			for run := 0; run < 2; run++ {
-				if par := chaosOutcome(t, failEvery, 8); par != seq {
-					t.Fatalf("outcome differs from sequential (run %d)\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-						run, seq, par)
-				}
-			}
-			if again := chaosOutcome(t, failEvery, 1); again != seq {
-				t.Fatalf("sequential outcome not even self-consistent\n--- first ---\n%s\n--- second ---\n%s",
-					seq, again)
+			for _, tc := range pruneDiffCorpus["usedcars"] {
+				t.Run(tc.name, func(t *testing.T) {
+					seq := chaosOutcome(t, tc.query, failEvery, 1)
+					for run := 0; run < 2; run++ {
+						if par := chaosOutcome(t, tc.query, failEvery, 8); par != seq {
+							t.Fatalf("outcome differs from Workers=1 (run %d)\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
+								run, seq, par)
+						}
+					}
+					if again := chaosOutcome(t, tc.query, failEvery, 1); again != seq {
+						t.Fatalf("Workers=1 outcome not even self-consistent\n--- first ---\n%s\n--- second ---\n%s",
+							seq, again)
+					}
+				})
 			}
 		})
 	}

@@ -44,8 +44,13 @@ type Config struct {
 	// Workers bounds parallel query evaluation: union branches,
 	// dependent-join handle invocations and maximal objects evaluate on
 	// up to Workers goroutines (and PopulateAll sweeps up to Workers
-	// sites at once). 0 means GOMAXPROCS; 1 forces strictly sequential
-	// evaluation on the calling goroutine.
+	// sites at once). 0 means GOMAXPROCS; 1 means no extra goroutines:
+	// the same evaluation, run on the calling goroutine. Workers decides
+	// how many goroutines run, never which fetches happen — the answer,
+	// the accesses, the bill and the trace structure are the same at any
+	// count. Only PeakInFlight, LimiterWait, Elapsed, and whether a
+	// repeated access is served from the cache, deduplicated or reused,
+	// may vary (DESIGN.md §17).
 	Workers int
 	// Clock supplies timestamps for trace spans, query timing, cache
 	// entries, the breaker and deadline budgets. nil means time.Now;
@@ -410,7 +415,7 @@ func (qs *QueryStats) String() string {
 
 // Query evaluates a universal relation query end to end. Evaluation runs
 // on up to Config.Workers goroutines; the answer is identical tuple for
-// tuple to sequential (Workers=1) evaluation.
+// tuple at every worker count.
 func (wb *Webbase) Query(q ur.Query) (*ur.Result, *QueryStats, error) {
 	return wb.QueryContext(context.Background(), q)
 }
@@ -663,7 +668,7 @@ func (wb *Webbase) PopulateAll(relations []string, inputs map[string]relation.Va
 func (wb *Webbase) PopulateAllContext(ctx context.Context, relations []string, inputs map[string]relation.Value) []SiteResult {
 	results := make([]SiteResult, len(relations))
 	sweepCtx := algebra.WithPool(ctx, algebra.NewPool(wb.workers))
-	errs := algebra.ForEach(sweepCtx, len(relations), false, func(i int) error {
+	errs := algebra.ForEach(sweepCtx, len(relations), func(i int) error {
 		name := relations[i]
 		rel, _, err := wb.Registry.PopulateContext(ctx, wb.stack.Fetcher, name, inputs)
 		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}

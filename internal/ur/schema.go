@@ -450,9 +450,10 @@ func (s *Schema) Eval(q Query, cat algebra.Catalog) (*Result, error) {
 // maximal objects are independent (each navigates different site
 // combinations; the fetch stack is concurrency-safe), so they evaluate
 // concurrently under the worker pool the context carries (algebra.WithPool);
-// without a pool they evaluate sequentially. Per-object answers are
-// merged in plan order, so the result is identical tuple for tuple
-// regardless of scheduling. Cancelling ctx stops further page fetches and
+// without a pool the same objects evaluate one after another on the
+// calling goroutine. Every object runs at any worker count, and
+// per-object answers are merged in plan order, so the result — and the
+// fetches made — are the same regardless of scheduling. Cancelling ctx stops further page fetches and
 // surfaces ctx.Err().
 func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) (*Result, error) {
 	return s.EvalStream(ctx, q, cat, nil, false)
@@ -507,7 +508,7 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 	}
 	// Every object evaluates even when a sibling fails: binding-failure
 	// errors must not abort the other objects' partial answers.
-	errs := algebra.ForEach(ctx, len(plan.Objects), false, func(i int) error {
+	errs := algebra.ForEach(ctx, len(plan.Objects), func(i int) error {
 		if gate.limitSatisfied() {
 			// Earlier objects already satisfy LIMIT n: the answer is the
 			// plan-order union truncated to n, so nothing this object could

@@ -86,7 +86,8 @@ func (s BreakerState) String() string {
 // ErrCircuitOpen — the fast-fail that keeps one dead site from stalling
 // a whole multi-site query on timeouts. After Cooldown a single probe is
 // let through (half-open): success closes the circuit, failure re-opens
-// it for another cooldown.
+// it for another cooldown. A cancelled fetch is no verdict: it records
+// nothing, and a cancelled probe leaves the next fetch to probe.
 //
 // The breaker deliberately remembers across queries (it lives for the
 // webbase's lifetime, unlike the per-query outage memo): a site that
@@ -157,16 +158,20 @@ func (b *Breaker) Opens(host string) int64 {
 func (b *Breaker) Fetch(req *Request) (*Response, error) {
 	host := hostOf(req.URL)
 	hc := b.host(host)
-	if !hc.allow(b.cfg.Clock(), b.cfg) {
+	ok, probe := hc.allow(b.cfg.Clock(), b.cfg)
+	if !ok {
 		statsFor(req.Context(), b.stats).add(breakerRejects, 1)
 		trace.FromContext(req.Context()).Label("outcome", "breaker-open")
 		return nil, MarkOutage(&HostError{Host: host,
 			Err: fmt.Errorf("%w (cooling down)", ErrCircuitOpen)})
 	}
 	resp, err := b.inner.Fetch(req)
-	failed := err != nil &&
-		!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-	if changed, state := hc.observe(failed, b.cfg.Clock(), b.cfg); changed && b.cfg.OnChange != nil {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// The caller gave up: no verdict on the site either way.
+		hc.abandon(probe)
+		return resp, err
+	}
+	if changed, state := hc.observe(probe, err != nil, b.cfg.Clock(), b.cfg); changed && b.cfg.OnChange != nil {
 		b.cfg.OnChange(host, state)
 	}
 	return resp, err
@@ -226,48 +231,61 @@ func (b *Breaker) Restore(snap map[string]BreakerSnapshot) {
 	}
 }
 
-// allow decides whether a fetch may proceed and performs the
-// open→half-open transition when the cooldown has elapsed.
-func (hc *hostCircuit) allow(now time.Time, cfg BreakerConfig) bool {
+// allow decides whether a fetch may proceed, and whether it is the
+// half-open probe, and performs the open→half-open transition when the
+// cooldown has elapsed.
+func (hc *hostCircuit) allow(now time.Time, cfg BreakerConfig) (ok, probe bool) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	switch hc.state {
 	case BreakerOpen:
 		if now.Sub(hc.openedAt) < cfg.Cooldown {
-			return false
+			return false, false
 		}
 		hc.state = BreakerHalfOpen
 		hc.probing = true
-		return true
+		return true, true
 	case BreakerHalfOpen:
 		if hc.probing {
-			return false // one probe at a time
+			return false, false // one probe at a time
 		}
 		hc.probing = true
-		return true
+		return true, true
 	default:
-		return true
+		return true, false
 	}
+}
+
+// abandon forgets a cancelled fetch: it records nothing, and a cancelled
+// probe frees the probe slot so the next fetch probes.
+func (hc *hostCircuit) abandon(probe bool) {
+	if !probe {
+		return
+	}
+	hc.mu.Lock()
+	hc.probing = false
+	hc.mu.Unlock()
 }
 
 // observe records a fetch outcome and performs closed→open (threshold)
 // and half-open→closed/open (probe verdict) transitions, reporting
 // whether the circuit changed state (so the caller can fire OnChange
-// outside the lock). Outcomes from fetches admitted before a trip land
-// while the circuit is open and are ignored — they already counted
-// toward opening it.
-func (hc *hostCircuit) observe(failed bool, now time.Time, cfg BreakerConfig) (bool, BreakerState) {
+// outside the lock). While the circuit is open or half-open only the
+// probe's outcome moves it: a fetch admitted while it was closed may
+// answer after the trip, or after the cooldown, and is ignored then — it
+// is no verdict on the probe's question.
+func (hc *hostCircuit) observe(probe, failed bool, now time.Time, cfg BreakerConfig) (bool, BreakerState) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
-	switch hc.state {
-	case BreakerClosed:
+	switch {
+	case hc.state == BreakerClosed:
 		hc.record(failed, cfg.Window)
 		if hc.filled >= cfg.MinSamples &&
 			float64(hc.failures) >= cfg.FailureRatio*float64(hc.filled) {
 			hc.trip(now)
 			return true, BreakerOpen
 		}
-	case BreakerHalfOpen:
+	case probe:
 		hc.probing = false
 		if failed {
 			hc.trip(now)

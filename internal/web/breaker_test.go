@@ -207,3 +207,125 @@ func TestBreakerIgnoresCancellation(t *testing.T) {
 		t.Fatalf("cancellations opened the circuit: %v", st)
 	}
 }
+
+// TestBreakerCancelledProbeIsNoVerdict: a half-open probe whose caller
+// gives up says nothing about the site. The circuit must not close on it;
+// it stays half-open and the next fetch probes.
+func TestBreakerCancelledProbeIsNoVerdict(t *testing.T) {
+	inner := &switchFetcher{}
+	inner.down.Store(true)
+	clk := newTick()
+	br := NewBreaker(FetcherFunc(func(req *Request) (*Response, error) {
+		if err := req.Context().Err(); err != nil {
+			return nil, err
+		}
+		return inner.Fetch(req)
+	}), BreakerConfig{
+		Window: 4, MinSamples: 4, FailureRatio: 0.5,
+		Cooldown: 10 * time.Second, Clock: clk.Clock(),
+	}, nil)
+	const url = "http://h/x"
+	for i := 0; i < 4; i++ {
+		br.Fetch(NewGet(url))
+	}
+	if st := br.State("h"); st != BreakerOpen {
+		t.Fatalf("state after failures = %v, want open", st)
+	}
+
+	clk.Advance(10 * time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := br.Fetch(NewGet(url).WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe: %v", err)
+	}
+	if st := br.State("h"); st != BreakerHalfOpen {
+		t.Fatalf("state after cancelled probe = %v, want half-open", st)
+	}
+
+	// The host still refuses: the next fetch is the probe, reaches the
+	// site, fails and re-opens the circuit.
+	before := inner.calls.Load()
+	if _, err := br.Fetch(NewGet(url)); err == nil || errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("second probe: %v, want the site's failure", err)
+	}
+	if inner.calls.Load() != before+1 {
+		t.Fatal("the fetch after a cancelled probe did not probe")
+	}
+	if st := br.State("h"); st != BreakerOpen {
+		t.Fatalf("state after failed probe = %v, want open", st)
+	}
+	if br.Opens("h") != 2 {
+		t.Fatalf("opens = %d, want 2", br.Opens("h"))
+	}
+}
+
+// TestBreakerLateFetchDoesNotDecideHalfOpen: a fetch admitted while the
+// circuit was closed that answers after it went half-open is not the
+// probe. Its late success must not close the circuit; the probe's failure
+// re-opens it.
+func TestBreakerLateFetchDoesNotDecideHalfOpen(t *testing.T) {
+	clk := newTick()
+	var down atomic.Bool
+	lateIn, lateOut := make(chan struct{}), make(chan struct{})
+	probeIn, probeOut := make(chan struct{}), make(chan struct{})
+	br := NewBreaker(FetcherFunc(func(req *Request) (*Response, error) {
+		switch req.URL {
+		case "http://h/late":
+			close(lateIn)
+			<-lateOut
+			return HTML(req.URL, "<html><body>ok</body></html>"), nil
+		case "http://h/probe":
+			close(probeIn)
+			<-probeOut
+		}
+		if down.Load() {
+			return nil, errors.New("connection refused")
+		}
+		return HTML(req.URL, "<html><body>ok</body></html>"), nil
+	}), BreakerConfig{
+		Window: 4, MinSamples: 4, FailureRatio: 0.5,
+		Cooldown: 10 * time.Second, Clock: clk.Clock(),
+	}, nil)
+
+	lateDone := make(chan error, 1)
+	go func() {
+		_, err := br.Fetch(NewGet("http://h/late"))
+		lateDone <- err
+	}()
+	<-lateIn // admitted while closed, still in flight
+
+	down.Store(true)
+	for i := 0; i < 4; i++ {
+		br.Fetch(NewGet("http://h/x"))
+	}
+	if st := br.State("h"); st != BreakerOpen {
+		t.Fatalf("state after failures = %v, want open", st)
+	}
+
+	clk.Advance(10 * time.Second)
+	probeDone := make(chan error, 1)
+	go func() {
+		_, err := br.Fetch(NewGet("http://h/probe"))
+		probeDone <- err
+	}()
+	<-probeIn // the probe holds the half-open slot
+
+	close(lateOut)
+	if err := <-lateDone; err != nil {
+		t.Fatalf("late fetch: %v", err)
+	}
+	if st := br.State("h"); st != BreakerHalfOpen {
+		t.Fatalf("state after the late success = %v, want half-open", st)
+	}
+
+	close(probeOut)
+	if err := <-probeDone; err == nil {
+		t.Fatal("probe of a refusing host succeeded")
+	}
+	if st := br.State("h"); st != BreakerOpen {
+		t.Fatalf("state after failed probe = %v, want open", st)
+	}
+	if br.Opens("h") != 2 {
+		t.Fatalf("opens = %d, want 2", br.Opens("h"))
+	}
+}

@@ -6,15 +6,16 @@ import (
 )
 
 // This file is the fetch stack's error taxonomy. The 1998 Web fails in
-// qualitatively different ways — a dead site, a transient hiccup, a page
-// that answers "404" — and the upper layers need to tell them apart:
-// the UR layer degrades around an Outage but must propagate a SiteAnswer
-// (the site spoke; its answer just wasn't a success), and nothing above
-// should ever confuse either with the user cancelling the query.
+// qualitatively different ways — a dead site, a page that answers "404",
+// a site redesigned under its map — and the upper layers need to tell
+// them apart: the UR layer degrades around an Outage but must propagate a
+// SiteAnswer (the site spoke; its answer just wasn't a success), and
+// nothing above should ever confuse either with the user cancelling the
+// query.
 //
 // Classification rides the error chain: Mark wraps an error with a
 // FaultClass that errors.Is surfaces through the standard sentinels
-// (ErrTransient, ErrOutage, ErrSiteAnswer), and HostError pins the
+// (ErrOutage, ErrSiteAnswer, ErrSiteDrift), and HostError pins the
 // failure to the host that caused it so degradation reports can name the
 // site. Context cancellation is deliberately outside the taxonomy:
 // context.Canceled / DeadlineExceeded pass through every middleware
@@ -24,15 +25,9 @@ import (
 type FaultClass uint8
 
 const (
-	// FaultUnknown marks errors outside the taxonomy (including context
-	// cancellation, which is never a site fault).
-	FaultUnknown FaultClass = iota
-	// FaultTransient marks failures worth retrying: the site may answer
-	// on the next attempt.
-	FaultTransient
 	// FaultOutage marks terminal failures: retries are exhausted or the
 	// breaker is open; the site is unreachable for this query.
-	FaultOutage
+	FaultOutage FaultClass = iota
 	// FaultSiteAnswer marks responses that are the site's answer — a
 	// non-success status is not a transport failure and retrying it is
 	// pointless.
@@ -44,26 +39,8 @@ const (
 	FaultDrift
 )
 
-// String renders the class name.
-func (c FaultClass) String() string {
-	switch c {
-	case FaultTransient:
-		return "transient"
-	case FaultOutage:
-		return "outage"
-	case FaultSiteAnswer:
-		return "site-answer"
-	case FaultDrift:
-		return "drift"
-	default:
-		return "unknown"
-	}
-}
-
 // Taxonomy sentinels: match with errors.Is.
 var (
-	// ErrTransient matches failures classified as retryable.
-	ErrTransient = errors.New("web: transient failure")
 	// ErrOutage matches terminal site failures (retries exhausted,
 	// breaker open, host down).
 	ErrOutage = errors.New("web: site outage")
@@ -96,8 +73,6 @@ func (e *classified) Unwrap() error { return e.err }
 // sentinel appearing verbatim in the chain.
 func (e *classified) Is(target error) bool {
 	switch target {
-	case ErrTransient:
-		return e.class == FaultTransient
 	case ErrOutage:
 		return e.class == FaultOutage
 	case ErrSiteAnswer:
@@ -118,9 +93,6 @@ func Mark(class FaultClass, err error) error {
 	return &classified{class: class, err: err}
 }
 
-// MarkTransient classifies err as retryable.
-func MarkTransient(err error) error { return Mark(FaultTransient, err) }
-
 // MarkOutage classifies err as a terminal site outage.
 func MarkOutage(err error) error { return Mark(FaultOutage, err) }
 
@@ -130,21 +102,8 @@ func MarkSiteAnswer(err error) error { return Mark(FaultSiteAnswer, err) }
 // MarkDrift classifies err as site drift: a redesign, not an outage.
 func MarkDrift(err error) error { return Mark(FaultDrift, err) }
 
-// ClassOf reports the classification of err: the outermost classified
-// wrapper on the chain, i.e. the most recent verdict.
-func ClassOf(err error) FaultClass {
-	var ce *classified
-	if errors.As(err, &ce) {
-		return ce.class
-	}
-	return FaultUnknown
-}
-
 // IsOutage reports whether err is classified as a terminal site outage.
 func IsOutage(err error) bool { return errors.Is(err, ErrOutage) }
-
-// IsTransient reports whether err is classified as retryable.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // IsSiteAnswer reports whether err carries the site's own answer.
 func IsSiteAnswer(err error) bool { return errors.Is(err, ErrSiteAnswer) }

@@ -168,8 +168,6 @@ var (
 	// IsOutage reports a terminal site failure (retries exhausted,
 	// breaker open, host down).
 	IsOutage = web.IsOutage
-	// IsTransient reports a retryable failure.
-	IsTransient = web.IsTransient
 	// IsSiteAnswer reports that the site answered, unsuccessfully
 	// (e.g. a non-success status).
 	IsSiteAnswer = web.IsSiteAnswer

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +237,35 @@ func TestMapStats(t *testing.T) {
 		if r := s.ManualRatio(); r > 0.25 {
 			t.Errorf("%s: manual ratio %.2f too high", s.Site, r)
 		}
+	}
+}
+
+// TestMapStatsGolden pins S7a: every site's pages, objects, attributes,
+// manual facts and manual ratio, as the map builder counted them before
+// the parser built a flat document (recorded at 7e85801). How a page is
+// parsed must not change what the map builder reads off it.
+func TestMapStatsGolden(t *testing.T) {
+	const golden = "testdata/mapstats.golden"
+	stats, err := MapStats(sites.BuildWorld().Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, s := range stats {
+		sb.WriteString(s.String())
+		sb.WriteByte('\n')
+	}
+	if *updateGoldens {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("S7a statistics differ from %s (re-record with -update only if the change is meant)\n%s", golden, firstDiff(string(want), got))
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // decides how many navigations run and in what order their results merge;
 // it must not decide the answer.
 
-var updateJoinFeed = flag.Bool("update", false, "re-record testdata/joinfeed.golden")
+var updateGoldens = flag.Bool("update", false, "re-record testdata/joinfeed.golden and testdata/mapstats.golden")
 
 const joinFeedGolden = "testdata/joinfeed.golden"
 
@@ -61,7 +61,7 @@ func joinFeedAnswers(t *testing.T, cfg Config) string {
 }
 
 func TestJoinFeedGolden(t *testing.T) {
-	if *updateJoinFeed {
+	if *updateGoldens {
 		if err := os.WriteFile(joinFeedGolden, []byte(joinFeedAnswers(t, Config{Workers: 1})), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,8 @@ package htmlkit
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"webbase/internal/race"
@@ -27,15 +29,14 @@ func fixturePages(t *testing.T) [][]byte {
 
 // TestParseAllocs is the allocation ceiling for parsing: what Parse may
 // allocate over the recorded pages, about 10% above what it does. A
-// document costs its text and a few slabs of nodes, attributes and child
-// lists — not an allocation per node, name, text run, value and child-list
-// growth.
+// document costs its handle, its text and its two arrays — not an
+// allocation per node, name, text run, value or child list.
 func TestParseAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	pages := fixturePages(t)
-	const ceiling = 560 // 510 when set; 2152 while each child list grew by append; 8638 before names were interned and nodes slab-allocated
+	const ceiling = 220 // 200 when set; 510 for the tree of slab-carved nodes and child lists; 2152 while each child list grew by append; 8638 before names were interned and nodes slab-allocated
 	got := testing.AllocsPerRun(20, func() {
 		for _, p := range pages {
 			Parse(p)
@@ -44,5 +45,65 @@ func TestParseAllocs(t *testing.T) {
 	t.Logf("Parse: %.0f allocations over %d pages, %.1f a page (ceiling %d)", got, len(pages), got/float64(len(pages)), ceiling)
 	if got > ceiling {
 		t.Errorf("Parse allocates %.0f times over the %d recorded pages, ceiling %d", got, len(pages), ceiling)
+	}
+}
+
+// TestParseAllocatedBytes is the ceiling on what a parsed page weighs: the
+// bytes Parse allocates for a recorded page, on average, about 10% above
+// what it does. The flat document is its text (at most the source), 28
+// bytes a node and 16 an attribute.
+func TestParseAllocatedBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	pages := fixturePages(t)
+	const ceiling = 2870 // 2613 when set; 7036 for the tree of 80-byte nodes with four pointers each
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	parseAll := func() {
+		for _, p := range pages {
+			Parse(p)
+		}
+	}
+	parseAll() // warm up: nothing allocated once per process is counted
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		parseAll()
+	}
+	runtime.ReadMemStats(&after)
+	perPage := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(pages))
+	t.Logf("Parse: %.0f bytes a page over %d pages (ceiling %d)", perPage, len(pages), ceiling)
+	if perPage > ceiling {
+		t.Errorf("Parse allocates %.0f bytes a recorded page, ceiling %d", perPage, ceiling)
+	}
+}
+
+// TestDocumentRecordsArePointerFree: the collector scans a document's
+// handle, text and arrays, never the arrays' contents, because a node
+// and an attribute hold only numbers. A pointer, slice, string, map or
+// interface field in either record would put every node of every parsed
+// page back in the collector's path.
+func TestDocumentRecordsArePointerFree(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		default:
+			t.Errorf("%s is a %s: a document record must hold no pointer", path, typ.Kind())
+		}
+	}
+	check("node", reflect.TypeOf(node{}))
+	check("attr", reflect.TypeOf(attr{}))
+	if size := reflect.TypeOf(node{}).Size(); size > 28 {
+		t.Errorf("a node is %d bytes, want at most 28", size)
 	}
 }

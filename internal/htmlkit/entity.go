@@ -1,8 +1,9 @@
 package htmlkit
 
 import (
-	"strconv"
+	"bytes"
 	"strings"
+	"unicode/utf8"
 )
 
 // namedEntities covers the entities that actually occur in the car-site
@@ -34,51 +35,79 @@ func DecodeEntities(s string) string {
 	if !strings.ContainsRune(s, '&') {
 		return s
 	}
-	var sb strings.Builder
-	sb.Grow(len(s))
+	return string(appendDecoded(make([]byte, 0, len(s)), []byte(s)))
+}
+
+// appendDecoded appends s to dst with its character references replaced, as
+// DecodeEntities does. A reference is never shorter than its character, so
+// the result grows dst by at most len(s).
+func appendDecoded(dst, s []byte) []byte {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c != '&' {
-			sb.WriteByte(c)
+			dst = append(dst, c)
 			i++
 			continue
 		}
-		semi := strings.IndexByte(s[i:], ';')
+		semi := bytes.IndexByte(s[i:], ';')
 		if semi < 0 || semi > 12 {
-			sb.WriteByte(c)
+			dst = append(dst, c)
 			i++
 			continue
 		}
-		name := s[i+1 : i+semi]
-		if r, ok := decodeEntityName(name); ok {
-			sb.WriteRune(r)
+		if r, ok := decodeEntityName(s[i+1 : i+semi]); ok {
+			dst = utf8.AppendRune(dst, r)
 			i += semi + 1
 			continue
 		}
-		sb.WriteByte(c)
+		dst = append(dst, c)
 		i++
 	}
-	return sb.String()
+	return dst
 }
 
-func decodeEntityName(name string) (rune, bool) {
-	if name == "" {
+// decodeEntityName returns the character a reference's name stands for: a
+// named entity, or '#' and a decimal or 'x' and a hexadecimal code point,
+// with an optional '+' sign (as strconv.ParseInt reads it).
+func decodeEntityName(name []byte) (rune, bool) {
+	if len(name) == 0 {
 		return 0, false
 	}
-	if name[0] == '#' {
-		num := name[1:]
-		base := 10
-		if len(num) > 0 && (num[0] == 'x' || num[0] == 'X') {
-			num, base = num[1:], 16
+	if name[0] != '#' {
+		r, ok := namedEntities[string(name)]
+		return r, ok
+	}
+	num, base := name[1:], rune(10)
+	if len(num) > 0 && (num[0] == 'x' || num[0] == 'X') {
+		num, base = num[1:], 16
+	}
+	if len(num) > 0 && num[0] == '+' {
+		num = num[1:]
+	}
+	if len(num) == 0 {
+		return 0, false
+	}
+	var n rune
+	for _, c := range num {
+		d := rune(-1)
+		switch {
+		case '0' <= c && c <= '9':
+			d = rune(c - '0')
+		case 'a' <= c && c <= 'f':
+			d = rune(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			d = rune(c-'A') + 10
 		}
-		n, err := strconv.ParseInt(num, base, 32)
-		if err != nil || n <= 0 || n > 0x10FFFF {
+		if d < 0 || d >= base {
 			return 0, false
 		}
-		return rune(n), true
+		// A name is at most eleven bytes, but stop at the last code point
+		// before n can overflow.
+		if n = n*base + d; n > utf8.MaxRune {
+			return 0, false
+		}
 	}
-	r, ok := namedEntities[name]
-	return r, ok
+	return n, n > 0
 }
 
 // The escapers are built once: a Replacer is safe for concurrent use, and

@@ -14,11 +14,11 @@ func escapeCorpus(t *testing.T) []string {
 	t.Helper()
 	corpus := []string{"", "plain words", `&<>"'`, `&amp;`, `a&b<c>d"e`, `"<&>"`, "\x00&\xff<", "é&…>"}
 	for _, p := range fixturePages(t) {
-		Parse(p).Walk(func(n *Node) bool {
-			if n.Type == TextNode {
-				corpus = append(corpus, n.Data)
+		Parse(p).Walk(func(n Node) bool {
+			if n.Type() == TextNode {
+				corpus = append(corpus, n.Data())
 			}
-			for _, a := range n.Attrs {
+			for _, a := range attrsOf(n) {
 				corpus = append(corpus, a.Value)
 			}
 			return true

@@ -167,7 +167,7 @@ func plainPathQuery(s string) bool {
 
 // Title returns the document title, or "" when absent.
 func Title(doc *Node) string {
-	if t := doc.Find("title"); t != nil {
+	if t, ok := doc.Find("title"); ok {
 		return t.Text()
 	}
 	return ""
@@ -187,26 +187,24 @@ func Scan(doc *Node, baseURL string) Page {
 	r := resolver{raw: baseURL}
 	var p Page
 	titled := false
-	doc.Walk(func(n *Node) bool {
-		if n.Type != ElementNode {
-			return true
-		}
-		switch n.Data {
-		case "title":
+	d := doc.d
+	for j, end := doc.i, doc.node().end; j < end; j++ {
+		n := Node{d, j}
+		switch d.nodes[j].tag {
+		case tagTitle:
 			if !titled {
 				p.Title, titled = n.Text(), true
 			}
-		case "a":
+		case tagA:
 			if href, ok := n.Attr("href"); ok && href != "" {
 				p.Links = append(p.Links, Link{Name: n.Text(), Address: r.resolve(href)})
 			}
-		case "form":
+		case tagForm:
 			p.Forms = append(p.Forms, formOf(n, &r))
-		case "table":
+		case tagTable:
 			p.HasTable = true
 		}
-		return true
-	})
+	}
 	return p
 }
 
@@ -218,35 +216,33 @@ func Links(doc *Node, baseURL string) []Link { return Scan(doc, baseURL).Links }
 // lists the group's values.
 func Forms(doc *Node, baseURL string) []Form { return Scan(doc, baseURL).Forms }
 
-func formOf(fn *Node, r *resolver) Form {
+func formOf(fn Node, r *resolver) Form {
 	f := Form{
 		Name:   fn.AttrOr("name", ""),
 		Action: r.resolve(fn.AttrOr("action", r.raw)),
 		Method: strings.ToLower(fn.AttrOr("method", "get")),
 	}
-	fn.Walk(func(n *Node) bool {
-		if n.Type != ElementNode {
-			return true
-		}
-		switch n.Data {
-		case "input":
+	d := fn.d
+	for j, end := fn.i, fn.node().end; j < end; j++ {
+		n := Node{d, j}
+		switch d.nodes[j].tag {
+		case tagInput:
 			extractInput(n, &f)
-		case "select":
+		case tagSelect:
 			extractSelect(n, &f)
-			return false // options handled inside
-		case "textarea":
+			j = d.nodes[j].end - 1 // options handled inside
+		case tagTextarea:
 			f.Fields = append(f.Fields, Field{
 				Name:    n.AttrOr("name", ""),
 				Widget:  WidgetTextarea,
 				Default: n.Text(),
 			})
 		}
-		return true
-	})
+	}
 	return f
 }
 
-func extractInput(n *Node, f *Form) {
+func extractInput(n Node, f *Form) {
 	name := n.AttrOr("name", "")
 	typ := strings.ToLower(n.AttrOr("type", "text"))
 	val := n.AttrOr("value", "")
@@ -286,26 +282,37 @@ func extractInput(n *Node, f *Form) {
 	}
 }
 
-func defaultChecked(n *Node, val string) string {
+func defaultChecked(n Node, val string) string {
 	if _, ok := n.Attr("checked"); ok {
 		return val
 	}
 	return ""
 }
 
-func extractSelect(n *Node, f *Form) {
+func extractSelect(n Node, f *Form) {
 	fl := Field{Name: n.AttrOr("name", ""), Widget: WidgetSelect}
-	opts := n.FindAll("option")
-	if len(opts) > 0 {
-		fl.Domain = make([]string, 0, len(opts))
+	d, end := n.d, n.node().end
+	options := 0
+	for j := n.i; j < end; j++ {
+		if d.isTag(j, tagOption) {
+			options++
+		}
 	}
-	for _, opt := range opts {
-		v := opt.AttrOr("value", opt.Text())
+	if options > 0 {
+		fl.Domain = make([]string, 0, options)
+	}
+	for j := n.i; j < end; j++ {
+		if !d.isTag(j, tagOption) {
+			continue
+		}
+		opt := Node{d, j}
+		v, ok := opt.Attr("value")
+		if !ok {
+			v = opt.Text()
+		}
 		fl.Domain = append(fl.Domain, v)
-		if _, sel := opt.Attr("selected"); sel || fl.Default == "" {
-			if sel {
-				fl.Default = v
-			}
+		if _, sel := opt.Attr("selected"); sel {
+			fl.Default = v
 		}
 	}
 	// A selection list with no empty option effectively forces a choice;
@@ -317,18 +324,24 @@ func extractSelect(n *Node, f *Form) {
 // one entry per <td>/<th>.
 func Tables(doc *Node) [][][]string {
 	var out [][][]string
-	for _, tbl := range doc.FindAll("table") {
+	d := doc.d
+	var trs, cells []int32
+	for j, end := doc.i, doc.node().end; j < end; j++ {
+		if !d.isTag(j, tagTable) {
+			continue
+		}
 		var rows [][]string
-		for _, tr := range rowsOf(tbl) {
-			var cells []string
-			for _, c := range tr.Children {
-				if c.IsElement("td") || c.IsElement("th") {
-					cells = append(cells, c.Text())
-				}
+		trs = d.rowsOf(trs[:0], j)
+		for _, tr := range trs {
+			cells = d.cellsOf(cells[:0], tr)
+			if len(cells) == 0 {
+				continue
 			}
-			if len(cells) > 0 {
-				rows = append(rows, cells)
+			texts := make([]string, len(cells))
+			for k, c := range cells {
+				texts[k] = d.textOf(c)
 			}
+			rows = append(rows, texts)
 		}
 		out = append(out, rows)
 	}
@@ -350,19 +363,24 @@ type DataRow struct {
 // returns nil when no table matches.
 func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 	r := resolver{raw: baseURL}
-	// Scratch for one row's cells and one header's texts; sixteen columns
-	// hold every table the simulated sites serve without growing.
-	cells := make([]*Node, 0, 16)
+	d := doc.d
+	// Scratch for a table's rows, one row's cells and one header's texts;
+	// what the simulated sites serve fits without growing.
+	trs := make([]int32, 0, 64)
+	cells := make([]int32, 0, 16)
 	header := make([]string, 0, 16)
 	at := make([]int, len(columns)) // header index of each column
-	for _, tbl := range doc.FindAll("table") {
-		trs := rowsOf(tbl)
+	for j, end := doc.i, doc.node().end; j < end; j++ {
+		if !d.isTag(j, tagTable) {
+			continue
+		}
+		trs = d.rowsOf(trs[:0], j)
 		if len(trs) == 0 {
 			continue
 		}
 		header = header[:0]
-		for _, c := range cellsOf(cells[:0], trs[0]) {
-			header = append(header, strings.TrimSpace(c.Text()))
+		for _, c := range d.cellsOf(cells[:0], trs[0]) {
+			header = append(header, strings.TrimSpace(d.textOf(c)))
 		}
 		if !headerIndexes(at, header, columns) {
 			continue
@@ -373,7 +391,7 @@ func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 		rows := make([]DataRow, 0, len(trs)-1)
 		texts := make([]string, len(columns)*(len(trs)-1)) // every row's Cells, carved in turn
 		for _, tr := range trs[1:] {
-			cells = cellsOf(cells[:0], tr)
+			cells = d.cellsOf(cells[:0], tr)
 			if len(cells) == 0 {
 				continue
 			}
@@ -381,19 +399,21 @@ func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 			texts = texts[len(columns):]
 			for k, i := range at {
 				if i < len(cells) {
-					row.Cells[k] = cells[i].Text()
+					row.Cells[k] = d.textOf(cells[i])
 				}
 			}
 			for _, cell := range cells {
-				cell.Walk(func(a *Node) bool {
-					if href, has := a.Attr("href"); a.IsElement("a") && has {
+				for a, end := cell, d.nodes[cell].end; a < end; a++ {
+					if !d.isTag(a, tagA) {
+						continue
+					}
+					if href, has := (Node{d, a}).Attr("href"); has {
 						if row.Links == nil {
 							row.Links = make(map[string]string)
 						}
-						row.Links[a.Text()] = r.resolve(href)
+						row.Links[d.textOf(a)] = r.resolve(href)
 					}
-					return true
-				})
+				}
 			}
 			rows = append(rows, row)
 		}
@@ -434,74 +454,35 @@ func lowerEqual(a, b string) bool {
 	return a == b
 }
 
+// isTag reports whether node i is an element with the given tag, which is
+// not tagOther.
+func (d *document) isTag(i int32, tag tagID) bool { return d.nodes[i].tag == tag }
+
 // cellsOf appends tr's <td> and <th> children to dst.
-func cellsOf(dst []*Node, tr *Node) []*Node {
-	for _, c := range tr.Children {
-		if c.IsElement("td") || c.IsElement("th") {
+func (d *document) cellsOf(dst []int32, tr int32) []int32 {
+	for c, end := tr+1, d.nodes[tr].end; c < end; c = d.nodes[c].end {
+		if d.isTag(c, tagTD) || d.isTag(c, tagTH) {
 			dst = append(dst, c)
 		}
 	}
 	return dst
 }
 
-// rowsOf returns the <tr> rows belonging to tbl itself, descending through
-// grouping elements (thead/tbody/tfoot) but NOT into nested tables — the
-// layout-table soup of the era would otherwise leak inner rows into the
-// outer table's extraction.
-func rowsOf(tbl *Node) []*Node {
-	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, c := range n.Children {
-			if c.IsElement("table") {
-				continue // nested table: its rows are its own
-			}
-			if c.IsElement("tr") {
-				out = append(out, c)
-				continue // cells may contain nested tables; don't descend
-			}
-			walk(c)
+// rowsOf appends the <tr> rows belonging to tbl itself to dst, descending
+// through grouping elements (thead/tbody/tfoot) but NOT into nested tables
+// — the layout-table soup of the era would otherwise leak inner rows into
+// the outer table's extraction.
+func (d *document) rowsOf(dst []int32, tbl int32) []int32 {
+	for j, end := tbl+1, d.nodes[tbl].end; j < end; {
+		switch {
+		case d.isTag(j, tagTable):
+			j = d.nodes[j].end // nested table: its rows are its own
+		case d.isTag(j, tagTR):
+			dst = append(dst, j)
+			j = d.nodes[j].end // cells may contain nested tables; don't descend
+		default:
+			j++
 		}
 	}
-	walk(tbl)
-	return out
-}
-
-// TableWithHeader finds the first table whose header row contains all the
-// given column names (case-insensitive) and returns its body rows as
-// column-name → cell-text maps. This is the workhorse for data-page
-// extraction scripts.
-func TableWithHeader(doc *Node, columns ...string) []map[string]string {
-	for _, tbl := range Tables(doc) {
-		if len(tbl) == 0 {
-			continue
-		}
-		header := tbl[0]
-		idx := make(map[string]int)
-		for i, h := range header {
-			idx[strings.ToLower(strings.TrimSpace(h))] = i
-		}
-		ok := true
-		for _, c := range columns {
-			if _, found := idx[strings.ToLower(c)]; !found {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		rows := []map[string]string{}
-		for _, r := range tbl[1:] {
-			m := make(map[string]string, len(header))
-			for h, i := range idx {
-				if i < len(r) {
-					m[h] = r[i]
-				}
-			}
-			rows = append(rows, m)
-		}
-		return rows
-	}
-	return nil
+	return dst
 }

@@ -112,23 +112,6 @@ func TestFormTextarea(t *testing.T) {
 	}
 }
 
-func TestTableWithHeader(t *testing.T) {
-	src := `
-<table><tr><th>Make</th><th>Model</th><th>Price</th></tr>
-<tr><td>ford</td><td>escort</td><td>$3,000</td></tr>
-<tr><td>jaguar</td><td>xj6</td><td>$15,000</td></tr></table>`
-	rows := TableWithHeader(Parse([]byte(src)), "make", "price")
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	if rows[0]["make"] != "ford" || rows[1]["price"] != "$15,000" {
-		t.Errorf("rows = %v", rows)
-	}
-	if got := TableWithHeader(Parse([]byte(src)), "nonexistent"); got != nil {
-		t.Errorf("expected nil for missing header, got %v", got)
-	}
-}
-
 func TestDataTable(t *testing.T) {
 	src := `
 <table><tr><th>Make</th><th>Model</th><th>Price</th><th>More</th></tr>

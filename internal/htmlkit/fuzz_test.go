@@ -7,10 +7,10 @@ import (
 )
 
 // FuzzParse drives the lenient parser with arbitrary bytes: it must never
-// panic, must terminate, and must produce the tree the reference parser
-// does, child for child and parent pointer for parent pointer. It also
-// holds the other allocation-lean paths to the reference implementations
-// in reference_test.go: the token stream (every tag and
+// panic, must terminate, and must produce the document the reference tree
+// parser does, node for node: type, data, attributes, parent and child
+// order. It also holds the other allocation-lean paths to the reference
+// implementations in reference_test.go: the token stream (every tag and
 // attribute name lower-cased from its source bytes, every text run and
 // attribute value entity-decoded), Node.Text, and the one-walk Scan. Run
 // with `go test -fuzz=FuzzParse ./internal/htmlkit` to search beyond the
@@ -56,10 +56,11 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc := Parse(data)
-		if doc.Parent != nil {
+		if _, ok := doc.Parent(); ok {
 			t.Fatal("the document has a parent")
 		}
-		sameTree(t, doc, refParse(data))
+		ref := refParse(data)
+		sameTree(t, *doc, ref)
 		// Extraction helpers must also be total.
 		_ = Forms(doc, "http://fuzz.example/")
 		_ = Tables(doc)
@@ -67,54 +68,80 @@ func FuzzParse(f *testing.F) {
 		if got, want := tokens(t, string(data)), refTokens(data); !reflect.DeepEqual(got, want) {
 			t.Fatalf("token stream differs from the reference\n got: %#v\nwant: %#v", got, want)
 		}
-		doc.Walk(func(n *Node) bool {
-			if got, want := n.Text(), refText(n); got != want {
+		refNodes := ref.preorder()
+		doc.Walk(func(n Node) bool {
+			if got, want := n.Text(), refText(refNodes[n.i]); got != want {
 				t.Fatalf("Text() = %q, reference %q", got, want)
 			}
 			return true
 		})
 		const base = "http://fuzz.example/dir/page?x=1"
 		page := Scan(doc, base)
-		if want := refLinks(doc, base); !reflect.DeepEqual(page.Links, want) {
+		if want := refLinks(ref, base); !reflect.DeepEqual(page.Links, want) {
 			t.Fatalf("Scan links = %#v, reference %#v", page.Links, want)
 		}
-		if want := Title(doc); page.Title != want {
-			t.Fatalf("Scan title = %q, reference %q", page.Title, want)
+		if want := refTitle(ref); page.Title != want || Title(doc) != want {
+			t.Fatalf("Scan title = %q, Title %q, reference %q", page.Title, Title(doc), want)
 		}
-		if want := doc.Find("table") != nil; page.HasTable != want {
+		if want := len(ref.FindAll("table")) > 0; page.HasTable != want {
 			t.Fatalf("Scan HasTable = %v, reference %v", page.HasTable, want)
 		}
-		if want := len(doc.FindAll("form")); len(page.Forms) != want {
-			t.Fatalf("Scan found %d forms, FindAll %d", len(page.Forms), want)
+		if want := len(ref.FindAll("form")); len(page.Forms) != want {
+			t.Fatalf("Scan found %d forms, reference %d", len(page.Forms), want)
 		}
 	})
 }
 
-// sameTree fails unless got has the shape of want, the reference parse of
-// the same bytes: the same nodes with the same children in the same order,
-// every child pointing back at its parent, and every child list exactly
-// sized (a caller's append must not reach a neighbouring list).
-func sameTree(t *testing.T, got, want *Node) {
+// attrsOf lists a node's attributes, nil when it has none.
+func attrsOf(n Node) []Attr {
+	var out []Attr
+	for _, a := range n.d.attrs[n.node().attrs.start:n.node().attrs.end] {
+		out = append(out, Attr{Name: n.d.str(a.name), Value: n.d.str(a.value)})
+	}
+	return out
+}
+
+// sameTree fails unless the document under got has the shape of want, the
+// reference parse of the same bytes: the same nodes in the same document
+// order, each with the same type, data and attributes, the same parent and
+// the same children in the same order — read both off the arrays and
+// through Parent, FirstChild and NextSibling.
+func sameTree(t *testing.T, got Node, want *treeNode) {
 	t.Helper()
-	if got.Type != want.Type || got.Data != want.Data || !reflect.DeepEqual(got.Attrs, want.Attrs) {
-		t.Fatalf("node %v %q %v, reference %v %q %v", got.Type, got.Data, got.Attrs, want.Type, want.Data, want.Attrs)
+	wantNodes := want.preorder()
+	index := make(map[*treeNode]int32, len(wantNodes))
+	for k, w := range wantNodes {
+		index[w] = got.i + int32(k)
 	}
-	if len(got.Children) != len(want.Children) {
-		t.Fatalf("<%s> has %d children, reference %d", got.Data, len(got.Children), len(want.Children))
+	if n := got.node().end - got.i; int(n) != len(wantNodes) {
+		t.Fatalf("the subtree holds %d nodes, reference %d", n, len(wantNodes))
 	}
-	if cap(got.Children) != len(got.Children) {
-		t.Fatalf("<%s>: child list has len %d but cap %d", got.Data, len(got.Children), cap(got.Children))
-	}
-	for i, c := range got.Children {
-		if c.Parent != got {
-			t.Fatalf("child %d of <%s> does not point back at it", i, got.Data)
+	for k, w := range wantNodes {
+		n := Node{got.d, got.i + int32(k)}
+		if n.Type() != w.Type || n.Data() != w.Data || !reflect.DeepEqual(attrsOf(n), w.Attrs) {
+			t.Fatalf("node %d: %v %q %v, reference %v %q %v", n.i, n.Type(), n.Data(), attrsOf(n), w.Type, w.Data, w.Attrs)
 		}
-		sameTree(t, c, want.Children[i])
+		if p, ok := n.Parent(); k > 0 && (!ok || p.i != index[w.Parent]) {
+			t.Fatalf("node %d <%s>: parent %d (%v), reference %d", n.i, n.Data(), p.i, ok, index[w.Parent])
+		}
+		c, ok := n.FirstChild()
+		for i, wc := range w.Children {
+			if !ok || c.i != index[wc] {
+				t.Fatalf("node %d <%s>: child %d is %d (%v), reference %d", n.i, n.Data(), i, c.i, ok, index[wc])
+			}
+			if p, _ := c.Parent(); p.i != n.i {
+				t.Fatalf("node %d: child %d does not point back at it", n.i, c.i)
+			}
+			c, ok = c.NextSibling()
+		}
+		if ok {
+			t.Fatalf("node %d <%s>: more than the reference's %d children", n.i, n.Data(), len(w.Children))
+		}
 	}
 }
 
 // FuzzDataTable holds DataTable to the map-based implementation it
-// replaced (refDataTable): the same table found or none, nil and empty
+// replaced (refDataTable, over the reference tree): the same table found or none, nil and empty
 // kept apart, the same rows with the same links, and each row's cells the
 // old row's cells of the requested columns, in request order. The columns
 // are the "|"-prefixed fields of cols: "" asks for none, "|" for one empty
@@ -145,10 +172,9 @@ func FuzzDataTable(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cols string) {
 		columns := strings.Split(cols, "|")[1:]
-		doc := Parse(data)
 		const base = "http://fuzz.example/dir/list?page=2"
-		got := DataTable(doc, base, columns...)
-		want := refDataTable(doc, base, columns...)
+		got := DataTable(Parse(data), base, columns...)
+		want := refDataTable(refParse(data), base, columns...)
 		if (got == nil) != (want == nil) || len(got) != len(want) {
 			t.Fatalf("DataTable(%q) = %d rows (nil: %v), reference %d (nil: %v)", columns, len(got), got == nil, len(want), want == nil)
 		}
@@ -198,15 +224,20 @@ func FuzzResolve(f *testing.F) {
 	})
 }
 
-// FuzzDecodeEntities checks the decoder is total and never grows the
-// input unboundedly (a decoded entity is never longer than its reference).
+// FuzzDecodeEntities holds the decoder to the one it replaced
+// (refDecodeEntities, numbers through strconv) and checks it never grows
+// the input: a decoded reference is never longer than the reference.
 func FuzzDecodeEntities(f *testing.F) {
-	for _, s := range []string{"&amp;", "&#65;", "&#x41;", "&bogus;", "a&b", "&&&&", "&#xffffffffff;"} {
+	for _, s := range []string{"&amp;", "&#65;", "&#x41;", "&bogus;", "a&b", "&&&&", "&#xffffffffff;",
+		"&#+65;&#x+41;&#-65;&#+-1;&#x-1;&#+;", "&#xD800;&#1114111;&#1114112;&#x10FFFF;&#0000065;&#X41;"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		out := DecodeEntities(s)
-		if len(out) > len(s)+4 {
+		if want := refDecodeEntities(s); out != want {
+			t.Fatalf("DecodeEntities(%q) = %q, reference %q", s, out, want)
+		}
+		if len(out) > len(s) {
 			t.Fatalf("decode grew input: %d → %d", len(s), len(out))
 		}
 	})

@@ -1,15 +1,16 @@
 package htmlkit
 
 import (
-	"slices"
+	"bytes"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// NodeType discriminates tree nodes.
+// NodeType discriminates document nodes.
 type NodeType uint8
 
-// Node types in the parsed tree.
+// Node types in a parsed document.
 const (
 	DocumentNode NodeType = iota
 	ElementNode
@@ -17,27 +18,74 @@ const (
 	CommentNode
 )
 
-// Node is one node of the lenient parse tree.
+// document is a parsed page: one string and two arrays without a pointer
+// in them, so the collector scans a handful of words however long the page.
+// Nodes are stored in document order, so a node's subtree is the run of
+// nodes from it to its end: its first child, if any, is the next node, and
+// a child's next sibling is the node at that child's end. Indexes and
+// offsets are int32: a document is smaller than 2 GiB.
+type document struct {
+	// text holds every string the document hands out — text runs, comment
+	// bodies, attribute names and values, the names of tags outside
+	// tagNames — each written once, entity-decoded and lower-cased as it
+	// was read.
+	text  string
+	nodes []node
+	attrs []attr
+	root  Node // the document node, which Parse returns
+}
+
+// node is one node of a document. Its indexes are into the document's
+// nodes, its spans into the document's text and attrs.
+type node struct {
+	typ    NodeType
+	tag    tagID // an element's id, or tagOther (every other node, and an element named in data)
+	parent int32 // -1 for the document node
+	end    int32 // one past the node's last descendant
+	data   span  // text or comment content, or the name of a tagOther element
+	attrs  span  // the element's attributes, in source order
+}
+
+// attr is one attribute: its lower-cased name and entity-decoded value.
+type attr struct{ name, value span }
+
+// Node is a node of a parsed document: a handle on the document and the
+// node's place in it. A Node is a small value; copying it copies the handle.
 type Node struct {
-	Type     NodeType
-	Data     string // tag name for elements, content for text/comments
-	Attrs    []Attr
-	Parent   *Node
-	Children []*Node
+	d *document
+	i int32
+}
+
+func (d *document) str(s span) string { return d.text[s.start:s.end] }
+
+func (n Node) node() *node { return &n.d.nodes[n.i] }
+
+// Type returns the node's type.
+func (n Node) Type() NodeType { return n.node().typ }
+
+// Data returns the tag name of an element and the content of a text or
+// comment node.
+func (n Node) Data() string {
+	nd := n.node()
+	if nd.typ == ElementNode && nd.tag != tagOther {
+		return tagNames[nd.tag]
+	}
+	return n.d.str(nd.data)
 }
 
 // Attr returns the value of the named attribute and whether it is present.
-func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
-		if a.Name == name {
-			return a.Value, true
+func (n Node) Attr(name string) (string, bool) {
+	d := n.d
+	for _, a := range d.attrs[d.nodes[n.i].attrs.start:d.nodes[n.i].attrs.end] {
+		if d.str(a.name) == name {
+			return d.str(a.value), true
 		}
 	}
 	return "", false
 }
 
 // AttrOr returns the attribute value or def when absent.
-func (n *Node) AttrOr(name, def string) string {
+func (n Node) AttrOr(name, def string) string {
 	if v, ok := n.Attr(name); ok {
 		return v
 	}
@@ -45,26 +93,48 @@ func (n *Node) AttrOr(name, def string) string {
 }
 
 // IsElement reports whether n is an element with the given tag name.
-func (n *Node) IsElement(tag string) bool {
-	return n.Type == ElementNode && n.Data == tag
+func (n Node) IsElement(tag string) bool {
+	return n.Type() == ElementNode && n.Data() == tag
+}
+
+// Parent returns the node's parent, and false for the document node.
+func (n Node) Parent() (Node, bool) {
+	p := n.node().parent
+	return Node{n.d, p}, p >= 0
+}
+
+// FirstChild returns the node's first child, and false when it has none.
+func (n Node) FirstChild() (Node, bool) {
+	return Node{n.d, n.i + 1}, n.i+1 < n.node().end
+}
+
+// NextSibling returns the node's next sibling, and false when it is the
+// last child of its parent or the document node.
+func (n Node) NextSibling() (Node, bool) {
+	nd := n.node()
+	if nd.parent < 0 {
+		return Node{}, false
+	}
+	return Node{n.d, nd.end}, nd.end < n.d.nodes[nd.parent].end
 }
 
 // Walk visits n and all descendants in document order. Returning false from
 // fn prunes the subtree below the current node.
-func (n *Node) Walk(fn func(*Node) bool) {
-	if !fn(n) {
-		return
-	}
-	for _, c := range n.Children {
-		c.Walk(fn)
+func (n Node) Walk(fn func(Node) bool) {
+	for j, end := n.i, n.node().end; j < end; {
+		if fn(Node{n.d, j}) {
+			j++
+		} else {
+			j = n.d.nodes[j].end
+		}
 	}
 }
 
 // FindAll returns all descendant elements (including n itself) with the
 // given tag name, in document order.
-func (n *Node) FindAll(tag string) []*Node {
-	var out []*Node
-	n.Walk(func(m *Node) bool {
+func (n Node) FindAll(tag string) []Node {
+	var out []Node
+	n.Walk(func(m Node) bool {
 		if m.IsElement(tag) {
 			out = append(out, m)
 		}
@@ -73,28 +143,32 @@ func (n *Node) FindAll(tag string) []*Node {
 	return out
 }
 
-// Find returns the first descendant element with the given tag, or nil.
-func (n *Node) Find(tag string) *Node {
-	all := n.FindAll(tag)
-	if len(all) == 0 {
-		return nil
+// Find returns the first descendant element (or n itself) with the given
+// tag, and false when there is none.
+func (n Node) Find(tag string) (Node, bool) {
+	for j, end := n.i, n.node().end; j < end; j++ {
+		if m := (Node{n.d, j}); m.IsElement(tag) {
+			return m, true
+		}
 	}
-	return all[0]
+	return Node{}, false
 }
 
 // Text returns the concatenated text content of the subtree, with runs of
 // whitespace collapsed to single spaces and leading/trailing space trimmed.
-func (n *Node) Text() string {
+func (n Node) Text() string { return n.d.textOf(n.i) }
+
+func (d *document) textOf(i int32) string {
 	var only string
 	nodes, size := 0, 0
-	n.Walk(func(m *Node) bool {
-		if m.Type == TextNode {
-			only = m.Data
+	sub := d.nodes[i:d.nodes[i].end]
+	for k := range sub {
+		if sub[k].typ == TextNode {
+			only = d.str(sub[k].data)
 			nodes++
-			size += len(m.Data) + 1
+			size += len(only) + 1
 		}
-		return true
-	})
+	}
 	if nodes == 1 {
 		// The usual cell, anchor or title: one text node, whose content is
 		// its own normal form but for the space around it.
@@ -104,12 +178,11 @@ func (n *Node) Text() string {
 	}
 	var sb strings.Builder
 	sb.Grow(size)
-	n.Walk(func(m *Node) bool {
-		if m.Type == TextNode {
-			writeFields(&sb, m.Data)
+	for k := range sub {
+		if sub[k].typ == TextNode {
+			writeFields(&sb, d.str(sub[k].data))
 		}
-		return true
-	})
+	}
 	return sb.String()
 }
 
@@ -150,122 +223,160 @@ func writeField(sb *strings.Builder, f string) {
 	sb.WriteString(f)
 }
 
-// voidElements never have children; their start tag is the whole element.
-var voidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
-}
-
-// autoClose lists, for each tag, the open tags that an occurrence of it
-// implicitly closes. This captures the common omitted-end-tag patterns in
-// 1990s HTML (e.g. successive <li>, <tr>, <td>, <option> without closers).
-var autoClose = map[string][]string{
-	"li":     {"li"},
-	"tr":     {"tr", "td", "th"},
-	"td":     {"td", "th"},
-	"th":     {"td", "th"},
-	"option": {"option"},
-	"p":      {"p"},
-	"dt":     {"dt", "dd"},
-	"dd":     {"dt", "dd"},
-}
-
 // Parse builds a lenient parse tree from src. It never fails: unclosed
 // elements are closed at end of input, stray end tags are dropped, and
 // mis-nesting is repaired by popping to the nearest matching open element.
+// src is read only while Parse runs; the document keeps no reference to it.
 func Parse(src []byte) *Node {
-	z := Tokenizer{src: string(src)}
-	// Nodes are carved from slabs, so a document costs an allocation per
-	// slab and not per node. A full slab is replaced, never grown: node
-	// pointers stay valid. The first holds a node for every 24 bytes, which
-	// is most of a page of prose and forms; each further one is half the
-	// size of the last, so a dense data table takes two or three.
-	slab := make([]Node, 0, 8+len(src)/24)
-	newNode := func(typ NodeType, data string, attrs []Attr) *Node {
-		if len(slab) == cap(slab) {
-			slab = make([]Node, 0, max(cap(slab)/2, 8))
-		}
-		slab = append(slab, Node{Type: typ, Data: data, Attrs: attrs})
-		return &slab[len(slab)-1]
+	// Three counts size the arrays and the text without a second pass; a
+	// page beyond an estimate pays one regrowth. Every node but the document
+	// is a start tag, a comment or a text run after a tag: at most about
+	// twice the '<' that open no end tag. Most attributes are written with
+	// '='. The text is the source less its markup, and nearly every tag
+	// drops at least three bytes of markup: "<" or "</", ">", and a known
+	// name or an attribute's '=' and quotes.
+	tags := bytes.Count(src, []byte{'<'})
+	ends := bytes.Count(src, []byte("</"))
+	p := parser{
+		z: tokenizer{src: src, attrs: make([]attr, 0, bytes.Count(src, []byte{'='}))},
+		d: &document{nodes: make([]node, 1, 2*(tags-ends)+2)},
 	}
-	// A child list is built once, exactly sized, when its element closes.
-	// Until then the children of every open element wait on one scratch
-	// stack: those of stack[i] begin at pending[base[i]], and only the
-	// innermost open element's run grows. Finished lists are carved from
-	// slabs sized like the node slabs (every node but the document is in
-	// exactly one list).
-	doc := newNode(DocumentNode, "", nil)
-	stack := append(make([]*Node, 0, 16), doc)
-	base := append(make([]int, 0, 16), 0)
-	pending := make([]*Node, 0, 64)
-	kids := make([]*Node, 0, cap(slab))
-	add := func(c *Node) {
-		c.Parent = stack[len(stack)-1]
-		pending = append(pending, c)
-	}
-	// closeTo closes open elements until only depth remain; it is the one
-	// place that pops.
-	closeTo := func(depth int) {
-		for i := len(stack) - 1; i >= depth; i-- {
-			if run := pending[base[i]:]; len(run) > 0 {
-				if len(run) > cap(kids)-len(kids) {
-					kids = make([]*Node, 0, max(cap(kids)/2, len(run), 8))
-				}
-				at := len(kids)
-				kids = append(kids, run...)
-				// Three-index: an append by a caller reallocates and
-				// cannot run into the next element's list.
-				stack[i].Children = kids[at:len(kids):len(kids)]
-			}
-			pending = pending[:base[i]]
-		}
-		stack, base = stack[:depth], base[:depth]
-	}
-
+	p.d.nodes[0] = node{typ: DocumentNode, parent: -1}
+	p.text.Grow(max(len(src)-3*tags, 0))
 	for {
-		tok, ok := z.Next()
+		tok, ok := p.z.next()
 		if !ok {
 			break
 		}
-		switch tok.Type {
-		case TextToken:
-			if strings.TrimSpace(tok.Data) == "" {
-				continue
+		p.add(tok)
+	}
+	p.closeTo(-1)
+	p.d.text = p.text.String()
+	p.d.attrs = p.z.attrs
+	p.d.root = Node{p.d, 0}
+	return &p.d.root
+}
+
+// parser builds a document from the tokenizer's spans.
+type parser struct {
+	z    tokenizer
+	d    *document
+	text strings.Builder // becomes d.text
+	// top is the innermost open element. The open elements are it and its
+	// ancestors, up to the document node.
+	top int32
+	// scratch holds a decoded run until it is written to the text.
+	scratch []byte
+}
+
+func (p *parser) add(tok token) {
+	src := p.z.src
+	nodes := p.d.nodes
+	switch tok.typ {
+	case textToken:
+		run := src[tok.data.start:tok.data.end]
+		if !tok.verbatim && bytes.IndexByte(run, '&') >= 0 {
+			run = p.decode(run)
+		}
+		if len(bytes.TrimSpace(run)) == 0 {
+			return
+		}
+		p.addNode(node{typ: TextNode, data: p.write(run)})
+	case commentToken:
+		p.addNode(node{typ: CommentNode, data: p.write(src[tok.data.start:tok.data.end])})
+	case doctypeToken:
+		// Ignored; the webbase does not need doctype information.
+	case startTagToken, selfClosingTagToken:
+		// A start tag closes the innermost run of elements it implies the
+		// end of: a new <tr> closes an open <td> and then an open <tr>, but
+		// never escapes the enclosing <table>.
+		if closes := autoCloses[tok.tag]; closes != 0 {
+			keep := p.top
+			for keep != 0 && closes.has(nodes[keep].tag) {
+				keep = nodes[keep].parent
 			}
-			add(newNode(TextNode, tok.Data, nil))
-		case CommentToken:
-			add(newNode(CommentNode, tok.Data, nil))
-		case DoctypeToken:
-			// Ignored; the webbase does not need doctype information.
-		case StartTagToken, SelfClosingTagToken:
-			// A start tag closes the innermost run of elements it implies
-			// the end of: a new <tr> closes an open <td> and then an open
-			// <tr>, but never escapes the enclosing <table>.
-			if closes, ok := autoClose[tok.Data]; ok {
-				d := len(stack)
-				for d > 1 && slices.Contains(closes, stack[d-1].Data) {
-					d--
-				}
-				closeTo(d)
-			}
-			el := newNode(ElementNode, tok.Data, tok.Attrs)
-			add(el)
-			if tok.Type == StartTagToken && !voidElements[tok.Data] {
-				stack = append(stack, el)
-				base = append(base, len(pending))
-			}
-		case EndTagToken:
-			// Pop to the matching open element if one exists; otherwise
-			// drop the stray end tag.
-			for i := len(stack) - 1; i >= 1; i-- {
-				if stack[i].Data == tok.Data {
-					closeTo(i)
-					break
-				}
+			p.closeTo(keep)
+		}
+		el := node{typ: ElementNode, tag: tok.tag, attrs: tok.attrs}
+		if tok.tag == tagOther {
+			el.data = p.writeName(src[tok.data.start:tok.data.end])
+		}
+		for k := tok.attrs.start; k < tok.attrs.end; k++ {
+			a := &p.z.attrs[k]
+			a.name = p.writeName(src[a.name.start:a.name.end])
+			a.value = p.writeDecoded(src[a.value.start:a.value.end])
+		}
+		i := p.addNode(el)
+		if tok.typ == startTagToken && !voidTags.has(tok.tag) {
+			p.top = i
+		}
+	case endTagToken:
+		// Pop to the matching open element if one exists; otherwise drop
+		// the stray end tag.
+		name := src[tok.data.start:tok.data.end]
+		for el := p.top; el != 0; el = nodes[el].parent {
+			if nodes[el].tag == tok.tag && (tok.tag != tagOther || equalFoldASCII(name, p.text.String()[nodes[el].data.start:nodes[el].data.end])) {
+				p.closeTo(nodes[el].parent)
+				break
 			}
 		}
 	}
-	closeTo(0)
-	return doc
+}
+
+// addNode appends n as the last child of the innermost open element and
+// returns its index. It ends where it starts until it is closed.
+func (p *parser) addNode(n node) int32 {
+	i := int32(len(p.d.nodes))
+	n.parent = p.top
+	n.end = i + 1
+	p.d.nodes = append(p.d.nodes, n)
+	return i
+}
+
+// closeTo closes the open elements inside keep, which stays open (-1 closes
+// them all): each one's subtree ends with the last node added. It is the
+// one place that pops.
+func (p *parser) closeTo(keep int32) {
+	end := int32(len(p.d.nodes))
+	for ; p.top != keep; p.top = p.d.nodes[p.top].parent {
+		p.d.nodes[p.top].end = end
+	}
+}
+
+// write appends b to the text and returns its span there.
+func (p *parser) write(b []byte) span {
+	start := p.text.Len()
+	p.text.Write(b)
+	return span{int32(start), int32(p.text.Len())}
+}
+
+// writeDecoded appends b with its character references decoded.
+func (p *parser) writeDecoded(b []byte) span {
+	if bytes.IndexByte(b, '&') < 0 {
+		return p.write(b)
+	}
+	return p.write(p.decode(b))
+}
+
+// decode returns b with its character references decoded, in the parser's
+// scratch buffer.
+func (p *parser) decode(b []byte) []byte {
+	if cap(p.scratch) < len(b) {
+		p.scratch = make([]byte, 0, len(b)) // decoding never grows b
+	}
+	p.scratch = appendDecoded(p.scratch[:0], b)
+	return p.scratch
+}
+
+// writeName appends b lower-cased, as strings.ToLower would.
+func (p *parser) writeName(b []byte) span {
+	start := p.text.Len()
+	for i, c := range b {
+		if c >= utf8.RuneSelf {
+			p.text.WriteString(strings.ToLower(string(b[i:])))
+			break
+		}
+		p.text.WriteByte(toLowerASCII(c))
+	}
+	return span{int32(start), int32(p.text.Len())}
 }

@@ -1,7 +1,6 @@
 package htmlkit
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,14 +23,15 @@ func TestParseTree(t *testing.T) {
 
 func TestParseVoidElements(t *testing.T) {
 	doc := Parse([]byte(`<p>a<br>b<img src=x>c</p>`))
-	p := doc.Find("p")
-	if p == nil {
+	p, ok := doc.Find("p")
+	if !ok {
 		t.Fatal("no p")
 	}
 	if got := p.Text(); got != "a b c" {
 		t.Errorf("text = %q, want %q", got, "a b c")
 	}
-	if img := p.Find("img"); img == nil || len(img.Children) != 0 {
+	img, ok := p.Find("img")
+	if _, hasChild := img.FirstChild(); !ok || hasChild {
 		t.Error("img should be a childless element inside p")
 	}
 }
@@ -70,7 +70,7 @@ func TestParseUnclosedAtEOF(t *testing.T) {
 	if got := doc.Text(); got != "deep" {
 		t.Errorf("text = %q", got)
 	}
-	if doc.Find("span") == nil {
+	if _, ok := doc.Find("span"); !ok {
 		t.Error("span lost")
 	}
 }
@@ -78,12 +78,12 @@ func TestParseUnclosedAtEOF(t *testing.T) {
 func TestWalkPrune(t *testing.T) {
 	doc := Parse([]byte(`<div><p>in</p></div><p>out</p>`))
 	var seen []string
-	doc.Walk(func(n *Node) bool {
+	doc.Walk(func(n Node) bool {
 		if n.IsElement("div") {
 			return false // prune
 		}
-		if n.Type == TextNode {
-			seen = append(seen, n.Data)
+		if n.Type() == TextNode {
+			seen = append(seen, n.Data())
 		}
 		return true
 	})
@@ -98,9 +98,9 @@ func TestNestedListAutoClose(t *testing.T) {
 		t.Errorf("li count = %d, want 3", n)
 	}
 	// Items must be siblings, not nested.
-	ul := doc.Find("ul")
+	ul, _ := doc.Find("ul")
 	count := 0
-	for _, c := range ul.Children {
+	for c, ok := ul.FirstChild(); ok; c, ok = c.NextSibling() {
 		if c.IsElement("li") {
 			count++
 		}
@@ -111,7 +111,8 @@ func TestNestedListAutoClose(t *testing.T) {
 }
 
 // Property: Parse never panics and yields a tree whose every node's children
-// point back to it, for arbitrary input.
+// point back to it, and whose every node is its own parent's child, for
+// arbitrary input.
 func TestParseNeverPanicsAndIsWellFormed(t *testing.T) {
 	prop := func(b []byte) (ok bool) {
 		defer func() {
@@ -121,15 +122,18 @@ func TestParseNeverPanicsAndIsWellFormed(t *testing.T) {
 		}()
 		doc := Parse(b)
 		wellFormed := true
-		doc.Walk(func(n *Node) bool {
-			for _, c := range n.Children {
-				if c.Parent != n {
+		children := 0
+		doc.Walk(func(n Node) bool {
+			for c, ok := n.FirstChild(); ok; c, ok = c.NextSibling() {
+				if p, _ := c.Parent(); p != n {
 					wellFormed = false
 				}
+				children++
 			}
 			return true
 		})
-		return wellFormed
+		// Every node but the document is one node's child.
+		return wellFormed && children == len(doc.d.nodes)-1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -138,22 +142,22 @@ func TestParseNeverPanicsAndIsWellFormed(t *testing.T) {
 
 // outline renders a tree as nested tag(children) text, the form the
 // closing cases below are written in.
-func outline(n *Node) string {
-	switch n.Type {
+func outline(n Node) string {
+	switch n.Type() {
 	case TextNode:
-		return strconv.Quote(n.Data)
+		return strconv.Quote(n.Data())
 	case CommentNode:
-		return "<!--" + n.Data + "-->"
+		return "<!--" + n.Data() + "-->"
 	}
 	var kids []string
-	for _, c := range n.Children {
+	for c, ok := n.FirstChild(); ok; c, ok = c.NextSibling() {
 		kids = append(kids, outline(c))
 	}
 	s := strings.Join(kids, " ")
-	if n.Type == DocumentNode {
+	if n.Type() == DocumentNode {
 		return s
 	}
-	return n.Data + "(" + s + ")"
+	return n.Data() + "(" + s + ")"
 }
 
 // TestParseClosesElements has a case for each way an open element comes to
@@ -175,39 +179,9 @@ func TestParseClosesElements(t *testing.T) {
 		{"nothing at all", ``, ``},
 	} {
 		doc := Parse([]byte(tc.src))
-		if got := outline(doc); got != tc.want {
+		if got := outline(*doc); got != tc.want {
 			t.Errorf("%s: %s\n got %s\nwant %s", tc.name, tc.src, got, tc.want)
 		}
-		sameTree(t, doc, refParse([]byte(tc.src)))
-	}
-}
-
-// TestChildListsDoNotAlias: child lists are carved from shared slabs, so
-// each must be exactly sized — appending to one node's list reallocates it
-// and leaves every other node's list as it was.
-func TestChildListsDoNotAlias(t *testing.T) {
-	for _, p := range append(fixturePages(t), []byte(`<table><tr><td>a<td>b<tr><td>c</table><p>d<b>e</b>`)) {
-		doc := Parse(p)
-		var nodes []*Node
-		doc.Walk(func(n *Node) bool {
-			nodes = append(nodes, n)
-			return true
-		})
-		before := make([][]*Node, len(nodes))
-		for i, n := range nodes {
-			if cap(n.Children) != len(n.Children) {
-				t.Fatalf("<%s>: child list has len %d, cap %d", n.Data, len(n.Children), cap(n.Children))
-			}
-			before[i] = append([]*Node(nil), n.Children...)
-		}
-		intruder := &Node{Type: CommentNode, Data: "intruder"}
-		for _, n := range nodes {
-			n.Children = append(n.Children, intruder)
-		}
-		for i, n := range nodes {
-			if len(n.Children) != len(before[i])+1 || !slices.Equal(n.Children[:len(before[i])], before[i]) {
-				t.Fatalf("<%s>: an append to another node's children changed this node's", n.Data)
-			}
-		}
+		sameTree(t, *doc, refParse([]byte(tc.src)))
 	}
 }

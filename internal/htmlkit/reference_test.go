@@ -1,12 +1,118 @@
 package htmlkit
 
 import (
+	"strconv"
 	"strings"
 )
 
+// TokenType, Attr and Token are the token stream as the tokenizer handed
+// it out before it handed out spans: every name lower-cased, every text
+// run and attribute value decoded. The token tests and the reference
+// tokenizer speak it.
+type TokenType uint8
+
+const (
+	TextToken TokenType = iota
+	StartTagToken
+	EndTagToken
+	SelfClosingTagToken
+	CommentToken
+	DoctypeToken
+)
+
+// Attr is a single name="value" attribute on a tag.
+type Attr struct {
+	Name  string
+	Value string
+}
+
+// Token is one lexical unit of an HTML document.
+type Token struct {
+	Type  TokenType
+	Data  string // tag name (lower-cased), text content, or comment body
+	Attrs []Attr
+}
+
+// Attr returns the value of the named attribute and whether it is present.
+func (t Token) Attr(name string) (string, bool) {
+	for _, a := range t.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// refDecodeEntities is DecodeEntities as it was: through a strings.Builder,
+// numbers through strconv.
+func refDecodeEntities(s string) string {
+	if !strings.ContainsRune(s, '&') {
+		return s
+	}
+	var sb strings.Builder
+	sb.Grow(len(s))
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c != '&' {
+			sb.WriteByte(c)
+			i++
+			continue
+		}
+		semi := strings.IndexByte(s[i:], ';')
+		if semi < 0 || semi > 12 {
+			sb.WriteByte(c)
+			i++
+			continue
+		}
+		if r, ok := refDecodeEntityName(s[i+1 : i+semi]); ok {
+			sb.WriteRune(r)
+			i += semi + 1
+			continue
+		}
+		sb.WriteByte(c)
+		i++
+	}
+	return sb.String()
+}
+
+func refDecodeEntityName(name string) (rune, bool) {
+	if name == "" {
+		return 0, false
+	}
+	if name[0] == '#' {
+		num := name[1:]
+		base := 10
+		if len(num) > 0 && (num[0] == 'x' || num[0] == 'X') {
+			num, base = num[1:], 16
+		}
+		n, err := strconv.ParseInt(num, base, 32)
+		if err != nil || n <= 0 || n > 0x10FFFF {
+			return 0, false
+		}
+		return rune(n), true
+	}
+	r, ok := namedEntities[name]
+	return r, ok
+}
+
+// refIndexCloseTag is indexCloseTag over a string, folding case as
+// strings.EqualFold does.
+func refIndexCloseTag(s, name string) int {
+	for i := 0; ; i++ {
+		j := strings.IndexByte(s[i:], '<')
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if rest := s[i+1:]; len(rest) > len(name) && rest[0] == '/' && strings.EqualFold(rest[1:1+len(name)], name) {
+			return i
+		}
+	}
+}
+
 // refTokenizer is the tokenizer as it was before it interned names and
 // stopped copying: every name is strings.ToLower(string(src[a:b])), every
-// text run and attribute value its own copy through DecodeEntities. It is
+// text run and attribute value its own copy through refDecodeEntities. It is
 // the reference the fuzz targets hold the tokenizer to.
 type refTokenizer struct {
 	src []byte
@@ -49,14 +155,14 @@ func (z *refTokenizer) text() Token {
 	for z.pos < len(z.src) && z.src[z.pos] != '<' {
 		z.pos++
 	}
-	return Token{Type: TextToken, Data: DecodeEntities(string(z.src[start:z.pos]))}
+	return Token{Type: TextToken, Data: refDecodeEntities(string(z.src[start:z.pos]))}
 }
 
 // rawText consumes everything up to the matching </script> or </style>.
 func (z *refTokenizer) rawText() Token {
 	// Not as it was: lower-casing the rest of the document to search it
 	// moved the offsets whenever that changed its length, and panicked.
-	idx := indexCloseTag(string(z.src[z.pos:]), z.rawEnd)
+	idx := refIndexCloseTag(string(z.src[z.pos:]), z.rawEnd)
 	var data string
 	if idx < 0 {
 		data = string(z.src[z.pos:])
@@ -206,7 +312,7 @@ func (z *refTokenizer) startTag() Token {
 				val = string(src[vStart:i])
 			}
 		}
-		tok.Attrs = append(tok.Attrs, Attr{Name: aName, Value: DecodeEntities(val)})
+		tok.Attrs = append(tok.Attrs, Attr{Name: aName, Value: refDecodeEntities(val)})
 	}
 	z.pos = i
 	if tok.Type == StartTagToken && (name == "script" || name == "style") {
@@ -237,45 +343,88 @@ func refTokens(src []byte) []Token {
 	}
 }
 
-// refText is Node.Text as it was: concatenate, split, join.
-func refText(n *Node) string {
-	var sb strings.Builder
-	n.Walk(func(m *Node) bool {
-		if m.Type == TextNode {
-			sb.WriteString(m.Data)
-			sb.WriteByte(' ')
+// treeNode is a node of the parse tree Parse built before it built a flat
+// document: pointers to its parent and children, its strings its own.
+type treeNode struct {
+	Type     NodeType
+	Data     string // tag name for elements, content for text/comments
+	Attrs    []Attr
+	Parent   *treeNode
+	Children []*treeNode
+}
+
+func (n *treeNode) Attr(name string) (string, bool) {
+	for _, a := range n.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+func (n *treeNode) IsElement(tag string) bool {
+	return n.Type == ElementNode && n.Data == tag
+}
+
+// Walk visits n and its descendants in document order; false prunes.
+func (n *treeNode) Walk(fn func(*treeNode) bool) {
+	if !fn(n) {
+		return
+	}
+	for _, c := range n.Children {
+		c.Walk(fn)
+	}
+}
+
+func (n *treeNode) FindAll(tag string) []*treeNode {
+	var out []*treeNode
+	n.Walk(func(m *treeNode) bool {
+		if m.IsElement(tag) {
+			out = append(out, m)
 		}
 		return true
 	})
-	return strings.Join(strings.Fields(sb.String()), " ")
-}
-
-// refLinks is Links as it was: its own walk, two URL parses per link.
-func refLinks(doc *Node, baseURL string) []Link {
-	var out []Link
-	for _, a := range doc.FindAll("a") {
-		href, ok := a.Attr("href")
-		if !ok || href == "" {
-			continue
-		}
-		out = append(out, Link{Name: refText(a), Address: Resolve(baseURL, href)})
-	}
 	return out
 }
 
-// refParse is Parse as it was: every node appended to its parent's child
-// list as it is met (one slice growth after another), the open-element
-// stack popped in three places. It is the reference the parser's tree
-// shape — Children order and every Parent pointer — is held to.
-func refParse(src []byte) *Node {
-	z := Tokenizer{src: string(src)}
-	appendChild := func(n, c *Node) {
+// preorder lists n and its descendants in document order.
+func (n *treeNode) preorder() []*treeNode {
+	var out []*treeNode
+	n.Walk(func(m *treeNode) bool {
+		out = append(out, m)
+		return true
+	})
+	return out
+}
+
+// refParse is the tree parser, over the reference tokenizer: every node
+// appended to its parent's child list as it is met, the open-element stack
+// popped in three places. It is the reference the flat document is held
+// to, node for node.
+func refParse(src []byte) *treeNode {
+	voidElements := map[string]bool{
+		"area": true, "base": true, "br": true, "col": true, "embed": true,
+		"hr": true, "img": true, "input": true, "link": true, "meta": true,
+		"param": true, "source": true, "track": true, "wbr": true,
+	}
+	autoClose := map[string][]string{
+		"li":     {"li"},
+		"tr":     {"tr", "td", "th"},
+		"td":     {"td", "th"},
+		"th":     {"td", "th"},
+		"option": {"option"},
+		"p":      {"p"},
+		"dt":     {"dt", "dd"},
+		"dd":     {"dt", "dd"},
+	}
+	z := newRefTokenizer(src)
+	appendChild := func(n, c *treeNode) {
 		c.Parent = n
 		n.Children = append(n.Children, c)
 	}
-	doc := &Node{Type: DocumentNode}
-	stack := []*Node{doc}
-	top := func() *Node { return stack[len(stack)-1] }
+	doc := &treeNode{Type: DocumentNode}
+	stack := []*treeNode{doc}
+	top := func() *treeNode { return stack[len(stack)-1] }
 	for {
 		tok, ok := z.Next()
 		if !ok {
@@ -286,9 +435,9 @@ func refParse(src []byte) *Node {
 			if strings.TrimSpace(tok.Data) == "" {
 				continue
 			}
-			appendChild(top(), &Node{Type: TextNode, Data: tok.Data})
+			appendChild(top(), &treeNode{Type: TextNode, Data: tok.Data})
 		case CommentToken:
-			appendChild(top(), &Node{Type: CommentNode, Data: tok.Data})
+			appendChild(top(), &treeNode{Type: CommentNode, Data: tok.Data})
 		case StartTagToken, SelfClosingTagToken:
 			if closes, ok := autoClose[tok.Data]; ok {
 				// Only the immediate top of stack is considered at each
@@ -305,7 +454,7 @@ func refParse(src []byte) *Node {
 					break
 				}
 			}
-			el := &Node{Type: ElementNode, Data: tok.Data, Attrs: tok.Attrs}
+			el := &treeNode{Type: ElementNode, Data: tok.Data, Attrs: tok.Attrs}
 			appendChild(top(), el)
 			if tok.Type == StartTagToken && !voidElements[tok.Data] {
 				stack = append(stack, el)
@@ -322,6 +471,70 @@ func refParse(src []byte) *Node {
 	return doc
 }
 
+// refText is Node.Text as it was: concatenate, split, join.
+func refText(n *treeNode) string {
+	var sb strings.Builder
+	n.Walk(func(m *treeNode) bool {
+		if m.Type == TextNode {
+			sb.WriteString(m.Data)
+			sb.WriteByte(' ')
+		}
+		return true
+	})
+	return strings.Join(strings.Fields(sb.String()), " ")
+}
+
+// refTitle is Title over the tree.
+func refTitle(doc *treeNode) string {
+	if ts := doc.FindAll("title"); len(ts) > 0 {
+		return refText(ts[0])
+	}
+	return ""
+}
+
+// refLinks is Links as it was: its own walk, two URL parses per link.
+func refLinks(doc *treeNode, baseURL string) []Link {
+	var out []Link
+	for _, a := range doc.FindAll("a") {
+		href, ok := a.Attr("href")
+		if !ok || href == "" {
+			continue
+		}
+		out = append(out, Link{Name: refText(a), Address: Resolve(baseURL, href)})
+	}
+	return out
+}
+
+// refCellsOf and refRowsOf are cellsOf and rowsOf over the tree.
+func refCellsOf(tr *treeNode) []*treeNode {
+	var out []*treeNode
+	for _, c := range tr.Children {
+		if c.IsElement("td") || c.IsElement("th") {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func refRowsOf(tbl *treeNode) []*treeNode {
+	var out []*treeNode
+	var walk func(n *treeNode)
+	walk = func(n *treeNode) {
+		for _, c := range n.Children {
+			if c.IsElement("table") {
+				continue // nested table: its rows are its own
+			}
+			if c.IsElement("tr") {
+				out = append(out, c)
+				continue // cells may contain nested tables; don't descend
+			}
+			walk(c)
+		}
+	}
+	walk(tbl)
+	return out
+}
+
 // refDataRow and refDataTable are DataTable as it was: every header column
 // of every row in a map keyed by the lower-cased, trimmed header text.
 type refDataRow struct {
@@ -329,17 +542,15 @@ type refDataRow struct {
 	Links map[string]string
 }
 
-func refDataTable(doc *Node, baseURL string, columns ...string) []refDataRow {
-	r := resolver{raw: baseURL}
-	var cells []*Node
+func refDataTable(doc *treeNode, baseURL string, columns ...string) []refDataRow {
 	for _, tbl := range doc.FindAll("table") {
-		trs := rowsOf(tbl)
+		trs := refRowsOf(tbl)
 		if len(trs) == 0 {
 			continue
 		}
 		idx := make(map[string]int)
-		for i, c := range cellsOf(cells[:0], trs[0]) {
-			idx[strings.ToLower(strings.TrimSpace(c.Text()))] = i
+		for i, c := range refCellsOf(trs[0]) {
+			idx[strings.ToLower(strings.TrimSpace(refText(c)))] = i
 		}
 		ok := true
 		for _, c := range columns {
@@ -353,23 +564,23 @@ func refDataTable(doc *Node, baseURL string, columns ...string) []refDataRow {
 		}
 		rows := make([]refDataRow, 0, len(trs)-1)
 		for _, tr := range trs[1:] {
-			cells = cellsOf(cells[:0], tr)
+			cells := refCellsOf(tr)
 			if len(cells) == 0 {
 				continue
 			}
 			row := refDataRow{Cells: make(map[string]string, len(idx))}
 			for name, i := range idx {
 				if i < len(cells) {
-					row.Cells[name] = cells[i].Text()
+					row.Cells[name] = refText(cells[i])
 				}
 			}
 			for _, cell := range cells {
-				cell.Walk(func(a *Node) bool {
+				cell.Walk(func(a *treeNode) bool {
 					if href, has := a.Attr("href"); a.IsElement("a") && has {
 						if row.Links == nil {
 							row.Links = make(map[string]string)
 						}
-						row.Links[a.Text()] = r.resolve(href)
+						row.Links[refText(a)] = Resolve(baseURL, href)
 					}
 					return true
 				})

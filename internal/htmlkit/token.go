@@ -9,100 +9,165 @@
 // and the tree builder auto-closes dangling elements.
 package htmlkit
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+)
 
-// TokenType discriminates tokenizer output.
-type TokenType uint8
+// tokenType discriminates tokenizer output.
+type tokenType uint8
 
 // Token types produced by the tokenizer.
 const (
-	TextToken TokenType = iota
-	StartTagToken
-	EndTagToken
-	SelfClosingTagToken
-	CommentToken
-	DoctypeToken
+	textToken tokenType = iota
+	startTagToken
+	endTagToken
+	selfClosingTagToken
+	commentToken
+	doctypeToken
 )
 
-// Attr is a single name="value" attribute on a tag. Values are entity-
-// decoded; names are lower-cased.
-type Attr struct {
-	Name  string
-	Value string
+// span is the bytes [start, end) of a source or of a document's text.
+type span struct{ start, end int32 }
+
+// token is one lexical unit of an HTML document, as spans of the source:
+// nothing is copied, decoded or lower-cased until the parser keeps it.
+type token struct {
+	typ tokenType
+	tag tagID // start and end tags: the name's id, or tagOther
+	// verbatim marks the text of a script or style element, which is not
+	// entity-decoded.
+	verbatim bool
+	// data is the text, the comment or doctype body, or the tag's name as
+	// written.
+	data span
+	// attrs is a start tag's attributes: the tokenizer's attrs[start:end].
+	attrs span
 }
 
-// Token is one lexical unit of an HTML document.
-type Token struct {
-	Type  TokenType
-	Data  string // tag name (lower-cased), text content, or comment body
-	Attrs []Attr
-}
-
-// Attr returns the value of the named attribute and whether it is present.
-func (t Token) Attr(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
-
-// Tokenizer walks an HTML document byte by byte. It is resilient: any input
+// tokenizer walks an HTML document byte by byte. It is resilient: any input
 // produces a token stream; garbage becomes text.
-type Tokenizer struct {
-	// src is the document, copied to a string once: every text run,
-	// attribute value and comment that needs no decoding is a substring of
-	// it, not a copy of its own.
-	src string
+type tokenizer struct {
+	src []byte
 	pos int
-	// rawEnd holds the closing tag we are looking for while inside a raw
-	// text element (script/style), or "" otherwise.
-	rawEnd string
-	// attrs is the slab the tokens' attribute lists are carved from.
-	attrs []Attr
+	// rawEnd is the element whose end tag we are looking for while inside
+	// a raw text element (script/style), or tagOther otherwise.
+	rawEnd tagID
+	// attrs holds the attributes of every start tag so far, each name and
+	// value a span of src as written. The parser rewrites them in place
+	// into spans of the document's text, and keeps the array.
+	attrs []attr
 }
 
-// NewTokenizer returns a tokenizer over a copy of src.
-func NewTokenizer(src []byte) *Tokenizer {
-	return &Tokenizer{src: string(src)}
-}
+// tagID is a tag name's index in tagNames; tagOther is every other name.
+type tagID uint8
 
-// knownNames interns the tag and attribute names of the era's HTML in the
-// two casings its authors used, so that naming a token allocates only for
-// a name outside the table or in mixed case.
-var knownNames = func() map[string]string {
-	m := make(map[string]string)
-	for _, n := range strings.Fields(`a b i p u br dd dl dt em h1 h2 h3 h4 hr li ol td th tr tt ul
-		big div img pre body font form head html link meta span base code
-		input label small style table tbody tfoot thead title center option
-		script select strong caption textarea blockquote
-		id alt for src rel href name size type rows cols align class color
-		value width action border height method valign bgcolor checked content
-		colspan rowspan enctype required selected maxlength cellpadding
-		cellspacing http-equiv`) {
-		m[n] = n
-		m[strings.ToUpper(n)] = n
+// The tags the parser and the extractors test for by id. The rest of
+// tagNames gets ids after these.
+const (
+	tagOther tagID = iota // a name outside the table: its node holds the name
+	tagA
+	tagDD
+	tagDT
+	tagForm
+	tagInput
+	tagLI
+	tagOption
+	tagP
+	tagScript
+	tagSelect
+	tagStyle
+	tagTable
+	tagTD
+	tagTextarea
+	tagTH
+	tagTitle
+	tagTR
+)
+
+// tagNames interns the tag names of the era's HTML: a known name costs its
+// element one byte, not a copy of the name.
+var tagNames = append([]string{
+	tagOther: "", tagA: "a", tagDD: "dd", tagDT: "dt", tagForm: "form",
+	tagInput: "input", tagLI: "li", tagOption: "option", tagP: "p",
+	tagScript: "script", tagSelect: "select", tagStyle: "style",
+	tagTable: "table", tagTD: "td", tagTextarea: "textarea", tagTH: "th",
+	tagTitle: "title", tagTR: "tr",
+}, strings.Fields(`area b base big blockquote body br caption center code col
+	div dl em embed font h1 h2 h3 h4 h5 h6 head hr html i img label link meta
+	ol param pre small source span strong tbody tfoot thead track tt u ul wbr`)...)
+
+// tagBits is a set of tag ids.
+type tagBits uint64
+
+func (s tagBits) has(t tagID) bool { return s&(1<<t) != 0 }
+
+func tagSet(names string) tagBits {
+	var s tagBits
+	for _, n := range strings.Fields(names) {
+		s |= 1 << tagIDs[n]
 	}
-	return m
-}()
-
-// lowerName returns strings.ToLower(name), without allocating when the name
-// is in knownNames.
-func lowerName(name string) string {
-	if n, ok := knownNames[name]; ok {
-		return n
-	}
-	return strings.ToLower(name)
+	return s
 }
 
-// Next returns the next token and true, or a zero token and false at end of
-// input.
-func (z *Tokenizer) Next() (Token, bool) {
+var (
+	tagIDs = func() map[string]tagID {
+		if len(tagNames) > 64 {
+			panic("htmlkit: a tag set holds at most 64 tags")
+		}
+		m := make(map[string]tagID, len(tagNames))
+		for i, n := range tagNames[1:] {
+			m[n] = tagID(i + 1)
+		}
+		return m
+	}()
+
+	// voidTags never have children; their start tag is the whole element.
+	voidTags = tagSet("area base br col embed hr img input link meta param source track wbr")
+
+	// autoCloses lists, for each tag, the open tags that an occurrence of it
+	// implicitly closes. This captures the common omitted-end-tag patterns
+	// in 1990s HTML (e.g. successive <li>, <tr>, <td>, <option> without
+	// closers).
+	autoCloses = func() (t [64]tagBits) {
+		for tag, closes := range map[string]string{
+			"li": "li", "tr": "tr td th", "td": "td th", "th": "td th",
+			"option": "option", "p": "p", "dt": "dt dd", "dd": "dt dd",
+		} {
+			t[tagIDs[tag]] = tagSet(closes)
+		}
+		return t
+	}()
+)
+
+// maxTagName is the longest name in tagNames.
+const maxTagName = len("blockquote")
+
+// lookupTag returns the id of a tag name written in any case, or tagOther.
+func lookupTag(name []byte) tagID {
+	if len(name) > maxTagName {
+		return tagOther
+	}
+	var lower [maxTagName]byte
+	for i, c := range name {
+		lower[i] = toLowerASCII(c)
+	}
+	return tagIDs[string(lower[:len(name)])]
+}
+
+func toLowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// next returns the next token and true, or false at end of input.
+func (z *tokenizer) next() (token, bool) {
 	if z.pos >= len(z.src) {
-		return Token{}, false
+		return token{}, false
 	}
-	if z.rawEnd != "" {
+	if z.rawEnd != tagOther {
 		return z.rawText(), true
 	}
 	if z.src[z.pos] == '<' {
@@ -112,60 +177,73 @@ func (z *Tokenizer) Next() (Token, bool) {
 		// A lone '<' that does not open a valid construct: emit it as text
 		// and continue — recovery rather than failure.
 		z.pos++
-		return Token{Type: TextToken, Data: "<"}, true
+		return token{typ: textToken, data: z.span(z.pos-1, z.pos)}, true
 	}
 	return z.text(), true
 }
 
+func (z *tokenizer) span(start, end int) span { return span{int32(start), int32(end)} }
+
 // text consumes up to the next '<'.
-func (z *Tokenizer) text() Token {
+func (z *tokenizer) text() token {
 	start := z.pos
-	if i := strings.IndexByte(z.src[start:], '<'); i >= 0 {
+	if i := bytes.IndexByte(z.src[start:], '<'); i >= 0 {
 		z.pos += i
 	} else {
 		z.pos = len(z.src)
 	}
-	return Token{Type: TextToken, Data: DecodeEntities(z.src[start:z.pos])}
+	return token{typ: textToken, data: z.span(start, z.pos)}
 }
 
 // rawText consumes everything up to the matching </script> or </style>.
-func (z *Tokenizer) rawText() Token {
-	idx := indexCloseTag(z.src[z.pos:], z.rawEnd)
-	var data string
-	if idx < 0 {
-		data = z.src[z.pos:]
+func (z *tokenizer) rawText() token {
+	start := z.pos
+	if idx := indexCloseTag(z.src[start:], tagNames[z.rawEnd]); idx < 0 {
 		z.pos = len(z.src)
 	} else {
-		data = z.src[z.pos : z.pos+idx]
 		z.pos += idx
 	}
-	z.rawEnd = ""
-	// Raw text is returned verbatim (scripts are not entity-decoded).
-	return Token{Type: TextToken, Data: data}
+	z.rawEnd = tagOther
+	// Raw text is kept verbatim (scripts are not entity-decoded).
+	return token{typ: textToken, verbatim: true, data: z.span(start, z.pos)}
 }
 
 // indexCloseTag returns the index of the first "</name" in s, whatever the
 // case of the name's letters, or -1.
-func indexCloseTag(s, name string) int {
+func indexCloseTag(s []byte, name string) int {
 	for i := 0; ; i++ {
-		j := strings.IndexByte(s[i:], '<')
+		j := bytes.IndexByte(s[i:], '<')
 		if j < 0 {
 			return -1
 		}
 		i += j
-		if rest := s[i+1:]; len(rest) > len(name) && rest[0] == '/' && strings.EqualFold(rest[1:1+len(name)], name) {
+		if rest := s[i+1:]; len(rest) > len(name) && rest[0] == '/' && equalFoldASCII(rest[1:1+len(name)], name) {
 			return i
 		}
 	}
 }
 
+// equalFoldASCII reports whether b is name, a lower-case ASCII name, in
+// any case.
+func equalFoldASCII(b []byte, name string) bool {
+	if len(b) != len(name) {
+		return false
+	}
+	for i, c := range b {
+		if toLowerASCII(c) != name[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // tag parses a construct starting with '<'. Returns ok=false when the '<'
 // does not start a tag-like construct.
-func (z *Tokenizer) tag() (Token, bool) {
+func (z *tokenizer) tag() (token, bool) {
 	src := z.src
 	i := z.pos + 1
 	if i >= len(src) {
-		return Token{}, false
+		return token{}, false
 	}
 	switch {
 	case src[i] == '!':
@@ -175,46 +253,38 @@ func (z *Tokenizer) tag() (Token, bool) {
 	case isAlpha(src[i]):
 		return z.startTag(), true
 	default:
-		return Token{}, false
+		return token{}, false
 	}
 }
 
 // markupDeclaration handles <!-- comments --> and <!DOCTYPE ...>.
-func (z *Tokenizer) markupDeclaration() Token {
+func (z *tokenizer) markupDeclaration() token {
 	src := z.src
-	if strings.HasPrefix(src[z.pos:], "<!--") {
-		end := strings.Index(src[z.pos+4:], "-->")
-		var body string
-		if end < 0 {
-			body = src[z.pos+4:] // unterminated comment: recover
-			z.pos = len(src)
-		} else {
-			body = src[z.pos+4 : z.pos+4+end]
-			z.pos += 4 + end + 3
+	if bytes.HasPrefix(src[z.pos:], []byte("<!--")) {
+		body, end := z.pos+4, len(src) // unterminated comment: recover
+		z.pos = len(src)
+		if i := bytes.Index(src[body:], []byte("-->")); i >= 0 {
+			end, z.pos = body+i, body+i+3
 		}
-		return Token{Type: CommentToken, Data: body}
+		return token{typ: commentToken, data: z.span(body, end)}
 	}
 	// <!DOCTYPE ...> or any other <!...>: consume to '>'.
-	end := strings.IndexByte(src[z.pos:], '>')
-	var body string
-	if end < 0 {
-		body = src[z.pos+2:]
-		z.pos = len(src)
-	} else {
-		body = src[z.pos+2 : z.pos+end]
-		z.pos += end + 1
+	body, end := z.pos+2, len(src)
+	z.pos = len(src)
+	if i := bytes.IndexByte(src[body:], '>'); i >= 0 {
+		end, z.pos = body+i, body+i+1
 	}
-	return Token{Type: DoctypeToken, Data: strings.TrimSpace(body)}
+	return token{typ: doctypeToken, data: z.span(body, end)}
 }
 
-func (z *Tokenizer) endTag() Token {
+func (z *tokenizer) endTag() token {
 	src := z.src
 	i := z.pos + 2
 	start := i
 	for i < len(src) && isNameChar(src[i]) {
 		i++
 	}
-	name := lowerName(src[start:i])
+	tok := token{typ: endTagToken, tag: lookupTag(src[start:i]), data: z.span(start, i)}
 	// Skip to '>' (tolerating junk attributes on end tags).
 	for i < len(src) && src[i] != '>' {
 		i++
@@ -223,19 +293,18 @@ func (z *Tokenizer) endTag() Token {
 		i++
 	}
 	z.pos = i
-	return Token{Type: EndTagToken, Data: name}
+	return tok
 }
 
-func (z *Tokenizer) startTag() Token {
+func (z *tokenizer) startTag() token {
 	src := z.src
 	i := z.pos + 1
 	start := i
 	for i < len(src) && isNameChar(src[i]) {
 		i++
 	}
-	name := lowerName(src[start:i])
-	tok := Token{Type: StartTagToken, Data: name}
-	first := len(z.attrs)
+	tok := token{typ: startTagToken, tag: lookupTag(src[start:i]), data: z.span(start, i)}
+	tok.attrs.start = int32(len(z.attrs))
 	for {
 		// Skip whitespace.
 		for i < len(src) && isSpace(src[i]) {
@@ -252,7 +321,7 @@ func (z *Tokenizer) startTag() Token {
 			i++
 			if i < len(src) && src[i] == '>' {
 				i++
-				tok.Type = SelfClosingTagToken
+				tok.typ = selfClosingTagToken
 				break
 			}
 			continue
@@ -262,16 +331,15 @@ func (z *Tokenizer) startTag() Token {
 		for i < len(src) && !isSpace(src[i]) && src[i] != '=' && src[i] != '>' && src[i] != '/' {
 			i++
 		}
-		aName := lowerName(src[aStart:i])
-		if aName == "" {
+		if i == aStart {
 			i++ // stray byte; skip to make progress
 			continue
 		}
+		a := attr{name: z.span(aStart, i)}
 		// Optional value.
 		for i < len(src) && isSpace(src[i]) {
 			i++
 		}
-		val := ""
 		if i < len(src) && src[i] == '=' {
 			i++
 			for i < len(src) && isSpace(src[i]) {
@@ -284,7 +352,7 @@ func (z *Tokenizer) startTag() Token {
 				for i < len(src) && src[i] != q {
 					i++
 				}
-				val = src[vStart:i]
+				a.value = z.span(vStart, i)
 				if i < len(src) {
 					i++ // closing quote
 				}
@@ -293,17 +361,15 @@ func (z *Tokenizer) startTag() Token {
 				for i < len(src) && !isSpace(src[i]) && src[i] != '>' {
 					i++
 				}
-				val = src[vStart:i]
+				a.value = z.span(vStart, i)
 			}
 		}
-		z.attrs = append(z.attrs, Attr{Name: aName, Value: DecodeEntities(val)})
+		z.attrs = append(z.attrs, a)
 	}
-	if n := len(z.attrs); n > first {
-		tok.Attrs = z.attrs[first:n:n]
-	}
+	tok.attrs.end = int32(len(z.attrs))
 	z.pos = i
-	if tok.Type == StartTagToken && (name == "script" || name == "style") {
-		z.rawEnd = name
+	if tok.typ == startTagToken && (tok.tag == tagScript || tok.tag == tagStyle) {
+		z.rawEnd = tok.tag
 	}
 	return tok
 }

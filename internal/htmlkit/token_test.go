@@ -3,20 +3,41 @@ package htmlkit
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// tokens runs the tokenizer over src and renders its spans as Tokens, the
+// way the parser keeps them: names lower-cased, text and values decoded
+// (but for the verbatim text of a script or style), doctypes trimmed.
 func tokens(t *testing.T, src string) []Token {
 	t.Helper()
-	z := NewTokenizer([]byte(src))
+	z := tokenizer{src: []byte(src)}
+	str := func(s span) string { return string(z.src[s.start:s.end]) }
 	var out []Token
 	for {
-		tok, ok := z.Next()
+		tok, ok := z.next()
 		if !ok {
 			return out
 		}
-		out = append(out, tok)
+		out = append(out, Token{Type: TokenType(tok.typ), Data: str(tok.data)})
+		last := &out[len(out)-1]
+		switch tok.typ {
+		case textToken:
+			if !tok.verbatim {
+				last.Data = DecodeEntities(last.Data)
+			}
+		case doctypeToken:
+			last.Data = strings.TrimSpace(last.Data)
+		case startTagToken, selfClosingTagToken, endTagToken:
+			last.Data = strings.ToLower(last.Data)
+		}
+		if tok.typ == startTagToken || tok.typ == selfClosingTagToken {
+			for _, a := range z.attrs[tok.attrs.start:tok.attrs.end] {
+				last.Attrs = append(last.Attrs, Attr{Name: strings.ToLower(str(a.name)), Value: DecodeEntities(str(a.value))})
+			}
+		}
 	}
 }
 
@@ -104,10 +125,10 @@ func TestTokenizeMalformed(t *testing.T) {
 		"<td><td></tr></table>x", // stray end tags
 	}
 	for _, src := range cases {
-		z := NewTokenizer([]byte(src))
+		z := tokenizer{src: []byte(src)}
 		n := 0
 		for {
-			_, ok := z.Next()
+			_, ok := z.next()
 			if !ok {
 				break
 			}
@@ -127,9 +148,9 @@ func TestTokenizeNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		z := NewTokenizer(b)
+		z := tokenizer{src: b}
 		for i := 0; ; i++ {
-			if _, more := z.Next(); !more {
+			if _, more := z.next(); !more {
 				break
 			}
 			if i > len(b)+10 {
@@ -155,9 +176,9 @@ func TestTokenizeHTMLSoup(t *testing.T) {
 		for i := range b {
 			b[i] = alphabet[r.Intn(len(alphabet))]
 		}
-		z := NewTokenizer(b)
+		z := tokenizer{src: b}
 		for i := 0; ; i++ {
-			if _, ok := z.Next(); !ok {
+			if _, ok := z.next(); !ok {
 				break
 			}
 			if i > n+10 {

@@ -462,7 +462,10 @@ func TestBrowseStateAccessorsAndFirstForm(t *testing.T) {
 	if st.URL() != url {
 		t.Errorf("URL = %q", st.URL())
 	}
-	if st.Doc() == nil || st.Doc().Find("form") == nil {
+	if st.Doc() == nil {
+		t.Fatal("no current page")
+	}
+	if _, ok := st.Doc().Find("form"); !ok {
 		t.Error("Doc should expose the parsed page")
 	}
 	// Submitting the page's first form (empty name selects it).

@@ -22,6 +22,12 @@ func fetchDoc(t *testing.T, f web.Fetcher, req *web.Request) *htmlkit.Node {
 	return htmlkit.Parse(resp.Body)
 }
 
+// dataRows is the data table navigation reads: the body rows of the first
+// table whose header holds every column, each row's cells in column order.
+func dataRows(doc *htmlkit.Node, columns ...string) []htmlkit.DataRow {
+	return htmlkit.DataTable(doc, "", columns...)
+}
+
 func findLink(t *testing.T, doc *htmlkit.Node, base, name string) string {
 	t.Helper()
 	for _, l := range htmlkit.Links(doc, base) {
@@ -172,12 +178,12 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 	// Submit f2 with a model: expect a data page.
 	dataPg := fetchDoc(t, f, web.NewSubmit(f2s[0].Action, f2s[0].Method,
 		url.Values{"make": {"ford"}, "model": {"escort"}}))
-	rows := htmlkit.TableWithHeader(dataPg, "Make", "Model", "Year", "Price", "Contact")
+	rows := dataRows(dataPg, "Make", "Model", "Year", "Price", "Contact")
 	if len(rows) == 0 {
 		t.Fatal("no data rows")
 	}
 	for _, r := range rows {
-		if r["make"] != "ford" || r["model"] != "escort" {
+		if r.Cells[0] != "ford" || r.Cells[1] != "escort" {
 			t.Fatalf("wrong row: %v", r)
 		}
 	}
@@ -199,7 +205,7 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 		}
 		doc = fetchDoc(t, f, web.NewGet(moreURL))
 		curURL = moreURL
-		rs := htmlkit.TableWithHeader(doc, "Make", "Model", "Year", "Price")
+		rs := dataRows(doc, "Make", "Model", "Year", "Price")
 		total += len(rs)
 		if pages++; pages > 100 {
 			t.Fatal("More loop did not terminate")
@@ -222,8 +228,8 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 		t.Fatal("no Car Features link")
 	}
 	featPg := fetchDoc(t, f, web.NewGet(featURL))
-	fr := htmlkit.TableWithHeader(featPg, "Features", "Picture")
-	if len(fr) != 1 || fr[0]["picture"] == "" {
+	fr := dataRows(featPg, "Features", "Picture")
+	if len(fr) != 1 || fr[0].Cells[1] == "" {
 		t.Errorf("features rows: %v", fr)
 	}
 }
@@ -244,7 +250,7 @@ func TestNewsdayRareMakeSkipsF2(t *testing.T) {
 	}
 	doc := fetchDoc(t, w.Server, web.NewSubmit(
 		"http://"+NewsdayHost+"/cgi-bin/nclassy", "POST", url.Values{"make": {rare}}))
-	if rows := htmlkit.TableWithHeader(doc, "Make", "Price"); len(rows) == 0 {
+	if rows := dataRows(doc, "Make", "Price"); len(rows) == 0 {
 		t.Errorf("rare make %q should go straight to data", rare)
 	}
 }
@@ -254,7 +260,7 @@ func TestNewsdayFeatrsFilterAndErrors(t *testing.T) {
 	base := "http://" + NewsdayHost
 	doc := fetchDoc(t, w.Server, web.NewSubmit(base+"/cgi-bin/nclassy", "POST",
 		url.Values{"make": {"ford"}, "model": {"escort"}, "featrs": {"sunroof"}}))
-	rows := htmlkit.TableWithHeader(doc, "Make", "Model")
+	rows := dataRows(doc, "Make", "Model")
 	oracle := filterFeatures(w.Datasets[NewsdayHost].ByMakeModel("ford", "escort"), "sunroof")
 	if len(rows) == 0 && len(oracle) > 0 {
 		t.Error("feature filter dropped everything")
@@ -283,7 +289,7 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(cl)), cl)[0]
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
 			url.Values{"make": {"ford"}, "model": {"escort"}}))
-		rows := htmlkit.TableWithHeader(doc, "Make", "Features", "Price", "Contact")
+		rows := dataRows(doc, "Make", "Features", "Price", "Contact")
 		if len(rows) == 0 {
 			t.Fatal("no rows")
 		}
@@ -297,7 +303,7 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(search)), search)[0]
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method, url.Values{"make": {"honda"}}))
 		// Sloppy markup must still parse into rows.
-		if rows := htmlkit.TableWithHeader(doc, "Make", "Price"); len(rows) == 0 {
+		if rows := dataRows(doc, "Make", "Price"); len(rows) == 0 {
 			t.Fatal("sloppy table yielded no rows")
 		}
 	})
@@ -307,17 +313,17 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(base+"/")), base+"/")[0]
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
 			url.Values{"make": {"toyota"}, "model": {"camry"}}))
-		rows := htmlkit.TableWithHeader(doc, "Make", "ZipCode", "Contact")
+		rows := dataRows(doc, "Make", "ZipCode", "Contact")
 		if len(rows) == 0 {
 			t.Fatal("no rows")
 		}
 		// Zipcode filter narrows.
-		zip := rows[0]["zipcode"]
+		zip := rows[0].Cells[1]
 		doc2 := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
 			url.Values{"make": {"toyota"}, "model": {"camry"}, "zipcode": {zip}}))
-		rows2 := htmlkit.TableWithHeader(doc2, "Make", "ZipCode")
+		rows2 := dataRows(doc2, "Make", "ZipCode")
 		for _, r := range rows2 {
-			if r["zipcode"] != zip {
+			if r.Cells[1] != zip {
 				t.Fatalf("zip filter leaked: %v", r)
 			}
 		}
@@ -336,7 +342,7 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		}
 		doc := fetchDoc(t, f, web.NewSubmit(f2.Action, f2.Method,
 			url.Values{"make": {"bmw"}, "model": {md.Domain[0]}}))
-		if rows := htmlkit.TableWithHeader(doc, "Make", "Model", "Price"); len(rows) == 0 {
+		if rows := dataRows(doc, "Make", "Model", "Price"); len(rows) == 0 {
 			t.Fatal("no rows")
 		}
 	})
@@ -345,7 +351,7 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		base := "http://" + WWWheelsHost
 		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(base+"/")), base+"/")[0]
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method, url.Values{"make": {"dodge"}}))
-		rows := htmlkit.TableWithHeader(doc, "Make", "Price")
+		rows := dataRows(doc, "Make", "Price")
 		want := len(w.Datasets[WWWheelsHost].ByMake("dodge"))
 		if len(rows) != want {
 			t.Fatalf("rows = %d, dataset = %d (WWWheels is unpaginated)", len(rows), want)
@@ -363,9 +369,9 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		}
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
 			url.Values{"make": {"ford"}, "condition": {"good"}}))
-		rows := htmlkit.TableWithHeader(doc, "Make", "Condition")
+		rows := dataRows(doc, "Make", "Condition")
 		for _, r := range rows {
-			if r["condition"] != "good" {
+			if r.Cells[1] != "good" {
 				t.Fatalf("condition filter leaked: %v", r)
 			}
 		}
@@ -381,7 +387,7 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 			t.Fatal("no model links")
 		}
 		doc := fetchDoc(t, f, web.NewGet(links[0].Address))
-		if rows := htmlkit.TableWithHeader(doc, "Make", "Model", "Price"); len(rows) == 0 {
+		if rows := dataRows(doc, "Make", "Model", "Price"); len(rows) == 0 {
 			t.Fatal("no listing rows")
 		}
 	})
@@ -394,18 +400,18 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		// With year: one row matching the BlueBook oracle.
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
 			url.Values{"make": {"jaguar"}, "model": {"xj6"}, "year": {"1994"}, "condition": {"good"}}))
-		rows := htmlkit.TableWithHeader(doc, "Make", "BBPrice")
+		rows := dataRows(doc, "Make", "BBPrice")
 		if len(rows) != 1 {
 			t.Fatalf("rows = %d, want 1", len(rows))
 		}
 		want := fmt.Sprintf("$%d", BlueBook("jaguar", "xj6", 1994, "good"))
-		if rows[0]["bbprice"] != want {
-			t.Errorf("bbprice = %q, want %q", rows[0]["bbprice"], want)
+		if rows[0].Cells[1] != want {
+			t.Errorf("bbprice = %q, want %q", rows[0].Cells[1], want)
 		}
 		// Without year: a row per year.
 		doc = fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
 			url.Values{"make": {"jaguar"}, "model": {"xj6"}, "condition": {"good"}}))
-		if rows := htmlkit.TableWithHeader(doc, "Year", "BBPrice"); len(rows) != 11 {
+		if rows := dataRows(doc, "Year", "BBPrice"); len(rows) != 11 {
 			t.Errorf("yearless rows = %d, want 11", len(rows))
 		}
 	})
@@ -416,13 +422,13 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		sf := findLink(t, home, base+"/", "Safety Ratings")
 		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(sf)), sf)[0]
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method, url.Values{"make": {"jaguar"}}))
-		rows := htmlkit.TableWithHeader(doc, "Make", "Model", "Safety")
+		rows := dataRows(doc, "Make", "Model", "Safety")
 		if len(rows) != len(Catalog["jaguar"]) {
 			t.Fatalf("rows = %d", len(rows))
 		}
 		for _, r := range rows {
-			if r["safety"] != "good" {
-				t.Errorf("jaguar safety = %q", r["safety"])
+			if r.Cells[2] != "good" {
+				t.Errorf("jaguar safety = %q", r.Cells[2])
 			}
 		}
 	})
@@ -433,8 +439,8 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		mkURL := findLink(t, home, base+"/", "honda")
 		mdURL := findLink(t, fetchDoc(t, f, web.NewGet(mkURL)), mkURL, "civic")
 		doc := fetchDoc(t, f, web.NewGet(mdURL))
-		rows := htmlkit.TableWithHeader(doc, "Make", "Model", "Reliability")
-		if len(rows) != 1 || rows[0]["reliability"] != "5" {
+		rows := dataRows(doc, "Make", "Model", "Reliability")
+		if len(rows) != 1 || rows[0].Cells[2] != "5" {
 			t.Errorf("honda civic reliability rows: %v", rows)
 		}
 	})
@@ -444,13 +450,13 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(base+"/")), base+"/")[0]
 		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
 			url.Values{"zipcode": {"11201"}, "duration": {"36"}}))
-		rows := htmlkit.TableWithHeader(doc, "ZipCode", "Duration", "Rate")
+		rows := dataRows(doc, "ZipCode", "Duration", "Rate")
 		if len(rows) != 1 {
 			t.Fatalf("rows = %d", len(rows))
 		}
 		want := fmt.Sprintf("%.2f", FinanceRate("11201", 36))
-		if rows[0]["rate"] != want {
-			t.Errorf("rate = %q, want %q", rows[0]["rate"], want)
+		if rows[0].Cells[2] != want {
+			t.Errorf("rate = %q, want %q", rows[0].Cells[2], want)
 		}
 	})
 }

@@ -91,7 +91,8 @@ var blockTags = map[string]bool{
 // regions splits the page into per-record line lists. With itemTag empty
 // the whole page is one region; otherwise each occurrence of the tag
 // starts a new region (text before the first occurrence belongs to a
-// preamble region that usually matches nothing).
+// preamble region that usually matches nothing). The text of a script or
+// style element is not on the page a browser renders, so it is on no line.
 func regions(doc *htmlkit.Node, itemTag string) [][]string {
 	var out [][]string
 	cur := []string{}
@@ -109,28 +110,32 @@ func regions(doc *htmlkit.Node, itemTag string) [][]string {
 		cur = []string{}
 	}
 
-	var walk func(n *htmlkit.Node)
-	walk = func(n *htmlkit.Node) {
-		if n.Type == htmlkit.ElementNode {
-			if itemTag != "" && n.Data == itemTag {
+	var walk func(n htmlkit.Node)
+	walk = func(n htmlkit.Node) {
+		block := false
+		switch n.Type() {
+		case htmlkit.ElementNode:
+			if n.IsElement("script") || n.IsElement("style") {
+				return
+			}
+			if itemTag != "" && n.Data() == itemTag {
 				flushRegion()
 			}
-			if blockTags[n.Data] {
+			if block = blockTags[n.Data()]; block {
 				flushLine()
 			}
-		}
-		if n.Type == htmlkit.TextNode {
-			line.WriteString(n.Data)
+		case htmlkit.TextNode:
+			line.WriteString(n.Data())
 			line.WriteByte(' ')
 		}
-		for _, c := range n.Children {
+		for c, ok := n.FirstChild(); ok; c, ok = c.NextSibling() {
 			walk(c)
 		}
-		if n.Type == htmlkit.ElementNode && blockTags[n.Data] {
+		if block {
 			flushLine()
 		}
 	}
-	walk(doc)
+	walk(*doc)
 	flushRegion()
 	return out
 }

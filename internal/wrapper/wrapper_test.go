@@ -116,3 +116,19 @@ func TestUnlabeledLinesIgnored(t *testing.T) {
 	}
 	_ = relation.Null()
 }
+
+// TestScriptAndStyleTextIsNotAPageLine: no browser renders the text of a
+// script or style element. Read as page text, the two runs below joined
+// into one line, "Price: 5 Year: 1990", and extracted Price 51990.
+func TestScriptAndStyleTextIsNotAPageLine(t *testing.T) {
+	src := `<head><script>Price: 5</script><style>Year: 1990</style></head><body><p>Make: ford</p>`
+	s := &Script{Fields: []Field{
+		{Label: "Price", Attr: "Price", Money: true},
+		{Label: "Year", Attr: "Year"},
+		{Label: "Make", Attr: "Make"},
+	}}
+	recs := s.Extract(htmlkit.Parse([]byte(src)))
+	if len(recs) != 1 || len(recs[0]) != 1 || recs[0]["Make"].Str() != "ford" {
+		t.Errorf("records = %v, want one: {Make: ford}", recs)
+	}
+}

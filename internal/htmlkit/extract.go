@@ -103,23 +103,20 @@ func Resolve(base, ref string) string {
 // the base is parsed once, and only when a reference needs resolving.
 type resolver struct {
 	raw    string
+	origin string // the base's scheme://host, or "" when it has none or is not yet parsed
 	parsed bool
-	base   *url.URL // nil when raw is unparsable: references pass through
-	origin string   // the base's scheme://host, or "" when it has no host
+	base   *url.URL // once parsed, nil when raw is unparsable: references pass through
+}
+
+// newResolver returns a resolver against base. The origin of a plain
+// http:// base is sliced off it; any other base is read by net/url.
+func newResolver(base string) resolver {
+	return resolver{raw: base, origin: plainOrigin(base)}
 }
 
 func (r *resolver) resolve(ref string) string {
-	if !r.parsed {
-		r.parsed = true
-		if b, err := url.Parse(r.raw); err == nil {
-			r.base = b
-			if b.Host != "" {
-				r.origin = (&url.URL{Scheme: b.Scheme, User: b.User, Host: b.Host}).String()
-			}
-		}
-	}
-	if r.base == nil {
-		return ref
+	if r.origin == "" && !r.parsed {
+		r.parse()
 	}
 	// The references generated pages are made of — /path?query and the
 	// same under the page's own scheme://host, with nothing to escape or
@@ -133,11 +130,50 @@ func (r *resolver) resolve(ref string) string {
 			return ref
 		}
 	}
+	if !r.parsed {
+		r.parse()
+	}
+	if r.base == nil {
+		return ref
+	}
 	u, err := url.Parse(ref)
 	if err != nil {
 		return ref
 	}
 	return r.base.ResolveReference(u).String()
+}
+
+// parse parses the base, and takes its origin.
+func (r *resolver) parse() {
+	r.parsed = true
+	if b, err := url.Parse(r.raw); err == nil {
+		r.base = b
+		if b.Host != "" {
+			r.origin = (&url.URL{Scheme: b.Scheme, User: b.User, Host: b.Host}).String()
+		}
+	}
+}
+
+// plainOrigin returns the "http://host" of a base that url.Parse accepts
+// and URL.String gives back unchanged — a lower-case host of letters,
+// digits, dots and hyphens, then a plain path and query — as net/url would
+// write it, and "" for any other base.
+func plainOrigin(base string) string {
+	const scheme = "http://"
+	rest, ok := strings.CutPrefix(base, scheme)
+	if !ok {
+		return ""
+	}
+	slash := strings.IndexByte(rest, '/')
+	if slash <= 0 || !plainPathQuery(rest[slash:]) {
+		return ""
+	}
+	for _, c := range []byte(rest[:slash]) {
+		if !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			return ""
+		}
+	}
+	return base[:len(scheme)+slash]
 }
 
 // plainPathQuery reports whether s is an absolute path with an optional
@@ -184,7 +220,7 @@ type Page struct {
 // Scan gathers a document's title, links, forms and table presence in one
 // walk, resolving addresses against baseURL.
 func Scan(doc *Node, baseURL string) Page {
-	r := resolver{raw: baseURL}
+	r := newResolver(baseURL)
 	var p Page
 	titled := false
 	d := doc.d
@@ -362,7 +398,7 @@ type DataRow struct {
 // once both are lower-cased; of two such cells, the last one is read. It
 // returns nil when no table matches.
 func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
-	r := resolver{raw: baseURL}
+	r := newResolver(baseURL)
 	d := doc.d
 	// Scratch for a table's rows, one row's cells and one header's texts;
 	// what the simulated sites serve fits without growing.
@@ -444,6 +480,13 @@ func headerIndexes(at []int, header, columns []string) bool {
 // U+FFFD strings.ToLower turns it into.
 func lowerEqual(a, b string) bool {
 	for a != "" && b != "" {
+		if a[0] < utf8.RuneSelf && b[0] < utf8.RuneSelf {
+			if toLowerASCII(a[0]) != toLowerASCII(b[0]) {
+				return false
+			}
+			a, b = a[1:], b[1:]
+			continue
+		}
 		ra, na := utf8.DecodeRuneInString(a)
 		rb, nb := utf8.DecodeRuneInString(b)
 		if ra != rb && unicode.ToLower(ra) != unicode.ToLower(rb) {

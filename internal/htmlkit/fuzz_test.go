@@ -1,13 +1,15 @@
 package htmlkit
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzParse drives the lenient parser with arbitrary bytes: it must never
-// panic, must terminate, and must produce the document the reference tree
+// panic, must terminate, must size the document from the counts
+// bytes.Count gives, and must produce the document the reference tree
 // parser does, node for node: type, data, attributes, parent and child
 // order. It also holds the other allocation-lean paths to the reference
 // implementations in reference_test.go: the token stream (every tag and
@@ -50,11 +52,29 @@ func FuzzParse(f *testing.F) {
 		// White space of every kind inside and between text nodes.
 		"<p> a \t\n b\u00a0c\u2003d <b> e </b>f<i></i> g\r\n</p><td>one</td><td> two  words </td>",
 		"<title> T </title><title>second</title><form action=go><a href=in>inside <b>form</b></a><table></table></form>",
+		// Text runs that start with a byte outside printable ASCII, blank
+		// or not, where the parser cannot skip the blank test.
+		"<p>\vx</p><p>\fy</p><p>\u00a0z</p><p>\u00a0\u00a0</p><p>\v</p><p>\x7f</p><p>&nbsp;</p><p>&nbsp;w</p>",
+		"<b>x</b>\u00a0<i>\u2003</i>\x85",
+		// Input that ends inside a construct: an end tag, a quoted value.
+		"<p>x</",
+		"</",
+		"<a href='/x>y</a>",
+		"<a title=\"t\" href=\"/x>y</a>",
+		// Empty comments that end at their '>', and their near misses.
+		"<!--><a href=/x>x</a>",
+		"<!---><a href=/x>x</a>",
+		"<!----><a href=/x>x</a><!-- -->",
+		"<!--",
+		"<!---",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if tags, ends := countTags(data); tags != bytes.Count(data, []byte("<")) || ends != bytes.Count(data, []byte("</")) {
+			t.Fatalf("countTags = %d, %d; bytes.Count gives %d, %d", tags, ends, bytes.Count(data, []byte("<")), bytes.Count(data, []byte("</")))
+		}
 		doc := Parse(data)
 		if _, ok := doc.Parent(); ok {
 			t.Fatal("the document has a parent")
@@ -201,6 +221,15 @@ func FuzzResolve(f *testing.F) {
 		"http://site.example/", "http://site.example/dir/page?x=1#frag", "https://u:p@Site.Example:8080/a/b",
 		"http://site.example", "//site.example/x", "/only/a/path", "mailto:someone@site.example", "file:///tmp/x",
 		"", "http://[::1]/x", "%zz", "http://site.example/%7Euser/",
+		// Bases on either side of the plain test: an upper-case scheme or
+		// host, a port, userinfo, an IPv6 literal, no path, a path or query
+		// that is not plain, and a host net/url refuses, which net/url must
+		// read; and plain ones whose origin is sliced off.
+		"HTTP://site.example/x", "http://Site.example/x", "http://SITE.EXAMPLE/", "http://site.example:8080/x",
+		"http://u@site.example/x", "http://[::1]:80/", "http://site.example?q=1", "http://site.example#f",
+		"http://site.example/a b", "http://site.example/a/../b", "http://site.example/a/./b", "http://site.example//x",
+		"http://site.example/%zz", "http://site.example/x#frag", "http://site.example/x?q=%zz", "http://site.example/x\x7f",
+		"http://site_example/x", "http:///x", "http://%41/x", "https://site.example/x", "http://a.b-c.9/p?x=1&y=2",
 	}
 	refs := []string{
 		"/help", "/cgi-bin/q?make=ford&model=escort", "/", "/a/./b", "/a/../b", "/a//b", "/.hidden", "/a.b/c.html",
@@ -215,7 +244,7 @@ func FuzzResolve(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, base, ref string) {
-		r := resolver{raw: base}
+		r := newResolver(base)
 		for i := 0; i < 2; i++ { // the second call takes the parsed-base path
 			if got, want := r.resolve(ref), Resolve(base, ref); got != want {
 				t.Fatalf("resolve(%q, %q) = %q, Resolve gives %q", base, ref, got, want)

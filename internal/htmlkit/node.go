@@ -2,6 +2,8 @@ package htmlkit
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -191,12 +193,20 @@ func (d *document) textOf(i int32) string {
 func collapsed(t string) bool {
 	afterSpace := false
 	for _, r := range t {
-		if unicode.IsSpace(r) && (r != ' ' || afterSpace) {
+		if isTextSpace(r) && (r != ' ' || afterSpace) {
 			return false
 		}
 		afterSpace = r == ' '
 	}
 	return true
+}
+
+// isTextSpace is unicode.IsSpace, with ASCII answered inline.
+func isTextSpace(r rune) bool {
+	if r < utf8.RuneSelf {
+		return r == ' ' || '\t' <= r && r <= '\r'
+	}
+	return unicode.IsSpace(r)
 }
 
 // writeFields appends the white-space-separated fields of s to sb, each
@@ -235,33 +245,59 @@ func Parse(src []byte) *Node {
 	// '='. The text is the source less its markup, and nearly every tag
 	// drops at least three bytes of markup: "<" or "</", ">", and a known
 	// name or an attribute's '=' and quotes.
-	tags := bytes.Count(src, []byte{'<'})
-	ends := bytes.Count(src, []byte("</"))
+	tags, ends := countTags(src)
 	p := parser{
-		z: tokenizer{src: src, attrs: make([]attr, 0, bytes.Count(src, []byte{'='}))},
-		d: &document{nodes: make([]node, 1, 2*(tags-ends)+2)},
+		z:     tokenizer{src: src, attrs: make([]attr, 0, bytes.Count(src, []byte{'='}))},
+		nodes: make([]node, 1, 2*(tags-ends)+2),
 	}
-	p.d.nodes[0] = node{typ: DocumentNode, parent: -1}
+	p.nodes[0] = node{typ: DocumentNode, parent: -1}
 	p.text.Grow(max(len(src)-3*tags, 0))
-	for {
-		tok, ok := p.z.next()
-		if !ok {
-			break
-		}
-		p.add(tok)
+	for p.z.next() {
+		p.add()
 	}
 	p.closeTo(-1)
-	p.d.text = p.text.String()
-	p.d.attrs = p.z.attrs
-	p.d.root = Node{p.d, 0}
-	return &p.d.root
+	d := &document{text: p.text.String(), nodes: p.nodes, attrs: p.z.attrs}
+	d.root = Node{d, 0}
+	return &d.root
+}
+
+// countTags counts the '<' in src, and those of them that open an end tag
+// ("</"), eight bytes at a time.
+func countTags(src []byte) (tags, ends int) {
+	const ones = 0x0101010101010101
+	s := src
+	for ; len(s) > 8; s = s[8:] {
+		lt := zeroBytes(binary.LittleEndian.Uint64(s) ^ '<'*ones)
+		if lt == 0 {
+			continue
+		}
+		slash := zeroBytes(binary.LittleEndian.Uint64(s[1:]) ^ '/'*ones)
+		tags += bits.OnesCount64(lt)
+		ends += bits.OnesCount64(lt & slash)
+	}
+	for i, c := range s {
+		if c == '<' {
+			tags++
+			if i+1 < len(s) && s[i+1] == '/' {
+				ends++
+			}
+		}
+	}
+	return tags, ends
+}
+
+// zeroBytes returns x with the high bit of each zero byte set and every
+// other bit clear.
+func zeroBytes(x uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	return ^((x&low7 + low7) | x | low7)
 }
 
 // parser builds a document from the tokenizer's spans.
 type parser struct {
-	z    tokenizer
-	d    *document
-	text strings.Builder // becomes d.text
+	z     tokenizer
+	nodes []node          // becomes the document's nodes
+	text  strings.Builder // becomes the document's text
 	// top is the innermost open element. The open elements are it and its
 	// ancestors, up to the document node.
 	top int32
@@ -269,16 +305,20 @@ type parser struct {
 	scratch []byte
 }
 
-func (p *parser) add(tok token) {
+// add adds the tokenizer's token to the document.
+func (p *parser) add() {
+	tok := &p.z.tok
 	src := p.z.src
-	nodes := p.d.nodes
+	nodes := p.nodes
 	switch tok.typ {
 	case textToken:
 		run := src[tok.data.start:tok.data.end]
 		if !tok.verbatim && bytes.IndexByte(run, '&') >= 0 {
 			run = p.decode(run)
 		}
-		if len(bytes.TrimSpace(run)) == 0 {
+		// A run that starts with a printable ASCII byte is not blank; any
+		// other may be white space alone, which makes no node.
+		if len(run) == 0 || (run[0] <= ' ' || run[0] >= utf8.RuneSelf) && len(bytes.TrimSpace(run)) == 0 {
 			return
 		}
 		p.addNode(node{typ: TextNode, data: p.write(run)})
@@ -326,10 +366,10 @@ func (p *parser) add(tok token) {
 // addNode appends n as the last child of the innermost open element and
 // returns its index. It ends where it starts until it is closed.
 func (p *parser) addNode(n node) int32 {
-	i := int32(len(p.d.nodes))
+	i := int32(len(p.nodes))
 	n.parent = p.top
 	n.end = i + 1
-	p.d.nodes = append(p.d.nodes, n)
+	p.nodes = append(p.nodes, n)
 	return i
 }
 
@@ -337,9 +377,9 @@ func (p *parser) addNode(n node) int32 {
 // them all): each one's subtree ends with the last node added. It is the
 // one place that pops.
 func (p *parser) closeTo(keep int32) {
-	end := int32(len(p.d.nodes))
-	for ; p.top != keep; p.top = p.d.nodes[p.top].parent {
-		p.d.nodes[p.top].end = end
+	end := int32(len(p.nodes))
+	for ; p.top != keep; p.top = p.nodes[p.top].parent {
+		p.nodes[p.top].end = end
 	}
 }
 

@@ -200,6 +200,14 @@ func (z *refTokenizer) tag() (Token, bool) {
 func (z *refTokenizer) markupDeclaration() Token {
 	src := z.src
 	if strings.HasPrefix(string(src[z.pos:]), "<!--") {
+		// "<!-->" and "<!--->" are empty comments (WHATWG's
+		// abrupt-closing-of-empty-comment).
+		for _, empty := range []string{"<!-->", "<!--->"} {
+			if strings.HasPrefix(string(src[z.pos:]), empty) {
+				z.pos += len(empty)
+				return Token{Type: CommentToken}
+			}
+		}
 		end := strings.Index(string(src[z.pos+4:]), "-->")
 		var body string
 		if end < 0 {

@@ -57,6 +57,8 @@ type tokenizer struct {
 	// value a span of src as written. The parser rewrites them in place
 	// into spans of the document's text, and keeps the array.
 	attrs []attr
+	// tok is the token the last call of next read.
+	tok token
 }
 
 // tagID is a tag name's index in tagNames; tagOther is every other name.
@@ -105,23 +107,12 @@ func (s tagBits) has(t tagID) bool { return s&(1<<t) != 0 }
 func tagSet(names string) tagBits {
 	var s tagBits
 	for _, n := range strings.Fields(names) {
-		s |= 1 << tagIDs[n]
+		s |= 1 << lookupTag([]byte(n))
 	}
 	return s
 }
 
 var (
-	tagIDs = func() map[string]tagID {
-		if len(tagNames) > 64 {
-			panic("htmlkit: a tag set holds at most 64 tags")
-		}
-		m := make(map[string]tagID, len(tagNames))
-		for i, n := range tagNames[1:] {
-			m[n] = tagID(i + 1)
-		}
-		return m
-	}()
-
 	// voidTags never have children; their start tag is the whole element.
 	voidTags = tagSet("area base br col embed hr img input link meta param source track wbr")
 
@@ -134,7 +125,7 @@ var (
 			"li": "li", "tr": "tr td th", "td": "td th", "th": "td th",
 			"option": "option", "p": "p", "dt": "dt dd", "dd": "dt dd",
 		} {
-			t[tagIDs[tag]] = tagSet(closes)
+			t[lookupTag([]byte(tag))] = tagSet(closes)
 		}
 		return t
 	}()
@@ -143,16 +134,41 @@ var (
 // maxTagName is the longest name in tagNames.
 const maxTagName = len("blockquote")
 
+// tagByHash maps tagHash of a name in tagNames to its id. Every other slot
+// holds tagOther, whose name is "", so a name outside the table fails the
+// one comparison lookupTag makes.
+var tagByHash = func() (t [256]tagID) {
+	if len(tagNames) > 64 {
+		panic("htmlkit: a tag set holds at most 64 tags")
+	}
+	for i, n := range tagNames[1:] {
+		h := tagHash([]byte(n))
+		if t[h] != tagOther {
+			panic("htmlkit: tags " + n + " and " + tagNames[t[h]] + " share a hash")
+		}
+		t[h] = tagID(i + 1)
+	}
+	return t
+}()
+
+// tagHash hashes a non-empty name by its length and its first, middle and
+// last bytes, whatever their case. The multipliers are chosen so that no
+// two names in tagNames share a slot.
+func tagHash(name []byte) uint8 {
+	n := len(name)
+	return uint8(2*int(name[0]|0x20) + 18*int(name[n/2]|0x20) + 9*int(name[n-1]|0x20) + n)
+}
+
 // lookupTag returns the id of a tag name written in any case, or tagOther.
 func lookupTag(name []byte) tagID {
-	if len(name) > maxTagName {
+	if len(name) == 0 || len(name) > maxTagName {
 		return tagOther
 	}
-	var lower [maxTagName]byte
-	for i, c := range name {
-		lower[i] = toLowerASCII(c)
+	id := tagByHash[tagHash(name)]
+	if !equalFoldASCII(name, tagNames[id]) {
+		return tagOther
 	}
-	return tagIDs[string(lower[:len(name)])]
+	return id
 }
 
 func toLowerASCII(c byte) byte {
@@ -162,41 +178,79 @@ func toLowerASCII(c byte) byte {
 	return c
 }
 
-// next returns the next token and true, or false at end of input.
-func (z *tokenizer) next() (token, bool) {
-	if z.pos >= len(z.src) {
-		return token{}, false
+// Byte classes, one bit each in byteClass, for the tokenizer's loops.
+const (
+	classAlpha    = 1 << iota // starts a tag name: an ASCII letter
+	className                 // continues a tag name: a letter, a digit, '-', '_' or ':'
+	classSpace                // separates attributes: ' ', '\t', '\n', '\r' or '\f'
+	classAttrEnd              // ends an attribute name: a space, '=', '>' or '/'
+	classValueEnd             // ends an unquoted attribute value: a space or '>'
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] |= classAlpha | className
+		t[c-'a'+'A'] |= classAlpha | className
+	}
+	for _, c := range "0123456789-_:" {
+		t[c] |= className
+	}
+	for _, c := range " \t\n\r\f" {
+		t[c] |= classSpace | classAttrEnd | classValueEnd
+	}
+	for _, c := range "=>/" {
+		t[c] |= classAttrEnd
+	}
+	t['>'] |= classValueEnd
+	return t
+}()
+
+func isAlpha(b byte) bool    { return byteClass[b]&classAlpha != 0 }
+func isNameChar(b byte) bool { return byteClass[b]&className != 0 }
+func isSpace(b byte) bool    { return byteClass[b]&classSpace != 0 }
+
+// next reads the next token into z.tok and reports whether there was one.
+func (z *tokenizer) next() bool {
+	src, i := z.src, z.pos
+	if i >= len(src) {
+		return false
 	}
 	if z.rawEnd != tagOther {
-		return z.rawText(), true
+		z.rawText()
+		return true
 	}
-	if z.src[z.pos] == '<' {
-		if tok, ok := z.tag(); ok {
-			return tok, true
+	if src[i] == '<' {
+		if i+1 < len(src) {
+			switch c := src[i+1]; {
+			case isAlpha(c):
+				z.startTag()
+				return true
+			case c == '/':
+				z.endTag()
+				return true
+			case c == '!':
+				z.markupDeclaration()
+				return true
+			}
 		}
 		// A lone '<' that does not open a valid construct: emit it as text
 		// and continue — recovery rather than failure.
 		z.pos++
-		return token{typ: textToken, data: z.span(z.pos-1, z.pos)}, true
+		z.tok = token{typ: textToken, data: span{int32(i), int32(i + 1)}}
+		return true
 	}
-	return z.text(), true
-}
-
-func (z *tokenizer) span(start, end int) span { return span{int32(start), int32(end)} }
-
-// text consumes up to the next '<'.
-func (z *tokenizer) text() token {
-	start := z.pos
-	if i := bytes.IndexByte(z.src[start:], '<'); i >= 0 {
-		z.pos += i
-	} else {
-		z.pos = len(z.src)
+	// A text run: up to the next '<'.
+	end := len(src)
+	if j := bytes.IndexByte(src[i:], '<'); j >= 0 {
+		end = i + j
 	}
-	return token{typ: textToken, data: z.span(start, z.pos)}
+	z.pos = end
+	z.tok = token{typ: textToken, data: span{int32(i), int32(end)}}
+	return true
 }
 
 // rawText consumes everything up to the matching </script> or </style>.
-func (z *tokenizer) rawText() token {
+func (z *tokenizer) rawText() {
 	start := z.pos
 	if idx := indexCloseTag(z.src[start:], tagNames[z.rawEnd]); idx < 0 {
 		z.pos = len(z.src)
@@ -205,7 +259,7 @@ func (z *tokenizer) rawText() token {
 	}
 	z.rawEnd = tagOther
 	// Raw text is kept verbatim (scripts are not entity-decoded).
-	return token{typ: textToken, verbatim: true, data: z.span(start, z.pos)}
+	z.tok = token{typ: textToken, verbatim: true, data: span{int32(start), int32(z.pos)}}
 }
 
 // indexCloseTag returns the index of the first "</name" in s, whatever the
@@ -237,36 +291,26 @@ func equalFoldASCII(b []byte, name string) bool {
 	return true
 }
 
-// tag parses a construct starting with '<'. Returns ok=false when the '<'
-// does not start a tag-like construct.
-func (z *tokenizer) tag() (token, bool) {
-	src := z.src
-	i := z.pos + 1
-	if i >= len(src) {
-		return token{}, false
-	}
-	switch {
-	case src[i] == '!':
-		return z.markupDeclaration(), true
-	case src[i] == '/':
-		return z.endTag(), true
-	case isAlpha(src[i]):
-		return z.startTag(), true
-	default:
-		return token{}, false
-	}
-}
-
 // markupDeclaration handles <!-- comments --> and <!DOCTYPE ...>.
-func (z *tokenizer) markupDeclaration() token {
+func (z *tokenizer) markupDeclaration() {
 	src := z.src
 	if bytes.HasPrefix(src[z.pos:], []byte("<!--")) {
 		body, end := z.pos+4, len(src) // unterminated comment: recover
 		z.pos = len(src)
-		if i := bytes.Index(src[body:], []byte("-->")); i >= 0 {
-			end, z.pos = body+i, body+i+3
+		switch rest := src[body:]; {
+		case bytes.HasPrefix(rest, []byte(">")):
+			// "<!-->" and "<!--->" are empty comments that end at their '>'
+			// (WHATWG's abrupt-closing-of-empty-comment).
+			end, z.pos = body, body+1
+		case bytes.HasPrefix(rest, []byte("->")):
+			end, z.pos = body, body+2
+		default:
+			if i := bytes.Index(rest, []byte("-->")); i >= 0 {
+				end, z.pos = body+i, body+i+3
+			}
 		}
-		return token{typ: commentToken, data: z.span(body, end)}
+		z.tok = token{typ: commentToken, data: span{int32(body), int32(end)}}
+		return
 	}
 	// <!DOCTYPE ...> or any other <!...>: consume to '>'.
 	body, end := z.pos+2, len(src)
@@ -274,50 +318,46 @@ func (z *tokenizer) markupDeclaration() token {
 	if i := bytes.IndexByte(src[body:], '>'); i >= 0 {
 		end, z.pos = body+i, body+i+1
 	}
-	return token{typ: doctypeToken, data: z.span(body, end)}
+	z.tok = token{typ: doctypeToken, data: span{int32(body), int32(end)}}
 }
 
-func (z *tokenizer) endTag() token {
+func (z *tokenizer) endTag() {
 	src := z.src
-	i := z.pos + 2
-	start := i
+	start := z.pos + 2
+	i := start
 	for i < len(src) && isNameChar(src[i]) {
 		i++
 	}
-	tok := token{typ: endTagToken, tag: lookupTag(src[start:i]), data: z.span(start, i)}
+	z.tok = token{typ: endTagToken, tag: lookupTag(src[start:i]), data: span{int32(start), int32(i)}}
 	// Skip to '>' (tolerating junk attributes on end tags).
-	for i < len(src) && src[i] != '>' {
-		i++
+	if j := bytes.IndexByte(src[i:], '>'); j >= 0 {
+		z.pos = i + j + 1
+	} else {
+		z.pos = len(src)
 	}
-	if i < len(src) {
-		i++
-	}
-	z.pos = i
-	return tok
 }
 
-func (z *tokenizer) startTag() token {
+func (z *tokenizer) startTag() {
 	src := z.src
-	i := z.pos + 1
-	start := i
+	start := z.pos + 1
+	i := start
 	for i < len(src) && isNameChar(src[i]) {
 		i++
 	}
-	tok := token{typ: startTagToken, tag: lookupTag(src[start:i]), data: z.span(start, i)}
+	tok := &z.tok
+	*tok = token{typ: startTagToken, tag: lookupTag(src[start:i]), data: span{int32(start), int32(i)}}
 	tok.attrs.start = int32(len(z.attrs))
-	for {
-		// Skip whitespace.
-		for i < len(src) && isSpace(src[i]) {
+	for i < len(src) {
+		c := src[i]
+		if isSpace(c) {
 			i++
+			continue
 		}
-		if i >= len(src) {
-			break // unterminated tag: recover by closing it here
-		}
-		if src[i] == '>' {
+		if c == '>' {
 			i++
 			break
 		}
-		if src[i] == '/' {
+		if c == '/' {
 			i++
 			if i < len(src) && src[i] == '>' {
 				i++
@@ -328,14 +368,14 @@ func (z *tokenizer) startTag() token {
 		}
 		// Attribute name.
 		aStart := i
-		for i < len(src) && !isSpace(src[i]) && src[i] != '=' && src[i] != '>' && src[i] != '/' {
+		for i < len(src) && byteClass[src[i]]&classAttrEnd == 0 {
 			i++
 		}
 		if i == aStart {
-			i++ // stray byte; skip to make progress
+			i++ // a stray '='; skip to make progress
 			continue
 		}
-		a := attr{name: z.span(aStart, i)}
+		a := attr{name: span{int32(aStart), int32(i)}}
 		// Optional value.
 		for i < len(src) && isSpace(src[i]) {
 			i++
@@ -348,20 +388,18 @@ func (z *tokenizer) startTag() token {
 			if i < len(src) && (src[i] == '"' || src[i] == '\'') {
 				q := src[i]
 				i++
-				vStart := i
-				for i < len(src) && src[i] != q {
-					i++
+				vEnd := len(src) // unterminated value: recover
+				if j := bytes.IndexByte(src[i:], q); j >= 0 {
+					vEnd = i + j
 				}
-				a.value = z.span(vStart, i)
-				if i < len(src) {
-					i++ // closing quote
-				}
+				a.value = span{int32(i), int32(vEnd)}
+				i = min(vEnd+1, len(src)) // past the closing quote
 			} else {
 				vStart := i
-				for i < len(src) && !isSpace(src[i]) && src[i] != '>' {
+				for i < len(src) && byteClass[src[i]]&classValueEnd == 0 {
 					i++
 				}
-				a.value = z.span(vStart, i)
+				a.value = span{int32(vStart), int32(i)}
 			}
 		}
 		z.attrs = append(z.attrs, a)
@@ -371,17 +409,4 @@ func (z *tokenizer) startTag() token {
 	if tok.typ == startTagToken && (tok.tag == tagScript || tok.tag == tagStyle) {
 		z.rawEnd = tok.tag
 	}
-	return tok
-}
-
-func isAlpha(b byte) bool {
-	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z'
-}
-
-func isNameChar(b byte) bool {
-	return isAlpha(b) || b >= '0' && b <= '9' || b == '-' || b == '_' || b == ':'
-}
-
-func isSpace(b byte) bool {
-	return b == ' ' || b == '\t' || b == '\n' || b == '\r' || b == '\f'
 }

@@ -16,11 +16,8 @@ func tokens(t *testing.T, src string) []Token {
 	z := tokenizer{src: []byte(src)}
 	str := func(s span) string { return string(z.src[s.start:s.end]) }
 	var out []Token
-	for {
-		tok, ok := z.next()
-		if !ok {
-			return out
-		}
+	for z.next() {
+		tok := z.tok
 		out = append(out, Token{Type: TokenType(tok.typ), Data: str(tok.data)})
 		last := &out[len(out)-1]
 		switch tok.typ {
@@ -39,6 +36,7 @@ func tokens(t *testing.T, src string) []Token {
 			}
 		}
 	}
+	return out
 }
 
 func TestTokenizeBasic(t *testing.T) {
@@ -127,11 +125,7 @@ func TestTokenizeMalformed(t *testing.T) {
 	for _, src := range cases {
 		z := tokenizer{src: []byte(src)}
 		n := 0
-		for {
-			_, ok := z.next()
-			if !ok {
-				break
-			}
+		for z.next() {
 			if n++; n > 1000 {
 				t.Fatalf("tokenizer did not terminate on %q", src)
 			}
@@ -150,7 +144,7 @@ func TestTokenizeNeverPanics(t *testing.T) {
 		}()
 		z := tokenizer{src: b}
 		for i := 0; ; i++ {
-			if _, more := z.next(); !more {
+			if !z.next() {
 				break
 			}
 			if i > len(b)+10 {
@@ -178,7 +172,7 @@ func TestTokenizeHTMLSoup(t *testing.T) {
 		}
 		z := tokenizer{src: b}
 		for i := 0; ; i++ {
-			if _, ok := z.next(); !ok {
+			if !z.next() {
 				break
 			}
 			if i > n+10 {
@@ -215,5 +209,48 @@ func TestEscapeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEmptyCommentEndsAtItsBracket: "<!-->" and "<!--->" are empty
+// comments that end at their '>' (WHATWG's abrupt-closing-of-empty-comment),
+// not comments that run to the next "-->" and swallow the page between.
+func TestEmptyCommentEndsAtItsBracket(t *testing.T) {
+	for _, src := range []string{"<!--><a href=/x>x</a>", "<!---><a href=/x>x</a>"} {
+		links := Scan(Parse([]byte(src)), "http://site.example/").Links
+		if want := []Link{{Name: "x", Address: "http://site.example/x"}}; !reflect.DeepEqual(links, want) {
+			t.Errorf("Scan(%q).Links = %v, want %v", src, links, want)
+		}
+		if toks := tokens(t, src); len(toks) == 0 || toks[0].Type != CommentToken || toks[0].Data != "" {
+			t.Errorf("%q: first token %v, want an empty comment", src, toks)
+		}
+	}
+}
+
+// TestLookupTag: every name in tagNames maps to its id however it is
+// written, and a name near one — a byte longer or shorter, a byte outside
+// a name, too long for any — maps to tagOther.
+func TestLookupTag(t *testing.T) {
+	for i, name := range tagNames[1:] {
+		id := tagID(i + 1)
+		mixed := []byte(name)
+		for k := 0; k < len(mixed); k += 2 {
+			mixed[k] = strings.ToUpper(name)[k]
+		}
+		for _, written := range []string{name, strings.ToUpper(name), string(mixed)} {
+			if got := lookupTag([]byte(written)); got != id {
+				t.Errorf("lookupTag(%q) = %d (%q), want %d", written, got, tagNames[got], id)
+			}
+		}
+		for _, near := range []string{name + "x", name[:len(name)-1], name[:len(name)-1] + "\x00", name + "-" + name} {
+			if got := lookupTag([]byte(near)); got != tagOther && tagNames[got] != near {
+				t.Errorf("lookupTag(%q) = %d (%q), want tagOther", near, got, tagNames[got])
+			}
+		}
+	}
+	for _, name := range []string{"", "blockquotes", "\x80", "tab le", "ta\xc3\x9fle"} {
+		if got := lookupTag([]byte(name)); got != tagOther {
+			t.Errorf("lookupTag(%q) = %d (%q), want tagOther", name, got, tagNames[got])
+		}
 	}
 }

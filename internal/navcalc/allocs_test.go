@@ -29,7 +29,7 @@ func TestPageToObjectsAllocs(t *testing.T) {
 	for i, p := range pages {
 		docs[i] = htmlkit.Parse(p.body)
 	}
-	const ceiling = 1260 // 1146 when set; 1203 over the tree parser's pointer nodes; 10266 before the view was slice-backed
+	const ceiling = 1160 // 1052 when set; 1146 while every resolver parsed its base with net/url; 1203 over the tree parser's pointer nodes; 10266 before the view was slice-backed
 	got := testing.AllocsPerRun(20, func() {
 		for i, p := range pages {
 			navcalc.PageToObjects(docs[i], p.url)
@@ -122,7 +122,7 @@ func TestFollowAllocs(t *testing.T) {
 		}
 		reached = out.State.(*navcalc.BrowseState).URL()
 	}
-	const ceiling = 46 // 42 when set; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
+	const ceiling = 39 // 35 when set; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + haslink + follow to %s: %.0f allocations (ceiling %d)", reached, got, ceiling)
 	if reached == page.url {
@@ -174,7 +174,7 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 		}
 		tuples = len(out.State.(*navcalc.BrowseState).Collected())
 	}
-	const ceiling = 53 // 48 when set; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
+	const ceiling = 44 // 40 when set; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + isdata + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
 	if tuples == 0 {

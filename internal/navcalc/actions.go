@@ -54,7 +54,7 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 			continue
 		}
 		matched = true
-		nb, err := b.navigate(web.NewGet(l.Address))
+		nb, err := b.navigate(web.NewGet(l.Address), b.inputFree && a.fromVar == "")
 		if err != nil {
 			if isFatalNav(err) {
 				return nil, err
@@ -150,7 +150,7 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 			return nil, nil
 		}
 	}
-	nb, err := b.navigate(web.NewSubmit(form.Action, form.Method, values))
+	nb, err := b.navigate(web.NewSubmit(form.Action, form.Method, values), b.inputFree && a.constant())
 	if err != nil {
 		if isFatalNav(err) {
 			return nil, err
@@ -158,6 +158,12 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 		return nil, nil // submission rejected: soft failure
 	}
 	return []tlogic.Outcome{{State: nb, Env: env}}, nil
+}
+
+// constant reports whether every fill is a constant: no input binding
+// changes what the submission sends.
+func (a submitForm) constant() bool {
+	return !slices.ContainsFunc(a.fills, func(f FieldFill) bool { return f.Const == "" })
 }
 
 // isFatalNav reports whether a navigation error must abort the whole

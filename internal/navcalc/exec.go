@@ -66,7 +66,7 @@ func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs m
 		}
 		start = v
 	}
-	st, err := NewBrowseStateContext(ctx, f, start, e.Schema, e.MaxPages)
+	st, err := newBrowseState(ctx, f, start, e.Schema, e.MaxPages, e.StartURLVar == "")
 	if err != nil {
 		return nil, nil, fmt.Errorf("navcalc: fetching start page of %s: %w", e.Name, err)
 	}

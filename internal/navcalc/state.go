@@ -76,6 +76,12 @@ type BrowseState struct {
 	query   *web.Query  // the query navigating, nil outside one; keeps the pages it reads twice
 	budget  *pageBudget // shared across clones
 	*page               // shared across clones
+	// inputFree: no input binding can change the current page's request.
+	// It was reached from a fixed start URL by literal follows and by
+	// submits whose every fill is a constant — the navigation-independence
+	// rule applied to one request — so its parsed page is kept on the
+	// cached response (fetch).
+	inputFree bool
 
 	schema    relation.Schema
 	collected []relation.Tuple
@@ -86,6 +92,9 @@ type BrowseState struct {
 // them does — or, for a page its query has read twice, when the query ends
 // (web.Query.Load): such a page is shared by every execution of the query
 // that reaches it, so whatever is built on first use is built under a lock.
+// The page of an input-free request lives on its response instead, as long
+// as the cache entry holding that response, shared by every query that
+// reaches it (DESIGN.md §6).
 //
 // Load only parses. The links-and-forms scan is built when a step first
 // reads a link or form: a page that is only extracted never builds it. No
@@ -132,12 +141,20 @@ func NewBrowseState(f web.Fetcher, startURL string, schema relation.Schema) (*Br
 // budget (0 = unlimited).
 func NewBrowseStateContext(ctx context.Context, f web.Fetcher, startURL string,
 	schema relation.Schema, maxPages int) (*BrowseState, error) {
+	return newBrowseState(ctx, f, startURL, schema, maxPages, false)
+}
+
+// newBrowseState is NewBrowseStateContext for a start URL that is, or is
+// not, fixed by the expression rather than supplied as an input.
+func newBrowseState(ctx context.Context, f web.Fetcher, startURL string,
+	schema relation.Schema, maxPages int, inputFree bool) (*BrowseState, error) {
 	st := &BrowseState{
-		ctx:     ctx,
-		fetcher: f,
-		query:   web.QueryFrom(ctx),
-		budget:  &pageBudget{max: maxPages},
-		schema:  schema,
+		ctx:       ctx,
+		fetcher:   f,
+		query:     web.QueryFrom(ctx),
+		budget:    &pageBudget{max: maxPages},
+		inputFree: inputFree,
+		schema:    schema,
 	}
 	if err := st.load(web.NewGet(startURL)); err != nil {
 		return nil, err
@@ -190,6 +207,9 @@ func (b *BrowseState) load(req *web.Request) error {
 }
 
 // fetch loads req through the fetch stack and derives its *page, ending sp.
+// The page of an input-free request is parsed once per response and kept
+// on it (web.Response.Derived): every query that reaches the cache entry
+// reads that page. Every other visit parses its own.
 func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (any, error) {
 	// The navigation context always rides the request (the retry, breaker
 	// and outage-memo middlewares consult it for cancellation and per-query
@@ -213,7 +233,15 @@ func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (any, error) {
 		return nil, web.MarkSiteAnswer(fmt.Errorf("navcalc: %s returned status %d", req.URL, resp.Status))
 	}
 	sp.End()
-	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.Parse(resp.Body)}, nil
+	if b.inputFree {
+		return resp.Derived(func() any { return newPage(resp) }), nil
+	}
+	return newPage(resp), nil
+}
+
+// newPage parses resp.
+func newPage(resp *web.Response) *page {
+	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.Parse(resp.Body)}
 }
 
 // Clone implements tlogic.State. The page and the collected tuples are
@@ -265,9 +293,10 @@ func (b *BrowseState) Relation(name string) *relation.Relation {
 }
 
 // navigate returns a successor state on the page reached by req, carrying
-// the collected tuples forward.
-func (b *BrowseState) navigate(req *web.Request) (*BrowseState, error) {
+// the collected tuples forward; inputFree says whether req is input-free.
+func (b *BrowseState) navigate(req *web.Request, inputFree bool) (*BrowseState, error) {
 	nb := b.Clone().(*BrowseState)
+	nb.inputFree = inputFree
 	if err := nb.load(req); err != nil {
 		b.budget.lastErr = err
 		return nil, err

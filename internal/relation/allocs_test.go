@@ -19,7 +19,8 @@ func TestValueSize(t *testing.T) {
 // tuple positions and carve new rows from one slab, so each allocates a
 // fixed number of times whatever the tuple count: the same at 16 tuples as
 // at 256, and no more than its ceiling. Project's count includes the
-// attribute list its variadic call builds.
+// attribute list its variadic call builds. Select allocates its result,
+// and a list of survivors only when some tuple fails.
 func TestOpsAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -50,6 +51,8 @@ func TestOpsAllocs(t *testing.T) {
 			m.Add(perm)
 		}},
 		{"NaturalJoin", 9, func(r, _, other *Relation) { r.NaturalJoin(other) }},
+		{"Select (all pass)", 1, func(r, _, _ *Relation) { r.Select(func(Tuple) bool { return true }) }},
+		{"Select (some fail)", 2, func(r, _, _ *Relation) { r.Select(func(t Tuple) bool { return t[2].Compare(Float(3)) != 0 }) }},
 	}
 	small := [3]*Relation{}
 	small[0], small[1], small[2] = build(16)

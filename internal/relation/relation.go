@@ -174,15 +174,24 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	return out, nil
 }
 
-// Select returns the tuples of r satisfying pred.
+// Select returns the tuples of r satisfying pred. When every tuple does,
+// the result shares r's list, clipped to cap == len so that an insert
+// into either copies it; otherwise the first rejected tuple makes the
+// result one list of r's length.
 func (r *Relation) Select(pred func(Tuple) bool) *Relation {
-	out := New(r.name, r.schema)
-	for _, t := range r.tuples {
+	for i, t := range r.tuples {
 		if pred(t) {
-			out.tuples = append(out.tuples, t)
+			continue
 		}
+		kept := append(make([]Tuple, 0, len(r.tuples)), r.tuples[:i]...)
+		for _, t := range r.tuples[i+1:] {
+			if pred(t) {
+				kept = append(kept, t)
+			}
+		}
+		return &Relation{name: r.name, schema: r.schema, tuples: kept}
 	}
-	return out
+	return &Relation{name: r.name, schema: r.schema, tuples: slices.Clip(r.tuples)}
 }
 
 // SelectEq returns the tuples whose attr equals val. Selecting on an

@@ -124,9 +124,7 @@ func TestUnencodableDeliveryEndsStream(t *testing.T) {
 		if err != nil || !resp.OK() {
 			return resp, err
 		}
-		out := *resp
-		out.Body = phone.ReplaceAll(resp.Body, []byte("NaN"))
-		return &out, nil
+		return &web.Response{Status: resp.Status, URL: resp.URL, Body: phone.ReplaceAll(resp.Body, []byte("NaN"))}, nil
 	})
 	ts, _ := newCarServer(t, core.Config{Fetcher: nanContacts, Workers: 4}, Config{})
 	resp := postQuery(t, ts.URL, "", wideQuery)

@@ -61,8 +61,10 @@ func TestPageTierInvalidateSurvivesRestart(t *testing.T) {
 	// Entries stored after the invalidation live under the new generation.
 	pt2.Store("k", web.HTML("http://x.test/", "new design"), time.Unix(2, 0))
 	pt2.Flush()
-	if got, _, ok := pt2.Load("k"); !ok || string(got.Body) != "new design" {
-		t.Fatalf("post-invalidate store not served: %v %q", ok, got)
+	if got, _, ok := pt2.Load("k"); !ok {
+		t.Fatal("post-invalidate store not served")
+	} else if string(got.Body) != "new design" {
+		t.Fatalf("post-invalidate store served %q", got.Body)
 	}
 }
 
@@ -115,8 +117,10 @@ func TestPageTierCorruptEntryIsMissAndCollected(t *testing.T) {
 	// The memory tier refills over it as if it were a plain miss.
 	pt.Store("k", web.HTML("http://x.test/", "refill"), time.Unix(2, 0))
 	pt.Flush()
-	if got, _, ok := pt.Load("k"); !ok || string(got.Body) != "refill" {
-		t.Fatalf("refill after corruption failed: %v %q", ok, got)
+	if got, _, ok := pt.Load("k"); !ok {
+		t.Fatal("refill after corruption not served")
+	} else if string(got.Body) != "refill" {
+		t.Fatalf("refill after corruption served %q", got.Body)
 	}
 }
 

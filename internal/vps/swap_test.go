@@ -132,9 +132,8 @@ func TestSwapDuringConcurrentQueries(t *testing.T) {
 	bothDesigns := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		resp, err := world.Server.Fetch(req)
 		if err == nil {
-			cp := *resp
-			cp.Body = bytes.Replace(resp.Body, []byte(rw.Old), []byte(both), 1)
-			resp = &cp
+			resp = &web.Response{Status: resp.Status, URL: resp.URL,
+				Body: bytes.Replace(resp.Body, []byte(rw.Old), []byte(both), 1)}
 		}
 		return resp, err
 	})

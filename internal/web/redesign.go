@@ -54,7 +54,7 @@ func (r *Redesign) Fetch(req *Request) (*Response, error) {
 	for _, rw := range rws {
 		body = strings.ReplaceAll(body, rw.Old, rw.New)
 	}
-	rewritten := *resp
-	rewritten.Body = []byte(body)
-	return &rewritten, err
+	// A Response of its own, not a copy: a copy would carry the value
+	// derived from the original bytes (Response.Derived).
+	return &Response{Status: resp.Status, URL: resp.URL, Body: []byte(body)}, err
 }

@@ -3,6 +3,8 @@ package web
 import (
 	"strings"
 	"testing"
+
+	"webbase/internal/htmlkit"
 )
 
 // TestRedesignRewritesOnlyWhenActive: before Activate the double is
@@ -55,5 +57,35 @@ func TestRedesignLeavesOtherHostsAlone(t *testing.T) {
 	}
 	if !strings.Contains(string(resp.Body), "Automobiles") {
 		t.Fatalf("redesign leaked onto another host: %s", resp.Body)
+	}
+}
+
+// TestRedesignedPageParsedFromNewBytes: a response whose parsed page is
+// already built (Response.Derived), passed through an active redesign,
+// yields a response whose page is parsed from the rewritten bytes. A
+// by-value copy of the original would carry the original's page.
+func TestRedesignedPageParsedFromNewBytes(t *testing.T) {
+	orig := HTML("http://a.example/", `<html><a href="/auto">Automobiles</a></html>`)
+	links := func(r *Response) []htmlkit.Link {
+		doc := r.Derived(func() any { return htmlkit.Parse(r.Body) }).(*htmlkit.Node)
+		return htmlkit.Scan(doc, r.URL).Links
+	}
+	if got := links(orig); len(got) != 1 || got[0].Name != "Automobiles" {
+		t.Fatalf("original page links %v", got)
+	}
+	rd := &Redesign{
+		Inner:    FetcherFunc(func(*Request) (*Response, error) { return orig, nil }),
+		Rewrites: map[string][]Rewrite{"a.example": {{Old: ">Automobiles<", New: ">Cars and Trucks<"}}},
+	}
+	rd.Activate()
+	resp, err := rd.Fetch(NewGet("http://a.example/"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := links(resp); len(got) != 1 || got[0].Name != "Cars and Trucks" {
+		t.Errorf("redesigned page links %v, want the one named Cars and Trucks", got)
+	}
+	if resp.Status != orig.Status || resp.URL != orig.URL {
+		t.Errorf("redesigned response is %d %s, want %d %s", resp.Status, resp.URL, orig.Status, orig.URL)
 	}
 }

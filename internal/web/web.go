@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Request is a page request: following a link issues a GET with no form
@@ -106,11 +107,50 @@ func (r *Request) Param(name string) string {
 	return ""
 }
 
-// Response is a fetched page.
+// Response is a fetched page. It is handed around by pointer, never
+// copied: the value derived from its body (Derived) belongs to its bytes.
 type Response struct {
 	Status int    // HTTP-style status code
 	URL    string // final URL (after any redirect collapsing)
 	Body   []byte // page bytes, typically HTML
+
+	derived derived
+}
+
+// derived is the one value a Response's body is turned into (Derived).
+// Its sync.Once is also what makes go vet's copylocks check flag a
+// Response copied by value: the copy would carry a value derived from the
+// original's bytes, whatever bytes it is given.
+type derived struct {
+	once  sync.Once
+	built atomic.Bool // v is set
+	v     any
+}
+
+// Derived returns the value build makes of the response, calling build on
+// first use only: every later call, and every call racing the first, is
+// handed what that one call built. build reads nothing but the response.
+//
+// A cache hit hands every query the same *Response, so a derived value
+// lives exactly as long as the cache entry holding its bytes: Cache.Clear,
+// a refetch and a durable-tier load each bring a Response of their own.
+// The navigation layer keeps the parsed page of an input-free request here
+// (DESIGN.md §6).
+func (r *Response) Derived(build func() any) any {
+	r.derived.once.Do(func() {
+		r.derived.v = build()
+		r.derived.built.Store(true)
+	})
+	return r.derived.v
+}
+
+// PeekDerived returns the value Derived has built, and false while none
+// has been.
+func (r *Response) PeekDerived() (any, bool) {
+	if !r.derived.built.Load() {
+		return nil, false
+	}
+	return r.derived.v, true
 }
 
 // OK reports whether the response is a success.

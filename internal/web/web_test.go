@@ -268,3 +268,39 @@ func TestHostOf(t *testing.T) {
 		}
 	}
 }
+
+// TestResponseDerivedBuiltOnce: callers racing on a response's first
+// Derived call share the one value a single build made, and PeekDerived
+// sees it only once it is built. Run under -race.
+func TestResponseDerivedBuiltOnce(t *testing.T) {
+	resp := HTML("http://a.example/", "<html>a</html>")
+	if v, ok := resp.PeekDerived(); ok || v != nil {
+		t.Fatalf("PeekDerived before any build = %v, %v", v, ok)
+	}
+	var builds int
+	const callers = 8
+	got := make([]any, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = resp.Derived(func() any {
+				builds++ // a second build races the first
+				return new(string)
+			})
+		}(i)
+	}
+	wg.Wait()
+	if builds != 1 {
+		t.Fatalf("%d builds, want 1", builds)
+	}
+	for i := range got {
+		if got[i] != got[0] {
+			t.Errorf("caller %d got a value of its own", i)
+		}
+	}
+	if v, ok := resp.PeekDerived(); !ok || v != got[0] {
+		t.Errorf("PeekDerived after the build = %v, %v; want the built value", v, ok)
+	}
+}

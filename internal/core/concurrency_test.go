@@ -237,10 +237,10 @@ func TestQueryCancellationStopsFetches(t *testing.T) {
 // TestPopulateAllDuplicateNamesDeterministic is the regression test for
 // the sweep-ordering hazard: with duplicate relation names, the old
 // unstable sort could interleave slots in scheduler-dependent order. The
-// stable sort pins submission order among equals, so repeated parallel
-// sweeps agree with each other and with the sequential baseline.
+// stable sort pins submission order among equals, so repeated sweeps at
+// Workers 8 agree with each other and with the sweep at Workers 1.
 func TestPopulateAllDuplicateNamesDeterministic(t *testing.T) {
-	wb, _ := newTestWebbase(t)
+	wb := newWorkersWebbase(t, 8)
 	rels := []string{"kellys", "newsday", "kellys", "autoWeb", "newsday", "kellys"}
 	inputs := map[string]relation.Value{
 		"Make": relation.String("ford"), "Model": relation.String("escort"),
@@ -259,7 +259,7 @@ func TestPopulateAllDuplicateNamesDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	want := render(wb.PopulateSequential(rels, inputs))
+	want := render(newWorkersWebbase(t, 1).PopulateAll(rels, inputs))
 	for i := 0; i < 5; i++ {
 		if got := render(wb.PopulateAll(rels, inputs)); got != want {
 			t.Fatalf("sweep %d ordering diverged:\n got %s\nwant %s", i, got, want)

@@ -683,18 +683,6 @@ func (wb *Webbase) PopulateAllContext(ctx context.Context, relations []string, i
 	return results
 }
 
-// PopulateSequential is the sequential baseline of PopulateAll, used by
-// the parallelization experiment.
-func (wb *Webbase) PopulateSequential(relations []string, inputs map[string]relation.Value) []SiteResult {
-	results := make([]SiteResult, len(relations))
-	for i, name := range relations {
-		rel, _, err := wb.Registry.Populate(wb.stack.Fetcher, name, inputs)
-		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}
-	}
-	sortSiteResults(results)
-	return results
-}
-
 // sortSiteResults orders sweep results by relation name, stably: inputs
 // naming the same relation twice keep their submission order instead of
 // landing in whichever order the unstable sort's pivoting produced.

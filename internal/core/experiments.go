@@ -9,7 +9,6 @@ import (
 
 	"webbase/internal/algebra"
 	"webbase/internal/carmaps"
-	"webbase/internal/flogic"
 	"webbase/internal/htmlkit"
 	"webbase/internal/mapbuilder"
 	"webbase/internal/navcalc"
@@ -91,11 +90,9 @@ func Figure2() (text, dot string) {
 // Figure3 renders the F-logic signatures of the common WWW data
 // structures.
 func Figure3() string {
-	st := flogic.NewStore()
-	navcalc.DeclareWWWSignatures(st)
 	var sb strings.Builder
 	sb.WriteString("Figure 3: Common WWW Data Structures (F-logic signatures)\n")
-	for _, sig := range st.Signatures() {
+	for _, sig := range navcalc.WWWSignatures {
 		fmt.Fprintf(&sb, "  %s\n", sig)
 	}
 	return sb.String()

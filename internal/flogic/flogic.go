@@ -7,6 +7,10 @@
 // paper's →) attributes and set-valued (the paper's ⇒) attributes. Class
 // signatures declare the types of attributes and are checked against
 // object states, mirroring the paper's double-shafted signature arrows.
+//
+// The package is the model's plain definition: maps, written for clarity.
+// No query reads it; the map builder counts its objects (Section 7) and
+// the tests hold the navigation steps to it.
 package flogic
 
 import (
@@ -63,115 +67,53 @@ func (t Term) String() string {
 // Equal reports term equality.
 func (t Term) Equal(o Term) bool { return t == o }
 
-// factKind says what a fact asserts about its object.
-type factKind uint8
-
-const (
-	factIsA    factKind = iota // o : name
-	factFunct                  // o[name → val]
-	factMember                 // o[name ⇒ val], one member of the set
-)
-
-// fact is one assertion about an object. An object's state is the list of
-// its facts in assertion order; the handful a page object carries is
-// cheaper to scan than to hash. The value is kept packed — a Term is half
-// again as large, and a page's facts are most of what its store weighs.
-type fact struct {
-	name string // class or attribute name
-	str  string // the value's Str or Ref
-	num  int64  // the value's Int
-	kind factKind
-	term TermKind
-}
-
-func newFact(kind factKind, name string, val Term) fact {
-	f := fact{kind: kind, name: name}
-	f.set(val)
-	return f
-}
-
-func (f *fact) set(val Term) {
-	f.term, f.num, f.str = val.Kind, val.Int, val.Str
-	if val.Kind == TermRef {
-		f.str = string(val.Ref)
-	}
-}
-
-func (f *fact) val() Term {
-	if f.term == TermRef {
-		return Term{Kind: TermRef, Int: f.num, Ref: OID(f.str)}
-	}
-	return Term{Kind: f.term, Int: f.num, Str: f.str}
-}
-
-// Object is one F-logic object.
+// Object is one F-logic object: its id, its classes, its functional
+// attributes and the members of its set-valued attributes in assertion
+// order.
 type Object struct {
-	ID    OID
-	facts []fact
+	ID      OID
+	classes map[string]bool
+	funct   map[string]Term
+	sets    map[string][]Term
 }
 
-// names returns the distinct names of the object's facts of one kind,
-// sorted.
-func (o *Object) names(kind factKind) []string {
+// sortedKeys returns the keys of m, sorted (nil when m is empty).
+func sortedKeys[V any](m map[string]V) []string {
 	var out []string
-	for i := range o.facts {
-		if f := &o.facts[i]; f.kind == kind && !slices.Contains(out, f.name) {
-			out = append(out, f.name)
-		}
+	for k := range m {
+		out = append(out, k)
 	}
 	slices.Sort(out)
 	return out
 }
 
-// find returns the object's first fact of the kind with the name, or nil.
-func (o *Object) find(kind factKind, name string) *fact {
-	for i := range o.facts {
-		if f := &o.facts[i]; f.kind == kind && f.name == name {
-			return f
-		}
-	}
-	return nil
-}
-
 // Classes returns the direct classes of the object, sorted.
-func (o *Object) Classes() []string { return o.names(factIsA) }
+func (o *Object) Classes() []string { return sortedKeys(o.classes) }
 
 // Get returns the functional attribute's value.
 func (o *Object) Get(attr string) (Term, bool) {
-	if f := o.find(factFunct, attr); f != nil {
-		return f.val(), true
-	}
-	return Term{}, false
+	v, ok := o.funct[attr]
+	return v, ok
 }
 
 // GetAll returns the set-valued attribute's members in assertion order
 // (nil when absent).
-func (o *Object) GetAll(attr string) []Term {
-	var out []Term
-	for i := range o.facts {
-		if f := &o.facts[i]; f.kind == factMember && f.name == attr {
-			out = append(out, f.val())
-		}
-	}
-	return out
-}
+func (o *Object) GetAll(attr string) []Term { return slices.Clone(o.sets[attr]) }
 
 // FunctAttrs returns the names of the functional attributes, sorted.
-func (o *Object) FunctAttrs() []string { return o.names(factFunct) }
+func (o *Object) FunctAttrs() []string { return sortedKeys(o.funct) }
 
 // SetAttrs returns the names of the set-valued attributes, sorted.
-func (o *Object) SetAttrs() []string { return o.names(factMember) }
+func (o *Object) SetAttrs() []string { return sortedKeys(o.sets) }
 
 // AttrCount returns the total number of attribute assertions on the
 // object: functional attributes count one each, set-valued attributes one
 // per member. The map-builder statistics of Section 7 are counted in these
 // units.
 func (o *Object) AttrCount() int {
-	n := 0
-	for i := range o.facts {
-		if o.facts[i].kind != factIsA {
-			n++
-		}
+	n := len(o.funct)
+	for _, members := range o.sets {
+		n += len(members)
 	}
 	return n
 }
@@ -219,51 +161,22 @@ func (s *Signature) String() string {
 	return sb.String()
 }
 
-// schema is the part of a store that every store derived from it shares:
-// the class signatures and the subclass lattice.
-type schema struct {
-	signatures map[string]*Signature
-	supers     map[string][]string // class → direct superclasses
-}
-
-// factWindow is how many facts of each object live in the store's fact
-// slab; a link or action object of Figure 3 has exactly this many. Further
-// facts spill to the object's own slice.
-const factWindow = 3
-
 // Store is a collection of F-logic objects with class signatures and a
 // subclass lattice. A Store is the object half of a navigation-calculus
 // database state.
 type Store struct {
-	*schema
-	byID  map[OID]*Object
-	order []*Object // in creation order
-	// Objects and their first facts are carved from slabs, so that a store
-	// costs a few allocations however many objects it holds. A full slab is
-	// replaced, never grown: pointers into it stay valid.
-	objSlab  []Object
-	factSlab []fact
+	signatures map[string]*Signature
+	supers     map[string][]string // class → direct superclasses
+	byID       map[OID]*Object
+	order      []*Object // in creation order
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	st := &Store{schema: &schema{
+	return &Store{
 		signatures: make(map[string]*Signature),
 		supers:     make(map[string][]string),
-	}}
-	return st.Fresh(0)
-}
-
-// Fresh returns an empty store with room for n objects over st's signatures
-// and subclass lattice. Those are schema, not state: every store derived
-// from st shares them, so declare them before deriving.
-func (st *Store) Fresh(n int) *Store {
-	return &Store{
-		schema:   st.schema,
-		byID:     make(map[OID]*Object, n),
-		order:    make([]*Object, 0, n),
-		objSlab:  make([]Object, 0, n),
-		factSlab: make([]fact, 0, n*factWindow),
+		byID:       make(map[OID]*Object),
 	}
 }
 
@@ -279,27 +192,18 @@ func (st *Store) DeclareSubclass(sub, super string) {
 // Signatures returns all declared signatures sorted by class name.
 func (st *Store) Signatures() []*Signature {
 	out := make([]*Signature, 0, len(st.signatures))
-	for _, s := range st.signatures {
-		out = append(out, s)
+	for _, class := range sortedKeys(st.signatures) {
+		out = append(out, st.signatures[class])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
 }
 
-// Put creates (or returns the existing) object with the given id.
-func (st *Store) Put(id OID) *Object {
+// object returns the object with the given id, creating it if need be.
+func (st *Store) object(id OID) *Object {
 	if o, ok := st.byID[id]; ok {
 		return o
 	}
-	if len(st.objSlab) == cap(st.objSlab) {
-		n := max(2*cap(st.objSlab), 8)
-		st.objSlab = make([]Object, 0, n)
-		st.factSlab = make([]fact, 0, n*factWindow)
-	}
-	k := len(st.factSlab)
-	st.factSlab = st.factSlab[:k+factWindow]
-	st.objSlab = append(st.objSlab, Object{ID: id, facts: st.factSlab[k : k : k+factWindow]})
-	o := &st.objSlab[len(st.objSlab)-1]
+	o := &Object{ID: id, classes: map[string]bool{}, funct: map[string]Term{}, sets: map[string][]Term{}}
 	st.byID[id] = o
 	st.order = append(st.order, o)
 	return o
@@ -312,33 +216,18 @@ func (st *Store) Get(id OID) *Object { return st.byID[id] }
 func (st *Store) Len() int { return len(st.order) }
 
 // AddClass asserts id : class.
-func (st *Store) AddClass(id OID, class string) {
-	o := st.Put(id)
-	if o.find(factIsA, class) == nil {
-		o.facts = append(o.facts, fact{kind: factIsA, name: class})
-	}
-}
+func (st *Store) AddClass(id OID, class string) { st.object(id).classes[class] = true }
 
 // SetAttr asserts the functional attribute id[attr → val].
-func (st *Store) SetAttr(id OID, attr string, val Term) {
-	o := st.Put(id)
-	if f := o.find(factFunct, attr); f != nil {
-		f.set(val)
-		return
-	}
-	o.facts = append(o.facts, newFact(factFunct, attr, val))
-}
+func (st *Store) SetAttr(id OID, attr string, val Term) { st.object(id).funct[attr] = val }
 
 // AddAttr asserts membership in the set-valued attribute id[attr ⇒ val],
 // deduplicating.
 func (st *Store) AddAttr(id OID, attr string, val Term) {
-	o := st.Put(id)
-	for i := range o.facts {
-		if f := &o.facts[i]; f.kind == factMember && f.name == attr && f.val().Equal(val) {
-			return
-		}
+	o := st.object(id)
+	if !slices.Contains(o.sets[attr], val) {
+		o.sets[attr] = append(o.sets[attr], val)
 	}
-	o.facts = append(o.facts, newFact(factMember, attr, val))
 }
 
 // IsA reports whether the object belongs to the class, directly or through
@@ -349,26 +238,23 @@ func (st *Store) IsA(id OID, class string) bool {
 }
 
 func (st *Store) isA(o *Object, class string) bool {
-	for i := range o.facts {
-		if f := &o.facts[i]; f.kind == factIsA && st.reaches(f.name, class, len(st.supers)) {
+	for c := range o.classes {
+		if st.subclass(c, class, map[string]bool{}) {
 			return true
 		}
 	}
 	return false
 }
 
-// reaches reports sub ⊑ class. No acyclic path through the lattice has more
-// edges than there are classes with a superclass, so bounding the walk by
-// that many hops makes a cyclic lattice terminate without a visited set.
-func (s *schema) reaches(sub, class string, hops int) bool {
+// subclass reports sub ⊑ class: class is reachable from sub over the
+// subclass edges. The classes seen make a cyclic lattice terminate.
+func (st *Store) subclass(sub, class string, seen map[string]bool) bool {
 	if sub == class {
 		return true
 	}
-	if hops == 0 {
-		return false
-	}
-	for _, sup := range s.supers[sub] {
-		if s.reaches(sup, class, hops-1) {
+	seen[sub] = true
+	for _, super := range st.supers[sub] {
+		if !seen[super] && st.subclass(super, class, seen) {
 			return true
 		}
 	}
@@ -379,7 +265,7 @@ func (s *schema) reaches(sub, class string, hops int) bool {
 // through subclassing) in the order the objects were created — for a page,
 // document order.
 func (st *Store) Members(class string) []OID {
-	out := make([]OID, 0, len(st.order))
+	out := []OID{}
 	for _, o := range st.order {
 		if st.isA(o, class) {
 			out = append(out, o.ID)
@@ -411,11 +297,11 @@ func (st *Store) Path(id OID, attrs ...string) (Term, bool) {
 		if o == nil {
 			return Term{}, false
 		}
-		f := o.find(factFunct, a)
-		if f == nil {
+		v, ok := o.funct[a]
+		if !ok {
 			return Term{}, false
 		}
-		cur = f.val()
+		cur = v
 	}
 	return cur, true
 }
@@ -428,27 +314,26 @@ func (st *Store) Path(id OID, attrs ...string) (Term, bool) {
 func (st *Store) TypeErrors() []string {
 	var errs []string
 	for _, o := range st.order {
-		for i := range o.facts {
-			sig := st.signatures[o.facts[i].name]
-			if o.facts[i].kind != factIsA || sig == nil {
+		for class := range o.classes {
+			sig := st.signatures[class]
+			if sig == nil {
 				continue
 			}
-			for j := range o.facts {
-				f := &o.facts[j]
-				decl, ok := sig.attr(f.name)
-				if f.kind == factIsA || !ok {
-					continue // attribute may belong to another of o's classes
+			// An attribute the signature does not declare may belong to
+			// another of o's classes.
+			for name, v := range o.funct {
+				if decl, ok := sig.attr(name); ok && decl.SetValued {
+					errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is set-valued but used functionally", o.ID, name, class))
+				} else if ok {
+					errs = appendTypeError(errs, o.ID, name, decl.Type, v)
 				}
-				switch {
-				case f.kind == factFunct && decl.SetValued:
-					errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is set-valued but used functionally", o.ID, f.name, sig.Class))
-				case f.kind == factMember && !decl.SetValued:
-					if o.find(factMember, f.name) == f { // once per attribute, not per member
-						errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is functional but used set-valued", o.ID, f.name, sig.Class))
-					}
-				default:
-					if msg := typeMatch(decl.Type, f.val()); msg != "" {
-						errs = append(errs, fmt.Sprintf("%s.%s: %s", o.ID, f.name, msg))
+			}
+			for name, members := range o.sets {
+				if decl, ok := sig.attr(name); ok && !decl.SetValued {
+					errs = append(errs, fmt.Sprintf("%s: attribute %s of class %s is functional but used set-valued", o.ID, name, class))
+				} else if ok {
+					for _, v := range members {
+						errs = appendTypeError(errs, o.ID, name, decl.Type, v)
 					}
 				}
 			}
@@ -458,31 +343,20 @@ func (st *Store) TypeErrors() []string {
 	return errs
 }
 
-func typeMatch(declared string, val Term) string {
+// appendTypeError appends to errs the error of id.attr holding val where
+// its signature declares the type declared, if val is not of that type.
+func appendTypeError(errs []string, id OID, attr, declared string, val Term) []string {
+	want := TermRef
 	switch declared {
 	case "string":
-		if val.Kind != TermString {
-			return fmt.Sprintf("expected string, got %s", val)
-		}
+		want = TermString
 	case "int":
-		if val.Kind != TermInt {
-			return fmt.Sprintf("expected int, got %s", val)
-		}
+		want = TermInt
 	default: // class-typed attribute: value must reference an object
-		if val.Kind != TermRef {
-			return fmt.Sprintf("expected %s object, got %s", declared, val)
-		}
+		declared += " object"
 	}
-	return ""
-}
-
-// Clone deep-copies the store's objects. Signatures and the subclass
-// lattice are shared: they are schema, not state.
-func (st *Store) Clone() *Store {
-	out := st.Fresh(len(st.order))
-	for _, o := range st.order {
-		n := out.Put(o.ID)
-		n.facts = append(n.facts, o.facts...)
+	if val.Kind == want {
+		return errs
 	}
-	return out
+	return append(errs, fmt.Sprintf("%s.%s: expected %s, got %s", id, attr, declared, val))
 }

@@ -5,9 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"webbase/internal/race"
 )
 
 // figure3Store builds a store with the paper's Figure 3 signatures and the
@@ -181,75 +178,10 @@ func TestSignatureString(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	st := figure3Store()
-	cp := st.Clone()
-	cp.SetAttr("form01", "cgi", S("changed"))
-	cp.AddAttr("form01", "mandatory", S("extra"))
-	cp.AddClass("newobj", "form")
-
-	if got, _ := st.Get("form01").Get("cgi"); got.Str != "cgi_bin/nclassy" {
-		t.Error("clone mutation leaked into original (funct)")
-	}
-	if len(st.Get("form01").GetAll("mandatory")) != 2 {
-		t.Error("clone mutation leaked into original (setval)")
-	}
-	if st.Get("newobj") != nil {
-		t.Error("clone mutation leaked into original (objects)")
-	}
-	// Signatures are intentionally shared.
-	if len(cp.Signatures()) != len(st.Signatures()) {
-		t.Error("signatures should be shared")
-	}
-}
-
 func TestTermString(t *testing.T) {
 	if S("x").String() != `"x"` || I(3).String() != "3" || R("o").String() != "o" {
 		t.Error("term rendering wrong")
 	}
-}
-
-// Property: Clone always yields a store with identical object ids and
-// attribute counts, and mutating the clone never changes the original's
-// total attribute count.
-func TestClonePreservesShape(t *testing.T) {
-	prop := func(ids []string, attrs []string) bool {
-		st := NewStore()
-		for i, id := range ids {
-			if id == "" {
-				continue
-			}
-			st.AddClass(OID(id), "c")
-			if len(attrs) > 0 {
-				a := attrs[i%len(attrs)]
-				if a == "" {
-					a = "a"
-				}
-				st.SetAttr(OID(id), a, I(int64(i)))
-				st.AddAttr(OID(id), a+"_s", S(id))
-			}
-		}
-		before := totalAttrs(st)
-		cp := st.Clone()
-		if totalAttrs(cp) != before || cp.Len() != st.Len() {
-			return false
-		}
-		for _, id := range cp.Objects() {
-			cp.SetAttr(id, "mut", S("x"))
-		}
-		return totalAttrs(st) == before
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func totalAttrs(st *Store) int {
-	n := 0
-	for _, id := range st.Objects() {
-		n += st.Get(id).AttrCount()
-	}
-	return n
 }
 
 // TestMembersInCreationOrder: members come back in the order the objects
@@ -269,73 +201,16 @@ func TestMembersInCreationOrder(t *testing.T) {
 			t.Errorf("Members(%s) = %v, want creation order", class, got)
 		}
 	}
-	if got := st.Clone().Members("action"); !reflect.DeepEqual(got, want) {
-		t.Errorf("clone's Members(action) = %v, want creation order", got)
-	}
 	if got := st.Members("nosuch"); len(got) != 0 {
 		t.Errorf("Members(nosuch) = %v, want none", got)
 	}
 }
 
-// TestCloneIndependenceAcrossTheFactWindow: an object's first facts live in
-// the store's slab and the rest in its own slice. Whichever side of that
-// boundary an object is on, a write through the clone or through the
-// original must not show in the other, nor in a neighbouring object.
-func TestCloneIndependenceAcrossTheFactWindow(t *testing.T) {
-	st := NewStore()
-	for n := 0; n <= 2*factWindow; n++ { // objects o0..o6 with 0..6 facts
-		id := OID(fmt.Sprintf("o%d", n))
-		st.Put(id)
-		for k := 0; k < n; k++ {
-			st.SetAttr(id, fmt.Sprintf("a%d", k), I(int64(k)))
-		}
-	}
-	snapshot := func(s *Store) string {
-		var sb strings.Builder
-		for _, id := range s.Objects() {
-			o := s.Get(id)
-			fmt.Fprintf(&sb, "%s %v", id, o.Classes())
-			for _, a := range o.FunctAttrs() {
-				v, _ := o.Get(a)
-				fmt.Fprintf(&sb, " %s=%s", a, v)
-			}
-			for _, a := range o.SetAttrs() {
-				fmt.Fprintf(&sb, " %s=%v", a, o.GetAll(a))
-			}
-			sb.WriteByte('\n')
-		}
-		return sb.String()
-	}
-	before := snapshot(st)
-	cp := st.Clone()
-	if got := snapshot(cp); got != before {
-		t.Fatalf("clone differs from original:\n%s\nwant\n%s", got, before)
-	}
-	mutate := func(s *Store) {
-		for _, id := range s.Objects() {
-			s.SetAttr(id, "a0", S("overwritten"))
-			s.SetAttr(id, "fresh", S("x"))
-			s.AddAttr(id, "set", S("m"))
-			s.AddClass(id, "c")
-		}
-	}
-	mutate(cp)
-	if got := snapshot(st); got != before {
-		t.Errorf("writes to the clone reached the original:\n%s\nwant\n%s", got, before)
-	}
-	after := snapshot(cp)
-	mutate(st)
-	st.SetAttr("o3", "a1", S("original only"))
-	if got := snapshot(cp); got != after {
-		t.Errorf("writes to the original reached the clone:\n%s\nwant\n%s", got, after)
-	}
-}
-
-// TestAttrCountOnSliceBackedObjects: the Section-7 unit is one per
+// TestAttrCountInSection7Units: the Section-7 unit is one per
 // functional attribute and one per member of a set-valued one. Overwrites,
 // duplicate members and class memberships do not count, and an attribute
 // name used both ways counts on both sides.
-func TestAttrCountOnSliceBackedObjects(t *testing.T) {
+func TestAttrCountInSection7Units(t *testing.T) {
 	st := NewStore()
 	st.AddClass("o", "c1")
 	st.AddClass("o", "c2")
@@ -350,7 +225,7 @@ func TestAttrCountOnSliceBackedObjects(t *testing.T) {
 	st.AddAttr("o", "s", S("m1")) // duplicate
 	st.AddAttr("o", "s", S("m2"))
 	st.AddAttr("o", "f", S("as a set too"))
-	for i := 0; i < 10; i++ { // well past the fact window
+	for i := 0; i < 10; i++ {
 		st.AddAttr("o", "big", I(int64(i)))
 	}
 	o := st.Get("o")
@@ -372,13 +247,10 @@ func TestAttrCountOnSliceBackedObjects(t *testing.T) {
 	if got := strings.Join(o.Classes(), ","); got != "c1,c2" {
 		t.Errorf("Classes = %s", got)
 	}
-	if got := st.Clone().Get("o").AttrCount(); got != 15 {
-		t.Errorf("clone's AttrCount = %d, want 15", got)
-	}
 }
 
-// TestTermsRoundTrip: a fact stores its value packed; every kind of term
-// comes back as it went in.
+// TestTermsRoundTrip: every kind of term comes back as it went in, as a
+// functional value and as a set member.
 func TestTermsRoundTrip(t *testing.T) {
 	st := NewStore()
 	for i, v := range []Term{S(""), S("text"), I(0), I(-7), R("other"), R("")} {
@@ -391,37 +263,5 @@ func TestTermsRoundTrip(t *testing.T) {
 	}
 	if got := st.Get("o").GetAll("all"); len(got) != 6 {
 		t.Errorf("members = %v, want six distinct terms", got)
-	}
-}
-
-// TestAllocsOfGuardQueries is the allocation ceiling for what the calculus'
-// guards ask of a page's store: IsA and Path allocate nothing, Members its
-// result and nothing else.
-func TestAllocsOfGuardQueries(t *testing.T) {
-	if race.Enabled {
-		t.Skip("the race detector allocates on its own")
-	}
-	st := figure3Store()
-	for i := 0; i < 50; i++ {
-		id := OID(fmt.Sprintf("follow%02d", i))
-		st.AddClass(id, "follow_link")
-		st.SetAttr(id, "source", R("page01"))
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if !st.IsA("follow07", "action") || st.IsA("follow07", "web_page") {
-			t.Fatal("IsA wrong")
-		}
-		if v, ok := st.Path("follow07", "source", "title"); !ok || v.Str == "" {
-			t.Fatal("Path wrong")
-		}
-	}); n != 0 {
-		t.Errorf("IsA + Path allocate %v times, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if len(st.Members("action")) != 51 {
-			t.Fatal("Members wrong")
-		}
-	}); n != 1 {
-		t.Errorf("Members allocates %v times, want 1 (its result)", n)
 	}
 }

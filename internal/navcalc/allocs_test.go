@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"webbase/internal/htmlkit"
 	"webbase/internal/navcalc"
 	"webbase/internal/race"
 	"webbase/internal/relation"
@@ -16,30 +15,6 @@ import (
 // testdata/pages and about 10% above what the code does. They are the
 // tier-1 guard on the per-page cost of a cached page: a regression fails
 // here deterministically, not in a noisy clock.
-
-// TestPageToObjectsAllocs: the F-logic view costs the store's few slabs, one
-// string of object ids, and what the page's links and forms need — not
-// three maps and an id per object.
-func TestPageToObjectsAllocs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("the race detector allocates on its own")
-	}
-	pages := loadFixtures(t)
-	docs := make([]*htmlkit.Node, len(pages))
-	for i, p := range pages {
-		docs[i] = htmlkit.Parse(p.body)
-	}
-	const ceiling = 1160 // 1052 when set; 1146 while every resolver parsed its base with net/url; 1203 over the tree parser's pointer nodes; 10266 before the view was slice-backed
-	got := testing.AllocsPerRun(20, func() {
-		for i, p := range pages {
-			navcalc.PageToObjects(docs[i], p.url)
-		}
-	})
-	t.Logf("PageToObjects: %.0f allocations over %d pages, %.1f a page (ceiling %d)", got, len(pages), got/float64(len(pages)), ceiling)
-	if got > ceiling {
-		t.Errorf("PageToObjects allocates %.0f times over the %d recorded pages, ceiling %d", got, len(pages), ceiling)
-	}
-}
 
 // TestPageSetAllocs: a query that repeats no request keeps no page, and the
 // set that remembers which requests it has visited costs it at most about

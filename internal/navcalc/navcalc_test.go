@@ -225,11 +225,11 @@ func TestPageToObjectsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := st.Store()
+	store, pageID := PageToObjects(st.Doc(), st.URL())
 	if errs := store.TypeErrors(); len(errs) != 0 {
 		t.Errorf("page objects violate Figure 3 signatures: %v", errs)
 	}
-	if !store.IsA(st.PageID(), "web_page") {
+	if !store.IsA(pageID, "web_page") {
 		t.Error("page object missing")
 	}
 	forms := store.Members("form")
@@ -254,7 +254,7 @@ func TestPageToObjectsShape(t *testing.T) {
 		t.Error("make attrValPair missing")
 	}
 	// Actions hang off the page object.
-	if acts := store.Get(st.PageID()).GetAll("actions"); len(acts) == 0 {
+	if acts := store.Get(pageID).GetAll("actions"); len(acts) == 0 {
 		t.Error("page has no actions")
 	}
 }
@@ -600,7 +600,8 @@ func TestFollowLinkTriesLinksInDocumentOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Store().Members("follow_link"); len(got) != 120 || got[11] != "follow11" || got[100] != "follow100" {
+	view, _ := PageToObjects(st.Doc(), st.URL())
+	if got := view.Members("follow_link"); len(got) != 120 || got[11] != "follow11" || got[100] != "follow100" {
 		t.Fatalf("follow_link members are not in document order: %v", got)
 	}
 	in := &tlogic.Interp{Program: tlogic.NewProgram()}

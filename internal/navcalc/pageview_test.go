@@ -305,10 +305,10 @@ func TestScanAnswersAsTheView(t *testing.T) {
 	}
 }
 
-// TestPageViewsBuiltConcurrently: every page's store shares the one
-// declaration of the Figure 3 signatures, and parallel maximal objects load
-// pages at the same time. Building views from several goroutines at once
-// gives each the same view as building it alone. Run with -race.
+// TestPageViewsBuiltConcurrently: every page's store declares the Figure 3
+// signatures from the one package-level table, and the map builder and the
+// tests build views from several goroutines at once. Each gets the same
+// view as building it alone. Run with -race.
 func TestPageViewsBuiltConcurrently(t *testing.T) {
 	pages := loadFixtures(t)
 	var want strings.Builder

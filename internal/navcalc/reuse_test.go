@@ -230,7 +230,7 @@ func TestKeptPageScanBuiltOnFirstUseConcurrently(t *testing.T) {
 		{"hasform", HasForm("find")},
 		{"submit", Submit("find", FillConst("make", "ford"))},
 		{"isdata", IsDataPage("Make", "Price")},
-		{"Store", nil},
+		{"view", nil},
 	}
 	// run takes the steps in turn from first on, reports what each did, and
 	// returns the first link of the scan they read.
@@ -240,8 +240,8 @@ func TestKeptPageScanBuiltOnFirstUseConcurrently(t *testing.T) {
 		for i := range steps {
 			k := (first + i) % len(steps)
 			if steps[k].goal == nil {
-				store := st.Store()
-				got[k] = fmt.Sprintf("Store: %v %q", store.IsA(st.PageID(), "data_page"), store.Members("follow_link"))
+				store, pageID := PageToObjects(st.Doc(), st.URL())
+				got[k] = fmt.Sprintf("view: %v %q", store.IsA(pageID, "data_page"), store.Members("follow_link"))
 				continue
 			}
 			out, _, ok, err := interp.Run(steps[k].goal, st, tlogic.Env{})

@@ -3,11 +3,14 @@
 // processes, together with an interpreter that executes navigation
 // expressions against a Web fetcher and collects relational tuples.
 //
-// The object half (package flogic) models each fetched page as the common
-// WWW data structures of Figure 3 — web_page, link, form, attrValPair and
-// the action classes. The process half (package tlogic) sequences the
-// primitive actions: following links, submitting forms, and extracting
-// tuples from data pages.
+// The object half (package flogic) models a page as the common WWW data
+// structures of Figure 3 — web_page, link, form, attrValPair and the
+// action classes (PageToObjects). No navigation builds that view: the
+// steps read the page's scan of links and forms, which answers them as the
+// view would (DESIGN.md §6). The map builder counts the view for Section
+// 7, and the tests hold the steps to it. The process half (package tlogic)
+// sequences the primitive actions: following links, submitting forms, and
+// extracting tuples from data pages.
 package navcalc
 
 import (
@@ -15,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 
 	"webbase/internal/flogic"
@@ -267,16 +268,6 @@ func (b *BrowseState) URL() string { return b.url }
 // Doc returns the parsed current page.
 func (b *BrowseState) Doc() *htmlkit.Node { return b.doc }
 
-// Store returns the F-logic object view of the current page, built from
-// its scan on every call.
-func (b *BrowseState) Store() *flogic.Store {
-	st, _ := pageObjects(*b.scanned(), b.url)
-	return st
-}
-
-// PageID returns the OID of the current page object in Store.
-func (b *BrowseState) PageID() flogic.OID { return pageOID }
-
 // Collected returns the tuples extracted so far.
 func (b *BrowseState) Collected() []relation.Tuple { return b.collected }
 
@@ -308,60 +299,68 @@ func (b *BrowseState) navigate(req *web.Request, inputFree bool) (*BrowseState, 
 // backtracked over, or nil.
 func (b *BrowseState) lastNavError() error { return b.budget.lastErr }
 
-// DeclareWWWSignatures registers the Figure 3 class signatures on a store.
-func DeclareWWWSignatures(st *flogic.Store) {
-	st.DeclareClass(&flogic.Signature{Class: "web_page", Attrs: []flogic.AttrSig{
-		{Name: "address", Type: "string"},
-		{Name: "title", Type: "string"},
-		{Name: "contents", Type: "string"},
-		{Name: "actions", SetValued: true, Type: "action"},
-	}})
-	st.DeclareClass(&flogic.Signature{Class: "data_page", Attrs: []flogic.AttrSig{
-		{Name: "extract", Type: "string"},
-	}})
-	st.DeclareClass(&flogic.Signature{Class: "action", Attrs: []flogic.AttrSig{
+// WWWSignatures are the class signatures of Figure 3, the common WWW data
+// structures, in class-name order.
+var WWWSignatures = []*flogic.Signature{
+	{Class: "action", Attrs: []flogic.AttrSig{
 		{Name: "source", Type: "web_page"},
 		{Name: "targets", SetValued: true, Type: "string"},
-	}})
-	st.DeclareClass(&flogic.Signature{Class: "follow_link", Attrs: []flogic.AttrSig{
+	}},
+	{Class: "attrValPair", Attrs: []flogic.AttrSig{
+		{Name: "attrName", Type: "string"},
+		{Name: "type", Type: "string"},
+		{Name: "default", Type: "string"},
+		{Name: "domain", SetValued: true, Type: "string"},
+		{Name: "maxLength", Type: "int"},
+	}},
+	{Class: "data_page", Attrs: []flogic.AttrSig{
+		{Name: "extract", Type: "string"},
+	}},
+	{Class: "follow_link", Attrs: []flogic.AttrSig{
 		{Name: "object", Type: "link"},
 		{Name: "source", Type: "web_page"},
-	}})
-	st.DeclareClass(&flogic.Signature{Class: "submit_form", Attrs: []flogic.AttrSig{
-		{Name: "object", Type: "form"},
-		{Name: "source", Type: "web_page"},
-	}})
-	st.DeclareClass(&flogic.Signature{Class: "link", Attrs: []flogic.AttrSig{
-		{Name: "name", Type: "string"},
-		{Name: "address", Type: "string"},
-	}})
-	st.DeclareClass(&flogic.Signature{Class: "form", Attrs: []flogic.AttrSig{
+	}},
+	{Class: "form", Attrs: []flogic.AttrSig{
 		{Name: "name", Type: "string"},
 		{Name: "cgi", Type: "string"},
 		{Name: "method", Type: "string"},
 		{Name: "mandatory", SetValued: true, Type: "attrValPair"},
 		{Name: "optional", SetValued: true, Type: "attrValPair"},
 		{Name: "state", SetValued: true, Type: "attrValPair"},
-	}})
-	st.DeclareClass(&flogic.Signature{Class: "attrValPair", Attrs: []flogic.AttrSig{
-		{Name: "attrName", Type: "string"},
-		{Name: "type", Type: "string"},
-		{Name: "default", Type: "string"},
-		{Name: "domain", SetValued: true, Type: "string"},
-		{Name: "maxLength", Type: "int"},
-	}})
-	st.DeclareSubclass("follow_link", "action")
-	st.DeclareSubclass("submit_form", "action")
-	st.DeclareSubclass("data_page", "web_page")
+	}},
+	{Class: "link", Attrs: []flogic.AttrSig{
+		{Name: "name", Type: "string"},
+		{Name: "address", Type: "string"},
+	}},
+	{Class: "submit_form", Attrs: []flogic.AttrSig{
+		{Name: "object", Type: "form"},
+		{Name: "source", Type: "web_page"},
+	}},
+	{Class: "web_page", Attrs: []flogic.AttrSig{
+		{Name: "address", Type: "string"},
+		{Name: "title", Type: "string"},
+		{Name: "contents", Type: "string"},
+		{Name: "actions", SetValued: true, Type: "action"},
+	}},
 }
 
-// wwwStore holds the Figure 3 signatures, declared once: every page's
-// store is derived from it and shares them.
-var wwwStore = func() *flogic.Store {
-	st := flogic.NewStore()
-	DeclareWWWSignatures(st)
-	return st
-}()
+// wwwSubclasses are Figure 3's subclass edges, sub ⊑ super.
+var wwwSubclasses = [][2]string{
+	{"follow_link", "action"},
+	{"submit_form", "action"},
+	{"data_page", "web_page"},
+}
+
+// DeclareWWWSignatures registers the Figure 3 class signatures and
+// subclass edges on a store.
+func DeclareWWWSignatures(st *flogic.Store) {
+	for _, sig := range WWWSignatures {
+		st.DeclareClass(sig)
+	}
+	for _, e := range wwwSubclasses {
+		st.DeclareSubclass(e[0], e[1])
+	}
+}
 
 // PageToObjects parses a page into its F-logic object representation per
 // Figure 3: one web_page object whose set-valued actions attribute holds a
@@ -371,36 +370,25 @@ var wwwStore = func() *flogic.Store {
 //
 // This is the representation the map builder records (Section 7 reports
 // "85 objects with over 600 attributes" for Newsday's map) and the one the
-// calculus is stated over. Its steps read the scan the view is built from,
-// which answers them the same (DESIGN.md §6).
+// calculus is stated over. No query builds it: the steps read the scan it
+// is built from, which answers them the same (DESIGN.md §6).
 func PageToObjects(doc *htmlkit.Node, pageURL string) (*flogic.Store, flogic.OID) {
-	return pageObjects(htmlkit.Scan(doc, pageURL), pageURL)
-}
+	view := htmlkit.Scan(doc, pageURL)
+	st := flogic.NewStore()
+	DeclareWWWSignatures(st)
 
-// pageOID names the page object of every page's view.
-const pageOID flogic.OID = "page"
-
-func pageObjects(view htmlkit.Page, pageURL string) (*flogic.Store, flogic.OID) {
-	objects := 1 + 2*len(view.Links) + 2*len(view.Forms)
-	for i := range view.Forms {
-		objects += len(view.Forms[i].Fields)
-	}
-	st := wwwStore.Fresh(objects)
-	var ids strings.Builder
-	ids.Grow(8 * objects)
-
-	pageID := pageOID
+	const pageID flogic.OID = "page"
 	st.AddClass(pageID, "web_page")
 	st.SetAttr(pageID, "address", flogic.S(pageURL))
 	st.SetAttr(pageID, "title", flogic.S(view.Title))
 
 	for i, l := range view.Links {
-		linkID := mintOID(&ids, "link", i)
+		linkID := oid("link", i)
 		st.AddClass(linkID, "link")
 		st.SetAttr(linkID, "name", flogic.S(l.Name))
 		st.SetAttr(linkID, "address", flogic.S(l.Address))
 
-		actID := mintOID(&ids, "follow", i)
+		actID := oid("follow", i)
 		st.AddClass(actID, "follow_link")
 		st.SetAttr(actID, "object", flogic.R(linkID))
 		st.SetAttr(actID, "source", flogic.R(pageID))
@@ -408,13 +396,13 @@ func pageObjects(view htmlkit.Page, pageURL string) (*flogic.Store, flogic.OID) 
 	}
 
 	for i, f := range view.Forms {
-		formID := mintOID(&ids, "form", i)
+		formID := oid("form", i)
 		st.AddClass(formID, "form")
 		st.SetAttr(formID, "name", flogic.S(f.Name))
 		st.SetAttr(formID, "cgi", flogic.S(f.Action))
 		st.SetAttr(formID, "method", flogic.S(f.Method))
 		for j, fl := range f.Fields {
-			avID := mintOID(&ids, "attr", i, j)
+			avID := oid("attr", i, j)
 			st.AddClass(avID, "attrValPair")
 			st.SetAttr(avID, "attrName", flogic.S(fl.Name))
 			st.SetAttr(avID, "type", flogic.S(string(fl.Widget)))
@@ -434,7 +422,7 @@ func pageObjects(view htmlkit.Page, pageURL string) (*flogic.Store, flogic.OID) 
 			}
 		}
 
-		actID := mintOID(&ids, "submit", i)
+		actID := oid("submit", i)
 		st.AddClass(actID, "submit_form")
 		st.SetAttr(actID, "object", flogic.R(formID))
 		st.SetAttr(actID, "source", flogic.R(pageID))
@@ -449,22 +437,14 @@ func pageObjects(view htmlkit.Page, pageURL string) (*flogic.Store, flogic.OID) 
 	return st, pageID
 }
 
-// mintOID returns prefix followed by the indexes, each of two digits at
-// least and "_" between them: link07, attr00_12. The id is a substring of
-// the string ids grows, so that naming all the objects of a page costs an
-// allocation or two and not one per object.
-func mintOID(ids *strings.Builder, prefix string, idx ...int) flogic.OID {
-	start := ids.Len()
-	ids.WriteString(prefix)
+// oid returns prefix followed by the indexes, each of two digits at least
+// and "_" between them: link07, attr00_12.
+func oid(prefix string, idx ...int) flogic.OID {
 	for k, i := range idx {
 		if k > 0 {
-			ids.WriteByte('_')
+			prefix += "_"
 		}
-		if i < 10 {
-			ids.WriteByte('0')
-		}
-		var digits [20]byte
-		ids.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		prefix += fmt.Sprintf("%02d", i)
 	}
-	return flogic.OID(ids.String()[start:])
+	return flogic.OID(prefix)
 }

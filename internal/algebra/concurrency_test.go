@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -284,4 +285,55 @@ func goroutineID() uint64 {
 	buf = bytes.TrimPrefix(buf, []byte("goroutine "))
 	id, _ := strconv.ParseUint(string(buf[:bytes.IndexByte(buf, ' ')]), 10, 64)
 	return id
+}
+
+// sharingCatalog records the inputs map of every population. MemCatalog
+// reads every input, as a catalog over the VPS does (its handle choice,
+// its sharing key and its post-filter all range over the inputs).
+type sharingCatalog struct {
+	*MemCatalog
+	mu   sync.Mutex
+	maps map[uintptr]int // inputs map → populations handed it
+}
+
+func (c *sharingCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
+	c.mu.Lock()
+	c.maps[reflect.ValueOf(inputs).Pointer()]++
+	c.mu.Unlock()
+	return c.MemCatalog.Populate(ctx, name, inputs)
+}
+
+// TestUnionLeavesShareBindings: the leaves of a union under one set of
+// bindings are handed the evaluator's one map, and eight of them read it at
+// once under a pool of eight. Under -race this holds that nothing writes a
+// map a population has been handed.
+func TestUnionLeavesShareBindings(t *testing.T) {
+	const leaves = 8
+	mem := NewMemCatalog()
+	exprs := make([]Expr, leaves)
+	for i := range exprs {
+		name := fmt.Sprint("r", i)
+		rel := relation.New(name, relation.NewSchema("Make", "Model", "Year"))
+		rel.MustInsert(relation.String("ford"), relation.String("escort"), relation.Int(int64(1990+i)))
+		rel.MustInsert(relation.String("ford"), relation.String("taurus"), relation.Int(int64(1990+i)))
+		mem.Add(rel, relation.NewAttrSet("Make"))
+		exprs[i] = scan(name)
+	}
+	bound := map[string]relation.Value{"Make": relation.String("ford"), "Model": relation.String("escort")}
+	for run := 0; run < 20; run++ {
+		cat := &sharingCatalog{MemCatalog: mem, maps: map[uintptr]int{}}
+		got, err := EvalContext(parallelCtx(), UnionAll(exprs...), cat, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != leaves {
+			t.Fatalf("union of %d leaves has %d tuples, want %d", leaves, got.Len(), leaves)
+		}
+		if n := cat.maps[reflect.ValueOf(bound).Pointer()]; n != leaves || len(cat.maps) != 1 {
+			t.Fatalf("%d of %d populations were handed the bindings map itself, over %d maps", n, leaves, len(cat.maps))
+		}
+	}
+	if len(bound) != 2 {
+		t.Errorf("the bindings map changed: %v", bound)
+	}
 }

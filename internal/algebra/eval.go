@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 
 	"webbase/internal/prune"
@@ -126,20 +127,15 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		if err != nil {
 			return nil, err
 		}
-		inputs := make(map[string]relation.Value)
-		for a, v := range bound {
-			if sch.Has(a) && !v.IsNull() {
-				inputs[a] = v
-			}
-		}
-		return cat.Populate(ctx, e.Relation, inputs)
+		return cat.Populate(ctx, e.Relation, scanInputs(bound, sch))
 
 	case *Select:
 		sub := bound
 		if e.Cond.Op == EQ && e.Cond.Attr2 == "" {
 			// Push the constant down: it may satisfy a mandatory attribute
 			// of a VPS relation underneath.
-			sub = cloneBound(bound)
+			sub = make(map[string]relation.Value, len(bound)+1)
+			maps.Copy(sub, bound)
 			sub[e.Cond.Attr] = e.Cond.Val
 		}
 		in, err := EvalContext(ctx, e.Input, cat, sub)
@@ -456,7 +452,8 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			sp.EndErr(err)
 			return err
 		}
-		inputs := cloneBound(bound)
+		inputs := make(map[string]relation.Value, len(bound)+len(feed))
+		maps.Copy(inputs, bound)
 		for k, a := range feed {
 			inputs[a] = tuples[i][k]
 		}
@@ -502,10 +499,17 @@ func flattenJoin(e Expr) []Expr {
 	return []Expr{e}
 }
 
-func cloneBound(bound map[string]relation.Value) map[string]relation.Value {
-	out := make(map[string]relation.Value, len(bound))
+// scanInputs is bound restricted to the non-null values of sch's
+// attributes: bound itself when it holds nothing else, as it usually does.
+// Populate only reads its inputs, so the leaves under one map share it.
+func scanInputs(bound map[string]relation.Value, sch relation.Schema) map[string]relation.Value {
+	unused := func(a string, v relation.Value) bool { return !sch.Has(a) || v.IsNull() }
 	for a, v := range bound {
-		out[a] = v
+		if unused(a, v) {
+			inputs := maps.Clone(bound)
+			maps.DeleteFunc(inputs, unused)
+			return inputs
+		}
 	}
-	return out
+	return bound
 }

@@ -28,7 +28,9 @@ type Catalog interface {
 	Forwardable(name string) relation.AttrSet
 	// Populate returns the relation's tuples matching the inputs. Catalogs
 	// over the VPS thread ctx all the way into navigation execution, so a
-	// cancelled query stops fetching pages.
+	// cancelled query stops fetching pages. The inputs are read-only: the
+	// evaluator hands one map to every leaf under the same bindings, and
+	// the leaves of a union may populate from it concurrently.
 	Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error)
 }
 

@@ -224,6 +224,15 @@ func Scan(doc *Node, baseURL string) Page {
 	var p Page
 	titled := false
 	d := doc.d
+	links := 0
+	for j, end := doc.i, doc.node().end; j < end; j++ {
+		if d.isTag(j, tagA) {
+			links++
+		}
+	}
+	if links > 0 {
+		p.Links = make([]Link, 0, links)
+	}
 	for j, end := doc.i, doc.node().end; j < end; j++ {
 		n := Node{d, j}
 		switch d.nodes[j].tag {
@@ -405,7 +414,8 @@ func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
 	trs := make([]int32, 0, 64)
 	cells := make([]int32, 0, 16)
 	header := make([]string, 0, 16)
-	at := make([]int, len(columns)) // header index of each column
+	// The header index of each column; on the stack up to 16 columns.
+	at := append(make([]int, 0, 16), make([]int, len(columns))...)
 	for j, end := doc.i, doc.node().end; j < end; j++ {
 		if !d.isTag(j, tagTable) {
 			continue

@@ -239,7 +239,8 @@ func (s ExtractSpec) headers() []string {
 // which is exactly how the "either extract data, or fill form f2" choice
 // of Figure 4 distinguishes data pages from refine-your-search pages.
 type extract struct {
-	spec ExtractSpec
+	spec    ExtractSpec
+	headers []string // spec.headers(), built once
 }
 
 func (a extract) Name() string {
@@ -261,7 +262,7 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 	if a.spec.Pattern != nil {
 		return a.runPattern(b, env)
 	}
-	rows := b.dataTable(a.spec.headers())
+	rows := b.dataTable(a.headers)
 	if rows == nil {
 		// No table carries the expected headers. On the page the map calls
 		// a data page this is the classic wrapper-breaking redesign; on a
@@ -273,7 +274,8 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 	if len(rows) == 0 { // a table with no rows checks no attribute against the schema
 		return []tlogic.Outcome{{State: b.Clone(), Env: env}}, nil
 	}
-	cols, links, envs, err := a.spec.indexes(b.schema)
+	var at [16]int // room for the indexes of any spec the maps build
+	cols, links, envs, err := a.spec.indexes(at[:0], b.schema)
 	if err != nil {
 		return nil, err
 	}
@@ -306,9 +308,9 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 }
 
 // indexes resolves the schema index of each of the spec's Columns,
-// LinkCols and EnvCols, or names the first attribute the schema lacks.
-func (s ExtractSpec) indexes(schema relation.Schema) (cols, links, envs []int, err error) {
-	at := make([]int, 0, len(s.Columns)+len(s.LinkCols)+len(s.EnvCols))
+// LinkCols and EnvCols into at, or names the first attribute the schema
+// lacks.
+func (s ExtractSpec) indexes(at []int, schema relation.Schema) (cols, links, envs []int, err error) {
 	resolve := func(kind, attr string) error {
 		i := schema.IndexOf(attr)
 		if i < 0 {
@@ -413,7 +415,7 @@ func FillConst(field, value string) FieldFill { return FieldFill{Field: field, C
 // Extract returns the formula that runs the extraction spec on the current
 // page.
 func Extract(spec ExtractSpec) tlogic.Formula {
-	return tlogic.Prim{Action: extract{spec: spec}}
+	return tlogic.Prim{Action: extract{spec: spec, headers: spec.headers()}}
 }
 
 // HasLink succeeds iff the current page has a link with the given text:

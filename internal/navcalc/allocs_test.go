@@ -97,7 +97,7 @@ func TestFollowAllocs(t *testing.T) {
 		}
 		reached = out.State.(*navcalc.BrowseState).URL()
 	}
-	const ceiling = 39 // 35 when set; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
+	const ceiling = 31 // 28 when set; 35 while the first state and its page budget were two allocations, a page's links grew by append and the path was copied at every step; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + haslink + follow to %s: %.0f allocations (ceiling %d)", reached, got, ceiling)
 	if reached == page.url {
@@ -149,7 +149,7 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 		}
 		tuples = len(out.State.(*navcalc.BrowseState).Collected())
 	}
-	const ceiling = 44 // 40 when set; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
+	const ceiling = 32 // 29 when set; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + isdata + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
 	if tuples == 0 {

@@ -70,12 +70,10 @@ func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs m
 	if err != nil {
 		return nil, nil, fmt.Errorf("navcalc: fetching start page of %s: %w", e.Name, err)
 	}
-	env := tlogic.Env{}
-	for k, v := range inputs {
-		env = env.With(k, v)
-	}
+	// The inputs are the initial bindings as they stand: an Env is never
+	// written, only extended by copying (Env.With).
 	in := &tlogic.Interp{Program: e.Program}
-	out, path, ok, err := in.Run(e.Goal, st, env)
+	out, path, ok, err := in.Run(e.Goal, st, tlogic.Env(inputs))
 	if err != nil {
 		return nil, nil, fmt.Errorf("navcalc: executing %s: %w", e.Name, err)
 	}

@@ -149,11 +149,17 @@ func NewBrowseStateContext(ctx context.Context, f web.Fetcher, startURL string,
 // not, fixed by the expression rather than supplied as an input.
 func newBrowseState(ctx context.Context, f web.Fetcher, startURL string,
 	schema relation.Schema, maxPages int, inputFree bool) (*BrowseState, error) {
-	st := &BrowseState{
+	// The first state and the execution's budget are one allocation.
+	both := &struct {
+		st     BrowseState
+		budget pageBudget
+	}{budget: pageBudget{max: maxPages}}
+	st := &both.st
+	*st = BrowseState{
 		ctx:       ctx,
 		fetcher:   f,
 		query:     web.QueryFrom(ctx),
-		budget:    &pageBudget{max: maxPages},
+		budget:    &both.budget,
 		inputFree: inputFree,
 		schema:    schema,
 	}

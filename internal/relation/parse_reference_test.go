@@ -47,6 +47,7 @@ var lookAlikes = []string{
 	"t", "T", "true", "True", "TRUE", "tRUE", "truE", "taurus", "toyota", "f", "F", "false", "False", "FALSE",
 	"fALSE", "ford", "fair", "yes", "no", "on", "off", "null", "1e400", "-1e400", "1e-400", "-0", "-0.0", "0.0",
 	"１２", "٣", "1 ", " 1", "\t7\n", "1 2", "0x", "0x1.8p1", "1p3", "e5", "E", "+e1",
+	"325i", "528i", "1i", "0x1i",
 }
 
 func TestParseMatchesReferenceOnLookAlikes(t *testing.T) {
@@ -88,9 +89,10 @@ func TestParseMatchesReferenceOnRecordedPages(t *testing.T) {
 	}
 }
 
-// TestParseAllocatesNothingForWords: the point of choosing by first byte.
+// TestParseAllocatesNothingForWords: the point of choosing by first byte,
+// and of reading a digit-led text's letters before calling strconv.
 func TestParseAllocatesNothingForWords(t *testing.T) {
-	for _, s := range []string{"ford", "taurus", "neon", "Infiniti", "good", "(516) 555-0123"} {
+	for _, s := range []string{"ford", "taurus", "neon", "Infiniti", "good", "(516) 555-0123", "325i"} {
 		if n := testing.AllocsPerRun(100, func() { Parse(s) }); n != 0 {
 			t.Errorf("Parse(%q) allocates %v times", s, n)
 		}

@@ -232,7 +232,12 @@ func Parse(text string) Value {
 	if t == "" {
 		return Null()
 	}
-	if c := t[0]; c >= '0' && c <= '9' || c == '+' || c == '-' || c == '.' ||
+	c := t[0]
+	digit := c >= '0' && c <= '9' || c == '.'
+	if digit && !numberLetters(t) {
+		return String(t) // a model name like "325i", which strconv would fail on
+	}
+	if digit || c == '+' || c == '-' ||
 		strings.EqualFold(t, "inf") || strings.EqualFold(t, "infinity") || strings.EqualFold(t, "nan") {
 		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
 			return Int(i)
@@ -250,25 +255,37 @@ func Parse(text string) Value {
 	return String(t)
 }
 
+// numberLetters reports whether every ASCII letter of t is one a number
+// strconv accepts may hold: a hex digit, the x of 0x, a p or e exponent.
+func numberLetters(t string) bool {
+	for i := 0; i < len(t); i++ {
+		if c := t[i] | 0x20; 'g' <= c && c <= 'z' && c != 'p' && c != 'x' { // c|0x20 lower-cases a letter
+			return false
+		}
+	}
+	return true
+}
+
 // ParseMoney parses a price rendered with currency decorations, e.g.
 // "$12,500" or "12,500.00". It returns the null value if no digits are
 // present.
 func ParseMoney(text string) Value {
-	var sb strings.Builder
-	for _, r := range text {
-		switch {
-		case r >= '0' && r <= '9', r == '.', r == '-':
-			sb.WriteRune(r)
+	// The kept characters are ASCII, and no byte of a multi-byte UTF-8
+	// character is, so filtering bytes keeps what filtering runes would.
+	var buf [32]byte
+	b := buf[:0]
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c >= '0' && c <= '9' || c == '.' || c == '-' {
+			b = append(b, c)
 		}
 	}
-	t := sb.String()
-	if t == "" {
+	if len(b) == 0 {
 		return Null()
 	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+	if i, err := strconv.ParseInt(string(b), 10, 64); err == nil {
 		return Int(i)
 	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
+	if f, err := strconv.ParseFloat(string(b), 64); err == nil {
 		return Float(f)
 	}
 	return Null()

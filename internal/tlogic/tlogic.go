@@ -253,6 +253,11 @@ var (
 // returns its outcome together with the path of states the execution
 // passed through (the initial state first). ok is false when the formula
 // has no successful execution.
+//
+// The search keeps the path as one stack: each primitive step pushes its
+// outcome's state, and backtracking pops it. The search is depth-first, so
+// sibling branches never hold the path at once. The first success ends
+// the search, so the stack is returned as it stands, without a copy.
 func (in *Interp) Run(goal Formula, st State, env Env) (out Outcome, path []State, ok bool, err error) {
 	if env == nil {
 		env = Env{}
@@ -261,7 +266,7 @@ func (in *Interp) Run(goal Formula, st State, env Env) (out Outcome, path []Stat
 		out, path, ok = o, p, true
 		return true, nil
 	}
-	_, err = in.exec(goal, st, env, 0, []State{st}, stop)
+	_, err = in.exec(goal, st, env, 0, newPath(st), stop)
 	return out, path, ok, err
 }
 
@@ -275,13 +280,19 @@ func (in *Interp) RunAll(goal Formula, st State, env Env, max int) ([]Outcome, e
 		outs = append(outs, o)
 		return max > 0 && len(outs) >= max, nil
 	}
-	_, err := in.exec(goal, st, env, 0, []State{st}, collect)
+	_, err := in.exec(goal, st, env, 0, newPath(st), collect)
 	return outs, err
 }
 
 // cont receives each successful execution; returning true stops the
-// search.
+// search. The path is the search's stack: valid until cont returns.
 type cont func(o Outcome, path []State) (bool, error)
+
+// newPath is the stack of an execution starting from st, with room for a
+// navigation's usual depth.
+func newPath(st State) []State {
+	return append(make([]State, 0, 16), st)
+}
 
 func (in *Interp) exec(f Formula, st State, env Env, depth int, path []State, k cont) (bool, error) {
 	maxDepth := in.MaxDepth
@@ -301,9 +312,10 @@ func (in *Interp) exec(f Formula, st State, env Env, depth int, path []State, k 
 		if err != nil {
 			return false, fmt.Errorf("action %s: %w", f.Action.Name(), err)
 		}
+		// The push writes the slot past path, which only the search
+		// below this step reads: each outcome reuses it in turn.
 		for _, o := range outs {
-			np := appendPath(path, o.State)
-			stop, err := k(o, np)
+			stop, err := k(o, append(path, o.State))
 			if stop || err != nil {
 				return stop, err
 			}
@@ -328,7 +340,8 @@ func (in *Interp) exec(f Formula, st State, env Env, depth int, path []State, k 
 	case Not:
 		found := false
 		// Hypothetical execution over a cloned state: effects discarded.
-		_, err := in.exec(f.Body, st.Clone(), env, depth, []State{st}, func(Outcome, []State) (bool, error) {
+		// Its steps push above path and are popped before k runs.
+		_, err := in.exec(f.Body, st.Clone(), env, depth, path, func(Outcome, []State) (bool, error) {
 			found = true
 			return true, nil
 		})
@@ -342,12 +355,4 @@ func (in *Interp) exec(f Formula, st State, env Env, depth int, path []State, k 
 	default:
 		return false, fmt.Errorf("tlogic: unknown formula type %T", f)
 	}
-}
-
-// appendPath copies so sibling branches never share a backing array.
-func appendPath(path []State, st State) []State {
-	np := make([]State, len(path)+1)
-	copy(np, path)
-	np[len(path)] = st
-	return np
 }

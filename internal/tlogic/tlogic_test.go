@@ -410,3 +410,59 @@ func TestPathIsolationAcrossBranches(t *testing.T) {
 		t.Errorf("branch outcomes: %d, %d", outs[0].State.(*counter).n, outs[1].State.(*counter).n)
 	}
 }
+
+// TestPathThroughBacktracking: the search keeps the path as one stack, so
+// a branch that fails must leave nothing of its own on the path the
+// successful execution returns, however far it got first.
+func TestPathThroughBacktracking(t *testing.T) {
+	incs := func(k, by int) Formula {
+		fs := make([]Formula, k)
+		for i := range fs {
+			fs[i] = inc(by)
+		}
+		return Seq(fs...)
+	}
+	// fork moves to n+10 or n+20, in that order.
+	fork := Prim{op{name: "fork", fn: func(c *counter, env Env) ([]Outcome, error) {
+		return []Outcome{{State: &counter{n: c.n + 10}, Env: env}, {State: &counter{n: c.n + 20}, Env: env}}, nil
+	}}}
+	atLeast := func(limit int) Formula {
+		return Prim{op{name: "atleast", fn: func(c *counter, env Env) ([]Outcome, error) {
+			if c.n >= limit {
+				return []Outcome{{State: c, Env: env}}, nil
+			}
+			return nil, nil
+		}}}
+	}
+	cases := []struct {
+		name string
+		goal Formula
+		want []int
+	}{
+		{"choice whose left branch dies 20 steps in", // past the stack's initial room
+			Seq(inc(1), Choice{Left: Seq(incs(20, 100), guardLess(0)), Right: inc(2)}, inc(3)),
+			[]int{0, 1, 3, 6}},
+		{"nondeterministic step whose first outcome dies deeper in",
+			Seq(inc(1), fork, inc(1), inc(1), atLeast(23)),
+			[]int{0, 1, 21, 22, 23, 23}},
+		{"negation inside a serial",
+			Seq(inc(1), Not{Body: Seq(incs(3, 5), guardLess(0))}, inc(2), Not{Body: Seq(incs(2, 7), atLeast(100))}),
+			[]int{0, 1, 3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in := &Interp{Program: NewProgram()}
+			_, path, ok := run(t, in, c.goal, 0)
+			if !ok {
+				t.Fatal("no successful execution")
+			}
+			got := make([]int, len(path))
+			for i, s := range path {
+				got[i] = s.(*counter).n
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("path = %v, want %v", got, c.want)
+			}
+		})
+	}
+}

@@ -1,0 +1,61 @@
+package vps
+
+import (
+	"context"
+	"testing"
+
+	"webbase/internal/race"
+	"webbase/internal/relation"
+	"webbase/internal/sites"
+	"webbase/internal/web"
+)
+
+// TestPopulateAllocs is the allocation ceiling of one warm handle
+// invocation with two inputs — newsday's Make and Model, through its form
+// to the data pages — about 10% above what the code does. Every page is
+// served from memory, so the count is what the invocation itself
+// allocates: its requests, their keys and parses, the rows, one state per
+// navigation step. The bindings it is handed, the path of the execution
+// and the extraction's set-up are not copied.
+func TestPopulateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	w := sites.BuildWorld()
+	reg, err := StandardRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := map[string]*web.Response{}
+	warm := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		key := req.Key()
+		if resp, ok := pages[key]; ok {
+			return resp, nil
+		}
+		resp, err := w.Server.Fetch(req)
+		if err == nil {
+			pages[key] = resp
+		}
+		return resp, err
+	})
+	inputs := map[string]relation.Value{"Make": v("ford"), "Model": v("escort")}
+	tuples := 0
+	populate := func() {
+		rel, _, err := reg.PopulateContext(context.Background(), warm, "newsday", inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = rel.Len()
+	}
+	populate() // fill the pages
+
+	const ceiling = 168 // 153 when set; 202 while the bindings, the path and the extraction set-up were copied at every step
+	got := testing.AllocsPerRun(50, populate)
+	t.Logf("a warm newsday invocation of %d tuples over %d pages: %.0f allocations (ceiling %d)", tuples, len(pages), got, ceiling)
+	if tuples == 0 {
+		t.Fatal("no tuples")
+	}
+	if got > ceiling {
+		t.Errorf("a warm handle invocation allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}

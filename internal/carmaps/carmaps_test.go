@@ -195,51 +195,27 @@ func TestReferenceSiteExpressions(t *testing.T) {
 	})
 }
 
-// TestTextualSyntaxCoversAllMaps formats every derived expression in the
-// textual navigation-expression syntax, re-parses it, and checks the
-// re-parsed expression collects the same tuples — the syntax covers the
-// whole operational surface.
+// TestTextualSyntaxCoversAllMaps: every map's derived expression prints
+// wholly in the textual syntax: each step as follow(...), submit(...) or
+// extract(...), never as the Name() an action falls back to, and a rule
+// line for every rule of its program.
 func TestTextualSyntaxCoversAllMaps(t *testing.T) {
-	w := sites.BuildWorld()
-	inputs := map[string]map[string]string{
-		"newsday":      {"Make": "ford", "Model": "escort"},
-		"nyTimes":      {"Make": "ford", "Model": "escort"},
-		"newYorkDaily": {"Make": "ford"},
-		"carPoint":     {"Make": "ford", "Model": "escort"},
-		"autoWeb":      {"Make": "ford", "Model": "escort"},
-		"wwWheels":     {"Make": "ford", "Model": "escort"},
-		"autoConnect":  {"Make": "ford", "Condition": "good"},
-		"yahooCars":    {"Make": "ford", "Model": "escort"},
-		"kellys":       {"Make": "jaguar", "Model": "xj6", "Condition": "good"},
-		"carAndDriver": {"Make": "jaguar"},
-		"carReviews":   {"Make": "honda", "Model": "civic"},
-		"carFinance":   {"ZipCode": "11201"},
-	}
 	for name, m := range AllMaps() {
-		in, ok := inputs[name]
-		if !ok {
-			continue // newsdayCarFeatures needs a live Url; syntax covered elsewhere
-		}
 		t.Run(name, func(t *testing.T) {
 			expr, err := navmap.Translate(m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			text := navcalc.FormatExpression(expr)
-			reparsed, err := navcalc.ParseExpression(text)
-			if err != nil {
-				t.Fatalf("re-parse: %v\n%s", err, text)
+			for _, fallback := range []string{"(link ", "(form ", "tuple["} {
+				if strings.Contains(text, fallback) {
+					t.Errorf("a step printed as its Name(), %q:\n%s", fallback, text)
+				}
 			}
-			a, _, err := expr.Execute(w.Server, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _, err := reparsed.Execute(w.Server, in)
-			if err != nil {
-				t.Fatalf("re-parsed execute: %v\n%s", err, text)
-			}
-			if a.Len() != b.Len() {
-				t.Errorf("tuples %d vs %d\n%s", a.Len(), b.Len(), text)
+			for _, rule := range expr.Program.Names() {
+				if !strings.Contains(text, "\nrule "+rule+" = ") {
+					t.Errorf("rule %s not printed:\n%s", rule, text)
+				}
 			}
 		})
 	}

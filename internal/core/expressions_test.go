@@ -1,0 +1,71 @@
+package core
+
+import (
+	"fmt"
+	"os"
+	"slices"
+	"strings"
+	"testing"
+
+	"webbase/internal/apartments"
+	"webbase/internal/carmaps"
+	"webbase/internal/mapbuilder"
+	"webbase/internal/navcalc"
+	"webbase/internal/navmap"
+	"webbase/internal/sites"
+)
+
+// TestExpressionsGolden pins the printed form of every navigation
+// expression a map derives: each hand map of both domains and each map the
+// map builder builds from the used-car sessions, as FormatExpression
+// renders it (cmd/mapbuild -site X -expr prints the built ones). The
+// syntax is print-only, so this golden is what holds it.
+func TestExpressionsGolden(t *testing.T) {
+	const golden = "testdata/expressions.golden"
+	var sb strings.Builder
+	write := func(kind string, byName map[string]*navmap.Map) {
+		names := make([]string, 0, len(byName))
+		for name := range byName {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		for _, name := range names {
+			e, err := navmap.Translate(byName[name])
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, name, err)
+			}
+			fmt.Fprintf(&sb, "== %s %s\n%s\n", kind, name, navcalc.FormatExpression(e))
+		}
+	}
+	write("cars", carmaps.AllMaps())
+	write("apartments", apartments.Maps())
+
+	w := sites.BuildWorld()
+	featURL, err := sampleFeaturesURL(w.Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &mapbuilder.Builder{Fetcher: w.Server}
+	built := map[string]*navmap.Map{}
+	for _, s := range carmaps.Sessions(featURL) {
+		m, _, err := b.Build(s)
+		if err != nil {
+			t.Fatalf("building %s: %v", s.Relation, err)
+		}
+		built[s.Relation] = m
+	}
+	write("built", built)
+
+	if *updateGoldens {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("derived expressions differ from %s (re-record with -update only if the change is meant)\n%s", golden, firstDiff(string(want), got))
+	}
+}

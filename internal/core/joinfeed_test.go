@@ -17,7 +17,7 @@ import (
 // decides how many navigations run and in what order their results merge;
 // it must not decide the answer.
 
-var updateGoldens = flag.Bool("update", false, "re-record testdata/joinfeed.golden and testdata/mapstats.golden")
+var updateGoldens = flag.Bool("update", false, "re-record testdata/joinfeed.golden, testdata/mapstats.golden and testdata/expressions.golden")
 
 const joinFeedGolden = "testdata/joinfeed.golden"
 

@@ -213,7 +213,7 @@ func formAcceptsFills(f htmlkit.Form, fills []navcalc.FieldFill) bool {
 }
 
 // pageMatchesNode reports whether a live page structurally matches a map
-// node: a data node's extraction must find its table (or pattern records),
+// node: a data node's extraction must find its table,
 // and any other node must offer every non-self-loop action its out-edges
 // take — the same evidence the detection side treats as structural.
 func (w *repairWalk) pageMatchesNode(id navmap.NodeID, pageURL string, doc *htmlkit.Node) bool {
@@ -222,9 +222,6 @@ func (w *repairWalk) pageMatchesNode(id navmap.NodeID, pageURL string, doc *html
 		return false
 	}
 	if n.IsData {
-		if n.Extract.Pattern != nil {
-			return len(n.Extract.Pattern.Extract(doc)) > 0
-		}
 		if len(n.Extract.Columns) > 0 {
 			headers := make([]string, len(n.Extract.Columns))
 			for i, c := range n.Extract.Columns {

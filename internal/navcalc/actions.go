@@ -12,7 +12,6 @@ import (
 	"webbase/internal/relation"
 	"webbase/internal/tlogic"
 	"webbase/internal/web"
-	"webbase/internal/wrapper"
 )
 
 // followLink is the primitive action of Figure 3's follow_link class:
@@ -31,11 +30,11 @@ func (a followLink) Name() string {
 	return fmt.Sprintf("follow(link %q)", a.name)
 }
 
-func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) {
+func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
 	b := st.(*BrowseState)
 	want := a.name
 	if a.fromVar != "" {
-		v, ok := env.Lookup(a.fromVar)
+		v, ok := env[a.fromVar]
 		if !ok {
 			// Unbound variable: this branch cannot proceed. That is a
 			// statement about the invocation, not the page.
@@ -44,7 +43,7 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 		}
 		want = v
 	}
-	var outs []tlogic.Outcome
+	var next []tlogic.State
 	matched := false
 	// Every link whose name matches is a possible next step, in document
 	// order: the follow_link objects of the page's F-logic view, read off
@@ -61,7 +60,7 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 			}
 			continue // dead link: fail softly, try other matches/branches
 		}
-		outs = append(outs, tlogic.Outcome{State: nb, Env: env})
+		next = append(next, nb)
 	}
 	if !matched && a.fromVar == "" {
 		// A literal link the map recorded is simply not on the page any
@@ -69,7 +68,7 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 		// match is different: the directory just doesn't list that value.
 		b.budget.noteStructural()
 	}
-	return outs, nil
+	return next, nil
 }
 
 // FieldFill instructs submitForm how to fill one form field: from a
@@ -104,7 +103,7 @@ func (a submitForm) Name() string {
 	return fmt.Sprintf("submit(form %s; %s)", name, strings.Join(parts, ", "))
 }
 
-func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) {
+func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
 	b := st.(*BrowseState)
 	form, ok := findForm(b, a.form)
 	if !ok {
@@ -128,7 +127,7 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 	for _, f := range a.fills {
 		v := f.Const
 		if v == "" {
-			v, _ = env.Lookup(f.Var)
+			v = env[f.Var]
 		}
 		if v == "" {
 			continue // unbound optional input: leave the field alone
@@ -157,7 +156,7 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, erro
 		}
 		return nil, nil // submission rejected: soft failure
 	}
-	return []tlogic.Outcome{{State: nb, Env: env}}, nil
+	return []tlogic.State{nb}, nil
 }
 
 // constant reports whether every fill is a constant: no input binding
@@ -214,15 +213,13 @@ type EnvCol struct {
 }
 
 // ExtractSpec is a declarative data-extraction script for data pages
-// (Figure 3's "data pages have a data extraction method"). Columns,
-// LinkCols and EnvCols drive table extraction; Pattern, when set, replaces
-// table extraction with a label–value wrapper script for data pages that
-// do not use tables.
+// (Figure 3's "data pages have a data extraction method"): the data table
+// whose headers the Columns name, with the LinkCols and EnvCols beside
+// them.
 type ExtractSpec struct {
 	Columns  []Column
 	LinkCols []LinkCol
 	EnvCols  []EnvCol
-	Pattern  *wrapper.Script
 }
 
 // headers returns the table headers the spec requires.
@@ -251,17 +248,11 @@ func (a extract) Name() string {
 	for _, lc := range a.spec.LinkCols {
 		attrs = append(attrs, lc.Attr)
 	}
-	if a.spec.Pattern != nil {
-		attrs = append(attrs, a.spec.Pattern.Attrs()...)
-	}
 	return fmt.Sprintf("extract(tuple[%s])", strings.Join(attrs, ", "))
 }
 
-func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) {
+func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
 	b := st.(*BrowseState)
-	if a.spec.Pattern != nil {
-		return a.runPattern(b, env)
-	}
 	rows := b.dataTable(a.headers)
 	if rows == nil {
 		// No table carries the expected headers. On the page the map calls
@@ -272,7 +263,7 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 		return nil, nil
 	}
 	if len(rows) == 0 { // a table with no rows checks no attribute against the schema
-		return []tlogic.Outcome{{State: b.Clone(), Env: env}}, nil
+		return []tlogic.State{b.withRoom(0)}, nil
 	}
 	var at [16]int // room for the indexes of any spec the maps build
 	cols, links, envs, err := a.spec.indexes(at[:0], b.schema)
@@ -298,13 +289,13 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) 
 			}
 		}
 		for k, ec := range a.spec.EnvCols {
-			if v, ok := env.Lookup(ec.Var); ok {
+			if v, ok := env[ec.Var]; ok {
 				t[envs[k]] = relation.Parse(v)
 			}
 		}
 		nb.collected = append(nb.collected, t)
 	}
-	return []tlogic.Outcome{{State: nb, Env: env}}, nil
+	return []tlogic.State{nb}, nil
 }
 
 // indexes resolves the schema index of each of the spec's Columns,
@@ -338,57 +329,6 @@ func (s ExtractSpec) indexes(at []int, schema relation.Schema) (cols, links, env
 	return at[:n], at[n:m], at[m:], nil
 }
 
-// runPattern extracts via the wrapper script instead of a table.
-func (a extract) runPattern(b *BrowseState, env tlogic.Env) ([]tlogic.Outcome, error) {
-	records := a.spec.Pattern.Extract(b.doc)
-	if len(records) == 0 {
-		// Not a (matching) data page: backtrack. Structurally suspect for
-		// the same reason as a missing data table.
-		b.budget.noteStructural()
-		return nil, nil
-	}
-	nb := b.withRoom(len(records))
-	w := len(nb.schema)
-	slab := make([]relation.Value, len(records)*w)
-	for _, rec := range records {
-		t := relation.Tuple(slab[:w:w])
-		slab = slab[w:]
-		for attr, val := range rec {
-			i := nb.schema.IndexOf(attr)
-			if i < 0 {
-				return nil, fmt.Errorf("navcalc: pattern attribute %q not in schema %v", attr, nb.schema)
-			}
-			t[i] = val
-		}
-		for _, ec := range a.spec.EnvCols {
-			i := nb.schema.IndexOf(ec.Attr)
-			if i < 0 {
-				return nil, fmt.Errorf("navcalc: env attribute %q not in schema %v", ec.Attr, nb.schema)
-			}
-			if v, ok := env.Lookup(ec.Var); ok {
-				t[i] = relation.Parse(v)
-			}
-		}
-		nb.collected = append(nb.collected, t)
-	}
-	return []tlogic.Outcome{{State: nb, Env: env}}, nil
-}
-
-// guard is a state-preserving test.
-type guard struct {
-	name string
-	test func(b *BrowseState, env tlogic.Env) bool
-}
-
-func (g guard) Name() string { return g.name }
-func (g guard) Run(st tlogic.State, env tlogic.Env) ([]tlogic.Outcome, error) {
-	b := st.(*BrowseState)
-	if g.test(b, env) {
-		return []tlogic.Outcome{{State: b, Env: env}}, nil
-	}
-	return nil, nil
-}
-
 // Follow returns the formula that follows the named link.
 func Follow(linkName string) tlogic.Formula {
 	return tlogic.Prim{Action: followLink{name: linkName}}
@@ -416,47 +356,4 @@ func FillConst(field, value string) FieldFill { return FieldFill{Field: field, C
 // page.
 func Extract(spec ExtractSpec) tlogic.Formula {
 	return tlogic.Prim{Action: extract{spec: spec, headers: spec.headers()}}
-}
-
-// HasLink succeeds iff the current page has a link with the given text:
-// a link object of the page's view, read off the scan like follow's.
-func HasLink(linkName string) tlogic.Formula {
-	return tlogic.Prim{Action: guard{
-		name: fmt.Sprintf("haslink(%q)", linkName),
-		test: func(b *BrowseState, _ tlogic.Env) bool {
-			return slices.ContainsFunc(b.scanned().Links, func(l htmlkit.Link) bool {
-				return strings.EqualFold(l.Name, linkName)
-			})
-		},
-	}}
-}
-
-// HasForm succeeds iff the current page has a form with the given name.
-func HasForm(formName string) tlogic.Formula {
-	return tlogic.Prim{Action: guard{
-		name: fmt.Sprintf("hasform(%q)", formName),
-		test: func(b *BrowseState, _ tlogic.Env) bool {
-			_, ok := findForm(b, formName)
-			return ok
-		},
-	}}
-}
-
-// IsDataPage succeeds iff the current page is a data page carrying a table
-// with all the given headers — the "CarPg : data_page" test of Figure 4.
-// It reads the table alone: the view asserts data_page exactly when the
-// page has a table, and a table with the headers is one.
-func IsDataPage(headers ...string) tlogic.Formula {
-	return tlogic.Prim{Action: guard{
-		name: func() string {
-			qs := make([]string, len(headers))
-			for i, h := range headers {
-				qs[i] = fmt.Sprintf("%q", h)
-			}
-			return fmt.Sprintf("isdata(%s)", strings.Join(qs, ", "))
-		}(),
-		test: func(b *BrowseState, _ tlogic.Env) bool {
-			return b.dataTable(headers) != nil
-		},
-	}}
 }

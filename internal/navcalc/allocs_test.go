@@ -18,10 +18,12 @@ import (
 
 // TestPageSetAllocs: a query that repeats no request keeps no page, and the
 // set that remembers which requests it has visited costs it at most about
-// one allocation a page: the recorded pages, each loaded once, inside a
-// query and outside one. The loads read nothing off their pages, so
-// outside a query they cost what fetching and parsing do: 777 allocations
-// over the 46 pages when set, 1943 while every load built its view.
+// one allocation a page: the recorded pages, each loaded once by an
+// expression that only loads its start page, inside a query and outside
+// one. The loads read nothing off their pages, so outside a query they
+// cost what fetching, parsing and an empty execution do: 564 allocations
+// over the 46 pages when last measured, 1943 while every load built its
+// view.
 func TestPageSetAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -33,10 +35,15 @@ func TestPageSetAllocs(t *testing.T) {
 	canned := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		return &web.Response{Status: 200, URL: req.URL, Body: bodies[req.URL]}, nil
 	})
-	schema := relation.NewSchema("A")
+	// An expression that only loads its start page.
+	var loads []*navcalc.Expression
+	for u := range bodies {
+		loads = append(loads, &navcalc.Expression{Name: "load", StartURL: u, Schema: relation.NewSchema("A"),
+			Program: tlogic.NewProgram(), Goal: tlogic.Empty{}})
+	}
 	loadAll := func(ctx context.Context) {
-		for u := range bodies {
-			if _, err := navcalc.NewBrowseStateContext(ctx, canned, u, schema, 0); err != nil {
+		for _, e := range loads {
+			if _, _, err := e.ExecuteContext(ctx, canned, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -58,10 +65,10 @@ func TestPageSetAllocs(t *testing.T) {
 	}
 }
 
-// TestFollowAllocs: one page load of the recorded Yahoo directory page,
-// the haslink guard and the follow it guards, which loads a near-empty
-// page. Both read the page's links off its scan: a follow or haslink that
-// builds the page's F-logic view again fails here.
+// TestFollowAllocs: one execution that loads the recorded Yahoo directory
+// page and follows a link off it to a near-empty page. The follow reads
+// the page's links off its scan: a follow that builds the page's F-logic
+// view again fails here.
 func TestFollowAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -76,30 +83,24 @@ func TestFollowAllocs(t *testing.T) {
 		t.Fatal("the Yahoo directory page is not among the fixtures")
 	}
 	landing := []byte("<html><body></body></html>")
+	var reached string // the last page fetched
 	canned := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		reached = req.URL
 		if req.URL == page.url {
 			return &web.Response{Status: 200, URL: page.url, Body: page.body}, nil
 		}
 		return &web.Response{Status: 200, URL: req.URL, Body: landing}, nil
 	})
-	schema := relation.NewSchema("Make")
-	goal := tlogic.Seq(navcalc.HasLink("ford"), navcalc.Follow("ford"))
-	interp := &tlogic.Interp{Program: tlogic.NewProgram()}
-	var reached string
+	expr := &navcalc.Expression{Name: "follow", StartURL: page.url, Schema: relation.NewSchema("Make"),
+		Program: tlogic.NewProgram(), Goal: navcalc.Follow("ford")}
 	run := func() {
-		st, err := navcalc.NewBrowseState(canned, page.url, schema)
-		if err != nil {
-			t.Fatal(err)
+		if _, _, err := expr.Execute(canned, nil); err != nil {
+			t.Fatalf("follow failed: %v", err)
 		}
-		out, _, ok, err := interp.Run(goal, st, tlogic.Env{})
-		if err != nil || !ok {
-			t.Fatalf("follow failed: ok=%v err=%v", ok, err)
-		}
-		reached = out.State.(*navcalc.BrowseState).URL()
 	}
-	const ceiling = 31 // 28 when set; 35 while the first state and its page budget were two allocations, a page's links grew by append and the path was copied at every step; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
+	const ceiling = 31 // 28 when set, as one execution; 28 as load + haslink + follow on a bare state before the guards went; 35 while the first state and its page budget were two allocations, a page's links grew by append and the path was copied at every step; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
 	got := testing.AllocsPerRun(50, run)
-	t.Logf("load + haslink + follow to %s: %.0f allocations (ceiling %d)", reached, got, ceiling)
+	t.Logf("load + follow to %s: %.0f allocations (ceiling %d)", reached, got, ceiling)
 	if reached == page.url {
 		t.Fatal("follow stayed on the directory page")
 	}
@@ -108,11 +109,11 @@ func TestFollowAllocs(t *testing.T) {
 	}
 }
 
-// TestLoadAndExtractAllocs: one full page load through a canned fetcher —
-// fetch and parse — followed by the isdata guard and the extraction it
-// guards, on the recorded Newsday data page. Neither step reads a link or
-// a form, so the page's scan and F-logic view are never built: a load that
-// builds them again, or a data table that reads every column, fails here.
+// TestLoadAndExtractAllocs: one execution that loads the recorded Newsday
+// data page through a canned fetcher — fetch and parse — and extracts its
+// table. Extraction reads no link or form, so the page's scan and F-logic
+// view are never built: a load that builds them again, or a data table
+// that reads every column, fails here.
 func TestLoadAndExtractAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -135,23 +136,19 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 	for _, h := range headers {
 		spec.Columns = append(spec.Columns, navcalc.Column{Header: h, Attr: h, Money: h == "Price"})
 	}
-	goal := tlogic.Seq(navcalc.IsDataPage(headers...), navcalc.Extract(spec))
-	interp := &tlogic.Interp{Program: tlogic.NewProgram()}
+	expr := &navcalc.Expression{Name: "extract", StartURL: page.url, Schema: schema,
+		Program: tlogic.NewProgram(), Goal: navcalc.Extract(spec)}
 	tuples := 0
 	run := func() {
-		st, err := navcalc.NewBrowseState(canned, page.url, schema)
+		_, info, err := expr.Execute(canned, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("extraction failed: %v", err)
 		}
-		out, _, ok, err := interp.Run(goal, st, tlogic.Env{})
-		if err != nil || !ok {
-			t.Fatalf("extraction failed: ok=%v err=%v", ok, err)
-		}
-		tuples = len(out.State.(*navcalc.BrowseState).Collected())
+		tuples = info.Tuples
 	}
-	const ceiling = 32 // 29 when set; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
+	const ceiling = 32 // 29 when set, as one execution; 29 as load + isdata + extract on a bare state before the guards went; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
 	got := testing.AllocsPerRun(50, run)
-	t.Logf("load + isdata + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
+	t.Logf("load + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
 	if tuples == 0 {
 		t.Fatal("no tuples extracted")
 	}

@@ -103,22 +103,7 @@ func TestMissingInputIsNotDrift(t *testing.T) {
 // TestUnboundFollowVarIsNotDrift: an unbound variable link is our
 // shortfall, not the site's.
 func TestUnboundFollowVarIsNotDrift(t *testing.T) {
-	w := sites.BuildWorld()
-	prog := tlogic.NewProgram()
-	collect := CollectLoop(prog, "collect", ExtractSpec{Columns: []Column{
-		{Header: "Make", Attr: "Make"},
-		{Header: "Model", Attr: "Model"},
-		{Header: "Year", Attr: "Year"},
-		{Header: "Price", Attr: "Price", Money: true},
-	}}, "More")
-	expr := &Expression{
-		Name:     "yahooCars",
-		StartURL: "http://" + sites.YahooCarsHost + "/",
-		Schema:   relation.NewSchema("Make", "Model", "Year", "Price"),
-		Program:  prog,
-		Goal:     tlogic.Seq(FollowVar("Make"), FollowVar("Model"), collect),
-	}
-	_, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford"})
+	_, _, err := yahooCarsExpression().Execute(sites.BuildWorld().Server, map[string]string{"Make": "ford"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Fatalf("unbound Model should fail navigation: %v", err)
 	}
@@ -131,22 +116,7 @@ func TestUnboundFollowVarIsNotDrift(t *testing.T) {
 // but the site lists no such directory entry — absence of data, neither
 // structural drift nor an input shortfall.
 func TestBoundFollowVarWithNoMatchingLinkIsNotDrift(t *testing.T) {
-	w := sites.BuildWorld()
-	prog := tlogic.NewProgram()
-	collect := CollectLoop(prog, "collect", ExtractSpec{Columns: []Column{
-		{Header: "Make", Attr: "Make"},
-		{Header: "Model", Attr: "Model"},
-		{Header: "Year", Attr: "Year"},
-		{Header: "Price", Attr: "Price", Money: true},
-	}}, "More")
-	expr := &Expression{
-		Name:     "yahooCars",
-		StartURL: "http://" + sites.YahooCarsHost + "/",
-		Schema:   relation.NewSchema("Make", "Model", "Year", "Price"),
-		Program:  prog,
-		Goal:     tlogic.Seq(FollowVar("Make"), FollowVar("Model"), collect),
-	}
-	_, _, err := expr.Execute(w.Server, map[string]string{"Make": "zeppelin", "Model": "led"})
+	_, _, err := yahooCarsExpression().Execute(sites.BuildWorld().Server, map[string]string{"Make": "zeppelin", "Model": "led"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Fatalf("unknown make should fail navigation: %v", err)
 	}

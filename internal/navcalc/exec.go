@@ -70,10 +70,10 @@ func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs m
 	if err != nil {
 		return nil, nil, fmt.Errorf("navcalc: fetching start page of %s: %w", e.Name, err)
 	}
-	// The inputs are the initial bindings as they stand: an Env is never
-	// written, only extended by copying (Env.With).
+	// The inputs are the bindings as they stand: no step binds a
+	// variable, so the execution reads them and never writes them.
 	in := &tlogic.Interp{Program: e.Program}
-	out, path, ok, err := in.Run(e.Goal, st, tlogic.Env(inputs))
+	end, path, ok, err := in.Run(e.Goal, st, tlogic.Env(inputs))
 	if err != nil {
 		return nil, nil, fmt.Errorf("navcalc: executing %s: %w", e.Name, err)
 	}
@@ -101,23 +101,6 @@ func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs m
 		}
 		return nil, nil, fmt.Errorf("%w: %s", ErrNavigationFailed, e.Name)
 	}
-	final := out.State.(*BrowseState)
-	rel := final.Relation(e.Name)
+	rel := end.(*BrowseState).Relation(e.Name)
 	return rel, &ExecInfo{PathLength: len(path), Tuples: rel.Len()}, nil
-}
-
-// CollectLoop builds the canonical pagination idiom of Figure 2: a rule
-// named ruleName that extracts the current page and then either follows
-// the named link (typically "More") and recurses, or stops.
-//
-//	ruleName ← extract ⊗ (follow(link) ⊗ ruleName ∨ ε)
-func CollectLoop(program *tlogic.Program, ruleName string, spec ExtractSpec, moreLink string) tlogic.Formula {
-	program.Define(ruleName, tlogic.Seq(
-		Extract(spec),
-		tlogic.Choice{
-			Left:  tlogic.Seq(Follow(moreLink), tlogic.Call{Rule: ruleName}),
-			Right: tlogic.Empty{},
-		},
-	))
-	return tlogic.Call{Rule: ruleName}
 }

@@ -48,13 +48,17 @@ func cachedStack(f web.Fetcher) (web.Fetcher, *web.Cache) {
 	return web.WithCacheLookup(web.WithCacheFill(f, cache), cache), cache
 }
 
-// spyOn returns a step that records the page its state stands on.
-func spyOn(pages *[]*page) tlogic.Formula {
-	return tlogic.Prim{Action: guard{name: "spy", test: func(b *BrowseState, _ tlogic.Env) bool {
-		*pages = append(*pages, b.page)
-		return true
-	}}}
+// spy is a step that records the page its state stands on and stays there.
+type spy struct{ pages *[]*page }
+
+func (spy) Name() string { return "spy" }
+func (s spy) Run(st tlogic.State, _ tlogic.Env) ([]tlogic.State, error) {
+	*s.pages = append(*s.pages, st.(*BrowseState).page)
+	return []tlogic.State{st}, nil
 }
+
+// spyOn returns a step that records the page its state stands on.
+func spyOn(pages *[]*page) tlogic.Formula { return tlogic.Prim{Action: spy{pages}} }
 
 // freeExpression starts at the home page, records it, takes step, and
 // records the page step reaches.
@@ -185,7 +189,9 @@ func TestInputFreePageRacingFirstUse(t *testing.T) {
 		go func(q int) {
 			defer wg.Done()
 			var pages []*page
-			expr := freeExpression(tlogic.Seq(HasLink("List"), HasForm("find")), &pages)
+			// A follow and a submit with nothing to take read the scan and
+			// fetch nothing; ε then ends the choice where it began.
+			expr := freeExpression(tlogic.Alt(Follow("Nowhere"), Submit("nowhere"), tlogic.Empty{}), &pages)
 			ctx := web.WithQuery(context.Background(), &web.Query{})
 			if _, _, err := expr.ExecuteContext(ctx, f, nil); err != nil {
 				t.Errorf("query %d: %v", q, err)

@@ -11,12 +11,21 @@ import (
 	"webbase/internal/sites"
 	"webbase/internal/tlogic"
 	"webbase/internal/web"
-	"webbase/internal/wrapper"
 )
+
+// startAt loads url as the first state of a navigation over schema.
+func startAt(t *testing.T, f web.Fetcher, url string, schema relation.Schema) *BrowseState {
+	t.Helper()
+	st, err := newBrowseState(context.Background(), f, url, schema, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // newsdayExpression hand-builds the Figure 4 navigation process for the
 // Newsday VPS relation newsday(Make, Model, Year, Price, Contact, Url).
-// (The navmap package later derives this same expression automatically.)
+// (The navmap package derives this same expression from the Newsday map.)
 func newsdayExpression() *Expression {
 	spec := ExtractSpec{
 		Columns: []Column{
@@ -28,14 +37,16 @@ func newsdayExpression() *Expression {
 		},
 		LinkCols: []LinkCol{{LinkName: "Car Features", Attr: "Url"}},
 	}
+	// collect ← extract ⊗ (follow(More) ⊗ collect ∨ ε)
 	prog := tlogic.NewProgram()
-	collect := CollectLoop(prog, "collect", spec, "More")
+	collect := tlogic.Call{Rule: "collect"}
+	prog.Define("collect", tlogic.Seq(Extract(spec), tlogic.Alt(tlogic.Seq(Follow("More"), collect), tlogic.Empty{})))
 	goal := tlogic.Seq(
 		Follow("Automobiles"),
 		Submit("f1", Fill("make", "Make")),
 		tlogic.Choice{
 			// Either the answer page is already a data page and we collect,
-			Left: tlogic.Seq(IsDataPage("Make", "Model", "Year", "Price", "Contact"), collect),
+			Left: collect,
 			// or we must narrow via form f2 first (Figure 2's branch).
 			Right: tlogic.Seq(
 				Submit("f2", Fill("model", "Model"), Fill("featrs", "Featrs")),
@@ -163,23 +174,29 @@ func TestExpressionFailsWithoutMandatoryInput(t *testing.T) {
 	}
 }
 
-func TestFollowVarDirectoryNavigation(t *testing.T) {
-	w := sites.BuildWorld()
-	// Yahoo! Cars: make and model are link-defined attributes.
+// yahooCarsExpression navigates Yahoo! Cars, whose make and model are
+// link-defined attributes: follow(?Make) ⊗ follow(?Model) ⊗ collect.
+func yahooCarsExpression() *Expression {
 	prog := tlogic.NewProgram()
-	collect := CollectLoop(prog, "collect", ExtractSpec{Columns: []Column{
+	collect := tlogic.Call{Rule: "collect"}
+	prog.Define("collect", tlogic.Seq(Extract(ExtractSpec{Columns: []Column{
 		{Header: "Make", Attr: "Make"},
 		{Header: "Model", Attr: "Model"},
 		{Header: "Year", Attr: "Year"},
 		{Header: "Price", Attr: "Price", Money: true},
-	}}, "More")
-	expr := &Expression{
+	}}), tlogic.Alt(tlogic.Seq(Follow("More"), collect), tlogic.Empty{})))
+	return &Expression{
 		Name:     "yahooCars",
 		StartURL: "http://" + sites.YahooCarsHost + "/",
 		Schema:   relation.NewSchema("Make", "Model", "Year", "Price"),
 		Program:  prog,
 		Goal:     tlogic.Seq(FollowVar("Make"), FollowVar("Model"), collect),
 	}
+}
+
+func TestFollowVarDirectoryNavigation(t *testing.T) {
+	w := sites.BuildWorld()
+	expr := yahooCarsExpression()
 	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
@@ -195,37 +212,9 @@ func TestFollowVarDirectoryNavigation(t *testing.T) {
 	}
 }
 
-func TestGuards(t *testing.T) {
-	w := sites.BuildWorld()
-	st, err := NewBrowseState(w.Server, "http://"+sites.NewsdayHost+"/auto", relation.NewSchema("X"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &tlogic.Interp{Program: tlogic.NewProgram()}
-	check := func(f tlogic.Formula, want bool) {
-		t.Helper()
-		_, _, ok, err := in.Run(f, st, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != want {
-			t.Errorf("%s = %v, want %v", f, ok, want)
-		}
-	}
-	check(HasForm("f1"), true)
-	check(HasForm("f2"), false)
-	check(HasLink("zzz"), false)
-	check(IsDataPage("Make"), false)
-	check(tlogic.Not{Body: HasForm("f2")}, true)
-}
-
 func TestPageToObjectsShape(t *testing.T) {
-	w := sites.BuildWorld()
-	st, err := NewBrowseState(w.Server, "http://"+sites.NewsdayHost+"/auto", relation.NewSchema("X"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, pageID := PageToObjects(st.Doc(), st.URL())
+	st := startAt(t, sites.BuildWorld().Server, "http://"+sites.NewsdayHost+"/auto", relation.NewSchema("X"))
+	store, pageID := PageToObjects(st.doc, st.url)
 	if errs := store.TypeErrors(); len(errs) != 0 {
 		t.Errorf("page objects violate Figure 3 signatures: %v", errs)
 	}
@@ -260,22 +249,18 @@ func TestPageToObjectsShape(t *testing.T) {
 }
 
 func TestBrowseStateCloneIsolation(t *testing.T) {
-	w := sites.BuildWorld()
-	st, err := NewBrowseState(w.Server, "http://"+sites.NewsdayHost+"/", relation.NewSchema("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := startAt(t, sites.BuildWorld().Server, "http://"+sites.NewsdayHost+"/", relation.NewSchema("A"))
 	st.collected = append(make([]relation.Tuple, 0, 4), relation.Tuple{relation.Int(1)})
-	cp := st.Clone().(*BrowseState)
+	cp := st.withRoom(0)
 	cp.collected = append(cp.collected, relation.Tuple{relation.Int(2)})
-	if len(st.Collected()) != 1 {
+	if len(st.collected) != 1 {
 		t.Error("clone leaked collected tuples into original")
 	}
 	// Two branches from one state share its list's spare room: each must
 	// still see only its own extractions.
-	sibling := st.Clone().(*BrowseState)
+	sibling := st.withRoom(0)
 	sibling.collected = append(sibling.collected, relation.Tuple{relation.Int(3)})
-	if got := cp.Collected()[1][0]; !got.Equal(relation.Int(2)) {
+	if got := cp.collected[1][0]; !got.Equal(relation.Int(2)) {
 		t.Errorf("a sibling branch's extraction replaced this branch's: %v", got)
 	}
 }
@@ -368,11 +353,7 @@ func TestExtractSchemaMismatchNeedsARow(t *testing.T) {
 	interp := &tlogic.Interp{Program: tlogic.NewProgram()}
 	for _, c := range cases {
 		for _, url := range []string{rowsURL, emptyURL} {
-			st, err := NewBrowseState(f, url, schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, _, ok, err := interp.Run(Extract(c.spec), st, tlogic.Env{"q": "x"})
+			end, _, ok, err := interp.Run(Extract(c.spec), startAt(t, f, url, schema), tlogic.Env{"q": "x"})
 			want, rows := c.want, 1
 			if url == emptyURL {
 				want, rows = "", 0
@@ -384,89 +365,22 @@ func TestExtractSchemaMismatchNeedsARow(t *testing.T) {
 				}
 			case err != nil || !ok:
 				t.Errorf("%+v on %s: ok=%v err=%v, want success", c.spec, url, ok, err)
-			case len(out.State.(*BrowseState).Collected()) != rows:
-				t.Errorf("%+v on %s: %d tuples, want %d", c.spec, url, len(out.State.(*BrowseState).Collected()), rows)
+			case len(end.(*BrowseState).collected) != rows:
+				t.Errorf("%+v on %s: %d tuples, want %d", c.spec, url, len(end.(*BrowseState).collected), rows)
 			}
 		}
-	}
-}
-
-// TestPatternExtraction drives a synthetic site whose data page uses
-// label–value records instead of tables, exercising the wrapper-script
-// extraction path end to end.
-func TestPatternExtraction(t *testing.T) {
-	host := "detail.example"
-	m := web.NewMux(host)
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, `<html><body><a href="/lot">Inventory</a></body></html>`), nil
-	}))
-	m.Handle("/lot", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, `<html><body>
-<h3>Lot 1</h3><p>Make: ford</p><p>Price: $3,000</p>
-<h3>Lot 2</h3><p>Make: jaguar</p><p>Price: $19,500</p>
-</body></html>`), nil
-	}))
-	server := web.NewServer()
-	server.Register(m)
-
-	expr := &Expression{
-		Name:     "lot",
-		StartURL: "http://" + host + "/",
-		Schema:   relation.NewSchema("Make", "Price"),
-		Program:  tlogic.NewProgram(),
-		Goal: tlogic.Seq(
-			Follow("Inventory"),
-			Extract(ExtractSpec{Pattern: &wrapper.Script{
-				ItemTag: "h3",
-				Fields: []wrapper.Field{
-					{Label: "Make", Attr: "Make"},
-					{Label: "Price", Attr: "Price", Money: true},
-				},
-			}}),
-		),
-	}
-	rel, _, err := expr.Execute(server, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 2 {
-		t.Fatalf("records = %d\n%s", rel.Len(), rel)
-	}
-	p0, _ := rel.Get(rel.Tuples()[0], "Price")
-	if p0.IntVal() != 3000 {
-		t.Errorf("price = %v", p0)
-	}
-	// A page with no matching records is not a data page: navigation
-	// fails rather than collecting garbage.
-	empty := &Expression{
-		Name:     "empty",
-		StartURL: "http://" + host + "/",
-		Schema:   relation.NewSchema("X"),
-		Program:  tlogic.NewProgram(),
-		Goal: Extract(ExtractSpec{Pattern: &wrapper.Script{
-			Fields: []wrapper.Field{{Label: "Nothing", Attr: "X"}},
-		}}),
-	}
-	if _, _, err := empty.Execute(server, nil); !errors.Is(err, ErrNavigationFailed) {
-		t.Errorf("err = %v", err)
 	}
 }
 
 func TestBrowseStateAccessorsAndFirstForm(t *testing.T) {
 	w := sites.BuildWorld()
 	url := "http://" + sites.WWWheelsHost + "/"
-	st, err := NewBrowseState(w.Server, url, relation.NewSchema("A"))
-	if err != nil {
-		t.Fatal(err)
+	st := startAt(t, w.Server, url, relation.NewSchema("A"))
+	if st.url != url {
+		t.Errorf("URL = %q", st.url)
 	}
-	if st.URL() != url {
-		t.Errorf("URL = %q", st.URL())
-	}
-	if st.Doc() == nil {
-		t.Fatal("no current page")
-	}
-	if _, ok := st.Doc().Find("form"); !ok {
-		t.Error("Doc should expose the parsed page")
+	if _, ok := st.doc.Find("form"); !ok {
+		t.Error("the state's page is not the parsed start page")
 	}
 	// Submitting the page's first form (empty name selects it).
 	expr := &Expression{
@@ -488,30 +402,6 @@ func TestBrowseStateAccessorsAndFirstForm(t *testing.T) {
 	}
 	if rel.Len() == 0 {
 		t.Error("first-form submit collected nothing")
-	}
-}
-
-func TestPatternSchemaMismatchIsHardError(t *testing.T) {
-	// Pattern matching something but targeting a missing attribute must
-	// surface as a hard error, not a silent skip.
-	host := "labels.example"
-	m := web.NewMux(host)
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, `<html><body><p>X: 1</p></body></html>`), nil
-	}))
-	server := web.NewServer()
-	server.Register(m)
-	expr := &Expression{
-		Name:     "badpattern",
-		StartURL: "http://" + host + "/",
-		Schema:   relation.NewSchema("A"),
-		Program:  tlogic.NewProgram(),
-		Goal: Extract(ExtractSpec{Pattern: &wrapper.Script{
-			Fields: []wrapper.Field{{Label: "X", Attr: "NotInSchema"}},
-		}}),
-	}
-	if _, _, err := expr.Execute(server, nil); err == nil {
-		t.Error("expected schema error")
 	}
 }
 
@@ -596,20 +486,17 @@ func TestFollowLinkTriesLinksInDocumentOrder(t *testing.T) {
 		body := fmt.Sprintf("<html><head><title>Target %d</title></head><body>here</body></html>", i)
 		mux.Handle(fmt.Sprintf("/page%d", i), func(req *web.Request) (*web.Response, error) { return web.HTML(req.URL, body), nil })
 	}
-	st, err := NewBrowseState(web.FetcherFunc(mux.Serve), "http://directory.example/", relation.NewSchema("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, _ := PageToObjects(st.Doc(), st.URL())
+	st := startAt(t, web.FetcherFunc(mux.Serve), "http://directory.example/", relation.NewSchema("A"))
+	view, _ := PageToObjects(st.doc, st.url)
 	if got := view.Members("follow_link"); len(got) != 120 || got[11] != "follow11" || got[100] != "follow100" {
 		t.Fatalf("follow_link members are not in document order: %v", got)
 	}
 	in := &tlogic.Interp{Program: tlogic.NewProgram()}
-	out, _, ok, err := in.Run(Follow("Listing"), st, tlogic.Env{})
+	end, _, ok, err := in.Run(Follow("Listing"), st, nil)
 	if err != nil || !ok {
 		t.Fatalf("follow failed: ok=%v err=%v", ok, err)
 	}
-	if got := out.State.(*BrowseState).URL(); got != "http://directory.example/page11" {
+	if got := end.(*BrowseState).url; got != "http://directory.example/page11" {
 		t.Errorf("followed to %s, want the first Listing link in document order, /page11", got)
 	}
 }

@@ -76,7 +76,7 @@ func (s *reuseSite) fetches(url string) int {
 // visit starts a navigation at url under ctx: one page visit.
 func visit(t *testing.T, ctx context.Context, f web.Fetcher, url string) (*BrowseState, error) {
 	t.Helper()
-	return NewBrowseStateContext(ctx, f, url, relation.NewSchema("Make", "Price"), 0)
+	return newBrowseState(ctx, f, url, relation.NewSchema("Make", "Price"), 0, false)
 }
 
 // TestPageKeptFromSecondVisit: a request visited once keeps nothing — its
@@ -170,18 +170,16 @@ func TestFailedLoadIsNotKept(t *testing.T) {
 }
 
 // TestKeptPageSharedByConcurrentExecutions: once kept, a data page is the
-// current page of many executions at once, which look its table up by two
+// current page of many executions at once, which extract its table by two
 // different header sets — the slot they share is written concurrently.
 // Run under -race.
 func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 	site := newReuseSite()
 	q := &web.Query{}
 	ctx := web.WithQuery(context.Background(), q)
-	priced := Extract(ExtractSpec{Columns: []Column{{Header: "Make", Attr: "Make"}, {Header: "Price", Attr: "Price", Money: true}}})
-	priceOnly := Extract(ExtractSpec{Columns: []Column{{Header: "Price", Attr: "Price", Money: true}}})
 	goals := []tlogic.Formula{
-		tlogic.Seq(IsDataPage("Make", "Price"), priced),
-		tlogic.Seq(IsDataPage("Price"), priceOnly),
+		Extract(ExtractSpec{Columns: []Column{{Header: "Make", Attr: "Make"}, {Header: "Price", Attr: "Price", Money: true}}}),
+		Extract(ExtractSpec{Columns: []Column{{Header: "Price", Attr: "Price", Money: true}}}),
 	}
 	const executions, rounds = 8, 20
 	var wg sync.WaitGroup
@@ -196,12 +194,12 @@ func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				out, _, ok, err := interp.Run(goals[(g+r)%2], st, tlogic.Env{})
+				end, _, ok, err := interp.Run(goals[(g+r)%2], st, nil)
 				if err != nil || !ok {
 					t.Errorf("execution %d round %d: ok=%v err=%v", g, r, ok, err)
 					return
 				}
-				if got := out.State.(*BrowseState).Collected(); len(got) != 3 || got[2][1] != relation.Int(9900) {
+				if got := end.(*BrowseState).collected; len(got) != 3 || got[2][1] != relation.Int(9900) {
 					t.Errorf("execution %d round %d extracted %v", g, r, got)
 				}
 			}
@@ -217,7 +215,7 @@ func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 // TestKeptPageScanBuiltOnFirstUseConcurrently: a kept page is only parsed
 // when loaded; its scan is built by whichever execution sharing it first
 // reads a link or a form. Eight executions stand on one kept page whose
-// scan nothing has built yet and run every step that reads it, each
+// scan nothing has built yet and run every kind of step and the view, each
 // starting from a different one: all of them read one scan, and give the
 // answers a sequential run on an unshared page gives. Run under -race.
 func TestKeptPageScanBuiltOnFirstUseConcurrently(t *testing.T) {
@@ -226,10 +224,9 @@ func TestKeptPageScanBuiltOnFirstUseConcurrently(t *testing.T) {
 		goal tlogic.Formula
 	}{
 		{"follow", Follow("Data")},
-		{"haslink", HasLink("Data")},
-		{"hasform", HasForm("find")},
+		{"follow nowhere", Follow("Nowhere")},
 		{"submit", Submit("find", FillConst("make", "ford"))},
-		{"isdata", IsDataPage("Make", "Price")},
+		{"extract", Extract(ExtractSpec{Columns: []Column{{Header: "Make", Attr: "Make"}, {Header: "Price", Attr: "Price", Money: true}}})},
 		{"view", nil},
 	}
 	// run takes the steps in turn from first on, reports what each did, and
@@ -240,14 +237,14 @@ func TestKeptPageScanBuiltOnFirstUseConcurrently(t *testing.T) {
 		for i := range steps {
 			k := (first + i) % len(steps)
 			if steps[k].goal == nil {
-				store, pageID := PageToObjects(st.Doc(), st.URL())
+				store, pageID := PageToObjects(st.doc, st.url)
 				got[k] = fmt.Sprintf("view: %v %q", store.IsA(pageID, "data_page"), store.Members("follow_link"))
 				continue
 			}
-			out, _, ok, err := interp.Run(steps[k].goal, st, tlogic.Env{})
+			end, _, ok, err := interp.Run(steps[k].goal, st, nil)
 			got[k] = fmt.Sprintf("%s: ok=%v err=%v", steps[k].name, ok, err)
 			if ok {
-				got[k] += " at " + out.State.(*BrowseState).URL()
+				got[k] += " at " + end.(*BrowseState).url
 			}
 		}
 		return strings.Join(got, "; "), &st.scanned().Links[0]
@@ -350,7 +347,9 @@ func TestPageBudgetCountsReusedVisits(t *testing.T) {
 	site := newReuseSite()
 	q := &web.Query{}
 	prog := tlogic.NewProgram()
-	goal := CollectLoop(prog, "collect", ExtractSpec{Columns: []Column{{Header: "Make", Attr: "Make"}}}, "More")
+	goal := tlogic.Call{Rule: "collect"}
+	prog.Define("collect", tlogic.Seq(Extract(ExtractSpec{Columns: []Column{{Header: "Make", Attr: "Make"}}}),
+		tlogic.Alt(tlogic.Seq(Follow("More"), goal), tlogic.Empty{})))
 	expr := &Expression{Name: "loop", StartURL: reuseLoop, MaxPages: 5,
 		Schema: relation.NewSchema("Make"), Program: prog, Goal: goal}
 	_, _, err := expr.ExecuteContext(web.WithQuery(context.Background(), q), site, nil)

@@ -23,7 +23,6 @@ import (
 	"webbase/internal/flogic"
 	"webbase/internal/htmlkit"
 	"webbase/internal/relation"
-	"webbase/internal/tlogic"
 	"webbase/internal/trace"
 	"webbase/internal/web"
 )
@@ -69,8 +68,8 @@ func (p *pageBudget) noteInputShortfall() { p.sawInputShortfall = true }
 var ErrPageBudget = errors.New("navcalc: page budget exceeded")
 
 // BrowseState is the database state of a navigation execution: the current
-// page, the fetcher used to move, and the tuples collected so far. It
-// implements tlogic.State.
+// page, the fetcher used to move, and the tuples collected so far: the
+// tlogic.State the navigation's steps move between.
 type BrowseState struct {
 	ctx     context.Context
 	fetcher web.Fetcher
@@ -109,8 +108,9 @@ type page struct {
 	scanOnce sync.Once
 	scan     htmlkit.Page // links, forms and table presence; see scanned
 
-	// The data table last looked up and the headers it was looked up by:
-	// the isdata guard finds the table extract then reads.
+	// The data table last looked up and the headers it was looked up by: a
+	// later extract on the same page (a kept page's next visit, an
+	// input-free page's next query) reads it from here.
 	mu       sync.Mutex
 	tableFor []string
 	table    []htmlkit.DataRow
@@ -132,21 +132,10 @@ func (p *page) dataTable(headers []string) []htmlkit.DataRow {
 	return p.table
 }
 
-// NewBrowseState fetches startURL and returns the initial state of a
-// navigation whose extracted tuples will have the given schema.
-func NewBrowseState(f web.Fetcher, startURL string, schema relation.Schema) (*BrowseState, error) {
-	return NewBrowseStateContext(context.Background(), f, startURL, schema, 0)
-}
-
-// NewBrowseStateContext is NewBrowseState with cancellation and a page
-// budget (0 = unlimited).
-func NewBrowseStateContext(ctx context.Context, f web.Fetcher, startURL string,
-	schema relation.Schema, maxPages int) (*BrowseState, error) {
-	return newBrowseState(ctx, f, startURL, schema, maxPages, false)
-}
-
-// newBrowseState is NewBrowseStateContext for a start URL that is, or is
-// not, fixed by the expression rather than supplied as an input.
+// newBrowseState fetches startURL and returns the initial state of a
+// navigation whose extracted tuples will have the given schema, under a
+// budget of maxPages (0 = unlimited). inputFree says whether the start URL
+// is fixed by the expression rather than supplied as an input.
 func newBrowseState(ctx context.Context, f web.Fetcher, startURL string,
 	schema relation.Schema, maxPages int, inputFree bool) (*BrowseState, error) {
 	// The first state and the execution's budget are one allocation.
@@ -251,13 +240,11 @@ func newPage(resp *web.Response) *page {
 	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.Parse(resp.Body)}
 }
 
-// Clone implements tlogic.State. The page and the collected tuples are
-// shared; the clone's tuple list is clipped, so the first extraction on a
-// branch copies it and backtracking discards that branch's extractions.
-func (b *BrowseState) Clone() tlogic.State { return b.withRoom(0) }
-
-// withRoom is Clone with room for n more collected tuples: n > 0 copies
-// the list once, into a list that takes them without growing.
+// withRoom returns a copy of b with room for n more collected tuples. The
+// page and the collected tuples are shared. With n == 0 the copy's tuple
+// list is clipped, so the first extraction on a branch copies it and
+// backtracking discards that branch's extractions; n > 0 copies the list
+// once, into a list that takes them without growing.
 func (b *BrowseState) withRoom(n int) *BrowseState {
 	nb := *b
 	if n == 0 {
@@ -267,15 +254,6 @@ func (b *BrowseState) withRoom(n int) *BrowseState {
 	}
 	return &nb
 }
-
-// URL returns the current page's URL.
-func (b *BrowseState) URL() string { return b.url }
-
-// Doc returns the parsed current page.
-func (b *BrowseState) Doc() *htmlkit.Node { return b.doc }
-
-// Collected returns the tuples extracted so far.
-func (b *BrowseState) Collected() []relation.Tuple { return b.collected }
 
 // Relation materializes the collected tuples as a relation over the
 // navigation's schema. The relation takes the tuples, not copies: they
@@ -292,7 +270,7 @@ func (b *BrowseState) Relation(name string) *relation.Relation {
 // navigate returns a successor state on the page reached by req, carrying
 // the collected tuples forward; inputFree says whether req is input-free.
 func (b *BrowseState) navigate(req *web.Request, inputFree bool) (*BrowseState, error) {
-	nb := b.Clone().(*BrowseState)
+	nb := b.withRoom(0)
 	nb.inputFree = inputFree
 	if err := nb.load(req); err != nil {
 		b.budget.lastErr = err

@@ -176,10 +176,6 @@ func (m *Map) OutEdges(id NodeID) []*Edge {
 	return out
 }
 
-// Size returns (#nodes, #edges), the map size the linear-time translation
-// is measured against.
-func (m *Map) Size() (nodes, edges int) { return len(m.nodes), len(m.edges) }
-
 // Clone returns a deep-enough copy of the map for repair to edit: nodes
 // and edges are fresh values (an edge's action can be re-anchored without
 // touching the original), while extraction specs — immutable in practice —
@@ -225,7 +221,7 @@ func (m *Map) Validate() error {
 			continue
 		}
 		hasData = true
-		if len(n.Extract.Columns) == 0 && len(n.Extract.LinkCols) == 0 && n.Extract.Pattern == nil {
+		if len(n.Extract.Columns) == 0 && len(n.Extract.LinkCols) == 0 {
 			return fmt.Errorf("navmap %s: data node %s has no extraction spec", m.Name, n.ID)
 		}
 		for _, c := range n.Extract.Columns {
@@ -241,13 +237,6 @@ func (m *Map) Validate() error {
 		for _, ec := range n.Extract.EnvCols {
 			if !m.Schema.Has(ec.Attr) {
 				return fmt.Errorf("navmap %s: node %s echoes input %q → %q, not in schema %v", m.Name, n.ID, ec.Var, ec.Attr, m.Schema)
-			}
-		}
-		if n.Extract.Pattern != nil {
-			for _, a := range n.Extract.Pattern.Attrs() {
-				if !m.Schema.Has(a) {
-					return fmt.Errorf("navmap %s: node %s pattern-extracts %q, not in schema %v", m.Name, n.ID, a, m.Schema)
-				}
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func toyMap() *Map {
 
 func TestMapConstruction(t *testing.T) {
 	m := toyMap()
-	if n, e := m.Size(); n != 3 || e != 3 {
+	if n, e := len(m.Nodes()), len(m.Edges()); n != 3 || e != 3 {
 		t.Errorf("size = %d,%d", n, e)
 	}
 	if m.Start != "entry" {
@@ -50,14 +50,14 @@ func TestAddNodeAndEdgeDedup(t *testing.T) {
 	if got := m.AddNode(&Node{ID: "entry", Title: "changed"}); got != orig {
 		t.Error("AddNode should return the existing node")
 	}
-	n0, e0 := m.Size()
+	n0, e0 := len(m.Nodes()), len(m.Edges())
 	m.AddEdge("entry", Action{Kind: ActFollowLink, LinkName: "Go"}, "form")
-	if n1, e1 := m.Size(); n1 != n0 || e1 != e0 {
+	if n1, e1 := len(m.Nodes()), len(m.Edges()); n1 != n0 || e1 != e0 {
 		t.Error("duplicate edge not deduplicated")
 	}
 	// Same action to a different target is a new edge.
 	m.AddEdge("entry", Action{Kind: ActFollowLink, LinkName: "Go"}, "data")
-	if _, e1 := m.Size(); e1 != e0+1 {
+	if e1 := len(m.Edges()); e1 != e0+1 {
 		t.Error("parallel edge to new target should be added")
 	}
 }

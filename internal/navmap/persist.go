@@ -8,7 +8,6 @@ import (
 
 	"webbase/internal/navcalc"
 	"webbase/internal/relation"
-	"webbase/internal/wrapper"
 )
 
 // The JSON persistence format for navigation maps. Maps built once by the
@@ -45,7 +44,10 @@ type extractJSON struct {
 	Columns  []columnJSON  `json:"columns,omitempty"`
 	LinkCols []linkColJSON `json:"link_cols,omitempty"`
 	EnvCols  []envColJSON  `json:"env_cols,omitempty"`
-	Pattern  *patternJSON  `json:"pattern,omitempty"`
+	// Pattern is the label–value extraction mode maps no longer have. It
+	// is read only so that a map naming it is refused, not decoded as if
+	// the field were not there.
+	Pattern json.RawMessage `json:"pattern,omitempty"`
 }
 
 type columnJSON struct {
@@ -62,17 +64,6 @@ type linkColJSON struct {
 type envColJSON struct {
 	Var  string `json:"var"`
 	Attr string `json:"attr"`
-}
-
-type patternJSON struct {
-	ItemTag string         `json:"item_tag,omitempty"`
-	Fields  []patFieldJSON `json:"fields"`
-}
-
-type patFieldJSON struct {
-	Label string `json:"label"`
-	Attr  string `json:"attr"`
-	Money bool   `json:"money,omitempty"`
 }
 
 type edgeJSON struct {
@@ -172,6 +163,10 @@ func (m *Map) UnmarshalJSON(data []byte) error {
 	for _, nj := range in.Nodes {
 		n := &Node{ID: NodeID(nj.ID), Title: nj.Title, IsData: nj.IsData}
 		if nj.Extract != nil {
+			if nj.Extract.Pattern != nil {
+				return fmt.Errorf("navmap: map %s: node %s extracts by a label–value pattern, which maps no longer support",
+					in.Name, nj.ID)
+			}
 			n.Extract = decodeExtract(nj.Extract)
 		}
 		decoded.AddNode(n)
@@ -218,13 +213,6 @@ func encodeExtract(s navcalc.ExtractSpec) *extractJSON {
 	for _, ec := range s.EnvCols {
 		out.EnvCols = append(out.EnvCols, envColJSON(ec))
 	}
-	if s.Pattern != nil {
-		p := &patternJSON{ItemTag: s.Pattern.ItemTag}
-		for _, f := range s.Pattern.Fields {
-			p.Fields = append(p.Fields, patFieldJSON(f))
-		}
-		out.Pattern = p
-	}
 	return out
 }
 
@@ -238,13 +226,6 @@ func decodeExtract(in *extractJSON) navcalc.ExtractSpec {
 	}
 	for _, ec := range in.EnvCols {
 		out.EnvCols = append(out.EnvCols, navcalc.EnvCol(ec))
-	}
-	if in.Pattern != nil {
-		p := &wrapper.Script{ItemTag: in.Pattern.ItemTag}
-		for _, f := range in.Pattern.Fields {
-			p.Fields = append(p.Fields, wrapper.Field(f))
-		}
-		out.Pattern = p
 	}
 	return out
 }

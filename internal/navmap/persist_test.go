@@ -1,11 +1,14 @@
 package navmap_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 
+	"webbase/internal/apartments"
 	"webbase/internal/carmaps"
+	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
 	"webbase/internal/sites"
 )
@@ -40,8 +43,8 @@ func TestMapJSONRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Structural identity.
-			n1, e1 := m.Size()
-			n2, e2 := loaded.Size()
+			n1, e1 := len(m.Nodes()), len(m.Edges())
+			n2, e2 := len(loaded.Nodes()), len(loaded.Edges())
 			if n1 != n2 || e1 != e2 || m.Start != loaded.Start || m.Name != loaded.Name {
 				t.Fatalf("structure changed: (%d,%d,%s) vs (%d,%d,%s)", n1, e1, m.Start, n2, e2, loaded.Start)
 			}
@@ -153,12 +156,18 @@ func TestMapJSONRepairedEdgeRoundTrip(t *testing.T) {
 	}
 }
 
+// version1Map is a fingerprint-free version-1 map file.
+const version1Map = `{"version":1,"name":"x","start_url":"http://x/","schema":["A"],"start":"d","nodes":[{"id":"d","is_data":true,"extract":{"columns":[{"header":"A","attr":"A"}]}}],"edges":[]}`
+
+// patternMap is version1Map with a label–value pattern on its data node's
+// extract, an extraction mode maps no longer have.
+const patternMap = `{"version":1,"name":"x","start_url":"http://x/","schema":["A"],"start":"d","nodes":[{"id":"d","is_data":true,"extract":{"columns":[{"header":"A","attr":"A"}],"pattern":{"item_tag":"h3","fields":[{"label":"A","attr":"A"}]}}}],"edges":[]}`
+
 // TestMapJSONVersion1Accepted: fingerprint-free v1 files (written before
 // the format bump) still load.
 func TestMapJSONVersion1Accepted(t *testing.T) {
-	data := []byte(`{"version":1,"name":"x","start_url":"http://x/","schema":["A"],"start":"d","nodes":[{"id":"d","is_data":true,"extract":{"columns":[{"header":"A","attr":"A"}]}}],"edges":[]}`)
 	var m navmap.Map
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := json.Unmarshal([]byte(version1Map), &m); err != nil {
 		t.Fatalf("v1 map rejected: %v", err)
 	}
 	if m.Name != "x" {
@@ -179,4 +188,89 @@ func TestMapJSONCorruptFingerprintRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupt map loaded: err=%v", err)
 	}
+}
+
+// TestMapJSONPatternRefused: a map whose extract names a label–value
+// pattern is refused with an error naming the node, not loaded as if the
+// pattern were not there.
+func TestMapJSONPatternRefused(t *testing.T) {
+	_, err := navmap.DecodeMap([]byte(patternMap))
+	if err == nil || !strings.Contains(err.Error(), "node d ") || !strings.Contains(err.Error(), "pattern") {
+		t.Fatalf("err = %v, want a refusal naming node d and its pattern", err)
+	}
+}
+
+// FuzzDecodeMap: a map DecodeMap accepts translates, prints and re-encodes
+// to a fixed point, and one whose extract names pattern is refused. The
+// seeds are every map of both domains, which carry fingerprints, and two
+// version-1 maps without one, which mutations get past the fingerprint
+// check more often.
+func FuzzDecodeMap(f *testing.F) {
+	for _, maps := range []map[string]*navmap.Map{carmaps.AllMaps(), apartments.Maps()} {
+		for _, m := range maps {
+			data, err := navmap.EncodeMap(m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Add([]byte(version1Map))
+	f.Add([]byte(patternMap))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := navmap.DecodeMap(data)
+		if namesPattern(data) {
+			if err == nil {
+				t.Fatal("a map whose extract names pattern was accepted")
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		e, err := navmap.Translate(m)
+		if err != nil {
+			t.Fatalf("an accepted map does not translate: %v", err)
+		}
+		enc, err := navmap.EncodeMap(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := navmap.DecodeMap(enc)
+		if err != nil {
+			t.Fatalf("a re-encoded map is refused: %v\n%s", err, enc)
+		}
+		if enc2, err := navmap.EncodeMap(again); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encoding is not a fixed point: %v\n%s\nvs\n%s", err, enc, enc2)
+		}
+		e2, err := navmap.Translate(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := navcalc.FormatExpression(e2), navcalc.FormatExpression(e); got != want {
+			t.Fatalf("the re-decoded map prints\n%s\nnot\n%s", got, want)
+		}
+	})
+}
+
+// namesPattern reports whether a node's extract in data has a key that
+// encoding/json decodes into the pattern field: it matches names without
+// regard to case.
+func namesPattern(data []byte) bool {
+	var in struct {
+		Nodes []struct {
+			Extract map[string]json.RawMessage `json:"extract"`
+		} `json:"nodes"`
+	}
+	if json.Unmarshal(data, &in) != nil {
+		return false
+	}
+	for _, n := range in.Nodes {
+		for k := range n.Extract {
+			if strings.EqualFold(k, "pattern") {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -14,52 +14,28 @@ package tlogic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// State is a database state. Clone must return a deep copy so that
-// backtracking can discard the effects of a failed branch — this is how
-// the interpreter provides the atomicity the paper notes transaction
-// formulas share with database transactions.
-type State interface {
-	Clone() State
-}
+// State is a database state.
+type State any
 
-// Env is a set of logic-variable bindings threaded through an execution.
-// Envs are treated as immutable: use With to extend.
+// Env is the input bindings of an execution: variable name → value. No
+// action binds a variable, so an execution reads its Env and never
+// changes it.
 type Env map[string]string
 
-// With returns a copy of e with name bound to value.
-func (e Env) With(name, value string) Env {
-	out := make(Env, len(e)+1)
-	for k, v := range e {
-		out[k] = v
-	}
-	out[name] = value
-	return out
-}
-
-// Lookup returns the binding of name.
-func (e Env) Lookup(name string) (string, bool) {
-	v, ok := e[name]
-	return v, ok
-}
-
-// Outcome is one result of executing an action or formula: the state the
-// execution path ends in and the (possibly extended) bindings.
-type Outcome struct {
-	State State
-	Env   Env
-}
-
 // Action is a primitive transaction: a query (state-preserving) or an
-// update (state-transforming). Run returns every outcome the action can
-// produce from the given state — an empty slice is logical failure
-// (backtrack), a non-nil error is a hard abort that cancels the whole
-// execution.
+// update (state-transforming). Run returns every state the action can
+// move to from st — an empty slice is logical failure (backtrack), a
+// non-nil error is a hard abort that cancels the whole execution. Run
+// never changes st, so backtracking discards a failed branch's effects by
+// dropping its states — the atomicity the paper notes transaction
+// formulas share with database transactions.
 type Action interface {
 	Name() string
-	Run(st State, env Env) ([]Outcome, error)
+	Run(st State, env Env) ([]State, error)
 }
 
 // Formula is a serial-Horn Transaction Logic formula.
@@ -68,8 +44,8 @@ type Formula interface {
 	formula()
 }
 
-// Empty is the trivially true formula (the empty path); the ε used to
-// terminate iteration.
+// Empty is the trivially true formula (the empty path); the ε that ends
+// a recursive rule.
 type Empty struct{}
 
 func (Empty) formula()       {}
@@ -105,14 +81,6 @@ type Call struct{ Rule string }
 
 func (Call) formula()         {}
 func (c Call) String() string { return c.Rule }
-
-// Not is negation as failure used as a guard: it succeeds, changing
-// nothing, iff its body has no successful execution from the current
-// state. The body runs hypothetically — its state changes are discarded.
-type Not struct{ Body Formula }
-
-func (Not) formula()         {}
-func (n Not) String() string { return fmt.Sprintf("¬(%s)", n.Body) }
 
 // Seq folds formulas into a right-nested serial conjunction. Seq() is ε.
 func Seq(fs ...Formula) Formula {
@@ -163,34 +131,28 @@ func (p *Program) Rule(name string) (Formula, bool) {
 	return f, ok
 }
 
-// String renders the program rule by rule, sorted for determinism.
-func (p *Program) String() string {
+// Names returns the names of the program's rules, sorted.
+func (p *Program) Names() []string {
 	names := make([]string, 0, len(p.rules))
 	for n := range p.rules {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
+	return names
+}
+
+// String renders the program rule by rule, in name order.
+func (p *Program) String() string {
 	var sb strings.Builder
-	for _, n := range names {
+	for _, n := range p.Names() {
 		fmt.Fprintf(&sb, "%s ← %s\n", n, p.rules[n])
 	}
 	return sb.String()
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// Reachable returns the names of the rules transitively callable from the
-// goal formula — the navigation-expression analogue of dead-code
-// elimination (the paper leaves expression optimization open; pruning
-// unreachable rules is its cheapest instance, useful after map edits leave
-// orphaned page rules behind).
-func (p *Program) Reachable(goal Formula) map[string]bool {
+// reachable returns the names of the rules transitively callable from the
+// goal formula.
+func (p *Program) reachable(goal Formula) map[string]bool {
 	seen := make(map[string]bool)
 	var visit func(f Formula)
 	visit = func(f Formula) {
@@ -201,8 +163,6 @@ func (p *Program) Reachable(goal Formula) map[string]bool {
 		case Choice:
 			visit(f.Left)
 			visit(f.Right)
-		case Not:
-			visit(f.Body)
 		case Call:
 			if seen[f.Rule] {
 				return
@@ -218,9 +178,12 @@ func (p *Program) Reachable(goal Formula) map[string]bool {
 }
 
 // Prune returns a copy of the program containing only the rules reachable
-// from goal.
+// from goal — the navigation-expression analogue of dead-code elimination
+// (the paper leaves expression optimization open; pruning unreachable
+// rules is its cheapest instance, useful after map edits leave orphaned
+// page rules behind).
 func (p *Program) Prune(goal Formula) *Program {
-	reachable := p.Reachable(goal)
+	reachable := p.reachable(goal)
 	out := NewProgram()
 	for name, body := range p.rules {
 		if reachable[name] {
@@ -230,18 +193,14 @@ func (p *Program) Prune(goal Formula) *Program {
 	return out
 }
 
-// Len returns the number of rules.
-func (p *Program) Len() int { return len(p.rules) }
-
 // Interp executes formulas against states.
 type Interp struct {
 	Program *Program
-	// MaxDepth bounds rule-call nesting, catching runaway recursion (a
-	// navigation map with an unbounded loop). Zero means the default.
-	MaxDepth int
 }
 
-const defaultMaxDepth = 100000
+// maxDepth bounds rule-call nesting, catching runaway recursion (a
+// navigation map with an unbounded loop).
+const maxDepth = 100000
 
 // Errors reported by the interpreter.
 var (
@@ -249,109 +208,71 @@ var (
 	ErrUnknownRule   = errors.New("tlogic: unknown rule")
 )
 
-// Run searches for the first successful execution of goal from st and
-// returns its outcome together with the path of states the execution
-// passed through (the initial state first). ok is false when the formula
-// has no successful execution.
+// Run searches for the first successful execution of goal from st with
+// the input bindings env, and returns the state it ends in together with
+// the path of states it passed through (st first, the end state last). ok
+// is false when the formula has no successful execution.
 //
-// The search keeps the path as one stack: each primitive step pushes its
-// outcome's state, and backtracking pops it. The search is depth-first, so
-// sibling branches never hold the path at once. The first success ends
+// The search keeps the path as one stack: each primitive step pushes the
+// state it moves to, and backtracking pops it. The search is depth-first,
+// so sibling branches never hold the path at once. The first success ends
 // the search, so the stack is returned as it stands, without a copy.
-func (in *Interp) Run(goal Formula, st State, env Env) (out Outcome, path []State, ok bool, err error) {
-	if env == nil {
-		env = Env{}
-	}
-	stop := func(o Outcome, p []State) (bool, error) {
-		out, path, ok = o, p, true
+func (in *Interp) Run(goal Formula, st State, env Env) (end State, path []State, ok bool, err error) {
+	stop := func(p []State) (bool, error) {
+		path, ok = p, true
 		return true, nil
 	}
-	_, err = in.exec(goal, st, env, 0, newPath(st), stop)
-	return out, path, ok, err
+	if _, err = in.exec(goal, env, 0, append(make([]State, 0, 16), st), stop); err != nil || !ok {
+		return nil, nil, false, err
+	}
+	return path[len(path)-1], path, true, nil
 }
 
-// RunAll collects up to max outcomes of goal (all of them when max <= 0).
-func (in *Interp) RunAll(goal Formula, st State, env Env, max int) ([]Outcome, error) {
-	if env == nil {
-		env = Env{}
-	}
-	var outs []Outcome
-	collect := func(o Outcome, _ []State) (bool, error) {
-		outs = append(outs, o)
-		return max > 0 && len(outs) >= max, nil
-	}
-	_, err := in.exec(goal, st, env, 0, newPath(st), collect)
-	return outs, err
-}
+// cont receives each successful execution as its path, whose last state is
+// where it ends; returning true stops the search. The path is the search's
+// stack: valid until cont returns.
+type cont func(path []State) (bool, error)
 
-// cont receives each successful execution; returning true stops the
-// search. The path is the search's stack: valid until cont returns.
-type cont func(o Outcome, path []State) (bool, error)
-
-// newPath is the stack of an execution starting from st, with room for a
-// navigation's usual depth.
-func newPath(st State) []State {
-	return append(make([]State, 0, 16), st)
-}
-
-func (in *Interp) exec(f Formula, st State, env Env, depth int, path []State, k cont) (bool, error) {
-	maxDepth := in.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = defaultMaxDepth
-	}
+// exec runs f from the last state of path.
+func (in *Interp) exec(f Formula, env Env, depth int, path []State, k cont) (bool, error) {
 	if depth > maxDepth {
 		return false, ErrDepthExceeded
 	}
 	switch f := f.(type) {
 	case Empty:
-		return k(Outcome{State: st, Env: env}, path)
+		return k(path)
 	case fail:
 		return false, nil
 	case Prim:
-		outs, err := f.Action.Run(st, env)
+		next, err := f.Action.Run(path[len(path)-1], env)
 		if err != nil {
 			return false, fmt.Errorf("action %s: %w", f.Action.Name(), err)
 		}
 		// The push writes the slot past path, which only the search
-		// below this step reads: each outcome reuses it in turn.
-		for _, o := range outs {
-			stop, err := k(o, append(path, o.State))
+		// below this step reads: each next state reuses it in turn.
+		for _, st := range next {
+			stop, err := k(append(path, st))
 			if stop || err != nil {
 				return stop, err
 			}
 		}
 		return false, nil
 	case Serial:
-		return in.exec(f.Left, st, env, depth, path, func(o Outcome, p []State) (bool, error) {
-			return in.exec(f.Right, o.State, o.Env, depth, p, k)
+		return in.exec(f.Left, env, depth, path, func(p []State) (bool, error) {
+			return in.exec(f.Right, env, depth, p, k)
 		})
 	case Choice:
-		stop, err := in.exec(f.Left, st, env, depth, path, k)
+		stop, err := in.exec(f.Left, env, depth, path, k)
 		if stop || err != nil {
 			return stop, err
 		}
-		return in.exec(f.Right, st, env, depth, path, k)
+		return in.exec(f.Right, env, depth, path, k)
 	case Call:
 		body, ok := in.Program.Rule(f.Rule)
 		if !ok {
 			return false, fmt.Errorf("%w: %s", ErrUnknownRule, f.Rule)
 		}
-		return in.exec(body, st, env, depth+1, path, k)
-	case Not:
-		found := false
-		// Hypothetical execution over a cloned state: effects discarded.
-		// Its steps push above path and are popped before k runs.
-		_, err := in.exec(f.Body, st.Clone(), env, depth, path, func(Outcome, []State) (bool, error) {
-			found = true
-			return true, nil
-		})
-		if err != nil {
-			return false, err
-		}
-		if found {
-			return false, nil
-		}
-		return k(Outcome{State: st, Env: env}, path)
+		return in.exec(body, env, depth+1, path, k)
 	default:
 		return false, fmt.Errorf("tlogic: unknown formula type %T", f)
 	}

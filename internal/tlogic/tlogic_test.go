@@ -15,59 +15,53 @@ type counter struct {
 	log []string
 }
 
-func (c *counter) Clone() State {
+func (c *counter) clone() *counter {
 	return &counter{n: c.n, log: append([]string(nil), c.log...)}
 }
 
 // op is a primitive that transforms the counter, optionally failing.
 type op struct {
 	name string
-	fn   func(c *counter, env Env) ([]Outcome, error)
+	fn   func(c *counter) ([]State, error)
 }
 
 func (o op) Name() string { return o.name }
-func (o op) Run(st State, env Env) ([]Outcome, error) {
-	return o.fn(st.(*counter), env)
+func (o op) Run(st State, _ Env) ([]State, error) {
+	return o.fn(st.(*counter))
 }
 
 func inc(by int) Formula {
-	return Prim{op{name: "inc", fn: func(c *counter, env Env) ([]Outcome, error) {
-		nc := c.Clone().(*counter)
+	return Prim{op{name: "inc", fn: func(c *counter) ([]State, error) {
+		nc := c.clone()
 		nc.n += by
 		nc.log = append(nc.log, "inc")
-		return []Outcome{{State: nc, Env: env}}, nil
+		return []State{nc}, nil
 	}}}
 }
 
 // guardLess succeeds (state unchanged) iff n < limit.
 func guardLess(limit int) Formula {
-	return Prim{op{name: "less", fn: func(c *counter, env Env) ([]Outcome, error) {
+	return Prim{op{name: "less", fn: func(c *counter) ([]State, error) {
 		if c.n < limit {
-			return []Outcome{{State: c, Env: env}}, nil
+			return []State{c}, nil
 		}
 		return nil, nil
 	}}}
 }
 
-func bind(name, val string) Formula {
-	return Prim{op{name: "bind", fn: func(c *counter, env Env) ([]Outcome, error) {
-		return []Outcome{{State: c, Env: env.With(name, val)}}, nil
-	}}}
-}
-
 func failing() Formula {
-	return Prim{op{name: "boom", fn: func(c *counter, env Env) ([]Outcome, error) {
+	return Prim{op{name: "boom", fn: func(c *counter) ([]State, error) {
 		return nil, errors.New("hardware on fire")
 	}}}
 }
 
-func run(t *testing.T, in *Interp, goal Formula, start int) (Outcome, []State, bool) {
+func run(t *testing.T, in *Interp, goal Formula, start int) (State, []State, bool) {
 	t.Helper()
-	out, path, ok, err := in.Run(goal, &counter{n: start}, nil)
+	end, path, ok, err := in.Run(goal, &counter{n: start}, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return out, path, ok
+	return end, path, ok
 }
 
 func TestSerialExecutesInOrder(t *testing.T) {
@@ -76,7 +70,7 @@ func TestSerialExecutesInOrder(t *testing.T) {
 	if !ok {
 		t.Fatal("serial failed")
 	}
-	if got := out.State.(*counter).n; got != 111 {
+	if got := out.(*counter).n; got != 111 {
 		t.Errorf("n = %d, want 111", got)
 	}
 	// Path: initial + one state per action.
@@ -105,7 +99,7 @@ func TestChoicePrefersLeftAndBacktracks(t *testing.T) {
 	if !ok {
 		t.Fatal("choice failed")
 	}
-	c := out.State.(*counter)
+	c := out.(*counter)
 	if c.n != 1 {
 		t.Errorf("n = %d, want 1 (left branch effects must be discarded)", c.n)
 	}
@@ -117,98 +111,28 @@ func TestChoicePrefersLeftAndBacktracks(t *testing.T) {
 func TestChoicePrefersLeftWhenBothSucceed(t *testing.T) {
 	in := &Interp{Program: NewProgram()}
 	out, _, ok := run(t, in, Choice{Left: inc(1), Right: inc(2)}, 0)
-	if !ok || out.State.(*counter).n != 1 {
+	if !ok || out.(*counter).n != 1 {
 		t.Error("ordered choice should take the left branch first")
 	}
 }
 
 func TestRecursionCountsToLimit(t *testing.T) {
-	// count ← (n < 7) ⊗ inc(1) ⊗ count  ∨  ¬(n < 7)
+	// count ← (n < 7) ⊗ inc(1) ⊗ count  ∨  ε
 	p := NewProgram()
 	p.Define("count", Choice{
 		Left:  Seq(guardLess(7), inc(1), Call{Rule: "count"}),
-		Right: Not{Body: guardLess(7)},
+		Right: Empty{},
 	})
 	in := &Interp{Program: p}
 	out, path, ok := run(t, in, Call{Rule: "count"}, 0)
 	if !ok {
 		t.Fatal("recursion failed")
 	}
-	if got := out.State.(*counter).n; got != 7 {
+	if got := out.(*counter).n; got != 7 {
 		t.Errorf("n = %d, want 7", got)
 	}
 	if len(path) < 8 {
 		t.Errorf("path too short: %d", len(path))
-	}
-}
-
-func TestRunAllEnumeratesOutcomes(t *testing.T) {
-	in := &Interp{Program: NewProgram()}
-	goal := Seq(Alt(inc(1), inc(2)), Alt(inc(10), inc(20)))
-	outs, err := in.RunAll(goal, &counter{}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 4 {
-		t.Fatalf("outcomes = %d, want 4", len(outs))
-	}
-	got := map[int]bool{}
-	for _, o := range outs {
-		got[o.State.(*counter).n] = true
-	}
-	for _, want := range []int{11, 21, 12, 22} {
-		if !got[want] {
-			t.Errorf("missing outcome %d (got %v)", want, got)
-		}
-	}
-	// max limits enumeration.
-	outs, _ = in.RunAll(goal, &counter{}, nil, 2)
-	if len(outs) != 2 {
-		t.Errorf("limited outcomes = %d, want 2", len(outs))
-	}
-}
-
-func TestEnvBindingsThread(t *testing.T) {
-	in := &Interp{Program: NewProgram()}
-	out, _, ok := run(t, in, Seq(bind("make", "ford"), bind("model", "escort")), 0)
-	if !ok {
-		t.Fatal("failed")
-	}
-	if v, _ := out.Env.Lookup("make"); v != "ford" {
-		t.Errorf("make = %q", v)
-	}
-	if v, _ := out.Env.Lookup("model"); v != "escort" {
-		t.Errorf("model = %q", v)
-	}
-	if _, ok := out.Env.Lookup("zz"); ok {
-		t.Error("phantom binding")
-	}
-}
-
-func TestEnvImmutability(t *testing.T) {
-	e := Env{"a": "1"}
-	e2 := e.With("b", "2")
-	if _, ok := e.Lookup("b"); ok {
-		t.Error("With mutated the receiver")
-	}
-	if v, _ := e2.Lookup("a"); v != "1" {
-		t.Error("With lost existing bindings")
-	}
-}
-
-func TestNotIsHypothetical(t *testing.T) {
-	in := &Interp{Program: NewProgram()}
-	// ¬(inc ⊗ fail-guard): body fails, so Not succeeds with state intact.
-	out, _, ok := run(t, in, Seq(Not{Body: Seq(inc(5), guardLess(-1))}, inc(1)), 0)
-	if !ok {
-		t.Fatal("not-guard failed")
-	}
-	if got := out.State.(*counter).n; got != 1 {
-		t.Errorf("n = %d, want 1 (hypothetical inc must be discarded)", got)
-	}
-	// ¬(succeeding body) fails.
-	if _, _, ok := run(t, in, Not{Body: inc(1)}, 0); ok {
-		t.Error("Not over a succeeding body must fail")
 	}
 }
 
@@ -231,7 +155,7 @@ func TestUnknownRule(t *testing.T) {
 func TestDepthLimit(t *testing.T) {
 	p := NewProgram()
 	p.Define("loop", Call{Rule: "loop"}) // infinite recursion
-	in := &Interp{Program: p, MaxDepth: 50}
+	in := &Interp{Program: p}
 	_, _, _, err := in.Run(Call{Rule: "loop"}, &counter{}, nil)
 	if !errors.Is(err, ErrDepthExceeded) {
 		t.Errorf("err = %v", err)
@@ -259,9 +183,6 @@ func TestFormulaStrings(t *testing.T) {
 			t.Errorf("formula rendering %q missing %q", s, want)
 		}
 	}
-	if !strings.Contains((Not{Body: Empty{}}).String(), "¬") {
-		t.Error("Not rendering")
-	}
 	if Alt().String() != "⊥" {
 		t.Error("fail rendering")
 	}
@@ -283,18 +204,19 @@ func TestProgramString(t *testing.T) {
 	}
 }
 
-// outcomesOf collects the multiset of final counter values of all
-// executions.
+// outcomesOf returns the final counter value of every execution of f, in
+// the order the search finds them: f is followed by a step that records
+// its state and fails, so the search backtracks through all of them.
 func outcomesOf(t *testing.T, f Formula, start int) []int {
 	t.Helper()
+	var ns []int
+	record := Prim{op{name: "record", fn: func(c *counter) ([]State, error) {
+		ns = append(ns, c.n)
+		return nil, nil
+	}}}
 	in := &Interp{Program: NewProgram()}
-	outs, err := in.RunAll(f, &counter{n: start}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := make([]int, len(outs))
-	for i, o := range outs {
-		ns[i] = o.State.(*counter).n
+	if _, _, ok, err := in.Run(Seq(f, record), &counter{n: start}, nil); ok || err != nil {
+		t.Fatalf("recording run: ok=%v err=%v", ok, err)
 	}
 	return ns
 }
@@ -371,13 +293,13 @@ func TestEpsilonIsSerialIdentity(t *testing.T) {
 func TestPruneRemovesUnreachableRules(t *testing.T) {
 	p := NewProgram()
 	p.Define("a", Serial{Left: Call{Rule: "b"}, Right: Empty{}})
-	p.Define("b", Choice{Left: Empty{}, Right: Not{Body: Call{Rule: "c"}}})
-	p.Define("c", Call{Rule: "c"}) // self-recursive, reachable through ¬
+	p.Define("b", Choice{Left: Empty{}, Right: Call{Rule: "c"}})
+	p.Define("c", Call{Rule: "c"}) // self-recursive, reachable through ∨
 	p.Define("orphan", Empty{})
 	p.Define("orphan2", Call{Rule: "orphan"}) // only reachable from orphans
 
 	goal := Call{Rule: "a"}
-	reach := p.Reachable(goal)
+	reach := p.reachable(goal)
 	for _, want := range []string{"a", "b", "c"} {
 		if !reach[want] {
 			t.Errorf("rule %s should be reachable", want)
@@ -387,8 +309,8 @@ func TestPruneRemovesUnreachableRules(t *testing.T) {
 		t.Error("orphans reported reachable")
 	}
 	pruned := p.Prune(goal)
-	if pruned.Len() != 3 {
-		t.Errorf("pruned to %d rules, want 3", pruned.Len())
+	if got := pruned.Names(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Errorf("pruned to %v, want [a b c]", got)
 	}
 	// Pruned program still executes the goal identically.
 	in := &Interp{Program: pruned}
@@ -398,16 +320,10 @@ func TestPruneRemovesUnreachableRules(t *testing.T) {
 }
 
 func TestPathIsolationAcrossBranches(t *testing.T) {
-	// Both branches of a choice extend the same prefix; ensure RunAll sees
-	// consistent per-branch outcomes (no shared-slice corruption).
-	in := &Interp{Program: NewProgram()}
-	goal := Seq(inc(1), Alt(inc(10), inc(20)))
-	outs, err := in.RunAll(goal, &counter{}, nil, 0)
-	if err != nil || len(outs) != 2 {
-		t.Fatalf("outs = %v, err = %v", outs, err)
-	}
-	if outs[0].State.(*counter).n != 11 || outs[1].State.(*counter).n != 21 {
-		t.Errorf("branch outcomes: %d, %d", outs[0].State.(*counter).n, outs[1].State.(*counter).n)
+	// Both branches of a choice extend the same prefix; each must see its
+	// own outcome (no shared-slice corruption).
+	if got := outcomesOf(t, Seq(inc(1), Alt(inc(10), inc(20))), 0); !reflect.DeepEqual(got, []int{11, 21}) {
+		t.Errorf("branch outcomes: %v, want [11 21]", got)
 	}
 }
 
@@ -423,13 +339,13 @@ func TestPathThroughBacktracking(t *testing.T) {
 		return Seq(fs...)
 	}
 	// fork moves to n+10 or n+20, in that order.
-	fork := Prim{op{name: "fork", fn: func(c *counter, env Env) ([]Outcome, error) {
-		return []Outcome{{State: &counter{n: c.n + 10}, Env: env}, {State: &counter{n: c.n + 20}, Env: env}}, nil
+	fork := Prim{op{name: "fork", fn: func(c *counter) ([]State, error) {
+		return []State{&counter{n: c.n + 10}, &counter{n: c.n + 20}}, nil
 	}}}
 	atLeast := func(limit int) Formula {
-		return Prim{op{name: "atleast", fn: func(c *counter, env Env) ([]Outcome, error) {
+		return Prim{op{name: "atleast", fn: func(c *counter) ([]State, error) {
 			if c.n >= limit {
-				return []Outcome{{State: c, Env: env}}, nil
+				return []State{c}, nil
 			}
 			return nil, nil
 		}}}
@@ -445,8 +361,8 @@ func TestPathThroughBacktracking(t *testing.T) {
 		{"nondeterministic step whose first outcome dies deeper in",
 			Seq(inc(1), fork, inc(1), inc(1), atLeast(23)),
 			[]int{0, 1, 21, 22, 23, 23}},
-		{"negation inside a serial",
-			Seq(inc(1), Not{Body: Seq(incs(3, 5), guardLess(0))}, inc(2), Not{Body: Seq(incs(2, 7), atLeast(100))}),
+		{"failed branches inside a serial",
+			Seq(inc(1), Alt(Seq(incs(3, 5), guardLess(0)), Empty{}), inc(2), Alt(Seq(incs(2, 7), atLeast(100)), Empty{})),
 			[]int{0, 1, 3}},
 	}
 	for _, c := range cases {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"webbase/internal/race"
 )
@@ -50,14 +51,14 @@ func TestParseAllocs(t *testing.T) {
 
 // TestParseAllocatedBytes is the ceiling on what a parsed page weighs: the
 // bytes Parse allocates for a recorded page, on average, about 10% above
-// what it does. The flat document is its text (at most the source), 28
+// what it does. The flat document is its text (at most the source), 16
 // bytes a node and 16 an attribute.
 func TestParseAllocatedBytes(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	pages := fixturePages(t)
-	const ceiling = 2870 // 2613 when set; 7036 for the tree of 80-byte nodes with four pointers each
+	const ceiling = 2030 // 1845 when set; 2613 for 28-byte nodes that held their parent and both a data and an attribute span; 7036 for the tree of 80-byte nodes with four pointers each
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	parseAll := func() {
 		for _, p := range pages {
@@ -103,7 +104,12 @@ func TestDocumentRecordsArePointerFree(t *testing.T) {
 	}
 	check("node", reflect.TypeOf(node{}))
 	check("attr", reflect.TypeOf(attr{}))
-	if size := reflect.TypeOf(node{}).Size(); size > 28 {
-		t.Errorf("a node is %d bytes, want at most 28", size)
+}
+
+// TestNodeValueSize: a node is 16 bytes — its type, tag, end and one span —
+// because every byte of it is paid once per node of every parsed page.
+func TestNodeValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n != 16 {
+		t.Errorf("a node is %d bytes, want 16", n)
 	}
 }

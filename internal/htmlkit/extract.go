@@ -9,10 +9,11 @@ import (
 )
 
 // Link is a hyperlink found on a page: the F-logic link class of Figure 3
-// (name ; string, address ; url).
+// (name ; string, address ; url). Its address is Resolve(pageURL, Href),
+// made by whoever follows the link.
 type Link struct {
-	Name    string // anchor text, whitespace-normalized
-	Address string // absolute URL after resolution against the page URL
+	Name string // anchor text, whitespace-normalized
+	Href string // the href attribute as written, entity-decoded
 }
 
 // WidgetType classifies a form input, mirroring the paper's attrValPair
@@ -84,19 +85,12 @@ func (f *Form) OptionalFields() []string {
 	return out
 }
 
-// Resolve resolves ref against base, returning ref unchanged when base is
-// unparsable. It tolerates the bare host-relative references common on old
-// sites.
+// Resolve resolves ref against base as net/url does, returning ref
+// unchanged when either is unparsable. It tolerates the bare host-relative
+// references common on old sites.
 func Resolve(base, ref string) string {
-	b, err := url.Parse(base)
-	if err != nil {
-		return ref
-	}
-	r, err := url.Parse(ref)
-	if err != nil {
-		return ref
-	}
-	return b.ResolveReference(r).String()
+	r := newResolver(base)
+	return r.resolve(ref)
 }
 
 // resolver is Resolve against one base for the many references of a page:
@@ -218,7 +212,8 @@ type Page struct {
 }
 
 // Scan gathers a document's title, links, forms and table presence in one
-// walk, resolving addresses against baseURL.
+// walk, resolving form actions against baseURL. A link keeps its href as
+// written: most are never followed.
 func Scan(doc *Node, baseURL string) Page {
 	r := newResolver(baseURL)
 	var p Page
@@ -242,7 +237,7 @@ func Scan(doc *Node, baseURL string) Page {
 			}
 		case tagA:
 			if href, ok := n.Attr("href"); ok && href != "" {
-				p.Links = append(p.Links, Link{Name: n.Text(), Address: r.resolve(href)})
+				p.Links = append(p.Links, Link{Name: n.Text(), Href: href})
 			}
 		case tagForm:
 			p.Forms = append(p.Forms, formOf(n, &r))
@@ -250,11 +245,14 @@ func Scan(doc *Node, baseURL string) Page {
 			p.HasTable = true
 		}
 	}
+	if len(p.Links) == 0 {
+		p.Links = nil // anchors, but none with an href
+	}
 	return p
 }
 
-// Links extracts all <a href> links, resolving addresses against baseURL.
-func Links(doc *Node, baseURL string) []Link { return Scan(doc, baseURL).Links }
+// Links extracts all <a href> links, each href as written.
+func Links(doc *Node) []Link { return Scan(doc, "").Links }
 
 // Forms extracts all forms with their typed fields, resolving action URLs
 // against baseURL. Radio groups collapse into a single Field whose Domain

@@ -26,15 +26,10 @@ const newsdayLike = `
 
 func TestLinks(t *testing.T) {
 	doc := Parse([]byte(newsdayLike))
-	links := Links(doc, "http://newsday.example/classified/")
-	if len(links) != 2 {
-		t.Fatalf("links: %d", len(links))
-	}
-	if links[0].Name != "Automobiles" || links[0].Address != "http://newsday.example/auto" {
-		t.Errorf("link 0 = %+v", links[0])
-	}
-	if links[1].Address != "http://other.example/x" {
-		t.Errorf("absolute link mangled: %+v", links[1])
+	links := Links(doc)
+	want := []Link{{Name: "Automobiles", Href: "/auto"}, {Name: "Elsewhere", Href: "http://other.example/x"}}
+	if !reflect.DeepEqual(links, want) {
+		t.Errorf("links = %+v, want %+v", links, want)
 	}
 }
 

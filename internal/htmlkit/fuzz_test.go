@@ -67,6 +67,9 @@ func FuzzParse(f *testing.F) {
 		"<!----><a href=/x>x</a><!-- -->",
 		"<!--",
 		"<!---",
+		// Comments closed by "--!>", and a "--!" that closes nothing.
+		"<!-- x --!><a href=/after>after</a>",
+		"<!----!><!-- a ---!><!-- --!-- b --!--><!-- --!x -->",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -97,7 +100,7 @@ func FuzzParse(f *testing.F) {
 		})
 		const base = "http://fuzz.example/dir/page?x=1"
 		page := Scan(doc, base)
-		if want := refLinks(ref, base); !reflect.DeepEqual(page.Links, want) {
+		if want := refLinks(ref); !reflect.DeepEqual(page.Links, want) {
 			t.Fatalf("Scan links = %#v, reference %#v", page.Links, want)
 		}
 		if want := refTitle(ref); page.Title != want || Title(doc) != want {
@@ -115,7 +118,7 @@ func FuzzParse(f *testing.F) {
 // attrsOf lists a node's attributes, nil when it has none.
 func attrsOf(n Node) []Attr {
 	var out []Attr
-	for _, a := range n.d.attrs[n.node().attrs.start:n.node().attrs.end] {
+	for _, a := range n.d.attrsAt(n.i) {
 		out = append(out, Attr{Name: n.d.str(a.name), Value: n.d.str(a.value)})
 	}
 	return out
@@ -214,8 +217,8 @@ func FuzzDataTable(f *testing.F) {
 }
 
 // FuzzResolve holds the page resolver — base parsed once, plain references
-// concatenated or passed through — to Resolve, which parses both URLs
-// every time.
+// concatenated or passed through — and Resolve, which is one resolver, to
+// refResolve, which parses both URLs every time.
 func FuzzResolve(f *testing.F) {
 	bases := []string{
 		"http://site.example/", "http://site.example/dir/page?x=1#frag", "https://u:p@Site.Example:8080/a/b",
@@ -246,9 +249,12 @@ func FuzzResolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, base, ref string) {
 		r := newResolver(base)
 		for i := 0; i < 2; i++ { // the second call takes the parsed-base path
-			if got, want := r.resolve(ref), Resolve(base, ref); got != want {
-				t.Fatalf("resolve(%q, %q) = %q, Resolve gives %q", base, ref, got, want)
+			if got, want := r.resolve(ref), refResolve(base, ref); got != want {
+				t.Fatalf("resolve(%q, %q) = %q, refResolve gives %q", base, ref, got, want)
 			}
+		}
+		if got, want := Resolve(base, ref), refResolve(base, ref); got != want {
+			t.Fatalf("Resolve(%q, %q) = %q, refResolve gives %q", base, ref, got, want)
 		}
 	})
 }

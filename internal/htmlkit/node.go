@@ -37,19 +37,36 @@ type document struct {
 	root  Node // the document node, which Parse returns
 }
 
-// node is one node of a document. Its indexes are into the document's
-// nodes, its spans into the document's text and attrs.
+// node is one node of a document, 16 bytes. Its index is into the
+// document's nodes, its span into the document's text or attrs. A node
+// records no parent: nothing after the parse reads one, and while the
+// parser holds an element open its end field holds its parent instead.
 type node struct {
-	typ    NodeType
-	tag    tagID // an element's id, or tagOther (every other node, and an element named in data)
-	parent int32 // -1 for the document node
-	end    int32 // one past the node's last descendant
-	data   span  // text or comment content, or the name of a tagOther element
-	attrs  span  // the element's attributes, in source order
+	typ NodeType
+	tag tagID // an element's id, or tagOther (every other node, and an element named in its attrs)
+	end int32 // one past the node's last descendant
+	// data is a text or comment node's content in the text, and an
+	// element's attributes in attrs, in source order. The first attribute
+	// of a tagOther element is its name, which Attr skips.
+	data span
 }
 
 // attr is one attribute: its lower-cased name and entity-decoded value.
 type attr struct{ name, value span }
+
+// attrsAt returns the attributes of node i, none unless it is an element,
+// and without the name slot of a tagOther element.
+func (d *document) attrsAt(i int32) []attr {
+	nd := &d.nodes[i]
+	if nd.typ != ElementNode {
+		return nil
+	}
+	start := nd.data.start
+	if nd.tag == tagOther {
+		start++
+	}
+	return d.attrs[start:nd.data.end]
+}
 
 // Node is a node of a parsed document: a handle on the document and the
 // node's place in it. A Node is a small value; copying it copies the handle.
@@ -69,16 +86,19 @@ func (n Node) Type() NodeType { return n.node().typ }
 // comment node.
 func (n Node) Data() string {
 	nd := n.node()
-	if nd.typ == ElementNode && nd.tag != tagOther {
-		return tagNames[nd.tag]
+	switch {
+	case nd.typ != ElementNode:
+		return n.d.str(nd.data)
+	case nd.tag == tagOther:
+		return n.d.str(n.d.attrs[nd.data.start].name)
 	}
-	return n.d.str(nd.data)
+	return tagNames[nd.tag]
 }
 
 // Attr returns the value of the named attribute and whether it is present.
 func (n Node) Attr(name string) (string, bool) {
 	d := n.d
-	for _, a := range d.attrs[d.nodes[n.i].attrs.start:d.nodes[n.i].attrs.end] {
+	for _, a := range d.attrsAt(n.i) {
 		if d.str(a.name) == name {
 			return d.str(a.value), true
 		}
@@ -97,27 +117,6 @@ func (n Node) AttrOr(name, def string) string {
 // IsElement reports whether n is an element with the given tag name.
 func (n Node) IsElement(tag string) bool {
 	return n.Type() == ElementNode && n.Data() == tag
-}
-
-// Parent returns the node's parent, and false for the document node.
-func (n Node) Parent() (Node, bool) {
-	p := n.node().parent
-	return Node{n.d, p}, p >= 0
-}
-
-// FirstChild returns the node's first child, and false when it has none.
-func (n Node) FirstChild() (Node, bool) {
-	return Node{n.d, n.i + 1}, n.i+1 < n.node().end
-}
-
-// NextSibling returns the node's next sibling, and false when it is the
-// last child of its parent or the document node.
-func (n Node) NextSibling() (Node, bool) {
-	nd := n.node()
-	if nd.parent < 0 {
-		return Node{}, false
-	}
-	return Node{n.d, nd.end}, nd.end < n.d.nodes[nd.parent].end
 }
 
 // Walk visits n and all descendants in document order. Returning false from
@@ -250,7 +249,7 @@ func Parse(src []byte) *Node {
 		z:     tokenizer{src: src, attrs: make([]attr, 0, bytes.Count(src, []byte{'='}))},
 		nodes: make([]node, 1, 2*(tags-ends)+2),
 	}
-	p.nodes[0] = node{typ: DocumentNode, parent: -1}
+	p.nodes[0] = node{typ: DocumentNode, end: -1} // open, with no parent
 	p.text.Grow(max(len(src)-3*tags, 0))
 	for p.z.next() {
 		p.add()
@@ -299,7 +298,8 @@ type parser struct {
 	nodes []node          // becomes the document's nodes
 	text  strings.Builder // becomes the document's text
 	// top is the innermost open element. The open elements are it and its
-	// ancestors, up to the document node.
+	// ancestors, up to the document node: an open element's end is its
+	// parent until closeTo closes it.
 	top int32
 	// scratch holds a decoded run until it is written to the text.
 	scratch []byte
@@ -333,53 +333,60 @@ func (p *parser) add() {
 		if closes := autoCloses[tok.tag]; closes != 0 {
 			keep := p.top
 			for keep != 0 && closes.has(nodes[keep].tag) {
-				keep = nodes[keep].parent
+				keep = nodes[keep].end
 			}
 			p.closeTo(keep)
 		}
-		el := node{typ: ElementNode, tag: tok.tag, attrs: tok.attrs}
-		if tok.tag == tagOther {
-			el.data = p.writeName(src[tok.data.start:tok.data.end])
-		}
+		// The name slot the tokenizer put first for a tagOther element is
+		// written lower-cased like any attribute name, with an empty value.
 		for k := tok.attrs.start; k < tok.attrs.end; k++ {
 			a := &p.z.attrs[k]
 			a.name = p.writeName(src[a.name.start:a.name.end])
 			a.value = p.writeDecoded(src[a.value.start:a.value.end])
 		}
-		i := p.addNode(el)
+		i := p.addNode(node{typ: ElementNode, tag: tok.tag, data: tok.attrs})
 		if tok.typ == startTagToken && !voidTags.has(tok.tag) {
+			p.nodes[i].end = p.top
 			p.top = i
 		}
 	case endTagToken:
 		// Pop to the matching open element if one exists; otherwise drop
 		// the stray end tag.
 		name := src[tok.data.start:tok.data.end]
-		for el := p.top; el != 0; el = nodes[el].parent {
-			if nodes[el].tag == tok.tag && (tok.tag != tagOther || equalFoldASCII(name, p.text.String()[nodes[el].data.start:nodes[el].data.end])) {
-				p.closeTo(nodes[el].parent)
+		for el := p.top; el != 0; el = nodes[el].end {
+			if nodes[el].tag == tok.tag && (tok.tag != tagOther || equalFoldASCII(name, p.nameOf(el))) {
+				p.closeTo(nodes[el].end)
 				break
 			}
 		}
 	}
 }
 
+// nameOf returns the lower-cased name of tagOther element el, written to
+// the text so far.
+func (p *parser) nameOf(el int32) string {
+	s := p.z.attrs[p.nodes[el].data.start].name
+	return p.text.String()[s.start:s.end]
+}
+
 // addNode appends n as the last child of the innermost open element and
-// returns its index. It ends where it starts until it is closed.
+// returns its index. It ends where it starts: a start tag that opens it
+// sets its end to the parent it closes back to.
 func (p *parser) addNode(n node) int32 {
 	i := int32(len(p.nodes))
-	n.parent = p.top
 	n.end = i + 1
 	p.nodes = append(p.nodes, n)
 	return i
 }
 
 // closeTo closes the open elements inside keep, which stays open (-1 closes
-// them all): each one's subtree ends with the last node added. It is the
-// one place that pops.
+// them all): each one's subtree ends with the last node added, and its end
+// stops naming its parent. It is the one place that pops.
 func (p *parser) closeTo(keep int32) {
 	end := int32(len(p.nodes))
-	for ; p.top != keep; p.top = p.nodes[p.top].parent {
-		p.nodes[p.top].end = end
+	for p.top != keep {
+		nd := &p.nodes[p.top]
+		p.top, nd.end = nd.end, end
 	}
 }
 

@@ -7,6 +7,39 @@ import (
 	"testing/quick"
 )
 
+// Parent returns the node's parent, and false for the document node. A
+// node records no parent, so Parent descends to it from the document node.
+func (n Node) Parent() (Node, bool) {
+	if n.i == 0 {
+		return Node{}, false
+	}
+	p := int32(0)
+	for c := p + 1; c != n.i; {
+		if n.i < n.d.nodes[c].end {
+			p, c = c, c+1 // n is in c's subtree
+		} else {
+			c = n.d.nodes[c].end
+		}
+	}
+	return Node{n.d, p}, true
+}
+
+// FirstChild returns the node's first child, and false when it has none.
+func (n Node) FirstChild() (Node, bool) {
+	return Node{n.d, n.i + 1}, n.i+1 < n.node().end
+}
+
+// NextSibling returns the node's next sibling, and false when it is the
+// last child of its parent or the document node.
+func (n Node) NextSibling() (Node, bool) {
+	p, ok := n.Parent()
+	if !ok {
+		return Node{}, false
+	}
+	end := n.node().end
+	return Node{n.d, end}, end < p.node().end
+}
+
 func TestParseTree(t *testing.T) {
 	doc := Parse([]byte(`<html><head><title>T</title></head><body><p>one<p>two</body></html>`))
 	if got := Title(doc); got != "T" {

@@ -1,6 +1,7 @@
 package htmlkit
 
 import (
+	"net/url"
 	"strconv"
 	"strings"
 )
@@ -208,14 +209,21 @@ func (z *refTokenizer) markupDeclaration() Token {
 				return Token{Type: CommentToken}
 			}
 		}
-		end := strings.Index(string(src[z.pos+4:]), "-->")
+		// The comment ends at the first "-->", or at the first "--!>"
+		// (WHATWG's comment end bang state: incorrectly-closed-comment),
+		// whichever comes first.
+		rest := string(src[z.pos+4:])
+		end, closer := strings.Index(rest, "-->"), 3
+		if bang := strings.Index(rest, "--!>"); bang >= 0 && (end < 0 || bang < end) {
+			end, closer = bang, 4
+		}
 		var body string
 		if end < 0 {
-			body = string(src[z.pos+4:]) // unterminated comment: recover
+			body = rest // unterminated comment: recover
 			z.pos = len(src)
 		} else {
-			body = string(src[z.pos+4 : z.pos+4+end])
-			z.pos += 4 + end + 3
+			body = rest[:end]
+			z.pos += 4 + end + closer
 		}
 		return Token{Type: CommentToken, Data: body}
 	}
@@ -500,15 +508,15 @@ func refTitle(doc *treeNode) string {
 	return ""
 }
 
-// refLinks is Links as it was: its own walk, two URL parses per link.
-func refLinks(doc *treeNode, baseURL string) []Link {
+// refLinks is Links over the tree: its own walk, each href as written.
+func refLinks(doc *treeNode) []Link {
 	var out []Link
 	for _, a := range doc.FindAll("a") {
 		href, ok := a.Attr("href")
 		if !ok || href == "" {
 			continue
 		}
-		out = append(out, Link{Name: refText(a), Address: Resolve(baseURL, href)})
+		out = append(out, Link{Name: refText(a), Href: href})
 	}
 	return out
 }
@@ -588,7 +596,7 @@ func refDataTable(doc *treeNode, baseURL string, columns ...string) []refDataRow
 						if row.Links == nil {
 							row.Links = make(map[string]string)
 						}
-						row.Links[refText(a)] = Resolve(baseURL, href)
+						row.Links[refText(a)] = refResolve(baseURL, href)
 					}
 					return true
 				})
@@ -608,4 +616,18 @@ func refEscapeText(s string) string {
 
 func refEscapeAttr(s string) string {
 	return strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace(s)
+}
+
+// refResolve resolves ref against base through net/url, both URLs parsed
+// every time: the reference the page resolver and Resolve are held to.
+func refResolve(base, ref string) string {
+	b, err := url.Parse(base)
+	if err != nil {
+		return ref
+	}
+	r, err := url.Parse(ref)
+	if err != nil {
+		return ref
+	}
+	return b.ResolveReference(r).String()
 }

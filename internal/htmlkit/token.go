@@ -42,6 +42,7 @@ type token struct {
 	// written.
 	data span
 	// attrs is a start tag's attributes: the tokenizer's attrs[start:end].
+	// The first of a tagOther start tag is its name, with an empty value.
 	attrs span
 }
 
@@ -305,8 +306,8 @@ func (z *tokenizer) markupDeclaration() {
 		case bytes.HasPrefix(rest, []byte("->")):
 			end, z.pos = body, body+2
 		default:
-			if i := bytes.Index(rest, []byte("-->")); i >= 0 {
-				end, z.pos = body+i, body+i+3
+			if i, n := commentEnd(rest); i >= 0 {
+				end, z.pos = body+i, body+i+n
 			}
 		}
 		z.tok = token{typ: commentToken, data: span{int32(body), int32(end)}}
@@ -319,6 +320,27 @@ func (z *tokenizer) markupDeclaration() {
 		end, z.pos = body+i, body+i+1
 	}
 	z.tok = token{typ: doctypeToken, data: span{int32(body), int32(end)}}
+}
+
+// commentEnd returns the index in a comment's rest of the "-->" or "--!>"
+// that ends it, and that end's length; -1 when the comment is unterminated.
+// WHATWG's comment end state closes a comment at the '>' after "--", and
+// its comment end bang state at the '>' after "--!" (an
+// incorrectly-closed-comment).
+func commentEnd(rest []byte) (int, int) {
+	for i := 0; ; i++ {
+		j := bytes.Index(rest[i:], []byte("--"))
+		if j < 0 {
+			return -1, 0
+		}
+		i += j
+		switch after := rest[i+2:]; {
+		case len(after) > 0 && after[0] == '>':
+			return i, 3
+		case len(after) > 1 && after[0] == '!' && after[1] == '>':
+			return i, 4
+		}
+	}
 }
 
 func (z *tokenizer) endTag() {
@@ -347,6 +369,9 @@ func (z *tokenizer) startTag() {
 	tok := &z.tok
 	*tok = token{typ: startTagToken, tag: lookupTag(src[start:i]), data: span{int32(start), int32(i)}}
 	tok.attrs.start = int32(len(z.attrs))
+	if tok.tag == tagOther {
+		z.attrs = append(z.attrs, attr{name: tok.data})
+	}
 	for i < len(src) {
 		c := src[i]
 		if isSpace(c) {

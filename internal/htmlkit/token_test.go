@@ -31,7 +31,11 @@ func tokens(t *testing.T, src string) []Token {
 			last.Data = strings.ToLower(last.Data)
 		}
 		if tok.typ == startTagToken || tok.typ == selfClosingTagToken {
-			for _, a := range z.attrs[tok.attrs.start:tok.attrs.end] {
+			attrs := z.attrs[tok.attrs.start:tok.attrs.end]
+			if tok.tag == tagOther {
+				attrs = attrs[1:] // the name slot
+			}
+			for _, a := range attrs {
 				last.Attrs = append(last.Attrs, Attr{Name: strings.ToLower(str(a.name)), Value: DecodeEntities(str(a.value))})
 			}
 		}
@@ -218,11 +222,44 @@ func TestEscapeRoundTrip(t *testing.T) {
 func TestEmptyCommentEndsAtItsBracket(t *testing.T) {
 	for _, src := range []string{"<!--><a href=/x>x</a>", "<!---><a href=/x>x</a>"} {
 		links := Scan(Parse([]byte(src)), "http://site.example/").Links
-		if want := []Link{{Name: "x", Address: "http://site.example/x"}}; !reflect.DeepEqual(links, want) {
+		if want := []Link{{Name: "x", Href: "/x"}}; !reflect.DeepEqual(links, want) {
 			t.Errorf("Scan(%q).Links = %v, want %v", src, links, want)
 		}
 		if toks := tokens(t, src); len(toks) == 0 || toks[0].Type != CommentToken || toks[0].Data != "" {
 			t.Errorf("%q: first token %v, want an empty comment", src, toks)
+		}
+	}
+}
+
+// TestConformance holds Scan to what the WHATWG HTML parsing algorithm
+// (https://html.spec.whatwg.org/multipage/parsing.html) makes of
+// hand-written pages: each case cites the state that decides it and
+// states the links a browser shows, and the reference tokenizer must
+// agree.
+func TestConformance(t *testing.T) {
+	for _, tc := range []struct {
+		name, cite, src string
+		links           []Link
+	}{
+		{"--!> closes a comment",
+			"#comment-end-bang-state: '>' after \"--!\" is an incorrectly-closed-comment that emits the comment",
+			`<!-- x --!><a href="/after">after</a>`,
+			[]Link{{Name: "after", Href: "/after"}}},
+		{"--!> closes an empty comment",
+			"#comment-start-dash-state to #comment-end-state to #comment-end-bang-state",
+			`<!----!><a href="/after">after</a>`,
+			[]Link{{Name: "after", Href: "/after"}}},
+		{"--! without > does not close a comment",
+			"#comment-end-bang-state: anything else appends \"--!\" and the comment goes on",
+			`<!-- --!<a href="/hidden">hidden</a> --><a href="/shown">shown</a>`,
+			[]Link{{Name: "shown", Href: "/shown"}}},
+	} {
+		page := Scan(Parse([]byte(tc.src)), "http://site.example/")
+		if !reflect.DeepEqual(page.Links, tc.links) {
+			t.Errorf("%s (%s): %s\nlinks %v, want %v", tc.name, tc.cite, tc.src, page.Links, tc.links)
+		}
+		if got, want := tokens(t, tc.src), refTokens([]byte(tc.src)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: token stream %v, reference %v", tc.name, got, want)
 		}
 	}
 }

@@ -78,9 +78,9 @@ func (b *Builder) checkEdge(e *navmap.Edge, pageURL string, doc *htmlkit.Node,
 
 	switch e.Action.Kind {
 	case navmap.ActFollowLink:
-		for _, l := range htmlkit.Links(doc, pageURL) {
+		for _, l := range htmlkit.Links(doc) {
 			if strings.EqualFold(l.Name, e.Action.LinkName) {
-				return b.tryFetch(web.NewGet(l.Address))
+				return b.tryFetch(web.NewGet(htmlkit.Resolve(pageURL, l.Href)))
 			}
 		}
 		// A missing More link on the last data page is normal pagination,
@@ -96,9 +96,9 @@ func (b *Builder) checkEdge(e *navmap.Edge, pageURL string, doc *htmlkit.Node,
 		if !ok {
 			return "", nil, "" // cannot exercise without a sample value
 		}
-		for _, l := range htmlkit.Links(doc, pageURL) {
+		for _, l := range htmlkit.Links(doc) {
 			if strings.EqualFold(l.Name, want) {
-				return b.tryFetch(web.NewGet(l.Address))
+				return b.tryFetch(web.NewGet(htmlkit.Resolve(pageURL, l.Href)))
 			}
 		}
 		return "", nil, fmt.Sprintf("no link named %q (value of %s) on %s", want, e.Action.EnvVar, pageURL)

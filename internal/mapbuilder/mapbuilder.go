@@ -236,9 +236,9 @@ func (b *Builder) loadPage(req *web.Request, m *navmap.Map, stats *Stats) (*page
 
 func (b *Builder) follow(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCursor, ev Event) (*pageCursor, error) {
 	var target string
-	for _, l := range htmlkit.Links(cur.doc, cur.url) {
+	for _, l := range htmlkit.Links(cur.doc) {
 		if strings.EqualFold(l.Name, ev.LinkName) {
-			target = l.Address
+			target = htmlkit.Resolve(cur.url, l.Href)
 			break
 		}
 	}

@@ -112,7 +112,7 @@ func (w *repairWalk) reanchor(e *navmap.Edge, pageURL string, doc *htmlkit.Node)
 }
 
 func (w *repairWalk) reanchorLink(e *navmap.Edge, pageURL string, doc *htmlkit.Node) (string, *htmlkit.Node, error) {
-	links := htmlkit.Links(doc, pageURL)
+	links := htmlkit.Links(doc)
 	// If a link with the mapped name is still on the page, the drift came
 	// from fetching its target, not from a rename — re-anchoring onto a
 	// different link would "repair" a site that is merely failing.
@@ -142,7 +142,7 @@ func (w *repairWalk) reanchorLink(e *navmap.Edge, pageURL string, doc *htmlkit.N
 			continue
 		}
 		seen[key] = true
-		u, d, drift := w.b.tryFetch(web.NewGet(l.Address))
+		u, d, drift := w.b.tryFetch(web.NewGet(htmlkit.Resolve(pageURL, l.Href)))
 		if drift != "" {
 			continue
 		}
@@ -236,12 +236,12 @@ func (w *repairWalk) pageMatchesNode(id navmap.NodeID, pageURL string, doc *html
 		}
 		switch e.Action.Kind {
 		case navmap.ActFollowLink:
-			if !pageHasLink(doc, pageURL, e.Action.LinkName) {
+			if !pageHasLink(doc, e.Action.LinkName) {
 				return false
 			}
 		case navmap.ActFollowVar:
 			want := w.inputs[e.Action.EnvVar]
-			if want != "" && !pageHasLink(doc, pageURL, want) {
+			if want != "" && !pageHasLink(doc, want) {
 				return false
 			}
 		case navmap.ActSubmitForm:
@@ -254,8 +254,8 @@ func (w *repairWalk) pageMatchesNode(id navmap.NodeID, pageURL string, doc *html
 	return true
 }
 
-func pageHasLink(doc *htmlkit.Node, pageURL, name string) bool {
-	for _, l := range htmlkit.Links(doc, pageURL) {
+func pageHasLink(doc *htmlkit.Node, name string) bool {
+	for _, l := range htmlkit.Links(doc) {
 		if strings.EqualFold(l.Name, name) {
 			return true
 		}

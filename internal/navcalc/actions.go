@@ -47,13 +47,14 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error)
 	matched := false
 	// Every link whose name matches is a possible next step, in document
 	// order: the follow_link objects of the page's F-logic view, read off
-	// the scan the view is built from (DESIGN.md §6).
+	// the scan the view is built from (DESIGN.md §6). Only a link followed
+	// is resolved against the page URL.
 	for _, l := range b.scanned().Links {
 		if !strings.EqualFold(l.Name, want) {
 			continue
 		}
 		matched = true
-		nb, err := b.navigate(web.NewGet(l.Address), b.inputFree && a.fromVar == "")
+		nb, err := b.navigate(web.NewGet(htmlkit.Resolve(b.url, l.Href)), b.inputFree && a.fromVar == "")
 		if err != nil {
 			if isFatalNav(err) {
 				return nil, err

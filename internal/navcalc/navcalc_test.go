@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"webbase/internal/htmlkit"
 	"webbase/internal/relation"
 	"webbase/internal/sites"
 	"webbase/internal/tlogic"
@@ -498,5 +499,49 @@ func TestFollowLinkTriesLinksInDocumentOrder(t *testing.T) {
 	}
 	if got := end.(*BrowseState).url; got != "http://directory.example/page11" {
 		t.Errorf("followed to %s, want the first Listing link in document order, /page11", got)
+	}
+}
+
+// TestFollowResolvesTheHrefItFollows: a link keeps its href as written
+// until a step follows it, and following it requests the href resolved
+// against the page URL — htmlkit.Resolve — whatever form the href takes.
+func TestFollowResolvesTheHrefItFollows(t *testing.T) {
+	const pageURL = "http://site.example/dir/page?x=1"
+	links := []struct{ name, href, want string }{
+		{"relative", "next?p=2", "http://site.example/dir/next?p=2"},
+		{"absolute", "http://other.example/abs?q=1", "http://other.example/abs?q=1"},
+		{"root", "/top", "http://site.example/top"},
+		{"dot", "./same", "http://site.example/dir/same"},
+		{"dotdot", "../up/x", "http://site.example/up/x"},
+		{"query", "?q=2", "http://site.example/dir/page?q=2"},
+	}
+	var body strings.Builder
+	body.WriteString("<html><body>")
+	for _, l := range links {
+		fmt.Fprintf(&body, "<a href=%q>%s</a>", l.href, l.name)
+	}
+	body.WriteString("</body></html>")
+	var requested []string
+	f := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		requested = append(requested, req.URL)
+		if req.URL == pageURL {
+			return web.HTML(req.URL, body.String()), nil
+		}
+		return web.HTML(req.URL, "<html><body>landed</body></html>"), nil
+	})
+	for _, l := range links {
+		if got := htmlkit.Resolve(pageURL, l.href); got != l.want {
+			t.Fatalf("Resolve(%q, %q) = %q, want %q", pageURL, l.href, got, l.want)
+		}
+		requested = nil
+		st := startAt(t, f, pageURL, relation.NewSchema("A"))
+		in := &tlogic.Interp{Program: tlogic.NewProgram()}
+		end, _, ok, err := in.Run(Follow(l.name), st, nil)
+		if err != nil || !ok {
+			t.Fatalf("follow(%q) failed: ok=%v err=%v", l.name, ok, err)
+		}
+		if got := end.(*BrowseState).url; len(requested) != 2 || requested[1] != l.want || got != l.want {
+			t.Errorf("follow(%q) of href %q requested %q and landed on %s, want %s", l.name, l.href, requested, got, l.want)
+		}
 	}
 }

@@ -370,7 +370,7 @@ func PageToObjects(doc *htmlkit.Node, pageURL string) (*flogic.Store, flogic.OID
 		linkID := oid("link", i)
 		st.AddClass(linkID, "link")
 		st.SetAttr(linkID, "name", flogic.S(l.Name))
-		st.SetAttr(linkID, "address", flogic.S(l.Address))
+		st.SetAttr(linkID, "address", flogic.S(htmlkit.Resolve(pageURL, l.Href)))
 
 		actID := oid("follow", i)
 		st.AddClass(actID, "follow_link")

@@ -30,12 +30,12 @@ func dataRows(doc *htmlkit.Node, columns ...string) []htmlkit.DataRow {
 
 func findLink(t *testing.T, doc *htmlkit.Node, base, name string) string {
 	t.Helper()
-	for _, l := range htmlkit.Links(doc, base) {
+	for _, l := range htmlkit.Links(doc) {
 		if strings.EqualFold(l.Name, name) {
-			return l.Address
+			return htmlkit.Resolve(base, l.Href)
 		}
 	}
-	t.Fatalf("no link %q on page (links: %v)", name, htmlkit.Links(doc, base))
+	t.Fatalf("no link %q on page (links: %v)", name, htmlkit.Links(doc))
 	return ""
 }
 
@@ -195,9 +195,9 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 	pages := 1
 	for {
 		var moreURL string
-		for _, l := range htmlkit.Links(doc, curURL) {
+		for _, l := range htmlkit.Links(doc) {
 			if l.Name == "More" {
-				moreURL = l.Address
+				moreURL = htmlkit.Resolve(curURL, l.Href)
 			}
 		}
 		if moreURL == "" {
@@ -218,9 +218,9 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 
 	// Per-ad Car Features link leads to the features data page.
 	var featURL string
-	for _, l := range htmlkit.Links(dataPg, f2s[0].Action) {
+	for _, l := range htmlkit.Links(dataPg) {
 		if l.Name == "Car Features" {
-			featURL = l.Address
+			featURL = htmlkit.Resolve(f2s[0].Action, l.Href)
 			break
 		}
 	}
@@ -382,11 +382,11 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 		home := fetchDoc(t, f, web.NewGet(base+"/"))
 		mkURL := findLink(t, home, base+"/", "chevrolet")
 		mkPg := fetchDoc(t, f, web.NewGet(mkURL))
-		links := htmlkit.Links(mkPg, mkURL)
+		links := htmlkit.Links(mkPg)
 		if len(links) == 0 {
 			t.Fatal("no model links")
 		}
-		doc := fetchDoc(t, f, web.NewGet(links[0].Address))
+		doc := fetchDoc(t, f, web.NewGet(htmlkit.Resolve(mkURL, links[0].Href)))
 		if rows := dataRows(doc, "Make", "Model", "Price"); len(rows) == 0 {
 			t.Fatal("no listing rows")
 		}

@@ -119,7 +119,8 @@ type refTokenizer struct {
 	src []byte
 	pos int
 	// rawEnd holds the closing tag we are looking for while inside a raw
-	// text element (script/style), or "" otherwise.
+	// text element (script/style) or an RCDATA element (title/textarea),
+	// or "" otherwise.
 	rawEnd string
 }
 
@@ -159,7 +160,8 @@ func (z *refTokenizer) text() Token {
 	return Token{Type: TextToken, Data: refDecodeEntities(string(z.src[start:z.pos]))}
 }
 
-// rawText consumes everything up to the matching </script> or </style>.
+// rawText consumes everything up to the matching </script>, </style>,
+// </title> or </textarea>.
 func (z *refTokenizer) rawText() Token {
 	// Not as it was: lower-casing the rest of the document to search it
 	// moved the offsets whenever that changed its length, and panicked.
@@ -172,8 +174,12 @@ func (z *refTokenizer) rawText() Token {
 		data = string(z.src[z.pos : z.pos+idx])
 		z.pos += idx
 	}
+	// Raw text is returned verbatim (scripts are not entity-decoded);
+	// RCDATA is decoded (#rcdata-state).
+	if z.rawEnd == "title" || z.rawEnd == "textarea" {
+		data = refDecodeEntities(data)
+	}
 	z.rawEnd = ""
-	// Raw text is returned verbatim (scripts are not entity-decoded).
 	return Token{Type: TextToken, Data: data}
 }
 
@@ -331,7 +337,7 @@ func (z *refTokenizer) startTag() Token {
 		tok.Attrs = append(tok.Attrs, Attr{Name: aName, Value: refDecodeEntities(val)})
 	}
 	z.pos = i
-	if tok.Type == StartTagToken && (name == "script" || name == "style") {
+	if tok.Type == StartTagToken && (name == "script" || name == "style" || name == "title" || name == "textarea") {
 		z.rawEnd = name
 	}
 	return tok
@@ -432,6 +438,7 @@ func refParse(src []byte) *treeNode {
 		"p":      {"p"},
 		"dt":     {"dt", "dd"},
 		"dd":     {"dt", "dd"},
+		"a":      {"a"}, // in body, start tag "a": an open a is closed first
 	}
 	z := newRefTokenizer(src)
 	appendChild := func(n, c *treeNode) {

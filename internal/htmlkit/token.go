@@ -36,7 +36,7 @@ type token struct {
 	typ tokenType
 	tag tagID // start and end tags: the name's id, or tagOther
 	// verbatim marks the text of a script or style element, which is not
-	// entity-decoded.
+	// entity-decoded (a title's or textarea's is).
 	verbatim bool
 	// data is the text, the comment or doctype body, or the tag's name as
 	// written.
@@ -52,7 +52,8 @@ type tokenizer struct {
 	src []byte
 	pos int
 	// rawEnd is the element whose end tag we are looking for while inside
-	// a raw text element (script/style), or tagOther otherwise.
+	// a raw text element (script/style) or an RCDATA element
+	// (title/textarea), or tagOther otherwise.
 	rawEnd tagID
 	// attrs holds the attributes of every start tag so far, each name and
 	// value a span of src as written. The parser rewrites them in place
@@ -120,11 +121,14 @@ var (
 	// autoCloses lists, for each tag, the open tags that an occurrence of it
 	// implicitly closes. This captures the common omitted-end-tag patterns
 	// in 1990s HTML (e.g. successive <li>, <tr>, <td>, <option> without
-	// closers).
+	// closers). A new <a> closes an open one: WHATWG's in-body insertion
+	// mode runs the adoption agency for a start tag "a" while an a element
+	// is an active formatting element, so links never nest.
 	autoCloses = func() (t [64]tagBits) {
 		for tag, closes := range map[string]string{
 			"li": "li", "tr": "tr td th", "td": "td th", "th": "td th",
 			"option": "option", "p": "p", "dt": "dt dd", "dd": "dt dd",
+			"a": "a",
 		} {
 			t[lookupTag([]byte(tag))] = tagSet(closes)
 		}
@@ -250,7 +254,10 @@ func (z *tokenizer) next() bool {
 	return true
 }
 
-// rawText consumes everything up to the matching </script> or </style>.
+// rawText consumes everything up to the matching </script>, </style>,
+// </title> or </textarea>: markup inside is text. Raw text is kept
+// verbatim (scripts are not entity-decoded); RCDATA is decoded like any
+// text (WHATWG's #rcdata-state reads character references).
 func (z *tokenizer) rawText() {
 	start := z.pos
 	if idx := indexCloseTag(z.src[start:], tagNames[z.rawEnd]); idx < 0 {
@@ -258,9 +265,9 @@ func (z *tokenizer) rawText() {
 	} else {
 		z.pos += idx
 	}
+	verbatim := z.rawEnd == tagScript || z.rawEnd == tagStyle
 	z.rawEnd = tagOther
-	// Raw text is kept verbatim (scripts are not entity-decoded).
-	z.tok = token{typ: textToken, verbatim: true, data: span{int32(start), int32(z.pos)}}
+	z.tok = token{typ: textToken, verbatim: verbatim, data: span{int32(start), int32(z.pos)}}
 }
 
 // indexCloseTag returns the index of the first "</name" in s, whatever the
@@ -431,7 +438,10 @@ func (z *tokenizer) startTag() {
 	}
 	tok.attrs.end = int32(len(z.attrs))
 	z.pos = i
-	if tok.typ == startTagToken && (tok.tag == tagScript || tok.tag == tagStyle) {
-		z.rawEnd = tok.tag
+	switch tok.tag {
+	case tagScript, tagStyle, tagTitle, tagTextarea:
+		if tok.typ == startTagToken {
+			z.rawEnd = tok.tag
+		}
 	}
 }

@@ -240,27 +240,42 @@ func TestConformance(t *testing.T) {
 	for _, tc := range []struct {
 		name, cite, src string
 		links           []Link
+		title           string
 	}{
 		{"--!> closes a comment",
 			"#comment-end-bang-state: '>' after \"--!\" is an incorrectly-closed-comment that emits the comment",
 			`<!-- x --!><a href="/after">after</a>`,
-			[]Link{{Name: "after", Href: "/after"}}},
+			[]Link{{Name: "after", Href: "/after"}}, ""},
 		{"--!> closes an empty comment",
 			"#comment-start-dash-state to #comment-end-state to #comment-end-bang-state",
 			`<!----!><a href="/after">after</a>`,
-			[]Link{{Name: "after", Href: "/after"}}},
+			[]Link{{Name: "after", Href: "/after"}}, ""},
 		{"--! without > does not close a comment",
 			"#comment-end-bang-state: anything else appends \"--!\" and the comment goes on",
 			`<!-- --!<a href="/hidden">hidden</a> --><a href="/shown">shown</a>`,
-			[]Link{{Name: "shown", Href: "/shown"}}},
+			[]Link{{Name: "shown", Href: "/shown"}}, ""},
+		{"a second <a> closes an open one",
+			"#parsing-main-inbody: a start tag \"a\" while an a element is in the list of active formatting elements runs the adoption agency, which closes it",
+			`<a href=/a1>one<a href=/a2>two</a>`,
+			[]Link{{Name: "one", Href: "/a1"}, {Name: "two", Href: "/a2"}}, ""},
+		{"markup in a textarea is text",
+			"#rcdata-state: a textarea's content up to its end tag is character tokens",
+			`<form><textarea name=t><a href="/x">x</a></textarea></form><a href="/y">y</a>`,
+			[]Link{{Name: "y", Href: "/y"}}, ""},
+		{"markup in a title is text",
+			"#rcdata-state: a title's content up to its end tag is character tokens, character references decoded",
+			`<title>T <a href="/t">in title</a> &amp; more</title><body>b</body>`,
+			nil, `T <a href="/t">in title</a> & more`},
 	} {
-		page := Scan(Parse([]byte(tc.src)), "http://site.example/")
-		if !reflect.DeepEqual(page.Links, tc.links) {
-			t.Errorf("%s (%s): %s\nlinks %v, want %v", tc.name, tc.cite, tc.src, page.Links, tc.links)
+		doc := Parse([]byte(tc.src))
+		page := Scan(doc, "http://site.example/")
+		if !reflect.DeepEqual(page.Links, tc.links) || page.Title != tc.title {
+			t.Errorf("%s (%s): %s\nlinks %v, title %q; want %v, %q", tc.name, tc.cite, tc.src, page.Links, page.Title, tc.links, tc.title)
 		}
 		if got, want := tokens(t, tc.src), refTokens([]byte(tc.src)); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: token stream %v, reference %v", tc.name, got, want)
 		}
+		sameTree(t, *doc, refParse([]byte(tc.src)))
 	}
 }
 

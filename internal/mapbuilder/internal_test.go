@@ -1,6 +1,7 @@
 package mapbuilder
 
 import (
+	"context"
 	"testing"
 
 	"webbase/internal/htmlkit"
@@ -11,7 +12,7 @@ import (
 func TestPageSignatureDistinguishesStructure(t *testing.T) {
 	w := sites.BuildWorld()
 	fetch := func(u string) string {
-		resp, err := w.Server.Fetch(web.NewGet(u))
+		resp, err := w.Server.Fetch(web.NewGet(context.Background(), u))
 		if err != nil {
 			t.Fatal(err)
 		}

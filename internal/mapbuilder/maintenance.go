@@ -1,8 +1,8 @@
 package mapbuilder
 
 import (
+	"context"
 	"fmt"
-	"net/url"
 	"strings"
 
 	"webbase/internal/htmlkit"
@@ -34,7 +34,7 @@ func (b *Builder) CheckMap(m *navmap.Map, inputs map[string]string) ([]Drift, er
 		}
 		start = v
 	}
-	resp, err := b.Fetcher.Fetch(web.NewGet(start))
+	resp, err := b.Fetcher.Fetch(web.NewGet(context.Background(), start))
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func (b *Builder) checkEdge(e *navmap.Edge, pageURL string, doc *htmlkit.Node,
 	case navmap.ActFollowLink:
 		for _, l := range htmlkit.Links(doc) {
 			if strings.EqualFold(l.Name, e.Action.LinkName) {
-				return b.tryFetch(web.NewGet(htmlkit.Resolve(pageURL, l.Href)))
+				return b.tryFetch(web.NewGet(context.Background(), htmlkit.Resolve(pageURL, l.Href)))
 			}
 		}
 		// A missing More link on the last data page is normal pagination,
@@ -98,7 +98,7 @@ func (b *Builder) checkEdge(e *navmap.Edge, pageURL string, doc *htmlkit.Node,
 		}
 		for _, l := range htmlkit.Links(doc) {
 			if strings.EqualFold(l.Name, want) {
-				return b.tryFetch(web.NewGet(htmlkit.Resolve(pageURL, l.Href)))
+				return b.tryFetch(web.NewGet(context.Background(), htmlkit.Resolve(pageURL, l.Href)))
 			}
 		}
 		return "", nil, fmt.Sprintf("no link named %q (value of %s) on %s", want, e.Action.EnvVar, pageURL)
@@ -108,10 +108,10 @@ func (b *Builder) checkEdge(e *navmap.Edge, pageURL string, doc *htmlkit.Node,
 		if !ok {
 			return "", nil, fmt.Sprintf("form %q no longer present on %s", e.Action.FormName, pageURL)
 		}
-		values := url.Values{}
+		var fields []web.Field
 		for _, fl := range form.Fields {
 			if fl.Default != "" && fl.Widget != htmlkit.WidgetSubmit {
-				values.Set(fl.Name, fl.Default)
+				fields = append(fields, web.Field{Name: fl.Name, Value: fl.Default})
 			}
 		}
 		for _, f := range e.Action.Fills {
@@ -123,15 +123,15 @@ func (b *Builder) checkEdge(e *navmap.Edge, pageURL string, doc *htmlkit.Node,
 				v = inputs[f.Var]
 			}
 			if v != "" {
-				values.Set(f.Field, v)
+				fields = append(fields, web.Field{Name: f.Field, Value: v})
 			}
 		}
 		for _, name := range form.MandatoryFields() {
-			if values.Get(name) == "" {
+			if web.FieldValue(fields, name) == "" {
 				return "", nil, "" // cannot exercise; not drift
 			}
 		}
-		return b.tryFetch(web.NewSubmit(form.Action, form.Method, values))
+		return b.tryFetch(web.NewSubmit(context.Background(), form.Action, form.Method, fields))
 	}
 }
 

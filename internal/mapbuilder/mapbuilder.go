@@ -15,6 +15,7 @@
 package mapbuilder
 
 import (
+	"context"
 	"fmt"
 	"net/url"
 	"sort"
@@ -153,7 +154,7 @@ func (b *Builder) Build(s *Session) (*navmap.Map, *Stats, error) {
 	stats := &Stats{Site: s.Relation}
 	ctx := &buildCtx{facts: make(map[string]bool)}
 
-	cur, err := b.loadPage(web.NewGet(s.StartURL), m, stats)
+	cur, err := b.loadPage(web.NewGet(context.Background(), s.StartURL), m, stats)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapbuilder: loading start page: %w", err)
 	}
@@ -179,7 +180,7 @@ func (b *Builder) Build(s *Session) (*navmap.Map, *Stats, error) {
 		case EvHint:
 			ctx.manualFact(stats, "hint:"+ev.Hint)
 		case EvRestart:
-			cur, err = b.loadPage(web.NewGet(s.StartURL), m, stats)
+			cur, err = b.loadPage(web.NewGet(context.Background(), s.StartURL), m, stats)
 			if err != nil {
 				return nil, nil, fmt.Errorf("mapbuilder: event %d: %w", i, err)
 			}
@@ -245,7 +246,7 @@ func (b *Builder) follow(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCu
 	if target == "" {
 		return nil, fmt.Errorf("page %s has no link %q", cur.url, ev.LinkName)
 	}
-	next, err := b.loadPage(web.NewGet(target), m, stats)
+	next, err := b.loadPage(web.NewGet(context.Background(), target), m, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -265,16 +266,16 @@ func (b *Builder) submit(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCu
 	if !ok {
 		return nil, fmt.Errorf("page %s has no form %q", cur.url, ev.FormName)
 	}
-	values := url.Values{}
+	var fields []web.Field
 	for _, fl := range form.Fields {
 		if fl.Default != "" && fl.Widget != htmlkit.WidgetSubmit {
-			values.Set(fl.Name, fl.Default)
+			fields = append(fields, web.Field{Name: fl.Name, Value: fl.Default})
 		}
 	}
 	for f, v := range ev.Values {
-		values.Set(f, v)
+		fields = append(fields, web.Field{Name: f, Value: v})
 	}
-	next, err := b.loadPage(web.NewSubmit(form.Action, form.Method, values), m, stats)
+	next, err := b.loadPage(web.NewSubmit(context.Background(), form.Action, form.Method, fields), m, stats)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package mapbuilder
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -33,7 +34,7 @@ func (b *Builder) Repair(m *navmap.Map, inputs map[string]string) (*navmap.Map, 
 		}
 		start = v
 	}
-	resp, err := b.Fetcher.Fetch(web.NewGet(start))
+	resp, err := b.Fetcher.Fetch(web.NewGet(context.Background(), start))
 	if err != nil {
 		return nil, fmt.Errorf("mapbuilder: repairing %s: fetching start page: %w", m.Name, err)
 	}
@@ -142,7 +143,7 @@ func (w *repairWalk) reanchorLink(e *navmap.Edge, pageURL string, doc *htmlkit.N
 			continue
 		}
 		seen[key] = true
-		u, d, drift := w.b.tryFetch(web.NewGet(htmlkit.Resolve(pageURL, l.Href)))
+		u, d, drift := w.b.tryFetch(web.NewGet(context.Background(), htmlkit.Resolve(pageURL, l.Href)))
 		if drift != "" {
 			continue
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/url"
 	"slices"
 	"strings"
 
@@ -30,7 +29,7 @@ func (a followLink) Name() string {
 	return fmt.Sprintf("follow(link %q)", a.name)
 }
 
-func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
+func (a followLink) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tlogic.State, error) {
 	b := st.(*BrowseState)
 	want := a.name
 	if a.fromVar != "" {
@@ -39,11 +38,10 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error)
 			// Unbound variable: this branch cannot proceed. That is a
 			// statement about the invocation, not the page.
 			b.budget.noteInputShortfall()
-			return nil, nil
+			return next, nil
 		}
 		want = v
 	}
-	var next []tlogic.State
 	matched := false
 	// Every link whose name matches is a possible next step, in document
 	// order: the follow_link objects of the page's F-logic view, read off
@@ -54,7 +52,7 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error)
 			continue
 		}
 		matched = true
-		nb, err := b.navigate(web.NewGet(htmlkit.Resolve(b.url, l.Href)), b.inputFree && a.fromVar == "")
+		nb, err := b.navigate(htmlkit.Resolve(b.url, l.Href), "", nil, b.inputFree && a.fromVar == "")
 		if err != nil {
 			if isFatalNav(err) {
 				return nil, err
@@ -104,27 +102,28 @@ func (a submitForm) Name() string {
 	return fmt.Sprintf("submit(form %s; %s)", name, strings.Join(parts, ", "))
 }
 
-func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
+func (a submitForm) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tlogic.State, error) {
 	b := st.(*BrowseState)
 	form, ok := findForm(b, a.form)
 	if !ok {
 		// The form the map expects is gone from the page: structural
 		// drift evidence.
 		b.budget.noteStructural()
-		return nil, nil
+		return next, nil
 	}
-	values := url.Values{}
-	// Page defaults first (hidden fields carrying server state, checked
-	// radio buttons, selected options).
+	// The fields sent, a later one of a name replacing an earlier one:
+	// page defaults first (hidden fields carrying server state, checked
+	// radio buttons, selected options), then the explicit fills.
+	var at [16]web.Field // room for the forms the maps submit
+	fields := at[:0]
 	for _, fl := range form.Fields {
 		if fl.Widget == htmlkit.WidgetSubmit {
 			continue
 		}
 		if fl.Default != "" {
-			values.Set(fl.Name, fl.Default)
+			fields = append(fields, web.Field{Name: fl.Name, Value: fl.Default})
 		}
 	}
-	// Then the explicit fills.
 	for _, f := range a.fills {
 		v := f.Const
 		if v == "" {
@@ -137,27 +136,27 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error)
 			// We hold a value for a field the form no longer carries:
 			// structural drift evidence.
 			b.budget.noteStructural()
-			return nil, nil
+			return next, nil
 		}
-		values.Set(f.Field, v)
+		fields = append(fields, web.Field{Name: f.Field, Value: v})
 	}
 	// Mandatory fields must have ended up with a value. An empty one
 	// means the invocation didn't supply the input, not that the site
 	// changed.
-	for _, name := range form.MandatoryFields() {
-		if values.Get(name) == "" {
+	for _, fl := range form.Fields {
+		if fl.Mandatory && web.FieldValue(fields, fl.Name) == "" {
 			b.budget.noteInputShortfall()
-			return nil, nil
+			return next, nil
 		}
 	}
-	nb, err := b.navigate(web.NewSubmit(form.Action, form.Method, values), b.inputFree && a.constant())
+	nb, err := b.navigate(form.Action, form.Method, fields, b.inputFree && a.constant())
 	if err != nil {
 		if isFatalNav(err) {
 			return nil, err
 		}
-		return nil, nil // submission rejected: soft failure
+		return next, nil // submission rejected: soft failure
 	}
-	return []tlogic.State{nb}, nil
+	return append(next, nb), nil
 }
 
 // constant reports whether every fill is a constant: no input binding
@@ -252,7 +251,7 @@ func (a extract) Name() string {
 	return fmt.Sprintf("extract(tuple[%s])", strings.Join(attrs, ", "))
 }
 
-func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
+func (a extract) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tlogic.State, error) {
 	b := st.(*BrowseState)
 	rows := b.dataTable(a.headers)
 	if rows == nil {
@@ -261,10 +260,10 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
 		// branch probing whether this IS the data page it is neutralized
 		// by whichever signal the other branch ends on.
 		b.budget.noteStructural()
-		return nil, nil
+		return next, nil
 	}
 	if len(rows) == 0 { // a table with no rows checks no attribute against the schema
-		return []tlogic.State{b.withRoom(0)}, nil
+		return append(next, b.withRoom(0)), nil
 	}
 	var at [16]int // room for the indexes of any spec the maps build
 	cols, links, envs, err := a.spec.indexes(at[:0], b.schema)
@@ -296,7 +295,7 @@ func (a extract) Run(st tlogic.State, env tlogic.Env) ([]tlogic.State, error) {
 		}
 		nb.collected = append(nb.collected, t)
 	}
-	return []tlogic.State{nb}, nil
+	return append(next, nb), nil
 }
 
 // indexes resolves the schema index of each of the spec's Columns,

@@ -50,39 +50,39 @@ type ExecInfo struct {
 // Execute runs the expression against the fetcher with the given input
 // bindings (attribute name → value, e.g. {"Make": "ford"}) and returns the
 // collected relation named name.
-func (e *Expression) Execute(f web.Fetcher, inputs map[string]string) (*relation.Relation, *ExecInfo, error) {
+func (e *Expression) Execute(f web.Fetcher, inputs map[string]string) (*relation.Relation, ExecInfo, error) {
 	return e.ExecuteContext(context.Background(), f, inputs)
 }
 
 // ExecuteContext is Execute with cancellation: the navigation aborts at
 // the next page load once ctx is done.
-func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs map[string]string) (*relation.Relation, *ExecInfo, error) {
+func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs map[string]string) (*relation.Relation, ExecInfo, error) {
 	start := e.StartURL
 	if e.StartURLVar != "" {
 		v, ok := inputs[e.StartURLVar]
 		if !ok || v == "" {
-			return nil, nil, fmt.Errorf("%w: %s requires input %q for its start URL",
+			return nil, ExecInfo{}, fmt.Errorf("%w: %s requires input %q for its start URL",
 				ErrNavigationFailed, e.Name, e.StartURLVar)
 		}
 		start = v
 	}
 	st, err := newBrowseState(ctx, f, start, e.Schema, e.MaxPages, e.StartURLVar == "")
 	if err != nil {
-		return nil, nil, fmt.Errorf("navcalc: fetching start page of %s: %w", e.Name, err)
+		return nil, ExecInfo{}, fmt.Errorf("navcalc: fetching start page of %s: %w", e.Name, err)
 	}
 	// The inputs are the bindings as they stand: no step binds a
 	// variable, so the execution reads them and never writes them.
 	in := &tlogic.Interp{Program: e.Program}
 	end, path, ok, err := in.Run(e.Goal, st, tlogic.Env(inputs))
 	if err != nil {
-		return nil, nil, fmt.Errorf("navcalc: executing %s: %w", e.Name, err)
+		return nil, ExecInfo{}, fmt.Errorf("navcalc: executing %s: %w", e.Name, err)
 	}
 	if !ok {
 		// Navigation within one execution is sequential, so the recorded
 		// failure is schedule-independent; wrapping it preserves the error
 		// taxonomy (IsOutage/FailingHost) through the backtracking.
 		if last := st.lastNavError(); last != nil {
-			return nil, nil, fmt.Errorf("%w: %s: last navigation failure: %w",
+			return nil, ExecInfo{}, fmt.Errorf("%w: %s: last navigation failure: %w",
 				ErrNavigationFailed, e.Name, last)
 		}
 		// Every fetch succeeded, yet the expression had no successful
@@ -93,14 +93,14 @@ func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs m
 		// attributed to the start host, so the health tracker can
 		// quarantine and remap it.
 		if st.budget.sawStructural && !st.budget.sawInputShortfall {
-			return nil, nil, web.MarkDrift(&web.HostError{
+			return nil, ExecInfo{}, web.MarkDrift(&web.HostError{
 				Host: web.HostOf(start),
 				Err: fmt.Errorf("%w: %s: site answered but its pages no longer match the navigation map",
 					ErrNavigationFailed, e.Name),
 			})
 		}
-		return nil, nil, fmt.Errorf("%w: %s", ErrNavigationFailed, e.Name)
+		return nil, ExecInfo{}, fmt.Errorf("%w: %s", ErrNavigationFailed, e.Name)
 	}
 	rel := end.(*BrowseState).Relation(e.Name)
-	return rel, &ExecInfo{PathLength: len(path), Tuples: rel.Len()}, nil
+	return rel, ExecInfo{PathLength: len(path), Tuples: rel.Len()}, nil
 }

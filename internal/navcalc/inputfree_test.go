@@ -52,9 +52,9 @@ func cachedStack(f web.Fetcher) (web.Fetcher, *web.Cache) {
 type spy struct{ pages *[]*page }
 
 func (spy) Name() string { return "spy" }
-func (s spy) Run(st tlogic.State, _ tlogic.Env) ([]tlogic.State, error) {
+func (s spy) Run(st tlogic.State, _ tlogic.Env, out []tlogic.State) ([]tlogic.State, error) {
 	*s.pages = append(*s.pages, st.(*BrowseState).page)
-	return []tlogic.State{st}, nil
+	return append(out, st), nil
 }
 
 // spyOn returns a step that records the page its state stands on.
@@ -178,7 +178,7 @@ func TestInputDependentPageParsedPerVisit(t *testing.T) {
 func TestInputFreePageRacingFirstUse(t *testing.T) {
 	site := &freeSite{}
 	f, _ := cachedStack(site)
-	if _, err := f.Fetch(web.NewGet(freeHome)); err != nil { // the bytes are cached, the page is not
+	if _, err := f.Fetch(web.NewGet(context.Background(), freeHome)); err != nil { // the bytes are cached, the page is not
 		t.Fatal(err)
 	}
 	const queries = 8

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"webbase/internal/flogic"
@@ -152,24 +153,32 @@ func newBrowseState(ctx context.Context, f web.Fetcher, startURL string,
 		inputFree: inputFree,
 		schema:    schema,
 	}
-	if err := st.load(web.NewGet(startURL)); err != nil {
+	if err := st.load(startURL, "", nil); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// load visits the page req leads to and makes it the current page. A
-// non-success status is reported as an error; callers that want soft
-// failure check first. Cancellation and budget exhaustion are hard errors:
-// they must abort the whole execution rather than trigger backtracking into
-// other branches (which would fetch even more).
+// load visits the page a request leads to and makes it the current page:
+// the submission of fields to target with method, a GET of target when
+// method is empty and there are no fields. A non-success status is reported as an error;
+// callers that want soft failure check first. Cancellation and budget
+// exhaustion are hard errors: they must abort the whole execution rather
+// than trigger backtracking into other branches (which would fetch even
+// more).
 //
 // Every visit counts against the page budget and gets a fetch span, kept
 // page or not, so the budget and the trace's structure do not depend on
 // which visits of a repeated request ran first. A visit served the query's
 // kept page never reaches the fetch stack: it meets no cache, retry, hedge
 // or fetch-start deadline check, and its span says outcome=reuse.
-func (b *BrowseState) load(req *web.Request) error {
+//
+// The request is built here, once, with the context it is fetched under:
+// the navigation context, carrying the visit's span when a trace records
+// it (the retry, breaker and outage-memo middlewares consult the context
+// for cancellation and per-query state, and annotate the span with how
+// the load was served: cache / network / dedup / stale).
+func (b *BrowseState) load(target, method string, fields []web.Field) error {
 	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("navcalc: navigation cancelled: %w", err)
 	}
@@ -179,8 +188,15 @@ func (b *BrowseState) load(req *web.Request) error {
 	b.budget.fetched++
 	// One trace span per page visit, created here — navigation within a
 	// handle invocation is sequential, so fetch spans land in deterministic
-	// order.
-	sp := trace.Start(b.ctx, trace.KindFetch, req.URL)
+	// order. A target read off a page is a substring of its text, so the
+	// span, which outlives the page, names a copy (DESIGN.md §6).
+	var sp *trace.Span
+	rctx := b.ctx
+	if parent := trace.FromContext(b.ctx); parent != nil {
+		sp = parent.Start(trace.KindFetch, strings.Clone(target))
+		rctx = trace.ContextWith(b.ctx, sp)
+	}
+	req := web.NewSubmit(rctx, target, method, fields)
 	fetched := false
 	p, reused, err := b.query.Load(b.ctx, req.Key(), func() (any, error) {
 		fetched = true
@@ -207,16 +223,7 @@ func (b *BrowseState) load(req *web.Request) error {
 // on it (web.Response.Derived): every query that reaches the cache entry
 // reads that page. Every other visit parses its own.
 func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (any, error) {
-	// The navigation context always rides the request (the retry, breaker
-	// and outage-memo middlewares consult it for cancellation and per-query
-	// state); the span is added to it when tracing is on so the middleware
-	// stack can annotate how the load was served (cache / network / dedup /
-	// stale).
-	rctx := b.ctx
-	if sp != nil {
-		rctx = trace.ContextWith(b.ctx, sp)
-	}
-	resp, err := b.fetcher.Fetch(req.WithContext(rctx))
+	resp, err := b.fetcher.Fetch(req)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, err
@@ -267,12 +274,13 @@ func (b *BrowseState) Relation(name string) *relation.Relation {
 	return r
 }
 
-// navigate returns a successor state on the page reached by req, carrying
-// the collected tuples forward; inputFree says whether req is input-free.
-func (b *BrowseState) navigate(req *web.Request, inputFree bool) (*BrowseState, error) {
+// navigate returns a successor state on the page the request load builds
+// leads to, carrying the collected tuples forward; inputFree says whether
+// the request is input-free.
+func (b *BrowseState) navigate(target, method string, fields []web.Field, inputFree bool) (*BrowseState, error) {
 	nb := b.withRoom(0)
 	nb.inputFree = inputFree
-	if err := nb.load(req); err != nil {
+	if err := nb.load(target, method, fields); err != nil {
 		b.budget.lastErr = err
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package sites
 
 import (
-	"net/url"
 	"runtime"
 	"testing"
 
@@ -20,10 +19,9 @@ func TestRenderAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	srv := BuildWorld().Server
-	ford := url.Values{"make": {"ford"}, "model": {"escort"}}
 	reqs := []*web.Request{
-		web.NewSubmit("http://"+CarPointHost+"/cgi-bin/find", "GET", ford),
-		web.NewSubmit("http://"+NewsdayHost+"/cgi-bin/nclassy", "POST", ford),
+		submit("http://"+CarPointHost+"/cgi-bin/find", "GET", "make", "ford", "model", "escort"),
+		submit("http://"+NewsdayHost+"/cgi-bin/nclassy", "POST", "make", "ford", "model", "escort"),
 	}
 	render := func() {
 		for _, req := range reqs {

@@ -1,14 +1,23 @@
 package sites
 
 import (
+	"context"
 	"fmt"
-	"net/url"
 	"strings"
 	"testing"
 
 	"webbase/internal/htmlkit"
 	"webbase/internal/web"
 )
+
+// submit is the submission of name-value pairs to action.
+func submit(action, method string, pairs ...string) *web.Request {
+	var fields []web.Field
+	for i := 0; i+1 < len(pairs); i += 2 {
+		fields = append(fields, web.Field{Name: pairs[i], Value: pairs[i+1]})
+	}
+	return web.NewSubmit(context.Background(), action, method, fields)
+}
 
 func fetchDoc(t *testing.T, f web.Fetcher, req *web.Request) *htmlkit.Node {
 	t.Helper()
@@ -151,10 +160,10 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 	f := w.Server
 	base := "http://" + NewsdayHost
 
-	home := fetchDoc(t, f, web.NewGet(base+"/"))
+	home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 	autoURL := findLink(t, home, base+"/", "Automobiles")
 
-	usedCarPg := fetchDoc(t, f, web.NewGet(autoURL))
+	usedCarPg := fetchDoc(t, f, web.NewGet(context.Background(), autoURL))
 	forms := htmlkit.Forms(usedCarPg, autoURL)
 	if len(forms) != 1 || forms[0].Name != "f1" {
 		t.Fatalf("UsedCarPg forms: %+v", forms)
@@ -166,7 +175,7 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 	}
 
 	// Submit f1 with a popular make: expect the f2 branch.
-	carPg := fetchDoc(t, f, web.NewSubmit(f1.Action, f1.Method, url.Values{"make": {"ford"}}))
+	carPg := fetchDoc(t, f, submit(f1.Action, f1.Method, "make", "ford"))
 	f2s := htmlkit.Forms(carPg, f1.Action)
 	if len(f2s) != 1 || f2s[0].Name != "f2" {
 		t.Fatalf("expected form f2 for a broad make, got %+v", f2s)
@@ -176,8 +185,7 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 	}
 
 	// Submit f2 with a model: expect a data page.
-	dataPg := fetchDoc(t, f, web.NewSubmit(f2s[0].Action, f2s[0].Method,
-		url.Values{"make": {"ford"}, "model": {"escort"}}))
+	dataPg := fetchDoc(t, f, submit(f2s[0].Action, f2s[0].Method, "make", "ford", "model", "escort"))
 	rows := dataRows(dataPg, "Make", "Model", "Year", "Price", "Contact")
 	if len(rows) == 0 {
 		t.Fatal("no data rows")
@@ -203,7 +211,7 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 		if moreURL == "" {
 			break
 		}
-		doc = fetchDoc(t, f, web.NewGet(moreURL))
+		doc = fetchDoc(t, f, web.NewGet(context.Background(), moreURL))
 		curURL = moreURL
 		rs := dataRows(doc, "Make", "Model", "Year", "Price")
 		total += len(rs)
@@ -227,7 +235,7 @@ func TestNewsdayFigure2Flow(t *testing.T) {
 	if featURL == "" {
 		t.Fatal("no Car Features link")
 	}
-	featPg := fetchDoc(t, f, web.NewGet(featURL))
+	featPg := fetchDoc(t, f, web.NewGet(context.Background(), featURL))
 	fr := dataRows(featPg, "Features", "Picture")
 	if len(fr) != 1 || fr[0].Cells[1] == "" {
 		t.Errorf("features rows: %v", fr)
@@ -248,8 +256,8 @@ func TestNewsdayRareMakeSkipsF2(t *testing.T) {
 	if rare == "" {
 		t.Skip("no rare make in dataset; adjust sizes")
 	}
-	doc := fetchDoc(t, w.Server, web.NewSubmit(
-		"http://"+NewsdayHost+"/cgi-bin/nclassy", "POST", url.Values{"make": {rare}}))
+	doc := fetchDoc(t, w.Server, submit(
+		"http://"+NewsdayHost+"/cgi-bin/nclassy", "POST", "make", rare))
 	if rows := dataRows(doc, "Make", "Price"); len(rows) == 0 {
 		t.Errorf("rare make %q should go straight to data", rare)
 	}
@@ -258,20 +266,19 @@ func TestNewsdayRareMakeSkipsF2(t *testing.T) {
 func TestNewsdayFeatrsFilterAndErrors(t *testing.T) {
 	w := BuildWorld()
 	base := "http://" + NewsdayHost
-	doc := fetchDoc(t, w.Server, web.NewSubmit(base+"/cgi-bin/nclassy", "POST",
-		url.Values{"make": {"ford"}, "model": {"escort"}, "featrs": {"sunroof"}}))
+	doc := fetchDoc(t, w.Server, submit(base+"/cgi-bin/nclassy", "POST", "make", "ford", "model", "escort", "featrs", "sunroof"))
 	rows := dataRows(doc, "Make", "Model")
 	oracle := filterFeatures(w.Datasets[NewsdayHost].ByMakeModel("ford", "escort"), "sunroof")
 	if len(rows) == 0 && len(oracle) > 0 {
 		t.Error("feature filter dropped everything")
 	}
 	// Missing make is an error page, not a crash.
-	resp, err := w.Server.Fetch(web.NewSubmit(base+"/cgi-bin/nclassy", "POST", url.Values{}))
+	resp, err := w.Server.Fetch(submit(base+"/cgi-bin/nclassy", "POST"))
 	if err != nil || !strings.Contains(string(resp.Body), "required") {
 		t.Errorf("missing make: %v %v", resp, err)
 	}
 	// Bad feature page id → 404.
-	resp, _ = w.Server.Fetch(web.NewGet(base + "/features?id=999999"))
+	resp, _ = w.Server.Fetch(web.NewGet(context.Background(), base+"/features?id=999999"))
 	if resp.Status != 404 {
 		t.Errorf("bad id status = %d", resp.Status)
 	}
@@ -284,11 +291,10 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("nytimes", func(t *testing.T) {
 		base := "http://" + NYTimesHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		cl := findLink(t, home, base+"/", "Classifieds")
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(cl)), cl)[0]
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
-			url.Values{"make": {"ford"}, "model": {"escort"}}))
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), cl)), cl)[0]
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "make", "ford", "model", "escort"))
 		rows := dataRows(doc, "Make", "Features", "Price", "Contact")
 		if len(rows) == 0 {
 			t.Fatal("no rows")
@@ -297,11 +303,11 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("newyorkdaily", func(t *testing.T) {
 		base := "http://" + NewYorkDailyHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		autos := findLink(t, home, base+"/", "Auto Classifieds")
-		search := findLink(t, fetchDoc(t, f, web.NewGet(autos)), autos, "Search Used Cars")
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(search)), search)[0]
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method, url.Values{"make": {"honda"}}))
+		search := findLink(t, fetchDoc(t, f, web.NewGet(context.Background(), autos)), autos, "Search Used Cars")
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), search)), search)[0]
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "make", "honda"))
 		// Sloppy markup must still parse into rows.
 		if rows := dataRows(doc, "Make", "Price"); len(rows) == 0 {
 			t.Fatal("sloppy table yielded no rows")
@@ -310,17 +316,15 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("carpoint", func(t *testing.T) {
 		base := "http://" + CarPointHost
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(base+"/")), base+"/")[0]
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
-			url.Values{"make": {"toyota"}, "model": {"camry"}}))
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), base+"/")), base+"/")[0]
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "make", "toyota", "model", "camry"))
 		rows := dataRows(doc, "Make", "ZipCode", "Contact")
 		if len(rows) == 0 {
 			t.Fatal("no rows")
 		}
 		// Zipcode filter narrows.
 		zip := rows[0].Cells[1]
-		doc2 := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
-			url.Values{"make": {"toyota"}, "model": {"camry"}, "zipcode": {zip}}))
+		doc2 := fetchDoc(t, f, submit(form.Action, form.Method, "make", "toyota", "model", "camry", "zipcode", zip))
 		rows2 := dataRows(doc2, "Make", "ZipCode")
 		for _, r := range rows2 {
 			if r.Cells[1] != zip {
@@ -331,17 +335,16 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("autoweb", func(t *testing.T) {
 		base := "http://" + AutoWebHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		used := findLink(t, home, base+"/", "Used Car Search")
-		f1 := htmlkit.Forms(fetchDoc(t, f, web.NewGet(used)), used)[0]
-		modelsPg := fetchDoc(t, f, web.NewSubmit(f1.Action, f1.Method, url.Values{"make": {"bmw"}}))
+		f1 := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), used)), used)[0]
+		modelsPg := fetchDoc(t, f, submit(f1.Action, f1.Method, "make", "bmw"))
 		f2 := htmlkit.Forms(modelsPg, f1.Action)[0]
 		md, _ := f2.Field("model")
 		if len(md.Domain) == 0 {
 			t.Fatal("dynamic model form has empty domain")
 		}
-		doc := fetchDoc(t, f, web.NewSubmit(f2.Action, f2.Method,
-			url.Values{"make": {"bmw"}, "model": {md.Domain[0]}}))
+		doc := fetchDoc(t, f, submit(f2.Action, f2.Method, "make", "bmw", "model", md.Domain[0]))
 		if rows := dataRows(doc, "Make", "Model", "Price"); len(rows) == 0 {
 			t.Fatal("no rows")
 		}
@@ -349,8 +352,8 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("wwwheels", func(t *testing.T) {
 		base := "http://" + WWWheelsHost
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(base+"/")), base+"/")[0]
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method, url.Values{"make": {"dodge"}}))
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), base+"/")), base+"/")[0]
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "make", "dodge"))
 		rows := dataRows(doc, "Make", "Price")
 		want := len(w.Datasets[WWWheelsHost].ByMake("dodge"))
 		if len(rows) != want {
@@ -360,15 +363,14 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("autoconnect", func(t *testing.T) {
 		base := "http://" + AutoConnectHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		find := findLink(t, home, base+"/", "Find a Car")
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(find)), find)[0]
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), find)), find)[0]
 		cond, _ := form.Field("condition")
 		if !cond.Mandatory || cond.Widget != htmlkit.WidgetRadio {
 			t.Fatalf("condition should be a mandatory radio group: %+v", cond)
 		}
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
-			url.Values{"make": {"ford"}, "condition": {"good"}}))
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "make", "ford", "condition", "good"))
 		rows := dataRows(doc, "Make", "Condition")
 		for _, r := range rows {
 			if r.Cells[1] != "good" {
@@ -379,14 +381,14 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("yahoocars", func(t *testing.T) {
 		base := "http://" + YahooCarsHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		mkURL := findLink(t, home, base+"/", "chevrolet")
-		mkPg := fetchDoc(t, f, web.NewGet(mkURL))
+		mkPg := fetchDoc(t, f, web.NewGet(context.Background(), mkURL))
 		links := htmlkit.Links(mkPg)
 		if len(links) == 0 {
 			t.Fatal("no model links")
 		}
-		doc := fetchDoc(t, f, web.NewGet(htmlkit.Resolve(mkURL, links[0].Href)))
+		doc := fetchDoc(t, f, web.NewGet(context.Background(), htmlkit.Resolve(mkURL, links[0].Href)))
 		if rows := dataRows(doc, "Make", "Model", "Price"); len(rows) == 0 {
 			t.Fatal("no listing rows")
 		}
@@ -394,12 +396,11 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("kellys", func(t *testing.T) {
 		base := "http://" + KellysHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		pr := findLink(t, home, base+"/", "Price a Used Car")
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(pr)), pr)[0]
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), pr)), pr)[0]
 		// With year: one row matching the BlueBook oracle.
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
-			url.Values{"make": {"jaguar"}, "model": {"xj6"}, "year": {"1994"}, "condition": {"good"}}))
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "make", "jaguar", "model", "xj6", "year", "1994", "condition", "good"))
 		rows := dataRows(doc, "Make", "BBPrice")
 		if len(rows) != 1 {
 			t.Fatalf("rows = %d, want 1", len(rows))
@@ -409,8 +410,7 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 			t.Errorf("bbprice = %q, want %q", rows[0].Cells[1], want)
 		}
 		// Without year: a row per year.
-		doc = fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
-			url.Values{"make": {"jaguar"}, "model": {"xj6"}, "condition": {"good"}}))
+		doc = fetchDoc(t, f, submit(form.Action, form.Method, "make", "jaguar", "model", "xj6", "condition", "good"))
 		if rows := dataRows(doc, "Year", "BBPrice"); len(rows) != 11 {
 			t.Errorf("yearless rows = %d, want 11", len(rows))
 		}
@@ -418,10 +418,10 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("caranddriver", func(t *testing.T) {
 		base := "http://" + CarAndDriverHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		sf := findLink(t, home, base+"/", "Safety Ratings")
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(sf)), sf)[0]
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method, url.Values{"make": {"jaguar"}}))
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), sf)), sf)[0]
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "make", "jaguar"))
 		rows := dataRows(doc, "Make", "Model", "Safety")
 		if len(rows) != len(Catalog["jaguar"]) {
 			t.Fatalf("rows = %d", len(rows))
@@ -435,10 +435,10 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("carreviews", func(t *testing.T) {
 		base := "http://" + CarReviewsHost
-		home := fetchDoc(t, f, web.NewGet(base+"/"))
+		home := fetchDoc(t, f, web.NewGet(context.Background(), base+"/"))
 		mkURL := findLink(t, home, base+"/", "honda")
-		mdURL := findLink(t, fetchDoc(t, f, web.NewGet(mkURL)), mkURL, "civic")
-		doc := fetchDoc(t, f, web.NewGet(mdURL))
+		mdURL := findLink(t, fetchDoc(t, f, web.NewGet(context.Background(), mkURL)), mkURL, "civic")
+		doc := fetchDoc(t, f, web.NewGet(context.Background(), mdURL))
 		rows := dataRows(doc, "Make", "Model", "Reliability")
 		if len(rows) != 1 || rows[0].Cells[2] != "5" {
 			t.Errorf("honda civic reliability rows: %v", rows)
@@ -447,9 +447,8 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 
 	t.Run("carfinance", func(t *testing.T) {
 		base := "http://" + CarFinanceHost
-		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(base+"/")), base+"/")[0]
-		doc := fetchDoc(t, f, web.NewSubmit(form.Action, form.Method,
-			url.Values{"zipcode": {"11201"}, "duration": {"36"}}))
+		form := htmlkit.Forms(fetchDoc(t, f, web.NewGet(context.Background(), base+"/")), base+"/")[0]
+		doc := fetchDoc(t, f, submit(form.Action, form.Method, "zipcode", "11201", "duration", "36"))
 		rows := dataRows(doc, "ZipCode", "Duration", "Rate")
 		if len(rows) != 1 {
 			t.Fatalf("rows = %d", len(rows))
@@ -468,7 +467,7 @@ func TestAllHostsRegistered(t *testing.T) {
 		t.Fatalf("registered %d hosts, want %d", len(hosts), len(All))
 	}
 	for _, s := range All {
-		resp, err := w.Server.Fetch(web.NewGet("http://" + s.Host + "/"))
+		resp, err := w.Server.Fetch(web.NewGet(context.Background(), "http://"+s.Host+"/"))
 		if err != nil || !resp.OK() {
 			t.Errorf("site %s home page: %v %v", s.Name, resp, err)
 		}

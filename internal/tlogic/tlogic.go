@@ -27,15 +27,17 @@ type State any
 type Env map[string]string
 
 // Action is a primitive transaction: a query (state-preserving) or an
-// update (state-transforming). Run returns every state the action can
-// move to from st — an empty slice is logical failure (backtrack), a
-// non-nil error is a hard abort that cancels the whole execution. Run
-// never changes st, so backtracking discards a failed branch's effects by
-// dropping its states — the atomicity the paper notes transaction
-// formulas share with database transactions.
+// update (state-transforming). Run appends every state the action can
+// move to from st onto out and returns the extended slice — appending
+// none is logical failure (backtrack), a non-nil error is a hard abort
+// that cancels the whole execution. Run changes no element of out and
+// keeps no slice of it: the interpreter reuses it. Run never changes st,
+// so backtracking discards a failed branch's effects by dropping its
+// states — the atomicity the paper notes transaction formulas share with
+// database transactions.
 type Action interface {
 	Name() string
-	Run(st State, env Env) ([]State, error)
+	Run(st State, env Env, out []State) ([]State, error)
 }
 
 // Formula is a serial-Horn Transaction Logic formula.
@@ -214,65 +216,80 @@ var (
 // is false when the formula has no successful execution.
 //
 // The search keeps the path as one stack: each primitive step pushes the
-// state it moves to, and backtracking pops it. The search is depth-first,
-// so sibling branches never hold the path at once. The first success ends
-// the search, so the stack is returned as it stands, without a copy.
+// state it moves to, and backtracking pops it. Beside it is the outcome
+// stack: each step pushes the states it can move to, and pops each as the
+// search moves to it, so the stack holds only the alternatives left to
+// try. The search is depth-first, so sibling branches never hold either
+// stack at once. The first success ends the search, so the path is
+// returned as it stands, without a copy.
 func (in *Interp) Run(goal Formula, st State, env Env) (end State, path []State, ok bool, err error) {
-	stop := func(p []State) (bool, error) {
+	stop := func(p, _ []State) (bool, error) {
 		path, ok = p, true
 		return true, nil
 	}
-	if _, err = in.exec(goal, env, 0, append(make([]State, 0, 16), st), stop); err != nil || !ok {
+	// One allocation holds both stacks: a path of 16 states and two
+	// alternatives (DESIGN.md §18). Either grows on its own past that.
+	stacks := make([]State, 0, 16+2)
+	if _, err = in.exec(goal, env, 0, append(stacks[:0:16], st), stacks[16:16], stop); err != nil || !ok {
 		return nil, nil, false, err
 	}
 	return path[len(path)-1], path, true, nil
 }
 
 // cont receives each successful execution as its path, whose last state is
-// where it ends; returning true stops the search. The path is the search's
-// stack: valid until cont returns.
-type cont func(path []State) (bool, error)
+// where it ends, and the outcome stack the search continues on; returning
+// true stops the search. Both are the search's stacks: valid until cont
+// returns.
+type cont func(path, outs []State) (bool, error)
 
-// exec runs f from the last state of path.
-func (in *Interp) exec(f Formula, env Env, depth int, path []State, k cont) (bool, error) {
+// exec runs f from the last state of path. outs is the outcome stack: the
+// states the steps before f still have to try. f appends only past them.
+func (in *Interp) exec(f Formula, env Env, depth int, path, outs []State, k cont) (bool, error) {
 	if depth > maxDepth {
 		return false, ErrDepthExceeded
 	}
 	switch f := f.(type) {
 	case Empty:
-		return k(path)
+		return k(path, outs)
 	case fail:
 		return false, nil
 	case Prim:
-		next, err := f.Action.Run(path[len(path)-1], env)
+		next, err := f.Action.Run(path[len(path)-1], env, outs)
 		if err != nil {
 			return false, fmt.Errorf("action %s: %w", f.Action.Name(), err)
 		}
-		// The push writes the slot past path, which only the search
-		// below this step reads: each next state reuses it in turn.
-		for _, st := range next {
-			stop, err := k(append(path, st))
+		// The step's outcomes are next[len(outs):]. Reversed, they are
+		// tried in order by popping them, so the search below an outcome
+		// appends past only the outcomes still to try: a step with one
+		// outcome leaves the stack as it found it. The push writes the
+		// slot past path, which only the search below this step reads:
+		// each outcome reuses it in turn.
+		slices.Reverse(next[len(outs):])
+		for len(next) > len(outs) {
+			st := next[len(next)-1]
+			next = next[:len(next)-1]
+			stop, err := k(append(path, st), next)
 			if stop || err != nil {
 				return stop, err
 			}
 		}
 		return false, nil
 	case Serial:
-		return in.exec(f.Left, env, depth, path, func(p []State) (bool, error) {
-			return in.exec(f.Right, env, depth, p, k)
+		return in.exec(f.Left, env, depth, path, outs, func(p, o []State) (bool, error) {
+			return in.exec(f.Right, env, depth, p, o, k)
 		})
 	case Choice:
-		stop, err := in.exec(f.Left, env, depth, path, k)
+		stop, err := in.exec(f.Left, env, depth, path, outs, k)
 		if stop || err != nil {
 			return stop, err
 		}
-		return in.exec(f.Right, env, depth, path, k)
+		return in.exec(f.Right, env, depth, path, outs, k)
 	case Call:
 		body, ok := in.Program.Rule(f.Rule)
 		if !ok {
 			return false, fmt.Errorf("%w: %s", ErrUnknownRule, f.Rule)
 		}
-		return in.exec(body, env, depth+1, path, k)
+		return in.exec(body, env, depth+1, path, outs, k)
 	default:
 		return false, fmt.Errorf("tlogic: unknown formula type %T", f)
 	}

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"webbase/internal/race"
 )
 
 // counter is a toy state: a number plus a log of applied operations.
@@ -26,8 +28,9 @@ type op struct {
 }
 
 func (o op) Name() string { return o.name }
-func (o op) Run(st State, _ Env) ([]State, error) {
-	return o.fn(st.(*counter))
+func (o op) Run(st State, _ Env, out []State) ([]State, error) {
+	next, err := o.fn(st.(*counter))
+	return append(out, next...), err
 }
 
 func inc(by int) Formula {
@@ -361,6 +364,9 @@ func TestPathThroughBacktracking(t *testing.T) {
 		{"nondeterministic step whose first outcome dies deeper in",
 			Seq(inc(1), fork, inc(1), inc(1), atLeast(23)),
 			[]int{0, 1, 21, 22, 23, 23}},
+		{"nested nondeterministic steps holding more alternatives than the outcome stack's room",
+			Seq(fork, fork, fork, atLeast(60)),
+			[]int{0, 20, 40, 60, 60}},
 		{"failed branches inside a serial",
 			Seq(inc(1), Alt(Seq(incs(3, 5), guardLess(0)), Empty{}), inc(2), Alt(Seq(incs(2, 7), atLeast(100)), Empty{})),
 			[]int{0, 1, 3}},
@@ -380,5 +386,49 @@ func TestPathThroughBacktracking(t *testing.T) {
 				t.Errorf("path = %v, want %v", got, c.want)
 			}
 		})
+	}
+}
+
+// hold is a step that moves to the states it holds, in order.
+type hold []State
+
+func (hold) Name() string { return "hold" }
+func (h hold) Run(_ State, _ Env, out []State) ([]State, error) {
+	return append(out, h...), nil
+}
+
+// TestStepAllocs: a step whose action moves to states it already holds
+// allocates nothing in the interpreter. An execution pays for its stacks
+// once, as the empty formula does, whatever it backtracks over, while its
+// path stays within 16 states and it holds no more than two outcomes at
+// once.
+func TestStepAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	one, two := Prim{hold{&counter{}}}, Prim{hold{&counter{n: 1}, &counter{n: 2}}}
+	none := Prim{hold(nil)}
+	long := make([]Formula, 15)
+	for i := range long {
+		long[i] = one
+	}
+	in := &Interp{Program: NewProgram()}
+	allocs := func(goal Formula) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, _, ok, err := in.Run(goal, &counter{}, nil); !ok || err != nil {
+				t.Fatalf("%v: ok=%v err=%v", goal, ok, err)
+			}
+		})
+	}
+	base := allocs(Empty{})
+	for _, goal := range []Formula{
+		one,
+		Seq(one, two, one),
+		Seq(one, Choice{Left: Seq(one, two, none), Right: two}, one),
+		Seq(long...),
+	} {
+		if got := allocs(goal); got != base {
+			t.Errorf("%v allocates %.0f times, the empty formula %.0f", goal, got, base)
+		}
 	}
 }

@@ -229,14 +229,14 @@ func (r *Registry) ChooseHandle(name string, inputs map[string]relation.Value) (
 // broadly than asked (a selection attribute the handle could not forward),
 // so the result is post-filtered: every returned tuple satisfies
 // tuple[a] = inputs[a] for each input attribute a in the schema.
-func (r *Registry) Populate(f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, *navcalc.ExecInfo, error) {
+func (r *Registry) Populate(f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, navcalc.ExecInfo, error) {
 	return r.PopulateContext(context.Background(), f, name, inputs)
 }
 
 // PopulateContext is Populate with cancellation: the handle's navigation
 // aborts at the next page load once ctx is done, so a cancelled query
 // stops fetching promptly instead of finishing the site.
-func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, *navcalc.ExecInfo, error) {
+func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, navcalc.ExecInfo, error) {
 	h, err := r.ChooseHandle(name, inputs)
 	if err != nil {
 		// The failed access attempt is itself worth tracing: Benedikt &
@@ -245,7 +245,7 @@ func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name stri
 		if parent := trace.FromContext(ctx); parent != nil {
 			parent.Start(trace.KindHandle, name+" (no usable handle)").EndErr(err)
 		}
-		return nil, nil, err
+		return nil, navcalc.ExecInfo{}, err
 	}
 	// One span per handle execution: the chosen handle is a deterministic
 	// function of the inputs, so the span name is schedule-independent. The
@@ -279,7 +279,7 @@ func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name stri
 		sp.Set("pruned", 1)
 		sp.Label("pruned-reason", prune.ReasonUnsatWhere)
 		sp.End()
-		return relation.New(expr.Name, expr.Schema), nil, nil
+		return relation.New(expr.Name, expr.Schema), navcalc.ExecInfo{}, nil
 	}
 	strInputs := make(map[string]string, len(inputs))
 	for a, v := range inputs {
@@ -303,14 +303,14 @@ func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name stri
 		}))
 		sp.Label("quarantined", "true")
 		sp.EndErr(err)
-		return nil, nil, err
+		return nil, navcalc.ExecInfo{}, err
 	}
 	rel, info, err := expr.ExecuteContext(ctx, f, strInputs)
 	if err != nil {
 		err = fmt.Errorf("vps: populating %s: %w", name, err)
 		sp.Set("fetches", countFetches(sp))
 		sp.EndErr(err)
-		return nil, nil, err
+		return nil, navcalc.ExecInfo{}, err
 	}
 	filtered := rel.Select(func(t relation.Tuple) bool {
 		for a, v := range inputs {

@@ -1,6 +1,7 @@
 package web
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func tripBreaker(t *testing.T, br *Breaker, host string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		br.Fetch(NewGet("http://" + host + "/p"))
+		br.Fetch(NewGet(context.Background(), "http://"+host+"/p"))
 	}
 	if br.State(host) != BreakerOpen {
 		t.Fatalf("circuit for %s = %v after %d failures, want open", host, br.State(host), n)
@@ -35,7 +36,7 @@ func TestBreakerSnapshotRestore(t *testing.T) {
 	}
 	br := NewBreaker(failingFetcher(), cfg, nil)
 	tripBreaker(t, br, "dead.test", 2)
-	br.Fetch(NewGet("http://alive.test/p")) // one failure: still closed
+	br.Fetch(NewGet(context.Background(), "http://alive.test/p")) // one failure: still closed
 
 	if len(changes) != 1 || changes[0] != "dead.test:open" {
 		t.Fatalf("OnChange fired %v, want exactly [dead.test:open]", changes)
@@ -67,7 +68,7 @@ func TestBreakerSnapshotRestore(t *testing.T) {
 	if br2.State("dead.test") != BreakerOpen {
 		t.Fatalf("restored state = %v, want open", br2.State("dead.test"))
 	}
-	if _, err := br2.Fetch(NewGet("http://dead.test/p")); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := br2.Fetch(NewGet(context.Background(), "http://dead.test/p")); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("restored circuit admitted a fetch: %v", err)
 	}
 	if calls != 0 {
@@ -77,7 +78,7 @@ func TestBreakerSnapshotRestore(t *testing.T) {
 		t.Fatalf("lifetime opens not restored: %d", br2.Opens("dead.test"))
 	}
 	// The healthy host is untouched by the restore.
-	if _, err := br2.Fetch(NewGet("http://alive.test/p")); err != nil {
+	if _, err := br2.Fetch(NewGet(context.Background(), "http://alive.test/p")); err != nil {
 		t.Fatalf("unrelated host affected by restore: %v", err)
 	}
 }
@@ -95,7 +96,7 @@ func TestBreakerRestoreElapsedCooldown(t *testing.T) {
 	br.Restore(map[string]BreakerSnapshot{
 		"dead.test": {State: "open", OpenedAt: now.Add(-time.Hour), Opens: 3},
 	})
-	resp, err := br.Fetch(NewGet("http://dead.test/p"))
+	resp, err := br.Fetch(NewGet(context.Background(), "http://dead.test/p"))
 	if err != nil || string(resp.Body) != "recovered" {
 		t.Fatalf("elapsed-cooldown probe = (%v, %v), want success", resp, err)
 	}
@@ -111,7 +112,7 @@ func TestBreakerRestoreIsIgnoredOnLiveCircuit(t *testing.T) {
 	br := NewBreaker(FetcherFunc(func(req *Request) (*Response, error) {
 		return HTML(req.URL, "ok"), nil
 	}), cfg, nil)
-	if _, err := br.Fetch(NewGet("http://live.test/p")); err != nil {
+	if _, err := br.Fetch(NewGet(context.Background(), "http://live.test/p")); err != nil {
 		t.Fatal(err)
 	}
 	br.Restore(map[string]BreakerSnapshot{

@@ -47,7 +47,7 @@ func TestBreakerTransitions(t *testing.T) {
 
 	// Closed: healthy traffic flows and keeps the circuit closed.
 	for i := 0; i < 6; i++ {
-		if _, err := br.Fetch(NewGet(url)); err != nil {
+		if _, err := br.Fetch(NewGet(context.Background(), url)); err != nil {
 			t.Fatalf("healthy fetch %d: %v", i, err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestBreakerTransitions(t *testing.T) {
 	// opens on exactly the second failure.
 	inner.down.Store(true)
 	for i := 0; i < 2; i++ {
-		if _, err := br.Fetch(NewGet(url)); err == nil {
+		if _, err := br.Fetch(NewGet(context.Background(), url)); err == nil {
 			t.Fatalf("failing fetch %d unexpectedly succeeded", i)
 		}
 	}
@@ -74,7 +74,7 @@ func TestBreakerTransitions(t *testing.T) {
 	// Open: fetches are rejected without touching the network, with an
 	// Outage-classified, host-attributed circuit-open error.
 	before := inner.calls.Load()
-	_, err := br.Fetch(NewGet(url))
+	_, err := br.Fetch(NewGet(context.Background(), url))
 	if err == nil {
 		t.Fatal("open circuit let a fetch through")
 	}
@@ -97,7 +97,7 @@ func TestBreakerTransitions(t *testing.T) {
 	if st := br.State("h"); st != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", st)
 	}
-	if _, err := br.Fetch(NewGet(url)); err == nil {
+	if _, err := br.Fetch(NewGet(context.Background(), url)); err == nil {
 		t.Fatal("failed probe unexpectedly succeeded")
 	}
 	if st := br.State("h"); st != BreakerOpen {
@@ -111,14 +111,14 @@ func TestBreakerTransitions(t *testing.T) {
 	// the circuit closes.
 	clk.Advance(10 * time.Second)
 	inner.down.Store(false)
-	if _, err := br.Fetch(NewGet(url)); err != nil {
+	if _, err := br.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatalf("recovering probe failed: %v", err)
 	}
 	if st := br.State("h"); st != BreakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", st)
 	}
 	// And traffic flows again.
-	if _, err := br.Fetch(NewGet(url)); err != nil {
+	if _, err := br.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatalf("post-recovery fetch failed: %v", err)
 	}
 }
@@ -138,8 +138,8 @@ func TestBreakerPerHostIsolation(t *testing.T) {
 		Cooldown: time.Hour, Clock: clk.Clock(),
 	}, nil)
 	for i := 0; i < 3; i++ {
-		br.Fetch(NewGet("http://dead/x"))
-		if _, err := br.Fetch(NewGet("http://alive/x")); err != nil {
+		br.Fetch(NewGet(context.Background(), "http://dead/x"))
+		if _, err := br.Fetch(NewGet(context.Background(), "http://alive/x")); err != nil {
 			t.Fatalf("alive host affected: %v", err)
 		}
 	}
@@ -173,11 +173,11 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	clk.Advance(time.Second)
 	done := make(chan error, 1)
 	go func() {
-		_, err := br.Fetch(NewGet("http://h/probe"))
+		_, err := br.Fetch(NewGet(context.Background(), "http://h/probe"))
 		done <- err
 	}()
 	<-entered // the probe holds the half-open slot
-	if _, err := br.Fetch(NewGet("http://h/second")); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := br.Fetch(NewGet(context.Background(), "http://h/second")); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("second fetch during probe: %v", err)
 	}
 	close(release)
@@ -201,7 +201,7 @@ func TestBreakerIgnoresCancellation(t *testing.T) {
 		Cooldown: time.Hour, Clock: clk.Clock(),
 	}, nil)
 	for i := 0; i < 10; i++ {
-		br.Fetch(NewGet("http://h/x"))
+		br.Fetch(NewGet(context.Background(), "http://h/x"))
 	}
 	if st := br.State("h"); st != BreakerClosed {
 		t.Fatalf("cancellations opened the circuit: %v", st)
@@ -226,7 +226,7 @@ func TestBreakerCancelledProbeIsNoVerdict(t *testing.T) {
 	}, nil)
 	const url = "http://h/x"
 	for i := 0; i < 4; i++ {
-		br.Fetch(NewGet(url))
+		br.Fetch(NewGet(context.Background(), url))
 	}
 	if st := br.State("h"); st != BreakerOpen {
 		t.Fatalf("state after failures = %v, want open", st)
@@ -235,7 +235,7 @@ func TestBreakerCancelledProbeIsNoVerdict(t *testing.T) {
 	clk.Advance(10 * time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := br.Fetch(NewGet(url).WithContext(ctx)); !errors.Is(err, context.Canceled) {
+	if _, err := br.Fetch(NewGet(ctx, url)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled probe: %v", err)
 	}
 	if st := br.State("h"); st != BreakerHalfOpen {
@@ -245,7 +245,7 @@ func TestBreakerCancelledProbeIsNoVerdict(t *testing.T) {
 	// The host still refuses: the next fetch is the probe, reaches the
 	// site, fails and re-opens the circuit.
 	before := inner.calls.Load()
-	if _, err := br.Fetch(NewGet(url)); err == nil || errors.Is(err, ErrCircuitOpen) {
+	if _, err := br.Fetch(NewGet(context.Background(), url)); err == nil || errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("second probe: %v, want the site's failure", err)
 	}
 	if inner.calls.Load() != before+1 {
@@ -289,14 +289,14 @@ func TestBreakerLateFetchDoesNotDecideHalfOpen(t *testing.T) {
 
 	lateDone := make(chan error, 1)
 	go func() {
-		_, err := br.Fetch(NewGet("http://h/late"))
+		_, err := br.Fetch(NewGet(context.Background(), "http://h/late"))
 		lateDone <- err
 	}()
 	<-lateIn // admitted while closed, still in flight
 
 	down.Store(true)
 	for i := 0; i < 4; i++ {
-		br.Fetch(NewGet("http://h/x"))
+		br.Fetch(NewGet(context.Background(), "http://h/x"))
 	}
 	if st := br.State("h"); st != BreakerOpen {
 		t.Fatalf("state after failures = %v, want open", st)
@@ -305,7 +305,7 @@ func TestBreakerLateFetchDoesNotDecideHalfOpen(t *testing.T) {
 	clk.Advance(10 * time.Second)
 	probeDone := make(chan error, 1)
 	go func() {
-		_, err := br.Fetch(NewGet("http://h/probe"))
+		_, err := br.Fetch(NewGet(context.Background(), "http://h/probe"))
 		probeDone <- err
 	}()
 	<-probeIn // the probe holds the half-open slot

@@ -83,14 +83,14 @@ func TestDeadlineBudgetMiddleware(t *testing.T) {
 	f := WithDeadlineBudget(inner, stats)
 
 	// No budget on the context: passes through.
-	if _, err := f.Fetch(NewGet("http://slow.example/p")); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), "http://slow.example/p")); err != nil {
 		t.Fatal(err)
 	}
 	// Healthy budget: passes through.
 	clock := newFakeClock()
 	b := NewBudget(100*time.Millisecond, clock.Now)
 	ctx := ContextWithBudget(context.Background(), b)
-	if _, err := f.Fetch(NewGet("http://slow.example/p").WithContext(ctx)); err != nil {
+	if _, err := f.Fetch(NewGet(ctx, "http://slow.example/p")); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -98,7 +98,7 @@ func TestDeadlineBudgetMiddleware(t *testing.T) {
 	}
 	// Exhausted budget: shed without touching inner.
 	clock.Advance(time.Second)
-	_, err := f.Fetch(NewGet("http://slow.example/p").WithContext(ctx))
+	_, err := f.Fetch(NewGet(ctx, "http://slow.example/p"))
 	if err == nil {
 		t.Fatal("exhausted budget did not shed the fetch")
 	}
@@ -132,7 +132,7 @@ func TestOutageMemoSkipsBudgetSheds(t *testing.T) {
 	ctx := WithQuery(context.Background(), q)
 	f := WithOutageMemo(inner)
 	for i := 0; i < 2; i++ {
-		if _, err := f.Fetch(NewGet("http://slow.example/p").WithContext(ctx)); !IsBudgetExhausted(err) {
+		if _, err := f.Fetch(NewGet(ctx, "http://slow.example/p")); !IsBudgetExhausted(err) {
 			t.Fatalf("unexpected error %v", err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestOutageMemoSkipsBudgetSheds(t *testing.T) {
 	})
 	f = WithOutageMemo(down)
 	for i := 0; i < 2; i++ {
-		if _, err := f.Fetch(NewGet("http://down.example/p").WithContext(ctx)); !IsOutage(err) {
+		if _, err := f.Fetch(NewGet(ctx, "http://down.example/p")); !IsOutage(err) {
 			t.Fatalf("unexpected error %v", err)
 		}
 	}

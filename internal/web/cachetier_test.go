@@ -1,6 +1,7 @@
 package web
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func TestCacheTierWriteThroughAndServe(t *testing.T) {
 	cache.Tier = tier
 	net := &countingFetcher{}
 	f := cacheOnly(net, cache)
-	req := NewGet("http://a.test/page")
+	req := NewGet(context.Background(), "http://a.test/page")
 
 	// Miss both tiers: network fetch, write-through to the tier.
 	if _, err := f.Fetch(req); err != nil {
@@ -133,7 +134,7 @@ func TestCacheClearInvalidatesTier(t *testing.T) {
 	cache := NewCache()
 	cache.Tier = tier
 	f := cacheOnly(&countingFetcher{}, cache)
-	if _, err := f.Fetch(NewGet("http://a.test/1")); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), "http://a.test/1")); err != nil {
 		t.Fatal(err)
 	}
 	if tier.len() != 1 {
@@ -156,7 +157,7 @@ func TestCacheTierExpiredEntry(t *testing.T) {
 	clock := func() time.Time { return now }
 
 	tier := newFakeTier()
-	tier.Store(NewGet("http://a.test/p").Key(),
+	tier.Store(NewGet(context.Background(), "http://a.test/p").Key(),
 		HTML("http://a.test/p", "old body"), now.Add(-time.Hour))
 
 	cache := NewCache()
@@ -166,7 +167,7 @@ func TestCacheTierExpiredEntry(t *testing.T) {
 	net := &countingFetcher{}
 	f := cacheOnly(net, cache)
 
-	resp, err := f.Fetch(NewGet("http://a.test/p"))
+	resp, err := f.Fetch(NewGet(context.Background(), "http://a.test/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestCacheTierExpiredEntry(t *testing.T) {
 	// Same setup, but the network is down and stale-on-error is on: the
 	// expired tier entry is the last answer standing.
 	tier2 := newFakeTier()
-	tier2.Store(NewGet("http://a.test/p").Key(),
+	tier2.Store(NewGet(context.Background(), "http://a.test/p").Key(),
 		HTML("http://a.test/p", "old body"), now.Add(-time.Hour))
 	cache2 := NewCache()
 	cache2.Tier = tier2
@@ -190,7 +191,7 @@ func TestCacheTierExpiredEntry(t *testing.T) {
 	f2 := cacheOnly(FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, MarkOutage(&HostError{Host: "a.test", Err: ErrCircuitOpen})
 	}), cache2)
-	resp, err = f2.Fetch(NewGet("http://a.test/p"))
+	resp, err = f2.Fetch(NewGet(context.Background(), "http://a.test/p"))
 	if err != nil {
 		t.Fatalf("stale-on-error from tier failed: %v", err)
 	}

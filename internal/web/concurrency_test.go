@@ -62,7 +62,7 @@ func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 	inner := newCountingInner(20 * time.Millisecond)
 	stats := &Stats{}
 	f := WithSingleflight(inner, stats)
-	req := NewGet("http://site.example/page")
+	req := NewGet(context.Background(), "http://site.example/page")
 
 	const n = 16
 	var wg sync.WaitGroup
@@ -107,7 +107,7 @@ func TestSingleflightDistinctRequestsNotCollapsed(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := f.Fetch(NewGet(fmt.Sprintf("http://site.example/page%d", i))); err != nil {
+			if _, err := f.Fetch(NewGet(context.Background(), fmt.Sprintf("http://site.example/page%d", i))); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -127,7 +127,7 @@ func TestSingleflightDistinctRequestsNotCollapsed(t *testing.T) {
 func TestSingleflightSequentialRefetches(t *testing.T) {
 	inner := newCountingInner(0)
 	f := WithSingleflight(inner, nil)
-	req := NewGet("http://site.example/page")
+	req := NewGet(context.Background(), "http://site.example/page")
 	for i := 0; i < 3; i++ {
 		if _, err := f.Fetch(req); err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestSingleflightErrorSharedByFollowers(t *testing.T) {
 	inner := newCountingInner(20 * time.Millisecond)
 	inner.failAll = true
 	f := WithSingleflight(inner, nil)
-	req := NewGet("http://down.example/")
+	req := NewGet(context.Background(), "http://down.example/")
 
 	const n = 6
 	var wg sync.WaitGroup
@@ -184,7 +184,7 @@ func TestHostLimitCapRespected(t *testing.T) {
 					wg.Add(1)
 					go func(host string, i int) {
 						defer wg.Done()
-						if _, err := f.Fetch(NewGet(fmt.Sprintf("http://%s/p%d", host, i))); err != nil {
+						if _, err := f.Fetch(NewGet(context.Background(), fmt.Sprintf("http://%s/p%d", host, i))); err != nil {
 							t.Error(err)
 						}
 					}(host, i)
@@ -233,7 +233,7 @@ func TestHostLimitFIFOFairness(t *testing.T) {
 	go func() { // occupy the single slot so the others must queue
 		defer wg.Done()
 		<-release
-		f.Fetch(NewGet("http://one.example/?i=-1"))
+		f.Fetch(NewGet(context.Background(), "http://one.example/?i=-1"))
 	}()
 	close(release)
 	time.Sleep(5 * time.Millisecond)
@@ -241,7 +241,7 @@ func TestHostLimitFIFOFairness(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f.Fetch(NewGet(fmt.Sprintf("http://one.example/?i=%d", i)))
+			f.Fetch(NewGet(context.Background(), fmt.Sprintf("http://one.example/?i=%d", i)))
 		}(i)
 		time.Sleep(5 * time.Millisecond) // stagger arrivals
 	}
@@ -296,7 +296,7 @@ func TestBulkheadShedsWhenSaturated(t *testing.T) {
 	// Occupy the single slot.
 	first := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet("http://one.example/a"))
+		_, err := f.Fetch(NewGet(context.Background(), "http://one.example/a"))
 		first <- err
 	}()
 	<-inner.started
@@ -304,7 +304,7 @@ func TestBulkheadShedsWhenSaturated(t *testing.T) {
 	// Fill the wait queue.
 	second := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet("http://one.example/b"))
+		_, err := f.Fetch(NewGet(context.Background(), "http://one.example/b"))
 		second <- err
 	}()
 	// The queued fetch never reaches inner, so give it a moment to
@@ -314,7 +314,7 @@ func TestBulkheadShedsWhenSaturated(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	third := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet("http://one.example/c"))
+		_, err := f.Fetch(NewGet(context.Background(), "http://one.example/c"))
 		third <- err
 	}()
 	var shedErr error
@@ -342,7 +342,7 @@ func TestBulkheadShedsWhenSaturated(t *testing.T) {
 	// A different host is isolated from the saturation.
 	otherDone := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet("http://two.example/x"))
+		_, err := f.Fetch(NewGet(context.Background(), "http://two.example/x"))
 		otherDone <- err
 	}()
 	<-inner.started // two.example reached inner despite one.example being full
@@ -368,13 +368,13 @@ func TestBulkheadQueuedFetchHonorsCancellation(t *testing.T) {
 	inner := newGatedInner()
 	f := WithBulkhead(inner, 1, 0, nil)
 
-	go f.Fetch(NewGet("http://one.example/a")) // occupies the slot forever
+	go f.Fetch(NewGet(context.Background(), "http://one.example/a")) // occupies the slot forever
 	<-inner.started
 
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet("http://one.example/b").WithContext(ctx))
+		_, err := f.Fetch(NewGet(ctx, "http://one.example/b"))
 		queued <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let it queue
@@ -401,7 +401,7 @@ func TestBulkheadUnboundedQueueNeverSheds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := f.Fetch(NewGet(fmt.Sprintf("http://one.example/p%d", i))); err != nil {
+			if _, err := f.Fetch(NewGet(context.Background(), fmt.Sprintf("http://one.example/p%d", i))); err != nil {
 				t.Errorf("fetch %d: %v", i, err)
 			}
 		}(i)
@@ -431,7 +431,7 @@ func TestSingleflightUnderSharedStats(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				url := fmt.Sprintf("http://h%d.example/p%d", g%3, i%4)
-				if _, err := f.Fetch(NewGet(url)); err != nil {
+				if _, err := f.Fetch(NewGet(context.Background(), url)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -472,11 +472,11 @@ func TestFillVisibleBeforeFlightForgotten(t *testing.T) {
 	const url = "http://h.example/p"
 	bErr := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet(url))
+		_, err := f.Fetch(NewGet(context.Background(), url))
 		bErr <- err
 	}()
 	<-bMissed
-	if _, err := f.Fetch(NewGet(url)); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatal(err)
 	}
 	close(aDone)
@@ -499,18 +499,18 @@ func TestSingleflightWaitHonoursContext(t *testing.T) {
 	const url = "http://h.example/p"
 	lead, stayed := make(chan error, 1), make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet(url))
+		_, err := f.Fetch(NewGet(context.Background(), url))
 		lead <- err
 	}()
 	<-inner.started
 	ctx, cancel := context.WithCancel(context.Background())
 	gaveUp := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet(url).WithContext(ctx))
+		_, err := f.Fetch(NewGet(ctx, url))
 		gaveUp <- err
 	}()
 	go func() {
-		_, err := f.Fetch(NewGet(url))
+		_, err := f.Fetch(NewGet(context.Background(), url))
 		stayed <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let both followers join the flight

@@ -22,7 +22,7 @@ func TestFlakyInjectsDeterministically(t *testing.T) {
 	f := &Flaky{Inner: okFetcher(), FailEvery: 3}
 	failures := 0
 	for i := 0; i < 300; i++ {
-		if _, err := f.Fetch(NewGet("http://h/x")); err != nil {
+		if _, err := f.Fetch(NewGet(context.Background(), "http://h/x")); err != nil {
 			if !errors.Is(err, ErrSimulatedOutage) {
 				t.Fatalf("unexpected error type: %v", err)
 			}
@@ -39,7 +39,7 @@ func TestFlakyInjectsDeterministically(t *testing.T) {
 	g := &Flaky{Inner: okFetcher(), FailEvery: 3}
 	failures2 := 0
 	for i := 0; i < 300; i++ {
-		if _, err := g.Fetch(NewGet("http://h/x")); err != nil {
+		if _, err := g.Fetch(NewGet(context.Background(), "http://h/x")); err != nil {
 			failures2++
 		}
 	}
@@ -64,7 +64,7 @@ func TestFlakyScheduleIndependent(t *testing.T) {
 		var mu sync.Mutex
 		got := make(map[string]string)
 		run(f, func(url string) {
-			_, err := f.Fetch(NewGet(url))
+			_, err := f.Fetch(NewGet(context.Background(), url))
 			mark := "."
 			if err != nil {
 				mark = "X"
@@ -130,7 +130,7 @@ func TestFlakyScheduleIndependent(t *testing.T) {
 func TestFlakyDisabled(t *testing.T) {
 	f := &Flaky{Inner: okFetcher()}
 	for i := 0; i < 50; i++ {
-		if _, err := f.Fetch(NewGet("http://h/x")); err != nil {
+		if _, err := f.Fetch(NewGet(context.Background(), "http://h/x")); err != nil {
 			t.Fatalf("disabled flaky failed: %v", err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestWithRetryRecovers(t *testing.T) {
 	flaky := &Flaky{Inner: okFetcher(), FailEvery: 2} // ~half of fetches fail
 	f := WithRetryPolicy(flaky, Policy{Retries: 5}, &Stats{})
 	for i := 0; i < 100; i++ {
-		if _, err := f.Fetch(NewGet("http://h/x")); err != nil {
+		if _, err := f.Fetch(NewGet(context.Background(), "http://h/x")); err != nil {
 			t.Fatalf("retry did not recover: %v", err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestWithRetryGivesUp(t *testing.T) {
 		return nil, ErrSimulatedOutage
 	})
 	f := WithRetryPolicy(always, Policy{Retries: 2}, nil)
-	_, err := f.Fetch(NewGet("http://h/x"))
+	_, err := f.Fetch(NewGet(context.Background(), "http://h/x"))
 	if !errors.Is(err, ErrSimulatedOutage) {
 		t.Fatalf("err = %v", err)
 	}
@@ -161,7 +161,7 @@ func TestWithRetryPassesStatusThrough(t *testing.T) {
 	notFound := FetcherFunc(func(req *Request) (*Response, error) {
 		return NotFound(req.URL), nil
 	})
-	resp, err := WithRetryPolicy(notFound, Policy{Retries: 3}, nil).Fetch(NewGet("http://h/x"))
+	resp, err := WithRetryPolicy(notFound, Policy{Retries: 3}, nil).Fetch(NewGet(context.Background(), "http://h/x"))
 	if err != nil || resp.Status != 404 {
 		t.Fatalf("404 should pass through unretried: %v %v", resp, err)
 	}
@@ -179,7 +179,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first attempt
 	f := WithRetryPolicy(always, Policy{Retries: 100}, nil)
-	_, err := f.Fetch(NewGet("http://h/x").WithContext(ctx))
+	_, err := f.Fetch(NewGet(ctx, "http://h/x"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -196,7 +196,7 @@ func TestWithRetryCanceledContext(t *testing.T) {
 		}
 		return nil, ErrSimulatedOutage
 	})
-	_, err = WithRetryPolicy(cancelling, Policy{Retries: 100}, nil).Fetch(NewGet("http://h/y").WithContext(ctx2))
+	_, err = WithRetryPolicy(cancelling, Policy{Retries: 100}, nil).Fetch(NewGet(ctx2, "http://h/y"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-retry err = %v, want context.Canceled", err)
 	}
@@ -212,7 +212,7 @@ func TestWithRetryClassifiesTerminalFailure(t *testing.T) {
 	always := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, ErrSimulatedOutage
 	})
-	_, err := WithRetryPolicy(always, Policy{Retries: 2}, nil).Fetch(NewGet("http://dead.example/x"))
+	_, err := WithRetryPolicy(always, Policy{Retries: 2}, nil).Fetch(NewGet(context.Background(), "http://dead.example/x"))
 	if !IsOutage(err) {
 		t.Fatalf("terminal failure not classified as outage: %v", err)
 	}
@@ -314,7 +314,7 @@ func TestWithRetryPolicyBackoffWaits(t *testing.T) {
 	withRetry(always, p, nil, func(ctx context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
-	}).Fetch(NewGet("http://h/x"))
+	}).Fetch(NewGet(context.Background(), "http://h/x"))
 	if len(slept) != 3 {
 		t.Fatalf("slept %d times, want 3", len(slept))
 	}
@@ -332,7 +332,7 @@ func TestWithRetryPolicyBackoffWaits(t *testing.T) {
 		return nil, ErrSimulatedOutage
 	})
 	cancelled := func(ctx context.Context, d time.Duration) error { return context.Canceled }
-	_, err := withRetry(counting, p, nil, cancelled).Fetch(NewGet("http://h/x"))
+	_, err := withRetry(counting, p, nil, cancelled).Fetch(NewGet(context.Background(), "http://h/x"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -353,7 +353,7 @@ func TestRetryBudget(t *testing.T) {
 	f := WithRetryPolicy(always, Policy{Retries: 10, RetryBudget: 3}, nil)
 	ctx := WithQuery(context.Background(), &Query{})
 
-	_, err := f.Fetch(NewGet("http://h/a").WithContext(ctx))
+	_, err := f.Fetch(NewGet(ctx, "http://h/a"))
 	if !IsOutage(err) {
 		t.Fatalf("err = %v", err)
 	}
@@ -363,13 +363,13 @@ func TestRetryBudget(t *testing.T) {
 	}
 	// Budget is shared and now dry: the next request gets one attempt.
 	calls.Store(0)
-	f.Fetch(NewGet("http://h/b").WithContext(ctx))
+	f.Fetch(NewGet(ctx, "http://h/b"))
 	if calls.Load() != 1 {
 		t.Fatalf("attempts with dry budget = %d, want 1", calls.Load())
 	}
 	// No query on the context: all retries run.
 	calls.Store(0)
-	f.Fetch(NewGet("http://h/c"))
+	f.Fetch(NewGet(context.Background(), "http://h/c"))
 	if calls.Load() != 11 {
 		t.Fatalf("attempts without budget = %d, want 11", calls.Load())
 	}
@@ -390,12 +390,12 @@ func TestOutageMemoReplays(t *testing.T) {
 	f := WithOutageMemo(WithRetryPolicy(always, Policy{Retries: 2}, nil))
 	ctx := WithQuery(context.Background(), &Query{})
 
-	_, err1 := f.Fetch(NewGet("http://dead/x").WithContext(ctx))
+	_, err1 := f.Fetch(NewGet(ctx, "http://dead/x"))
 	if !IsOutage(err1) {
 		t.Fatalf("err = %v", err1)
 	}
 	after := calls.Load() // 3 attempts
-	_, err2 := f.Fetch(NewGet("http://dead/x").WithContext(ctx))
+	_, err2 := f.Fetch(NewGet(ctx, "http://dead/x"))
 	if calls.Load() != after {
 		t.Fatal("memoized outage still touched the network")
 	}
@@ -405,7 +405,7 @@ func TestOutageMemoReplays(t *testing.T) {
 	// Different key: unaffected, and a success is not memoized.
 	before := calls.Load()
 	for i := 0; i < 2; i++ {
-		if _, err := f.Fetch(NewGet("http://alive/x").WithContext(ctx)); err != nil {
+		if _, err := f.Fetch(NewGet(ctx, "http://alive/x")); err != nil {
 			t.Fatalf("alive fetch failed: %v", err)
 		}
 	}
@@ -414,13 +414,12 @@ func TestOutageMemoReplays(t *testing.T) {
 	}
 	// A new query (fresh memo) retries the site.
 	before = calls.Load()
-	f.Fetch(NewGet("http://dead/x").WithContext(
-		WithQuery(context.Background(), &Query{})))
+	f.Fetch(NewGet(WithQuery(context.Background(), &Query{}), "http://dead/x"))
 	if calls.Load() == before {
 		t.Fatal("fresh memo should have touched the network again")
 	}
 	// No memo on the context: pass-through.
-	if _, err := f.Fetch(NewGet("http://alive/y")); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), "http://alive/y")); err != nil {
 		t.Fatalf("memoless fetch failed: %v", err)
 	}
 }
@@ -442,7 +441,7 @@ func TestOutageMemoWaitHonoursContext(t *testing.T) {
 	qctx := WithQuery(context.Background(), &Query{})
 	const url = "http://down.example/p"
 	fetch := func(ctx context.Context, out chan<- error) {
-		_, err := f.Fetch(NewGet(url).WithContext(ctx))
+		_, err := f.Fetch(NewGet(ctx, url))
 		out <- err
 	}
 	lead, stayed, gaveUp := make(chan error, 1), make(chan error, 1), make(chan error, 1)

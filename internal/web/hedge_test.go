@@ -35,7 +35,7 @@ func TestHedgeSecondAttemptWins(t *testing.T) {
 	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, stats)
 
 	start := time.Now()
-	resp, err := f.Fetch(NewGet("http://slow.example/p"))
+	resp, err := f.Fetch(NewGet(context.Background(), "http://slow.example/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestHedgeNotIssuedWhenPrimaryFast(t *testing.T) {
 	})
 	stats := &Stats{}
 	f := WithHedge(inner, Policy{HedgeAfter: 50 * time.Millisecond}, stats)
-	if _, err := f.Fetch(NewGet("http://fast.example/p")); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), "http://fast.example/p")); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
@@ -81,7 +81,7 @@ func TestHedgeBothFailReturnsPrimaryError(t *testing.T) {
 	errHedge := errors.New("hedge transport failure")
 	inner := &slowFirstAttempt{delay: 30 * time.Millisecond, failSlow: errPrimary, failFast: errHedge}
 	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, &Stats{})
-	_, err := f.Fetch(NewGet("http://down.example/p"))
+	_, err := f.Fetch(NewGet(context.Background(), "http://down.example/p"))
 	if !errors.Is(err, errPrimary) {
 		t.Fatalf("got %v, want the primary attempt's error", err)
 	}
@@ -103,7 +103,7 @@ func TestHedgeHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := f.Fetch(NewGet("http://hung.example/p").WithContext(ctx))
+		_, err := f.Fetch(NewGet(ctx, "http://hung.example/p"))
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the hedge fire, then give up
@@ -150,7 +150,7 @@ func TestHedgeBudgetCapsDuplicates(t *testing.T) {
 	ctx := WithQuery(context.Background(), q)
 
 	for i := 0; i < 3; i++ {
-		req := NewGet("http://slow.example/p" + string(rune('a'+i))).WithContext(ctx)
+		req := NewGet(ctx, "http://slow.example/p"+string(rune('a'+i)))
 		if _, err := f.Fetch(req); err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestHedgeNoBudgetIsUnlimited(t *testing.T) {
 	stats := &Stats{}
 	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, stats)
 	for i := 0; i < 2; i++ {
-		if _, err := f.Fetch(NewGet("http://slow.example/q" + string(rune('a'+i)))); err != nil {
+		if _, err := f.Fetch(NewGet(context.Background(), "http://slow.example/q"+string(rune('a'+i)))); err != nil {
 			t.Fatal(err)
 		}
 	}

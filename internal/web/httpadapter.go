@@ -22,12 +22,14 @@ func HTTPHandler(f Fetcher, scheme, host string) http.Handler {
 		if h == "" {
 			h = r.Host
 		}
-		req := &Request{
-			URL:    scheme + "://" + h + r.URL.Path + querySuffix(r.URL.RawQuery),
-			Method: r.Method,
-			Form:   r.PostForm,
+		var fields []Field
+		for name, values := range r.PostForm {
+			for _, v := range values {
+				fields = append(fields, Field{Name: name, Value: v})
+			}
 		}
-		resp, err := f.Fetch(req)
+		target := scheme + "://" + h + r.URL.Path + querySuffix(r.URL.RawQuery)
+		resp, err := f.Fetch(NewSubmit(r.Context(), target, r.Method, fields))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -69,20 +71,17 @@ func (h *HTTPFetcher) Fetch(req *Request) (*Response, error) {
 		resp *http.Response
 		err  error
 	)
+	form := req.EncodedForm()
 	if strings.EqualFold(req.Method, "POST") {
-		body := ""
-		if req.Form != nil {
-			body = req.Form.Encode()
-		}
-		resp, err = client.Post(target, "application/x-www-form-urlencoded", strings.NewReader(body))
+		resp, err = client.Post(target, "application/x-www-form-urlencoded", strings.NewReader(form))
 	} else {
 		u := target
-		if len(req.Form) > 0 {
+		if form != "" {
 			sep := "?"
 			if strings.Contains(u, "?") {
 				sep = "&"
 			}
-			u += sep + req.Form.Encode()
+			u += sep + form
 		}
 		resp, err = client.Get(u)
 	}

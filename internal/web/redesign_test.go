@@ -1,6 +1,7 @@
 package web
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestRedesignRewritesOnlyWhenActive(t *testing.T) {
 			"a.example": {{Old: ">Automobiles<", New: ">Cars and Trucks<"}},
 		},
 	}
-	resp, err := rd.Fetch(NewGet("http://a.example/"))
+	resp, err := rd.Fetch(NewGet(context.Background(), "http://a.example/"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestRedesignRewritesOnlyWhenActive(t *testing.T) {
 	if !rd.Active() {
 		t.Fatal("Active() false after Activate")
 	}
-	resp, err = rd.Fetch(NewGet("http://a.example/"))
+	resp, err = rd.Fetch(NewGet(context.Background(), "http://a.example/"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRedesignLeavesOtherHostsAlone(t *testing.T) {
 		Rewrites: map[string][]Rewrite{"a.example": {{Old: "Automobiles", New: "Cars"}}},
 	}
 	rd.Activate()
-	resp, err := rd.Fetch(NewGet("http://b.example/"))
+	resp, err := rd.Fetch(NewGet(context.Background(), "http://b.example/"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRedesignedPageParsedFromNewBytes(t *testing.T) {
 		Rewrites: map[string][]Rewrite{"a.example": {{Old: ">Automobiles<", New: ">Cars and Trucks<"}}},
 	}
 	rd.Activate()
-	resp, err := rd.Fetch(NewGet("http://a.example/"))
+	resp, err := rd.Fetch(NewGet(context.Background(), "http://a.example/"))
 	if err != nil {
 		t.Fatal(err)
 	}

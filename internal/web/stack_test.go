@@ -64,7 +64,7 @@ func TestStackEndToEndAccounting(t *testing.T) {
 					defer wg.Done()
 					for i := w; i < len(ops); i += workers {
 						sp := trace.Start(ctx, trace.KindFetch, ops[i])
-						req := NewGet(ops[i]).WithContext(trace.ContextWith(ctx, sp))
+						req := NewGet(trace.ContextWith(ctx, sp), ops[i])
 						resp, err := f.Fetch(req)
 						sp.EndErr(err)
 						if err != nil {
@@ -154,7 +154,7 @@ func TestStackDeadHostIsolated(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := w; i < len(ops); i += workers {
-						_, err := f.Fetch(NewGet(ops[i]).WithContext(ctx))
+						_, err := f.Fetch(NewGet(ctx, ops[i]))
 						mu.Lock()
 						if err != nil {
 							failures++
@@ -193,7 +193,7 @@ func TestStackBillsQueryOrConstructorStats(t *testing.T) {
 	fetchAll := func(ctx context.Context) {
 		t.Helper()
 		for _, u := range urls {
-			if _, err := f.Fetch(NewGet(u).WithContext(ctx)); err != nil {
+			if _, err := f.Fetch(NewGet(ctx, u)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -260,7 +260,7 @@ func noHedge(t *testing.T, p Policy) {
 	s := NewStack(raw, LatencyModel{}, nil, nil, p)
 	tr := trace.New("hedge", nil)
 	sp := trace.Start(trace.ContextWith(context.Background(), tr.Root), trace.KindFetch, "http://slow.example/p")
-	if _, err := s.Fetcher.Fetch(NewGet("http://slow.example/p").WithContext(trace.ContextWith(context.Background(), sp))); err != nil {
+	if _, err := s.Fetcher.Fetch(NewGet(trace.ContextWith(context.Background(), sp), "http://slow.example/p")); err != nil {
 		t.Fatal(err)
 	}
 	sp.End()
@@ -278,7 +278,7 @@ func noBreakerReject(t *testing.T, p Policy) {
 		return nil, ErrSimulatedOutage
 	}), LatencyModel{}, nil, nil, p)
 	for i := 0; i < 20; i++ {
-		if _, err := s.Fetcher.Fetch(NewGet("http://dead.example/p")); !IsOutage(err) {
+		if _, err := s.Fetcher.Fetch(NewGet(context.Background(), "http://dead.example/p")); !IsOutage(err) {
 			t.Fatalf("fetch %d: err = %v, want an outage", i, err)
 		}
 	}
@@ -297,7 +297,7 @@ func noBudgetShed(t *testing.T, p Policy) {
 	clock.Advance(time.Hour)
 	q := s.NewQuery()
 	ctx := ContextWithBudget(WithQuery(context.Background(), q), b)
-	if _, err := s.Fetcher.Fetch(NewGet("http://a.example/p").WithContext(ctx)); err != nil {
+	if _, err := s.Fetcher.Fetch(NewGet(ctx, "http://a.example/p")); err != nil {
 		t.Fatalf("fetch under a spent budget: %v", err)
 	}
 	if q.Stats.BudgetSheds() != 0 || q.NewBudget() != nil {
@@ -319,7 +319,7 @@ func inFlightCap(want int) func(t *testing.T, p Policy) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if _, err := s.Fetcher.Fetch(NewGet(fmt.Sprintf("http://one.example/p%d", i))); err != nil {
+				if _, err := s.Fetcher.Fetch(NewGet(context.Background(), fmt.Sprintf("http://one.example/p%d", i))); err != nil {
 					t.Error(err)
 				}
 			}(i)
@@ -358,7 +358,7 @@ func noShed(t *testing.T, p Policy) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := s.Fetcher.Fetch(NewGet(fmt.Sprintf("http://one.example/p%d", i))); err != nil {
+			if _, err := s.Fetcher.Fetch(NewGet(context.Background(), fmt.Sprintf("http://one.example/p%d", i))); err != nil {
 				t.Error(err)
 			}
 			returned.Add(1)
@@ -405,13 +405,13 @@ func TestStackFollowerOutlivesCancelledLeader(t *testing.T) {
 			defer cancelA()
 			aErr := make(chan error, 1)
 			go func() {
-				_, err := s.Fetcher.Fetch(NewGet(url).WithContext(actx))
+				_, err := s.Fetcher.Fetch(NewGet(actx, url))
 				aErr <- err
 			}()
 			<-started
 			bErr := make(chan error, 1)
 			go func() {
-				_, err := s.Fetcher.Fetch(NewGet(url).WithContext(WithQuery(context.Background(), qb)))
+				_, err := s.Fetcher.Fetch(NewGet(WithQuery(context.Background(), qb), url))
 				bErr <- err
 			}()
 			time.Sleep(20 * time.Millisecond) // let B join A's flight
@@ -440,7 +440,7 @@ func TestStackFollowerOutlivesCancelledLeader(t *testing.T) {
 				probed.Add(1)
 				return HTML(req.URL, "<html></html>"), nil
 			}))
-			if _, err := probe.Fetch(NewGet(url).WithContext(WithQuery(context.Background(), qa))); err != nil || probed.Load() != 1 {
+			if _, err := probe.Fetch(NewGet(WithQuery(context.Background(), qa), url)); err != nil || probed.Load() != 1 {
 				t.Errorf("A's memo replayed %v instead of fetching", err)
 			}
 		})

@@ -24,10 +24,10 @@ func TestCacheStaleOnError(t *testing.T) {
 	const url = "http://h/page"
 
 	// Prime the cache, then hit it while fresh.
-	if _, err := f.Fetch(NewGet(url)); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fetch(NewGet(url)); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Hits() != 1 || cache.Misses() != 1 {
@@ -36,7 +36,7 @@ func TestCacheStaleOnError(t *testing.T) {
 
 	// Expired + healthy network: refetches rather than serving stale.
 	clk.Advance(2 * time.Minute)
-	if _, err := f.Fetch(NewGet(url)); err != nil {
+	if _, err := f.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Misses() != 2 || cache.Stale() != 0 {
@@ -48,7 +48,7 @@ func TestCacheStaleOnError(t *testing.T) {
 	inner.down.Store(true)
 	tr := trace.New("stale", clk.Clock())
 	sp := trace.Start(trace.ContextWith(context.Background(), tr.Root), trace.KindFetch, url)
-	req := NewGet(url).WithContext(trace.ContextWith(context.Background(), sp))
+	req := NewGet(trace.ContextWith(context.Background(), sp), url)
 	resp, err := f.Fetch(req)
 	if err != nil {
 		t.Fatalf("stale-on-error did not rescue: %v", err)
@@ -74,12 +74,12 @@ func TestCacheStaleOnError(t *testing.T) {
 	cache2.Clock = clk.Clock()
 	inner2 := &switchFetcher{}
 	f2 := cacheOnly(inner2, cache2)
-	if _, err := f2.Fetch(NewGet(url)); err != nil {
+	if _, err := f2.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Minute)
 	inner2.down.Store(true)
-	if _, err := f2.Fetch(NewGet(url)); err == nil {
+	if _, err := f2.Fetch(NewGet(context.Background(), url)); err == nil {
 		t.Fatal("expired entry served without AllowStale on a dead network")
 	}
 
@@ -98,11 +98,11 @@ func TestCacheStaleOnError(t *testing.T) {
 	ok := FetcherFunc(func(req *Request) (*Response, error) {
 		return HTML(req.URL, "<html><body>x</body></html>"), nil
 	})
-	if _, err := cacheOnly(ok, cache3).Fetch(NewGet(url)); err != nil {
+	if _, err := cacheOnly(ok, cache3).Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Minute)
-	if _, err := f3.Fetch(NewGet(url).WithContext(cancelled)); !errors.Is(err, context.Canceled) {
+	if _, err := f3.Fetch(NewGet(cancelled, url)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation rescued by stale entry: %v", err)
 	}
 }
@@ -123,7 +123,7 @@ func TestCacheClearDropsInFlightFill(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := f.Fetch(NewGet("http://h/x")); err != nil {
+		if _, err := f.Fetch(NewGet(context.Background(), "http://h/x")); err != nil {
 			t.Errorf("fetch: %v", err)
 		}
 	}()
@@ -156,7 +156,7 @@ func TestCacheClearDuringFillRace(t *testing.T) {
 				default:
 				}
 				url := "http://h/" + string(rune('a'+g)) + "/x"
-				if _, err := f.Fetch(NewGet(url)); err != nil {
+				if _, err := f.Fetch(NewGet(context.Background(), url)); err != nil {
 					t.Errorf("fetch: %v", err)
 					return
 				}

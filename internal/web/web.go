@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,21 +22,29 @@ import (
 
 // Request is a page request: following a link issues a GET with no form
 // data; submitting a form issues the form's method with its fields. A
-// request built by NewGet or NewSubmit carries its key, and its fields are
-// not changed afterwards.
+// request is built by NewGet or NewSubmit, carrying the context it is
+// fetched under and its key, and is not changed afterwards.
 type Request struct {
-	URL    string     // absolute URL
-	Method string     // "GET" or "POST"; empty means GET
-	Form   url.Values // submitted form fields (nil for plain navigation)
+	URL    string // absolute URL
+	Method string // "GET" or "POST"; empty means GET
 
-	// key is Key(), computed once by NewGet/NewSubmit; empty in a literal.
+	// key is Key(), built once by NewGet/NewSubmit; empty in a literal.
+	// It is "METHOD URL?form", the form being the submitted fields as
+	// url.Values.Encode writes them (empty for plain navigation). The
+	// cache, singleflight, outage memo and the query's page set all read
+	// it. URL points into it: a URL read off a page is a substring of that
+	// page's text, which the fetch stack (the cache keeps a response's
+	// URL) must not keep alive, and the key is a fresh string.
 	key string
 
 	// ctx carries the caller's context — and with it the current trace
 	// span — through the middleware stack, following net/http's
-	// Request.Context pattern. Set with WithContext; nil means Background.
+	// Request.Context pattern. nil means Background.
 	ctx context.Context
 }
+
+// Field is one submitted form field.
+type Field struct{ Name, Value string }
 
 // Context returns the request's context (never nil).
 func (r *Request) Context() context.Context {
@@ -45,40 +54,123 @@ func (r *Request) Context() context.Context {
 	return context.Background()
 }
 
-// WithContext returns a shallow copy of the request carrying ctx. The
-// navigation layer attaches its per-fetch trace span this way, so the
-// middlewares can annotate the span (cache hit, deduplication, retries)
-// without the Fetcher interface changing.
-func (r *Request) WithContext(ctx context.Context) *Request {
-	r2 := *r
-	r2.ctx = ctx
-	return &r2
+// NewGet returns a GET request for rawurl, fetched under ctx. The
+// navigation layer passes a context carrying its per-fetch trace span, so
+// the middlewares can annotate the span (cache hit, deduplication,
+// retries) without the Fetcher interface changing.
+func NewGet(ctx context.Context, rawurl string) *Request {
+	return NewSubmit(ctx, rawurl, "GET", nil)
 }
 
-// NewGet returns a GET request for rawurl.
-func NewGet(rawurl string) *Request {
-	return keyed(&Request{URL: rawurl, Method: "GET"})
-}
-
-// NewSubmit returns a form-submission request.
-func NewSubmit(action, method string, form url.Values) *Request {
-	m := strings.ToUpper(method)
-	if m == "" {
-		m = "GET"
+// NewSubmit returns the submission of fields to action with method, fetched
+// under ctx; with no fields and method GET it is NewGet's request. A name
+// given twice takes its last value, as url.Values.Set does. NewSubmit
+// sorts fields by name, in place, and keeps none of them: the request
+// holds its fields only as its key's encoded form.
+func NewSubmit(ctx context.Context, action, method string, fields []Field) *Request {
+	r := &Request{Method: canonicalMethod(method), ctx: ctx}
+	// A stable sort keeps each name's fields in the order given, so the
+	// last of a run of equal names is the one a Set would have kept.
+	slices.SortStableFunc(fields, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
+	n := len(r.Method) + 1 + len(action) + 1 // "METHOD URL?"
+	for i, f := range fields {
+		if !superseded(fields, i) {
+			n += escapedLen(f.Name) + 1 + escapedLen(f.Value) + 1 // "name=value&"
+		}
 	}
-	return keyed(&Request{URL: action, Method: m, Form: form})
+	var sb strings.Builder
+	sb.Grow(n) // a byte to spare when there are fields: the last has no '&'
+
+	sb.WriteString(r.Method)
+	sb.WriteByte(' ')
+	sb.WriteString(action)
+	sb.WriteByte('?')
+	first := true
+	for i, f := range fields {
+		if superseded(fields, i) {
+			continue
+		}
+		if !first {
+			sb.WriteByte('&')
+		}
+		first = false
+		writeEscaped(&sb, f.Name)
+		sb.WriteByte('=')
+		writeEscaped(&sb, f.Value)
+	}
+	r.key = sb.String()
+	at := len(r.Method) + 1
+	r.URL = r.key[at : at+len(action)]
+	return r
 }
 
-// keyed stores r's key and points r.URL into it. The cache, singleflight,
-// outage memo and the query's page set all read the key, so it is built
-// once; and a URL read off a page is a substring of that page's text,
-// which the fetch stack (the cache keeps a response's URL) must not keep
-// alive — the key is a fresh string, so the URL stops pinning the page.
-func keyed(r *Request) *Request {
-	r.key = r.Key()
-	at := len(r.Method) + 1 // the key is "METHOD URL?form"
-	r.URL = r.key[at : at+len(r.URL)]
-	return r
+// FieldValue returns the value a submission of fields sends for name: the
+// last field so named gives it, and "" when none is.
+func FieldValue(fields []Field, name string) string {
+	for i := len(fields) - 1; i >= 0; i-- {
+		if fields[i].Name == name {
+			return fields[i].Value
+		}
+	}
+	return ""
+}
+
+// canonicalMethod is strings.ToUpper(method), "" meaning GET, without
+// allocating for the two methods forms use.
+func canonicalMethod(method string) string {
+	switch method {
+	case "", "get", "GET":
+		return "GET"
+	case "post", "POST":
+		return "POST"
+	}
+	return strings.ToUpper(method)
+}
+
+// superseded reports whether a later field of the sorted fields has the
+// same name as fields[i].
+func superseded(fields []Field, i int) bool {
+	return i+1 < len(fields) && fields[i+1].Name == fields[i].Name
+}
+
+// escapedLen is len(url.QueryEscape(s)).
+func escapedLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c != ' ' && shouldEscape(c) {
+			n += 2
+		}
+	}
+	return n
+}
+
+// writeEscaped writes url.QueryEscape(s) to sb.
+func writeEscaped(sb *strings.Builder, s string) {
+	const upperhex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == ' ':
+			sb.WriteByte('+')
+		case shouldEscape(c):
+			sb.WriteByte('%')
+			sb.WriteByte(upperhex[c>>4])
+			sb.WriteByte(upperhex[c&15])
+		default:
+			sb.WriteByte(c)
+		}
+	}
+}
+
+// shouldEscape reports whether url.QueryEscape escapes c: everything but
+// RFC 3986's unreserved characters.
+func shouldEscape(c byte) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		return false
+	case c == '-', c == '_', c == '.', c == '~':
+		return false
+	}
+	return true
 }
 
 // Key returns a canonical cache key for the request: method, URL and the
@@ -91,18 +183,47 @@ func (r *Request) Key() string {
 	if m == "" {
 		m = "GET"
 	}
-	return m + " " + r.URL + "?" + r.Form.Encode()
+	return m + " " + r.URL + "?"
+}
+
+// EncodedForm returns the submitted fields as url.Values.Encode writes
+// them: the part of the key after the URL's "?". It is empty for plain
+// navigation.
+func (r *Request) EncodedForm() string {
+	if r.key == "" {
+		return ""
+	}
+	return r.key[len(r.Method)+1+len(r.URL)+1:]
 }
 
 // Param returns the first value of a form parameter, merging the URL query
 // string with the submitted form (form wins). This is what a CGI script of
-// the era saw.
+// the era saw. Both are read in place, as url.ParseQuery would read them.
 func (r *Request) Param(name string) string {
-	if v := r.Form.Get(name); v != "" {
+	if v := queryValue(r.EncodedForm(), name); v != "" {
 		return v
 	}
-	if u, err := url.Parse(r.URL); err == nil {
-		return u.Query().Get(name)
+	rawurl, _, _ := strings.Cut(r.URL, "#")
+	_, query, _ := strings.Cut(rawurl, "?")
+	return queryValue(query, name)
+}
+
+// queryValue is url.ParseQuery(query).Get(name), read without building the
+// map: the first well-formed pair named name gives the value.
+func queryValue(query, name string) string {
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
 	}
 	return ""
 }

@@ -3,7 +3,7 @@ package web
 import (
 	"context"
 	"net/http/httptest"
-	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -27,14 +27,14 @@ func TestServerRouting(t *testing.T) {
 	s.Register(demoSite("a.example"))
 	s.Register(demoSite("b.example"))
 
-	resp, err := s.Fetch(NewGet("http://a.example/"))
+	resp, err := s.Fetch(NewGet(context.Background(), "http://a.example/"))
 	if err != nil || !resp.OK() {
 		t.Fatalf("fetch a: %v %v", resp, err)
 	}
 	if !strings.Contains(string(resp.Body), "home of a.example") {
 		t.Errorf("wrong body: %s", resp.Body)
 	}
-	if _, err := s.Fetch(NewGet("http://missing.example/")); err == nil {
+	if _, err := s.Fetch(NewGet(context.Background(), "http://missing.example/")); err == nil {
 		t.Error("expected error for unknown host")
 	}
 	if hosts := s.Hosts(); len(hosts) != 2 || hosts[0] != "a.example" {
@@ -44,17 +44,17 @@ func TestServerRouting(t *testing.T) {
 
 func TestMux404AndBadURL(t *testing.T) {
 	m := demoSite("a.example")
-	resp, err := m.Serve(NewGet("http://a.example/nope"))
+	resp, err := m.Serve(NewGet(context.Background(), "http://a.example/nope"))
 	if err != nil || resp.Status != 404 {
 		t.Errorf("expected 404, got %v %v", resp, err)
 	}
-	if _, err := m.Serve(NewGet("http://bad url")); err == nil {
+	if _, err := m.Serve(NewGet(context.Background(), "http://bad url")); err == nil {
 		t.Error("expected parse error")
 	}
 }
 
 func TestRequestParamMergesQueryAndForm(t *testing.T) {
-	req := NewSubmit("http://h/cgi?q=fromurl&r=1", "GET", url.Values{"q": {"fromform"}})
+	req := NewSubmit(context.Background(), "http://h/cgi?q=fromurl&r=1", "GET", []Field{{"q", "fromform"}})
 	if got := req.Param("q"); got != "fromform" {
 		t.Errorf("form should win: %q", got)
 	}
@@ -64,24 +64,36 @@ func TestRequestParamMergesQueryAndForm(t *testing.T) {
 	if got := req.Param("zz"); got != "" {
 		t.Errorf("missing param: %q", got)
 	}
+	// Both are decoded as url.ParseQuery decodes them; a malformed pair is
+	// skipped, and an empty form value falls back to the URL's.
+	req = NewSubmit(context.Background(), "http://h/cgi?a=%zz&a=url+a&e=fromurl#frag", "POST",
+		[]Field{{"e", ""}, {"s p", "x&y=z"}})
+	for name, want := range map[string]string{"a": "url a", "e": "fromurl", "s p": "x&y=z", "frag": ""} {
+		if got := req.Param(name); got != want {
+			t.Errorf("Param(%q) = %q, want %q", name, got, want)
+		}
+	}
 }
 
 func TestRequestKeyCanonical(t *testing.T) {
-	a := NewSubmit("http://h/s", "POST", url.Values{"x": {"1"}, "y": {"2"}})
-	b := NewSubmit("http://h/s", "POST", url.Values{"y": {"2"}, "x": {"1"}})
+	a := NewSubmit(context.Background(), "http://h/s", "POST", []Field{{"x", "1"}, {"y", "2"}})
+	b := NewSubmit(context.Background(), "http://h/s", "post", []Field{{"y", "2"}, {"x", "1"}})
 	if a.Key() != b.Key() {
 		t.Error("keys should be order-independent")
 	}
-	c := NewGet("http://h/s")
+	if want := "POST http://h/s?x=1&y=2"; a.Key() != want || a.Method != "POST" || a.EncodedForm() != "x=1&y=2" {
+		t.Errorf("key %q, method %q, form %q; want key %q", a.Key(), a.Method, a.EncodedForm(), want)
+	}
+	c := NewGet(context.Background(), "http://h/s")
 	if a.Key() == c.Key() {
 		t.Error("method must differentiate keys")
 	}
-	// A built request carries its key; a literal builds the same one on
-	// demand, and a copy made by WithContext keeps it.
-	for _, r := range []*Request{a, c, NewSubmit("http://h/s?q=1", "", nil)} {
-		lit := &Request{URL: r.URL, Method: r.Method, Form: r.Form}
-		if r.Key() != lit.Key() || r.WithContext(context.Background()).Key() != r.Key() {
-			t.Errorf("built key %q, literal's %q, copy's %q", r.Key(), lit.Key(), r.WithContext(context.Background()).Key())
+	// A built request carries its key; a literal GET builds the same one
+	// on demand.
+	for _, r := range []*Request{c, NewSubmit(context.Background(), "http://h/s?q=1", "", nil)} {
+		lit := &Request{URL: r.URL, Method: r.Method}
+		if r.Key() != lit.Key() || r.EncodedForm() != "" {
+			t.Errorf("built key %q, literal's %q, form %q", r.Key(), lit.Key(), r.EncodedForm())
 		}
 	}
 	if got := (&Request{URL: "http://h/s"}).Key(); got != c.Key() {
@@ -96,7 +108,7 @@ func TestRequestKeyCanonical(t *testing.T) {
 func TestBuiltRequestURLOwnsItsBytes(t *testing.T) {
 	page := `<a href="http://h/next?p=2">More</a>`
 	link := page[9:26]
-	for _, r := range []*Request{NewGet(link), NewSubmit(link, "post", url.Values{"a": {"b"}})} {
+	for _, r := range []*Request{NewGet(context.Background(), link), NewSubmit(context.Background(), link, "post", []Field{{"a", "b"}})} {
 		if r.URL != link {
 			t.Fatalf("URL = %q, want %q", r.URL, link)
 		}
@@ -114,7 +126,7 @@ func TestCountingStats(t *testing.T) {
 	var stats Stats
 	f := Counting(s, &stats)
 	for i := 0; i < 3; i++ {
-		if _, err := f.Fetch(NewGet("http://a.example/")); err != nil {
+		if _, err := f.Fetch(NewGet(context.Background(), "http://a.example/")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +152,7 @@ func TestCountingConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				f.Fetch(NewGet("http://a.example/"))
+				f.Fetch(NewGet(context.Background(), "http://a.example/"))
 			}
 		}()
 	}
@@ -171,8 +183,8 @@ func TestWithLatencyVirtualAccounting(t *testing.T) {
 	var stats Stats
 	f := WithLatency(s, LatencyModel{PerRequest: 10 * time.Millisecond}, &stats)
 	start := time.Now()
-	f.Fetch(NewGet("http://a.example/"))
-	f.Fetch(NewGet("http://a.example/"))
+	f.Fetch(NewGet(context.Background(), "http://a.example/"))
+	f.Fetch(NewGet(context.Background(), "http://a.example/"))
 	if el := time.Since(start); el > 5*time.Millisecond {
 		t.Errorf("non-sleeping latency fetcher slept: %v", el)
 	}
@@ -187,7 +199,7 @@ func TestWithLatencySleeps(t *testing.T) {
 	var stats Stats
 	f := WithLatency(s, LatencyModel{PerRequest: 5 * time.Millisecond, Sleep: true}, &stats)
 	start := time.Now()
-	f.Fetch(NewGet("http://a.example/"))
+	f.Fetch(NewGet(context.Background(), "http://a.example/"))
 	if el := time.Since(start); el < 5*time.Millisecond {
 		t.Errorf("sleeping latency fetcher returned too fast: %v", el)
 	}
@@ -200,7 +212,7 @@ func TestCache(t *testing.T) {
 	f, stats, cache := st.Fetcher, st.Stats, st.Cache
 
 	for i := 0; i < 5; i++ {
-		resp, err := f.Fetch(NewGet("http://a.example/cgi/echo?q=ford"))
+		resp, err := f.Fetch(NewGet(context.Background(), "http://a.example/cgi/echo?q=ford"))
 		if err != nil || !strings.Contains(string(resp.Body), "q=ford") {
 			t.Fatalf("fetch %d: %v %v", i, resp, err)
 		}
@@ -212,7 +224,7 @@ func TestCache(t *testing.T) {
 		t.Errorf("hits/misses = %d/%d", cache.Hits(), cache.Misses())
 	}
 	// Distinct form values are distinct entries.
-	f.Fetch(NewSubmit("http://a.example/cgi/echo", "GET", url.Values{"q": {"jaguar"}}))
+	f.Fetch(NewSubmit(context.Background(), "http://a.example/cgi/echo", "GET", []Field{{"q", "jaguar"}}))
 	if cache.Len() != 2 {
 		t.Errorf("cache len = %d, want 2", cache.Len())
 	}
@@ -225,14 +237,22 @@ func TestCache(t *testing.T) {
 func TestHTTPRoundTrip(t *testing.T) {
 	// Simulated web → net/http server → HTTPFetcher → same pages.
 	s := NewServer()
-	s.Register(demoSite("a.example"))
+	site := demoSite("a.example")
+	// /cgi/form echoes three fields and keeps the request the site was
+	// served, as HTTPHandler rebuilt it.
+	var served []*Request
+	site.Handle("/cgi/form", FetcherFunc(func(req *Request) (*Response, error) {
+		served = append(served, req)
+		return HTML(req.URL, "<p>q="+req.Param("q")+" r="+req.Param("r")+" xy="+req.Param("x y")+"</p>"), nil
+	}))
+	s.Register(site)
 	ts := httptest.NewServer(HTTPHandler(s, "http", "a.example"))
 	defer ts.Close()
 
 	hf := &HTTPFetcher{Rewrite: func(u string) string {
 		return strings.Replace(u, "http://a.example", ts.URL, 1)
 	}}
-	resp, err := hf.Fetch(NewGet("http://a.example/cgi/echo?q=ford"))
+	resp, err := hf.Fetch(NewGet(context.Background(), "http://a.example/cgi/echo?q=ford"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +260,42 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Errorf("body: %s", resp.Body)
 	}
 	// POST path.
-	resp, err = hf.Fetch(NewSubmit("http://a.example/cgi/echo", "POST", url.Values{"q": {"gm"}}))
+	resp, err = hf.Fetch(NewSubmit(context.Background(), "http://a.example/cgi/echo", "POST", []Field{{"q", "gm"}}))
 	if err != nil || !strings.Contains(string(resp.Body), "q=gm") {
 		t.Errorf("post body: %v %v", resp, err)
+	}
+
+	// A GET submission whose action already carries a query: the form
+	// follows the query after '&'.
+	sent := NewSubmit(context.Background(), "http://a.example/cgi/form?r=url", "GET", []Field{{"q", "saab"}})
+	resp, err = hf.Fetch(sent)
+	if err != nil || !strings.Contains(string(resp.Body), "q=saab r=url") {
+		t.Errorf("get submission onto a query: %v %v", resp, err)
+	}
+	if got, want := served[len(served)-1].URL, "http://a.example/cgi/form?r=url&q=saab"; got != want {
+		t.Errorf("get submission served as %q, want %q", got, want)
+	}
+
+	// A multi-field form whose names and values need escaping arrives as
+	// it was sent: by GET in the URL's query, by POST in the body, where
+	// the site's request has the key it was sent with.
+	fields := []Field{{"x y", "?#"}, {"r", "100%+1"}, {"q", "a&b=c d/é"}}
+	const echo = "q=a&b=c d/é r=100%+1 xy=?#"
+	for _, method := range []string{"GET", "POST"} {
+		sent := NewSubmit(context.Background(), "http://a.example/cgi/form", method, slices.Clone(fields))
+		resp, err = hf.Fetch(sent)
+		if err != nil || !strings.Contains(string(resp.Body), echo) {
+			t.Errorf("%s escaped form: %v %v", method, resp, err)
+			continue
+		}
+		got := served[len(served)-1]
+		if method == "GET" {
+			if want := sent.URL + "?" + sent.EncodedForm(); got.URL != want {
+				t.Errorf("GET escaped form served as %q, want %q", got.URL, want)
+			}
+		} else if got.Key() != sent.Key() {
+			t.Errorf("POST escaped form served under key %q, sent as %q", got.Key(), sent.Key())
+		}
 	}
 }
 

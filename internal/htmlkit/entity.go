@@ -7,8 +7,8 @@ import (
 )
 
 // namedEntities covers the entities that actually occur in the car-site
-// corpus and in common faulty HTML. Unknown entities pass through verbatim,
-// which is what browsers of the paper's era did.
+// corpus and in common faulty HTML. A name the table lacks stays literal: a
+// named deviation from the standard's table of over two thousand names.
 var namedEntities = map[string]rune{
 	"amp":    '&',
 	"lt":     '<',
@@ -26,22 +26,41 @@ var namedEntities = map[string]rune{
 	"laquo":  '«',
 	"raquo":  '»',
 	"bull":   '•',
+	"AMP":    '&',
+	"LT":     '<',
+	"GT":     '>',
+	"QUOT":   '"',
+	"COPY":   '©',
+	"REG":    '®',
 }
 
-// DecodeEntities replaces HTML character references in s with their
-// characters. Malformed references (no semicolon, unknown name, bad number)
-// are left untouched.
+// legacyEntities are the names of namedEntities that the standard's table
+// also lists without their ';': a reference to one needs none.
+var legacyEntities = map[string]bool{
+	"amp": true, "lt": true, "gt": true, "quot": true, "nbsp": true, "copy": true, "reg": true,
+	"laquo": true, "raquo": true, "middot": true,
+	"AMP": true, "LT": true, "GT": true, "QUOT": true, "COPY": true, "REG": true,
+}
+
+// DecodeEntities replaces the character references in text s with their
+// characters, as the standard's named character reference state reads
+// them in text: a named reference ends in ';', or, for a legacy name
+// (legacyEntities), at the longest legacy name it starts with, so
+// "&copy 1999" is "© 1999". Numeric references need their ';'. Malformed
+// references (no semicolon, unknown name, bad number) are left untouched.
 func DecodeEntities(s string) string {
 	if !strings.ContainsRune(s, '&') {
 		return s
 	}
-	return string(appendDecoded(make([]byte, 0, len(s)), []byte(s)))
+	return string(appendDecoded(make([]byte, 0, len(s)), []byte(s), false))
 }
 
 // appendDecoded appends s to dst with its character references replaced, as
-// DecodeEntities does. A reference is never shorter than its character, so
-// the result grows dst by at most len(s).
-func appendDecoded(dst, s []byte) []byte {
+// DecodeEntities does; in an attribute value (inAttr), a legacy reference
+// without its ';' followed by '=' or an ASCII alphanumeric stays literal,
+// so "?a=1&copy=2" keeps its parameter. A reference is never shorter than
+// its character, so the result grows dst by at most len(s).
+func appendDecoded(dst, s []byte, inAttr bool) []byte {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c != '&' {
@@ -49,21 +68,38 @@ func appendDecoded(dst, s []byte) []byte {
 			i++
 			continue
 		}
-		semi := bytes.IndexByte(s[i:], ';')
-		if semi < 0 || semi > 12 {
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		if r, ok := decodeEntityName(s[i+1 : i+semi]); ok {
+		if r, n := reference(s[i:], inAttr); n > 0 {
 			dst = utf8.AppendRune(dst, r)
-			i += semi + 1
+			i += n
 			continue
 		}
 		dst = append(dst, c)
 		i++
 	}
 	return dst
+}
+
+// reference returns the character of the reference s starts with (s[0] is
+// '&') and the reference's length, or a length of 0 when s starts with no
+// reference appendDecoded decodes.
+func reference(s []byte, inAttr bool) (rune, int) {
+	if semi := bytes.IndexByte(s, ';'); semi > 0 && semi <= 12 {
+		if r, ok := decodeEntityName(s[1:semi]); ok {
+			return r, semi + 1
+		}
+	}
+	// The longest legacy name s goes on with ("middot" is the longest).
+	name := s[1:]
+	for k := min(len(name), 6); k >= 2; k-- {
+		if !legacyEntities[string(name[:k])] {
+			continue
+		}
+		if inAttr && k < len(name) && (name[k] == '=' || isAlpha(name[k]) || '0' <= name[k] && name[k] <= '9') {
+			return 0, 0
+		}
+		return namedEntities[string(name[:k])], 1 + k
+	}
+	return 0, 0
 }
 
 // decodeEntityName returns the character a reference's name stands for: a

@@ -259,21 +259,27 @@ func FuzzResolve(f *testing.F) {
 	})
 }
 
-// FuzzDecodeEntities holds the decoder to the one it replaced
-// (refDecodeEntities, numbers through strconv) and checks it never grows
-// the input: a decoded reference is never longer than the reference.
+// FuzzDecodeEntities holds the decoder, in text and in an attribute value,
+// to refDecodeEntities (numbers through strconv, legacy names tried
+// longest first) and checks it never grows the input: a decoded reference
+// is never longer than the reference.
 func FuzzDecodeEntities(f *testing.F) {
 	for _, s := range []string{"&amp;", "&#65;", "&#x41;", "&bogus;", "a&b", "&&&&", "&#xffffffffff;",
-		"&#+65;&#x+41;&#-65;&#+-1;&#x-1;&#+;", "&#xD800;&#1114111;&#1114112;&#x10FFFF;&#0000065;&#X41;"} {
+		"&#+65;&#x+41;&#-65;&#+-1;&#x-1;&#+;", "&#xD800;&#1114111;&#1114112;&#x10FFFF;&#0000065;&#X41;",
+		"&copy 1999 &ampx=1&lt=&LT&middotx&notin;"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		out := DecodeEntities(s)
-		if want := refDecodeEntities(s); out != want {
+		if want := refDecodeEntities(s, false); out != want {
 			t.Fatalf("DecodeEntities(%q) = %q, reference %q", s, out, want)
 		}
-		if len(out) > len(s) {
-			t.Fatalf("decode grew input: %d → %d", len(s), len(out))
+		attr := string(appendDecoded(nil, []byte(s), true))
+		if want := refDecodeEntities(s, true); attr != want {
+			t.Fatalf("attribute value %q decodes to %q, reference %q", s, attr, want)
+		}
+		if len(out) > len(s) || len(attr) > len(s) {
+			t.Fatalf("decode grew input: %d → %d, %d", len(s), len(out), len(attr))
 		}
 	})
 }

@@ -314,7 +314,7 @@ func (p *parser) add() {
 	case textToken:
 		run := src[tok.data.start:tok.data.end]
 		if !tok.verbatim && bytes.IndexByte(run, '&') >= 0 {
-			run = p.decode(run)
+			run = p.decode(run, false)
 		}
 		// A run that starts with a printable ASCII byte is not blank; any
 		// other may be white space alone, which makes no node.
@@ -397,21 +397,22 @@ func (p *parser) write(b []byte) span {
 	return span{int32(start), int32(p.text.Len())}
 }
 
-// writeDecoded appends b with its character references decoded.
+// writeDecoded appends attribute value b with its character references
+// decoded.
 func (p *parser) writeDecoded(b []byte) span {
 	if bytes.IndexByte(b, '&') < 0 {
 		return p.write(b)
 	}
-	return p.write(p.decode(b))
+	return p.write(p.decode(b, true))
 }
 
-// decode returns b with its character references decoded, in the parser's
-// scratch buffer.
-func (p *parser) decode(b []byte) []byte {
+// decode returns b with its character references decoded, as an attribute
+// value's when inAttr is set, in the parser's scratch buffer.
+func (p *parser) decode(b []byte, inAttr bool) []byte {
 	if cap(p.scratch) < len(b) {
 		p.scratch = make([]byte, 0, len(b)) // decoding never grows b
 	}
-	p.scratch = appendDecoded(p.scratch[:0], b)
+	p.scratch = appendDecoded(p.scratch[:0], b, inAttr)
 	return p.scratch
 }
 

@@ -44,14 +44,19 @@ func (t Token) Attr(name string) (string, bool) {
 	return "", false
 }
 
-// refDecodeEntities is DecodeEntities as it was: through a strings.Builder,
-// numbers through strconv.
-func refDecodeEntities(s string) string {
+// refDecodeEntities is appendDecoded written once more: through a
+// strings.Builder, numbers through strconv, and legacy names tried longest
+// first, transcribed from the standard's named character reference state
+// (#named-character-reference-state): the longest legacy name matches; in
+// an attribute value (inAttr), one without its ';' followed by '=' or an
+// ASCII alphanumeric is flushed as literal text.
+func refDecodeEntities(s string, inAttr bool) string {
 	if !strings.ContainsRune(s, '&') {
 		return s
 	}
 	var sb strings.Builder
 	sb.Grow(len(s))
+outer:
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c != '&' {
@@ -59,21 +64,37 @@ func refDecodeEntities(s string) string {
 			i++
 			continue
 		}
-		semi := strings.IndexByte(s[i:], ';')
-		if semi < 0 || semi > 12 {
-			sb.WriteByte(c)
-			i++
-			continue
+		if semi := strings.IndexByte(s[i:], ';'); semi >= 0 && semi <= 12 {
+			if r, ok := refDecodeEntityName(s[i+1 : i+semi]); ok {
+				sb.WriteRune(r)
+				i += semi + 1
+				continue
+			}
 		}
-		if r, ok := refDecodeEntityName(s[i+1 : i+semi]); ok {
-			sb.WriteRune(r)
-			i += semi + 1
-			continue
+		for _, name := range refLegacyNames {
+			if !strings.HasPrefix(s[i+1:], name) {
+				continue
+			}
+			after := i + 1 + len(name)
+			if inAttr && after < len(s) && (s[after] == '=' || refIsASCIIAlnum(s[after])) {
+				break
+			}
+			sb.WriteRune(namedEntities[name])
+			i = after
+			continue outer
 		}
 		sb.WriteByte(c)
 		i++
 	}
 	return sb.String()
+}
+
+// refLegacyNames are the standard's legacy names (those its table also
+// lists without ';') that namedEntities has, longest first.
+var refLegacyNames = []string{"middot", "laquo", "raquo", "nbsp", "copy", "quot", "COPY", "QUOT", "amp", "reg", "AMP", "REG", "lt", "gt", "LT", "GT"}
+
+func refIsASCIIAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 func refDecodeEntityName(name string) (rune, bool) {
@@ -157,7 +178,7 @@ func (z *refTokenizer) text() Token {
 	for z.pos < len(z.src) && z.src[z.pos] != '<' {
 		z.pos++
 	}
-	return Token{Type: TextToken, Data: refDecodeEntities(string(z.src[start:z.pos]))}
+	return Token{Type: TextToken, Data: refDecodeEntities(string(z.src[start:z.pos]), false)}
 }
 
 // rawText consumes everything up to the matching </script>, </style>,
@@ -177,7 +198,7 @@ func (z *refTokenizer) rawText() Token {
 	// Raw text is returned verbatim (scripts are not entity-decoded);
 	// RCDATA is decoded (#rcdata-state).
 	if z.rawEnd == "title" || z.rawEnd == "textarea" {
-		data = refDecodeEntities(data)
+		data = refDecodeEntities(data, false)
 	}
 	z.rawEnd = ""
 	return Token{Type: TextToken, Data: data}
@@ -334,7 +355,7 @@ func (z *refTokenizer) startTag() Token {
 				val = string(src[vStart:i])
 			}
 		}
-		tok.Attrs = append(tok.Attrs, Attr{Name: aName, Value: refDecodeEntities(val)})
+		tok.Attrs = append(tok.Attrs, Attr{Name: aName, Value: refDecodeEntities(val, true)})
 	}
 	z.pos = i
 	if tok.Type == StartTagToken && (name == "script" || name == "style" || name == "title" || name == "textarea") {

@@ -36,7 +36,7 @@ func tokens(t *testing.T, src string) []Token {
 				attrs = attrs[1:] // the name slot
 			}
 			for _, a := range attrs {
-				last.Attrs = append(last.Attrs, Attr{Name: strings.ToLower(str(a.name)), Value: DecodeEntities(str(a.value))})
+				last.Attrs = append(last.Attrs, Attr{Name: strings.ToLower(str(a.name)), Value: string(appendDecoded(nil, []byte(str(a.value)), true))})
 			}
 		}
 	}
@@ -193,7 +193,11 @@ func TestDecodeEntities(t *testing.T) {
 		"&#65;&#x42;":   "AB",
 		"&unknown;":     "&unknown;",
 		"no entities":   "no entities",
-		"&amp":          "&amp", // missing semicolon passes through
+		"&amp":          "&",        // a legacy name needs no semicolon
+		"&ampx &copy;":  "&x ©",     // the longest legacy name it starts with
+		"&trade":        "&trade",   // a name that is not legacy needs one
+		"&eacute;":      "&eacute;", // a name not in the table stays literal
+		"&LT;&GT &REG":  "<> ®",
 		"&;":            "&;",
 		"&#xZZ;":        "&#xZZ;",
 		"&#0;":          "&#0;", // NUL rejected
@@ -266,6 +270,18 @@ func TestConformance(t *testing.T) {
 			"#rcdata-state: a title's content up to its end tag is character tokens, character references decoded",
 			`<title>T <a href="/t">in title</a> &amp; more</title><body>b</body>`,
 			nil, `T <a href="/t">in title</a> & more`},
+		{"a legacy reference needs no ; in text",
+			"#named-character-reference-state: the longest legacy name matches without its ';' (a missing-semicolon parse error, decoded)",
+			`<title>&COPY 1999 &AMP; co</title><a href="/c">&copy 1999 &ltb&gt &ampx</a>`,
+			[]Link{{Name: "© 1999 <b> &x", Href: "/c"}}, "© 1999 & co"},
+		{"in an attribute, a legacy reference before = or an alphanumeric stays literal",
+			"#named-character-reference-state: in an attribute value, a match not ending in ';' whose next character is '=' or an ASCII alphanumeric is flushed as written; any other is decoded",
+			`<a href="/x?a=1&copy=2&reg1&lt">x</a><a href="/y?&amp&gt;">y</a>`,
+			[]Link{{Name: "x", Href: "/x?a=1&copy=2&reg1<"}, {Name: "y", Href: "/y?&>"}}, ""},
+		{"a name the table lacks stays literal (named deviation)",
+			"#named-character-reference-state decodes the legacy name eacute to é; namedEntities lacks it, so htmlkit keeps it as written",
+			`<title>caf&eacute x caf&eacute;</title>`,
+			nil, "caf&eacute x caf&eacute;"},
 	} {
 		doc := Parse([]byte(tc.src))
 		page := Scan(doc, "http://site.example/")

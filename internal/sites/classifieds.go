@@ -1,7 +1,7 @@
 package sites
 
 import (
-	"fmt"
+	"strconv"
 
 	"webbase/internal/web"
 )
@@ -19,47 +19,38 @@ const (
 // Price, Contact) of Table 1).
 func NYTimes(ds *Dataset) web.Site {
 	m := web.NewMux(NYTimesHost)
-	base := "http://" + NYTimesHost
+	const base = "http://" + NYTimesHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("The New York Times", false).
-			heading("The New York Times").
-			link("Today's News", base+"/news").
-			link("Classifieds", base+"/classified")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("The New York Times", false, func(p *pageBuilder) {
+		p.heading("The New York Times")
+		p.link("Today's News", base, "/news")
+		p.link("Classifieds", base, "/classified")
 	}))
-	m.Handle("/news", staticPage("Today's News", "All the news that's fit to print."))
+	m.Handle("/news", fillerPage("Today's News", "All the news that's fit to print."))
 
-	m.Handle("/classified", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("NYT Auto Classifieds", false).
-			heading("Automobile Classifieds").
-			form("search", base+"/cgi-bin/autosearch", "get",
-				selectField("make", Makes()...),
-				textField("model"))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/classified", staticPage("NYT Auto Classifieds", false, func(p *pageBuilder) {
+		p.heading("Automobile Classifieds")
+		p.form("search", base+"/cgi-bin/autosearch", "get",
+			selectField("make", makes...),
+			textField("model"))
 	}))
 
 	m.Handle("/cgi-bin/autosearch", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
+		mk, model := req.Param("make"), req.Param("model")
 		if mk == "" {
-			return web.HTML(req.URL, newPage("Error", false).text("make is required").done()), nil
+			return errorPage(req, false, "make is required"), nil
 		}
-		ads := ds.ByMakeModel(mk, req.Param("model"))
+		ads := ds.ByMakeModel(mk, model)
 		page := atoiOr(req.Param("page"), 0)
 		start, end := pageBounds(len(ads), page)
-		cols := []string{"Make", "Model", "Year", "Features", "Price", "Contact"}
-		rows := make([][]string, 0, end-start)
-		for _, a := range ads[start:end] {
-			rows = append(rows, adRow(a, cols))
-		}
-		p := newPage("NYT Auto Search Results", false).
-			heading(fmt.Sprintf("Results %d–%d of %d", start+1, end, len(ads))).
-			table(cols, rows)
-		if end < len(ads) {
-			p.link("More", fmt.Sprintf("%s/cgi-bin/autosearch?make=%s&model=%s&page=%d",
-				base, mk, req.Param("model"), page+1))
-		}
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "NYT Auto Search Results", false, func(p *pageBuilder) {
+			p.heading("Results ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
+			p.adTable([]string{"Make", "Model", "Year", "Features", "Price", "Contact"}, ads[start:end])
+			if end < len(ads) {
+				p.link("More", base, "/cgi-bin/autosearch?make=", mk, "&model=", model, "&page=", strconv.Itoa(page+1))
+			}
+		}), nil
 	}))
 
 	return m
@@ -70,52 +61,43 @@ func NYTimes(ds *Dataset) web.Site {
 // cells) so the lenient parser's recovery is exercised on a full site.
 func NewYorkDaily(ds *Dataset) web.Site {
 	m := web.NewMux(NewYorkDailyHost)
-	base := "http://" + NewYorkDailyHost
+	const base = "http://" + NewYorkDailyHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("NY Daily News", true).
-			heading("New York Daily News").
-			link("Sports Final", base+"/sports").
-			link("Auto Classifieds", base+"/autos")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("NY Daily News", true, func(p *pageBuilder) {
+		p.heading("New York Daily News")
+		p.link("Sports Final", base, "/sports")
+		p.link("Auto Classifieds", base, "/autos")
 	}))
-	m.Handle("/sports", staticPage("Sports Final", "Yanks win."))
+	m.Handle("/sports", fillerPage("Sports Final", "Yanks win."))
 
-	m.Handle("/autos", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Auto Classifieds", true).
-			heading("Auto Classifieds").
-			text("Thousands of cars in the five boroughs.").
-			link("Search Used Cars", base+"/autos/search")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/autos", staticPage("Auto Classifieds", true, func(p *pageBuilder) {
+		p.heading("Auto Classifieds")
+		p.text("Thousands of cars in the five boroughs.")
+		p.link("Search Used Cars", base, "/autos/search")
 	}))
 
-	m.Handle("/autos/search", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Used Car Search", true).
-			form("carsearch", base+"/cgi-bin/cars.cgi", "post",
-				selectField("make", Makes()...))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/autos/search", staticPage("Used Car Search", true, func(p *pageBuilder) {
+		p.form("carsearch", base+"/cgi-bin/cars.cgi", "post",
+			selectField("make", makes...))
 	}))
 
 	m.Handle("/cgi-bin/cars.cgi", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		mk := req.Param("make")
 		if mk == "" {
-			return web.HTML(req.URL, newPage("Error", true).text("make is required").done()), nil
+			return errorPage(req, true, "make is required"), nil
 		}
 		ads := ds.ByMake(mk)
 		page := atoiOr(req.Param("page"), 0)
 		start, end := pageBounds(len(ads), page)
-		cols := []string{"Make", "Model", "Year", "Price", "Contact"}
-		rows := make([][]string, 0, end-start)
-		for _, a := range ads[start:end] {
-			rows = append(rows, adRow(a, cols))
-		}
-		p := newPage("Used Cars", true).
-			heading(fmt.Sprintf("Used cars: %s", titleCase(mk))).
-			table(cols, rows)
-		if end < len(ads) {
-			p.link("More", fmt.Sprintf("%s/cgi-bin/cars.cgi?make=%s&page=%d", base, mk, page+1))
-		}
-		return web.HTML(req.URL, p.done()), nil
+		heading := "Used cars: " + titleCase(mk)
+		return render(req.URL, "Used Cars", true, func(p *pageBuilder) {
+			p.heading(heading)
+			p.adTable([]string{"Make", "Model", "Year", "Price", "Contact"}, ads[start:end])
+			if end < len(ads) {
+				p.link("More", base, "/cgi-bin/cars.cgi?make=", mk, "&page=", strconv.Itoa(page+1))
+			}
+		}), nil
 	}))
 
 	return m

@@ -227,22 +227,28 @@ func NewDataset(seed int64, n int) *Dataset {
 }
 
 // ByMake returns the ads of the given make (all ads when mk is empty).
-func (d *Dataset) ByMake(mk string) []Ad {
-	var out []Ad
-	for _, a := range d.Ads {
-		if mk == "" || a.Make == mk {
-			out = append(out, a)
-		}
-	}
-	return out
+func (d *Dataset) ByMake(mk string) []*Ad {
+	return d.filter(func(a *Ad) bool { return mk == "" || a.Make == mk })
 }
 
 // ByMakeModel returns the ads matching make and (when non-empty) model.
-func (d *Dataset) ByMakeModel(mk, model string) []Ad {
-	var out []Ad
-	for _, a := range d.Ads {
-		if a.Make == mk && (model == "" || a.Model == model) {
-			out = append(out, a)
+func (d *Dataset) ByMakeModel(mk, model string) []*Ad {
+	return d.filter(func(a *Ad) bool { return a.Make == mk && (model == "" || a.Model == model) })
+}
+
+// filter returns the ads keep keeps, in dataset order. The result points
+// into the dataset, and is counted first so it is allocated once.
+func (d *Dataset) filter(keep func(a *Ad) bool) []*Ad {
+	n := 0
+	for i := range d.Ads {
+		if keep(&d.Ads[i]) {
+			n++
+		}
+	}
+	out := make([]*Ad, 0, n)
+	for i := range d.Ads {
+		if keep(&d.Ads[i]) {
+			out = append(out, &d.Ads[i])
 		}
 	}
 	return out

@@ -1,7 +1,8 @@
 package sites
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"webbase/internal/web"
 )
@@ -24,16 +25,15 @@ var dealerCols = []string{"Make", "Model", "Year", "Price", "Features", "ZipCode
 // page, answering with one paginated listing.
 func CarPoint(ds *Dataset) web.Site {
 	m := web.NewMux(CarPointHost)
-	base := "http://" + CarPointHost
+	const base = "http://" + CarPointHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("CarPoint", false).
-			heading("CarPoint Dealer Network").
-			form("finder", base+"/cgi-bin/find", "get",
-				selectField("make", Makes()...),
-				textField("model"),
-				textField("zipcode"))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("CarPoint", false, func(p *pageBuilder) {
+		p.heading("CarPoint Dealer Network")
+		p.form("finder", base+"/cgi-bin/find", "get",
+			selectField("make", makes...),
+			textField("model"),
+			textField("zipcode"))
 	}))
 
 	m.Handle("/cgi-bin/find", dealerSearch(ds, base+"/cgi-bin/find", false))
@@ -46,35 +46,34 @@ func CarPoint(ds *Dataset) web.Site {
 // difficulties the paper's introduction highlights).
 func AutoWeb(ds *Dataset) web.Site {
 	m := web.NewMux(AutoWebHost)
-	base := "http://" + AutoWebHost
+	const base = "http://" + AutoWebHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("AutoWeb", false).
-			heading("AutoWeb").
-			link("Used Car Search", base+"/used")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("AutoWeb", false, func(p *pageBuilder) {
+		p.heading("AutoWeb")
+		p.link("Used Car Search", base, "/used")
 	}))
 
-	m.Handle("/used", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("AutoWeb Used Cars", false).
-			form("pickmake", base+"/cgi-bin/models", "post",
-				selectField("make", Makes()...))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/used", staticPage("AutoWeb Used Cars", false, func(p *pageBuilder) {
+		p.form("pickmake", base+"/cgi-bin/models", "post",
+			selectField("make", makes...))
 	}))
 
 	m.Handle("/cgi-bin/models", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		mk := req.Param("make")
 		if mk == "" {
-			return web.HTML(req.URL, newPage("Error", false).text("make is required").done()), nil
+			return errorPage(req, false, "make is required"), nil
 		}
 		// Dynamically generated second form whose model domain depends on
 		// the previous input.
-		p := newPage("AutoWeb: Pick a Model", false).
-			heading(fmt.Sprintf("Models of %s in stock", titleCase(mk))).
-			form("pickmodel", base+"/cgi-bin/stock", "post",
+		heading := "Models of " + titleCase(mk) + " in stock"
+		models := ds.ModelsOf(mk)
+		return render(req.URL, "AutoWeb: Pick a Model", false, func(p *pageBuilder) {
+			p.heading(heading)
+			p.form("pickmodel", base+"/cgi-bin/stock", "post",
 				hiddenField("make", mk),
-				selectField("model", ds.ModelsOf(mk)...))
-		return web.HTML(req.URL, p.done()), nil
+				selectField("model", models...))
+		}), nil
 	}))
 
 	m.Handle("/cgi-bin/stock", dealerSearch(ds, base+"/cgi-bin/stock", false))
@@ -85,36 +84,31 @@ func AutoWeb(ds *Dataset) web.Site {
 // home page and a single unpaginated (and sloppily marked-up) data page.
 func WWWheels(ds *Dataset) web.Site {
 	m := web.NewMux(WWWheelsHost)
-	base := "http://" + WWWheelsHost
+	const base = "http://" + WWWheelsHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("WWWheels", true).
-			heading("WWWheels — wheels on the World Wide Web").
-			form("q", base+"/cgi-bin/q", "get",
-				selectField("make", Makes()...),
-				textField("model"))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("WWWheels", true, func(p *pageBuilder) {
+		p.heading("WWWheels — wheels on the World Wide Web")
+		p.form("q", base+"/cgi-bin/q", "get",
+			selectField("make", makes...),
+			textField("model"))
 	}))
 
 	m.Handle("/cgi-bin/q", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		mk := req.Param("make")
 		if mk == "" {
-			return web.HTML(req.URL, newPage("Error", true).text("make is required").done()), nil
+			return errorPage(req, true, "make is required"), nil
 		}
 		ads := ds.ByMakeModel(mk, req.Param("model"))
-		rows := make([][]string, 0, len(ads))
-		for _, a := range ads {
-			rows = append(rows, adRow(a, dealerCols))
-		}
 		// WWWheels wraps its results in a layout table (sidebar + content),
 		// the typical 1990s construction that forces extractors to keep
 		// nested tables apart.
-		p := newPage("WWWheels Results", true).
-			heading(fmt.Sprintf("%d cars found", len(ads))).
-			layoutOpen().
-			table(dealerCols, rows).
-			layoutClose()
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "WWWheels Results", true, func(p *pageBuilder) {
+			p.heading(strconv.Itoa(len(ads)), " cars found")
+			p.layoutOpen()
+			p.adTable(dealerCols, ads)
+			p.layoutClose()
+		}), nil
 	}))
 	return m
 }
@@ -124,51 +118,36 @@ func WWWheels(ds *Dataset) web.Site {
 // mandatory attribute (Section 7).
 func AutoConnect(ds *Dataset) web.Site {
 	m := web.NewMux(AutoConnectHost)
-	base := "http://" + AutoConnectHost
+	const base = "http://" + AutoConnectHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("AutoConnect", false).
-			heading("AutoConnect").
-			link("Find a Car", base+"/find")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("AutoConnect", false, func(p *pageBuilder) {
+		p.heading("AutoConnect")
+		p.link("Find a Car", base, "/find")
 	}))
 
-	m.Handle("/find", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("AutoConnect Finder", false).
-			form("finder", base+"/cgi-bin/inv", "post",
-				selectField("make", Makes()...),
-				textField("model"),
-				radioField("condition", "excellent", "good", "fair"))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/find", staticPage("AutoConnect Finder", false, func(p *pageBuilder) {
+		p.form("finder", base+"/cgi-bin/inv", "post",
+			selectField("make", makes...),
+			textField("model"),
+			radioField("condition", "excellent", "good", "fair"))
 	}))
 
 	m.Handle("/cgi-bin/inv", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		cond := req.Param("condition")
+		mk, model, cond := req.Param("make"), req.Param("model"), req.Param("condition")
 		if mk == "" || cond == "" {
-			return web.HTML(req.URL, newPage("Error", false).text("make and condition are required").done()), nil
+			return errorPage(req, false, "make and condition are required"), nil
 		}
-		var ads []Ad
-		for _, a := range ds.ByMakeModel(mk, req.Param("model")) {
-			if a.Condition == cond {
-				ads = append(ads, a)
-			}
-		}
+		ads := slices.DeleteFunc(ds.ByMakeModel(mk, model), func(a *Ad) bool { return a.Condition != cond })
 		page := atoiOr(req.Param("page"), 0)
 		start, end := pageBounds(len(ads), page)
-		cols := []string{"Make", "Model", "Year", "Condition", "Price", "ZipCode", "Contact"}
-		rows := make([][]string, 0, end-start)
-		for _, a := range ads[start:end] {
-			rows = append(rows, adRow(a, cols))
-		}
-		p := newPage("AutoConnect Inventory", false).
-			heading(fmt.Sprintf("Inventory %d–%d of %d", start+1, end, len(ads))).
-			table(cols, rows)
-		if end < len(ads) {
-			p.link("More", fmt.Sprintf("%s/cgi-bin/inv?make=%s&model=%s&condition=%s&page=%d",
-				base, mk, req.Param("model"), cond, page+1))
-		}
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "AutoConnect Inventory", false, func(p *pageBuilder) {
+			p.heading("Inventory ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
+			p.adTable([]string{"Make", "Model", "Year", "Condition", "Price", "ZipCode", "Contact"}, ads[start:end])
+			if end < len(ads) {
+				p.link("More", base, "/cgi-bin/inv?make=", mk, "&model=", model, "&condition=", cond, "&page=", strconv.Itoa(page+1))
+			}
+		}), nil
 	}))
 	return m
 }
@@ -179,14 +158,14 @@ func AutoConnect(ds *Dataset) web.Site {
 // fields.
 func YahooCars(ds *Dataset) web.Site {
 	m := web.NewMux(YahooCarsHost)
-	base := "http://" + YahooCarsHost
+	const base = "http://" + YahooCarsHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Yahoo! Cars", false).heading("Browse by Make")
-		for _, mk := range Makes() {
-			p.link(mk, fmt.Sprintf("%s/make?make=%s", base, mk))
+	m.Handle("/", staticPage("Yahoo! Cars", false, func(p *pageBuilder) {
+		p.heading("Browse by Make")
+		for _, mk := range makes {
+			p.link(mk, base, "/make?make=", mk)
 		}
-		return web.HTML(req.URL, p.done()), nil
 	}))
 
 	m.Handle("/make", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
@@ -195,29 +174,26 @@ func YahooCars(ds *Dataset) web.Site {
 		if len(models) == 0 {
 			return web.NotFound(req.URL), nil
 		}
-		p := newPage("Yahoo! Cars: "+titleCase(mk), false).heading("Browse by Model")
-		for _, md := range models {
-			p.link(md, fmt.Sprintf("%s/listing?make=%s&model=%s", base, mk, md))
-		}
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "Yahoo! Cars: "+titleCase(mk), false, func(p *pageBuilder) {
+			p.heading("Browse by Model")
+			for _, md := range models {
+				p.link(md, base, "/listing?make=", mk, "&model=", md)
+			}
+		}), nil
 	}))
 
 	m.Handle("/listing", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		ads := ds.ByMakeModel(req.Param("make"), req.Param("model"))
+		mk, model := req.Param("make"), req.Param("model")
+		ads := ds.ByMakeModel(mk, model)
 		page := atoiOr(req.Param("page"), 0)
 		start, end := pageBounds(len(ads), page)
-		rows := make([][]string, 0, end-start)
-		for _, a := range ads[start:end] {
-			rows = append(rows, adRow(a, dealerCols))
-		}
-		p := newPage("Yahoo! Cars Listing", false).
-			heading(fmt.Sprintf("Listings %d–%d of %d", start+1, end, len(ads))).
-			table(dealerCols, rows)
-		if end < len(ads) {
-			p.link("More", fmt.Sprintf("%s/listing?make=%s&model=%s&page=%d",
-				base, req.Param("make"), req.Param("model"), page+1))
-		}
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "Yahoo! Cars Listing", false, func(p *pageBuilder) {
+			p.heading("Listings ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
+			p.adTable(dealerCols, ads[start:end])
+			if end < len(ads) {
+				p.link("More", base, "/listing?make=", mk, "&model=", model, "&page=", strconv.Itoa(page+1))
+			}
+		}), nil
 	}))
 	return m
 }
@@ -226,33 +202,22 @@ func YahooCars(ds *Dataset) web.Site {
 // filter by make/model (and zipcode when given) and paginate.
 func dealerSearch(ds *Dataset, action string, sloppy bool) web.FetcherFunc {
 	return func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
+		mk, model, zip := req.Param("make"), req.Param("model"), req.Param("zipcode")
 		if mk == "" {
-			return web.HTML(req.URL, newPage("Error", sloppy).text("make is required").done()), nil
+			return errorPage(req, sloppy, "make is required"), nil
 		}
-		ads := ds.ByMakeModel(mk, req.Param("model"))
-		if zip := req.Param("zipcode"); zip != "" {
-			var kept []Ad
-			for _, a := range ads {
-				if a.Zip == zip {
-					kept = append(kept, a)
-				}
-			}
-			ads = kept
+		ads := ds.ByMakeModel(mk, model)
+		if zip != "" {
+			ads = slices.DeleteFunc(ads, func(a *Ad) bool { return a.Zip != zip })
 		}
 		page := atoiOr(req.Param("page"), 0)
 		start, end := pageBounds(len(ads), page)
-		rows := make([][]string, 0, end-start)
-		for _, a := range ads[start:end] {
-			rows = append(rows, adRow(a, dealerCols))
-		}
-		p := newPage("Dealer Search Results", sloppy).
-			heading(fmt.Sprintf("Results %d–%d of %d", start+1, end, len(ads))).
-			table(dealerCols, rows)
-		if end < len(ads) {
-			p.link("More", fmt.Sprintf("%s?make=%s&model=%s&zipcode=%s&page=%d",
-				action, mk, req.Param("model"), req.Param("zipcode"), page+1))
-		}
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "Dealer Search Results", sloppy, func(p *pageBuilder) {
+			p.heading("Results ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
+			p.adTable(dealerCols, ads[start:end])
+			if end < len(ads) {
+				p.link("More", action, "?make=", mk, "&model=", model, "&zipcode=", zip, "&page=", strconv.Itoa(page+1))
+			}
+		}), nil
 	}
 }

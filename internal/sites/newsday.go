@@ -1,7 +1,7 @@
 package sites
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -32,36 +32,32 @@ const TooManyMatches = 2 * AdPageSize
 //	/features         newsdayCarFeatures data page for one ad
 func Newsday(ds *Dataset) web.Site {
 	m := web.NewMux(NewsdayHost)
-	base := "http://" + NewsdayHost
+	const base = "http://" + NewsdayHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Newsday Online", false).
-			heading("Newsday").
-			link("Long Island News", base+"/news").
-			link("Automobiles", base+"/auto").
-			link("Collectible Cars", base+"/collectibles").
-			link("Sport Utility", base+"/suv")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("Newsday Online", false, func(p *pageBuilder) {
+		p.heading("Newsday")
+		p.link("Long Island News", base, "/news")
+		p.link("Automobiles", base, "/auto")
+		p.link("Collectible Cars", base, "/collectibles")
+		p.link("Sport Utility", base, "/suv")
 	}))
 
-	m.Handle("/news", staticPage("Long Island News", "Nothing to see here.")) // filler section
-	m.Handle("/collectibles", carListPage("Collectible Cars", ds, func(a Ad) bool { return a.Year < 1990 }))
-	m.Handle("/suv", carListPage("Sport Utility", ds, func(a Ad) bool { return a.Model == "explorer" || a.Model == "suburban" }))
+	m.Handle("/news", fillerPage("Long Island News", "Nothing to see here.")) // filler section
+	m.Handle("/collectibles", carListPage("Collectible Cars", ds, func(a *Ad) bool { return a.Year < 1990 }))
+	m.Handle("/suv", carListPage("Sport Utility", ds, func(a *Ad) bool { return a.Model == "explorer" || a.Model == "suburban" }))
 
-	m.Handle("/auto", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Newsday Used Car Classifieds", false).
-			heading("Used Car Classifieds").
-			text("Select a make to search Long Island and New York City ads.").
-			form("f1", base+"/cgi-bin/nclassy", "post",
-				selectField("make", Makes()...))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/auto", staticPage("Newsday Used Car Classifieds", false, func(p *pageBuilder) {
+		p.heading("Used Car Classifieds")
+		p.text("Select a make to search Long Island and New York City ads.")
+		p.form("f1", base+"/cgi-bin/nclassy", "post",
+			selectField("make", makes...))
 	}))
 
 	m.Handle("/cgi-bin/nclassy", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		model := req.Param("model")
+		mk, model, featrs := req.Param("make"), req.Param("model"), req.Param("featrs")
 		if mk == "" {
-			return web.HTML(req.URL, newPage("Error", false).text("make is required").done()), nil
+			return errorPage(req, false, "make is required"), nil
 		}
 		ads := ds.ByMakeModel(mk, model)
 		// Figure 2's branch: too many matches without a model → ask the
@@ -71,75 +67,53 @@ func Newsday(ds *Dataset) web.Site {
 		// "the length of the sequence is not fixed; it is usually one or
 		// two" (Section 4).
 		if model == "" && req.Param("refined") == "" && len(ads) > TooManyMatches {
-			p := newPage("Newsday: Narrow Your Search", false).
-				heading(fmt.Sprintf("%d ads match %q — narrow your search", len(ads), mk)).
-				form("f2", base+"/cgi-bin/nclassy", "post",
+			heading := strconv.Itoa(len(ads)) + " ads match " + strconv.Quote(mk) + " — narrow your search"
+			models := ds.ModelsOf(mk)
+			return render(req.URL, "Newsday: Narrow Your Search", false, func(p *pageBuilder) {
+				p.heading(heading)
+				p.form("f2", base+"/cgi-bin/nclassy", "post",
 					hiddenField("make", mk),
 					hiddenField("refined", "1"),
-					selectField("model", ds.ModelsOf(mk)...),
+					selectField("model", models...),
 					textField("featrs"))
-			return web.HTML(req.URL, p.done()), nil
+			}), nil
 		}
-		if featrs := req.Param("featrs"); featrs != "" {
+		if featrs != "" {
 			ads = filterFeatures(ads, featrs)
 		}
 		page := atoiOr(req.Param("page"), 0)
-		return web.HTML(req.URL, newsdayDataPage(base, mk, model, req.Param("featrs"), ads, page)), nil
+		start, end := pageBounds(len(ads), page)
+		// A data page: per-ad "Car Features" links, and a "More" link while
+		// further pages remain (the link(more) self-loop of Figure 2).
+		return render(req.URL, "Newsday Used Car Listings", false, func(p *pageBuilder) {
+			p.heading("Listings ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
+			p.featuresTable([]string{"Make", "Model", "Year", "Price", "Contact"}, ads[start:end], base)
+			if end < len(ads) {
+				p.link("More", base, "/cgi-bin/nclassy?make=", mk, "&model=", model, "&featrs=", featrs,
+					"&refined=1&page=", strconv.Itoa(page+1))
+			}
+		}), nil
 	}))
 
 	m.Handle("/features", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		id := atoiOr(req.Param("id"), -1)
-		ad := ds.Find(id)
+		ad := ds.Find(atoiOr(req.Param("id"), -1))
 		if ad == nil {
 			return web.NotFound(req.URL), nil
 		}
-		p := newPage("Car Features", false).
-			heading(fmt.Sprintf("%s %s (%d)", titleCase(ad.Make), titleCase(ad.Model), ad.Year)).
-			table([]string{"Features", "Picture"}, [][]string{{ad.Features, ad.Picture}})
-		return web.HTML(req.URL, p.done()), nil
+		heading := titleCase(ad.Make) + " " + titleCase(ad.Model) + " (" + strconv.Itoa(ad.Year) + ")"
+		return render(req.URL, "Car Features", false, func(p *pageBuilder) {
+			p.heading(heading)
+			p.table([]string{"Features", "Picture"}, [][]string{{ad.Features, ad.Picture}})
+		}), nil
 	}))
 
 	return m
 }
 
-// newsdayDataPage renders one page of ads with per-ad "Car Features" links
-// and a "More" link while further pages remain (the link(more) self-loop of
-// Figure 2).
-func newsdayDataPage(base, mk, model, featrs string, ads []Ad, page int) string {
-	start := page * AdPageSize
-	end := start + AdPageSize
-	if start > len(ads) {
-		start = len(ads)
-	}
-	if end > len(ads) {
-		end = len(ads)
-	}
-	cols := []string{"Make", "Model", "Year", "Price", "Contact"}
-	rows := make([][]string, 0, end-start)
-	hrefs := make([]string, 0, end-start)
-	for _, a := range ads[start:end] {
-		rows = append(rows, adRow(a, cols))
-		hrefs = append(hrefs, fmt.Sprintf("%s/features?id=%d", base, a.ID))
-	}
-	p := newPage("Newsday Used Car Listings", false).
-		heading(fmt.Sprintf("Listings %d–%d of %d", start+1, end, len(ads))).
-		tableLinked(cols, rows, "Car Features", hrefs)
-	if end < len(ads) {
-		p.link("More", fmt.Sprintf("%s/cgi-bin/nclassy?make=%s&model=%s&featrs=%s&refined=1&page=%d",
-			base, mk, model, featrs, page+1))
-	}
-	return p.done()
-}
-
-// filterFeatures keeps ads whose feature list mentions the requested text.
-func filterFeatures(ads []Ad, featrs string) []Ad {
-	var out []Ad
-	for _, a := range ads {
-		if containsFold(a.Features, featrs) {
-			out = append(out, a)
-		}
-	}
-	return out
+// filterFeatures keeps, in place, the ads whose feature list mentions the
+// requested text.
+func filterFeatures(ads []*Ad, featrs string) []*Ad {
+	return slices.DeleteFunc(ads, func(a *Ad) bool { return !containsFold(a.Features, featrs) })
 }
 
 func containsFold(haystack, needle string) bool {
@@ -165,7 +139,12 @@ outer:
 	return false
 }
 
+// atoiOr is s in decimal, or def when s is not a number. An absent field
+// is def without the error strconv.Atoi would allocate.
 func atoiOr(s string, def int) int {
+	if s == "" {
+		return def
+	}
 	n, err := strconv.Atoi(s)
 	if err != nil {
 		return def
@@ -173,26 +152,25 @@ func atoiOr(s string, def int) int {
 	return n
 }
 
-// staticPage returns a handler serving a fixed page.
-func staticPage(title, body string) web.FetcherFunc {
-	return func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, newPage(title, false).heading(title).text(body).done()), nil
-	}
+// fillerPage returns a handler serving a page of one heading and one
+// paragraph.
+func fillerPage(title, body string) web.FetcherFunc {
+	return staticPage(title, false, func(p *pageBuilder) {
+		p.heading(title)
+		p.text(body)
+	})
 }
 
 // carListPage renders a simple unsearchable listing of the ads passing
-// keep, used for the filler sections of the classified sites.
-func carListPage(title string, ds *Dataset, keep func(Ad) bool) web.FetcherFunc {
+// keep, sorted by make, used for the filler sections of the classified
+// sites.
+func carListPage(title string, ds *Dataset, keep func(*Ad) bool) web.FetcherFunc {
 	return func(req *web.Request) (*web.Response, error) {
-		cols := []string{"Make", "Model", "Year", "Price"}
-		var rows [][]string
-		for _, a := range ds.Ads {
-			if keep(a) {
-				rows = append(rows, adRow(a, cols))
-			}
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-		p := newPage(title, false).heading(title).table(cols, rows)
-		return web.HTML(req.URL, p.done()), nil
+		ads := ds.filter(keep)
+		sort.Slice(ads, func(i, j int) bool { return ads[i].Make < ads[j].Make })
+		return render(req.URL, title, false, func(p *pageBuilder) {
+			p.heading(title)
+			p.adTable([]string{"Make", "Model", "Year", "Price"}, ads)
+		}), nil
 	}
 }

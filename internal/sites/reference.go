@@ -1,7 +1,7 @@
 package sites
 
 import (
-	"fmt"
+	"strconv"
 
 	"webbase/internal/web"
 )
@@ -20,37 +20,31 @@ const (
 // the real site listed prices by year.
 func Kellys() web.Site {
 	m := web.NewMux(KellysHost)
-	base := "http://" + KellysHost
+	const base = "http://" + KellysHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Kelly's Blue Book", false).
-			heading("Kelly's Blue Book — Used Car Values").
-			link("Price a Used Car", base+"/usedcar")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("Kelly's Blue Book", false, func(p *pageBuilder) {
+		p.heading("Kelly's Blue Book — Used Car Values")
+		p.link("Price a Used Car", base, "/usedcar")
 	}))
 
-	m.Handle("/usedcar", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Price a Used Car", false).
-			form("pricer", base+"/cgi-bin/price", "post",
-				selectField("make", Makes()...),
-				textField("model"),
-				textField("year"),
-				radioField("condition", "excellent", "good", "fair"))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/usedcar", staticPage("Price a Used Car", false, func(p *pageBuilder) {
+		p.form("pricer", base+"/cgi-bin/price", "post",
+			selectField("make", makes...),
+			textField("model"),
+			textField("year"),
+			radioField("condition", "excellent", "good", "fair"))
 	}))
 
 	m.Handle("/cgi-bin/price", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		mk, model, cond := req.Param("make"), req.Param("model"), req.Param("condition")
 		if mk == "" || model == "" || cond == "" {
-			return web.HTML(req.URL, newPage("Error", false).
-				text("make, model and condition are required").done()), nil
+			return errorPage(req, false, "make, model and condition are required"), nil
 		}
-		cols := []string{"Make", "Model", "Year", "Condition", "BBPrice"}
 		var rows [][]string
 		addRow := func(year int) {
-			bb := BlueBook(mk, model, year, cond)
-			if bb > 0 {
-				rows = append(rows, []string{mk, model, fmt.Sprintf("%d", year), cond, fmt.Sprintf("$%d", bb)})
+			if bb := BlueBook(mk, model, year, cond); bb > 0 {
+				rows = append(rows, []string{mk, model, strconv.Itoa(year), cond, "$" + strconv.Itoa(bb)})
 			}
 		}
 		if y := atoiOr(req.Param("year"), 0); y > 0 {
@@ -60,10 +54,11 @@ func Kellys() web.Site {
 				addRow(y)
 			}
 		}
-		p := newPage("Blue Book Value", false).
-			heading(fmt.Sprintf("Blue Book: %s %s (%s)", titleCase(mk), titleCase(model), cond)).
-			table(cols, rows)
-		return web.HTML(req.URL, p.done()), nil
+		heading := "Blue Book: " + titleCase(mk) + " " + titleCase(model) + " (" + cond + ")"
+		return render(req.URL, "Blue Book Value", false, func(p *pageBuilder) {
+			p.heading(heading)
+			p.table([]string{"Make", "Model", "Year", "Condition", "BBPrice"}, rows)
+		}), nil
 	}))
 	return m
 }
@@ -73,35 +68,32 @@ func Kellys() web.Site {
 // Safety) of Table 1.
 func CarAndDriver() web.Site {
 	m := web.NewMux(CarAndDriverHost)
-	base := "http://" + CarAndDriverHost
+	const base = "http://" + CarAndDriverHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Car and Driver", false).
-			heading("Car and Driver").
-			link("Safety Ratings", base+"/safety")
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("Car and Driver", false, func(p *pageBuilder) {
+		p.heading("Car and Driver")
+		p.link("Safety Ratings", base, "/safety")
 	}))
 
-	m.Handle("/safety", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("Safety Ratings", false).
-			form("safety", base+"/cgi-bin/safety", "get",
-				selectField("make", Makes()...))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/safety", staticPage("Safety Ratings", false, func(p *pageBuilder) {
+		p.form("safety", base+"/cgi-bin/safety", "get",
+			selectField("make", makes...))
 	}))
 
 	m.Handle("/cgi-bin/safety", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		mk := req.Param("make")
 		models, ok := Catalog[mk]
 		if !ok {
-			return web.HTML(req.URL, newPage("Error", false).text("unknown make").done()), nil
+			return errorPage(req, false, "unknown make"), nil
 		}
-		cols := []string{"Make", "Model", "Safety"}
 		rows := make([][]string, 0, len(models))
 		for _, md := range models {
 			rows = append(rows, []string{mk, md, SafetyRating(mk, md)})
 		}
-		p := newPage("Safety Ratings: "+titleCase(mk), false).table(cols, rows)
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "Safety Ratings: "+titleCase(mk), false, func(p *pageBuilder) {
+			p.table([]string{"Make", "Model", "Safety"}, rows)
+		}), nil
 	}))
 	return m
 }
@@ -112,14 +104,14 @@ func CarAndDriver() web.Site {
 // one of the larger page counts in the Section 7 timing table.
 func CarReviews() web.Site {
 	m := web.NewMux(CarReviewsHost)
-	base := "http://" + CarReviewsHost
+	const base = "http://" + CarReviewsHost
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("CarReviews", false).heading("Reviews by Make")
-		for _, mk := range Makes() {
-			p.link(mk, fmt.Sprintf("%s/reviews?make=%s", base, mk))
+	m.Handle("/", staticPage("CarReviews", false, func(p *pageBuilder) {
+		p.heading("Reviews by Make")
+		for _, mk := range makes {
+			p.link(mk, base, "/reviews?make=", mk)
 		}
-		return web.HTML(req.URL, p.done()), nil
 	}))
 
 	m.Handle("/reviews", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
@@ -128,20 +120,22 @@ func CarReviews() web.Site {
 		if !ok {
 			return web.NotFound(req.URL), nil
 		}
-		p := newPage("Reviews: "+titleCase(mk), false).heading("Model Reviews")
-		for _, md := range models {
-			p.link(md, fmt.Sprintf("%s/review?make=%s&model=%s", base, mk, md))
-		}
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "Reviews: "+titleCase(mk), false, func(p *pageBuilder) {
+			p.heading("Model Reviews")
+			for _, md := range models {
+				p.link(md, base, "/review?make=", mk, "&model=", md)
+			}
+		}), nil
 	}))
 
 	m.Handle("/review", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		mk, md := req.Param("make"), req.Param("model")
-		p := newPage(fmt.Sprintf("Review: %s %s", titleCase(mk), titleCase(md)), false).
-			heading(fmt.Sprintf("%s %s", titleCase(mk), titleCase(md))).
-			table([]string{"Make", "Model", "Reliability"},
-				[][]string{{mk, md, fmt.Sprintf("%d", ReliabilityRating(mk, md))}})
-		return web.HTML(req.URL, p.done()), nil
+		name := titleCase(mk) + " " + titleCase(md)
+		rows := [][]string{{mk, md, strconv.Itoa(ReliabilityRating(mk, md))}}
+		return render(req.URL, "Review: "+name, false, func(p *pageBuilder) {
+			p.heading(name)
+			p.table([]string{"Make", "Model", "Reliability"}, rows)
+		}), nil
 	}))
 	return m
 }
@@ -151,27 +145,24 @@ func CarReviews() web.Site {
 // Duration, Rate).
 func CarFinance() web.Site {
 	m := web.NewMux(CarFinanceHost)
-	base := "http://" + CarFinanceHost
+	const base = "http://" + CarFinanceHost
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage("CarFinance", false).
-			heading("CarFinance.example — used car loans").
-			form("rates", base+"/cgi-bin/rates", "get",
-				textField("zipcode"),
-				selectField("duration", "24", "36", "48", "60"))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage("CarFinance", false, func(p *pageBuilder) {
+		p.heading("CarFinance.example — used car loans")
+		p.form("rates", base+"/cgi-bin/rates", "get",
+			textField("zipcode"),
+			selectField("duration", "24", "36", "48", "60"))
 	}))
 
 	m.Handle("/cgi-bin/rates", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		zip := req.Param("zipcode")
 		if zip == "" {
-			return web.HTML(req.URL, newPage("Error", false).text("zipcode is required").done()), nil
+			return errorPage(req, false, "zipcode is required"), nil
 		}
-		cols := []string{"ZipCode", "Duration", "Rate"}
 		var rows [][]string
 		addRow := func(months int) {
-			rows = append(rows, []string{zip, fmt.Sprintf("%d", months),
-				fmt.Sprintf("%.2f", FinanceRate(zip, months))})
+			rows = append(rows, []string{zip, strconv.Itoa(months),
+				strconv.FormatFloat(FinanceRate(zip, months), 'f', 2, 64)})
 		}
 		if d := atoiOr(req.Param("duration"), 0); d > 0 {
 			addRow(d)
@@ -180,8 +171,9 @@ func CarFinance() web.Site {
 				addRow(d)
 			}
 		}
-		p := newPage("Loan Rates", false).table(cols, rows)
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, "Loan Rates", false, func(p *pageBuilder) {
+			p.table([]string{"ZipCode", "Duration", "Rate"}, rows)
+		}), nil
 	}))
 	return m
 }

@@ -2,6 +2,7 @@ package sites
 
 import (
 	"fmt"
+	"strconv"
 
 	"webbase/internal/web"
 )
@@ -35,29 +36,24 @@ func BuildScaledWorld(n int) *ScaledWorld {
 func scaledDealer(host string, ds *Dataset) web.Site {
 	m := web.NewMux(host)
 	base := "http://" + host
+	makes := Makes()
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		p := newPage(host, false).
-			heading(host).
-			form("q", base+"/cgi-bin/q", "get",
-				selectField("make", Makes()...),
-				textField("model"))
-		return web.HTML(req.URL, p.done()), nil
+	m.Handle("/", staticPage(host, false, func(p *pageBuilder) {
+		p.heading(host)
+		p.form("q", base+"/cgi-bin/q", "get",
+			selectField("make", makes...),
+			textField("model"))
 	}))
 	m.Handle("/cgi-bin/q", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
 		mk := req.Param("make")
 		if mk == "" {
-			return web.HTML(req.URL, newPage("Error", false).text("make is required").done()), nil
+			return errorPage(req, false, "make is required"), nil
 		}
 		ads := ds.ByMakeModel(mk, req.Param("model"))
-		rows := make([][]string, 0, len(ads))
-		for _, a := range ads {
-			rows = append(rows, adRow(a, dealerCols))
-		}
-		p := newPage(host+" results", false).
-			heading(fmt.Sprintf("%d cars", len(ads))).
-			table(dealerCols, rows)
-		return web.HTML(req.URL, p.done()), nil
+		return render(req.URL, host+" results", false, func(p *pageBuilder) {
+			p.heading(strconv.Itoa(len(ads)), " cars")
+			p.adTable(dealerCols, ads)
+		}), nil
 	}))
 	return m
 }

@@ -339,7 +339,8 @@ func (s *Server) Hosts() []string {
 	return hosts
 }
 
-// Fetch routes the request to the site owning the URL's host.
+// Fetch routes the request to the site owning the URL's host. A Mux is
+// handed the path parsed here, so a request's URL is parsed once.
 func (s *Server) Fetch(req *Request) (*Response, error) {
 	u, err := url.Parse(req.URL)
 	if err != nil {
@@ -350,6 +351,9 @@ func (s *Server) Fetch(req *Request) (*Response, error) {
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("web: no such host %q", u.Host)
+	}
+	if m, ok := site.(*Mux); ok {
+		return m.serve(req, u.Path)
 	}
 	return site.Serve(req)
 }
@@ -383,7 +387,11 @@ func (m *Mux) Serve(req *Request) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("web: bad URL %q: %w", req.URL, err)
 	}
-	path := u.Path
+	return m.serve(req, u.Path)
+}
+
+// serve dispatches req, whose URL's path is path.
+func (m *Mux) serve(req *Request, path string) (*Response, error) {
 	if path == "" {
 		path = "/"
 	}

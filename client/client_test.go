@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,6 +333,40 @@ func TestValueKindsRoundTrip(t *testing.T) {
 	}
 	if tp[1].IntVal() != 7 || tp[2].FloatVal() != 2.5 || tp[3].BoolVal() != true {
 		t.Fatalf("values decoded wrong: %v", tp)
+	}
+}
+
+// TestLineLongerThanBuffer: a line longer than the reader's buffer, which
+// a line that fits is decoded from in place, arrives whole, and so does
+// the line after it.
+func TestLineLongerThanBuffer(t *testing.T) {
+	var rows []string
+	for i := range 1000 {
+		rows = append(rows, fmt.Sprintf(`["make-%04d",%d]`, i, i))
+	}
+	line := fmt.Sprintf(`{"event":"tuples","seq":1,"index":0,"object":["x"],"count":%d,"tuples":[%s]}`, len(rows), strings.Join(rows, ","))
+	ts := httptest.NewServer(scriptedStream(scriptedMeta, line, `{"event":"trailer","seq":2,"tuples":1000,"objects":1,"stats":{"Pages":3}}`))
+	defer ts.Close()
+
+	st, err := newTestClient(t, ts.URL, 1).Query(context.Background(), "SELECT X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if !st.Next() {
+		t.Fatal(st.Err())
+	}
+	got := st.Delivery().Tuples
+	if len(line) <= 3*4096 || len(got) != len(rows) {
+		t.Fatalf("a %d-byte line delivered %d tuples, want %d", len(line), len(got), len(rows))
+	}
+	for i, tp := range got {
+		if want := fmt.Sprintf("make-%04d", i); tp[0].Str() != want || tp[1].IntVal() != int64(i) {
+			t.Fatalf("tuple %d is %v, want [%s %d]", i, tp, want, i)
+		}
+	}
+	if st.Next() || st.Err() != nil || st.Trailer().Stats.Pages != 3 {
+		t.Fatalf("after the long line: Err = %v, trailer %+v", st.Err(), st.Trailer())
 	}
 }
 

@@ -415,13 +415,22 @@ func (s *Stream) dial() error {
 	return nil
 }
 
-// readLine reads one NDJSON event line. EOF before a terminal event is a
-// truncated stream and surfaces as io.ErrUnexpectedEOF (retryable).
+// readLine reads one NDJSON event line. A line that fits the reader's
+// buffer is read in place, valid until the next read: wire.Decode copies
+// what it keeps. EOF before a terminal event is a truncated stream and
+// surfaces as io.ErrUnexpectedEOF (retryable).
 func (s *Stream) readLine() ([]byte, error) {
 	if s.body == nil {
 		return nil, io.ErrUnexpectedEOF
 	}
-	line, err := s.body.ReadBytes('\n')
+	line, err := s.body.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// The next read overwrites the buffer line is in.
+		whole := append([]byte(nil), line...)
+		var rest []byte
+		rest, err = s.body.ReadBytes('\n')
+		line = append(whole, rest...)
+	}
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

@@ -12,7 +12,9 @@ import (
 // compress/gzip's writer allocates and zeroes 795 KiB per stream whatever the
 // level, for a stream that carries a few KiB (DESIGN.md §8); this one grows
 // with the stream, to at most 64 KiB of history plus a 16 KiB hash table, and
-// pays for it in wire bytes: fixed codes are about a sixth larger here.
+// pays for it in wire bytes: fixed codes are about a sixth larger here. The
+// hash table starts at half the history the first block encodes and grows as
+// the history passes eight times its entries.
 //
 // The contract is gzip.Writer's, as far as the server uses it: Write buffers,
 // Flush ends in the empty stored block 00 00 ff ff (the sync marker clients
@@ -25,6 +27,7 @@ type gzipStream struct {
 	hist  []byte  // at most the last 64 KiB written
 	enc   int     // hist[enc:] is not yet encoded
 	table []int32 // 4-byte hash → 1 + its last position in hist, 0 = none
+	shift uint    // 32 - log2(len(table)): a hash is its top bits
 	crc   uint32
 	size  uint32
 
@@ -35,7 +38,7 @@ type gzipStream struct {
 
 const (
 	window    = 1 << 15 // RFC 1951's largest match distance
-	tableBits = 12
+	tableBits = 12      // the table's most entries, log2
 	minMatch  = 4
 	maxMatch  = 258
 )
@@ -119,8 +122,8 @@ func (z *gzipStream) block(final bool) {
 	if z.enc == len(z.hist) && !final {
 		return
 	}
-	if z.table == nil {
-		z.table = make([]int32, 1<<tableBits)
+	if z.enc < len(z.hist) {
+		z.sizeTable()
 	}
 	hdr := uint32(1 << 1) // BTYPE 01: fixed Huffman codes
 	if final {
@@ -131,7 +134,7 @@ func (z *gzipStream) block(final bool) {
 	for i := z.enc; i < len(h); {
 		if i+minMatch <= len(h) {
 			cur := binary.LittleEndian.Uint32(h[i:])
-			k := (cur * 0x1e35a7bd) >> (32 - tableBits)
+			k := (cur * 0x1e35a7bd) >> z.shift
 			cand := int(z.table[k]) - 1
 			z.table[k] = int32(i + 1)
 			if cand >= 0 && i-cand <= window && binary.LittleEndian.Uint32(h[cand:]) == cur {
@@ -141,7 +144,7 @@ func (z *gzipStream) block(final bool) {
 				}
 				z.match(n, i-cand)
 				for j := i + 1; j < i+n && j+minMatch <= len(h); j++ {
-					z.table[binary.LittleEndian.Uint32(h[j:])*0x1e35a7bd>>(32-tableBits)] = int32(j + 1)
+					z.table[binary.LittleEndian.Uint32(h[j:])*0x1e35a7bd>>z.shift] = int32(j + 1)
 				}
 				i += n
 				continue
@@ -152,6 +155,21 @@ func (z *gzipStream) block(final bool) {
 	}
 	z.sym(256) // end of block
 	z.enc = len(h)
+}
+
+// sizeTable gives the table the largest power of two entries in half the
+// bytes held, up to 2^tableBits, when it has none or a quarter of that. A
+// new table holds the last encoded position of each hash, as the old one did.
+func (z *gzipStream) sizeTable() {
+	n := uint(min(max(bits.Len(uint(len(z.hist)))-2, 0), tableBits))
+	if z.table != nil && n < 32-z.shift+2 {
+		return
+	}
+	z.table, z.shift = make([]int32, 1<<n), 32-n
+	h := z.hist
+	for i := 0; i < z.enc && i+minMatch <= len(h); i++ {
+		z.table[binary.LittleEndian.Uint32(h[i:])*0x1e35a7bd>>z.shift] = int32(i + 1)
+	}
 }
 
 // match codes a length (3–258) and a distance (1–32768): RFC 1951 §3.2.5's

@@ -109,8 +109,12 @@ func streamedTuples(lines []map[string]any) []any {
 // them, canonicalized like mustJSON.
 func answerJSON(t *testing.T, tuples []relation.Tuple) string {
 	t.Helper()
+	raw, err := wire.AppendDelivery(nil, ur.ObjectDelivery{Tuples: tuples})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var line struct{ Tuples any }
-	if err := json.Unmarshal([]byte(mustJSON(t, wire.DeliveryLine(ur.ObjectDelivery{Tuples: tuples}))), &line); err != nil {
+	if err := json.Unmarshal(raw, &line); err != nil {
 		t.Fatal(err)
 	}
 	return mustJSON(t, line.Tuples)

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -32,7 +31,8 @@ type streamWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	gz      *gzipStream
-	enc     *json.Encoder
+	out     io.Writer // the response, or gz over it once the stream starts
+	line    []byte    // the event being written, reused from one to the next
 	meta    wire.Meta
 	started bool
 
@@ -49,7 +49,7 @@ type streamWriter struct {
 func newStreamWriter(w http.ResponseWriter, rid, query string, schema []string, token string, resumeFrom int, useGzip bool) *streamWriter {
 	f, _ := w.(http.Flusher)
 	return &streamWriter{
-		w: w, flusher: f, enc: json.NewEncoder(w),
+		w: w, flusher: f, out: w,
 		meta:       wire.Meta{RequestID: rid, Query: query, Schema: schema, ResumeToken: token},
 		resumeFrom: resumeFrom,
 		useGzip:    useGzip,
@@ -76,25 +76,30 @@ func (sw *streamWriter) startLocked() {
 	sw.w.WriteHeader(http.StatusOK)
 	if sw.useGzip {
 		sw.gz = newGzipStream(sw.w)
-		sw.enc = json.NewEncoder(sw.gz)
+		sw.out = sw.gz
 	}
 	if sw.resumeFrom >= 0 {
 		sw.skipped++ // the meta event, seq 0, already delivered originally
 		return
 	}
-	sw.enc.Encode(wire.MetaLine(sw.meta))
+	sw.writeLocked(wire.AppendMeta(sw.line[:0], sw.meta))
 }
 
-// emitLocked writes one line and flushes it. It reports a line that
-// cannot be encoded, which writes nothing: a line's values are strings,
-// numbers, booleans and nulls, and the one value JSON has no token for is
-// a non-finite float. A failed write is not reported: an aborted client
-// surfaces in the request's context.
-func (sw *streamWriter) emitLocked(line any) error {
-	err := sw.enc.Encode(line)
-	var refused *json.UnsupportedValueError
-	if !errors.As(err, &refused) {
-		err = nil
+// writeLocked ends line, which is sw.line appended to, with its newline
+// and writes it, keeping its buffer for the next. A failed write is not
+// reported: an aborted client surfaces in the request's context.
+func (sw *streamWriter) writeLocked(line []byte) {
+	sw.line = append(line, '\n')
+	sw.out.Write(sw.line)
+}
+
+// emitLocked writes one line, unless appending it failed, and flushes.
+// It reports a line that cannot be encoded, which writes nothing: a
+// line's values are strings, numbers, booleans and nulls, and the one
+// value JSON has no token for is a non-finite float.
+func (sw *streamWriter) emitLocked(line []byte, err error) error {
+	if err == nil {
+		sw.writeLocked(line)
 	}
 	if sw.gz != nil {
 		// Push the event out of the compressor: resumability depends on the
@@ -139,7 +144,7 @@ func (sw *streamWriter) startKeepalive(interval time.Duration) {
 			case <-t.C:
 				sw.mu.Lock()
 				if sw.started && sw.broken == nil {
-					sw.emitLocked(wire.KeepaliveLine())
+					sw.emitLocked(wire.AppendKeepalive(sw.line[:0]), nil)
 				}
 				sw.mu.Unlock()
 			}
@@ -179,9 +184,9 @@ func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
 		sw.skipped++
 		return
 	}
-	if err := sw.emitLocked(wire.DeliveryLine(d)); err != nil {
+	if err := sw.emitLocked(wire.AppendDelivery(sw.line[:0], d)); err != nil {
 		sw.broken = &codedError{wire.CodeInternal, fmt.Errorf("server: delivery %d cannot be encoded: %w", d.Seq, err)}
-		sw.emitLocked(wire.ErrorLine(d.Seq, errorBody(sw.meta.RequestID, sw.broken)))
+		sw.emitLocked(wire.AppendError(sw.line[:0], d.Seq, errorBody(sw.meta.RequestID, sw.broken)), nil)
 		sw.finishLocked()
 	}
 }
@@ -210,7 +215,7 @@ func (sw *streamWriter) writeTrailer(res *ur.Result, qs *core.QueryStats) {
 			Report:      res.Degradation.String(),
 		}
 	}
-	sw.emitLocked(wire.TrailerLine(sw.lastSeq+1, tl))
+	sw.emitLocked(wire.AppendTrailer(sw.line[:0], sw.lastSeq+1, tl))
 	sw.finishLocked()
 }
 
@@ -223,7 +228,7 @@ func (sw *streamWriter) writeErrorEvent(body wire.ErrorBody) {
 	if sw.broken != nil {
 		return
 	}
-	sw.emitLocked(wire.ErrorLine(sw.lastSeq+1, body))
+	sw.emitLocked(wire.AppendError(sw.line[:0], sw.lastSeq+1, body), nil)
 	sw.finishLocked()
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -13,8 +14,7 @@ import (
 )
 
 // rows is a tuples line's rows: each tuple a JSON array of null, string,
-// number and bool values, positionally aligned with the meta schema. It
-// writes and reads its own bytes, so no value is boxed on the way: the
+// number and bool values, positionally aligned with the meta schema. The
 // bytes are encoding/json's for the same values, and a decoded tuple's
 // values are carved from one slab.
 //
@@ -24,14 +24,14 @@ import (
 // '.', 'e' or 'E' that fits in 64 bits decodes as an Int, any other as a
 // Float.
 //
-// A decoded tuple's strings are substrings of one copy of the line's rows,
+// A decoded tuple's strings are substrings of the line's one string copy,
 // so a caller keeping one tuple keeps at most that line's text.
 type rows []relation.Tuple
 
-// MarshalJSON writes the rows into one buffer sized up front. A
+// appendRows appends the rows, growing dst once for all of them. A
 // non-finite float has no JSON token and is refused with the
 // *json.UnsupportedValueError encoding/json would return.
-func (rs rows) MarshalJSON() ([]byte, error) {
+func appendRows(dst []byte, rs []relation.Tuple) ([]byte, error) {
 	size := 2
 	for _, t := range rs {
 		size += 3
@@ -46,7 +46,7 @@ func (rs rows) MarshalJSON() ([]byte, error) {
 			}
 		}
 	}
-	buf := make([]byte, 0, size)
+	buf := slices.Grow(dst, size)
 	buf = append(buf, '[')
 	for i, t := range rs {
 		if i > 0 {
@@ -65,7 +65,7 @@ func (rs rows) MarshalJSON() ([]byte, error) {
 			case relation.KindFloat:
 				var err error
 				if buf, err = appendFloat(buf, v.FloatVal()); err != nil {
-					return nil, err
+					return dst, err
 				}
 			case relation.KindBool:
 				buf = strconv.AppendBool(buf, v.BoolVal())
@@ -138,7 +138,7 @@ func appendString(buf []byte, s string) []byte {
 // written without its leading zero.
 func appendFloat(buf []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		return buf, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -152,60 +152,48 @@ func appendFloat(buf []byte, f float64) ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalJSON reads the rows from one string copy of data: it walks the
-// text once to count rows and values, then again to carve them from one
-// slab, each tuple sliced with cap == len. A string that needs no
-// unescaping is a substring of the copy; any other goes through
-// encoding/json on its own. It refuses what a [][]any decoded with
-// json.Number would have refused: an object or array cell, a row that is
-// not an array (a null row is an empty tuple), and rows that are not an
-// array (null is none).
-func (rs *rows) UnmarshalJSON(data []byte) error {
-	text := string(data)
-	var d rowDecoder
-	if err := d.run(text, false); err != nil || d.null {
-		*rs = nil
-		return err
-	}
-	slab, out := make([]relation.Value, d.values), make(rows, d.rows)
-	d = rowDecoder{slab: slab, out: out}
-	if err := d.run(text, true); err != nil {
-		*rs = nil
-		return err
-	}
-	*rs = out
-	return nil
+// decoder walks the text of one line. Every read refuses what
+// encoding/json would refuse as JSON: a string with a bad escape or a
+// control byte, a number outside the grammar, a missing separator.
+type decoder struct {
+	s string
+	i int
 }
 
-var errNotRows = errors.New("tuples is not an array of rows")
+var errSyntax = errors.New("not JSON")
 
-// rowDecoder is one walk over a rows array. Counting, it only finds where
-// each value ends; filling, it also decodes each value into slab and each
-// row into out.
-type rowDecoder struct {
-	s      string
-	i      int
-	rows   int
-	values int
-	null   bool
-	slab   []relation.Value
-	out    rows
-}
+// maxDepth is how deep skip follows nested values before it refuses them:
+// well inside encoding/json's limit of 10 000, at whatever depth of a line
+// it starts.
+const maxDepth = 1000
 
 // peek skips whitespace and returns the next byte, 0 at the end.
-func (d *rowDecoder) peek() byte {
+func (d *decoder) peek() byte {
 	for ; d.i < len(d.s); d.i++ {
-		switch c := d.s[d.i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
+		if c := d.s[d.i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return c
 		}
 	}
 	return 0
 }
 
+// done reports whether nothing but whitespace is left.
+func (d *decoder) done() bool {
+	d.peek()
+	return d.i == len(d.s)
+}
+
+// consume takes c as the next byte after whitespace, if it is.
+func (d *decoder) consume(c byte) bool {
+	if d.peek() == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
 // literal consumes word if the text continues with it.
-func (d *rowDecoder) literal(word string) bool {
+func (d *decoder) literal(word string) bool {
 	if len(d.s)-d.i >= len(word) && d.s[d.i:d.i+len(word)] == word {
 		d.i += len(word)
 		return true
@@ -213,146 +201,300 @@ func (d *rowDecoder) literal(word string) bool {
 	return false
 }
 
-func (d *rowDecoder) run(s string, fill bool) error {
-	d.s = s
-	if d.peek() == 'n' && d.literal("null") {
-		d.null = true
-		return d.end()
+// null consumes a null, if one is next.
+func (d *decoder) null() bool {
+	return d.peek() == 'n' && d.literal("null")
+}
+
+// scanString steps over a string and returns what is between its
+// quotes; plain says that is the string itself: no escape, no control
+// byte, valid UTF-8.
+func (d *decoder) scanString() (body string, plain bool, err error) {
+	if d.peek() != '"' {
+		return "", false, errSyntax
 	}
-	if d.peek() != '[' {
-		return errNotRows
+	start := d.i
+	plain, ascii := true, true
+	for d.i++; d.i < len(d.s) && d.s[d.i] != '"'; d.i++ {
+		switch b := d.s[d.i]; {
+		case b == '\\':
+			plain = false
+			d.i++
+		case b < 0x20:
+			plain = false
+		case b >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	if d.i >= len(d.s) {
+		return "", false, errors.New("unterminated string")
 	}
 	d.i++
-	if d.peek() == ']' {
-		d.i++
-		return d.end()
-	}
-	for {
-		start := d.values
-		switch d.peek() {
-		case 'n':
-			if !d.literal("null") {
-				return errNotRows
-			}
-		case '[':
-			d.i++
-			if err := d.row(fill); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("tuple row is not an array at offset %d", d.i)
-		}
-		if fill {
-			d.out[d.rows] = d.slab[start:d.values:d.values]
-		}
-		d.rows++
-		switch d.peek() {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
-			return d.end()
-		default:
-			return errNotRows
-		}
-	}
+	body = d.s[start+1 : d.i-1]
+	return body, plain && (ascii || utf8.ValidString(body)), nil
 }
 
-// end holds that nothing but whitespace follows the rows.
-func (d *rowDecoder) end() error {
-	if d.peek() != 0 || d.i != len(d.s) {
-		return errNotRows
+// str reads a string. A plain one is a substring of the line; any other
+// is unquoted by encoding/json on its own.
+func (d *decoder) str() (string, error) {
+	start := d.i
+	body, plain, err := d.scanString()
+	if err != nil || plain {
+		return body, err
 	}
-	return nil
+	var s string
+	err = json.Unmarshal([]byte(d.s[start:d.i]), &s)
+	return s, err
 }
 
-// row reads one row's values, its opening bracket consumed.
-func (d *rowDecoder) row(fill bool) error {
-	if d.peek() == ']' {
-		d.i++
+// number steps over a number of JSON's grammar, -?(0|[1-9][0-9]*)
+// (.[0-9]+)?([eE][+-]?[0-9]+)?, and says whether it has neither fraction
+// nor exponent.
+func (d *decoder) number() (num string, integral bool, err error) {
+	d.peek()
+	s, i := d.s, d.i
+	if i < len(s) && s[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(s) && s[i] == '0':
+		i++
+	case i < len(s) && '1' <= s[i] && s[i] <= '9':
+		i = skipDigits(s, i+1)
+	default:
+		return "", false, errSyntax
+	}
+	integral = true
+	if i < len(s) && s[i] == '.' {
+		integral = false
+		if i = skipDigits(s, i+1); s[i-1] == '.' {
+			return "", false, errSyntax
+		}
+	}
+	if i < len(s) && s[i]|0x20 == 'e' {
+		integral = false
+		if i++; i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		j := skipDigits(s, i)
+		if j == i {
+			return "", false, errSyntax
+		}
+		i = j
+	}
+	num, d.i = s[d.i:i], i
+	return num, integral, nil
+}
+
+func skipDigits(s string, i int) int {
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// int reads a number into an int as encoding/json does: written without
+// fraction or exponent, and within 64 bits.
+func (d *decoder) int() (int, error) {
+	num, integral, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	if !integral {
+		return 0, fmt.Errorf("number %s is not an integer", num)
+	}
+	return strconv.Atoi(num)
+}
+
+// bool reads true or false.
+func (d *decoder) bool() (bool, error) {
+	switch {
+	case d.peek() == 't' && d.literal("true"):
+		return true, nil
+	case d.literal("false"):
+		return false, nil
+	}
+	return false, errSyntax
+}
+
+// strings reads an array of strings, or null as none.
+func (d *decoder) strings() ([]string, error) {
+	if d.null() {
+		return nil, nil
+	}
+	start, n := d.i, 0
+	err := d.array(func() error {
+		n++
+		_, _, err := d.scanString()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, 0, n)
+	d.i = start
+	err = d.array(func() error {
+		s, err := d.str()
+		out = append(out, s)
+		return err
+	})
+	return out, err
+}
+
+// array reads an array, calling elem at each element to read it.
+func (d *decoder) array(elem func() error) error {
+	if !d.consume('[') {
+		return errSyntax
+	}
+	if d.consume(']') {
 		return nil
 	}
 	for {
-		d.peek()
-		v, err := d.value(fill)
-		if err != nil {
+		if err := elem(); err != nil {
 			return err
 		}
-		if fill {
-			d.slab[d.values] = v
-		}
-		d.values++
-		switch d.peek() {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
+		if d.consume(']') {
 			return nil
-		default:
-			return errNotRows
+		}
+		if !d.consume(',') {
+			return errSyntax
 		}
 	}
 }
 
-// value reads one value; counting, it returns the zero Value.
-func (d *rowDecoder) value(fill bool) (relation.Value, error) {
-	start := d.i
-	if start == len(d.s) {
-		return relation.Value{}, errNotRows
+// object reads an object, calling field at each key to read its value.
+func (d *decoder) object(field func(key string) error) error {
+	if !d.consume('{') {
+		return errSyntax
 	}
-	switch c := d.s[start]; {
+	if d.consume('}') {
+		return nil
+	}
+	for {
+		key, err := d.str()
+		if err != nil {
+			return err
+		}
+		if !d.consume(':') {
+			return errSyntax
+		}
+		if err := field(key); err != nil {
+			return err
+		}
+		if d.consume('}') {
+			return nil
+		}
+		if !d.consume(',') {
+			return errSyntax
+		}
+	}
+}
+
+// skip steps over any value, holding it to the grammar; depth is how
+// deep it is nested.
+func (d *decoder) skip(depth int) error {
+	if depth > maxDepth {
+		return errors.New("nested too deep")
+	}
+	var err error
+	switch c := d.peek(); {
 	case c == '"':
-		// plain: no escape and no control byte; ascii: no multi-byte rune
-		// either, so the bytes between the quotes are the string.
-		plain, ascii := true, true
-		for d.i++; d.i < len(d.s) && d.s[d.i] != '"'; d.i++ {
-			switch b := d.s[d.i]; {
-			case b == '\\':
-				plain = false
-				d.i++
-			case b < 0x20:
-				plain = false
-			case b >= utf8.RuneSelf:
-				ascii = false
+		_, err = d.str()
+	case c == '{':
+		err = d.object(func(string) error { return d.skip(depth + 1) })
+	case c == '[':
+		err = d.array(func() error { return d.skip(depth + 1) })
+	case c == 't' || c == 'f':
+		_, err = d.bool()
+	case c == 'n':
+		if !d.null() {
+			err = errSyntax
+		}
+	default:
+		_, _, err = d.number()
+	}
+	return err
+}
+
+var errNotRows = errors.New("tuples is not an array of rows")
+
+// rows reads the rows in two walks of their text: one counts rows and
+// values, the next carves them from one slab, each tuple sliced with
+// cap == len. It refuses what a [][]any decoded with json.Number would
+// have refused: an object or array cell, a row that is not an array (a
+// null row is an empty tuple), and rows that are not an array (null is
+// none).
+func (d *decoder) rows() (rows, error) {
+	if d.null() {
+		return nil, nil
+	}
+	start := d.i
+	n, values, err := d.walkRows(nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	out, slab := make(rows, n), make([]relation.Value, values)
+	d.i = start
+	if _, _, err = d.walkRows(out, slab); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// walkRows steps over the rows; given somewhere to put them, it decodes
+// them too.
+func (d *decoder) walkRows(out rows, slab []relation.Value) (n, values int, err error) {
+	fill := out != nil
+	err = d.array(func() error {
+		start := values
+		switch {
+		case d.null():
+		case d.peek() == '[':
+			err := d.array(func() error {
+				v, err := d.value(fill)
+				if fill && err == nil {
+					slab[values] = v
+				}
+				values++
+				return err
+			})
+			if err != nil {
+				return err
 			}
+		default:
+			return errNotRows
 		}
-		if d.i >= len(d.s) {
-			return relation.Value{}, errors.New("unterminated string in tuple")
+		if fill {
+			out[n] = slab[start:values:values]
 		}
-		d.i++
+		n++
+		return nil
+	})
+	return n, values, err
+}
+
+// value reads one tuple value; not filling, it returns the zero Value.
+func (d *decoder) value(fill bool) (relation.Value, error) {
+	switch c := d.peek(); {
+	case c == '"':
 		if !fill {
-			return relation.Value{}, nil
-		}
-		if body := d.s[start+1 : d.i-1]; plain && (ascii || utf8.ValidString(body)) {
-			return relation.String(body), nil
-		}
-		var str string
-		if err := json.Unmarshal([]byte(d.s[start:d.i]), &str); err != nil {
+			_, _, err := d.scanString()
 			return relation.Value{}, err
 		}
-		return relation.String(str), nil
-	case c == 'n' && d.literal("null"):
-		return relation.Null(), nil
-	case c == 't' && d.literal("true"):
-		return relation.Bool(true), nil
-	case c == 'f' && d.literal("false"):
-		return relation.Bool(false), nil
+		s, err := d.str()
+		return relation.String(s), err
+	case c == 'n':
+		if d.null() {
+			return relation.Null(), nil
+		}
+	case c == 't' || c == 'f':
+		b, err := d.bool()
+		return relation.Bool(b), err
 	case c == '-' || '0' <= c && c <= '9':
-		integral := true
-	number:
-		for d.i++; d.i < len(d.s); d.i++ {
-			switch d.s[d.i] {
-			case '.', 'e', 'E':
-				integral = false
-			case '+', '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-			default:
-				break number
-			}
+		num, integral, err := d.number()
+		if err != nil || !fill {
+			return relation.Value{}, err
 		}
-		if !fill {
-			return relation.Value{}, nil
-		}
-		num := d.s[start:d.i]
 		if integral {
 			if n, err := strconv.ParseInt(num, 10, 64); err == nil {
 				return relation.Int(n), nil
@@ -364,5 +506,5 @@ func (d *rowDecoder) value(fill bool) (relation.Value, error) {
 		}
 		return relation.Float(f), nil
 	}
-	return relation.Value{}, fmt.Errorf("unexpected tuple value at offset %d", start)
+	return relation.Value{}, fmt.Errorf("unexpected tuple value at offset %d", d.i)
 }

@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"testing"
+	"time"
 
+	"webbase/internal/core"
 	"webbase/internal/race"
 	"webbase/internal/relation"
 	"webbase/internal/ur"
@@ -19,8 +20,11 @@ import (
 func sameRows(t *testing.T, raw []byte) {
 	t.Helper()
 	want, wantErr := referenceRows(raw)
-	var got rows
-	gotErr := json.Unmarshal(raw, &got)
+	d := decoder{s: string(raw)}
+	got, gotErr := d.rows()
+	if gotErr == nil && !d.done() {
+		got, gotErr = nil, errSyntax
+	}
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%q: rows decode with error %v, the reference with %v", raw, gotErr, wantErr)
 	}
@@ -82,10 +86,10 @@ func FuzzTupleRows(f *testing.F) {
 			{},
 		}
 		want, wantErr := json.Marshal(EncodeTuples(ts))
-		got, gotErr := rows(ts).MarshalJSON()
+		got, gotErr := appendRows(nil, ts)
 		if wantErr != nil {
 			var refused *json.UnsupportedValueError
-			_, lineErr := json.Marshal(DeliveryLine(ur.ObjectDelivery{Tuples: ts}))
+			_, lineErr := AppendDelivery(nil, ur.ObjectDelivery{Tuples: ts})
 			if !errors.As(gotErr, &refused) || !errors.As(lineErr, &refused) {
 				t.Fatalf("%v: encoding/json refuses it (%v), rows return %v and the line %v", ts, wantErr, gotErr, lineErr)
 			}
@@ -98,39 +102,63 @@ func FuzzTupleRows(f *testing.F) {
 	})
 }
 
-// TestTuplesLineAllocs: a tuples line is encoded into one buffer and
-// decoded into one slab, so neither allocates per tuple: the same count at
-// 16 tuples as at 256, under a ceiling. The [][]any codec boxed every
-// value both ways.
-func TestTuplesLineAllocs(t *testing.T) {
+// TestLineAllocs: what appending a line into a reused buffer and
+// decoding it allocate, per kind, under ceilings a little above the
+// measured counts. A tuples line is appended into the buffer and decoded
+// into one string copy, one slab and its row headers, so it costs the
+// same at 16 tuples as at 256; the [][]any codec boxed every value both
+// ways. The trailer's stats go through encoding/json, one object a stream.
+func TestLineAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	const encodeCeiling, decodeCeiling = 3, 27
-	for _, n := range []int{16, 256} {
+	tuples := func(n int) ur.ObjectDelivery {
 		ts := make([]relation.Tuple, n)
 		for i := range ts {
 			ts[i] = relation.Tuple{relation.String(fmt.Sprint("make", i%8)), relation.String("escort"),
 				relation.Int(int64(1990 + i%10)), relation.Float(float64(i) + 0.25), relation.Bool(i%2 == 0), relation.Null()}
 		}
-		d := ur.ObjectDelivery{Seq: 1, Index: 0, Object: []string{"BluePrice", "Classifieds"}, Tuples: ts}
-		enc := json.NewEncoder(io.Discard)
+		return ur.ObjectDelivery{Seq: 1, Index: 0, Object: []string{"BluePrice", "Classifieds"}, Tuples: ts}
+	}
+	counts := map[string][2]float64{}
+	stats := &core.QueryStats{Pages: 12, Bytes: 40960, Elapsed: 3 * time.Millisecond, CacheHits: 30, Reused: 4}
+	for _, c := range []struct {
+		name           string
+		ev             Event
+		encode, decode float64
+	}{
+		{"meta", Event{Kind: KindMeta, Meta: Meta{RequestID: "r-000001", Query: "SELECT Make, Model WHERE Make='ford'",
+			Schema: []string{"Make", "Model"}, ResumeToken: "92f6072440e96a5ed5d6ac83"}}, 0, 3},
+		{"tuples/16", Event{Kind: KindTuples, Delivery: tuples(16)}, 0, 5},
+		{"tuples/256", Event{Kind: KindTuples, Delivery: tuples(256)}, 0, 5},
+		{"unavailable", Event{Kind: KindUnavailable, Delivery: ur.ObjectDelivery{Seq: 2, Index: 1, Object: []string{"Dealers"},
+			Failure: &ur.SiteFailure{Object: []string{"Dealers"}, Host: "dealers.example", Kind: "outage", Err: "connection refused"}}}, 0, 5},
+		{"trailer", Event{Kind: KindTrailer, Seq: 3, Trailer: &Trailer{Tuples: 256, Objects: 2, Stats: stats}}, 2, 10},
+	} {
+		buf, err := AppendEvent(nil, c.ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := slices.Clone(buf)
 		encode := testing.AllocsPerRun(20, func() {
-			if err := enc.Encode(DeliveryLine(d)); err != nil {
+			if buf, err = AppendEvent(buf[:0], c.ev); err != nil {
 				t.Fatal(err)
 			}
 		})
-		line := mustMarshal(t, DeliveryLine(d))
 		decode := testing.AllocsPerRun(20, func() {
 			if _, err := Decode(line); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d tuples: %.0f allocations to encode the line (ceiling %d), %.0f to decode it (ceiling %d)",
-			n, encode, encodeCeiling, decode, decodeCeiling)
-		if encode > encodeCeiling || decode > decodeCeiling {
-			t.Errorf("a tuples line of %d tuples allocates %.0f times to encode and %.0f to decode, ceilings %d and %d",
-				n, encode, decode, encodeCeiling, decodeCeiling)
+		t.Logf("%s: %.0f allocations to append the line (ceiling %.0f), %.0f to decode it (ceiling %.0f)",
+			c.name, encode, c.encode, decode, c.decode)
+		counts[c.name] = [2]float64{encode, decode}
+		if encode > c.encode || decode > c.decode {
+			t.Errorf("a %s line allocates %.0f times to append and %.0f to decode, ceilings %.0f and %.0f",
+				c.name, encode, decode, c.encode, c.decode)
 		}
+	}
+	if counts["tuples/16"] != counts["tuples/256"] {
+		t.Errorf("a tuples line allocates %v at 16 tuples and %v at 256: a cost per tuple", counts["tuples/16"], counts["tuples/256"])
 	}
 }

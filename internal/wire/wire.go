@@ -122,153 +122,6 @@ func DecodeEnvelope(raw []byte) (ErrorBody, error) {
 	return env.Error, nil
 }
 
-// The line shapes. Field order here is the byte order of every stream:
-// the embedded head first, then the kind's own fields as declared. They
-// are separate structs and not one flat event because two names mean two
-// things: "tuples" is the rows of a tuples line and a count in the
-// trailer, and "skipped" is a kind and a trailer list.
-
-// kind is the whole of a keepalive line — a seq-less liveness probe that
-// is never acked by a resume and never counts toward sequence numbering —
-// and what Decode reads first off any line.
-type kind struct {
-	Event string `json:"event"`
-}
-
-// head is not kind plus a seq: a level of embedding is an allocation
-// each time encoding/json decodes through it.
-type head struct {
-	Event string `json:"event"`
-	Seq   int    `json:"seq"`
-}
-
-type metaLine struct {
-	head // seq is always 0
-	Meta
-}
-
-// tuplesLine carries one maximal object's new unique tuples — or, for an
-// ORDER BY / LIMIT query (index -1, buffered), the whole sorted answer.
-type tuplesLine struct {
-	head
-	Index    int      `json:"index"`
-	Object   []string `json:"object,omitempty"`
-	Buffered bool     `json:"buffered,omitempty"`
-	Count    int      `json:"count"`
-	Tuples   rows     `json:"tuples"`
-}
-
-// unavailableLine reports a maximal object degraded out of the answer.
-type unavailableLine struct {
-	head
-	Index   int            `json:"index"`
-	Object  []string       `json:"object"`
-	Failure ur.SiteFailure `json:"failure"`
-}
-
-// skippedLine reports a maximal object skipped on binding grounds.
-type skippedLine struct {
-	head
-	Index  int      `json:"index"`
-	Object []string `json:"object"`
-	Reason string   `json:"reason"`
-}
-
-type errorLine struct {
-	head
-	Error ErrorBody `json:"error"`
-}
-
-type trailerLine struct {
-	head
-	Trailer
-}
-
-// MetaLine is the stream's first line.
-func MetaLine(m Meta) any { return metaLine{head{KindMeta, 0}, m} }
-
-// DeliveryLine is one gate delivery as its line: unavailable, skipped or
-// tuples, under the delivery's own sequence number.
-func DeliveryLine(d ur.ObjectDelivery) any {
-	switch {
-	case d.Failure != nil:
-		return unavailableLine{head{KindUnavailable, d.Seq}, d.Index, d.Object, *d.Failure}
-	case d.Skipped != "":
-		return skippedLine{head{KindSkipped, d.Seq}, d.Index, d.Object, d.Skipped}
-	}
-	return tuplesLine{head{KindTuples, d.Seq}, d.Index, d.Object, d.Buffered, len(d.Tuples), d.Tuples}
-}
-
-// TrailerLine ends a successful stream.
-func TrailerLine(seq int, t Trailer) any { return trailerLine{head{KindTrailer, seq}, t} }
-
-// ErrorLine ends a stream that failed after its 200 was committed.
-func ErrorLine(seq int, body ErrorBody) any { return errorLine{head{KindError, seq}, body} }
-
-// KeepaliveLine is the liveness probe.
-func KeepaliveLine() any { return kind{KindKeepalive} }
-
-// Event is one decoded line. Kind says which of the other fields is set:
-// Meta for KindMeta; Delivery for KindTuples, KindUnavailable and
-// KindSkipped; Trailer for KindTrailer; Error for KindError; none for
-// KindKeepalive or for a kind this version does not know, which Decode
-// hands back by name rather than refusing. Seq is the line's sequence
-// number on a delivery (where Delivery.Seq holds it too), a trailer or an
-// error, and 0 on any other line.
-type Event struct {
-	Kind     string
-	Seq      int
-	Meta     Meta
-	Delivery ur.ObjectDelivery
-	Trailer  *Trailer
-	Error    ErrorBody
-}
-
-// Decode reads one line of a stream.
-func Decode(line []byte) (Event, error) {
-	var k kind
-	if err := json.Unmarshal(line, &k); err != nil || k.Event == "" {
-		return Event{}, fmt.Errorf("undecodable event line %q", truncate(line, 200))
-	}
-	ev := Event{Kind: k.Event}
-	var err error
-	switch k.Event {
-	case KindMeta:
-		var l metaLine
-		err = json.Unmarshal(line, &l)
-		ev.Meta = l.Meta
-	case KindTuples:
-		var l tuplesLine
-		if err = json.Unmarshal(line, &l); err == nil && l.Count != len(l.Tuples) {
-			err = fmt.Errorf("count %d over %d tuples", l.Count, len(l.Tuples))
-		}
-		if l.Tuples == nil {
-			l.Tuples = rows{}
-		}
-		ev.Seq, ev.Delivery = l.Seq, ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Buffered: l.Buffered, Tuples: l.Tuples}
-	case KindUnavailable:
-		var l unavailableLine
-		err = json.Unmarshal(line, &l)
-		ev.Seq, ev.Delivery = l.Seq, ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Failure: &l.Failure}
-	case KindSkipped:
-		var l skippedLine
-		err = json.Unmarshal(line, &l)
-		ev.Seq, ev.Delivery = l.Seq, ur.ObjectDelivery{Seq: l.Seq, Index: l.Index, Object: l.Object, Skipped: l.Reason}
-	case KindTrailer:
-		var l trailerLine
-		err = json.Unmarshal(line, &l)
-		ev.Seq, ev.Trailer = l.Seq, &l.Trailer
-	case KindError:
-		var l errorLine
-		err = json.Unmarshal(line, &l)
-		ev.Seq, ev.Error = l.Seq, l.Error
-	}
-	if err != nil {
-		return Event{}, fmt.Errorf("%s: %w", k.Event, err)
-	}
-	return ev, nil
-}
-
 func truncate(b []byte, n int) string {
 	if len(b) <= n {
 		return string(b)

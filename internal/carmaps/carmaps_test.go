@@ -221,18 +221,39 @@ func TestTextualSyntaxCoversAllMaps(t *testing.T) {
 	}
 }
 
-// TestFigure2Rendering checks that the Newsday map prints the structures
-// Figure 2 shows.
+// TestFigure2Rendering pins Figure 2 byte for byte: the newsday map the
+// webbase runs, as an adjacency listing and as Graphviz DOT.
 func TestFigure2Rendering(t *testing.T) {
-	m := Newsday()
-	s := m.String()
-	for _, want := range []string{"newsdayPg", "UsedCarPg", "carPg", "carData",
-		"link(Automobiles)", "form f1(make)", "form f2(model, featrs)", "link(More)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Figure 2 rendering missing %q:\n%s", want, s)
-		}
+	const wantText = `navigation map newsday (Make, Model, Year, Price, Contact, Url)
+  start: newsdayPg (http://newsday.example/)
+  newsdayPg
+    --link(Automobiles)--> UsedCarPg
+  UsedCarPg
+    --form f1(make)--> carData
+    --form f1(make)--> carPg
+  carPg
+    --form f2(model, featrs)--> carData
+  carData [data]
+    --link(More)--> carData
+`
+	const wantDOT = `digraph "newsday" {
+  rankdir=TB;
+  "newsdayPg" [shape=box,label="newsday"];
+  "UsedCarPg" [shape=box,label="UsedCarPg"];
+  "carPg" [shape=box,label="carPg"];
+  "carData" [shape=ellipse,label="carData(make, model, year, ...)"];
+  "newsdayPg" -> "UsedCarPg" [label="link(Automobiles)"];
+  "UsedCarPg" -> "carData" [label="form f1(make)"];
+  "UsedCarPg" -> "carPg" [label="form f1(make)"];
+  "carPg" -> "carData" [label="form f2(model, featrs)"];
+  "carData" -> "carData" [label="link(More)"];
+}
+`
+	m := AllMaps()["newsday"]
+	if got := m.String(); got != wantText {
+		t.Errorf("Figure 2 text =\n%s\nwant\n%s", got, wantText)
 	}
-	if !strings.Contains(m.DOT(), "carData") {
-		t.Error("DOT output missing nodes")
+	if got := m.DOT(); got != wantDOT {
+		t.Errorf("Figure 2 DOT =\n%s\nwant\n%s", got, wantDOT)
 	}
 }

@@ -360,10 +360,6 @@ func TestPaperArtifactRenderings(t *testing.T) {
 			t.Errorf("Table3 missing %q", want)
 		}
 	}
-	text, dot := Figure2()
-	if !strings.Contains(text, "form f1(make)") || !strings.Contains(dot, "digraph") {
-		t.Error("Figure2 rendering")
-	}
 	f5 := wb.Figure5()
 	if !strings.Contains(f5, "Classifieds [relation]") {
 		t.Errorf("Figure5:\n%s", f5)

@@ -191,7 +191,7 @@ func BenchmarkParseVsFetch(b *testing.B) {
 		}
 		return resp, err
 	})
-	expr, err := navmap.Translate(carmaps.Newsday())
+	expr, err := navmap.Translate(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		b.Fatal(err)
 	}

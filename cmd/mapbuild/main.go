@@ -9,14 +9,15 @@
 //	mapbuild -site newsday    # print the newsday map
 //	mapbuild -site newsday -dot > newsday.dot
 //	mapbuild -check           # verify every map against the (unchanged) sites
+//	mapbuild -save internal/carmaps/maps   # re-record the maps the webbase runs
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"webbase/internal/carmaps"
 	"webbase/internal/core"
@@ -84,11 +85,7 @@ func main() {
 }
 
 func findMap(b *mapbuilder.Builder, world *sites.World, name string) *navmap.Map {
-	featURL, err := sampleURL(world)
-	if err != nil {
-		fatal(err)
-	}
-	for _, s := range carmaps.Sessions(featURL) {
+	for _, s := range sessions(world) {
 		if s.Relation == name {
 			m, _, err := b.Build(s)
 			if err != nil {
@@ -100,17 +97,12 @@ func findMap(b *mapbuilder.Builder, world *sites.World, name string) *navmap.Map
 	return nil
 }
 
-func sampleURL(world *sites.World) (string, error) {
-	expr, err := navmap.Translate(carmaps.Newsday())
+func sessions(world *sites.World) []*mapbuilder.Session {
+	featURL, err := carmaps.SampleFeaturesURL(world.Server)
 	if err != nil {
-		return "", err
+		fatal(err)
 	}
-	rel, _, err := expr.Execute(world.Server, map[string]string{"Make": "ford", "Model": "escort"})
-	if err != nil || rel.Len() == 0 {
-		return "", fmt.Errorf("sampling features url: %v", err)
-	}
-	u, _ := rel.Get(rel.Tuples()[0], "Url")
-	return u.Str(), nil
+	return carmaps.Sessions(featURL)
 }
 
 func runCheck(b *mapbuilder.Builder) {
@@ -119,7 +111,14 @@ func runCheck(b *mapbuilder.Builder) {
 		"ZipCode": "11201", "Duration": "36", "Year": "1994",
 	}
 	clean := true
-	for name, m := range carmaps.AllMaps() {
+	maps := carmaps.AllMaps()
+	names := make([]string, 0, len(maps))
+	for name := range maps {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		m := maps[name]
 		if m.StartURLVar != "" {
 			continue // entered via query-time URL; nothing to re-crawl from
 		}
@@ -143,21 +142,17 @@ func runCheck(b *mapbuilder.Builder) {
 	}
 }
 
-// runSave builds every session map and writes the JSON persistence form.
+// runSave builds every session map and writes it in the persisted format.
 func runSave(b *mapbuilder.Builder, world *sites.World, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
 	}
-	featURL, err := sampleURL(world)
-	if err != nil {
-		fatal(err)
-	}
-	for _, s := range carmaps.Sessions(featURL) {
+	for _, s := range sessions(world) {
 		m, _, err := b.Build(s)
 		if err != nil {
 			fatal(err)
 		}
-		data, err := json.Marshal(m)
+		data, err := navmap.EncodeMap(m)
 		if err != nil {
 			fatal(err)
 		}
@@ -175,13 +170,13 @@ func runLoad(path string, withExpr bool) {
 	if err != nil {
 		fatal(err)
 	}
-	var m navmap.Map
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := navmap.DecodeMap(data)
+	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(&m)
+	fmt.Print(m)
 	if withExpr {
-		e, err := navmap.Translate(&m)
+		e, err := navmap.Translate(m)
 		if err != nil {
 			fatal(err)
 		}

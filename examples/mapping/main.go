@@ -23,21 +23,23 @@ func main() {
 
 	// The recorded session: what the webbase designer's browser captured
 	// while they shopped for a ford escort, plus the one thing the tool
-	// cannot infer — the data-page extraction script.
+	// cannot infer — the data-page extraction script. The page names are
+	// Figure 2's; unnamed pages would be known by their structure.
 	column := func(h string) navcalc.Column { return navcalc.Column{Header: h, Attr: h} }
 	session := &mapbuilder.Session{
-		Relation: "newsday",
-		StartURL: "http://" + sites.NewsdayHost + "/",
-		Schema:   relation.NewSchema("Make", "Model", "Year", "Price", "Contact"),
+		Relation:  "newsday",
+		StartURL:  "http://" + sites.NewsdayHost + "/",
+		StartNode: "newsdayPg",
+		Schema:    relation.NewSchema("Make", "Model", "Year", "Price", "Contact"),
 		Events: []mapbuilder.Event{
-			{Kind: mapbuilder.EvFollow, LinkName: "Automobiles"},
-			{Kind: mapbuilder.EvSubmit, FormName: "f1",
+			{Kind: mapbuilder.EvFollow, LinkName: "Automobiles", Node: "UsedCarPg"},
+			{Kind: mapbuilder.EvSubmit, FormName: "f1", Node: "carPg",
 				Values: map[string]string{"make": "ford"},
 				VarOf:  map[string]string{"make": "Make"}},
-			{Kind: mapbuilder.EvSubmit, FormName: "f2",
+			{Kind: mapbuilder.EvSubmit, FormName: "f2", Node: "carData",
 				Values: map[string]string{"model": "escort"},
 				VarOf:  map[string]string{"model": "Model"}},
-			{Kind: mapbuilder.EvMarkData, NodeName: "carData", MoreLink: "More",
+			{Kind: mapbuilder.EvMarkData, MoreLink: "More",
 				Extract: navcalc.ExtractSpec{Columns: []navcalc.Column{
 					column("Make"), column("Model"), column("Year"),
 					{Header: "Price", Attr: "Price", Money: true},

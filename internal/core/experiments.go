@@ -83,7 +83,7 @@ func (wb *Webbase) Table3() string {
 
 // Figure2 renders the Newsday navigation map, textually and as DOT.
 func Figure2() (text, dot string) {
-	m := carmaps.Newsday()
+	m := carmaps.AllMaps()["newsday"]
 	return m.String(), m.DOT()
 }
 
@@ -101,7 +101,7 @@ func Figure3() string {
 // Figure4 renders the navigation expression derived from the Newsday map —
 // the paper's Figure 4, generated automatically rather than hand-written.
 func Figure4() (string, error) {
-	expr, err := navmap.Translate(carmaps.Newsday())
+	expr, err := navmap.Translate(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		return "", err
 	}
@@ -137,7 +137,7 @@ func Example62() (string, error) {
 // reports the Section 7 automation statistics (Newsday: "85 objects with
 // over 600 attributes ... less than 5% added manually").
 func MapStats(f web.Fetcher) ([]*mapbuilder.Stats, error) {
-	featURL, err := sampleFeaturesURL(f)
+	featURL, err := carmaps.SampleFeaturesURL(f)
 	if err != nil {
 		return nil, err
 	}
@@ -152,24 +152,6 @@ func MapStats(f web.Fetcher) ([]*mapbuilder.Stats, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out, nil
-}
-
-// sampleFeaturesURL obtains one live newsdayCarFeatures URL by running the
-// newsday relation.
-func sampleFeaturesURL(f web.Fetcher) (string, error) {
-	expr, err := navmap.Translate(carmaps.Newsday())
-	if err != nil {
-		return "", err
-	}
-	rel, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
-	if err != nil {
-		return "", err
-	}
-	if rel.Len() == 0 {
-		return "", fmt.Errorf("core: newsday returned no ads for the sample query")
-	}
-	u, _ := rel.Get(rel.Tuples()[0], "Url")
-	return u.Str(), nil
 }
 
 // TimingQueryInputs is the Section 7 per-site query — SELECT make, model,
@@ -358,7 +340,7 @@ func MeasureTimeSplit(raw web.Fetcher, model web.LatencyModel) (*TimeSplit, erro
 	model.Sleep = false
 	f := web.WithLatency(web.Counting(recorder, stats), model, stats)
 
-	expr, err := navmap.Translate(carmaps.Newsday())
+	expr, err := navmap.Translate(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		return nil, err
 	}

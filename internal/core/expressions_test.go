@@ -9,17 +9,15 @@ import (
 
 	"webbase/internal/apartments"
 	"webbase/internal/carmaps"
-	"webbase/internal/mapbuilder"
 	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
-	"webbase/internal/sites"
 )
 
 // TestExpressionsGolden pins the printed form of every navigation
-// expression a map derives: each hand map of both domains and each map the
-// map builder builds from the used-car sessions, as FormatExpression
-// renders it (cmd/mapbuild -site X -expr prints the built ones). The
-// syntax is print-only, so this golden is what holds it.
+// expression a map derives: each map of both domains — the used-car maps
+// built from their sessions, the hand-written apartment maps — as
+// FormatExpression renders it (cmd/mapbuild -site X -expr prints the
+// car ones). The syntax is print-only, so this golden is what holds it.
 func TestExpressionsGolden(t *testing.T) {
 	const golden = "testdata/expressions.golden"
 	var sb strings.Builder
@@ -39,22 +37,6 @@ func TestExpressionsGolden(t *testing.T) {
 	}
 	write("cars", carmaps.AllMaps())
 	write("apartments", apartments.Maps())
-
-	w := sites.BuildWorld()
-	featURL, err := sampleFeaturesURL(w.Server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &mapbuilder.Builder{Fetcher: w.Server}
-	built := map[string]*navmap.Map{}
-	for _, s := range carmaps.Sessions(featURL) {
-		m, _, err := b.Build(s)
-		if err != nil {
-			t.Fatalf("building %s: %v", s.Relation, err)
-		}
-		built[s.Relation] = m
-	}
-	write("built", built)
 
 	if *updateGoldens {
 		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {

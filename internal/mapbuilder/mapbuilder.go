@@ -15,6 +15,7 @@
 package mapbuilder
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/url"
@@ -65,13 +66,22 @@ type Event struct {
 	// EvSubmit
 	FormName string
 	Values   map[string]string // field → value typed by the designer
-	// VarOf generalizes typed values: field → input attribute. Fields
-	// submitted but absent from VarOf are recorded as constants.
+	// VarOf generalizes fields into input attributes: field → attribute.
+	// A typed field absent from VarOf is recorded as the constant typed.
+	// A field the designer left empty may still be named here, glossing
+	// a cryptic field name; it becomes an optional variable fill.
 	VarOf map[string]string
 
+	// Node and Label, on EvFollow and EvSubmit, name the page the event
+	// lands on: its node ID and the label map displays print (Figure 2).
+	// A name is a label — it changes no access and no tuple — and takes
+	// effect where the page is first seen; an unnamed page is identified
+	// by its structural signature and labeled with its title.
+	Node  navmap.NodeID
+	Label string
+
 	// EvMarkData
-	NodeName string
-	Extract  navcalc.ExtractSpec
+	Extract navcalc.ExtractSpec
 	// MoreLink, when set, tells the builder the named link pages through
 	// the same data node (the More self-loop).
 	MoreLink string
@@ -89,8 +99,12 @@ type Session struct {
 	// newsdayCarFeatures enters at the Url captured by newsday). The
 	// session still browses from the concrete StartURL.
 	StartVar string
-	Schema   relation.Schema
-	Events   []Event
+	// StartNode and StartLabel name the start page, as Event.Node and
+	// Event.Label name the pages events land on.
+	StartNode  navmap.NodeID
+	StartLabel string
+	Schema     relation.Schema
+	Events     []Event
 }
 
 // Stats reports the degree of automation achieved, the Section 7 numbers:
@@ -125,21 +139,26 @@ type Builder struct {
 	Fetcher web.Fetcher
 }
 
-// buildCtx tracks per-Build state: the designer facts already recorded, so
-// re-stating a fact (generalizing the same field twice, re-marking a data
-// page seen through another path) is not double counted — the designer
-// supplies each piece of information once.
-type buildCtx struct {
-	facts map[string]bool
+// replay is one Build in progress: the map so far and its statistics,
+// the node each page signature became, and the designer facts already
+// recorded, so re-stating a fact (generalizing the same field twice,
+// re-marking a data page seen through another path) is not double
+// counted — the designer supplies each piece of information once.
+type replay struct {
+	fetcher web.Fetcher
+	m       *navmap.Map
+	stats   *Stats
+	nodes   map[string]navmap.NodeID // page signature → node
+	facts   map[string]bool
 }
 
 // manualFact counts the keyed designer fact once per Build.
-func (c *buildCtx) manualFact(stats *Stats, key string) {
-	if c.facts[key] {
+func (r *replay) manualFact(key string) {
+	if r.facts[key] {
 		return
 	}
-	c.facts[key] = true
-	stats.ManualFacts++
+	r.facts[key] = true
+	r.stats.ManualFacts++
 }
 
 // Build replays the session and returns the constructed map with its
@@ -150,11 +169,15 @@ func (b *Builder) Build(s *Session) (*navmap.Map, *Stats, error) {
 	if len(s.Schema) == 0 {
 		return nil, nil, fmt.Errorf("mapbuilder: session for %s has no schema", s.Relation)
 	}
-	m := navmap.New(s.Relation, s.StartURL, s.Schema)
-	stats := &Stats{Site: s.Relation}
-	ctx := &buildCtx{facts: make(map[string]bool)}
-
-	cur, err := b.loadPage(web.NewGet(context.Background(), s.StartURL), m, stats)
+	r := &replay{
+		fetcher: b.Fetcher,
+		m:       navmap.New(s.Relation, s.StartURL, s.Schema),
+		stats:   &Stats{Site: s.Relation},
+		nodes:   make(map[string]navmap.NodeID),
+		facts:   make(map[string]bool),
+	}
+	start := func() *web.Request { return web.NewGet(context.Background(), s.StartURL) }
+	cur, err := r.load(start(), s.StartNode, s.StartLabel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mapbuilder: loading start page: %w", err)
 	}
@@ -162,41 +185,32 @@ func (b *Builder) Build(s *Session) (*navmap.Map, *Stats, error) {
 	for i, ev := range s.Events {
 		switch ev.Kind {
 		case EvFollow:
-			next, err := b.follow(m, stats, ctx, cur, ev)
-			if err != nil {
-				return nil, nil, fmt.Errorf("mapbuilder: event %d: %w", i, err)
-			}
-			cur = next
+			cur, err = r.follow(cur, ev)
 		case EvSubmit:
-			next, err := b.submit(m, stats, ctx, cur, ev)
-			if err != nil {
-				return nil, nil, fmt.Errorf("mapbuilder: event %d: %w", i, err)
-			}
-			cur = next
+			cur, err = r.submit(cur, ev)
 		case EvMarkData:
-			if err := b.markData(m, stats, ctx, cur, ev); err != nil {
-				return nil, nil, fmt.Errorf("mapbuilder: event %d: %w", i, err)
-			}
+			err = r.markData(cur, ev)
 		case EvHint:
-			ctx.manualFact(stats, "hint:"+ev.Hint)
+			r.manualFact("hint:" + ev.Hint)
 		case EvRestart:
-			cur, err = b.loadPage(web.NewGet(context.Background(), s.StartURL), m, stats)
-			if err != nil {
-				return nil, nil, fmt.Errorf("mapbuilder: event %d: %w", i, err)
-			}
+			cur, err = r.load(start(), "", "")
 		default:
-			return nil, nil, fmt.Errorf("mapbuilder: event %d: unknown kind %d", i, ev.Kind)
+			err = fmt.Errorf("unknown kind %d", ev.Kind)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("mapbuilder: event %d: %w", i, err)
 		}
 	}
+	m := r.m
 	if s.StartVar != "" {
 		m.StartURLVar = s.StartVar
 		m.StartURL = ""
-		stats.ManualFacts++ // declaring the entry attribute is designer input
+		r.stats.ManualFacts++ // declaring the entry attribute is designer input
 	}
 	if err := m.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("mapbuilder: session for %s produced an invalid map (did the designer mark a data page?): %w", s.Relation, err)
 	}
-	return m, stats, nil
+	return m, r.stats, nil
 }
 
 // pageCursor tracks where the replayed browsing session currently is.
@@ -206,10 +220,13 @@ type pageCursor struct {
 	doc    *htmlkit.Node
 }
 
-// loadPage fetches a page, converts it to F-logic objects for the
-// statistics, and ensures a map node exists for it.
-func (b *Builder) loadPage(req *web.Request, m *navmap.Map, stats *Stats) (*pageCursor, error) {
-	resp, err := b.Fetcher.Fetch(req)
+// load fetches a page and ensures a map node exists for it, named as the
+// designer named it the first time the page is seen. A new page's F-logic
+// objects count toward the statistics: Section 7's tool "checks whether
+// actions and Web page objects are new before adding them", so revisits
+// contribute nothing.
+func (r *replay) load(req *web.Request, name navmap.NodeID, label string) (*pageCursor, error) {
+	resp, err := r.fetcher.Fetch(req)
 	if err != nil {
 		return nil, err
 	}
@@ -217,25 +234,24 @@ func (b *Builder) loadPage(req *web.Request, m *navmap.Map, stats *Stats) (*page
 		return nil, fmt.Errorf("page %s: status %d", req.URL, resp.Status)
 	}
 	doc := htmlkit.Parse(resp.Body)
-	stats.PagesLoaded++
+	r.stats.PagesLoaded++
 
-	id := navmap.NodeID(pageSignature(doc, resp.URL))
-	existing := m.Node(id)
-	m.AddNode(&navmap.Node{ID: id, Title: htmlkit.Title(doc)})
-	if existing == nil {
-		// New node: count its F-logic object representation. Section 7's
-		// tool "checks whether actions and Web page objects are new before
-		// adding them", so revisits contribute nothing.
+	sig := pageSignature(doc, resp.URL)
+	id, seen := r.nodes[sig]
+	if !seen {
+		id = cmp.Or(name, navmap.NodeID(sig))
+		r.nodes[sig] = id
+		r.m.AddNode(&navmap.Node{ID: id, Title: cmp.Or(label, htmlkit.Title(doc))})
 		store, _ := navcalc.PageToObjects(doc, resp.URL)
-		stats.Objects += store.Len()
+		r.stats.Objects += store.Len()
 		for _, oid := range store.Objects() {
-			stats.Attributes += store.Get(oid).AttrCount()
+			r.stats.Attributes += store.Get(oid).AttrCount()
 		}
 	}
 	return &pageCursor{nodeID: id, url: resp.URL, doc: doc}, nil
 }
 
-func (b *Builder) follow(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCursor, ev Event) (*pageCursor, error) {
+func (r *replay) follow(cur *pageCursor, ev Event) (*pageCursor, error) {
 	var target string
 	for _, l := range htmlkit.Links(cur.doc) {
 		if strings.EqualFold(l.Name, ev.LinkName) {
@@ -246,7 +262,7 @@ func (b *Builder) follow(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCu
 	if target == "" {
 		return nil, fmt.Errorf("page %s has no link %q", cur.url, ev.LinkName)
 	}
-	next, err := b.loadPage(web.NewGet(context.Background(), target), m, stats)
+	next, err := r.load(web.NewGet(context.Background(), target), ev.Node, ev.Label)
 	if err != nil {
 		return nil, err
 	}
@@ -255,13 +271,13 @@ func (b *Builder) follow(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCu
 		// Generalizing a concrete click into a variable edge is a manual
 		// fact the designer contributes.
 		action = navmap.Action{Kind: navmap.ActFollowVar, EnvVar: ev.BindVar}
-		ctx.manualFact(stats, "bindvar:"+string(cur.nodeID)+":"+ev.BindVar)
+		r.manualFact("bindvar:" + string(cur.nodeID) + ":" + ev.BindVar)
 	}
-	m.AddEdge(cur.nodeID, action, next.nodeID)
+	r.m.AddEdge(cur.nodeID, action, next.nodeID)
 	return next, nil
 }
 
-func (b *Builder) submit(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCursor, ev Event) (*pageCursor, error) {
+func (r *replay) submit(cur *pageCursor, ev Event) (*pageCursor, error) {
 	form, ok := findFormByName(cur.doc, cur.url, ev.FormName)
 	if !ok {
 		return nil, fmt.Errorf("page %s has no form %q", cur.url, ev.FormName)
@@ -273,32 +289,54 @@ func (b *Builder) submit(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCu
 		}
 	}
 	for f, v := range ev.Values {
+		if _, ok := form.Field(f); !ok {
+			return nil, fmt.Errorf("form %q has no field %q", ev.FormName, f)
+		}
 		fields = append(fields, web.Field{Name: f, Value: v})
 	}
-	next, err := b.loadPage(web.NewSubmit(context.Background(), form.Action, form.Method, fields), m, stats)
+	next, err := r.load(web.NewSubmit(context.Background(), form.Action, form.Method, fields), ev.Node, ev.Label)
 	if err != nil {
 		return nil, err
 	}
-	// Generalize: fields the designer mapped to input attributes become
-	// variable fills; others are recorded as the constants typed.
+	// Generalize, in the form's document order. A field the designer
+	// mapped to an input attribute becomes a variable fill, and naming the
+	// attribute is designer input, supplied once. Another typed field is
+	// the constant typed. A visible field left empty whose name is a
+	// schema attribute's becomes that attribute's variable fill without
+	// designer input: manual hints are for cryptic names only (Section 1).
 	var fills []navcalc.FieldFill
-	for _, f := range sortedFieldNames(ev.Values) {
-		if attr, ok := ev.VarOf[f]; ok {
-			fills = append(fills, navcalc.Fill(f, attr))
-			// Naming the attribute is designer input, supplied once.
-			ctx.manualFact(stats, "fill:"+ev.FormName+":"+f+":"+attr)
-		} else {
-			fills = append(fills, navcalc.FillConst(f, ev.Values[f]))
+	for _, fl := range form.Fields {
+		if attr, ok := ev.VarOf[fl.Name]; ok {
+			fills = append(fills, navcalc.Fill(fl.Name, attr))
+			r.manualFact("fill:" + ev.FormName + ":" + fl.Name + ":" + attr)
+		} else if v, typed := ev.Values[fl.Name]; typed {
+			fills = append(fills, navcalc.FillConst(fl.Name, v))
+		} else if attr, ok := r.plainAttr(fl); ok {
+			fills = append(fills, navcalc.Fill(fl.Name, attr))
 		}
 	}
-	m.AddEdge(cur.nodeID, navmap.Action{
+	r.m.AddEdge(cur.nodeID, navmap.Action{
 		Kind: navmap.ActSubmitForm, FormName: ev.FormName, Fills: fills,
 	}, next.nodeID)
 	return next, nil
 }
 
-func (b *Builder) markData(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *pageCursor, ev Event) error {
-	n := m.Node(cur.nodeID)
+// plainAttr returns the schema attribute a visible form field is plainly
+// named after, compared without case.
+func (r *replay) plainAttr(fl htmlkit.Field) (string, bool) {
+	if fl.Widget == htmlkit.WidgetHidden || fl.Widget == htmlkit.WidgetSubmit {
+		return "", false
+	}
+	for _, a := range r.m.Schema {
+		if strings.EqualFold(a, fl.Name) {
+			return a, true
+		}
+	}
+	return "", false
+}
+
+func (r *replay) markData(cur *pageCursor, ev Event) error {
+	n := r.m.Node(cur.nodeID)
 	if n == nil {
 		return fmt.Errorf("current node missing")
 	}
@@ -308,20 +346,17 @@ func (b *Builder) markData(m *navmap.Map, stats *Stats, ctx *buildCtx, cur *page
 	// column mapping, counted once per node even when the page is marked
 	// again after being reached along another path.
 	for _, c := range ev.Extract.Columns {
-		ctx.manualFact(stats, "extract:"+string(cur.nodeID)+":"+c.Attr)
+		r.manualFact("extract:" + string(cur.nodeID) + ":" + c.Attr)
 	}
 	for _, lc := range ev.Extract.LinkCols {
-		ctx.manualFact(stats, "extract:"+string(cur.nodeID)+":"+lc.Attr)
+		r.manualFact("extract:" + string(cur.nodeID) + ":" + lc.Attr)
 	}
 	for _, ec := range ev.Extract.EnvCols {
-		ctx.manualFact(stats, "extract:"+string(cur.nodeID)+":"+ec.Attr)
-	}
-	if ev.NodeName != "" {
-		n.Title = ev.NodeName
+		r.manualFact("extract:" + string(cur.nodeID) + ":" + ec.Attr)
 	}
 	if ev.MoreLink != "" {
-		m.AddEdge(cur.nodeID, navmap.Action{Kind: navmap.ActFollowLink, LinkName: ev.MoreLink}, cur.nodeID)
-		ctx.manualFact(stats, "more:"+string(cur.nodeID))
+		r.m.AddEdge(cur.nodeID, navmap.Action{Kind: navmap.ActFollowLink, LinkName: ev.MoreLink}, cur.nodeID)
+		r.manualFact("more:" + string(cur.nodeID))
 	}
 	return nil
 }
@@ -337,15 +372,6 @@ func findFormByName(doc *htmlkit.Node, base, name string) (htmlkit.Form, bool) {
 		}
 	}
 	return htmlkit.Form{}, false
-}
-
-func sortedFieldNames(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // pageSignature computes a structural identity for a page: its URL path

@@ -12,34 +12,23 @@ import (
 	"webbase/internal/sites"
 )
 
-// featuresURLFor returns a concrete newsday car-features URL for session
-// recording.
-func featuresURLFor(t *testing.T, w *sites.World) string {
+// newsdaySession returns the recorded newsday session. It browses from
+// the site's home page, so it needs no sampled features URL.
+func newsdaySession(t *testing.T) *mapbuilder.Session {
 	t.Helper()
-	expr, err := navmap.Translate(carmaps.Newsday())
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range carmaps.Sessions("") {
+		if s.Relation == "newsday" {
+			return s
+		}
 	}
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, _ := rel.Get(rel.Tuples()[0], "Url")
-	return u.Str()
+	t.Fatal("no newsday session")
+	return nil
 }
 
 func TestBuildNewsdaySession(t *testing.T) {
 	w := sites.BuildWorld()
 	b := &mapbuilder.Builder{Fetcher: w.Server}
-	sessions := carmaps.Sessions(featuresURLFor(t, w))
-
-	var newsday *mapbuilder.Session
-	for _, s := range sessions {
-		if s.Relation == "newsday" {
-			newsday = s
-		}
-	}
-	m, stats, err := b.Build(newsday)
+	m, stats, err := b.Build(newsdaySession(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,75 +71,12 @@ func TestBuildNewsdaySession(t *testing.T) {
 	}
 }
 
-// TestSessionMapsBehaveLikeHandMaps builds every session's map and checks
-// the derived expression produces the same tuples as the hand-written map
-// of carmaps — the behavioural equivalence that makes mapping by example
-// trustworthy.
-func TestSessionMapsBehaveLikeHandMaps(t *testing.T) {
-	w := sites.BuildWorld()
-	b := &mapbuilder.Builder{Fetcher: w.Server}
-	featURL := featuresURLFor(t, w)
-	hand := carmaps.AllMaps()
-
-	inputsFor := map[string]map[string]string{
-		"newsday":            {"Make": "ford", "Model": "escort"},
-		"newsdayCarFeatures": {"Url": featURL},
-		"nyTimes":            {"Make": "ford", "Model": "escort"},
-		"newYorkDaily":       {"Make": "ford"},
-		"carPoint":           {"Make": "ford", "Model": "escort"},
-		"autoWeb":            {"Make": "ford", "Model": "escort"},
-		"wwWheels":           {"Make": "ford", "Model": "escort"},
-		"autoConnect":        {"Make": "ford", "Condition": "good"},
-		"yahooCars":          {"Make": "ford", "Model": "escort"},
-		"kellys":             {"Make": "jaguar", "Model": "xj6", "Year": "1994", "Condition": "good"},
-		"carAndDriver":       {"Make": "jaguar"},
-		"carReviews":         {"Make": "honda", "Model": "civic"},
-		"carFinance":         {"ZipCode": "11201", "Duration": "36"},
-	}
-
-	for _, s := range carmaps.Sessions(featURL) {
-		s := s
-		t.Run(s.Relation, func(t *testing.T) {
-			built, _, err := b.Build(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			builtExpr, err := navmap.Translate(built)
-			if err != nil {
-				t.Fatal(err)
-			}
-			handExpr, err := navmap.Translate(hand[s.Relation])
-			if err != nil {
-				t.Fatal(err)
-			}
-			inputs := inputsFor[s.Relation]
-			gotRel, _, err := builtExpr.Execute(w.Server, inputs)
-			if err != nil {
-				t.Fatalf("built expression: %v", err)
-			}
-			wantRel, _, err := handExpr.Execute(w.Server, inputs)
-			if err != nil {
-				t.Fatalf("hand expression: %v", err)
-			}
-			if gotRel.Len() != wantRel.Len() {
-				t.Errorf("built map collected %d tuples, hand map %d", gotRel.Len(), wantRel.Len())
-			}
-		})
-	}
-}
-
 // TestBuiltMapExpressionTextRoundTrip: a built map, saved and loaded
 // again, derives the same expression text and the same answers.
 func TestBuiltMapExpressionTextRoundTrip(t *testing.T) {
 	w := sites.BuildWorld()
 	b := &mapbuilder.Builder{Fetcher: w.Server}
-	var newsday *mapbuilder.Session
-	for _, s := range carmaps.Sessions(featuresURLFor(t, w)) {
-		if s.Relation == "newsday" {
-			newsday = s
-		}
-	}
-	m, _, err := b.Build(newsday)
+	m, _, err := b.Build(newsdaySession(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +145,16 @@ func TestBuildErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no form") {
 		t.Errorf("err = %v", err)
 	}
+	// Typing into a field the form does not have.
+	_, _, err = b.Build(&mapbuilder.Session{
+		Relation: "x", StartURL: "http://" + sites.NewsdayHost + "/auto",
+		Schema: relation.NewSchema("A"),
+		Events: []mapbuilder.Event{{Kind: mapbuilder.EvSubmit, FormName: "f1",
+			Values: map[string]string{"colour": "red"}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "no field") {
+		t.Errorf("err = %v", err)
+	}
 	// A session that never marks a data page yields an invalid map.
 	_, _, err = b.Build(&mapbuilder.Session{
 		Relation: "x", StartURL: "http://" + sites.NewsdayHost + "/",
@@ -259,7 +195,7 @@ func TestCheckMapDetectsChanges(t *testing.T) {
 	inputs := map[string]string{"Make": "ford", "Model": "escort"}
 
 	// Renamed link: a map expecting the old link text drifts.
-	m := carmaps.Newsday()
+	m := carmaps.AllMaps()["newsday"]
 	stale := navmap.New("stale", m.StartURL, m.Schema)
 	stale.AddNode(&navmap.Node{ID: "home"})
 	stale.AddNode(&navmap.Node{ID: "data", IsData: true,

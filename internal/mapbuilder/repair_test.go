@@ -31,7 +31,7 @@ func redesigned(host string, rewrites ...web.Rewrite) web.Fetcher {
 func TestRepairReanchorsRenamedLink(t *testing.T) {
 	f := redesigned(sites.NewsdayHost, web.Rewrite{Old: ">Automobiles<", New: ">Cars and Trucks<"})
 	b := &mapbuilder.Builder{Fetcher: f}
-	m := carmaps.Newsday()
+	m := carmaps.AllMaps()["newsday"]
 
 	repaired, err := b.Repair(m, repairInputs)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestRepairReanchorsRenamedForm(t *testing.T) {
 	f := redesigned(sites.NewsdayHost, web.Rewrite{Old: `"f1"`, New: `"searchform"`})
 	b := &mapbuilder.Builder{Fetcher: f}
 
-	repaired, err := b.Repair(carmaps.Newsday(), repairInputs)
+	repaired, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,11 @@ func TestRepairAmbiguousCandidatesErrors(t *testing.T) {
 	// lead to structurally identical pages: newsday's "Collectible Cars"
 	// and "Sport Utility" both render plain car tables, so a map edge onto
 	// a bare table node is ambiguous once its own link is renamed.
-	m := navmap.New("amb", "http://"+sites.NewsdayHost+"/", carmaps.Newsday().Schema)
+	newsday := carmaps.AllMaps()["newsday"]
+	m := navmap.New("amb", "http://"+sites.NewsdayHost+"/", newsday.Schema)
 	m.AddNode(&navmap.Node{ID: "home"})
 	m.AddNode(&navmap.Node{ID: "list", IsData: true,
-		Extract: carmaps.Newsday().Node("carData").Extract})
+		Extract: newsday.Node("carData").Extract})
 	// The extract columns include Contact, which collectibles/suv tables
 	// lack; trim to the shared prefix so both match.
 	spec := m.Node("list").Extract
@@ -145,7 +146,7 @@ func TestRepairNoCandidateErrors(t *testing.T) {
 	f := redesigned(sites.NewsdayHost,
 		web.Rewrite{Old: `<a href="http://newsday.example/auto">Automobiles</a>`, New: ""})
 	b := &mapbuilder.Builder{Fetcher: f}
-	_, err := b.Repair(carmaps.Newsday(), repairInputs)
+	_, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
 	if err == nil {
 		t.Fatal("vanished section repaired from nothing")
 	}
@@ -163,7 +164,7 @@ func TestRepairPresentButFailingLinkErrors(t *testing.T) {
 		return world.Fetch(req)
 	})
 	b := &mapbuilder.Builder{Fetcher: f}
-	_, err := b.Repair(carmaps.Newsday(), repairInputs)
+	_, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
 	if err == nil || !strings.Contains(err.Error(), "is present but its target is failing") {
 		t.Fatalf("expected the present-but-failing refusal, got: %v", err)
 	}
@@ -176,7 +177,7 @@ func TestRepairFollowVarUnrepairable(t *testing.T) {
 	// directory by renaming the bound value's link text.
 	f := redesigned(sites.YahooCarsHost, web.Rewrite{Old: ">ford<", New: ">fjord<"})
 	b := &mapbuilder.Builder{Fetcher: f}
-	_, err := b.Repair(carmaps.YahooCars(), repairInputs)
+	_, err := b.Repair(carmaps.AllMaps()["yahooCars"], repairInputs)
 	if err == nil || !strings.Contains(err.Error(), "cannot be re-anchored") {
 		t.Fatalf("FollowVar repair should be refused: %v", err)
 	}
@@ -186,7 +187,7 @@ func TestRepairFollowVarUnrepairable(t *testing.T) {
 // nothing — same fingerprint, so a no-op repair never triggers a swap.
 func TestRepairCleanSiteIsIdentity(t *testing.T) {
 	b := &mapbuilder.Builder{Fetcher: sites.BuildWorld().Server}
-	m := carmaps.Newsday()
+	m := carmaps.AllMaps()["newsday"]
 	repaired, err := b.Repair(m, repairInputs)
 	if err != nil {
 		t.Fatal(err)

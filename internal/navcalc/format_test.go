@@ -14,12 +14,12 @@ import (
 // decoding and formatting again is a fixed point, and the re-read
 // expression behaves as the original.
 func TestFormatParseRoundTrip(t *testing.T) {
-	orig, err := navmap.Translate(carmaps.Newsday())
+	orig, err := navmap.Translate(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	text1 := navcalc.FormatExpression(orig)
-	data, err := navmap.EncodeMap(carmaps.Newsday())
+	data, err := navmap.EncodeMap(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 // TestFormatStandardExpressions prints the kellys expression its map
 // derives, in full, and runs it against the blue-book site.
 func TestFormatStandardExpressions(t *testing.T) {
-	expr, err := navmap.Translate(carmaps.Kellys())
+	expr, err := navmap.Translate(carmaps.AllMaps()["kellys"])
 	if err != nil {
 		t.Fatal(err)
 	}

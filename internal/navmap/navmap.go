@@ -11,6 +11,7 @@ package navmap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -165,15 +166,34 @@ func (m *Map) AddEdge(from NodeID, action Action, to NodeID) *Edge {
 // Edges returns all edges in insertion order.
 func (m *Map) Edges() []*Edge { return m.edges }
 
-// OutEdges returns the edges leaving the node, in insertion order.
+// OutEdges returns the edges leaving the node in the order the derived
+// expression tries them: insertion order, except that an action's
+// data-page targets come before its other targets (Translate). A map
+// therefore prints the same however its session happened to discover
+// the parallel edges of one action.
 func (m *Map) OutEdges(id NodeID) []*Edge {
 	var out []*Edge
 	for _, e := range m.edges {
-		if e.From == id {
-			out = append(out, e)
+		if e.From != id {
+			continue
 		}
+		at := len(out)
+		if m.isData(e.To) {
+			for i, o := range out {
+				if o.Action.key() == e.Action.key() && !m.isData(o.To) {
+					at = i
+					break
+				}
+			}
+		}
+		out = slices.Insert(out, at, e)
 	}
 	return out
+}
+
+func (m *Map) isData(id NodeID) bool {
+	n := m.nodes[id]
+	return n != nil && n.IsData
 }
 
 // Clone returns a deep-enough copy of the map for repair to edit: nodes
@@ -278,7 +298,8 @@ func (m *Map) startDescription() string {
 	return m.StartURL
 }
 
-// DOT renders the map in Graphviz DOT format for Figure 2-style pictures.
+// DOT renders the map in Graphviz DOT format for Figure 2-style pictures,
+// listing each node's edges in OutEdges order, as String does.
 func (m *Map) DOT() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=TB;\n", m.Name)
@@ -294,8 +315,10 @@ func (m *Map) DOT() string {
 		}
 		fmt.Fprintf(&sb, "  %q [shape=%s,label=%q];\n", n.ID, shape, label)
 	}
-	for _, e := range m.edges {
-		fmt.Fprintf(&sb, "  %q -> %q [label=%q];\n", e.From, e.To, e.Action.String())
+	for _, id := range m.order {
+		for _, e := range m.OutEdges(id) {
+			fmt.Fprintf(&sb, "  %q -> %q [label=%q];\n", e.From, e.To, e.Action.String())
+		}
 	}
 	sb.WriteString("}\n")
 	return sb.String()
@@ -403,7 +426,7 @@ func (m *Map) nodeRule(id NodeID, outEdges []*Edge, names map[NodeID]string) tlo
 		// distinguishes a data page from a refine-your-search page.
 		targets := append([]NodeID(nil), g.targets...)
 		sort.SliceStable(targets, func(i, j int) bool {
-			return m.nodes[targets[i]].IsData && !m.nodes[targets[j]].IsData
+			return m.isData(targets[i]) && !m.isData(targets[j])
 		})
 		conts := make([]tlogic.Formula, len(targets))
 		for i, t := range targets {

@@ -95,7 +95,7 @@ func TestMapJSONErrors(t *testing.T) {
 }
 
 func TestMapJSONStableFields(t *testing.T) {
-	data, err := json.Marshal(carmaps.Newsday())
+	data, err := json.Marshal(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMapJSONStableFields(t *testing.T) {
 // renamed link must round-trip byte-identically (including its
 // fingerprint), and the reloaded copy must keep the repaired name.
 func TestMapJSONRepairedEdgeRoundTrip(t *testing.T) {
-	m := carmaps.Newsday().Clone()
+	m := carmaps.AllMaps()["newsday"].Clone()
 	renamed := false
 	for _, e := range m.Edges() {
 		if e.Action.LinkName == "Automobiles" {
@@ -135,7 +135,7 @@ func TestMapJSONRepairedEdgeRoundTrip(t *testing.T) {
 	if got, want := navmap.Fingerprint(&loaded), navmap.Fingerprint(m); got != want {
 		t.Errorf("fingerprint changed across round trip: %s vs %s", got, want)
 	}
-	if fp, base := navmap.Fingerprint(m), navmap.Fingerprint(carmaps.Newsday()); fp == base {
+	if fp, base := navmap.Fingerprint(m), navmap.Fingerprint(carmaps.AllMaps()["newsday"]); fp == base {
 		t.Error("repaired map has the same fingerprint as the base map")
 	}
 	kept := false
@@ -178,7 +178,7 @@ func TestMapJSONVersion1Accepted(t *testing.T) {
 // TestMapJSONCorruptFingerprintRejected: a v2 file whose content no
 // longer matches its fingerprint is refused instead of silently loaded.
 func TestMapJSONCorruptFingerprintRejected(t *testing.T) {
-	data, err := json.Marshal(carmaps.Newsday())
+	data, err := json.Marshal(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		t.Fatal(err)
 	}

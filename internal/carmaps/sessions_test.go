@@ -15,8 +15,9 @@ import (
 	"webbase/internal/web"
 )
 
-// builtMaps builds every session's map against a fresh simulated Web.
-func builtMaps(t *testing.T) (map[string]*navmap.Map, *sites.World) {
+// builtMaps builds every session's map against a fresh simulated Web,
+// which it returns with the features URL the sessions browsed.
+func builtMaps(t *testing.T) (map[string]*navmap.Map, *sites.World, string) {
 	t.Helper()
 	w := sites.BuildWorld()
 	featURL, err := SampleFeaturesURL(w.Server)
@@ -32,13 +33,13 @@ func builtMaps(t *testing.T) (map[string]*navmap.Map, *sites.World) {
 		}
 		out[s.Relation] = m
 	}
-	return out, w
+	return out, w, featURL
 }
 
 // TestEmbeddedMapsAreTheBuiltMaps: the map files the webbase runs are
 // exactly what the sessions build today, byte for byte.
 func TestEmbeddedMapsAreTheBuiltMaps(t *testing.T) {
-	built, _ := builtMaps(t)
+	built, _, _ := builtMaps(t)
 	files, err := mapFiles.ReadDir("maps")
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +117,7 @@ func inputSets(w *sites.World, featURL string) map[string][]map[string]string {
 // answer, tuple for tuple, from the same number of page accesses — the
 // behavioural equivalence that makes mapping by example trustworthy.
 func TestSessionMapsBehaveLikeHandMaps(t *testing.T) {
-	built, w := builtMaps(t)
-	featURL, err := SampleFeaturesURL(w.Server)
-	if err != nil {
-		t.Fatal(err)
-	}
+	built, w, featURL := builtMaps(t)
 	sets := inputSets(w, featURL)
 	for name, hand := range handMaps() {
 		t.Run(name, func(t *testing.T) {

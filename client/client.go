@@ -26,9 +26,10 @@
 // stalls: keepalive events reset it, so an idle-but-alive stream is
 // never mistaken for a dead one.
 //
-// When the failure is one a retry cannot change (bad query, quota,
-// strict-mode outage), iteration stops with a typed error, one sentinel
-// per code of internal/wire's table — see errors.go.
+// When the failure is one a retry cannot change (bad query, quota, a
+// query that lost every object to a site outage), iteration stops with a
+// typed error, one sentinel per code of internal/wire's table — see
+// errors.go.
 package client
 
 import (

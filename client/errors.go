@@ -42,9 +42,11 @@ var (
 	ErrBodyTooLarge = errors.New("client: request body too large")
 	// ErrDeadline: 504 deadline — the server-side deadline budget ran out.
 	ErrDeadline = errors.New("client: server deadline budget exhausted")
-	// ErrSiteOutage: 502 site-outage — strict mode surfaced a dead site.
+	// ErrSiteOutage: 502 site-outage — every maximal object of the query
+	// was lost, the first to a dead site.
 	ErrSiteOutage = errors.New("client: site outage")
-	// ErrSiteDrift: 502 site-drift — strict mode surfaced a redesigned site.
+	// ErrSiteDrift: 502 site-drift — every maximal object of the query was
+	// lost, the first to a redesigned site.
 	ErrSiteDrift = errors.New("client: site drift")
 	// ErrSiteAnswer: 502 site-answer — a site answered unsuccessfully.
 	ErrSiteAnswer = errors.New("client: site answered with an error")

@@ -28,8 +28,6 @@ type (
 	// whole answer, delivered prefix included, while Stats covers only
 	// the final (resumed) execution.
 	Trailer = wire.Trailer
-	// TrailerDegradation is the trailer's degradation report.
-	TrailerDegradation = wire.Degradation
 )
 
 // Stream iterates one query's answer in the bufio.Scanner style:

@@ -32,7 +32,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&c.Fetch.Retries, "retries", 0, "retry failed page fetches this many additional times")
 	fs.Uint64Var(&f.failEvery, "failevery", 0, "chaos: deterministically fail roughly every n-th fetch attempt (0 = off)")
 	fs.BoolVar(&f.latency, "latency", false, "simulate network latency (sleeping)")
-	fs.BoolVar(&c.Strict, "strict", false, "fail the whole query on any site outage instead of degrading to the surviving maximal objects")
 	fs.DurationVar(&c.Fetch.Deadline, "deadline", 0, "per-maximal-object time budget; objects over budget degrade out of the answer (0 = none)")
 	fs.BoolVar(&c.Fetch.AllowStale, "allow-stale", false, "serve expired cached pages when a site is unreachable (stale-on-error)")
 	fs.DurationVar(&c.Fetch.CacheMaxAge, "cache-maxage", 0, "cached pages older than this no longer count as fresh (0 = never expire)")

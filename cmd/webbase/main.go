@@ -10,7 +10,6 @@
 //	webbase -trace out.json  "SELECT ..."   # run and export the span tree as JSON
 //	webbase -metrics         "SELECT ..."   # print the metrics snapshot afterwards
 //	webbase -failevery 3 -retries 2 "SELECT ..."       # chaos: survive a flaky Web
-//	webbase -failevery 3 -strict    "SELECT ..."       # ... or fail fast instead
 //	webbase -breaker-threshold 0.5 -allow-stale "SELECT ..."   # breaker + stale-on-error
 //	webbase -deadline 500ms -hedge-after 50ms "SELECT ..."   # bound the tail: per-object budget, hedged fetches
 //	webbase -prune -stats    "SELECT ... LIMIT 3"      # skip fetches that cannot contribute answers
@@ -44,17 +43,14 @@ func main() {
 		analyze     = flag.Bool("explain-analyze", false, "run the query and print the plan annotated with actual per-operator costs")
 		traceFile   = flag.String("trace", "", "run the query traced and write the span tree as JSON to this file")
 		showMetrics = flag.Bool("metrics", false, "print the webbase metrics snapshot after the query")
-		breakerThr  = flag.Float64("breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in (0,1]; 0 disables the breaker")
 	)
+	flag.Float64Var(&cfg.Fetch.BreakerRatio, "breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in [0,1]; 0 disables the breaker")
 	flag.IntVar(&cfg.Fetch.HostLimit, "hostlimit", 0, "max concurrent fetches per site (0 = default, negative = unlimited)")
 	flag.DurationVar(&cfg.Fetch.HedgeAfter, "hedge-after", 0, "issue a second attempt for any fetch still unanswered after this delay (0 = off)")
 	flag.IntVar(&cfg.Fetch.HostQueue, "host-queue", 0, "per-host bulkhead wait-queue bound; fetches beyond it are shed (0 = unbounded)")
 	flag.Int64Var(&cfg.Fetch.HedgeBudget, "hedge-budget", 0, "max hedged (duplicate) fetch attempts per query (0 = unlimited)")
 	flag.Parse()
 
-	if *breakerThr > 0 {
-		cfg.Fetch.Breaker = &webbase.BreakerConfig{FailureRatio: *breakerThr}
-	}
 	sys, err := shared.Build()
 	if err != nil {
 		fatal(err)

@@ -22,8 +22,8 @@
 // maximal object as it completes (tuples, or why the object is
 // missing), and a trailer with the query's stats and degradation
 // report. Errors come back as JSON envelopes with accurate status codes
-// (400 unparsable, 401 unknown key, 429 shed or over quota, 502 site
-// outage in strict mode, 504 deadline exhausted).
+// (400 unparsable, 401 unknown key, 429 shed or over quota, 502 every
+// maximal object lost to a site outage, 504 deadline exhausted).
 package main
 
 import (

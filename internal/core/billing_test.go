@@ -147,23 +147,22 @@ func TestConcurrentBillConservation(t *testing.T) {
 	}
 }
 
-// TestStrictFailureStillBilledInMetrics: a query that fails pays for what
-// it fetched before failing. A strict query over a flaky Web dies on the
-// first exhausted retry ladder; the pages and retries it spent reach the
+// TestFailedQueryStillBilledInMetrics: a query that fails pays for what
+// it fetched before failing. With the blue book down, every maximal object
+// of the query dies on its retried blue-book look-up, after fetching the
+// listings it would have priced; the pages and retries it spent reach the
 // registry exactly as they reach the lifetime Stats.
-func TestStrictFailureStillBilledInMetrics(t *testing.T) {
-	world := sites.BuildWorld().Server
+func TestFailedQueryStillBilledInMetrics(t *testing.T) {
 	wb, err := New(Config{
-		Fetcher: &web.Flaky{Inner: world, FailEvery: 3},
+		Fetcher: downHost(sites.KellysHost, sites.BuildWorld().Server),
 		Workers: 4,
-		Strict:  true,
 		Fetch:   web.Policy{Retries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := wb.QueryString(wideCarQuery); err == nil {
-		t.Fatal("strict query over a web failing every third attempt, retried once, succeeded")
+		t.Fatal("a query whose every object needs the dead blue book succeeded")
 	}
 	if wb.Stats().Pages() == 0 || wb.Stats().Retries() == 0 {
 		t.Fatalf("the failed query fetched nothing worth billing: pages=%d retries=%d",

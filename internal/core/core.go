@@ -57,10 +57,6 @@ type Config struct {
 	// tests inject a fake clock to make every rendered timing
 	// reproducible.
 	Clock func() time.Time
-	// Strict restores whole-query fail-fast: a site outage aborts the
-	// query with the taxonomized per-site error instead of degrading to
-	// the surviving maximal objects.
-	Strict bool
 	// Prune enables runtime access-relevance pruning (Benedikt, Gottlob &
 	// Senellart): handle invocations whose bound inputs already violate
 	// the query's WHERE clause are skipped before any page is fetched,
@@ -94,9 +90,9 @@ type Config struct {
 	// unbounded. An evicted page is a future cache miss, never an error —
 	// the tier stays strictly a cache.
 	StateMaxBytes int64
-	// Fetch is the fetch stack's policy: retries and their budget, the
-	// per-host bulkhead, hedging, the breaker, deadline budgets and cache
-	// freshness (web.Policy; its zero value is a plain cached stack).
+	// Fetch is the fetch stack's policy: retries, the per-host bulkhead,
+	// hedging, the breaker, deadline budgets and cache freshness
+	// (web.Policy; its zero value is a plain cached stack).
 	Fetch web.Policy
 	// Healing tunes self-healing, active only when the Domain supplies
 	// SampleInputs: how many drift reports quarantine a site and how its
@@ -114,7 +110,6 @@ type Webbase struct {
 	workers   int
 	clock     func() time.Time
 	metrics   *trace.Registry
-	strict    bool
 	prune     bool
 	admission *admission
 
@@ -172,8 +167,11 @@ func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 	if cfg.Fetcher == nil {
 		return nil, fmt.Errorf("core: Config.Fetcher is required")
 	}
+	if r := cfg.Fetch.BreakerRatio; !(r >= 0 && r <= 1) {
+		return nil, fmt.Errorf("core: Config.Fetch.BreakerRatio %v is outside [0, 1]", r)
+	}
 	wb := &Webbase{workers: cfg.Workers, clock: cfg.Clock, metrics: trace.NewRegistry(),
-		strict: cfg.Strict, prune: cfg.Prune, sampleInputs: d.SampleInputs}
+		prune: cfg.Prune, sampleInputs: d.SampleInputs}
 	if wb.workers <= 0 {
 		wb.workers = runtime.GOMAXPROCS(0)
 	}
@@ -181,7 +179,6 @@ func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 	// unopenable state dir is a cold start with a metric, never an
 	// assembly failure — the store is a cache, and a broken cache may not
 	// take the system down.
-	fetch := cfg.Fetch
 	var tier web.CacheTier
 	if cfg.StateDir != "" {
 		st, err := store.Open(cfg.StateDir, store.Options{Metrics: wb.metrics})
@@ -192,12 +189,6 @@ func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 			wb.store = st
 			wb.pageTier = store.NewPageTier(st, cfg.StateMaxBytes)
 			tier = wb.pageTier
-			// Every circuit transition is persisted.
-			if fetch.Breaker != nil {
-				bc := *fetch.Breaker
-				bc.OnChange = func(string, web.BreakerState) { wb.persistBreaker() }
-				fetch.Breaker = &bc
-			}
 		}
 	}
 	// The page tier's writer runs until Close: a failed assembly stops it
@@ -207,7 +198,7 @@ func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 			wb.pageTier.Close()
 		}
 	}()
-	wb.stack = web.NewStack(cfg.Fetcher, cfg.Latency, cfg.Clock, tier, fetch)
+	wb.stack = web.NewStack(cfg.Fetcher, cfg.Latency, cfg.Clock, tier, cfg.Fetch)
 	wb.restoreBreaker()
 	wb.admission = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, wb.metrics, cfg.Clock)
 
@@ -321,7 +312,7 @@ func (wb *Webbase) Cache() *web.Cache { return wb.stack.Cache }
 func (wb *Webbase) Fetcher() web.Fetcher { return wb.stack.Fetcher }
 
 // Breaker exposes the per-host circuit breaker (nil unless
-// Config.Fetch.Breaker enabled it).
+// Config.Fetch.BreakerRatio enabled it).
 func (wb *Webbase) Breaker() *web.Breaker { return wb.stack.Breaker }
 
 // Metrics exposes the webbase's metrics registry: counters, gauges and
@@ -523,7 +514,7 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 	// budget per maximal object from it. Attached last, so it is the first
 	// value a fetch's context lookup meets.
 	wq := wb.stack.NewQuery()
-	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink, wb.strict)
+	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink)
 	wb.stack.Stats.Add(&wq.Stats)
 	qs := &QueryStats{
 		Pages:            wq.Stats.Pages(),

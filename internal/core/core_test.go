@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -28,6 +29,29 @@ func newTestWebbase(t *testing.T) (*Webbase, *sites.World) {
 func TestNewRequiresFetcher(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing fetcher accepted")
+	}
+}
+
+// TestNewRefusesBreakerRatioOutOfRange: a breaker ratio is a fraction of
+// a host's fetch outcomes. One outside [0, 1] is refused by name, never
+// replaced by another ratio; 0 assembles without a breaker.
+func TestNewRefusesBreakerRatioOutOfRange(t *testing.T) {
+	world := sites.BuildWorld().Server
+	for _, r := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1)} {
+		_, err := New(Config{Fetcher: world, Fetch: web.Policy{BreakerRatio: r}})
+		if err == nil || !strings.Contains(err.Error(), "Config.Fetch.BreakerRatio") {
+			t.Errorf("BreakerRatio %v: err = %v, want one naming Config.Fetch.BreakerRatio", r, err)
+		}
+	}
+	for _, r := range []float64{0, 0.5, 1} {
+		wb, err := New(Config{Fetcher: world, Fetch: web.Policy{BreakerRatio: r}})
+		if err != nil {
+			t.Errorf("BreakerRatio %v refused: %v", r, err)
+			continue
+		}
+		if (wb.Breaker() != nil) != (r > 0) {
+			t.Errorf("BreakerRatio %v: breaker installed = %v", r, wb.Breaker() != nil)
+		}
 	}
 }
 

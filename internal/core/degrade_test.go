@@ -156,29 +156,6 @@ func TestQueryDegradesOneSiteDown(t *testing.T) {
 	}
 }
 
-// TestQueryStrictFailsFast: the same outage under Config.Strict aborts
-// the whole query with the taxonomized per-site error.
-func TestQueryStrictFailsFast(t *testing.T) {
-	wb, err := New(Config{
-		Fetcher: &hostDownFetcher{inner: sites.BuildWorld().Server, down: sites.NewsdayHost},
-		Workers: 4,
-		Strict:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = wb.QueryString(wideCarQuery)
-	if err == nil {
-		t.Fatal("strict query succeeded over a dead site")
-	}
-	if !web.IsOutage(err) {
-		t.Errorf("strict failure not classified as outage: %v", err)
-	}
-	if web.FailingHost(err) != sites.NewsdayHost {
-		t.Errorf("strict failure host = %q, want %q", web.FailingHost(err), sites.NewsdayHost)
-	}
-}
-
 // TestQueryStaleOnError: after the whole web goes dark, a webbase with
 // stale-on-error answers the same query from expired cache entries, and
 // the staleness is visible everywhere it should be — QueryStats, the
@@ -251,8 +228,30 @@ func TestQueryStaleOnError(t *testing.T) {
 	}
 }
 
+// openCircuit runs query on wb until host's circuit opens, and returns the
+// last answer, which must be degraded. The breaker weighs a host's last
+// eight fetch outcomes and each query records at least one failure of the
+// dead host, so eight queries are always enough.
+func openCircuit(t *testing.T, wb *Webbase, query, host string) *ur.Result {
+	t.Helper()
+	var res *ur.Result
+	for i := 0; i < 8 && wb.Breaker().State(host) != web.BreakerOpen; i++ {
+		var err error
+		if res, _, err = wb.QueryString(query); err != nil {
+			t.Fatal(err)
+		}
+		if !res.Degradation.Degraded() {
+			t.Fatalf("query %d over the dead host %s not degraded", i+1, host)
+		}
+	}
+	if st := wb.Breaker().State(host); st != web.BreakerOpen {
+		t.Fatalf("circuit for %s after eight degraded queries = %v, want open", host, st)
+	}
+	return res
+}
+
 // TestQueryBreakerOpensAndRejects: with the opt-in breaker configured, a
-// dead site's circuit opens during the first query; the second query is
+// dead site's circuit opens within eight queries; the next query is
 // degraded the same way but never touches the dead host again.
 func TestQueryBreakerOpensAndRejects(t *testing.T) {
 	clk := newManualClock()
@@ -264,7 +263,7 @@ func TestQueryBreakerOpensAndRejects(t *testing.T) {
 		Fetcher: counter,
 		Workers: 4,
 		Clock:   clk.Now,
-		Fetch:   web.Policy{Breaker: &web.BreakerConfig{Window: 1, MinSamples: 1, FailureRatio: 1.0, Cooldown: time.Hour}},
+		Fetch:   web.Policy{BreakerRatio: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,16 +273,7 @@ func TestQueryBreakerOpensAndRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, _, err := wb.QueryContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Degradation == nil {
-		t.Fatal("first query over the dead site not degraded")
-	}
-	if st := wb.Breaker().State(sites.NewsdayHost); st != web.BreakerOpen {
-		t.Fatalf("breaker state after first query = %v, want open", st)
-	}
+	first := openCircuit(t, wb, wideCarQuery, sites.NewsdayHost)
 	touched := counter.calls.Load()
 	if touched == 0 {
 		t.Fatal("dead host never probed at all")

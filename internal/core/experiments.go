@@ -440,7 +440,3 @@ var DefaultLatency = web.LatencyModel{
 	PerKB:      1 * time.Millisecond,
 	Jitter:     3 * time.Millisecond,
 }
-
-// BuildSimulatedWorld constructs the standard simulated Web (convenience
-// re-export for binaries and benchmarks).
-func BuildSimulatedWorld() *sites.World { return sites.BuildWorld() }

@@ -94,14 +94,17 @@ func TestDeadlineDegradationDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeadlineStrictSurfacesBudget pins the strict-mode contract: with
-// Strict on, the budget verdict aborts the query and is classified as
-// both an outage and a budget exhaustion.
-func TestDeadlineStrictSurfacesBudget(t *testing.T) {
+// TestDeadlineEveryObjectSurfacesBudget: when every maximal object
+// outlives its budget the query fails, and the error is classified as both
+// an outage and a budget exhaustion.
+func TestDeadlineEveryObjectSurfacesBudget(t *testing.T) {
+	world := sites.BuildWorld().Server
 	wb, err := New(Config{
-		Fetcher: slowClassifieds(400 * time.Millisecond),
+		Fetcher: web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+			time.Sleep(400 * time.Millisecond)
+			return world.Fetch(req)
+		}),
 		Workers: 4,
-		Strict:  true,
 		Fetch:   web.Policy{Deadline: 150 * time.Millisecond},
 	})
 	if err != nil {
@@ -109,13 +112,13 @@ func TestDeadlineStrictSurfacesBudget(t *testing.T) {
 	}
 	_, _, err = wb.QueryString(wideCarQuery)
 	if err == nil {
-		t.Fatal("strict budget-limited query succeeded")
+		t.Fatal("a query whose every object ran out of budget succeeded")
 	}
 	if !web.IsOutage(err) {
-		t.Errorf("strict budget error %v is not outage-classified", err)
+		t.Errorf("budget error %v is not outage-classified", err)
 	}
 	if !web.IsBudgetExhausted(err) {
-		t.Errorf("strict budget error %v does not match ErrBudgetExhausted", err)
+		t.Errorf("budget error %v does not match ErrBudgetExhausted", err)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"webbase/internal/navmap"
 	"webbase/internal/store"
 	"webbase/internal/vps"
+	"webbase/internal/web"
 )
 
 // Store tier names.
@@ -130,10 +131,12 @@ func (wb *Webbase) persistBreaker() {
 
 // restoreBreaker pre-populates open circuits at boot: a restarted process
 // fast-fails a known-dead host immediately instead of re-earning the
-// verdict through a fresh failure window.
+// verdict through a fresh failure window. From then on every circuit
+// transition is persisted.
 func (wb *Webbase) restoreBreaker() {
 	if wb.store != nil && wb.stack.Breaker != nil {
 		restoreSnapshot(wb, tierBreaker, breakerKey, wb.stack.Breaker.Restore)
+		wb.stack.Breaker.OnChange = func(string, web.BreakerState) { wb.persistBreaker() }
 	}
 }
 

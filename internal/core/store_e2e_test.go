@@ -199,22 +199,17 @@ func downHost(host string, inner web.Fetcher) web.Fetcher {
 
 func TestStoreRestartSurvivalBreaker(t *testing.T) {
 	dir := t.TempDir()
-	bcfg := &web.BreakerConfig{Window: 1, MinSamples: 1, Cooldown: time.Hour}
-	wb1 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server),
-		func(cfg *Config) { cfg.Fetch.Breaker = bcfg })
-	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
-		t.Fatal(err)
-	}
-	if got := wb1.Breaker().State(sites.NewsdayHost); got != web.BreakerOpen {
-		t.Fatalf("circuit after failing query = %v, want open", got)
-	}
+	// One frozen clock across the restart: the cooldown cannot run out.
+	clock := newManualClock().Now
+	withBreaker := func(cfg *Config) { cfg.Fetch.BreakerRatio, cfg.Clock = 0.5, clock }
+	wb1 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server), withBreaker)
+	openCircuit(t, wb1, wideCarQuery, sites.NewsdayHost)
 	wb1.Close()
 
 	// Restart: the open circuit is restored before traffic, so the dead
 	// host is rejected without a single network fetch re-earning the
 	// verdict.
-	wb2 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server),
-		func(cfg *Config) { cfg.Fetch.Breaker = bcfg })
+	wb2 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server), withBreaker)
 	if got := wb2.Breaker().State(sites.NewsdayHost); got != web.BreakerOpen {
 		t.Fatalf("restored circuit = %v, want open at boot", got)
 	}
@@ -254,11 +249,9 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 		Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{Old: ">Price<", New: ">Asking<"}}},
 	}
 	wb1 := durableCarWebbase(t, dir, downHost(sites.NYTimesHost, rdBreakAgain), func(cfg *Config) {
-		cfg.Fetch.Breaker = &web.BreakerConfig{Window: 1, MinSamples: 1, Cooldown: time.Hour}
+		cfg.Fetch.BreakerRatio = 0.5
 	})
-	if _, _, err := wb1.QueryString(wideCarQuery); err != nil {
-		t.Fatal(err)
-	}
+	openCircuit(t, wb1, wideCarQuery, sites.NYTimesHost)
 	rdHeal.Activate()
 	wb1.Cache().Clear()
 	for i := 0; i < 2; i++ {
@@ -327,7 +320,7 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 	}
 	rd2.Activate()
 	wb2 := durableCarWebbase(t, dir, rd2, func(cfg *Config) {
-		cfg.Fetch.Breaker = &web.BreakerConfig{Window: 8}
+		cfg.Fetch.BreakerRatio = 0.5
 	})
 	if v, _ := wb2.Registry.MapVersion("newsday"); v != 1 {
 		t.Errorf("corrupt map restored anyway: version %d", v)
@@ -396,7 +389,7 @@ func TestStoreBootGCStaleRecords(t *testing.T) {
 
 	// The breaker tier only restores (and GCs) when a breaker is wired.
 	wb2 := durableCarWebbase(t, dir, sites.BuildWorld().Server, func(cfg *Config) {
-		cfg.Fetch.Breaker = &web.BreakerConfig{Window: 8}
+		cfg.Fetch.BreakerRatio = 0.5
 	})
 	snap := wb2.Metrics().Snapshot()
 	for _, c := range []string{

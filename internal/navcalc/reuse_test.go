@@ -302,12 +302,12 @@ func TestKeptPageScanBuiltOnFirstUseConcurrently(t *testing.T) {
 }
 
 // TestReusedVisitSpendsNothingBelow: a visit served a kept page never
-// reaches the fetch stack, so it spends no retry (or hedge) budget and meets
-// no fetch-start deadline check, even with both exhausted. A visit that
-// does reach the stack still meets them.
+// reaches the fetch stack, so it spends no retry and meets no fetch-start
+// deadline check, even with the deadline budget exhausted. A visit that
+// does reach the stack still meets it.
 func TestReusedVisitSpendsNothingBelow(t *testing.T) {
 	site := newReuseSite()
-	stack := web.WithDeadlineBudget(web.WithRetryPolicy(site, web.Policy{Retries: 1, RetryBudget: 1}, nil), nil)
+	stack := web.WithDeadlineBudget(web.WithRetryPolicy(site, web.Policy{Retries: 1}, nil), nil)
 	q := &web.Query{}
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
@@ -316,7 +316,7 @@ func TestReusedVisitSpendsNothingBelow(t *testing.T) {
 	if _, err := visit(t, ctx, stack, reuseHome); err != nil {
 		t.Fatal(err)
 	}
-	site.fail = reuseHome // the keeping load spends the query's one retry
+	site.fail = reuseHome // the keeping load spends one retry
 	if _, err := visit(t, ctx, stack, reuseHome); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestReusedVisitSpendsNothingBelow(t *testing.T) {
 	}
 	now = now.Add(time.Hour) // the object's deadline budget is spent
 	fetched := site.fetches(reuseHome)
-	site.fail = reuseHome // and a fetch would need a retry the budget no longer has
+	site.fail = reuseHome // and a fetch would need a retry
 	if _, err := visit(t, ctx, stack, reuseHome); err != nil {
 		t.Fatalf("a visit served the kept page failed: %v", err)
 	}

@@ -14,8 +14,9 @@
 // error codes and their statuses — is internal/wire's; this package keeps
 // the policy. Failures map the error taxonomy onto wire's codes: a shed
 // query (admission gate or tenant quota) is 429, an exhausted deadline
-// budget is 504, a malformed or unplannable query is 400, and a
-// strict-mode site outage or drift is 502 — each as a JSON error
+// budget is 504, a malformed or unplannable query is 400, and a query
+// whose every maximal object was lost to a site outage or drift is 502 —
+// each as a JSON error
 // envelope when nothing has streamed yet, or a terminal error event when
 // the failure struck mid-stream.
 //
@@ -291,9 +292,9 @@ var errBodyTooLarge = coded(wire.CodeBodyTooLarge, "server: request body too lar
 var errResumeInconsistent = coded(wire.CodeResumeInconsistent, "server: resume token does not match the current web state")
 
 // errorBody names the wire code for a failure; the status rides along
-// from wire's table. Order matters — a strict-mode budget error is
-// classified both budget-exhausted and outage, and the deadline (the
-// caller's economics) must win over the outage (the site's fault).
+// from wire's table. Order matters — a budget error is classified both
+// budget-exhausted and outage, and the deadline (the caller's economics)
+// must win over the outage (the site's fault).
 func errorBody(rid string, err error) wire.ErrorBody {
 	code := wire.CodeInternal
 	var ce *codedError

@@ -286,15 +286,19 @@ func downNewsday() web.Fetcher {
 	})
 }
 
-// slowClassifieds delays both classifieds hosts so a Config.Fetch.Deadline
-// budget expires mid-object.
-func slowClassifieds(delay time.Duration) web.Fetcher {
-	world := sites.BuildWorld()
-	slow := map[string]bool{sites.NewsdayHost: true, sites.NYTimesHost: true}
+// deadWeb refuses every fetch: every maximal object is unavailable.
+func deadWeb() web.Fetcher {
 	return web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		if slow[web.HostOf(req.URL)] {
-			time.Sleep(delay)
-		}
+		return nil, fmt.Errorf("host %s: connection refused", web.HostOf(req.URL))
+	})
+}
+
+// slowWeb delays every fetch, so a shorter Config.Fetch.Deadline budget
+// expires in every maximal object.
+func slowWeb(delay time.Duration) web.Fetcher {
+	world := sites.BuildWorld()
+	return web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		time.Sleep(delay)
 		return world.Server.Fetch(req)
 	})
 }
@@ -336,11 +340,13 @@ func TestStatusCodeMapping(t *testing.T) {
 			body: "SELECT Make WHERE " + strings.Repeat("x", 64), status: 413, code: "body-too-large"},
 		{name: "unknown-key", scfg: Config{Tenants: []Tenant{{Key: "k", Name: "alice"}}},
 			key: "wrong", body: carQuery, status: 401, code: "unauthorized"},
-		{name: "strict-outage", cfg: core.Config{Fetcher: downNewsday(), Strict: true},
-			body: carQuery, status: 502, code: "site-outage"},
-		{name: "strict-deadline",
-			cfg:  core.Config{Fetcher: slowClassifieds(400 * time.Millisecond), Strict: true, Fetch: web.Policy{Deadline: 100 * time.Millisecond}},
-			body: carQuery, status: 504, code: "deadline"},
+		// An ORDER BY answer is delivered whole, so a query whose every
+		// object fails is refused before the stream commits.
+		{name: "every-object-down", cfg: core.Config{Fetcher: deadWeb()},
+			body: carQuery + " ORDER BY Price", status: 502, code: "site-outage"},
+		{name: "every-object-over-budget",
+			cfg:  core.Config{Fetcher: slowWeb(400 * time.Millisecond), Fetch: web.Policy{Deadline: 100 * time.Millisecond}},
+			body: carQuery + " ORDER BY Price", status: 504, code: "deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -353,6 +359,28 @@ func TestStatusCodeMapping(t *testing.T) {
 				t.Errorf("code = %q, want %q (message: %s)", got.Code, tc.code, got.Message)
 			}
 		})
+	}
+}
+
+// TestEveryObjectDownEndsStream: a streaming query whose every object
+// fails has already committed its stream with each object's degradation,
+// so the failure arrives as the terminal error event, coded site-outage.
+func TestEveryObjectDownEndsStream(t *testing.T) {
+	ts, _ := newCarServer(t, core.Config{Fetcher: deadWeb()}, Config{})
+	resp := postQuery(t, ts.URL, "", carQuery)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want the committed stream's 200", resp.StatusCode)
+	}
+	lines := decodeLines(t, resp.Body)
+	for _, l := range lines[1 : len(lines)-1] {
+		if l["event"] != wire.KindUnavailable || l["failure"] == nil {
+			t.Errorf("line %v, want a degraded object's delivery", l)
+		}
+	}
+	last := lines[len(lines)-1]
+	body, _ := last["error"].(map[string]any)
+	if last["event"] != "error" || body["code"] != wire.CodeSiteOutage || body["status"] != float64(http.StatusBadGateway) {
+		t.Errorf("stream ended with %v, want a site-outage error event", last)
 	}
 }
 
@@ -444,7 +472,7 @@ func TestMidStreamOutageTrailer(t *testing.T) {
 	ts, _ := newCarServer(t, core.Config{Fetcher: downNewsday(), Workers: 1}, Config{})
 	resp := postQuery(t, ts.URL, "", carQuery)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (non-strict degradation)", resp.StatusCode)
+		t.Fatalf("status = %d, want 200 (degradation)", resp.StatusCode)
 	}
 	lines := decodeLines(t, resp.Body)
 	events := make([]string, len(lines))

@@ -219,43 +219,6 @@ func TestEvalDriftDegradesWithKind(t *testing.T) {
 	}
 }
 
-// TestEvalStrictFailsFastOnDrift: strict mode refuses drift-degraded
-// answers the same way it refuses outage-degraded ones, and the error
-// keeps the drift classification for the caller's health tracking.
-func TestEvalStrictFailsFastOnDrift(t *testing.T) {
-	s, mem := miniTwoObjectWorld()
-	cat := &driftCatalog{MemCatalog: mem, drifted: map[string]string{"b": "b.example"}}
-	_, err := s.EvalStream(context.Background(), Query{Output: []string{"K", "V"}}, cat, nil, true)
-	if err == nil {
-		t.Fatal("strict eval succeeded over a drifted site")
-	}
-	if !web.IsDrift(err) {
-		t.Errorf("strict drift failure not classified: %v", err)
-	}
-	if web.FailingHost(err) != "b.example" {
-		t.Errorf("strict failure host = %q", web.FailingHost(err))
-	}
-}
-
-// TestEvalStrictFailsFast: strict mode turns the same partial outage
-// into a whole-query failure carrying the taxonomized per-site error.
-func TestEvalStrictFailsFast(t *testing.T) {
-	s, mem := miniTwoObjectWorld()
-	cat := &downCatalog{MemCatalog: mem, down: map[string]string{"b": "b.example"}}
-	q := Query{Output: []string{"K", "V"}}
-
-	_, err := s.EvalStream(context.Background(), q, cat, nil, true)
-	if err == nil {
-		t.Fatal("strict eval succeeded over a dead site")
-	}
-	if !web.IsOutage(err) {
-		t.Errorf("strict failure not classified: %v", err)
-	}
-	if web.FailingHost(err) != "b.example" {
-		t.Errorf("strict failure host = %q", web.FailingHost(err))
-	}
-}
-
 // TestEvalCancellationIsNotDegradation: a canceled context aborts the
 // query; it must never be recorded as a site failure.
 func TestEvalCancellationIsNotDegradation(t *testing.T) {

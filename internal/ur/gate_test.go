@@ -26,7 +26,7 @@ func keyRel(keys ...string) *relation.Relation {
 // limitGate is a sinkless gate over n anonymous objects, armed the way
 // EvalStream arms it: with the prune state's LIMIT.
 func limitGate(n int, st *prune.State) *streamGate {
-	return newStreamGate(nil, &Plan{Objects: make([]PlanObject, n)}, false, st.Limit())
+	return newStreamGate(nil, &Plan{Objects: make([]PlanObject, n)}, st.Limit())
 }
 
 // TestStreamGateLimitPrefix: the LIMIT early-exit counts the distinct
@@ -117,7 +117,7 @@ func TestStreamDeliveriesAreTheAnswer(t *testing.T) {
 	s, cat := overlapWorld(3)
 	var got []ObjectDelivery
 	res, err := s.EvalStream(context.Background(), Query{Output: []string{"K", "V"}}, cat,
-		func(d ObjectDelivery) { got = append(got, d) }, false)
+		func(d ObjectDelivery) { got = append(got, d) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestStreamSinkAllocs(t *testing.T) {
 	q := Query{Output: []string{"K", "V"}}
 	run := func(sink ObjectSink) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := s.EvalStream(context.Background(), q, cat, sink, false); err != nil {
+			if _, err := s.EvalStream(context.Background(), q, cat, sink); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -228,7 +228,7 @@ func TestStreamCancelBeforeLaterObjects(t *testing.T) {
 					sink = func(d ObjectDelivery) { got = append(got, d) }
 				}
 				ctx = algebra.WithPool(ctx, algebra.NewPool(workers))
-				res, err := s.EvalStream(ctx, Query{Output: []string{"K", "V"}}, cat, sink, false)
+				res, err := s.EvalStream(ctx, Query{Output: []string{"K", "V"}}, cat, sink)
 				if res != nil || !errors.Is(err, context.Canceled) {
 					t.Fatalf("res = %v, err = %v; want nil and context.Canceled", res, err)
 				}

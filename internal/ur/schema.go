@@ -456,7 +456,7 @@ func (s *Schema) Eval(q Query, cat algebra.Catalog) (*Result, error) {
 // fetches made — are the same regardless of scheduling. Cancelling ctx stops further page fetches and
 // surfaces ctx.Err().
 func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) (*Result, error) {
-	return s.EvalStream(ctx, q, cat, nil, false)
+	return s.EvalStream(ctx, q, cat, nil)
 }
 
 // EvalStream is EvalContext with incremental per-object delivery: as
@@ -467,10 +467,10 @@ func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) 
 // sequence, in order. Queries with ORDER BY or LIMIT cannot stream
 // incrementally — the answer is not final until every object has
 // reported — so they emit a single terminal Buffered delivery instead.
-// A nil sink only assembles the Result. With strict set, the first site
-// outage or drift fails the query (the taxonomized error is returned)
-// instead of degrading it to the surviving maximal objects.
-func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink, strict bool) (*Result, error) {
+// A nil sink only assembles the Result. A site outage or drift degrades
+// only the objects that depend on the site; a query none of whose objects
+// answered fails, wrapping the first outage.
+func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink) (*Result, error) {
 	plan, err := s.Plan(q)
 	if err != nil {
 		return nil, err
@@ -486,7 +486,7 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 	if buffered {
 		perObject = nil // the one terminal delivery is made below
 	}
-	gate := newStreamGate(perObject, plan, strict, pst.Limit())
+	gate := newStreamGate(perObject, plan, pst.Limit())
 	// A relation several objects read is populated once per distinct
 	// inputs for the whole query (sharedCatalog); a plan whose objects
 	// read disjoint relations reads the catalog directly.

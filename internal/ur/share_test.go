@@ -152,7 +152,7 @@ func TestSharedFailureIsNotKept(t *testing.T) {
 			host = d.Failure.Host
 		}
 		got = append(got, outcome(d.Tuples, host))
-	}, false)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestSharedConcurrentReaders(t *testing.T) {
 		s, mem := bookWorld(n)
 		inner := &recordingCatalog{MemCatalog: mem}
 		ctx := algebra.WithPool(context.Background(), algebra.NewPool(n))
-		res, err := s.EvalStream(ctx, jaguarQuery("Make", "Price", "BBPrice"), inner, nil, false)
+		res, err := s.EvalStream(ctx, jaguarQuery("Make", "Price", "BBPrice"), inner, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestSharedNothingWithoutSharedRelation(t *testing.T) {
 		}
 	}
 	through := &recordingCatalog{MemCatalog: mem}
-	if _, err := s.EvalStream(context.Background(), q, through, nil, false); err != nil {
+	if _, err := s.EvalStream(context.Background(), q, through, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(through.calls, alone.calls) {

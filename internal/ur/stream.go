@@ -46,7 +46,7 @@ type ObjectDelivery struct {
 	// (which copies), but do not write its elements.
 	Tuples []relation.Tuple
 	// Failure is non-nil when the object degraded out of the answer
-	// (site outage or drift under non-strict evaluation).
+	// (site outage or drift).
 	Failure *SiteFailure
 	// Skipped is non-empty when the object was skipped on binding
 	// grounds; it carries the same rendering as Result.Skipped.
@@ -72,9 +72,8 @@ type ObjectSink func(ObjectDelivery)
 // union (first occurrence wins), anything else is fatal and ends the
 // merge. Each step is mirrored to the sink when there is one.
 type streamGate struct {
-	sink   ObjectSink // nil: merge only
-	strict bool
-	limit  int // LIMIT of the armed cardinality early-exit, else 0
+	sink  ObjectSink // nil: merge only
+	limit int        // LIMIT of the armed cardinality early-exit, else 0
 
 	mu          sync.Mutex
 	next        int          // next plan index to merge
@@ -90,13 +89,12 @@ type gateEntry struct {
 	err error
 }
 
-func newStreamGate(sink ObjectSink, plan *Plan, strict bool, limit int) *streamGate {
+func newStreamGate(sink ObjectSink, plan *Plan, limit int) *streamGate {
 	return &streamGate{
-		sink:   sink,
-		strict: strict,
-		limit:  limit,
-		ready:  make([]*gateEntry, len(plan.Objects)),
-		res:    &Result{Plan: plan},
+		sink:  sink,
+		limit: limit,
+		ready: make([]*gateEntry, len(plan.Objects)),
+		res:   &Result{Plan: plan},
 	}
 }
 
@@ -148,13 +146,12 @@ func (g *streamGate) merge(i int, e *gateEntry) {
 	case isBindingFailure(e.err):
 		d.Skipped = fmt.Sprintf("{%s}: %v", strings.Join(obj.Relations, ", "), e.err)
 		g.res.Skipped = append(g.res.Skipped, d.Skipped)
-	case (web.IsOutage(e.err) || web.IsDrift(e.err)) && !g.strict:
+	case web.IsOutage(e.err) || web.IsDrift(e.err):
 		// Graceful degradation: a terminally-failed site (outage class) or
 		// a drifted site (answering, but no longer matching its navigation
 		// map) abandons only the maximal objects that depend on it; the
-		// survivors still answer. Strict mode is whole-query fail-fast.
-		// Cancellation is neither: it is fatal, as an unclassified context
-		// error.
+		// survivors still answer. Cancellation is neither: it is fatal, as
+		// an unclassified context error.
 		kind := FailureOutage
 		if web.IsDrift(e.err) {
 			kind = FailureDrift

@@ -10,52 +10,14 @@ import (
 	"webbase/internal/trace"
 )
 
-// BreakerConfig tunes the per-host circuit breaker. The zero value is
-// usable: every field falls back to the documented default.
-type BreakerConfig struct {
-	// Window is the number of most recent fetch outcomes considered per
-	// host (a ring buffer). Default 8.
-	Window int
-	// FailureRatio opens the circuit when failures/outcomes in the
-	// window reaches this fraction, once MinSamples outcomes have been
-	// seen. Default 0.5.
-	FailureRatio float64
-	// MinSamples is the minimum number of recorded outcomes before the
-	// ratio is evaluated, so one unlucky first fetch cannot open the
-	// circuit. Default: Window.
-	MinSamples int
-	// Cooldown is how long an open circuit rejects fetches before
-	// letting a single probe through (half-open). Default 30s.
-	Cooldown time.Duration
-	// Clock supplies the breaker's notion of time. nil means time.Now;
-	// tests inject a fake clock to step through state transitions
-	// deterministically.
-	Clock func() time.Time
-	// OnChange, when non-nil, is called (outside all breaker locks) after
-	// a circuit trips open or a half-open probe closes it — the durable
-	// store's persist-on-transition hook. It must be safe for concurrent
-	// calls and must not fetch through this breaker.
-	OnChange func(host string, state BreakerState)
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 8
-	}
-	if c.FailureRatio <= 0 || c.FailureRatio > 1 {
-		c.FailureRatio = 0.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = c.Window
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
-	return c
-}
+// A circuit weighs the last breakerWindow fetch outcomes of its host, and
+// only once it has seen that many, so one unlucky first fetch cannot open
+// it. An open circuit rejects fetches for breakerCooldown before it lets a
+// single probe through (half-open).
+const (
+	breakerWindow   = 8
+	breakerCooldown = 30 * time.Second
+)
 
 // BreakerState is the classic three-state circuit: closed (traffic
 // flows), open (fail fast), half-open (one probe decides).
@@ -84,7 +46,7 @@ func (s BreakerState) String() string {
 // failure ratio crosses the threshold the circuit opens and fetches to
 // that host are rejected immediately with an Outage-classified
 // ErrCircuitOpen — the fast-fail that keeps one dead site from stalling
-// a whole multi-site query on timeouts. After Cooldown a single probe is
+// a whole multi-site query on timeouts. After the cooldown a single probe is
 // let through (half-open): success closes the circuit, failure re-opens
 // it for another cooldown. A cancelled fetch is no verdict: it records
 // nothing, and a cancelled probe leaves the next fetch to probe.
@@ -93,8 +55,16 @@ func (s BreakerState) String() string {
 // webbase's lifetime, unlike the per-query outage memo): a site that
 // killed the last query starts the next one open.
 type Breaker struct {
+	// OnChange, when non-nil, is called (outside all breaker locks) after
+	// a circuit trips open or a half-open probe closes it — the durable
+	// store's persist-on-transition hook. Set it before the breaker takes
+	// traffic. It must be safe for concurrent calls and must not fetch
+	// through this breaker.
+	OnChange func(host string, state BreakerState)
+
 	inner Fetcher
-	cfg   BreakerConfig
+	ratio float64
+	clock func() time.Time
 	stats *Stats
 
 	mu    sync.Mutex
@@ -104,7 +74,7 @@ type Breaker struct {
 type hostCircuit struct {
 	mu       sync.Mutex
 	state    BreakerState
-	outcomes []bool // ring of recent outcomes; true = failure
+	outcomes [breakerWindow]bool // ring of recent outcomes; true = failure
 	next     int
 	filled   int
 	failures int
@@ -113,10 +83,15 @@ type hostCircuit struct {
 	opens    int64 // lifetime count of transitions to open
 }
 
-// NewBreaker wraps inner with a per-host circuit breaker. Rejections are
-// counted in stats.BreakerRejects (stats may be nil).
-func NewBreaker(inner Fetcher, cfg BreakerConfig, stats *Stats) *Breaker {
-	return &Breaker{inner: inner, cfg: cfg.withDefaults(), stats: stats,
+// NewBreaker wraps inner with a per-host circuit breaker that opens a
+// host's circuit once failures reach ratio of its window. clock (nil means
+// time.Now) times the cooldowns. Rejections are counted in
+// stats.BreakerRejects (stats may be nil).
+func NewBreaker(inner Fetcher, ratio float64, clock func() time.Time, stats *Stats) *Breaker {
+	if clock == nil {
+		clock = time.Now
+	}
+	return &Breaker{inner: inner, ratio: ratio, clock: clock, stats: stats,
 		hosts: make(map[string]*hostCircuit)}
 }
 
@@ -139,7 +114,7 @@ func (b *Breaker) State(host string) BreakerState {
 	defer hc.mu.Unlock()
 	// Surface open→half-open lazily so tests and dashboards see the
 	// state a fetch arriving now would see.
-	if hc.state == BreakerOpen && b.cfg.Clock().Sub(hc.openedAt) >= b.cfg.Cooldown {
+	if hc.state == BreakerOpen && b.clock().Sub(hc.openedAt) >= breakerCooldown {
 		return BreakerHalfOpen
 	}
 	return hc.state
@@ -158,7 +133,7 @@ func (b *Breaker) Opens(host string) int64 {
 func (b *Breaker) Fetch(req *Request) (*Response, error) {
 	host := hostOf(req.URL)
 	hc := b.host(host)
-	ok, probe := hc.allow(b.cfg.Clock(), b.cfg)
+	ok, probe := hc.allow(b.clock())
 	if !ok {
 		statsFor(req.Context(), b.stats).add(breakerRejects, 1)
 		trace.FromContext(req.Context()).Label("outcome", "breaker-open")
@@ -171,8 +146,8 @@ func (b *Breaker) Fetch(req *Request) (*Response, error) {
 		hc.abandon(probe)
 		return resp, err
 	}
-	if changed, state := hc.observe(probe, err != nil, b.cfg.Clock(), b.cfg); changed && b.cfg.OnChange != nil {
-		b.cfg.OnChange(host, state)
+	if changed, state := hc.observe(probe, err != nil, b.clock(), b.ratio); changed && b.OnChange != nil {
+		b.OnChange(host, state)
 	}
 	return resp, err
 }
@@ -234,12 +209,12 @@ func (b *Breaker) Restore(snap map[string]BreakerSnapshot) {
 // allow decides whether a fetch may proceed, and whether it is the
 // half-open probe, and performs the open→half-open transition when the
 // cooldown has elapsed.
-func (hc *hostCircuit) allow(now time.Time, cfg BreakerConfig) (ok, probe bool) {
+func (hc *hostCircuit) allow(now time.Time) (ok, probe bool) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	switch hc.state {
 	case BreakerOpen:
-		if now.Sub(hc.openedAt) < cfg.Cooldown {
+		if now.Sub(hc.openedAt) < breakerCooldown {
 			return false, false
 		}
 		hc.state = BreakerHalfOpen
@@ -274,14 +249,13 @@ func (hc *hostCircuit) abandon(probe bool) {
 // probe's outcome moves it: a fetch admitted while it was closed may
 // answer after the trip, or after the cooldown, and is ignored then — it
 // is no verdict on the probe's question.
-func (hc *hostCircuit) observe(probe, failed bool, now time.Time, cfg BreakerConfig) (bool, BreakerState) {
+func (hc *hostCircuit) observe(probe, failed bool, now time.Time, ratio float64) (bool, BreakerState) {
 	hc.mu.Lock()
 	defer hc.mu.Unlock()
 	switch {
 	case hc.state == BreakerClosed:
-		hc.record(failed, cfg.Window)
-		if hc.filled >= cfg.MinSamples &&
-			float64(hc.failures) >= cfg.FailureRatio*float64(hc.filled) {
+		hc.record(failed)
+		if hc.filled == breakerWindow && float64(hc.failures) >= ratio*breakerWindow {
 			hc.trip(now)
 			return true, BreakerOpen
 		}
@@ -307,16 +281,11 @@ func (hc *hostCircuit) trip(now time.Time) {
 }
 
 func (hc *hostCircuit) reset() {
-	hc.outcomes = nil
 	hc.next, hc.filled, hc.failures = 0, 0, 0
 }
 
-func (hc *hostCircuit) record(failed bool, window int) {
-	if len(hc.outcomes) != window {
-		hc.outcomes = make([]bool, window)
-		hc.next, hc.filled, hc.failures = 0, 0, 0
-	}
-	if hc.filled == window {
+func (hc *hostCircuit) record(failed bool) {
+	if hc.filled == breakerWindow {
 		if hc.outcomes[hc.next] {
 			hc.failures--
 		}
@@ -327,5 +296,5 @@ func (hc *hostCircuit) record(failed bool, window int) {
 	if failed {
 		hc.failures++
 	}
-	hc.next = (hc.next + 1) % window
+	hc.next = (hc.next + 1) % breakerWindow
 }

@@ -28,14 +28,12 @@ func failingFetcher() Fetcher {
 func TestBreakerSnapshotRestore(t *testing.T) {
 	now := time.Unix(50_000, 0)
 	clock := func() time.Time { return now }
-	cfg := BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Hour, Clock: clock}
-
 	var changes []string
-	cfg.OnChange = func(host string, state BreakerState) {
+	br := NewBreaker(failingFetcher(), 0.5, clock, nil)
+	br.OnChange = func(host string, state BreakerState) {
 		changes = append(changes, host+":"+state.String())
 	}
-	br := NewBreaker(failingFetcher(), cfg, nil)
-	tripBreaker(t, br, "dead.test", 2)
+	tripBreaker(t, br, "dead.test", breakerWindow)
 	br.Fetch(NewGet(context.Background(), "http://alive.test/p")) // one failure: still closed
 
 	if len(changes) != 1 || changes[0] != "dead.test:open" {
@@ -63,7 +61,7 @@ func TestBreakerSnapshotRestore(t *testing.T) {
 	br2 := NewBreaker(FetcherFunc(func(req *Request) (*Response, error) {
 		calls++
 		return HTML(req.URL, "ok"), nil
-	}), cfg, nil)
+	}), 0.5, clock, nil)
 	br2.Restore(decoded)
 	if br2.State("dead.test") != BreakerOpen {
 		t.Fatalf("restored state = %v, want open", br2.State("dead.test"))
@@ -88,11 +86,9 @@ func TestBreakerSnapshotRestore(t *testing.T) {
 // after restart is a half-open probe — persistence never delays recovery.
 func TestBreakerRestoreElapsedCooldown(t *testing.T) {
 	now := time.Unix(50_000, 0)
-	cfg := BreakerConfig{Window: 2, MinSamples: 2, Cooldown: time.Minute,
-		Clock: func() time.Time { return now }}
 	br := NewBreaker(FetcherFunc(func(req *Request) (*Response, error) {
 		return HTML(req.URL, "recovered"), nil
-	}), cfg, nil)
+	}), 0.5, func() time.Time { return now }, nil)
 	br.Restore(map[string]BreakerSnapshot{
 		"dead.test": {State: "open", OpenedAt: now.Add(-time.Hour), Opens: 3},
 	})
@@ -108,10 +104,9 @@ func TestBreakerRestoreElapsedCooldown(t *testing.T) {
 // TestBreakerRestoreIsIgnoredOnLiveCircuit: restore never clobbers a
 // circuit that has already seen traffic, and garbage states are ignored.
 func TestBreakerRestoreIsIgnoredOnLiveCircuit(t *testing.T) {
-	cfg := BreakerConfig{Window: 4, MinSamples: 4}
 	br := NewBreaker(FetcherFunc(func(req *Request) (*Response, error) {
 		return HTML(req.URL, "ok"), nil
-	}), cfg, nil)
+	}), 0.5, nil, nil)
 	if _, err := br.Fetch(NewGet(context.Background(), "http://live.test/p")); err != nil {
 		t.Fatal(err)
 	}

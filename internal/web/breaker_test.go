@@ -39,14 +39,11 @@ func TestBreakerTransitions(t *testing.T) {
 	inner := &switchFetcher{}
 	clk := newTick()
 	stats := &Stats{}
-	br := NewBreaker(inner, BreakerConfig{
-		Window: 4, MinSamples: 4, FailureRatio: 0.5,
-		Cooldown: 10 * time.Second, Clock: clk.Clock(),
-	}, stats)
+	br := NewBreaker(inner, 0.5, clk.Clock(), stats)
 	const url = "http://h/x"
 
 	// Closed: healthy traffic flows and keeps the circuit closed.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < breakerWindow+2; i++ {
 		if _, err := br.Fetch(NewGet(context.Background(), url)); err != nil {
 			t.Fatalf("healthy fetch %d: %v", i, err)
 		}
@@ -55,11 +52,14 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("state after healthy traffic = %v", st)
 	}
 
-	// The window holds the 4 most recent outcomes (all successes). Two
-	// failures push the ratio to 2/4 = 0.5 ≥ threshold: the circuit
-	// opens on exactly the second failure.
+	// The window holds the 8 most recent outcomes (all successes). Four
+	// failures push the ratio to 4/8 = 0.5 ≥ threshold: the circuit
+	// opens on exactly the fourth failure.
 	inner.down.Store(true)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerWindow/2; i++ {
+		if st := br.State("h"); st != BreakerClosed {
+			t.Fatalf("state before failure %d = %v, want closed", i, st)
+		}
 		if _, err := br.Fetch(NewGet(context.Background(), url)); err == nil {
 			t.Fatalf("failing fetch %d unexpectedly succeeded", i)
 		}
@@ -93,7 +93,7 @@ func TestBreakerTransitions(t *testing.T) {
 
 	// Half-open after cooldown: the site is still down, so the probe
 	// fails and the circuit re-opens for another cooldown.
-	clk.Advance(10 * time.Second)
+	clk.Advance(breakerCooldown)
 	if st := br.State("h"); st != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", st)
 	}
@@ -109,7 +109,7 @@ func TestBreakerTransitions(t *testing.T) {
 
 	// Second cooldown; the site has recovered, so the probe succeeds and
 	// the circuit closes.
-	clk.Advance(10 * time.Second)
+	clk.Advance(breakerCooldown)
 	inner.down.Store(false)
 	if _, err := br.Fetch(NewGet(context.Background(), url)); err != nil {
 		t.Fatalf("recovering probe failed: %v", err)
@@ -133,11 +133,8 @@ func TestBreakerPerHostIsolation(t *testing.T) {
 		}
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
 	})
-	br := NewBreaker(inner, BreakerConfig{
-		Window: 2, MinSamples: 2, FailureRatio: 0.5,
-		Cooldown: time.Hour, Clock: clk.Clock(),
-	}, nil)
-	for i := 0; i < 3; i++ {
+	br := NewBreaker(inner, 0.5, clk.Clock(), nil)
+	for i := 0; i < breakerWindow; i++ {
 		br.Fetch(NewGet(context.Background(), "http://dead/x"))
 		if _, err := br.Fetch(NewGet(context.Background(), "http://alive/x")); err != nil {
 			t.Fatalf("alive host affected: %v", err)
@@ -162,15 +159,12 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		<-release
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
 	})
-	br := NewBreaker(inner, BreakerConfig{
-		Window: 1, MinSamples: 1, FailureRatio: 0.5,
-		Cooldown: time.Second, Clock: clk.Clock(),
-	}, nil)
+	br := NewBreaker(inner, 0.5, clk.Clock(), nil)
 	// Trip the host's circuit directly (white-box): the transition
 	// mechanics are covered by TestBreakerTransitions.
 	br.host("h").trip(clk.Now())
 
-	clk.Advance(time.Second)
+	clk.Advance(breakerCooldown)
 	done := make(chan error, 1)
 	go func() {
 		_, err := br.Fetch(NewGet(context.Background(), "http://h/probe"))
@@ -196,11 +190,8 @@ func TestBreakerIgnoresCancellation(t *testing.T) {
 	inner := FetcherFunc(func(req *Request) (*Response, error) {
 		return nil, context.Canceled
 	})
-	br := NewBreaker(inner, BreakerConfig{
-		Window: 2, MinSamples: 2, FailureRatio: 0.5,
-		Cooldown: time.Hour, Clock: clk.Clock(),
-	}, nil)
-	for i := 0; i < 10; i++ {
+	br := NewBreaker(inner, 0.5, clk.Clock(), nil)
+	for i := 0; i < 2*breakerWindow; i++ {
 		br.Fetch(NewGet(context.Background(), "http://h/x"))
 	}
 	if st := br.State("h"); st != BreakerClosed {
@@ -220,19 +211,16 @@ func TestBreakerCancelledProbeIsNoVerdict(t *testing.T) {
 			return nil, err
 		}
 		return inner.Fetch(req)
-	}), BreakerConfig{
-		Window: 4, MinSamples: 4, FailureRatio: 0.5,
-		Cooldown: 10 * time.Second, Clock: clk.Clock(),
-	}, nil)
+	}), 0.5, clk.Clock(), nil)
 	const url = "http://h/x"
-	for i := 0; i < 4; i++ {
+	for i := 0; i < breakerWindow; i++ {
 		br.Fetch(NewGet(context.Background(), url))
 	}
 	if st := br.State("h"); st != BreakerOpen {
 		t.Fatalf("state after failures = %v, want open", st)
 	}
 
-	clk.Advance(10 * time.Second)
+	clk.Advance(breakerCooldown)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := br.Fetch(NewGet(ctx, url)); !errors.Is(err, context.Canceled) {
@@ -282,10 +270,7 @@ func TestBreakerLateFetchDoesNotDecideHalfOpen(t *testing.T) {
 			return nil, errors.New("connection refused")
 		}
 		return HTML(req.URL, "<html><body>ok</body></html>"), nil
-	}), BreakerConfig{
-		Window: 4, MinSamples: 4, FailureRatio: 0.5,
-		Cooldown: 10 * time.Second, Clock: clk.Clock(),
-	}, nil)
+	}), 0.5, clk.Clock(), nil)
 
 	lateDone := make(chan error, 1)
 	go func() {
@@ -295,14 +280,14 @@ func TestBreakerLateFetchDoesNotDecideHalfOpen(t *testing.T) {
 	<-lateIn // admitted while closed, still in flight
 
 	down.Store(true)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < breakerWindow; i++ {
 		br.Fetch(NewGet(context.Background(), "http://h/x"))
 	}
 	if st := br.State("h"); st != BreakerOpen {
 		t.Fatalf("state after failures = %v, want open", st)
 	}
 
-	clk.Advance(10 * time.Second)
+	clk.Advance(breakerCooldown)
 	probeDone := make(chan error, 1)
 	go func() {
 		_, err := br.Fetch(NewGet(context.Background(), "http://h/probe"))

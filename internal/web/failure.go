@@ -65,10 +65,10 @@ func (f *Flaky) Attempts() uint64 { return f.seq.Load() }
 // Backoff spaces re-issued attempts exponentially: the n-th retry waits
 // roughly Base·2ⁿ⁻¹, capped at Max, with deterministic per-request jitter
 // — the final delay lands in [d/2, d] at a point chosen by hashing
-// (attempt, request), so concurrent retries against one host decorrelate
-// without introducing real randomness (runs stay reproducible). It is the
-// one jitter: fetch retries key it by URL, the client's reconnects by
-// request ID. The zero value disables waiting entirely.
+// (attempt, request), so concurrent retries decorrelate without
+// introducing real randomness (runs stay reproducible). The client keys
+// its reconnects' jitter by request ID. The zero value disables waiting
+// entirely.
 type Backoff struct {
 	Base time.Duration // first retry's nominal delay; 0 disables backoff
 	Max  time.Duration // cap on the exponential growth; 0 = uncapped
@@ -76,9 +76,9 @@ type Backoff struct {
 
 // Nominal is the n-th delay (n counts from 1) before jitter: Base·2ⁿ⁻¹,
 // capped at Max, and with no cap saturating instead of overflowing. It
-// is the one place a capped doubling is computed — retries here, the
-// client's reconnects and endpoint benches, and the health tracker's
-// repair and recovery waits all space themselves by it.
+// is the one place a capped doubling is computed — the client's
+// reconnects and endpoint benches and the health tracker's repair and
+// recovery waits all space themselves by it.
 func (b Backoff) Nominal(n int) time.Duration {
 	if b.Base <= 0 || n <= 0 {
 		return 0
@@ -109,42 +109,20 @@ func (b Backoff) Delay(id string, retry int) time.Duration {
 	return d
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// WithRetryPolicy wraps inner so that failed fetches are retried with
-// exponential backoff. Retrying is safe: webbase navigation only performs
-// idempotent reads (the paper's system never updates the sites it
-// queries). Non-success status codes are returned as-is — they are the
+// WithRetryPolicy wraps inner so that a failed fetch is re-attempted at
+// once, up to p.Retries times. Retrying is safe: webbase navigation only
+// performs idempotent reads (the paper's system never updates the sites
+// it queries). Non-success status codes are returned as-is — they are the
 // site's answer, not a transport failure.
 //
 // The request's context is honored between attempts: a cancelled context
-// aborts the loop (and any backoff wait) immediately, returning the
-// context's error unclassified rather than burning the remaining
-// retries. p.Retries re-attempts follow a failed fetch, spaced by
-// p.Backoff. p.RetryBudget caps the total re-issues the query on the
-// context may spend across all its fetches; when it runs dry the fetch
-// fails over to the terminal path without further attempts. Terminal
-// failures — retries exhausted, budget dry — are classified as an Outage
-// and attributed to the host (HostError), which is what lets the UR layer
-// degrade around the dead site. Re-issued attempts accumulate on the
-// query's bill or in stats (which may be nil) and on the request's trace
-// span.
+// aborts the loop immediately, returning the context's error unclassified
+// rather than burning the remaining retries. A terminal failure — every
+// attempt failed — is classified as an Outage and attributed to the host
+// (HostError), which is what lets the UR layer degrade around the dead
+// site. Re-issued attempts accumulate on the query's bill or in stats
+// (which may be nil) and on the request's trace span.
 func WithRetryPolicy(inner Fetcher, p Policy, stats *Stats) Fetcher {
-	return withRetry(inner, p, stats, sleepCtx)
-}
-
-// withRetry is WithRetryPolicy waiting out each backoff with sleep, which
-// must return early with ctx.Err() when the context is cancelled mid-wait.
-func withRetry(inner Fetcher, p Policy, stats *Stats, sleep func(ctx context.Context, d time.Duration) error) Fetcher {
 	return FetcherFunc(func(req *Request) (*Response, error) {
 		ctx := req.Context()
 		var lastErr error
@@ -165,16 +143,8 @@ func withRetry(inner Fetcher, p Policy, stats *Stats, sleep func(ctx context.Con
 			if attempt == p.Retries {
 				break
 			}
-			if !spend(ctx, stats, retries, p.RetryBudget) {
-				trace.FromContext(ctx).Label("retry-budget", "exhausted")
-				break
-			}
+			statsFor(ctx, stats).add(retries, 1)
 			trace.FromContext(ctx).Label("attempts", strconv.Itoa(attempt+2))
-			if d := p.Backoff.Delay(req.URL, attempt+1); d > 0 {
-				if err := sleep(ctx, d); err != nil {
-					return nil, err
-				}
-			}
 		}
 		return nil, MarkOutage(&HostError{Host: hostOf(req.URL),
 			Err: fmt.Errorf("web: %d attempts failed: %w", attempts, lastErr)})

@@ -302,79 +302,6 @@ func TestBackoffNominal(t *testing.T) {
 	}
 }
 
-// TestWithRetryPolicyBackoffWaits: the policy must sleep between
-// attempts with the configured schedule and honor cancellation during
-// the wait.
-func TestWithRetryPolicyBackoffWaits(t *testing.T) {
-	var slept []time.Duration
-	always := FetcherFunc(func(req *Request) (*Response, error) {
-		return nil, ErrSimulatedOutage
-	})
-	p := Policy{Retries: 3, Backoff: Backoff{Base: 10 * time.Millisecond}}
-	withRetry(always, p, nil, func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}).Fetch(NewGet(context.Background(), "http://h/x"))
-	if len(slept) != 3 {
-		t.Fatalf("slept %d times, want 3", len(slept))
-	}
-	for i, d := range slept {
-		full := p.Backoff.Base << uint(i)
-		if d < full/2 || d > full {
-			t.Errorf("sleep %d = %v outside [%v, %v]", i, d, full/2, full)
-		}
-	}
-
-	// A cancellation surfaced by the sleep aborts the loop.
-	var calls atomic.Int64
-	counting := FetcherFunc(func(req *Request) (*Response, error) {
-		calls.Add(1)
-		return nil, ErrSimulatedOutage
-	})
-	cancelled := func(ctx context.Context, d time.Duration) error { return context.Canceled }
-	_, err := withRetry(counting, p, nil, cancelled).Fetch(NewGet(context.Background(), "http://h/x"))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("attempts = %d, want 1 (abort during first backoff)", calls.Load())
-	}
-}
-
-// TestRetryBudget: the policy's per-query budget caps total re-issues
-// across requests sharing the query; a fetch with no query on its
-// context is not capped.
-func TestRetryBudget(t *testing.T) {
-	var calls atomic.Int64
-	always := FetcherFunc(func(req *Request) (*Response, error) {
-		calls.Add(1)
-		return nil, ErrSimulatedOutage
-	})
-	f := WithRetryPolicy(always, Policy{Retries: 10, RetryBudget: 3}, nil)
-	ctx := WithQuery(context.Background(), &Query{})
-
-	_, err := f.Fetch(NewGet(ctx, "http://h/a"))
-	if !IsOutage(err) {
-		t.Fatalf("err = %v", err)
-	}
-	// First request: initial attempt + 3 budgeted re-issues.
-	if calls.Load() != 4 {
-		t.Fatalf("attempts = %d, want 4 (budget of 3 re-issues)", calls.Load())
-	}
-	// Budget is shared and now dry: the next request gets one attempt.
-	calls.Store(0)
-	f.Fetch(NewGet(ctx, "http://h/b"))
-	if calls.Load() != 1 {
-		t.Fatalf("attempts with dry budget = %d, want 1", calls.Load())
-	}
-	// No query on the context: all retries run.
-	calls.Store(0)
-	f.Fetch(NewGet(context.Background(), "http://h/c"))
-	if calls.Load() != 11 {
-		t.Fatalf("attempts without budget = %d, want 11", calls.Load())
-	}
-}
-
 // TestOutageMemoReplays: a terminal failure is decided once per request
 // key and replayed for later fetches without touching the network; other
 // keys are unaffected, and other queries (other memos) start fresh.

@@ -25,8 +25,8 @@ import (
 // after the fetch has returned: if it lands after the query's owner has
 // folded the bill (Stats.Add), its page is counted nowhere.
 type Query struct {
-	// Stats is the query's bill. Its Retries and Hedges are what the
-	// query has spent of Policy.RetryBudget and Policy.HedgeBudget.
+	// Stats is the query's bill. Its Hedges are what the query has spent
+	// of Policy.HedgeBudget.
 	Stats Stats
 	// Deadline is the time budget of each maximal object (NewBudget) on
 	// Clock (nil means time.Now); 0 disables budgets.
@@ -100,7 +100,7 @@ func statsFor(ctx context.Context, fallback *Stats) *Stats {
 	return fallback
 }
 
-// spend bills one retry or hedge (c) to the query on ctx and reports true
+// spend bills one hedge (c) to the query on ctx and reports true
 // — unless that query has already spent limit of them (0 is unlimited),
 // when it bills nothing and reports false. Without a query it counts into
 // fallback, unlimited.

@@ -11,16 +11,10 @@ const DefaultHostLimit = 4
 // breaker and no deadline budget, caps each host at DefaultHostLimit with
 // an unbounded queue, and caches pages that never expire.
 type Policy struct {
-	// Retries re-attempts failed page fetches (transport errors only;
-	// webbase navigation is read-only, so retrying is safe). 0 disables.
+	// Retries re-attempts failed page fetches at once (transport errors
+	// only; webbase navigation is read-only, so retrying is safe). 0
+	// disables.
 	Retries int
-	// Backoff spaces re-issued retry attempts exponentially with
-	// deterministic per-URL jitter. The zero value retries immediately.
-	Backoff Backoff
-	// RetryBudget caps the total re-issued attempts any single query may
-	// spend across all of its fetches, so a query over many flaky sites
-	// cannot multiply its own page count unboundedly. 0 = unlimited.
-	RetryBudget int64
 	// HostLimit caps concurrent fetches per site — the politeness bound
 	// that keeps wide parallel evaluation from hammering one host. 0
 	// applies DefaultHostLimit; negative disables the cap.
@@ -38,13 +32,14 @@ type Policy struct {
 	// wait for their primary attempt instead of doubling load. 0 =
 	// unlimited (every eligible fetch may hedge).
 	HedgeBudget int64
-	// Breaker, when non-nil, installs the per-host circuit breaker with
-	// this configuration (its Clock defaults to the stack's). nil disables
-	// the breaker. Breaker verdicts depend on fetch completion order, so
-	// under partial failure a breaker-enabled webbase trades the
+	// BreakerRatio, when positive, installs the per-host circuit breaker
+	// on the stack's clock: a host's circuit opens once failures reach
+	// this fraction (at most 1) of its last eight fetch outcomes. 0
+	// disables the breaker. Breaker verdicts depend on fetch completion
+	// order, so under partial failure a breaker-enabled webbase trades the
 	// byte-identical-across-workers guarantee for fast-fail; with the
 	// breaker off, degraded answers stay schedule-independent.
-	Breaker *BreakerConfig
+	BreakerRatio float64
 	// Deadline is the per-maximal-object time budget: once an object has
 	// run this long, no new fetch or dependent-join invocation starts on
 	// its behalf and the object degrades out of the answer exactly like
@@ -72,7 +67,8 @@ type Stack struct {
 	// Cache is the page cache: Section 7 observes that caching is needed
 	// for acceptable response times, so every stack has one.
 	Cache *Cache
-	// Breaker is the per-host circuit breaker; nil unless Policy.Breaker.
+	// Breaker is the per-host circuit breaker; nil unless
+	// Policy.BreakerRatio is positive.
 	Breaker *Breaker
 	// Stats counts the fetches no query owns and receives each finished
 	// query's bill (Stats.Add); PeakInFlight and PerHost live only here.
@@ -112,8 +108,8 @@ type Stack struct {
 // are classified as outages and attributed to their host.
 //
 // A zero latency model adds no latency layer. clock (nil means time.Now)
-// stamps cache entries, drives the breaker unless its config names a
-// clock, and times each query's deadline budgets. tier, when non-nil, is
+// stamps cache entries, drives the breaker, and times each query's
+// deadline budgets. tier, when non-nil, is
 // the cache's lower tier.
 func NewStack(raw Fetcher, latency LatencyModel, clock func() time.Time, tier CacheTier, p Policy) *Stack {
 	s := &Stack{Stats: &Stats{}, deadline: p.Deadline, clock: clock}
@@ -128,12 +124,8 @@ func NewStack(raw Fetcher, latency LatencyModel, clock func() time.Time, tier Ca
 	f = WithBulkhead(f, hostLimit, p.HostQueue, s.Stats)
 	s.Repair = f
 	f = WithHedge(f, p, s.Stats)
-	if p.Breaker != nil {
-		bc := *p.Breaker
-		if bc.Clock == nil {
-			bc.Clock = clock
-		}
-		s.Breaker = NewBreaker(f, bc, s.Stats)
+	if p.BreakerRatio > 0 {
+		s.Breaker = NewBreaker(f, p.BreakerRatio, clock, s.Stats)
 		f = s.Breaker
 	}
 	f = WithOutageMemo(f)

@@ -16,11 +16,11 @@ import (
 // layers on (none of them fires in these workloads) and a host limit of 2.
 func buildStack(raw Fetcher, retries int) *Stack {
 	return NewStack(raw, LatencyModel{}, newTick().Clock(), nil, Policy{
-		Retries:    retries,
-		HostLimit:  2,
-		HedgeAfter: time.Minute,
-		Deadline:   time.Hour,
-		Breaker:    &BreakerConfig{Window: 64, FailureRatio: 0.99, Cooldown: time.Hour},
+		Retries:      retries,
+		HostLimit:    2,
+		HedgeAfter:   time.Minute,
+		Deadline:     time.Hour,
+		BreakerRatio: 0.99,
 	})
 }
 

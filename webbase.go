@@ -105,12 +105,6 @@ type (
 	Fetcher = web.Fetcher
 	// LatencyModel simulates network latency deterministically.
 	LatencyModel = web.LatencyModel
-	// BreakerConfig tunes the per-host circuit breaker
-	// (Config.Fetch.Breaker).
-	BreakerConfig = web.BreakerConfig
-	// Backoff spaces retry attempts exponentially with deterministic
-	// per-URL jitter (Config.Fetch.Backoff).
-	Backoff = web.Backoff
 	// Flaky injects deterministic fetch failures — the chaos-testing
 	// fetcher wrapper (and the CLI's -failevery).
 	Flaky = web.Flaky

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"webbase/cmd/internal/sysflags"
-	"webbase/internal/core"
 	"webbase/internal/server"
 )
 
@@ -61,9 +60,9 @@ func (t *tenantFlags) Set(v string) error {
 	if len(parts) > 2 {
 		switch parts[2] {
 		case "interactive", "":
-			tn.Class = core.ClassInteractive
+			tn.Class = server.ClassInteractive
 		case "batch":
-			tn.Class = core.ClassBatch
+			tn.Class = server.ClassBatch
 		default:
 			return fmt.Errorf("unknown class %q (interactive or batch)", parts[2])
 		}
@@ -98,12 +97,12 @@ func main() {
 	shared := sysflags.Register(flag.CommandLine)
 	cfg := &shared.Config
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		maxBody   = flag.Int64("max-body", 0, "request body size bound in bytes (0 = default 1MiB)")
-		keepalive = flag.Duration("keepalive", 0, "emit a seq-less keepalive event on idle streams at this interval so clients can detect stalls (0 = off; off keeps stream bytes identical to older servers)")
+		addr        = flag.String("addr", ":8080", "listen address")
+		maxInFlight = flag.Int("max-inflight", 0, "admission control: max concurrently executing queries (0 = unlimited)")
+		queueDepth  = flag.Int("queue-depth", 0, "admission control: bounded FIFO wait queue behind -max-inflight; excess queries shed immediately")
+		maxBody     = flag.Int64("max-body", 0, "request body size bound in bytes (0 = default 1MiB)")
+		keepalive   = flag.Duration("keepalive", 0, "emit a seq-less keepalive event on idle streams at this interval so clients can detect stalls (0 = off; off keeps stream bytes identical to older servers)")
 	)
-	flag.IntVar(&cfg.MaxInFlight, "max-inflight", 0, "admission control: max concurrently executing queries (0 = unlimited)")
-	flag.IntVar(&cfg.QueueDepth, "queue-depth", 0, "admission control: bounded FIFO wait queue behind -max-inflight; excess queries shed immediately")
 	flag.IntVar(&cfg.Healing.Threshold, "drift-threshold", 0, "drift reports that confirm a site redesign and quarantine the site (0 = default 2)")
 	flag.StringVar(&cfg.StateDir, "state-dir", "", "durable state directory: persist warmed pages, repaired maps and breaker/health verdicts across restarts (empty = no persistence)")
 	flag.Int64Var(&cfg.StateMaxBytes, "state-max-bytes", 0, "size bound for the durable page tier; least-recently-used pages are evicted past it (0 = unbounded)")
@@ -122,6 +121,8 @@ func main() {
 		System:            sys,
 		Tenants:           tenants,
 		Logger:            logger,
+		MaxInFlight:       *maxInFlight,
+		QueueDepth:        *queueDepth,
 		MaxBodyBytes:      *maxBody,
 		KeepaliveInterval: *keepalive,
 	})

@@ -66,13 +66,6 @@ type Config struct {
 	// satisfied. The answer is always byte-identical to the unpruned one;
 	// only the fetch count changes. Off by default.
 	Prune bool
-	// MaxInFlight caps concurrently executing queries (admission
-	// control). Excess queries wait in a bounded FIFO queue of QueueDepth
-	// and are shed with ErrShedded beyond that. 0 disables the gate.
-	MaxInFlight int
-	// QueueDepth bounds the admission wait queue behind MaxInFlight.
-	// 0 means no queue: with the gate full, queries shed immediately.
-	QueueDepth int
 	// StateDir, when non-empty, roots the durable state tier: warmed
 	// pages, repaired navigation maps and breaker/health verdicts are
 	// persisted there (crash-safely, fingerprinted) and restored at the
@@ -106,12 +99,11 @@ type Webbase struct {
 	Logical  *logical.Catalog // the logical layer
 	UR       *ur.Schema       // the external schema layer
 
-	stack     *web.Stack
-	workers   int
-	clock     func() time.Time
-	metrics   *trace.Registry
-	prune     bool
-	admission *admission
+	stack   *web.Stack
+	workers int
+	clock   func() time.Time
+	metrics *trace.Registry
+	prune   bool
 
 	// Self-healing: health tracks per-site drift state and drives the
 	// background repair worker, which fetches through stack.Repair;
@@ -200,7 +192,6 @@ func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 	}()
 	wb.stack = web.NewStack(cfg.Fetcher, cfg.Latency, cfg.Clock, tier, cfg.Fetch)
 	wb.restoreBreaker()
-	wb.admission = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, wb.metrics, cfg.Clock)
 
 	if wb.Registry, err = d.Registry(); err != nil {
 		return nil, err
@@ -363,8 +354,9 @@ type QueryStats struct {
 	// sites were unreachable (see Result.Degradation for the per-site
 	// detail).
 	DegradedObjects int
-	// AdmissionWait is how long the query sat in the admission gate's
-	// wait queue before executing. Elapsed deliberately excludes it —
+	// AdmissionWait is how long the query sat in the server's admission
+	// gate before executing; the server fills it, so a library query
+	// reports 0. Elapsed deliberately excludes it —
 	// Elapsed times execution, AdmissionWait times queueing, and the two
 	// never double-count (LimiterWait, by contrast, happens during
 	// execution and is part of Elapsed).
@@ -428,11 +420,6 @@ func (wb *Webbase) QueryContext(ctx context.Context, q ur.Query) (*ur.Result, *Q
 // Pass the trace to ExplainAnalyze for the rendered plan, or Export it as
 // JSON. Tracing adds spans but never changes the answer: the result is
 // tuple-for-tuple identical to QueryContext's.
-//
-// A query the admission gate sheds returns a nil trace: it never
-// executed, so there is nothing to trace. Admission happens before the
-// root span starts, so queue time never inflates the trace's timings
-// (it is reported separately in QueryStats.AdmissionWait).
 func (wb *Webbase) QueryTraced(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, *trace.Trace, error) {
 	return wb.query(ctx, q, nil, true)
 }
@@ -451,29 +438,21 @@ func (wb *Webbase) QueryStream(ctx context.Context, q ur.Query, sink ur.ObjectSi
 }
 
 // QueryStreamTraced is QueryStream with execution tracing (see
-// QueryTraced). Like QueryTraced, a query the admission gate sheds
-// returns a nil trace; the sink never fires for a shed query.
+// QueryTraced).
 func (wb *Webbase) QueryStreamTraced(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur.Result, *QueryStats, *trace.Trace, error) {
 	return wb.query(ctx, q, sink, true)
 }
 
-// query is the one body behind every Query* entry point: admission, the
-// optional trace, execution. The execution clock starts after admission,
-// so queue time appears only in AdmissionWait, never in Elapsed or in
-// span durations. A non-nil sink receives per-object deliveries as
-// evaluation streams (see QueryStream).
+// query is the one body behind every Query* entry point: the optional
+// trace, then execution. A non-nil sink receives per-object deliveries
+// as evaluation streams (see QueryStream).
 func (wb *Webbase) query(ctx context.Context, q ur.Query, sink ur.ObjectSink, traced bool) (*ur.Result, *QueryStats, *trace.Trace, error) {
-	wait, err := wb.admission.acquire(ctx, queryClassFrom(ctx))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer wb.admission.release()
 	var tr *trace.Trace
 	if traced {
 		tr = trace.New(q.String(), wb.clock)
 		ctx = trace.ContextWith(ctx, tr.Root)
 	}
-	res, qs, err := wb.runAdmitted(ctx, q, wait, sink)
+	res, qs, err := wb.run(ctx, q, sink)
 	if err != nil {
 		if traced {
 			tr.Root.EndErr(err)
@@ -487,11 +466,11 @@ func (wb *Webbase) query(ctx context.Context, q ur.Query, sink ur.ObjectSink, tr
 	return res, qs, tr, nil
 }
 
-// runAdmitted evaluates an already-admitted query on a bounded worker
-// pool and closes its bill: whatever the outcome, what the query's own
-// fetches cost is read off its web.Query, folded once into the lifetime
-// Stats and observed in the metrics registry.
-func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait time.Duration, sink ur.ObjectSink) (*ur.Result, *QueryStats, error) {
+// run evaluates a query on a bounded worker pool and closes its bill:
+// whatever the outcome, what the query's own fetches cost is read off its
+// web.Query, folded once into the lifetime Stats and observed in the
+// metrics registry.
+func (wb *Webbase) run(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur.Result, *QueryStats, error) {
 	start := wb.now()
 	ctx = algebra.WithPool(ctx, algebra.NewPool(wb.workers))
 	// Quarantine snapshot: the set of drift-confirmed hosts is read once,
@@ -528,7 +507,6 @@ func (wb *Webbase) runAdmitted(ctx context.Context, q ur.Query, admissionWait ti
 		Retries:          wq.Stats.Retries(),
 		StaleServed:      wq.Stats.StaleServed(),
 		BreakerRejects:   wq.Stats.BreakerRejects(),
-		AdmissionWait:    admissionWait,
 		Hedges:           wq.Stats.Hedges(),
 		HedgeWins:        wq.Stats.HedgeWins(),
 		BulkheadSheds:    wq.Stats.BulkheadSheds(),
@@ -611,9 +589,6 @@ func (wb *Webbase) observe(qs *QueryStats, failed bool) {
 	}
 	m.Histogram("query_elapsed_seconds", 0.001, 0.01, 0.1, 1, 10).Observe(qs.Elapsed.Seconds())
 	m.Histogram("query_pages", 1, 5, 10, 50, 100, 500).Observe(float64(qs.Pages))
-	if qs.AdmissionWait > 0 {
-		m.Histogram("admission_wait_seconds", 0.001, 0.01, 0.1, 1, 10).Observe(qs.AdmissionWait.Seconds())
-	}
 }
 
 // QueryString parses and evaluates the CLI query syntax

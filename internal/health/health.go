@@ -88,9 +88,6 @@ type Config struct {
 	// Sleep waits between repair attempts; tests inject an instant sleep.
 	// nil uses time.Sleep.
 	Sleep func(d time.Duration)
-	// Clock supplies the current time for state timestamps (injectable
-	// for deterministic tests); nil uses time.Now.
-	Clock func() time.Time
 	// Metrics, when non-nil, receives remaps_started_total,
 	// remaps_succeeded_total, recovery_probes_total and the
 	// sites_quarantined gauge.
@@ -102,8 +99,8 @@ type Config struct {
 }
 
 // Tracker is the per-site health state machine. A nil *Tracker is a valid
-// no-op tracker (sites are always healthy), mirroring the nil admission
-// gate, so callers need no guards when self-healing is not configured.
+// no-op tracker (sites are always healthy), so callers need no guards
+// when self-healing is not configured.
 type Tracker struct {
 	cfg Config
 
@@ -121,7 +118,6 @@ type site struct {
 	attempts   int  // repair attempts spent in the current quarantine
 	exhausted  bool // attempts bound hit: no more workers for this site
 	recovering bool // a slow recovery probe loop is running for this site
-	since      time.Time
 }
 
 // New returns a tracker with the given configuration.
@@ -137,9 +133,6 @@ func New(cfg Config) *Tracker {
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	return &Tracker{cfg: cfg, sites: make(map[string]*site), stop: make(chan struct{})}
 }
@@ -194,7 +187,6 @@ func (t *Tracker) ReportDrift(host string) State {
 		return st
 	case Healthy:
 		s.state = Suspect
-		s.since = t.cfg.Clock()
 	}
 	s.drifts++
 	if s.drifts < t.cfg.Threshold {
@@ -203,7 +195,6 @@ func (t *Tracker) ReportDrift(host string) State {
 		return Suspect
 	}
 	s.state = Quarantined
-	s.since = t.cfg.Clock()
 	launch := t.cfg.Repair != nil && !s.exhausted
 	if launch {
 		t.wg.Add(1)
@@ -260,7 +251,7 @@ func (t *Tracker) attemptLocked(host string, s *site, metric string, last bool) 
 
 	t.mu.Lock()
 	if err == nil {
-		*s = site{state: Healthy, since: t.cfg.Clock()}
+		*s = site{state: Healthy}
 	} else {
 		s.state = Quarantined
 		if last {
@@ -375,11 +366,10 @@ func (t *Tracker) Quarantined() map[string]bool {
 // restored process must not re-probe a known-dead host or hand a
 // quarantined site a fresh MaxAttempts budget.
 type SiteSnapshot struct {
-	State     string    `json:"state"`
-	Drifts    int       `json:"drifts"`
-	Attempts  int       `json:"attempts"`
-	Exhausted bool      `json:"exhausted"`
-	Since     time.Time `json:"since"`
+	State     string `json:"state"`
+	Drifts    int    `json:"drifts"`
+	Attempts  int    `json:"attempts"`
+	Exhausted bool   `json:"exhausted"`
 }
 
 // Snapshot captures every site with health evidence. A site mid-repair is
@@ -401,7 +391,7 @@ func (t *Tracker) Snapshot() map[string]SiteSnapshot {
 			continue // cold default; nothing worth persisting
 		}
 		out[host] = SiteSnapshot{State: st.String(), Drifts: s.drifts,
-			Attempts: s.attempts, Exhausted: s.exhausted, Since: s.since}
+			Attempts: s.attempts, Exhausted: s.exhausted}
 	}
 	return out
 }
@@ -425,8 +415,7 @@ func (t *Tracker) Restore(snap map[string]SiteSnapshot) {
 		if _, exists := t.sites[host]; exists {
 			continue
 		}
-		s := &site{drifts: ss.Drifts, attempts: ss.Attempts,
-			exhausted: ss.Exhausted, since: ss.Since}
+		s := &site{drifts: ss.Drifts, attempts: ss.Attempts, exhausted: ss.Exhausted}
 		switch ss.State {
 		case Suspect.String():
 			s.state = Suspect

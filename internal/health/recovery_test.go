@@ -150,6 +150,14 @@ func TestHealthSnapshotRestore(t *testing.T) {
 	if s := decoded["iffy.test"]; s.State != "suspect" || s.Drifts != 1 {
 		t.Fatalf("iffy.test snapshot = %+v", s)
 	}
+	// A record persisted when sites still carried a "since" timestamp
+	// decodes as the store decodes it and restores unchanged.
+	legacy := `{"state":"quarantined","drifts":2,"attempts":1,"exhausted":true,"since":"1999-06-01T00:00:00Z"}`
+	var old SiteSnapshot
+	if err := json.Unmarshal([]byte(legacy), &old); err != nil {
+		t.Fatal(err)
+	}
+	decoded["old.test"] = old
 
 	// "Restart": a fresh tracker with a now-working Repair. The exhausted
 	// quarantine must hold — no worker relaunch, no fresh attempt budget —
@@ -171,6 +179,9 @@ func TestHealthSnapshotRestore(t *testing.T) {
 	}
 	if !tr2.Quarantined()["bad.test"] {
 		t.Error("restored quarantine not visible to queries")
+	}
+	if got, want := tr2.Snapshot()["old.test"], (SiteSnapshot{State: "quarantined", Drifts: 2, Attempts: 1, Exhausted: true}); got != want {
+		t.Errorf("old.test restored as %+v, want %+v", got, want)
 	}
 	// One more drift confirms the carried-over suspect evidence.
 	if st := tr2.ReportDrift("iffy.test"); st != Quarantined {

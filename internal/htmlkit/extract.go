@@ -73,18 +73,6 @@ func (f *Form) MandatoryFields() []string {
 	return out
 }
 
-// OptionalFields returns the names of data fields not inferred mandatory
-// (submit buttons are excluded: they carry no data).
-func (f *Form) OptionalFields() []string {
-	var out []string
-	for _, fl := range f.Fields {
-		if !fl.Mandatory && fl.Widget != WidgetSubmit {
-			out = append(out, fl.Name)
-		}
-	}
-	return out
-}
-
 // Resolve resolves ref against base as net/url does, returning ref
 // unchanged when either is unparsable. It tolerates the bare host-relative
 // references common on old sites.

@@ -77,7 +77,14 @@ func TestForms(t *testing.T) {
 	if got := f.MandatoryFields(); !reflect.DeepEqual(got, []string{"cond"}) {
 		t.Errorf("mandatory = %v", got)
 	}
-	opt := f.OptionalFields()
+	// The data fields not inferred mandatory (a submit button carries no
+	// data).
+	var opt []string
+	for _, fl := range f.Fields {
+		if !fl.Mandatory && fl.Widget != WidgetSubmit {
+			opt = append(opt, fl.Name)
+		}
+	}
 	want := map[string]bool{"make": true, "model": true, "pics": true, "region": true}
 	if len(opt) != len(want) {
 		t.Errorf("optional = %v", opt)

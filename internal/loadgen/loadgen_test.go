@@ -31,22 +31,22 @@ func TestServerLoad(t *testing.T) {
 	wb, err := core.New(core.Config{
 		Fetcher: sites.BuildWorld().Server,
 		Workers: runtime.GOMAXPROCS(0),
-		// The admission gate bounds executing queries; the deep queue
-		// means nothing sheds at this layer (quota sheds stay exact) while
-		// freed slots go to interactive waiters first, shielding alice's
-		// tail from bob's batch load.
-		MaxInFlight: 2,
-		QueueDepth:  64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
 		System: wb,
+		// The admission gate bounds executing queries; the deep queue
+		// means nothing sheds at this layer (quota sheds stay exact) while
+		// freed slots go to interactive waiters first, shielding alice's
+		// tail from bob's batch load.
+		MaxInFlight: 2,
+		QueueDepth:  64,
 		Tenants: []server.Tenant{
-			{Key: "alicekey", Name: "alice", Class: core.ClassInteractive, Quota: 10, Window: time.Hour},
-			{Key: "bobkey", Name: "bob", Class: core.ClassBatch, Quota: 6, Window: time.Hour},
-			{Key: "warmkey", Name: "warmup", Class: core.ClassBatch}, // no quota; the ground-truth stream only
+			{Key: "alicekey", Name: "alice", Class: server.ClassInteractive, Quota: 10, Window: time.Hour},
+			{Key: "bobkey", Name: "bob", Class: server.ClassBatch, Quota: 6, Window: time.Hour},
+			{Key: "warmkey", Name: "warmup", Class: server.ClassBatch}, // no quota; the ground-truth stream only
 		},
 	})
 	if err != nil {

@@ -34,7 +34,6 @@ package prune
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"webbase/internal/relation"
@@ -180,9 +179,6 @@ func pairConsistent(a, b Cond) bool {
 	return lo.Val.Compare(hi.Val) <= 0
 }
 
-// Unsat reports whether the WHERE clause is statically unsatisfiable.
-func (st *State) Unsat() bool { return st != nil && st.unsat }
-
 // Irrelevant reports whether an access whose bound attribute values are
 // exposed by get can no longer contribute answer tuples: some conjunct is
 // already violated by non-null bound values (both sides, for
@@ -311,22 +307,6 @@ func (st *State) Total() int64 {
 		n += c
 	}
 	return n
-}
-
-// Reasons returns the recorded reasons sorted, for deterministic
-// rendering.
-func (st *State) Reasons() []string {
-	if st == nil {
-		return nil
-	}
-	st.sh.mu.Lock()
-	defer st.sh.mu.Unlock()
-	out := make([]string, 0, len(st.sh.counts))
-	for r := range st.sh.counts {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Limit returns the LIMIT the cardinality early-exit is armed with, 0 when

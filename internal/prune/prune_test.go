@@ -72,8 +72,8 @@ func TestStaticallyUnsat(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := NewState(tc.conds, 0).Unsat(); got != tc.unsat {
-				t.Errorf("Unsat() = %v, want %v", got, tc.unsat)
+			if got := NewState(tc.conds, 0).unsat; got != tc.unsat {
+				t.Errorf("unsat = %v, want %v", got, tc.unsat)
 			}
 		})
 	}
@@ -203,7 +203,7 @@ func TestRestrict(t *testing.T) {
 		eq("Make", relation.String("ford")),
 		eq("Make", relation.String("jaguar")),
 	}, 0)
-	if !unsat.Restrict(relation.Schema{"Year"}).Unsat() {
+	if !unsat.Restrict(relation.Schema{"Year"}).unsat {
 		t.Error("static unsat verdict must survive restriction")
 	}
 }
@@ -220,9 +220,6 @@ func TestCountsAndReasons(t *testing.T) {
 	if got := st.Counts(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Counts() = %v, want %v", got, want)
 	}
-	if got := st.Reasons(); !reflect.DeepEqual(got, []string{ReasonLimit, ReasonUnsatWhere}) {
-		t.Errorf("Reasons() = %v (want sorted)", got)
-	}
 	// Counts returns a copy.
 	st.Counts()[ReasonLimit] = 99
 	if st.Counts()[ReasonLimit] != 1 {
@@ -232,7 +229,7 @@ func TestCountsAndReasons(t *testing.T) {
 
 func TestNilStateInert(t *testing.T) {
 	var st *State
-	if st.Unsat() || st.Limit() != 0 || st.Total() != 0 {
+	if st.Limit() != 0 || st.Total() != 0 {
 		t.Error("nil state must report nothing prunable")
 	}
 	if st.IrrelevantInputs(map[string]relation.Value{"A": relation.Int(1)}) {
@@ -245,7 +242,7 @@ func TestNilStateInert(t *testing.T) {
 		t.Error("nil Restrict must stay nil")
 	}
 	st.Count("x")
-	if st.Counts() != nil || st.Reasons() != nil {
+	if st.Counts() != nil {
 		t.Error("nil state has no counters")
 	}
 	// Context round-trip.

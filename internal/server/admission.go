@@ -1,12 +1,12 @@
-package core
+package server
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"webbase/internal/trace"
+	"webbase/internal/wire"
 )
 
 // This file is the admission gate: the outermost overload defense. Under
@@ -15,18 +15,18 @@ import (
 // dozens of handle invocations competing for the same host slots. The
 // gate bounds concurrently executing queries, parks a bounded FIFO queue
 // of waiters behind them, and sheds everything beyond that immediately
-// with ErrShedded. Shedding at admission (rather than deep in the worker
+// with errShedded. Shedding at admission (rather than deep in the worker
 // pool) means a rejected query costs microseconds of mutex work instead
 // of pages, goroutines and host slots — the caller learns "try later"
 // before the system spends anything on it.
 
-// ErrShedded is returned when the admission gate rejects a query because
-// the maximum number of queries are already executing and the wait queue
-// is full. Match with errors.Is. A shed query performed no work: no
-// pages were fetched, no trace was started, no stats were accrued.
-var ErrShedded = errors.New("core: query shed: admission gate and queue are full")
+// errShedded answers a query the admission gate rejects because
+// Config.MaxInFlight queries are already executing and the wait queue is
+// full. A shed query performed no work: no pages were fetched, no stats
+// were accrued.
+var errShedded = coded(wire.CodeShedded, "server: query shed: admission gate and queue are full")
 
-// QueryClass is a query's admission priority. Under overload the gate
+// QueryClass is a tenant's admission priority. Under overload the gate
 // sheds the lowest class first: an arriving interactive query evicts a
 // queued batch query rather than being shed itself, and freed slots go to
 // the highest-class waiter. Classes never preempt executing queries —
@@ -47,20 +47,6 @@ func (c QueryClass) String() string {
 		return "batch"
 	}
 	return "interactive"
-}
-
-// queryClassKey carries a per-query class override (see WithQueryClass).
-type queryClassKey struct{}
-
-// WithQueryClass marks ctx so queries issued under it are admitted at the
-// given class. A query without one is ClassInteractive.
-func WithQueryClass(ctx context.Context, c QueryClass) context.Context {
-	return context.WithValue(ctx, queryClassKey{}, c)
-}
-
-func queryClassFrom(ctx context.Context) QueryClass {
-	c, _ := ctx.Value(queryClassKey{}).(QueryClass)
-	return c
 }
 
 // admitWaiter is one queued query; granted is closed by release when an
@@ -86,13 +72,11 @@ type admission struct {
 }
 
 // newAdmission builds a gate of max executing slots and a wait queue of
-// depth. max <= 0 disables the gate (returns nil).
+// depth. max == 0 disables the gate (returns nil); New refuses negative
+// values.
 func newAdmission(max, depth int, metrics *trace.Registry, clock func() time.Time) *admission {
-	if max <= 0 {
+	if max == 0 {
 		return nil
-	}
-	if depth < 0 {
-		depth = 0
 	}
 	if clock == nil {
 		clock = time.Now
@@ -130,12 +114,14 @@ func (a *admission) acquire(ctx context.Context, class QueryClass) (time.Duratio
 		if victim < 0 {
 			a.mu.Unlock()
 			a.shed(class)
-			return 0, ErrShedded
+			return 0, errShedded
 		}
 		v := a.queue[victim]
 		a.queue = append(a.queue[:victim], a.queue[victim+1:]...)
-		close(v.shedded)
+		// Count before waking: closing the channel orders the count
+		// before the victim returns, so its 429 never precedes it.
 		a.shed(v.class)
+		close(v.shedded)
 	}
 	w := &admitWaiter{class: class, granted: make(chan struct{}), shedded: make(chan struct{})}
 	a.queue = append(a.queue, w)
@@ -147,7 +133,7 @@ func (a *admission) acquire(ctx context.Context, class QueryClass) (time.Duratio
 	case <-w.granted:
 		return a.clock().Sub(start), nil
 	case <-w.shedded:
-		return a.clock().Sub(start), ErrShedded
+		return a.clock().Sub(start), errShedded
 	case <-ctx.Done():
 		a.mu.Lock()
 		select {

@@ -1,17 +1,23 @@
-package core
+package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"webbase/internal/core"
 	"webbase/internal/sites"
 	"webbase/internal/trace"
-	"webbase/internal/ur"
 	"webbase/internal/web"
+	"webbase/internal/wire"
 )
 
 // waitQueueLen polls the gate until its wait queue reaches n.
@@ -68,7 +74,7 @@ func TestAdmissionGateFIFO(t *testing.T) {
 }
 
 // TestAdmissionShedWhenFull: with the gate and queue both full, acquire
-// sheds immediately with ErrShedded and counts it.
+// sheds immediately with errShedded and counts it.
 func TestAdmissionShedWhenFull(t *testing.T) {
 	metrics := trace.NewRegistry()
 	a := newAdmission(1, 1, metrics, nil)
@@ -82,8 +88,8 @@ func TestAdmissionShedWhenFull(t *testing.T) {
 		}
 	}()
 	waitQueueLen(t, a, 1)
-	if _, err := a.acquire(context.Background(), ClassInteractive); !errors.Is(err, ErrShedded) {
-		t.Fatalf("full gate returned %v, want ErrShedded", err)
+	if _, err := a.acquire(context.Background(), ClassInteractive); !errors.Is(err, errShedded) {
+		t.Fatalf("full gate returned %v, want errShedded", err)
 	}
 	if got := metrics.Snapshot().Counters["queries_shed_total"]; got != 1 {
 		t.Fatalf("queries_shed_total = %d, want 1", got)
@@ -130,7 +136,7 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 
 // TestAdmissionInteractiveEvictsQueuedBatch: with the gate and queue
 // full, an arriving interactive query is not shed — it evicts the newest
-// queued batch waiter (who gets ErrShedded) and takes the queue slot. The
+// queued batch waiter (who gets errShedded) and takes the queue slot. The
 // shed is attributed to the batch class.
 func TestAdmissionInteractiveEvictsQueuedBatch(t *testing.T) {
 	metrics := trace.NewRegistry()
@@ -158,8 +164,8 @@ func TestAdmissionInteractiveEvictsQueuedBatch(t *testing.T) {
 	// the interactive query even starts waiting.
 	select {
 	case err := <-batchErr:
-		if !errors.Is(err, ErrShedded) {
-			t.Fatalf("evicted batch waiter got %v, want ErrShedded", err)
+		if !errors.Is(err, errShedded) {
+			t.Fatalf("evicted batch waiter got %v, want errShedded", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no batch waiter was evicted")
@@ -207,11 +213,11 @@ func TestAdmissionBatchNeverEvicts(t *testing.T) {
 		}
 	}()
 	waitQueueLen(t, a, 1)
-	if _, err := a.acquire(context.Background(), ClassBatch); !errors.Is(err, ErrShedded) {
-		t.Fatalf("batch arrival got %v, want ErrShedded", err)
+	if _, err := a.acquire(context.Background(), ClassBatch); !errors.Is(err, errShedded) {
+		t.Fatalf("batch arrival got %v, want errShedded", err)
 	}
-	if _, err := a.acquire(context.Background(), ClassInteractive); !errors.Is(err, ErrShedded) {
-		t.Fatalf("same-class arrival got %v, want ErrShedded (no equal-class eviction)", err)
+	if _, err := a.acquire(context.Background(), ClassInteractive); !errors.Is(err, errShedded) {
+		t.Fatalf("same-class arrival got %v, want errShedded (no equal-class eviction)", err)
 	}
 	snap := metrics.Snapshot()
 	if got := snap.Counters[`queries_shed_total{class="batch"}`]; got != 1 {
@@ -275,58 +281,26 @@ func TestAdmissionReleaseGrantsInteractiveFirst(t *testing.T) {
 	}
 }
 
-// TestQueryClassFromContext: WithQueryClass sets one query's class;
-// absent it a query is interactive.
-func TestQueryClassFromContext(t *testing.T) {
-	if got := queryClassFrom(context.Background()); got != ClassInteractive {
-		t.Errorf("default class = %v, want interactive", got)
-	}
-	ctx := WithQueryClass(context.Background(), ClassBatch)
-	if got := queryClassFrom(ctx); got != ClassBatch {
-		t.Errorf("marked class = %v, want batch", got)
-	}
-}
-
-// gatedWorldFetcher forwards to the simulated world but blocks every
-// fetch until the gate opens, so admitted queries stay executing for as
-// long as the test wants.
-type gatedWorldFetcher struct {
-	inner web.Fetcher
-	gate  chan struct{}
-}
-
-func (g *gatedWorldFetcher) Fetch(req *web.Request) (*web.Response, error) {
-	select {
-	case <-g.gate:
-	case <-req.Context().Done():
-		return nil, req.Context().Err()
-	}
-	return g.inner.Fetch(req)
-}
-
 // TestOverloadShedsFastAndExactly is the overload acceptance test: 64
-// concurrent queries against max-inflight 8 + queue 8. Exactly 8 execute,
-// 8 queue and 48 shed — each shed with ErrShedded while the fetch gate is
+// simultaneous POSTs against max-inflight 8 + queue 8. Exactly 8 execute,
+// 8 queue and 48 are answered 429 shedded — each while the fetch gate is
 // still closed, so no shed waited for a slot to free — and once the load
-// drains every admitted query completes with the same answer.
-// queries_shed_total matches the shed count exactly, and the 8 queued
-// queries (and only they) report a positive AdmissionWait that is excluded
-// from Elapsed.
+// drains every admitted query streams the same answer.
+// queries_shed_total matches the shed count exactly, and the trailers of
+// the 8 queued queries (and only they) carry a positive AdmissionWait that
+// is excluded from Elapsed.
 func TestOverloadShedsFastAndExactly(t *testing.T) {
 	gate := make(chan struct{})
-	wb, err := New(Config{
-		Fetcher:     &gatedWorldFetcher{inner: sites.BuildWorld().Server, gate: gate},
-		Workers:     4,
-		MaxInFlight: 8,
-		QueueDepth:  8,
+	world := sites.BuildWorld()
+	gated := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		select {
+		case <-gate:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+		return world.Server.Fetch(req)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ur.ParseQuery(wb.UR, wideCarQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, wb := newCarServer(t, core.Config{Fetcher: gated, Workers: 4}, Config{MaxInFlight: 8, QueueDepth: 8})
 
 	const clients = 64
 	var (
@@ -337,7 +311,7 @@ func TestOverloadShedsFastAndExactly(t *testing.T) {
 		waited    []time.Duration
 		elapsed   []time.Duration
 		gateOpen  atomic.Bool
-		lateShed  atomic.Int64 // sheds returned after the gate opened
+		lateShed  atomic.Int64 // sheds answered after the gate opened
 	)
 	start := make(chan struct{})
 	for c := 0; c < clients; c++ {
@@ -345,22 +319,43 @@ func TestOverloadShedsFastAndExactly(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			res, qs, err := wb.QueryContext(context.Background(), q)
-			if errors.Is(err, ErrShedded) {
+			resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(wideQuery))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode == http.StatusTooManyRequests {
 				if gateOpen.Load() {
 					lateShed.Add(1)
+				}
+				var env wire.Envelope
+				if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != wire.CodeShedded {
+					t.Errorf("429 body: %+v, %v; want code shedded", env.Error, err)
 				}
 				shedCount.Add(1)
 				return
 			}
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("admitted query: status %d, %v", resp.StatusCode, err)
+				return
+			}
+			lines := decodeLines(t, bytes.NewReader(body))
+			stats, _ := lines[len(lines)-1]["stats"].(map[string]any)
+			if lines[len(lines)-1]["event"] != wire.KindTrailer || stats == nil {
+				t.Errorf("admitted query ended with %v, want a trailer", lines[len(lines)-1])
+				return
+			}
+			tuples, err := json.Marshal(streamedTuples(lines))
 			if err != nil {
-				t.Errorf("admitted query failed: %v", err)
+				t.Error(err)
 				return
 			}
 			mu.Lock()
-			answers = append(answers, res.Relation.String())
-			waited = append(waited, qs.AdmissionWait)
-			elapsed = append(elapsed, qs.Elapsed)
+			answers = append(answers, string(tuples))
+			waited = append(waited, time.Duration(stats["AdmissionWait"].(float64)))
+			elapsed = append(elapsed, time.Duration(stats["Elapsed"].(float64)))
 			mu.Unlock()
 		}()
 	}
@@ -373,6 +368,8 @@ func TestOverloadShedsFastAndExactly(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := shedCount.Load(); got != clients-16 {
+		close(gate)
+		wg.Wait()
 		t.Fatalf("sheds = %d before opening the gate, want %d", got, clients-16)
 	}
 	gateOpen.Store(true)
@@ -380,7 +377,7 @@ func TestOverloadShedsFastAndExactly(t *testing.T) {
 	wg.Wait()
 
 	if late := lateShed.Load(); late != 0 {
-		t.Errorf("%d sheds returned only after the gate opened", late)
+		t.Errorf("%d sheds answered only after the gate opened", late)
 	}
 	if len(answers) != 16 {
 		t.Fatalf("%d queries completed, want 16", len(answers))
@@ -406,6 +403,35 @@ func TestOverloadShedsFastAndExactly(t *testing.T) {
 		}
 	}
 	if queued != 8 {
-		t.Errorf("%d queries report AdmissionWait > 0, want exactly the 8 queued ones", queued)
+		t.Errorf("%d trailers carry AdmissionWait > 0, want exactly the 8 queued ones", queued)
+	}
+}
+
+// TestNewRefusesIgnoredAdmission: an admission setting the gate would
+// silently ignore — a queue with no gate to stand behind, or a negative
+// bound — is refused by New, naming the field.
+func TestNewRefusesIgnoredAdmission(t *testing.T) {
+	wb, err := core.New(core.Config{Fetcher: sites.BuildWorld().Server})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		maxInFlight, queueDepth int
+		want                    string // "" = accepted
+	}{
+		{0, 0, ""},
+		{8, 0, ""},
+		{8, 8, ""},
+		{0, 8, "Config.QueueDepth"},
+		{-1, 0, "Config.MaxInFlight"},
+		{8, -1, "Config.QueueDepth"},
+	} {
+		_, err := New(Config{System: wb, MaxInFlight: tc.maxInFlight, QueueDepth: tc.queueDepth})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("MaxInFlight %d, QueueDepth %d: refused: %v", tc.maxInFlight, tc.queueDepth, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("MaxInFlight %d, QueueDepth %d: err = %v, want one naming %s", tc.maxInFlight, tc.queueDepth, err, tc.want)
+		}
 	}
 }

@@ -20,8 +20,9 @@
 // envelope when nothing has streamed yet, or a terminal error event when
 // the failure struck mid-stream.
 //
-// Tenancy rides on the existing admission classes: each API key names a
-// tenant with an interactive or batch class and a fixed-window quota,
+// Tenancy and admission are both decided here: each API key names a
+// tenant with an interactive or batch class and a fixed-window quota, the
+// admission gate (Config.MaxInFlight, QueueDepth) sheds by that class,
 // and both served and shed queries are accounted per tenant in /metrics.
 // GET /healthz reports the self-healing tracker's quarantine state.
 package server
@@ -60,9 +61,16 @@ type Config struct {
 	Tenants []Tenant
 	// Logger receives one structured line per request. nil discards.
 	Logger *log.Logger
-	// Clock drives tenant quota windows; nil means time.Now. Tests
-	// inject a fake clock for exact shed accounting.
+	// Clock drives tenant quota windows and times admission waits; nil
+	// means time.Now. Tests inject a fake clock for exact shed accounting.
 	Clock func() time.Time
+	// MaxInFlight caps concurrently executing queries (admission
+	// control). Excess queries wait in a bounded FIFO queue of QueueDepth
+	// and are shed with 429 shedded beyond that. 0 disables the gate.
+	MaxInFlight int
+	// QueueDepth bounds the admission wait queue behind MaxInFlight.
+	// 0 means no queue: with the gate full, queries shed immediately.
+	QueueDepth int
 	// MaxBodyBytes bounds the request body; 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// KeepaliveInterval, when positive, emits a seq-less keepalive event
@@ -80,6 +88,7 @@ type Config struct {
 type Server struct {
 	sys       *core.Webbase
 	tenants   *tenantSet
+	admission *admission
 	logger    *log.Logger
 	maxBody   int64
 	keepalive time.Duration
@@ -90,6 +99,14 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.System == nil {
 		return nil, fmt.Errorf("server: Config.System is required")
+	}
+	switch {
+	case cfg.MaxInFlight < 0:
+		return nil, fmt.Errorf("server: Config.MaxInFlight %d is negative", cfg.MaxInFlight)
+	case cfg.QueueDepth < 0:
+		return nil, fmt.Errorf("server: Config.QueueDepth %d is negative", cfg.QueueDepth)
+	case cfg.QueueDepth > 0 && cfg.MaxInFlight == 0:
+		return nil, fmt.Errorf("server: Config.QueueDepth %d needs Config.MaxInFlight: with no gate there is nothing to queue behind", cfg.QueueDepth)
 	}
 	tenants, err := newTenantSet(cfg.Tenants, cfg.Clock)
 	if err != nil {
@@ -104,7 +121,8 @@ func New(cfg Config) (*Server, error) {
 		maxBody = DefaultMaxBodyBytes
 	}
 	return &Server{sys: cfg.System, tenants: tenants, logger: logger, maxBody: maxBody,
-		keepalive: cfg.KeepaliveInterval}, nil
+		keepalive: cfg.KeepaliveInterval,
+		admission: newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.System.Metrics(), cfg.Clock)}, nil
 }
 
 // Handler returns the route mux: POST /query, GET /metrics, GET /healthz.
@@ -168,14 +186,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resumeFrom = resume.lastIndex
 	}
 
-	ctx := core.WithQueryClass(r.Context(), tenant.Class)
 	sw := newStreamWriter(w, rid, q.String(), q.Output, token, resumeFrom, gzipAccepted(r))
 	// The ticker (if configured) is the one writer outside the gate's
 	// serialization; the terminal-event writers stop it themselves, and
 	// the defer covers the pre-stream envelope paths below.
 	sw.startKeepalive(s.keepalive)
 	defer sw.stopKeepalive()
-	res, qs, err := s.sys.QueryStream(ctx, q, sw.writeDelivery)
+	res, qs, err := s.queryAdmitted(r.Context(), tenant.Class, q, sw.writeDelivery)
 	if sw.broken != nil {
 		err = sw.broken // the stream already ended with it, where the delivery would have been
 	}
@@ -201,6 +218,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.count("server_queries_served_total", tenant.Name)
 	s.logger.Printf("req=%s tenant=%s status=200 tuples=%d objects=%d elapsed=%s query=%q",
 		rid, tenant.Name, res.Relation.Len(), len(res.Plan.Objects), qs.Elapsed, text)
+}
+
+// queryAdmitted runs q inside the admission gate: the slot is held for
+// exactly the QueryStream call, so queue time is never part of the
+// query's Elapsed. An answered query reports its queue time as
+// QueryStats.AdmissionWait, observed in admission_wait_seconds when
+// positive.
+func (s *Server) queryAdmitted(ctx context.Context, class QueryClass, q ur.Query, sink ur.ObjectSink) (*ur.Result, *core.QueryStats, error) {
+	wait, err := s.admission.acquire(ctx, class)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer s.admission.release()
+	res, qs, err := s.sys.QueryStream(ctx, q, sink)
+	if err != nil {
+		return nil, nil, err
+	}
+	qs.AdmissionWait = wait
+	if wait > 0 {
+		s.sys.Metrics().Histogram("admission_wait_seconds", 0.001, 0.01, 0.1, 1, 10).Observe(wait.Seconds())
+	}
+	return res, qs, nil
 }
 
 // fail writes a pre-stream error envelope and accounts it.
@@ -301,8 +340,6 @@ func errorBody(rid string, err error) wire.ErrorBody {
 	switch {
 	case errors.As(err, &ce):
 		code = ce.code
-	case errors.Is(err, core.ErrShedded):
-		code = wire.CodeShedded
 	case errors.Is(err, ur.ErrBadQuery),
 		errors.Is(err, ur.ErrUnknownAttribute),
 		errors.Is(err, ur.ErrNotCoverable):

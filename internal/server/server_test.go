@@ -423,9 +423,9 @@ func TestQuotaExhausted(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedded exercises the other 429: the webbase's own
-// admission gate is full (MaxInFlight=1, no queue) while a query holds
-// the only slot, so the next request sheds with core.ErrShedded.
+// TestAdmissionShedded exercises the other 429: the server's admission
+// gate is full (MaxInFlight=1, no queue) while a query holds the only
+// slot, so the next request is answered 429 shedded.
 func TestAdmissionShedded(t *testing.T) {
 	world := sites.BuildWorld()
 	started := make(chan struct{}, 1)
@@ -438,7 +438,7 @@ func TestAdmissionShedded(t *testing.T) {
 		<-release
 		return world.Server.Fetch(req)
 	})
-	ts, _ := newCarServer(t, core.Config{Fetcher: blocking, MaxInFlight: 1}, Config{})
+	ts, _ := newCarServer(t, core.Config{Fetcher: blocking}, Config{MaxInFlight: 1})
 
 	var wg sync.WaitGroup
 	wg.Add(1)

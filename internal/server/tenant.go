@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"webbase/internal/core"
 	"webbase/internal/wire"
 )
 
@@ -33,7 +32,7 @@ type Tenant struct {
 	// Name labels the tenant in metrics and logs. Required.
 	Name string
 	// Class is the admission class of the tenant's queries.
-	Class core.QueryClass
+	Class QueryClass
 	// Quota caps admitted queries per Window; beyond it requests are
 	// shed with 429 before any work happens. 0 = unlimited.
 	Quota int64
@@ -73,7 +72,7 @@ func newTenantSet(tenants []Tenant, clock func() time.Time) (*tenantSet, error) 
 	}
 	ts := &tenantSet{clock: clock, byKey: make(map[string]*tenantState, len(tenants))}
 	if len(tenants) == 0 {
-		ts.anon = &Tenant{Name: "anonymous", Class: core.ClassInteractive}
+		ts.anon = &Tenant{Name: "anonymous", Class: ClassInteractive}
 		return ts, nil
 	}
 	names := make(map[string]bool, len(tenants))

@@ -345,43 +345,6 @@ func countFetches(sp *trace.Span) int64 {
 	return n
 }
 
-// CheckAgreement verifies the paper's handle-agreement property on live
-// data: executing every invocable handle of the relation with the same
-// inputs must yield the same tuples. It returns an error describing the
-// first disagreement.
-func (r *Registry) CheckAgreement(f web.Fetcher, name string, inputs map[string]relation.Value) error {
-	ri, ok := r.relations[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRelation, name)
-	}
-	strInputs := make(map[string]string, len(inputs))
-	for a, v := range inputs {
-		strInputs[a] = v.String()
-	}
-	var ref *relation.Relation
-	var refHandle *Handle
-	for _, h := range ri.Handles {
-		if !h.Invocable(inputs) {
-			continue
-		}
-		rel, _, err := h.Expr.Execute(f, strInputs)
-		if err != nil {
-			return fmt.Errorf("vps: agreement check %s: handle %s: %w", name, h, err)
-		}
-		if ref == nil {
-			ref, refHandle = rel, h
-			continue
-		}
-		d1, err1 := ref.Diff(rel)
-		d2, err2 := rel.Diff(ref)
-		if err1 != nil || err2 != nil || d1.Len() != 0 || d2.Len() != 0 {
-			return fmt.Errorf("vps: handles %s and %s disagree on %s with inputs %s",
-				refHandle, h, name, inputKeys(inputs))
-		}
-	}
-	return nil
-}
-
 func inputKeys(inputs map[string]relation.Value) string {
 	keys := make([]string, 0, len(inputs))
 	for a := range inputs {

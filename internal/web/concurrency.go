@@ -69,7 +69,7 @@ func shareAll(*Response, error) (share, keep bool) { return true, false }
 // answer for bounded resource use: whether a fetch sheds depends on how
 // much load is in front of it, which is a property of the schedule. Runs
 // that need byte-identical answers under overload should bound load at
-// admission (core's gate) rather than per host.
+// admission (the query server's gate) rather than per host.
 //
 // Fetches never hold one host's slot while waiting for another's, so the
 // bulkhead cannot deadlock.

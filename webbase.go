@@ -32,6 +32,12 @@
 // the plan annotated with actual per-operator cardinalities and costs, and
 // System.Metrics aggregates counters/gauges/histograms across queries.
 //
+// Admission control — bounding concurrently executing queries and
+// shedding the excess by tenant class — belongs to the query service
+// (internal/server, cmd/webbased), not to the library: a library query
+// runs as soon as it is called, and its caller bounds its own
+// concurrency.
+//
 // The package re-exports the types needed to use the system; the
 // implementation lives under internal/ (relation, htmlkit, web, sites,
 // flogic, tlogic, navcalc, navmap, mapbuilder, vps, algebra, logical, ur,
@@ -113,9 +119,6 @@ type (
 	Redesign = web.Redesign
 	// Rewrite is one textual substitution a Redesign applies.
 	Rewrite = web.Rewrite
-	// QueryClass is a query's admission priority (WithQueryClass);
-	// under overload ClassBatch sheds first.
-	QueryClass = core.QueryClass
 	// World is the built-in simulated car-shopping Web with its
 	// ground-truth datasets.
 	World = sites.World
@@ -177,18 +180,6 @@ var (
 	IsDrift = web.IsDrift
 )
 
-// Admission priority classes (WithQueryClass).
-const (
-	// ClassInteractive: a user is waiting; shed last.
-	ClassInteractive = core.ClassInteractive
-	// ClassBatch: background work; shed first under overload.
-	ClassBatch = core.ClassBatch
-)
-
-// WithQueryClass marks ctx so queries issued under it are admitted at the
-// given class. A query without one is ClassInteractive.
-var WithQueryClass = core.WithQueryClass
-
 // Durable state tier (Config.StateDir). The store sits strictly below the
 // in-memory stacks as a second cache tier — never a source of truth — so
 // answers are byte-identical with it on or off. What survives a restart:
@@ -209,9 +200,6 @@ var (
 
 // Overload-protection sentinels. Match with errors.Is.
 var (
-	// ErrShedded is returned when the admission gate (Config.MaxInFlight /
-	// Config.QueueDepth) rejects a query without executing it.
-	ErrShedded = core.ErrShedded
 	// ErrHostSaturated is the cause recorded when a per-host bulkhead
 	// (Config.Fetch.HostLimit / HostQueue) sheds a fetch.
 	ErrHostSaturated = web.ErrHostSaturated

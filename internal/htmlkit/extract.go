@@ -2,6 +2,7 @@ package htmlkit
 
 import (
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -379,79 +380,84 @@ func Tables(doc *Node) [][][]string {
 	return out
 }
 
-// DataRow is one extracted table row: the texts of the requested columns
-// in request order ("" where the row is too short to reach a column), plus
-// any links found in the row's cells by link text.
-type DataRow struct {
-	Cells []string
-	Links map[string]string // link text → absolute URL; nil when the row has none
+// Table is a page's data table, read in place: the body rows of the
+// first table whose header holds every column asked for, and the header
+// cell each column reads, held in the scratch handed to FindTable.
+type Table struct {
+	d    *document
+	rows []int32 // the body rows with a cell
+	at   []int   // the header index of each column
 }
 
-// DataTable finds the first table whose header contains all the given
-// columns and returns its body rows with per-row links resolved against
-// baseURL. A column matches a header cell whose trimmed text is the same
-// once both are lower-cased; of two such cells, the last one is read. It
-// returns nil when no table matches.
-func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
-	r := newResolver(baseURL)
+// FindTable finds the first table whose header holds all the columns, in
+// the scratch rows and at (nil, or a caller's arrays). A column matches a
+// header cell whose trimmed text is the same once both are lower-cased; of
+// two such, the last is read. It reports false when no table matches; one
+// with no body rows is still a data page (a search that found nothing).
+func FindTable(doc *Node, columns []string, rows []int32, at []int) (Table, bool) {
 	d := doc.d
-	// Scratch for a table's rows, one row's cells and one header's texts;
-	// what the simulated sites serve fits without growing.
-	trs := make([]int32, 0, 64)
+	// A row's cells and a header's texts; what the sites serve fits.
 	cells := make([]int32, 0, 16)
 	header := make([]string, 0, 16)
-	// The header index of each column; on the stack up to 16 columns.
-	at := append(make([]int, 0, 16), make([]int, len(columns))...)
+	at = slices.Grow(at[:0], len(columns))[:len(columns)]
 	for j, end := doc.i, doc.node().end; j < end; j++ {
 		if !d.isTag(j, tagTable) {
 			continue
 		}
-		trs = d.rowsOf(trs[:0], j)
-		if len(trs) == 0 {
+		rows = d.rowsOf(rows[:0], j)
+		if len(rows) == 0 {
 			continue
 		}
 		header = header[:0]
-		for _, c := range d.cellsOf(cells[:0], trs[0]) {
+		for _, c := range d.cellsOf(cells[:0], rows[0]) {
 			header = append(header, strings.TrimSpace(d.textOf(c)))
 		}
 		if !headerIndexes(at, header, columns) {
 			continue
 		}
-		// Non-nil even when empty: a matching table with no body rows is
-		// still a data page (a search that found nothing), distinct from
-		// "no such table here".
-		rows := make([]DataRow, 0, len(trs)-1)
-		texts := make([]string, len(columns)*(len(trs)-1)) // every row's Cells, carved in turn
-		for _, tr := range trs[1:] {
-			cells = d.cellsOf(cells[:0], tr)
-			if len(cells) == 0 {
+		body := rows[:0]
+		for _, tr := range rows[1:] {
+			if len(d.cellsOf(cells[:0], tr)) > 0 {
+				body = append(body, tr)
+			}
+		}
+		return Table{d: d, rows: body, at: at}, true
+	}
+	return Table{}, false
+}
+
+// Len returns the number of body rows.
+func (t *Table) Len() int { return len(t.rows) }
+
+// Row appends the cells of body row i to dst[:0] and returns them, for
+// Cell and Link to read. A caller reading row after row hands the last
+// row's cells back, so its scratch grows at most once per table.
+func (t *Table) Row(i int, dst []int32) []int32 { return t.d.cellsOf(dst[:0], t.rows[i]) }
+
+// Cell returns the text of the row's cell under column k, "" where the row
+// is too short to reach it.
+func (t *Table) Cell(row []int32, k int) string {
+	if c := t.at[k]; c < len(row) {
+		return t.d.textOf(row[c])
+	}
+	return ""
+}
+
+// Link returns the href, as written, of the last anchor in the row's cells
+// with an href and the text name, and whether there is one.
+func (t *Table) Link(row []int32, name string) (href string, ok bool) {
+	d := t.d
+	for _, c := range row {
+		for a, end := c, d.nodes[c].end; a < end; a++ {
+			if !d.isTag(a, tagA) {
 				continue
 			}
-			row := DataRow{Cells: texts[:len(columns):len(columns)]}
-			texts = texts[len(columns):]
-			for k, i := range at {
-				if i < len(cells) {
-					row.Cells[k] = d.textOf(cells[i])
-				}
+			if h, has := (Node{d, a}).Attr("href"); has && d.textOf(a) == name {
+				href, ok = h, true
 			}
-			for _, cell := range cells {
-				for a, end := cell, d.nodes[cell].end; a < end; a++ {
-					if !d.isTag(a, tagA) {
-						continue
-					}
-					if href, has := (Node{d, a}).Attr("href"); has {
-						if row.Links == nil {
-							row.Links = make(map[string]string)
-						}
-						row.Links[d.textOf(a)] = r.resolve(href)
-					}
-				}
-			}
-			rows = append(rows, row)
 		}
-		return rows
 	}
-	return nil
+	return href, ok
 }
 
 // headerIndexes sets at[k] to the index of the last header matching

@@ -3,6 +3,7 @@ package htmlkit
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,12 +164,15 @@ func sameTree(t *testing.T, got Node, want *treeNode) {
 	}
 }
 
-// FuzzDataTable holds DataTable to the map-based implementation it
-// replaced (refDataTable, over the reference tree): the same table found or none, nil and empty
-// kept apart, the same rows with the same links, and each row's cells the
-// old row's cells of the requested columns, in request order. The columns
-// are the "|"-prefixed fields of cols: "" asks for none, "|" for one empty
-// header. Run with `go test -fuzz=FuzzDataTable ./internal/htmlkit`.
+// FuzzDataTable holds FindTable, the table navigation reads in place, to
+// DataTable, the copy it replaced, and DataTable to the map-based
+// implementation before it (refDataTable, over the reference tree): the
+// same table found or none, an empty table kept apart from none, the same
+// rows, each row's cells the old row's cells of the requested columns in
+// request order, and each link DataTable resolved the one FindTable's Link
+// gives by the same text. The columns are the "|"-prefixed fields of cols:
+// "" asks for none, "|" for one empty header; each is also tried as a link
+// text. Run with `go test -fuzz=FuzzDataTable ./internal/htmlkit`.
 func FuzzDataTable(f *testing.F) {
 	seeds := []struct{ doc, cols string }{
 		{"", ""},
@@ -196,21 +200,42 @@ func FuzzDataTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, cols string) {
 		columns := strings.Split(cols, "|")[1:]
 		const base = "http://fuzz.example/dir/list?page=2"
-		got := DataTable(Parse(data), base, columns...)
+		doc := Parse(data)
+		got := DataTable(doc, base, columns...)
 		want := refDataTable(refParse(data), base, columns...)
 		if (got == nil) != (want == nil) || len(got) != len(want) {
 			t.Fatalf("DataTable(%q) = %d rows (nil: %v), reference %d (nil: %v)", columns, len(got), got == nil, len(want), want == nil)
 		}
+		tbl, found := FindTable(doc, columns, nil, nil)
+		if found != (want != nil) || tbl.Len() != len(want) {
+			t.Fatalf("FindTable(%q) = %d rows (found: %v), reference %d (nil: %v)", columns, tbl.Len(), found, len(want), want == nil)
+		}
+		var row []int32
 		for i, w := range want {
+			row = tbl.Row(i, row)
 			cells := make([]string, len(columns))
 			for k, c := range columns {
 				cells[k] = w.Cells[strings.ToLower(c)]
+				if got := tbl.Cell(row, k); got != cells[k] {
+					t.Fatalf("row %d of %q: FindTable cell %d %q, reference %q", i, columns, k, got, cells[k])
+				}
 			}
 			if !reflect.DeepEqual(got[i].Cells, cells) || cap(got[i].Cells) != len(columns) {
 				t.Fatalf("row %d of %q: cells %q (cap %d), reference %q", i, columns, got[i].Cells, cap(got[i].Cells), cells)
 			}
 			if !reflect.DeepEqual(got[i].Links, w.Links) {
 				t.Fatalf("row %d: links %v, reference %v", i, got[i].Links, w.Links)
+			}
+			names := slices.Clone(columns)
+			for name := range w.Links {
+				names = append(names, name)
+			}
+			for _, name := range names {
+				href, ok := tbl.Link(row, name)
+				addr, want := w.Links[name]
+				if ok != want || ok && Resolve(base, href) != addr {
+					t.Fatalf("row %d: Link(%q) = %q (%v), resolved %q; reference %q (%v)", i, name, href, ok, Resolve(base, href), addr, want)
+				}
 			}
 		}
 	})

@@ -579,8 +579,78 @@ func refRowsOf(tbl *treeNode) []*treeNode {
 	return out
 }
 
-// refDataRow and refDataTable are DataTable as it was: every header column
-// of every row in a map keyed by the lower-cased, trimmed header text.
+// DataRow is one row of DataTable: the texts of the requested columns in
+// request order ("" where the row is too short to reach a column), plus
+// any links found in the row's cells by link text.
+type DataRow struct {
+	Cells []string
+	Links map[string]string // link text → absolute URL; nil when the row has none
+}
+
+// DataTable is the data table as navigation read it before FindTable: the
+// body rows of the first table whose header contains all the given
+// columns, copied out with every link in a row resolved against baseURL.
+// It returns nil when no table matches, and an empty non-nil list for a
+// matching table with no body rows.
+func DataTable(doc *Node, baseURL string, columns ...string) []DataRow {
+	r := newResolver(baseURL)
+	d := doc.d
+	trs := make([]int32, 0, 64)
+	cells := make([]int32, 0, 16)
+	header := make([]string, 0, 16)
+	at := append(make([]int, 0, 16), make([]int, len(columns))...)
+	for j, end := doc.i, doc.node().end; j < end; j++ {
+		if !d.isTag(j, tagTable) {
+			continue
+		}
+		trs = d.rowsOf(trs[:0], j)
+		if len(trs) == 0 {
+			continue
+		}
+		header = header[:0]
+		for _, c := range d.cellsOf(cells[:0], trs[0]) {
+			header = append(header, strings.TrimSpace(d.textOf(c)))
+		}
+		if !headerIndexes(at, header, columns) {
+			continue
+		}
+		rows := make([]DataRow, 0, len(trs)-1)
+		texts := make([]string, len(columns)*(len(trs)-1)) // every row's Cells, carved in turn
+		for _, tr := range trs[1:] {
+			cells = d.cellsOf(cells[:0], tr)
+			if len(cells) == 0 {
+				continue
+			}
+			row := DataRow{Cells: texts[:len(columns):len(columns)]}
+			texts = texts[len(columns):]
+			for k, i := range at {
+				if i < len(cells) {
+					row.Cells[k] = d.textOf(cells[i])
+				}
+			}
+			for _, cell := range cells {
+				for a, end := cell, d.nodes[cell].end; a < end; a++ {
+					if !d.isTag(a, tagA) {
+						continue
+					}
+					if href, has := (Node{d, a}).Attr("href"); has {
+						if row.Links == nil {
+							row.Links = make(map[string]string)
+						}
+						row.Links[d.textOf(a)] = r.resolve(href)
+					}
+				}
+			}
+			rows = append(rows, row)
+		}
+		return rows
+	}
+	return nil
+}
+
+// refDataRow and refDataTable are DataTable as it was before it: every
+// header column of every row in a map keyed by the lower-cased, trimmed
+// header text.
 type refDataRow struct {
 	Cells map[string]string
 	Links map[string]string

@@ -228,7 +228,8 @@ func (w *repairWalk) pageMatchesNode(id navmap.NodeID, pageURL string, doc *html
 			for i, c := range n.Extract.Columns {
 				headers[i] = c.Header
 			}
-			return htmlkit.DataTable(doc, pageURL, headers...) != nil
+			_, found := htmlkit.FindTable(doc, headers, nil, nil)
+			return found
 		}
 	}
 	for _, e := range w.m.OutEdges(id) {

@@ -253,8 +253,13 @@ func (a extract) Name() string {
 
 func (a extract) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tlogic.State, error) {
 	b := st.(*BrowseState)
-	rows := b.dataTable(a.headers)
-	if rows == nil {
+	// The table's rows and column indexes, a row's cells, then the spec's
+	// schema indexes: on the stack for what the sites serve and the maps
+	// build.
+	var rows [64]int32
+	var at [16]int
+	tbl, ok := htmlkit.FindTable(b.doc, a.headers, rows[:0], at[:0])
+	if !ok {
 		// No table carries the expected headers. On the page the map calls
 		// a data page this is the classic wrapper-breaking redesign; on a
 		// branch probing whether this IS the data page it is neutralized
@@ -262,30 +267,35 @@ func (a extract) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tl
 		b.budget.noteStructural()
 		return next, nil
 	}
-	if len(rows) == 0 { // a table with no rows checks no attribute against the schema
+	n := tbl.Len()
+	if n == 0 { // a table with no rows checks no attribute against the schema
 		return append(next, b.withRoom(0)), nil
 	}
-	var at [16]int // room for the indexes of any spec the maps build
-	cols, links, envs, err := a.spec.indexes(at[:0], b.schema)
+	var cellBuf [16]int32
+	var idx [16]int
+	cols, links, envs, err := a.spec.indexes(idx[:0], b.schema)
 	if err != nil {
 		return nil, err
 	}
-	nb := b.withRoom(len(rows))
+	nb := b.withRoom(n)
 	w := len(nb.schema)
-	slab := make([]relation.Value, len(rows)*w)
-	for _, row := range rows {
+	slab := make([]relation.Value, n*w)
+	row := cellBuf[:0]
+	for i := 0; i < n; i++ {
+		row = tbl.Row(i, row)
 		t := relation.Tuple(slab[:w:w]) // cap == len: an append cannot reach the next row
 		slab = slab[w:]
 		for k, c := range a.spec.Columns {
 			if c.Money {
-				t[cols[k]] = relation.ParseMoney(row.Cells[k])
+				t[cols[k]] = relation.ParseMoney(tbl.Cell(row, k))
 			} else {
-				t[cols[k]] = relation.Parse(row.Cells[k])
+				t[cols[k]] = relation.Parse(tbl.Cell(row, k))
 			}
 		}
+		// Only the links the spec names are resolved, against the page URL.
 		for k, lc := range a.spec.LinkCols {
-			if addr, ok := row.Links[lc.LinkName]; ok {
-				t[links[k]] = relation.String(addr)
+			if href, ok := tbl.Link(row, lc.LinkName); ok {
+				t[links[k]] = relation.String(htmlkit.Resolve(b.url, href))
 			}
 		}
 		for k, ec := range a.spec.EnvCols {

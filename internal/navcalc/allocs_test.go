@@ -2,6 +2,7 @@ package navcalc_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"webbase/internal/navcalc"
@@ -113,8 +114,9 @@ func TestFollowAllocs(t *testing.T) {
 // TestLoadAndExtractAllocs: one execution that loads the recorded Newsday
 // data page through a canned fetcher — fetch and parse — and extracts its
 // table. Extraction reads no link or form, so the page's scan and F-logic
-// view are never built: a load that builds them again, or a data table
-// that reads every column, fails here.
+// view are never built, and it reads the table's cells straight into
+// tuples: a load that builds them again, a table copied before it is read,
+// or a link resolved that no LinkCol names, fails here.
 func TestLoadAndExtractAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -147,7 +149,7 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 		}
 		tuples = info.Tuples
 	}
-	const ceiling = 30 // 27 when set, as one execution; 29 while the request was copied to carry its context and each step returned a slice of its outcomes; 29 as load + isdata + extract on a bare state before the guards went; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
+	const ceiling = 17 // 15 when set, as one execution; 27 while the page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 29 while the request was copied to carry its context and each step returned a slice of its outcomes; 29 as load + isdata + extract on a bare state before the guards went; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
 	if tuples == 0 {
@@ -155,5 +157,37 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 	}
 	if got > ceiling {
 		t.Errorf("a page load and extraction allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestFailedBranchTuplesStayOut: a branch of ∨ that extracts and then
+// fails leaves nothing behind. From page 0, one branch follows More,
+// extracts page 1 and then follows a link page 1 lacks; the other follows
+// Other and extracts page 2. The answer is pages 0 and 2, in that order.
+func TestFailedBranchTuplesStayOut(t *testing.T) {
+	pages := map[string]string{
+		"http://alt.example/0": `<table><tr><th>Make</th></tr><tr><td>zero</td></tr></table><a href="/1">More</a><a href="/2">Other</a>`,
+		"http://alt.example/1": `<table><tr><th>Make</th></tr><tr><td>one</td></tr><tr><td>one</td></tr></table>`,
+		"http://alt.example/2": `<table><tr><th>Make</th></tr><tr><td>two</td></tr></table>`,
+	}
+	f := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		return web.HTML(req.URL, pages[req.URL]), nil
+	})
+	extract := navcalc.Extract(navcalc.ExtractSpec{Columns: []navcalc.Column{{Header: "Make", Attr: "Make"}}})
+	expr := &navcalc.Expression{Name: "alt", StartURL: "http://alt.example/0", Schema: relation.NewSchema("Make"),
+		Program: tlogic.NewProgram(), Goal: tlogic.Seq(extract, tlogic.Alt(
+			tlogic.Seq(navcalc.Follow("More"), extract, navcalc.Follow("Gone")),
+			tlogic.Seq(navcalc.Follow("Other"), extract),
+		))}
+	rel, _, err := expr.Execute(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tu := range rel.Tuples() {
+		got = append(got, tu[0].String())
+	}
+	if want := []string{"zero", "two"}; !slices.Equal(got, want) {
+		t.Errorf("collected %q, want %q", got, want)
 	}
 }

@@ -171,8 +171,8 @@ func TestFailedLoadIsNotKept(t *testing.T) {
 
 // TestKeptPageSharedByConcurrentExecutions: once kept, a data page is the
 // current page of many executions at once, which extract its table by two
-// different header sets — the slot they share is written concurrently.
-// Run under -race.
+// different header sets from the one parsed document they share, read
+// only. Run under -race.
 func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 	site := newReuseSite()
 	q := &web.Query{}

@@ -98,9 +98,10 @@ type BrowseState struct {
 // reaches it (DESIGN.md §6).
 //
 // Load only parses. The links-and-forms scan is built when a step first
-// reads a link or form: a page that is only extracted never builds it. No
-// step builds the page's F-logic view; the steps read the scan it would be
-// built from (DESIGN.md §6).
+// reads a link or form: a page that is only extracted never builds it, and
+// an extraction reads its table off the document in place. No step builds
+// the page's F-logic view; the steps read the scan it would be built from
+// (DESIGN.md §6).
 type page struct {
 	url   string
 	bytes int64         // body length, counted on the fetch span of every visit
@@ -108,29 +109,12 @@ type page struct {
 
 	scanOnce sync.Once
 	scan     htmlkit.Page // links, forms and table presence; see scanned
-
-	// The data table last looked up and the headers it was looked up by: a
-	// later extract on the same page (a kept page's next visit, an
-	// input-free page's next query) reads it from here.
-	mu       sync.Mutex
-	tableFor []string
-	table    []htmlkit.DataRow
 }
 
 // scanned is htmlkit.Scan of the page, built on first use.
 func (p *page) scanned() *htmlkit.Page {
 	p.scanOnce.Do(func() { p.scan = htmlkit.Scan(p.doc, p.url) })
 	return &p.scan
-}
-
-// dataTable is htmlkit.DataTable on the current page.
-func (p *page) dataTable(headers []string) []htmlkit.DataRow {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.tableFor == nil || !slices.Equal(p.tableFor, headers) {
-		p.tableFor, p.table = headers, htmlkit.DataTable(p.doc, p.url, headers...)
-	}
-	return p.table
 }
 
 // newBrowseState fetches startURL and returns the initial state of a

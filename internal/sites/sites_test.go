@@ -31,10 +31,21 @@ func fetchDoc(t *testing.T, f web.Fetcher, req *web.Request) *htmlkit.Node {
 	return htmlkit.Parse(resp.Body)
 }
 
+// dataRow is one body row of a data table: its cells in column order.
+type dataRow struct{ Cells []string }
+
 // dataRows is the data table navigation reads: the body rows of the first
 // table whose header holds every column, each row's cells in column order.
-func dataRows(doc *htmlkit.Node, columns ...string) []htmlkit.DataRow {
-	return htmlkit.DataTable(doc, "", columns...)
+func dataRows(doc *htmlkit.Node, columns ...string) []dataRow {
+	tbl, _ := htmlkit.FindTable(doc, columns, nil, nil)
+	rows := make([]dataRow, tbl.Len())
+	for i := range rows {
+		row := tbl.Row(i, nil)
+		for k := range columns {
+			rows[i].Cells = append(rows[i].Cells, tbl.Cell(row, k))
+		}
+	}
+	return rows
 }
 
 func findLink(t *testing.T, doc *htmlkit.Node, base, name string) string {

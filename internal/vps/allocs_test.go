@@ -49,7 +49,7 @@ func TestPopulateAllocs(t *testing.T) {
 	}
 	populate() // fill the pages
 
-	const ceiling = 102 // 93 when set; 129 while a submission built a url.Values and its encoding, the request was copied to carry its context, each step returned a slice of its outcomes and the execution its report on the heap; 153 while the scan resolved every link on a page; 202 while the bindings, the path and the extraction set-up were copied at every step
+	const ceiling = 70 // 63 when set; 93 while each data page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 129 while a submission built a url.Values and its encoding, the request was copied to carry its context, each step returned a slice of its outcomes and the execution its report on the heap; 153 while the scan resolved every link on a page; 202 while the bindings, the path and the extraction set-up were copied at every step
 	got := testing.AllocsPerRun(50, populate)
 	t.Logf("a warm newsday invocation of %d tuples over %d pages: %.0f allocations (ceiling %d)", tuples, len(pages), got, ceiling)
 	if tuples == 0 {

@@ -1,6 +1,7 @@
-// Benchmarks regenerating the quantitative artifacts of the paper's
-// evaluation, plus the ablations DESIGN.md calls out. Each benchmark notes
-// the experiment id from DESIGN.md's per-experiment index.
+// Benchmarks of the ablations DESIGN.md calls out, plus the map builder's
+// S7a statistics. Each benchmark notes the experiment id from DESIGN.md's
+// per-experiment index. The benchmarks of the experiment harness itself
+// (T1, S7b, S7c) sit beside it, in cmd/experiments.
 //
 // What is kept here is what EXPERIMENTS.md cites for a paper table or an
 // ablation, plus BenchmarkPrunedQuery, whose metrics are page counts and
@@ -14,14 +15,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"webbase"
 	"webbase/internal/algebra"
 	"webbase/internal/carmaps"
-	"webbase/internal/core"
 	"webbase/internal/htmlkit"
-	"webbase/internal/mapbuilder"
 	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
 	"webbase/internal/relation"
@@ -31,115 +29,27 @@ import (
 	"webbase/internal/web"
 )
 
-// T1 — Table 1: populating every VPS relation once (navigation +
-// extraction cost per relation).
-func BenchmarkTable1VPSPopulate(b *testing.B) {
-	world := sites.BuildWorld()
-	reg, err := vps.StandardRegistry()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ri := range reg.Relations() {
-		name := ri.Name
-		if name == "newsdayCarFeatures" {
-			continue // needs a live Url; covered in the newsday bench path
-		}
-		b.Run(name, func(b *testing.B) {
-			inputs := core.TimingQueryInputs(name)
-			for i := 0; i < b.N; i++ {
-				if _, _, err := reg.Populate(world.Server, name, inputs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// S7b — the Section 7 timing table: per-site evaluation of
-// SELECT make, model, year, price WHERE make=ford AND model=escort.
-// b.ReportMetric carries the pages-navigated column.
-func BenchmarkTableSiteTimings(b *testing.B) {
-	world := sites.BuildWorld()
-	reg, err := vps.StandardRegistry()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, name := range core.TimingTableRelations {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			inputs := core.TimingQueryInputs(name)
-			var pages int64
-			for i := 0; i < b.N; i++ {
-				stats := &web.Stats{}
-				f := web.Counting(world.Server, stats)
-				if _, _, err := reg.Populate(f, name, inputs); err != nil {
-					b.Fatal(err)
-				}
-				pages = stats.Pages()
-			}
-			b.ReportMetric(float64(pages), "pages")
-		})
-	}
-}
-
 // S7a — Section 7 map-builder statistics: replaying all mapping-by-example
 // sessions. Metrics carry the Newsday objects/attributes counts.
 func BenchmarkMapBuilder(b *testing.B) {
 	world := sites.BuildWorld()
-	builder := &mapbuilder.Builder{Fetcher: world.Server}
 	var newsdayObjects, newsdayAttrs, manualPct float64
 	for i := 0; i < b.N; i++ {
-		stats, err := core.MapStats(world.Server)
+		built, err := carmaps.MapStats(world.Server)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, s := range stats {
-			if s.Site == "newsday" {
+		for _, m := range built {
+			if s := m.Stats; s.Site == "newsday" {
 				newsdayObjects = float64(s.Objects)
 				newsdayAttrs = float64(s.Attributes)
 				manualPct = 100 * s.ManualRatio()
 			}
 		}
 	}
-	_ = builder
 	b.ReportMetric(newsdayObjects, "newsday-objects")
 	b.ReportMetric(newsdayAttrs, "newsday-attrs")
 	b.ReportMetric(manualPct, "manual-%")
-}
-
-// S7c — parallelization: all ten timing-table sites under a sleeping
-// network model, swept over worker counts. Elapsed time is the metric;
-// the paper's conclusion is the 1→10 worker drop.
-func BenchmarkParallelEvaluation(b *testing.B) {
-	world := sites.BuildWorld()
-	model := web.LatencyModel{PerRequest: 2 * time.Millisecond, Sleep: true}
-	for _, workers := range []int{1, 2, 4, 8, 10} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.ParallelSweep(world.Server, model, []int{workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// S7c extension — site-count scaling: the parallel sweep over generated
-// homogeneous dealer fleets, past the paper's ten sites.
-func BenchmarkScaledSweep(b *testing.B) {
-	model := web.LatencyModel{PerRequest: 2 * time.Millisecond}
-	for _, n := range []int{10, 25, 50} {
-		for _, workers := range []int{1, 16} {
-			b.Run(fmt.Sprintf("sites=%d/workers=%d", n, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.ScaledSweep(n, model, []int{workers}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // A3 — caching ablation: the same query cold (every page fetched) vs warm

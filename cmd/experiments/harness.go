@@ -1,16 +1,15 @@
-package core
+package main
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
+	"webbase"
 	"webbase/internal/algebra"
 	"webbase/internal/carmaps"
 	"webbase/internal/htmlkit"
-	"webbase/internal/mapbuilder"
 	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
 	"webbase/internal/relation"
@@ -21,9 +20,84 @@ import (
 )
 
 // This file is the experiment harness: every table and figure of the
-// paper's evaluation is regenerated by a function here, consumed by
-// cmd/experiments and by the benchmark suite. See EXPERIMENTS.md for the
-// paper-vs-measured record.
+// paper's evaluation is regenerated by a function here. See
+// EXPERIMENTS.md for the paper-vs-measured record.
+
+// deterministicArtifacts are the artifacts every byte of which follows
+// from the code and the simulated Web, in report order:
+// experiments_output.txt opens with them. measuredArtifacts read a wall
+// clock, and follow them.
+var (
+	deterministicArtifacts = []string{
+		"table1", "table2", "table3",
+		"figure2", "figure3", "figure4", "figure5",
+		"example6.2", "tablemapstats",
+	}
+	measuredArtifacts = []string{"tabletimings", "tableparallel", "tablescaled", "tablesplit"}
+)
+
+// artifacts returns the renderer of every artifact over world and wb,
+// keyed by its flag and the flag's value ("table1", "figure4",
+// "example6.2").
+func artifacts(world *sites.World, wb *webbase.System) map[string]func() (string, error) {
+	return map[string]func() (string, error){
+		"table1":     func() (string, error) { return table1(wb), nil },
+		"table2":     func() (string, error) { return table2(wb), nil },
+		"table3":     func() (string, error) { return table3(wb), nil },
+		"figure2":    func() (string, error) { t, d := figure2(); return t + "\n" + d, nil },
+		"figure3":    func() (string, error) { return figure3(), nil },
+		"figure4":    figure4,
+		"figure5":    func() (string, error) { return figure5(wb), nil },
+		"example6.2": example62,
+		"tablemapstats": func() (string, error) {
+			built, err := carmaps.MapStats(world.Server)
+			if err != nil {
+				return "", err
+			}
+			out := "Section 7: mapping-by-example automation statistics\n"
+			for _, b := range built {
+				out += "  " + b.Stats.String() + "\n"
+			}
+			return out, nil
+		},
+		"tabletimings": func() (string, error) {
+			rows, err := siteTimings(world.Server, webbase.DefaultLatency)
+			if err != nil {
+				return "", err
+			}
+			return formatSiteTimings(rows), nil
+		},
+		"tableparallel": func() (string, error) {
+			rows, err := parallelSweep(world.Server, webbase.DefaultLatency, []int{1, 2, 4, 8, 10})
+			if err != nil {
+				return "", err
+			}
+			return formatParallelSweep(rows), nil
+		},
+		"tablescaled": func() (string, error) {
+			model := web.LatencyModel{PerRequest: 2 * time.Millisecond}
+			out := "Site-count scaling of parallel evaluation (2ms/page, sleeping)\n"
+			out += fmt.Sprintf("  %-8s %-8s %12s\n", "sites", "workers", "elapsed")
+			for _, n := range []int{10, 25, 50} {
+				rows, err := scaledSweep(n, model, []int{1, 16})
+				if err != nil {
+					return "", err
+				}
+				for _, r := range rows {
+					out += fmt.Sprintf("  %-8d %-8d %12v\n", r.Sites, r.Workers, r.Elapsed.Round(time.Millisecond))
+				}
+			}
+			return out, nil
+		},
+		"tablesplit": func() (string, error) {
+			ts, err := measureTimeSplit(world.Server, webbase.DefaultLatency)
+			if err != nil {
+				return "", err
+			}
+			return "Section 7: time split of the newsday ford/escort navigation\n  " + ts.String(), nil
+		},
+	}
+}
 
 // vpsDescriptions labels Table 1's rows.
 var vpsDescriptions = map[string]string{
@@ -42,8 +116,8 @@ var vpsDescriptions = map[string]string{
 	"carFinance":         "Interest Rates",
 }
 
-// Table1 renders the VPS-level relations (paper Table 1).
-func (wb *Webbase) Table1() string {
+// table1 renders the VPS-level relations (paper Table 1).
+func table1(wb *webbase.System) string {
 	var sb strings.Builder
 	sb.WriteString("Table 1: VPS Level Relations\n")
 	fmt.Fprintf(&sb, "  %-30s %s\n", "Description", "VPS Level Relation")
@@ -53,9 +127,9 @@ func (wb *Webbase) Table1() string {
 	return sb.String()
 }
 
-// Table2 renders the logical relations and their definitions over the VPS
+// table2 renders the logical relations and their definitions over the VPS
 // (paper Table 2).
-func (wb *Webbase) Table2() string {
+func table2(wb *webbase.System) string {
 	var sb strings.Builder
 	sb.WriteString("Table 2: Logical Level Relations\n")
 	for _, v := range wb.Logical.Views() {
@@ -65,9 +139,9 @@ func (wb *Webbase) Table2() string {
 	return sb.String()
 }
 
-// Table3 renders each VPS handle's mandatory and optional attribute sets
+// table3 renders each VPS handle's mandatory and optional attribute sets
 // (paper Table 3).
-func (wb *Webbase) Table3() string {
+func table3(wb *webbase.System) string {
 	var sb strings.Builder
 	sb.WriteString("Table 3: Virtual Physical Schema handles\n")
 	fmt.Fprintf(&sb, "  %-45s %-28s %s\n", "VPS relation", "Mandatory", "Optional")
@@ -81,15 +155,15 @@ func (wb *Webbase) Table3() string {
 	return sb.String()
 }
 
-// Figure2 renders the Newsday navigation map, textually and as DOT.
-func Figure2() (text, dot string) {
+// figure2 renders the Newsday navigation map, textually and as DOT.
+func figure2() (text, dot string) {
 	m := carmaps.AllMaps()["newsday"]
 	return m.String(), m.DOT()
 }
 
-// Figure3 renders the F-logic signatures of the common WWW data
+// figure3 renders the F-logic signatures of the common WWW data
 // structures.
-func Figure3() string {
+func figure3() string {
 	var sb strings.Builder
 	sb.WriteString("Figure 3: Common WWW Data Structures (F-logic signatures)\n")
 	for _, sig := range navcalc.WWWSignatures {
@@ -98,9 +172,9 @@ func Figure3() string {
 	return sb.String()
 }
 
-// Figure4 renders the navigation expression derived from the Newsday map —
+// figure4 renders the navigation expression derived from the Newsday map —
 // the paper's Figure 4, generated automatically rather than hand-written.
-func Figure4() (string, error) {
+func figure4() (string, error) {
 	expr, err := navmap.Translate(carmaps.AllMaps()["newsday"])
 	if err != nil {
 		return "", err
@@ -108,14 +182,14 @@ func Figure4() (string, error) {
 	return "Figure 4: derived navigation process for Newsday\n" + expr.String(), nil
 }
 
-// Figure5 renders the concept hierarchy of the used-car UR.
-func (wb *Webbase) Figure5() string {
+// figure5 renders the concept hierarchy of the used-car UR.
+func figure5(wb *webbase.System) string {
 	return "Figure 5: Concept Hierarchy for the Used Cars UR\n" + wb.UR.Hierarchy.String()
 }
 
-// Example62 renders the paper's Example 6.2: the compatibility constraints
+// example62 renders the paper's Example 6.2: the compatibility constraints
 // and the five maximal objects they generate.
-func Example62() (string, error) {
+func example62() (string, error) {
 	s, err := ur.Example62()
 	if err != nil {
 		return "", err
@@ -133,32 +207,11 @@ func Example62() (string, error) {
 	return sb.String(), nil
 }
 
-// MapStats replays the mapping-by-example sessions for every site and
-// reports the Section 7 automation statistics (Newsday: "85 objects with
-// over 600 attributes ... less than 5% added manually").
-func MapStats(f web.Fetcher) ([]*mapbuilder.Stats, error) {
-	featURL, err := carmaps.SampleFeaturesURL(f)
-	if err != nil {
-		return nil, err
-	}
-	b := &mapbuilder.Builder{Fetcher: f}
-	var out []*mapbuilder.Stats
-	for _, s := range carmaps.Sessions(featURL) {
-		_, stats, err := b.Build(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: mapping %s: %w", s.Relation, err)
-		}
-		out = append(out, stats)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out, nil
-}
-
-// TimingQueryInputs is the Section 7 per-site query — SELECT make, model,
+// timingQueryInputs is the Section 7 per-site query — SELECT make, model,
 // year, price WHERE make=ford AND model=escort — expressed as VPS inputs.
 // Relations with further mandatory attributes (condition radios and the
 // like) receive the extra values a user would supply.
-func TimingQueryInputs(relationName string) map[string]relation.Value {
+func timingQueryInputs(relationName string) map[string]relation.Value {
 	in := map[string]relation.Value{
 		"Make":  relation.String("ford"),
 		"Model": relation.String("escort"),
@@ -172,15 +225,15 @@ func TimingQueryInputs(relationName string) map[string]relation.Value {
 	return in
 }
 
-// TimingTableRelations lists the VPS relations of the ten sites in the
+// timingTableRelations lists the VPS relations of the ten sites in the
 // Section 7 timing table, in the paper's row order.
-var TimingTableRelations = []string{
+var timingTableRelations = []string{
 	"autoWeb", "wwWheels", "nyTimes", "carReviews", "newYorkDaily",
 	"carAndDriver", "autoConnect", "newsday", "yahooCars", "kellys",
 }
 
-// SiteTiming is one row of the Section 7 timing table.
-type SiteTiming struct {
+// siteTiming is one row of the Section 7 timing table.
+type siteTiming struct {
 	Site    string
 	Pages   int64
 	Tuples  int
@@ -188,30 +241,30 @@ type SiteTiming struct {
 	Elapsed time.Duration // CPU plus the simulated network latency
 }
 
-// SiteTimings reproduces the Section 7 timing table: for each of the ten
+// siteTimings reproduces the Section 7 timing table: for each of the ten
 // sites, run the ford/escort query and report pages navigated, CPU time
 // and elapsed time. The fetcher is built fresh per site over raw (no
 // cache, so every page counts) with the latency model applied in
 // accounting mode: CPU is measured wall time, and Elapsed adds the
 // simulated network latency — preserving the paper's shape (elapsed ≫
 // cpu) without actually sleeping.
-func SiteTimings(raw web.Fetcher, model web.LatencyModel) ([]SiteTiming, error) {
+func siteTimings(raw web.Fetcher, model web.LatencyModel) ([]siteTiming, error) {
 	reg, err := vps.StandardRegistry()
 	if err != nil {
 		return nil, err
 	}
 	model.Sleep = false
-	var out []SiteTiming
-	for _, name := range TimingTableRelations {
+	var out []siteTiming
+	for _, name := range timingTableRelations {
 		stats := &web.Stats{}
 		f := web.WithLatency(web.Counting(raw, stats), model, stats)
 		start := time.Now()
-		rel, _, err := reg.Populate(f, name, TimingQueryInputs(name))
+		rel, _, err := reg.Populate(f, name, timingQueryInputs(name))
 		if err != nil {
-			return nil, fmt.Errorf("core: timing %s: %w", name, err)
+			return nil, fmt.Errorf("timing %s: %w", name, err)
 		}
 		cpu := time.Since(start)
-		out = append(out, SiteTiming{
+		out = append(out, siteTiming{
 			Site:    name,
 			Pages:   stats.Pages(),
 			Tuples:  rel.Len(),
@@ -222,10 +275,14 @@ func SiteTimings(raw web.Fetcher, model web.LatencyModel) ([]SiteTiming, error) 
 	return out, nil
 }
 
-// FormatSiteTimings renders the timing table in the paper's row format.
-func FormatSiteTimings(rows []SiteTiming) string {
+// siteTimingsTitle opens the timing table, the first artifact that reads
+// a wall clock.
+const siteTimingsTitle = "Section 7: per-site evaluation of SELECT make,model,year,price WHERE make=ford AND model=escort\n"
+
+// formatSiteTimings renders the timing table in the paper's row format.
+func formatSiteTimings(rows []siteTiming) string {
 	var sb strings.Builder
-	sb.WriteString("Section 7: per-site evaluation of SELECT make,model,year,price WHERE make=ford AND model=escort\n")
+	sb.WriteString(siteTimingsTitle)
 	fmt.Fprintf(&sb, "  %-14s %8s %8s %12s %12s\n", "Site", "#pages", "#tuples", "cpu", "elapsed")
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "  %-14s %8d %8d %12v %12v\n",
@@ -234,43 +291,43 @@ func FormatSiteTimings(rows []SiteTiming) string {
 	return sb.String()
 }
 
-// ParallelTiming is one row of the parallelization experiment. Elapsed
+// parallelTiming is one row of the parallelization experiment. Elapsed
 // is a wall clock, to be printed; Pages and PeakInFlight — the most
 // fetches ever in the air at once — are the counts that say the same
 // thing reproducibly.
-type ParallelTiming struct {
+type parallelTiming struct {
 	Workers      int
 	Elapsed      time.Duration
 	Pages        int64
 	PeakInFlight int64
 }
 
-// ParallelSweep measures the elapsed time of querying all ten timing-table
-// sites with 1..maxWorkers concurrent workers under a *sleeping* latency
-// model — the experiment behind Section 7/9's conclusion that
+// parallelSweep measures the elapsed time of querying all ten timing-table
+// sites with each of workerCounts concurrent workers under a *sleeping*
+// latency model — the experiment behind Section 7/9's conclusion that
 // "parallelization of query evaluation is crucial for obtaining acceptable
 // response times".
-func ParallelSweep(raw web.Fetcher, model web.LatencyModel, workerCounts []int) ([]ParallelTiming, error) {
+func parallelSweep(raw web.Fetcher, model web.LatencyModel, workerCounts []int) ([]parallelTiming, error) {
 	model.Sleep = true
 	reg, err := vps.StandardRegistry()
 	if err != nil {
 		return nil, err
 	}
-	var out []ParallelTiming
+	var out []parallelTiming
 	for _, workers := range workerCounts {
 		stats, f := sweepFetcher(raw, model, workers)
 		start := time.Now()
-		err := sweep(workers, len(TimingTableRelations), func(i int) error {
-			name := TimingTableRelations[i]
-			if _, _, err := reg.Populate(f, name, TimingQueryInputs(name)); err != nil {
-				return fmt.Errorf("core: parallel sweep %s: %w", name, err)
+		err := sweep(workers, len(timingTableRelations), func(i int) error {
+			name := timingTableRelations[i]
+			if _, _, err := reg.Populate(f, name, timingQueryInputs(name)); err != nil {
+				return fmt.Errorf("parallel sweep %s: %w", name, err)
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ParallelTiming{Workers: workers, Elapsed: time.Since(start),
+		out = append(out, parallelTiming{Workers: workers, Elapsed: time.Since(start),
 			Pages: stats.Pages(), PeakInFlight: stats.PeakInFlight()})
 	}
 	return out, nil
@@ -297,8 +354,8 @@ func sweep(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
-// FormatParallelSweep renders the parallelization table.
-func FormatParallelSweep(rows []ParallelTiming) string {
+// formatParallelSweep renders the parallelization table.
+func formatParallelSweep(rows []parallelTiming) string {
 	var sb strings.Builder
 	sb.WriteString("Parallel evaluation of all 10 sites (simulated network, sleeping)\n")
 	fmt.Fprintf(&sb, "  %-8s %12s %9s\n", "workers", "elapsed", "speedup")
@@ -313,21 +370,21 @@ func FormatParallelSweep(rows []ParallelTiming) string {
 	return sb.String()
 }
 
-// TimeSplit reports where evaluation time goes — Section 7: "a significant
+// timeSplit reports where evaluation time goes — Section 7: "a significant
 // portion of the time in querying is spent not only in fetching, but also
 // parsing the Web pages". Fetch time is the simulated network latency;
 // parse time is measured by re-parsing every fetched body; the remainder
 // is extraction and query processing.
-type TimeSplit struct {
+type timeSplit struct {
 	Fetch time.Duration
 	Parse time.Duration
 	Other time.Duration
 	Pages int64
 }
 
-// MeasureTimeSplit runs the newsday ford/escort navigation and splits its
+// measureTimeSplit runs the newsday ford/escort navigation and splits its
 // cost.
-func MeasureTimeSplit(raw web.Fetcher, model web.LatencyModel) (*TimeSplit, error) {
+func measureTimeSplit(raw web.Fetcher, model web.LatencyModel) (*timeSplit, error) {
 	stats := &web.Stats{}
 	var bodies [][]byte
 	recorder := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
@@ -359,7 +416,7 @@ func MeasureTimeSplit(raw web.Fetcher, model web.LatencyModel) (*TimeSplit, erro
 	if other < 0 {
 		other = 0
 	}
-	return &TimeSplit{
+	return &timeSplit{
 		Fetch: stats.SimulatedLatency(),
 		Parse: parse,
 		Other: other,
@@ -368,26 +425,26 @@ func MeasureTimeSplit(raw web.Fetcher, model web.LatencyModel) (*TimeSplit, erro
 }
 
 // String renders the split.
-func (ts *TimeSplit) String() string {
+func (ts *timeSplit) String() string {
 	return fmt.Sprintf("pages=%d fetch(net)=%v parse=%v other=%v",
 		ts.Pages, ts.Fetch.Round(time.Microsecond), ts.Parse.Round(time.Microsecond), ts.Other.Round(time.Microsecond))
 }
 
-// ScaledSweepResult is one row of the site-count scaling experiment.
-type ScaledSweepResult struct {
+// scaledSweepResult is one row of the site-count scaling experiment.
+type scaledSweepResult struct {
 	Sites        int
 	Workers      int
 	Elapsed      time.Duration
 	Pages        int64
-	PeakInFlight int64 // see ParallelTiming
+	PeakInFlight int64 // see parallelTiming
 }
 
-// ScaledSweep queries n generated dealer sites (sites.BuildScaledWorld)
+// scaledSweep queries n generated dealer sites (sites.BuildScaledWorld)
 // with the given worker counts under a sleeping latency model — the
 // paper's parallelization claim pushed past its ten sites. Each site costs
 // two page fetches, so sequential elapsed grows linearly with n while
 // parallel elapsed stays near (2·latency·n/workers).
-func ScaledSweep(n int, model web.LatencyModel, workerCounts []int) ([]ScaledSweepResult, error) {
+func scaledSweep(n int, model web.LatencyModel, workerCounts []int) ([]scaledSweepResult, error) {
 	world := sites.BuildScaledWorld(n)
 	model.Sleep = true
 
@@ -414,7 +471,7 @@ func ScaledSweep(n int, model web.LatencyModel, workerCounts []int) ([]ScaledSwe
 	}
 
 	inputs := map[string]string{"Make": "ford", "Model": "escort"}
-	var out []ScaledSweepResult
+	var out []scaledSweepResult
 	for _, workers := range workerCounts {
 		stats, f := sweepFetcher(world.Server, model, workers)
 		start := time.Now()
@@ -425,18 +482,8 @@ func ScaledSweep(n int, model web.LatencyModel, workerCounts []int) ([]ScaledSwe
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ScaledSweepResult{Sites: n, Workers: workers, Elapsed: time.Since(start),
+		out = append(out, scaledSweepResult{Sites: n, Workers: workers, Elapsed: time.Since(start),
 			Pages: stats.Pages(), PeakInFlight: stats.PeakInFlight()})
 	}
 	return out, nil
-}
-
-// DefaultLatency is the latency model the experiment harness uses: a few
-// milliseconds per request plus per-KB transfer time and deterministic
-// per-URL jitter — 1998 dial-up shrunk by three orders of magnitude so the
-// suite stays fast while preserving the elapsed ≫ cpu shape.
-var DefaultLatency = web.LatencyModel{
-	PerRequest: 4 * time.Millisecond,
-	PerKB:      1 * time.Millisecond,
-	Jitter:     3 * time.Millisecond,
 }

@@ -3,7 +3,7 @@
 // full report (the content of EXPERIMENTS.md's measured columns), or
 // select one artifact:
 //
-//	experiments -table 1|2|3|mapstats|timings|parallel|split
+//	experiments -table 1|2|3|mapstats|timings|parallel|scaled|split
 //	experiments -figure 2|3|4|5
 //	experiments -example 6.2
 package main
@@ -12,11 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"slices"
 
-	"webbase/internal/core"
+	"webbase"
 	"webbase/internal/sites"
-	"webbase/internal/web"
 )
 
 func main() {
@@ -27,112 +26,38 @@ func main() {
 	)
 	flag.Parse()
 
+	var selected []string
+	for _, sel := range [][2]string{{"table", *table}, {"figure", *figure}, {"example", *example}} {
+		if sel[1] != "" {
+			selected = append(selected, sel[0]+sel[1])
+		}
+	}
+	if len(selected) > 1 {
+		fmt.Fprintln(os.Stderr, "experiments: choose at most one of -table, -figure and -example")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if len(selected) == 0 {
+		selected = slices.Concat(deterministicArtifacts, measuredArtifacts)
+	}
+
 	world := sites.BuildWorld()
-	wb, err := core.New(core.Config{Fetcher: world.Server})
+	wb, err := webbase.New(webbase.Config{Fetcher: world.Server})
 	if err != nil {
 		fatal(err)
 	}
-
-	selected := *table + *figure + *example
-	emit := func(name string, fn func() (string, error)) {
+	run := artifacts(world, wb)
+	for _, name := range selected {
+		fn, ok := run[name]
+		if !ok {
+			fatal(fmt.Errorf("unknown artifact %q", name))
+		}
 		out, err := fn()
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Println(out)
 	}
-
-	run := map[string]func() (string, error){
-		"table1":     func() (string, error) { return wb.Table1(), nil },
-		"table2":     func() (string, error) { return wb.Table2(), nil },
-		"table3":     func() (string, error) { return wb.Table3(), nil },
-		"figure2":    func() (string, error) { t, d := core.Figure2(); return t + "\n" + d, nil },
-		"figure3":    func() (string, error) { return core.Figure3(), nil },
-		"figure4":    core.Figure4,
-		"figure5":    func() (string, error) { return wb.Figure5(), nil },
-		"example6.2": core.Example62,
-		"tablemapstats": func() (string, error) {
-			stats, err := core.MapStats(world.Server)
-			if err != nil {
-				return "", err
-			}
-			out := "Section 7: mapping-by-example automation statistics\n"
-			for _, s := range stats {
-				out += "  " + s.String() + "\n"
-			}
-			return out, nil
-		},
-		"tabletimings": func() (string, error) {
-			rows, err := core.SiteTimings(world.Server, core.DefaultLatency)
-			if err != nil {
-				return "", err
-			}
-			return core.FormatSiteTimings(rows), nil
-		},
-		"tableparallel": func() (string, error) {
-			rows, err := core.ParallelSweep(world.Server, parallelModel(), []int{1, 2, 4, 8, 10})
-			if err != nil {
-				return "", err
-			}
-			return core.FormatParallelSweep(rows), nil
-		},
-		"tablescaled": func() (string, error) {
-			model := web.LatencyModel{PerRequest: 2 * time.Millisecond}
-			out := "Site-count scaling of parallel evaluation (2ms/page, sleeping)\n"
-			out += fmt.Sprintf("  %-8s %-8s %12s\n", "sites", "workers", "elapsed")
-			for _, n := range []int{10, 25, 50} {
-				rows, err := core.ScaledSweep(n, model, []int{1, 16})
-				if err != nil {
-					return "", err
-				}
-				for _, r := range rows {
-					out += fmt.Sprintf("  %-8d %-8d %12v\n", r.Sites, r.Workers, r.Elapsed.Round(time.Millisecond))
-				}
-			}
-			return out, nil
-		},
-		"tablesplit": func() (string, error) {
-			ts, err := core.MeasureTimeSplit(world.Server, core.DefaultLatency)
-			if err != nil {
-				return "", err
-			}
-			return "Section 7: time split of the newsday ford/escort navigation\n  " + ts.String(), nil
-		},
-	}
-
-	if selected == "" {
-		// Full report in paper order.
-		for _, name := range []string{
-			"table1", "table2", "table3",
-			"figure2", "figure3", "figure4", "figure5",
-			"example6.2",
-			"tablemapstats", "tabletimings", "tableparallel", "tablescaled", "tablesplit",
-		} {
-			emit(name, run[name])
-		}
-		return
-	}
-	var key string
-	switch {
-	case *table != "":
-		key = "table" + *table
-	case *figure != "":
-		key = "figure" + *figure
-	case *example != "":
-		key = "example" + *example
-	}
-	fn, ok := run[key]
-	if !ok {
-		fatal(fmt.Errorf("unknown artifact %q", key))
-	}
-	emit(key, fn)
-}
-
-// parallelModel returns the sleeping latency model for the parallel sweep.
-func parallelModel() web.LatencyModel {
-	m := core.DefaultLatency
-	m.Sleep = true
-	return m
 }
 
 func fatal(err error) {

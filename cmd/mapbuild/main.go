@@ -20,7 +20,6 @@ import (
 	"slices"
 
 	"webbase/internal/carmaps"
-	"webbase/internal/core"
 	"webbase/internal/mapbuilder"
 	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
@@ -39,36 +38,36 @@ func main() {
 	flag.Parse()
 
 	world := sites.BuildWorld()
-	b := &mapbuilder.Builder{Fetcher: world.Server}
 
 	if *check {
-		runCheck(b)
+		runCheck(&mapbuilder.Builder{Fetcher: world.Server})
 		return
 	}
 	if *load != "" {
 		runLoad(*load, *expr)
 		return
 	}
+	built, err := carmaps.MapStats(world.Server)
+	if err != nil {
+		fatal(err)
+	}
 	if *save != "" {
-		runSave(b, world, *save)
+		runSave(built, *save)
 		return
 	}
 	if *site == "" {
-		stats, err := core.MapStats(world.Server)
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Println("Mapping by example — automation statistics per site:")
-		for _, s := range stats {
-			fmt.Println("  " + s.String())
+		for _, b := range built {
+			fmt.Println("  " + b.Stats.String())
 		}
 		return
 	}
 
-	m := findMap(b, world, *site)
-	if m == nil {
+	i := slices.IndexFunc(built, func(b carmaps.Built) bool { return b.Map.Name == *site })
+	if i < 0 {
 		fatal(fmt.Errorf("no session for site %q", *site))
 	}
+	m := built[i].Map
 	if *dot {
 		fmt.Print(m.DOT())
 		return
@@ -84,32 +83,7 @@ func main() {
 	}
 }
 
-func findMap(b *mapbuilder.Builder, world *sites.World, name string) *navmap.Map {
-	for _, s := range sessions(world) {
-		if s.Relation == name {
-			m, _, err := b.Build(s)
-			if err != nil {
-				fatal(err)
-			}
-			return m
-		}
-	}
-	return nil
-}
-
-func sessions(world *sites.World) []*mapbuilder.Session {
-	featURL, err := carmaps.SampleFeaturesURL(world.Server)
-	if err != nil {
-		fatal(err)
-	}
-	return carmaps.Sessions(featURL)
-}
-
 func runCheck(b *mapbuilder.Builder) {
-	inputs := map[string]string{
-		"Make": "ford", "Model": "escort", "Condition": "good",
-		"ZipCode": "11201", "Duration": "36", "Year": "1994",
-	}
 	clean := true
 	maps := carmaps.AllMaps()
 	names := make([]string, 0, len(maps))
@@ -122,7 +96,7 @@ func runCheck(b *mapbuilder.Builder) {
 		if m.StartURLVar != "" {
 			continue // entered via query-time URL; nothing to re-crawl from
 		}
-		drifts, err := b.CheckMap(m, inputs)
+		drifts, err := b.CheckMap(m, carmaps.SampleInputs)
 		if err != nil {
 			fmt.Printf("%-20s ERROR: %v\n", name, err)
 			clean = false
@@ -142,16 +116,13 @@ func runCheck(b *mapbuilder.Builder) {
 	}
 }
 
-// runSave builds every session map and writes it in the persisted format.
-func runSave(b *mapbuilder.Builder, world *sites.World, dir string) {
+// runSave writes every built map in the persisted format.
+func runSave(built []carmaps.Built, dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fatal(err)
 	}
-	for _, s := range sessions(world) {
-		m, _, err := b.Build(s)
-		if err != nil {
-			fatal(err)
-		}
+	for _, b := range built {
+		m := b.Map
 		data, err := navmap.EncodeMap(m)
 		if err != nil {
 			fatal(err)

@@ -11,7 +11,9 @@ package carmaps
 import (
 	"embed"
 	"fmt"
+	"sort"
 
+	"webbase/internal/mapbuilder"
 	"webbase/internal/navmap"
 	"webbase/internal/web"
 )
@@ -43,10 +45,47 @@ func AllMaps() map[string]*navmap.Map {
 	return out
 }
 
-// SampleFeaturesURL returns one live car-features URL — what the
+// SampleInputs are inputs every car map's forms accept, so a walk through
+// any site's forms can fill them; the make/model pair is one the
+// simulated sites list, so a walk reaches data pages.
+var SampleInputs = map[string]string{
+	"Make": "ford", "Model": "escort", "Condition": "good",
+	"Year": "1994", "ZipCode": "11201", "Duration": "36",
+}
+
+// Built is one recorded session's map as the map builder builds it, with
+// the automation statistics of the build.
+type Built struct {
+	Map   *navmap.Map
+	Stats *mapbuilder.Stats
+}
+
+// MapStats replays every recorded session (Sessions) over f, browsing
+// newsdayCarFeatures from a features URL it samples first, and returns
+// each built map with its Section 7 statistics (Newsday: "85 objects with
+// over 600 attributes ... less than 5% added manually"), in site order.
+func MapStats(f web.Fetcher) ([]Built, error) {
+	featURL, err := sampleFeaturesURL(f)
+	if err != nil {
+		return nil, err
+	}
+	b := &mapbuilder.Builder{Fetcher: f}
+	var out []Built
+	for _, s := range Sessions(featURL) {
+		m, stats, err := b.Build(s)
+		if err != nil {
+			return nil, fmt.Errorf("carmaps: mapping %s: %w", s.Relation, err)
+		}
+		out = append(out, Built{m, stats})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Stats.Site < out[j].Stats.Site })
+	return out, nil
+}
+
+// sampleFeaturesURL returns one live car-features URL — what the
 // newsdayCarFeatures session browses from — by running the newsday
 // relation for a ford escort and reading the first ad's Url.
-func SampleFeaturesURL(f web.Fetcher) (string, error) {
+func sampleFeaturesURL(f web.Fetcher) (string, error) {
 	expr, err := navmap.Translate(AllMaps()["newsday"])
 	if err != nil {
 		return "", err

@@ -14,8 +14,8 @@ var dealerSchema = relation.NewSchema("Make", "Model", "Year", "Price", "Feature
 // build the standard navigation maps of AllMaps: the designer's clicks,
 // form fill-outs, page names, data-page declarations and manual hints for
 // each site (Section 7). featuresURL is a concrete car-features URL used
-// to record the newsdayCarFeatures session (SampleFeaturesURL returns
-// one).
+// to record the newsdayCarFeatures session (MapStats samples one and
+// replays the sessions).
 func Sessions(featuresURL string) []*mapbuilder.Session {
 	dealer := func(header string) navcalc.Column { return navcalc.Column{Header: header, Attr: header} }
 	money := func(header string) navcalc.Column {

@@ -2,38 +2,89 @@ package carmaps
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"maps"
+	"os"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
-	"webbase/internal/mapbuilder"
 	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
 	"webbase/internal/sites"
 	"webbase/internal/web"
 )
 
+var update = flag.Bool("update", false, "re-record testdata/mapstats.golden")
+
 // builtMaps builds every session's map against a fresh simulated Web,
 // which it returns with the features URL the sessions browsed.
 func builtMaps(t *testing.T) (map[string]*navmap.Map, *sites.World, string) {
 	t.Helper()
 	w := sites.BuildWorld()
-	featURL, err := SampleFeaturesURL(w.Server)
+	built, err := MapStats(w.Server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &mapbuilder.Builder{Fetcher: w.Server}
+	featURL, err := sampleFeaturesURL(w.Server)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string]*navmap.Map{}
-	for _, s := range Sessions(featURL) {
-		m, _, err := b.Build(s)
-		if err != nil {
-			t.Fatalf("building %s: %v", s.Relation, err)
-		}
-		out[s.Relation] = m
+	for _, b := range built {
+		out[b.Map.Name] = b.Map
 	}
 	return out, w, featURL
+}
+
+func TestMapStats(t *testing.T) {
+	built, err := MapStats(sites.BuildWorld().Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != 13 {
+		t.Fatalf("stats rows = %d", len(built))
+	}
+	for _, b := range built {
+		s := b.Stats
+		if s.Objects == 0 || s.Attributes == 0 {
+			t.Errorf("%s: no automatic extraction", s.Site)
+		}
+		if r := s.ManualRatio(); r > 0.25 {
+			t.Errorf("%s: manual ratio %.2f too high", s.Site, r)
+		}
+	}
+}
+
+// TestMapStatsGolden pins S7a: every site's pages, objects, attributes,
+// manual facts and manual ratio, as the map builder counted them before
+// the parser built a flat document (recorded at 7e85801). How a page is
+// parsed must not change what the map builder reads off it.
+func TestMapStatsGolden(t *testing.T) {
+	const golden = "testdata/mapstats.golden"
+	built, err := MapStats(sites.BuildWorld().Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, b := range built {
+		sb.WriteString(b.Stats.String())
+		sb.WriteByte('\n')
+	}
+	if *update {
+		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("S7a statistics differ from %s (re-record with -update only if the change is meant)\n--- want ---\n%s--- got ---\n%s", golden, want, got)
+	}
 }
 
 // TestEmbeddedMapsAreTheBuiltMaps: the map files the webbase runs are

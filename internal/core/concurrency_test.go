@@ -146,8 +146,8 @@ func TestPopulateAllSiteErrorIsolation(t *testing.T) {
 		"Make": relation.String("ford"), "Model": relation.String("escort"),
 		"Condition": relation.String("good"),
 	}
-	results := wb.PopulateAll(TimingTableRelations, inputs)
-	if len(results) != len(TimingTableRelations) {
+	results := wb.PopulateAll(sweepSites, inputs)
+	if len(results) != len(sweepSites) {
 		t.Fatalf("results = %d", len(results))
 	}
 	var failed, succeeded int
@@ -165,7 +165,7 @@ func TestPopulateAllSiteErrorIsolation(t *testing.T) {
 		}
 		succeeded++
 	}
-	if failed != 1 || succeeded != len(TimingTableRelations)-1 {
+	if failed != 1 || succeeded != len(sweepSites)-1 {
 		t.Errorf("failed=%d succeeded=%d", failed, succeeded)
 	}
 }

@@ -137,16 +137,10 @@ type Domain struct {
 
 // UsedCarsDomain is the paper's running domain.
 var UsedCarsDomain = Domain{
-	Registry: vps.StandardRegistry,
-	Logical:  logical.StandardCatalog,
-	UR:       ur.UsedCarUR,
-	// Inputs every standard site's forms accept, so the repair worker can
-	// walk any of them; the make/model pair is one the simulated sites
-	// list, letting a repaired map be verified end to end.
-	SampleInputs: map[string]string{
-		"Make": "ford", "Model": "escort", "Condition": "good",
-		"Year": "1994", "ZipCode": "11201", "Duration": "36",
-	},
+	Registry:     vps.StandardRegistry,
+	Logical:      logical.StandardCatalog,
+	UR:           ur.UsedCarUR,
+	SampleInputs: vps.StandardSampleInputs,
 }
 
 // New assembles the standard used-car webbase over the configured fetcher.

@@ -3,13 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"webbase/internal/algebra"
+	"webbase/internal/navcalc"
 	"webbase/internal/relation"
 	"webbase/internal/sites"
 	"webbase/internal/ur"
@@ -151,11 +151,18 @@ func newWorkersWebbase(t *testing.T, workers int) *Webbase {
 	return wb
 }
 
+// sweepSites are the ten sites of the paper's Section 7 timing table, the
+// relations a PopulateAll sweep reads.
+var sweepSites = []string{
+	"autoWeb", "wwWheels", "nyTimes", "carReviews", "newYorkDaily",
+	"carAndDriver", "autoConnect", "newsday", "yahooCars", "kellys",
+}
+
 // TestPopulateAllMatchesSequential: a sweep at Workers 8 reports what the
 // same sweep at Workers 1, where every site runs on the calling goroutine
 // in order, reports.
 func TestPopulateAllMatchesSequential(t *testing.T) {
-	rels := TimingTableRelations
+	rels := sweepSites
 	inputs := map[string]relation.Value{
 		"Make": relation.String("ford"), "Model": relation.String("escort"),
 		"Condition": relation.String("good"),
@@ -178,225 +185,101 @@ func TestPopulateAllMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSiteTimingsShape(t *testing.T) {
-	w := sites.BuildWorld()
-	rows, err := SiteTimings(w.Server, DefaultLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := make(map[string]SiteTiming)
-	for _, r := range rows {
-		byName[r.Site] = r
-		if r.Pages == 0 {
-			t.Errorf("%s: no pages", r.Site)
-		}
-		// The paper's shape: elapsed (network-bound) dominates cpu.
-		if r.Elapsed <= r.CPU {
-			t.Errorf("%s: elapsed %v not greater than cpu %v", r.Site, r.Elapsed, r.CPU)
-		}
-	}
-	// Shape: the single-form site navigates fewer pages than the
-	// paginated classifieds.
-	if byName["wwWheels"].Pages >= byName["newsday"].Pages {
-		t.Errorf("wwWheels pages (%d) should be below newsday (%d)",
-			byName["wwWheels"].Pages, byName["newsday"].Pages)
-	}
-	out := FormatSiteTimings(rows)
-	if !strings.Contains(out, "newsday") || !strings.Contains(out, "#pages") {
-		t.Errorf("format:\n%s", out)
-	}
-}
-
-func TestParallelSweepSpeedsUp(t *testing.T) {
-	w := sites.BuildWorld()
-	model := web.LatencyModel{PerRequest: 3 * time.Millisecond}
-	rows, err := ParallelSweep(w.Server, model, []int{1, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Elapsed is printed, not asserted: what parallel evaluation means is
-	// that fetches overlap, and that is a count.
-	if rows[0].PeakInFlight != 1 {
-		t.Errorf("1 worker had %d fetches in flight at once, want 1", rows[0].PeakInFlight)
-	}
-	if p := rows[1].PeakInFlight; p < 2 || p > 10 {
-		t.Errorf("10 workers had %d fetches in flight at once, want 2..10", p)
-	}
-	if rows[0].Pages == 0 || rows[0].Pages != rows[1].Pages {
-		t.Errorf("pages = %d at 1 worker, %d at 10: the work must not depend on the width", rows[0].Pages, rows[1].Pages)
-	}
-	if !strings.Contains(FormatParallelSweep(rows), "speedup") {
-		t.Error("format")
-	}
-}
-
-func TestScaledSweep(t *testing.T) {
-	model := web.LatencyModel{PerRequest: 2 * time.Millisecond}
-	rows, err := ScaledSweep(24, model, []int{1, 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].PeakInFlight != 1 {
-		t.Errorf("1 worker had %d fetches in flight at once, want 1", rows[0].PeakInFlight)
-	}
-	if p := rows[1].PeakInFlight; p < 2 || p > 12 {
-		t.Errorf("12 workers had %d fetches in flight at once over 24 homogeneous sites, want 2..12", p)
-	}
-	for _, r := range rows {
-		if r.Pages != 2*24 {
-			t.Errorf("%d workers fetched %d pages, want two per site", r.Workers, r.Pages)
-		}
-	}
-}
-
-func TestMapStats(t *testing.T) {
-	w := sites.BuildWorld()
-	stats, err := MapStats(w.Server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 13 {
-		t.Fatalf("stats rows = %d", len(stats))
-	}
-	for _, s := range stats {
-		if s.Objects == 0 || s.Attributes == 0 {
-			t.Errorf("%s: no automatic extraction", s.Site)
-		}
-		if r := s.ManualRatio(); r > 0.25 {
-			t.Errorf("%s: manual ratio %.2f too high", s.Site, r)
-		}
-	}
-}
-
-// TestMapStatsGolden pins S7a: every site's pages, objects, attributes,
-// manual facts and manual ratio, as the map builder counted them before
-// the parser built a flat document (recorded at 7e85801). How a page is
-// parsed must not change what the map builder reads off it.
-func TestMapStatsGolden(t *testing.T) {
-	const golden = "testdata/mapstats.golden"
-	stats, err := MapStats(sites.BuildWorld().Server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	for _, s := range stats {
-		sb.WriteString(s.String())
-		sb.WriteByte('\n')
-	}
-	if *updateGoldens {
-		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != string(want) {
-		t.Errorf("S7a statistics differ from %s (re-record with -update only if the change is meant)\n%s", golden, firstDiff(string(want), got))
-	}
-}
-
-func TestMeasureTimeSplit(t *testing.T) {
-	w := sites.BuildWorld()
-	ts, err := MeasureTimeSplit(w.Server, DefaultLatency)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Pages == 0 || ts.Fetch == 0 {
-		t.Errorf("split incomplete: %s", ts)
-	}
-	if ts.Parse <= 0 {
-		t.Errorf("parse time not measured: %s", ts)
-	}
-	if !strings.Contains(ts.String(), "parse=") {
-		t.Error("format")
-	}
-}
-
-// TestFigure3Exact pins Figure 3 byte for byte, as experiments_output.txt
-// records it: the eight signatures of the common WWW data structures, in
-// class-name order.
+// TestFigure3Exact pins the Figure 3 signatures byte for byte, as
+// experiments_output.txt records them: the eight common WWW data
+// structures the webbase's navigation calculus declares, in class-name
+// order.
 func TestFigure3Exact(t *testing.T) {
-	const want = `Figure 3: Common WWW Data Structures (F-logic signatures)
-  action[source => web_page; targets =>> string]
-  attrValPair[attrName => string; type => string; default => string; domain =>> string; maxLength => int]
-  data_page[extract => string]
-  follow_link[object => link; source => web_page]
-  form[name => string; cgi => string; method => string; mandatory =>> attrValPair; optional =>> attrValPair; state =>> attrValPair]
-  link[name => string; address => string]
-  submit_form[object => form; source => web_page]
-  web_page[address => string; title => string; contents => string; actions =>> action]
+	const want = `action[source => web_page; targets =>> string]
+attrValPair[attrName => string; type => string; default => string; domain =>> string; maxLength => int]
+data_page[extract => string]
+follow_link[object => link; source => web_page]
+form[name => string; cgi => string; method => string; mandatory =>> attrValPair; optional =>> attrValPair; state =>> attrValPair]
+link[name => string; address => string]
+submit_form[object => form; source => web_page]
+web_page[address => string; title => string; contents => string; actions =>> action]
 `
-	if got := Figure3(); got != want {
-		t.Errorf("Figure3() =\n%s\nwant\n%s", got, want)
+	var sb strings.Builder
+	for _, sig := range navcalc.WWWSignatures {
+		fmt.Fprintf(&sb, "%s\n", sig)
+	}
+	if got := sb.String(); got != want {
+		t.Errorf("WWWSignatures =\n%s\nwant\n%s", got, want)
 	}
 }
 
 // TestFigure4Exact pins Figure 4 byte for byte, as experiments_output.txt
-// records it: the expression navmap derives from the Newsday map, printed
-// through the T-logic formulas' and the primitive actions' String and
-// Name.
+// records it: the expression the webbase's newsday relation navigates by,
+// which navmap derives from the Newsday map.
 func TestFigure4Exact(t *testing.T) {
-	const want = `Figure 4: derived navigation process for Newsday
-newsday((Make, Model, Year, Price, Contact, Url)) ← visit_newsdayPg
+	const want = `newsday((Make, Model, Year, Price, Contact, Url)) ← visit_newsdayPg
 visit_UsedCarPg ← submit(form f1; make=?Make) ⊗ (visit_carData ∨ visit_carPg)
 visit_carData ← extract(tuple[Make, Model, Year, Price, Contact, Url]) ⊗ (follow(link "More") ⊗ visit_carData ∨ ε)
 visit_carPg ← submit(form f2; model=?Model, featrs=?Featrs) ⊗ visit_carData
 visit_newsdayPg ← follow(link "Automobiles") ⊗ visit_UsedCarPg
 `
-	got, err := Figure4()
-	if err != nil {
-		t.Fatal(err)
+	wb, _ := newTestWebbase(t)
+	ri, ok := wb.Registry.Relation("newsday")
+	if !ok || len(ri.Handles) == 0 {
+		t.Fatal("no newsday handle")
 	}
-	if got != want {
-		t.Errorf("Figure4() =\n%s\nwant\n%s", got, want)
+	for _, h := range ri.Handles {
+		if got := h.Expr.String(); got != want {
+			t.Errorf("newsday%v expression =\n%s\nwant\n%s", h.Mandatory, got, want)
+		}
 	}
 }
 
+// TestPaperArtifactRenderings checks that the layers the webbase assembles
+// hold what Tables 1–3, Figure 5 and Example 6.2 show of them.
 func TestPaperArtifactRenderings(t *testing.T) {
 	wb, _ := newTestWebbase(t)
 
-	t1 := wb.Table1()
-	for _, want := range []string{"Blue Book Prices", "kellys", "newsday", "Interest Rates"} {
-		if !strings.Contains(t1, want) {
-			t.Errorf("Table1 missing %q", want)
+	var t1, t3 strings.Builder
+	for _, ri := range wb.Registry.Relations() {
+		fmt.Fprintf(&t1, "%s%v\n", ri.Name, ri.Schema)
+		for _, h := range ri.Handles {
+			fmt.Fprintf(&t3, "%s %s %s\n", ri.Name, h.Mandatory, h.Selection.Minus(h.Mandatory))
 		}
 	}
-	t2 := wb.Table2()
-	for _, want := range []string{"classifieds", "newsdayCarFeatures", "∪", "dealers", "∪ʳ"} {
-		if !strings.Contains(t2, want) {
-			t.Errorf("Table2 missing %q", want)
+	for _, want := range []string{"kellys", "newsday", "carFinance"} {
+		if !strings.Contains(t1.String(), want) {
+			t.Errorf("Table 1 relations missing %q", want)
 		}
 	}
-	t3 := wb.Table3()
 	for _, want := range []string{"kellys", "{Condition, Make, Model}", "{Url}"} {
-		if !strings.Contains(t3, want) {
-			t.Errorf("Table3 missing %q", want)
+		if !strings.Contains(t3.String(), want) {
+			t.Errorf("Table 3 handles missing %q", want)
 		}
 	}
-	f5 := wb.Figure5()
-	if !strings.Contains(f5, "Classifieds [relation]") {
-		t.Errorf("Figure5:\n%s", f5)
+	var t2 strings.Builder
+	for _, v := range wb.Logical.Views() {
+		fmt.Fprintf(&t2, "%s ≡ %s\n", v.Name, v.Def)
 	}
-	e62, err := Example62()
+	for _, want := range []string{"classifieds", "newsdayCarFeatures", "∪", "dealers", "∪ʳ"} {
+		if !strings.Contains(t2.String(), want) {
+			t.Errorf("Table 2 views missing %q", want)
+		}
+	}
+	if f5 := wb.UR.Hierarchy.String(); !strings.Contains(f5, "Classifieds [relation]") {
+		t.Errorf("Figure 5 hierarchy:\n%s", f5)
+	}
+	e62, err := ur.Example62()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(e62, "⋈") != 15 { // 5 objects × 3 joins each
-		t.Errorf("Example62 objects wrong:\n%s", e62)
+	var objects, rules strings.Builder
+	for _, o := range e62.MaximalObjects() {
+		objects.WriteString(strings.Join(o, " ⋈ ") + "\n")
 	}
-	if !strings.Contains(e62, "Lease ⊖ Classifieds") {
-		t.Errorf("Example62 constraints missing:\n%s", e62)
+	for _, r := range e62.Rules {
+		fmt.Fprintf(&rules, "%s\n", r)
+	}
+	if strings.Count(objects.String(), "⋈") != 15 { // 5 objects × 3 joins each
+		t.Errorf("Example 6.2 objects wrong:\n%s", objects.String())
+	}
+	if !strings.Contains(rules.String(), "Lease ⊖ Classifieds") {
+		t.Errorf("Example 6.2 constraints missing:\n%s", rules.String())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // decides how many navigations run and in what order their results merge;
 // it must not decide the answer.
 
-var updateGoldens = flag.Bool("update", false, "re-record testdata/joinfeed.golden, testdata/mapstats.golden and testdata/expressions.golden")
+var updateGoldens = flag.Bool("update", false, "re-record testdata/joinfeed.golden, testdata/expressions.golden and testdata/pages.golden")
 
 const joinFeedGolden = "testdata/joinfeed.golden"
 

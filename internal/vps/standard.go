@@ -38,6 +38,10 @@ var standardHandles = []handleSpec{
 	{"carFinance", []string{"ZipCode"}, []string{"ZipCode", "Duration"}},
 }
 
+// StandardSampleInputs are inputs every form of the standard maps accepts
+// (carmaps.SampleInputs).
+var StandardSampleInputs = carmaps.SampleInputs
+
 // StandardRegistry builds the VPS of the used-car webbase: every relation
 // of the standard navigation maps, with the handles above. Expressions are
 // derived from the maps automatically.

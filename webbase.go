@@ -45,6 +45,8 @@
 package webbase
 
 import (
+	"time"
+
 	"webbase/internal/apartments"
 	"webbase/internal/core"
 	"webbase/internal/health"
@@ -232,5 +234,12 @@ var (
 	Float = relation.Float
 )
 
-// DefaultLatency is the latency model used by the experiment harness.
-var DefaultLatency = core.DefaultLatency
+// DefaultLatency is the latency model the experiment harness uses: a few
+// milliseconds per request plus per-KB transfer time and deterministic
+// per-URL jitter — 1998 dial-up shrunk by three orders of magnitude so the
+// suite stays fast while preserving the elapsed ≫ cpu shape.
+var DefaultLatency = web.LatencyModel{
+	PerRequest: 4 * time.Millisecond,
+	PerKB:      1 * time.Millisecond,
+	Jitter:     3 * time.Millisecond,
+}

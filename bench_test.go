@@ -25,7 +25,6 @@ import (
 	"webbase/internal/relation"
 	"webbase/internal/sites"
 	"webbase/internal/ur"
-	"webbase/internal/vps"
 	"webbase/internal/web"
 )
 
@@ -280,15 +279,10 @@ func BenchmarkOptimize(b *testing.B) {
 // derivation Section 5 performs at design time).
 func BenchmarkBindingPropagation(b *testing.B) {
 	world := sites.BuildWorld()
-	reg, err := vps.StandardRegistry()
-	if err != nil {
-		b.Fatal(err)
-	}
 	sys, err := webbase.New(webbase.Config{Fetcher: world.Server})
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = reg
 	views := sys.Logical.Views()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

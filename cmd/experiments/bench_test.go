@@ -57,7 +57,7 @@ func BenchmarkTableSiteTimings(b *testing.B) {
 				if _, _, err := reg.Populate(f, name, inputs); err != nil {
 					b.Fatal(err)
 				}
-				pages = stats.Pages()
+				pages = stats.Get(web.Pages)
 			}
 			b.ReportMetric(float64(pages), "pages")
 		})

@@ -266,10 +266,10 @@ func siteTimings(raw web.Fetcher, model web.LatencyModel) ([]siteTiming, error) 
 		cpu := time.Since(start)
 		out = append(out, siteTiming{
 			Site:    name,
-			Pages:   stats.Pages(),
+			Pages:   stats.Get(web.Pages),
 			Tuples:  rel.Len(),
 			CPU:     cpu,
-			Elapsed: cpu + stats.SimulatedLatency(),
+			Elapsed: cpu + time.Duration(stats.Get(web.Simulated)),
 		})
 	}
 	return out, nil
@@ -328,7 +328,7 @@ func parallelSweep(raw web.Fetcher, model web.LatencyModel, workerCounts []int) 
 			return nil, err
 		}
 		out = append(out, parallelTiming{Workers: workers, Elapsed: time.Since(start),
-			Pages: stats.Pages(), PeakInFlight: stats.PeakInFlight()})
+			Pages: stats.Get(web.Pages), PeakInFlight: stats.PeakInFlight()})
 	}
 	return out, nil
 }
@@ -417,10 +417,10 @@ func measureTimeSplit(raw web.Fetcher, model web.LatencyModel) (*timeSplit, erro
 		other = 0
 	}
 	return &timeSplit{
-		Fetch: stats.SimulatedLatency(),
+		Fetch: time.Duration(stats.Get(web.Simulated)),
 		Parse: parse,
 		Other: other,
-		Pages: stats.Pages(),
+		Pages: stats.Get(web.Pages),
 	}, nil
 }
 
@@ -483,7 +483,7 @@ func scaledSweep(n int, model web.LatencyModel, workerCounts []int) ([]scaledSwe
 			return nil, err
 		}
 		out = append(out, scaledSweepResult{Sites: n, Workers: workers, Elapsed: time.Since(start),
-			Pages: stats.Pages(), PeakInFlight: stats.PeakInFlight()})
+			Pages: stats.Get(web.Pages), PeakInFlight: stats.PeakInFlight()})
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -83,7 +84,8 @@ func (f *flakyHost) Fetch(req *web.Request) (*web.Response, error) {
 // Over concurrent rounds that are cold, then expired with the whole Web
 // down (stale serves), then expired again and refetched, then warm — one
 // host flaky with retries throughout — the per-query bills sum to the
-// rise of the lifetime counters and of the metrics registry.
+// rise of the lifetime counters and of the metrics registry, row by row
+// of the bill table.
 func TestConcurrentBillConservation(t *testing.T) {
 	clk := newManualClock()
 	world := sites.BuildWorld().Server
@@ -104,6 +106,7 @@ func TestConcurrentBillConservation(t *testing.T) {
 		"SELECT Make, Model, Safety WHERE Make = 'honda'",
 	}
 	var pages, hits, stale, retries int64
+	billed := make([]int64, len(bill))
 	round := func(name string) {
 		t.Helper()
 		before := pages + hits + stale
@@ -112,6 +115,10 @@ func TestConcurrentBillConservation(t *testing.T) {
 			hits += qs.CacheHits
 			stale += qs.StaleServed
 			retries += qs.Retries
+			v := reflect.ValueOf(qs).Elem()
+			for i, r := range bill {
+				billed[i] += v.Field(r.field).Int()
+			}
 		}
 		if pages+hits+stale == before {
 			t.Fatalf("%s round was billed no page access at all", name)
@@ -135,14 +142,60 @@ func TestConcurrentBillConservation(t *testing.T) {
 		billed, lifetime int64
 		metric           string
 	}{
-		{"Pages", pages, wb.Stats().Pages(), "pages_fetched_total"},
+		{"Pages", pages, wb.Stats().Get(web.Pages), "pages_fetched_total"},
 		{"CacheHits", hits, wb.Cache().Hits(), "cache_hits_total"},
 		{"StaleServed", stale, wb.Cache().Stale(), "stale_served_total"},
-		{"Retries", retries, wb.Stats().Retries(), "retries_total"},
+		{"Retries", retries, wb.Stats().Get(web.Retries), "retries_total"},
 	} {
 		if c.billed != c.lifetime || c.billed != counters[c.metric] {
 			t.Errorf("%s: queries were billed %d, lifetime counter rose %d, %s rose %d",
 				c.name, c.billed, c.lifetime, c.metric, counters[c.metric])
+		}
+	}
+	for i, r := range bill {
+		if r.counter != notBilled && billed[i] != wb.Stats().Get(r.counter) {
+			t.Errorf("%s: queries were billed %d, lifetime counter rose %d", r.key, billed[i], wb.Stats().Get(r.counter))
+		}
+		if r.metric != "" && billed[i] != counters[r.metric] {
+			t.Errorf("%s: queries were billed %d, %s rose %d", r.key, billed[i], r.metric, counters[r.metric])
+		}
+	}
+}
+
+// TestBillTableCoversEveryCount: every web.Counter and every QueryStats
+// field but PrunedByReason has exactly one row of the bill, and no key or
+// metric names two rows.
+func TestBillTableCoversEveryCount(t *testing.T) {
+	counters := make(map[web.Counter]int)
+	fields := make(map[int]int)
+	keys := make(map[string]int)
+	metrics := make(map[string]int)
+	for _, r := range bill {
+		if r.counter != notBilled {
+			counters[r.counter]++
+		}
+		fields[r.field]++
+		keys[r.key]++
+		if r.metric != "" {
+			metrics[r.metric]++
+		}
+	}
+	for c := web.Counter(0); c < web.NumCounters; c++ {
+		if counters[c] != 1 {
+			t.Errorf("web.Counter %d has %d rows, want 1", c, counters[c])
+		}
+	}
+	st := reflect.TypeOf(QueryStats{})
+	for i := 0; i < st.NumField(); i++ {
+		if name := st.Field(i).Name; name != "PrunedByReason" && fields[i] != 1 {
+			t.Errorf("QueryStats.%s has %d rows, want 1", name, fields[i])
+		}
+	}
+	for _, m := range []map[string]int{keys, metrics} {
+		for name, n := range m {
+			if n != 1 {
+				t.Errorf("%q names %d rows", name, n)
+			}
 		}
 	}
 }
@@ -164,15 +217,15 @@ func TestFailedQueryStillBilledInMetrics(t *testing.T) {
 	if _, _, err := wb.QueryString(wideCarQuery); err == nil {
 		t.Fatal("a query whose every object needs the dead blue book succeeded")
 	}
-	if wb.Stats().Pages() == 0 || wb.Stats().Retries() == 0 {
+	if wb.Stats().Get(web.Pages) == 0 || wb.Stats().Get(web.Retries) == 0 {
 		t.Fatalf("the failed query fetched nothing worth billing: pages=%d retries=%d",
-			wb.Stats().Pages(), wb.Stats().Retries())
+			wb.Stats().Get(web.Pages), wb.Stats().Get(web.Retries))
 	}
 	counters := wb.Metrics().Snapshot().Counters
-	if got, want := counters["pages_fetched_total"], wb.Stats().Pages(); got != want {
+	if got, want := counters["pages_fetched_total"], wb.Stats().Get(web.Pages); got != want {
 		t.Errorf("pages_fetched_total = %d, the failed query fetched %d", got, want)
 	}
-	if got, want := counters["retries_total"], wb.Stats().Retries(); got != want {
+	if got, want := counters["retries_total"], wb.Stats().Get(web.Retries); got != want {
 		t.Errorf("retries_total = %d, the failed query retried %d", got, want)
 	}
 	if counters["queries_failed_total"] != 1 || counters["queries_total"] != 0 {

@@ -54,7 +54,7 @@ func chaosOutcome(t *testing.T, query string, failEvery uint64, workers int) str
 	// which a failed query, returning no QueryStats, has too.
 	st := wb.Stats()
 	fmt.Fprintf(&sb, "\nattempts=%d pages=%d bytes=%d retries=%d\n",
-		flaky.Attempts(), st.Pages(), st.Bytes(), st.Retries())
+		flaky.Attempts(), st.Get(web.Pages), st.Get(web.BodyBytes), st.Get(web.Retries))
 	sb.WriteString(tr.Structure())
 	sb.WriteString(trace.StripTimings(tr.Render(trace.RenderOptions{Timings: true})))
 	return sb.String()

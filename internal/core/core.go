@@ -13,8 +13,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"webbase/internal/algebra"
@@ -287,7 +289,7 @@ func (wb *Webbase) repairHost(host string) error {
 // Stats exposes the webbase-lifetime fetch statistics: the bill of every
 // finished query (a running query's counts arrive when it ends, failed or
 // not) plus, live, the fetches no query owns — the repair worker,
-// PopulateAll — and the stack-wide PeakInFlight and PerHost.
+// PopulateAll — and the stack-wide PeakInFlight.
 func (wb *Webbase) Stats() *web.Stats { return wb.stack.Stats }
 
 // Cache exposes the page cache.
@@ -384,10 +386,71 @@ type QueryStats struct {
 	PrunedByReason map[string]int64
 }
 
+// billRow is one count of QueryStats as every reader of it sees it: the
+// field that holds it, its key on the stats line, the web.Counter a
+// query's bill carries it in (notBilled for counts the fetch stack does
+// not keep) and the metric observe folds it into ("" for none). Readers
+// reach the field by reflection, where int, int64 and time.Duration alike
+// read with Int, write with SetInt and print with %v.
+type billRow struct {
+	field   int // index in QueryStats
+	key     string
+	counter web.Counter
+	metric  string
+}
+
+const notBilled web.Counter = -1
+
+// bill is the one declaration of a query's counts, in stats-line order.
+// A web.Counter added without a row, or a QueryStats field other than
+// PrunedByReason, fails TestBillTableCoversEveryCount. PrunedFetches'
+// metric is observe's own: it exists only on pruning webbases, beside its
+// per-reason breakdown.
+var bill = []billRow{
+	row("Pages", "pages", web.Pages, "pages_fetched_total"),
+	row("Bytes", "bytes", web.BodyBytes, "bytes_fetched_total"),
+	row("Elapsed", "elapsed", notBilled, ""),
+	row("Simulated", "simulated-net", web.Simulated, ""),
+	row("CacheHits", "cache-hits", web.CacheHits, "cache_hits_total"),
+	row("Deduped", "deduped", web.Deduped, "deduped_total"),
+	row("Reused", "reused", web.Reused, "pages_reused_total"),
+	row("Retries", "retries", web.Retries, "retries_total"),
+	row("StaleServed", "stale", web.StaleServed, "stale_served_total"),
+	row("BreakerRejects", "breaker-rejects", web.BreakerRejects, "breaker_rejects_total"),
+	row("DegradedObjects", "degraded-objects", notBilled, ""),
+	row("PeakInFlight", "peak-inflight", notBilled, ""),
+	row("LimiterWait", "limiter-wait", web.LimiterWait, ""),
+	row("AdmissionWait", "admission-wait", notBilled, ""),
+	row("Hedges", "hedges", web.Hedges, "fetch_hedges_total"),
+	row("HedgeWins", "hedge-wins", web.HedgeWins, "hedge_wins_total"),
+	row("HedgesSuppressed", "hedges-suppressed", web.HedgesSuppressed, "hedges_suppressed_total"),
+	row("BulkheadSheds", "bulkhead-shed", web.BulkheadSheds, "bulkhead_shed_total"),
+	row("BudgetSheds", "budget-shed", web.BudgetSheds, "budget_shed_total"),
+	row("DriftDetected", "drift-detected", notBilled, "site_drift_detected_total"),
+	row("PrunedFetches", "pruned", notBilled, ""),
+}
+
+// row resolves field by name once, at package init: a misspelt field
+// panics before any test or query runs.
+func row(field, key string, c web.Counter, metric string) billRow {
+	f, ok := reflect.TypeOf(QueryStats{}).FieldByName(field)
+	if !ok {
+		panic("core: QueryStats has no field " + field)
+	}
+	return billRow{field: f.Index[0], key: key, counter: c, metric: metric}
+}
+
 // String renders the stats line the experiment harness prints.
 func (qs *QueryStats) String() string {
-	return fmt.Sprintf("pages=%d bytes=%d elapsed=%v simulated-net=%v cache-hits=%d deduped=%d reused=%d retries=%d stale=%d breaker-rejects=%d degraded-objects=%d peak-inflight=%d limiter-wait=%v admission-wait=%v hedges=%d hedge-wins=%d hedges-suppressed=%d bulkhead-shed=%d budget-shed=%d drift-detected=%d pruned=%d",
-		qs.Pages, qs.Bytes, qs.Elapsed, qs.Simulated, qs.CacheHits, qs.Deduped, qs.Reused, qs.Retries, qs.StaleServed, qs.BreakerRejects, qs.DegradedObjects, qs.PeakInFlight, qs.LimiterWait, qs.AdmissionWait, qs.Hedges, qs.HedgeWins, qs.HedgesSuppressed, qs.BulkheadSheds, qs.BudgetSheds, qs.DriftDetected, qs.PrunedFetches)
+	var b strings.Builder
+	v := reflect.ValueOf(qs).Elem()
+	for i, r := range bill {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", r.key, v.Field(r.field))
+	}
+	return b.String()
 }
 
 // Query evaluates a universal relation query end to end. Evaluation runs
@@ -489,23 +552,12 @@ func (wb *Webbase) run(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur
 	wq := wb.stack.NewQuery()
 	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink)
 	wb.stack.Stats.Add(&wq.Stats)
-	qs := &QueryStats{
-		Pages:            wq.Stats.Pages(),
-		Bytes:            wq.Stats.Bytes(),
-		Simulated:        wq.Stats.SimulatedLatency(),
-		CacheHits:        wq.Stats.CacheHits(),
-		Deduped:          wq.Stats.Deduped(),
-		Reused:           wq.Stats.Reused(),
-		LimiterWait:      wq.Stats.LimiterWait(),
-		PeakInFlight:     wb.stack.Stats.PeakInFlight(),
-		Retries:          wq.Stats.Retries(),
-		StaleServed:      wq.Stats.StaleServed(),
-		BreakerRejects:   wq.Stats.BreakerRejects(),
-		Hedges:           wq.Stats.Hedges(),
-		HedgeWins:        wq.Stats.HedgeWins(),
-		BulkheadSheds:    wq.Stats.BulkheadSheds(),
-		BudgetSheds:      wq.Stats.BudgetSheds(),
-		HedgesSuppressed: wq.Stats.HedgesSuppressed(),
+	qs := &QueryStats{PeakInFlight: wb.stack.Stats.PeakInFlight()}
+	v := reflect.ValueOf(qs).Elem()
+	for _, r := range bill {
+		if r.counter != notBilled {
+			v.Field(r.field).SetInt(wq.Stats.Get(r.counter))
+		}
 	}
 	if pst != nil {
 		qs.PrunedFetches = pst.Total()
@@ -551,20 +603,12 @@ func (wb *Webbase) observe(qs *QueryStats, failed bool) {
 	} else {
 		m.Counter("queries_total").Add(1)
 	}
-	m.Counter("pages_fetched_total").Add(qs.Pages)
-	m.Counter("bytes_fetched_total").Add(qs.Bytes)
-	m.Counter("cache_hits_total").Add(qs.CacheHits)
-	m.Counter("deduped_total").Add(qs.Deduped)
-	m.Counter("pages_reused_total").Add(qs.Reused)
-	m.Counter("retries_total").Add(qs.Retries)
-	m.Counter("stale_served_total").Add(qs.StaleServed)
-	m.Counter("breaker_rejects_total").Add(qs.BreakerRejects)
-	m.Counter("fetch_hedges_total").Add(qs.Hedges)
-	m.Counter("hedge_wins_total").Add(qs.HedgeWins)
-	m.Counter("bulkhead_shed_total").Add(qs.BulkheadSheds)
-	m.Counter("budget_shed_total").Add(qs.BudgetSheds)
-	m.Counter("hedges_suppressed_total").Add(qs.HedgesSuppressed)
-	m.Counter("site_drift_detected_total").Add(int64(qs.DriftDetected))
+	v := reflect.ValueOf(qs).Elem()
+	for _, r := range bill {
+		if r.metric != "" {
+			m.Counter(r.metric).Add(v.Field(r.field).Int())
+		}
+	}
 	if wb.prune {
 		// Registered only on pruning-enabled webbases: a pruning-off
 		// /metrics page has no pruning counters.

@@ -437,7 +437,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := wb.Stats().Pages()
+	before := wb.Stats().Get(web.Pages)
 	out, err := wb.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +454,7 @@ func TestExplain(t *testing.T) {
 			t.Errorf("explanation missing %q:\n%s", want, out)
 		}
 	}
-	if wb.Stats().Pages() != before {
+	if wb.Stats().Get(web.Pages) != before {
 		t.Error("Explain must not fetch pages")
 	}
 	if _, err := wb.Explain(ur.Query{Output: []string{"Nope"}}); err == nil {
@@ -462,9 +462,27 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestQueryStatsString pins the stats line byte for byte: every field
+// set to a distinct value, and the zero value. PrunedByReason is not on
+// the line.
 func TestQueryStatsString(t *testing.T) {
-	qs := &QueryStats{Pages: 3, Bytes: 100, Elapsed: time.Millisecond}
-	if !strings.Contains(qs.String(), "pages=3") {
-		t.Error("stats rendering")
+	full := &QueryStats{
+		Pages: 1, Bytes: 2, Elapsed: 3 * time.Millisecond, Simulated: 4 * time.Second,
+		CacheHits: 5, Deduped: 6, Reused: 7, LimiterWait: 8 * time.Microsecond,
+		PeakInFlight: 9, Retries: 10, StaleServed: 11, BreakerRejects: 12,
+		DegradedObjects: 13, AdmissionWait: 14, Hedges: 15, HedgeWins: 16,
+		BulkheadSheds: 17, BudgetSheds: 18, HedgesSuppressed: 19, DriftDetected: 20,
+		PrunedFetches: 21, PrunedByReason: map[string]int64{"unsat-where": 21},
+	}
+	for _, tc := range []struct {
+		qs   *QueryStats
+		want string
+	}{
+		{full, "pages=1 bytes=2 elapsed=3ms simulated-net=4s cache-hits=5 deduped=6 reused=7 retries=10 stale=11 breaker-rejects=12 degraded-objects=13 peak-inflight=9 limiter-wait=8µs admission-wait=14ns hedges=15 hedge-wins=16 hedges-suppressed=19 bulkhead-shed=17 budget-shed=18 drift-detected=20 pruned=21"},
+		{&QueryStats{}, "pages=0 bytes=0 elapsed=0s simulated-net=0s cache-hits=0 deduped=0 reused=0 retries=0 stale=0 breaker-rejects=0 degraded-objects=0 peak-inflight=0 limiter-wait=0s admission-wait=0s hedges=0 hedge-wins=0 hedges-suppressed=0 bulkhead-shed=0 budget-shed=0 drift-detected=0 pruned=0"},
+	} {
+		if got := tc.qs.String(); got != tc.want {
+			t.Errorf("String()\n got %s\nwant %s", got, tc.want)
+		}
 	}
 }

@@ -189,7 +189,7 @@ func TestHedgedDeterminism(t *testing.T) {
 		if cfg.hedge > 0 {
 			// Every fetch sleeps 4ms and the hedge fires at 2ms, so hedges
 			// must have been issued — and recorded end to end.
-			if wb.Stats().Hedges() == 0 {
+			if wb.Stats().Get(web.Hedges) == 0 {
 				t.Errorf("hedge=%v workers=%d: no hedges issued", cfg.hedge, cfg.workers)
 			}
 			if got := wb.Metrics().Snapshot().Counters["fetch_hedges_total"]; got == 0 {

@@ -164,7 +164,8 @@ func TestStoreRestartSurvivalQuarantine(t *testing.T) {
 		Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {{Old: ">Price<", New: ">Asking<"}}},
 	}
 	rd2.Activate()
-	wb2 := durableCarWebbase(t, dir, rd2, nil)
+	newsday := &hostCountFetcher{inner: rd2, host: sites.NewsdayHost}
+	wb2 := durableCarWebbase(t, dir, newsday, nil)
 	if got := wb2.SiteHealth().SiteState(sites.NewsdayHost); got != health.Quarantined {
 		t.Fatalf("restored state = %s, want quarantined", got)
 	}
@@ -182,7 +183,7 @@ func TestStoreRestartSurvivalQuarantine(t *testing.T) {
 	if got := wb2.Metrics().Snapshot().Counters["remaps_started_total"]; got != 0 {
 		t.Errorf("restart re-probed an exhausted site: remaps_started_total = %d", got)
 	}
-	if got := wb2.Stats().PerHost()[sites.NewsdayHost]; got != 0 {
+	if got := newsday.calls.Load(); got != 0 {
 		t.Errorf("restart fetched %d pages from the quarantined host", got)
 	}
 }
@@ -209,7 +210,8 @@ func TestStoreRestartSurvivalBreaker(t *testing.T) {
 	// Restart: the open circuit is restored before traffic, so the dead
 	// host is rejected without a single network fetch re-earning the
 	// verdict.
-	wb2 := durableCarWebbase(t, dir, downHost(sites.NewsdayHost, sites.BuildWorld().Server), withBreaker)
+	newsday := &hostCountFetcher{inner: downHost(sites.NewsdayHost, sites.BuildWorld().Server), host: sites.NewsdayHost}
+	wb2 := durableCarWebbase(t, dir, newsday, withBreaker)
 	if got := wb2.Breaker().State(sites.NewsdayHost); got != web.BreakerOpen {
 		t.Fatalf("restored circuit = %v, want open at boot", got)
 	}
@@ -223,7 +225,7 @@ func TestStoreRestartSurvivalBreaker(t *testing.T) {
 	if qs.BreakerRejects == 0 {
 		t.Error("no breaker rejects recorded after restore")
 	}
-	if got := wb2.Stats().PerHost()[sites.NewsdayHost]; got != 0 {
+	if got := newsday.calls.Load(); got != 0 {
 		t.Errorf("restored-open circuit let %d fetches reach the host", got)
 	}
 }

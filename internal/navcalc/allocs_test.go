@@ -57,8 +57,8 @@ func TestPageSetAllocs(t *testing.T) {
 	})
 	perPage := (inside - outside) / float64(len(bodies))
 	t.Logf("%d distinct pages: %.0f allocations outside a query, %.0f inside, %.2f a page for the page set", len(bodies), outside, inside, perPage)
-	if q.Stats.Reused() != 0 {
-		t.Fatalf("%d visits reused, of pages each visited once", q.Stats.Reused())
+	if q.Stats.Get(web.Reused) != 0 {
+		t.Fatalf("%d visits reused, of pages each visited once", q.Stats.Get(web.Reused))
 	}
 	const ceiling = 1.0 // 0.24 when set: the map's growth, nothing per page
 	if perPage > ceiling {

@@ -101,7 +101,7 @@ func TestNewsdayExpressionBroadMake(t *testing.T) {
 			t.Fatalf("url column not captured: %v", u)
 		}
 	}
-	if stats.Pages() == 0 {
+	if stats.Get(web.Pages) == 0 {
 		t.Error("no pages counted")
 	}
 }

@@ -111,15 +111,15 @@ func TestPageKeptFromSecondVisit(t *testing.T) {
 			t.Errorf("visit %d of the home page was not served the page its second visit kept", i+3)
 		}
 	}
-	if site.fetches(reuseHome) != 2 || q.Stats.Reused() != 3 {
-		t.Errorf("five visits of the home page: %d fetches, %d reused; want 2 and 3", site.fetches(reuseHome), q.Stats.Reused())
+	if site.fetches(reuseHome) != 2 || q.Stats.Get(web.Reused) != 3 {
+		t.Errorf("five visits of the home page: %d fetches, %d reused; want 2 and 3", site.fetches(reuseHome), q.Stats.Get(web.Reused))
 	}
 	// The data page was visited once, so nothing of it was kept.
 	if _, err := visit(t, ctx, site, reuseData); err != nil {
 		t.Fatal(err)
 	}
-	if site.fetches(reuseData) != 2 || q.Stats.Reused() != 3 {
-		t.Errorf("second visit of the data page: %d fetches, %d reused; want 2 and 3", site.fetches(reuseData), q.Stats.Reused())
+	if site.fetches(reuseData) != 2 || q.Stats.Get(web.Reused) != 3 {
+		t.Errorf("second visit of the data page: %d fetches, %d reused; want 2 and 3", site.fetches(reuseData), q.Stats.Get(web.Reused))
 	}
 	// Outside a query nothing is kept at all.
 	for i := 0; i < 3; i++ {
@@ -153,9 +153,9 @@ func TestFailedLoadIsNotKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := site.fetches(reuseHome); got != 3 || fourth.page != third.page || q.Stats.Reused() != 1 {
+	if got := site.fetches(reuseHome); got != 3 || fourth.page != third.page || q.Stats.Get(web.Reused) != 1 {
 		t.Errorf("after a failed keeping load: %d fetches, fourth visit served the third's page: %v, %d reused; want 3, true, 1",
-			got, fourth.page == third.page, q.Stats.Reused())
+			got, fourth.page == third.page, q.Stats.Get(web.Reused))
 	}
 	// A page the site refuses (404) is a failed load too.
 	const missing = "http://reuse.example/gone"
@@ -164,8 +164,8 @@ func TestFailedLoadIsNotKept(t *testing.T) {
 			t.Fatal("a 404 visit succeeded")
 		}
 	}
-	if got := site.fetches(missing); got != 3 || q.Stats.Reused() != 1 {
-		t.Errorf("three visits of a 404 page: %d fetches, %d reused; want 3 and 1", got, q.Stats.Reused())
+	if got := site.fetches(missing); got != 3 || q.Stats.Get(web.Reused) != 1 {
+		t.Errorf("three visits of a 404 page: %d fetches, %d reused; want 3 and 1", got, q.Stats.Get(web.Reused))
 	}
 }
 
@@ -206,9 +206,9 @@ func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := site.fetches(reuseData); got != 2 || q.Stats.Reused() != executions*rounds-2 {
+	if got := site.fetches(reuseData); got != 2 || q.Stats.Get(web.Reused) != executions*rounds-2 {
 		t.Errorf("%d visits: %d fetches and %d reused, want 2 and %d",
-			executions*rounds, got, q.Stats.Reused(), executions*rounds-2)
+			executions*rounds, got, q.Stats.Get(web.Reused), executions*rounds-2)
 	}
 }
 
@@ -320,8 +320,8 @@ func TestReusedVisitSpendsNothingBelow(t *testing.T) {
 	if _, err := visit(t, ctx, stack, reuseHome); err != nil {
 		t.Fatal(err)
 	}
-	if q.Stats.Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", q.Stats.Retries())
+	if q.Stats.Get(web.Retries) != 1 {
+		t.Fatalf("retries = %d, want 1", q.Stats.Get(web.Retries))
 	}
 	now = now.Add(time.Hour) // the object's deadline budget is spent
 	fetched := site.fetches(reuseHome)
@@ -329,13 +329,13 @@ func TestReusedVisitSpendsNothingBelow(t *testing.T) {
 	if _, err := visit(t, ctx, stack, reuseHome); err != nil {
 		t.Fatalf("a visit served the kept page failed: %v", err)
 	}
-	if site.fetches(reuseHome) != fetched || q.Stats.Retries() != 1 || q.Stats.BudgetSheds() != 0 || q.Stats.Reused() != 1 {
+	if site.fetches(reuseHome) != fetched || q.Stats.Get(web.Retries) != 1 || q.Stats.Get(web.BudgetSheds) != 0 || q.Stats.Get(web.Reused) != 1 {
 		t.Errorf("reused visit: %d fetches, retries %d, budget sheds %d, reused %d; want none, 1, 0, 1",
-			site.fetches(reuseHome)-fetched, q.Stats.Retries(), q.Stats.BudgetSheds(), q.Stats.Reused())
+			site.fetches(reuseHome)-fetched, q.Stats.Get(web.Retries), q.Stats.Get(web.BudgetSheds), q.Stats.Get(web.Reused))
 	}
 	// A page the query has not kept still meets the budget.
-	if _, err := visit(t, ctx, stack, reuseData); !web.IsBudgetExhausted(err) || q.Stats.BudgetSheds() != 1 {
-		t.Errorf("unkept visit under a spent budget: err = %v, budget sheds %d; want a budget shed", err, q.Stats.BudgetSheds())
+	if _, err := visit(t, ctx, stack, reuseData); !web.IsBudgetExhausted(err) || q.Stats.Get(web.BudgetSheds) != 1 {
+		t.Errorf("unkept visit under a spent budget: err = %v, budget sheds %d; want a budget shed", err, q.Stats.Get(web.BudgetSheds))
 	}
 }
 
@@ -356,8 +356,8 @@ func TestPageBudgetCountsReusedVisits(t *testing.T) {
 	if !errors.Is(err, ErrPageBudget) {
 		t.Fatalf("err = %v, want the page budget", err)
 	}
-	if site.fetches(reuseLoop) != 2 || q.Stats.Reused() != 3 {
-		t.Errorf("five visits of one page: %d fetches, %d reused; want 2 and 3", site.fetches(reuseLoop), q.Stats.Reused())
+	if site.fetches(reuseLoop) != 2 || q.Stats.Get(web.Reused) != 3 {
+		t.Errorf("five visits of one page: %d fetches, %d reused; want 2 and 3", site.fetches(reuseLoop), q.Stats.Get(web.Reused))
 	}
 }
 
@@ -415,7 +415,7 @@ func TestKeptPageWaitHonoursContext(t *testing.T) {
 	if _, err := visit(t, ctx, held, reuseHome); err != nil {
 		t.Fatal(err)
 	}
-	if site.fetches(reuseHome) != 2 || q.Stats.Reused() != 1 {
-		t.Errorf("%d fetches and %d reused, want 2 and 1", site.fetches(reuseHome), q.Stats.Reused())
+	if site.fetches(reuseHome) != 2 || q.Stats.Get(web.Reused) != 1 {
+		t.Errorf("%d fetches and %d reused, want 2 and 1", site.fetches(reuseHome), q.Stats.Get(web.Reused))
 	}
 }

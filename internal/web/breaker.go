@@ -135,7 +135,7 @@ func (b *Breaker) Fetch(req *Request) (*Response, error) {
 	hc := b.host(host)
 	ok, probe := hc.allow(b.clock())
 	if !ok {
-		statsFor(req.Context(), b.stats).add(breakerRejects, 1)
+		statsFor(req.Context(), b.stats).add(BreakerRejects, 1)
 		trace.FromContext(req.Context()).Label("outcome", "breaker-open")
 		return nil, MarkOutage(&HostError{Host: host,
 			Err: fmt.Errorf("%w (cooling down)", ErrCircuitOpen)})

@@ -87,8 +87,8 @@ func TestBreakerTransitions(t *testing.T) {
 	if inner.calls.Load() != before {
 		t.Fatal("rejected fetch reached the inner fetcher")
 	}
-	if stats.BreakerRejects() != 1 {
-		t.Fatalf("breaker rejects = %d", stats.BreakerRejects())
+	if stats.Get(BreakerRejects) != 1 {
+		t.Fatalf("breaker rejects = %d", stats.Get(BreakerRejects))
 	}
 
 	// Half-open after cooldown: the site is still down, so the probe

@@ -96,7 +96,7 @@ func WithDeadlineBudget(inner Fetcher, stats *Stats) Fetcher {
 		if !BudgetFrom(req.Context()).Exhausted() {
 			return inner.Fetch(req)
 		}
-		statsFor(req.Context(), stats).add(budgetSheds, 1)
+		statsFor(req.Context(), stats).add(BudgetSheds, 1)
 		trace.FromContext(req.Context()).Label("outcome", "budget-exhausted")
 		return nil, budgetErr(hostOf(req.URL))
 	})

@@ -114,8 +114,8 @@ func TestDeadlineBudgetMiddleware(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Fatalf("inner fetched %d times after the shed, want 2", calls.Load())
 	}
-	if stats.BudgetSheds() != 1 {
-		t.Fatalf("budget sheds = %d, want 1", stats.BudgetSheds())
+	if stats.Get(BudgetSheds) != 1 {
+		t.Fatalf("budget sheds = %d, want 1", stats.Get(BudgetSheds))
 	}
 }
 

@@ -39,7 +39,7 @@ func WithSingleflight(inner Fetcher, stats *Stats) Fetcher {
 		resp, joined, err := flights.Do(req.Context(), req.Key(),
 			func() (*Response, error) { return inner.Fetch(req) }, shareAll)
 		if joined {
-			statsFor(req.Context(), stats).add(deduped, 1)
+			statsFor(req.Context(), stats).add(Deduped, 1)
 			trace.FromContext(req.Context()).Label("outcome", "dedup")
 		}
 		return resp, err
@@ -102,7 +102,7 @@ func WithBulkhead(inner Fetcher, perHost, maxQueue int, stats *Stats) Fetcher {
 			// concurrent arrivals.
 			if w := bh.waiting.Add(1); maxQueue > 0 && w > int64(maxQueue) {
 				bh.waiting.Add(-1)
-				statsFor(req.Context(), stats).add(bulkheadSheds, 1)
+				statsFor(req.Context(), stats).add(BulkheadSheds, 1)
 				trace.FromContext(req.Context()).Label("outcome", "host-saturated")
 				return nil, MarkOutage(&HostError{Host: host, Err: ErrHostSaturated})
 			}
@@ -115,7 +115,7 @@ func WithBulkhead(inner Fetcher, perHost, maxQueue int, stats *Stats) Fetcher {
 			}
 		}
 		defer func() { <-bh.sem }()
-		statsFor(req.Context(), stats).add(limiterWait, int64(time.Since(start)))
+		statsFor(req.Context(), stats).add(LimiterWait, int64(time.Since(start)))
 		if stats != nil {
 			in := stats.inflight.Add(1)
 			for {

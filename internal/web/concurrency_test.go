@@ -91,7 +91,7 @@ func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
 	if got := inner.Calls(); got != 1 {
 		t.Errorf("inner fetched %d times, want 1", got)
 	}
-	if got := stats.Deduped(); got != n-1 {
+	if got := stats.Get(Deduped); got != n-1 {
 		t.Errorf("deduped = %d, want %d", got, n-1)
 	}
 }
@@ -116,7 +116,7 @@ func TestSingleflightDistinctRequestsNotCollapsed(t *testing.T) {
 	if got := inner.Calls(); got != n {
 		t.Errorf("inner fetched %d times, want %d", got, n)
 	}
-	if got := stats.Deduped(); got != 0 {
+	if got := stats.Get(Deduped); got != 0 {
 		t.Errorf("deduped = %d, want 0", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestHostLimitCapRespected(t *testing.T) {
 			if stats.PeakInFlight() == 0 || stats.PeakInFlight() > int64(2*cap) {
 				t.Errorf("peak in-flight = %d with two hosts capped at %d", stats.PeakInFlight(), cap)
 			}
-			if cap == 1 && stats.LimiterWait() == 0 {
+			if cap == 1 && stats.Get(LimiterWait) == 0 {
 				t.Error("no limiter wait recorded despite 12 fetches through a cap of 1")
 			}
 		})
@@ -335,7 +335,7 @@ func TestBulkheadShedsWhenSaturated(t *testing.T) {
 	if host := FailingHost(shedErr); host != "one.example" {
 		t.Fatalf("shed attributed to %q, want one.example", host)
 	}
-	if got := stats.BulkheadSheds(); got < 1 {
+	if got := stats.Get(BulkheadSheds); got < 1 {
 		t.Fatalf("bulkhead sheds = %d, want >= 1", got)
 	}
 
@@ -407,8 +407,8 @@ func TestBulkheadUnboundedQueueNeverSheds(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if stats.BulkheadSheds() != 0 {
-		t.Errorf("unbounded queue shed %d fetches", stats.BulkheadSheds())
+	if stats.Get(BulkheadSheds) != 0 {
+		t.Errorf("unbounded queue shed %d fetches", stats.Get(BulkheadSheds))
 	}
 	if inner.Calls() != 32 {
 		t.Errorf("inner calls = %d, want 32", inner.Calls())
@@ -445,7 +445,7 @@ func TestSingleflightUnderSharedStats(t *testing.T) {
 	if cache.Len() != 12 {
 		t.Errorf("cache holds %d entries, want 12", cache.Len())
 	}
-	if p := stats.Pages(); p != 12 {
+	if p := stats.Get(Pages); p != 12 {
 		t.Errorf("pages = %d, want 12", p)
 	}
 }
@@ -483,9 +483,9 @@ func TestFillVisibleBeforeFlightForgotten(t *testing.T) {
 	if err := <-bErr; err != nil {
 		t.Fatal(err)
 	}
-	if inner.Calls() != 1 || cache.Hits() != 1 || cache.Misses() != 1 || stats.Deduped() != 0 {
+	if inner.Calls() != 1 || cache.Hits() != 1 || cache.Misses() != 1 || stats.Get(Deduped) != 0 {
 		t.Errorf("network=%d hits=%d misses=%d deduped=%d, want 1 1 1 0",
-			inner.Calls(), cache.Hits(), cache.Misses(), stats.Deduped())
+			inner.Calls(), cache.Hits(), cache.Misses(), stats.Get(Deduped))
 	}
 }
 
@@ -530,8 +530,8 @@ func TestSingleflightWaitHonoursContext(t *testing.T) {
 	if err := <-stayed; err != nil {
 		t.Fatal(err)
 	}
-	if n := len(inner.started); n != 0 || stats.Deduped() != 1 {
-		t.Errorf("%d more fetches and %d deduped, want 0 and 1: the follower that stayed takes the flight's page", n, stats.Deduped())
+	if n := len(inner.started); n != 0 || stats.Get(Deduped) != 1 {
+		t.Errorf("%d more fetches and %d deduped, want 0 and 1: the follower that stayed takes the flight's page", n, stats.Get(Deduped))
 	}
 }
 
@@ -590,8 +590,8 @@ func TestQueryVisitHandsOverAFailedKeep(t *testing.T) {
 			t.Errorf("a visit after the keeping load got %v", p)
 		}
 	}
-	if loads.Load() != 3 || q.Stats.Reused() != waiters {
-		t.Errorf("loads = %d, Reused = %d; want 3 and %d", loads.Load(), q.Stats.Reused(), waiters)
+	if loads.Load() != 3 || q.Stats.Get(Reused) != waiters {
+		t.Errorf("loads = %d, Reused = %d; want 3 and %d", loads.Load(), q.Stats.Get(Reused), waiters)
 	}
 	var none *Query
 	for i := 0; i < 2; i++ {
@@ -653,7 +653,7 @@ func TestQueryLoadWaitHonoursContext(t *testing.T) {
 	if p, reused, _ := q.Load(bg, "k", loadOf(&loads, "own", nil)); p != "page" || !reused {
 		t.Errorf("a later visit got %v (reused %v), want the kept page", p, reused)
 	}
-	if loads.Load() != 1 || q.Stats.Reused() != 2 {
-		t.Errorf("loads = %d, Reused = %d; want 1 (the first visit's) and 2", loads.Load(), q.Stats.Reused())
+	if loads.Load() != 1 || q.Stats.Get(Reused) != 2 {
+		t.Errorf("loads = %d, Reused = %d; want 1 (the first visit's) and 2", loads.Load(), q.Stats.Get(Reused))
 	}
 }

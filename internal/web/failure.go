@@ -143,7 +143,7 @@ func WithRetryPolicy(inner Fetcher, p Policy, stats *Stats) Fetcher {
 			if attempt == p.Retries {
 				break
 			}
-			statsFor(ctx, stats).add(retries, 1)
+			statsFor(ctx, stats).add(Retries, 1)
 			trace.FromContext(ctx).Label("attempts", strconv.Itoa(attempt+2))
 		}
 		return nil, MarkOutage(&HostError{Host: hostOf(req.URL),

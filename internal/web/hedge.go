@@ -58,11 +58,11 @@ func WithHedge(inner Fetcher, p Policy, stats *Stats) Fetcher {
 		// Each hedged attempt spends one unit of the query's hedge budget,
 		// so a query over a slow site amplifies load by at most the budget,
 		// not by its fetch count.
-		if !spend(ctx, stats, hedges, p.HedgeBudget) {
+		if !spend(ctx, stats, Hedges, p.HedgeBudget) {
 			// Budget dry: no second attempt. Waiting on the primary keeps
 			// the outcome identical to an unhedged fetch, so suppression
 			// never changes what a query answers — only its tail latency.
-			statsFor(ctx, stats).add(hedgesSuppressed, 1)
+			statsFor(ctx, stats).add(HedgesSuppressed, 1)
 			trace.FromContext(ctx).Label("hedge", "suppressed")
 			select {
 			case a := <-results:
@@ -79,7 +79,7 @@ func WithHedge(inner Fetcher, p Policy, stats *Stats) Fetcher {
 			case a := <-results:
 				if a.err == nil {
 					if a.hedge {
-						statsFor(ctx, stats).add(hedgeWins, 1)
+						statsFor(ctx, stats).add(HedgeWins, 1)
 						trace.FromContext(ctx).Label("hedge", "win")
 					}
 					return a.resp, nil

@@ -45,11 +45,11 @@ func TestHedgeSecondAttemptWins(t *testing.T) {
 	if string(resp.Body) == "" {
 		t.Fatal("empty response")
 	}
-	if stats.Hedges() != 1 {
-		t.Errorf("hedges = %d, want 1", stats.Hedges())
+	if stats.Get(Hedges) != 1 {
+		t.Errorf("hedges = %d, want 1", stats.Get(Hedges))
 	}
-	if stats.HedgeWins() != 1 {
-		t.Errorf("hedge wins = %d, want 1", stats.HedgeWins())
+	if stats.Get(HedgeWins) != 1 {
+		t.Errorf("hedge wins = %d, want 1", stats.Get(HedgeWins))
 	}
 }
 
@@ -67,8 +67,8 @@ func TestHedgeNotIssuedWhenPrimaryFast(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Errorf("inner fetched %d times, want 1", calls.Load())
 	}
-	if stats.Hedges() != 0 {
-		t.Errorf("hedges = %d, want 0", stats.Hedges())
+	if stats.Get(Hedges) != 0 {
+		t.Errorf("hedges = %d, want 0", stats.Get(Hedges))
 	}
 }
 
@@ -156,10 +156,10 @@ func TestHedgeBudgetCapsDuplicates(t *testing.T) {
 		}
 	}
 	stats.Add(&q.Stats) // the query's bill, folded as core does when it ends
-	if got := stats.Hedges(); got != 1 {
+	if got := stats.Get(Hedges); got != 1 {
 		t.Errorf("hedges = %d, want 1 (budget)", got)
 	}
-	if got := stats.HedgesSuppressed(); got != 2 {
+	if got := stats.Get(HedgesSuppressed); got != 2 {
 		t.Errorf("hedges suppressed = %d, want 2", got)
 	}
 	// 3 primaries + 1 hedged duplicate.
@@ -179,10 +179,10 @@ func TestHedgeNoBudgetIsUnlimited(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := stats.Hedges(); got != 2 {
+	if got := stats.Get(Hedges); got != 2 {
 		t.Errorf("hedges = %d, want 2", got)
 	}
-	if got := stats.HedgesSuppressed(); got != 0 {
+	if got := stats.Get(HedgesSuppressed); got != 0 {
 		t.Errorf("hedges suppressed = %d, want 0", got)
 	}
 }

@@ -11,26 +11,29 @@ import (
 	"webbase/internal/trace"
 )
 
-// counter names one additive count of a Stats.
-type counter int
+// Counter names one additive count of a Stats. Together they are what a
+// query is billed: core's bill table gives each Counter its QueryStats
+// field, its stats-line key and its metric, so a count added here is
+// added there as one row.
+type Counter int
 
 const (
-	pages counter = iota
-	bodyBytes
-	simulated   // accumulated simulated latency, nanoseconds
-	cacheHits   // pages a Cache served a query without calling below it
-	staleServed // expired entries a Cache served a query on error
-	deduped     // fetches collapsed onto an in-flight one by WithSingleflight
-	limiterWait // accumulated time spent waiting for host slots, ns
-	retries     // failed attempts that WithRetryPolicy re-issued
-	breakerRejects
-	hedges
-	hedgeWins
-	hedgesSuppressed
-	bulkheadSheds
-	budgetSheds
-	reused // page visits served from the query's own page set (Query.Load)
-	numCounters
+	Pages            Counter = iota // successful fetches that reached the network (Counting)
+	BodyBytes                       // their body bytes
+	Simulated                       // accumulated simulated latency, ns (WithLatency)
+	CacheHits                       // pages a Cache served a query without calling below it
+	StaleServed                     // expired entries a Cache served a query on error
+	Deduped                         // fetches collapsed onto an in-flight one by WithSingleflight
+	LimiterWait                     // accumulated time spent waiting for host slots, ns
+	Retries                         // failed attempts that WithRetryPolicy re-issued
+	BreakerRejects                  // fetches an open circuit breaker rejected unsent
+	Hedges                          // fetches WithHedge backed with a second attempt
+	HedgeWins                       // hedged fetches the second attempt answered
+	HedgesSuppressed                // hedges declined because the query's hedge budget was dry
+	BulkheadSheds                   // fetches a saturated host bulkhead shed without queueing
+	BudgetSheds                     // fetches refused because their object's deadline budget was spent
+	Reused                          // page visits served from the query's own page set (Query.Load)
+	NumCounters                     // the number of Counters, not one of them
 )
 
 // Stats accumulates fetch statistics. It is safe for concurrent use and is
@@ -40,20 +43,18 @@ const (
 // there while that query rides the request's context) or the Stats a stack
 // was constructed with, which counts the fetches no query owns (the repair
 // worker, PopulateAll, hand-built stacks) and receives each finished
-// query's bill through Add.
+// query's bill through Add. A cache hit outside any query counts only in
+// Cache.Hits.
 type Stats struct {
-	n [numCounters]atomic.Int64
-	// Lifetime-only state, kept on the Stats a middleware was constructed
-	// with and never on a query's: the in-flight gauge with its high-water
-	// mark (WithBulkhead) and the per-host page counts (Counting).
+	n [NumCounters]atomic.Int64
+	// The in-flight gauge with its high-water mark (WithBulkhead): kept on
+	// the Stats a middleware was constructed with, never on a query's.
 	inflight     atomic.Int64
 	peakInflight atomic.Int64
-	mu           sync.Mutex
-	perHost      map[string]int64
 }
 
 // add counts d under c; a nil Stats counts nothing.
-func (s *Stats) add(c counter, d int64) {
+func (s *Stats) add(c Counter, d int64) {
 	if s != nil {
 		s.n[c].Add(d)
 	}
@@ -66,31 +67,9 @@ func (s *Stats) Add(q *Stats) {
 	}
 }
 
-// Pages returns the number of successful fetches observed.
-func (s *Stats) Pages() int64 { return s.n[pages].Load() }
-
-// Bytes returns the total body bytes fetched.
-func (s *Stats) Bytes() int64 { return s.n[bodyBytes].Load() }
-
-// SimulatedLatency returns the total simulated network latency accumulated
-// by latency fetchers sharing this Stats, whether or not they actually
-// slept.
-func (s *Stats) SimulatedLatency() time.Duration {
-	return time.Duration(s.n[simulated].Load())
-}
-
-// CacheHits returns how many pages a Cache served to queries billed here
-// (a hit outside any query counts only in Cache.Hits).
-func (s *Stats) CacheHits() int64 { return s.n[cacheHits].Load() }
-
-// StaleServed returns how many expired cache entries were served to
-// queries billed here because the network path failed.
-func (s *Stats) StaleServed() int64 { return s.n[staleServed].Load() }
-
-// Deduped returns how many fetches were collapsed onto an identical
-// in-flight request by WithSingleflight (each counted fetch got its answer
-// without touching the network).
-func (s *Stats) Deduped() int64 { return s.n[deduped].Load() }
+// Get returns the count of c; durations (Simulated, LimiterWait) are in
+// nanoseconds.
+func (s *Stats) Get(c Counter) int64 { return s.n[c].Load() }
 
 // PeakInFlight returns the high-water mark of concurrently executing
 // fetches observed by WithBulkhead — how parallel the fetch stack
@@ -98,66 +77,7 @@ func (s *Stats) Deduped() int64 { return s.n[deduped].Load() }
 // overlap, so it lives only on the Stats the stack was constructed with.
 func (s *Stats) PeakInFlight() int64 { return s.peakInflight.Load() }
 
-// LimiterWait returns the total time fetches spent queued behind the
-// per-host concurrency cap of WithBulkhead.
-func (s *Stats) LimiterWait() time.Duration {
-	return time.Duration(s.n[limiterWait].Load())
-}
-
-// Retries returns how many failed fetch attempts WithRetryPolicy re-issued.
-func (s *Stats) Retries() int64 { return s.n[retries].Load() }
-
-// BreakerRejects returns how many fetches an open circuit breaker
-// rejected without touching the network.
-func (s *Stats) BreakerRejects() int64 { return s.n[breakerRejects].Load() }
-
-// Hedges returns how many fetches WithHedge backed with a second
-// attempt because the first had not answered within the hedge delay.
-func (s *Stats) Hedges() int64 { return s.n[hedges].Load() }
-
-// HedgeWins returns how many hedged fetches were answered by the second
-// attempt rather than the first.
-func (s *Stats) HedgeWins() int64 { return s.n[hedgeWins].Load() }
-
-// HedgesSuppressed returns how many hedges WithHedge declined to issue
-// because the query's hedge budget was dry.
-func (s *Stats) HedgesSuppressed() int64 { return s.n[hedgesSuppressed].Load() }
-
-// BulkheadSheds returns how many fetches a saturated host bulkhead shed
-// without queueing.
-func (s *Stats) BulkheadSheds() int64 { return s.n[bulkheadSheds].Load() }
-
-// BudgetSheds returns how many fetches were refused because their
-// evaluation unit's deadline budget was exhausted.
-func (s *Stats) BudgetSheds() int64 { return s.n[budgetSheds].Load() }
-
-// Reused returns how many page visits were served a page their query had
-// already loaded and kept (Query.Load), without calling the fetch stack.
-func (s *Stats) Reused() int64 { return s.n[reused].Load() }
-
-// PerHost returns a copy of the per-host page counts.
-func (s *Stats) PerHost() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.perHost))
-	for h, n := range s.perHost {
-		out[h] = n
-	}
-	return out
-}
-
-// countHost adds one page to the host's lifetime count.
-func (s *Stats) countHost(host string) {
-	s.mu.Lock()
-	if s.perHost == nil {
-		s.perHost = make(map[string]int64)
-	}
-	s.perHost[host]++
-	s.mu.Unlock()
-}
-
-// HostOf returns the host part of a URL as the per-host statistics and
-// the host limiter see it.
+// HostOf returns the host part of a URL as the host bulkhead sees it.
 func HostOf(rawurl string) string { return hostOf(rawurl) }
 
 func hostOf(rawurl string) string {
@@ -186,8 +106,7 @@ func indexOf(s, sub string) int {
 }
 
 // Counting wraps inner so that every fetch is recorded: the page and its
-// bytes on the bill of the query that made it (stats when there is none),
-// the host always in stats. A fetch that reaches this layer touched the
+// bytes on the bill of the query that made it (stats when there is none). A fetch that reaches this layer touched the
 // network (the cache and singleflight sit above), so the request's trace
 // span — when one rides the request context — is marked outcome=network.
 func Counting(inner Fetcher, stats *Stats) Fetcher {
@@ -195,11 +114,10 @@ func Counting(inner Fetcher, stats *Stats) Fetcher {
 		resp, err := inner.Fetch(req)
 		if err == nil {
 			bill := statsFor(req.Context(), stats)
-			bill.add(pages, 1)
+			bill.add(Pages, 1)
 			if resp != nil {
-				bill.add(bodyBytes, int64(len(resp.Body)))
+				bill.add(BodyBytes, int64(len(resp.Body)))
 			}
-			stats.countHost(hostOf(req.URL))
 			trace.FromContext(req.Context()).Label("outcome", "network")
 		}
 		return resp, err
@@ -241,7 +159,7 @@ func WithLatency(inner Fetcher, model LatencyModel, stats *Stats) Fetcher {
 			return resp, err
 		}
 		d := model.Latency(req.URL, len(resp.Body))
-		statsFor(req.Context(), stats).add(simulated, int64(d))
+		statsFor(req.Context(), stats).add(Simulated, int64(d))
 		trace.FromContext(req.Context()).Label("simulated-latency", d.String())
 		if model.Sleep {
 			time.Sleep(d)
@@ -283,10 +201,6 @@ type Cache struct {
 	hits    atomic.Int64
 	misses  atomic.Int64
 	stale   atomic.Int64
-	// tierHits counts misses answered by the second tier instead of the
-	// network. Tier hits also count as Hits: above this layer they are
-	// indistinguishable from memory hits.
-	tierHits atomic.Int64
 }
 
 // CacheTier is a second cache tier below Cache — the seam the durable
@@ -314,7 +228,8 @@ func NewCache() *Cache {
 	return &Cache{entries: make(map[string]*cacheEntry)}
 }
 
-// Hits returns the number of cache hits served.
+// Hits returns the number of cache hits served, from memory or the lower
+// tier.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
 // Misses returns the number of fetches that went to the network.
@@ -323,10 +238,6 @@ func (c *Cache) Misses() int64 { return c.misses.Load() }
 // Stale returns the number of expired entries served because the network
 // path failed (stale-on-error).
 func (c *Cache) Stale() int64 { return c.stale.Load() }
-
-// TierHits returns the number of misses answered by the second tier
-// instead of the network (also counted in Hits).
-func (c *Cache) TierHits() int64 { return c.tierHits.Load() }
 
 // Generation reports how many times the cache has been cleared. Each
 // Clear invalidates every page the system had seen, so the generation is
@@ -389,7 +300,7 @@ func (c *Cache) fresh(fetchedAt, now time.Time) bool {
 // and labeled on its span.
 func (c *Cache) hit(req *Request, resp *Response) (*Response, error) {
 	c.hits.Add(1)
-	statsFor(req.Context(), nil).add(cacheHits, 1)
+	statsFor(req.Context(), nil).add(CacheHits, 1)
 	trace.FromContext(req.Context()).Label("outcome", "cache")
 	return resp, nil
 }
@@ -425,7 +336,6 @@ func WithCacheLookup(inner Fetcher, cache *Cache) Fetcher {
 				}
 				cache.mu.Unlock()
 				if cache.fresh(fetchedAt, now) {
-					cache.tierHits.Add(1)
 					return cache.hit(req, resp)
 				}
 				e = te
@@ -438,7 +348,7 @@ func WithCacheLookup(inner Fetcher, cache *Cache) Fetcher {
 		if err != nil && e != nil && cache.AllowStale &&
 			!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			cache.stale.Add(1)
-			statsFor(req.Context(), nil).add(staleServed, 1)
+			statsFor(req.Context(), nil).add(StaleServed, 1)
 			sp := trace.FromContext(req.Context())
 			sp.Label("outcome", "stale")
 			sp.Label("stale-age", now.Sub(e.fetchedAt).String())

@@ -59,7 +59,7 @@ func (q *Query) Load(ctx context.Context, key string, load func() (any, error)) 
 	}
 	page, kept, err := q.kept.Do(ctx, key, load, once.Successes[any])
 	if kept {
-		q.Stats.add(reused, 1)
+		q.Stats.add(Reused, 1)
 	}
 	return page, kept, err
 }
@@ -104,7 +104,7 @@ func statsFor(ctx context.Context, fallback *Stats) *Stats {
 // — unless that query has already spent limit of them (0 is unlimited),
 // when it bills nothing and reports false. Without a query it counts into
 // fallback, unlimited.
-func spend(ctx context.Context, fallback *Stats, c counter, limit int64) bool {
+func spend(ctx context.Context, fallback *Stats, c Counter, limit int64) bool {
 	q := QueryFrom(ctx)
 	if q == nil {
 		fallback.add(c, 1)

@@ -71,7 +71,7 @@ type Stack struct {
 	// Policy.BreakerRatio is positive.
 	Breaker *Breaker
 	// Stats counts the fetches no query owns and receives each finished
-	// query's bill (Stats.Add); PeakInFlight and PerHost live only here.
+	// query's bill (Stats.Add); PeakInFlight lives only here.
 	Stats *Stats
 
 	deadline time.Duration

@@ -80,20 +80,20 @@ func TestStackEndToEndAccounting(t *testing.T) {
 			stats.Add(&q.Stats) // the query's bill, folded as core does when it ends
 
 			total := int64(len(ops))
-			served := cache.Hits() + stats.Deduped() + stats.Pages() + cache.Stale()
+			served := cache.Hits() + stats.Get(Deduped) + stats.Get(Pages) + cache.Stale()
 			if served != total {
 				t.Errorf("identity broken: hits=%d + deduped=%d + network=%d + stale=%d = %d, want %d",
-					cache.Hits(), stats.Deduped(), stats.Pages(), cache.Stale(), served, total)
+					cache.Hits(), stats.Get(Deduped), stats.Get(Pages), cache.Stale(), served, total)
 			}
 			// Every distinct URL touched the network exactly once, at any
 			// worker count: a request that missed the cache either joins
 			// the flight fetching its page or, arriving after the flight
 			// ended, finds the page the flight stored before it ended.
-			if stats.Pages() != int64(len(urls)) {
-				t.Errorf("network fetches = %d, want %d", stats.Pages(), len(urls))
+			if stats.Get(Pages) != int64(len(urls)) {
+				t.Errorf("network fetches = %d, want %d", stats.Get(Pages), len(urls))
 			}
-			if stats.BreakerRejects() != 0 {
-				t.Errorf("breaker rejected %d fetches in a recovering workload", stats.BreakerRejects())
+			if stats.Get(BreakerRejects) != 0 {
+				t.Errorf("breaker rejected %d fetches in a recovering workload", stats.Get(BreakerRejects))
 			}
 
 			// Trace outcome labels must tell the same story as Stats.
@@ -106,11 +106,11 @@ func TestStackEndToEndAccounting(t *testing.T) {
 			if outcomes["cache"] != cache.Hits() {
 				t.Errorf("outcome=cache spans = %d, cache hits = %d", outcomes["cache"], cache.Hits())
 			}
-			if outcomes["dedup"] != stats.Deduped() {
-				t.Errorf("outcome=dedup spans = %d, deduped = %d", outcomes["dedup"], stats.Deduped())
+			if outcomes["dedup"] != stats.Get(Deduped) {
+				t.Errorf("outcome=dedup spans = %d, deduped = %d", outcomes["dedup"], stats.Get(Deduped))
 			}
-			if outcomes["network"] != stats.Pages() {
-				t.Errorf("outcome=network spans = %d, pages = %d", outcomes["network"], stats.Pages())
+			if outcomes["network"] != stats.Get(Pages) {
+				t.Errorf("outcome=network spans = %d, pages = %d", outcomes["network"], stats.Get(Pages))
 			}
 			if outcomes["stale"] != cache.Stale() {
 				t.Errorf("outcome=stale spans = %d, stale = %d", outcomes["stale"], cache.Stale())
@@ -174,7 +174,7 @@ func TestStackDeadHostIsolated(t *testing.T) {
 			if failures != 8 { // 4 dead URLs × 2 ops each
 				t.Errorf("failures = %d, want 8", failures)
 			}
-			if served := cache.Hits() + stats.Deduped() + stats.Pages() + cache.Stale(); served < successes {
+			if served := cache.Hits() + stats.Get(Deduped) + stats.Get(Pages) + cache.Stale(); served < successes {
 				t.Errorf("identity: served=%d < successes=%d", served, successes)
 			}
 		})
@@ -184,10 +184,11 @@ func TestStackDeadHostIsolated(t *testing.T) {
 // TestStackBillsQueryOrConstructorStats: a fetch with no query on its
 // context (the repair worker, PopulateAll) counts into the Stats the
 // stack was constructed with; a fetch with one counts into the query's
-// bill and nowhere else — except the lifetime-only per-host counts and the
-// cache's own hit counter, which every fetch moves.
+// bill and nowhere else — except the cache's own hit counter, which every
+// fetch moves. The host sees every page either way.
 func TestStackBillsQueryOrConstructorStats(t *testing.T) {
-	s := buildStack(&Flaky{Inner: okFetcher(), FailEvery: 2}, 5)
+	hosts := &hostPages{inner: &Flaky{Inner: okFetcher(), FailEvery: 2}}
+	s := buildStack(hosts, 5)
 	f, stats, cache := s.Fetcher, s.Stats, s.Cache
 	urls := []string{"http://host0/a", "http://host0/b", "http://host1/a"}
 	fetchAll := func(ctx context.Context) {
@@ -200,31 +201,31 @@ func TestStackBillsQueryOrConstructorStats(t *testing.T) {
 	}
 
 	fetchAll(context.Background())
-	if stats.Pages() != 3 || stats.Retries() == 0 || stats.Bytes() == 0 {
+	if stats.Get(Pages) != 3 || stats.Get(Retries) == 0 || stats.Get(BodyBytes) == 0 {
 		t.Fatalf("queryless fetches: constructor stats pages=%d retries=%d bytes=%d, want 3, >0, >0",
-			stats.Pages(), stats.Retries(), stats.Bytes())
+			stats.Get(Pages), stats.Get(Retries), stats.Get(BodyBytes))
 	}
 	fetchAll(context.Background()) // hits outside any query: the cache counts them, no bill does
-	if cache.Hits() != 3 || stats.CacheHits() != 0 {
-		t.Fatalf("queryless hits: cache.Hits=%d stats.CacheHits=%d, want 3 and 0", cache.Hits(), stats.CacheHits())
+	if cache.Hits() != 3 || stats.Get(CacheHits) != 0 {
+		t.Fatalf("queryless hits: cache.Hits=%d stats.CacheHits=%d, want 3 and 0", cache.Hits(), stats.Get(CacheHits))
 	}
 
 	cache.Clear()
-	pages, retries, bytes := stats.Pages(), stats.Retries(), stats.Bytes()
+	pages, retries, bytes := stats.Get(Pages), stats.Get(Retries), stats.Get(BodyBytes)
 	q := s.NewQuery()
 	ctx := WithQuery(context.Background(), q)
 	fetchAll(ctx)
 	fetchAll(ctx)
-	if q.Stats.Pages() != 3 || q.Stats.CacheHits() != 3 || q.Stats.Bytes() != bytes {
+	if q.Stats.Get(Pages) != 3 || q.Stats.Get(CacheHits) != 3 || q.Stats.Get(BodyBytes) != bytes {
 		t.Errorf("query's bill: pages=%d cache-hits=%d bytes=%d, want 3, 3, %d",
-			q.Stats.Pages(), q.Stats.CacheHits(), q.Stats.Bytes(), bytes)
+			q.Stats.Get(Pages), q.Stats.Get(CacheHits), q.Stats.Get(BodyBytes), bytes)
 	}
-	if stats.Pages() != pages || stats.Retries() != retries || stats.Bytes() != bytes {
+	if stats.Get(Pages) != pages || stats.Get(Retries) != retries || stats.Get(BodyBytes) != bytes {
 		t.Errorf("a query's fetches leaked into the constructor stats: pages %d→%d retries %d→%d bytes %d→%d",
-			pages, stats.Pages(), retries, stats.Retries(), bytes, stats.Bytes())
+			pages, stats.Get(Pages), retries, stats.Get(Retries), bytes, stats.Get(BodyBytes))
 	}
-	if got := stats.PerHost()["host0"]; got != 4 {
-		t.Errorf("per-host count for host0 = %d, want 4 (lifetime-only, query or not)", got)
+	if got := hosts.count("host0"); got != 4 {
+		t.Errorf("host0 served %d pages, want 4 (query or not)", got)
 	}
 	if cache.Hits() != 6 {
 		t.Errorf("cache.Hits = %d, want 6", cache.Hits())
@@ -264,9 +265,9 @@ func noHedge(t *testing.T, p Policy) {
 		t.Fatal(err)
 	}
 	sp.End()
-	if raw.attempts.Load() != 1 || s.Stats.Hedges() != 0 || sp.LabelValue("hedged") != "" || sp.LabelValue("hedge") != "" {
+	if raw.attempts.Load() != 1 || s.Stats.Get(Hedges) != 0 || sp.LabelValue("hedged") != "" || sp.LabelValue("hedge") != "" {
 		t.Errorf("attempts %d, hedges %d, labels %q/%q; want one attempt and no hedge",
-			raw.attempts.Load(), s.Stats.Hedges(), sp.LabelValue("hedged"), sp.LabelValue("hedge"))
+			raw.attempts.Load(), s.Stats.Get(Hedges), sp.LabelValue("hedged"), sp.LabelValue("hedge"))
 	}
 }
 
@@ -282,9 +283,9 @@ func noBreakerReject(t *testing.T, p Policy) {
 			t.Fatalf("fetch %d: err = %v, want an outage", i, err)
 		}
 	}
-	if s.Breaker != nil || calls.Load() != 20 || s.Stats.BreakerRejects() != 0 {
+	if s.Breaker != nil || calls.Load() != 20 || s.Stats.Get(BreakerRejects) != 0 {
 		t.Errorf("breaker %v, %d fetches reached the host, %d rejected; want none, 20, 0",
-			s.Breaker, calls.Load(), s.Stats.BreakerRejects())
+			s.Breaker, calls.Load(), s.Stats.Get(BreakerRejects))
 	}
 }
 
@@ -300,8 +301,8 @@ func noBudgetShed(t *testing.T, p Policy) {
 	if _, err := s.Fetcher.Fetch(NewGet(ctx, "http://a.example/p")); err != nil {
 		t.Fatalf("fetch under a spent budget: %v", err)
 	}
-	if q.Stats.BudgetSheds() != 0 || q.NewBudget() != nil {
-		t.Errorf("budget sheds %d, minted budget %v; want 0 and none", q.Stats.BudgetSheds(), q.NewBudget())
+	if q.Stats.Get(BudgetSheds) != 0 || q.NewBudget() != nil {
+		t.Errorf("budget sheds %d, minted budget %v; want 0 and none", q.Stats.Get(BudgetSheds), q.NewBudget())
 	}
 }
 
@@ -371,8 +372,8 @@ func noShed(t *testing.T, p Policy) {
 	}
 	close(raw.gate)
 	wg.Wait()
-	if s.Stats.BulkheadSheds() != 0 {
-		t.Errorf("bulkhead sheds = %d, want 0", s.Stats.BulkheadSheds())
+	if s.Stats.Get(BulkheadSheds) != 0 {
+		t.Errorf("bulkhead sheds = %d, want 0", s.Stats.Get(BulkheadSheds))
 	}
 }
 
@@ -430,9 +431,9 @@ func TestStackFollowerOutlivesCancelledLeader(t *testing.T) {
 			if succeeds {
 				wantNetwork, wantPages, wantDeduped = 1, 0, 1
 			}
-			if network.Load() != wantNetwork || qb.Stats.Pages() != wantPages || qb.Stats.Deduped() != wantDeduped {
+			if network.Load() != wantNetwork || qb.Stats.Get(Pages) != wantPages || qb.Stats.Get(Deduped) != wantDeduped {
 				t.Errorf("network %d; B billed %d pages and %d deduped; want %d, %d and %d",
-					network.Load(), qb.Stats.Pages(), qb.Stats.Deduped(), wantNetwork, wantPages, wantDeduped)
+					network.Load(), qb.Stats.Get(Pages), qb.Stats.Get(Deduped), wantNetwork, wantPages, wantDeduped)
 			}
 			// A's memo replays nothing: a live fetch on A's query reaches inner.
 			var probed atomic.Int64

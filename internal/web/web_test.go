@@ -120,24 +120,51 @@ func TestBuiltRequestURLOwnsItsBytes(t *testing.T) {
 	}
 }
 
+// hostPages counts, per host, the fetches through it that succeed.
+type hostPages struct {
+	inner Fetcher
+	mu    sync.Mutex
+	n     map[string]int64
+}
+
+func (h *hostPages) Fetch(req *Request) (*Response, error) {
+	resp, err := h.inner.Fetch(req)
+	if err == nil {
+		h.mu.Lock()
+		if h.n == nil {
+			h.n = make(map[string]int64)
+		}
+		h.n[HostOf(req.URL)]++
+		h.mu.Unlock()
+	}
+	return resp, err
+}
+
+func (h *hostPages) count(host string) int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.n[host]
+}
+
 func TestCountingStats(t *testing.T) {
 	s := NewServer()
 	s.Register(demoSite("a.example"))
 	var stats Stats
-	f := Counting(s, &stats)
+	hosts := &hostPages{inner: s}
+	f := Counting(hosts, &stats)
 	for i := 0; i < 3; i++ {
 		if _, err := f.Fetch(NewGet(context.Background(), "http://a.example/")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if stats.Pages() != 3 {
-		t.Errorf("pages = %d", stats.Pages())
+	if stats.Get(Pages) != 3 {
+		t.Errorf("pages = %d", stats.Get(Pages))
 	}
-	if stats.Bytes() == 0 {
+	if stats.Get(BodyBytes) == 0 {
 		t.Error("bytes not recorded")
 	}
-	if stats.PerHost()["a.example"] != 3 {
-		t.Errorf("per-host = %v", stats.PerHost())
+	if got := hosts.count("a.example"); got != 3 {
+		t.Errorf("a.example served %d pages, want 3", got)
 	}
 }
 
@@ -157,8 +184,8 @@ func TestCountingConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if stats.Pages() != 200 {
-		t.Errorf("pages = %d, want 200", stats.Pages())
+	if stats.Get(Pages) != 200 {
+		t.Errorf("pages = %d, want 200", stats.Get(Pages))
 	}
 }
 
@@ -188,7 +215,7 @@ func TestWithLatencyVirtualAccounting(t *testing.T) {
 	if el := time.Since(start); el > 5*time.Millisecond {
 		t.Errorf("non-sleeping latency fetcher slept: %v", el)
 	}
-	if got := stats.SimulatedLatency(); got != 20*time.Millisecond {
+	if got := time.Duration(stats.Get(Simulated)); got != 20*time.Millisecond {
 		t.Errorf("virtual latency = %v, want 20ms", got)
 	}
 }
@@ -217,8 +244,8 @@ func TestCache(t *testing.T) {
 			t.Fatalf("fetch %d: %v %v", i, resp, err)
 		}
 	}
-	if stats.Pages() != 1 {
-		t.Errorf("inner fetches = %d, want 1 (cache should absorb repeats)", stats.Pages())
+	if stats.Get(Pages) != 1 {
+		t.Errorf("inner fetches = %d, want 1 (cache should absorb repeats)", stats.Get(Pages))
 	}
 	if cache.Hits() != 4 || cache.Misses() != 1 {
 		t.Errorf("hits/misses = %d/%d", cache.Hits(), cache.Misses())

@@ -286,35 +286,12 @@ func flattenRelaxedUnion(e Expr) []Expr {
 // distinct combination of join-attribute values in the accumulated result,
 // those values serving as its inputs.
 func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
-	exprs := flattenJoin(j)
-	ops := make([]Operand, len(exprs))
-	for i, e := range exprs {
-		sch, err := e.Schema(cat)
-		if err != nil {
-			return nil, err
-		}
-		bs, err := Bindings(e, cat)
-		if err != nil {
-			return nil, err
-		}
-		ops[i] = Operand{Schema: sch, Bindings: bs}
+	exprs := joinOperands(j)
+	jp, err := j.analysis(exprs, cat)
+	if err != nil {
+		return nil, err
 	}
-	boundSet := relation.NewAttrSet()
-	for a, v := range bound {
-		if !v.IsNull() {
-			boundSet.Add(a)
-		}
-	}
-	order, err := orderJoin(ops, boundSet)
-	if errors.Is(err, ErrNoOrdering) {
-		// Naming an operand prints it, σ conditions and all, and only this
-		// error reads the names: they are built here, and the ordering run
-		// again to say which operands are stuck.
-		for i, e := range exprs {
-			ops[i].Name = e.String()
-		}
-		_, err = orderJoin(ops, boundSet)
-	}
+	order, err := jp.order(exprs, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +301,7 @@ func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relati
 		return nil, err
 	}
 	for _, idx := range order[1:] {
-		acc, err = dependentJoin(ctx, acc, exprs[idx], ops[idx].Schema, cat, bound)
+		acc, err = dependentJoin(ctx, acc, exprs[idx], jp.ops[idx].Schema, jp.forwardable[idx], cat, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -344,15 +321,15 @@ func orderJoin(ops []Operand, bound relation.AttrSet) ([]int, error) {
 }
 
 // dependentJoin evaluates next once per distinct combination in acc of the
-// shared attributes next can forward (sideways information passing) and
-// joins the union of the per-combination results with acc. A shared
-// attribute no handle under next forwards is not fed — k values of it would
-// repeat one navigation k times and post-filter it k ways — and is matched
-// by the natural join instead. The invocations are independent handle
+// shared attributes in forwardable, those next can forward (sideways
+// information passing), and joins the union of the per-combination results
+// with acc. A shared attribute no handle under next forwards is not fed — k
+// values of it would repeat one navigation k times and post-filter it k
+// ways — and is matched by the natural join instead. The invocations are independent handle
 // calls, so they run in parallel when the context carries a pool; the
 // parts are merged in combination order, keeping the output deterministic.
 func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextSchema relation.Schema,
-	cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
+	forwardable relation.AttrSet, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
 
 	shared := nextSchema.Intersect(acc.Schema())
 	if len(shared) == 0 {
@@ -373,7 +350,6 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 		}
 		return true
 	})
-	forwardable := Forwardable(next, cat)
 	var feed relation.Schema
 	for _, a := range shared {
 		if forwardable.Has(a) {
@@ -488,15 +464,6 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 // into ErrBindingUnsatisfied so relaxed unions can skip the side.
 func bindingFailure(err error) bool {
 	return errors.Is(err, ErrBindingUnsatisfied) || errors.Is(err, ErrNoOrdering)
-}
-
-// flattenJoin returns the operand expressions of a maximal join subtree in
-// left-to-right order.
-func flattenJoin(e Expr) []Expr {
-	if j, ok := e.(*Join); ok {
-		return append(flattenJoin(j.Left), flattenJoin(j.Right)...)
-	}
-	return []Expr{e}
 }
 
 // scanInputs is bound restricted to the non-null values of sch's

@@ -174,7 +174,10 @@ func (p *Project) String() string {
 }
 
 // Join is the natural join (⋈) of its inputs.
-type Join struct{ Left, Right Expr }
+type Join struct {
+	Left, Right Expr
+	plan        *joinPlan // kept by Compile; nil derives it per evaluation
+}
 
 // Schema implements Expr.
 func (j *Join) Schema(cat Catalog) (relation.Schema, error) {

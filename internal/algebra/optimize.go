@@ -116,11 +116,9 @@ func pushSelect(s *Select, cat Catalog) (Expr, bool) {
 		return &RelaxedUnion{Left: l, Right: r}, true
 
 	case *Diff:
-		// σ(A − B) = σ(A) − B; pushing into B would be wrong for
-		// conditions it filters differently... it is actually also sound
-		// to push into B (removing B-tuples failing the condition removes
-		// nothing that σ(A) keeps), but pushing only left is sufficient
-		// and conservative.
+		// σ(A − B) = σ(A) − B. Pushing into B as well would be sound, since
+		// the B-tuples it removes fail the condition and so match nothing
+		// σ(A) keeps, but it saves nothing, so σ goes left only.
 		l, _ := pushSelect(&Select{Input: in.Left, Cond: cond}, cat)
 		return &Diff{Left: l, Right: in.Right}, true
 

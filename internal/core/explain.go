@@ -4,17 +4,17 @@ import (
 	"fmt"
 	"strings"
 
-	"webbase/internal/algebra"
 	"webbase/internal/ur"
 )
 
 // Explain renders how a universal-relation query would be answered,
 // without fetching anything: the maximal objects and minimal covers the
-// planner chose, each object's optimized algebra expression, the binding
+// planner chose, each object's optimized algebra expression (the plan the
+// evaluator runs, from ur.Schema.Prepare), the binding
 // sets of every logical relation involved, and the VPS handles those
 // bindings resolve to. It is the paper's whole pipeline made visible.
 func (wb *Webbase) Explain(q ur.Query) (string, error) {
-	plan, err := wb.UR.Plan(q)
+	plan, err := wb.UR.Prepare(q, wb.Logical)
 	if err != nil {
 		return "", err
 	}
@@ -27,8 +27,7 @@ func (wb *Webbase) Explain(q ur.Query) (string, error) {
 	for i, obj := range plan.Objects {
 		fmt.Fprintf(&sb, "\nobject %d: {%s}\n", i+1, strings.Join(obj.Object, ", "))
 		fmt.Fprintf(&sb, "  minimal cover: %s\n", strings.Join(obj.Relations, " ⋈ "))
-		opt := algebra.Optimize(obj.Expr, wb.Logical)
-		fmt.Fprintf(&sb, "  expression:    %s\n", opt)
+		fmt.Fprintf(&sb, "  expression:    %s\n", obj.Expr)
 		for _, r := range obj.Relations {
 			logicalSeen[wb.UR.LogicalName(r)] = true
 		}

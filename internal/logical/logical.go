@@ -101,7 +101,9 @@ func NewCatalog(base algebra.Catalog) *Catalog {
 // Define registers a view, validating its definition and precomputing its
 // schema and binding sets ("instead of deriving bindings for a given query
 // on the fly, it statically determines all allowed bindings for each
-// logical relation").
+// logical relation"). The view keeps its definition compiled against the
+// base (algebra.Compile), so each of its joins is analysed here too, not
+// once per population.
 func (c *Catalog) Define(name string, def algebra.Expr) error {
 	if _, ok := c.views[name]; ok {
 		return fmt.Errorf("logical: view %q already defined", name)
@@ -114,7 +116,7 @@ func (c *Catalog) Define(name string, def algebra.Expr) error {
 	if err != nil {
 		return fmt.Errorf("logical: view %q bindings: %w", name, err)
 	}
-	c.views[name] = &View{Name: name, Def: def}
+	c.views[name] = &View{Name: name, Def: algebra.Compile(def, c.base)}
 	c.schemas[name] = sch
 	c.bindings[name] = bs
 	c.forwardable[name] = algebra.Forwardable(def, c.base)

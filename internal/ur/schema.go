@@ -34,6 +34,8 @@ type Schema struct {
 	objects [][]string
 	index   []objectIndex
 	attrs   map[string]bool
+
+	plans planTable // the compiled query shapes (Prepare)
 }
 
 // objectIndex is one maximal object as the planner reads it. A subset of
@@ -471,7 +473,7 @@ func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) 
 // only the objects that depend on the site; a query none of whose objects
 // answered fails, wrapping the first outage.
 func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink) (*Result, error) {
-	plan, err := s.Plan(q)
+	plan, err := s.Prepare(q, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -541,8 +543,9 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 			octx = web.ContextWithBudget(octx, b)
 		}
 		// The paper: "once translated, these queries can be optimized
-		// and evaluated by standard query evaluation techniques."
-		rel, err := algebra.EvalContext(octx, algebra.Optimize(plan.Objects[i].Expr, cat), cat, nil)
+		// and evaluated by standard query evaluation techniques." Prepare
+		// optimized the expression.
+		rel, err := algebra.EvalContext(octx, plan.Objects[i].Expr, cat, nil)
 		if sps != nil {
 			if rel != nil {
 				sps[i].Set("tuples", int64(rel.Len()))

@@ -235,9 +235,10 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
-// carDeck is one query of each class of the benchmark's deck: a T1
-// lookup, a T2 blue-book join and a T3 headline query.
-var carDeck = []struct{ class, text string }{
+// CarDeck is one query of each class of the benchmark's deck: a T1
+// lookup, a T2 blue-book join and a T3 headline query. The external tests
+// read it too.
+var CarDeck = []struct{ Class, Text string }{
 	{"T1", "SELECT Make, Model, Year, Price WHERE Make='bmw' AND Model='325i'"},
 	{"T2", "SELECT Make, Model, Year, Price, BBPrice WHERE Make='bmw' AND Model='325i' " +
 		"AND Condition='good' AND Price < BBPrice"},
@@ -254,8 +255,8 @@ func TestPlanShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]string{"T1": nil, "T2": {"bluePrice"}, "T3": {"bluePrice", "reliability"}}
-	for _, c := range carDeck {
-		q, err := ParseQuery(s, c.text)
+	for _, c := range CarDeck {
+		q, err := ParseQuery(s, c.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,8 +264,8 @@ func TestPlanShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.Objects) != 2 || !reflect.DeepEqual(plan.Shared, want[c.class]) {
-			t.Errorf("%s: %d objects sharing %v, want 2 sharing %v", c.class, len(plan.Objects), plan.Shared, want[c.class])
+		if len(plan.Objects) != 2 || !reflect.DeepEqual(plan.Shared, want[c.Class]) {
+			t.Errorf("%s: %d objects sharing %v, want 2 sharing %v", c.Class, len(plan.Objects), plan.Shared, want[c.Class])
 		}
 	}
 }
@@ -282,8 +283,8 @@ func TestPlanAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ceiling := map[string]float64{"T1": 19, "T2": 29, "T3": 37}
-	for _, c := range carDeck {
-		q, err := ParseQuery(s, c.text)
+	for _, c := range CarDeck {
+		q, err := ParseQuery(s, c.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +293,8 @@ func TestPlanAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got > ceiling[c.class] {
-			t.Errorf("%s: planning allocates %.0f, ceiling %.0f", c.class, got, ceiling[c.class])
+		if got > ceiling[c.Class] {
+			t.Errorf("%s: planning allocates %.0f, ceiling %.0f", c.Class, got, ceiling[c.Class])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"webbase/internal/race"
+	"webbase/internal/relation"
 )
 
 // TestDependentJoinAllocs: a dependent join pays a fixed number of
@@ -18,27 +19,54 @@ func TestDependentJoinAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	allocs := func(n int) float64 {
-		years := make([]int64, n)
-		for i := range years {
-			years[i] = int64(1900 + i)
-		}
-		cat := feedCatalog(years...)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Eval(adsJoinBook(), cat, nil); err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name    string
+		cat     func(years ...int64) *MemCatalog
+		expr    Expr
+		ceiling float64
+	}{
+		// 6 when set: the inputs map and its slots, and MemCatalog's four
+		// (an attribute set, and a selection that some rows fail). 8 while
+		// every scan copied the bindings it was handed.
+		{"bound within the fed schema", feedCatalog, adsJoinBook(), 6.6},
+		// Color is bound above the join, and book has no Color: the fed
+		// scan is handed its own attributes only, so the same 6. 8 while
+		// the scan copied its inputs again to leave Color out.
+		{"bound outside the fed schema", paintedCatalog,
+			&Select{Input: adsJoinBook(), Cond: eqCond("Color", "red")}, 6.6},
+	}
+	for _, c := range cases {
+		allocs := func(n int) float64 {
+			years := make([]int64, n)
+			for i := range years {
+				years[i] = int64(1900 + i)
 			}
-		})
+			cat := c.cat(years...)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Eval(c.expr, cat, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		perCombo := func(n int) float64 { return (allocs(2*n) - allocs(n)) / float64(n) }
+		small, large := perCombo(16), perCombo(256)
+		t.Logf("%s: a fed combination costs %.2f allocations at 16 combinations, %.2f at 256 (ceiling %.1f)",
+			c.name, small, large, c.ceiling)
+		if math.Round(small) != math.Round(large) || large > c.ceiling {
+			t.Errorf("%s: a fed combination costs %.2f allocations at 16 combinations and %.2f at 256, want the same and at most %.1f",
+				c.name, small, large, c.ceiling)
+		}
 	}
-	perCombo := func(n int) float64 { return (allocs(2*n) - allocs(n)) / float64(n) }
-	// 6 when set: the inputs map and its slots, and MemCatalog's four (an
-	// attribute set, and a selection that some rows fail). 8 while every
-	// scan copied the bindings it was handed.
-	const ceiling = 6.6
-	small, large := perCombo(16), perCombo(256)
-	t.Logf("a fed combination costs %.2f allocations at 16 combinations, %.2f at 256 (ceiling %.1f)", small, large, ceiling)
-	if math.Round(small) != math.Round(large) || large > ceiling {
-		t.Errorf("a fed combination costs %.2f allocations at 16 combinations and %.2f at 256, want the same and at most %.1f",
-			small, large, ceiling)
+}
+
+// paintedCatalog is feedCatalog with red ads: ads carries a Color that
+// book does not.
+func paintedCatalog(years ...int64) *MemCatalog {
+	cat := feedCatalog(years...)
+	ads := relation.New("ads", relation.NewSchema("Make", "Year", "Color"))
+	for _, y := range years {
+		ads.MustInsert(relation.String("ford"), relation.Int(y), relation.String("red"))
 	}
+	cat.Add(ads, relation.NewAttrSet("Make"))
+	return cat
 }

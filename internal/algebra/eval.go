@@ -428,8 +428,18 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			sp.EndErr(err)
 			return err
 		}
+		// A fed scan is handed only its schema's values, so that
+		// scanInputs finds nothing to filter and copies nothing again.
 		inputs := make(map[string]relation.Value, len(bound)+len(feed))
-		maps.Copy(inputs, bound)
+		if _, ok := next.(*Scan); ok {
+			for a, v := range bound {
+				if nextSchema.Has(a) && !v.IsNull() {
+					inputs[a] = v
+				}
+			}
+		} else {
+			maps.Copy(inputs, bound)
+		}
 		for k, a := range feed {
 			inputs[a] = tuples[i][k]
 		}

@@ -1,8 +1,6 @@
 package apartments
 
 import (
-	"fmt"
-
 	"webbase/internal/algebra"
 	"webbase/internal/logical"
 	"webbase/internal/navcalc"
@@ -72,43 +70,14 @@ func Maps() map[string]*navmap.Map {
 	}
 }
 
-// Registry builds the apartment-domain VPS.
+// Registry builds the apartment-domain VPS: one handle per mandatory set.
 func Registry() (*vps.Registry, error) {
-	reg := vps.NewRegistry()
-	handles := []struct {
-		relation  string
-		mandatory []string
-		selection []string
-	}{
-		{"cityRentals", []string{"Borough"}, []string{"Borough", "Bedrooms"}},
-		{"aptFinder", []string{"Borough", "Bedrooms"}, []string{"Borough", "Bedrooms"}},
-		{"rentIndex", []string{"Borough"}, []string{"Borough", "Bedrooms"}},
-		{"safeStreets", []string{"Borough"}, []string{"Borough"}},
-	}
-	maps := Maps()
-	for name, m := range maps {
-		expr, err := navmap.Translate(m)
-		if err != nil {
-			return nil, fmt.Errorf("apartments: %s: %w", name, err)
-		}
-		if err := reg.Declare(name, m.Schema); err != nil {
-			return nil, err
-		}
-		for _, h := range handles {
-			if h.relation != name {
-				continue
-			}
-			if err := reg.AddHandle(&vps.Handle{
-				Relation:  name,
-				Mandatory: relation.NewAttrSet(h.mandatory...),
-				Selection: relation.NewAttrSet(h.selection...),
-				Expr:      expr,
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return reg, nil
+	return vps.FromMaps(Maps(), map[string][][]string{
+		"cityRentals": {{"Borough"}},
+		"aptFinder":   {{"Borough", "Bedrooms"}},
+		"rentIndex":   {{"Borough"}},
+		"safeStreets": {{"Borough"}},
+	})
 }
 
 // Logical builds the apartment-domain view catalog:

@@ -226,11 +226,11 @@ func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 func (wb *Webbase) SiteHealth() *health.Tracker { return wb.health }
 
 // repairHost is the background remap: for every relation whose navigation
-// map starts at the quarantined host, re-check the map against the live
-// site, re-anchor drifted edges, verify the repaired map answers end to
-// end, and hot-swap it into the registry. Any failure leaves the registry
-// untouched and reports the attempt failed (the health tracker bounds how
-// often this retries).
+// map starts at the quarantined host, walk the map against the live site
+// once, re-anchoring drifted edges, verify the repaired map answers end to
+// end, and hot-swap it into the registry if anything drifted. Any failure
+// leaves the registry untouched and reports the attempt failed (the health
+// tracker bounds how often this retries).
 func (wb *Webbase) repairHost(host string) error {
 	repaired := 0
 	for _, ri := range wb.Registry.Relations() {
@@ -244,17 +244,11 @@ func (wb *Webbase) repairHost(host string) error {
 			continue
 		}
 		b := &mapbuilder.Builder{Fetcher: wb.stack.Repair}
-		drifts, err := b.CheckMap(m, wb.sampleInputs)
+		next, drifts, err := b.Repair(m, wb.sampleInputs)
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: %w", host, err)
 		}
-		next := m
-		if len(drifts) > 0 {
-			if next, err = b.Repair(m, wb.sampleInputs); err != nil {
-				return fmt.Errorf("core: repairing %s: %w", host, err)
-			}
-		}
-		// Verify end to end before swapping: CheckMap walks navigation but
+		// Verify end to end before swapping: the walk checks navigation but
 		// cannot see extraction drift (a renamed table header yields an
 		// empty relation, not a navigation failure), so execute the map
 		// with the sample inputs and require a non-empty answer.

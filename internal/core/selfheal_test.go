@@ -3,12 +3,17 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"webbase/internal/carmaps"
 	"webbase/internal/health"
+	"webbase/internal/mapbuilder"
+	"webbase/internal/navmap"
 	"webbase/internal/sites"
 	"webbase/internal/ur"
+	"webbase/internal/vps"
 	"webbase/internal/web"
 )
 
@@ -247,5 +252,56 @@ func TestSelfHealDeterministicAcrossWorkers(t *testing.T) {
 	if again := selfHealSequence(t, 1); again != seq {
 		t.Fatalf("sequential self-heal not self-consistent\n--- first ---\n%s\n--- second ---\n%s",
 			seq, again)
+	}
+}
+
+// TestRepairWalksOnce: the repair worker walks a drifted map once. After
+// newsday renames its "Automobiles" link, repairing the host costs the
+// fetches of one Repair walk and of the verification run, and no more.
+func TestRepairWalksOnce(t *testing.T) {
+	redesigned := func() *web.Redesign {
+		rd := &web.Redesign{
+			Inner: sites.BuildWorld().Server,
+			Rewrites: map[string][]web.Rewrite{sites.NewsdayHost: {
+				{Old: ">Automobiles<", New: ">Cars and Trucks<"}}},
+		}
+		rd.Activate()
+		return rd
+	}
+	// The repair worker's fetches are the ones no query owns.
+	rd := redesigned()
+	var worker atomic.Int64
+	wb, err := New(Config{Fetcher: web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		if web.QueryFrom(req.Context()) == nil {
+			worker.Add(1)
+		}
+		return rd.Fetch(req)
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.repairHost(sites.NewsdayHost); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := wb.Registry.MapVersion("newsday"); v != 2 {
+		t.Fatalf("newsday serves map version %d after repair, want 2", v)
+	}
+
+	alone := &countingFetcher{inner: redesigned()}
+	repaired, drifts, err := (&mapbuilder.Builder{Fetcher: alone}).Repair(carmaps.AllMaps()["newsday"], vps.StandardSampleInputs)
+	if err != nil || len(drifts) != 1 {
+		t.Fatalf("Repair: drifts %v, err %v", drifts, err)
+	}
+	walk := alone.calls.Load()
+	expr, err := navmap.Translate(repaired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := expr.Execute(alone, vps.StandardSampleInputs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := worker.Load(), alone.calls.Load(); got != want {
+		t.Errorf("repairing newsday fetched %d pages, want %d: a Repair walk (%d) and the verification run (%d)",
+			got, want, walk, want-walk)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"webbase/internal/htmlkit"
 	"webbase/internal/sites"
 	"webbase/internal/web"
 )
@@ -12,11 +11,11 @@ import (
 func TestPageSignatureDistinguishesStructure(t *testing.T) {
 	w := sites.BuildWorld()
 	fetch := func(u string) string {
-		resp, err := w.Server.Fetch(web.NewGet(context.Background(), u))
+		p, err := readPage(w.Server, web.NewGet(context.Background(), u))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pageSignature(htmlkit.Parse(resp.Body), resp.URL)
+		return pageSignature(p)
 	}
 	home := fetch("http://" + sites.NewsdayHost + "/")
 	auto := fetch("http://" + sites.NewsdayHost + "/auto")

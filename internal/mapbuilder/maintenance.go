@@ -1,11 +1,11 @@
 package mapbuilder
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"strings"
 
-	"webbase/internal/htmlkit"
 	"webbase/internal/navmap"
 	"webbase/internal/web"
 )
@@ -26,122 +26,145 @@ func (d Drift) String() string { return fmt.Sprintf("%s: %s", d.Node, d.Problem)
 // vanished links, renamed or restructured forms, missing form fields.
 // An empty result means the map still matches the site.
 func (b *Builder) CheckMap(m *navmap.Map, inputs map[string]string) ([]Drift, error) {
+	w, err := b.walk(m, inputs, false)
+	if err != nil {
+		return nil, err
+	}
+	return w.drifts, nil
+}
+
+// walk is one traversal of a map against the live site: from the start
+// page along the map's edges, each node visited once, every edge whose
+// action the live page no longer offers recorded as drift. A repairing
+// walk also re-anchors each drifted edge in place (see Repair), and one
+// it cannot re-anchor ends the walk with an error.
+//
+// renames memoizes each repaired action by its original key, so parallel
+// edges sharing one drifted action (the f1 form feeding both carData and
+// carPg in Figure 2) are re-anchored consistently instead of the second
+// edge searching again with the first one's new name already taken.
+type walk struct {
+	b       *Builder
+	m       *navmap.Map
+	inputs  map[string]string
+	repair  bool
+	visited map[navmap.NodeID]bool
+	renames map[string]navmap.Action
+	drifts  []Drift
+}
+
+// walk resolves the map's start URL, reads the start page and walks m
+// from it. A start page the site answers with an error status is drift a
+// check reports and a repair cannot mend.
+func (b *Builder) walk(m *navmap.Map, inputs map[string]string, repair bool) (*walk, error) {
+	w := &walk{b: b, m: m, inputs: inputs, repair: repair,
+		visited: make(map[navmap.NodeID]bool), renames: make(map[string]navmap.Action)}
 	start := m.StartURL
 	if m.StartURLVar != "" {
 		v, ok := inputs[m.StartURLVar]
 		if !ok {
-			return nil, fmt.Errorf("mapbuilder: checking %s requires input %q", m.Name, m.StartURLVar)
+			return nil, fmt.Errorf("mapbuilder: walking %s requires input %q", m.Name, m.StartURLVar)
 		}
 		start = v
 	}
-	resp, err := b.Fetcher.Fetch(web.NewGet(context.Background(), start))
-	if err != nil {
-		return nil, err
+	p, err := readPage(b.Fetcher, web.NewGet(context.Background(), start))
+	switch {
+	case errors.Is(err, errStatus) && !repair:
+		w.drifts = append(w.drifts, Drift{Node: m.Start, Problem: "start URL " + err.Error()})
+		return w, nil
+	case err != nil:
+		return nil, fmt.Errorf("mapbuilder: walking %s: start page: %w", m.Name, err)
 	}
-	if !resp.OK() {
-		return []Drift{{Node: m.Start, Problem: fmt.Sprintf("start URL %s returned status %d", start, resp.Status)}}, nil
-	}
-	visited := make(map[navmap.NodeID]bool)
-	var drifts []Drift
-	b.checkNode(m, m.Start, resp.URL, htmlkit.Parse(resp.Body), inputs, visited, &drifts)
-	return drifts, nil
+	return w, w.node(m.Start, p)
 }
 
-// checkNode verifies every out-edge of node against the live page and
-// recurses into unvisited targets.
-func (b *Builder) checkNode(m *navmap.Map, node navmap.NodeID, pageURL string,
-	doc *htmlkit.Node, inputs map[string]string, visited map[navmap.NodeID]bool, drifts *[]Drift) {
-
-	if visited[node] {
-		return
+// node walks every out-edge of a node against its live page and recurses
+// into the unvisited pages they lead to.
+func (w *walk) node(id navmap.NodeID, p *page) error {
+	if w.visited[id] {
+		return nil
 	}
-	visited[node] = true
-
-	for _, e := range m.OutEdges(node) {
-		nextURL, nextDoc, drift := b.checkEdge(e, pageURL, doc, inputs)
+	w.visited[id] = true
+	for _, e := range w.m.OutEdges(id) {
+		if na, ok := w.renames[e.Action.String()]; ok {
+			e.Action = na
+		}
+		next, drift := w.edge(e, p)
 		if drift != "" {
-			*drifts = append(*drifts, Drift{Node: node, Problem: drift})
-			continue
+			w.drifts = append(w.drifts, Drift{Node: id, Problem: drift})
+			if !w.repair {
+				continue
+			}
+			oldKey := e.Action.String()
+			var err error
+			if next, err = w.reanchor(e, p); err != nil {
+				return fmt.Errorf("mapbuilder: repairing %s at node %s: %w", w.m.Name, id, err)
+			}
+			w.renames[oldKey] = e.Action
 		}
-		if nextDoc != nil && !visited[e.To] {
-			b.checkNode(m, e.To, nextURL, nextDoc, inputs, visited, drifts)
+		if next != nil && !w.visited[e.To] {
+			if err := w.node(e.To, next); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
-// checkEdge verifies one action against the live page, returning the page
-// it leads to (nil when the action could not be exercised with the sample
-// inputs — e.g. an optional variable without a sample value — which is not
-// drift).
-func (b *Builder) checkEdge(e *navmap.Edge, pageURL string, doc *htmlkit.Node,
-	inputs map[string]string) (string, *htmlkit.Node, string) {
-
+// edge exercises one action on the live page, returning the page it leads
+// to, or the drift it shows. Neither is returned when the action cannot be
+// exercised with the sample inputs (an optional variable without a sample
+// value, a mandatory field left empty) or is a More link missing on the
+// last data page: that is not drift.
+func (w *walk) edge(e *navmap.Edge, p *page) (*page, string) {
 	switch e.Action.Kind {
 	case navmap.ActFollowLink:
-		for _, l := range htmlkit.Links(doc) {
-			if strings.EqualFold(l.Name, e.Action.LinkName) {
-				return b.tryFetch(web.NewGet(context.Background(), htmlkit.Resolve(pageURL, l.Href)))
-			}
+		if target, ok := p.link(e.Action.LinkName); ok {
+			return w.load(web.NewGet(context.Background(), target))
 		}
-		// A missing More link on the last data page is normal pagination,
-		// not drift; a missing structural link is drift. Self-loops are
-		// treated as pagination.
+		// A missing structural link is drift; self-loops are pagination.
 		if e.From == e.To {
-			return "", nil, ""
+			return nil, ""
 		}
-		return "", nil, fmt.Sprintf("link %q no longer present on %s", e.Action.LinkName, pageURL)
+		return nil, fmt.Sprintf("link %q no longer present on %s", e.Action.LinkName, p.url)
 
 	case navmap.ActFollowVar:
-		want, ok := inputs[e.Action.EnvVar]
+		want, ok := w.inputs[e.Action.EnvVar]
 		if !ok {
-			return "", nil, "" // cannot exercise without a sample value
+			return nil, ""
 		}
-		for _, l := range htmlkit.Links(doc) {
-			if strings.EqualFold(l.Name, want) {
-				return b.tryFetch(web.NewGet(context.Background(), htmlkit.Resolve(pageURL, l.Href)))
-			}
+		if target, ok := p.link(want); ok {
+			return w.load(web.NewGet(context.Background(), target))
 		}
-		return "", nil, fmt.Sprintf("no link named %q (value of %s) on %s", want, e.Action.EnvVar, pageURL)
+		return nil, fmt.Sprintf("no link named %q (value of %s) on %s", want, e.Action.EnvVar, p.url)
 
 	default: // ActSubmitForm
-		form, ok := findFormByName(doc, pageURL, e.Action.FormName)
+		form, ok := p.form(e.Action.FormName)
 		if !ok {
-			return "", nil, fmt.Sprintf("form %q no longer present on %s", e.Action.FormName, pageURL)
+			return nil, fmt.Sprintf("form %q no longer present on %s", e.Action.FormName, p.url)
 		}
-		var fields []web.Field
-		for _, fl := range form.Fields {
-			if fl.Default != "" && fl.Widget != htmlkit.WidgetSubmit {
-				fields = append(fields, web.Field{Name: fl.Name, Value: fl.Default})
-			}
-		}
+		var values []web.Field
 		for _, f := range e.Action.Fills {
 			if _, exists := form.Field(f.Field); !exists {
-				return "", nil, fmt.Sprintf("form %q lost field %q (structural change needs manual remapping)", e.Action.FormName, f.Field)
+				return nil, fmt.Sprintf("form %q lost field %q (structural change needs manual remapping)", e.Action.FormName, f.Field)
 			}
-			v := f.Const
-			if v == "" {
-				v = inputs[f.Var]
-			}
-			if v != "" {
-				fields = append(fields, web.Field{Name: f.Field, Value: v})
+			if v := cmp.Or(f.Const, w.inputs[f.Var]); v != "" {
+				values = append(values, web.Field{Name: f.Field, Value: v})
 			}
 		}
-		for _, name := range form.MandatoryFields() {
-			if web.FieldValue(fields, name) == "" {
-				return "", nil, "" // cannot exercise; not drift
-			}
+		req, complete := submission(form, values)
+		if !complete {
+			return nil, ""
 		}
-		return b.tryFetch(web.NewSubmit(context.Background(), form.Action, form.Method, fields))
+		return w.load(req)
 	}
 }
 
-func (b *Builder) tryFetch(req *web.Request) (string, *htmlkit.Node, string) {
-	resp, err := b.Fetcher.Fetch(req)
+// load reads the page req answers with, or says why it could not.
+func (w *walk) load(req *web.Request) (*page, string) {
+	p, err := readPage(w.b.Fetcher, req)
 	if err != nil {
-		return "", nil, fmt.Sprintf("fetching %s: %v", req.URL, err)
+		return nil, err.Error()
 	}
-	if !resp.OK() {
-		return "", nil, fmt.Sprintf("%s returned status %d", req.URL, resp.Status)
-	}
-	return resp.URL, htmlkit.Parse(resp.Body), ""
+	return p, ""
 }

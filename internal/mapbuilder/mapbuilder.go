@@ -17,6 +17,7 @@ package mapbuilder
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"net/url"
 	"sort"
@@ -216,50 +217,39 @@ func (b *Builder) Build(s *Session) (*navmap.Map, *Stats, error) {
 // pageCursor tracks where the replayed browsing session currently is.
 type pageCursor struct {
 	nodeID navmap.NodeID
-	url    string
-	doc    *htmlkit.Node
+	*page
 }
 
-// load fetches a page and ensures a map node exists for it, named as the
+// load reads a page and ensures a map node exists for it, named as the
 // designer named it the first time the page is seen. A new page's F-logic
 // objects count toward the statistics: Section 7's tool "checks whether
 // actions and Web page objects are new before adding them", so revisits
 // contribute nothing.
 func (r *replay) load(req *web.Request, name navmap.NodeID, label string) (*pageCursor, error) {
-	resp, err := r.fetcher.Fetch(req)
+	p, err := readPage(r.fetcher, req)
 	if err != nil {
 		return nil, err
 	}
-	if !resp.OK() {
-		return nil, fmt.Errorf("page %s: status %d", req.URL, resp.Status)
-	}
-	doc := htmlkit.Parse(resp.Body)
 	r.stats.PagesLoaded++
 
-	sig := pageSignature(doc, resp.URL)
+	sig := pageSignature(p)
 	id, seen := r.nodes[sig]
 	if !seen {
 		id = cmp.Or(name, navmap.NodeID(sig))
 		r.nodes[sig] = id
-		r.m.AddNode(&navmap.Node{ID: id, Title: cmp.Or(label, htmlkit.Title(doc))})
-		store, _ := navcalc.PageToObjects(doc, resp.URL)
+		r.m.AddNode(&navmap.Node{ID: id, Title: cmp.Or(label, p.Title)})
+		store, _ := navcalc.PageToObjects(p.doc, p.url)
 		r.stats.Objects += store.Len()
 		for _, oid := range store.Objects() {
 			r.stats.Attributes += store.Get(oid).AttrCount()
 		}
 	}
-	return &pageCursor{nodeID: id, url: resp.URL, doc: doc}, nil
+	return &pageCursor{nodeID: id, page: p}, nil
 }
 
 func (r *replay) follow(cur *pageCursor, ev Event) (*pageCursor, error) {
-	var target string
-	for _, l := range htmlkit.Links(cur.doc) {
-		if strings.EqualFold(l.Name, ev.LinkName) {
-			target = htmlkit.Resolve(cur.url, l.Href)
-			break
-		}
-	}
-	if target == "" {
+	target, ok := cur.link(ev.LinkName)
+	if !ok {
 		return nil, fmt.Errorf("page %s has no link %q", cur.url, ev.LinkName)
 	}
 	next, err := r.load(web.NewGet(context.Background(), target), ev.Node, ev.Label)
@@ -278,23 +268,19 @@ func (r *replay) follow(cur *pageCursor, ev Event) (*pageCursor, error) {
 }
 
 func (r *replay) submit(cur *pageCursor, ev Event) (*pageCursor, error) {
-	form, ok := findFormByName(cur.doc, cur.url, ev.FormName)
+	form, ok := cur.form(ev.FormName)
 	if !ok {
 		return nil, fmt.Errorf("page %s has no form %q", cur.url, ev.FormName)
 	}
-	var fields []web.Field
-	for _, fl := range form.Fields {
-		if fl.Default != "" && fl.Widget != htmlkit.WidgetSubmit {
-			fields = append(fields, web.Field{Name: fl.Name, Value: fl.Default})
-		}
-	}
+	var values []web.Field
 	for f, v := range ev.Values {
 		if _, ok := form.Field(f); !ok {
 			return nil, fmt.Errorf("form %q has no field %q", ev.FormName, f)
 		}
-		fields = append(fields, web.Field{Name: f, Value: v})
+		values = append(values, web.Field{Name: f, Value: v})
 	}
-	next, err := r.load(web.NewSubmit(context.Background(), form.Action, form.Method, fields), ev.Node, ev.Label)
+	req, _ := submission(form, values)
+	next, err := r.load(req, ev.Node, ev.Label)
 	if err != nil {
 		return nil, err
 	}
@@ -361,12 +347,48 @@ func (r *replay) markData(cur *pageCursor, ev Event) error {
 	return nil
 }
 
-func findFormByName(doc *htmlkit.Node, base, name string) (htmlkit.Form, bool) {
-	forms := htmlkit.Forms(doc, base)
-	if name == "" && len(forms) > 0 {
-		return forms[0], true
+// page is a live page, fetched, status-checked, parsed and scanned once.
+type page struct {
+	url string // where the fetch ended up
+	doc *htmlkit.Node
+	htmlkit.Page
+}
+
+// readPage fetches req and reads the page it answers with. Its errors read
+// as drift reports: what was fetched and what went wrong.
+func readPage(f web.Fetcher, req *web.Request) (*page, error) {
+	resp, err := f.Fetch(req)
+	if err != nil {
+		return nil, fmt.Errorf("fetching %s: %w", req.URL, err)
 	}
-	for _, f := range forms {
+	if !resp.OK() {
+		return nil, fmt.Errorf("%s %w %d", req.URL, errStatus, resp.Status)
+	}
+	doc := htmlkit.Parse(resp.Body)
+	return &page{url: resp.URL, doc: doc, Page: htmlkit.Scan(doc, resp.URL)}, nil
+}
+
+// errStatus marks a page the site answered with a status other than OK.
+var errStatus = errors.New("returned status")
+
+// link returns the resolved target of the page's first link named name,
+// compared without case.
+func (p *page) link(name string) (string, bool) {
+	for _, l := range p.Links {
+		if strings.EqualFold(l.Name, name) {
+			return htmlkit.Resolve(p.url, l.Href), true
+		}
+	}
+	return "", false
+}
+
+// form returns the page's form named name, compared without case; the
+// empty name is the page's first form.
+func (p *page) form(name string) (htmlkit.Form, bool) {
+	if name == "" && len(p.Forms) > 0 {
+		return p.Forms[0], true
+	}
+	for _, f := range p.Forms {
 		if strings.EqualFold(f.Name, name) {
 			return f, true
 		}
@@ -374,18 +396,37 @@ func findFormByName(doc *htmlkit.Node, base, name string) (htmlkit.Form, bool) {
 	return htmlkit.Form{}, false
 }
 
+// submission is the request that submits form with values: the defaults
+// its non-submit fields carry, then values, the last value of a name
+// winning. complete reports whether every field the form marks mandatory
+// has a value.
+func submission(form htmlkit.Form, values []web.Field) (req *web.Request, complete bool) {
+	var fields []web.Field
+	for _, fl := range form.Fields {
+		if fl.Default != "" && fl.Widget != htmlkit.WidgetSubmit {
+			fields = append(fields, web.Field{Name: fl.Name, Value: fl.Default})
+		}
+	}
+	fields = append(fields, values...)
+	complete = true
+	for _, name := range form.MandatoryFields() {
+		complete = complete && web.FieldValue(fields, name) != ""
+	}
+	return web.NewSubmit(context.Background(), form.Action, form.Method, fields), complete
+}
+
 // pageSignature computes a structural identity for a page: its URL path
 // (without query) plus the names of its forms and the shape of its tables.
 // Two data pages of the same listing (page 1, page 2) share a signature
 // and therefore a map node, while structurally different pages do not.
-func pageSignature(doc *htmlkit.Node, pageURL string) string {
+func pageSignature(p *page) string {
 	var parts []string
-	if u, err := url.Parse(pageURL); err == nil {
+	if u, err := url.Parse(p.url); err == nil {
 		parts = append(parts, u.Path)
 	} else {
-		parts = append(parts, pageURL)
+		parts = append(parts, p.url)
 	}
-	for _, f := range htmlkit.Forms(doc, pageURL) {
+	for _, f := range p.Forms {
 		fields := make([]string, 0, len(f.Fields))
 		for _, fl := range f.Fields {
 			fields = append(fields, fl.Name)
@@ -393,7 +434,7 @@ func pageSignature(doc *htmlkit.Node, pageURL string) string {
 		sort.Strings(fields)
 		parts = append(parts, "form:"+f.Name+"("+strings.Join(fields, ",")+")")
 	}
-	for _, tbl := range htmlkit.Tables(doc) {
+	for _, tbl := range htmlkit.Tables(p.doc) {
 		if len(tbl) > 0 {
 			header := append([]string(nil), tbl[0]...)
 			sort.Strings(header)

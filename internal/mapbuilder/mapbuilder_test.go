@@ -171,7 +171,7 @@ func TestCheckMapCleanOnUnchangedSite(t *testing.T) {
 	b := &mapbuilder.Builder{Fetcher: w.Server}
 	for name, m := range carmaps.AllMaps() {
 		if name == "newsdayCarFeatures" {
-			continue // needs a live Url; covered below
+			continue // needs a live Url: TestWalkMapEnteredAtQueryURL
 		}
 		inputs := map[string]string{"Make": "ford", "Model": "escort",
 			"Condition": "good", "ZipCode": "11201", "Duration": "36", "Year": "1994"}
@@ -186,6 +186,45 @@ func TestCheckMapCleanOnUnchangedSite(t *testing.T) {
 		if len(drifts) != 0 {
 			t.Errorf("%s: unexpected drift on unchanged site: %v", name, drifts)
 		}
+	}
+}
+
+// TestWalkMapEnteredAtQueryURL: newsdayCarFeatures is entered at the Url
+// a newsday ad captures. Given one, sampled as carmaps.MapStats samples
+// it, CheckMap and Repair walk the map clean; without a Url neither can
+// start.
+func TestWalkMapEnteredAtQueryURL(t *testing.T) {
+	w := sites.BuildWorld()
+	b := &mapbuilder.Builder{Fetcher: w.Server}
+	newsday, err := navmap.Translate(carmaps.AllMaps()["newsday"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ads, _, err := newsday.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	if err != nil || ads.Len() == 0 {
+		t.Fatalf("sampling a features URL: %d ads, %v", ads.Len(), err)
+	}
+	url, _ := ads.Get(ads.Tuples()[0], "Url")
+	m := carmaps.AllMaps()["newsdayCarFeatures"]
+	inputs := map[string]string{"Url": url.Str()}
+
+	drifts, err := b.CheckMap(m, inputs)
+	if err != nil || len(drifts) != 0 {
+		t.Errorf("CheckMap at %s: drifts %v, err %v", url.Str(), drifts, err)
+	}
+	repaired, drifts, err := b.Repair(m, inputs)
+	if err != nil || len(drifts) != 0 {
+		t.Errorf("Repair at %s: drifts %v, err %v", url.Str(), drifts, err)
+	} else if navmap.Fingerprint(repaired) != navmap.Fingerprint(m) {
+		t.Errorf("Repair of a clean map changed it:\n%s", repaired)
+	}
+
+	const want = `requires input "Url"`
+	if _, err := b.CheckMap(m, carmaps.SampleInputs); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CheckMap without a Url: %v, want an error naming %s", err, want)
+	}
+	if _, _, err := b.Repair(m, carmaps.SampleInputs); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Repair without a Url: %v, want an error naming %s", err, want)
 	}
 }
 

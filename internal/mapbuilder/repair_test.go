@@ -33,9 +33,12 @@ func TestRepairReanchorsRenamedLink(t *testing.T) {
 	b := &mapbuilder.Builder{Fetcher: f}
 	m := carmaps.AllMaps()["newsday"]
 
-	repaired, err := b.Repair(m, repairInputs)
+	repaired, drifts, err := b.Repair(m, repairInputs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(drifts) != 1 || !strings.Contains(drifts[0].Problem, "Automobiles") {
+		t.Errorf("repaired drifts = %v, want the one vanished link", drifts)
 	}
 	found := false
 	for _, e := range repaired.Edges() {
@@ -56,7 +59,7 @@ func TestRepairReanchorsRenamedLink(t *testing.T) {
 		}
 	}
 	// The repaired map is clean against the redesigned site...
-	drifts, err := b.CheckMap(repaired, repairInputs)
+	drifts, err = b.CheckMap(repaired, repairInputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestRepairReanchorsRenamedForm(t *testing.T) {
 	f := redesigned(sites.NewsdayHost, web.Rewrite{Old: `"f1"`, New: `"searchform"`})
 	b := &mapbuilder.Builder{Fetcher: f}
 
-	repaired, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
+	repaired, _, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestRepairAmbiguousCandidatesErrors(t *testing.T) {
 	m.AddEdge("home", navmap.Action{Kind: navmap.ActFollowLink, LinkName: "Bargain Bin"}, "list")
 
 	b := &mapbuilder.Builder{Fetcher: sites.BuildWorld().Server}
-	_, err := b.Repair(m, repairInputs)
+	_, _, err := b.Repair(m, repairInputs)
 	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("ambiguous re-anchor did not error: %v", err)
 	}
@@ -146,7 +149,7 @@ func TestRepairNoCandidateErrors(t *testing.T) {
 	f := redesigned(sites.NewsdayHost,
 		web.Rewrite{Old: `<a href="http://newsday.example/auto">Automobiles</a>`, New: ""})
 	b := &mapbuilder.Builder{Fetcher: f}
-	_, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
+	_, _, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
 	if err == nil {
 		t.Fatal("vanished section repaired from nothing")
 	}
@@ -164,7 +167,7 @@ func TestRepairPresentButFailingLinkErrors(t *testing.T) {
 		return world.Fetch(req)
 	})
 	b := &mapbuilder.Builder{Fetcher: f}
-	_, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
+	_, _, err := b.Repair(carmaps.AllMaps()["newsday"], repairInputs)
 	if err == nil || !strings.Contains(err.Error(), "is present but its target is failing") {
 		t.Fatalf("expected the present-but-failing refusal, got: %v", err)
 	}
@@ -177,7 +180,7 @@ func TestRepairFollowVarUnrepairable(t *testing.T) {
 	// directory by renaming the bound value's link text.
 	f := redesigned(sites.YahooCarsHost, web.Rewrite{Old: ">ford<", New: ">fjord<"})
 	b := &mapbuilder.Builder{Fetcher: f}
-	_, err := b.Repair(carmaps.AllMaps()["yahooCars"], repairInputs)
+	_, _, err := b.Repair(carmaps.AllMaps()["yahooCars"], repairInputs)
 	if err == nil || !strings.Contains(err.Error(), "cannot be re-anchored") {
 		t.Fatalf("FollowVar repair should be refused: %v", err)
 	}
@@ -188,9 +191,12 @@ func TestRepairFollowVarUnrepairable(t *testing.T) {
 func TestRepairCleanSiteIsIdentity(t *testing.T) {
 	b := &mapbuilder.Builder{Fetcher: sites.BuildWorld().Server}
 	m := carmaps.AllMaps()["newsday"]
-	repaired, err := b.Repair(m, repairInputs)
+	repaired, drifts, err := b.Repair(m, repairInputs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(drifts) != 0 {
+		t.Errorf("repair of a clean site repaired %v", drifts)
 	}
 	if navmap.Fingerprint(repaired) != navmap.Fingerprint(m) {
 		t.Errorf("repair of a clean site changed the map:\n%s\nvs\n%s", m, repaired)

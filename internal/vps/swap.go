@@ -24,18 +24,6 @@ type MapOverride struct {
 	Fingerprint string // navmap.Fingerprint of Map
 }
 
-// SetBaseMap records the navigation map a relation's handles were
-// translated from. Repair workers read it back with CurrentMap to know
-// what to re-check against the live site.
-func (r *Registry) SetBaseMap(name string, m *navmap.Map) error {
-	ri, ok := r.relations[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRelation, name)
-	}
-	ri.baseMap = m
-	return nil
-}
-
 // CurrentMap returns the navigation map the relation is currently served
 // from: the latest swapped-in override, or the base map (nil when the
 // relation was registered without one).

@@ -34,7 +34,9 @@ import (
 type Handle struct {
 	Relation  string
 	Mandatory relation.AttrSet // minimum inputs required to invoke
-	Selection relation.AttrSet // all inputs the expression can forward (⊇ Mandatory)
+	// Selection is every input the expression can forward: the schema
+	// attributes it reads (⊇ Mandatory). AddHandle derives it.
+	Selection relation.AttrSet
 	Expr      *navcalc.Expression
 }
 
@@ -136,33 +138,31 @@ func (r *Registry) Declare(name string, schema relation.Schema) error {
 	return nil
 }
 
-// AddHandle attaches a handle to its relation, enforcing the paper's
-// constraints: mandatory ⊆ selection, selection attributes drawn from the
-// relation schema and covering every one the expression reads, and distinct
-// mandatory sets across the relation's handles ("different handles for the
-// same relation must use different sets of mandatory attributes").
+// AddHandle attaches a handle to its relation and derives its Selection
+// from its expression. It enforces the paper's constraints: the
+// expression's schema is the relation's, mandatory ⊆ selection, and
+// mandatory sets are distinct across the relation's handles ("different
+// handles for the same relation must use different sets of mandatory
+// attributes").
 func (r *Registry) AddHandle(h *Handle) error {
 	ri, ok := r.relations[h.Relation]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownRelation, h.Relation)
 	}
-	if !h.Mandatory.SubsetOf(h.Selection) {
-		return fmt.Errorf("vps: handle for %s: mandatory %s ⊄ selection %s", h.Relation, h.Mandatory, h.Selection)
-	}
-	schemaSet := relation.SetFromSchema(ri.Schema)
-	if !h.Selection.SubsetOf(schemaSet) {
-		return fmt.Errorf("vps: handle for %s: selection %s not within schema %v", h.Relation, h.Selection, ri.Schema)
-	}
 	if !h.Expr.Schema.EqualUnordered(ri.Schema) {
 		return fmt.Errorf("vps: handle for %s: expression schema %v ≠ relation schema %v", h.Relation, h.Expr.Schema, ri.Schema)
 	}
-	// The planner trusts the declaration: a dependent join feeds a relation
-	// only its selection attributes, so omitting one the navigation reads
-	// would silently turn k distinct navigations into one.
+	// A dependent join feeds a relation only its selection attributes, so
+	// the selection is every schema attribute the navigation reads: one
+	// left out would silently turn k distinct navigations into one.
+	h.Selection = relation.NewAttrSet()
 	for _, a := range h.Expr.Vars() {
-		if schemaSet.Has(a) && !h.Selection.Has(a) {
-			return fmt.Errorf("vps: handle for %s: expression reads %s, which selection %s omits", h.Relation, a, h.Selection)
+		if ri.Schema.Has(a) {
+			h.Selection.Add(a)
 		}
+	}
+	if !h.Mandatory.SubsetOf(h.Selection) {
+		return fmt.Errorf("vps: handle for %s: mandatory %s ⊄ selection %s", h.Relation, h.Mandatory, h.Selection)
 	}
 	for _, other := range ri.Handles {
 		if other.Mandatory.Equal(h.Mandatory) {
@@ -172,6 +172,37 @@ func (r *Registry) AddHandle(h *Handle) error {
 	ri.Handles = append(ri.Handles, h)
 	ri.forwardable = ri.forwardable.Union(h.Selection)
 	return nil
+}
+
+// FromMaps builds the VPS of a set of navigation maps keyed by relation
+// name. Each relation's expression is translated from its map, which is
+// kept as the base map repair re-checks against the live site, and the
+// relation gets one handle per mandatory set listed for it, in list order.
+func FromMaps(maps map[string]*navmap.Map, mandatory map[string][][]string) (*Registry, error) {
+	if len(maps) != len(mandatory) {
+		return nil, fmt.Errorf("vps: %d maps but handles for %d relations", len(maps), len(mandatory))
+	}
+	r := NewRegistry()
+	for name, sets := range mandatory {
+		m, ok := maps[name]
+		if !ok {
+			return nil, fmt.Errorf("vps: handles for unknown map %q", name)
+		}
+		expr, err := navmap.Translate(m)
+		if err != nil {
+			return nil, fmt.Errorf("vps: deriving expression for %s: %w", name, err)
+		}
+		if err := r.Declare(name, m.Schema); err != nil {
+			return nil, err
+		}
+		r.relations[name].baseMap = m
+		for _, set := range sets {
+			if err := r.AddHandle(&Handle{Relation: name, Mandatory: relation.NewAttrSet(set...), Expr: expr}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return r, nil
 }
 
 // Relation returns the info of the named relation.

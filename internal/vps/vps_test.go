@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"webbase/internal/navcalc"
+	"webbase/internal/navmap"
 	"webbase/internal/relation"
 	"webbase/internal/sites"
 	"webbase/internal/tlogic"
@@ -60,30 +61,41 @@ func TestAddHandleValidation(t *testing.T) {
 		t.Error("conflicting declare should fail")
 	}
 
-	expr := &navcalc.Expression{Name: "r", Schema: schema, Program: tlogic.NewProgram(), Goal: tlogic.Empty{}, StartURL: "http://x/"}
-	mk := func(mand, sel []string) *Handle {
-		return &Handle{Relation: "r",
-			Mandatory: relation.NewAttrSet(mand...),
-			Selection: relation.NewAttrSet(sel...), Expr: expr}
+	// The expression reads A and B through one form.
+	m := navmap.New("r", "http://x/", schema)
+	m.AddNode(&navmap.Node{ID: "home"})
+	m.AddNode(&navmap.Node{ID: "data", IsData: true,
+		Extract: navcalc.ExtractSpec{Columns: []navcalc.Column{{Header: "A", Attr: "A"}, {Header: "B", Attr: "B"}}}})
+	m.AddEdge("home", navmap.Action{Kind: navmap.ActSubmitForm, FormName: "q",
+		Fills: []navcalc.FieldFill{navcalc.Fill("a", "A"), navcalc.Fill("b", "B"), navcalc.Fill("z", "Z")}}, "data")
+	expr, err := navmap.Translate(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := reg.AddHandle(mk([]string{"A"}, []string{"A", "B"})); err != nil {
+	mk := func(mand ...string) *Handle {
+		return &Handle{Relation: "r", Mandatory: relation.NewAttrSet(mand...), Expr: expr}
+	}
+	h := mk("A")
+	if err := reg.AddHandle(h); err != nil {
 		t.Fatalf("valid handle rejected: %v", err)
 	}
-	if err := reg.AddHandle(mk([]string{"A", "B"}, []string{"A"})); err == nil {
+	// The selection is what the expression reads of the schema: Z is read
+	// but is no attribute of r.
+	if want := relation.NewAttrSet("A", "B"); !h.Selection.Equal(want) {
+		t.Errorf("derived selection %s, want %s", h.Selection, want)
+	}
+	if err := reg.AddHandle(mk("A", "C")); err == nil {
 		t.Error("mandatory ⊄ selection should fail")
 	}
-	if err := reg.AddHandle(mk([]string{"Z"}, []string{"Z"})); err == nil {
-		t.Error("selection outside schema should fail")
-	}
-	if err := reg.AddHandle(mk([]string{"A"}, []string{"A"})); err == nil {
+	if err := reg.AddHandle(mk("A")); err == nil {
 		t.Error("duplicate mandatory set should fail")
 	}
-	other := &Handle{Relation: "ghost", Mandatory: relation.NewAttrSet(), Selection: relation.NewAttrSet(), Expr: expr}
+	other := &Handle{Relation: "ghost", Mandatory: relation.NewAttrSet(), Expr: expr}
 	if err := reg.AddHandle(other); !errors.Is(err, ErrUnknownRelation) {
 		t.Errorf("unknown relation: %v", err)
 	}
 	// Expression schema mismatch.
-	bad := &Handle{Relation: "r", Mandatory: relation.NewAttrSet("B"), Selection: relation.NewAttrSet("B"),
+	bad := &Handle{Relation: "r", Mandatory: relation.NewAttrSet("B"),
 		Expr: &navcalc.Expression{Name: "r", Schema: relation.NewSchema("A"), Program: tlogic.NewProgram(), Goal: tlogic.Empty{}}}
 	if err := reg.AddHandle(bad); err == nil || !strings.Contains(err.Error(), "expression schema") {
 		t.Errorf("schema mismatch: %v", err)
@@ -294,20 +306,10 @@ func TestSelectionMustCoverWhatTheExpressionReads(t *testing.T) {
 			}
 		}
 	}
-	// kellys forwards the optional Year; a hand-declared selection without
-	// it would turn one navigation per year into one for all years.
-	reg := NewRegistry()
-	if err := reg.Declare("kellys", kellys.Schema); err != nil {
-		t.Fatal(err)
-	}
-	err = reg.AddHandle(&Handle{
-		Relation:  "kellys",
-		Mandatory: relation.NewAttrSet("Make", "Model", "Condition"),
-		Selection: relation.NewAttrSet("Make", "Model", "Condition"),
-		Expr:      kellys.Handles[0].Expr,
-	})
-	if err == nil || !strings.Contains(err.Error(), "Year") {
-		t.Errorf("a selection omitting the forwarded Year was accepted: %v", err)
+	// kellys forwards the optional Year; a selection without it would turn
+	// one navigation per year into one for all years.
+	if sel := kellys.Handles[0].Selection; !sel.Has("Year") {
+		t.Errorf("kellys selection %s omits the forwarded Year", sel)
 	}
 }
 

@@ -3,7 +3,6 @@ package web
 import (
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 )
 
@@ -97,14 +96,3 @@ func (h *HTTPFetcher) Fetch(req *Request) (*Response, error) {
 }
 
 var _ Fetcher = (*HTTPFetcher)(nil)
-
-// ParseQuery is a convenience wrapper over url.ParseQuery that swallows
-// errors — simulated CGI scripts treat unparsable queries as empty, the way
-// lenient 1990s servers did.
-func ParseQuery(raw string) url.Values {
-	v, err := url.ParseQuery(raw)
-	if err != nil {
-		return url.Values{}
-	}
-	return v
-}

@@ -326,15 +326,6 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseQueryLenient(t *testing.T) {
-	if v := ParseQuery("a=1&b=2"); v.Get("b") != "2" {
-		t.Error("parse failed")
-	}
-	if v := ParseQuery("%zz=bad"); len(v) != 0 {
-		t.Error("bad query should be empty")
-	}
-}
-
 func TestHostOf(t *testing.T) {
 	cases := map[string]string{
 		"http://a.example/x?y=1": "a.example",

@@ -113,3 +113,45 @@ func TestNodeValueSize(t *testing.T) {
 		t.Errorf("a node is %d bytes, want 16", n)
 	}
 }
+
+// TestParseIntoLentArrays: a document parsed into lent arrays is the one
+// Parse builds, whatever the arrays held before it; once the arrays hold
+// every recorded page, a parse into them allocates its text and nothing
+// of the document; Reset keeps an array up to its bound and lets go of
+// the text and of any larger array.
+func TestParseIntoLentArrays(t *testing.T) {
+	pages := fixturePages(t)
+	var a Arrays
+	for _, p := range pages {
+		sameTree(t, *ParseInto(p, &a), refParse(p))
+	}
+	for _, p := range pages { // the arrays now hold the largest page
+		ParseInto(p, &a)
+	}
+	if !race.Enabled {
+		lent := testing.AllocsPerRun(20, func() {
+			for _, p := range pages {
+				ParseInto(p, &a)
+			}
+		})
+		heap := testing.AllocsPerRun(20, func() {
+			for _, p := range pages {
+				Parse(p)
+			}
+		})
+		t.Logf("over %d pages: %.0f allocations into lent arrays, %.0f by Parse", len(pages), lent, heap)
+		if saved := heap - lent; saved < float64(3*len(pages)) {
+			t.Errorf("lent arrays saved %.0f allocations over %d pages, want the document and its two arrays a page", saved, len(pages))
+		}
+	}
+	nodes, attrs := cap(a.d.nodes), cap(a.d.attrs)
+	a.Reset(max(nodes, attrs))
+	if a.d.text != "" || cap(a.d.nodes) != nodes || cap(a.d.attrs) != attrs {
+		t.Errorf("Reset(%d) kept the text (%d bytes) or dropped an array: caps %d and %d, were %d and %d",
+			max(nodes, attrs), len(a.d.text), cap(a.d.nodes), cap(a.d.attrs), nodes, attrs)
+	}
+	a.Reset(min(nodes, attrs) - 1)
+	if cap(a.d.nodes) != 0 || cap(a.d.attrs) != 0 {
+		t.Errorf("Reset(%d) kept arrays of %d and %d entries", min(nodes, attrs)-1, cap(a.d.nodes), cap(a.d.attrs))
+	}
+}

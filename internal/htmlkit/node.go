@@ -236,7 +236,20 @@ func writeField(sb *strings.Builder, f string) {
 // elements are closed at end of input, stray end tags are dropped, and
 // mis-nesting is repaired by popping to the nearest matching open element.
 // src is read only while Parse runs; the document keeps no reference to it.
-func Parse(src []byte) *Node {
+func Parse(src []byte) *Node { return ParseInto(src, new(Arrays)) }
+
+// Arrays is memory a caller lends a parse: the document and its node and
+// attribute arrays. A document parsed into it (ParseInto) is valid until
+// the caller takes the arrays back, by Reset or by parsing into them
+// again. Its text is not lent: every string read off the document points
+// into the text, which is the parse's own allocation and outlives the
+// arrays. The zero value holds no arrays yet.
+type Arrays struct{ d document }
+
+// ParseInto is Parse, building the document in a: in a's arrays when they
+// hold the page, else in arrays it makes and leaves in a for the next
+// parse.
+func ParseInto(src []byte, a *Arrays) *Node {
 	// Three counts size the arrays and the text without a second pass; a
 	// page beyond an estimate pays one regrowth. Every node but the document
 	// is a start tag, a comment or a text run after a tag: at most about
@@ -245,9 +258,10 @@ func Parse(src []byte) *Node {
 	// drops at least three bytes of markup: "<" or "</", ">", and a known
 	// name or an attribute's '=' and quotes.
 	tags, ends := countTags(src)
+	d := &a.d
 	p := parser{
-		z:     tokenizer{src: src, attrs: make([]attr, 0, bytes.Count(src, []byte{'='}))},
-		nodes: make([]node, 1, 2*(tags-ends)+2),
+		z:     tokenizer{src: src, attrs: room(d.attrs, bytes.Count(src, []byte{'='}))},
+		nodes: room(d.nodes, 2*(tags-ends)+2)[:1],
 	}
 	p.nodes[0] = node{typ: DocumentNode, end: -1} // open, with no parent
 	p.text.Grow(max(len(src)-3*tags, 0))
@@ -255,9 +269,36 @@ func Parse(src []byte) *Node {
 		p.add()
 	}
 	p.closeTo(-1)
-	d := &document{text: p.text.String(), nodes: p.nodes, attrs: p.z.attrs}
+	*d = document{text: p.text.String(), nodes: p.nodes, attrs: p.z.attrs}
 	d.root = Node{d, 0}
 	return &d.root
+}
+
+// Reset takes a's arrays back: no document parsed into a may be read after
+// it. a keeps each array of at most keep entries for the next parse, and
+// lets go of the text and of any larger array.
+func (a *Arrays) Reset(keep int) {
+	nodes, attrs := a.d.nodes[:0], a.d.attrs[:0]
+	if cap(nodes) > keep {
+		nodes = nil
+	}
+	if cap(attrs) > keep {
+		attrs = nil
+	}
+	a.d = document{nodes: nodes, attrs: attrs}
+}
+
+// room returns s emptied when it holds n entries, and otherwise an empty
+// array of n: of at least 64 more than s when s lent one, so that arrays
+// lent page after page stop growing soon.
+func room[T node | attr](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	if cap(s) > 0 {
+		n = max(n, cap(s)+64)
+	}
+	return make([]T, 0, n)
 }
 
 // countTags counts the '<' in src, and those of them that open an end tag

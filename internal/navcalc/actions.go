@@ -37,7 +37,7 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([
 		if !ok {
 			// Unbound variable: this branch cannot proceed. That is a
 			// statement about the invocation, not the page.
-			b.budget.noteInputShortfall()
+			b.scratch.budget.noteInputShortfall()
 			return next, nil
 		}
 		want = v
@@ -65,7 +65,7 @@ func (a followLink) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([
 		// A literal link the map recorded is simply not on the page any
 		// more — structural drift evidence. A variable-named link with no
 		// match is different: the directory just doesn't list that value.
-		b.budget.noteStructural()
+		b.scratch.budget.noteStructural()
 	}
 	return next, nil
 }
@@ -108,7 +108,7 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([
 	if !ok {
 		// The form the map expects is gone from the page: structural
 		// drift evidence.
-		b.budget.noteStructural()
+		b.scratch.budget.noteStructural()
 		return next, nil
 	}
 	// The fields sent, a later one of a name replacing an earlier one:
@@ -135,7 +135,7 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([
 		if _, exists := form.Field(f.Field); !exists {
 			// We hold a value for a field the form no longer carries:
 			// structural drift evidence.
-			b.budget.noteStructural()
+			b.scratch.budget.noteStructural()
 			return next, nil
 		}
 		fields = append(fields, web.Field{Name: f.Field, Value: v})
@@ -145,7 +145,7 @@ func (a submitForm) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([
 	// changed.
 	for _, fl := range form.Fields {
 		if fl.Mandatory && web.FieldValue(fields, fl.Name) == "" {
-			b.budget.noteInputShortfall()
+			b.scratch.budget.noteInputShortfall()
 			return next, nil
 		}
 	}
@@ -264,7 +264,7 @@ func (a extract) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tl
 		// a data page this is the classic wrapper-breaking redesign; on a
 		// branch probing whether this IS the data page it is neutralized
 		// by whichever signal the other branch ends on.
-		b.budget.noteStructural()
+		b.scratch.budget.noteStructural()
 		return next, nil
 	}
 	n := tbl.Len()

@@ -22,9 +22,10 @@ import (
 // one allocation a page: the recorded pages, each loaded once by an
 // expression that only loads its start page, inside a query and outside
 // one. The loads read nothing off their pages, so outside a query they
-// cost what fetching, parsing and an empty execution do: 564 allocations
-// over the 46 pages when last measured, 1943 while every load built its
-// view.
+// cost what fetching, parsing and an empty execution do: 472 allocations
+// over the 46 pages when last measured, 564 while every execution
+// allocated its states, pages and parse arrays, 1943 while every load
+// built its view.
 func TestPageSetAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -100,7 +101,7 @@ func TestFollowAllocs(t *testing.T) {
 			t.Fatalf("follow failed: %v", err)
 		}
 	}
-	const ceiling = 22 // 20 when set; 22 while the request was copied to carry its context and each step returned a slice of its outcomes; 28 while the scan resolved every link on the page, as one execution and as load + haslink + follow on a bare state before the guards went; 35 while the first state and its page budget were two allocations, a page's links grew by append and the path was copied at every step; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
+	const ceiling = 19 // 18 when set; 20 while every state, page and parse array of an execution was its own allocation; 22 while the request was copied to carry its context and each step returned a slice of its outcomes; 28 while the scan resolved every link on the page, as one execution and as load + haslink + follow on a bare state before the guards went; 35 while the first state and its page budget were two allocations, a page's links grew by append and the path was copied at every step; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + follow to %s: %.0f allocations (ceiling %d)", reached, got, ceiling)
 	if reached == page.url {
@@ -149,7 +150,7 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 		}
 		tuples = info.Tuples
 	}
-	const ceiling = 17 // 15 when set, as one execution; 27 while the page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 29 while the request was copied to carry its context and each step returned a slice of its outcomes; 29 as load + isdata + extract on a bare state before the guards went; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
+	const ceiling = 14 // 13 when set, as one execution; 15 while every state, page and parse array of an execution was its own allocation; 27 while the page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 29 while the request was copied to carry its context and each step returned a slice of its outcomes; 29 as load + isdata + extract on a bare state before the guards went; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
 	if tuples == 0 {

@@ -66,7 +66,11 @@ func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs m
 		}
 		start = v
 	}
-	st, err := newBrowseState(ctx, f, start, e.Schema, e.MaxPages, e.StartURLVar == "")
+	// The states and the pages only this execution reads are the scratch's,
+	// taken back when it returns: what it returns points into none of them.
+	s := borrowScratch()
+	defer s.release()
+	st, err := s.start(ctx, f, start, e.Schema, e.MaxPages, e.StartURLVar == "")
 	if err != nil {
 		return nil, ExecInfo{}, fmt.Errorf("navcalc: fetching start page of %s: %w", e.Name, err)
 	}
@@ -92,7 +96,7 @@ func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs m
 		// binding, the site has drifted from its map: classify as drift,
 		// attributed to the start host, so the health tracker can
 		// quarantine and remap it.
-		if st.budget.sawStructural && !st.budget.sawInputShortfall {
+		if s.budget.sawStructural && !s.budget.sawInputShortfall {
 			return nil, ExecInfo{}, web.MarkDrift(&web.HostError{
 				Host: web.HostOf(start),
 				Err: fmt.Errorf("%w: %s: site answered but its pages no longer match the navigation map",

@@ -2,6 +2,7 @@ package navcalc
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -118,36 +119,66 @@ func TestInputFreePageParsedOnce(t *testing.T) {
 	}
 }
 
+// stamp is a step that records whether the page its state stands on
+// carries an earlier visit's stamp, then stamps it. The stamp is a mark in
+// the page's scan, so a page built afresh for a visit — parsed again, on
+// the heap or in a lent slot — does not carry it.
+type stamp struct{ found *[]bool }
+
+const stampMark = "stamped by an earlier visit"
+
+func (stamp) Name() string { return "stamp" }
+func (s stamp) Run(st tlogic.State, _ tlogic.Env, out []tlogic.State) ([]tlogic.State, error) {
+	scan := st.(*BrowseState).scanned()
+	*s.found = append(*s.found, scan.Title == stampMark)
+	scan.Title = stampMark
+	return append(out, st), nil
+}
+
 // TestInputDependentPageParsedPerVisit: a page reached through
 // follow(?var), a submit filled from an input, or a start URL supplied as
 // an input is parsed on every visit, cache hit or not, and its response
-// carries no parsed page.
+// carries no parsed page. A second query finds the stamp the first left on
+// every input-free page it stands on, and on no input-dependent one.
 func TestInputDependentPageParsedPerVisit(t *testing.T) {
-	var pages []*page
+	var found []bool
+	stamps := tlogic.Prim{Action: stamp{&found}}
+	stamped := func(step tlogic.Formula) *Expression {
+		return &Expression{Name: "free", StartURL: freeHome, Schema: relation.NewSchema("Make", "Price"),
+			Program: tlogic.NewProgram(), Goal: tlogic.Seq(stamps, step, stamps)}
+	}
 	inputs := map[string]string{"Make": "ford", "Url": freeHome}
 	startVar := &Expression{Name: "startvar", StartURLVar: "Url", Schema: relation.NewSchema("Make", "Price"),
-		Program: tlogic.NewProgram(), Goal: tlogic.Seq(spyOn(&pages), Follow("List"), spyOn(&pages))}
+		Program: tlogic.NewProgram(), Goal: tlogic.Seq(stamps, Follow("List"), stamps)}
+	run := func(expr *Expression, f web.Fetcher) {
+		t.Helper()
+		found = nil
+		ctx := web.WithQuery(context.Background(), &web.Query{})
+		if _, _, err := expr.ExecuteContext(ctx, f, inputs); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// The start page itself is input-free in the other cases; in the last,
 	// it and the literal follow from it are not.
 	for _, c := range []struct {
 		name      string
 		expr      *Expression
-		dependent []int // the recorded pages that must be parsed per visit
+		dependent []int // the visited pages that must be parsed per visit
 	}{
-		{"follow(?Make)", freeExpression(FollowVar("Make"), &pages), []int{1}},
-		{"submit(make=?Make)", freeExpression(Submit("find", Fill("make", "Make")), &pages), []int{1}},
+		{"follow(?Make)", stamped(FollowVar("Make")), []int{1}},
+		{"submit(make=?Make)", stamped(Submit("find", Fill("make", "Make"))), []int{1}},
 		{"start URL from ?Url", startVar, []int{0, 1}},
 	} {
 		site := &freeSite{}
 		f, _ := cachedStack(site)
-		first := runQuery(t, c.expr, f, inputs, &pages)
-		second := runQuery(t, c.expr, f, inputs, &pages)
+		run(c.expr, f)
+		run(c.expr, f)
 		if site.fetches != 2 {
 			t.Fatalf("%s: two queries fetched %d pages, want 2", c.name, site.fetches)
 		}
-		for _, i := range c.dependent {
-			if second[i] == first[i] {
-				t.Errorf("%s: page %d was shared by two queries", c.name, i)
+		for i, shared := range found {
+			if dependent := slices.Contains(c.dependent, i); shared == dependent {
+				t.Errorf("%s: page %d of the second query carries the first query's stamp: %v, want %v", c.name, i, shared, !dependent)
 			}
 		}
 	}
@@ -163,8 +194,8 @@ func TestInputDependentPageParsedPerVisit(t *testing.T) {
 		return resp, err
 	})
 	f, _ := cachedStack(recording)
-	runQuery(t, startVar, f, inputs, &pages)
-	runQuery(t, freeExpression(FollowVar("Make"), &pages), f, inputs, &pages)
+	run(startVar, f)
+	run(stamped(FollowVar("Make")), f)
 	for _, resp := range got {
 		if _, built := resp.PeekDerived(); built != (resp.URL == freeHome) {
 			t.Errorf("%s carries a parsed page: %v, want %v", resp.URL, built, resp.URL == freeHome)

@@ -17,7 +17,7 @@ import (
 // startAt loads url as the first state of a navigation over schema.
 func startAt(t *testing.T, f web.Fetcher, url string, schema relation.Schema) *BrowseState {
 	t.Helper()
-	st, err := newBrowseState(context.Background(), f, url, schema, 0, false)
+	st, err := new(scratch).start(context.Background(), f, url, schema, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

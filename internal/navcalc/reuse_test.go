@@ -73,10 +73,11 @@ func (s *reuseSite) fetches(url string) int {
 	return s.calls[url]
 }
 
-// visit starts a navigation at url under ctx: one page visit.
+// visit starts a navigation at url under ctx, on a scratch of its own that
+// is never taken back: one page visit.
 func visit(t *testing.T, ctx context.Context, f web.Fetcher, url string) (*BrowseState, error) {
 	t.Helper()
-	return newBrowseState(ctx, f, url, relation.NewSchema("Make", "Price"), 0, false)
+	return new(scratch).start(ctx, f, url, relation.NewSchema("Make", "Price"), 0, false)
 }
 
 // TestPageKeptFromSecondVisit: a request visited once keeps nothing — its

@@ -1,0 +1,129 @@
+package navcalc
+
+import (
+	"sync"
+
+	"webbase/internal/htmlkit"
+	"webbase/internal/web"
+)
+
+// What a returned scratch keeps for the next execution. An idle scratch
+// is live heap, so what it keeps is sized.
+const (
+	// keptScratches is how many idle scratches wait for the next
+	// executions: as many as ran at once, up to this many.
+	keptScratches = 8
+	// slabChunk is how many states or pages a slab carves per allocation.
+	slabChunk = 4
+	// keptStates is how many states a returned scratch keeps, and
+	// keptArrays how many page slots keep their parse arrays (the rest of
+	// their chunk keeps none): an execution that went further gives the
+	// rest back to the collector. Most executions stand on one page.
+	keptStates = 4 * slabChunk
+	keptArrays = 2
+	// keptArray is the largest node or attribute array a page slot keeps.
+	keptArray = 600
+)
+
+// scratch is what one execution (Expression.ExecuteContext) borrows and
+// nothing outlives: its page budget, its states, and the pages that only it
+// visits, with their parse arrays. Backtracking discards a branch by
+// dropping its states, so every state and lent page of an execution lives
+// exactly as long as the execution does; the scratch is reset and kept
+// idle for the next execution when it ends. What an execution hands on is
+// never lent: its requests, its pages' text, its collected tuples, and
+// every page another execution may read — a page its query keeps
+// (web.Query.Load), and the page of an input-free request
+// (web.Response.Derived).
+type scratch struct {
+	budget pageBudget
+	states slab[BrowseState]
+	pages  slab[lentPage]
+}
+
+// lentPage is a page slot: the page and the arrays its document is parsed
+// into.
+type lentPage struct {
+	page
+	arrays htmlkit.Arrays
+}
+
+// idle holds the scratches no execution is using, the last returned on
+// top. It is not a sync.Pool: under the race detector a pool drops a
+// quarter of what it is given at random, and the allocations of two equal
+// runs would no longer repeat.
+var idle struct {
+	sync.Mutex
+	scratches []*scratch
+}
+
+// borrowScratch returns an idle scratch, or a new one when none is idle.
+func borrowScratch() *scratch {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.scratches)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := idle.scratches[n-1]
+	idle.scratches[n-1] = nil
+	idle.scratches = idle.scratches[:n-1]
+	return s
+}
+
+// release resets s and keeps it idle, unless keptScratches already are: no
+// state or lent page of the execution may be read after it.
+func (s *scratch) release() {
+	s.budget = pageBudget{}
+	s.states.reset(keptStates, func(_ int, st *BrowseState) { *st = BrowseState{} })
+	s.pages.reset(keptArrays, func(i int, p *lentPage) {
+		p.page = page{}
+		if i < keptArrays {
+			p.arrays.Reset(keptArray)
+		} else {
+			p.arrays.Reset(0)
+		}
+	})
+	idle.Lock()
+	if len(idle.scratches) < keptScratches {
+		idle.scratches = append(idle.scratches, s)
+	}
+	idle.Unlock()
+}
+
+// lend parses resp into a page slot of s: a page only this execution reads.
+func (s *scratch) lend(resp *web.Response) *page {
+	p := s.pages.next()
+	p.page = page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.ParseInto(resp.Body, &p.arrays)}
+	return &p.page
+}
+
+// slab hands out values of T carved from chunks it keeps across resets.
+type slab[T any] struct {
+	chunks []*[slabChunk]T
+	n      int // values handed out since the last reset
+}
+
+// next returns the next value, as the last reset left it: zero but for
+// what its zero keeps.
+func (s *slab[T]) next() *T {
+	c, i := s.n/slabChunk, s.n%slabChunk
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, new([slabChunk]T))
+	}
+	s.n++
+	return &s.chunks[c][i]
+}
+
+// reset takes every value back, calling zero with the index of each one
+// handed out, and keeps the chunks of the first keep values.
+func (s *slab[T]) reset(keep int, zero func(int, *T)) {
+	for i := 0; i < s.n; i++ {
+		zero(i, &s.chunks[i/slabChunk][i%slabChunk])
+	}
+	s.n = 0
+	if c := (keep + slabChunk - 1) / slabChunk; len(s.chunks) > c {
+		clear(s.chunks[c:])
+		s.chunks = s.chunks[:c]
+	}
+}

@@ -29,8 +29,8 @@ import (
 )
 
 // pageBudget caps and counts the pages one navigation execution may
-// fetch. It is shared (not cloned) across the execution's states:
-// backtracking does not refund fetches that actually happened.
+// fetch. It is its scratch's, shared (not cloned) across the execution's
+// states: backtracking does not refund fetches that actually happened.
 type pageBudget struct {
 	fetched int
 	max     int // 0 = unlimited
@@ -74,9 +74,9 @@ var ErrPageBudget = errors.New("navcalc: page budget exceeded")
 type BrowseState struct {
 	ctx     context.Context
 	fetcher web.Fetcher
-	query   *web.Query  // the query navigating, nil outside one; keeps the pages it reads twice
-	budget  *pageBudget // shared across clones
-	*page               // shared across clones
+	query   *web.Query // the query navigating, nil outside one; keeps the pages it reads twice
+	scratch *scratch   // the execution's: its budget, states and lent pages
+	*page              // shared across clones
 	// inputFree: no input binding can change the current page's request.
 	// It was reached from a fixed start URL by literal follows and by
 	// submits whose every fill is a constant — the navigation-independence
@@ -89,8 +89,9 @@ type BrowseState struct {
 }
 
 // page is everything derived from one fetched page, each part at most
-// once. The states on that page share it, and it goes when the last of
-// them does — or, for a page its query has read twice, when the query ends
+// once. The states on that page share it. A page only its execution reads
+// is lent by the execution's scratch, and taken back when the execution
+// ends. A page its query has read twice lives until the query ends
 // (web.Query.Load): such a page is shared by every execution of the query
 // that reaches it, so whatever is built on first use is built under a lock.
 // The page of an input-free request lives on its response instead, as long
@@ -117,23 +118,19 @@ func (p *page) scanned() *htmlkit.Page {
 	return &p.scan
 }
 
-// newBrowseState fetches startURL and returns the initial state of a
-// navigation whose extracted tuples will have the given schema, under a
+// start fetches startURL and returns the initial state of a navigation
+// borrowing s, whose extracted tuples will have the given schema, under a
 // budget of maxPages (0 = unlimited). inputFree says whether the start URL
 // is fixed by the expression rather than supplied as an input.
-func newBrowseState(ctx context.Context, f web.Fetcher, startURL string,
+func (s *scratch) start(ctx context.Context, f web.Fetcher, startURL string,
 	schema relation.Schema, maxPages int, inputFree bool) (*BrowseState, error) {
-	// The first state and the execution's budget are one allocation.
-	both := &struct {
-		st     BrowseState
-		budget pageBudget
-	}{budget: pageBudget{max: maxPages}}
-	st := &both.st
+	s.budget.max = maxPages
+	st := s.states.next()
 	*st = BrowseState{
 		ctx:       ctx,
 		fetcher:   f,
 		query:     web.QueryFrom(ctx),
-		budget:    &both.budget,
+		scratch:   s,
 		inputFree: inputFree,
 		schema:    schema,
 	}
@@ -166,10 +163,11 @@ func (b *BrowseState) load(target, method string, fields []web.Field) error {
 	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("navcalc: navigation cancelled: %w", err)
 	}
-	if b.budget.max > 0 && b.budget.fetched >= b.budget.max {
-		return fmt.Errorf("%w (%d pages)", ErrPageBudget, b.budget.fetched)
+	budget := &b.scratch.budget
+	if budget.max > 0 && budget.fetched >= budget.max {
+		return fmt.Errorf("%w (%d pages)", ErrPageBudget, budget.fetched)
 	}
-	b.budget.fetched++
+	budget.fetched++
 	// One trace span per page visit, created here — navigation within a
 	// handle invocation is sequential, so fetch spans land in deterministic
 	// order. A target read off a page is a substring of its text, so the
@@ -182,9 +180,9 @@ func (b *BrowseState) load(target, method string, fields []web.Field) error {
 	}
 	req := web.NewSubmit(rctx, target, method, fields)
 	fetched := false
-	p, reused, err := b.query.Load(b.ctx, req.Key(), func() (any, error) {
+	p, reused, err := b.query.Load(b.ctx, req.Key(), func(keep bool) (any, error) {
 		fetched = true
-		return b.fetch(req, sp)
+		return b.fetch(req, sp, keep)
 	})
 	if err != nil {
 		if !fetched { // cancelled while waiting for another visit's load
@@ -205,8 +203,9 @@ func (b *BrowseState) load(target, method string, fields []web.Field) error {
 // fetch loads req through the fetch stack and derives its *page, ending sp.
 // The page of an input-free request is parsed once per response and kept
 // on it (web.Response.Derived): every query that reaches the cache entry
-// reads that page. Every other visit parses its own.
-func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (any, error) {
+// reads that page. Every other visit parses its own: on the heap when its
+// query keeps it (keep), else lent by the execution's scratch.
+func (b *BrowseState) fetch(req *web.Request, sp *trace.Span, keep bool) (any, error) {
 	resp, err := b.fetcher.Fetch(req)
 	if err != nil {
 		sp.EndErr(err)
@@ -220,30 +219,34 @@ func (b *BrowseState) fetch(req *web.Request, sp *trace.Span) (any, error) {
 		return nil, web.MarkSiteAnswer(fmt.Errorf("navcalc: %s returned status %d", req.URL, resp.Status))
 	}
 	sp.End()
-	if b.inputFree {
+	switch {
+	case b.inputFree:
 		return resp.Derived(func() any { return newPage(resp) }), nil
+	case keep:
+		return newPage(resp), nil
 	}
-	return newPage(resp), nil
+	return b.scratch.lend(resp), nil
 }
 
-// newPage parses resp.
+// newPage parses resp into a page of its own.
 func newPage(resp *web.Response) *page {
 	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.Parse(resp.Body)}
 }
 
-// withRoom returns a copy of b with room for n more collected tuples. The
-// page and the collected tuples are shared. With n == 0 the copy's tuple
+// withRoom returns a copy of b, carved from its scratch, with room for n
+// more collected tuples. The page and the collected tuples are shared. With n == 0 the copy's tuple
 // list is clipped, so the first extraction on a branch copies it and
 // backtracking discards that branch's extractions; n > 0 copies the list
 // once, into a list that takes them without growing.
 func (b *BrowseState) withRoom(n int) *BrowseState {
-	nb := *b
+	nb := b.scratch.states.next()
+	*nb = *b
 	if n == 0 {
 		nb.collected = slices.Clip(b.collected)
 	} else {
 		nb.collected = append(make([]relation.Tuple, 0, len(b.collected)+n), b.collected...)
 	}
-	return &nb
+	return nb
 }
 
 // Relation materializes the collected tuples as a relation over the
@@ -265,7 +268,7 @@ func (b *BrowseState) navigate(target, method string, fields []web.Field, inputF
 	nb := b.withRoom(0)
 	nb.inputFree = inputFree
 	if err := nb.load(target, method, fields); err != nil {
-		b.budget.lastErr = err
+		b.scratch.budget.lastErr = err
 		return nil, err
 	}
 	return nb, nil
@@ -273,7 +276,7 @@ func (b *BrowseState) navigate(target, method string, fields []web.Field, inputF
 
 // lastNavError returns the most recent navigation failure this execution
 // backtracked over, or nil.
-func (b *BrowseState) lastNavError() error { return b.budget.lastErr }
+func (b *BrowseState) lastNavError() error { return b.scratch.budget.lastErr }
 
 // WWWSignatures are the class signatures of Figure 3, the common WWW data
 // structures, in class-name order.

@@ -535,10 +535,22 @@ func TestSingleflightWaitHonoursContext(t *testing.T) {
 	}
 }
 
-// loadOf is a kept-page load that counts its calls and returns page, err.
-func loadOf(calls *atomic.Int64, page any, err error) func() (any, error) {
-	return func() (any, error) {
+// loadOf is a page load that counts its calls and returns page, err.
+func loadOf(calls *atomic.Int64, page any, err error) func(bool) (any, error) {
+	return func(bool) (any, error) {
 		calls.Add(1)
+		return page, err
+	}
+}
+
+// keeping is loadOf that fails t unless the query tells it that it will
+// keep what it loads (want).
+func keeping(t *testing.T, want bool, calls *atomic.Int64, page any, err error) func(bool) (any, error) {
+	return func(keep bool) (any, error) {
+		calls.Add(1)
+		if keep != want {
+			t.Errorf("a load of %v was told keep=%v, want %v", page, keep, want)
+		}
 		return page, err
 	}
 }
@@ -547,21 +559,26 @@ func loadOf(calls *atomic.Int64, page any, err error) func() (any, error) {
 // load are handed its page when it succeeds; when it fails, the next visit
 // — one that was waiting or one that comes later — loads and keeps in its
 // place. Whichever way the goroutines interleave, the outcome is the same.
+// Each load is told whether the query keeps what it loads: a first visit's
+// and a nil query's are not, a keeping load's is.
 func TestQueryVisitHandsOverAFailedKeep(t *testing.T) {
 	ctx := context.Background()
 	q := &Query{}
 	var loads atomic.Int64
-	if p, reused, err := q.Load(ctx, "k", loadOf(&loads, "first", nil)); p != "first" || reused || err != nil {
+	if p, reused, err := q.Load(ctx, "k", keeping(t, false, &loads, "first", nil)); p != "first" || reused || err != nil {
 		t.Fatalf("first visit: page %v, reused %v, err %v; want its own load", p, reused, err)
 	}
-	if p, reused, err := q.Load(ctx, "k", loadOf(&loads, nil, errors.New("down"))); p != nil || reused || err == nil {
+	if p, reused, err := q.Load(ctx, "k", keeping(t, true, &loads, nil, errors.New("down"))); p != nil || reused || err == nil {
 		t.Fatalf("second visit: page %v, reused %v, err %v; want its own failed load, the first kept nothing", p, reused, err)
 	}
 	// The keeping load after the failed one is held while a visit arrives.
 	started, release := make(chan struct{}), make(chan struct{})
 	kept := make(chan any, 1)
 	go func() {
-		p, _, _ := q.Load(ctx, "k", func() (any, error) {
+		p, _, _ := q.Load(ctx, "k", func(keep bool) (any, error) {
+			if !keep {
+				t.Error("the load after a failed keeping load was not told it keeps")
+			}
 			close(started)
 			<-release
 			loads.Add(1)
@@ -595,7 +612,7 @@ func TestQueryVisitHandsOverAFailedKeep(t *testing.T) {
 	}
 	var none *Query
 	for i := 0; i < 2; i++ {
-		if p, reused, _ := none.Load(ctx, "k", loadOf(&loads, "own", nil)); p != "own" || reused {
+		if p, reused, _ := none.Load(ctx, "k", keeping(t, false, &loads, "own", nil)); p != "own" || reused {
 			t.Errorf("a nil query: page %v, reused %v; want its own load", p, reused)
 		}
 	}
@@ -615,7 +632,7 @@ func TestQueryLoadWaitHonoursContext(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	keeper := make(chan any, 1)
 	go func() {
-		p, _, _ := q.Load(bg, "k", func() (any, error) {
+		p, _, _ := q.Load(bg, "k", func(bool) (any, error) {
 			close(started)
 			<-release
 			return "page", nil

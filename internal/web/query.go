@@ -46,18 +46,19 @@ type Query struct {
 // visit of a request keeps nothing. Its second keeps a successful load.
 // Every later visit, and any arriving while the keeping load runs, is
 // handed that page; if the load failed, the next visit loads and keeps in
-// its place. A wait ends with ctx's error when ctx is done. A nil Query
-// keeps nothing.
+// its place. load is told whether the query will keep what it loads: a
+// page no one keeps is its visit's alone. A wait ends with ctx's error when
+// ctx is done. A nil Query keeps nothing.
 //
 // Keeping from the second visit, not the first, is what lets a query that
 // repeats no request hold no page past the states standing on it
 // (DESIGN.md §12). What is kept goes with the Query, when the query ends.
-func (q *Query) Load(ctx context.Context, key string, load func() (any, error)) (any, bool, error) {
+func (q *Query) Load(ctx context.Context, key string, load func(keep bool) (any, error)) (any, bool, error) {
 	if q == nil || q.firstVisit(key) {
-		page, err := load()
+		page, err := load(false)
 		return page, false, err
 	}
-	page, kept, err := q.kept.Do(ctx, key, load, once.Successes[any])
+	page, kept, err := q.kept.Do(ctx, key, func() (any, error) { return load(true) }, once.Successes[any])
 	if kept {
 		q.Stats.add(Reused, 1)
 	}

@@ -42,7 +42,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "abort the query after this long (0 = no deadline)")
 		analyze     = flag.Bool("explain-analyze", false, "run the query and print the plan annotated with actual per-operator costs")
 		traceFile   = flag.String("trace", "", "run the query traced and write the span tree as JSON to this file")
-		showMetrics = flag.Bool("metrics", false, "print the webbase metrics snapshot after the query")
+		showMetrics = flag.Bool("metrics", false, "print every webbase metric after the query, in the Prometheus text format GET /metrics serves")
 	)
 	flag.Float64Var(&cfg.Fetch.BreakerRatio, "breaker-threshold", 0, "per-host circuit-breaker failure-rate threshold in [0,1]; 0 disables the breaker")
 	flag.IntVar(&cfg.Fetch.HostLimit, "hostlimit", 0, "max concurrent fetches per site (0 = default, negative = unlimited)")
@@ -102,7 +102,7 @@ func main() {
 		}
 		fmt.Print(out)
 		if *showMetrics {
-			fmt.Print(sys.Metrics().Snapshot())
+			sys.Metrics().WriteText(os.Stdout)
 		}
 		return
 	}
@@ -148,7 +148,7 @@ func main() {
 		fmt.Println(stats)
 	}
 	if *showMetrics {
-		fmt.Print(sys.Metrics().Snapshot())
+		sys.Metrics().WriteText(os.Stdout)
 	}
 }
 

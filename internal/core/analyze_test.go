@@ -300,7 +300,7 @@ func TestMetricsAccumulate(t *testing.T) {
 	if !ok || h.Count != 2 {
 		t.Errorf("query_pages histogram count = %+v, want 2 observations", h)
 	}
-	if !strings.Contains(snap.String(), "counter queries_total 2") {
-		t.Errorf("snapshot rendering missing queries_total:\n%s", snap)
+	if page := metricsPage(t, wb); page["queries_total"] != 2 {
+		t.Errorf("/metrics page queries_total = %v, want 2", page["queries_total"])
 	}
 }

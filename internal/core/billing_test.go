@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"webbase/internal/prune"
 	"webbase/internal/sites"
+	"webbase/internal/trace"
 	"webbase/internal/web"
 )
 
@@ -136,7 +139,7 @@ func TestConcurrentBillConservation(t *testing.T) {
 		t.Fatalf("the run missed a path: pages=%d hits=%d stale=%d retries=%d", pages, hits, stale, retries)
 	}
 
-	counters := wb.Metrics().Snapshot().Counters
+	page := metricsPage(t, wb)
 	for _, c := range []struct {
 		name             string
 		billed, lifetime int64
@@ -147,24 +150,24 @@ func TestConcurrentBillConservation(t *testing.T) {
 		{"StaleServed", stale, wb.Cache().Stale(), "stale_served_total"},
 		{"Retries", retries, wb.Stats().Get(web.Retries), "retries_total"},
 	} {
-		if c.billed != c.lifetime || c.billed != counters[c.metric] {
-			t.Errorf("%s: queries were billed %d, lifetime counter rose %d, %s rose %d",
-				c.name, c.billed, c.lifetime, c.metric, counters[c.metric])
+		if c.billed != c.lifetime || float64(c.billed) != page[c.metric] {
+			t.Errorf("%s: queries were billed %d, lifetime counter rose %d, %s rose %v",
+				c.name, c.billed, c.lifetime, c.metric, page[c.metric])
 		}
 	}
 	for i, r := range bill {
 		if r.counter != notBilled && billed[i] != wb.Stats().Get(r.counter) {
 			t.Errorf("%s: queries were billed %d, lifetime counter rose %d", r.key, billed[i], wb.Stats().Get(r.counter))
 		}
-		if r.metric != "" && billed[i] != counters[r.metric] {
-			t.Errorf("%s: queries were billed %d, %s rose %d", r.key, billed[i], r.metric, counters[r.metric])
+		if r.metric != nil && float64(billed[i]) != page[r.metric.Name()] {
+			t.Errorf("%s: queries were billed %d, %s rose %v", r.key, billed[i], r.metric.Name(), page[r.metric.Name()])
 		}
 	}
 }
 
 // TestBillTableCoversEveryCount: every web.Counter and every QueryStats
-// field but PrunedByReason has exactly one row of the bill, and no key or
-// metric names two rows.
+// field but PrunedByReason has exactly one row of the bill, no key or
+// metric names two rows, and every row's metric says what it counts.
 func TestBillTableCoversEveryCount(t *testing.T) {
 	counters := make(map[web.Counter]int)
 	fields := make(map[int]int)
@@ -176,8 +179,11 @@ func TestBillTableCoversEveryCount(t *testing.T) {
 		}
 		fields[r.field]++
 		keys[r.key]++
-		if r.metric != "" {
-			metrics[r.metric]++
+		if r.metric != nil {
+			metrics[r.metric.Name()]++
+			if r.metric.Help() == "" {
+				t.Errorf("%s's metric %s has no help text", r.key, r.metric.Name())
+			}
 		}
 	}
 	for c := web.Counter(0); c < web.NumCounters; c++ {
@@ -231,5 +237,48 @@ func TestFailedQueryStillBilledInMetrics(t *testing.T) {
 	if counters["queries_failed_total"] != 1 || counters["queries_total"] != 0 {
 		t.Errorf("queries_failed_total=%d queries_total=%d, want 1 and 0",
 			counters["queries_failed_total"], counters["queries_total"])
+	}
+}
+
+// metricsPage writes wb's metrics page, the one GET /metrics serves, and
+// parses it back into series → value; a page that does not parse back
+// fails the test.
+func metricsPage(t *testing.T, wb *Webbase) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := wb.Metrics().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	page, err := trace.ParseText(b.String())
+	if err != nil {
+		t.Fatalf("the metrics page does not parse back: %v\n%s", err, b.String())
+	}
+	return page
+}
+
+// TestObserveAllocatesNothing: folding a query's bill into the registry
+// is index arithmetic on declared series — no name is built, no series
+// created — with pruning off, and with pruning on and every reason
+// counted.
+func TestObserveAllocatesNothing(t *testing.T) {
+	for _, pruning := range []bool{false, true} {
+		wb, err := New(Config{Fetcher: sites.BuildWorld().Server, Prune: pruning})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := &QueryStats{Pages: 12, Bytes: 4096, CacheHits: 3, Retries: 1, PeakInFlight: 4,
+			DegradedObjects: 1, DriftDetected: 1, Elapsed: 20 * time.Millisecond}
+		if pruning {
+			qs.PrunedFetches = 3
+			qs.PrunedByReason = map[string]int64{prune.ReasonUnsatWhere: 2, prune.ReasonLimit: 1}
+		}
+		for _, failed := range []bool{false, true} {
+			if n := testing.AllocsPerRun(100, func() { wb.observe(qs, failed) }); n != 0 {
+				t.Errorf("pruning=%v failed=%v: observe allocates %v times per call", pruning, failed, n)
+			}
+		}
+		if pruning && metricsPage(t, wb)[`fetches_pruned_total{reason="unsat-where"}`] == 0 {
+			t.Error("the pruned reasons were not observed")
+		}
 	}
 }

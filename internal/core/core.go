@@ -79,7 +79,7 @@ type Config struct {
 	StateDir string
 	// StateMaxBytes bounds the durable page tier's total payload bytes
 	// (Config.StateDir): beyond it the least-recently-touched persisted
-	// pages are evicted, counted in store_evicted_total{tier="pages"}.
+	// pages are evicted, counted in store_evicted_total by tier.
 	// The bound is rebuilt from disk at boot, so it holds across restarts
 	// (a tightened bound trims the tier immediately). 0 keeps the tier
 	// unbounded. An evicted page is a future cache miss, never an error —
@@ -164,16 +164,12 @@ func NewDomain(cfg Config, d Domain) (_ *Webbase, err error) {
 		wb.workers = runtime.GOMAXPROCS(0)
 	}
 	// Durable state tier: opened first so the stack can plug into it. An
-	// unopenable state dir is a cold start with a metric, never an
-	// assembly failure — the store is a cache, and a broken cache may not
-	// take the system down.
+	// unopenable state dir is a cold start with a metric (Open counts it),
+	// never an assembly failure — the store is a cache, and a broken cache
+	// may not take the system down.
 	var tier web.CacheTier
 	if cfg.StateDir != "" {
-		st, err := store.Open(cfg.StateDir, store.Options{Metrics: wb.metrics})
-		if err != nil {
-			wb.metrics.Counter("store_corrupt_total").Add(1)
-			wb.metrics.Counter(`store_corrupt_total{tier="open"}`).Add(1)
-		} else {
+		if st, err := store.Open(cfg.StateDir, store.Options{Metrics: wb.metrics}); err == nil {
 			wb.store = st
 			wb.pageTier = store.NewPageTier(st, cfg.StateMaxBytes)
 			tier = wb.pageTier
@@ -383,56 +379,90 @@ type QueryStats struct {
 // billRow is one count of QueryStats as every reader of it sees it: the
 // field that holds it, its key on the stats line, the web.Counter a
 // query's bill carries it in (notBilled for counts the fetch stack does
-// not keep) and the metric observe folds it into ("" for none). Readers
+// not keep) and the counter observe folds it into (nil for none). Readers
 // reach the field by reflection, where int, int64 and time.Duration alike
 // read with Int, write with SetInt and print with %v.
 type billRow struct {
 	field   int // index in QueryStats
 	key     string
 	counter web.Counter
-	metric  string
+	metric  *trace.Counter
 }
 
 const notBilled web.Counter = -1
 
 // bill is the one declaration of a query's counts, in stats-line order.
 // A web.Counter added without a row, or a QueryStats field other than
-// PrunedByReason, fails TestBillTableCoversEveryCount. PrunedFetches'
-// metric is observe's own: it exists only on pruning webbases, beside its
-// per-reason breakdown.
+// PrunedByReason, fails TestBillTableCoversEveryCount. PrunedFetches has
+// no counter of its own: fetchesPruned's total, fed by the per-reason
+// breakdown, is its sum.
 var bill = []billRow{
-	row("Pages", "pages", web.Pages, "pages_fetched_total"),
-	row("Bytes", "bytes", web.BodyBytes, "bytes_fetched_total"),
-	row("Elapsed", "elapsed", notBilled, ""),
-	row("Simulated", "simulated-net", web.Simulated, ""),
-	row("CacheHits", "cache-hits", web.CacheHits, "cache_hits_total"),
-	row("Deduped", "deduped", web.Deduped, "deduped_total"),
-	row("Reused", "reused", web.Reused, "pages_reused_total"),
-	row("Retries", "retries", web.Retries, "retries_total"),
-	row("StaleServed", "stale", web.StaleServed, "stale_served_total"),
-	row("BreakerRejects", "breaker-rejects", web.BreakerRejects, "breaker_rejects_total"),
-	row("DegradedObjects", "degraded-objects", notBilled, ""),
-	row("PeakInFlight", "peak-inflight", notBilled, ""),
-	row("LimiterWait", "limiter-wait", web.LimiterWait, ""),
-	row("AdmissionWait", "admission-wait", notBilled, ""),
-	row("Hedges", "hedges", web.Hedges, "fetch_hedges_total"),
-	row("HedgeWins", "hedge-wins", web.HedgeWins, "hedge_wins_total"),
-	row("HedgesSuppressed", "hedges-suppressed", web.HedgesSuppressed, "hedges_suppressed_total"),
-	row("BulkheadSheds", "bulkhead-shed", web.BulkheadSheds, "bulkhead_shed_total"),
-	row("BudgetSheds", "budget-shed", web.BudgetSheds, "budget_shed_total"),
-	row("DriftDetected", "drift-detected", notBilled, "site_drift_detected_total"),
-	row("PrunedFetches", "pruned", notBilled, ""),
+	row("Pages", "pages", web.Pages, trace.NewCounter("pages_fetched_total",
+		"Pages fetched from sites: cache misses that reached the network.")),
+	row("Bytes", "bytes", web.BodyBytes, trace.NewCounter("bytes_fetched_total",
+		"Body bytes of the pages fetched from sites.")),
+	row("Elapsed", "elapsed", notBilled, nil),
+	row("Simulated", "simulated-net", web.Simulated, nil),
+	row("CacheHits", "cache-hits", web.CacheHits, trace.NewCounter("cache_hits_total",
+		"Page visits served fresh from the page cache.")),
+	row("Deduped", "deduped", web.Deduped, trace.NewCounter("deduped_total",
+		"Fetches collapsed onto an identical request already in flight.")),
+	row("Reused", "reused", web.Reused, trace.NewCounter("pages_reused_total",
+		"Page visits served the parsed page their query had kept: no fetch, no parse.")),
+	row("Retries", "retries", web.Retries, trace.NewCounter("retries_total",
+		"Fetch attempts re-issued after a transport failure.")),
+	row("StaleServed", "stale", web.StaleServed, trace.NewCounter("stale_served_total",
+		"Pages served from expired cache entries because the network path failed.")),
+	row("BreakerRejects", "breaker-rejects", web.BreakerRejects, trace.NewCounter("breaker_rejects_total",
+		"Fetches an open circuit breaker rejected without touching the network.")),
+	row("DegradedObjects", "degraded-objects", notBilled, nil),
+	row("PeakInFlight", "peak-inflight", notBilled, nil),
+	row("LimiterWait", "limiter-wait", web.LimiterWait, nil),
+	row("AdmissionWait", "admission-wait", notBilled, nil),
+	row("Hedges", "hedges", web.Hedges, trace.NewCounter("fetch_hedges_total",
+		"Fetches backed by a second attempt because the first was slow to answer.")),
+	row("HedgeWins", "hedge-wins", web.HedgeWins, trace.NewCounter("hedge_wins_total",
+		"Hedged fetches the second attempt answered first.")),
+	row("HedgesSuppressed", "hedges-suppressed", web.HedgesSuppressed, trace.NewCounter("hedges_suppressed_total",
+		"Fetches eligible to hedge that waited because their query's hedge budget was spent.")),
+	row("BulkheadSheds", "bulkhead-shed", web.BulkheadSheds, trace.NewCounter("bulkhead_shed_total",
+		"Fetches shed by a saturated host bulkhead.")),
+	row("BudgetSheds", "budget-shed", web.BudgetSheds, trace.NewCounter("budget_shed_total",
+		"Fetches refused because their maximal object's deadline budget was spent.")),
+	row("DriftDetected", "drift-detected", notBilled, trace.NewCounter("site_drift_detected_total",
+		"Maximal objects lost to site drift: the site answered but no longer matched its map.")),
+	row("PrunedFetches", "pruned", notBilled, nil),
 }
 
 // row resolves field by name once, at package init: a misspelt field
 // panics before any test or query runs.
-func row(field, key string, c web.Counter, metric string) billRow {
+func row(field, key string, c web.Counter, metric *trace.Counter) billRow {
 	f, ok := reflect.TypeOf(QueryStats{}).FieldByName(field)
 	if !ok {
 		panic("core: QueryStats has no field " + field)
 	}
 	return billRow{field: f.Index[0], key: key, counter: c, metric: metric}
 }
+
+// The query metrics outside the bill table.
+var (
+	queriesTotal = trace.NewCounter("queries_total",
+		"Queries answered.")
+	queriesFailed = trace.NewCounter("queries_failed_total",
+		"Queries that failed; they still pay for what they fetched.")
+	queriesDegraded = trace.NewCounter("queries_degraded_total",
+		"Answered queries that lost maximal objects to unreachable sites.")
+	objectsUnavailable = trace.NewCounter("objects_unavailable_total",
+		"Maximal objects answered queries abandoned because their sites were unreachable.")
+	fetchesPruned = trace.NewCounterVec("fetches_pruned_total",
+		"Access attempts relevance pruning skipped, by decision rule; 0 with pruning off.", "reason", prune.Reasons...)
+	peakInFlight = trace.NewGauge("peak_inflight",
+		"High-water mark of concurrently executing fetches.")
+	queryElapsed = trace.NewHistogram("query_elapsed_seconds",
+		"Answered queries' evaluation time, admission wait excluded.", trace.SecondsBuckets...)
+	queryPages = trace.NewHistogram("query_pages",
+		"Pages each answered query fetched from sites.", 1, 5, 10, 50, 100, 500)
+)
 
 // String renders the stats line the experiment harness prints.
 func (qs *QueryStats) String() string {
@@ -593,34 +623,29 @@ func (wb *Webbase) run(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur
 func (wb *Webbase) observe(qs *QueryStats, failed bool) {
 	m := wb.metrics
 	if failed {
-		m.Counter("queries_failed_total").Add(1)
+		queriesFailed.Add(m, 1)
 	} else {
-		m.Counter("queries_total").Add(1)
+		queriesTotal.Add(m, 1)
 	}
 	v := reflect.ValueOf(qs).Elem()
 	for _, r := range bill {
-		if r.metric != "" {
-			m.Counter(r.metric).Add(v.Field(r.field).Int())
+		if r.metric != nil {
+			r.metric.Add(m, v.Field(r.field).Int())
 		}
 	}
-	if wb.prune {
-		// Registered only on pruning-enabled webbases: a pruning-off
-		// /metrics page has no pruning counters.
-		m.Counter("fetches_pruned_total").Add(qs.PrunedFetches)
-		for r, n := range qs.PrunedByReason {
-			m.Counter(`fetches_pruned_total{reason="` + r + `"}`).Add(n)
-		}
+	for i, reason := range prune.Reasons {
+		fetchesPruned.Add(m, i, qs.PrunedByReason[reason])
 	}
-	m.Gauge("peak_inflight").SetMax(qs.PeakInFlight)
+	peakInFlight.SetMax(m, qs.PeakInFlight)
 	if failed {
 		return
 	}
 	if qs.DegradedObjects > 0 {
-		m.Counter("queries_degraded_total").Add(1)
-		m.Counter("objects_unavailable_total").Add(int64(qs.DegradedObjects))
+		queriesDegraded.Add(m, 1)
+		objectsUnavailable.Add(m, int64(qs.DegradedObjects))
 	}
-	m.Histogram("query_elapsed_seconds", 0.001, 0.01, 0.1, 1, 10).Observe(qs.Elapsed.Seconds())
-	m.Histogram("query_pages", 1, 5, 10, 50, 100, 500).Observe(float64(qs.Pages))
+	queryElapsed.Observe(m, qs.Elapsed.Seconds())
+	queryPages.Observe(m, float64(qs.Pages))
 }
 
 // QueryString parses and evaluates the CLI query syntax

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"webbase/internal/apartments"
+	"webbase/internal/prune"
 	"webbase/internal/sites"
 	"webbase/internal/trace"
 	"webbase/internal/ur"
@@ -177,7 +178,8 @@ func TestPruneMetricsAgreement(t *testing.T) {
 		t.Errorf("per-reason sums (%d) disagree with total (%d)", labelled, total)
 	}
 
-	// Pruning off: no pruning counters registered at all.
+	// Pruning off: the pruning series are listed like every other, and
+	// each reads 0.
 	off, err := New(Config{Fetcher: sites.BuildWorld().Server, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +189,14 @@ func TestPruneMetricsAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name := range off.Metrics().Snapshot().Counters {
-		if strings.HasPrefix(name, "fetches_pruned_total") {
-			t.Errorf("pruning disabled but counter %q registered", name)
+	page := metricsPage(t, off)
+	series := []string{"fetches_pruned_total"}
+	for _, r := range prune.Reasons {
+		series = append(series, `fetches_pruned_total{reason="`+r+`"}`)
+	}
+	for _, name := range series {
+		if got, ok := page[name]; !ok || got != 0 {
+			t.Errorf("pruning disabled: %s = %v (listed: %v), want 0", name, got, ok)
 		}
 	}
 }

@@ -6,8 +6,8 @@ package core
 // and health). Every restore path tolerates missing or corrupt state by
 // falling back cold — a broken state dir may never fail assembly or a
 // query — and payload-level decode failures are counted through
-// Store.CountCorrupt so they land in the same store_corrupt_total{tier=...}
-// metric as file-level ones.
+// Store.CountCorrupt so they land in the same store_corrupt_total series
+// as file-level ones.
 
 import (
 	"crypto/sha256"
@@ -20,13 +20,6 @@ import (
 	"webbase/internal/store"
 	"webbase/internal/vps"
 	"webbase/internal/web"
-)
-
-// Store tier names.
-const (
-	tierMaps    = "maps"
-	tierBreaker = "breaker"
-	tierHealth  = "health"
 )
 
 // Single-record keys for the snapshot tiers.
@@ -48,10 +41,10 @@ func (wb *Webbase) persistMap(name string, version int, m *navmap.Map) {
 	if err != nil {
 		return
 	}
-	if _, prev, err := wb.store.Get(tierMaps, name); err == nil && prev != uint64(version) {
-		wb.store.CountEvicted(tierMaps)
+	if _, prev, err := wb.store.Get(store.TierMaps, name); err == nil && prev != uint64(version) {
+		wb.store.CountEvicted(store.TierMaps)
 	}
-	wb.store.Put(tierMaps, name, uint64(version), data)
+	wb.store.Put(store.TierMaps, name, uint64(version), data)
 }
 
 // restoreMaps installs every persisted repaired map as a registry
@@ -66,19 +59,19 @@ func (wb *Webbase) restoreMaps() {
 	if wb.store == nil {
 		return
 	}
-	wb.store.Scan(tierMaps, func(key string, gen uint64, payload []byte) {
+	wb.store.Scan(store.TierMaps, func(key string, gen uint64, payload []byte) {
 		m, err := navmap.DecodeMap(payload)
 		if err != nil {
-			wb.store.CountCorrupt(tierMaps)
-			wb.gcRecord(tierMaps, key)
+			wb.store.CountCorrupt(store.TierMaps)
+			wb.gcRecord(store.TierMaps, key)
 			return
 		}
 		if err := wb.Registry.RestoreMap(key, m, int(gen)); err != nil {
 			if errors.Is(err, vps.ErrUnknownRelation) {
-				wb.gcRecord(tierMaps, key)
+				wb.gcRecord(store.TierMaps, key)
 				return
 			}
-			wb.store.CountCorrupt(tierMaps)
+			wb.store.CountCorrupt(store.TierMaps)
 		}
 	})
 }
@@ -87,7 +80,7 @@ func (wb *Webbase) restoreMaps() {
 // snapshot — every circuit closed again, every site healthy — carries
 // nothing a cold boot wouldn't assume, so the stale record is GCed
 // instead of rewritten.
-func persistSnapshot[T any](wb *Webbase, tier, key string, snap map[string]T) {
+func persistSnapshot[T any](wb *Webbase, tier store.Tier, key string, snap map[string]T) {
 	if len(snap) == 0 {
 		wb.gcRecord(tier, key)
 		return
@@ -102,7 +95,7 @@ func persistSnapshot[T any](wb *Webbase, tier, key string, snap map[string]T) {
 // restoreSnapshot hands a snapshot tier's record to restore at boot. A
 // missing record is a cold start and a corrupt file was already counted
 // by Get; a payload that does not decode counts as corruption here.
-func restoreSnapshot[T any](wb *Webbase, tier, key string, restore func(map[string]T)) {
+func restoreSnapshot[T any](wb *Webbase, tier store.Tier, key string, restore func(map[string]T)) {
 	payload, _, err := wb.store.Get(tier, key)
 	if err != nil {
 		return
@@ -125,7 +118,7 @@ func restoreSnapshot[T any](wb *Webbase, tier, key string, restore func(map[stri
 // durable view tracks transitions, not a shutdown-only flush.
 func (wb *Webbase) persistBreaker() {
 	if wb.store != nil && wb.stack.Breaker != nil {
-		persistSnapshot(wb, tierBreaker, breakerKey, wb.stack.Breaker.Snapshot())
+		persistSnapshot(wb, store.TierBreaker, breakerKey, wb.stack.Breaker.Snapshot())
 	}
 }
 
@@ -135,7 +128,7 @@ func (wb *Webbase) persistBreaker() {
 // transition is persisted.
 func (wb *Webbase) restoreBreaker() {
 	if wb.store != nil && wb.stack.Breaker != nil {
-		restoreSnapshot(wb, tierBreaker, breakerKey, wb.stack.Breaker.Restore)
+		restoreSnapshot(wb, store.TierBreaker, breakerKey, wb.stack.Breaker.Restore)
 		wb.stack.Breaker.OnChange = func(string, web.BreakerState) { wb.persistBreaker() }
 	}
 }
@@ -144,7 +137,7 @@ func (wb *Webbase) restoreBreaker() {
 // hook (outside its lock) on every transition.
 func (wb *Webbase) persistHealth() {
 	if wb.store != nil && wb.health != nil {
-		persistSnapshot(wb, tierHealth, healthKey, wb.health.Snapshot())
+		persistSnapshot(wb, store.TierHealth, healthKey, wb.health.Snapshot())
 	}
 }
 
@@ -154,7 +147,7 @@ func (wb *Webbase) persistHealth() {
 // would have after the same transitions.
 func (wb *Webbase) restoreHealth() {
 	if wb.store != nil && wb.health != nil {
-		restoreSnapshot(wb, tierHealth, healthKey, wb.health.Restore)
+		restoreSnapshot(wb, store.TierHealth, healthKey, wb.health.Restore)
 	}
 }
 
@@ -163,7 +156,7 @@ func (wb *Webbase) restoreHealth() {
 // eviction, but only when a record was actually present: the common case
 // (nothing there) must stay metric-silent so store_evicted_total means
 // what it says.
-func (wb *Webbase) gcRecord(tier, key string) {
+func (wb *Webbase) gcRecord(tier store.Tier, key string) {
 	if _, _, err := wb.store.Get(tier, key); store.IsNotExist(err) {
 		return
 	}

@@ -379,13 +379,13 @@ func TestStoreBootGCStaleRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(tierMaps, "no-such-relation", 2, mapData); err != nil {
+	if err := st.Put(store.TierMaps, "no-such-relation", 2, mapData); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(tierBreaker, breakerKey, 0, []byte("{}")); err != nil {
+	if err := st.Put(store.TierBreaker, breakerKey, 0, []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(tierHealth, healthKey, 0, []byte("{}")); err != nil {
+	if err := st.Put(store.TierHealth, healthKey, 0, []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -406,8 +406,11 @@ func TestStoreBootGCStaleRecords(t *testing.T) {
 	if snap.Counters["store_corrupt_total"] != 0 {
 		t.Errorf("boot GC counted stale records as corruption: %d", snap.Counters["store_corrupt_total"])
 	}
-	for _, rec := range []struct{ tier, key string }{
-		{tierMaps, "no-such-relation"}, {tierBreaker, breakerKey}, {tierHealth, healthKey},
+	for _, rec := range []struct {
+		tier store.Tier
+		key  string
+	}{
+		{store.TierMaps, "no-such-relation"}, {store.TierBreaker, breakerKey}, {store.TierHealth, healthKey},
 	} {
 		if _, _, err := wb2.store.Get(rec.tier, rec.key); !store.IsNotExist(err) {
 			t.Errorf("stale %s/%s record survived boot GC: %v", rec.tier, rec.key, err)

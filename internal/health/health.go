@@ -78,6 +78,18 @@ type Policy struct {
 	RecoveryBackoff time.Duration
 }
 
+// The tracker's metrics.
+var (
+	remapsStarted = trace.NewCounter("remaps_started_total",
+		"Background repairs launched for quarantined sites.")
+	remapsSucceeded = trace.NewCounter("remaps_succeeded_total",
+		"Repairs and recovery probes that healed their site.")
+	recoveryProbes = trace.NewCounter("recovery_probes_total",
+		"Slow recovery probes of repair-exhausted quarantined sites.")
+	sitesQuarantined = trace.NewGauge("sites_quarantined",
+		"Sites quarantined or under repair for drift.")
+)
+
 // Config wires a Tracker: its Policy and the hooks it calls.
 type Config struct {
 	Policy
@@ -88,9 +100,9 @@ type Config struct {
 	// Sleep waits between repair attempts; tests inject an instant sleep.
 	// nil uses time.Sleep.
 	Sleep func(d time.Duration)
-	// Metrics, when non-nil, receives remaps_started_total,
-	// remaps_succeeded_total, recovery_probes_total and the
-	// sites_quarantined gauge.
+	// Metrics receives the tracker's metrics: remaps started and
+	// succeeded, recovery probes and the quarantined-site gauge. nil
+	// records nothing.
 	Metrics *trace.Registry
 	// OnChange, when non-nil, is called (outside the tracker's lock) after
 	// every state transition — the durable store's persist hook. It must
@@ -228,7 +240,7 @@ func (t *Tracker) repairLoop(host string) {
 		s.attempts++
 		attempt := s.attempts
 		last := attempt >= t.cfg.MaxAttempts
-		if t.attemptLocked(host, s, "remaps_started_total", last) || last {
+		if t.attemptLocked(host, s, remapsStarted, last) || last {
 			return
 		}
 		t.cfg.Sleep(web.Backoff{Base: t.cfg.Backoff}.Nominal(attempt))
@@ -241,12 +253,12 @@ func (t *Tracker) repairLoop(host string) {
 // also exhausting the site and handing it to the recovery loop. It is
 // entered with t.mu held and returns with it released, reporting whether
 // the site healed; metric counts the attempt.
-func (t *Tracker) attemptLocked(host string, s *site, metric string, last bool) bool {
+func (t *Tracker) attemptLocked(host string, s *site, metric *trace.Counter, last bool) bool {
 	s.state = Repairing
 	t.mu.Unlock()
 	t.changed()
 
-	counter(t.cfg.Metrics, metric)
+	metric.Add(t.cfg.Metrics, 1)
 	err := t.cfg.Repair(host)
 
 	t.mu.Lock()
@@ -262,7 +274,7 @@ func (t *Tracker) attemptLocked(host string, s *site, metric string, last bool) 
 	t.gaugeLocked()
 	t.mu.Unlock()
 	if err == nil {
-		counter(t.cfg.Metrics, "remaps_succeeded_total")
+		remapsSucceeded.Add(t.cfg.Metrics, 1)
 	}
 	t.changed()
 	return err == nil
@@ -305,7 +317,7 @@ func (t *Tracker) recoverLoop(host string) {
 			t.mu.Unlock()
 			return
 		}
-		if t.attemptLocked(host, s, "recovery_probes_total", false) || t.stopped() {
+		if t.attemptLocked(host, s, recoveryProbes, false) || t.stopped() {
 			return
 		}
 	}
@@ -456,20 +468,11 @@ func (t *Tracker) Wait() {
 
 // gaugeLocked publishes the sites_quarantined gauge; t.mu must be held.
 func (t *Tracker) gaugeLocked() {
-	if t.cfg.Metrics == nil {
-		return
-	}
 	n := int64(0)
 	for _, s := range t.sites {
 		if s.state == Quarantined || s.state == Repairing {
 			n++
 		}
 	}
-	t.cfg.Metrics.Gauge("sites_quarantined").Set(n)
-}
-
-func counter(m *trace.Registry, name string) {
-	if m != nil {
-		m.Counter(name).Add(1)
-	}
+	sitesQuarantined.Set(t.cfg.Metrics, n)
 }

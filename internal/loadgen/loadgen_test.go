@@ -5,13 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"webbase/internal/core"
 	"webbase/internal/server"
 	"webbase/internal/sites"
+	"webbase/internal/trace"
 )
 
 const loadQuery = "SELECT Make, Model, Year, Price WHERE Make = 'jaguar' AND Condition = 'good' AND Price < BBPrice"
@@ -102,14 +102,14 @@ func TestServerLoad(t *testing.T) {
 
 	// The server's own accounting must agree with the client's view.
 	metrics := fetchMetrics(t, ts.URL)
-	for _, want := range []string{
-		`counter server_queries_served_total{tenant="alice"} 10`,
-		`counter server_queries_shed_total{tenant="alice"} 54`,
-		`counter server_queries_served_total{tenant="bob"} 6`,
-		`counter server_queries_shed_total{tenant="bob"} 58`,
+	for series, want := range map[string]float64{
+		`server_queries_served_total{tenant="alice"}`: 10,
+		`server_queries_shed_total{tenant="alice"}`:   54,
+		`server_queries_served_total{tenant="bob"}`:   6,
+		`server_queries_shed_total{tenant="bob"}`:     58,
 	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
+		if got, ok := metrics[series]; !ok || got != want {
+			t.Errorf("/metrics %s = %v (listed: %v), want %v", series, got, ok, want)
 		}
 	}
 
@@ -134,7 +134,9 @@ func TestServerLoad(t *testing.T) {
 // when the overload protection was introduced.
 const interactiveP99BoundMs = 1044.0
 
-func fetchMetrics(t *testing.T, baseURL string) string {
+// fetchMetrics GETs /metrics and parses the page back into series →
+// value; a page that does not parse back fails the test.
+func fetchMetrics(t *testing.T, baseURL string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
@@ -145,7 +147,11 @@ func fetchMetrics(t *testing.T, baseURL string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	page, err := trace.ParseText(string(b))
+	if err != nil {
+		t.Fatalf("/metrics does not parse back: %v\n%s", err, b)
+	}
+	return page
 }
 
 // TestScenarioValidation: a scenario that cannot run is refused; Run

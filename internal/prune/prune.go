@@ -95,6 +95,9 @@ const (
 	ReasonLimit = "limit"
 )
 
+// Reasons lists every pruning reason: the values of the reason label.
+var Reasons = []string{ReasonUnsatWhere, ReasonLimit}
+
 // shared is the per-query mutable half of a State: the decision counters.
 // Restricted views of a State (see Restrict) share it, so counts observed
 // by the core layer cover every evaluation depth.

@@ -49,6 +49,17 @@ func (c QueryClass) String() string {
 	return "interactive"
 }
 
+// The admission gate's metrics.
+var (
+	queriesShed = trace.NewCounterVec("queries_shed_total",
+		"Queries the admission gate shed, by the class of the query shed.", "class",
+		ClassInteractive.String(), ClassBatch.String())
+	queueDepth = trace.NewGauge("admission_queue_depth",
+		"Queries waiting in the admission queue.")
+	inFlight = trace.NewGauge("admission_inflight",
+		"Queries executing inside the admission gate.")
+)
+
 // admitWaiter is one queued query; granted is closed by release when an
 // executing slot transfers to it, shedded by an arriving higher-class
 // query that evicted it.
@@ -186,12 +197,11 @@ func (a *admission) release() {
 
 // shed counts one shed query, overall and per class.
 func (a *admission) shed(class QueryClass) {
-	a.metrics.Counter("queries_shed_total").Add(1)
-	a.metrics.Counter(`queries_shed_total{class="` + class.String() + `"}`).Add(1)
+	queriesShed.Add(a.metrics, int(class), 1)
 }
 
 // gaugeLocked publishes queue/inflight depth; a.mu must be held.
 func (a *admission) gaugeLocked() {
-	a.metrics.Gauge("admission_queue_depth").Set(int64(len(a.queue)))
-	a.metrics.Gauge("admission_inflight").Set(int64(a.inflight))
+	queueDepth.Set(a.metrics, int64(len(a.queue)))
+	inFlight.Set(a.metrics, int64(a.inflight))
 }

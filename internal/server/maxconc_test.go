@@ -70,20 +70,10 @@ func TestTenantMaxConcurrent(t *testing.T) {
 		t.Errorf("code = %q, want quota-exhausted", got.Code)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	metrics, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		`counter server_queries_served_total{tenant="alice"} 2`,
-		`counter server_queries_shed_total{tenant="alice"} 2`, // saturated + over-quota
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
+	wantSeries(t, fetchMetrics(t, ts.URL), map[string]float64{
+		`server_queries_served_total{tenant="alice"}`: 2,
+		`server_queries_shed_total{tenant="alice"}`:   2, // saturated + over-quota
+	})
 }
 
 // TestTenantMaxConcurrentZeroIsUnlimited: the zero value keeps the

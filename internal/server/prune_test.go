@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"webbase/internal/core"
+	"webbase/internal/prune"
 )
 
 // readStream parses a 200 NDJSON response into its event lines and
@@ -108,32 +109,19 @@ func TestPrunedQueryEndToEnd(t *testing.T) {
 		t.Errorf("trailer PrunedByReason sums to %v, PrunedFetches=%v", reasonSum, pruned)
 	}
 
-	mresp, err := http.Get(tsOn.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	metrics, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		"counter fetches_pruned_total 1",
-		`counter fetches_pruned_total{reason="limit"} 1`,
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("/metrics missing %q\n%s", want, metrics)
-		}
-	}
+	wantSeries(t, fetchMetrics(t, tsOn.URL), map[string]float64{
+		"fetches_pruned_total":                       1,
+		`fetches_pruned_total{reason="limit"}`:       1,
+		`fetches_pruned_total{reason="unsat-where"}`: 0,
+	})
 
-	// The pruning-off server's /metrics must not mention pruning at all —
-	// the historical output stays byte-identical.
-	moff, err := http.Get(tsOff.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The pruning-off server lists the pruning series like any other, and
+	// every one of them reads 0.
+	off := map[string]float64{"fetches_pruned_total": 0}
+	for _, reason := range prune.Reasons {
+		off[`fetches_pruned_total{reason="`+reason+`"}`] = 0
 	}
-	defer moff.Body.Close()
-	offMetrics, _ := io.ReadAll(moff.Body)
-	if strings.Contains(string(offMetrics), "fetches_pruned_total") {
-		t.Errorf("pruning disabled but /metrics mentions fetches_pruned_total:\n%s", offMetrics)
-	}
+	wantSeries(t, fetchMetrics(t, tsOff.URL), off)
 }
 
 // TestBadOrderByQueriesRejected pins the server-side classification of

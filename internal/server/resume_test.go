@@ -12,6 +12,7 @@ import (
 
 	"webbase/internal/core"
 	"webbase/internal/sites"
+	"webbase/internal/trace"
 )
 
 // The resume determinism proof. The stream protocol's contract is that a
@@ -338,15 +339,15 @@ func TestResumeAccounting(t *testing.T) {
 	decodeLines(t, resp.Body)
 	_ = lines
 
-	metrics := fetchMetrics(t, ts.URL)
-	for _, want := range []string{"server_resumes_total 1", "server_resume_skipped_total 2"} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q:\n%s", want, metrics)
-		}
-	}
+	wantSeries(t, fetchMetrics(t, ts.URL), map[string]float64{
+		"server_resumes_total":        1,
+		"server_resume_skipped_total": 2,
+	})
 }
 
-func fetchMetrics(t *testing.T, url string) string {
+// fetchMetrics GETs /metrics and parses the page back into series →
+// value; a page that does not parse back fails the test.
+func fetchMetrics(t *testing.T, url string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
@@ -357,7 +358,25 @@ func fetchMetrics(t *testing.T, url string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(raw)
+	if ct := resp.Header.Get("Content-Type"); ct != trace.TextContentType {
+		t.Errorf("/metrics Content-Type = %q, want %q", ct, trace.TextContentType)
+	}
+	page, err := trace.ParseText(string(raw))
+	if err != nil {
+		t.Fatalf("/metrics does not parse back: %v\n%s", err, raw)
+	}
+	return page
+}
+
+// wantSeries fails the test for each series whose value on page is not
+// exactly want's.
+func wantSeries(t *testing.T, page, want map[string]float64) {
+	t.Helper()
+	for series, w := range want {
+		if got, ok := page[series]; !ok || got != w {
+			t.Errorf("/metrics %s = %v (listed: %v), want %v", series, got, ok, w)
+		}
+	}
 }
 
 func decodeJSONBody(t *testing.T, resp *http.Response, v any) {

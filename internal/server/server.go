@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -42,9 +43,18 @@ import (
 	"time"
 
 	"webbase/internal/core"
+	"webbase/internal/trace"
 	"webbase/internal/ur"
 	"webbase/internal/web"
 	"webbase/internal/wire"
+)
+
+// The server's metrics outside the per-tenant accounting.
+var (
+	resumeSkipped = trace.NewCounter("server_resume_skipped_total",
+		"Events resumed streams acknowledged instead of re-sending.")
+	admissionWait = trace.NewHistogram("admission_wait_seconds",
+		"Time answered queries that queued waited at the admission gate.", trace.SecondsBuckets...)
 )
 
 // DefaultMaxBodyBytes bounds POST /query bodies when Config.MaxBodyBytes
@@ -108,7 +118,7 @@ func New(cfg Config) (*Server, error) {
 	case cfg.QueueDepth > 0 && cfg.MaxInFlight == 0:
 		return nil, fmt.Errorf("server: Config.QueueDepth %d needs Config.MaxInFlight: with no gate there is nothing to queue behind", cfg.QueueDepth)
 	}
-	tenants, err := newTenantSet(cfg.Tenants, cfg.Clock)
+	tenants, err := newTenantSet(cfg.Tenants, cfg.Clock, cfg.System.Metrics())
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +163,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The concurrency slot is held for the whole request, streaming
 	// included — a tenant's limit bounds open streams, not just admissions.
 	defer release()
-	s.count("server_queries_total", tenant.Name)
+	tenant.series.queries.Add(1)
 
 	qr, err := readQueryRequest(r.Body, s.maxBody)
 	if err != nil {
@@ -198,7 +208,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		body := errorBody(rid, err)
-		s.account(tenant.Name, body.Status)
+		account(tenant, body.Status)
 		if sw.started {
 			sw.writeErrorEvent(body)
 		} else {
@@ -212,10 +222,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resumeFrom >= 0 {
 		// Resume accounting: the query ran again end to end, but the
 		// already-delivered prefix was acked, not re-sent.
-		s.count("server_resumes_total", tenant.Name)
-		s.sys.Metrics().Counter("server_resume_skipped_total").Add(int64(sw.skipped))
+		tenant.series.resumes.Add(1)
+		resumeSkipped.Add(s.sys.Metrics(), int64(sw.skipped))
 	}
-	s.count("server_queries_served_total", tenant.Name)
+	tenant.series.served.Add(1)
 	s.logger.Printf("req=%s tenant=%s status=200 tuples=%d objects=%d elapsed=%s query=%q",
 		rid, tenant.Name, res.Relation.Len(), len(res.Plan.Objects), qs.Elapsed, text)
 }
@@ -237,31 +247,33 @@ func (s *Server) queryAdmitted(ctx context.Context, class QueryClass, q ur.Query
 	}
 	qs.AdmissionWait = wait
 	if wait > 0 {
-		s.sys.Metrics().Histogram("admission_wait_seconds", 0.001, 0.01, 0.1, 1, 10).Observe(wait.Seconds())
+		admissionWait.Observe(s.sys.Metrics(), wait.Seconds())
 	}
 	return res, qs, nil
 }
 
 // fail writes a pre-stream error envelope and accounts it.
-func (s *Server) fail(w http.ResponseWriter, rid string, tenant Tenant, err error) {
+func (s *Server) fail(w http.ResponseWriter, rid string, tenant *tenantState, err error) {
 	body := errorBody(rid, err)
-	s.account(tenant.Name, body.Status)
+	account(tenant, body.Status)
 	writeEnvelope(w, body)
-	s.logger.Printf("req=%s tenant=%s status=%d code=%s", rid, tenantLabel(tenant), body.Status, body.Code)
+	s.logger.Printf("req=%s tenant=%s status=%d code=%s", rid, tenantLabel(tenant.Tenant), body.Status, body.Code)
 }
 
-// handleMetrics renders the webbase registry — every in-process counter,
-// gauge and histogram plus the server's per-tenant accounting — in the
-// registry's sorted text format. Compressed when the client accepts gzip;
+// handleMetrics serves the webbase registry — every declared series of
+// every layer, the server's per-tenant accounting included — as
+// text/plain; version=0.0.4, the Prometheus text exposition format that
+// webbase -metrics prints too. Compressed when the client accepts gzip;
 // the decompressed bytes are identical either way.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	body := []byte(s.sys.Metrics().Snapshot().String())
+	var body bytes.Buffer
+	s.sys.Metrics().WriteText(&body)
 	if gzipAccepted(r) {
-		writeGzipped(w, http.StatusOK, "text/plain; charset=utf-8", body)
+		writeGzipped(w, http.StatusOK, trace.TextContentType, body.Bytes())
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(body)
+	w.Header().Set("Content-Type", trace.TextContentType)
+	w.Write(body.Bytes())
 }
 
 // healthzResponse is the GET /healthz body.
@@ -286,24 +298,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(hz)
 }
 
-// count bumps a counter twice: the overall total and the per-tenant
-// labeled series.
-func (s *Server) count(name, tenant string) {
-	m := s.sys.Metrics()
-	m.Counter(name).Add(1)
-	if tenant != "" {
-		m.Counter(name + `{tenant="` + tenant + `"}`).Add(1)
-	}
-}
-
 // account attributes one failed request to its tenant: 429s are sheds
 // (quota or admission gate — the query never ran), everything else a
 // failure.
-func (s *Server) account(tenant string, status int) {
+func account(tenant *tenantState, status int) {
 	if status == http.StatusTooManyRequests {
-		s.count("server_queries_shed_total", tenant)
+		tenant.series.shed.Add(1)
 	} else {
-		s.count("server_queries_failed_total", tenant)
+		tenant.series.failed.Add(1)
 	}
 }
 

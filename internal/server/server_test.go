@@ -406,21 +406,11 @@ func TestQuotaExhausted(t *testing.T) {
 		t.Errorf("code = %q", got.Code)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	metrics, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		`counter server_queries_served_total{tenant="alice"} 2`,
-		`counter server_queries_shed_total{tenant="alice"} 1`,
-		`counter server_queries_total{tenant="alice"} 2`,
-	} {
-		if !strings.Contains(string(metrics), want) {
-			t.Errorf("/metrics missing %q\n%s", want, metrics)
-		}
-	}
+	wantSeries(t, fetchMetrics(t, ts.URL), map[string]float64{
+		`server_queries_served_total{tenant="alice"}`: 2,
+		`server_queries_shed_total{tenant="alice"}`:   1,
+		`server_queries_total{tenant="alice"}`:        2,
+	})
 }
 
 // TestAdmissionShedded exercises the other 429: the server's admission

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"webbase/internal/trace"
 	"webbase/internal/wire"
 )
 
@@ -46,10 +47,41 @@ type Tenant struct {
 	MaxConcurrent int64
 }
 
-// tenantState is a Tenant plus its current quota window and in-flight
-// count.
+// The server's request accounting, per tenant. A request whose key
+// names no tenant counts in a family's total alone.
+var (
+	tenantQueries = trace.NewCounterVec("server_queries_total",
+		"Requests admitted past authentication and quota, by tenant.", "tenant")
+	tenantServed = trace.NewCounterVec("server_queries_served_total",
+		"Queries streamed to their trailer, by tenant.", "tenant")
+	tenantShed = trace.NewCounterVec("server_queries_shed_total",
+		"Requests answered 429 by the tenant quota, the tenant concurrency cap or the admission gate, by tenant.", "tenant")
+	tenantFailed = trace.NewCounterVec("server_queries_failed_total",
+		"Requests that failed other than by shedding, by tenant.", "tenant")
+	tenantResumes = trace.NewCounterVec("server_resumes_total",
+		"Resumed streams served to their trailer, by tenant.", "tenant")
+)
+
+// tenantSeries are one tenant's series of the per-tenant families,
+// resolved once, when the server is assembled.
+type tenantSeries struct {
+	queries, served, shed, failed, resumes *trace.Series
+}
+
+func newTenantSeries(m *trace.Registry, name string) tenantSeries {
+	if name == "" {
+		return tenantSeries{tenantQueries.Total(m), tenantServed.Total(m), tenantShed.Total(m),
+			tenantFailed.Total(m), tenantResumes.Total(m)}
+	}
+	return tenantSeries{tenantQueries.Series(m, name), tenantServed.Series(m, name), tenantShed.Series(m, name),
+		tenantFailed.Series(m, name), tenantResumes.Series(m, name)}
+}
+
+// tenantState is a Tenant plus its series, current quota window and
+// in-flight count.
 type tenantState struct {
 	Tenant
+	series      tenantSeries
 	windowStart time.Time
 	used        int64
 	inflight    int64
@@ -61,18 +93,21 @@ type tenantState struct {
 type tenantSet struct {
 	clock func() time.Time
 
-	mu    sync.Mutex
-	byKey map[string]*tenantState
-	anon  *Tenant // non-nil when the set is open
+	mu      sync.Mutex
+	byKey   map[string]*tenantState
+	anon    *tenantState // non-nil when the set is open
+	unknown *tenantState // the nameless tenant an unknown key resolves to
 }
 
-func newTenantSet(tenants []Tenant, clock func() time.Time) (*tenantSet, error) {
+func newTenantSet(tenants []Tenant, clock func() time.Time, metrics *trace.Registry) (*tenantSet, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	ts := &tenantSet{clock: clock, byKey: make(map[string]*tenantState, len(tenants))}
+	ts := &tenantSet{clock: clock, byKey: make(map[string]*tenantState, len(tenants)),
+		unknown: &tenantState{series: newTenantSeries(metrics, "")}}
 	if len(tenants) == 0 {
-		ts.anon = &Tenant{Name: "anonymous", Class: ClassInteractive}
+		ts.anon = &tenantState{Tenant: Tenant{Name: "anonymous", Class: ClassInteractive},
+			series: newTenantSeries(metrics, "anonymous")}
 		return ts, nil
 	}
 	names := make(map[string]bool, len(tenants))
@@ -90,31 +125,32 @@ func newTenantSet(tenants []Tenant, clock func() time.Time) (*tenantSet, error) 
 		if t.Window <= 0 {
 			t.Window = DefaultQuotaWindow
 		}
-		ts.byKey[t.Key] = &tenantState{Tenant: t}
+		ts.byKey[t.Key] = &tenantState{Tenant: t, series: newTenantSeries(metrics, t.Name)}
 	}
 	return ts, nil
 }
 
 // admit authenticates the key, checks the tenant's concurrency limit and
-// spends one unit of its quota. It returns the tenant's identity even
-// when the request is shed, so the caller can attribute the shed to the
-// right tenant, plus a release the caller must invoke when the request
-// finishes (safe to call more than once; a no-op on error). The
-// concurrency check runs before the quota spend, so a saturated request
-// never consumes window budget.
-func (ts *tenantSet) admit(key string) (Tenant, func(), error) {
+// spends one unit of its quota. It returns the tenant even when the
+// request is shed — the nameless one for an unknown key — so the caller
+// can attribute the shed to the right tenant, plus a release the caller
+// must invoke when the request finishes (safe to call more than once; a
+// no-op on error). The concurrency check runs before the quota spend, so
+// a saturated request never consumes window budget. The caller reads
+// only the returned tenant's Tenant and series, which never change.
+func (ts *tenantSet) admit(key string) (*tenantState, func(), error) {
 	release := func() {}
 	if ts.anon != nil {
-		return *ts.anon, release, nil
+		return ts.anon, release, nil
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	st, ok := ts.byKey[key]
 	if !ok {
-		return Tenant{}, release, errUnknownKey
+		return ts.unknown, release, errUnknownKey
 	}
 	if st.MaxConcurrent > 0 && st.inflight >= st.MaxConcurrent {
-		return st.Tenant, release, fmt.Errorf("%w: tenant %q has %d of %d queries in flight",
+		return st, release, fmt.Errorf("%w: tenant %q has %d of %d queries in flight",
 			errTenantSaturated, st.Name, st.inflight, st.MaxConcurrent)
 	}
 	if st.Quota > 0 {
@@ -124,7 +160,7 @@ func (ts *tenantSet) admit(key string) (Tenant, func(), error) {
 			st.used = 0
 		}
 		if st.used >= st.Quota {
-			return st.Tenant, release, fmt.Errorf("%w: tenant %q spent %d of %d this window",
+			return st, release, fmt.Errorf("%w: tenant %q spent %d of %d this window",
 				errQuotaExhausted, st.Name, st.used, st.Quota)
 		}
 		st.used++
@@ -138,7 +174,7 @@ func (ts *tenantSet) admit(key string) (Tenant, func(), error) {
 			ts.mu.Unlock()
 		})
 	}
-	return st.Tenant, release, nil
+	return st, release, nil
 }
 
 // apiKey extracts the request's API key: a Bearer token, else the

@@ -8,9 +8,6 @@ import (
 	"webbase/internal/web"
 )
 
-// pagesTier is the tier name the page cache persists under.
-const pagesTier = "pages"
-
 // genMetaKey is the reserved record that carries the page tier's current
 // generation (in the record's generation header; the payload is empty).
 // Entries written under an older generation are ignored and garbage
@@ -55,7 +52,7 @@ type pageJob struct {
 // in-memory index of live entries (payload bytes, last-touch order,
 // rebuilt from disk at open so the bound holds across restarts) and
 // evicts the least-recently-touched entries whenever the total exceeds
-// the bound. Evictions are counted in store_evicted_total{tier="pages"};
+// the bound. Evictions are counted in store_evicted_total under TierPages;
 // an evicted page is simply a future cache miss, never an error.
 type PageTier struct {
 	store    *Store
@@ -85,7 +82,7 @@ type PageTier struct {
 // immediately, so a bound tightened between restarts is enforced at boot.
 func NewPageTier(s *Store, maxBytes int64) *PageTier {
 	t := &PageTier{store: s, maxBytes: maxBytes, jobs: make(chan pageJob, 256)}
-	_, gen, err := s.Get(pagesTier, genMetaKey)
+	_, gen, err := s.Get(TierPages, genMetaKey)
 	switch {
 	case err == nil:
 		t.gen = gen
@@ -95,7 +92,7 @@ func NewPageTier(s *Store, maxBytes int64) *PageTier {
 		// The generation bookkeeping itself is corrupt: without it, entries
 		// from a pre-Clear era are indistinguishable from live ones. Drop
 		// the tier and start cold. (Get already counted the corruption.)
-		s.DeleteTier(pagesTier)
+		s.DeleteTier(TierPages)
 	}
 	if t.maxBytes > 0 {
 		t.sizes = make(map[string]int64)
@@ -118,7 +115,7 @@ func (t *PageTier) rebuildIndex() {
 		fetchedAt int64
 	}
 	var seeds []seed
-	t.store.Scan(pagesTier, func(key string, gen uint64, payload []byte) {
+	t.store.Scan(TierPages, func(key string, gen uint64, payload []byte) {
 		if key == genMetaKey || gen != t.gen {
 			return
 		}
@@ -192,8 +189,8 @@ func (t *PageTier) evictLocked() {
 		t.total -= t.sizes[victim]
 		delete(t.sizes, victim)
 		delete(t.touch, victim)
-		t.store.Delete(pagesTier, victim)
-		t.store.CountEvicted(pagesTier)
+		t.store.Delete(TierPages, victim)
+		t.store.CountEvicted(TierPages)
 	}
 }
 
@@ -217,7 +214,7 @@ func (t *PageTier) writer() {
 			close(job.done)
 			continue
 		}
-		if t.store.Put(pagesTier, job.key, job.gen, job.data) == nil {
+		if t.store.Put(TierPages, job.key, job.gen, job.data) == nil {
 			t.account(job.key, int64(len(job.data)))
 		}
 	}
@@ -241,23 +238,23 @@ func (t *PageTier) Load(key string) (*web.Response, time.Time, bool) {
 	t.mu.RLock()
 	gen := t.gen
 	t.mu.RUnlock()
-	payload, recGen, err := t.store.Get(pagesTier, key)
+	payload, recGen, err := t.store.Get(TierPages, key)
 	if err != nil {
 		if IsCorrupt(err) {
-			t.store.Delete(pagesTier, key) // don't re-decode known-bad bytes
+			t.store.Delete(TierPages, key) // don't re-decode known-bad bytes
 		}
 		return nil, time.Time{}, false
 	}
 	if recGen != gen {
 		// Written before an Invalidate: the clear's intent outlives the
 		// process, so the entry is dead. Collect it.
-		t.store.Delete(pagesTier, key)
+		t.store.Delete(TierPages, key)
 		return nil, time.Time{}, false
 	}
 	var p pagePayload
 	if err := json.Unmarshal(payload, &p); err != nil {
-		t.store.CountCorrupt(pagesTier)
-		t.store.Delete(pagesTier, key)
+		t.store.CountCorrupt(TierPages)
+		t.store.Delete(TierPages, key)
 		return nil, time.Time{}, false
 	}
 	t.touchKey(key)
@@ -287,7 +284,7 @@ func (t *PageTier) Store(key string, resp *web.Response, fetchedAt time.Time) {
 	select {
 	case t.jobs <- job:
 	default:
-		if t.store.Put(pagesTier, job.key, job.gen, job.data) == nil {
+		if t.store.Put(TierPages, job.key, job.gen, job.data) == nil {
 			t.account(job.key, int64(len(job.data)))
 		}
 	}
@@ -305,10 +302,10 @@ func (t *PageTier) Invalidate() {
 	defer t.mu.Unlock()
 	t.gen++
 	if t.maxBytes > 0 {
-		t.store.DeleteTier(pagesTier)
+		t.store.DeleteTier(TierPages)
 		t.dropIndex()
 	}
-	t.store.Put(pagesTier, genMetaKey, t.gen, nil)
+	t.store.Put(TierPages, genMetaKey, t.gen, nil)
 }
 
 // Flush blocks until every store queued before the call has been written.

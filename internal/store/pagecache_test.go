@@ -79,7 +79,7 @@ func TestPageTierCorruptGenerationDropsTier(t *testing.T) {
 
 	// Corrupt the generation meta record: with no trusted generation, an
 	// old entry could resurrect a cleared page, so the whole tier drops.
-	metaPath := s.path(pagesTier, genMetaKey)
+	metaPath := s.path(TierPages, genMetaKey)
 	if err := os.WriteFile(metaPath, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPageTierCorruptGenerationDropsTier(t *testing.T) {
 	if _, _, ok := pt2.Load("k2"); ok {
 		t.Fatal("entry served from a tier whose generation bookkeeping was lost")
 	}
-	names, _ := os.ReadDir(filepath.Join(dir, pagesTier))
+	names, _ := os.ReadDir(filepath.Join(dir, TierPages.String()))
 	for _, n := range names {
 		t.Errorf("tier not emptied: %s remains", n.Name())
 	}
@@ -99,7 +99,7 @@ func TestPageTierCorruptEntryIsMissAndCollected(t *testing.T) {
 	pt, s := pageTierOver(t, dir)
 	pt.Store("k", web.HTML("http://x.test/", "body"), time.Unix(1, 0))
 	pt.Flush()
-	p := s.path(pagesTier, "k")
+	p := s.path(TierPages, "k")
 	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func payloadSize(t *testing.T) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := s.Get(pagesTier, "probe")
+	payload, _, err := s.Get(TierPages, "probe")
 	if err != nil {
 		t.Fatal(err)
 	}

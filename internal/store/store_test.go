@@ -26,10 +26,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	s := openTest(t, Options{})
 	key := "GET http://example.test/page?Make=ford&Model=escort"
 	payload := []byte("hello, durable world")
-	if err := s.Put("pages", key, 7, payload); err != nil {
+	if err := s.Put(TierPages, key, 7, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, gen, err := s.Get("pages", key)
+	got, gen, err := s.Get(TierPages, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, err := s2.Get("pages", key); err != nil || !bytes.Equal(got, payload) {
+	if got, _, err := s2.Get(TierPages, key); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("after reopen: Get = (%q, %v)", got, err)
 	}
 }
 
 func TestStoreMissIsNotExist(t *testing.T) {
 	s := openTest(t, Options{Metrics: trace.NewRegistry()})
-	_, _, err := s.Get("pages", "never written")
+	_, _, err := s.Get(TierPages, "never written")
 	if !IsNotExist(err) {
 		t.Fatalf("miss error = %v, want ErrNotExist", err)
 	}
@@ -60,18 +60,18 @@ func TestStoreMissIsNotExist(t *testing.T) {
 func TestStoreDeleteAndScan(t *testing.T) {
 	s := openTest(t, Options{})
 	for i := 0; i < 5; i++ {
-		if err := s.Put("maps", fmt.Sprintf("site-%d", i), uint64(i), []byte{byte(i)}); err != nil {
+		if err := s.Put(TierMaps, fmt.Sprintf("site-%d", i), uint64(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Delete("maps", "site-2"); err != nil {
+	if err := s.Delete(TierMaps, "site-2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("maps", "site-2"); err != nil {
+	if err := s.Delete(TierMaps, "site-2"); err != nil {
 		t.Fatalf("double delete errored: %v", err)
 	}
 	seen := map[string]uint64{}
-	if err := s.Scan("maps", func(key string, gen uint64, _ []byte) { seen[key] = gen }); err != nil {
+	if err := s.Scan(TierMaps, func(key string, gen uint64, _ []byte) { seen[key] = gen }); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 4 {
@@ -83,20 +83,20 @@ func TestStoreDeleteAndScan(t *testing.T) {
 	if seen["site-3"] != 3 {
 		t.Fatalf("site-3 generation = %d, want 3", seen["site-3"])
 	}
-	if err := s.DeleteTier("maps"); err != nil {
+	if err := s.DeleteTier(TierMaps); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	s.Scan("maps", func(string, uint64, []byte) { n++ })
+	s.Scan(TierMaps, func(string, uint64, []byte) { n++ })
 	if n != 0 {
 		t.Fatalf("DeleteTier left %d records", n)
 	}
 }
 
 // corruptFile finds the tier's single record file and rewrites it.
-func corruptFile(t *testing.T, s *Store, tier string, mutate func([]byte) []byte) {
+func corruptFile(t *testing.T, s *Store, tier Tier, mutate func([]byte) []byte) {
 	t.Helper()
-	dir := filepath.Join(s.Dir(), tier)
+	dir := filepath.Join(s.Dir(), tier.String())
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -150,11 +150,11 @@ func TestStoreCorruptionModes(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			reg := trace.NewRegistry()
 			s := openTest(t, Options{Metrics: reg})
-			if err := s.Put("pages", "the-key", 1, []byte("the payload bytes")); err != nil {
+			if err := s.Put(TierPages, "the-key", 1, []byte("the payload bytes")); err != nil {
 				t.Fatal(err)
 			}
-			corruptFile(t, s, "pages", mode.mutate)
-			_, _, err := s.Get("pages", "the-key")
+			corruptFile(t, s, TierPages, mode.mutate)
+			_, _, err := s.Get(TierPages, "the-key")
 			if !IsCorrupt(err) {
 				t.Fatalf("corrupt read error = %v, want ErrCorrupt", err)
 			}
@@ -167,7 +167,7 @@ func TestStoreCorruptionModes(t *testing.T) {
 			}
 			// Scan skips the bad record instead of failing the tier.
 			n := 0
-			if err := s.Scan("pages", func(string, uint64, []byte) { n++ }); err != nil {
+			if err := s.Scan(TierPages, func(string, uint64, []byte) { n++ }); err != nil {
 				t.Fatalf("scan over corrupt tier errored: %v", err)
 			}
 			if n != 0 {
@@ -182,14 +182,14 @@ func TestStoreCorruptionModes(t *testing.T) {
 func TestStoreWrongKeyRecord(t *testing.T) {
 	reg := trace.NewRegistry()
 	s := openTest(t, Options{Metrics: reg})
-	if err := s.Put("pages", "key-a", 1, []byte("a")); err != nil {
+	if err := s.Put(TierPages, "key-a", 1, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	// Move key-a's file onto key-b's slot.
-	if err := os.Rename(s.path("pages", "key-a"), s.path("pages", "key-b")); err != nil {
+	if err := os.Rename(s.path(TierPages, "key-a"), s.path(TierPages, "key-b")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := s.Get("pages", "key-b")
+	_, _, err := s.Get(TierPages, "key-b")
 	if !IsCorrupt(err) {
 		t.Fatalf("wrong-key read = %v, want ErrCorrupt", err)
 	}
@@ -208,13 +208,13 @@ func TestStoreTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("health", "sites", 0, []byte(`{"host":"quarantined"}`)); err != nil {
+	if err := s.Put(TierHealth, "sites", 0, []byte(`{"host":"quarantined"}`)); err != nil {
 		t.Fatalf("torn write must look like success to the writer: %v", err)
 	}
 	if ffs.Writes() == 0 {
 		t.Fatal("fault double saw no writes")
 	}
-	_, _, err = s.Get("health", "sites")
+	_, _, err = s.Get(TierHealth, "sites")
 	if !IsCorrupt(err) {
 		t.Fatalf("read after torn write = %v, want ErrCorrupt", err)
 	}
@@ -233,11 +233,11 @@ func TestStoreReadFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put("breaker", "circuits", 0, []byte("{}")); err != nil {
+		if err := s.Put(TierBreaker, "circuits", 0, []byte("{}")); err != nil {
 			t.Fatal(err)
 		}
 		ffs.FailReads = errors.New("disk yanked")
-		if _, _, err := s.Get("breaker", "circuits"); !IsCorrupt(err) {
+		if _, _, err := s.Get(TierBreaker, "circuits"); !IsCorrupt(err) {
 			t.Fatalf("failed read = %v, want ErrCorrupt", err)
 		}
 	})
@@ -253,10 +253,10 @@ func TestStoreReadFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put("breaker", "circuits", 0, []byte("{}")); err != nil {
+		if err := s.Put(TierBreaker, "circuits", 0, []byte("{}")); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.Get("breaker", "circuits"); !IsCorrupt(err) {
+		if _, _, err := s.Get(TierBreaker, "circuits"); !IsCorrupt(err) {
 			t.Fatalf("bit-rotted read = %v, want ErrCorrupt", err)
 		}
 	})
@@ -267,7 +267,7 @@ func TestStoreReadFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put("pages", "k", 0, []byte("v")); err == nil {
+		if err := s.Put(TierPages, "k", 0, []byte("v")); err == nil {
 			t.Fatal("write fault not reported")
 		}
 		if got := reg.Snapshot().Counters[`store_write_failed_total{tier="pages"}`]; got != 1 {
@@ -282,7 +282,7 @@ func TestStoreReadFaults(t *testing.T) {
 func TestStoreConcurrentReplace(t *testing.T) {
 	s := openTest(t, Options{Metrics: trace.NewRegistry()})
 	const key = "contended"
-	if err := s.Put("pages", key, 0, []byte("gen-0")); err != nil {
+	if err := s.Put(TierPages, key, 0, []byte("gen-0")); err != nil {
 		t.Fatal(err)
 	}
 	var writers, readers sync.WaitGroup
@@ -298,7 +298,7 @@ func TestStoreConcurrentReplace(t *testing.T) {
 				default:
 				}
 				payload := []byte(fmt.Sprintf("writer-%d-iteration-%d", w, i))
-				if err := s.Put("pages", key, uint64(i), payload); err != nil {
+				if err := s.Put(TierPages, key, uint64(i), payload); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
@@ -310,7 +310,7 @@ func TestStoreConcurrentReplace(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
-				got, _, err := s.Get("pages", key)
+				got, _, err := s.Get(TierPages, key)
 				if err != nil {
 					t.Errorf("concurrent read: %v", err)
 					return

@@ -189,7 +189,7 @@ var (
 // repaired navigation maps, and breaker/health verdicts (a restarted
 // process does not re-probe a known-dead host or reset its repair
 // budget). A missing, truncated, bit-flipped or version-skewed state file
-// falls back to cold state with a store_corrupt_total{tier=...} metric; it
+// falls back to cold state, counted in store_corrupt_total by tier; it
 // never fails a query. System.FlushState forces dirty state to disk; System.Close is
 // the graceful shutdown (flush + stop background writers).
 var (

@@ -30,6 +30,13 @@
 // query that lost every object to a site outage), iteration stops with a
 // typed error, one sentinel per code of internal/wire's table — see
 // errors.go.
+//
+// A stream decodes through readers its Client lends it: a buffer over the
+// response body, a gzip reader and a line buffer, about 48 KiB. The stream
+// keeps them across its attempts and gives them back when it ends. The
+// Client keeps returned readers for the next stream only while another
+// stream is still open, so an idle Client holds none, and a caller that
+// runs one query at a time gets a fresh set per query.
 package client
 
 import (
@@ -38,6 +45,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -103,7 +111,9 @@ type Config struct {
 // Client issues queries against one webbase service — or a fleet of
 // replicas serving the same web (Config.Endpoints). Safe for concurrent
 // use; each Query returns its own Stream, and all streams share the
-// per-replica failure memory.
+// per-replica failure memory. Streams that overlap share decoding
+// readers, one stream after another; sequential queries share none (see
+// the package doc).
 type Client struct {
 	endpoints      *endpointSet
 	apiKey         string
@@ -115,6 +125,10 @@ type Client struct {
 	stallTimeout   time.Duration
 	sleep          func(context.Context, time.Duration) error
 	reqSeq         atomic.Int64
+
+	mu   sync.Mutex
+	open int        // streams holding a reader set
+	idle []*readers // sets returned while another stream was open
 }
 
 // New validates cfg and assembles a client.
@@ -181,11 +195,43 @@ func (c *Client) Query(ctx context.Context, query string) (*Stream, error) {
 		ctx:   ctx,
 		query: query,
 		rid:   fmt.Sprintf("c-%06d", c.reqSeq.Add(1)),
+		rd:    c.borrow(),
 	}
 	if err := s.connect(); err != nil {
+		s.end()
 		return nil, err
 	}
 	return s, nil
+}
+
+// borrow lends a stream a reader set: one another stream gave back, or a
+// new one.
+func (c *Client) borrow() *readers {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.open++
+	n := len(c.idle)
+	if n == 0 {
+		return new(readers)
+	}
+	rd := c.idle[n-1]
+	c.idle[n-1] = nil
+	c.idle = c.idle[:n-1]
+	return rd
+}
+
+// giveBack takes a stream's reader set back. The set is kept for the next
+// stream only while another is open; the last stream to end drops every
+// kept set, so an idle client holds none.
+func (c *Client) giveBack(rd *readers) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.open--
+	if c.open == 0 {
+		c.idle = nil
+		return
+	}
+	c.idle = append(c.idle, rd)
 }
 
 // backoffDelay spaces attempt n (n >= 2): base doubled per prior retry,

@@ -78,9 +78,9 @@ type Stream struct {
 	cancel   context.CancelFunc // aborts the current attempt's request context
 	watchdog *time.Timer        // first-event / inter-event stall watchdog
 
-	// One reader of each kind serves every attempt, Reset onto its body.
-	zr  *gzip.Reader
-	buf *bufio.Reader
+	// rd is lent by the Client from Query until the stream ends; every
+	// attempt Resets it onto its body.
+	rd *readers
 
 	meta    Meta
 	gotMeta bool
@@ -133,10 +133,22 @@ func (s *Stream) Restarted() bool { return s.restarts > 0 }
 // never acked — whose only effect is re-arming the stall watchdog.
 func (s *Stream) Keepalives() int { return s.keepalives }
 
-// Close releases the stream's connection. Safe to call at any point and
-// more than once; iterating a closed stream returns false.
+// readers is a stream's decoding chain. body buffers the response, so
+// that gzip.Reader.Reset finds a flate.Reader and makes no buffer of its
+// own; zr inflates what body reads; lines splits the events, out of zr or,
+// for an uncompressed answer, out of the body itself.
+type readers struct {
+	body  bufio.Reader
+	zr    gzip.Reader
+	lines bufio.Reader
+}
+
+// Close releases the stream's connection and gives its readers back to the
+// Client. Safe to call at any point and more than once; iterating a closed
+// stream returns false. A stream left neither drained nor closed counts as
+// open, and its Client keeps returned readers for as long as it does.
 func (s *Stream) Close() error {
-	s.closeBody()
+	s.end()
 	if !s.done && s.err == nil {
 		s.err = fmt.Errorf("client: stream closed before completion")
 		s.done = true
@@ -192,7 +204,7 @@ func (s *Stream) Next() bool {
 			}
 			s.trailer = ev.Trailer
 			s.done = true
-			s.closeBody()
+			s.end()
 			return false
 		case wire.KindError:
 			if !s.recover(apiError(ev.Error)) {
@@ -263,7 +275,7 @@ func (s *Stream) retry(cause error) bool {
 func (s *Stream) terminate(err error) {
 	s.err = err
 	s.done = true
-	s.closeBody()
+	s.end()
 }
 
 // connect runs the attempt loop until a live 200 stream is open (with
@@ -366,30 +378,23 @@ func (s *Stream) dial() error {
 		return fail(decodeEnvelope(resp))
 	}
 	// Accept-Encoding was set explicitly, so the transport does not
-	// decompress for us; unwrap the stream here. gzip.NewReader reads the
-	// archive header, which the server flushes with its first event — a
+	// decompress for us; unwrap the stream here. gzip.Reader.Reset reads
+	// the archive header, which the server flushes with its first event — a
 	// stall here is bounded by the attempt watchdog like any first read.
+	rd := s.rd
 	var events io.Reader = resp.Body
 	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		if s.zr == nil {
-			s.zr, err = gzip.NewReader(resp.Body)
-		} else {
-			err = s.zr.Reset(resp.Body)
-		}
-		if err != nil {
+		rd.body.Reset(resp.Body)
+		if err := rd.zr.Reset(&rd.body); err != nil {
 			resp.Body.Close()
 			return fail(fmt.Errorf("client: opening compressed stream: %w", err))
 		}
-		events = s.zr
+		events = &rd.zr
 	}
-	if s.buf == nil {
-		s.buf = bufio.NewReader(events)
-	} else {
-		s.buf.Reset(events)
-	}
+	rd.lines.Reset(events)
 	s.resp = resp
 	s.cancel = cancel
-	s.body = s.buf
+	s.body = &rd.lines
 
 	if !s.gotMeta {
 		line, err := s.readLine()
@@ -464,6 +469,17 @@ func (s *Stream) closeBody() {
 		s.cancel = nil
 	}
 	s.body = nil
+}
+
+// end closes the stream's connection and gives its readers back to the
+// client, once: at the trailer, on a terminal error, on Close, or when
+// Query's connect fails.
+func (s *Stream) end() {
+	s.closeBody()
+	if s.rd != nil {
+		s.c.giveBack(s.rd)
+		s.rd = nil
+	}
 }
 
 // decodeEnvelope turns a non-200 response into its *APIError.

@@ -285,20 +285,19 @@ func TestMetricsAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := wb.Metrics().Snapshot()
-	if got := snap.Counters["queries_total"]; got != 2 {
-		t.Errorf("queries_total = %d, want 2", got)
+	snap := metricsPage(t, wb)
+	if got := snap["queries_total"]; got != 2 {
+		t.Errorf("queries_total = %v, want 2", got)
 	}
-	if snap.Counters["pages_fetched_total"] == 0 {
+	if snap["pages_fetched_total"] == 0 {
 		t.Error("pages_fetched_total is zero after two queries")
 	}
 	// Second run is cache-served: hits must have registered.
-	if snap.Counters["cache_hits_total"] == 0 {
+	if snap["cache_hits_total"] == 0 {
 		t.Error("cache_hits_total is zero; the repeat query should hit the cache")
 	}
-	h, ok := snap.Histograms["query_pages"]
-	if !ok || h.Count != 2 {
-		t.Errorf("query_pages histogram count = %+v, want 2 observations", h)
+	if n, ok := snap["query_pages_count"]; !ok || n != 2 {
+		t.Errorf("query_pages histogram count = %v, want 2 observations", n)
 	}
 	if page := metricsPage(t, wb); page["queries_total"] != 2 {
 		t.Errorf("/metrics page queries_total = %v, want 2", page["queries_total"])

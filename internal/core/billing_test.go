@@ -227,15 +227,15 @@ func TestFailedQueryStillBilledInMetrics(t *testing.T) {
 		t.Fatalf("the failed query fetched nothing worth billing: pages=%d retries=%d",
 			wb.Stats().Get(web.Pages), wb.Stats().Get(web.Retries))
 	}
-	counters := wb.Metrics().Snapshot().Counters
-	if got, want := counters["pages_fetched_total"], wb.Stats().Get(web.Pages); got != want {
-		t.Errorf("pages_fetched_total = %d, the failed query fetched %d", got, want)
+	counters := metricsPage(t, wb)
+	if got, want := counters["pages_fetched_total"], float64(wb.Stats().Get(web.Pages)); got != want {
+		t.Errorf("pages_fetched_total = %v, the failed query fetched %v", got, want)
 	}
-	if got, want := counters["retries_total"], wb.Stats().Get(web.Retries); got != want {
-		t.Errorf("retries_total = %d, the failed query retried %d", got, want)
+	if got, want := counters["retries_total"], float64(wb.Stats().Get(web.Retries)); got != want {
+		t.Errorf("retries_total = %v, the failed query retried %v", got, want)
 	}
 	if counters["queries_failed_total"] != 1 || counters["queries_total"] != 0 {
-		t.Errorf("queries_failed_total=%d queries_total=%d, want 1 and 0",
+		t.Errorf("queries_failed_total=%v queries_total=%v, want 1 and 0",
 			counters["queries_failed_total"], counters["queries_total"])
 	}
 }

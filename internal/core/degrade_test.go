@@ -213,8 +213,8 @@ func TestQueryStaleOnError(t *testing.T) {
 	if staleSpans != qs.StaleServed {
 		t.Errorf("outcome=stale spans = %d, qs.StaleServed = %d", staleSpans, qs.StaleServed)
 	}
-	if got := wb.Metrics().Snapshot().Counters["stale_served_total"]; got != qs.StaleServed {
-		t.Errorf("stale_served_total = %d, want %d", got, qs.StaleServed)
+	if got := metricsPage(t, wb)["stale_served_total"]; got != float64(qs.StaleServed) {
+		t.Errorf("stale_served_total = %v, want %d", got, qs.StaleServed)
 	}
 
 	// The EXPLAIN ANALYZE footer reports the degraded, stale-served run.
@@ -294,7 +294,7 @@ func TestQueryBreakerOpensAndRejects(t *testing.T) {
 		t.Errorf("breaker-rejected query answered differently\n--- first ---\n%s\n--- second ---\n%s",
 			first.Relation, second.Relation)
 	}
-	if got := wb.Metrics().Snapshot().Counters["breaker_rejects_total"]; got != qs.BreakerRejects {
-		t.Errorf("breaker_rejects_total = %d, want %d", got, qs.BreakerRejects)
+	if got := metricsPage(t, wb)["breaker_rejects_total"]; got != float64(qs.BreakerRejects) {
+		t.Errorf("breaker_rejects_total = %v, want %d", got, qs.BreakerRejects)
 	}
 }

@@ -149,7 +149,7 @@ func TestDeadlineExplainAnalyzeAnnotation(t *testing.T) {
 	if !strings.Contains(out, "degraded:") {
 		t.Errorf("EXPLAIN ANALYZE output lacks the degradation footer:\n%s", out)
 	}
-	if got := wb.Metrics().Snapshot().Counters["budget_shed_total"]; got == 0 {
+	if got := metricsPage(t, wb)["budget_shed_total"]; got == 0 {
 		t.Error("budget_shed_total = 0 after a budget-degraded query")
 	}
 }
@@ -192,7 +192,7 @@ func TestHedgedDeterminism(t *testing.T) {
 			if wb.Stats().Get(web.Hedges) == 0 {
 				t.Errorf("hedge=%v workers=%d: no hedges issued", cfg.hedge, cfg.workers)
 			}
-			if got := wb.Metrics().Snapshot().Counters["fetch_hedges_total"]; got == 0 {
+			if got := metricsPage(t, wb)["fetch_hedges_total"]; got == 0 {
 				t.Errorf("hedge=%v workers=%d: fetch_hedges_total = 0", cfg.hedge, cfg.workers)
 			}
 		}

@@ -162,15 +162,15 @@ func TestPruneMetricsAgreement(t *testing.T) {
 	if total == 0 {
 		t.Fatal("corpus pruned nothing; the agreement check is vacuous")
 	}
-	snap := wb.Metrics().Snapshot()
-	if got := snap.Counters["fetches_pruned_total"]; got != total {
-		t.Errorf("fetches_pruned_total = %d, QueryStats sum = %d", got, total)
+	snap := metricsPage(t, wb)
+	if got := snap["fetches_pruned_total"]; got != float64(total) {
+		t.Errorf("fetches_pruned_total = %v, QueryStats sum = %d", got, total)
 	}
 	var labelled int64
 	for r, n := range byReason {
 		name := `fetches_pruned_total{reason="` + r + `"}`
-		if got := snap.Counters[name]; got != n {
-			t.Errorf("%s = %d, QueryStats sum = %d", name, snap.Counters[name], n)
+		if got := snap[name]; got != float64(n) {
+			t.Errorf("%s = %v, QueryStats sum = %d", name, got, n)
 		}
 		labelled += n
 	}

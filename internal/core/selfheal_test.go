@@ -168,18 +168,18 @@ func TestSelfHealEndToEnd(t *testing.T) {
 			healthyAnswer, got)
 	}
 
-	m := wb.Metrics().Snapshot()
-	if got := m.Counters["site_drift_detected_total"]; got < 2 {
-		t.Errorf("site_drift_detected_total = %d, want >= 2", got)
+	m := metricsPage(t, wb)
+	if got := m["site_drift_detected_total"]; got < 2 {
+		t.Errorf("site_drift_detected_total = %v, want >= 2", got)
 	}
-	if got := m.Counters["remaps_started_total"]; got != 1 {
-		t.Errorf("remaps_started_total = %d, want exactly 1", got)
+	if got := m["remaps_started_total"]; got != 1 {
+		t.Errorf("remaps_started_total = %v, want exactly 1", got)
 	}
-	if got := m.Counters["remaps_succeeded_total"]; got != 1 {
-		t.Errorf("remaps_succeeded_total = %d, want 1", got)
+	if got := m["remaps_succeeded_total"]; got != 1 {
+		t.Errorf("remaps_succeeded_total = %v, want 1", got)
 	}
-	if got := m.Gauges["sites_quarantined"]; got != 0 {
-		t.Errorf("sites_quarantined gauge = %d after recovery", got)
+	if got := m["sites_quarantined"]; got != 0 {
+		t.Errorf("sites_quarantined gauge = %v after recovery", got)
 	}
 }
 
@@ -211,12 +211,12 @@ func TestSelfHealUnfixableSiteBoundsRepairs(t *testing.T) {
 	if got := wb.SiteHealth().Attempts(sites.NewsdayHost); got != 3 {
 		t.Errorf("repair attempts = %d, want exactly Healing.MaxAttempts (3)", got)
 	}
-	m := wb.Metrics().Snapshot()
-	if got := m.Counters["remaps_started_total"]; got != 3 {
-		t.Errorf("remaps_started_total = %d, want 3", got)
+	m := metricsPage(t, wb)
+	if got := m["remaps_started_total"]; got != 3 {
+		t.Errorf("remaps_started_total = %v, want 3", got)
 	}
-	if got := m.Counters["remaps_succeeded_total"]; got != 0 {
-		t.Errorf("remaps_succeeded_total = %d, want 0", got)
+	if got := m["remaps_succeeded_total"]; got != 0 {
+		t.Errorf("remaps_succeeded_total = %v, want 0", got)
 	}
 
 	// Further queries answer degraded from the quarantine short-circuit —
@@ -229,8 +229,8 @@ func TestSelfHealUnfixableSiteBoundsRepairs(t *testing.T) {
 		t.Fatal("post-exhaustion query not degraded")
 	}
 	wb.SiteHealth().Wait()
-	if got := wb.Metrics().Snapshot().Counters["remaps_started_total"]; got != 3 {
-		t.Errorf("exhausted site relaunched repair: remaps_started_total = %d", got)
+	if got := metricsPage(t, wb)["remaps_started_total"]; got != 3 {
+		t.Errorf("exhausted site relaunched repair: remaps_started_total = %v", got)
 	}
 	if v, _ := wb.Registry.MapVersion("newsday"); v != 1 {
 		t.Errorf("failed repairs moved the map version to %d", v)

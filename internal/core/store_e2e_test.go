@@ -128,8 +128,8 @@ func TestStoreRestartSurvivalHealedMap(t *testing.T) {
 			healedAnswer, got)
 	}
 	wb2.SiteHealth().Wait()
-	if got := wb2.Metrics().Snapshot().Counters["remaps_started_total"]; got != 0 {
-		t.Errorf("restart re-repaired a healed site: remaps_started_total = %d", got)
+	if got := metricsPage(t, wb2)["remaps_started_total"]; got != 0 {
+		t.Errorf("restart re-repaired a healed site: remaps_started_total = %v", got)
 	}
 }
 
@@ -180,8 +180,8 @@ func TestStoreRestartSurvivalQuarantine(t *testing.T) {
 		t.Error("post-restart query not degraded despite restored quarantine")
 	}
 	wb2.SiteHealth().Wait()
-	if got := wb2.Metrics().Snapshot().Counters["remaps_started_total"]; got != 0 {
-		t.Errorf("restart re-probed an exhausted site: remaps_started_total = %d", got)
+	if got := metricsPage(t, wb2)["remaps_started_total"]; got != 0 {
+		t.Errorf("restart re-probed an exhausted site: remaps_started_total = %v", got)
 	}
 	if got := newsday.calls.Load(); got != 0 {
 		t.Errorf("restart fetched %d pages from the quarantined host", got)
@@ -333,8 +333,8 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 		}
 	}
 	wb2.SiteHealth().Wait()
-	snap := wb2.Metrics().Snapshot()
-	if snap.Counters["store_corrupt_total"] == 0 {
+	snap := metricsPage(t, wb2)
+	if snap["store_corrupt_total"] == 0 {
 		t.Error("corruption sweep left store_corrupt_total at 0")
 	}
 	for _, c := range []string{
@@ -343,7 +343,7 @@ func TestStoreCorruptionInjectionE2E(t *testing.T) {
 		`store_corrupt_total{tier="health"}`,
 		`store_corrupt_total{tier="pages"}`,
 	} {
-		if snap.Counters[c] == 0 {
+		if snap[c] == 0 {
 			t.Errorf("%s = 0, want > 0", c)
 		}
 	}
@@ -393,18 +393,18 @@ func TestStoreBootGCStaleRecords(t *testing.T) {
 	wb2 := durableCarWebbase(t, dir, sites.BuildWorld().Server, func(cfg *Config) {
 		cfg.Fetch.BreakerRatio = 0.5
 	})
-	snap := wb2.Metrics().Snapshot()
+	snap := metricsPage(t, wb2)
 	for _, c := range []string{
 		`store_evicted_total{tier="maps"}`,
 		`store_evicted_total{tier="breaker"}`,
 		`store_evicted_total{tier="health"}`,
 	} {
-		if got := snap.Counters[c]; got != 1 {
-			t.Errorf("%s = %d, want 1", c, got)
+		if got := snap[c]; got != 1 {
+			t.Errorf("%s = %v, want 1", c, got)
 		}
 	}
-	if snap.Counters["store_corrupt_total"] != 0 {
-		t.Errorf("boot GC counted stale records as corruption: %d", snap.Counters["store_corrupt_total"])
+	if snap["store_corrupt_total"] != 0 {
+		t.Errorf("boot GC counted stale records as corruption: %v", snap["store_corrupt_total"])
 	}
 	for _, rec := range []struct {
 		tier store.Tier
@@ -438,8 +438,8 @@ func TestStoreUnopenableStateDirIsColdStart(t *testing.T) {
 	if res.Degradation.Degraded() {
 		t.Error("cold start degraded the answer")
 	}
-	if got := wb.Metrics().Snapshot().Counters[`store_corrupt_total{tier="open"}`]; got != 1 {
-		t.Errorf(`store_corrupt_total{tier="open"} = %d, want 1`, got)
+	if got := metricsPage(t, wb)[`store_corrupt_total{tier="open"}`]; got != 1 {
+		t.Errorf(`store_corrupt_total{tier="open"} = %v, want 1`, got)
 	}
 }
 

@@ -2,6 +2,7 @@ package health
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,15 +69,15 @@ func TestRepairSuccessRestoresHealthy(t *testing.T) {
 	if tr.Quarantined() != nil {
 		t.Error("healthy site still in the quarantine set")
 	}
-	snap := metrics.Snapshot()
-	if got := snap.Counters["remaps_started_total"]; got != 1 {
-		t.Errorf("remaps_started_total = %d, want 1", got)
+	snap := metricsPage(t, metrics)
+	if got := snap["remaps_started_total"]; got != 1 {
+		t.Errorf("remaps_started_total = %v, want 1", got)
 	}
-	if got := snap.Counters["remaps_succeeded_total"]; got != 1 {
-		t.Errorf("remaps_succeeded_total = %d, want 1", got)
+	if got := snap["remaps_succeeded_total"]; got != 1 {
+		t.Errorf("remaps_succeeded_total = %v, want 1", got)
 	}
-	if got := snap.Gauges["sites_quarantined"]; got != 0 {
-		t.Errorf("sites_quarantined = %d, want 0", got)
+	if got := snap["sites_quarantined"]; got != 0 {
+		t.Errorf("sites_quarantined = %v, want 0", got)
 	}
 }
 
@@ -124,11 +125,11 @@ func TestRepairAttemptsBounded(t *testing.T) {
 	if got := repairs.Load(); got != 3 {
 		t.Fatalf("exhausted site re-launched repair: %d runs", got)
 	}
-	if got := metrics.Snapshot().Counters["remaps_started_total"]; got != 3 {
-		t.Errorf("remaps_started_total = %d, want 3", got)
+	if got := metricsPage(t, metrics)["remaps_started_total"]; got != 3 {
+		t.Errorf("remaps_started_total = %v, want 3", got)
 	}
-	if got := metrics.Snapshot().Gauges["sites_quarantined"]; got != 1 {
-		t.Errorf("sites_quarantined = %d, want 1", got)
+	if got := metricsPage(t, metrics)["sites_quarantined"]; got != 1 {
+		t.Errorf("sites_quarantined = %v, want 1", got)
 	}
 }
 
@@ -214,4 +215,19 @@ func TestStateStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
 		}
 	}
+}
+
+// metricsPage writes r's metrics page and parses it back into series →
+// value; a page that does not parse back fails the test.
+func metricsPage(t *testing.T, r *trace.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	page, err := trace.ParseText(b.String())
+	if err != nil {
+		t.Fatalf("the metrics page does not parse back: %v\n%s", err, b.String())
+	}
+	return page
 }

@@ -54,8 +54,8 @@ func TestRecoveryProbeHealsExhaustedSite(t *testing.T) {
 
 	tr.ReportDrift("flaky.test")
 	tr.Wait() // fast repair loop exhausts its budget
-	if got := reg.Snapshot().Counters["remaps_started_total"]; got != 2 {
-		t.Fatalf("remaps_started_total = %d, want MaxAttempts = 2", got)
+	if got := metricsPage(t, reg)["remaps_started_total"]; got != 2 {
+		t.Fatalf("remaps_started_total = %v, want MaxAttempts = 2", got)
 	}
 	if tr.SiteState("flaky.test") != Quarantined || tr.Attempts("flaky.test") != 2 {
 		t.Fatalf("after exhaustion: state=%v attempts=%d", tr.SiteState("flaky.test"), tr.Attempts("flaky.test"))
@@ -67,15 +67,15 @@ func TestRecoveryProbeHealsExhaustedSite(t *testing.T) {
 	waitFor(t, "recovery probe to heal the site", func() bool {
 		return tr.SiteState("flaky.test") == Healthy
 	})
-	snap := reg.Snapshot()
-	if snap.Counters["recovery_probes_total"] == 0 {
+	snap := metricsPage(t, reg)
+	if snap["recovery_probes_total"] == 0 {
 		t.Error("no recovery probes counted")
 	}
-	if snap.Counters["remaps_started_total"] != 2 {
-		t.Errorf("probes leaked into remaps_started_total: %d", snap.Counters["remaps_started_total"])
+	if snap["remaps_started_total"] != 2 {
+		t.Errorf("probes leaked into remaps_started_total: %v", snap["remaps_started_total"])
 	}
-	if snap.Counters["remaps_succeeded_total"] != 1 {
-		t.Errorf("remaps_succeeded_total = %d, want 1", snap.Counters["remaps_succeeded_total"])
+	if snap["remaps_succeeded_total"] != 1 {
+		t.Errorf("remaps_succeeded_total = %v, want 1", snap["remaps_succeeded_total"])
 	}
 	if tr.Attempts("flaky.test") != 0 {
 		t.Errorf("healed site keeps attempts = %d", tr.Attempts("flaky.test"))
@@ -117,7 +117,7 @@ func TestCloseStopsRecoveryProbes(t *testing.T) {
 	if repairCalls.Load() != 2 {
 		t.Errorf("probe fired after Close: %d calls", repairCalls.Load())
 	}
-	if reg.Snapshot().Counters["recovery_probes_total"] != 0 {
+	if metricsPage(t, reg)["recovery_probes_total"] != 0 {
 		t.Error("recovery probe counted after Close")
 	}
 }

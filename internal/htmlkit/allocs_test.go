@@ -117,10 +117,11 @@ func TestNodeValueSize(t *testing.T) {
 // TestParseIntoLentArrays: a document parsed into lent arrays is the one
 // Parse builds, whatever the arrays held before it; once the arrays hold
 // every recorded page, a parse into them allocates its text and nothing
-// of the document; Reset keeps an array up to its bound and lets go of
-// the text and of any larger array.
+// else, not even to decode a character reference; Reset keeps an array
+// and the decode buffer up to its bound and lets go of the text and of
+// anything larger.
 func TestParseIntoLentArrays(t *testing.T) {
-	pages := fixturePages(t)
+	pages := append(fixturePages(t), []byte(`<p title="Fish &amp; Chips">Caf&eacute; &#8212; <a href="/menu?a=1&amp;b=2">Fish &amp; Chips &lt;daily&gt;</a></p>`))
 	var a Arrays
 	for _, p := range pages {
 		sameTree(t, *ParseInto(p, &a), refParse(p))
@@ -143,15 +144,21 @@ func TestParseIntoLentArrays(t *testing.T) {
 		if saved := heap - lent; saved < float64(3*len(pages)) {
 			t.Errorf("lent arrays saved %.0f allocations over %d pages, want the document and its two arrays a page", saved, len(pages))
 		}
+		if lent > float64(len(pages)) {
+			t.Errorf("%.0f allocations into lent arrays over %d pages, want each page's text alone", lent, len(pages))
+		}
 	}
-	nodes, attrs := cap(a.d.nodes), cap(a.d.attrs)
-	a.Reset(max(nodes, attrs))
-	if a.d.text != "" || cap(a.d.nodes) != nodes || cap(a.d.attrs) != attrs {
-		t.Errorf("Reset(%d) kept the text (%d bytes) or dropped an array: caps %d and %d, were %d and %d",
-			max(nodes, attrs), len(a.d.text), cap(a.d.nodes), cap(a.d.attrs), nodes, attrs)
+	nodes, attrs, decoded := cap(a.d.nodes), cap(a.d.attrs), cap(a.decoded)
+	if decoded == 0 {
+		t.Fatal("no page decoded a character reference into the arrays")
 	}
-	a.Reset(min(nodes, attrs) - 1)
-	if cap(a.d.nodes) != 0 || cap(a.d.attrs) != 0 {
-		t.Errorf("Reset(%d) kept arrays of %d and %d entries", min(nodes, attrs)-1, cap(a.d.nodes), cap(a.d.attrs))
+	a.Reset(max(nodes, attrs, decoded))
+	if a.d.text != "" || cap(a.d.nodes) != nodes || cap(a.d.attrs) != attrs || cap(a.decoded) != decoded {
+		t.Errorf("Reset(%d) kept the text (%d bytes) or dropped an array: caps %d, %d and %d, were %d, %d and %d",
+			max(nodes, attrs, decoded), len(a.d.text), cap(a.d.nodes), cap(a.d.attrs), cap(a.decoded), nodes, attrs, decoded)
+	}
+	a.Reset(min(nodes, attrs, decoded) - 1)
+	if cap(a.d.nodes) != 0 || cap(a.d.attrs) != 0 || cap(a.decoded) != 0 {
+		t.Errorf("Reset(%d) kept arrays of %d, %d and %d entries", min(nodes, attrs, decoded)-1, cap(a.d.nodes), cap(a.d.attrs), cap(a.decoded))
 	}
 }

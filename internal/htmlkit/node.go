@@ -238,13 +238,17 @@ func writeField(sb *strings.Builder, f string) {
 // src is read only while Parse runs; the document keeps no reference to it.
 func Parse(src []byte) *Node { return ParseInto(src, new(Arrays)) }
 
-// Arrays is memory a caller lends a parse: the document and its node and
-// attribute arrays. A document parsed into it (ParseInto) is valid until
-// the caller takes the arrays back, by Reset or by parsing into them
-// again. Its text is not lent: every string read off the document points
-// into the text, which is the parse's own allocation and outlives the
-// arrays. The zero value holds no arrays yet.
-type Arrays struct{ d document }
+// Arrays is memory a caller lends a parse: the document, its node and
+// attribute arrays, and the buffer character references are decoded in. A
+// document parsed into it (ParseInto) is valid until the caller takes the
+// arrays back, by Reset or by parsing into them again. Its text is not
+// lent: every string read off the document points into the text, which is
+// the parse's own allocation and outlives the arrays. The zero value holds
+// no arrays yet.
+type Arrays struct {
+	d       document
+	decoded []byte
+}
 
 // ParseInto is Parse, building the document in a: in a's arrays when they
 // hold the page, else in arrays it makes and leaves in a for the next
@@ -260,8 +264,9 @@ func ParseInto(src []byte, a *Arrays) *Node {
 	tags, ends := countTags(src)
 	d := &a.d
 	p := parser{
-		z:     tokenizer{src: src, attrs: room(d.attrs, bytes.Count(src, []byte{'='}))},
-		nodes: room(d.nodes, 2*(tags-ends)+2)[:1],
+		z:       tokenizer{src: src, attrs: room(d.attrs, bytes.Count(src, []byte{'='}))},
+		nodes:   room(d.nodes, 2*(tags-ends)+2)[:1],
+		scratch: a.decoded,
 	}
 	p.nodes[0] = node{typ: DocumentNode, end: -1} // open, with no parent
 	p.text.Grow(max(len(src)-3*tags, 0))
@@ -271,12 +276,14 @@ func ParseInto(src []byte, a *Arrays) *Node {
 	p.closeTo(-1)
 	*d = document{text: p.text.String(), nodes: p.nodes, attrs: p.z.attrs}
 	d.root = Node{d, 0}
+	a.decoded = p.scratch
 	return &d.root
 }
 
 // Reset takes a's arrays back: no document parsed into a may be read after
-// it. a keeps each array of at most keep entries for the next parse, and
-// lets go of the text and of any larger array.
+// it. a keeps each array of at most keep entries, and a decode buffer of at
+// most keep bytes, for the next parse, and lets go of the text and of
+// anything larger.
 func (a *Arrays) Reset(keep int) {
 	nodes, attrs := a.d.nodes[:0], a.d.attrs[:0]
 	if cap(nodes) > keep {
@@ -284,6 +291,9 @@ func (a *Arrays) Reset(keep int) {
 	}
 	if cap(attrs) > keep {
 		attrs = nil
+	}
+	if cap(a.decoded) > keep {
+		a.decoded = nil
 	}
 	a.d = document{nodes: nodes, attrs: attrs}
 }
@@ -342,7 +352,8 @@ type parser struct {
 	// ancestors, up to the document node: an open element's end is its
 	// parent until closeTo closes it.
 	top int32
-	// scratch holds a decoded run until it is written to the text.
+	// scratch holds a decoded run until it is written to the text; it is
+	// lent by the Arrays and handed back to them.
 	scratch []byte
 }
 

@@ -21,7 +21,8 @@ const (
 	// rest back to the collector. Most executions stand on one page.
 	keptStates = 4 * slabChunk
 	keptArrays = 2
-	// keptArray is the largest node or attribute array a page slot keeps.
+	// keptArray is the largest node or attribute array, and decode buffer
+	// in bytes, a page slot keeps.
 	keptArray = 600
 )
 

@@ -91,8 +91,8 @@ func TestAdmissionShedWhenFull(t *testing.T) {
 	if _, err := a.acquire(context.Background(), ClassInteractive); !errors.Is(err, errShedded) {
 		t.Fatalf("full gate returned %v, want errShedded", err)
 	}
-	if got := metrics.Snapshot().Counters["queries_shed_total"]; got != 1 {
-		t.Fatalf("queries_shed_total = %d, want 1", got)
+	if got := registryPage(t, metrics)["queries_shed_total"]; got != 1 {
+		t.Fatalf("queries_shed_total = %v, want 1", got)
 	}
 	a.release()
 	<-granted
@@ -170,12 +170,12 @@ func TestAdmissionInteractiveEvictsQueuedBatch(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no batch waiter was evicted")
 	}
-	snap := metrics.Snapshot()
-	if got := snap.Counters[`queries_shed_total{class="batch"}`]; got != 1 {
-		t.Errorf(`queries_shed_total{class="batch"} = %d, want 1`, got)
+	snap := registryPage(t, metrics)
+	if got := snap[`queries_shed_total{class="batch"}`]; got != 1 {
+		t.Errorf(`queries_shed_total{class="batch"} = %v, want 1`, got)
 	}
-	if got := snap.Counters["queries_shed_total"]; got != 1 {
-		t.Errorf("queries_shed_total = %d, want 1", got)
+	if got := snap["queries_shed_total"]; got != 1 {
+		t.Errorf("queries_shed_total = %v, want 1", got)
 	}
 	// Freed slot goes to the interactive waiter, not the older batch one.
 	a.release()
@@ -219,12 +219,12 @@ func TestAdmissionBatchNeverEvicts(t *testing.T) {
 	if _, err := a.acquire(context.Background(), ClassInteractive); !errors.Is(err, errShedded) {
 		t.Fatalf("same-class arrival got %v, want errShedded (no equal-class eviction)", err)
 	}
-	snap := metrics.Snapshot()
-	if got := snap.Counters[`queries_shed_total{class="batch"}`]; got != 1 {
-		t.Errorf(`queries_shed_total{class="batch"} = %d, want 1`, got)
+	snap := registryPage(t, metrics)
+	if got := snap[`queries_shed_total{class="batch"}`]; got != 1 {
+		t.Errorf(`queries_shed_total{class="batch"} = %v, want 1`, got)
 	}
-	if got := snap.Counters[`queries_shed_total{class="interactive"}`]; got != 1 {
-		t.Errorf(`queries_shed_total{class="interactive"} = %d, want 1`, got)
+	if got := snap[`queries_shed_total{class="interactive"}`]; got != 1 {
+		t.Errorf(`queries_shed_total{class="interactive"} = %v, want 1`, got)
 	}
 	waitQueueLen(t, a, 1) // the interactive waiter still holds its place
 	a.release()
@@ -387,8 +387,8 @@ func TestOverloadShedsFastAndExactly(t *testing.T) {
 			t.Fatalf("answer %d differs from answer 0", i)
 		}
 	}
-	if got := wb.Metrics().Snapshot().Counters["queries_shed_total"]; got != clients-16 {
-		t.Errorf("queries_shed_total = %d, want %d", got, clients-16)
+	if got := registryPage(t, wb.Metrics())["queries_shed_total"]; got != clients-16 {
+		t.Errorf("queries_shed_total = %v, want %v", got, clients-16)
 	}
 	// Exactly the 8 queued queries saw a positive admission wait, and
 	// queue time is not folded into execution time: a queued query's

@@ -77,26 +77,13 @@ func TestMetricsPageParsesBack(t *testing.T) {
 		t.Error("the LIMIT query pruned nothing")
 	}
 
-	snap := wb.Metrics().Snapshot()
-	listed := len(snap.Counters) + len(snap.Gauges)
-	for name, v := range snap.Counters {
-		if page[name] != float64(v) {
-			t.Errorf("%s: page %v, registry %d", name, page[name], v)
+	registry := registryPage(t, wb.Metrics())
+	for name, v := range registry {
+		if got, ok := page[name]; !ok || got != v {
+			t.Errorf("%s: page %v (listed %v), registry %v", name, got, ok, v)
 		}
 	}
-	for name, v := range snap.Gauges {
-		if page[name] != float64(v) {
-			t.Errorf("%s: page %v, registry %d", name, page[name], v)
-		}
-	}
-	for name, h := range snap.Histograms {
-		listed += len(h.Counts) + 2
-		if page[name+"_count"] != float64(h.Count) || page[name+"_sum"] != h.Sum {
-			t.Errorf("%s: page count %v sum %v, registry count %d sum %v",
-				name, page[name+"_count"], page[name+"_sum"], h.Count, h.Sum)
-		}
-	}
-	if len(page) != listed {
-		t.Errorf("the page lists %d series, the registry holds %d", len(page), listed)
+	if len(page) != len(registry) {
+		t.Errorf("the page lists %d series, the registry holds %d", len(page), len(registry))
 	}
 }

@@ -368,6 +368,21 @@ func fetchMetrics(t *testing.T, url string) map[string]float64 {
 	return page
 }
 
+// registryPage writes r's page, the one /metrics serves, and parses it
+// back as fetchMetrics does.
+func registryPage(t *testing.T, r *trace.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	page, err := trace.ParseText(b.String())
+	if err != nil {
+		t.Fatalf("the metrics page does not parse back: %v\n%s", err, b.String())
+	}
+	return page
+}
+
 // wantSeries fails the test for each series whose value on page is not
 // exactly want's.
 func wantSeries(t *testing.T, page, want map[string]float64) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -158,12 +159,12 @@ func TestStoreCorruptionModes(t *testing.T) {
 			if !IsCorrupt(err) {
 				t.Fatalf("corrupt read error = %v, want ErrCorrupt", err)
 			}
-			snap := reg.Snapshot()
-			if got := snap.Counters["store_corrupt_total"]; got != 1 {
-				t.Errorf("store_corrupt_total = %d, want 1", got)
+			snap := metricsPage(t, reg)
+			if got := snap["store_corrupt_total"]; got != 1 {
+				t.Errorf("store_corrupt_total = %v, want 1", got)
 			}
-			if got := snap.Counters[`store_corrupt_total{tier="pages"}`]; got != 1 {
-				t.Errorf(`store_corrupt_total{tier="pages"} = %d, want 1`, got)
+			if got := snap[`store_corrupt_total{tier="pages"}`]; got != 1 {
+				t.Errorf(`store_corrupt_total{tier="pages"} = %v, want 1`, got)
 			}
 			// Scan skips the bad record instead of failing the tier.
 			n := 0
@@ -193,8 +194,8 @@ func TestStoreWrongKeyRecord(t *testing.T) {
 	if !IsCorrupt(err) {
 		t.Fatalf("wrong-key read = %v, want ErrCorrupt", err)
 	}
-	if got := reg.Snapshot().Counters[`store_corrupt_total{tier="pages"}`]; got != 1 {
-		t.Errorf("corruption not counted: %d", got)
+	if got := metricsPage(t, reg)[`store_corrupt_total{tier="pages"}`]; got != 1 {
+		t.Errorf("corruption not counted: %v", got)
 	}
 }
 
@@ -218,8 +219,8 @@ func TestStoreTornWrite(t *testing.T) {
 	if !IsCorrupt(err) {
 		t.Fatalf("read after torn write = %v, want ErrCorrupt", err)
 	}
-	if got := reg.Snapshot().Counters[`store_corrupt_total{tier="health"}`]; got != 1 {
-		t.Errorf("torn write not counted as corruption: %d", got)
+	if got := metricsPage(t, reg)[`store_corrupt_total{tier="health"}`]; got != 1 {
+		t.Errorf("torn write not counted as corruption: %v", got)
 	}
 }
 
@@ -270,8 +271,8 @@ func TestStoreReadFaults(t *testing.T) {
 		if err := s.Put(TierPages, "k", 0, []byte("v")); err == nil {
 			t.Fatal("write fault not reported")
 		}
-		if got := reg.Snapshot().Counters[`store_write_failed_total{tier="pages"}`]; got != 1 {
-			t.Errorf("write failure not counted: %d", got)
+		if got := metricsPage(t, reg)[`store_write_failed_total{tier="pages"}`]; got != 1 {
+			t.Errorf("write failure not counted: %v", got)
 		}
 	})
 }
@@ -325,4 +326,19 @@ func TestStoreConcurrentReplace(t *testing.T) {
 	readers.Wait() // every read raced live replacements
 	close(stop)
 	writers.Wait()
+}
+
+// metricsPage writes r's metrics page and parses it back into series →
+// value; a page that does not parse back fails the test.
+func metricsPage(t *testing.T, r *trace.Registry) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	page, err := trace.ParseText(b.String())
+	if err != nil {
+		t.Fatalf("the metrics page does not parse back: %v\n%s", err, b.String())
+	}
+	return page
 }

@@ -29,17 +29,19 @@ func (r *Registry) WriteText(w io.Writer) error {
 			})
 			continue
 		}
-		h := r.hists[f.at].read(f)
+		h := &r.hists[f.at]
+		h.mu.Lock()
 		var cum int64
-		for i, n := range h.Counts {
+		for i, n := range h.counts {
 			cum += n
 			le := math.Inf(1)
-			if i < len(h.Bounds) {
-				le = h.Bounds[i]
+			if i < len(f.bounds) {
+				le = f.bounds[i]
 			}
 			b = fmt.Appendf(b, "%s_bucket{le=%q} %d\n", f.name, formatFloat(le), cum)
 		}
-		b = fmt.Appendf(b, "%s_sum %s\n%s_count %d\n", f.name, formatFloat(h.Sum), f.name, h.Count)
+		b = fmt.Appendf(b, "%s_sum %s\n%s_count %d\n", f.name, formatFloat(h.sum), f.name, h.n)
+		h.mu.Unlock()
 	}
 	_, err := w.Write(b)
 	return err

@@ -335,45 +335,3 @@ func (r *Registry) Counter(name string) *Series {
 	}
 	return found
 }
-
-// HistogramSnapshot is a histogram's state at snapshot time.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"` // per bucket, not cumulative; +Inf last
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
-}
-
-// Snapshot is a point-in-time copy of every series in a registry, keyed
-// by exposition name.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// Snapshot copies every series' current value.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for _, f := range families {
-		switch f.typ {
-		case "histogram":
-			s.Histograms[f.name] = r.hists[f.at].read(f)
-		case "gauge":
-			s.Gauges[f.name] = r.series[f.at].Value()
-		default:
-			r.eachSeries(f, func(name string, c *Series) { s.Counters[name] = c.Value() })
-		}
-	}
-	return s
-}
-
-func (h *histogram) read(f *family) HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistogramSnapshot{Bounds: slices.Clone(f.bounds), Counts: slices.Clone(h.counts), Sum: h.sum, Count: h.n}
-}

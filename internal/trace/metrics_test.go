@@ -94,8 +94,8 @@ func TestLabelledAddFeedsTotal(t *testing.T) {
 		t.Fatal("an open value resolved twice got two series")
 	}
 	alice.Add(3)
-	snap := r.Snapshot().Counters
-	for series, want := range map[string]int64{
+	_, snap := page(t, r)
+	for series, want := range map[string]float64{
 		"test_corrupt_total":                7,
 		`test_corrupt_total{tier="pages"}`:  1,
 		`test_corrupt_total{tier="open"}`:   2,
@@ -103,7 +103,7 @@ func TestLabelledAddFeedsTotal(t *testing.T) {
 		`test_tenant_total{tenant="alice"}`: 3,
 	} {
 		if snap[series] != want {
-			t.Errorf("%s = %d, want %d", series, snap[series], want)
+			t.Errorf("%s = %v, want %v", series, snap[series], want)
 		}
 	}
 	if _, ok := snap[`test_tenant_total{tenant="absent"}`]; ok {
@@ -115,10 +115,6 @@ func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	for _, v := range []float64{0, 1, 2, 7, 100} {
 		testPages.Observe(r, v)
-	}
-	s := r.Snapshot().Histograms["test_pages"]
-	if s.Count != 5 || s.Sum != 110 {
-		t.Fatalf("count=%d sum=%g", s.Count, s.Sum)
 	}
 	// Buckets: ≤1: {0,1}; (1,5]: {2}; (5,10]: {7}; overflow: {100}.
 	_, got := page(t, r)
@@ -166,8 +162,10 @@ func TestCounterNeverCreates(t *testing.T) {
 			r.Counter(name)
 		}()
 	}
-	if _, ok := r.Snapshot().Counters["test_undeclared_total"]; ok {
-		t.Error("a read created a series")
+	_, got := page(t, r)
+	_, fresh := page(t, NewRegistry())
+	if _, ok := got[`test_tenant_total{tenant="nobody"}`]; ok || len(got) != len(fresh) {
+		t.Errorf("a read created a series: %d series, a fresh registry %d", len(got), len(fresh))
 	}
 }
 

@@ -10,11 +10,13 @@ import (
 // gzipStream is the server's gzip writer (RFC 1952 around RFC 1951): greedy
 // LZ77 over the last 32 KiB written, coded with the fixed Huffman codes only.
 // compress/gzip's writer allocates and zeroes 795 KiB per stream whatever the
-// level, for a stream that carries a few KiB (DESIGN.md §8); this one grows
-// with the stream, to at most 64 KiB of history plus a 16 KiB hash table, and
-// pays for it in wire bytes: fixed codes are about a sixth larger here. The
-// hash table starts at half the history the first block encodes and grows as
-// the history passes eight times its entries.
+// level, for a stream that carries a few KiB (DESIGN.md §8); this one holds
+// at most 64 KiB of history plus a 16 KiB hash table, and pays for it in
+// wire bytes: fixed codes are about a sixth larger here. The hash table
+// starts at half the history the first block encodes and grows as the
+// history passes eight times its entries. Its buffers are lent: the server
+// keeps a stream's history, table and output buffer for the next stream,
+// and reset starts that stream on them with the bytes a new one would write.
 //
 // The contract is gzip.Writer's, as far as the server uses it: Write buffers,
 // Flush ends in the empty stored block 00 00 ff ff (the sync marker clients
@@ -26,7 +28,7 @@ type gzipStream struct {
 
 	hist  []byte  // at most the last 64 KiB written
 	enc   int     // hist[enc:] is not yet encoded
-	table []int32 // 4-byte hash → 1 + its last position in hist, 0 = none
+	table []int32 // 4-byte hash → 1 + its last position in hist, 0 = none; empty until the first block
 	shift uint    // 32 - log2(len(table)): a hash is its top bits
 	crc   uint32
 	size  uint32
@@ -61,10 +63,21 @@ var fixedLit = func() (t [288]uint32) {
 	return t
 }()
 
-// newGzipStream starts with the header compress/gzip writes when no name,
-// comment or time is set: deflate, no flags, mtime 0, OS unknown.
-func newGzipStream(w io.Writer) *gzipStream {
-	return &gzipStream{w: w, out: []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}}
+// gzipHeader is the header compress/gzip writes when no name, comment or
+// time is set: deflate, no flags, mtime 0, OS unknown.
+var gzipHeader = [...]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}
+
+// reset starts a new stream onto w, keeping the capacity of every buffer
+// an earlier stream left. What a stream writes depends only on what is
+// written to it: a kept table is cut to the size a new stream's would
+// have and cleared before its first block (sizeTable).
+func (z *gzipStream) reset(w io.Writer) {
+	*z = gzipStream{
+		w:     w,
+		hist:  z.hist[:0],
+		table: z.table[:0],
+		out:   append(z.out[:0], gzipHeader[:]...),
+	}
 }
 
 // Write appends p to the history; nothing reaches w before Flush or Close
@@ -160,12 +173,19 @@ func (z *gzipStream) block(final bool) {
 // sizeTable gives the table the largest power of two entries in half the
 // bytes held, up to 2^tableBits, when it has none or a quarter of that. A
 // new table holds the last encoded position of each hash, as the old one did.
+// It is carved from the table's own capacity when that is enough.
 func (z *gzipStream) sizeTable() {
 	n := uint(min(max(bits.Len(uint(len(z.hist)))-2, 0), tableBits))
-	if z.table != nil && n < 32-z.shift+2 {
+	if len(z.table) > 0 && n < 32-z.shift+2 {
 		return
 	}
-	z.table, z.shift = make([]int32, 1<<n), 32-n
+	if cap(z.table) >= 1<<n {
+		z.table = z.table[:1<<n]
+		clear(z.table)
+	} else {
+		z.table = make([]int32, 1<<n)
+	}
+	z.shift = 32 - n
 	h := z.hist
 	for i := 0; i < z.enc && i+minMatch <= len(h); i++ {
 		z.table[binary.LittleEndian.Uint32(h[i:])*0x1e35a7bd>>z.shift] = int32(i + 1)

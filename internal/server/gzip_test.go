@@ -227,12 +227,7 @@ func (f *flushRecorder) Flush()                      { f.flushes = append(f.flus
 // record runs one request against the handler and returns what it wrote.
 func record(t *testing.T, h http.Handler, query string, header map[string]string) *flushRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(query))
-	for k, v := range header {
-		req.Header.Set(k, v)
-	}
-	rec := &flushRecorder{header: make(http.Header)}
-	h.ServeHTTP(rec, req)
+	rec := serve(h, query, header)
 	if len(rec.flushes) == 0 {
 		t.Fatalf("stream never flushed (%d bytes)", rec.body.Len())
 	}
@@ -330,6 +325,13 @@ func TestGzipEveryEventFlushEndsInSyncMarker(t *testing.T) {
 	}
 }
 
+// freshGzipStream is a stream onto w that no earlier stream has used.
+func freshGzipStream(w io.Writer) *gzipStream {
+	z := new(gzipStream)
+	z.reset(w)
+	return z
+}
+
 // checkGzipStream writes each segment and flushes it: after every flush the
 // output ends in the sync marker and inflates to exactly what was written;
 // after Close it is a whole gzip stream, CRC and length checked by the
@@ -337,7 +339,7 @@ func TestGzipEveryEventFlushEndsInSyncMarker(t *testing.T) {
 func checkGzipStream(t *testing.T, segments [][]byte) {
 	t.Helper()
 	var out, want bytes.Buffer
-	z := newGzipStream(&out)
+	z := freshGzipStream(&out)
 	for i, seg := range segments {
 		if n, err := z.Write(seg); n != len(seg) || err != nil {
 			t.Fatalf("segment %d: Write = %d, %v", i, n, err)
@@ -374,6 +376,11 @@ func checkGzipStream(t *testing.T, segments [][]byte) {
 // back, so matches of every length, distances past the window and the
 // window slide all run.
 func TestGzipStreamRoundTrip(t *testing.T) {
+	checkGzipStream(t, seededSegments())
+}
+
+// seededSegments are TestGzipStreamRoundTrip's events.
+func seededSegments() [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	var all []byte
 	var segments [][]byte
@@ -400,7 +407,81 @@ func TestGzipStreamRoundTrip(t *testing.T) {
 		all = append(all, seg...)
 		segments = append(segments, seg)
 	}
-	checkGzipStream(t, segments)
+	return segments
+}
+
+// compressSegments resets z onto a new buffer, writes and flushes each
+// segment, closes the stream and returns what it wrote.
+func compressSegments(z *gzipStream, segments [][]byte) []byte {
+	var out bytes.Buffer
+	z.reset(&out)
+	for _, seg := range segments {
+		z.Write(seg)
+		z.Flush()
+	}
+	z.Close()
+	return out.Bytes()
+}
+
+// usedGzipStream is a stream that has been through everything a served
+// stream can leave behind: a 100 KiB write grew its table to the most
+// entries and slid its history past 64 KiB, a write to the response
+// failed, and it was closed after that.
+func usedGzipStream(t testing.TB) *gzipStream {
+	t.Helper()
+	rng := rand.New(rand.NewSource(2))
+	long := make([]byte, 100<<10)
+	for i := range long {
+		long[i] = "webbase NDJSON "[rng.Intn(15)]
+	}
+	z := freshGzipStream(&failWriter{ok: 2})
+	z.Write(long) // two slides, each writing the bytes it encodes
+	if err := z.Flush(); !errors.Is(err, errWire) {
+		t.Fatalf("Flush after the response failed = %v, want %v", err, errWire)
+	}
+	if err := z.Close(); !errors.Is(err, errWire) {
+		t.Fatalf("Close = %v, want %v", err, errWire)
+	}
+	if len(z.table) != 1<<tableBits || cap(z.hist) < 2*window || z.size != uint32(len(long)) {
+		t.Fatalf("the used stream has a table of %d entries, a history of capacity %d and %d bytes written; want %d, at least %d and %d",
+			len(z.table), cap(z.hist), z.size, 1<<tableBits, 2*window, len(long))
+	}
+	return z
+}
+
+// recordT1Events serves a T1 query and returns its events, one line each:
+// meta, two deliveries and the trailer.
+func recordT1Events(t *testing.T) [][]byte {
+	t.Helper()
+	ts, _ := newCarServer(t, core.Config{}, Config{})
+	rec := record(t, ts.Config.Handler, "SELECT Make, Model, Year, Price WHERE Make='ford' AND Model='escort'", nil)
+	events := bytes.SplitAfter(rec.body.Bytes(), []byte{'\n'})
+	events = events[:len(events)-1] // the empty tail after the last newline
+	if len(events) != 4 {
+		t.Fatalf("recorded %d events, want meta, two deliveries and the trailer", len(events))
+	}
+	return events
+}
+
+// TestLentGzipStreamMatchesFresh: a stream reset after any use writes
+// exactly the bytes a stream no one used writes, for a served T1 stream,
+// TestGzipStreamRoundTrip's events and an empty stream, one after another
+// on the same used stream.
+func TestLentGzipStreamMatchesFresh(t *testing.T) {
+	used := usedGzipStream(t)
+	for _, in := range []struct {
+		name     string
+		segments [][]byte
+	}{
+		{"T1 events", recordT1Events(t)},
+		{"seeded segments", seededSegments()},
+		{"empty stream", nil},
+	} {
+		fresh := compressSegments(new(gzipStream), in.segments)
+		if lent := compressSegments(used, in.segments); !bytes.Equal(lent, fresh) {
+			t.Errorf("%s: the reset stream writes %d bytes that differ from a fresh stream's %d", in.name, len(lent), len(fresh))
+		}
+	}
 }
 
 // FuzzGzipStream: any bytes, cut at any flush points. Each byte of cuts is
@@ -409,6 +490,7 @@ func FuzzGzipStream(f *testing.F) {
 	f.Add([]byte(`{"event":"meta","seq":0}`+"\n"+`{"event":"tuples","seq":1}`+"\n"), []byte{25})
 	f.Add(bytes.Repeat([]byte("abcd"), 300), []byte{0, 3, 255, 4})
 	f.Add([]byte{}, []byte{})
+	used := usedGzipStream(f) // and then by every input before this one
 	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		var segments [][]byte
 		for _, c := range cuts {
@@ -416,7 +498,12 @@ func FuzzGzipStream(f *testing.F) {
 			segments = append(segments, data[:n])
 			data = data[n:]
 		}
-		checkGzipStream(t, append(segments, data))
+		segments = append(segments, data)
+		checkGzipStream(t, segments)
+		fresh := compressSegments(new(gzipStream), segments)
+		if lent := compressSegments(used, segments); !bytes.Equal(lent, fresh) {
+			t.Fatalf("a reset stream writes %d bytes that differ from a fresh stream's %d", len(lent), len(fresh))
+		}
 	})
 }
 
@@ -440,7 +527,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 // nothing more is buffered.
 func TestGzipStreamWriteError(t *testing.T) {
 	w := &failWriter{ok: 1}
-	z := newGzipStream(w)
+	z := freshGzipStream(w)
 	z.Write([]byte("first event\n"))
 	if err := z.Flush(); err != nil {
 		t.Fatal(err)
@@ -466,8 +553,9 @@ func TestGzipStreamWriteError(t *testing.T) {
 }
 
 // TestGzipStreamAllocs is the ceiling on what compressing one served T1
-// stream (meta, two deliveries, trailer; one flush per event) may allocate:
-// 14 KiB, 12.5 measured, of which the history is 6.5 and the hash table,
+// stream (meta, two deliveries, trailer; one flush per event) on a new
+// compressor may allocate:
+// 14 KiB, 12.7 measured, of which the history is 6.5 and the hash table,
 // sized to the stream, 5. compress/gzip's writer allocates 795 KiB for the
 // same stream, almost all of it hash chains sized for any input (DESIGN.md
 // §8).
@@ -475,15 +563,9 @@ func TestGzipStreamAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	ts, _ := newCarServer(t, core.Config{}, Config{})
-	rec := record(t, ts.Config.Handler, "SELECT Make, Model, Year, Price WHERE Make='ford' AND Model='escort'", nil)
-	events := bytes.SplitAfter(rec.body.Bytes(), []byte{'\n'})
-	events = events[:len(events)-1] // the empty tail after the last newline
-	if len(events) != 4 {
-		t.Fatalf("recorded %d events, want meta, two deliveries and the trailer", len(events))
-	}
+	events := recordT1Events(t)
 	compress := func() {
-		z := newGzipStream(io.Discard)
+		z := freshGzipStream(io.Discard)
 		for _, ev := range events {
 			z.Write(ev)
 			z.Flush()
@@ -499,8 +581,41 @@ func TestGzipStreamAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	t.Logf("one T1 stream of %d bytes: %.1f KiB allocated to compress it (ceiling %d)", rec.body.Len(), kb, kbCeiling)
+	t.Logf("one T1 stream of %d bytes: %.1f KiB allocated to compress it (ceiling %d)", len(bytes.Join(events, nil)), kb, kbCeiling)
 	if kb > kbCeiling {
 		t.Errorf("compressing one T1 stream allocates %.1f KiB, ceiling %d", kb, kbCeiling)
+	}
+}
+
+// TestLentGzipStreamAllocs is the ceiling for the same T1 stream on a
+// stream the server lends: reset onto buffers an earlier stream sized, it
+// allocates nothing. The ceiling is 0 allocations and 0.5 KiB.
+func TestLentGzipStreamAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	events := recordT1Events(t)
+	z := new(gzipStream)
+	compress := func() {
+		z.reset(io.Discard)
+		for _, ev := range events {
+			z.Write(ev)
+			z.Flush()
+		}
+		z.Close()
+	}
+	const runs, kbCeiling = 50, 0.5
+	compress() // the first stream sizes the buffers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		compress()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	allocs := testing.AllocsPerRun(runs, compress)
+	t.Logf("one T1 stream on a lent compressor: %.2f KiB and %.1f allocations (ceilings %.1f and 0)", kb, allocs, kbCeiling)
+	if kb > kbCeiling || allocs > 0 {
+		t.Errorf("compressing one T1 stream on a lent compressor allocates %.2f KiB in %.1f allocations, ceilings %.1f KiB and 0", kb, allocs, kbCeiling)
 	}
 }

@@ -103,6 +103,7 @@ type Server struct {
 	maxBody   int64
 	keepalive time.Duration
 	reqSeq    atomic.Int64
+	codecs    codecs // lent to each response it encodes (stream.go)
 }
 
 // New validates cfg and assembles the server.
@@ -196,12 +197,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resumeFrom = resume.lastIndex
 	}
 
-	sw := newStreamWriter(w, rid, q.String(), q.Output, token, resumeFrom, gzipAccepted(r))
+	sw := newStreamWriter(w, &s.codecs, rid, q.String(), q.Output, token, resumeFrom, gzipAccepted(r))
 	// The ticker (if configured) is the one writer outside the gate's
 	// serialization; the terminal-event writers stop it themselves, and
-	// the defer covers the pre-stream envelope paths below.
+	// the defer covers the pre-stream envelope paths below. Then the
+	// stream gives back the codec it borrowed, if it started.
 	sw.startKeepalive(s.keepalive)
-	defer sw.stopKeepalive()
+	defer sw.end()
 	res, qs, err := s.queryAdmitted(r.Context(), tenant.Class, q, sw.writeDelivery)
 	if sw.broken != nil {
 		err = sw.broken // the stream already ended with it, where the delivery would have been
@@ -269,7 +271,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var body bytes.Buffer
 	s.sys.Metrics().WriteText(&body)
 	if gzipAccepted(r) {
-		writeGzipped(w, http.StatusOK, trace.TextContentType, body.Bytes())
+		writeGzipped(w, &s.codecs, http.StatusOK, trace.TextContentType, body.Bytes())
 		return
 	}
 	w.Header().Set("Content-Type", trace.TextContentType)

@@ -39,6 +39,17 @@ var apartmentsDomain = core.Domain{
 // world) and serves it over httptest.
 func newCarServer(t *testing.T, cfg core.Config, scfg Config) (*httptest.Server, *core.Webbase) {
 	t.Helper()
+	srv := newServer(t, cfg, scfg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, srv.sys
+}
+
+// newServer builds a usedcars webbase (default fetcher: the simulated
+// world) and the Server over it, for tests that drive its handler or read
+// its state.
+func newServer(t *testing.T, cfg core.Config, scfg Config) *Server {
+	t.Helper()
 	if cfg.Fetcher == nil {
 		cfg.Fetcher = sites.BuildWorld().Server
 	}
@@ -51,9 +62,7 @@ func newCarServer(t *testing.T, cfg core.Config, scfg Config) (*httptest.Server,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, wb
+	return srv
 }
 
 // postQuery POSTs a query body, optionally with an API key.

@@ -30,9 +30,10 @@ type streamWriter struct {
 	mu      sync.Mutex
 	w       http.ResponseWriter
 	flusher http.Flusher
-	gz      *gzipStream
-	out     io.Writer // the response, or gz over it once the stream starts
-	line    []byte    // the event being written, reused from one to the next
+	codecs  *codecs     // the server's, which lend the stream its codec
+	codec   *codec      // borrowed when the stream starts, given back by end
+	gz      *gzipStream // &codec.gz when the stream is compressed
+	out     io.Writer   // the response, or gz over it once the stream starts
 	meta    wire.Meta
 	started bool
 
@@ -46,18 +47,19 @@ type streamWriter struct {
 	kaDone chan struct{} // closes when the ticker goroutine has exited
 }
 
-func newStreamWriter(w http.ResponseWriter, rid, query string, schema []string, token string, resumeFrom int, useGzip bool) *streamWriter {
+func newStreamWriter(w http.ResponseWriter, cs *codecs, rid, query string, schema []string, token string, resumeFrom int, useGzip bool) *streamWriter {
 	f, _ := w.(http.Flusher)
 	return &streamWriter{
-		w: w, flusher: f, out: w,
+		w: w, flusher: f, out: w, codecs: cs,
 		meta:       wire.Meta{RequestID: rid, Query: query, Schema: schema, ResumeToken: token},
 		resumeFrom: resumeFrom,
 		useGzip:    useGzip,
 	}
 }
 
-// startLocked commits the response to a 200 NDJSON stream and encodes the
-// meta event (suppressed on a resume — the client has it). Idempotent;
+// startLocked commits the response to a 200 NDJSON stream, borrows the
+// stream's codec and encodes the meta event (suppressed on a resume — the
+// client has it). Idempotent;
 // called lazily by the first event so pre-stream failures can still use
 // a proper status code: meta is therefore always followed, under the same
 // hold of mu, by the event that caused the start, and rides out on that
@@ -74,23 +76,26 @@ func (sw *streamWriter) startLocked() {
 		sw.w.Header().Set("Vary", "Accept-Encoding")
 	}
 	sw.w.WriteHeader(http.StatusOK)
+	sw.codec = sw.codecs.borrow()
 	if sw.useGzip {
-		sw.gz = newGzipStream(sw.w)
+		sw.gz = &sw.codec.gz
+		sw.gz.reset(sw.w)
 		sw.out = sw.gz
 	}
 	if sw.resumeFrom >= 0 {
 		sw.skipped++ // the meta event, seq 0, already delivered originally
 		return
 	}
-	sw.writeLocked(wire.AppendMeta(sw.line[:0], sw.meta))
+	sw.writeLocked(wire.AppendMeta(sw.codec.line[:0], sw.meta))
 }
 
-// writeLocked ends line, which is sw.line appended to, with its newline
-// and writes it, keeping its buffer for the next. A failed write is not
-// reported: an aborted client surfaces in the request's context.
+// writeLocked ends line, which is the codec's line buffer appended to,
+// with its newline and writes it, keeping its buffer for the next. A
+// failed write is not reported: an aborted client surfaces in the
+// request's context.
 func (sw *streamWriter) writeLocked(line []byte) {
-	sw.line = append(line, '\n')
-	sw.out.Write(sw.line)
+	sw.codec.line = append(line, '\n')
+	sw.out.Write(sw.codec.line)
 }
 
 // emitLocked writes one line, unless appending it failed, and flushes.
@@ -144,7 +149,7 @@ func (sw *streamWriter) startKeepalive(interval time.Duration) {
 			case <-t.C:
 				sw.mu.Lock()
 				if sw.started && sw.broken == nil {
-					sw.emitLocked(wire.AppendKeepalive(sw.line[:0]), nil)
+					sw.emitLocked(wire.AppendKeepalive(sw.codec.line[:0]), nil)
 				}
 				sw.mu.Unlock()
 			}
@@ -163,6 +168,20 @@ func (sw *streamWriter) stopKeepalive() {
 	close(sw.kaStop)
 	<-sw.kaDone
 	sw.kaStop = nil
+}
+
+// end stops the keepalive ticker and gives the stream's codec back to the
+// server, if the stream started. handleQuery calls it once, as it returns:
+// the query has ended and the ticker has exited, so nothing writes to the
+// stream after it.
+func (sw *streamWriter) end() {
+	sw.stopKeepalive()
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.codec != nil {
+		sw.codecs.giveBack(sw.codec)
+		sw.codec, sw.gz = nil, nil
+	}
 }
 
 // writeDelivery ships one gate delivery as its wire event. Deliveries at
@@ -184,9 +203,9 @@ func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
 		sw.skipped++
 		return
 	}
-	if err := sw.emitLocked(wire.AppendDelivery(sw.line[:0], d)); err != nil {
+	if err := sw.emitLocked(wire.AppendDelivery(sw.codec.line[:0], d)); err != nil {
 		sw.broken = &codedError{wire.CodeInternal, fmt.Errorf("server: delivery %d cannot be encoded: %w", d.Seq, err)}
-		sw.emitLocked(wire.AppendError(sw.line[:0], d.Seq, errorBody(sw.meta.RequestID, sw.broken)), nil)
+		sw.emitLocked(wire.AppendError(sw.codec.line[:0], d.Seq, errorBody(sw.meta.RequestID, sw.broken)), nil)
 		sw.finishLocked()
 	}
 }
@@ -215,7 +234,7 @@ func (sw *streamWriter) writeTrailer(res *ur.Result, qs *core.QueryStats) {
 			Report:      res.Degradation.String(),
 		}
 	}
-	sw.emitLocked(wire.AppendTrailer(sw.line[:0], sw.lastSeq+1, tl))
+	sw.emitLocked(wire.AppendTrailer(sw.codec.line[:0], sw.lastSeq+1, tl))
 	sw.finishLocked()
 }
 
@@ -228,7 +247,7 @@ func (sw *streamWriter) writeErrorEvent(body wire.ErrorBody) {
 	if sw.broken != nil {
 		return
 	}
-	sw.emitLocked(wire.AppendError(sw.line[:0], sw.lastSeq+1, body), nil)
+	sw.emitLocked(wire.AppendError(sw.codec.line[:0], sw.lastSeq+1, body), nil)
 	sw.finishLocked()
 }
 
@@ -251,13 +270,84 @@ func gzipAccepted(r *http.Request) bool {
 	return false
 }
 
-// writeGzipped compresses one non-streaming response (GET /metrics).
-func writeGzipped(w http.ResponseWriter, status int, contentType string, body []byte) {
+// writeGzipped compresses one non-streaming response (GET /metrics) with
+// a codec borrowed from cs.
+func writeGzipped(w http.ResponseWriter, cs *codecs, status int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Set("Vary", "Accept-Encoding")
 	w.WriteHeader(status)
-	gz := newGzipStream(w)
-	gz.Write(body)
-	gz.Close()
+	c := cs.borrow()
+	defer cs.giveBack(c)
+	c.gz.reset(w)
+	c.gz.Write(body)
+	c.gz.Close()
+}
+
+// What a returned codec keeps for the next stream. An idle codec is live
+// heap, so what it keeps is bounded.
+const (
+	// keptCodecs is how many idle codecs wait for the next streams: as
+	// many as were open at once, up to this many.
+	keptCodecs = 8
+	// keptCodecBytes is the largest buffer, in bytes, a returned codec
+	// keeps; a longer one goes back to the collector. A T1 stream's
+	// buffers are at most about 5 KiB each, and a full table is 16 KiB.
+	keptCodecBytes = 16 << 10
+)
+
+// codec is what one response borrows from its server to encode itself: a
+// compressor and the NDJSON line buffer. Nothing a codec holds outlives
+// the response but the codec's own buffers.
+type codec struct {
+	gz   gzipStream
+	line []byte
+}
+
+// codecs holds a server's idle codecs, the last returned on top. Not a
+// sync.Pool, for the reason navcalc's scratches are not one (DESIGN.md
+// §18): under the race detector a pool drops what it is given at random,
+// and the allocations of two equal runs would no longer repeat.
+type codecs struct {
+	sync.Mutex
+	idle []*codec
+}
+
+// borrow returns an idle codec, or a new one when none is idle.
+func (cs *codecs) borrow() *codec {
+	cs.Lock()
+	defer cs.Unlock()
+	n := len(cs.idle)
+	if n == 0 {
+		return new(codec)
+	}
+	c := cs.idle[n-1]
+	cs.idle[n-1] = nil
+	cs.idle = cs.idle[:n-1]
+	return c
+}
+
+// giveBack drops c's response and every buffer of more than keptCodecBytes,
+// and keeps c idle unless keptCodecs already are. Nothing may write through
+// c after it.
+func (cs *codecs) giveBack(c *codec) {
+	z := &c.gz
+	z.w = nil
+	if cap(z.hist) > keptCodecBytes {
+		z.hist = nil
+	}
+	if 4*cap(z.table) > keptCodecBytes {
+		z.table = nil
+	}
+	if cap(z.out) > keptCodecBytes {
+		z.out = nil
+	}
+	if cap(c.line) > keptCodecBytes {
+		c.line = nil
+	}
+	cs.Lock()
+	defer cs.Unlock()
+	if len(cs.idle) < keptCodecs {
+		cs.idle = append(cs.idle, c)
+	}
 }

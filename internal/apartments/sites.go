@@ -1,11 +1,9 @@
 package apartments
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 
-	"webbase/internal/htmlkit"
+	"webbase/internal/sites"
 	"webbase/internal/web"
 )
 
@@ -23,165 +21,126 @@ const pageSize = 6
 // CityRentals builds the owner-classifieds site: home → link("Apartment
 // Classifieds") → form(borough mandatory select, bedrooms optional) →
 // paginated listings.
-func CityRentals(ds *Dataset) web.Site {
-	m := web.NewMux(CityRentalsHost)
-	base := "http://" + CityRentalsHost
+func CityRentals(ds *Dataset) web.Site { return cityRentals(ds).Web() }
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, page("CityRentals",
-			link("Apartment Classifieds", base+"/classifieds"))), nil
-	}))
-	m.Handle("/classifieds", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, page("Apartment Classifieds",
-			form("search", base+"/cgi/search", "get",
-				selectField("borough", Boroughs...),
-				textField("bedrooms")))), nil
-	}))
-	m.Handle("/cgi/search", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		borough := req.Param("borough")
-		if borough == "" {
-			return web.HTML(req.URL, page("Error", "<p>borough is required</p>")), nil
-		}
-		beds := -1
-		if b := req.Param("bedrooms"); b != "" {
-			if n, err := strconv.Atoi(b); err == nil {
-				beds = n
-			}
-		}
-		listings := ds.ByBorough(borough, beds)
-		pg := atoi(req.Param("page"))
-		start, end := bounds(len(listings), pg)
-		var rows strings.Builder
-		for _, l := range listings[start:end] {
-			fmt.Fprintf(&rows, "<tr><td>%s</td><td>%s</td><td>%d</td><td>$%d</td><td>%s</td></tr>\n",
-				l.Borough, l.Neighborhood, l.Bedrooms, l.Rent, l.Contact)
-		}
-		body := fmt.Sprintf(`<h1>Listings %d–%d of %d</h1>
-<table><tr><th>Borough</th><th>Neighborhood</th><th>Bedrooms</th><th>Rent</th><th>Contact</th></tr>
-%s</table>`, start+1, end, len(listings), rows.String())
-		if end < len(listings) {
-			body += fmt.Sprintf(`<a href="%s/cgi/search?borough=%s&bedrooms=%s&page=%d">More</a>`,
-				base, borough, req.Param("bedrooms"), pg+1)
-		}
-		return web.HTML(req.URL, page("Listings", body)), nil
-	}))
-	return m
+func cityRentals(ds *Dataset) sites.Site {
+	return sites.Site{Host: CityRentalsHost, Pages: map[string]sites.Page{
+		"/": &sites.Static{Title: "CityRentals", Links: []sites.Link{{Name: "Apartment Classifieds", Href: "/classifieds"}}},
+		"/classifieds": &sites.Static{Title: "Apartment Classifieds", Form: &sites.Form{Name: "search", Action: "/cgi/search", Method: "get",
+			Fields: []sites.Field{sites.SelectField("borough", Boroughs...), sites.TextField("bedrooms")}}},
+		"/cgi/search": &sites.Script[Listing]{Title: "Listings", Heading: "Listings {from}–{to} of {total}",
+			Inputs: []string{"borough", "bedrooms"}, Required: []string{"borough"}, Missing: "borough is required",
+			Rows:    func(in sites.Values) []Listing { return ds.ByBorough(in[0], bedrooms(in[1])) },
+			Columns: listingColumns(false), PageSize: pageSize},
+	}}
 }
 
 // AptFinder builds the broker site: a bedrooms radio group (mandatory, as
 // the map builder infers from the widget) plus a borough select, listings
 // carrying the broker Fee column.
-func AptFinder(ds *Dataset) web.Site {
-	m := web.NewMux(AptFinderHost)
-	base := "http://" + AptFinderHost
+func AptFinder(ds *Dataset) web.Site { return aptFinder(ds).Web() }
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, page("AptFinder",
-			form("finder", base+"/cgi/find", "post",
-				selectField("borough", Boroughs...),
-				radioField("bedrooms", "0", "1", "2", "3")))), nil
-	}))
-	m.Handle("/cgi/find", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		borough, bedsStr := req.Param("borough"), req.Param("bedrooms")
-		if borough == "" || bedsStr == "" {
-			return web.HTML(req.URL, page("Error", "<p>borough and bedrooms are required</p>")), nil
-		}
-		beds, _ := strconv.Atoi(bedsStr)
-		listings := ds.ByBorough(borough, beds)
-		pg := atoi(req.Param("page"))
-		start, end := bounds(len(listings), pg)
-		var rows strings.Builder
-		for _, l := range listings[start:end] {
-			fmt.Fprintf(&rows, "<tr><td>%s</td><td>%s</td><td>%d</td><td>$%d</td><td>$%d</td><td>%s</td></tr>\n",
-				l.Borough, l.Neighborhood, l.Bedrooms, l.Rent, l.Fee, l.Contact)
-		}
-		body := fmt.Sprintf(`<h1>Brokered listings %d–%d of %d</h1>
-<table><tr><th>Borough</th><th>Neighborhood</th><th>Bedrooms</th><th>Rent</th><th>Fee</th><th>Contact</th></tr>
-%s</table>`, start+1, end, len(listings), rows.String())
-		if end < len(listings) {
-			body += fmt.Sprintf(`<a href="%s/cgi/find?borough=%s&bedrooms=%d&page=%d">More</a>`,
-				base, borough, beds, pg+1)
-		}
-		return web.HTML(req.URL, page("Brokered Listings", body)), nil
-	}))
-	return m
+func aptFinder(ds *Dataset) sites.Site {
+	return sites.Site{Host: AptFinderHost, Pages: map[string]sites.Page{
+		"/": &sites.Static{Title: "AptFinder", Form: &sites.Form{Name: "finder", Action: "/cgi/find", Method: "post",
+			Fields: []sites.Field{sites.SelectField("borough", Boroughs...), sites.RadioField("bedrooms", "0", "1", "2", "3")}}},
+		"/cgi/find": &sites.Script[Listing]{Title: "Brokered Listings", Heading: "Brokered listings {from}–{to} of {total}",
+			Inputs: []string{"borough", "bedrooms"}, Required: []string{"borough", "bedrooms"},
+			Missing: "borough and bedrooms are required",
+			Rows:    func(in sites.Values) []Listing { return ds.ByBorough(in[0], bedrooms(in[1])) },
+			Columns: listingColumns(true), PageSize: pageSize},
+	}}
 }
 
 // RentIndex builds the rent-statistics reference: form(borough; bedrooms
 // optional) → median-rent table.
-func RentIndex() web.Site {
-	m := web.NewMux(RentIndexHost)
-	base := "http://" + RentIndexHost
+func RentIndex() web.Site { return rentIndex().Web() }
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, page("RentIndex",
-			link("Median Rents", base+"/medians"))), nil
-	}))
-	m.Handle("/medians", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		return web.HTML(req.URL, page("Median Rents",
-			form("medians", base+"/cgi/medians", "get",
-				selectField("borough", Boroughs...),
-				textField("bedrooms")))), nil
-	}))
-	m.Handle("/cgi/medians", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		borough := req.Param("borough")
-		if borough == "" {
-			return web.HTML(req.URL, page("Error", "<p>borough is required</p>")), nil
-		}
-		var rows strings.Builder
-		emit := func(beds int) {
-			fmt.Fprintf(&rows, "<tr><td>%s</td><td>%d</td><td>$%d</td></tr>\n",
-				borough, beds, MedianRent(borough, beds))
-		}
-		if b := req.Param("bedrooms"); b != "" {
-			if n, err := strconv.Atoi(b); err == nil {
-				emit(n)
-			}
-		} else {
-			for beds := 0; beds <= 3; beds++ {
-				emit(beds)
-			}
-		}
-		body := fmt.Sprintf(`<table><tr><th>Borough</th><th>Bedrooms</th><th>MedianRent</th></tr>%s</table>`, rows.String())
-		return web.HTML(req.URL, page("Medians", body)), nil
-	}))
-	return m
+func rentIndex() sites.Site {
+	return sites.Site{Host: RentIndexHost, Pages: map[string]sites.Page{
+		"/": &sites.Static{Title: "RentIndex", Links: []sites.Link{{Name: "Median Rents", Href: "/medians"}}},
+		"/medians": &sites.Static{Title: "Median Rents", Form: &sites.Form{Name: "medians", Action: "/cgi/medians", Method: "get",
+			Fields: []sites.Field{sites.SelectField("borough", Boroughs...), sites.TextField("bedrooms")}}},
+		"/cgi/medians": &sites.Script[[]string]{Title: "Medians",
+			Inputs: []string{"borough", "bedrooms"}, Required: []string{"borough"}, Missing: "borough is required",
+			Rows: func(in sites.Values) [][]string {
+				beds := []int{0, 1, 2, 3}
+				if b := bedrooms(in[1]); b >= 0 {
+					beds = []int{b}
+				}
+				var rows [][]string
+				for _, b := range beds {
+					rows = append(rows, []string{in[0], strconv.Itoa(b), "$" + strconv.Itoa(MedianRent(in[0], b))})
+				}
+				return rows
+			},
+			Columns: sites.StringColumns("Borough", "Bedrooms", "MedianRent")},
+	}}
 }
 
 // SafeStreets builds the neighborhood-safety reference: borough links
-// (link-defined attribute) → crime-rate table per neighborhood.
-func SafeStreets() web.Site {
-	m := web.NewMux(SafeStreetsHost)
-	base := "http://" + SafeStreetsHost
+// (link-defined attribute) → crime-rate table per neighborhood, and a 404
+// for an unknown borough.
+func SafeStreets() web.Site { return safeStreets().Web() }
 
-	m.Handle("/", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		var links strings.Builder
-		for _, b := range Boroughs {
-			fmt.Fprintf(&links, `<a href="%s/borough?b=%s">%s</a><br>`, base, b, b)
-		}
-		return web.HTML(req.URL, page("SafeStreets", links.String())), nil
-	}))
-	m.Handle("/borough", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		b := req.Param("b")
-		hoods, ok := Neighborhoods[b]
-		if !ok {
-			return web.NotFound(req.URL), nil
-		}
-		var rows strings.Builder
-		for _, h := range hoods {
-			fmt.Fprintf(&rows, "<tr><td>%s</td><td>%s</td><td>%d</td></tr>\n", b, h, CrimeRate(h))
-		}
-		body := fmt.Sprintf(`<table><tr><th>Borough</th><th>Neighborhood</th><th>CrimeRate</th></tr>%s</table>`, rows.String())
-		return web.HTML(req.URL, page("Safety: "+b, body)), nil
-	}))
-	return m
+func safeStreets() sites.Site {
+	var links []sites.Link
+	for _, b := range Boroughs {
+		links = append(links, sites.Link{Name: b, Href: "/borough?b=" + b})
+	}
+	return sites.Site{Host: SafeStreetsHost, Pages: map[string]sites.Page{
+		"/": &sites.Static{Title: "SafeStreets", Links: links},
+		"/borough": &sites.Script[[]string]{Title: "Safety: {b}",
+			Inputs: []string{"b"}, Required: []string{"b"}, Missing: "borough is required",
+			Detour: func(req *web.Request, _ string, in sites.Values) *web.Response {
+				if _, ok := Neighborhoods[in[0]]; !ok {
+					return web.NotFound(req.URL)
+				}
+				return nil
+			},
+			Rows: func(in sites.Values) [][]string {
+				var rows [][]string
+				for _, h := range Neighborhoods[in[0]] {
+					rows = append(rows, []string{in[0], h, strconv.Itoa(CrimeRate(h))})
+				}
+				return rows
+			},
+			Columns: sites.StringColumns("Borough", "Neighborhood", "CrimeRate")},
+	}}
 }
 
-// World bundles the apartment Web with its ground-truth datasets.
+// listingColumns are the columns of a listings page, with the broker's Fee
+// when fee is set.
+func listingColumns(fee bool) []sites.Column[Listing] {
+	cols := []sites.Column[Listing]{
+		{Name: "Borough", Cell: func(c sites.Cell, l Listing) { c.Text(l.Borough) }},
+		{Name: "Neighborhood", Cell: func(c sites.Cell, l Listing) { c.Text(l.Neighborhood) }},
+		{Name: "Bedrooms", Cell: func(c sites.Cell, l Listing) { c.Int(l.Bedrooms) }},
+		{Name: "Rent", Cell: func(c sites.Cell, l Listing) { c.Dollars(l.Rent) }},
+	}
+	if fee {
+		cols = append(cols, sites.Column[Listing]{Name: "Fee", Cell: func(c sites.Cell, l Listing) { c.Dollars(l.Fee) }})
+	}
+	return append(cols, sites.Column[Listing]{Name: "Contact", Cell: func(c sites.Cell, l Listing) { c.Text(l.Contact) }})
+}
+
+// bedrooms is a bedrooms field's count, and -1 (any) when it is not a
+// number.
+func bedrooms(s string) int {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// World bundles the apartment Web with its ground-truth datasets and its
+// sites' values.
 type World struct {
 	Server      *web.Server
 	CityRentals *Dataset
 	AptFinder   *Dataset
+	Sites       []sites.Site
 }
 
 // BuildWorld assembles the apartment-domain Web deterministically.
@@ -191,66 +150,9 @@ func BuildWorld() *World {
 		CityRentals: NewDataset(101, 500, false),
 		AptFinder:   NewDataset(102, 400, true),
 	}
-	w.Server.Register(CityRentals(w.CityRentals))
-	w.Server.Register(AptFinder(w.AptFinder))
-	w.Server.Register(RentIndex())
-	w.Server.Register(SafeStreets())
+	w.Sites = []sites.Site{cityRentals(w.CityRentals), aptFinder(w.AptFinder), rentIndex(), safeStreets()}
+	for _, s := range w.Sites {
+		w.Server.Register(s.Web())
+	}
 	return w
-}
-
-// Small HTML helpers (era-style markup, kept local to the domain).
-
-func page(title, body string) string {
-	return "<html><head><title>" + htmlkit.EscapeText(title) + "</title></head><body>\n" +
-		body + "\n<hr><a href=\"/about\">About</a> <a href=\"/help\">Help</a>\n</body></html>\n"
-}
-
-func link(name, href string) string {
-	return fmt.Sprintf(`<a href="%s">%s</a>`, htmlkit.EscapeAttr(href), htmlkit.EscapeText(name))
-}
-
-func form(name, action, method string, fields ...string) string {
-	return fmt.Sprintf(`<form name="%s" action="%s" method="%s">%s<input type="submit" value="Search"></form>`,
-		name, action, method, strings.Join(fields, ""))
-}
-
-func selectField(name string, options ...string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, `%s: <select name="%s">`, name, name)
-	for _, o := range options {
-		fmt.Fprintf(&sb, `<option value="%s">%s</option>`, o, o)
-	}
-	sb.WriteString("</select><br>")
-	return sb.String()
-}
-
-func textField(name string) string {
-	return fmt.Sprintf(`%s: <input type="text" name="%s"><br>`, name, name)
-}
-
-func radioField(name string, options ...string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s: ", name)
-	for _, o := range options {
-		fmt.Fprintf(&sb, `<input type="radio" name="%s" value="%s">%s `, name, o, o)
-	}
-	sb.WriteString("<br>")
-	return sb.String()
-}
-
-func atoi(s string) int {
-	n, _ := strconv.Atoi(s)
-	return n
-}
-
-func bounds(total, page int) (int, int) {
-	start := page * pageSize
-	if start > total {
-		start = total
-	}
-	end := start + pageSize
-	if end > total {
-		end = total
-	}
-	return start, end
 }

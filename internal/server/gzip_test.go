@@ -335,11 +335,16 @@ func freshGzipStream(w io.Writer) *gzipStream {
 // checkGzipStream writes each segment and flushes it: after every flush the
 // output ends in the sync marker and inflates to exactly what was written;
 // after Close it is a whole gzip stream, CRC and length checked by the
-// reader.
+// reader. One reader inflates the output as it grows, so each flush is
+// decoded once: it must hand back the segment before it reads past the
+// flush, which a decoder asking for bytes not yet written would fail with
+// an unexpected EOF.
 func checkGzipStream(t *testing.T, segments [][]byte) {
 	t.Helper()
 	var out, want bytes.Buffer
 	z := freshGzipStream(&out)
+	grown := &growingReader{buf: &out}
+	var zr *gzip.Reader
 	for i, seg := range segments {
 		if n, err := z.Write(seg); n != len(seg) || err != nil {
 			t.Fatalf("segment %d: Write = %d, %v", i, n, err)
@@ -351,14 +356,21 @@ func checkGzipStream(t *testing.T, segments [][]byte) {
 		if !bytes.HasSuffix(out.Bytes(), syncMarker) {
 			t.Fatalf("segment %d: flush does not end in the sync marker", i)
 		}
-		if got := inflate(t, out.Bytes()); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("segment %d: the output so far inflates to %d bytes, %d written", i, len(got), want.Len())
+		if zr == nil {
+			var err error
+			if zr, err = gzip.NewReader(grown); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make([]byte, len(seg))
+		if n, err := io.ReadFull(zr, got); err != nil || !bytes.Equal(got, seg) {
+			t.Fatalf("segment %d: the flushed output inflates to %d bytes of the %d written (%v), or to other bytes", i, n, len(seg), err)
 		}
 	}
 	if err := z.Close(); err != nil {
 		t.Fatal(err)
 	}
-	zr, err := gzip.NewReader(&out)
+	zr, err := gzip.NewReader(bytes.NewReader(out.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +381,31 @@ func checkGzipStream(t *testing.T, segments [][]byte) {
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("closed stream inflates to %d bytes, %d written", len(got), want.Len())
 	}
+}
+
+// growingReader reads buf as it grows, and reports io.EOF at what has been
+// written so far. It is a ByteReader, so compress/flate reads it a byte at
+// a time as it decodes and never reads ahead.
+type growingReader struct {
+	buf *bytes.Buffer
+	off int
+}
+
+func (g *growingReader) Read(p []byte) (int, error) {
+	if g.off == g.buf.Len() {
+		return 0, io.EOF
+	}
+	n := copy(p, g.buf.Bytes()[g.off:])
+	g.off += n
+	return n, nil
+}
+
+func (g *growingReader) ReadByte() (byte, error) {
+	if g.off == g.buf.Len() {
+		return 0, io.EOF
+	}
+	g.off++
+	return g.buf.Bytes()[g.off-1], nil
 }
 
 // TestGzipStreamRoundTrip: seeded random events of 0 to 100 KiB, each

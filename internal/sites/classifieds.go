@@ -1,10 +1,6 @@
 package sites
 
-import (
-	"strconv"
-
-	"webbase/internal/web"
-)
+import "webbase/internal/web"
 
 // Hosts of the newspaper classified sites.
 const (
@@ -17,102 +13,39 @@ const (
 // mandatory, model optional) → paginated data pages that carry the
 // Features column inline (the VPS relation nyTimes(Make, Model, Features,
 // Price, Contact) of Table 1).
-func NYTimes(ds *Dataset) web.Site {
-	m := web.NewMux(NYTimesHost)
-	const base = "http://" + NYTimesHost
-	makes := Makes()
+func NYTimes(ds *Dataset) web.Site { return nyTimes(ds).Web() }
 
-	m.Handle("/", staticPage("The New York Times", false, func(p *pageBuilder) {
-		p.heading("The New York Times")
-		p.link("Today's News", base, "/news")
-		p.link("Classifieds", base, "/classified")
-	}))
-	m.Handle("/news", fillerPage("Today's News", "All the news that's fit to print."))
-
-	m.Handle("/classified", staticPage("NYT Auto Classifieds", false, func(p *pageBuilder) {
-		p.heading("Automobile Classifieds")
-		p.form("search", base+"/cgi-bin/autosearch", "get",
-			selectField("make", makes...),
-			textField("model"))
-	}))
-
-	m.Handle("/cgi-bin/autosearch", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk, model := req.Param("make"), req.Param("model")
-		if mk == "" {
-			return errorPage(req, false, "make is required"), nil
-		}
-		ads := ds.ByMakeModel(mk, model)
-		page := atoiOr(req.Param("page"), 0)
-		start, end := pageBounds(len(ads), page)
-		return render(req.URL, "NYT Auto Search Results", false, func(p *pageBuilder) {
-			p.heading("Results ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
-			p.adTable([]string{"Make", "Model", "Year", "Features", "Price", "Contact"}, ads[start:end])
-			if end < len(ads) {
-				p.link("More", base, "/cgi-bin/autosearch?make=", mk, "&model=", model, "&page=", strconv.Itoa(page+1))
-			}
-		}), nil
-	}))
-
-	return m
+func nyTimes(ds *Dataset) Site {
+	return Site{Host: NYTimesHost, Pages: map[string]Page{
+		"/": &Static{Title: "The New York Times", Heading: "The New York Times",
+			Links: []Link{{"Today's News", "/news"}, {"Classifieds", "/classified"}}},
+		"/news": filler("Today's News", "All the news that's fit to print."),
+		"/classified": &Static{Title: "NYT Auto Classifieds", Heading: "Automobile Classifieds",
+			Form: makeModelForm("search", "/cgi-bin/autosearch", "get")},
+		"/cgi-bin/autosearch": &Script[*Ad]{Title: "NYT Auto Search Results", Heading: "Results {from}–{to} of {total}",
+			Inputs: []string{"make", "model"}, Required: []string{"make"}, Missing: "make is required",
+			Rows: byMakeModel(ds), Columns: adColumns("Make", "Model", "Year", "Features", "Price", "Contact"),
+			PageSize: AdPageSize},
+	}}
 }
 
 // NewYorkDaily builds the New York Daily News classifieds site: two link
 // hops to the search form, and deliberately sloppy markup (unclosed table
 // cells) so the lenient parser's recovery is exercised on a full site.
-func NewYorkDaily(ds *Dataset) web.Site {
-	m := web.NewMux(NewYorkDailyHost)
-	const base = "http://" + NewYorkDailyHost
-	makes := Makes()
+func NewYorkDaily(ds *Dataset) web.Site { return newYorkDaily(ds).Web() }
 
-	m.Handle("/", staticPage("NY Daily News", true, func(p *pageBuilder) {
-		p.heading("New York Daily News")
-		p.link("Sports Final", base, "/sports")
-		p.link("Auto Classifieds", base, "/autos")
-	}))
-	m.Handle("/sports", fillerPage("Sports Final", "Yanks win."))
-
-	m.Handle("/autos", staticPage("Auto Classifieds", true, func(p *pageBuilder) {
-		p.heading("Auto Classifieds")
-		p.text("Thousands of cars in the five boroughs.")
-		p.link("Search Used Cars", base, "/autos/search")
-	}))
-
-	m.Handle("/autos/search", staticPage("Used Car Search", true, func(p *pageBuilder) {
-		p.form("carsearch", base+"/cgi-bin/cars.cgi", "post",
-			selectField("make", makes...))
-	}))
-
-	m.Handle("/cgi-bin/cars.cgi", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		if mk == "" {
-			return errorPage(req, true, "make is required"), nil
-		}
-		ads := ds.ByMake(mk)
-		page := atoiOr(req.Param("page"), 0)
-		start, end := pageBounds(len(ads), page)
-		heading := "Used cars: " + titleCase(mk)
-		return render(req.URL, "Used Cars", true, func(p *pageBuilder) {
-			p.heading(heading)
-			p.adTable([]string{"Make", "Model", "Year", "Price", "Contact"}, ads[start:end])
-			if end < len(ads) {
-				p.link("More", base, "/cgi-bin/cars.cgi?make=", mk, "&page=", strconv.Itoa(page+1))
-			}
-		}), nil
-	}))
-
-	return m
-}
-
-// pageBounds clamps the [start, end) slice bounds for page n of a result
-// list paginated at AdPageSize.
-func pageBounds(total, page int) (start, end int) {
-	start = page * AdPageSize
-	if start > total {
-		start = total
-	}
-	end = start + AdPageSize
-	if end > total {
-		end = total
-	}
-	return start, end
+func newYorkDaily(ds *Dataset) Site {
+	return Site{Host: NewYorkDailyHost, Pages: map[string]Page{
+		"/": &Static{Sloppy: true, Title: "NY Daily News", Heading: "New York Daily News",
+			Links: []Link{{"Sports Final", "/sports"}, {"Auto Classifieds", "/autos"}}},
+		"/sports": filler("Sports Final", "Yanks win."),
+		"/autos": &Static{Sloppy: true, Title: "Auto Classifieds", Heading: "Auto Classifieds",
+			Text: "Thousands of cars in the five boroughs.", Links: []Link{{"Search Used Cars", "/autos/search"}}},
+		"/autos/search": &Static{Sloppy: true, Title: "Used Car Search",
+			Form: &Form{Name: "carsearch", Action: "/cgi-bin/cars.cgi", Method: "post", Fields: []Field{SelectField("make", Makes()...)}}},
+		"/cgi-bin/cars.cgi": &Script[*Ad]{Sloppy: true, Title: "Used Cars", Heading: "Used cars: {Make}",
+			Inputs: []string{"make"}, Required: []string{"make"}, Missing: "make is required",
+			Rows:    func(in Values) []*Ad { return ds.ByMake(in[0]) },
+			Columns: adColumns("Make", "Model", "Year", "Price", "Contact"), PageSize: AdPageSize},
+	}}
 }

@@ -2,7 +2,15 @@
 // evaluation ran against: the ten sites of the Section 7 timing table
 // (AutoWeb, WWWheels, NYTimes, CarReviews, NewYorkDaily, CarAndDriver,
 // AutoConnect, Newsday, YahooCars, Kelly's) plus CarPoint and CarFinance
-// from Table 1.
+// from Table 1, and the generated dealers of ScaledWorld.
+//
+// Each site is a value (Site): its pages' titles, headings, text, links and
+// forms, and for each CGI script the inputs it reads and requires, the
+// rows it answers them with, its columns, page size and "More" link. The
+// same value renders the pages and states what the site publishes
+// (Result.Published). The few pages that fit neither are Code inside the
+// value. The internal/apartments domain builds its sites from the same
+// types.
 //
 // Every site is deterministic: its pages are generated from seeded
 // synthetic datasets, so experiments are reproducible. The navigational
@@ -162,6 +170,32 @@ var featurePool = []string{
 
 var conditions = []string{"excellent", "good", "fair"}
 
+// adColumns are the columns of a table of ads named names, each showing
+// the ad's field of that name.
+func adColumns(names ...string) []Column[*Ad] {
+	cols := make([]Column[*Ad], len(names))
+	for i, name := range names {
+		cell, ok := adCells[name]
+		if !ok {
+			panic("sites: an ad has no column " + name)
+		}
+		cols[i] = Column[*Ad]{Name: name, Cell: cell}
+	}
+	return cols
+}
+
+var adCells = map[string]func(c Cell, a *Ad){
+	"Make":      func(c Cell, a *Ad) { c.Text(a.Make) },
+	"Model":     func(c Cell, a *Ad) { c.Text(a.Model) },
+	"Year":      func(c Cell, a *Ad) { c.Int(a.Year) },
+	"Price":     func(c Cell, a *Ad) { c.Dollars(a.Price) },
+	"Contact":   func(c Cell, a *Ad) { c.Text(a.Contact) },
+	"ZipCode":   func(c Cell, a *Ad) { c.Text(a.Zip) },
+	"Features":  func(c Cell, a *Ad) { c.Text(a.Features) },
+	"Picture":   func(c Cell, a *Ad) { c.Text(a.Picture) },
+	"Condition": func(c Cell, a *Ad) { c.Text(a.Condition) },
+}
+
 // Dataset is a deterministic collection of ads backing one site.
 type Dataset struct {
 	Ads []Ad
@@ -239,19 +273,24 @@ func (d *Dataset) ByMakeModel(mk, model string) []*Ad {
 // filter returns the ads keep keeps, in dataset order. The result points
 // into the dataset, and is counted first so it is allocated once.
 func (d *Dataset) filter(keep func(a *Ad) bool) []*Ad {
-	n := 0
-	for i := range d.Ads {
-		if keep(&d.Ads[i]) {
-			n++
-		}
-	}
-	out := make([]*Ad, 0, n)
+	out := make([]*Ad, 0, d.count(keep))
 	for i := range d.Ads {
 		if keep(&d.Ads[i]) {
 			out = append(out, &d.Ads[i])
 		}
 	}
 	return out
+}
+
+// count is the number of ads keep keeps.
+func (d *Dataset) count(keep func(a *Ad) bool) int {
+	n := 0
+	for i := range d.Ads {
+		if keep(&d.Ads[i]) {
+			n++
+		}
+	}
+	return n
 }
 
 // Find returns the ad with the given id, or nil.

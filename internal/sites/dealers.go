@@ -2,7 +2,6 @@ package sites
 
 import (
 	"slices"
-	"strconv"
 
 	"webbase/internal/web"
 )
@@ -18,206 +17,160 @@ const (
 
 // dealerCols is the column set of the dealer data pages: the VPS relations
 // carPoint/autoWeb(Car, Price, Features, ZipCode, Contact) of Table 1.
-var dealerCols = []string{"Make", "Model", "Year", "Price", "Features", "ZipCode", "Contact"}
+var dealerCols = adColumns("Make", "Model", "Year", "Price", "Features", "ZipCode", "Contact")
 
 // CarPoint builds the CarPoint dealer site: a single search form taking
 // make (mandatory), model and zipcode (optional) straight on the home
 // page, answering with one paginated listing.
-func CarPoint(ds *Dataset) web.Site {
-	m := web.NewMux(CarPointHost)
-	const base = "http://" + CarPointHost
-	makes := Makes()
+func CarPoint(ds *Dataset) web.Site { return carPoint(ds).Web() }
 
-	m.Handle("/", staticPage("CarPoint", false, func(p *pageBuilder) {
-		p.heading("CarPoint Dealer Network")
-		p.form("finder", base+"/cgi-bin/find", "get",
-			selectField("make", makes...),
-			textField("model"),
-			textField("zipcode"))
-	}))
-
-	m.Handle("/cgi-bin/find", dealerSearch(ds, base+"/cgi-bin/find", false))
-	return m
+func carPoint(ds *Dataset) Site {
+	return Site{Host: CarPointHost, Pages: map[string]Page{
+		"/": &Static{Title: "CarPoint", Heading: "CarPoint Dealer Network",
+			Form: &Form{Name: "finder", Action: "/cgi-bin/find", Method: "get",
+				Fields: []Field{SelectField("make", Makes()...), TextField("model"), TextField("zipcode")}}},
+		"/cgi-bin/find": dealerSearch(ds),
+	}}
 }
 
 // AutoWeb builds the AutoWeb dealer site: a two-form drill-down — first
 // pick the make, then on a second dynamically generated page pick the
 // model (the second form is itself produced by a CGI script, one of the
 // difficulties the paper's introduction highlights).
-func AutoWeb(ds *Dataset) web.Site {
-	m := web.NewMux(AutoWebHost)
-	const base = "http://" + AutoWebHost
-	makes := Makes()
+func AutoWeb(ds *Dataset) web.Site { return autoWeb(ds).Web() }
 
-	m.Handle("/", staticPage("AutoWeb", false, func(p *pageBuilder) {
-		p.heading("AutoWeb")
-		p.link("Used Car Search", base, "/used")
-	}))
-
-	m.Handle("/used", staticPage("AutoWeb Used Cars", false, func(p *pageBuilder) {
-		p.form("pickmake", base+"/cgi-bin/models", "post",
-			selectField("make", makes...))
-	}))
-
-	m.Handle("/cgi-bin/models", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		if mk == "" {
-			return errorPage(req, false, "make is required"), nil
-		}
-		// Dynamically generated second form whose model domain depends on
-		// the previous input.
-		heading := "Models of " + titleCase(mk) + " in stock"
-		models := ds.ModelsOf(mk)
-		return render(req.URL, "AutoWeb: Pick a Model", false, func(p *pageBuilder) {
-			p.heading(heading)
-			p.form("pickmodel", base+"/cgi-bin/stock", "post",
-				hiddenField("make", mk),
-				selectField("model", models...))
-		}), nil
-	}))
-
-	m.Handle("/cgi-bin/stock", dealerSearch(ds, base+"/cgi-bin/stock", false))
-	return m
+func autoWeb(ds *Dataset) Site {
+	return Site{Host: AutoWebHost, Pages: map[string]Page{
+		"/": &Static{Title: "AutoWeb", Heading: "AutoWeb", Links: []Link{{"Used Car Search", "/used"}}},
+		"/used": &Static{Title: "AutoWeb Used Cars",
+			Form: &Form{Name: "pickmake", Action: "/cgi-bin/models", Method: "post", Fields: []Field{SelectField("make", Makes()...)}}},
+		// Code: the form's model domain is read off the stock of the make.
+		"/cgi-bin/models": Code(func(req *web.Request, base string) *web.Response {
+			mk := req.Param("make")
+			if mk == "" {
+				return errorPage(req, false, "make is required")
+			}
+			models := ds.ModelsOf(mk)
+			f := fill{inputs: makeInput, in: &Values{mk}}
+			return render(req.URL, "AutoWeb: Pick a Model", false, nil, func(p *pageBuilder) {
+				p.heading("Models of {Make} in stock", &f)
+				p.form(&Form{Name: "pickmodel", Action: "/cgi-bin/stock", Method: "post",
+					Fields: []Field{HiddenField("make", mk), SelectField("model", models...)}}, base)
+			})
+		}),
+		"/cgi-bin/stock": dealerSearch(ds),
+	}}
 }
 
 // WWWheels builds the WWWheels site: the simplest dealer — one form on the
-// home page and a single unpaginated (and sloppily marked-up) data page.
-func WWWheels(ds *Dataset) web.Site {
-	m := web.NewMux(WWWheelsHost)
-	const base = "http://" + WWWheelsHost
-	makes := Makes()
+// home page and a single unpaginated (and sloppily marked-up) data page,
+// wrapped in a layout table (sidebar + content), the typical 1990s
+// construction that forces extractors to keep nested tables apart.
+func WWWheels(ds *Dataset) web.Site { return wwWheels(ds).Web() }
 
-	m.Handle("/", staticPage("WWWheels", true, func(p *pageBuilder) {
-		p.heading("WWWheels — wheels on the World Wide Web")
-		p.form("q", base+"/cgi-bin/q", "get",
-			selectField("make", makes...),
-			textField("model"))
-	}))
-
-	m.Handle("/cgi-bin/q", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		if mk == "" {
-			return errorPage(req, true, "make is required"), nil
-		}
-		ads := ds.ByMakeModel(mk, req.Param("model"))
-		// WWWheels wraps its results in a layout table (sidebar + content),
-		// the typical 1990s construction that forces extractors to keep
-		// nested tables apart.
-		return render(req.URL, "WWWheels Results", true, func(p *pageBuilder) {
-			p.heading(strconv.Itoa(len(ads)), " cars found")
-			p.layoutOpen()
-			p.adTable(dealerCols, ads)
-			p.layoutClose()
-		}), nil
-	}))
-	return m
+func wwWheels(ds *Dataset) Site {
+	return Site{Host: WWWheelsHost, Pages: map[string]Page{
+		"/": &Static{Sloppy: true, Title: "WWWheels", Heading: "WWWheels — wheels on the World Wide Web",
+			Form: makeModelForm("q", "/cgi-bin/q", "get")},
+		"/cgi-bin/q": &Script[*Ad]{Sloppy: true, Layout: true, Title: "WWWheels Results", Heading: "{total} cars found",
+			Inputs: []string{"make", "model"}, Required: []string{"make"}, Missing: "make is required",
+			Rows: byMakeModel(ds), Columns: dealerCols},
+	}}
 }
 
 // AutoConnect builds the AutoConnect site: its search form uses a radio
 // group for condition — the widget from which the map builder infers a
 // mandatory attribute (Section 7).
-func AutoConnect(ds *Dataset) web.Site {
-	m := web.NewMux(AutoConnectHost)
-	const base = "http://" + AutoConnectHost
-	makes := Makes()
+func AutoConnect(ds *Dataset) web.Site { return autoConnect(ds).Web() }
 
-	m.Handle("/", staticPage("AutoConnect", false, func(p *pageBuilder) {
-		p.heading("AutoConnect")
-		p.link("Find a Car", base, "/find")
-	}))
-
-	m.Handle("/find", staticPage("AutoConnect Finder", false, func(p *pageBuilder) {
-		p.form("finder", base+"/cgi-bin/inv", "post",
-			selectField("make", makes...),
-			textField("model"),
-			radioField("condition", "excellent", "good", "fair"))
-	}))
-
-	m.Handle("/cgi-bin/inv", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk, model, cond := req.Param("make"), req.Param("model"), req.Param("condition")
-		if mk == "" || cond == "" {
-			return errorPage(req, false, "make and condition are required"), nil
-		}
-		ads := slices.DeleteFunc(ds.ByMakeModel(mk, model), func(a *Ad) bool { return a.Condition != cond })
-		page := atoiOr(req.Param("page"), 0)
-		start, end := pageBounds(len(ads), page)
-		return render(req.URL, "AutoConnect Inventory", false, func(p *pageBuilder) {
-			p.heading("Inventory ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
-			p.adTable([]string{"Make", "Model", "Year", "Condition", "Price", "ZipCode", "Contact"}, ads[start:end])
-			if end < len(ads) {
-				p.link("More", base, "/cgi-bin/inv?make=", mk, "&model=", model, "&condition=", cond, "&page=", strconv.Itoa(page+1))
-			}
-		}), nil
-	}))
-	return m
+func autoConnect(ds *Dataset) Site {
+	form := makeModelForm("finder", "/cgi-bin/inv", "post")
+	form.Fields = append(form.Fields, RadioField("condition", conditions...))
+	return Site{Host: AutoConnectHost, Pages: map[string]Page{
+		"/":     &Static{Title: "AutoConnect", Heading: "AutoConnect", Links: []Link{{"Find a Car", "/find"}}},
+		"/find": &Static{Title: "AutoConnect Finder", Form: form},
+		"/cgi-bin/inv": &Script[*Ad]{Title: "AutoConnect Inventory", Heading: "Inventory {from}–{to} of {total}",
+			Inputs: []string{"make", "model", "condition"}, Required: []string{"make", "condition"},
+			Missing: "make and condition are required",
+			Rows: func(in Values) []*Ad {
+				return slices.DeleteFunc(ds.ByMakeModel(in[0], in[1]), func(a *Ad) bool { return a.Condition != in[2] })
+			},
+			Columns:  adColumns("Make", "Model", "Year", "Condition", "Price", "ZipCode", "Contact"),
+			PageSize: AdPageSize},
+	}}
 }
 
 // YahooCars builds the Yahoo! Cars directory site: no forms at all — makes
 // and models are "attributes implicitly defined through a set of links"
 // (Section 7), so navigation picks links by name rather than filling
 // fields.
-func YahooCars(ds *Dataset) web.Site {
-	m := web.NewMux(YahooCarsHost)
-	const base = "http://" + YahooCarsHost
-	makes := Makes()
+func YahooCars(ds *Dataset) web.Site { return yahooCars(ds).Web() }
 
-	m.Handle("/", staticPage("Yahoo! Cars", false, func(p *pageBuilder) {
-		p.heading("Browse by Make")
-		for _, mk := range makes {
-			p.link(mk, base, "/make?make=", mk)
-		}
-	}))
-
-	m.Handle("/make", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		models := ds.ModelsOf(mk)
-		if len(models) == 0 {
-			return web.NotFound(req.URL), nil
-		}
-		return render(req.URL, "Yahoo! Cars: "+titleCase(mk), false, func(p *pageBuilder) {
-			p.heading("Browse by Model")
-			for _, md := range models {
-				p.link(md, base, "/listing?make=", mk, "&model=", md)
-			}
-		}), nil
-	}))
-
-	m.Handle("/listing", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk, model := req.Param("make"), req.Param("model")
-		ads := ds.ByMakeModel(mk, model)
-		page := atoiOr(req.Param("page"), 0)
-		start, end := pageBounds(len(ads), page)
-		return render(req.URL, "Yahoo! Cars Listing", false, func(p *pageBuilder) {
-			p.heading("Listings ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
-			p.adTable(dealerCols, ads[start:end])
-			if end < len(ads) {
-				p.link("More", base, "/listing?make=", mk, "&model=", model, "&page=", strconv.Itoa(page+1))
-			}
-		}), nil
-	}))
-	return m
+func yahooCars(ds *Dataset) Site {
+	return Site{Host: YahooCarsHost, Pages: map[string]Page{
+		"/":     &Static{Title: "Yahoo! Cars", Heading: "Browse by Make", Links: makeLinks("/make?make=")},
+		"/make": directory("Yahoo! Cars: {Make}", "Browse by Model", "/listing", ds.ModelsOf),
+		"/listing": &Script[*Ad]{Title: "Yahoo! Cars Listing", Heading: "Listings {from}–{to} of {total}",
+			Inputs: []string{"make", "model"}, Rows: byMakeModel(ds), Columns: dealerCols, PageSize: AdPageSize},
+	}}
 }
 
-// dealerSearch returns the shared CGI handler of the simple dealer sites:
-// filter by make/model (and zipcode when given) and paginate.
-func dealerSearch(ds *Dataset, action string, sloppy bool) web.FetcherFunc {
-	return func(req *web.Request) (*web.Response, error) {
-		mk, model, zip := req.Param("make"), req.Param("model"), req.Param("zipcode")
-		if mk == "" {
-			return errorPage(req, sloppy, "make is required"), nil
-		}
-		ads := ds.ByMakeModel(mk, model)
-		if zip != "" {
-			ads = slices.DeleteFunc(ads, func(a *Ad) bool { return a.Zip != zip })
-		}
-		page := atoiOr(req.Param("page"), 0)
-		start, end := pageBounds(len(ads), page)
-		return render(req.URL, "Dealer Search Results", sloppy, func(p *pageBuilder) {
-			p.heading("Results ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
-			p.adTable(dealerCols, ads[start:end])
-			if end < len(ads) {
-				p.link("More", action, "?make=", mk, "&model=", model, "&zipcode=", zip, "&page=", strconv.Itoa(page+1))
+// dealerSearch is the search script of the simple dealer sites: by make,
+// model and, when given, zip code, paginated.
+func dealerSearch(ds *Dataset) *Script[*Ad] {
+	return &Script[*Ad]{Title: "Dealer Search Results", Heading: "Results {from}–{to} of {total}",
+		Inputs: []string{"make", "model", "zipcode"}, Required: []string{"make"}, Missing: "make is required",
+		Rows: func(in Values) []*Ad {
+			ads := ds.ByMakeModel(in[0], in[1])
+			if in[2] != "" {
+				ads = slices.DeleteFunc(ads, func(a *Ad) bool { return a.Zip != in[2] })
 			}
-		}), nil
+			return ads
+		},
+		Columns: dealerCols, PageSize: AdPageSize}
+}
+
+// byMakeModel is the rows of a script whose first two inputs are make and
+// model.
+func byMakeModel(ds *Dataset) func(in Values) []*Ad {
+	return func(in Values) []*Ad { return ds.ByMakeModel(in[0], in[1]) }
+}
+
+// makeInput names the one input of the templates of code pages about a
+// make.
+var makeInput = []string{"make"}
+
+// makeModelForm is a search form picking a make and typing a model.
+func makeModelForm(name, action, method string) *Form {
+	return &Form{Name: name, Action: action, Method: method,
+		Fields: []Field{SelectField("make", Makes()...), TextField("model")}}
+}
+
+// makeLinks is a link per make, named after it, to href followed by it.
+func makeLinks(href string) []Link {
+	var links []Link
+	for _, mk := range Makes() {
+		links = append(links, Link{mk, href + mk})
+	}
+	return links
+}
+
+// directory is a make's page of links, one per model of models(make), to
+// path?make=…&model=…, and a 404 for a make without models; its title is
+// a template of the make. Code: its links are read off the request.
+func directory(title, heading, path string, models func(mk string) []string) Code {
+	return func(req *web.Request, base string) *web.Response {
+		mk := req.Param("make")
+		mds := models(mk)
+		if len(mds) == 0 {
+			return web.NotFound(req.URL)
+		}
+		f := fill{inputs: makeInput, in: &Values{mk}}
+		return render(req.URL, title, false, &f, func(p *pageBuilder) {
+			p.heading(heading, nil)
+			for _, md := range mds {
+				p.link(md, base, path, "?make=", mk, "&model=", md)
+			}
+		})
 	}
 }

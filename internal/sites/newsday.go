@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"webbase/internal/web"
 )
@@ -30,113 +31,96 @@ const TooManyMatches = 2 * AdPageSize
 //	                  "Car Features" links) or, when too many ads match,
 //	                  a page with form f2(model, featrs)
 //	/features         newsdayCarFeatures data page for one ad
-func Newsday(ds *Dataset) web.Site {
-	m := web.NewMux(NewsdayHost)
-	const base = "http://" + NewsdayHost
-	makes := Makes()
+func Newsday(ds *Dataset) web.Site { return newsday(ds).Web() }
 
-	m.Handle("/", staticPage("Newsday Online", false, func(p *pageBuilder) {
-		p.heading("Newsday")
-		p.link("Long Island News", base, "/news")
-		p.link("Automobiles", base, "/auto")
-		p.link("Collectible Cars", base, "/collectibles")
-		p.link("Sport Utility", base, "/suv")
-	}))
-
-	m.Handle("/news", fillerPage("Long Island News", "Nothing to see here.")) // filler section
-	m.Handle("/collectibles", carListPage("Collectible Cars", ds, func(a *Ad) bool { return a.Year < 1990 }))
-	m.Handle("/suv", carListPage("Sport Utility", ds, func(a *Ad) bool { return a.Model == "explorer" || a.Model == "suburban" }))
-
-	m.Handle("/auto", staticPage("Newsday Used Car Classifieds", false, func(p *pageBuilder) {
-		p.heading("Used Car Classifieds")
-		p.text("Select a make to search Long Island and New York City ads.")
-		p.form("f1", base+"/cgi-bin/nclassy", "post",
-			selectField("make", makes...))
-	}))
-
-	m.Handle("/cgi-bin/nclassy", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk, model, featrs := req.Param("make"), req.Param("model"), req.Param("featrs")
-		if mk == "" {
-			return errorPage(req, false, "make is required"), nil
-		}
-		ads := ds.ByMakeModel(mk, model)
-		// Figure 2's branch: too many matches without a model → ask the
-		// user to narrow via form f2 (model and desired features). The
-		// hidden refined flag marks the second round: resubmitting f2
-		// without picking a model means "all models" and yields data —
-		// "the length of the sequence is not fixed; it is usually one or
-		// two" (Section 4).
-		if model == "" && req.Param("refined") == "" && len(ads) > TooManyMatches {
-			heading := strconv.Itoa(len(ads)) + " ads match " + strconv.Quote(mk) + " — narrow your search"
-			models := ds.ModelsOf(mk)
-			return render(req.URL, "Newsday: Narrow Your Search", false, func(p *pageBuilder) {
-				p.heading(heading)
-				p.form("f2", base+"/cgi-bin/nclassy", "post",
-					hiddenField("make", mk),
-					hiddenField("refined", "1"),
-					selectField("model", models...),
-					textField("featrs"))
-			}), nil
-		}
-		if featrs != "" {
-			ads = filterFeatures(ads, featrs)
-		}
-		page := atoiOr(req.Param("page"), 0)
-		start, end := pageBounds(len(ads), page)
-		// A data page: per-ad "Car Features" links, and a "More" link while
-		// further pages remain (the link(more) self-loop of Figure 2).
-		return render(req.URL, "Newsday Used Car Listings", false, func(p *pageBuilder) {
-			p.heading("Listings ", strconv.Itoa(start+1), "–", strconv.Itoa(end), " of ", strconv.Itoa(len(ads)))
-			p.featuresTable([]string{"Make", "Model", "Year", "Price", "Contact"}, ads[start:end], base)
-			if end < len(ads) {
-				p.link("More", base, "/cgi-bin/nclassy?make=", mk, "&model=", model, "&featrs=", featrs,
-					"&refined=1&page=", strconv.Itoa(page+1))
+func newsday(ds *Dataset) Site {
+	return Site{Host: NewsdayHost, Pages: map[string]Page{
+		"/": &Static{Title: "Newsday Online", Heading: "Newsday", Links: []Link{
+			{"Long Island News", "/news"}, {"Automobiles", "/auto"}, {"Collectible Cars", "/collectibles"}, {"Sport Utility", "/suv"}}},
+		"/news":         filler("Long Island News", "Nothing to see here."),
+		"/collectibles": carList("Collectible Cars", ds, func(a *Ad) bool { return a.Year < 1990 }),
+		"/suv":          carList("Sport Utility", ds, func(a *Ad) bool { return a.Model == "explorer" || a.Model == "suburban" }),
+		"/auto": &Static{Title: "Newsday Used Car Classifieds", Heading: "Used Car Classifieds",
+			Text: "Select a make to search Long Island and New York City ads.",
+			Form: &Form{Name: "f1", Action: "/cgi-bin/nclassy", Method: "post", Fields: []Field{SelectField("make", Makes()...)}}},
+		// A data page has per-ad "Car Features" links, and a "More" link
+		// while further pages remain (the link(more) self-loop of Figure 2).
+		"/cgi-bin/nclassy": &Script[*Ad]{Title: "Newsday Used Car Listings", Heading: "Listings {from}–{to} of {total}",
+			Inputs: []string{"make", "model", "featrs"}, Required: []string{"make"}, Missing: "make is required",
+			Detour: narrow(ds),
+			Rows: func(in Values) []*Ad {
+				ads := ds.ByMakeModel(in[0], in[1])
+				if in[2] != "" {
+					ads = filterFeatures(ads, in[2])
+				}
+				return ads
+			},
+			Columns:  adColumns("Make", "Model", "Year", "Price", "Contact"),
+			Link:     &RowLink[*Ad]{Name: "Car Features", Href: "/features?id=", ID: func(a *Ad) int { return a.ID }},
+			PageSize: AdPageSize, More: "refined=1"},
+		// Code: its heading and its one row are read off the ad the id
+		// names, and an unknown id is a 404.
+		"/features": Code(func(req *web.Request, base string) *web.Response {
+			ad := ds.Find(atoiOr(req.Param("id"), -1))
+			if ad == nil {
+				return web.NotFound(req.URL)
 			}
-		}), nil
-	}))
+			f := fill{inputs: adInputs, in: &Values{ad.Make, ad.Model, strconv.Itoa(ad.Year)}}
+			return render(req.URL, "Car Features", false, nil, func(p *pageBuilder) {
+				p.heading("{Make} {Model} ({year})", &f)
+				table(p, featureCols, []*Ad{ad}, nil, base)
+			})
+		}),
+	}}
+}
 
-	m.Handle("/features", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		ad := ds.Find(atoiOr(req.Param("id"), -1))
-		if ad == nil {
-			return web.NotFound(req.URL), nil
+var (
+	featureCols = adColumns("Features", "Picture")
+	adInputs    = []string{"make", "model", "year"} // what /features' heading reads of its ad
+)
+
+// narrow is Figure 2's branch: too many matches without a model → ask the
+// user to narrow via form f2 (model and desired features). The hidden
+// refined flag marks the second round: resubmitting f2 without picking a
+// model means "all models" and yields data — "the length of the sequence
+// is not fixed; it is usually one or two" (Section 4). Code: the form's
+// model domain is read off the make's ads.
+func narrow(ds *Dataset) func(req *web.Request, base string, in Values) *web.Response {
+	return func(req *web.Request, base string, in Values) *web.Response {
+		mk := in[0]
+		if in[1] != "" || req.Param("refined") != "" {
+			return nil
 		}
-		heading := titleCase(ad.Make) + " " + titleCase(ad.Model) + " (" + strconv.Itoa(ad.Year) + ")"
-		return render(req.URL, "Car Features", false, func(p *pageBuilder) {
-			p.heading(heading)
-			p.table([]string{"Features", "Picture"}, [][]string{{ad.Features, ad.Picture}})
-		}), nil
-	}))
+		n := ds.count(func(a *Ad) bool { return a.Make == mk })
+		if n <= TooManyMatches {
+			return nil
+		}
+		heading := strconv.Itoa(n) + " ads match " + strconv.Quote(mk) + " — narrow your search"
+		models := ds.ModelsOf(mk)
+		return render(req.URL, "Newsday: Narrow Your Search", false, nil, func(p *pageBuilder) {
+			p.heading(heading, nil)
+			p.form(&Form{Name: "f2", Action: "/cgi-bin/nclassy", Method: "post", Fields: []Field{
+				HiddenField("make", mk), HiddenField("refined", "1"), SelectField("model", models...), TextField("featrs")}}, base)
+		})
+	}
+}
 
-	return m
+// carList is an unsearchable listing of the ads keep keeps, sorted by make:
+// the filler sections of the classified sites.
+func carList(title string, ds *Dataset, keep func(*Ad) bool) *Script[*Ad] {
+	return &Script[*Ad]{Title: title, Heading: title, Columns: adColumns("Make", "Model", "Year", "Price"),
+		Rows: func(Values) []*Ad {
+			ads := ds.filter(keep)
+			sort.Slice(ads, func(i, j int) bool { return ads[i].Make < ads[j].Make })
+			return ads
+		}}
 }
 
 // filterFeatures keeps, in place, the ads whose feature list mentions the
-// requested text.
+// requested text, in any case.
 func filterFeatures(ads []*Ad, featrs string) []*Ad {
-	return slices.DeleteFunc(ads, func(a *Ad) bool { return !containsFold(a.Features, featrs) })
-}
-
-func containsFold(haystack, needle string) bool {
-	h, n := []byte(haystack), []byte(needle)
-	lower := func(b byte) byte {
-		if b >= 'A' && b <= 'Z' {
-			return b + 'a' - 'A'
-		}
-		return b
-	}
-	if len(n) == 0 {
-		return true
-	}
-outer:
-	for i := 0; i+len(n) <= len(h); i++ {
-		for j := range n {
-			if lower(h[i+j]) != lower(n[j]) {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
+	featrs = strings.ToLower(featrs)
+	return slices.DeleteFunc(ads, func(a *Ad) bool { return !strings.Contains(strings.ToLower(a.Features), featrs) })
 }
 
 // atoiOr is s in decimal, or def when s is not a number. An absent field
@@ -150,27 +134,4 @@ func atoiOr(s string, def int) int {
 		return def
 	}
 	return n
-}
-
-// fillerPage returns a handler serving a page of one heading and one
-// paragraph.
-func fillerPage(title, body string) web.FetcherFunc {
-	return staticPage(title, false, func(p *pageBuilder) {
-		p.heading(title)
-		p.text(body)
-	})
-}
-
-// carListPage renders a simple unsearchable listing of the ads passing
-// keep, sorted by make, used for the filler sections of the classified
-// sites.
-func carListPage(title string, ds *Dataset, keep func(*Ad) bool) web.FetcherFunc {
-	return func(req *web.Request) (*web.Response, error) {
-		ads := ds.filter(keep)
-		sort.Slice(ads, func(i, j int) bool { return ads[i].Make < ads[j].Make })
-		return render(req.URL, title, false, func(p *pageBuilder) {
-			p.heading(title)
-			p.adTable([]string{"Make", "Model", "Year", "Price"}, ads)
-		}), nil
-	}
 }

@@ -18,162 +18,116 @@ const (
 // mandatory set of Table 3; year optional). With a year the answer is a
 // single price row; without one it is a row per model year, matching how
 // the real site listed prices by year.
-func Kellys() web.Site {
-	m := web.NewMux(KellysHost)
-	const base = "http://" + KellysHost
-	makes := Makes()
+func Kellys() web.Site { return kellys(nil).Web() }
 
-	m.Handle("/", staticPage("Kelly's Blue Book", false, func(p *pageBuilder) {
-		p.heading("Kelly's Blue Book — Used Car Values")
-		p.link("Price a Used Car", base, "/usedcar")
-	}))
-
-	m.Handle("/usedcar", staticPage("Price a Used Car", false, func(p *pageBuilder) {
-		p.form("pricer", base+"/cgi-bin/price", "post",
-			selectField("make", makes...),
-			textField("model"),
-			textField("year"),
-			radioField("condition", "excellent", "good", "fair"))
-	}))
-
-	m.Handle("/cgi-bin/price", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk, model, cond := req.Param("make"), req.Param("model"), req.Param("condition")
-		if mk == "" || model == "" || cond == "" {
-			return errorPage(req, false, "make, model and condition are required"), nil
-		}
-		var rows [][]string
-		addRow := func(year int) {
-			if bb := BlueBook(mk, model, year, cond); bb > 0 {
-				rows = append(rows, []string{mk, model, strconv.Itoa(year), cond, "$" + strconv.Itoa(bb)})
-			}
-		}
-		if y := atoiOr(req.Param("year"), 0); y > 0 {
-			addRow(y)
-		} else {
-			for y := 1988; y <= 1998; y++ {
-				addRow(y)
-			}
-		}
-		heading := "Blue Book: " + titleCase(mk) + " " + titleCase(model) + " (" + cond + ")"
-		return render(req.URL, "Blue Book Value", false, func(p *pageBuilder) {
-			p.heading(heading)
-			p.table([]string{"Make", "Model", "Year", "Condition", "BBPrice"}, rows)
-		}), nil
-	}))
-	return m
+func kellys(*Dataset) Site {
+	form := makeModelForm("pricer", "/cgi-bin/price", "post")
+	form.Fields = append(form.Fields, TextField("year"), RadioField("condition", conditions...))
+	return Site{Host: KellysHost, Pages: map[string]Page{
+		"/": &Static{Title: "Kelly's Blue Book", Heading: "Kelly's Blue Book — Used Car Values",
+			Links: []Link{{"Price a Used Car", "/usedcar"}}},
+		"/usedcar": &Static{Title: "Price a Used Car", Form: form},
+		"/cgi-bin/price": &Script[[]string]{Title: "Blue Book Value", Heading: "Blue Book: {Make} {Model} ({condition})",
+			Inputs: []string{"make", "model", "year", "condition"}, Required: []string{"make", "model", "condition"},
+			Missing: "make, model and condition are required",
+			Rows: func(in Values) [][]string {
+				mk, model, cond := in[0], in[1], in[3]
+				var rows [][]string
+				addRow := func(year int) {
+					if bb := BlueBook(mk, model, year, cond); bb > 0 {
+						rows = append(rows, []string{mk, model, strconv.Itoa(year), cond, "$" + strconv.Itoa(bb)})
+					}
+				}
+				if y := atoiOr(in[2], 0); y > 0 {
+					addRow(y)
+				} else {
+					for y := 1988; y <= 1998; y++ {
+						addRow(y)
+					}
+				}
+				return rows
+			},
+			Columns: StringColumns("Make", "Model", "Year", "Condition", "BBPrice")},
+	}}
 }
 
 // CarAndDriver builds the Car and Driver safety-ratings site: form(make) →
 // table of (Make, Model, Safety) — the VPS relation carAndDriver(Car,
 // Safety) of Table 1.
-func CarAndDriver() web.Site {
-	m := web.NewMux(CarAndDriverHost)
-	const base = "http://" + CarAndDriverHost
-	makes := Makes()
+func CarAndDriver() web.Site { return carAndDriver(nil).Web() }
 
-	m.Handle("/", staticPage("Car and Driver", false, func(p *pageBuilder) {
-		p.heading("Car and Driver")
-		p.link("Safety Ratings", base, "/safety")
-	}))
-
-	m.Handle("/safety", staticPage("Safety Ratings", false, func(p *pageBuilder) {
-		p.form("safety", base+"/cgi-bin/safety", "get",
-			selectField("make", makes...))
-	}))
-
-	m.Handle("/cgi-bin/safety", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		models, ok := Catalog[mk]
-		if !ok {
-			return errorPage(req, false, "unknown make"), nil
-		}
-		rows := make([][]string, 0, len(models))
-		for _, md := range models {
-			rows = append(rows, []string{mk, md, SafetyRating(mk, md)})
-		}
-		return render(req.URL, "Safety Ratings: "+titleCase(mk), false, func(p *pageBuilder) {
-			p.table([]string{"Make", "Model", "Safety"}, rows)
-		}), nil
-	}))
-	return m
+func carAndDriver(*Dataset) Site {
+	return Site{Host: CarAndDriverHost, Pages: map[string]Page{
+		"/": &Static{Title: "Car and Driver", Heading: "Car and Driver", Links: []Link{{"Safety Ratings", "/safety"}}},
+		"/safety": &Static{Title: "Safety Ratings",
+			Form: &Form{Name: "safety", Action: "/cgi-bin/safety", Method: "get", Fields: []Field{SelectField("make", Makes()...)}}},
+		"/cgi-bin/safety": &Script[[]string]{Title: "Safety Ratings: {Make}",
+			Inputs: []string{"make"}, Required: []string{"make"}, Missing: "unknown make",
+			// A make the catalog lacks answers the same error page.
+			Detour: func(req *web.Request, _ string, in Values) *web.Response {
+				if _, ok := Catalog[in[0]]; !ok {
+					return errorPage(req, false, "unknown make")
+				}
+				return nil
+			},
+			Rows: func(in Values) [][]string {
+				models := Catalog[in[0]]
+				rows := make([][]string, 0, len(models))
+				for _, md := range models {
+					rows = append(rows, []string{in[0], md, SafetyRating(in[0], md)})
+				}
+				return rows
+			},
+			Columns: StringColumns("Make", "Model", "Safety")},
+	}}
 }
 
 // CarReviews builds the CarReviews site: reliability scores per model,
 // reached through a per-make link directory and a per-model review page —
 // the deepest navigation among the reference sites, which is why it shows
 // one of the larger page counts in the Section 7 timing table.
-func CarReviews() web.Site {
-	m := web.NewMux(CarReviewsHost)
-	const base = "http://" + CarReviewsHost
-	makes := Makes()
+func CarReviews() web.Site { return carReviews(nil).Web() }
 
-	m.Handle("/", staticPage("CarReviews", false, func(p *pageBuilder) {
-		p.heading("Reviews by Make")
-		for _, mk := range makes {
-			p.link(mk, base, "/reviews?make=", mk)
-		}
-	}))
-
-	m.Handle("/reviews", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		models, ok := Catalog[mk]
-		if !ok {
-			return web.NotFound(req.URL), nil
-		}
-		return render(req.URL, "Reviews: "+titleCase(mk), false, func(p *pageBuilder) {
-			p.heading("Model Reviews")
-			for _, md := range models {
-				p.link(md, base, "/review?make=", mk, "&model=", md)
-			}
-		}), nil
-	}))
-
-	m.Handle("/review", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk, md := req.Param("make"), req.Param("model")
-		name := titleCase(mk) + " " + titleCase(md)
-		rows := [][]string{{mk, md, strconv.Itoa(ReliabilityRating(mk, md))}}
-		return render(req.URL, "Review: "+name, false, func(p *pageBuilder) {
-			p.heading(name)
-			p.table([]string{"Make", "Model", "Reliability"}, rows)
-		}), nil
-	}))
-	return m
+func carReviews(*Dataset) Site {
+	return Site{Host: CarReviewsHost, Pages: map[string]Page{
+		"/":        &Static{Title: "CarReviews", Heading: "Reviews by Make", Links: makeLinks("/reviews?make=")},
+		"/reviews": directory("Reviews: {Make}", "Model Reviews", "/review", func(mk string) []string { return Catalog[mk] }),
+		"/review": &Script[[]string]{Title: "Review: {Make} {Model}", Heading: "{Make} {Model}",
+			Inputs: []string{"make", "model"},
+			Rows: func(in Values) [][]string {
+				return [][]string{{in[0], in[1], strconv.Itoa(ReliabilityRating(in[0], in[1]))}}
+			},
+			Columns: StringColumns("Make", "Model", "Reliability")},
+	}}
 }
 
 // CarFinance builds the CarFinance rate site: form(zipcode mandatory,
 // duration) → rate table — the VPS relation carFinance(Car, ZipCode,
 // Duration, Rate).
-func CarFinance() web.Site {
-	m := web.NewMux(CarFinanceHost)
-	const base = "http://" + CarFinanceHost
+func CarFinance() web.Site { return carFinance(nil).Web() }
 
-	m.Handle("/", staticPage("CarFinance", false, func(p *pageBuilder) {
-		p.heading("CarFinance.example — used car loans")
-		p.form("rates", base+"/cgi-bin/rates", "get",
-			textField("zipcode"),
-			selectField("duration", "24", "36", "48", "60"))
-	}))
-
-	m.Handle("/cgi-bin/rates", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		zip := req.Param("zipcode")
-		if zip == "" {
-			return errorPage(req, false, "zipcode is required"), nil
-		}
-		var rows [][]string
-		addRow := func(months int) {
-			rows = append(rows, []string{zip, strconv.Itoa(months),
-				strconv.FormatFloat(FinanceRate(zip, months), 'f', 2, 64)})
-		}
-		if d := atoiOr(req.Param("duration"), 0); d > 0 {
-			addRow(d)
-		} else {
-			for _, d := range []int{24, 36, 48, 60} {
-				addRow(d)
-			}
-		}
-		return render(req.URL, "Loan Rates", false, func(p *pageBuilder) {
-			p.table([]string{"ZipCode", "Duration", "Rate"}, rows)
-		}), nil
-	}))
-	return m
+func carFinance(*Dataset) Site {
+	return Site{Host: CarFinanceHost, Pages: map[string]Page{
+		"/": &Static{Title: "CarFinance", Heading: "CarFinance.example — used car loans",
+			Form: &Form{Name: "rates", Action: "/cgi-bin/rates", Method: "get",
+				Fields: []Field{TextField("zipcode"), SelectField("duration", "24", "36", "48", "60")}}},
+		"/cgi-bin/rates": &Script[[]string]{Title: "Loan Rates",
+			Inputs: []string{"zipcode", "duration"}, Required: []string{"zipcode"}, Missing: "zipcode is required",
+			Rows: func(in Values) [][]string {
+				var rows [][]string
+				addRow := func(months int) {
+					rows = append(rows, []string{in[0], strconv.Itoa(months),
+						strconv.FormatFloat(FinanceRate(in[0], months), 'f', 2, 64)})
+				}
+				if d := atoiOr(in[1], 0); d > 0 {
+					addRow(d)
+				} else {
+					for _, d := range []int{24, 36, 48, 60} {
+						addRow(d)
+					}
+				}
+				return rows
+			},
+			Columns: StringColumns("ZipCode", "Duration", "Rate")},
+	}}
 }

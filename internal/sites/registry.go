@@ -2,73 +2,53 @@ package sites
 
 import "webbase/internal/web"
 
-// SiteInfo describes one simulated site for the experiment harness.
-type SiteInfo struct {
-	Name string // display name, as in the Section 7 timing table
-	Host string
-}
-
-// All lists the simulated sites in the order of the Section 7 timing
-// table, followed by the Table 1 sites that the timing table omits.
-var All = []SiteInfo{
-	{"AutoWeb", AutoWebHost},
-	{"WWWheels", WWWheelsHost},
-	{"NYTimes", NYTimesHost},
-	{"CarReviews", CarReviewsHost},
-	{"NewYorkDaily", NewYorkDailyHost},
-	{"CarAndDriver", CarAndDriverHost},
-	{"AutoConnect", AutoConnectHost},
-	{"Newsday", NewsdayHost},
-	{"YahooCars", YahooCarsHost},
-	{"Kellys", KellysHost},
-	{"CarPoint", CarPointHost},
-	{"CarFinance", CarFinanceHost},
-}
-
 // World is the assembled simulated Web together with the ground-truth
 // datasets backing each classifieds/dealer site, which tests and the
-// experiment harness use as oracles.
+// experiment harness use as oracles, and the sites' values.
 type World struct {
 	Server   *web.Server
 	Datasets map[string]*Dataset // host → backing dataset (ad-carrying sites only)
+	Sites    []Site              // in the order of world
 }
 
-// Seeds and sizes of the per-site datasets. Sizes differ so that the
-// page-count column of the timing table varies by site the way the
-// paper's does.
-var datasetSpec = []struct {
-	host string
+// world is the simulated Web, one line a site: the seed and the number of
+// ads of the dataset behind it (none when ads is 0) and its value. Sizes
+// differ so that the page-count column of the Section 7 timing table
+// varies by site the way the paper's does.
+var world = []struct {
 	seed int64
-	n    int
+	ads  int
+	site func(ds *Dataset) Site
 }{
-	{NewsdayHost, 1, 400},
-	{NYTimesHost, 2, 350},
-	{NewYorkDailyHost, 3, 300},
-	{CarPointHost, 4, 250},
-	{AutoWebHost, 5, 300},
-	{WWWheelsHost, 6, 150},
-	{AutoConnectHost, 7, 280},
-	{YahooCarsHost, 8, 320},
+	{1, 400, newsday},
+	{2, 350, nyTimes},
+	{3, 300, newYorkDaily},
+	{4, 250, carPoint},
+	{5, 300, autoWeb},
+	{6, 150, wwWheels},
+	{7, 280, autoConnect},
+	{8, 320, yahooCars},
+	{0, 0, kellys},
+	{0, 0, carAndDriver},
+	{0, 0, carReviews},
+	{0, 0, carFinance},
 }
 
 // BuildWorld assembles the whole simulated Web with its standard datasets.
 // The result is deterministic across runs.
 func BuildWorld() *World {
 	w := &World{Server: web.NewServer(), Datasets: make(map[string]*Dataset)}
-	for _, spec := range datasetSpec {
-		w.Datasets[spec.host] = NewDataset(spec.seed, spec.n)
+	for _, s := range world {
+		var ds *Dataset
+		if s.ads > 0 {
+			ds = NewDataset(s.seed, s.ads)
+		}
+		site := s.site(ds)
+		if ds != nil {
+			w.Datasets[site.Host] = ds
+		}
+		w.Sites = append(w.Sites, site)
+		w.Server.Register(site.Web())
 	}
-	w.Server.Register(Newsday(w.Datasets[NewsdayHost]))
-	w.Server.Register(NYTimes(w.Datasets[NYTimesHost]))
-	w.Server.Register(NewYorkDaily(w.Datasets[NewYorkDailyHost]))
-	w.Server.Register(CarPoint(w.Datasets[CarPointHost]))
-	w.Server.Register(AutoWeb(w.Datasets[AutoWebHost]))
-	w.Server.Register(WWWheels(w.Datasets[WWWheelsHost]))
-	w.Server.Register(AutoConnect(w.Datasets[AutoConnectHost]))
-	w.Server.Register(YahooCars(w.Datasets[YahooCarsHost]))
-	w.Server.Register(Kellys())
-	w.Server.Register(CarAndDriver())
-	w.Server.Register(CarReviews())
-	w.Server.Register(CarFinance())
 	return w
 }

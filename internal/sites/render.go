@@ -25,35 +25,28 @@ type pageBuilder struct {
 }
 
 // render returns the 200 response for url whose body is the page titled
-// title with the content build writes. build runs once per pass and must
-// write the same page both times: it reads only what it was handed.
-func render(url, title string, sloppy bool, build func(p *pageBuilder)) *web.Response {
+// title, expanded from f (fill), with the content build writes. build runs
+// once per pass and must write the same page both times: it reads only what
+// it was handed.
+func render(url, title string, sloppy bool, f *fill, build func(p *pageBuilder)) *web.Response {
 	p := &pageBuilder{sloppy: sloppy}
-	p.whole(title, build)
+	p.whole(title, f, build)
 	p.buf = make([]byte, 0, p.n)
-	p.whole(title, build)
+	p.whole(title, f, build)
 	return &web.Response{Status: 200, URL: url, Body: p.buf}
 }
 
-func (p *pageBuilder) whole(title string, build func(p *pageBuilder)) {
+func (p *pageBuilder) whole(title string, f *fill, build func(p *pageBuilder)) {
 	p.raw("<html><head><title>")
-	p.esc(title)
+	p.expand(title, f)
 	p.raw("</title></head><body>\n")
 	build(p)
 	p.raw(footer)
 }
 
-// staticPage returns the handler of a page that reads nothing from its
-// request.
-func staticPage(title string, sloppy bool, build func(p *pageBuilder)) web.FetcherFunc {
-	return func(req *web.Request) (*web.Response, error) {
-		return render(req.URL, title, sloppy, build), nil
-	}
-}
-
 // errorPage is the page a CGI script answers a request missing a field.
 func errorPage(req *web.Request, sloppy bool, msg string) *web.Response {
-	return render(req.URL, "Error", sloppy, func(p *pageBuilder) { p.text(msg) })
+	return render(req.URL, "Error", sloppy, nil, func(p *pageBuilder) { p.text(msg) })
 }
 
 // raw writes s as it is.
@@ -116,12 +109,10 @@ func (p *pageBuilder) text(s string) {
 	p.raw("\n")
 }
 
-// heading writes a heading whose text is parts, concatenated.
-func (p *pageBuilder) heading(parts ...string) {
+// heading writes a heading whose text is t, expanded from f.
+func (p *pageBuilder) heading(t string, f *fill) {
 	p.raw("<h1>")
-	for _, s := range parts {
-		p.esc(s)
-	}
+	p.expand(t, f)
 	p.raw("</h1>\n")
 }
 
@@ -137,43 +128,21 @@ func (p *pageBuilder) link(name string, href ...string) {
 	p.raw("</a><br>\n")
 }
 
-// formField describes one field emitted by form().
-type formField struct {
-	name    string
-	widget  htmlkit.WidgetType
-	options []string // select/radio domains
-	def     string
-	hidden  string // value for hidden fields
-}
-
-func textField(name string) formField {
-	return formField{name: name, widget: htmlkit.WidgetText}
-}
-
-func selectField(name string, options ...string) formField {
-	return formField{name: name, widget: htmlkit.WidgetSelect, options: options}
-}
-
-func radioField(name string, options ...string) formField {
-	return formField{name: name, widget: htmlkit.WidgetRadio, options: options}
-}
-
-func hiddenField(name, value string) formField {
-	return formField{name: name, widget: htmlkit.WidgetHidden, hidden: value}
-}
-
-func (p *pageBuilder) form(name, action, method string, fields ...formField) {
-	p.markup(`<form name="`, name, `" action="`, action, `" method="`)
-	p.raw(method)
+// form writes form, its action an address of the site at base.
+func (p *pageBuilder) form(form *Form, base string) {
+	p.markup(`<form name="`, form.Name, `" action="`, base)
+	p.attr(form.Action)
+	p.raw(`" method="`)
+	p.raw(form.Method)
 	p.raw("\">\n")
-	for _, f := range fields {
-		switch f.widget {
+	for _, f := range form.Fields {
+		switch f.Widget {
 		case htmlkit.WidgetSelect:
-			p.esc(f.name)
-			p.markup(`: <select name="`, f.name, `">`)
-			for _, o := range f.options {
+			p.esc(f.Name)
+			p.markup(`: <select name="`, f.Name, `">`)
+			for _, o := range f.Options {
 				end := `">`
-				if o == f.def {
+				if o == f.Value {
 					end = `" selected>`
 				}
 				p.markup(`<option value="`, o, end)
@@ -182,124 +151,26 @@ func (p *pageBuilder) form(name, action, method string, fields ...formField) {
 			}
 			p.raw("</select><br>\n")
 		case htmlkit.WidgetRadio:
-			p.esc(f.name)
+			p.esc(f.Name)
 			p.raw(": ")
-			for _, o := range f.options {
+			for _, o := range f.Options {
 				end := `">`
-				if o == f.def {
+				if o == f.Value {
 					end = `" checked>`
 				}
-				p.markup(`<input type="radio" name="`, f.name, `" value="`, o, end)
+				p.markup(`<input type="radio" name="`, f.Name, `" value="`, o, end)
 				p.esc(o)
 				p.raw(" ")
 			}
 			p.raw("<br>\n")
 		case htmlkit.WidgetHidden:
-			p.markup(`<input type="hidden" name="`, f.name, `" value="`, f.hidden, "\">\n")
+			p.markup(`<input type="hidden" name="`, f.Name, `" value="`, f.Value, "\">\n")
 		default:
-			p.esc(f.name)
-			p.markup(`: <input type="text" name="`, f.name, `" value="`, f.def, "\"><br>\n")
+			p.esc(f.Name)
+			p.markup(`: <input type="text" name="`, f.Name, `" value="`, f.Value, "\"><br>\n")
 		}
 	}
 	p.raw(`<input type="submit" value="Search"></form>` + "\n")
-}
-
-// tableHead opens a table and writes its header row, up to the row's end
-// tag.
-func (p *pageBuilder) tableHead(header []string) {
-	p.raw("<table border=1>\n<tr>")
-	for _, h := range header {
-		p.raw("<th>")
-		p.esc(h)
-		p.raw("</th>")
-	}
-}
-
-// table renders rows under a header. In sloppy mode the cells are left
-// unclosed, as on many real sites of the era; the lenient parser repairs
-// them.
-func (p *pageBuilder) table(header []string, rows [][]string) {
-	p.tableHead(header)
-	p.raw("</tr>\n")
-	for _, row := range rows {
-		p.raw("<tr>")
-		for _, c := range row {
-			p.raw("<td>")
-			p.esc(c)
-			if !p.sloppy {
-				p.raw("</td>")
-			}
-		}
-		if !p.sloppy {
-			p.raw("</tr>")
-		}
-		p.raw("\n")
-	}
-	p.raw("</table>\n")
-}
-
-// adTable renders ads as table renders their rows in the column order
-// cols.
-func (p *pageBuilder) adTable(cols []string, ads []*Ad) { p.ads(cols, ads, false, "") }
-
-// featuresTable renders ads as adTable does, but with every cell closed and
-// a last cell per row linking "Car Features" to the ad's page under base:
-// Newsday's listing.
-func (p *pageBuilder) featuresTable(cols []string, ads []*Ad, base string) {
-	p.ads(cols, ads, true, base)
-}
-
-func (p *pageBuilder) ads(cols []string, ads []*Ad, linked bool, base string) {
-	closed := !p.sloppy || linked
-	p.tableHead(cols)
-	if linked {
-		p.raw("<th>Car Features</th>")
-	}
-	p.raw("</tr>\n")
-	for _, a := range ads {
-		p.raw("<tr>")
-		for _, c := range cols {
-			p.raw("<td>")
-			p.adCell(a, c)
-			if closed {
-				p.raw("</td>")
-			}
-		}
-		if linked {
-			p.markup(`<td><a href="`, base, "/features?id=")
-			p.int(a.ID)
-			p.raw(`">Car Features</a></td>`)
-		}
-		if closed {
-			p.raw("</tr>")
-		}
-		p.raw("\n")
-	}
-	p.raw("</table>\n")
-}
-
-// adCell writes an ad's value in column col: the canonical columns of the
-// classified and dealer data pages, and nothing for any other.
-func (p *pageBuilder) adCell(a *Ad, col string) {
-	switch col {
-	case "Make":
-		p.esc(a.Make)
-	case "Model":
-		p.esc(a.Model)
-	case "Year":
-		p.int(a.Year)
-	case "Price":
-		p.raw("$")
-		p.int(a.Price)
-	case "Contact":
-		p.esc(a.Contact)
-	case "ZipCode":
-		p.esc(a.Zip)
-	case "Features":
-		p.esc(a.Features)
-	case "Condition":
-		p.esc(a.Condition)
-	}
 }
 
 // layoutOpen starts a 1990s layout table (sidebar cell + content cell);
@@ -315,7 +186,9 @@ func (p *pageBuilder) layoutClose() {
 	p.raw("</td></tr></table>\n")
 }
 
-// titled writes titleCase(s), escaped by specials as escaped escapes.
+// titled writes s with the first rune of each word upper-cased, the words
+// being strings.Fields(s) joined by single spaces, escaped by specials as
+// escaped escapes.
 func (p *pageBuilder) titled(s, specials string) {
 	for sep := ""; ; sep = " " {
 		start := strings.IndexFunc(s, notSpace)
@@ -339,14 +212,6 @@ func (p *pageBuilder) titled(s, specials string) {
 }
 
 func notSpace(r rune) bool { return !unicode.IsSpace(r) }
-
-// titleCase upper-cases the first rune of each word of s, the words being
-// strings.Fields(s) joined by single spaces.
-func titleCase(s string) string {
-	p := pageBuilder{buf: make([]byte, 0, len(s))}
-	p.titled(s, "")
-	return string(p.buf)
-}
 
 // footer is the boilerplate navigation every page of the era carried, and
 // the page's end. It matters for the map-builder statistics: the paper's

@@ -47,40 +47,40 @@ func (p *refPage) link(name, href string) *refPage {
 	return p
 }
 
-func (p *refPage) form(name, action, method string, fields ...formField) *refPage {
+func (p *refPage) form(name, action, method string, fields ...Field) *refPage {
 	fmt.Fprintf(&p.sb, `<form name="%s" action="%s" method="%s">`,
 		htmlkit.EscapeAttr(name), htmlkit.EscapeAttr(action), method)
 	p.sb.WriteString("\n")
 	for _, f := range fields {
-		switch f.widget {
+		switch f.Widget {
 		case htmlkit.WidgetSelect:
-			fmt.Fprintf(&p.sb, `%s: <select name="%s">`, htmlkit.EscapeText(f.name), htmlkit.EscapeAttr(f.name))
-			for _, o := range f.options {
+			fmt.Fprintf(&p.sb, `%s: <select name="%s">`, htmlkit.EscapeText(f.Name), htmlkit.EscapeAttr(f.Name))
+			for _, o := range f.Options {
 				sel := ""
-				if o == f.def {
+				if o == f.Value {
 					sel = " selected"
 				}
 				fmt.Fprintf(&p.sb, `<option value="%s"%s>%s</option>`, htmlkit.EscapeAttr(o), sel, htmlkit.EscapeText(titleCase(o)))
 			}
 			p.sb.WriteString("</select><br>\n")
 		case htmlkit.WidgetRadio:
-			fmt.Fprintf(&p.sb, "%s: ", htmlkit.EscapeText(f.name))
-			for _, o := range f.options {
+			fmt.Fprintf(&p.sb, "%s: ", htmlkit.EscapeText(f.Name))
+			for _, o := range f.Options {
 				chk := ""
-				if o == f.def {
+				if o == f.Value {
 					chk = " checked"
 				}
 				fmt.Fprintf(&p.sb, `<input type="radio" name="%s" value="%s"%s>%s `,
-					htmlkit.EscapeAttr(f.name), htmlkit.EscapeAttr(o), chk, htmlkit.EscapeText(o))
+					htmlkit.EscapeAttr(f.Name), htmlkit.EscapeAttr(o), chk, htmlkit.EscapeText(o))
 			}
 			p.sb.WriteString("<br>\n")
 		case htmlkit.WidgetHidden:
 			fmt.Fprintf(&p.sb, `<input type="hidden" name="%s" value="%s">`,
-				htmlkit.EscapeAttr(f.name), htmlkit.EscapeAttr(f.hidden))
+				htmlkit.EscapeAttr(f.Name), htmlkit.EscapeAttr(f.Value))
 			p.sb.WriteString("\n")
 		default:
 			fmt.Fprintf(&p.sb, `%s: <input type="text" name="%s" value="%s"><br>`,
-				htmlkit.EscapeText(f.name), htmlkit.EscapeAttr(f.name), htmlkit.EscapeAttr(f.def))
+				htmlkit.EscapeText(f.Name), htmlkit.EscapeAttr(f.Name), htmlkit.EscapeAttr(f.Value))
 			p.sb.WriteString("\n")
 		}
 	}
@@ -157,8 +157,15 @@ func (p *refPage) done() string {
 	return p.sb.String()
 }
 
-// refAdRow renders an ad in the canonical column order used by the
-// classified and dealer data pages.
+// titleCase upper-cases the first rune of each word of s, the words being
+// strings.Fields(s) joined by single spaces.
+func titleCase(s string) string {
+	p := pageBuilder{buf: make([]byte, 0, len(s))}
+	p.titled(s, "")
+	return string(p.buf)
+}
+
+// refAdRow renders an ad's cells in the columns cols.
 func refAdRow(a *Ad, cols []string) []string {
 	row := make([]string, len(cols))
 	for i, c := range cols {
@@ -179,6 +186,8 @@ func refAdRow(a *Ad, cols []string) []string {
 			row[i] = a.Features
 		case "Condition":
 			row[i] = a.Condition
+		case "Picture":
+			row[i] = a.Picture
 		}
 	}
 	return row

@@ -2,7 +2,6 @@ package sites
 
 import (
 	"fmt"
-	"strconv"
 
 	"webbase/internal/web"
 )
@@ -24,36 +23,20 @@ func BuildScaledWorld(n int) *ScaledWorld {
 	w := &ScaledWorld{Server: web.NewServer()}
 	for i := 0; i < n; i++ {
 		host := ScaledHost(i)
-		ds := NewDataset(int64(1000+i), 120)
-		w.Server.Register(scaledDealer(host, ds))
+		w.Server.Register(scaledDealer(host, NewDataset(int64(1000+i), 120)).Web())
 		w.Hosts = append(w.Hosts, host)
 	}
 	return w
 }
 
-// scaledDealer is the WWWheels shape on an arbitrary host: one form on the
-// home page, one unpaginated result table.
-func scaledDealer(host string, ds *Dataset) web.Site {
-	m := web.NewMux(host)
-	base := "http://" + host
-	makes := Makes()
-
-	m.Handle("/", staticPage(host, false, func(p *pageBuilder) {
-		p.heading(host)
-		p.form("q", base+"/cgi-bin/q", "get",
-			selectField("make", makes...),
-			textField("model"))
-	}))
-	m.Handle("/cgi-bin/q", web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
-		mk := req.Param("make")
-		if mk == "" {
-			return errorPage(req, false, "make is required"), nil
-		}
-		ads := ds.ByMakeModel(mk, req.Param("model"))
-		return render(req.URL, host+" results", false, func(p *pageBuilder) {
-			p.heading(strconv.Itoa(len(ads)), " cars")
-			p.adTable(dealerCols, ads)
-		}), nil
-	}))
-	return m
+// scaledDealer is the WWWheels shape on an arbitrary host, tidy and
+// without the sidebar: one form on the home page, one unpaginated result
+// table.
+func scaledDealer(host string, ds *Dataset) Site {
+	return Site{Host: host, Pages: map[string]Page{
+		"/": &Static{Title: host, Heading: host, Form: makeModelForm("q", "/cgi-bin/q", "get")},
+		"/cgi-bin/q": &Script[*Ad]{Title: host + " results", Heading: "{total} cars",
+			Inputs: []string{"make", "model"}, Required: []string{"make"}, Missing: "make is required",
+			Rows: byMakeModel(ds), Columns: dealerCols},
+	}}
 }

@@ -288,6 +288,13 @@ func TestNewsdayFeatrsFilterAndErrors(t *testing.T) {
 	if err != nil || !strings.Contains(string(resp.Body), "required") {
 		t.Errorf("missing make: %v %v", resp, err)
 	}
+	// A page number out of range is an empty last page, not a crash.
+	for _, page := range []string{"-1", "9223372036854775807"} {
+		resp, err := w.Server.Fetch(submit(base+"/cgi-bin/nclassy", "POST", "make", "ford", "model", "escort", "page", page))
+		if err != nil || !resp.OK() {
+			t.Errorf("page %s: %v %v", page, resp, err)
+		}
+	}
 	// Bad feature page id → 404.
 	resp, _ = w.Server.Fetch(web.NewGet(context.Background(), base+"/features?id=999999"))
 	if resp.Status != 404 {
@@ -471,16 +478,23 @@ func TestEverySiteServesItsFlow(t *testing.T) {
 	})
 }
 
+// TestAllHostsRegistered: every line of the world table is one registered
+// host, each with its value in World.Sites and its dataset in
+// World.Datasets when it has one, and each home page answers.
 func TestAllHostsRegistered(t *testing.T) {
 	w := BuildWorld()
 	hosts := w.Server.Hosts()
-	if len(hosts) != len(All) {
-		t.Fatalf("registered %d hosts, want %d", len(hosts), len(All))
+	if len(hosts) != len(world) || len(w.Sites) != len(world) {
+		t.Fatalf("registered %d hosts and %d sites, want %d", len(hosts), len(w.Sites), len(world))
 	}
-	for _, s := range All {
-		resp, err := w.Server.Fetch(web.NewGet(context.Background(), "http://"+s.Host+"/"))
+	for i, s := range world {
+		host := w.Sites[i].Host
+		if _, ok := w.Datasets[host]; ok != (s.ads > 0) {
+			t.Errorf("%s: dataset %v, want %v", host, ok, s.ads > 0)
+		}
+		resp, err := w.Server.Fetch(web.NewGet(context.Background(), "http://"+host+"/"))
 		if err != nil || !resp.OK() {
-			t.Errorf("site %s home page: %v %v", s.Name, resp, err)
+			t.Errorf("site %s home page: %v %v", host, resp, err)
 		}
 	}
 }

@@ -12,6 +12,7 @@
 package webbase_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -104,7 +105,7 @@ func BenchmarkParseVsFetch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := expr.Execute(recorder, map[string]string{"Make": "ford"}); err != nil {
+	if _, _, err := expr.Execute(context.Background(), recorder, map[string]string{"Make": "ford"}); err != nil {
 		b.Fatal(err)
 	}
 	var total int
@@ -114,7 +115,7 @@ func BenchmarkParseVsFetch(b *testing.B) {
 
 	b.Run("fetch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := expr.Execute(world.Server, map[string]string{"Make": "ford"}); err != nil {
+			if _, _, err := expr.Execute(context.Background(), world.Server, map[string]string{"Make": "ford"}); err != nil {
 				b.Fatal(err)
 			}
 		}

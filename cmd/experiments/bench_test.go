@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func BenchmarkTable1VPSPopulate(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			inputs := timingQueryInputs(name)
 			for i := 0; i < b.N; i++ {
-				if _, _, err := reg.Populate(world.Server, name, inputs); err != nil {
+				if _, _, err := reg.Populate(context.Background(), world.Server, name, inputs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,7 +55,7 @@ func BenchmarkTableSiteTimings(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				stats := &web.Stats{}
 				f := web.Counting(world.Server, stats)
-				if _, _, err := reg.Populate(f, name, inputs); err != nil {
+				if _, _, err := reg.Populate(context.Background(), f, name, inputs); err != nil {
 					b.Fatal(err)
 				}
 				pages = stats.Get(web.Pages)

@@ -259,7 +259,7 @@ func siteTimings(raw web.Fetcher, model web.LatencyModel) ([]siteTiming, error) 
 		stats := &web.Stats{}
 		f := web.WithLatency(web.Counting(raw, stats), model, stats)
 		start := time.Now()
-		rel, _, err := reg.Populate(f, name, timingQueryInputs(name))
+		rel, _, err := reg.Populate(context.Background(), f, name, timingQueryInputs(name))
 		if err != nil {
 			return nil, fmt.Errorf("timing %s: %w", name, err)
 		}
@@ -319,7 +319,7 @@ func parallelSweep(raw web.Fetcher, model web.LatencyModel, workerCounts []int) 
 		start := time.Now()
 		err := sweep(workers, len(timingTableRelations), func(i int) error {
 			name := timingTableRelations[i]
-			if _, _, err := reg.Populate(f, name, timingQueryInputs(name)); err != nil {
+			if _, _, err := reg.Populate(context.Background(), f, name, timingQueryInputs(name)); err != nil {
 				return fmt.Errorf("parallel sweep %s: %w", name, err)
 			}
 			return nil
@@ -402,7 +402,7 @@ func measureTimeSplit(raw web.Fetcher, model web.LatencyModel) (*timeSplit, erro
 		return nil, err
 	}
 	start := time.Now()
-	if _, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"}); err != nil {
+	if _, _, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"}); err != nil {
 		return nil, err
 	}
 	total := time.Since(start)
@@ -476,7 +476,7 @@ func scaledSweep(n int, model web.LatencyModel, workerCounts []int) ([]scaledSwe
 		stats, f := sweepFetcher(world.Server, model, workers)
 		start := time.Now()
 		err := sweep(workers, len(world.Hosts), func(i int) error {
-			_, _, err := maps[world.Hosts[i]].Execute(f, inputs)
+			_, _, err := maps[world.Hosts[i]].Execute(context.Background(), f, inputs)
 			return err
 		})
 		if err != nil {

@@ -96,7 +96,7 @@ func main() {
 		defer cancel()
 	}
 	if *analyze {
-		out, err := sys.ExplainAnalyzeContext(ctx, parsed)
+		out, err := sys.ExplainAnalyze(ctx, parsed)
 		if err != nil {
 			fatal(err)
 		}
@@ -114,7 +114,7 @@ func main() {
 	if *traceFile != "" {
 		res, stats, tr, err = sys.QueryTraced(ctx, parsed)
 	} else {
-		res, stats, err = sys.QueryContext(ctx, parsed)
+		res, stats, err = sys.Query(ctx, parsed)
 	}
 	if err != nil {
 		fatal(err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,8 +36,9 @@ func main() {
 	}
 
 	fmt.Printf("Shopping for a used %s %s across %d sites...\n\n", *make_, *model, len(adSites))
+	ctx := context.Background()
 	start := time.Now()
-	results := sys.PopulateAll(adSites, inputs)
+	results := sys.PopulateAll(ctx, adSites, inputs)
 	parallel := time.Since(start)
 
 	total := 0
@@ -51,7 +53,7 @@ func main() {
 	fmt.Printf("  %d ads in %v (parallel)\n\n", total, parallel.Round(time.Millisecond))
 
 	// Price the best candidates against the blue book.
-	book, _, err := sys.Registry.Populate(sys.Fetcher(), "kellys", map[string]relation.Value{
+	book, _, err := sys.Registry.Populate(ctx, sys.Fetcher(), "kellys", map[string]relation.Value{
 		"Make": webbase.String(*make_), "Model": webbase.String(*model),
 		"Condition": webbase.String("good"),
 	})
@@ -106,7 +108,7 @@ func main() {
 
 	// Repeat the sweep: the cache answers everything.
 	start = time.Now()
-	sys.PopulateAll(adSites, inputs)
+	sys.PopulateAll(ctx, adSites, inputs)
 	cached := time.Since(start)
 	fmt.Printf("\nRepeat sweep from cache: %v (first run %v)\n",
 		cached.Round(time.Millisecond), parallel.Round(time.Millisecond))

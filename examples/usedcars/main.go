@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,7 @@ func main() {
 		fmt.Printf("  join(%v) from object %v\n", o.Relations, o.Object)
 	}
 
-	res, stats, err := sys.Query(q)
+	res, stats, err := sys.Query(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

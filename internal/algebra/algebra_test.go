@@ -225,7 +225,7 @@ func TestEvalScanAndSelectPushdown(t *testing.T) {
 	cat := carCatalog()
 	// σ[Make=ford](ads): the constant must be pushed into the scan, or the
 	// binding-restricted Populate would fail.
-	rel, err := Eval(&Select{Input: scan("ads"), Cond: eqCond("Make", "ford")}, cat, nil)
+	rel, err := Eval(context.Background(), &Select{Input: scan("ads"), Cond: eqCond("Make", "ford")}, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,11 @@ func TestEvalScanAndSelectPushdown(t *testing.T) {
 		t.Errorf("fords = %d, want 3", rel.Len())
 	}
 	// Without any constant the scan cannot run.
-	if _, err := Eval(scan("ads"), cat, nil); !errors.Is(err, ErrBindingUnsatisfied) {
+	if _, err := Eval(context.Background(), scan("ads"), cat, nil); !errors.Is(err, ErrBindingUnsatisfied) {
 		t.Errorf("err = %v", err)
 	}
 	// Unrestricted relations evaluate without bindings.
-	if rel, err := Eval(scan("zips"), cat, nil); err != nil || rel.Len() != 1 {
+	if rel, err := Eval(context.Background(), scan("zips"), cat, nil); err != nil || rel.Len() != 1 {
 		t.Errorf("zips: %v %v", rel, err)
 	}
 }
@@ -248,7 +248,7 @@ func TestEvalNumericSelect(t *testing.T) {
 		Input: &Select{Input: scan("ads"), Cond: eqCond("Make", "jaguar")},
 		Cond:  Condition{Attr: "Year", Op: GE, Val: relation.Int(1995)},
 	}
-	rel, err := Eval(e, cat, nil)
+	rel, err := Eval(context.Background(), e, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestEvalDependentJoin(t *testing.T) {
 	// ads ⋈ bluebook with Make bound: bluebook needs Model values from
 	// ads tuples (sideways information passing).
 	e := &Join{Left: scan("ads"), Right: scan("bluebook")}
-	rel, err := Eval(e, cat, map[string]relation.Value{"Make": relation.String("ford")})
+	rel, err := Eval(context.Background(), e, cat, map[string]relation.Value{"Make": relation.String("ford")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestEvalAttrAttrCondition(t *testing.T) {
 		Input: &Join{Left: scan("ads"), Right: scan("bluebook")},
 		Cond:  Condition{Attr: "Price", Op: LT, Attr2: "BBPrice"},
 	}
-	rel, err := Eval(e, cat, map[string]relation.Value{"Make": relation.String("jaguar")})
+	rel, err := Eval(context.Background(), e, cat, map[string]relation.Value{"Make": relation.String("jaguar")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestEvalThreeWayJoinOrdering(t *testing.T) {
 	// safety ⋈ bluebook ⋈ ads with only Make bound: valid order must put
 	// ads (or safety) before bluebook.
 	e := JoinAll(scan("bluebook"), scan("safety"), scan("ads"))
-	rel, err := Eval(e, cat, map[string]relation.Value{"Make": relation.String("ford")})
+	rel, err := Eval(context.Background(), e, cat, map[string]relation.Value{"Make": relation.String("ford")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestEvalThreeWayJoinOrdering(t *testing.T) {
 func TestEvalUnionDiffRename(t *testing.T) {
 	cat := carCatalog()
 	u := &Union{Left: scan("ads"), Right: scan("ads2")}
-	rel, err := Eval(u, cat, map[string]relation.Value{"Make": relation.String("ford")})
+	rel, err := Eval(context.Background(), u, cat, map[string]relation.Value{"Make": relation.String("ford")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestEvalUnionDiffRename(t *testing.T) {
 		t.Errorf("union rows = %d, want 3\n%s", rel.Len(), rel)
 	}
 	d := &Diff{Left: scan("ads"), Right: scan("ads2")}
-	rel, err = Eval(d, cat, map[string]relation.Value{"Make": relation.String("ford")})
+	rel, err = Eval(context.Background(), d, cat, map[string]relation.Value{"Make": relation.String("ford")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestEvalUnionDiffRename(t *testing.T) {
 	// Rename: bound value arrives under the new name and must reach the
 	// scan under the old one.
 	r := &Rename{Input: scan("safety"), Mapping: map[string]string{"Make": "Brand"}}
-	rel, err = Eval(r, cat, map[string]relation.Value{"Brand": relation.String("jaguar")})
+	rel, err = Eval(context.Background(), r, cat, map[string]relation.Value{"Brand": relation.String("jaguar")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestEvalJoinNoOrdering(t *testing.T) {
 	cat := carCatalog()
 	ads := &Select{Input: scan("ads"), Cond: Condition{Attr: "Year", Op: GE, Val: relation.Int(1995)}}
 	e := &Join{Left: ads, Right: scan("bluebook")}
-	_, err := EvalContext(context.Background(), e, cat, nil) // nothing bound: Make can never be supplied
+	_, err := Eval(context.Background(), e, cat, nil) // nothing bound: Make can never be supplied
 	if !errors.Is(err, ErrNoOrdering) {
 		t.Fatalf("err = %v", err)
 	}
@@ -376,7 +376,7 @@ func TestEvalJoinNoOrdering(t *testing.T) {
 func TestEvalCartesianJoin(t *testing.T) {
 	cat := carCatalog()
 	e := &Join{Left: scan("safety"), Right: scan("zips")}
-	rel, err := Eval(e, cat, map[string]relation.Value{"Make": relation.String("ford")})
+	rel, err := Eval(context.Background(), e, cat, map[string]relation.Value{"Make": relation.String("ford")})
 	if err != nil {
 		t.Fatal(err)
 	}

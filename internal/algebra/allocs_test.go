@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestDependentJoinAllocs(t *testing.T) {
 			}
 			cat := c.cat(years...)
 			return testing.AllocsPerRun(5, func() {
-				if _, err := Eval(c.expr, cat, nil); err != nil {
+				if _, err := Eval(context.Background(), c.expr, cat, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

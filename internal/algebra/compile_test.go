@@ -55,11 +55,11 @@ func TestCompiledJoinEvaluatesAsBare(t *testing.T) {
 		nil,
 		bind("Make", "ford", "Region", "manhattan"),
 	} {
-		want := outcome(EvalContext(context.Background(), bare, cat, bound))
+		want := outcome(Eval(context.Background(), bare, cat, bound))
 		if strings.HasPrefix(want, "error: ") {
 			failures++
 		}
-		if got := outcome(EvalContext(context.Background(), compiled, cat, bound)); got != want {
+		if got := outcome(Eval(context.Background(), compiled, cat, bound)); got != want {
 			t.Errorf("binding %d %v: compiled\n%s\nbare\n%s", i, bound, got, want)
 		}
 	}
@@ -98,8 +98,8 @@ func TestWithConstantsFillsEverySelection(t *testing.T) {
 	if filled.String() != want.String() {
 		t.Fatalf("filled renders as\n%s\nwant\n%s", filled, want)
 	}
-	if outcome(Eval(filled, cat, nil)) != outcome(Eval(want, cat, nil)) {
-		t.Errorf("filled answers\n%s\nwant\n%s", outcome(Eval(filled, cat, nil)), outcome(Eval(want, cat, nil)))
+	if outcome(Eval(context.Background(), filled, cat, nil)) != outcome(Eval(context.Background(), want, cat, nil)) {
+		t.Errorf("filled answers\n%s\nwant\n%s", outcome(Eval(context.Background(), filled, cat, nil)), outcome(Eval(context.Background(), want, cat, nil)))
 	}
 	tj, fj := template.(*Project).Input.(*Join), filled.(*Project).Input.(*Join)
 	if fj.plan == nil || fj.plan != tj.plan {

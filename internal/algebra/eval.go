@@ -20,22 +20,16 @@ import (
 // with exactly those bindings, which is what lets VPS relations (only
 // accessible with mandatory attributes bound) be evaluated at all.
 //
-// Eval is EvalContext with a background context: no cancellation and no
-// Pool, so it runs on the calling goroutine.
-func Eval(e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
-	return EvalContext(context.Background(), e, cat, bound)
-}
-
-// EvalContext is Eval with a context. Cancellation is checked before every
-// base-relation access, so a cancelled query issues no further fetches and
-// returns ctx.Err(). When the context carries a Pool (WithPool), union
-// branches and dependent-join handle invocations evaluate concurrently,
-// bounded by the pool; results are merged in expression order, so the
-// answer is the same tuple for tuple at any worker count. Every branch
-// runs whatever the pool (ForEach), so the fetches made are the same too.
-// Of several failing branches, the leftmost branch's error is reported
-// (its siblings still run, but their results are discarded).
-func EvalContext(ctx context.Context, e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
+// Cancellation is checked before every base-relation access, so a
+// cancelled query issues no further fetches and returns ctx.Err(). When
+// the context carries a Pool (WithPool), union branches and dependent-join
+// handle invocations evaluate concurrently, bounded by the pool; without
+// one they run on the calling goroutine. Results are merged in expression
+// order, so the answer is the same tuple for tuple at any worker count.
+// Every branch runs whatever the pool (ForEach), so the fetches made are
+// the same too. Of several failing branches, the leftmost branch's error
+// is reported (its siblings still run, but their results are discarded).
+func Eval(ctx context.Context, e Expr, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
 	var sp *trace.Span
 	if parent := trace.FromContext(ctx); parent != nil {
 		sp = parent.Start(trace.KindOp, opLabel(e)) // a label is built only for a span
@@ -138,7 +132,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 			maps.Copy(sub, bound)
 			sub[e.Cond.Attr] = e.Cond.Val
 		}
-		in, err := EvalContext(ctx, e.Input, cat, sub)
+		in, err := Eval(ctx, e.Input, cat, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +156,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		}), nil
 
 	case *Project:
-		in, err := EvalContext(ctx, e.Input, cat, bound)
+		in, err := Eval(ctx, e.Input, cat, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +177,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 				sub[a] = v
 			}
 		}
-		in, err := EvalContext(ctx, e.Input, cat, sub)
+		in, err := Eval(ctx, e.Input, cat, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -243,11 +237,11 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		return acc, err
 
 	case *Diff:
-		l, err := EvalContext(ctx, e.Left, cat, bound)
+		l, err := Eval(ctx, e.Left, cat, bound)
 		if err != nil {
 			return nil, err
 		}
-		r, err := EvalContext(ctx, e.Right, cat, bound)
+		r, err := Eval(ctx, e.Right, cat, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +290,7 @@ func evalJoin(ctx context.Context, j *Join, cat Catalog, bound map[string]relati
 		return nil, err
 	}
 
-	acc, err := EvalContext(ctx, exprs[order[0]], cat, bound)
+	acc, err := Eval(ctx, exprs[order[0]], cat, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +327,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 
 	shared := nextSchema.Intersect(acc.Schema())
 	if len(shared) == 0 {
-		r, err := EvalContext(ctx, next, cat, bound)
+		r, err := Eval(ctx, next, cat, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -443,7 +437,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 		for k, a := range feed {
 			inputs[a] = tuples[i][k]
 		}
-		part, err := EvalContext(ictx, next, cat, inputs)
+		part, err := Eval(ictx, next, cat, inputs)
 		if err != nil {
 			sp.EndErr(err)
 			return err

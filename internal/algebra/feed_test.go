@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"testing"
 
 	"webbase/internal/relation"
@@ -48,7 +49,7 @@ func TestDependentJoinFeedsOnlyForwardable(t *testing.T) {
 	years := []int64{1993, 1994, 1995, 1996}
 
 	fed := feedCatalog(years...)
-	want, err := Eval(adsJoinBook(), fed, nil)
+	want, err := Eval(context.Background(), adsJoinBook(), fed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestDependentJoinFeedsOnlyForwardable(t *testing.T) {
 	}
 
 	mem := feedCatalog(years...)
-	got, err := Eval(adsJoinBook(), selective{mem, map[string]relation.AttrSet{"book": relation.NewAttrSet("Make")}}, nil)
+	got, err := Eval(context.Background(), adsJoinBook(), selective{mem, map[string]relation.AttrSet{"book": relation.NewAttrSet("Make")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestDependentJoinNullNeverJoins(t *testing.T) {
 		"Year not fed": relation.NewAttrSet("Make"),
 	} {
 		mem := build()
-		got, err := Eval(adsJoinBook(), selective{mem, map[string]relation.AttrSet{"book": forward}}, nil)
+		got, err := Eval(context.Background(), adsJoinBook(), selective{mem, map[string]relation.AttrSet{"book": forward}}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -104,7 +105,7 @@ func TestDependentJoinNullNeverJoins(t *testing.T) {
 	ads.MustInsert(relation.String("ford"), relation.Null())
 	mem.Add(ads, relation.NewAttrSet("Make"))
 	mem.Add(relation.New("book", relation.NewSchema("Make", "Year", "BBPrice")), relation.NewAttrSet("Make"))
-	got, err := Eval(adsJoinBook(), selective{mem, map[string]relation.AttrSet{"book": relation.NewAttrSet("Make")}}, nil)
+	got, err := Eval(context.Background(), adsJoinBook(), selective{mem, map[string]relation.AttrSet{"book": relation.NewAttrSet("Make")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestDependentJoinDeduplicatesASinglePart(t *testing.T) {
 	for name, years := range map[string][]int64{"one part": {1994}, "two parts": {1994, 1995}} {
 		cat := feedCatalog(years...)
 		cat.rels["book"].data.MustInsert(relation.String("ford"), relation.Int(1994), relation.Int(1000+1994))
-		got, err := Eval(adsJoinBook(), cat, nil)
+		got, err := Eval(context.Background(), adsJoinBook(), cat, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

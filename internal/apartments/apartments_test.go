@@ -62,7 +62,7 @@ func TestMapsTranslateAndRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rel, _, err := expr.Execute(w.Server, inputs)
+		rel, _, err := expr.Execute(context.Background(), w.Server, inputs)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -72,7 +72,7 @@ func TestMapsTranslateAndRun(t *testing.T) {
 	}
 	// Oracles.
 	cr, _ := navmap.Translate(Maps()["cityRentals"])
-	rel, _, err := cr.Execute(w.Server, inputs)
+	rel, _, err := cr.Execute(context.Background(), w.Server, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

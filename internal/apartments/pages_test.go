@@ -77,7 +77,7 @@ func TestPagesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, _, err := expr.Execute(fetcher, map[string]string{"Borough": "brooklyn", "Bedrooms": "2"}); err != nil {
+		if _, _, err := expr.Execute(context.Background(), fetcher, map[string]string{"Borough": "brooklyn", "Bedrooms": "2"}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

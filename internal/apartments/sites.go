@@ -18,11 +18,9 @@ const (
 // pageSize is the listings-per-page of the paginated sites.
 const pageSize = 6
 
-// CityRentals builds the owner-classifieds site: home → link("Apartment
+// cityRentals builds the owner-classifieds site: home → link("Apartment
 // Classifieds") → form(borough mandatory select, bedrooms optional) →
 // paginated listings.
-func CityRentals(ds *Dataset) web.Site { return cityRentals(ds).Web() }
-
 func cityRentals(ds *Dataset) sites.Site {
 	return sites.Site{Host: CityRentalsHost, Pages: map[string]sites.Page{
 		"/": &sites.Static{Title: "CityRentals", Links: []sites.Link{{Name: "Apartment Classifieds", Href: "/classifieds"}}},
@@ -35,11 +33,9 @@ func cityRentals(ds *Dataset) sites.Site {
 	}}
 }
 
-// AptFinder builds the broker site: a bedrooms radio group (mandatory, as
+// aptFinder builds the broker site: a bedrooms radio group (mandatory, as
 // the map builder infers from the widget) plus a borough select, listings
 // carrying the broker Fee column.
-func AptFinder(ds *Dataset) web.Site { return aptFinder(ds).Web() }
-
 func aptFinder(ds *Dataset) sites.Site {
 	return sites.Site{Host: AptFinderHost, Pages: map[string]sites.Page{
 		"/": &sites.Static{Title: "AptFinder", Form: &sites.Form{Name: "finder", Action: "/cgi/find", Method: "post",
@@ -52,10 +48,8 @@ func aptFinder(ds *Dataset) sites.Site {
 	}}
 }
 
-// RentIndex builds the rent-statistics reference: form(borough; bedrooms
+// rentIndex builds the rent-statistics reference: form(borough; bedrooms
 // optional) → median-rent table.
-func RentIndex() web.Site { return rentIndex().Web() }
-
 func rentIndex() sites.Site {
 	return sites.Site{Host: RentIndexHost, Pages: map[string]sites.Page{
 		"/": &sites.Static{Title: "RentIndex", Links: []sites.Link{{Name: "Median Rents", Href: "/medians"}}},
@@ -78,11 +72,9 @@ func rentIndex() sites.Site {
 	}}
 }
 
-// SafeStreets builds the neighborhood-safety reference: borough links
+// safeStreets builds the neighborhood-safety reference: borough links
 // (link-defined attribute) → crime-rate table per neighborhood, and a 404
 // for an unknown borough.
-func SafeStreets() web.Site { return safeStreets().Web() }
-
 func safeStreets() sites.Site {
 	var links []sites.Link
 	for _, b := range Boroughs {

@@ -9,6 +9,7 @@
 package carmaps
 
 import (
+	"context"
 	"embed"
 	"fmt"
 	"sort"
@@ -90,7 +91,7 @@ func sampleFeaturesURL(f web.Fetcher) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rel, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		return "", fmt.Errorf("carmaps: sampling a features URL: %w", err)
 	}

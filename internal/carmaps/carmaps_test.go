@@ -1,6 +1,7 @@
 package carmaps
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestDerivedExpressionsRunAgainstWorld(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rel, info, err := expr.Execute(w.Server, inputs)
+			rel, info, err := expr.Execute(context.Background(), w.Server, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +78,7 @@ func TestNewYorkDailyFullMake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +94,10 @@ func TestAutoConnectNeedsCondition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford"}); err == nil {
+	if _, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford"}); err == nil {
 		t.Error("autoConnect without Condition should fail (mandatory radio)")
 	}
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Condition": "good"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Condition": "good"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestReferenceSiteExpressions(t *testing.T) {
 
 	t.Run("kellys", func(t *testing.T) {
 		expr, _ := navmap.Translate(maps["kellys"])
-		rel, _, err := expr.Execute(w.Server, map[string]string{
+		rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{
 			"Make": "jaguar", "Model": "xj6", "Year": "1994", "Condition": "good"})
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +134,7 @@ func TestReferenceSiteExpressions(t *testing.T) {
 
 	t.Run("carAndDriver", func(t *testing.T) {
 		expr, _ := navmap.Translate(maps["carAndDriver"])
-		rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "jaguar"})
+		rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "jaguar"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestReferenceSiteExpressions(t *testing.T) {
 
 	t.Run("carReviews", func(t *testing.T) {
 		expr, _ := navmap.Translate(maps["carReviews"])
-		rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "honda", "Model": "civic"})
+		rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "honda", "Model": "civic"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestReferenceSiteExpressions(t *testing.T) {
 
 	t.Run("carFinance", func(t *testing.T) {
 		expr, _ := navmap.Translate(maps["carFinance"])
-		rel, _, err := expr.Execute(w.Server, map[string]string{"ZipCode": "11201", "Duration": "36"})
+		rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"ZipCode": "11201", "Duration": "36"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +168,13 @@ func TestReferenceSiteExpressions(t *testing.T) {
 	t.Run("newsdayCarFeatures", func(t *testing.T) {
 		// First get a Url via the newsday relation, then enter directly.
 		newsday, _ := navmap.Translate(maps["newsday"])
-		ads, _, err := newsday.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+		ads, _, err := newsday.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		u, _ := ads.Get(ads.Tuples()[0], "Url")
 		feats, _ := navmap.Translate(maps["newsdayCarFeatures"])
-		rel, _, err := feats.Execute(w.Server, map[string]string{"Url": u.Str()})
+		rel, _, err := feats.Execute(context.Background(), w.Server, map[string]string{"Url": u.Str()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +190,7 @@ func TestReferenceSiteExpressions(t *testing.T) {
 			t.Error("empty features")
 		}
 		// Without the Url input the expression must fail.
-		if _, _, err := feats.Execute(w.Server, nil); err == nil {
+		if _, _, err := feats.Execute(context.Background(), w.Server, nil); err == nil {
 			t.Error("missing Url input should fail")
 		}
 	})

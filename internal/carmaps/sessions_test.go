@@ -2,6 +2,7 @@ package carmaps
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"maps"
@@ -185,7 +186,7 @@ func TestSessionMapsBehaveLikeHandMaps(t *testing.T) {
 					fetches.Add(1)
 					return w.Server.Fetch(req)
 				})
-				rel, _, err := expr.Execute(counting, in)
+				rel, _, err := expr.Execute(context.Background(), counting, in)
 				if err != nil {
 					return "", fetches.Load(), err
 				}

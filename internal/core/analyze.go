@@ -23,12 +23,7 @@ import (
 // which fetches hit the cache, how many were deduplicated onto in-flight
 // twins, elapsed wall time. The determinism suite compares everything
 // above the footer.
-func (wb *Webbase) ExplainAnalyze(q ur.Query) (string, error) {
-	return wb.ExplainAnalyzeContext(context.Background(), q)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze with cancellation.
-func (wb *Webbase) ExplainAnalyzeContext(ctx context.Context, q ur.Query) (string, error) {
+func (wb *Webbase) ExplainAnalyze(ctx context.Context, q ur.Query) (string, error) {
 	res, qs, tr, err := wb.QueryTraced(ctx, q)
 	if err != nil {
 		return "", err

@@ -85,7 +85,7 @@ func TestExplainAnalyzeParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := wb.ExplainAnalyze(q)
+		out, err := wb.ExplainAnalyze(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestQueryTracedMatchesUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := wb.Query(q)
+	plain, _, err := wb.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

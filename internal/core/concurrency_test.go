@@ -146,7 +146,7 @@ func TestPopulateAllSiteErrorIsolation(t *testing.T) {
 		"Make": relation.String("ford"), "Model": relation.String("escort"),
 		"Condition": relation.String("good"),
 	}
-	results := wb.PopulateAll(sweepSites, inputs)
+	results := wb.PopulateAll(context.Background(), sweepSites, inputs)
 	if len(results) != len(sweepSites) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -190,7 +190,7 @@ func (c *cancelAfterFetcher) Fetch(req *web.Request) (*web.Response, error) {
 // through navigation and asserts (a) the query unwinds with
 // context.Canceled and (b) evaluation stopped issuing fetches — the
 // counter stops far short of the full run and does not move after
-// QueryContext returns.
+// Query returns.
 func TestQueryCancellationStopsFetches(t *testing.T) {
 	const q = "SELECT Make, Model, Year, Price WHERE Make = 'ford' AND Model = 'escort'"
 	w := sites.BuildWorld()
@@ -216,7 +216,7 @@ func TestQueryCancellationStopsFetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = wb.QueryStringContext(ctx, q)
+	_, _, err = wb.Query(ctx, mustParse(t, wb, q))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -227,7 +227,7 @@ func TestQueryCancellationStopsFetches(t *testing.T) {
 	if atReturn >= fullFetches/2 {
 		t.Errorf("cancelled query still fetched %d of %d pages", atReturn, fullFetches)
 	}
-	// All evaluation goroutines joined before QueryContext returned, so
+	// All evaluation goroutines joined before Query returned, so
 	// the counter is quiescent.
 	if again := aborter.n.Load(); again != atReturn {
 		t.Errorf("fetches continued after return: %d → %d", atReturn, again)
@@ -259,9 +259,9 @@ func TestPopulateAllDuplicateNamesDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	want := render(newWorkersWebbase(t, 1).PopulateAll(rels, inputs))
+	want := render(newWorkersWebbase(t, 1).PopulateAll(context.Background(), rels, inputs))
 	for i := 0; i < 5; i++ {
-		if got := render(wb.PopulateAll(rels, inputs)); got != want {
+		if got := render(wb.PopulateAll(context.Background(), rels, inputs)); got != want {
 			t.Fatalf("sweep %d ordering diverged:\n got %s\nwant %s", i, got, want)
 		}
 	}

@@ -252,7 +252,7 @@ func (wb *Webbase) repairHost(host string) error {
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: %w", host, err)
 		}
-		rel, _, err := expr.Execute(wb.stack.Repair, wb.sampleInputs)
+		rel, _, err := expr.Execute(context.Background(), wb.stack.Repair, wb.sampleInputs)
 		if err != nil {
 			return fmt.Errorf("core: repairing %s: verifying %s: %w", host, ri.Name, err)
 		}
@@ -479,33 +479,28 @@ func (qs *QueryStats) String() string {
 
 // Query evaluates a universal relation query end to end. Evaluation runs
 // on up to Config.Workers goroutines; the answer is identical tuple for
-// tuple at every worker count.
-func (wb *Webbase) Query(q ur.Query) (*ur.Result, *QueryStats, error) {
-	return wb.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query with cancellation: once ctx is done, evaluation
-// stops issuing page fetches (in-flight fetches complete), every layer
-// unwinds, and ctx.Err() is returned. Use it to put deadlines on queries
-// over slow or hung sites.
-func (wb *Webbase) QueryContext(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, error) {
+// tuple at every worker count. Once ctx is done, evaluation stops issuing
+// page fetches (in-flight fetches complete), every layer unwinds, and
+// ctx.Err() is returned. Use it to put deadlines on queries over slow or
+// hung sites.
+func (wb *Webbase) Query(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, error) {
 	res, qs, _, err := wb.query(ctx, q, nil, false)
 	return res, qs, err
 }
 
-// QueryTraced is QueryContext with execution tracing: the returned trace
+// QueryTraced is Query with execution tracing: the returned trace
 // holds one span per maximal object, algebra operator, dependent-join
 // invocation, handle execution and page fetch, annotated with actual
 // cardinalities and costs. The trace is returned even when the query
 // fails — a failed query's accesses are exactly what one wants to see.
 // Pass the trace to ExplainAnalyze for the rendered plan, or Export it as
 // JSON. Tracing adds spans but never changes the answer: the result is
-// tuple-for-tuple identical to QueryContext's.
+// tuple-for-tuple identical to Query's.
 func (wb *Webbase) QueryTraced(ctx context.Context, q ur.Query) (*ur.Result, *QueryStats, *trace.Trace, error) {
 	return wb.query(ctx, q, nil, true)
 }
 
-// QueryStream is QueryContext with incremental answer delivery: as each
+// QueryStream is Query with incremental answer delivery: as each
 // maximal object completes, sink receives its finished contribution
 // (new unique tuples, a degradation failure, or a binding skip) in plan
 // order, so a caller can ship partial answers while later objects are
@@ -574,7 +569,7 @@ func (wb *Webbase) run(ctx context.Context, q ur.Query, sink ur.ObjectSink) (*ur
 	// budget per maximal object from it. Attached last, so it is the first
 	// value a fetch's context lookup meets.
 	wq := wb.stack.NewQuery()
-	res, err := wb.UR.EvalStream(web.WithQuery(ctx, wq), q, wb.Logical, sink)
+	res, err := wb.UR.Eval(web.WithQuery(ctx, wq), q, wb.Logical, sink)
 	wb.stack.Stats.Add(&wq.Stats)
 	qs := &QueryStats{PeakInFlight: wb.stack.Stats.PeakInFlight()}
 	v := reflect.ValueOf(qs).Elem()
@@ -649,18 +644,14 @@ func (wb *Webbase) observe(qs *QueryStats, failed bool) {
 }
 
 // QueryString parses and evaluates the CLI query syntax
-// (SELECT ... WHERE ...).
+// (SELECT ... WHERE ...) without a deadline; parse with ur.ParseQuery and
+// call Query to pass a context.
 func (wb *Webbase) QueryString(text string) (*ur.Result, *QueryStats, error) {
-	return wb.QueryStringContext(context.Background(), text)
-}
-
-// QueryStringContext is QueryString with cancellation.
-func (wb *Webbase) QueryStringContext(ctx context.Context, text string) (*ur.Result, *QueryStats, error) {
 	q, err := ur.ParseQuery(wb.UR, text)
 	if err != nil {
 		return nil, nil, err
 	}
-	return wb.QueryContext(ctx, q)
+	return wb.Query(context.Background(), q)
 }
 
 // SiteResult is the outcome of populating one VPS relation during a
@@ -681,19 +672,15 @@ type SiteResult struct {
 // sort, so the output sequence is deterministic even when the input lists
 // a relation more than once — the same slot-then-deterministic-merge
 // pattern the parallel union evaluator uses.
-func (wb *Webbase) PopulateAll(relations []string, inputs map[string]relation.Value) []SiteResult {
-	return wb.PopulateAllContext(context.Background(), relations, inputs)
-}
-
-// PopulateAllContext is PopulateAll with cancellation: sites not yet
-// started when ctx is done report ctx.Err() in their SiteResult, and
-// running navigations abort at their next page load.
-func (wb *Webbase) PopulateAllContext(ctx context.Context, relations []string, inputs map[string]relation.Value) []SiteResult {
+//
+// Sites not yet started when ctx is done report ctx.Err() in their
+// SiteResult, and running navigations abort at their next page load.
+func (wb *Webbase) PopulateAll(ctx context.Context, relations []string, inputs map[string]relation.Value) []SiteResult {
 	results := make([]SiteResult, len(relations))
 	sweepCtx := algebra.WithPool(ctx, algebra.NewPool(wb.workers))
 	errs := algebra.ForEach(sweepCtx, len(relations), func(i int) error {
 		name := relations[i]
-		rel, _, err := wb.Registry.PopulateContext(ctx, wb.stack.Fetcher, name, inputs)
+		rel, _, err := wb.Registry.Populate(ctx, wb.stack.Fetcher, name, inputs)
 		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -71,7 +72,7 @@ func TestHeadlineQuery(t *testing.T) {
 			{Attr: "Price", Op: algebra.LT, Attr2: "BBPrice"},
 		},
 	}
-	res, stats, err := wb.Query(q)
+	res, stats, err := wb.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +168,8 @@ func TestPopulateAllMatchesSequential(t *testing.T) {
 		"Make": relation.String("ford"), "Model": relation.String("escort"),
 		"Condition": relation.String("good"),
 	}
-	par := newWorkersWebbase(t, 8).PopulateAll(rels, inputs)
-	seq := newWorkersWebbase(t, 1).PopulateAll(rels, inputs)
+	par := newWorkersWebbase(t, 8).PopulateAll(context.Background(), rels, inputs)
+	seq := newWorkersWebbase(t, 1).PopulateAll(context.Background(), rels, inputs)
 	if len(par) != len(seq) {
 		t.Fatalf("lengths differ: %d vs %d", len(par), len(seq))
 	}

@@ -178,7 +178,7 @@ func TestQueryStaleOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	healthy, hqs, err := wb.QueryContext(context.Background(), q)
+	healthy, hqs, err := wb.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestQueryStaleOnError(t *testing.T) {
 
 	// The EXPLAIN ANALYZE footer reports the degraded, stale-served run.
 	clk.Advance(2 * time.Minute)
-	report, err := wb.ExplainAnalyze(q)
+	report, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestQueryBreakerOpensAndRejects(t *testing.T) {
 		t.Fatal("dead host never probed at all")
 	}
 
-	second, qs, err := wb.QueryContext(context.Background(), q)
+	second, qs, err := wb.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestDeadlineExplainAnalyzeAnnotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wb.ExplainAnalyze(q)
+	out, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestDeadlineDisabledNoBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := wb.QueryContext(context.Background(), mustParse(t, wb, wideCarQuery))
+	res, _, err := wb.Query(context.Background(), mustParse(t, wb, wideCarQuery))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestExplainAnalyzePrunedGoldenApartments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wb.ExplainAnalyze(q)
+	out, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestExplainAnalyzePrunedGoldenUsedCars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wb.ExplainAnalyze(q)
+	out, err := wb.ExplainAnalyze(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -297,7 +298,7 @@ func TestRepairWalksOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := expr.Execute(alone, vps.StandardSampleInputs); err != nil {
+	if _, _, err := expr.Execute(context.Background(), alone, vps.StandardSampleInputs); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := worker.Load(), alone.calls.Load(); got != want {

@@ -56,7 +56,7 @@ func (c *VPSCatalog) Forwardable(name string) relation.AttrSet {
 // navigation expression against the Web; the context reaches navigation
 // execution, so cancellation stops page fetches.
 func (c *VPSCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
-	rel, _, err := c.Registry.PopulateContext(ctx, c.Fetcher, name, inputs)
+	rel, _, err := c.Registry.Populate(ctx, c.Fetcher, name, inputs)
 	if err != nil {
 		if errors.Is(err, vps.ErrNoUsableHandle) {
 			return nil, fmt.Errorf("%w: %v", algebra.ErrBindingUnsatisfied, err)
@@ -181,7 +181,7 @@ func (c *Catalog) Populate(ctx context.Context, name string, inputs map[string]r
 			ctx = prune.ContextWith(ctx, r)
 		}
 	}
-	rel, err := algebra.EvalContext(ctx, v.Def, c.base, inputs)
+	rel, err := algebra.Eval(ctx, v.Def, c.base, inputs)
 	if err != nil {
 		return nil, fmt.Errorf("logical: populating %s: %w", name, err)
 	}

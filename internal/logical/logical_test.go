@@ -173,7 +173,7 @@ func TestViewJoinAcrossLayers(t *testing.T) {
 		},
 		Cond: algebra.Condition{Attr: "Price", Op: algebra.LT, Attr2: "BBPrice"},
 	}
-	rel, err := algebra.Eval(expr, cat, map[string]relation.Value{
+	rel, err := algebra.Eval(context.Background(), expr, cat, map[string]relation.Value{
 		"Make": sv("jaguar"), "Condition": sv("good")})
 	if err != nil {
 		t.Fatal(err)

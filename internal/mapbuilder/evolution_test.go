@@ -1,6 +1,7 @@
 package mapbuilder_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestSiteEvolutionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := expr.Execute(v1, inputs)
+	rel, _, err := expr.Execute(context.Background(), v1, inputs)
 	if err != nil || rel.Len() != 1 {
 		t.Fatalf("v1 execute: %v %v", rel, err)
 	}
@@ -105,7 +106,7 @@ func TestSiteEvolutionLifecycle(t *testing.T) {
 	if len(drifts) != 1 || !strings.Contains(drifts[0].Problem, "Used Cars") {
 		t.Fatalf("v2 drift = %v", drifts)
 	}
-	if _, _, err := expr.Execute(v2, inputs); err == nil {
+	if _, _, err := expr.Execute(context.Background(), v2, inputs); err == nil {
 		t.Fatal("stale expression should fail against v2")
 	}
 
@@ -124,7 +125,7 @@ func TestSiteEvolutionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel, _, err := expr2.Execute(v2, inputs); err != nil || rel.Len() != 1 {
+	if rel, _, err := expr2.Execute(context.Background(), v2, inputs); err != nil || rel.Len() != 1 {
 		t.Fatalf("refreshed execute: %v %v", rel, err)
 	}
 
@@ -136,7 +137,7 @@ func TestSiteEvolutionLifecycle(t *testing.T) {
 	if drifts, _ := b3.CheckMap(m2, inputs); len(drifts) != 0 {
 		t.Fatalf("benign change flagged: %v", drifts)
 	}
-	if rel, _, err := expr2.Execute(v3, inputs); err != nil || rel.Len() != 1 {
+	if rel, _, err := expr2.Execute(context.Background(), v3, inputs); err != nil || rel.Len() != 1 {
 		t.Fatalf("execute across benign change: %v %v", rel, err)
 	}
 }

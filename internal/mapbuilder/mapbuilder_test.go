@@ -1,6 +1,7 @@
 package mapbuilder_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -100,11 +101,11 @@ func TestBuiltMapExpressionTextRoundTrip(t *testing.T) {
 		t.Errorf("text changed across save and load:\n%s\nvs\n%s", a, b)
 	}
 	in := map[string]string{"Make": "ford", "Model": "escort"}
-	a, _, err := expr.Execute(w.Server, in)
+	a, _, err := expr.Execute(context.Background(), w.Server, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, _, err := reread.Execute(w.Server, in)
+	bb, _, err := reread.Execute(context.Background(), w.Server, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestWalkMapEnteredAtQueryURL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ads, _, err := newsday.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	ads, _, err := newsday.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil || ads.Len() == 0 {
 		t.Fatalf("sampling a features URL: %d ads, %v", ads.Len(), err)
 	}

@@ -1,6 +1,7 @@
 package mapbuilder_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestRepairReanchorsRenamedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestPageSetAllocs(t *testing.T) {
 	}
 	loadAll := func(ctx context.Context) {
 		for _, e := range loads {
-			if _, _, err := e.ExecuteContext(ctx, canned, nil); err != nil {
+			if _, _, err := e.Execute(ctx, canned, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,7 +97,7 @@ func TestFollowAllocs(t *testing.T) {
 	expr := &navcalc.Expression{Name: "follow", StartURL: page.url, Schema: relation.NewSchema("Make"),
 		Program: tlogic.NewProgram(), Goal: navcalc.Follow("ford")}
 	run := func() {
-		if _, _, err := expr.Execute(canned, nil); err != nil {
+		if _, _, err := expr.Execute(context.Background(), canned, nil); err != nil {
 			t.Fatalf("follow failed: %v", err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 		Program: tlogic.NewProgram(), Goal: navcalc.Extract(spec)}
 	tuples := 0
 	run := func() {
-		_, info, err := expr.Execute(canned, nil)
+		_, info, err := expr.Execute(context.Background(), canned, nil)
 		if err != nil {
 			t.Fatalf("extraction failed: %v", err)
 		}
@@ -180,7 +180,7 @@ func TestFailedBranchTuplesStayOut(t *testing.T) {
 			tlogic.Seq(navcalc.Follow("More"), extract, navcalc.Follow("Gone")),
 			tlogic.Seq(navcalc.Follow("Other"), extract),
 		))}
-	rel, _, err := expr.Execute(f, nil)
+	rel, _, err := expr.Execute(context.Background(), f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

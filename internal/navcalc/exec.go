@@ -49,14 +49,9 @@ type ExecInfo struct {
 
 // Execute runs the expression against the fetcher with the given input
 // bindings (attribute name → value, e.g. {"Make": "ford"}) and returns the
-// collected relation named name.
-func (e *Expression) Execute(f web.Fetcher, inputs map[string]string) (*relation.Relation, ExecInfo, error) {
-	return e.ExecuteContext(context.Background(), f, inputs)
-}
-
-// ExecuteContext is Execute with cancellation: the navigation aborts at
-// the next page load once ctx is done.
-func (e *Expression) ExecuteContext(ctx context.Context, f web.Fetcher, inputs map[string]string) (*relation.Relation, ExecInfo, error) {
+// collected relation named name. The navigation aborts at the next page
+// load once ctx is done.
+func (e *Expression) Execute(ctx context.Context, f web.Fetcher, inputs map[string]string) (*relation.Relation, ExecInfo, error) {
 	start := e.StartURL
 	if e.StartURLVar != "" {
 		v, ok := inputs[e.StartURLVar]

@@ -1,6 +1,7 @@
 package navcalc_test
 
 import (
+	"context"
 	"testing"
 
 	"webbase/internal/carmaps"
@@ -36,11 +37,11 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	}
 	w := sites.BuildWorld()
 	in := map[string]string{"Make": "honda", "Model": "civic"}
-	a, _, err := orig.Execute(w.Server, in)
+	a, _, err := orig.Execute(context.Background(), w.Server, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := reread.Execute(w.Server, in)
+	b, _, err := reread.Execute(context.Background(), w.Server, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ rule visit_pricerPg = submit("pricer"; make=?Make, model=?Model, year=?Year, con
 		t.Errorf("kellys prints\n%s\nwant\n%s", got, want)
 	}
 	w := sites.BuildWorld()
-	rel, _, err := expr.Execute(w.Server, map[string]string{
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{
 		"Make": "jaguar", "Model": "xj6", "Year": "1994", "Condition": "good"})
 	if err != nil {
 		t.Fatal(err)

@@ -74,7 +74,7 @@ func runQuery(t *testing.T, expr *Expression, f web.Fetcher, inputs map[string]s
 	t.Helper()
 	*pages = nil
 	ctx := web.WithQuery(context.Background(), &web.Query{})
-	if _, _, err := expr.ExecuteContext(ctx, f, inputs); err != nil {
+	if _, _, err := expr.Execute(ctx, f, inputs); err != nil {
 		t.Fatal(err)
 	}
 	return *pages
@@ -154,7 +154,7 @@ func TestInputDependentPageParsedPerVisit(t *testing.T) {
 		t.Helper()
 		found = nil
 		ctx := web.WithQuery(context.Background(), &web.Query{})
-		if _, _, err := expr.ExecuteContext(ctx, f, inputs); err != nil {
+		if _, _, err := expr.Execute(ctx, f, inputs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestInputFreePageRacingFirstUse(t *testing.T) {
 			// fetch nothing; ε then ends the choice where it began.
 			expr := freeExpression(tlogic.Alt(Follow("Nowhere"), Submit("nowhere"), tlogic.Empty{}), &pages)
 			ctx := web.WithQuery(context.Background(), &web.Query{})
-			if _, _, err := expr.ExecuteContext(ctx, f, nil); err != nil {
+			if _, _, err := expr.Execute(ctx, f, nil); err != nil {
 				t.Errorf("query %d: %v", q, err)
 			}
 			seen[q] = pages

@@ -35,7 +35,7 @@ func TestLentPagesEndWithTheirExecution(t *testing.T) {
 	lentAgain := func(t *testing.T, f web.Fetcher, expr *Expression, inputs map[string]string, was []*page) {
 		t.Helper()
 		pages = nil
-		if _, _, err := expr.ExecuteContext(web.WithQuery(context.Background(), &web.Query{}), f, inputs); err != nil {
+		if _, _, err := expr.Execute(web.WithQuery(context.Background(), &web.Query{}), f, inputs); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.ContainsFunc(pages, func(p *page) bool { return slices.Contains(was, p) }) {
@@ -56,7 +56,7 @@ func TestLentPagesEndWithTheirExecution(t *testing.T) {
 		var firstVisit []*page
 		for i := 0; i < 2; i++ { // the second execution keeps the pages
 			pages = nil
-			rel, _, err := hub.ExecuteContext(ctx, site, in)
+			rel, _, err := hub.Execute(ctx, site, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestLentPagesEndWithTheirExecution(t *testing.T) {
 		// The query's next execution is served the kept page, and answers
 		// from it as the first two did.
 		pages = nil
-		rel, _, err := hub.ExecuteContext(ctx, site, in)
+		rel, _, err := hub.Execute(ctx, site, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestLentPagesEndWithTheirExecution(t *testing.T) {
 		run := func() ([]*page, string) {
 			t.Helper()
 			pages = nil
-			rel, _, err := free.ExecuteContext(web.WithQuery(context.Background(), &web.Query{}), f, nil)
+			rel, _, err := free.Execute(web.WithQuery(context.Background(), &web.Query{}), f, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestLentPagesEndWithTheirExecution(t *testing.T) {
 			Goal: tlogic.Seq(spyOn(&pages), FollowVar("Make"), spyOn(&pages), makes)}
 		in := map[string]string{"Url": freeHome, "Make": "ford"}
 		pages = nil
-		if _, _, err := dependent.ExecuteContext(web.WithQuery(context.Background(), &web.Query{}), f, in); err != nil {
+		if _, _, err := dependent.Execute(web.WithQuery(context.Background(), &web.Query{}), f, in); err != nil {
 			t.Fatal(err)
 		}
 		if slices.ContainsFunc(pages, func(p *page) bool { return slices.Contains(cached, p) }) {

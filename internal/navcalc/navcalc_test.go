@@ -70,7 +70,7 @@ func TestNewsdayExpressionBroadMake(t *testing.T) {
 	var stats web.Stats
 	f := web.Counting(w.Server, &stats)
 
-	rel, info, err := expr.Execute(f, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, info, err := expr.Execute(context.Background(), f, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestNewsdayExpressionRareMakeTakesDataBranch(t *testing.T) {
 		t.Skip("no rare make; adjust dataset sizes")
 	}
 	expr := newsdayExpression()
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": rare})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": rare})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestExpressionFailsWithoutMandatoryInput(t *testing.T) {
 	// No Make: form f1 cannot be filled (its only field stays at the page
 	// default, which exists for selects) — Newsday's select has a default,
 	// so instead test Kelly's, whose condition radio group has no default.
-	_, _, err := expr.Execute(w.Server, nil)
+	_, _, err := expr.Execute(context.Background(), w.Server, nil)
 	// The select's default lets f1 submit; the execution still either
 	// succeeds (collecting the default make) or fails cleanly.
 	if err != nil && !errors.Is(err, ErrNavigationFailed) {
@@ -160,12 +160,12 @@ func TestExpressionFailsWithoutMandatoryInput(t *testing.T) {
 			}}),
 		),
 	}
-	_, _, err = kellys.Execute(w.Server, map[string]string{"Make": "jaguar", "Model": "xj6"})
+	_, _, err = kellys.Execute(context.Background(), w.Server, map[string]string{"Make": "jaguar", "Model": "xj6"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Errorf("missing mandatory radio input should fail navigation, got %v", err)
 	}
 	// With the full mandatory set it succeeds.
-	rel, _, err := kellys.Execute(w.Server, map[string]string{
+	rel, _, err := kellys.Execute(context.Background(), w.Server, map[string]string{
 		"Make": "jaguar", "Model": "xj6", "Condition": "good"})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func yahooCarsExpression() *Expression {
 func TestFollowVarDirectoryNavigation(t *testing.T) {
 	w := sites.BuildWorld()
 	expr := yahooCarsExpression()
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFollowVarDirectoryNavigation(t *testing.T) {
 		t.Errorf("collected %d, want %d", rel.Len(), want)
 	}
 	// Unbound variable: soft failure.
-	_, _, err = expr.Execute(w.Server, map[string]string{"Make": "ford"})
+	_, _, err = expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford"})
 	if !errors.Is(err, ErrNavigationFailed) {
 		t.Errorf("unbound Model should fail navigation: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestBrowseStateCloneIsolation(t *testing.T) {
 // them as they are: appending to one reallocates it and never writes into
 // the row after it.
 func TestExtractedTuplesDoNotAlias(t *testing.T) {
-	rel, _, err := newsdayExpression().Execute(sites.BuildWorld().Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := newsdayExpression().Execute(context.Background(), sites.BuildWorld().Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestExtractSchemaMismatchIsHardError(t *testing.T) {
 			Extract(ExtractSpec{Columns: []Column{{Header: "Make", Attr: "NotInSchema"}}}),
 		),
 	}
-	if _, _, err := expr.Execute(w.Server, nil); err == nil {
+	if _, _, err := expr.Execute(context.Background(), w.Server, nil); err == nil {
 		t.Error("schema mismatch must be a hard error")
 	}
 }
@@ -397,7 +397,7 @@ func TestBrowseStateAccessorsAndFirstForm(t *testing.T) {
 			}}),
 		),
 	}
-	rel, _, err := expr.Execute(w.Server, nil)
+	rel, _, err := expr.Execute(context.Background(), w.Server, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,13 +410,13 @@ func TestPageBudgetAbortsRunawayPagination(t *testing.T) {
 	w := sites.BuildWorld()
 	expr := newsdayExpression()
 	expr.MaxPages = 4 // home + auto + f1-result + one data page, then stop
-	_, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if !errors.Is(err, ErrPageBudget) {
 		t.Fatalf("err = %v, want page-budget abort", err)
 	}
 	// A generous budget succeeds.
 	expr.MaxPages = 100
-	rel, _, err := expr.Execute(w.Server, map[string]string{"Make": "ford", "Model": "escort"})
+	rel, _, err := expr.Execute(context.Background(), w.Server, map[string]string{"Make": "ford", "Model": "escort"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,14 +438,14 @@ func TestExecuteContextCancellation(t *testing.T) {
 		}
 		return w.Server.Fetch(req)
 	})
-	_, _, err := expr.ExecuteContext(ctx, f, map[string]string{"Make": "ford", "Model": "escort"})
+	_, _, err := expr.Execute(ctx, f, map[string]string{"Make": "ford", "Model": "escort"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Pre-cancelled context fails on the start page.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, _, err := expr.ExecuteContext(ctx2, w.Server, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := expr.Execute(ctx2, w.Server, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -459,7 +459,7 @@ func TestStartPageFetchFailure(t *testing.T) {
 		Program:  tlogic.NewProgram(),
 		Goal:     tlogic.Empty{},
 	}
-	if _, _, err := expr.Execute(w.Server, nil); err == nil {
+	if _, _, err := expr.Execute(context.Background(), w.Server, nil); err == nil {
 		t.Error("unknown host must error")
 	}
 }
@@ -487,7 +487,9 @@ func TestFollowLinkTriesLinksInDocumentOrder(t *testing.T) {
 		body := fmt.Sprintf("<html><head><title>Target %d</title></head><body>here</body></html>", i)
 		mux.Handle(fmt.Sprintf("/page%d", i), func(req *web.Request) (*web.Response, error) { return web.HTML(req.URL, body), nil })
 	}
-	st := startAt(t, web.FetcherFunc(mux.Serve), "http://directory.example/", relation.NewSchema("A"))
+	srv := web.NewServer()
+	srv.Register(mux)
+	st := startAt(t, srv, "http://directory.example/", relation.NewSchema("A"))
 	view, _ := PageToObjects(st.doc, st.url)
 	if got := view.Members("follow_link"); len(got) != 120 || got[11] != "follow11" || got[100] != "follow100" {
 		t.Fatalf("follow_link members are not in document order: %v", got)

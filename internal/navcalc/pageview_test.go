@@ -3,6 +3,7 @@ package navcalc_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -121,7 +122,7 @@ func recordFixtures(t *testing.T) []fixturePage {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			rel, _, err := expr.Execute(rec, inputs)
+			rel, _, err := expr.Execute(context.Background(), rec, inputs)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -271,7 +272,7 @@ func TestScanAnswersAsTheView(t *testing.T) {
 			loaded, fetched = false, nil
 			expr := &navcalc.Expression{Name: "follow", StartURL: p.url, Schema: relation.NewSchema("A"),
 				Program: tlogic.NewProgram(), Goal: navcalc.Follow(name)}
-			if _, _, err := expr.Execute(f, nil); err != nil && !errors.Is(err, navcalc.ErrNavigationFailed) {
+			if _, _, err := expr.Execute(context.Background(), f, nil); err != nil && !errors.Is(err, navcalc.ErrNavigationFailed) {
 				t.Fatal(err)
 			}
 			if want := viewFollows(view, name); !slices.Equal(fetched, want) {

@@ -353,7 +353,7 @@ func TestPageBudgetCountsReusedVisits(t *testing.T) {
 		tlogic.Alt(tlogic.Seq(Follow("More"), goal), tlogic.Empty{})))
 	expr := &Expression{Name: "loop", StartURL: reuseLoop, MaxPages: 5,
 		Schema: relation.NewSchema("Make"), Program: prog, Goal: goal}
-	_, _, err := expr.ExecuteContext(web.WithQuery(context.Background(), q), site, nil)
+	_, _, err := expr.Execute(web.WithQuery(context.Background(), q), site, nil)
 	if !errors.Is(err, ErrPageBudget) {
 		t.Fatalf("err = %v, want the page budget", err)
 	}

@@ -26,7 +26,7 @@ const (
 	keptArray = 600
 )
 
-// scratch is what one execution (Expression.ExecuteContext) borrows and
+// scratch is what one execution (Expression.Execute) borrows and
 // nothing outlives: its page budget, its states, and the pages that only it
 // visits, with their parse arrays. Backtracking discards a branch by
 // dropping its states, so every state and lent page of an execution lives

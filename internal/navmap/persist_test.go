@@ -2,6 +2,7 @@ package navmap_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -64,11 +65,11 @@ func TestMapJSONRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			origRel, _, err := origExpr.Execute(w.Server, in)
+			origRel, _, err := origExpr.Execute(context.Background(), w.Server, in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loadedRel, _, err := loadedExpr.Execute(w.Server, in)
+			loadedRel, _, err := loadedExpr.Execute(context.Background(), w.Server, in)
 			if err != nil {
 				t.Fatal(err)
 			}

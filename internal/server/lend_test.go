@@ -314,3 +314,39 @@ func TestLendLongLineKeepsNoOversizedBuffer(t *testing.T) {
 		t.Errorf("the long stream did not end with its error event")
 	}
 }
+
+// TestLendKeepaliveAfterEndWritesNothing: a keepalive tick that lands after
+// end, whatever the order of end's two steps, finds no codec. It writes
+// nothing, and the codec end gave back stays idle as it was.
+func TestLendKeepaliveAfterEndWritesNothing(t *testing.T) {
+	for _, useGzip := range []bool{false, true} {
+		var cs codecs
+		rec := &flushRecorder{header: make(http.Header)}
+		sw := newStreamWriter(rec, &cs, "r-ka", "SELECT V", []string{"V"}, "tok", -1, useGzip)
+		sw.keepalive()
+		if rec.body.Len() != 0 || len(rec.flushes) != 0 {
+			t.Fatalf("gzip %v: a keepalive before the start wrote %d bytes", useGzip, rec.body.Len())
+		}
+		sw.mu.Lock()
+		sw.startLocked()
+		sw.mu.Unlock()
+		sw.keepalive()
+		if len(rec.flushes) != 1 {
+			t.Fatalf("gzip %v: a keepalive on the started stream flushed %d times, want once", useGzip, len(rec.flushes))
+		}
+		sw.end()
+		if len(cs.idle) != 1 {
+			t.Fatalf("gzip %v: %d codecs idle after end, want the stream's", useGzip, len(cs.idle))
+		}
+		idle := cs.idle[0]
+		line := slices.Clone(idle.line)
+		n := rec.body.Len()
+		sw.keepalive()
+		if rec.body.Len() != n || len(rec.flushes) != 1 {
+			t.Errorf("gzip %v: a keepalive after end wrote %d bytes and flushed %d times", useGzip, rec.body.Len()-n, len(rec.flushes)-1)
+		}
+		if len(cs.idle) != 1 || cs.idle[0] != idle || !bytes.Equal(idle.line, line) {
+			t.Errorf("gzip %v: a keepalive after end changed the idle codecs", useGzip)
+		}
+	}
+}

@@ -147,14 +147,22 @@ func (sw *streamWriter) startKeepalive(interval time.Duration) {
 			case <-sw.kaStop:
 				return
 			case <-t.C:
-				sw.mu.Lock()
-				if sw.started && sw.broken == nil {
-					sw.emitLocked(wire.AppendKeepalive(sw.codec.line[:0]), nil)
-				}
-				sw.mu.Unlock()
+				sw.keepalive()
 			}
 		}
 	}()
+}
+
+// keepalive emits one keepalive event, but only while the stream holds
+// its codec and is not broken: before the start, and once end has given
+// the codec back, a tick writes nothing, so the order of end's two steps
+// does not matter.
+func (sw *streamWriter) keepalive() {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.codec != nil && sw.broken == nil {
+		sw.emitLocked(wire.AppendKeepalive(sw.codec.line[:0]), nil)
+	}
 }
 
 // stopKeepalive stops the ticker and waits for its goroutine to exit, so

@@ -1,20 +1,16 @@
 package sites
 
-import "webbase/internal/web"
-
 // Hosts of the newspaper classified sites.
 const (
 	NYTimesHost      = "nytimes.example"
 	NewYorkDailyHost = "nydailynews.example"
 )
 
-// NYTimes builds the New York Times classifieds site. Its shape is one
+// nyTimes builds the New York Times classifieds site. Its shape is one
 // level flatter than Newsday's: home → link("Classifieds") → form(make
 // mandatory, model optional) → paginated data pages that carry the
 // Features column inline (the VPS relation nyTimes(Make, Model, Features,
 // Price, Contact) of Table 1).
-func NYTimes(ds *Dataset) web.Site { return nyTimes(ds).Web() }
-
 func nyTimes(ds *Dataset) Site {
 	return Site{Host: NYTimesHost, Pages: map[string]Page{
 		"/": &Static{Title: "The New York Times", Heading: "The New York Times",
@@ -29,11 +25,9 @@ func nyTimes(ds *Dataset) Site {
 	}}
 }
 
-// NewYorkDaily builds the New York Daily News classifieds site: two link
+// newYorkDaily builds the New York Daily News classifieds site: two link
 // hops to the search form, and deliberately sloppy markup (unclosed table
 // cells) so the lenient parser's recovery is exercised on a full site.
-func NewYorkDaily(ds *Dataset) web.Site { return newYorkDaily(ds).Web() }
-
 func newYorkDaily(ds *Dataset) Site {
 	return Site{Host: NewYorkDailyHost, Pages: map[string]Page{
 		"/": &Static{Sloppy: true, Title: "NY Daily News", Heading: "New York Daily News",

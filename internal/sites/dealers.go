@@ -19,11 +19,9 @@ const (
 // carPoint/autoWeb(Car, Price, Features, ZipCode, Contact) of Table 1.
 var dealerCols = adColumns("Make", "Model", "Year", "Price", "Features", "ZipCode", "Contact")
 
-// CarPoint builds the CarPoint dealer site: a single search form taking
+// carPoint builds the CarPoint dealer site: a single search form taking
 // make (mandatory), model and zipcode (optional) straight on the home
 // page, answering with one paginated listing.
-func CarPoint(ds *Dataset) web.Site { return carPoint(ds).Web() }
-
 func carPoint(ds *Dataset) Site {
 	return Site{Host: CarPointHost, Pages: map[string]Page{
 		"/": &Static{Title: "CarPoint", Heading: "CarPoint Dealer Network",
@@ -33,12 +31,10 @@ func carPoint(ds *Dataset) Site {
 	}}
 }
 
-// AutoWeb builds the AutoWeb dealer site: a two-form drill-down — first
+// autoWeb builds the AutoWeb dealer site: a two-form drill-down — first
 // pick the make, then on a second dynamically generated page pick the
 // model (the second form is itself produced by a CGI script, one of the
 // difficulties the paper's introduction highlights).
-func AutoWeb(ds *Dataset) web.Site { return autoWeb(ds).Web() }
-
 func autoWeb(ds *Dataset) Site {
 	return Site{Host: AutoWebHost, Pages: map[string]Page{
 		"/": &Static{Title: "AutoWeb", Heading: "AutoWeb", Links: []Link{{"Used Car Search", "/used"}}},
@@ -62,12 +58,10 @@ func autoWeb(ds *Dataset) Site {
 	}}
 }
 
-// WWWheels builds the WWWheels site: the simplest dealer — one form on the
+// wwWheels builds the WWWheels site: the simplest dealer — one form on the
 // home page and a single unpaginated (and sloppily marked-up) data page,
 // wrapped in a layout table (sidebar + content), the typical 1990s
 // construction that forces extractors to keep nested tables apart.
-func WWWheels(ds *Dataset) web.Site { return wwWheels(ds).Web() }
-
 func wwWheels(ds *Dataset) Site {
 	return Site{Host: WWWheelsHost, Pages: map[string]Page{
 		"/": &Static{Sloppy: true, Title: "WWWheels", Heading: "WWWheels — wheels on the World Wide Web",
@@ -78,11 +72,9 @@ func wwWheels(ds *Dataset) Site {
 	}}
 }
 
-// AutoConnect builds the AutoConnect site: its search form uses a radio
+// autoConnect builds the AutoConnect site: its search form uses a radio
 // group for condition — the widget from which the map builder infers a
 // mandatory attribute (Section 7).
-func AutoConnect(ds *Dataset) web.Site { return autoConnect(ds).Web() }
-
 func autoConnect(ds *Dataset) Site {
 	form := makeModelForm("finder", "/cgi-bin/inv", "post")
 	form.Fields = append(form.Fields, RadioField("condition", conditions...))
@@ -100,12 +92,10 @@ func autoConnect(ds *Dataset) Site {
 	}}
 }
 
-// YahooCars builds the Yahoo! Cars directory site: no forms at all — makes
+// yahooCars builds the Yahoo! Cars directory site: no forms at all — makes
 // and models are "attributes implicitly defined through a set of links"
 // (Section 7), so navigation picks links by name rather than filling
 // fields.
-func YahooCars(ds *Dataset) web.Site { return yahooCars(ds).Web() }
-
 func yahooCars(ds *Dataset) Site {
 	return Site{Host: YahooCarsHost, Pages: map[string]Page{
 		"/":     &Static{Title: "Yahoo! Cars", Heading: "Browse by Make", Links: makeLinks("/make?make=")},

@@ -22,7 +22,7 @@ const AdPageSize = 5
 // — the if-then-else branch of Figure 2.
 const TooManyMatches = 2 * AdPageSize
 
-// Newsday builds the Newsday classifieds site: the site whose navigation
+// newsday builds the Newsday classifieds site: the site whose navigation
 // map is Figure 2 of the paper. Its shape:
 //
 //	/                 home; links l1, auto, l3, l4
@@ -31,8 +31,6 @@ const TooManyMatches = 2 * AdPageSize
 //	                  "Car Features" links) or, when too many ads match,
 //	                  a page with form f2(model, featrs)
 //	/features         newsdayCarFeatures data page for one ad
-func Newsday(ds *Dataset) web.Site { return newsday(ds).Web() }
-
 func newsday(ds *Dataset) Site {
 	return Site{Host: NewsdayHost, Pages: map[string]Page{
 		"/": &Static{Title: "Newsday Online", Heading: "Newsday", Links: []Link{

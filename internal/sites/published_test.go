@@ -122,6 +122,23 @@ func TestPagesShowThePublishedRelation(t *testing.T) {
 	if chains == 0 {
 		t.Error("no crawl followed a More link; the pagination is not checked")
 	}
+
+	// A value holding a byte that ends or changes a query value (here ';',
+	// which makes the pair unreadable) still reaches every page of the
+	// More chain: Newsday's refined search for ford pages through its ads
+	// with several features.
+	i := slices.IndexFunc(cars.Sites, func(s sites.Site) bool { return s.Host == sites.NewsdayHost })
+	nclassy := cars.Sites[i].Pages["/cgi-bin/nclassy"].(sites.Result)
+	columns, _, _ := nclassy.Schema()
+	for _, featrs := range []string{"; ", "cd player; "} {
+		fields := []web.Field{{Name: "make", Value: "ford"}, {Name: "refined", Value: "1"}, {Name: "featrs", Value: featrs}}
+		got, errorPage, pages := crawl(t, cars.Server, "http://"+sites.NewsdayHost+"/cgi-bin/nclassy", fields, columns)
+		want := nclassy.Published(fields)
+		if errorPage || pages < 2 || !sameBag(got, want) {
+			t.Errorf("newsday nclassy %v: the pages show %d rows over %d pages (error page %v), Published %d",
+				fields, len(got), pages, errorPage, len(want))
+		}
+	}
 }
 
 // crawl submits fields to url and follows the "More" links from page to

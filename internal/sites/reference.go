@@ -14,12 +14,10 @@ const (
 	CarFinanceHost   = "carfinance.example"
 )
 
-// Kellys builds Kelly's Blue Book: form(make, model, condition — the
+// kellys builds Kelly's Blue Book: form(make, model, condition — the
 // mandatory set of Table 3; year optional). With a year the answer is a
 // single price row; without one it is a row per model year, matching how
 // the real site listed prices by year.
-func Kellys() web.Site { return kellys(nil).Web() }
-
 func kellys(*Dataset) Site {
 	form := makeModelForm("pricer", "/cgi-bin/price", "post")
 	form.Fields = append(form.Fields, TextField("year"), RadioField("condition", conditions...))
@@ -51,11 +49,9 @@ func kellys(*Dataset) Site {
 	}}
 }
 
-// CarAndDriver builds the Car and Driver safety-ratings site: form(make) →
+// carAndDriver builds the Car and Driver safety-ratings site: form(make) →
 // table of (Make, Model, Safety) — the VPS relation carAndDriver(Car,
 // Safety) of Table 1.
-func CarAndDriver() web.Site { return carAndDriver(nil).Web() }
-
 func carAndDriver(*Dataset) Site {
 	return Site{Host: CarAndDriverHost, Pages: map[string]Page{
 		"/": &Static{Title: "Car and Driver", Heading: "Car and Driver", Links: []Link{{"Safety Ratings", "/safety"}}},
@@ -82,12 +78,10 @@ func carAndDriver(*Dataset) Site {
 	}}
 }
 
-// CarReviews builds the CarReviews site: reliability scores per model,
+// carReviews builds the CarReviews site: reliability scores per model,
 // reached through a per-make link directory and a per-model review page —
 // the deepest navigation among the reference sites, which is why it shows
 // one of the larger page counts in the Section 7 timing table.
-func CarReviews() web.Site { return carReviews(nil).Web() }
-
 func carReviews(*Dataset) Site {
 	return Site{Host: CarReviewsHost, Pages: map[string]Page{
 		"/":        &Static{Title: "CarReviews", Heading: "Reviews by Make", Links: makeLinks("/reviews?make=")},
@@ -101,11 +95,9 @@ func carReviews(*Dataset) Site {
 	}}
 }
 
-// CarFinance builds the CarFinance rate site: form(zipcode mandatory,
+// carFinance builds the CarFinance rate site: form(zipcode mandatory,
 // duration) → rate table — the VPS relation carFinance(Car, ZipCode,
 // Duration, Rate).
-func CarFinance() web.Site { return carFinance(nil).Web() }
-
 func carFinance(*Dataset) Site {
 	return Site{Host: CarFinanceHost, Pages: map[string]Page{
 		"/": &Static{Title: "CarFinance", Heading: "CarFinance.example — used car loans",

@@ -82,6 +82,27 @@ var references = [...]string{"&amp;", "&lt;", "&gt;", "&quot;"}
 func (p *pageBuilder) esc(s string)  { p.escaped(s, textSpecials) }
 func (p *pageBuilder) attr(s string) { p.escaped(s, attrSpecials) }
 
+// queryValue writes s as a query value inside an attribute: each byte of
+// queryBytes, which would end the value or change what it decodes to,
+// percent-encoded, and the rest attribute-escaped.
+func (p *pageBuilder) queryValue(s string) {
+	for {
+		i := strings.IndexAny(s, queryBytes)
+		if i < 0 {
+			p.attr(s)
+			return
+		}
+		p.attr(s[:i])
+		p.raw(percentEncoded[strings.IndexByte(queryBytes, s[i])])
+		s = s[i+1:]
+	}
+}
+
+const queryBytes = ";&=+#%"
+
+// percentEncoded are the percent-encodings of queryBytes' bytes.
+var percentEncoded = [...]string{"%3B", "%26", "%3D", "%2B", "%23", "%25"}
+
 // markup writes parts in order: the even ones as they are, the odd ones
 // (attribute values) escaped.
 func (p *pageBuilder) markup(parts ...string) {

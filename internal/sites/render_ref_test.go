@@ -16,6 +16,10 @@ type refPage struct {
 	sloppy bool
 }
 
+// refQueryValue percent-encodes the bytes a "More" link's query values
+// must not carry as they are.
+var refQueryValue = strings.NewReplacer(";", "%3B", "&", "%26", "=", "%3D", "+", "%2B", "#", "%23", "%", "%25")
+
 func refNewPage(title string, sloppy bool) *refPage {
 	p := &refPage{sloppy: sloppy}
 	p.sb.WriteString("<html><head><title>")

@@ -36,8 +36,9 @@ func TestTitleCase(t *testing.T) {
 // web.Server: a static page's heading, text, link and every form widget; a
 // script's templated title and heading (an unknown placeholder written as
 // it is), its table of ads with row links in
-// the sidebar layout, its "More" link on the first of two pages and none on
-// the second, and its error page; a table of strings, sloppy or not. The
+// the sidebar layout, its "More" link on the first of two pages (a value
+// percent-encoded where a byte would end it or change its decoding) and
+// none on the second, and its error page; a table of strings, sloppy or not. The
 // inputs reach markup, attributes and numbers unescaped by the fuzzer, so
 // `&<>"` and invalid UTF-8 land everywhere.
 func FuzzRender(f *testing.F) {
@@ -83,7 +84,7 @@ func FuzzRender(f *testing.F) {
 				tableLinked(cols, adRows[page:page+1], "Car Features", hrefs[page:page+1]).
 				layoutClose()
 			if page == 0 {
-				p.link("More", base+"/ads?make="+cell1+"&model="+cell2+"&x=1&page=1")
+				p.link("More", base+"/ads?make="+refQueryValue.Replace(cell1)+"&model="+refQueryValue.Replace(cell2)+"&x=1&page=1")
 			}
 			return p.done()
 		}

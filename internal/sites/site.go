@@ -12,7 +12,7 @@ import (
 // A Site is a simulated Web site as a value: its host and its pages, by
 // path. What a site publishes, under which inputs, in which columns and
 // with what pagination is read off its Scripts; Web renders the value,
-// through pageBuilder, into the web.Site a Server routes to.
+// through pageBuilder, into the web.Mux a Server routes to.
 type Site struct {
 	Host  string
 	Pages map[string]Page
@@ -26,9 +26,9 @@ type Page interface {
 	serve(req *web.Request, base, path string) *web.Response
 }
 
-// Web is the web.Site that serves s. Every request renders its page afresh
+// Web is the web.Mux that serves s. Every request renders its page afresh
 // from the value and the data behind it.
-func (s Site) Web() web.Site {
+func (s Site) Web() *web.Mux {
 	m := web.NewMux(s.Host)
 	base := "http://" + s.Host
 	for path, pg := range s.Pages {
@@ -285,7 +285,7 @@ func (s *Script[R]) more(p *pageBuilder, base, path string, in *Values, next int
 		p.attr(sep)
 		p.attr(name)
 		p.attr("=")
-		p.attr(in[i])
+		p.queryValue(in[i])
 		sep = "&"
 	}
 	if s.More != "" {

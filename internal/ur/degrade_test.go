@@ -42,7 +42,7 @@ func TestEvalDeadSiteInOnlyObject(t *testing.T) {
 			{Attr: "Make", Op: algebra.EQ, Val: relation.String("jaguar")},
 		},
 	}
-	healthy, err := s.Eval(q, mem)
+	healthy, err := s.Eval(context.Background(), q, mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEvalDeadSiteInOnlyObject(t *testing.T) {
 	}
 
 	cat := &downCatalog{MemCatalog: mem, down: map[string]string{"book": "book.example"}}
-	_, err = s.Eval(q, cat)
+	_, err = s.Eval(context.Background(), q, cat, nil)
 	if err == nil {
 		t.Fatal("query over a dead mandatory site succeeded")
 	}
@@ -66,7 +66,7 @@ func TestEvalDeadSiteInOnlyObject(t *testing.T) {
 			{Attr: "Make", Op: algebra.EQ, Val: relation.String("jaguar")},
 		},
 	}
-	res2, err := s.Eval(q2, cat)
+	res2, err := s.Eval(context.Background(), q2, cat, nil)
 	if err != nil || res2.Degradation != nil {
 		t.Fatalf("unrelated site affected the query: %v %+v", err, res2)
 	}
@@ -103,7 +103,7 @@ func TestEvalPartialAnswerExactlySurvivors(t *testing.T) {
 	s, mem := miniTwoObjectWorld()
 	q := Query{Output: []string{"K", "V"}}
 
-	healthy, err := s.Eval(q, mem)
+	healthy, err := s.Eval(context.Background(), q, mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestEvalPartialAnswerExactlySurvivors(t *testing.T) {
 	}
 
 	cat := &downCatalog{MemCatalog: mem, down: map[string]string{"b": "b.example"}}
-	res, err := s.Eval(q, cat)
+	res, err := s.Eval(context.Background(), q, cat, nil)
 	if err != nil {
 		t.Fatalf("degraded eval failed outright: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestEvalPartialAnswerExactlySurvivors(t *testing.T) {
 	// per-site detail in the message.
 	all := &downCatalog{MemCatalog: mem,
 		down: map[string]string{"a": "a.example", "b": "b.example"}}
-	_, err = s.Eval(q, all)
+	_, err = s.Eval(context.Background(), q, all, nil)
 	if err == nil {
 		t.Fatal("all-objects-down eval succeeded")
 	}
@@ -179,7 +179,7 @@ func TestEvalDriftDegradesWithKind(t *testing.T) {
 	q := Query{Output: []string{"K", "V"}}
 
 	cat := &driftCatalog{MemCatalog: mem, drifted: map[string]string{"b": "b.example"}}
-	res, err := s.Eval(q, cat)
+	res, err := s.Eval(context.Background(), q, cat, nil)
 	if err != nil {
 		t.Fatalf("degraded eval failed outright: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestEvalDriftDegradesWithKind(t *testing.T) {
 
 	// An outage entry renders exactly as it always has — no tag.
 	down := &downCatalog{MemCatalog: mem, down: map[string]string{"b": "b.example"}}
-	res, err = s.Eval(q, down)
+	res, err = s.Eval(context.Background(), q, down, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestEvalCancellationIsNotDegradation(t *testing.T) {
 	s, mem := miniTwoObjectWorld()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.EvalContext(ctx, Query{Output: []string{"K", "V"}}, mem)
+	_, err := s.Eval(ctx, Query{Output: []string{"K", "V"}}, mem, nil)
 	if err == nil {
 		t.Skip("in-memory catalog answered before noticing cancellation")
 	}

@@ -24,7 +24,7 @@ func keyRel(keys ...string) *relation.Relation {
 }
 
 // limitGate is a sinkless gate over n anonymous objects, armed the way
-// EvalStream arms it: with the prune state's LIMIT.
+// Eval arms it: with the prune state's LIMIT.
 func limitGate(n int, st *prune.State) *streamGate {
 	return newStreamGate(nil, &Plan{Objects: make([]PlanObject, n)}, st.Limit())
 }
@@ -116,7 +116,7 @@ func overlapWorld(n int) (*Schema, *algebra.MemCatalog) {
 func TestStreamDeliveriesAreTheAnswer(t *testing.T) {
 	s, cat := overlapWorld(3)
 	var got []ObjectDelivery
-	res, err := s.EvalStream(context.Background(), Query{Output: []string{"K", "V"}}, cat,
+	res, err := s.Eval(context.Background(), Query{Output: []string{"K", "V"}}, cat,
 		func(d ObjectDelivery) { got = append(got, d) })
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestStreamSinkAllocs(t *testing.T) {
 	q := Query{Output: []string{"K", "V"}}
 	run := func(sink ObjectSink) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if _, err := s.EvalStream(context.Background(), q, cat, sink); err != nil {
+			if _, err := s.Eval(context.Background(), q, cat, sink); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -164,7 +164,7 @@ func TestStreamSinkAllocs(t *testing.T) {
 	without := run(nil)
 	with := run(func(ObjectDelivery) {})
 	if with > without+4 {
-		t.Errorf("EvalStream allocates %.0f with a sink, %.0f without: the sink costs a second answer", with, without)
+		t.Errorf("Eval allocates %.0f with a sink, %.0f without: the sink costs a second answer", with, without)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestStreamCancelBeforeLaterObjects(t *testing.T) {
 					sink = func(d ObjectDelivery) { got = append(got, d) }
 				}
 				ctx = algebra.WithPool(ctx, algebra.NewPool(workers))
-				res, err := s.EvalStream(ctx, Query{Output: []string{"K", "V"}}, cat, sink)
+				res, err := s.Eval(ctx, Query{Output: []string{"K", "V"}}, cat, sink)
 				if res != nil || !errors.Is(err, context.Canceled) {
 					t.Fatalf("res = %v, err = %v; want nil and context.Canceled", res, err)
 				}

@@ -1,6 +1,7 @@
 package ur
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,7 +30,7 @@ func bookQuery(make string) Query {
 // answer evaluates q over cat and renders the answer.
 func answer(t *testing.T, s *Schema, q Query, cat algebra.Catalog) string {
 	t.Helper()
-	res, err := s.Eval(q, cat)
+	res, err := s.Eval(context.Background(), q, cat, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -205,7 +206,7 @@ func TestPlanTableRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			res, err := s.Eval(bookQuery(makes[g%len(makes)]), cat)
+			res, err := s.Eval(context.Background(), bookQuery(makes[g%len(makes)]), cat, nil)
 			if errs[g] = err; err == nil {
 				got[g] = res.Relation.String()
 			}

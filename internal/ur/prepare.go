@@ -73,7 +73,7 @@ func (t *planTable) keep(_ *compiledPlan, err error) (share, keep bool) {
 	return true, t.compiled.Add(1) <= maxShapes
 }
 
-// Prepare returns the plan EvalStream runs for q over cat: Plan's objects
+// Prepare returns the plan Eval runs for q over cat: Plan's objects
 // and Shared, each object's expression optimized for cat and compiled
 // (algebra.Compile), with q's constants filled in. The shape is compiled
 // once per schema and catalog; q's ORDER BY and LIMIT do not enter it, as

@@ -15,12 +15,12 @@ var pruneOps = map[algebra.CmpOp]prune.Op{
 
 // NewPruneState compiles the query's conjunctive WHERE clause into a
 // runtime access-relevance state (package prune). Attach it with
-// prune.ContextWith before EvalStream and every layer below consults it:
+// prune.ContextWith before Eval and every layer below consults it:
 // handle invocations whose inputs violate the clause are skipped
 // pre-fetch, dependent-join feeds whose upstream bindings are doomed are
 // never invoked, and — when sound — maximal objects stop launching once
 // LIMIT is satisfied. For that last rule the state only carries the LIMIT
-// and counts the skips; EvalStream's gate holds the answer so far and
+// and counts the skips; Eval's gate holds the answer so far and
 // decides from its length.
 //
 // The cardinality early-exit is armed only when truncation is oblivious

@@ -220,7 +220,7 @@ type Plan struct {
 	Query   Query
 	Objects []PlanObject
 	// Shared names, in plan order, the logical relations that the
-	// expressions of more than one object read. EvalStream evaluates each
+	// expressions of more than one object read. Eval evaluates each
 	// of them once per distinct inputs for the whole query; nil when the
 	// objects read disjoint relations.
 	Shared []string
@@ -444,25 +444,17 @@ func (d *Degradation) String() string {
 // Eval plans and evaluates the query against the logical catalog, taking
 // the union of the qualifying maximal objects' answers. Objects that fail
 // on binding grounds are skipped and reported; any other failure aborts.
-func (s *Schema) Eval(q Query, cat algebra.Catalog) (*Result, error) {
-	return s.EvalContext(context.Background(), q, cat)
-}
-
-// EvalContext is Eval with cancellation and bounded parallelism. The
-// maximal objects are independent (each navigates different site
+//
+// The maximal objects are independent (each navigates different site
 // combinations; the fetch stack is concurrency-safe), so they evaluate
 // concurrently under the worker pool the context carries (algebra.WithPool);
 // without a pool the same objects evaluate one after another on the
 // calling goroutine. Every object runs at any worker count, and
 // per-object answers are merged in plan order, so the result — and the
-// fetches made — are the same regardless of scheduling. Cancelling ctx stops further page fetches and
-// surfaces ctx.Err().
-func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) (*Result, error) {
-	return s.EvalStream(ctx, q, cat, nil)
-}
-
-// EvalStream is EvalContext with incremental per-object delivery: as
-// each maximal object completes, its finished contribution (new unique
+// fetches made — are the same regardless of scheduling. Cancelling ctx
+// stops further page fetches and surfaces ctx.Err().
+//
+// As each maximal object completes, its finished contribution (new unique
 // tuples, a degradation failure, or a binding skip) is handed to sink in
 // plan order, gated so the stream is byte-identical whatever the worker
 // count. The delivered tuples are sub-slices of Result.Relation's tuple
@@ -472,7 +464,7 @@ func (s *Schema) EvalContext(ctx context.Context, q Query, cat algebra.Catalog) 
 // A nil sink only assembles the Result. A site outage or drift degrades
 // only the objects that depend on the site; a query none of whose objects
 // answered fails, wrapping the first outage.
-func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink) (*Result, error) {
+func (s *Schema) Eval(ctx context.Context, q Query, cat algebra.Catalog, sink ObjectSink) (*Result, error) {
 	plan, err := s.Prepare(q, cat)
 	if err != nil {
 		return nil, err
@@ -545,7 +537,7 @@ func (s *Schema) EvalStream(ctx context.Context, q Query, cat algebra.Catalog, s
 		// The paper: "once translated, these queries can be optimized
 		// and evaluated by standard query evaluation techniques." Prepare
 		// optimized the expression.
-		rel, err := algebra.EvalContext(octx, plan.Objects[i].Expr, cat, nil)
+		rel, err := algebra.Eval(octx, plan.Objects[i].Expr, cat, nil)
 		if sps != nil {
 			if rel != nil {
 				sps[i].Set("tuples", int64(rel.Len()))

@@ -29,7 +29,7 @@ import (
 // relations are views over the catalog below, which does not share, and
 // the worker pool runs a task inline when it has no token to spare.
 //
-// A sharedCatalog lives in one EvalStream frame and goes with it.
+// A sharedCatalog lives in one Eval frame and goes with it.
 type sharedCatalog struct {
 	algebra.Catalog
 	shared []string

@@ -136,7 +136,7 @@ func TestSharedFailureIsNotKept(t *testing.T) {
 	alone := &recordingCatalog{MemCatalog: mem, failFirst: "book"}
 	var want []string
 	for _, o := range plan.Objects {
-		rel, err := algebra.Eval(algebra.Optimize(o.Expr, alone), alone, nil)
+		rel, err := algebra.Eval(context.Background(), algebra.Optimize(o.Expr, alone), alone, nil)
 		if err != nil {
 			want = append(want, outcome(nil, web.FailingHost(err)))
 		} else {
@@ -146,7 +146,7 @@ func TestSharedFailureIsNotKept(t *testing.T) {
 
 	shared := &recordingCatalog{MemCatalog: mem, failFirst: "book"}
 	var got []string
-	res, err := s.EvalStream(context.Background(), q, shared, func(d ObjectDelivery) {
+	res, err := s.Eval(context.Background(), q, shared, func(d ObjectDelivery) {
 		host := ""
 		if d.Failure != nil {
 			host = d.Failure.Host
@@ -230,7 +230,7 @@ func TestSharedConcurrentReaders(t *testing.T) {
 		s, mem := bookWorld(n)
 		inner := &recordingCatalog{MemCatalog: mem}
 		ctx := algebra.WithPool(context.Background(), algebra.NewPool(n))
-		res, err := s.EvalStream(ctx, jaguarQuery("Make", "Price", "BBPrice"), inner, nil)
+		res, err := s.Eval(ctx, jaguarQuery("Make", "Price", "BBPrice"), inner, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,12 +314,12 @@ func TestSharedNothingWithoutSharedRelation(t *testing.T) {
 	}
 	alone := &recordingCatalog{MemCatalog: mem}
 	for _, o := range plan.Objects {
-		if _, err := algebra.Eval(algebra.Optimize(o.Expr, alone), alone, nil); err != nil {
+		if _, err := algebra.Eval(context.Background(), algebra.Optimize(o.Expr, alone), alone, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	through := &recordingCatalog{MemCatalog: mem}
-	if _, err := s.EvalStream(context.Background(), q, through, nil); err != nil {
+	if _, err := s.Eval(context.Background(), q, through, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(through.calls, alone.calls) {

@@ -1,6 +1,7 @@
 package ur
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -309,7 +310,7 @@ func TestEvalCrossRelationQuery(t *testing.T) {
 			{Attr: "Price", Op: algebra.LT, Attr2: "BBPrice"},
 		},
 	}
-	res, err := s.Eval(q, cat)
+	res, err := s.Eval(context.Background(), q, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestEvalSkipsUnboundObjects(t *testing.T) {
 	// from the query: the object is skipped and reported.
 	s, cat := memLogical()
 	q := Query{Output: []string{"Make", "Price"}} // no Make constant at all
-	_, err := s.Eval(q, cat)
+	_, err := s.Eval(context.Background(), q, cat, nil)
 	if err == nil {
 		t.Error("expected failure when every object is unbindable")
 	}
@@ -416,7 +417,7 @@ func TestParseQueryOrderByLimit(t *testing.T) {
 		t.Errorf("limit = %d", q.Limit)
 	}
 	// Eval applies ordering and limit.
-	res, err := s.Eval(q, cat)
+	res, err := s.Eval(context.Background(), q, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestPopulateAllocs(t *testing.T) {
 	inputs := map[string]relation.Value{"Make": v("ford"), "Model": v("escort")}
 	tuples := 0
 	populate := func() {
-		rel, _, err := reg.PopulateContext(context.Background(), warm, "newsday", inputs)
+		rel, _, err := reg.Populate(context.Background(), warm, "newsday", inputs)
 		if err != nil {
 			t.Fatal(err)
 		}

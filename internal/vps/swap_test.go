@@ -31,7 +31,7 @@ func repairedNewsdayMap(t *testing.T, reg *Registry) (*navmap.Map, web.Rewrite) 
 	return repaired, web.Rewrite{Old: ">Automobiles<", New: ">Cars and Trucks<"}
 }
 
-// TestSwapMapServesNewExpression: after a swap, PopulateContext navigates
+// TestSwapMapServesNewExpression: after a swap, Populate navigates
 // with the repaired map (against the redesigned site) and MapVersion
 // reports the new generation with the repaired map's fingerprint.
 func TestSwapMapServesNewExpression(t *testing.T) {
@@ -47,7 +47,7 @@ func TestSwapMapServesNewExpression(t *testing.T) {
 	rd.Activate()
 
 	// Old map against the redesigned site: drift.
-	_, _, err = reg.Populate(rd, "newsday", map[string]relation.Value{
+	_, _, err = reg.Populate(context.Background(), rd, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if !web.IsDrift(err) {
 		t.Fatalf("old map on redesigned site: IsDrift=false: %v", err)
@@ -67,7 +67,7 @@ func TestSwapMapServesNewExpression(t *testing.T) {
 		t.Error("CurrentMap is not the swapped-in map")
 	}
 
-	rel, _, err := reg.Populate(rd, "newsday", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), rd, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestSwapDuringConcurrentQueries(t *testing.T) {
 					return
 				default:
 				}
-				rel, _, err := reg.PopulateContext(context.Background(), bothDesigns, "newsday", inputs)
+				rel, _, err := reg.Populate(context.Background(), bothDesigns, "newsday", inputs)
 				if err != nil {
 					t.Errorf("query during swap failed: %v", err)
 					return
@@ -192,7 +192,7 @@ func TestQuarantinedHostShortCircuits(t *testing.T) {
 	})
 	ctx := ContextWithQuarantine(context.Background(),
 		map[string]bool{sites.NewsdayHost: true})
-	_, _, err = reg.PopulateContext(ctx, counting, "newsday", map[string]relation.Value{
+	_, _, err = reg.Populate(ctx, counting, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if !web.IsDrift(err) {
 		t.Fatalf("quarantined host: IsDrift=false: %v", err)
@@ -201,7 +201,7 @@ func TestQuarantinedHostShortCircuits(t *testing.T) {
 		t.Errorf("quarantined host was fetched %d times", fetches)
 	}
 	// Another host under the same snapshot answers normally.
-	rel, _, err := reg.PopulateContext(ctx, counting, "newYorkDaily", map[string]relation.Value{
+	rel, _, err := reg.Populate(ctx, counting, "newYorkDaily", map[string]relation.Value{
 		"Make": v("ford")})
 	if err != nil || rel.Len() == 0 {
 		t.Fatalf("unquarantined host failed: %v (rows=%d)", err, rel.Len())

@@ -259,15 +259,10 @@ func (r *Registry) ChooseHandle(name string, inputs map[string]relation.Value) (
 // the relation restricted to the given inputs. Sites may answer more
 // broadly than asked (a selection attribute the handle could not forward),
 // so the result is post-filtered: every returned tuple satisfies
-// tuple[a] = inputs[a] for each input attribute a in the schema.
-func (r *Registry) Populate(f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, navcalc.ExecInfo, error) {
-	return r.PopulateContext(context.Background(), f, name, inputs)
-}
-
-// PopulateContext is Populate with cancellation: the handle's navigation
-// aborts at the next page load once ctx is done, so a cancelled query
-// stops fetching promptly instead of finishing the site.
-func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, navcalc.ExecInfo, error) {
+// tuple[a] = inputs[a] for each input attribute a in the schema. The
+// handle's navigation aborts at the next page load once ctx is done, so a
+// cancelled query stops fetching promptly instead of finishing the site.
+func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, navcalc.ExecInfo, error) {
 	h, err := r.ChooseHandle(name, inputs)
 	if err != nil {
 		// The failed access attempt is itself worth tracing: Benedikt &
@@ -336,7 +331,7 @@ func (r *Registry) PopulateContext(ctx context.Context, f web.Fetcher, name stri
 		sp.EndErr(err)
 		return nil, navcalc.ExecInfo{}, err
 	}
-	rel, info, err := expr.ExecuteContext(ctx, f, strInputs)
+	rel, info, err := expr.Execute(ctx, f, strInputs)
 	if err != nil {
 		err = fmt.Errorf("vps: populating %s: %w", name, err)
 		sp.Set("fetches", countFetches(sp))

@@ -1,6 +1,7 @@
 package vps
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -138,7 +139,7 @@ func TestPopulateAgainstWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, info, err := reg.Populate(w.Server, "newsday", map[string]relation.Value{
+	rel, info, err := reg.Populate(context.Background(), w.Server, "newsday", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +158,7 @@ func TestPopulatePostFilters(t *testing.T) {
 	// must still return only matching tuples (client-side restriction).
 	w := sites.BuildWorld()
 	reg, _ := StandardRegistry()
-	rel, _, err := reg.Populate(w.Server, "newYorkDaily", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), w.Server, "newYorkDaily", map[string]relation.Value{
 		"Make": v("ford"), "Model": v("escort")})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +179,7 @@ func TestPopulateYearIntFilter(t *testing.T) {
 	// Kellys with a Year input: the site forwards it; result is one row.
 	w := sites.BuildWorld()
 	reg, _ := StandardRegistry()
-	rel, _, err := reg.Populate(w.Server, "kellys", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), w.Server, "kellys", map[string]relation.Value{
 		"Make": v("jaguar"), "Model": v("xj6"),
 		"Year": relation.Int(1994), "Condition": v("good")})
 	if err != nil {
@@ -213,7 +214,7 @@ func TestPopulateEmptyAnswerIsNotFailure(t *testing.T) {
 	if mk == "" {
 		t.Skip("dataset covers every make/model; enlarge catalog to test")
 	}
-	rel, _, err := reg.Populate(w.Server, "wwWheels", map[string]relation.Value{
+	rel, _, err := reg.Populate(context.Background(), w.Server, "wwWheels", map[string]relation.Value{
 		"Make": v(mk), "Model": v(md)})
 	if err != nil {
 		t.Fatalf("empty search should succeed: %v", err)
@@ -226,7 +227,7 @@ func TestPopulateEmptyAnswerIsNotFailure(t *testing.T) {
 func TestPopulateNoHandle(t *testing.T) {
 	w := sites.BuildWorld()
 	reg, _ := StandardRegistry()
-	_, _, err := reg.Populate(w.Server, "kellys", map[string]relation.Value{"Make": v("jaguar")})
+	_, _, err := reg.Populate(context.Background(), w.Server, "kellys", map[string]relation.Value{"Make": v("jaguar")})
 	if !errors.Is(err, ErrNoUsableHandle) {
 		t.Errorf("err = %v", err)
 	}
@@ -251,7 +252,7 @@ func (r *Registry) checkAgreement(f web.Fetcher, name string, inputs map[string]
 		if !h.Invocable(inputs) {
 			continue
 		}
-		rel, _, err := h.Expr.Execute(f, strInputs)
+		rel, _, err := h.Expr.Execute(context.Background(), f, strInputs)
 		if err != nil {
 			return fmt.Errorf("vps: agreement check %s: handle %s: %w", name, h, err)
 		}

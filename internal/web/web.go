@@ -299,32 +299,24 @@ type FetcherFunc func(req *Request) (*Response, error)
 // Fetch implements Fetcher.
 func (f FetcherFunc) Fetch(req *Request) (*Response, error) { return f(req) }
 
-// Site serves the pages of one simulated Web site.
-type Site interface {
-	// Host is the site's host name, e.g. "newsday.example".
-	Host() string
-	// Serve handles a request whose URL host equals Host().
-	Serve(req *Request) (*Response, error)
-}
-
 // Server is the simulated Web: a set of sites indexed by host. It
 // implements Fetcher. Server is safe for concurrent use once all sites are
 // registered.
 type Server struct {
 	mu    sync.RWMutex
-	sites map[string]Site
+	sites map[string]*Mux
 }
 
 // NewServer returns an empty simulated Web.
 func NewServer() *Server {
-	return &Server{sites: make(map[string]Site)}
+	return &Server{sites: make(map[string]*Mux)}
 }
 
 // Register adds a site, replacing any previous site on the same host.
-func (s *Server) Register(site Site) {
+func (s *Server) Register(site *Mux) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sites[site.Host()] = site
+	s.sites[site.host] = site
 }
 
 // Hosts returns the registered host names, sorted.
@@ -339,8 +331,9 @@ func (s *Server) Hosts() []string {
 	return hosts
 }
 
-// Fetch routes the request to the site owning the URL's host. A Mux is
-// handed the path parsed here, so a request's URL is parsed once.
+// Fetch routes the request to the site owning the URL's host, which
+// dispatches it by the path parsed here: a URL is parsed once. A path no
+// handler serves is a 404 page, not an error.
 func (s *Server) Fetch(req *Request) (*Response, error) {
 	u, err := url.Parse(req.URL)
 	if err != nil {
@@ -352,14 +345,11 @@ func (s *Server) Fetch(req *Request) (*Response, error) {
 	if !ok {
 		return nil, fmt.Errorf("web: no such host %q", u.Host)
 	}
-	if m, ok := site.(*Mux); ok {
-		return m.serve(req, u.Path)
-	}
-	return site.Serve(req)
+	return site.serve(req, u.Path)
 }
 
-// Mux dispatches requests within a site by URL path. The zero value is not
-// usable; call NewMux.
+// Mux is one simulated Web site: it dispatches requests within its host by
+// URL path. The zero value is not usable; call NewMux.
 type Mux struct {
 	host     string
 	mu       sync.RWMutex
@@ -371,9 +361,6 @@ func NewMux(host string) *Mux {
 	return &Mux{host: host, handlers: make(map[string]FetcherFunc)}
 }
 
-// Host implements Site.
-func (m *Mux) Host() string { return m.host }
-
 // Handle registers a handler for an exact path ("/", "/cgi-bin/search").
 func (m *Mux) Handle(path string, h FetcherFunc) {
 	m.mu.Lock()
@@ -381,16 +368,8 @@ func (m *Mux) Handle(path string, h FetcherFunc) {
 	m.handlers[path] = h
 }
 
-// Serve implements Site: exact-path dispatch, 404 otherwise.
-func (m *Mux) Serve(req *Request) (*Response, error) {
-	u, err := url.Parse(req.URL)
-	if err != nil {
-		return nil, fmt.Errorf("web: bad URL %q: %w", req.URL, err)
-	}
-	return m.serve(req, u.Path)
-}
-
-// serve dispatches req, whose URL's path is path.
+// serve dispatches req, whose URL's path is path: exact-path dispatch,
+// 404 otherwise.
 func (m *Mux) serve(req *Request, path string) (*Response, error) {
 	if path == "" {
 		path = "/"

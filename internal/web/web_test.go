@@ -43,12 +43,13 @@ func TestServerRouting(t *testing.T) {
 }
 
 func TestMux404AndBadURL(t *testing.T) {
-	m := demoSite("a.example")
-	resp, err := m.Serve(NewGet(context.Background(), "http://a.example/nope"))
+	s := NewServer()
+	s.Register(demoSite("a.example"))
+	resp, err := s.Fetch(NewGet(context.Background(), "http://a.example/nope"))
 	if err != nil || resp.Status != 404 {
 		t.Errorf("expected 404, got %v %v", resp, err)
 	}
-	if _, err := m.Serve(NewGet(context.Background(), "http://bad url")); err == nil {
+	if _, err := s.Fetch(NewGet(context.Background(), "http://bad url")); err == nil {
 		t.Error("expected parse error")
 	}
 }

@@ -26,6 +26,15 @@
 //	    "AND Condition = 'good' AND Price < BBPrice")
 //	fmt.Println(res.Relation, stats)
 //
+// QueryString is the shorthand without a deadline. Every operation that
+// can fetch a page takes a context first, so a caller bounds a query with
+// one:
+//
+//	q, err := webbase.ParseQuery(wb, "SELECT Make, Price WHERE Make = 'ford'")
+//	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+//	defer cancel()
+//	res, stats, err := wb.Query(ctx, q)
+//
 // Every query can be observed as well as answered: System.QueryTraced
 // returns a span tree mirroring the layered evaluation (query → maximal
 // object → operator → handle → page fetch), System.ExplainAnalyze renders

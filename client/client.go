@@ -34,9 +34,11 @@
 // A stream decodes through readers its Client lends it: a buffer over the
 // response body, a gzip reader and a line buffer, about 48 KiB. The stream
 // keeps them across its attempts and gives them back when it ends. The
-// Client keeps returned readers for the next stream only while another
-// stream is still open, so an idle Client holds none, and a caller that
-// runs one query at a time gets a fresh set per query.
+// Client lends them from one internal/lend stack, the lending the server
+// and navigation use too, under one rule of its own: returned readers are
+// kept for the next stream only while another stream is still open, so an
+// idle Client holds none, and a caller that runs one query at a time gets
+// a fresh set per query.
 package client
 
 import (
@@ -45,10 +47,10 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"webbase/internal/lend"
 	"webbase/internal/web"
 )
 
@@ -125,10 +127,9 @@ type Client struct {
 	stallTimeout   time.Duration
 	sleep          func(context.Context, time.Duration) error
 	reqSeq         atomic.Int64
-
-	mu   sync.Mutex
-	open int        // streams holding a reader set
-	idle []*readers // sets returned while another stream was open
+	// readers lends each stream its reader set, and keeps a returned set
+	// only while another stream is open.
+	readers lend.Stack[readers]
 }
 
 // New validates cfg and assembles a client.
@@ -157,6 +158,7 @@ func New(cfg Config) (*Client, error) {
 		attemptTimeout: cfg.AttemptTimeout,
 		stallTimeout:   cfg.StallTimeout,
 		sleep:          cfg.sleep,
+		readers:        lend.Stack[readers]{WhileLent: true},
 	}
 	if c.hc == nil {
 		c.hc = &http.Client{}
@@ -195,43 +197,13 @@ func (c *Client) Query(ctx context.Context, query string) (*Stream, error) {
 		ctx:   ctx,
 		query: query,
 		rid:   fmt.Sprintf("c-%06d", c.reqSeq.Add(1)),
-		rd:    c.borrow(),
+		rd:    c.readers.Borrow(),
 	}
 	if err := s.connect(); err != nil {
 		s.end()
 		return nil, err
 	}
 	return s, nil
-}
-
-// borrow lends a stream a reader set: one another stream gave back, or a
-// new one.
-func (c *Client) borrow() *readers {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.open++
-	n := len(c.idle)
-	if n == 0 {
-		return new(readers)
-	}
-	rd := c.idle[n-1]
-	c.idle[n-1] = nil
-	c.idle = c.idle[:n-1]
-	return rd
-}
-
-// giveBack takes a stream's reader set back. The set is kept for the next
-// stream only while another is open; the last stream to end drops every
-// kept set, so an idle client holds none.
-func (c *Client) giveBack(rd *readers) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.open--
-	if c.open == 0 {
-		c.idle = nil
-		return
-	}
-	c.idle = append(c.idle, rd)
 }
 
 // backoffDelay spaces attempt n (n >= 2): base doubled per prior retry,

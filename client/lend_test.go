@@ -84,13 +84,12 @@ func newCannedClient(t *testing.T, rows int, queries ...string) *Client {
 // kept; an idle client must keep no list either.
 func wantLent(t *testing.T, c *Client, open, idle int) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.open != open || len(c.idle) != idle {
-		t.Fatalf("client has %d streams holding readers and %d sets idle, want %d and %d", c.open, len(c.idle), open, idle)
+	kept, lent := c.readers.Idle()
+	if lent != open || len(kept) != idle {
+		t.Fatalf("client has %d streams holding readers and %d sets idle, want %d and %d", lent, len(kept), open, idle)
 	}
-	if open == 0 && c.idle != nil {
-		t.Fatalf("an idle client keeps a list of capacity %d", cap(c.idle))
+	if open == 0 && kept != nil {
+		t.Fatalf("an idle client keeps a list of capacity %d", cap(kept))
 	}
 }
 

@@ -477,7 +477,7 @@ func (s *Stream) closeBody() {
 func (s *Stream) end() {
 	s.closeBody()
 	if s.rd != nil {
-		s.c.giveBack(s.rd)
+		s.c.readers.Return(s.rd)
 		s.rd = nil
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"webbase/internal/lend"
 )
 
 // NodeType discriminates document nodes.
@@ -285,17 +287,8 @@ func ParseInto(src []byte, a *Arrays) *Node {
 // most keep bytes, for the next parse, and lets go of the text and of
 // anything larger.
 func (a *Arrays) Reset(keep int) {
-	nodes, attrs := a.d.nodes[:0], a.d.attrs[:0]
-	if cap(nodes) > keep {
-		nodes = nil
-	}
-	if cap(attrs) > keep {
-		attrs = nil
-	}
-	if cap(a.decoded) > keep {
-		a.decoded = nil
-	}
-	a.d = document{nodes: nodes, attrs: attrs}
+	a.d = document{nodes: lend.Fit(a.d.nodes, keep), attrs: lend.Fit(a.d.attrs, keep)}
+	a.decoded = lend.Fit(a.decoded, keep)
 }
 
 // room returns s emptied when it holds n entries, and otherwise an empty

@@ -63,8 +63,8 @@ func (e *Expression) Execute(ctx context.Context, f web.Fetcher, inputs map[stri
 	}
 	// The states and the pages only this execution reads are the scratch's,
 	// taken back when it returns: what it returns points into none of them.
-	s := borrowScratch()
-	defer s.release()
+	s := scratches.Borrow()
+	defer scratches.Return(s)
 	st, err := s.start(ctx, f, start, e.Schema, e.MaxPages, e.StartURLVar == "")
 	if err != nil {
 		return nil, ExecInfo{}, fmt.Errorf("navcalc: fetching start page of %s: %w", e.Name, err)

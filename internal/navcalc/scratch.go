@@ -1,9 +1,8 @@
 package navcalc
 
 import (
-	"sync"
-
 	"webbase/internal/htmlkit"
+	"webbase/internal/lend"
 	"webbase/internal/web"
 )
 
@@ -49,32 +48,14 @@ type lentPage struct {
 	arrays htmlkit.Arrays
 }
 
-// idle holds the scratches no execution is using, the last returned on
-// top. It is not a sync.Pool: under the race detector a pool drops a
-// quarter of what it is given at random, and the allocations of two equal
-// runs would no longer repeat.
-var idle struct {
-	sync.Mutex
-	scratches []*scratch
-}
+// scratches lends each execution its scratch. Every returned scratch is
+// kept, up to keptScratches: reset gives what is over its sizes back to the
+// collector.
+var scratches = lend.Stack[scratch]{Max: keptScratches, Reset: (*scratch).reset}
 
-// borrowScratch returns an idle scratch, or a new one when none is idle.
-func borrowScratch() *scratch {
-	idle.Lock()
-	defer idle.Unlock()
-	n := len(idle.scratches)
-	if n == 0 {
-		return new(scratch)
-	}
-	s := idle.scratches[n-1]
-	idle.scratches[n-1] = nil
-	idle.scratches = idle.scratches[:n-1]
-	return s
-}
-
-// release resets s and keeps it idle, unless keptScratches already are: no
-// state or lent page of the execution may be read after it.
-func (s *scratch) release() {
+// reset readies s for the next execution: no state or lent page of the
+// execution that returned it may be read after it.
+func (s *scratch) reset() bool {
 	s.budget = pageBudget{}
 	s.states.reset(keptStates, func(_ int, st *BrowseState) { *st = BrowseState{} })
 	s.pages.reset(keptArrays, func(i int, p *lentPage) {
@@ -85,11 +66,7 @@ func (s *scratch) release() {
 			p.arrays.Reset(0)
 		}
 	})
-	idle.Lock()
-	if len(idle.scratches) < keptScratches {
-		idle.scratches = append(idle.scratches, s)
-	}
-	idle.Unlock()
+	return true
 }
 
 // lend parses resp into a page slot of s: a page only this execution reads.

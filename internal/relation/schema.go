@@ -117,14 +117,6 @@ func (s Schema) Minus(other Schema) Schema {
 // Clone returns a copy of the schema.
 func (s Schema) Clone() Schema { return append(Schema{}, s...) }
 
-// Sorted returns a lexicographically sorted copy, useful for canonical
-// rendering of attribute sets.
-func (s Schema) Sorted() Schema {
-	out := s.Clone()
-	sort.Strings(out)
-	return out
-}
-
 // String renders the schema as (A, B, C).
 func (s Schema) String() string {
 	return "(" + strings.Join(s, ", ") + ")"

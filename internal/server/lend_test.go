@@ -67,14 +67,13 @@ func beforeTrailer(t *testing.T, rec *flushRecorder) []byte {
 // twice: a codec given back twice.
 func idleCodecs(t *testing.T, s *Server) []*codec {
 	t.Helper()
-	s.codecs.Lock()
-	defer s.codecs.Unlock()
-	for i, c := range s.codecs.idle {
-		if slices.Index(s.codecs.idle, c) != i {
-			t.Fatalf("codec %d of %d idle is kept twice", i, len(s.codecs.idle))
+	idle, _ := s.codecs.Idle()
+	for i, c := range idle {
+		if slices.Index(idle, c) != i {
+			t.Fatalf("codec %d of %d idle is kept twice", i, len(idle))
 		}
 	}
-	return slices.Clone(s.codecs.idle)
+	return idle
 }
 
 // wantIdle fails t unless s keeps exactly the codecs want idle.
@@ -285,9 +284,9 @@ func (b *barrierRecorder) Flush() {
 // line buffer, the history and the output buffer past keptCodecBytes; the
 // codec the stream gives back keeps none of them.
 func TestLendLongLineKeepsNoOversizedBuffer(t *testing.T) {
-	var cs codecs
+	cs := newCodecs()
 	rec := &flushRecorder{header: make(http.Header)}
-	sw := newStreamWriter(rec, &cs, "r-long", "SELECT V", []string{"V"}, "tok", -1, true)
+	sw := newStreamWriter(rec, cs, "r-long", "SELECT V", []string{"V"}, "tok", -1, true)
 	long := relation.Tuple{relation.String(strings.Repeat("webbase ", 25<<10))}
 	sw.writeDelivery(ur.ObjectDelivery{Seq: 1, Object: []string{"o"}, Tuples: []relation.Tuple{long}})
 	sw.writeErrorEvent(wire.ErrorBody{Code: wire.CodeInternal, Status: 500, Message: "end", RequestID: "r-long"})
@@ -297,8 +296,8 @@ func TestLendLongLineKeepsNoOversizedBuffer(t *testing.T) {
 			cap(c.line), cap(c.gz.hist), cap(c.gz.table), keptCodecBytes)
 	}
 	sw.end()
-	if len(cs.idle) != 1 || cs.idle[0] != c {
-		t.Fatalf("the server keeps %d codecs idle, want the stream's", len(cs.idle))
+	if idle, _ := cs.Idle(); len(idle) != 1 || idle[0] != c {
+		t.Fatalf("the server keeps %d codecs idle, want the stream's", len(idle))
 	}
 	for name, size := range map[string]int{
 		"line": cap(c.line), "history": cap(c.gz.hist), "output": cap(c.gz.out), "table": 4 * cap(c.gz.table),
@@ -320,9 +319,9 @@ func TestLendLongLineKeepsNoOversizedBuffer(t *testing.T) {
 // nothing, and the codec end gave back stays idle as it was.
 func TestLendKeepaliveAfterEndWritesNothing(t *testing.T) {
 	for _, useGzip := range []bool{false, true} {
-		var cs codecs
+		cs := newCodecs()
 		rec := &flushRecorder{header: make(http.Header)}
-		sw := newStreamWriter(rec, &cs, "r-ka", "SELECT V", []string{"V"}, "tok", -1, useGzip)
+		sw := newStreamWriter(rec, cs, "r-ka", "SELECT V", []string{"V"}, "tok", -1, useGzip)
 		sw.keepalive()
 		if rec.body.Len() != 0 || len(rec.flushes) != 0 {
 			t.Fatalf("gzip %v: a keepalive before the start wrote %d bytes", useGzip, rec.body.Len())
@@ -335,17 +334,18 @@ func TestLendKeepaliveAfterEndWritesNothing(t *testing.T) {
 			t.Fatalf("gzip %v: a keepalive on the started stream flushed %d times, want once", useGzip, len(rec.flushes))
 		}
 		sw.end()
-		if len(cs.idle) != 1 {
-			t.Fatalf("gzip %v: %d codecs idle after end, want the stream's", useGzip, len(cs.idle))
+		kept, _ := cs.Idle()
+		if len(kept) != 1 {
+			t.Fatalf("gzip %v: %d codecs idle after end, want the stream's", useGzip, len(kept))
 		}
-		idle := cs.idle[0]
+		idle := kept[0]
 		line := slices.Clone(idle.line)
 		n := rec.body.Len()
 		sw.keepalive()
 		if rec.body.Len() != n || len(rec.flushes) != 1 {
 			t.Errorf("gzip %v: a keepalive after end wrote %d bytes and flushed %d times", useGzip, rec.body.Len()-n, len(rec.flushes)-1)
 		}
-		if len(cs.idle) != 1 || cs.idle[0] != idle || !bytes.Equal(idle.line, line) {
+		if kept, _ = cs.Idle(); len(kept) != 1 || kept[0] != idle || !bytes.Equal(idle.line, line) {
 			t.Errorf("gzip %v: a keepalive after end changed the idle codecs", useGzip)
 		}
 	}

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"webbase/internal/core"
+	"webbase/internal/lend"
 	"webbase/internal/trace"
 	"webbase/internal/ur"
 	"webbase/internal/web"
@@ -103,7 +104,7 @@ type Server struct {
 	maxBody   int64
 	keepalive time.Duration
 	reqSeq    atomic.Int64
-	codecs    codecs // lent to each response it encodes (stream.go)
+	codecs    *lend.Stack[codec] // lent to each response it encodes (stream.go)
 }
 
 // New validates cfg and assembles the server.
@@ -132,7 +133,7 @@ func New(cfg Config) (*Server, error) {
 		maxBody = DefaultMaxBodyBytes
 	}
 	return &Server{sys: cfg.System, tenants: tenants, logger: logger, maxBody: maxBody,
-		keepalive: cfg.KeepaliveInterval,
+		keepalive: cfg.KeepaliveInterval, codecs: newCodecs(),
 		admission: newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.System.Metrics(), cfg.Clock)}, nil
 }
 
@@ -158,28 +159,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	tenant, release, err := s.tenants.admit(apiKey(r))
 	if err != nil {
-		s.fail(w, rid, tenant, err)
+		s.fail(w, rid, tenant, release, err)
 		return
 	}
 	// The concurrency slot is held for the whole request, streaming
 	// included — a tenant's limit bounds open streams, not just admissions.
+	// Each end releases it before its terminal write; the defer is for a panic.
 	defer release()
 	tenant.series.queries.Add(1)
 
 	qr, err := readQueryRequest(r.Body, s.maxBody)
 	if err != nil {
-		s.fail(w, rid, tenant, err)
+		s.fail(w, rid, tenant, release, err)
 		return
 	}
 	text := qr.Query
 	q, err := ur.ParseQuery(s.sys.UR, text)
 	if err != nil {
-		s.fail(w, rid, tenant, badQuery(err))
+		s.fail(w, rid, tenant, release, badQuery(err))
 		return
 	}
 	resume, err := parseResume(r, qr)
 	if err != nil {
-		s.fail(w, rid, tenant, err)
+		s.fail(w, rid, tenant, release, err)
 		return
 	}
 
@@ -190,14 +192,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resumeFrom := -1
 	if resume != nil {
 		if resume.token != token {
-			s.fail(w, rid, tenant, fmt.Errorf("%w: stream was %s, web is now %s",
+			s.fail(w, rid, tenant, release, fmt.Errorf("%w: stream was %s, web is now %s",
 				errResumeInconsistent, resume.token, token))
 			return
 		}
 		resumeFrom = resume.lastIndex
 	}
 
-	sw := newStreamWriter(w, &s.codecs, rid, q.String(), q.Output, token, resumeFrom, gzipAccepted(r))
+	sw := newStreamWriter(w, s.codecs, rid, q.String(), q.Output, token, resumeFrom, gzipAccepted(r))
 	// The ticker (if configured) is the one writer outside the gate's
 	// serialization; the terminal-event writers stop it themselves, and
 	// the defer covers the pre-stream envelope paths below. Then the
@@ -206,21 +208,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer sw.end()
 	res, qs, err := s.queryAdmitted(r.Context(), tenant.Class, q, sw.writeDelivery)
 	if sw.broken != nil {
-		err = sw.broken // the stream already ended with it, where the delivery would have been
+		err = sw.broken // the stream ends with it, where the delivery would have been
 	}
+	// The terminal event is written last (DESIGN.md §8): a client that has
+	// read it finds the query counted and its slot free. A terminal write
+	// that fails is still a query the server answered.
 	if err != nil {
 		body := errorBody(rid, err)
 		account(tenant, body.Status)
+		s.logger.Printf("req=%s tenant=%s status=%d code=%s query=%q",
+			rid, tenant.Name, body.Status, body.Code, text)
+		release()
 		if sw.started {
 			sw.writeErrorEvent(body)
 		} else {
 			writeEnvelope(w, body)
 		}
-		s.logger.Printf("req=%s tenant=%s status=%d code=%s query=%q",
-			rid, tenant.Name, body.Status, body.Code, text)
 		return
 	}
-	sw.writeTrailer(res, qs)
 	if resumeFrom >= 0 {
 		// Resume accounting: the query ran again end to end, but the
 		// already-delivered prefix was acked, not re-sent.
@@ -230,6 +235,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tenant.series.served.Add(1)
 	s.logger.Printf("req=%s tenant=%s status=200 tuples=%d objects=%d elapsed=%s query=%q",
 		rid, tenant.Name, res.Relation.Len(), len(res.Plan.Objects), qs.Elapsed, text)
+	release()
+	sw.writeTrailer(res, qs)
 }
 
 // queryAdmitted runs q inside the admission gate: the slot is held for
@@ -254,12 +261,14 @@ func (s *Server) queryAdmitted(ctx context.Context, class QueryClass, q ur.Query
 	return res, qs, nil
 }
 
-// fail writes a pre-stream error envelope and accounts it.
-func (s *Server) fail(w http.ResponseWriter, rid string, tenant *tenantState, err error) {
+// fail accounts and logs a pre-stream failure and releases its slot, then
+// writes its error envelope, the terminal event.
+func (s *Server) fail(w http.ResponseWriter, rid string, tenant *tenantState, release func(), err error) {
 	body := errorBody(rid, err)
 	account(tenant, body.Status)
-	writeEnvelope(w, body)
 	s.logger.Printf("req=%s tenant=%s status=%d code=%s", rid, tenantLabel(tenant.Tenant), body.Status, body.Code)
+	release()
+	writeEnvelope(w, body)
 }
 
 // handleMetrics serves the webbase registry — every declared series of
@@ -271,7 +280,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var body bytes.Buffer
 	s.sys.Metrics().WriteText(&body)
 	if gzipAccepted(r) {
-		writeGzipped(w, &s.codecs, http.StatusOK, trace.TextContentType, body.Bytes())
+		writeGzipped(w, s.codecs, http.StatusOK, trace.TextContentType, body.Bytes())
 		return
 	}
 	w.Header().Set("Content-Type", trace.TextContentType)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"webbase/internal/core"
+	"webbase/internal/lend"
 	"webbase/internal/ur"
 	"webbase/internal/wire"
 )
@@ -30,31 +31,35 @@ type streamWriter struct {
 	mu      sync.Mutex
 	w       http.ResponseWriter
 	flusher http.Flusher
-	codecs  *codecs     // the server's, which lend the stream its codec
-	codec   *codec      // borrowed when the stream starts, given back by end
-	gz      *gzipStream // &codec.gz when the stream is compressed
-	out     io.Writer   // the response, or gz over it once the stream starts
+	codecs  *lend.Stack[codec] // the server's, which lend the stream its codec
+	codec   *codec             // borrowed when the stream starts, given back by end
+	gz      *gzipStream        // &codec.gz when the stream is compressed
+	out     io.Writer          // the response, or gz over it once the stream starts
 	meta    wire.Meta
 	started bool
 
 	resumeFrom int   // suppress events with seq <= resumeFrom; -1 = fresh stream
-	lastSeq    int   // highest delivery seq observed, sent or suppressed
+	lastSeq    int   // highest delivery seq sent or suppressed; a broken one's is the error's
 	skipped    int   // events suppressed by resume (meta included)
-	broken     error // the delivery that could not be encoded: the stream ended at it
+	broken     error // the delivery that could not be encoded: the stream ends at it
 	useGzip    bool
 
 	kaStop chan struct{} // closes to stop the keepalive ticker
 	kaDone chan struct{} // closes when the ticker goroutine has exited
 }
 
-func newStreamWriter(w http.ResponseWriter, cs *codecs, rid, query string, schema []string, token string, resumeFrom int, useGzip bool) *streamWriter {
+func newStreamWriter(w http.ResponseWriter, cs *lend.Stack[codec], rid, query string, schema []string, token string, resumeFrom int, useGzip bool) *streamWriter {
 	f, _ := w.(http.Flusher)
-	return &streamWriter{
+	sw := &streamWriter{
 		w: w, flusher: f, out: w, codecs: cs,
 		meta:       wire.Meta{RequestID: rid, Query: query, Schema: schema, ResumeToken: token},
 		resumeFrom: resumeFrom,
 		useGzip:    useGzip,
 	}
+	if resumeFrom >= 0 {
+		sw.skipped = 1 // the meta event, seq 0, already delivered originally
+	}
+	return sw
 }
 
 // startLocked commits the response to a 200 NDJSON stream, borrows the
@@ -76,14 +81,13 @@ func (sw *streamWriter) startLocked() {
 		sw.w.Header().Set("Vary", "Accept-Encoding")
 	}
 	sw.w.WriteHeader(http.StatusOK)
-	sw.codec = sw.codecs.borrow()
+	sw.codec = sw.codecs.Borrow()
 	if sw.useGzip {
 		sw.gz = &sw.codec.gz
 		sw.gz.reset(sw.w)
 		sw.out = sw.gz
 	}
 	if sw.resumeFrom >= 0 {
-		sw.skipped++ // the meta event, seq 0, already delivered originally
 		return
 	}
 	sw.writeLocked(wire.AppendMeta(sw.codec.line[:0], sw.meta))
@@ -118,8 +122,7 @@ func (sw *streamWriter) emitLocked(line []byte, err error) error {
 }
 
 // finishLocked closes the compression layer (if any) after the terminal
-// event. Callers hold mu, and have stopped the keepalive ticker or marked
-// the stream broken, which stops it writing.
+// event. Callers hold mu, and have stopped the keepalive ticker.
 func (sw *streamWriter) finishLocked() {
 	if sw.gz != nil {
 		sw.gz.Close()
@@ -187,7 +190,7 @@ func (sw *streamWriter) end() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if sw.codec != nil {
-		sw.codecs.giveBack(sw.codec)
+		sw.codecs.Return(sw.codec)
 		sw.codec, sw.gz = nil, nil
 	}
 }
@@ -195,8 +198,8 @@ func (sw *streamWriter) end() {
 // writeDelivery ships one gate delivery as its wire event. Deliveries at
 // or before the resume offset were already delivered to this client by a
 // previous attempt: they are acked but not re-sent. A delivery that cannot
-// be encoded ends the stream in its place with an internal error event,
-// and nothing is written after it.
+// be encoded breaks the stream: nothing is written after it but the
+// internal error event handleQuery ends the stream with, in its place.
 func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -204,18 +207,13 @@ func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
 		return
 	}
 	sw.startLocked()
-	if d.Seq > sw.lastSeq {
-		sw.lastSeq = d.Seq
-	}
 	if sw.resumeFrom >= 0 && d.Seq <= sw.resumeFrom {
 		sw.skipped++
+	} else if err := sw.emitLocked(wire.AppendDelivery(sw.codec.line[:0], d)); err != nil {
+		sw.broken = &codedError{wire.CodeInternal, fmt.Errorf("server: delivery %d cannot be encoded: %w", d.Seq, err)}
 		return
 	}
-	if err := sw.emitLocked(wire.AppendDelivery(sw.codec.line[:0], d)); err != nil {
-		sw.broken = &codedError{wire.CodeInternal, fmt.Errorf("server: delivery %d cannot be encoded: %w", d.Seq, err)}
-		sw.emitLocked(wire.AppendError(sw.codec.line[:0], d.Seq, errorBody(sw.meta.RequestID, sw.broken)), nil)
-		sw.finishLocked()
-	}
+	sw.lastSeq = max(sw.lastSeq, d.Seq)
 }
 
 // writeTrailer closes a successful stream. The trailer's sequence number
@@ -225,9 +223,6 @@ func (sw *streamWriter) writeTrailer(res *ur.Result, qs *core.QueryStats) {
 	sw.stopKeepalive()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.broken != nil {
-		return
-	}
 	sw.startLocked()
 	tl := wire.Trailer{
 		Tuples:  res.Relation.Len(),
@@ -246,15 +241,12 @@ func (sw *streamWriter) writeTrailer(res *ur.Result, qs *core.QueryStats) {
 	sw.finishLocked()
 }
 
-// writeErrorEvent ends a stream whose query failed after events were
-// already written.
+// writeErrorEvent ends a started stream whose query failed, or that a
+// delivery broke.
 func (sw *streamWriter) writeErrorEvent(body wire.ErrorBody) {
 	sw.stopKeepalive()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.broken != nil {
-		return
-	}
 	sw.emitLocked(wire.AppendError(sw.codec.line[:0], sw.lastSeq+1, body), nil)
 	sw.finishLocked()
 }
@@ -280,13 +272,13 @@ func gzipAccepted(r *http.Request) bool {
 
 // writeGzipped compresses one non-streaming response (GET /metrics) with
 // a codec borrowed from cs.
-func writeGzipped(w http.ResponseWriter, cs *codecs, status int, contentType string, body []byte) {
+func writeGzipped(w http.ResponseWriter, cs *lend.Stack[codec], status int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Set("Vary", "Accept-Encoding")
 	w.WriteHeader(status)
-	c := cs.borrow()
-	defer cs.giveBack(c)
+	c := cs.Borrow()
+	defer cs.Return(c)
 	c.gz.reset(w)
 	c.gz.Write(body)
 	c.gz.Close()
@@ -312,50 +304,18 @@ type codec struct {
 	line []byte
 }
 
-// codecs holds a server's idle codecs, the last returned on top. Not a
-// sync.Pool, for the reason navcalc's scratches are not one (DESIGN.md
-// §18): under the race detector a pool drops what it is given at random,
-// and the allocations of two equal runs would no longer repeat.
-type codecs struct {
-	sync.Mutex
-	idle []*codec
+// newCodecs returns the stack a server lends each response's codec from.
+func newCodecs() *lend.Stack[codec] {
+	return &lend.Stack[codec]{Max: keptCodecs, Reset: (*codec).reset}
 }
 
-// borrow returns an idle codec, or a new one when none is idle.
-func (cs *codecs) borrow() *codec {
-	cs.Lock()
-	defer cs.Unlock()
-	n := len(cs.idle)
-	if n == 0 {
-		return new(codec)
-	}
-	c := cs.idle[n-1]
-	cs.idle[n-1] = nil
-	cs.idle = cs.idle[:n-1]
-	return c
-}
-
-// giveBack drops c's response and every buffer of more than keptCodecBytes,
-// and keeps c idle unless keptCodecs already are. Nothing may write through
-// c after it.
-func (cs *codecs) giveBack(c *codec) {
-	z := &c.gz
-	z.w = nil
-	if cap(z.hist) > keptCodecBytes {
-		z.hist = nil
-	}
-	if 4*cap(z.table) > keptCodecBytes {
-		z.table = nil
-	}
-	if cap(z.out) > keptCodecBytes {
-		z.out = nil
-	}
-	if cap(c.line) > keptCodecBytes {
-		c.line = nil
-	}
-	cs.Lock()
-	defer cs.Unlock()
-	if len(cs.idle) < keptCodecs {
-		cs.idle = append(cs.idle, c)
-	}
+// reset drops c's response and every buffer of more than keptCodecBytes,
+// and keeps c. Nothing may write through c after it.
+func (c *codec) reset() bool {
+	c.gz.w = nil
+	c.gz.hist = lend.Fit(c.gz.hist, keptCodecBytes)
+	c.gz.table = lend.Fit(c.gz.table, keptCodecBytes/4)
+	c.gz.out = lend.Fit(c.gz.out, keptCodecBytes)
+	c.line = lend.Fit(c.line, keptCodecBytes)
+	return true
 }

@@ -22,10 +22,10 @@ import (
 // one allocation a page: the recorded pages, each loaded once by an
 // expression that only loads its start page, inside a query and outside
 // one. The loads read nothing off their pages, so outside a query they
-// cost what fetching, parsing and an empty execution do: 472 allocations
-// over the 46 pages when last measured, 564 while every execution
-// allocated its states, pages and parse arrays, 1943 while every load
-// built its view.
+// cost what fetching, parsing and an empty execution do: 426 allocations
+// over the 46 pages when last measured, 472 while every visit allocated
+// its request, 564 while every execution allocated its states, pages and
+// parse arrays, 1943 while every load built its view.
 func TestPageSetAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -67,6 +67,51 @@ func TestPageSetAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmLoadAllocs: a visit of a cached page, through a fetch stack and
+// under that stack's query, allocates neither its request nor its key: the
+// execution lends the request, and the cache lends the key string it keeps
+// (web.Query.Key). The expression loads a fixed page and submits its form
+// with a constant: two input-free visits, whose pages live on their cached
+// responses, so a warm execution parses nothing. Under a query that is not
+// the stack's, so that no cache lends it keys, each visit allocates its
+// key, and nothing else changes.
+func TestWarmLoadAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const home = "http://warm.example/"
+	fetches := 0
+	site := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		fetches++
+		if req.URL == home {
+			return web.HTML(req.URL, `<html><body><form name="find" action="/find"><input type="text" name="make"></form></body></html>`), nil
+		}
+		return web.HTML(req.URL, `<html><body>found</body></html>`), nil
+	})
+	stack := web.NewStack(site, web.LatencyModel{}, nil, nil, web.Policy{})
+	expr := &navcalc.Expression{Name: "warm", StartURL: home, Schema: relation.NewSchema("Make"),
+		Program: tlogic.NewProgram(), Goal: navcalc.Submit("find", navcalc.FillConst("make", "ford"))}
+	run := func(q *web.Query) {
+		if _, _, err := expr.Execute(web.WithQuery(context.Background(), q), stack.Fetcher, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(stack.NewQuery()) // fills the cache
+	warm := testing.AllocsPerRun(50, func() { run(stack.NewQuery()) })
+	unlent := testing.AllocsPerRun(50, func() { run(&web.Query{}) })
+	t.Logf("a warm execution of 2 visits: %.0f allocations under the stack's query, %.0f under a query of no stack", warm, unlent)
+	if fetches != 2 {
+		t.Fatalf("%d pages fetched, want the 2 the first execution fetched", fetches)
+	}
+	if unlent-warm != 2 {
+		t.Errorf("the cache's keys save %.0f allocations over 2 visits, want 2: one key each", unlent-warm)
+	}
+	const ceiling = 7 // 6 when set; 8 while each visit allocated its key, 10 while it allocated its request too
+	if warm > ceiling {
+		t.Errorf("a warm execution of 2 visits allocates %.0f times, ceiling %d", warm, ceiling)
+	}
+}
+
 // TestFollowAllocs: one execution that loads the recorded Yahoo directory
 // page and follows a link off it to a near-empty page. The follow reads
 // the page's links off its scan and resolves only the link it follows: a
@@ -101,7 +146,7 @@ func TestFollowAllocs(t *testing.T) {
 			t.Fatalf("follow failed: %v", err)
 		}
 	}
-	const ceiling = 19 // 18 when set; 20 while every state, page and parse array of an execution was its own allocation; 22 while the request was copied to carry its context and each step returned a slice of its outcomes; 28 while the scan resolved every link on the page, as one execution and as load + haslink + follow on a bare state before the guards went; 35 while the first state and its page budget were two allocations, a page's links grew by append and the path was copied at every step; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
+	const ceiling = 17 // 16 when set; 18 while each of its two visits allocated its request; 20 while every state, page and parse array of an execution was its own allocation; 22 while the request was copied to carry its context and each step returned a slice of its outcomes; 28 while the scan resolved every link on the page, as one execution and as load + haslink + follow on a bare state before the guards went; 35 while the first state and its page budget were two allocations, a page's links grew by append and the path was copied at every step; 42 while every resolver parsed its base with net/url; 43 over the tree parser's pointer nodes; 57 while follow and haslink built the page's view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + follow to %s: %.0f allocations (ceiling %d)", reached, got, ceiling)
 	if reached == page.url {
@@ -150,7 +195,7 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 		}
 		tuples = info.Tuples
 	}
-	const ceiling = 14 // 13 when set, as one execution; 15 while every state, page and parse array of an execution was its own allocation; 27 while the page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 29 while the request was copied to carry its context and each step returned a slice of its outcomes; 29 as load + isdata + extract on a bare state before the guards went; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
+	const ceiling = 13 // 12 when set; 13 while its visit allocated its request, as one execution; 15 while every state, page and parse array of an execution was its own allocation; 27 while the page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 29 while the request was copied to carry its context and each step returned a slice of its outcomes; 29 as load + isdata + extract on a bare state before the guards went; 40 while every extraction rebuilt its headers and indexes, the header match and every price took a heap buffer, the first state and its page budget were two allocations and the path was copied at every step; 48 while every resolver parsed its base with net/url; 55 over the tree parser's pointer nodes; 62 while every row was its own allocation; 119 while every load built the scan and view and DataTable mapped every column; 204 while the parser grew each child list by append; 1249 before the page view
 	got := testing.AllocsPerRun(50, run)
 	t.Logf("load + extract of %d tuples: %.0f allocations (ceiling %d)", tuples, got, ceiling)
 	if tuples == 0 {

@@ -8,6 +8,7 @@ import (
 	"webbase/internal/htmlkit"
 	"webbase/internal/relation"
 	"webbase/internal/tlogic"
+	"webbase/internal/trace"
 	"webbase/internal/web"
 )
 
@@ -149,4 +150,81 @@ func TestLentPagesEndWithTheirExecution(t *testing.T) {
 			t.Errorf("a later query answered %q from the cached pages, want %q", got, answer)
 		}
 	})
+}
+
+// TestLentKeysOutliveTheirExecution: a visit's key is encoded into a buffer
+// its execution's scratch lends, but the key its request carries is a
+// string of its own: a fresh one on a miss, the cache's on a hit. After the
+// scratch has been lent to later executions, which encode longer keys of
+// other requests into the same buffer, every key the query's page set and
+// kept pages remember, and every fetch span's name, reads as it did.
+func TestLentKeysOutliveTheirExecution(t *testing.T) {
+	site := newReuseSite()
+	stack := web.NewStack(site, web.LatencyModel{}, nil, nil, web.Policy{})
+	q := stack.NewQuery()
+	tr := trace.New("lent keys", nil)
+	ctx := trace.ContextWith(web.WithQuery(context.Background(), q), tr.Root)
+	var pages []*page
+	// find stands on the hub page, reached from an input, and submits its
+	// search form: two visits, the second with a form in its key.
+	find := &Expression{Name: "find", StartURLVar: "Url", Schema: relation.NewSchema("Make", "Price"),
+		Program: tlogic.NewProgram(), Goal: tlogic.Seq(spyOn(&pages), Submit("find", Fill("make", "Make")), spyOn(&pages))}
+	// The first execution misses the cache and its visits are lent pages;
+	// the second hits it and keeps its pages; the third is served them.
+	var firstVisit []*page
+	for i := 0; i < 3; i++ {
+		pages = nil
+		if _, _, err := find.Execute(ctx, stack.Fetcher, map[string]string{"Url": reuseHub, "Make": "ford"}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstVisit = pages
+		}
+	}
+	if site.fetches(reuseHub) != 1 || site.fetches(reuseData) != 1 || q.Stats.Get(web.Reused) != 2 {
+		t.Fatalf("three executions: %d and %d fetches, %d reused; want 1, 1 and 2",
+			site.fetches(reuseHub), site.fetches(reuseData), q.Stats.Get(web.Reused))
+	}
+
+	// Later executions, in queries of their own, are lent the first one's
+	// scratch and encode other, longer keys into its buffer.
+	for _, mk := range []string{"a-make-whose-name-runs-long", "another make, longer still, with escapes"} {
+		pages = nil
+		other := web.WithQuery(context.Background(), stack.NewQuery())
+		if _, _, err := find.Execute(other, stack.Fetcher, map[string]string{"Url": reuseHub, "Make": mk}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.ContainsFunc(pages, func(p *page) bool { return slices.Contains(firstVisit, p) }) {
+		t.Fatal("the last execution was not lent the first one's scratch")
+	}
+
+	keys := []string{
+		web.NewGet(ctx, reuseHub).Key(),
+		web.NewSubmit(ctx, reuseData, "", []web.Field{{Name: "make", Value: "ford"}}).Key(),
+	}
+	for _, key := range keys {
+		// The page set remembers key, or this visit would be its first
+		// and load; the kept pages hold its page, or it would load again.
+		_, reused, err := q.Load(ctx, key, func(bool) (any, error) {
+			t.Errorf("the query loaded %q again", key)
+			return &page{}, nil
+		})
+		if err != nil || !reused {
+			t.Errorf("a visit of %q: reused %v, %v; want the kept page", key, reused, err)
+		}
+		if got := q.Key([]byte(key)); got != key {
+			t.Errorf("the cache's key for %q reads %q", key, got)
+		}
+	}
+	var names []string
+	tr.Root.Walk(func(sp *trace.Span) {
+		if sp.Kind() == trace.KindFetch {
+			names = append(names, sp.Name())
+		}
+	})
+	want := []string{reuseHub, reuseData, reuseHub, reuseData, reuseHub, reuseData}
+	if !slices.Equal(names, want) {
+		t.Errorf("the fetch spans are named %q, want %q", names, want)
+	}
 }

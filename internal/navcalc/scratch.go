@@ -23,20 +23,24 @@ const (
 	// keptArray is the largest node or attribute array, and decode buffer
 	// in bytes, a page slot keeps.
 	keptArray = 600
+	// keptKey is the largest key buffer, in bytes, a scratch keeps.
+	keptKey = 1024
 )
 
 // scratch is what one execution (Expression.Execute) borrows and
-// nothing outlives: its page budget, its states, and the pages that only it
-// visits, with their parse arrays. Backtracking discards a branch by
-// dropping its states, so every state and lent page of an execution lives
-// exactly as long as the execution does; the scratch is reset and kept
-// idle for the next execution when it ends. What an execution hands on is
-// never lent: its requests, its pages' text, its collected tuples, and
-// every page another execution may read — a page its query keeps
-// (web.Query.Load), and the page of an input-free request
+// nothing outlives: its page budget, its states with the request each
+// loads, the buffer each request's key is encoded into, and the pages that
+// only it visits, with their parse arrays. Backtracking discards a branch
+// by dropping its states, so every state and lent page of an execution
+// lives exactly as long as the execution does; the scratch is reset and
+// kept idle for the next execution when it ends. What an execution hands
+// on is never lent: its request keys (web.Query.Key), its pages' text, its
+// collected tuples, and every page another execution may read — a page its
+// query keeps (web.Query.Load), and the page of an input-free request
 // (web.Response.Derived).
 type scratch struct {
 	budget pageBudget
+	key    []byte // the key of the request being built (web.AppendKey)
 	states slab[BrowseState]
 	pages  slab[lentPage]
 }
@@ -57,6 +61,7 @@ var scratches = lend.Stack[scratch]{Max: keptScratches, Reset: (*scratch).reset}
 // execution that returned it may be read after it.
 func (s *scratch) reset() bool {
 	s.budget = pageBudget{}
+	s.key = lend.Fit(s.key, keptKey)
 	s.states.reset(keptStates, func(_ int, st *BrowseState) { *st = BrowseState{} })
 	s.pages.reset(keptArrays, func(i int, p *lentPage) {
 		p.page = page{}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 
 	"webbase/internal/flogic"
@@ -74,9 +73,10 @@ var ErrPageBudget = errors.New("navcalc: page budget exceeded")
 type BrowseState struct {
 	ctx     context.Context
 	fetcher web.Fetcher
-	query   *web.Query // the query navigating, nil outside one; keeps the pages it reads twice
-	scratch *scratch   // the execution's: its budget, states and lent pages
-	*page              // shared across clones
+	query   *web.Query  // the query navigating, nil outside one; keeps the pages it reads twice
+	scratch *scratch    // the execution's: its budget, states and lent pages
+	*page               // shared across clones
+	req     web.Request // the request load last built, lent with the scratch
 	// inputFree: no input binding can change the current page's request.
 	// It was reached from a fixed start URL by literal follows and by
 	// submits whose every fill is a constant — the navigation-independence
@@ -158,7 +158,11 @@ func (s *scratch) start(ctx context.Context, f web.Fetcher, startURL string,
 // the navigation context, carrying the visit's span when a trace records
 // it (the retry, breaker and outage-memo middlewares consult the context
 // for cancellation and per-query state, and annotate the span with how
-// the load was served: cache / network / dedup / stale).
+// the load was served: cache / network / dedup / stale). Its key is
+// encoded into the scratch's buffer and named by the query (web.Query.Key):
+// a visit of a cached page takes the cache's own key string, and every
+// other visit allocates its own. The request is a value on this state, lent
+// with the scratch (DESIGN.md §23).
 func (b *BrowseState) load(target, method string, fields []web.Field) error {
 	if err := b.ctx.Err(); err != nil {
 		return fmt.Errorf("navcalc: navigation cancelled: %w", err)
@@ -168,21 +172,22 @@ func (b *BrowseState) load(target, method string, fields []web.Field) error {
 		return fmt.Errorf("%w (%d pages)", ErrPageBudget, budget.fetched)
 	}
 	budget.fetched++
+	b.scratch.key = web.AppendKey(b.scratch.key[:0], target, method, fields)
+	key := b.query.Key(b.scratch.key)
+	b.req = web.KeyedRequest(b.ctx, method, key)
 	// One trace span per page visit, created here — navigation within a
 	// handle invocation is sequential, so fetch spans land in deterministic
-	// order. A target read off a page is a substring of its text, so the
-	// span, which outlives the page, names a copy (DESIGN.md §6).
+	// order. The span outlives the page a target may have been read off, so
+	// it is named by the request's URL, a substring of the key.
 	var sp *trace.Span
-	rctx := b.ctx
 	if parent := trace.FromContext(b.ctx); parent != nil {
-		sp = parent.Start(trace.KindFetch, strings.Clone(target))
-		rctx = trace.ContextWith(b.ctx, sp)
+		sp = parent.Start(trace.KindFetch, b.req.URL)
+		b.req = web.KeyedRequest(trace.ContextWith(b.ctx, sp), method, key)
 	}
-	req := web.NewSubmit(rctx, target, method, fields)
 	fetched := false
-	p, reused, err := b.query.Load(b.ctx, req.Key(), func(keep bool) (any, error) {
+	p, reused, err := b.query.Load(b.ctx, key, func(keep bool) (any, error) {
 		fetched = true
-		return b.fetch(req, sp, keep)
+		return b.fetch(&b.req, sp, keep)
 	})
 	if err != nil {
 		if !fetched { // cancelled while waiting for another visit's load

@@ -206,7 +206,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// stream gives back the codec it borrowed, if it started.
 	sw.startKeepalive(s.keepalive)
 	defer sw.end()
-	res, qs, err := s.queryAdmitted(r.Context(), tenant.Class, q, sw.writeDelivery)
+	// A stream that breaks can carry nothing more, so its query stops
+	// there: no object is evaluated, and no page fetched, for it.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	res, qs, err := s.queryAdmitted(ctx, tenant.Class, q, func(d ur.ObjectDelivery) {
+		if !sw.writeDelivery(d) {
+			cancel()
+		}
+	})
 	if sw.broken != nil {
 		err = sw.broken // the stream ends with it, where the delivery would have been
 	}

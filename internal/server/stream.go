@@ -195,25 +195,27 @@ func (sw *streamWriter) end() {
 	}
 }
 
-// writeDelivery ships one gate delivery as its wire event. Deliveries at
-// or before the resume offset were already delivered to this client by a
-// previous attempt: they are acked but not re-sent. A delivery that cannot
-// be encoded breaks the stream: nothing is written after it but the
-// internal error event handleQuery ends the stream with, in its place.
-func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) {
+// writeDelivery ships one gate delivery as its wire event, and reports
+// whether the stream can carry more. Deliveries at or before the resume
+// offset were already delivered to this client by a previous attempt: they
+// are acked but not re-sent. A delivery that cannot be encoded breaks the
+// stream: nothing is written after it but the internal error event
+// handleQuery ends the stream with, in its place.
+func (sw *streamWriter) writeDelivery(d ur.ObjectDelivery) bool {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if sw.broken != nil {
-		return
+		return false
 	}
 	sw.startLocked()
 	if sw.resumeFrom >= 0 && d.Seq <= sw.resumeFrom {
 		sw.skipped++
 	} else if err := sw.emitLocked(wire.AppendDelivery(sw.codec.line[:0], d)); err != nil {
 		sw.broken = &codedError{wire.CodeInternal, fmt.Errorf("server: delivery %d cannot be encoded: %w", d.Seq, err)}
-		return
+		return false
 	}
 	sw.lastSeq = max(sw.lastSeq, d.Seq)
+	return true
 }
 
 // writeTrailer closes a successful stream. The trailer's sequence number

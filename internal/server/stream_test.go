@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,10 +9,12 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"webbase/internal/core"
 	"webbase/internal/sites"
+	"webbase/internal/ur"
 	"webbase/internal/web"
 	"webbase/internal/wire"
 )
@@ -149,6 +152,63 @@ func TestUnencodableDeliveryEndsStream(t *testing.T) {
 		"server_queries_failed_total": 1,
 		"server_queries_served_total": 0,
 	})
+}
+
+// TestBrokenStreamCancelsQuery: once a delivery breaks the stream, its
+// query fetches nothing more. With one worker, objects are evaluated and
+// delivered in turn, so the fetches made by the time the handler returns
+// are exactly those made by the time the unencodable delivery reached the
+// stream. The second count is read off an in-process run of the same query
+// over a world of its own, whose sink breaks where the stream does.
+func TestBrokenStreamCancelsQuery(t *testing.T) {
+	nanWorld := func(fetches *atomic.Int64) web.Fetcher {
+		world := sites.BuildWorld().Server
+		phone := regexp.MustCompile(`\(\d{3}\) \d{3}-\d{4}`)
+		return web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+			fetches.Add(1)
+			resp, err := world.Fetch(req)
+			if err != nil || !resp.OK() {
+				return resp, err
+			}
+			return &web.Response{Status: resp.Status, URL: resp.URL, Body: phone.ReplaceAll(resp.Body, []byte("NaN"))}, nil
+		})
+	}
+
+	var ref atomic.Int64
+	sys, err := core.New(core.Config{Fetcher: nanWorld(&ref), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ur.ParseQuery(sys.UR, wideQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atBreak, seq := int64(-1), -1
+	if _, _, err := sys.QueryStream(context.Background(), q, func(d ur.ObjectDelivery) {
+		if _, err := wire.AppendDelivery(nil, d); err != nil && seq < 0 {
+			atBreak, seq = ref.Load(), d.Seq
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seq < 0 {
+		t.Fatal("no delivery of the in-process run is unencodable")
+	}
+	if ref.Load() == atBreak {
+		t.Fatalf("the in-process run fetched nothing after delivery %d: the stream's break would cut nothing", seq)
+	}
+
+	var served atomic.Int64
+	ts, _ := newCarServer(t, core.Config{Fetcher: nanWorld(&served), Workers: 1}, Config{})
+	resp := postQuery(t, ts.URL, "", wideQuery)
+	lines := decodeLines(t, resp.Body)
+	last := lines[len(lines)-1]
+	if last["event"] != "error" || last["seq"] != float64(seq) {
+		t.Fatalf("the stream ended with %v, want the error event numbered %d", last, seq)
+	}
+	if got := served.Load(); got != atBreak {
+		t.Errorf("the served query fetched %d pages, %d by the time its stream broke (the whole query fetches %d)", got, atBreak, ref.Load())
+	}
 }
 
 // trailerStats streams wideQuery and returns its trailer's stats. It

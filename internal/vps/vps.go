@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -259,7 +260,8 @@ func (r *Registry) ChooseHandle(name string, inputs map[string]relation.Value) (
 // the relation restricted to the given inputs. Sites may answer more
 // broadly than asked (a selection attribute the handle could not forward),
 // so the result is post-filtered: every returned tuple satisfies
-// tuple[a] = inputs[a] for each input attribute a in the schema. The
+// tuple[a] = inputs[a] for each input attribute a in the schema. When
+// every tuple already does, the result is the execution's own relation. The
 // handle's navigation aborts at the next page load once ctx is done, so a
 // cancelled query stops fetching promptly instead of finishing the site.
 func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inputs map[string]relation.Value) (*relation.Relation, navcalc.ExecInfo, error) {
@@ -338,7 +340,7 @@ func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inp
 		sp.EndErr(err)
 		return nil, navcalc.ExecInfo{}, err
 	}
-	filtered := rel.Select(func(t relation.Tuple) bool {
+	matches := func(t relation.Tuple) bool {
 		for a, v := range inputs {
 			i := ri.Schema.IndexOf(a)
 			if i < 0 || v.IsNull() {
@@ -349,7 +351,13 @@ func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inp
 			}
 		}
 		return true
-	})
+	}
+	// The execution's relation is this invocation's own: when every tuple
+	// matches its inputs, it is the answer, with no second header.
+	filtered := rel
+	if slices.ContainsFunc(rel.Tuples(), func(t relation.Tuple) bool { return !matches(t) }) {
+		filtered = rel.Select(matches)
+	}
 	if sp != nil {
 		sp.Set("tuples", int64(filtered.Len()))
 		sp.Set("raw-tuples", int64(rel.Len()))

@@ -25,13 +25,16 @@ import (
 // order the two failures arrived in, so error text, host attribution and
 // the resulting degradation report are schedule-independent. The losing
 // attempt is not cancelled: a page it fetches is billed like any other,
-// unless it lands after the query's bill was folded (see Query).
+// unless it lands after the query's bill was folded (see Query). It runs
+// on after Fetch has returned, when the caller may reuse its request
+// (Fetcher), so both attempts fetch a copy of it.
 func WithHedge(inner Fetcher, p Policy, stats *Stats) Fetcher {
 	if p.HedgeAfter <= 0 {
 		return inner
 	}
 	return FetcherFunc(func(req *Request) (*Response, error) {
-		ctx := req.Context()
+		own := *req
+		ctx := own.Context()
 		type attempt struct {
 			resp  *Response
 			err   error
@@ -41,7 +44,7 @@ func WithHedge(inner Fetcher, p Policy, stats *Stats) Fetcher {
 		results := make(chan attempt, 2)
 		launch := func(hedge bool) {
 			go func() {
-				resp, err := inner.Fetch(req)
+				resp, err := inner.Fetch(&own)
 				results <- attempt{resp: resp, err: err, hedge: hedge}
 			}()
 		}

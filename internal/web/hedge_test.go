@@ -186,3 +186,34 @@ func TestHedgeNoBudgetIsUnlimited(t *testing.T) {
 		t.Errorf("hedges suppressed = %d, want 0", got)
 	}
 }
+
+// TestHedgeLoserKeepsItsRequest: the caller may reuse its request once
+// Fetch has returned (Fetcher), while the losing attempt runs on. The
+// primary attempt here reads its request only after the hedge has won and
+// the caller has overwritten its request with another, and still reads its
+// own URL and key. Without the hedge's copy it reads the caller's new
+// request.
+func TestHedgeLoserKeepsItsRequest(t *testing.T) {
+	var attempts atomic.Int64
+	release := make(chan struct{})
+	type read struct{ url, key string }
+	primary := make(chan read, 1)
+	inner := FetcherFunc(func(req *Request) (*Response, error) {
+		if attempts.Add(1) == 1 {
+			<-release
+			primary <- read{req.URL, req.Key()}
+		}
+		return HTML("http://h/p", "<html></html>"), nil
+	})
+	f := WithHedge(inner, Policy{HedgeAfter: time.Millisecond}, &Stats{})
+	req := NewSubmit(context.Background(), "http://h/p", "GET", []Field{{Name: "q", Value: "1"}})
+	want := read{req.URL, req.Key()}
+	if _, err := f.Fetch(req); err != nil {
+		t.Fatal(err)
+	}
+	*req = *NewGet(context.Background(), "http://h/other")
+	close(release)
+	if got := <-primary; got != want {
+		t.Errorf("the losing attempt read %+v, want its own %+v", got, want)
+	}
+}

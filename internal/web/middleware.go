@@ -217,8 +217,11 @@ type CacheTier interface {
 	Invalidate()
 }
 
-// cacheEntry is a cached response stamped with when it was fetched.
+// cacheEntry is a cached response stamped with when it was fetched. key is
+// the string the entry is stored under, which Query.Key hands the visits
+// of a cached page in place of a copy of their own.
 type cacheEntry struct {
+	key       string
 	resp      *Response
 	fetchedAt time.Time
 }
@@ -290,6 +293,17 @@ func (c *Cache) peek(key string) (*cacheEntry, uint64) {
 	return c.entries[key], c.gen
 }
 
+// key returns the key string an entry is stored under, if b encodes the
+// key of one. Looking b up converts it without allocating.
+func (c *Cache) key(b []byte) (string, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if e := c.entries[string(b)]; e != nil {
+		return e.key, true
+	}
+	return "", false
+}
+
 // fresh reports whether an entry fetched at fetchedAt still satisfies a
 // fetch outright at now.
 func (c *Cache) fresh(fetchedAt, now time.Time) bool {
@@ -329,7 +343,7 @@ func WithCacheLookup(inner Fetcher, cache *Cache) Fetcher {
 		// for an expired memory entry: kept for stale-on-error below.
 		if e == nil && cache.Tier != nil {
 			if resp, fetchedAt, ok := cache.Tier.Load(key); ok {
-				te := &cacheEntry{resp: resp, fetchedAt: fetchedAt}
+				te := &cacheEntry{key: key, resp: resp, fetchedAt: fetchedAt}
 				cache.mu.Lock()
 				if cache.gen == gen {
 					cache.entries[key] = te
@@ -382,7 +396,7 @@ func WithCacheFill(inner Fetcher, cache *Cache) Fetcher {
 		// reach disk either, or it would resurrect at the next restart.
 		if cache.gen == gen {
 			fetchedAt := cache.now()
-			cache.entries[key] = &cacheEntry{resp: resp, fetchedAt: fetchedAt}
+			cache.entries[key] = &cacheEntry{key: key, resp: resp, fetchedAt: fetchedAt}
 			if cache.Tier != nil {
 				cache.Tier.Store(key, resp, fetchedAt)
 			}

@@ -33,7 +33,8 @@ type Query struct {
 	Deadline time.Duration
 	Clock    func() time.Time
 
-	memo once.Table[*Response] // terminal site failures (WithOutageMemo)
+	cache *Cache                // the stack's (Stack.NewQuery); nil in a literal
+	memo  once.Table[*Response] // terminal site failures (WithOutageMemo)
 	// What Load remembers: the request keys visited, and the pages kept.
 	visitedMu sync.Mutex
 	visited   map[string]struct{}
@@ -63,6 +64,21 @@ func (q *Query) Load(ctx context.Context, key string, load func(keep bool) (any,
 		q.Stats.add(Reused, 1)
 	}
 	return page, kept, err
+}
+
+// Key returns the key string that b, a key AppendKey encoded, stands for.
+// When the query's stack caches that key's page, it is the string the cache
+// entry is stored under, so a visit of a cached page allocates no key; it
+// is a copy of b otherwise. Either way it is a string of its own, which the
+// fetch stack and the query's page set may keep, never a view of b. A nil
+// Query, or one that is not its stack's, copies.
+func (q *Query) Key(b []byte) string {
+	if q != nil && q.cache != nil {
+		if key, ok := q.cache.key(b); ok {
+			return key
+		}
+	}
+	return string(b)
 }
 
 // firstVisit records a visit of key and reports whether it was the first.

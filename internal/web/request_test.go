@@ -26,8 +26,10 @@ func fieldsOf(raw string) []Field {
 
 // FuzzRequestKey holds a submission's key byte-equal to the one url.Values
 // gave it: the method upper-cased, the action, and the fields Set in turn
-// and encoded. The durable page tier stores these keys on disk, so one
-// changed byte would cold-start every warm state directory. Param is held
+// and encoded. AppendKey writes the same bytes into a reused buffer, and
+// KeyedRequest reads the same request back from them. The durable page
+// tier stores these keys on disk, so one changed byte would cold-start
+// every warm state directory. Param is held
 // to the url.Values reading of the same request: the form's value when it
 // is not empty, else the action's query.
 func FuzzRequestKey(f *testing.F) {
@@ -52,6 +54,18 @@ func FuzzRequestKey(f *testing.F) {
 		if req.URL != action || req.Method != m || req.EncodedForm() != ref.Encode() {
 			t.Fatalf("URL %q, method %q, form %q; want %q, %q, %q",
 				req.URL, req.Method, req.EncodedForm(), action, m, ref.Encode())
+		}
+		// The appending encoder writes the same key into a buffer that held
+		// a longer one, and a request made from that key is the same.
+		buf := AppendKey(nil, action+"/a/longer/action", "POST", []Field{{Name: "stale", Value: raw + " bytes"}})
+		buf = AppendKey(buf[:0], action, method, fields)
+		if string(buf) != req.Key() {
+			t.Fatalf("appended key %q, want %q", buf, req.Key())
+		}
+		kr := KeyedRequest(context.Background(), method, string(buf))
+		if kr.URL != req.URL || kr.Method != req.Method || kr.Key() != req.Key() || kr.EncodedForm() != req.EncodedForm() {
+			t.Fatalf("a request from the appended key reads %q %q %q, want %q %q %q",
+				kr.Method, kr.URL, kr.EncodedForm(), req.Method, req.URL, req.EncodedForm())
 		}
 		// Param reads the URL in place; the url.Values reading needs it to
 		// parse (Server.Fetch serves no request whose URL does not).

@@ -143,8 +143,8 @@ func NewStack(raw Fetcher, latency LatencyModel, clock func() time.Time, tier Ca
 }
 
 // NewQuery mints one query's state for this stack: an empty bill and
-// outage memo, and the policy's per-object deadline budget on the stack's
-// clock.
+// outage memo, the policy's per-object deadline budget on the stack's
+// clock, and the stack's cache, whose keys Query.Key hands out.
 func (s *Stack) NewQuery() *Query {
-	return &Query{Deadline: s.deadline, Clock: s.clock}
+	return &Query{Deadline: s.deadline, Clock: s.clock, cache: s.Cache}
 }

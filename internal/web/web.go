@@ -28,13 +28,15 @@ type Request struct {
 	URL    string // absolute URL
 	Method string // "GET" or "POST"; empty means GET
 
-	// key is Key(), built once by NewGet/NewSubmit; empty in a literal.
-	// It is "METHOD URL?form", the form being the submitted fields as
-	// url.Values.Encode writes them (empty for plain navigation). The
-	// cache, singleflight, outage memo and the query's page set all read
-	// it. URL points into it: a URL read off a page is a substring of that
-	// page's text, which the fetch stack (the cache keeps a response's
-	// URL) must not keep alive, and the key is a fresh string.
+	// key is Key(), encoded once by NewSubmit or AppendKey; empty in a
+	// literal. It is "METHOD URL?form", the form being the submitted
+	// fields as url.Values.Encode writes them (empty for plain
+	// navigation). The cache, singleflight, outage memo and the query's
+	// page set all keep it. URL points into it: a URL read off a page is a
+	// substring of that page's text, which the fetch stack (the cache
+	// keeps a response's URL) must not keep alive, and the key is a string
+	// of its own: a fresh one, or the one the cache already keeps
+	// (Query.Key).
 	key string
 
 	// ctx carries the caller's context — and with it the current trace
@@ -68,11 +70,9 @@ func NewGet(ctx context.Context, rawurl string) *Request {
 // sorts fields by name, in place, and keeps none of them: the request
 // holds its fields only as its key's encoded form.
 func NewSubmit(ctx context.Context, action, method string, fields []Field) *Request {
-	r := &Request{Method: canonicalMethod(method), ctx: ctx}
-	// A stable sort keeps each name's fields in the order given, so the
-	// last of a run of equal names is the one a Set would have kept.
-	slices.SortStableFunc(fields, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
-	n := len(r.Method) + 1 + len(action) + 1 // "METHOD URL?"
+	m := canonicalMethod(method)
+	sortFields(fields)
+	n := len(m) + 1 + len(action) + 1 // "METHOD URL?"
 	for i, f := range fields {
 		if !superseded(fields, i) {
 			n += escapedLen(f.Name) + 1 + escapedLen(f.Value) + 1 // "name=value&"
@@ -80,28 +80,65 @@ func NewSubmit(ctx context.Context, action, method string, fields []Field) *Requ
 	}
 	var sb strings.Builder
 	sb.Grow(n) // a byte to spare when there are fields: the last has no '&'
+	encodeKey(func(s string) { sb.WriteString(s) }, m, action, fields)
+	r := keyedRequest(ctx, m, sb.String())
+	return &r
+}
 
-	sb.WriteString(r.Method)
-	sb.WriteByte(' ')
-	sb.WriteString(action)
-	sb.WriteByte('?')
-	first := true
+// AppendKey appends to dst the key NewSubmit gives the submission of fields
+// to action with method, sorting fields in place as NewSubmit does. It is
+// how a caller that lends a buffer builds a key without allocating one:
+// Query.Key turns the bytes into the key string, and KeyedRequest that
+// into the request.
+func AppendKey(dst []byte, action, method string, fields []Field) []byte {
+	sortFields(fields)
+	encodeKey(func(s string) { dst = append(dst, s...) }, canonicalMethod(method), action, fields)
+	return dst
+}
+
+// KeyedRequest returns the request, as a value, whose key AppendKey wrote
+// for method: its URL is a substring of key, and it is fetched under ctx.
+// key must be a string of the caller's own, never a view of a buffer it
+// reuses: the fetch stack keeps it (DESIGN.md §6).
+func KeyedRequest(ctx context.Context, method, key string) Request {
+	return keyedRequest(ctx, canonicalMethod(method), key)
+}
+
+// keyedRequest is KeyedRequest for a method already canonical. The form
+// escapes every '?', so the key's last one ends its URL.
+func keyedRequest(ctx context.Context, m, key string) Request {
+	return Request{URL: key[len(m)+1 : strings.LastIndexByte(key, '?')], Method: m, key: key, ctx: ctx}
+}
+
+// sortFields sorts fields by name. A stable sort keeps each name's fields
+// in the order given, so the last of a run of equal names is the one a Set
+// would have kept.
+func sortFields(fields []Field) {
+	slices.SortStableFunc(fields, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
+}
+
+// encodeKey hands emit, piece by piece, the key of the submission of the
+// sorted fields to action with the canonical method m: "METHOD URL?form",
+// the form as url.Values.Encode writes it. NewSubmit and AppendKey both
+// encode with it, so their keys are byte-identical. It writes through a
+// function, not an interface: NewSubmit's strings.Builder, reached by a
+// closure that does not escape, stays off the heap.
+func encodeKey(emit func(string), m, action string, fields []Field) {
+	emit(m)
+	emit(" ")
+	emit(action)
+	emit("?")
+	sep := ""
 	for i, f := range fields {
 		if superseded(fields, i) {
 			continue
 		}
-		if !first {
-			sb.WriteByte('&')
-		}
-		first = false
-		writeEscaped(&sb, f.Name)
-		sb.WriteByte('=')
-		writeEscaped(&sb, f.Value)
+		emit(sep)
+		sep = "&"
+		emitEscaped(emit, f.Name)
+		emit("=")
+		emitEscaped(emit, f.Value)
 	}
-	r.key = sb.String()
-	at := len(r.Method) + 1
-	r.URL = r.key[at : at+len(action)]
-	return r
 }
 
 // FieldValue returns the value a submission of fields sends for name: the
@@ -144,21 +181,27 @@ func escapedLen(s string) int {
 	return n
 }
 
-// writeEscaped writes url.QueryEscape(s) to sb.
-func writeEscaped(sb *strings.Builder, s string) {
+// emitEscaped hands emit url.QueryEscape(s): each run that needs no
+// escape as it stands in s, and each escape on its own.
+func emitEscaped(emit func(string), s string) {
 	const upperhex = "0123456789ABCDEF"
+	from := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == ' ':
-			sb.WriteByte('+')
-		case shouldEscape(c):
-			sb.WriteByte('%')
-			sb.WriteByte(upperhex[c>>4])
-			sb.WriteByte(upperhex[c&15])
-		default:
-			sb.WriteByte(c)
+		c := s[i]
+		if !shouldEscape(c) {
+			continue
 		}
+		emit(s[from:i])
+		from = i + 1
+		if c == ' ' {
+			emit("+")
+			continue
+		}
+		emit("%")
+		emit(upperhex[c>>4 : c>>4+1])
+		emit(upperhex[c&15 : c&15+1])
 	}
+	emit(s[from:])
 }
 
 // shouldEscape reports whether url.QueryEscape escapes c: everything but
@@ -289,6 +332,13 @@ func NotFound(rawurl string) *Response {
 
 // Fetcher retrieves pages. All navigation in the webbase goes through this
 // interface.
+//
+// A fetcher must not use req after its Fetch returns: the caller may reuse
+// it, as the navigation layer does with the request its execution lends
+// (DESIGN.md §23). What the request carries is the caller's to keep: its
+// key, and its URL, a substring of the key, are strings of their own. A
+// fetcher whose work outlives its Fetch copies the request first, as
+// WithHedge does for its losing attempt.
 type Fetcher interface {
 	Fetch(req *Request) (*Response, error)
 }

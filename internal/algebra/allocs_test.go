@@ -11,7 +11,7 @@ import (
 
 // TestDependentJoinAllocs: a dependent join pays a fixed number of
 // allocations for each combination it feeds, whatever the number of
-// combinations: its inputs map and what the population costs. The cost of
+// combinations: what the population costs, its inputs map being lent. The cost of
 // a combination is the growth from 16 to 32 combinations and from 256 to
 // 512, the same at both to the nearest allocation (the merged parts' index
 // and tuple list grow a few more times), and no more than the ceiling,
@@ -26,15 +26,17 @@ func TestDependentJoinAllocs(t *testing.T) {
 		expr    Expr
 		ceiling float64
 	}{
-		// 6 when set: the inputs map and its slots, and MemCatalog's four
-		// (an attribute set, and a selection that some rows fail). 8 while
-		// every scan copied the bindings it was handed.
-		{"bound within the fed schema", feedCatalog, adsJoinBook(), 6.6},
+		// 4 when set: MemCatalog's four (an attribute set, and a
+		// selection that some rows fail); the inputs map is lent. 6 while
+		// each combination made its own inputs map, 8 while every scan
+		// copied the bindings it was handed.
+		{"bound within the fed schema", feedCatalog, adsJoinBook(), 4.4},
 		// Color is bound above the join, and book has no Color: the fed
-		// scan is handed its own attributes only, so the same 6. 8 while
-		// the scan copied its inputs again to leave Color out.
+		// scan is handed its own attributes only, so the same 4. 6 while
+		// each combination made its own inputs map, 8 while the scan
+		// copied its inputs again to leave Color out.
 		{"bound outside the fed schema", paintedCatalog,
-			&Select{Input: adsJoinBook(), Cond: eqCond("Color", "red")}, 6.6},
+			&Select{Input: adsJoinBook(), Cond: eqCond("Color", "red")}, 4.4},
 	}
 	for _, c := range cases {
 		allocs := func(n int) float64 {
@@ -70,4 +72,29 @@ func paintedCatalog(years ...int64) *MemCatalog {
 	}
 	cat.Add(ads, relation.NewAttrSet("Make"))
 	return cat
+}
+
+// TestSelectPushDownAllocs: σ[Make=ford] over a scan hands the scan its
+// pushed-down constant in a lent bindings map, so it allocates what the
+// population and the selection cost and no map: MemCatalog's attribute
+// set and its selection's result, and the σ's own selection's result.
+func TestSelectPushDownAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cat := feedCatalog(1990, 1991, 1992, 1993)
+	expr := &Select{Input: scan("ads"), Cond: eqCond("Make", "ford")}
+	eval := func() {
+		if rel, err := Eval(context.Background(), expr, cat, nil); err != nil || rel.Len() != 4 {
+			t.Fatalf("σ[Make=ford](ads): %v, %v", rel, err)
+		}
+	}
+	eval() // a map to lend
+
+	const ceiling = 4 // 4 when set; 7 while the σ copied its bindings into a map of its own, and Eval made one for nil bindings
+	got := testing.AllocsPerRun(50, eval)
+	t.Logf("σ[Make=ford] over a scan of 4 tuples: %.0f allocations (ceiling %d)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("σ[Make=ford] over a scan allocates %.0f times, ceiling %d", got, ceiling)
+	}
 }

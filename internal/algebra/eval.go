@@ -7,6 +7,7 @@ import (
 	"maps"
 	"strings"
 
+	"webbase/internal/lend"
 	"webbase/internal/prune"
 	"webbase/internal/relation"
 	"webbase/internal/trace"
@@ -112,9 +113,6 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if bound == nil {
-		bound = map[string]relation.Value{}
-	}
 	switch e := e.(type) {
 	case *Scan:
 		sch, err := cat.Schema(e.Relation)
@@ -124,15 +122,20 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		return cat.Populate(ctx, e.Relation, scanInputs(bound, sch))
 
 	case *Select:
-		sub := bound
+		var in *relation.Relation
+		var err error
 		if e.Cond.Op == EQ && e.Cond.Attr2 == "" {
 			// Push the constant down: it may satisfy a mandatory attribute
-			// of a VPS relation underneath.
-			sub = make(map[string]relation.Value, len(bound)+1)
-			maps.Copy(sub, bound)
-			sub[e.Cond.Attr] = e.Cond.Val
+			// of a VPS relation underneath. The bindings live as long as
+			// the input's evaluation.
+			sub := bindingMaps.Borrow()
+			maps.Copy(*sub, bound)
+			(*sub)[e.Cond.Attr] = e.Cond.Val
+			in, err = Eval(ctx, e.Input, cat, *sub)
+			bindingMaps.Return(sub)
+		} else {
+			in, err = Eval(ctx, e.Input, cat, bound)
 		}
-		in, err := Eval(ctx, e.Input, cat, sub)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +427,9 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 		}
 		// A fed scan is handed only its schema's values, so that
 		// scanInputs finds nothing to filter and copies nothing again.
-		inputs := make(map[string]relation.Value, len(bound)+len(feed))
+		// The combination's bindings live as long as its evaluation.
+		lent := bindingMaps.Borrow()
+		inputs := *lent
 		if _, ok := next.(*Scan); ok {
 			for a, v := range bound {
 				if nextSchema.Has(a) && !v.IsNull() {
@@ -438,6 +443,7 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			inputs[a] = tuples[i][k]
 		}
 		part, err := Eval(ictx, next, cat, inputs)
+		bindingMaps.Return(lent)
 		if err != nil {
 			sp.EndErr(err)
 			return err
@@ -469,6 +475,17 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 func bindingFailure(err error) bool {
 	return errors.Is(err, ErrBindingUnsatisfied) || errors.Is(err, ErrNoOrdering)
 }
+
+// keptBindings is how many idle bindings maps wait for the next frames:
+// a query holds a few at once on each of its goroutines.
+const keptBindings = 16
+
+// bindingMaps lends the bindings an evaluation frame builds and nothing
+// outlives: a σ's pushed-down constant and a fed combination's inputs.
+// A map is returned when the Eval it was handed to returns: ForEach waits
+// for every branch it starts, and a catalog reads its inputs only while
+// Populate runs (Catalog), so no reader of a returned map is left.
+var bindingMaps = lend.Maps[string, relation.Value](keptBindings)
 
 // scanInputs is bound restricted to the non-null values of sch's
 // attributes: bound itself when it holds nothing else, as it usually does.

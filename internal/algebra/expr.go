@@ -30,7 +30,9 @@ type Catalog interface {
 	// over the VPS thread ctx all the way into navigation execution, so a
 	// cancelled query stops fetching pages. The inputs are read-only: the
 	// evaluator hands one map to every leaf under the same bindings, and
-	// the leaves of a union may populate from it concurrently.
+	// the leaves of a union may populate from it concurrently. They are
+	// read only while Populate runs: the evaluator lends the map and takes
+	// it back after.
 	Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error)
 }
 

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"webbase/internal/algebra"
@@ -117,6 +118,8 @@ type Webbase struct {
 	// the state files, pageTier is the disk tier behind the page cache.
 	store    *store.Store
 	pageTier *store.PageTier
+
+	token atomic.Pointer[consistencyToken] // the last ConsistencyToken
 }
 
 // Domain describes how to assemble the three layers of one application

@@ -179,12 +179,20 @@ func (wb *Webbase) gcRecord(tier store.Tier, key string) {
 // back to 1 — a cold restart deliberately changes the token, because a
 // process that forgot its healed maps can no longer promise the same
 // answer bytes.
+//
+// The token is computed once per change of its inputs: the generation and
+// the registry's count of installed maps (vps.Registry.Installs). A call
+// that finds both as the last computation left them returns its token.
 func (wb *Webbase) ConsistencyToken() string {
-	h := sha256.New()
 	gen := wb.stack.Cache.Generation()
 	if wb.pageTier != nil {
 		gen = wb.pageTier.Generation()
 	}
+	installs := wb.Registry.Installs()
+	if t := wb.token.Load(); t != nil && t.gen == gen && t.installs == installs {
+		return t.token
+	}
+	h := sha256.New()
 	fmt.Fprintf(h, "cache-gen=%d\n", gen)
 	// Relations() is sorted by name, so the digest is deterministic.
 	for _, ri := range wb.Registry.Relations() {
@@ -192,7 +200,15 @@ func (wb *Webbase) ConsistencyToken() string {
 		fmt.Fprintf(h, "map=%s:%d:%s\n", ri.Name, v, fp)
 	}
 	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:12])
+	t := &consistencyToken{gen: gen, installs: installs, token: hex.EncodeToString(sum[:12])}
+	wb.token.Store(t)
+	return t.token
+}
+
+// consistencyToken is a token with the inputs it was computed from.
+type consistencyToken struct {
+	gen, installs uint64
+	token         string
 }
 
 // FlushState forces every dirty durable-tier write to disk: queued page

@@ -1,8 +1,10 @@
 // Package lend keeps the values a program lends to one user at a time and
-// takes back when that user ends: navigation's scratches (navcalc), a
-// served stream's codec (internal/server) and a client stream's readers
-// (client). A value is borrowed, used by its borrower alone, and returned
-// exactly once; a returned value waits idle for the next borrower.
+// takes back when that user ends: navigation's scratches (navcalc), the
+// bindings of an evaluation frame (algebra) and of a handle invocation
+// (vps), a served stream's codec (internal/server) and a client stream's
+// readers (client). A value is borrowed, used by its borrower alone, and
+// returned exactly once; a returned value waits idle for the next
+// borrower.
 //
 // A Stack is not a sync.Pool: under the race detector a pool drops a
 // quarter of what it is given at random, so the allocations of two equal
@@ -31,6 +33,8 @@ type Stack[T any] struct {
 	// last Return drops every idle value and the list that held them.
 	WhileLent bool
 
+	newT func() *T // makes a value when none is idle; nil makes new(T)
+
 	mu   sync.Mutex
 	idle []*T
 	lent int // values borrowed and not yet returned
@@ -39,15 +43,19 @@ type Stack[T any] struct {
 // Borrow returns the value returned last, or a new one when none is idle.
 func (s *Stack[T]) Borrow() *T {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.lent++
 	n := len(s.idle)
 	if n == 0 {
+		s.mu.Unlock()
+		if s.newT != nil {
+			return s.newT()
+		}
 		return new(T)
 	}
 	v := s.idle[n-1]
 	s.idle[n-1] = nil
 	s.idle = s.idle[:n-1]
+	s.mu.Unlock()
 	return v
 }
 
@@ -85,4 +93,26 @@ func Fit[E any](b []E, limit int) []E {
 		return nil
 	}
 	return b[:0]
+}
+
+// keptMapLen is the most entries a lent map may have held to be kept: one
+// group of Go's map, which clear empties in place. A map that grew past it
+// keeps its larger tables through clear.
+const keptMapLen = 8
+
+// Maps returns a Stack of maps that lends each borrower an empty map and
+// keeps, up to max, the returned maps that held at most keptMapLen entries.
+func Maps[K comparable, V any](max int) *Stack[map[K]V] {
+	return &Stack[map[K]V]{Max: max, Reset: clearMap[K, V], newT: newMap[K, V]}
+}
+
+func newMap[K comparable, V any]() *map[K]V {
+	m := make(map[K]V)
+	return &m
+}
+
+func clearMap[K comparable, V any](m *map[K]V) bool {
+	keep := len(*m) <= keptMapLen
+	clear(*m)
+	return keep
 }

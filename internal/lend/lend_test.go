@@ -75,6 +75,34 @@ func TestLendResetDecides(t *testing.T) {
 	}
 }
 
+// TestLendMaps: a Stack of maps lends an empty map, made when none is
+// idle; a returned map is cleared, and kept only while it held at most
+// keptMapLen entries.
+func TestLendMaps(t *testing.T) {
+	s := Maps[string, int](4)
+	small, large := s.Borrow(), s.Borrow()
+	if *small == nil || *large == nil || len(*small) != 0 {
+		t.Fatal("a borrow was not lent an empty map")
+	}
+	for i := 0; i < keptMapLen; i++ {
+		(*small)[string(rune('a'+i))] = i
+	}
+	for i := 0; i <= keptMapLen; i++ {
+		(*large)[string(rune('a'+i))] = i
+	}
+	s.Return(small)
+	s.Return(large)
+	if idle, lent := s.Idle(); !slices.Equal(idle, []*map[string]int{small}) || lent != 0 {
+		t.Fatalf("%d idle and %d lent, want the map of %d entries alone", len(idle), lent, keptMapLen)
+	}
+	if len(*small) != 0 || len(*large) != 0 {
+		t.Fatalf("returned maps hold %v and %v, want both cleared", *small, *large)
+	}
+	if m := s.Borrow(); m != small || len(*m) != 0 {
+		t.Fatal("the kept map was not lent again, empty")
+	}
+}
+
 // TestLendWhileLent: a stack that keeps values only while another is lent
 // keeps what is returned while a borrower is out, and the last Return
 // leaves it with no idle list at all.

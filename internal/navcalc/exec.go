@@ -49,8 +49,8 @@ type ExecInfo struct {
 
 // Execute runs the expression against the fetcher with the given input
 // bindings (attribute name → value, e.g. {"Make": "ford"}) and returns the
-// collected relation named name. The navigation aborts at the next page
-// load once ctx is done.
+// collected relation named name. The inputs are read only while Execute
+// runs. The navigation aborts at the next page load once ctx is done.
 func (e *Expression) Execute(ctx context.Context, f web.Fetcher, inputs map[string]string) (*relation.Relation, ExecInfo, error) {
 	start := e.StartURL
 	if e.StartURLVar != "" {
@@ -71,7 +71,7 @@ func (e *Expression) Execute(ctx context.Context, f web.Fetcher, inputs map[stri
 	}
 	// The inputs are the bindings as they stand: no step binds a
 	// variable, so the execution reads them and never writes them.
-	in := &tlogic.Interp{Program: e.Program}
+	in := &tlogic.Interp{Program: e.Program, Stacks: &s.stacks}
 	end, path, ok, err := in.Run(e.Goal, st, tlogic.Env(inputs))
 	if err != nil {
 		return nil, ExecInfo{}, fmt.Errorf("navcalc: executing %s: %w", e.Name, err)

@@ -3,6 +3,7 @@ package navcalc
 import (
 	"webbase/internal/htmlkit"
 	"webbase/internal/lend"
+	"webbase/internal/tlogic"
 	"webbase/internal/web"
 )
 
@@ -29,18 +30,20 @@ const (
 
 // scratch is what one execution (Expression.Execute) borrows and
 // nothing outlives: its page budget, its states with the request each
-// loads, the buffer each request's key is encoded into, and the pages that
-// only it visits, with their parse arrays. Backtracking discards a branch
-// by dropping its states, so every state and lent page of an execution
-// lives exactly as long as the execution does; the scratch is reset and
-// kept idle for the next execution when it ends. What an execution hands
-// on is never lent: its request keys (web.Query.Key), its pages' text, its
-// collected tuples, and every page another execution may read — a page its
-// query keeps (web.Query.Load), and the page of an input-free request
+// loads, the buffer each request's key is encoded into, the search's
+// stacks of those states, and the pages that only it visits, with their
+// parse arrays. Backtracking discards a branch by dropping its states, so
+// every state and lent page of an execution lives exactly as long as the
+// execution does; the scratch is reset and kept idle for the next
+// execution when it ends. What an execution hands on is never lent: its
+// request keys (web.Query.Key), its pages' text, its collected tuples, and
+// every page another execution may read — a page its query keeps
+// (web.Query.Load), and the page of an input-free request
 // (web.Response.Derived).
 type scratch struct {
 	budget pageBudget
-	key    []byte // the key of the request being built (web.AppendKey)
+	key    []byte        // the key of the request being built (web.AppendKey)
+	stacks tlogic.Stacks // the search's path and outcome stacks
 	states slab[BrowseState]
 	pages  slab[lentPage]
 }
@@ -62,6 +65,7 @@ var scratches = lend.Stack[scratch]{Max: keptScratches, Reset: (*scratch).reset}
 func (s *scratch) reset() bool {
 	s.budget = pageBudget{}
 	s.key = lend.Fit(s.key, keptKey)
+	s.stacks = tlogic.Stacks{}
 	s.states.reset(keptStates, func(_ int, st *BrowseState) { *st = BrowseState{} })
 	s.pages.reset(keptArrays, func(i int, p *lentPage) {
 		p.page = page{}

@@ -198,7 +198,18 @@ func (p *Program) Prune(goal Formula) *Program {
 // Interp executes formulas against states.
 type Interp struct {
 	Program *Program
+	// Stacks is the room Run's stacks start in, which a caller that runs
+	// many searches may lend; nil gives each Run its own.
+	Stacks *Stacks
 }
+
+// Stacks is the room a search's two stacks start in: a path of 16 states
+// and two alternatives (DESIGN.md §18). Either grows on its own past that.
+// Run leaves states in it; its lender clears it before lending it again.
+type Stacks [pathRoom + 2]State
+
+// pathRoom is how many states a path holds before it grows.
+const pathRoom = 16
 
 // maxDepth bounds rule-call nesting, catching runaway recursion (a
 // navigation map with an unbounded loop).
@@ -221,16 +232,18 @@ var (
 // search moves to it, so the stack holds only the alternatives left to
 // try. The search is depth-first, so sibling branches never hold either
 // stack at once. The first success ends the search, so the path is
-// returned as it stands, without a copy.
+// returned as it stands, without a copy: in the Interp's Stacks when it
+// fit there, valid until they are lent again.
 func (in *Interp) Run(goal Formula, st State, env Env) (end State, path []State, ok bool, err error) {
 	stop := func(p, _ []State) (bool, error) {
 		path, ok = p, true
 		return true, nil
 	}
-	// One allocation holds both stacks: a path of 16 states and two
-	// alternatives (DESIGN.md §18). Either grows on its own past that.
-	stacks := make([]State, 0, 16+2)
-	if _, err = in.exec(goal, env, 0, append(stacks[:0:16], st), stacks[16:16], stop); err != nil || !ok {
+	room := in.Stacks
+	if room == nil {
+		room = new(Stacks)
+	}
+	if _, err = in.exec(goal, env, 0, append(room[:0:pathRoom], st), room[pathRoom:pathRoom], stop); err != nil || !ok {
 		return nil, nil, false, err
 	}
 	return path[len(path)-1], path, true, nil

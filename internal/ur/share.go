@@ -3,7 +3,6 @@ package ur
 import (
 	"context"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -88,11 +87,14 @@ func (c *sharedCatalog) placeSpans() {
 // case, an int and a float) are different inputs here, since a site may
 // answer them differently.
 func sharedKey(name string, inputs map[string]relation.Value) string {
-	attrs := make([]string, 0, len(inputs))
+	// The names are sorted in place on the stack; a population with more
+	// inputs than the array holds grows a slice of its own.
+	var room [16]string
+	attrs := room[:0]
 	for a := range inputs {
 		attrs = append(attrs, a)
 	}
-	sort.Strings(attrs)
+	slices.Sort(attrs)
 	buf := strconv.AppendQuote(make([]byte, 0, 128), name)
 	for _, a := range attrs {
 		v := inputs[a]

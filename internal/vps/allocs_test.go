@@ -15,10 +15,11 @@ import (
 // to the data pages — about 10% above what the code does. Every page is
 // served from memory, so the count is what the invocation itself
 // allocates: its requests' keys (outside a query no cache lends them) and
-// the text of each page, the rows. Its states with their requests, and the
-// pages and parse arrays only it reads, are borrowed from a pooled
-// scratch. The bindings it is handed, the path of the execution and the
-// extraction's set-up are not copied.
+// the text of each page, the rows. Its states with their requests, the
+// search's stacks, and the pages and parse arrays only it reads, are
+// borrowed from a pooled scratch, and the string inputs it hands Execute
+// are lent too. The bindings it is handed and the extraction's set-up are
+// not copied.
 func TestPopulateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -51,7 +52,7 @@ func TestPopulateAllocs(t *testing.T) {
 	}
 	populate() // fill the pages
 
-	const ceiling = 37 // 34 when set; 42 while each visit allocated its request and every invocation selected a relation of its own; 63 while every state, page and parse array of an execution was its own allocation; 93 while each data page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 129 while a submission built a url.Values and its encoding, the request was copied to carry its context, each step returned a slice of its outcomes and the execution its report on the heap; 153 while the scan resolved every link on a page; 202 while the bindings, the path and the extraction set-up were copied at every step
+	const ceiling = 34 // 31 when set; 34 while each invocation made the string inputs it hands Execute, and the execution its search's stacks; 42 while each visit allocated its request and every invocation selected a relation of its own; 63 while every state, page and parse array of an execution was its own allocation; 93 while each data page's table was copied into rows of strings, with a map of every resolved link per row, before extraction read it; 129 while a submission built a url.Values and its encoding, the request was copied to carry its context, each step returned a slice of its outcomes and the execution its report on the heap; 153 while the scan resolved every link on a page; 202 while the bindings, the path and the extraction set-up were copied at every step
 	got := testing.AllocsPerRun(50, populate)
 	t.Logf("a warm newsday invocation of %d tuples over %d pages: %.0f allocations (ceiling %d)", tuples, len(pages), got, ceiling)
 	if tuples == 0 {

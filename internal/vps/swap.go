@@ -110,8 +110,14 @@ func (r *Registry) install(verb, name string, m *navmap.Map, version int) (int, 
 		Version:     version,
 		Fingerprint: navmap.Fingerprint(m),
 	})
+	r.installs.Add(1)
 	return version, nil
 }
+
+// Installs counts the maps swapped in or restored so far. It moves after
+// the map it counts is served, so a reader that sees it unchanged has seen
+// every MapVersion it covers.
+func (r *Registry) Installs() uint64 { return r.installs.Load() }
 
 type quarantineKey struct{}
 

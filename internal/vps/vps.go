@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"webbase/internal/lend"
 	"webbase/internal/navcalc"
 	"webbase/internal/navmap"
 	"webbase/internal/prune"
@@ -113,6 +114,7 @@ func (ri *RelationInfo) Forwardable() relation.AttrSet { return ri.forwardable }
 // their handles.
 type Registry struct {
 	relations map[string]*RelationInfo
+	installs  atomic.Uint64 // maps swapped in or restored (install)
 }
 
 // NewRegistry returns an empty VPS.
@@ -309,7 +311,11 @@ func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inp
 		sp.End()
 		return relation.New(expr.Name, expr.Schema), navcalc.ExecInfo{}, nil
 	}
-	strInputs := make(map[string]string, len(inputs))
+	// The execution's environment lives as long as this invocation:
+	// navigation reads it and keeps none of it (Execute).
+	env := envs.Borrow()
+	defer envs.Return(env)
+	strInputs := *env
 	for a, v := range inputs {
 		if !v.IsNull() {
 			strInputs[a] = v.String()
@@ -366,6 +372,13 @@ func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inp
 	}
 	return filtered, info, nil
 }
+
+// keptEnvs is how many idle execution environments wait for the next
+// invocations: as many as ran at once, up to this many.
+const keptEnvs = 8
+
+// envs lends each invocation the string inputs it hands Execute.
+var envs = lend.Maps[string, string](keptEnvs)
 
 // countFetches counts the page-load spans navigation recorded beneath a
 // handle span, so the handle line carries its fetch cost directly.

@@ -3,44 +3,70 @@ package web
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// slowFirstAttempt answers the first attempt per request key slowly and
-// later attempts instantly — the canonical hedge-win scenario.
+// slowFirstAttempt holds the first attempt until the test closes release,
+// and answers later attempts at once — the canonical hedge-win scenario.
+// hedged closes when the second attempt starts: the hedge has fired. No
+// attempt waits on a clock, so the hedge's timer is the only one a test
+// waits for.
 type slowFirstAttempt struct {
 	attempts atomic.Int64
-	delay    time.Duration
-	failSlow error // when non-nil, the slow attempt fails with this
-	failFast error // when non-nil, the fast attempt fails with this
+	release  chan struct{} // closed by the test: the first attempt may answer
+	hedged   chan struct{} // closed by the second attempt
+	answered atomic.Bool   // the first attempt has answered
+	failSlow error         // when non-nil, the slow attempt fails with this
+	failFast error         // when non-nil, the fast attempt fails with this
+}
+
+func newSlowFirstAttempt() *slowFirstAttempt {
+	return &slowFirstAttempt{release: make(chan struct{}), hedged: make(chan struct{})}
 }
 
 func (s *slowFirstAttempt) Fetch(req *Request) (*Response, error) {
-	if s.attempts.Add(1) == 1 {
-		time.Sleep(s.delay)
+	switch s.attempts.Add(1) {
+	case 1:
+		<-s.release
+		defer s.answered.Store(true)
 		if s.failSlow != nil {
 			return nil, s.failSlow
 		}
-	} else if s.failFast != nil {
-		return nil, s.failFast
+	case 2:
+		close(s.hedged)
+		fallthrough
+	default:
+		if s.failFast != nil {
+			return nil, s.failFast
+		}
 	}
 	return HTML(req.URL, "<html><body>"+req.URL+"</body></html>"), nil
 }
 
+// releaseOnHedge releases the slow attempt once the hedge has fired.
+func (s *slowFirstAttempt) releaseOnHedge() {
+	go func() {
+		<-s.hedged
+		close(s.release)
+	}()
+}
+
 func TestHedgeSecondAttemptWins(t *testing.T) {
-	inner := &slowFirstAttempt{delay: 200 * time.Millisecond}
+	inner := newSlowFirstAttempt()
+	defer close(inner.release)
 	stats := &Stats{}
 	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, stats)
 
-	start := time.Now()
 	resp, err := f.Fetch(NewGet(context.Background(), "http://slow.example/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed >= inner.delay {
-		t.Errorf("hedged fetch took %v, the full slow-attempt latency", elapsed)
+	if inner.answered.Load() {
+		t.Error("hedged fetch waited for the slow attempt")
 	}
 	if string(resp.Body) == "" {
 		t.Fatal("empty response")
@@ -74,12 +100,15 @@ func TestHedgeNotIssuedWhenPrimaryFast(t *testing.T) {
 
 // TestHedgeBothFailReturnsPrimaryError pins deterministic loser
 // selection: when both attempts fail, the PRIMARY attempt's error
-// surfaces even though the hedge attempt failed first — so host
-// attribution and degradation reports don't depend on the race.
+// surfaces even though the hedge attempt failed first (it fails at once,
+// the primary only once the hedge has fired) — so host attribution and
+// degradation reports don't depend on the race.
 func TestHedgeBothFailReturnsPrimaryError(t *testing.T) {
 	errPrimary := errors.New("primary transport failure")
 	errHedge := errors.New("hedge transport failure")
-	inner := &slowFirstAttempt{delay: 30 * time.Millisecond, failSlow: errPrimary, failFast: errHedge}
+	inner := newSlowFirstAttempt()
+	inner.failSlow, inner.failFast = errPrimary, errHedge
+	inner.releaseOnHedge()
 	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, &Stats{})
 	_, err := f.Fetch(NewGet(context.Background(), "http://down.example/p"))
 	if !errors.Is(err, errPrimary) {
@@ -95,7 +124,12 @@ func TestHedgeHonorsCancellation(t *testing.T) {
 	// unblock the caller.
 	gate := make(chan struct{})
 	defer close(gate)
+	var attempts atomic.Int64
+	hedged := make(chan struct{})
 	inner := FetcherFunc(func(req *Request) (*Response, error) {
+		if attempts.Add(1) == 2 {
+			close(hedged)
+		}
 		<-gate
 		return HTML(req.URL, "<html></html>"), nil
 	})
@@ -106,7 +140,7 @@ func TestHedgeHonorsCancellation(t *testing.T) {
 		_, err := f.Fetch(NewGet(ctx, "http://hung.example/p"))
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the hedge fire, then give up
+	<-hedged // let the hedge fire, then give up
 	cancel()
 	select {
 	case err := <-done:
@@ -125,17 +159,53 @@ func TestHedgeDisabled(t *testing.T) {
 	}
 }
 
-// slowEveryAttempt answers every attempt after the same delay, so each
-// fetch through the hedge middleware is hedge-eligible.
+// slowEveryAttempt holds every attempt of a fetch until the test releases
+// the fetch's URL, so each fetch through the hedge middleware is
+// hedge-eligible.
 type slowEveryAttempt struct {
 	attempts atomic.Int64
-	delay    time.Duration
+	mu       sync.Mutex
+	gates    map[string]chan struct{} // by URL, closed on release
+}
+
+func (s *slowEveryAttempt) gate(url string) chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.gates == nil {
+		s.gates = map[string]chan struct{}{}
+	}
+	g, ok := s.gates[url]
+	if !ok {
+		g = make(chan struct{})
+		s.gates[url] = g
+	}
+	return g
 }
 
 func (s *slowEveryAttempt) Fetch(req *Request) (*Response, error) {
 	s.attempts.Add(1)
-	time.Sleep(s.delay)
+	<-s.gate(req.URL)
 	return HTML(req.URL, "<html><body>"+req.URL+"</body></html>"), nil
+}
+
+// fetchOnceFired fetches url through f, holding its attempts until fired
+// reports that the hedge has fired (or was refused), and then releasing
+// them. fired is polled, yielding: the hedge's own timer is the only clock
+// the fetch waits on.
+func (s *slowEveryAttempt) fetchOnceFired(t *testing.T, ctx context.Context, f Fetcher, url string, fired func() bool) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.Fetch(NewGet(ctx, url))
+		done <- err
+	}()
+	for !fired() {
+		runtime.Gosched()
+	}
+	close(s.gate(url))
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestHedgeBudgetCapsDuplicates: with a hedge budget of 1, only the
@@ -143,17 +213,19 @@ func (s *slowEveryAttempt) Fetch(req *Request) (*Response, error) {
 // primary attempt and are counted suppressed — identical answers, bounded
 // duplicate load.
 func TestHedgeBudgetCapsDuplicates(t *testing.T) {
-	inner := &slowEveryAttempt{delay: 30 * time.Millisecond}
+	inner := &slowEveryAttempt{}
 	stats := &Stats{}
 	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond, HedgeBudget: 1}, stats)
 	q := &Query{}
 	ctx := WithQuery(context.Background(), q)
 
-	for i := 0; i < 3; i++ {
-		req := NewGet(ctx, "http://slow.example/p"+string(rune('a'+i)))
-		if _, err := f.Fetch(req); err != nil {
-			t.Fatal(err)
-		}
+	// The first fetch is released once its hedged attempt has started;
+	// each later one once its hedge has been refused.
+	inner.fetchOnceFired(t, ctx, f, "http://slow.example/pa", func() bool { return inner.attempts.Load() == 2 })
+	for i := 1; i < 3; i++ {
+		suppressed := int64(i)
+		inner.fetchOnceFired(t, ctx, f, "http://slow.example/p"+string(rune('a'+i)),
+			func() bool { return q.Stats.Get(HedgesSuppressed) == suppressed })
 	}
 	stats.Add(&q.Stats) // the query's bill, folded as core does when it ends
 	if got := stats.Get(Hedges); got != 1 {
@@ -171,13 +243,13 @@ func TestHedgeBudgetCapsDuplicates(t *testing.T) {
 // TestHedgeNoBudgetIsUnlimited: without a hedge budget every eligible
 // fetch may hedge.
 func TestHedgeNoBudgetIsUnlimited(t *testing.T) {
-	inner := &slowEveryAttempt{delay: 30 * time.Millisecond}
+	inner := &slowEveryAttempt{}
 	stats := &Stats{}
 	f := WithHedge(inner, Policy{HedgeAfter: 5 * time.Millisecond}, stats)
 	for i := 0; i < 2; i++ {
-		if _, err := f.Fetch(NewGet(context.Background(), "http://slow.example/q"+string(rune('a'+i)))); err != nil {
-			t.Fatal(err)
-		}
+		hedged := int64(2 * (i + 1)) // a primary and a hedged attempt a fetch
+		inner.fetchOnceFired(t, context.Background(), f, "http://slow.example/q"+string(rune('a'+i)),
+			func() bool { return inner.attempts.Load() == hedged })
 	}
 	if got := stats.Get(Hedges); got != 2 {
 		t.Errorf("hedges = %d, want 2", got)

@@ -257,7 +257,12 @@ func TestStackZeroPolicy(t *testing.T) {
 // noHedge: a fetch far slower than any hedge delay is attempted once and
 // its span carries no hedge label.
 func noHedge(t *testing.T, p Policy) {
-	raw := &slowEveryAttempt{delay: 20 * time.Millisecond}
+	var attempts atomic.Int64
+	raw := FetcherFunc(func(req *Request) (*Response, error) {
+		attempts.Add(1)
+		time.Sleep(20 * time.Millisecond)
+		return HTML(req.URL, "<html><body>"+req.URL+"</body></html>"), nil
+	})
 	s := NewStack(raw, LatencyModel{}, nil, nil, p)
 	tr := trace.New("hedge", nil)
 	sp := trace.Start(trace.ContextWith(context.Background(), tr.Root), trace.KindFetch, "http://slow.example/p")
@@ -265,9 +270,9 @@ func noHedge(t *testing.T, p Policy) {
 		t.Fatal(err)
 	}
 	sp.End()
-	if raw.attempts.Load() != 1 || s.Stats.Get(Hedges) != 0 || sp.LabelValue("hedged") != "" || sp.LabelValue("hedge") != "" {
+	if attempts.Load() != 1 || s.Stats.Get(Hedges) != 0 || sp.LabelValue("hedged") != "" || sp.LabelValue("hedge") != "" {
 		t.Errorf("attempts %d, hedges %d, labels %q/%q; want one attempt and no hedge",
-			raw.attempts.Load(), s.Stats.Get(Hedges), sp.LabelValue("hedged"), sp.LabelValue("hedge"))
+			attempts.Load(), s.Stats.Get(Hedges), sp.LabelValue("hedged"), sp.LabelValue("hedge"))
 	}
 }
 

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,8 +77,9 @@ func paintedCatalog(years ...int64) *MemCatalog {
 
 // TestSelectPushDownAllocs: σ[Make=ford] over a scan hands the scan its
 // pushed-down constant in a lent bindings map, so it allocates what the
-// population and the selection cost and no map: MemCatalog's attribute
-// set and its selection's result, and the σ's own selection's result.
+// population costs and no map: MemCatalog's attribute set and its
+// selection's result. Every tuple passes the σ's own selection, so it
+// hands on its input and allocates nothing.
 func TestSelectPushDownAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -91,10 +93,75 @@ func TestSelectPushDownAllocs(t *testing.T) {
 	}
 	eval() // a map to lend
 
-	const ceiling = 4 // 4 when set; 7 while the σ copied its bindings into a map of its own, and Eval made one for nil bindings
+	const ceiling = 3 // 3; 4 while an all-pass σ built a relation of its own, 7 while the σ copied its bindings into a map of its own, and Eval made one for nil bindings
 	got := testing.AllocsPerRun(50, eval)
 	t.Logf("σ[Make=ford] over a scan of 4 tuples: %.0f allocations (ceiling %d)", got, ceiling)
 	if got > ceiling {
 		t.Errorf("σ[Make=ford] over a scan allocates %.0f times, ceiling %d", got, ceiling)
 	}
 }
+
+// TestDependentJoinFixedAllocs: what a dependent join costs beyond its
+// accumulated result's evaluation, at one combination: ford's 1990 ad fed
+// to book. Its combinations are rows of the accumulated result read
+// through lent positions, its null filter hands on a relation with no
+// nulls, and its operators' tables are lent, so it pays book's population
+// (MemCatalog's 3), its parts list, ForEach's errors, wait group and
+// closure, the union of the parts (2) and the join's result (4).
+func TestDependentJoinFixedAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cat := feedCatalog(1990)
+	ctx := context.Background()
+	acc, err := Eval(ctx, &Select{Input: scan("ads"), Cond: eqCond("Make", "ford")}, cat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	book, err := cat.Schema("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, forwardable := scan("book"), cat.Forwardable("book")
+	join := func() {
+		if rel, err := dependentJoin(ctx, acc, next, book, forwardable, cat, nil); err != nil || rel.Len() != 1 {
+			t.Fatalf("ads ⋈ book: %v, %v", rel, err)
+		}
+	}
+	join() // maps and tables to lend
+
+	const ceiling = 14 // 13; 30 while its combinations were a projection and its filter and operators allocated their own
+	got := testing.AllocsPerRun(50, join)
+	t.Logf("a dependent join of one combination: %.0f allocations (ceiling %d)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("a dependent join of one combination allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestUnionLeavesAllocs: a union's leaves go in one slice, in leaf order,
+// for a two-leaf union and for a relaxed union of eight (3 and 11 slices
+// while each level built its own).
+func TestUnionLeavesAllocs(t *testing.T) {
+	two := UnionAll(scan("a"), scan("b"))
+	eight := RelaxedUnionAll(scan("a"), scan("b"), scan("c"), scan("d"), scan("e"), scan("f"), scan("g"), scan("h"))
+	if got := fmt.Sprint(flattenUnion(two), flattenRelaxedUnion(eight)); got != "[a b] [a b c d e f g h]" {
+		t.Errorf("the leaves are %s, want [a b] [a b c d e f g h]", got)
+	}
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, c := range []struct {
+		name    string
+		flatten func()
+	}{
+		{"∪ of 2", func() { leavesSink = flattenUnion(two) }},
+		{"∪ʳ of 8", func() { leavesSink = flattenRelaxedUnion(eight) }},
+	} {
+		if got := testing.AllocsPerRun(20, c.flatten); got != 1 {
+			t.Errorf("listing the leaves of a %s allocates %.0f times, want 1", c.name, got)
+		}
+	}
+}
+
+// leavesSink keeps a leaf list on the heap, as the evaluator's fan-out does.
+var leavesSink []Expr

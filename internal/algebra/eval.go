@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 
 	"webbase/internal/lend"
@@ -150,7 +151,7 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 				return nil, fmt.Errorf("algebra: σ attribute %q not in schema %v", e.Cond.Attr2, sch)
 			}
 		}
-		return in.Select(func(t relation.Tuple) bool {
+		return in.Filter(func(t relation.Tuple) bool {
 			rhs := e.Cond.Val
 			if j >= 0 {
 				rhs = t[j]
@@ -261,21 +262,32 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 // flattenUnion returns the leaf expressions of a maximal ∪-subtree in
 // left-to-right order. Union is associative and the evaluator's merge
 // deduplicates in leaf order, so a left fold over the leaves equals the
-// nested pairwise evaluation tuple for tuple.
-func flattenUnion(e Expr) []Expr {
+// nested pairwise evaluation tuple for tuple. The leaves are appended to
+// one slice.
+func flattenUnion(e Expr) []Expr { return appendUnionLeaves(make([]Expr, 0, keptLeaves), e) }
+
+func appendUnionLeaves(leaves []Expr, e Expr) []Expr {
 	if u, ok := e.(*Union); ok {
-		return append(flattenUnion(u.Left), flattenUnion(u.Right)...)
+		return appendUnionLeaves(appendUnionLeaves(leaves, u.Left), u.Right)
 	}
-	return []Expr{e}
+	return append(leaves, e)
 }
 
 // flattenRelaxedUnion is flattenUnion for ∪ʳ-subtrees.
 func flattenRelaxedUnion(e Expr) []Expr {
-	if u, ok := e.(*RelaxedUnion); ok {
-		return append(flattenRelaxedUnion(u.Left), flattenRelaxedUnion(u.Right)...)
-	}
-	return []Expr{e}
+	return appendRelaxedLeaves(make([]Expr, 0, keptLeaves), e)
 }
+
+func appendRelaxedLeaves(leaves []Expr, e Expr) []Expr {
+	if u, ok := e.(*RelaxedUnion); ok {
+		return appendRelaxedLeaves(appendRelaxedLeaves(leaves, u.Left), u.Right)
+	}
+	return append(leaves, e)
+}
+
+// keptLeaves is the room a union's leaf list starts with: the leaves of a
+// union of up to this many go in one slice.
+const keptLeaves = 8
 
 // evalJoin flattens the join tree, orders the operands under the binding
 // constraints (greedy first, exhaustive as fallback), and evaluates them
@@ -328,7 +340,15 @@ func orderJoin(ops []Operand, bound relation.AttrSet) ([]int, error) {
 func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextSchema relation.Schema,
 	forwardable relation.AttrSet, cat Catalog, bound map[string]relation.Value) (*relation.Relation, error) {
 
-	shared := nextSchema.Intersect(acc.Schema())
+	// The shared attributes, in next's order, as positions in acc.
+	accSch := acc.Schema()
+	var sharedBuf [16]int
+	shared := sharedBuf[:0]
+	for _, a := range nextSchema {
+		if i := accSch.IndexOf(a); i >= 0 {
+			shared = append(shared, i)
+		}
+	}
 	if len(shared) == 0 {
 		r, err := Eval(ctx, next, cat, bound)
 		if err != nil {
@@ -338,27 +358,27 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 	}
 	// A row with a null in a shared attribute never joins, fed or not: it
 	// must neither cause an invocation nor meet the natural join below.
-	accSch := acc.Schema()
-	acc = acc.Select(func(t relation.Tuple) bool {
-		for _, a := range shared {
-			if t[accSch.IndexOf(a)].IsNull() {
+	acc = acc.Filter(func(t relation.Tuple) bool {
+		for _, i := range shared {
+			if t[i].IsNull() {
 				return false
 			}
 		}
 		return true
 	})
-	var feed relation.Schema
-	for _, a := range shared {
-		if forwardable.Has(a) {
-			feed = append(feed, a)
+	var feedBuf [16]int
+	feed := feedBuf[:0]
+	for _, i := range shared {
+		if forwardable.Has(accSch[i]) {
+			feed = append(feed, i)
 		}
 	}
-	combos, err := acc.Project(feed...)
-	if err != nil {
-		return nil, err
-	}
-	tuples := combos.Tuples()
-	parts := make([]*relation.Relation, len(tuples))
+	// A combination is the first row of acc with its feed values: its
+	// inputs are read off that row through combos.Cols.
+	combos := acc.Combos(feed)
+	defer combos.Release()
+	rows := acc.Tuples()
+	parts := make([]*relation.Relation, len(combos.First))
 	// Runtime access relevance, dependent-join form: a feed tuple whose
 	// bound attributes already violate the query's WHERE clause cannot
 	// extend to an answer tuple — every row it produces dies in a
@@ -370,35 +390,38 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 	// byte-identical. Leaf populates post-filter their results onto the
 	// fed inputs, so a part tuple always carries its combination's values.
 	var prunedCombo []bool
-	if st := prune.FromContext(ctx); st != nil && len(tuples) > 0 {
-		live := acc.Select(func(t relation.Tuple) bool { return !st.IrrelevantTuple(accSch, t) })
-		if live.Len() != acc.Len() {
-			liveCombos, err := live.Project(feed...)
-			if err != nil {
-				return nil, err
+	if st := prune.FromContext(ctx); st != nil && len(combos.First) > 0 {
+		doomed := func(t relation.Tuple) bool { return st.IrrelevantTuple(accSch, t) }
+		if first := slices.IndexFunc(rows, doomed); first >= 0 {
+			// A combination is live when a row that is not doomed has its
+			// values.
+			prunedCombo = make([]bool, len(combos.First))
+			for i := range prunedCombo {
+				prunedCombo[i] = true
 			}
-			var liveSet relation.Set
-			for _, t := range liveCombos.Tuples() {
-				liveSet.Add(t)
-			}
-			prunedCombo = make([]bool, len(tuples))
-			for i, t := range tuples {
-				prunedCombo[i] = !liveSet.Has(t)
+			for p, t := range rows {
+				if p < first || p > first && !doomed(t) {
+					prunedCombo[combos.Of[p]] = false
+				}
 			}
 		}
 	}
 	// One invoke span per combination, pre-created in combination order
-	// (tuple order is deterministic, so span order is too). All combinations
+	// (row order is deterministic, so span order is too). All combinations
 	// share one name; the rendered plan aggregates them into invocations=N.
 	var sps []*trace.Span
 	if trace.FromContext(ctx) != nil {
-		name := "invoke {" + strings.Join(feed, ", ") + "} → " + opLabel(next)
-		sps = make([]*trace.Span, len(tuples))
-		for i := range tuples {
+		names := make([]string, len(combos.Cols))
+		for k, c := range combos.Cols {
+			names[k] = accSch[c]
+		}
+		name := "invoke {" + strings.Join(names, ", ") + "} → " + opLabel(next)
+		sps = make([]*trace.Span, len(combos.First))
+		for i := range combos.First {
 			sps[i] = trace.Start(ctx, trace.KindInvoke, name)
 		}
 	}
-	errs := ForEach(ctx, len(tuples), func(i int) error {
+	errs := ForEach(ctx, len(combos.First), func(i int) error {
 		sp := spanAt(sps, i)
 		ictx := ctx
 		if sp != nil {
@@ -439,8 +462,9 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 		} else {
 			maps.Copy(inputs, bound)
 		}
-		for k, a := range feed {
-			inputs[a] = tuples[i][k]
+		row := rows[combos.First[i]]
+		for _, c := range combos.Cols {
+			inputs[accSch[c]] = row[c]
 		}
 		part, err := Eval(ictx, next, cat, inputs)
 		bindingMaps.Return(lent)

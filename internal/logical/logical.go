@@ -186,7 +186,7 @@ func (c *Catalog) Populate(ctx context.Context, name string, inputs map[string]r
 		return nil, fmt.Errorf("logical: populating %s: %w", name, err)
 	}
 	sch := rel.Schema()
-	return rel.Select(func(t relation.Tuple) bool {
+	return rel.Filter(func(t relation.Tuple) bool {
 		for a, val := range inputs {
 			i := sch.IndexOf(a)
 			if i < 0 || val.IsNull() {

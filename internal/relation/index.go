@@ -3,6 +3,8 @@ package relation
 import (
 	"hash/maphash"
 	"slices"
+
+	"webbase/internal/lend"
 )
 
 // seed keys the string hash. It differs from process to process; no table
@@ -75,11 +77,14 @@ type slot struct {
 	pos  int // position + 1; 0 marks an empty slot
 }
 
-// newIndex returns an index with room for n positions.
-func newIndex(n int) index {
-	var x index
-	x.reserve(n)
-	return x
+// indexSize is the number of slots an index with room for n positions
+// has, and its shift.
+func indexSize(n int) (size int, shift uint) {
+	size, shift = 8, 61
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	return size, shift
 }
 
 // reserve makes room for n positions in all, refiling those already held
@@ -88,10 +93,7 @@ func (x *index) reserve(n int) {
 	if 2*n <= len(x.slots) {
 		return
 	}
-	size, shift := 8, uint(61)
-	for size < 2*n {
-		size, shift = size<<1, shift-1
-	}
+	size, shift := indexSize(n)
 	old := x.slots
 	x.slots, x.shift = make([]slot, size), shift
 	for _, s := range old {
@@ -121,25 +123,25 @@ func (x *index) lookup(h uint64, same func(pos int) bool) (*slot, bool) {
 	}
 }
 
-// Set is a set of tuples under value identity, in the order they were
-// added: two tuples are one member when their values are pairwise the same
-// kind with the same payload (strings compare case-sensitively, an int is
-// never the float it equals, every NaN is one value, -0 is not +0). The
-// zero Set is empty and ready for Add.
-type Set struct {
+// tupleSet is a set of tuples under value identity, in the order they
+// were added: two tuples are one member when their values are pairwise the
+// same kind with the same payload (strings compare case-sensitively, an
+// int is never the float it equals, every NaN is one value, -0 is not +0).
+// The zero tupleSet is empty and ready for Add.
+type tupleSet struct {
 	tuples []Tuple
 	idx    index
 }
 
 // grow makes room for n more members without reallocating.
-func (s *Set) grow(n int) {
+func (s *tupleSet) grow(n int) {
 	s.tuples = slices.Grow(s.tuples, n)
 	s.idx.reserve(len(s.tuples) + n)
 }
 
 // Add adds t, which the set keeps rather than copies, and reports whether
 // it was new.
-func (s *Set) Add(t Tuple) bool {
+func (s *tupleSet) Add(t Tuple) bool {
 	s.idx.reserve(len(s.tuples) + 1)
 	h := hashAt(t, nil)
 	free, dup := s.idx.lookup(h, func(p int) bool { return sameAt(s.tuples[p], nil, t, nil) })
@@ -151,8 +153,61 @@ func (s *Set) Add(t Tuple) bool {
 	return true
 }
 
-// Has reports whether the set holds t.
-func (s *Set) Has(t Tuple) bool {
-	_, ok := s.idx.lookup(hashAt(t, nil), func(p int) bool { return sameAt(s.tuples[p], nil, t, nil) })
-	return ok
+// keptTables is how many idle tables wait for the next operators: as many
+// as ran at once, up to this many.
+const keptTables = 8
+
+// keptSlots bounds what an idle table keeps: its slots, and its ints, up
+// to this many each. A table that grew past it for a large operand gives
+// that memory to the collector.
+const keptSlots = 1024
+
+// table is an operator's scratch, which lives only while the operator
+// runs: its index's slots and, for a join, its chain links.
+type table struct {
+	slots []slot
+	ints  []int
+}
+
+// tables lends each operator its table. Project, NaturalJoin, Diff and
+// UnionAll return theirs before they return; Combos holds its own until
+// its caller releases it.
+var tables = lend.Stack[table]{Max: keptTables, Reset: func(t *table) bool {
+	t.slots = lend.Fit(t.slots, keptSlots)
+	t.ints = lend.Fit(t.ints, keptSlots)
+	return true
+}}
+
+// index returns an empty index with room for n positions over the
+// table's slots.
+func (t *table) index(n int) index {
+	size, shift := indexSize(n)
+	if cap(t.slots) < size {
+		t.slots = make([]slot, size)
+	}
+	slots := t.slots[:size]
+	clear(slots)
+	return index{slots: slots, shift: shift}
+}
+
+// zeroed returns n zeroed ints from the table.
+func (t *table) zeroed(n int) []int {
+	if cap(t.ints) < n {
+		t.ints = make([]int, n)
+	}
+	ints := t.ints[:n]
+	clear(ints)
+	return ints
+}
+
+// maxCols is how many column positions an operator keeps in a fixed
+// array; a wider list is allocated.
+const maxCols = 16
+
+// columns returns n positions, buf's first n when it has room.
+func columns(buf *[maxCols]int, n int) []int {
+	if n > len(buf) {
+		return make([]int, n)
+	}
+	return buf[:n]
 }

@@ -67,7 +67,8 @@ func refDistinct(r *Relation) *Relation {
 }
 
 func refDiff(r, other *Relation) (*Relation, error) {
-	perm, err := alignment(r.schema, other.schema, "difference")
+	var buf [maxCols]int
+	perm, err := alignment(&buf, r.schema, other.schema, "difference")
 	if err != nil {
 		return nil, err
 	}
@@ -91,11 +92,12 @@ type refMerge struct {
 
 func (m *refMerge) Add(r *Relation) ([]Tuple, error) {
 	var perm []int
+	var buf [maxCols]int
 	if m.out == nil {
 		m.out, m.seen = &Relation{schema: r.schema}, map[string]bool{}
 	} else if !m.out.schema.Equal(r.schema) {
 		var err error
-		if perm, err = alignment(m.out.schema, r.schema, "union"); err != nil {
+		if perm, err = alignment(&buf, m.out.schema, r.schema, "union"); err != nil {
 			return nil, err
 		}
 	}

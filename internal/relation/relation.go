@@ -12,7 +12,7 @@ type Tuple []Value
 
 // Key returns the values' keys joined by NUL. A string holding NUL can give
 // two different tuples one key, so the relational operations never use it:
-// they compare values (see Set).
+// they compare values (see tupleSet).
 func (t Tuple) Key() string { return string(t.appendKey(make([]byte, 0, 64))) }
 
 // appendKey appends the tuple's key to buf.
@@ -43,8 +43,11 @@ func carve(slab *[]Value, n int) Tuple {
 // tuple is built once and immutable after: Insert copies the caller's
 // slice, the operators that make new rows (Project, NaturalJoin, a union
 // whose columns must be permuted) carve them from one slab per call, and
-// those that keep whole tuples (Select, Distinct, Diff, Rename, the sorts,
-// Limit, UnionAll) share them with the result.
+// those that keep whole tuples (Select, Filter, Distinct, Diff, Rename, the
+// sorts, Limit, UnionAll) share them with the result. An operator allocates
+// only the relation it returns: its hash table and its join's chain links
+// are lent for the call (tables), and its column positions are fixed
+// arrays.
 type Relation struct {
 	name   string
 	schema Schema
@@ -127,7 +130,8 @@ func (r *Relation) Rename(newName string, mapping map[string]string) *Relation {
 // algebra. The first pass keeps the first source row of each distinct
 // projection; the second carves exactly those projections from one slab.
 func (r *Relation) Project(attrs ...string) (*Relation, error) {
-	idx := make([]int, len(attrs))
+	var buf [maxCols]int
+	idx := columns(&buf, len(attrs))
 	for i, a := range attrs {
 		j := r.schema.IndexOf(a)
 		if j < 0 {
@@ -140,7 +144,9 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 		return nil, fmt.Errorf("project: %w", err)
 	}
 	out := &Relation{schema: sch, tuples: make([]Tuple, 0, len(r.tuples))}
-	x := newIndex(len(r.tuples))
+	tab := tables.Borrow()
+	defer tables.Return(tab)
+	x := tab.index(len(r.tuples))
 	for _, t := range r.tuples {
 		h := hashAt(t, idx)
 		if free, dup := x.lookup(h, func(p int) bool { return sameAt(out.tuples[p], idx, t, idx) }); !dup {
@@ -159,11 +165,62 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	return out, nil
 }
 
-// Select returns the tuples of r satisfying pred. When every tuple does,
-// the result shares r's list, clipped to cap == len so that an insert
-// into either copies it; otherwise the first rejected tuple makes the
-// result one list of r's length.
+// Combos are the distinct combinations of a relation's values at some
+// columns, in first-occurrence order, held as row positions: a
+// combination is the first row that has its values, read through Cols.
+// Nothing is projected. The positions are lent until Release, after
+// which nothing may read them.
+type Combos struct {
+	Cols  []int // the columns read, a copy of those asked for
+	First []int // each combination's first row
+	Of    []int // each row's combination
+	tab   *table
+}
+
+// Combos groups r's rows by their values at cols, by value identity as
+// Project does: the combinations are Project's rows, in its order.
+func (r *Relation) Combos(cols []int) Combos {
+	tab := tables.Borrow()
+	n := len(r.tuples)
+	ints := tab.zeroed(len(cols) + 2*n)
+	c := Combos{Cols: ints[:len(cols):len(cols)], Of: ints[len(cols) : len(cols)+n : len(cols)+n], tab: tab}
+	copy(c.Cols, cols)
+	c.First = ints[len(cols)+n : len(cols)+n]
+	// With a row to read, ints is not nil, so neither is Cols: hashAt and
+	// sameAt read nil as every column.
+	x := tab.index(n)
+	for p, t := range r.tuples {
+		h := hashAt(t, c.Cols)
+		s, dup := x.lookup(h, func(g int) bool { return sameAt(r.tuples[c.First[g]], c.Cols, t, c.Cols) })
+		if !dup {
+			*s = slot{hash: h, pos: len(c.First) + 1}
+			c.First = append(c.First, p)
+		}
+		c.Of[p] = s.pos - 1
+	}
+	return c
+}
+
+// Release returns the positions' memory; c must not be read after.
+func (c Combos) Release() { tables.Return(c.tab) }
+
+// Select returns the tuples of r satisfying pred, in a relation of its
+// own: never r. When every tuple passes, the result shares r's list,
+// clipped to cap == len so that an insert into either copies it; otherwise
+// the first rejected tuple makes the result one list of r's length.
 func (r *Relation) Select(pred func(Tuple) bool) *Relation {
+	if out := r.Filter(pred); out != r {
+		return out
+	}
+	return &Relation{name: r.name, schema: r.schema, tuples: slices.Clip(r.tuples)}
+}
+
+// Filter is Select for a caller that inserts into neither relation: when
+// pred accepts every tuple it returns r itself, and allocates nothing. No
+// code inserts into a relation it was handed, so the evaluator's σ, a
+// dependent join's null filter and the logical and VPS post-filters all
+// go through Filter.
+func (r *Relation) Filter(pred func(Tuple) bool) *Relation {
 	for i, t := range r.tuples {
 		if pred(t) {
 			continue
@@ -176,7 +233,7 @@ func (r *Relation) Select(pred func(Tuple) bool) *Relation {
 		}
 		return &Relation{name: r.name, schema: r.schema, tuples: kept}
 	}
-	return &Relation{name: r.name, schema: r.schema, tuples: slices.Clip(r.tuples)}
+	return r
 }
 
 // Union returns the set union of r and other. The schemas must contain the
@@ -189,9 +246,18 @@ func (r *Relation) Union(other *Relation) (*Relation, error) {
 // the schema of the first (the others' columns are permuted to match it).
 // Nil entries (branches that produced nothing) are skipped; the result is
 // nil when every entry is. Tuples are immutable, so the result shares
-// them with its inputs.
+// them with its inputs. The union's list and its table are sized once,
+// for every input's tuples, and the table is lent for the call.
 func UnionAll(rels []*Relation) (*Relation, error) {
-	var m Merge
+	n := 0
+	for _, r := range rels {
+		if r != nil {
+			n += len(r.tuples)
+		}
+	}
+	tab := tables.Borrow()
+	defer tables.Return(tab)
+	m := Merge{set: tupleSet{tuples: make([]Tuple, 0, n), idx: tab.index(n)}}
 	for _, r := range rels {
 		if _, err := m.Add(r); err != nil {
 			return nil, err
@@ -201,12 +267,12 @@ func UnionAll(rels []*Relation) (*Relation, error) {
 }
 
 // Merge is a set union built one relation at a time, in first-occurrence
-// order: one Set for the whole union, where a pairwise fold re-indexes
+// order: one tupleSet for the whole union, where a pairwise fold re-indexes
 // everything merged so far at every step. The zero value is an empty union
 // ready for Add.
 type Merge struct {
 	out *Relation
-	set Set // the union's tuples; out.tuples is set.tuples
+	set tupleSet // the union's tuples; out.tuples is set.tuples
 }
 
 // Add merges r into the union and returns the tuples it contributed that
@@ -221,11 +287,12 @@ func (m *Merge) Add(r *Relation) ([]Tuple, error) {
 		return nil, nil
 	}
 	var perm []int
+	var buf [maxCols]int
 	if m.out == nil {
 		m.out = New("", r.schema)
 	} else if !m.out.schema.Equal(r.schema) {
 		var err error
-		if perm, err = alignment(m.out.schema, r.schema, "union"); err != nil {
+		if perm, err = alignment(&buf, m.out.schema, r.schema, "union"); err != nil {
 			return nil, err
 		}
 	}
@@ -269,12 +336,15 @@ func (m *Merge) Relation() *Relation { return m.out }
 // Diff returns the set difference r − other. Schemas must contain the same
 // attribute set.
 func (r *Relation) Diff(other *Relation) (*Relation, error) {
-	perm, err := alignment(r.schema, other.schema, "difference")
+	var buf [maxCols]int
+	perm, err := alignment(&buf, r.schema, other.schema, "difference")
 	if err != nil {
 		return nil, err
 	}
 	// other's rows are indexed in r's column order, read through perm.
-	x := newIndex(len(other.tuples))
+	tab := tables.Borrow()
+	defer tables.Return(tab)
+	x := tab.index(len(other.tuples))
 	for p, t := range other.tuples {
 		h := hashAt(t, perm)
 		if free, dup := x.lookup(h, func(q int) bool { return sameAt(other.tuples[q], perm, t, perm) }); !dup {
@@ -290,12 +360,13 @@ func (r *Relation) Diff(other *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// alignment returns, for each attribute of want, its index in have.
-func alignment(want, have Schema, op string) ([]int, error) {
+// alignment returns, for each attribute of want, its index in have, in
+// buf when it has room.
+func alignment(buf *[maxCols]int, want, have Schema, op string) ([]int, error) {
 	if !want.EqualUnordered(have) {
 		return nil, fmt.Errorf("%s: schemas %s and %s differ", op, want, have)
 	}
-	perm := make([]int, len(want))
+	perm := columns(buf, len(want))
 	for i, a := range want {
 		perm[i] = have.IndexOf(a)
 	}
@@ -308,30 +379,40 @@ func alignment(want, have Schema, op string) ([]int, error) {
 // by other's attributes r lacks; when other has none, the row is r's own
 // and is shared, and otherwise the rows are carved from one slab.
 func (r *Relation) NaturalJoin(other *Relation) *Relation {
-	common := r.schema.Intersect(other.schema)
-	extra := other.schema.Minus(r.schema)
+	// One pass over other's schema finds the common attributes, at rIdx in
+	// r and oIdx in other, and the extra ones other adds, at extraIdx.
+	w := len(other.schema)
+	var buf [3 * maxCols]int
+	cols := buf[:]
+	if 3*w > len(buf) {
+		cols = make([]int, 3*w)
+	}
+	rIdx, oIdx, extraIdx := cols[:0:w], cols[w:w:2*w], cols[2*w:2*w:3*w]
+	for j, a := range other.schema {
+		if i := r.schema.IndexOf(a); i >= 0 {
+			rIdx, oIdx = append(rIdx, i), append(oIdx, j)
+		} else {
+			extraIdx = append(extraIdx, j)
+		}
+	}
 	out := New("", r.schema)
-	if len(extra) > 0 {
-		out.schema = r.schema.Union(other.schema)
-	}
-
-	cols := make([]int, 2*len(common)+len(extra))
-	rIdx, oIdx, extraIdx := cols[:len(common)], cols[len(common):2*len(common)], cols[2*len(common):]
-	for i, a := range common {
-		rIdx[i] = r.schema.IndexOf(a)
-		oIdx[i] = other.schema.IndexOf(a)
-	}
-	for i, a := range extra {
-		extraIdx[i] = other.schema.IndexOf(a)
+	if len(extraIdx) > 0 {
+		out.schema = make(Schema, len(r.schema), len(r.schema)+len(extraIdx))
+		copy(out.schema, r.schema)
+		for _, j := range extraIdx {
+			out.schema = append(out.schema, other.schema[j])
+		}
 	}
 
 	// Hash join on the common attributes. The index files the first row of
 	// other with each key; next chains the others in other's order, and
 	// first holds, for each row of r, the chain it matches. Positions are
 	// stored plus one, so 0 ends a chain.
-	links := make([]int, len(other.tuples)+len(r.tuples))
+	tab := tables.Borrow()
+	defer tables.Return(tab)
+	links := tab.zeroed(len(other.tuples) + len(r.tuples))
 	next, first := links[:len(other.tuples)], links[len(other.tuples):]
-	x := newIndex(len(other.tuples))
+	x := tab.index(len(other.tuples))
 	for p := len(other.tuples) - 1; p >= 0; p-- {
 		t := other.tuples[p]
 		h := hashAt(t, oIdx)
@@ -354,12 +435,12 @@ func (r *Relation) NaturalJoin(other *Relation) *Relation {
 	out.tuples = make([]Tuple, 0, n)
 	width := len(out.schema)
 	var slab []Value
-	if len(extra) > 0 {
+	if len(extraIdx) > 0 {
 		slab = make([]Value, n*width)
 	}
 	for i, t := range r.tuples {
 		for q := first[i]; q != 0; q = next[q-1] {
-			if len(extra) == 0 {
+			if len(extraIdx) == 0 {
 				out.tuples = append(out.tuples, t)
 				continue
 			}
@@ -376,7 +457,7 @@ func (r *Relation) NaturalJoin(other *Relation) *Relation {
 
 // Distinct returns r with duplicate tuples removed.
 func (r *Relation) Distinct() *Relation {
-	var s Set
+	var s tupleSet
 	s.grow(len(r.tuples))
 	for _, t := range r.tuples {
 		s.Add(t)

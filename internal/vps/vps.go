@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -360,10 +359,7 @@ func (r *Registry) Populate(ctx context.Context, f web.Fetcher, name string, inp
 	}
 	// The execution's relation is this invocation's own: when every tuple
 	// matches its inputs, it is the answer, with no second header.
-	filtered := rel
-	if slices.ContainsFunc(rel.Tuples(), func(t relation.Tuple) bool { return !matches(t) }) {
-		filtered = rel.Select(matches)
-	}
+	filtered := rel.Filter(matches)
 	if sp != nil {
 		sp.Set("tuples", int64(filtered.Len()))
 		sp.Set("raw-tuples", int64(rel.Len()))

@@ -346,7 +346,7 @@ func sweepFetcher(raw web.Fetcher, model web.LatencyModel, workers int) (*web.St
 // query evaluation uses — and returns the lowest-index error.
 func sweep(workers, n int, fn func(i int) error) error {
 	ctx := algebra.WithPool(context.Background(), algebra.NewPool(workers))
-	for _, err := range algebra.ForEach(ctx, n, fn) {
+	for _, err := range algebra.ForEach(ctx, make([]error, n), fn) {
 		if err != nil {
 			return err
 		}

@@ -105,9 +105,10 @@ func TestSelectPushDownAllocs(t *testing.T) {
 // accumulated result's evaluation, at one combination: ford's 1990 ad fed
 // to book. Its combinations are rows of the accumulated result read
 // through lent positions, its null filter hands on a relation with no
-// nulls, and its operators' tables are lent, so it pays book's population
-// (MemCatalog's 3), its parts list, ForEach's errors, wait group and
-// closure, the union of the parts (2) and the join's result (4).
+// nulls, its operators' tables are lent, and ForEach's error slots are an
+// array on its stack, so it pays book's population (MemCatalog's 3), its
+// parts list, ForEach's closure, the union of the parts (2) and the join's
+// result (4).
 func TestDependentJoinFixedAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -130,11 +131,39 @@ func TestDependentJoinFixedAllocs(t *testing.T) {
 	}
 	join() // maps and tables to lend
 
-	const ceiling = 14 // 13; 30 while its combinations were a projection and its filter and operators allocated their own
+	const ceiling = 11 // 11 when set; 13 while ForEach made its errors and its wait group on every call; 30 while its combinations were a projection and its filter and operators allocated their own
 	got := testing.AllocsPerRun(50, join)
 	t.Logf("a dependent join of one combination: %.0f allocations (ceiling %d)", got, ceiling)
 	if got > ceiling {
 		t.Errorf("a dependent join of one combination allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestForEachInlineAllocs: a ForEach whose every task runs inline, under
+// no pool, allocates nothing: the caller hands in its error slots, and
+// only a task that takes a pool token makes the wait group and the cells
+// its goroutine writes.
+func TestForEachInlineAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ctx := context.Background()
+	ran := 0
+	task := func(i int) error {
+		ran++
+		return nil
+	}
+	got := testing.AllocsPerRun(50, func() {
+		var at [4]error
+		if err := firstError(ForEach(ctx, errorSlots(at[:], 4), task)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ran != 4*51 {
+		t.Fatalf("%d tasks ran over 51 calls of 4, want %d", ran, 4*51)
+	}
+	if got != 0 {
+		t.Errorf("a ForEach of 4 inline tasks allocates %.0f times, want 0", got)
 	}
 }
 

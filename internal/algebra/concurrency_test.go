@@ -204,25 +204,32 @@ func TestEvalCancellationStopsFurtherAccess(t *testing.T) {
 }
 
 // TestForEachPoolSemantics exercises the pool primitive directly: all
-// tasks run exactly once, slots are written at their own index, and the
-// pool never exceeds its width in extra goroutines.
+// tasks run exactly once, each error lands in its own task's slot whether
+// the task ran inline or on a goroutine, and the pool never exceeds its
+// width in extra goroutines.
 func TestForEachPoolSemantics(t *testing.T) {
 	const n = 50
 	ctx := WithPool(context.Background(), NewPool(4))
 	var mu sync.Mutex
 	ran := make([]bool, n)
-	errs := ForEach(ctx, n, func(i int) error {
+	errOf := func(i int) error {
+		if i%7 == 3 {
+			return fmt.Errorf("task %d failed", i)
+		}
+		return nil
+	}
+	errs := ForEach(ctx, make([]error, n), func(i int) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if ran[i] {
 			t.Errorf("task %d ran twice", i)
 		}
 		ran[i] = true
-		return nil
+		return errOf(i)
 	})
 	for i, err := range errs {
-		if err != nil {
-			t.Errorf("task %d: %v", i, err)
+		if want := errOf(i); fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Errorf("task %d: error %v, want %v", i, err, want)
 		}
 		if !ran[i] {
 			t.Errorf("task %d never ran", i)
@@ -238,7 +245,7 @@ func TestForEachNilPool(t *testing.T) {
 	caller := goroutineID()
 	boom := errors.New("boom")
 	var ran []int
-	errs := ForEach(context.Background(), 5, func(i int) error {
+	errs := ForEach(context.Background(), make([]error, 5), func(i int) error {
 		if id := goroutineID(); id != caller {
 			t.Errorf("task %d ran on goroutine %d, want the caller's %d", i, id, caller)
 		}
@@ -263,7 +270,7 @@ func TestForEachNilPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran = nil
-	errs = ForEach(ctx, 3, func(i int) error {
+	errs = ForEach(ctx, make([]error, 3), func(i int) error {
 		ran = append(ran, i)
 		return nil
 	})

@@ -195,7 +195,8 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		leaves := flattenUnion(e)
 		rels := make([]*relation.Relation, len(leaves))
 		sps := opSpans(ctx, leaves)
-		errs := ForEach(ctx, len(leaves), func(i int) error {
+		var at [8]error
+		errs := ForEach(ctx, errorSlots(at[:], len(leaves)), func(i int) error {
 			rel, err := evalSpanned(ctx, spanAt(sps, i), leaves[i], cat, bound)
 			rels[i] = rel
 			return err
@@ -216,7 +217,8 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		leaves := flattenRelaxedUnion(e)
 		rels := make([]*relation.Relation, len(leaves))
 		sps := opSpans(ctx, leaves)
-		errs := ForEach(ctx, len(leaves), func(i int) error {
+		var at [8]error
+		errs := ForEach(ctx, errorSlots(at[:], len(leaves)), func(i int) error {
 			rel, err := evalSpanned(ctx, spanAt(sps, i), leaves[i], cat, bound)
 			rels[i] = rel
 			return err
@@ -421,7 +423,8 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			sps[i] = trace.Start(ctx, trace.KindInvoke, name)
 		}
 	}
-	errs := ForEach(ctx, len(combos.First), func(i int) error {
+	var at [8]error
+	errs := ForEach(ctx, errorSlots(at[:], len(combos.First)), func(i int) error {
 		sp := spanAt(sps, i)
 		ictx := ctx
 		if sp != nil {

@@ -61,45 +61,77 @@ func poolFrom(ctx context.Context) *Pool {
 	return p
 }
 
-// ForEach runs fn(0..n-1), parallelizing with whatever pool the context
-// carries, and returns the per-index errors. Results must be written by fn
-// into caller-owned indexed slots, which keeps output ordering
-// deterministic regardless of scheduling.
+// ForEach runs fn(i) for each slot i of errs, parallelizing with whatever
+// pool the context carries, and records each task's error in its slot. The
+// slots are the caller's, zero when handed in, so a caller with few tasks
+// can hand in part of an array on its stack (errorSlots). Results must be
+// written by fn into caller-owned indexed slots, which keeps output
+// ordering deterministic regardless of scheduling.
 //
 // Every task runs, whatever the pool: a failing task does not stop its
 // siblings, and the caller sees all errors — callers that need one error
 // take the lowest-index one (firstError). The pool decides only how many
 // goroutines run the tasks; with no pool they all run in index order on
 // the calling goroutine. So the work a query does, and what it is billed,
-// is the same at every worker count.
+// is the same at every worker count. A task run inline writes its slot
+// itself; only once a task takes a pool token does ForEach make the wait
+// group and the cells its goroutines write, and it copies those cells into
+// the slots when they are done: a call whose every task runs inline
+// allocates nothing.
 //
 // A context cancelled before a task starts records ctx.Err() in that
 // task's slot instead of running it, which is what stops a cancelled
 // query from issuing further fetches.
-func ForEach(ctx context.Context, n int, fn func(i int) error) []error {
-	errs := make([]error, n)
+func ForEach(ctx context.Context, errs []error, fn func(i int) error) []error {
 	pool := poolFrom(ctx)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	var group *taskGroup // made when the first task takes a token
+	for i := range errs {
 		if err := ctx.Err(); err != nil {
 			errs[i] = err
 			continue
 		}
 		// The last task always runs inline: the calling goroutine is
 		// itself a worker, so burning a token on it would waste a slot.
-		if i == n-1 || !pool.tryAcquire() {
+		if i == len(errs)-1 || !pool.tryAcquire() {
 			errs[i] = fn(i)
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		if group == nil {
+			group = &taskGroup{errs: make([]error, len(errs))}
+		}
+		group.wg.Add(1)
+		go func(g *taskGroup, i int) {
+			defer g.wg.Done()
 			defer pool.release()
-			errs[i] = fn(i)
-		}(i)
+			g.errs[i] = fn(i)
+		}(group, i)
 	}
-	wg.Wait()
+	if group != nil {
+		group.wg.Wait()
+		for i, err := range group.errs {
+			if err != nil {
+				errs[i] = err
+			}
+		}
+	}
 	return errs
+}
+
+// taskGroup is what the goroutines of one ForEach call share: the group it
+// waits on and the error cell of each task, written by the goroutine that
+// ran it.
+type taskGroup struct {
+	wg   sync.WaitGroup
+	errs []error
+}
+
+// errorSlots returns n zero error slots: the first n of at when it holds
+// them, else slots of their own.
+func errorSlots(at []error, n int) []error {
+	if n <= len(at) {
+		return at[:n]
+	}
+	return make([]error, n)
 }
 
 // firstError returns the lowest-index non-nil error — the error a caller

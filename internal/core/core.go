@@ -681,7 +681,7 @@ type SiteResult struct {
 func (wb *Webbase) PopulateAll(ctx context.Context, relations []string, inputs map[string]relation.Value) []SiteResult {
 	results := make([]SiteResult, len(relations))
 	sweepCtx := algebra.WithPool(ctx, algebra.NewPool(wb.workers))
-	errs := algebra.ForEach(sweepCtx, len(relations), func(i int) error {
+	errs := algebra.ForEach(sweepCtx, make([]error, len(relations)), func(i int) error {
 		name := relations[i]
 		rel, _, err := wb.Registry.Populate(ctx, wb.stack.Fetcher, name, inputs)
 		results[i] = SiteResult{Relation: name, Rel: rel, Err: err}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"webbase/internal/lend"
 )
 
 // Link is a hyperlink found on a page: the F-logic link class of Figure 3
@@ -204,19 +206,27 @@ type Page struct {
 // walk, resolving form actions against baseURL. A link keeps its href as
 // written: most are never followed.
 func Scan(doc *Node, baseURL string) Page {
-	r := newResolver(baseURL)
 	var p Page
-	titled := false
+	ScanInto(doc, baseURL, &p)
+	return p
+}
+
+// ScanInto is Scan, into p: in the buffers p holds, as ParseInto builds a
+// document in the arrays it is lent. It reuses p's links and forms, each
+// form's fields and each field's domain, and overwrites everything p read
+// before. Every string it writes is the document's or one of its own, so
+// only the buffers are p's.
+func ScanInto(doc *Node, baseURL string, p *Page) {
+	r := newResolver(baseURL)
 	d := doc.d
 	links := 0
 	for j, end := doc.i, doc.node().end; j < end; j++ {
-		if d.isTag(j, tagA) {
+		if d.isTag(j, tagA) && (Node{d, j}).AttrOr("href", "") != "" {
 			links++
 		}
 	}
-	if links > 0 {
-		p.Links = make([]Link, 0, links)
-	}
+	*p = Page{Links: slices.Grow(p.Links[:0], links), Forms: p.Forms[:0]}
+	titled := false
 	for j, end := doc.i, doc.node().end; j < end; j++ {
 		n := Node{d, j}
 		switch d.nodes[j].tag {
@@ -229,15 +239,58 @@ func Scan(doc *Node, baseURL string) Page {
 				p.Links = append(p.Links, Link{Name: n.Text(), Href: href})
 			}
 		case tagForm:
-			p.Forms = append(p.Forms, formOf(n, &r))
+			var f *Form
+			p.Forms, f = extend(p.Forms)
+			formOf(n, &r, f)
 		case tagTable:
 			p.HasTable = true
 		}
 	}
-	if len(p.Links) == 0 {
-		p.Links = nil // anchors, but none with an href
+}
+
+// Reset takes p's buffers back for a later ScanInto: no link, form, field
+// or domain of the page it was scanned from may be read after it, and p
+// reads as a page with none. Every buffer of at most keep entries is kept,
+// cleared to its capacity so that p holds no string of that page; a larger
+// one goes to the collector.
+func (p *Page) Reset(keep int) {
+	links := lend.Fit(p.Links, keep)
+	clear(links[:cap(links)])
+	forms := lend.Fit(p.Forms, keep)
+	allForms := forms[:cap(forms)]
+	for i := range allForms {
+		fields := within(allForms[i].Fields, keep)
+		allFields := fields[:cap(fields)]
+		for k := range allFields {
+			domain := within(allFields[k].Domain, keep)
+			clear(domain[:cap(domain)])
+			allFields[k] = Field{Domain: domain}
+		}
+		allForms[i] = Form{Fields: fields}
 	}
-	return p
+	*p = Page{Links: links, Forms: forms}
+}
+
+// within returns b, or nil when its capacity is over limit. Unlike
+// lend.Fit it leaves b's length alone: a form's fields and a field's
+// domain are emptied by the ScanInto that reuses them.
+func within[E any](b []E, limit int) []E {
+	if cap(b) > limit {
+		return nil
+	}
+	return b
+}
+
+// extend returns s one longer and a pointer to its new last element: the
+// element s held there past its length, with whatever buffers it keeps,
+// or a zero one past its capacity.
+func extend[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		s = append(s, *new(T))
+	}
+	return s, &s[len(s)-1]
 }
 
 // Links extracts all <a href> links, each href as written.
@@ -248,30 +301,42 @@ func Links(doc *Node) []Link { return Scan(doc, "").Links }
 // lists the group's values.
 func Forms(doc *Node, baseURL string) []Form { return Scan(doc, baseURL).Forms }
 
-func formOf(fn Node, r *resolver) Form {
-	f := Form{
+// formOf reads the form fn into f, reusing f's fields and their domains.
+func formOf(fn Node, r *resolver, f *Form) {
+	*f = Form{
 		Name:   fn.AttrOr("name", ""),
 		Action: r.resolve(fn.AttrOr("action", r.raw)),
 		Method: strings.ToLower(fn.AttrOr("method", "get")),
+		Fields: f.Fields[:0],
 	}
 	d := fn.d
 	for j, end := fn.i, fn.node().end; j < end; j++ {
 		n := Node{d, j}
 		switch d.nodes[j].tag {
 		case tagInput:
-			extractInput(n, &f)
+			extractInput(n, f)
 		case tagSelect:
-			extractSelect(n, &f)
+			extractSelect(n, f)
 			j = d.nodes[j].end - 1 // options handled inside
 		case tagTextarea:
-			f.Fields = append(f.Fields, Field{
+			f.addField(Field{
 				Name:    n.AttrOr("name", ""),
 				Widget:  WidgetTextarea,
 				Default: n.Text(),
 			})
 		}
 	}
-	return f
+}
+
+// addField appends fl, whose domain is empty, to f's fields and returns
+// it. Its domain is the emptied domain of the field f's fields held past
+// their length, for the caller to append to.
+func (f *Form) addField(fl Field) *Field {
+	var slot *Field
+	f.Fields, slot = extend(f.Fields)
+	fl.Domain = slot.Domain[:0]
+	*slot = fl
+	return slot
 }
 
 func extractInput(n Node, f *Form) {
@@ -289,25 +354,25 @@ func extractInput(n Node, f *Form) {
 			}
 		}
 		if fl == nil {
-			f.Fields = append(f.Fields, Field{Name: name, Widget: WidgetRadio, Mandatory: true})
-			fl = &f.Fields[len(f.Fields)-1]
+			fl = f.addField(Field{Name: name, Widget: WidgetRadio, Mandatory: true})
 		}
 		fl.Domain = append(fl.Domain, val)
 		if _, checked := n.Attr("checked"); checked {
 			fl.Default = val
 		}
 	case "checkbox":
-		f.Fields = append(f.Fields, Field{Name: name, Widget: WidgetCheckbox, Default: defaultChecked(n, val), Domain: []string{val}})
+		fl := f.addField(Field{Name: name, Widget: WidgetCheckbox, Default: defaultChecked(n, val)})
+		fl.Domain = append(fl.Domain, val)
 	case "hidden":
-		f.Fields = append(f.Fields, Field{Name: name, Widget: WidgetHidden, Default: val})
+		f.addField(Field{Name: name, Widget: WidgetHidden, Default: val})
 	case "submit", "image", "button", "reset":
 		if name != "" {
-			f.Fields = append(f.Fields, Field{Name: name, Widget: WidgetSubmit, Default: val})
+			f.addField(Field{Name: name, Widget: WidgetSubmit, Default: val})
 		}
 	default: // text, search, and anything unknown degrade to text
 		maxLen, _ := strconv.Atoi(n.AttrOr("maxlength", "0"))
 		_, required := n.Attr("required")
-		f.Fields = append(f.Fields, Field{
+		f.addField(Field{
 			Name: name, Widget: WidgetText, Default: val,
 			MaxLength: maxLen, Mandatory: required,
 		})
@@ -322,7 +387,7 @@ func defaultChecked(n Node, val string) string {
 }
 
 func extractSelect(n Node, f *Form) {
-	fl := Field{Name: n.AttrOr("name", ""), Widget: WidgetSelect}
+	fl := f.addField(Field{Name: n.AttrOr("name", ""), Widget: WidgetSelect})
 	d, end := n.d, n.node().end
 	options := 0
 	for j := n.i; j < end; j++ {
@@ -330,9 +395,7 @@ func extractSelect(n Node, f *Form) {
 			options++
 		}
 	}
-	if options > 0 {
-		fl.Domain = make([]string, 0, options)
-	}
+	fl.Domain = slices.Grow(fl.Domain, options)
 	for j := n.i; j < end; j++ {
 		if !d.isTag(j, tagOption) {
 			continue
@@ -349,7 +412,6 @@ func extractSelect(n Node, f *Form) {
 	}
 	// A selection list with no empty option effectively forces a choice;
 	// the paper's extractor infers the domain from the list either way.
-	f.Fields = append(f.Fields, fl)
 }
 
 // Tables extracts each <table> as a matrix of cell texts, one row per <tr>,

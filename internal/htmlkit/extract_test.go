@@ -2,6 +2,7 @@ package htmlkit
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -211,4 +212,83 @@ func TestResolve(t *testing.T) {
 			t.Errorf("Resolve(%q,%q) = %q, want %q", c.base, c.ref, got, c.want)
 		}
 	}
+}
+
+// TestLentScansReadAsFresh: a page scanned into the buffers of one Page
+// after another reads as a fresh Scan of it, whatever the Page held: more
+// links, forms, fields or options, or fewer. Reset clears every buffer it
+// keeps to its capacity, so an idle Page holds no string of the page it
+// read, and lets go of a buffer over its bound.
+func TestLentScansReadAsFresh(t *testing.T) {
+	base := "http://newsday.example/classified/"
+	wide := `<a href="/1">one</a><a href="/2">two</a><a href="/3">three</a>` +
+		`<form name="wide" action="/w"><select name="s"><option>a</option><option>b</option><option>c</option></select>` +
+		`<input type="radio" name="r" value="x"><input type="radio" name="r" value="y" checked>` +
+		`<input type="checkbox" name="c" value="on" checked><input type="hidden" name="h" value="state">` +
+		`<textarea name="t">note</textarea></form><form name="second" action="/s"><input name="q"></form>`
+	narrow := `<a href="/only">only</a><form action="/n"><select name="s"><option>z</option></select></form>`
+	docs := []*Node{Parse([]byte(newsdayLike)), Parse([]byte(wide)), Parse([]byte(narrow)), Parse([]byte("<p>no links</p>"))}
+	for _, p := range fixturePages(t) {
+		docs = append(docs, Parse(p))
+	}
+	var lent Page
+	for round := 0; round < 2; round++ {
+		for i, doc := range docs {
+			ScanInto(doc, base, &lent)
+			if want := Scan(doc, base); !samePage(lent, want) {
+				t.Fatalf("round %d, page %d: a lent scan reads\n%+v\nwant\n%+v", round, i, lent, want)
+			}
+			if i%3 == 0 {
+				lent.Reset(1 << 10)
+			}
+		}
+	}
+	ScanInto(docs[1], base, &lent)
+	lent.Reset(1 << 10)
+	if lent.Title != "" || lent.HasTable || len(lent.Links) != 0 || len(lent.Forms) != 0 || cap(lent.Forms) < 2 {
+		t.Fatalf("Reset left %+v, want empty buffers, two forms' worth kept", lent)
+	}
+	if holdsAValue(lent) {
+		t.Errorf("Reset kept a value in a buffer: %+v", lent)
+	}
+	ScanInto(docs[1], base, &lent)
+	lent.Reset(2)
+	if cap(lent.Links) != 0 || cap(lent.Forms) != 2 || cap(lent.Forms[:1][0].Fields) != 0 {
+		t.Errorf("Reset(2) kept %d links, %d forms and %d fields of the first", cap(lent.Links), cap(lent.Forms), cap(lent.Forms[:1][0].Fields))
+	}
+}
+
+// samePage reports whether two scans read the same, an empty list and no
+// list alike.
+func samePage(a, b Page) bool {
+	return a.Title == b.Title && a.HasTable == b.HasTable && slices.Equal(a.Links, b.Links) &&
+		slices.EqualFunc(a.Forms, b.Forms, func(f, g Form) bool {
+			return f.Name == g.Name && f.Action == g.Action && f.Method == g.Method &&
+				slices.EqualFunc(f.Fields, g.Fields, func(x, y Field) bool {
+					return x.Name == y.Name && x.Widget == y.Widget && x.Default == y.Default &&
+						x.MaxLength == y.MaxLength && x.Mandatory == y.Mandatory && slices.Equal(x.Domain, y.Domain)
+				})
+		})
+}
+
+// holdsAValue reports whether any buffer of p, up to its capacity, holds
+// anything but zero values and the cleared buffers beneath them.
+func holdsAValue(p Page) bool {
+	for _, l := range p.Links[:cap(p.Links)] {
+		if l != (Link{}) {
+			return true
+		}
+	}
+	for _, f := range p.Forms[:cap(p.Forms)] {
+		if f.Name != "" || f.Action != "" || f.Method != "" {
+			return true
+		}
+		for _, fl := range f.Fields[:cap(f.Fields)] {
+			if fl.Name != "" || fl.Widget != "" || fl.Default != "" || fl.MaxLength != 0 || fl.Mandatory ||
+				slices.ContainsFunc(fl.Domain[:cap(fl.Domain)], func(v string) bool { return v != "" }) {
+				return true
+			}
+		}
+	}
+	return false
 }

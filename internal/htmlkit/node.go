@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -240,55 +241,76 @@ func writeField(sb *strings.Builder, f string) {
 // src is read only while Parse runs; the document keeps no reference to it.
 func Parse(src []byte) *Node { return ParseInto(src, new(Arrays)) }
 
-// Arrays is memory a caller lends a parse: the document, its node and
-// attribute arrays, and the buffer character references are decoded in. A
-// document parsed into it (ParseInto) is valid until the caller takes the
-// arrays back, by Reset or by parsing into them again. Its text is not
-// lent: every string read off the document points into the text, which is
-// the parse's own allocation and outlives the arrays. The zero value holds
-// no arrays yet.
-type Arrays struct {
-	d       document
-	decoded []byte
-}
+// Arrays is memory a caller lends a parse: the document and its node and
+// attribute arrays. A document parsed into it (ParseInto) is valid until
+// the caller takes the arrays back, by Reset or by parsing into them again.
+// What only the parse reads is lent for the parse alone: the text is built
+// and character references are decoded in buffers borrowed from the
+// package's parseBuffers and returned when ParseInto returns. The text
+// is not lent at all: it is copied out of its buffer at its exact length,
+// every string read off the document points into it, and it outlives the
+// arrays. The zero value holds no arrays yet.
+type Arrays struct{ d document }
 
 // ParseInto is Parse, building the document in a: in a's arrays when they
 // hold the page, else in arrays it makes and leaves in a for the next
 // parse.
 func ParseInto(src []byte, a *Arrays) *Node {
-	// Three counts size the arrays and the text without a second pass; a
-	// page beyond an estimate pays one regrowth. Every node but the document
-	// is a start tag, a comment or a text run after a tag: at most about
-	// twice the '<' that open no end tag. Most attributes are written with
-	// '='. The text is the source less its markup, and nearly every tag
-	// drops at least three bytes of markup: "<" or "</", ">", and a known
-	// name or an attribute's '=' and quotes.
+	// Two counts size the arrays without a second pass; a page beyond an
+	// estimate pays one regrowth. Every node but the document is a start
+	// tag, a comment or a text run after a tag: at most about twice the
+	// '<' that open no end tag. Most attributes are written with '='. The
+	// text is at most about the source: decoding and dropping markup only
+	// shrink it.
 	tags, ends := countTags(src)
+	buf := parseBuffers.Borrow()
 	d := &a.d
 	p := parser{
 		z:       tokenizer{src: src, attrs: room(d.attrs, bytes.Count(src, []byte{'='}))},
 		nodes:   room(d.nodes, 2*(tags-ends)+2)[:1],
-		scratch: a.decoded,
+		text:    slices.Grow(buf.text[:0], len(src)),
+		scratch: buf.decoded,
 	}
 	p.nodes[0] = node{typ: DocumentNode, end: -1} // open, with no parent
-	p.text.Grow(max(len(src)-3*tags, 0))
 	for p.z.next() {
 		p.add()
 	}
 	p.closeTo(-1)
-	*d = document{text: p.text.String(), nodes: p.nodes, attrs: p.z.attrs}
+	*d = document{text: string(p.text), nodes: p.nodes, attrs: p.z.attrs}
 	d.root = Node{d, 0}
-	a.decoded = p.scratch
+	buf.text, buf.decoded = p.text, p.scratch
+	parseBuffers.Return(buf)
 	return &d.root
 }
 
 // Reset takes a's arrays back: no document parsed into a may be read after
-// it. a keeps each array of at most keep entries, and a decode buffer of at
-// most keep bytes, for the next parse, and lets go of the text and of
-// anything larger.
+// it. a keeps each array of at most keep entries for the next parse, and
+// lets go of the text and of anything larger.
 func (a *Arrays) Reset(keep int) {
 	a.d = document{nodes: lend.Fit(a.d.nodes, keep), attrs: lend.Fit(a.d.attrs, keep)}
-	a.decoded = lend.Fit(a.decoded, keep)
+}
+
+// buffers is what only a parse reads: the text it builds and the buffer
+// character references are decoded in.
+type buffers struct{ text, decoded []byte }
+
+// What the idle parse buffers keep. Each buffer stays about the size of
+// the largest page a parse met, so a warm parse allocates only its text.
+const (
+	// keptBuffers is how many idle buffer pairs wait for the next parses:
+	// as many as ran at once, up to this many.
+	keptBuffers = 8
+	// keptBufferBytes is the largest buffer, text or decode, kept idle: a
+	// page larger than this grows its own for the parse.
+	keptBufferBytes = 16 << 10
+)
+
+// parseBuffers lends each parse its buffers.
+var parseBuffers = lend.Stack[buffers]{Max: keptBuffers, Reset: (*buffers).reset}
+
+func (b *buffers) reset() bool {
+	b.text, b.decoded = lend.Fit(b.text, keptBufferBytes), lend.Fit(b.decoded, keptBufferBytes)
+	return true
 }
 
 // room returns s emptied when it holds n entries, and otherwise an empty
@@ -339,14 +361,14 @@ func zeroBytes(x uint64) uint64 {
 // parser builds a document from the tokenizer's spans.
 type parser struct {
 	z     tokenizer
-	nodes []node          // becomes the document's nodes
-	text  strings.Builder // becomes the document's text
+	nodes []node // becomes the document's nodes
+	text  []byte // copied out as the document's text; lent for the parse
 	// top is the innermost open element. The open elements are it and its
 	// ancestors, up to the document node: an open element's end is its
 	// parent until closeTo closes it.
 	top int32
 	// scratch holds a decoded run until it is written to the text; it is
-	// lent by the Arrays and handed back to them.
+	// lent for the parse, as text is.
 	scratch []byte
 }
 
@@ -409,9 +431,9 @@ func (p *parser) add() {
 
 // nameOf returns the lower-cased name of tagOther element el, written to
 // the text so far.
-func (p *parser) nameOf(el int32) string {
+func (p *parser) nameOf(el int32) []byte {
 	s := p.z.attrs[p.nodes[el].data.start].name
-	return p.text.String()[s.start:s.end]
+	return p.text[s.start:s.end]
 }
 
 // addNode appends n as the last child of the innermost open element and
@@ -437,9 +459,9 @@ func (p *parser) closeTo(keep int32) {
 
 // write appends b to the text and returns its span there.
 func (p *parser) write(b []byte) span {
-	start := p.text.Len()
-	p.text.Write(b)
-	return span{int32(start), int32(p.text.Len())}
+	start := len(p.text)
+	p.text = append(p.text, b...)
+	return span{int32(start), int32(len(p.text))}
 }
 
 // writeDecoded appends attribute value b with its character references
@@ -454,22 +476,19 @@ func (p *parser) writeDecoded(b []byte) span {
 // decode returns b with its character references decoded, as an attribute
 // value's when inAttr is set, in the parser's scratch buffer.
 func (p *parser) decode(b []byte, inAttr bool) []byte {
-	if cap(p.scratch) < len(b) {
-		p.scratch = make([]byte, 0, len(b)) // decoding never grows b
-	}
-	p.scratch = appendDecoded(p.scratch[:0], b, inAttr)
+	p.scratch = appendDecoded(slices.Grow(p.scratch[:0], len(b)), b, inAttr) // decoding never grows b
 	return p.scratch
 }
 
 // writeName appends b lower-cased, as strings.ToLower would.
 func (p *parser) writeName(b []byte) span {
-	start := p.text.Len()
+	start := len(p.text)
 	for i, c := range b {
 		if c >= utf8.RuneSelf {
-			p.text.WriteString(strings.ToLower(string(b[i:])))
+			p.text = append(p.text, strings.ToLower(string(b[i:]))...)
 			break
 		}
-		p.text.WriteByte(toLowerASCII(c))
+		p.text = append(p.text, toLowerASCII(c))
 	}
-	return span{int32(start), int32(p.text.Len())}
+	return span{int32(start), int32(len(p.text))}
 }

@@ -287,7 +287,7 @@ func indexCloseTag(s []byte, name string) int {
 
 // equalFoldASCII reports whether b is name, a lower-case ASCII name, in
 // any case.
-func equalFoldASCII(b []byte, name string) bool {
+func equalFoldASCII[S string | []byte](b []byte, name S) bool {
 	if len(b) != len(name) {
 		return false
 	}

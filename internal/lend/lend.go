@@ -1,10 +1,11 @@
 // Package lend keeps the values a program lends to one user at a time and
-// takes back when that user ends: navigation's scratches (navcalc), the
-// bindings of an evaluation frame (algebra) and of a handle invocation
-// (vps), a relational operator's table (relation), a served stream's codec
-// (internal/server) and a client stream's readers (client). A value is borrowed, used by its borrower alone, and
-// returned exactly once; a returned value waits idle for the next
-// borrower.
+// takes back when that user ends: a parse's buffers (htmlkit),
+// navigation's scratches (navcalc), the bindings of an evaluation frame
+// (algebra) and of a handle invocation (vps), a relational operator's
+// table (relation), a served stream's codec (internal/server) and a
+// client stream's readers (client). A value is borrowed, used by its
+// borrower alone, and returned exactly once; a returned value waits idle
+// for the next borrower.
 //
 // A Stack is not a sync.Pool: under the race detector a pool drops a
 // quarter of what it is given at random, so the allocations of two equal

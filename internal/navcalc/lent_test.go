@@ -2,10 +2,13 @@ package navcalc
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"webbase/internal/htmlkit"
+	"webbase/internal/race"
 	"webbase/internal/relation"
 	"webbase/internal/tlogic"
 	"webbase/internal/trace"
@@ -226,5 +229,220 @@ func TestLentKeysOutliveTheirExecution(t *testing.T) {
 	want := []string{reuseHub, reuseData, reuseHub, reuseData, reuseHub, reuseData}
 	if !slices.Equal(names, want) {
 		t.Errorf("the fetch spans are named %q, want %q", names, want)
+	}
+}
+
+// scanSite serves a wide page (many links, a form of many fields and
+// options) and a narrow one (few of each), each with a More link to a
+// second of its kind. A link Ln leads to a table naming it, and the form's
+// submission to a table of the parameters it sent.
+type scanSite struct{}
+
+func (scanSite) Fetch(req *web.Request) (*web.Response, error) {
+	table := func(rows ...string) *web.Response {
+		var sb strings.Builder
+		sb.WriteString(`<table><tr><th>Param</th><th>Value</th></tr>`)
+		for i := 0; i+1 < len(rows); i += 2 {
+			fmt.Fprintf(&sb, `<tr><td>%s</td><td>%s</td></tr>`, rows[i], rows[i+1])
+		}
+		return web.HTML(req.URL, sb.String()+`</table>`)
+	}
+	path := strings.TrimPrefix(req.URL, "http://scan.example")
+	switch {
+	case path == "/wide" || path == "/wide2":
+		var sb strings.Builder
+		sb.WriteString(`<a href="/wide2">More</a>`)
+		for i := 0; i < 20; i++ {
+			fmt.Fprintf(&sb, `<a href="/link/%d">L%d</a>`, i, i)
+		}
+		sb.WriteString(`<form name="find" action="/echo"><input type="text" name="make">`)
+		for i := 0; i < 10; i++ {
+			fmt.Fprintf(&sb, `<input type="hidden" name="h%d" value="v%d">`, i, i)
+		}
+		sb.WriteString(`<select name="color">`)
+		for i := 0; i < 12; i++ {
+			fmt.Fprintf(&sb, `<option%s>c%d</option>`, map[bool]string{true: " selected"}[i == 7], i)
+		}
+		sb.WriteString(`</select><input type="radio" name="cond" value="new"><input type="radio" name="cond" value="used" checked>` +
+			`<input type="checkbox" name="pics" value="yes" checked></form>`)
+		return web.HTML(req.URL, sb.String()), nil
+	case path == "/narrow" || path == "/narrow2":
+		return web.HTML(req.URL, `<a href="/narrow2">More</a><a href="/link/1">L1</a>`+
+			`<form name="find" action="/echo"><input type="text" name="make">`+
+			`<select name="color"><option>c0</option><option selected>c1</option></select></form>`), nil
+	case strings.HasPrefix(path, "/link/"):
+		return table("link", strings.TrimPrefix(path, "/link/")), nil
+	case path == "/echo":
+		var rows []string
+		for _, pair := range strings.Split(req.EncodedForm(), "&") {
+			k, v, _ := strings.Cut(pair, "=")
+			rows = append(rows, k, v)
+		}
+		return table(rows...), nil
+	}
+	return web.NotFound(req.URL), nil
+}
+
+// scanSpy is a step that checks the scan its state's page reads against a
+// fresh htmlkit.Scan of the page's document, records the page, and stays.
+type scanSpy struct {
+	t     *testing.T
+	pages *[]*page
+}
+
+func (scanSpy) Name() string { return "scanSpy" }
+func (s scanSpy) Run(st tlogic.State, _ tlogic.Env, out []tlogic.State) ([]tlogic.State, error) {
+	p := st.(*BrowseState).page
+	if got, want := fmt.Sprintf("%+v", *p.scanned()), fmt.Sprintf("%+v", htmlkit.Scan(p.doc, p.url)); got != want {
+		s.t.Errorf("the scan of %s reads\n%s\nwant\n%s", p.url, got, want)
+	}
+	*s.pages = append(*s.pages, p)
+	return append(out, st), nil
+}
+
+// withFreshScratches runs f with no scratch idle, so that every execution
+// in it is lent a new one.
+func withFreshScratches(f func()) {
+	idle, _ := scratches.Idle()
+	held := make([]*scratch, len(idle))
+	for i := range held {
+		held[i] = scratches.Borrow()
+	}
+	f()
+	for i := len(held) - 1; i >= 0; i-- {
+		scratches.Return(held[i])
+	}
+}
+
+// TestLentScansEndWithTheirExecution: a page slot keeps its scan's links,
+// forms, fields and domains for the next execution, which reads only its
+// own pages' out of them. One execution stands on two wide pages and
+// follows a link or submits the form; the next, lent the same scratch,
+// stands on two narrow pages and asks for the same link, which they lack,
+// so it submits their form. Every scan both read is a fresh scan's, the
+// second answer is the one an execution on a fresh scratch gives, and
+// once the scratch is back, its kept slots' scan buffers hold nothing but
+// zero values up to their capacity.
+func TestLentScansEndWithTheirExecution(t *testing.T) {
+	var pages []*page
+	spy := tlogic.Prim{Action: scanSpy{t, &pages}}
+	extract := Extract(ExtractSpec{Columns: []Column{{Header: "Param", Attr: "Param"}, {Header: "Value", Attr: "Value"}}})
+	browse := &Expression{Name: "browse", StartURLVar: "Url", Schema: relation.NewSchema("Param", "Value"), Program: tlogic.NewProgram(),
+		Goal: tlogic.Seq(spy, Follow("More"), spy, tlogic.Alt(
+			tlogic.Seq(FollowVar("Link"), extract),
+			tlogic.Seq(Submit("find", Fill("make", "Make")), extract)))}
+	run := func(start, link string) ([]*page, string) {
+		t.Helper()
+		pages = nil
+		in := map[string]string{"Url": "http://scan.example" + start, "Link": link, "Make": "ford"}
+		rel, _, err := browse.Execute(context.Background(), scanSite{}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pages, rel.String()
+	}
+
+	var fresh [2]string
+	withFreshScratches(func() {
+		_, fresh[0] = run("/wide", "L15")
+	})
+	withFreshScratches(func() {
+		_, fresh[1] = run("/narrow", "L15")
+	})
+	if !strings.Contains(fresh[0], "15") || !strings.Contains(fresh[1], "c1") || strings.Contains(fresh[1], "h0") {
+		t.Fatalf("on fresh scratches the wide pages answered %s and the narrow ones %s", fresh[0], fresh[1])
+	}
+	for round := 0; round < 2; round++ {
+		wide, got := run("/wide", "L15")
+		if got != fresh[0] {
+			t.Errorf("round %d: the wide pages answered %s, on a fresh scratch %s", round, got, fresh[0])
+		}
+		narrow, got := run("/narrow", "L15")
+		if got != fresh[1] {
+			t.Errorf("round %d: the narrow pages answered %s after the wide ones, on a fresh scratch %s", round, got, fresh[1])
+		}
+		if !slices.Equal(narrow, wide[:len(narrow)]) {
+			t.Fatalf("round %d: the narrow pages did not stand in the wide pages' slots", round)
+		}
+	}
+
+	idle, lent := scratches.Idle()
+	if lent != 0 || len(idle) == 0 {
+		t.Fatalf("%d scratches lent, %d idle", lent, len(idle))
+	}
+	s, kept := idle[len(idle)-1], 0
+	for _, c := range s.pages.chunks {
+		for i := range c {
+			scan := c[i].scan
+			kept += cap(scan.Links)
+			if !zeroScan(scan) {
+				t.Errorf("slot %d of an idle scratch holds a value of a page it read: %+v", i, scan)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Error("no kept slot kept the buffers of its links")
+	}
+}
+
+// zeroScan reports whether p reads as a page with no links or forms and
+// every buffer of it, up to its capacity, holds only zero values and the
+// cleared buffers beneath them.
+func zeroScan(p htmlkit.Page) bool {
+	if p.Title != "" || p.HasTable || len(p.Links) != 0 || len(p.Forms) != 0 {
+		return false
+	}
+	for _, l := range p.Links[:cap(p.Links)] {
+		if l != (htmlkit.Link{}) {
+			return false
+		}
+	}
+	for _, f := range p.Forms[:cap(p.Forms)] {
+		if f.Name != "" || f.Action != "" || f.Method != "" {
+			return false
+		}
+		for _, fl := range f.Fields[:cap(f.Fields)] {
+			if fl.Name != "" || fl.Widget != "" || fl.Default != "" || fl.MaxLength != 0 || fl.Mandatory ||
+				slices.ContainsFunc(fl.Domain[:cap(fl.Domain)], func(v string) bool { return v != "" }) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestKeptSlotsKeepTheirArrays: every page slot a scratch keeps keeps its
+// parse arrays, so a visit to an eighth lent page costs what a visit to a
+// second does. An execution follows a chain of equal pages from an input
+// start URL, outside a query, so every page is lent; the cost of a visit
+// is the difference between executions one visit apart. A slot that gave
+// its arrays back at each reset would cost its node and attribute arrays
+// again at every execution: two allocations more a visit.
+func TestKeptSlotsKeepTheirArrays(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	chain := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		n := req.URL[len(req.URL)-1] - '0'
+		return web.HTML(req.URL, fmt.Sprintf(`<html><body><p class="n">page %d</p><a href="/c/%d">Next</a></body></html>`, n, n+1)), nil
+	})
+	allocs := func(visits int) float64 {
+		steps := make([]tlogic.Formula, visits-1)
+		for i := range steps {
+			steps[i] = Follow("Next")
+		}
+		expr := &Expression{Name: "chain", StartURLVar: "Url", Schema: relation.NewSchema("A"), Program: tlogic.NewProgram(), Goal: tlogic.Seq(steps...)}
+		in := map[string]string{"Url": "http://chain.example/c/0"}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := expr.Execute(context.Background(), chain, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	second := allocs(2) - allocs(1)
+	eighth := (allocs(keptPages) - allocs(keptPages-4)) / 4
+	t.Logf("a lent visit costs %.2f allocations in the second slot and %.2f in slots 5 to %d", second, eighth, keptPages)
+	if eighth != second {
+		t.Errorf("a visit in slots 5 to %d costs %.2f allocations, one in the second %.2f: a kept slot made its arrays again", keptPages, eighth, second)
 	}
 }

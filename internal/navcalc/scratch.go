@@ -16,13 +16,15 @@ const (
 	// slabChunk is how many states or pages a slab carves per allocation.
 	slabChunk = 4
 	// keptStates is how many states a returned scratch keeps, and
-	// keptArrays how many page slots keep their parse arrays (the rest of
-	// their chunk keeps none): an execution that went further gives the
-	// rest back to the collector. Most executions stand on one page.
+	// keptPages how many page slots, each with its parse arrays and its
+	// scan: an execution that went further gives the rest back to the
+	// collector. Most executions stand on one page; nearly all on at most
+	// eight.
 	keptStates = 4 * slabChunk
-	keptArrays = 2
-	// keptArray is the largest node or attribute array, and decode buffer
-	// in bytes, a page slot keeps.
+	keptPages  = 2 * slabChunk
+	// keptArray is the largest node or attribute array, and the largest
+	// scan buffer (links, forms, a form's fields, a field's domain), a
+	// page slot keeps.
 	keptArray = 600
 	// keptKey is the largest key buffer, in bytes, a scratch keeps.
 	keptKey = 1024
@@ -32,7 +34,7 @@ const (
 // nothing outlives: its page budget, its states with the request each
 // loads, the buffer each request's key is encoded into, the search's
 // stacks of those states, and the pages that only it visits, with their
-// parse arrays. Backtracking discards a branch by dropping its states, so
+// parse arrays and their scans. Backtracking discards a branch by dropping its states, so
 // every state and lent page of an execution lives exactly as long as the
 // execution does; the scratch is reset and kept idle for the next
 // execution when it ends. What an execution hands on is never lent: its
@@ -48,8 +50,8 @@ type scratch struct {
 	pages  slab[lentPage]
 }
 
-// lentPage is a page slot: the page and the arrays its document is parsed
-// into.
+// lentPage is a page slot: the page, whose scan keeps its buffers from one
+// page to the next, and the arrays its document is parsed into.
 type lentPage struct {
 	page
 	arrays htmlkit.Arrays
@@ -67,13 +69,11 @@ func (s *scratch) reset() bool {
 	s.key = lend.Fit(s.key, keptKey)
 	s.stacks = tlogic.Stacks{}
 	s.states.reset(keptStates, func(_ int, st *BrowseState) { *st = BrowseState{} })
-	s.pages.reset(keptArrays, func(i int, p *lentPage) {
-		p.page = page{}
-		if i < keptArrays {
-			p.arrays.Reset(keptArray)
-		} else {
-			p.arrays.Reset(0)
-		}
+	s.pages.reset(keptPages, func(_ int, p *lentPage) {
+		scan := p.scan
+		scan.Reset(keptArray)
+		p.page = page{scan: scan}
+		p.arrays.Reset(keptArray)
 	})
 	return true
 }
@@ -81,7 +81,7 @@ func (s *scratch) reset() bool {
 // lend parses resp into a page slot of s: a page only this execution reads.
 func (s *scratch) lend(resp *web.Response) *page {
 	p := s.pages.next()
-	p.page = page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.ParseInto(resp.Body, &p.arrays)}
+	p.url, p.bytes, p.doc = resp.URL, int64(len(resp.Body)), htmlkit.ParseInto(resp.Body, &p.arrays)
 	return &p.page
 }
 

@@ -109,12 +109,14 @@ type page struct {
 	doc   *htmlkit.Node // parsed page; immutable once built
 
 	scanOnce sync.Once
-	scan     htmlkit.Page // links, forms and table presence; see scanned
+	// scan is the page's links, forms and table presence; see scanned. A
+	// lent page's is built in the buffers its slot kept.
+	scan htmlkit.Page
 }
 
 // scanned is htmlkit.Scan of the page, built on first use.
 func (p *page) scanned() *htmlkit.Page {
-	p.scanOnce.Do(func() { p.scan = htmlkit.Scan(p.doc, p.url) })
+	p.scanOnce.Do(func() { htmlkit.ScanInto(p.doc, p.url, &p.scan) })
 	return &p.scan
 }
 

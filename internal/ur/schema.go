@@ -502,7 +502,7 @@ func (s *Schema) Eval(ctx context.Context, q Query, cat algebra.Catalog, sink Ob
 	}
 	// Every object evaluates even when a sibling fails: binding-failure
 	// errors must not abort the other objects' partial answers.
-	errs := algebra.ForEach(ctx, len(plan.Objects), func(i int) error {
+	errs := algebra.ForEach(ctx, make([]error, len(plan.Objects)), func(i int) error {
 		if gate.limitSatisfied() {
 			// Earlier objects already satisfy LIMIT n: the answer is the
 			// plan-order union truncated to n, so nothing this object could

@@ -106,9 +106,9 @@ func TestSelectPushDownAllocs(t *testing.T) {
 // to book. Its combinations are rows of the accumulated result read
 // through lent positions, its null filter hands on a relation with no
 // nulls, its operators' tables are lent, and ForEach's error slots are an
-// array on its stack, so it pays book's population (MemCatalog's 3), its
-// parts list, ForEach's closure, the union of the parts (2) and the join's
-// result (4).
+// array on its stack, and its invocations a frame of values ForEachOf runs
+// inline, so it pays book's population (MemCatalog's 3), its parts list,
+// the union of the parts (2) and the join's result (4).
 func TestDependentJoinFixedAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -131,11 +131,41 @@ func TestDependentJoinFixedAllocs(t *testing.T) {
 	}
 	join() // maps and tables to lend
 
-	const ceiling = 11 // 11 when set; 13 while ForEach made its errors and its wait group on every call; 30 while its combinations were a projection and its filter and operators allocated their own
+	const ceiling = 10 // 10 when set; 11 while ForEach's closure escaped; 13 while ForEach made its errors and its wait group on every call; 30 while its combinations were a projection and its filter and operators allocated their own
 	got := testing.AllocsPerRun(50, join)
 	t.Logf("a dependent join of one combination: %.0f allocations (ceiling %d)", got, ceiling)
 	if got > ceiling {
 		t.Errorf("a dependent join of one combination allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestUnionEvalAllocs: a union of two scans, and a relaxed union of them,
+// under no pool, pay their leaf list, their result slots, the scans'
+// populations and the merge: ForEachOf runs both leaves inline on a frame
+// of values, so the fan-out itself allocates nothing.
+func TestUnionEvalAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cat, bound := carCatalog(), map[string]relation.Value{"Make": relation.String("ford")}
+	for _, c := range []struct {
+		expr    Expr
+		ceiling float64
+	}{
+		{&Union{Left: scan("ads"), Right: scan("ads2")}, 12}, // 12 when set; 13 while ForEach's closure escaped
+		{RelaxedUnionAll(scan("ads"), scan("ads2")), 12},     // 12 when set; 13 while ForEach's closure escaped
+	} {
+		eval := func() {
+			if _, err := Eval(context.Background(), c.expr, cat, bound); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eval() // tables to lend
+		got := testing.AllocsPerRun(50, eval)
+		t.Logf("%s: %.0f allocations (ceiling %.0f)", c.expr, got, c.ceiling)
+		if got > c.ceiling {
+			t.Errorf("%s allocates %.0f times, ceiling %.0f", c.expr, got, c.ceiling)
+		}
 	}
 }
 

@@ -99,6 +99,28 @@ func spanAt(sps []*trace.Span, i int) *trace.Span {
 	return sps[i]
 }
 
+// leafTasks is a union's fan-out: leaf i evaluated under span i into
+// rels[i], each under the union's bindings (ForEachOf).
+type leafTasks struct {
+	ctx    context.Context
+	sps    []*trace.Span
+	leaves []Expr
+	cat    Catalog
+	bound  map[string]relation.Value
+	rels   []*relation.Relation
+}
+
+func newLeafTasks(ctx context.Context, leaves []Expr, cat Catalog, bound map[string]relation.Value) leafTasks {
+	return leafTasks{ctx: ctx, sps: opSpans(ctx, leaves), leaves: leaves, cat: cat, bound: bound,
+		rels: make([]*relation.Relation, len(leaves))}
+}
+
+func (f leafTasks) eval(i int) error {
+	rel, err := evalSpanned(f.ctx, spanAt(f.sps, i), f.leaves[i], f.cat, f.bound)
+	f.rels[i] = rel
+	return err
+}
+
 // evalSpanned evaluates e under an already-created span (possibly nil),
 // recording the output cardinality and any error on it.
 func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound map[string]relation.Value) (out *relation.Relation, err error) {
@@ -193,18 +215,13 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		// comes, so tokens freed by fast branches are picked up by later
 		// ones instead of the whole right spine running sequentially.
 		leaves := flattenUnion(e)
-		rels := make([]*relation.Relation, len(leaves))
-		sps := opSpans(ctx, leaves)
+		tasks := newLeafTasks(ctx, leaves, cat, bound)
 		var at [8]error
-		errs := ForEach(ctx, errorSlots(at[:], len(leaves)), func(i int) error {
-			rel, err := evalSpanned(ctx, spanAt(sps, i), leaves[i], cat, bound)
-			rels[i] = rel
-			return err
-		})
+		errs := ForEachOf(ctx, errorSlots(at[:], len(leaves)), tasks, leafTasks.eval)
 		if err := firstError(errs); err != nil {
 			return nil, err
 		}
-		return relation.UnionAll(rels)
+		return relation.UnionAll(tasks.rels)
 
 	case *RelaxedUnion:
 		sch, err := e.Schema(cat)
@@ -215,14 +232,10 @@ func evalSpanned(ctx context.Context, sp *trace.Span, e Expr, cat Catalog, bound
 		// partial answers. Like Union, chains flatten into one fan-out;
 		// merging in leaf order reproduces the pairwise result exactly.
 		leaves := flattenRelaxedUnion(e)
-		rels := make([]*relation.Relation, len(leaves))
-		sps := opSpans(ctx, leaves)
+		tasks := newLeafTasks(ctx, leaves, cat, bound)
+		rels := tasks.rels
 		var at [8]error
-		errs := ForEach(ctx, errorSlots(at[:], len(leaves)), func(i int) error {
-			rel, err := evalSpanned(ctx, spanAt(sps, i), leaves[i], cat, bound)
-			rels[i] = rel
-			return err
-		})
+		errs := ForEachOf(ctx, errorSlots(at[:], len(leaves)), tasks, leafTasks.eval)
 		for i, lerr := range errs {
 			switch {
 			case lerr == nil:
@@ -423,63 +436,10 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 			sps[i] = trace.Start(ctx, trace.KindInvoke, name)
 		}
 	}
+	tasks := invocations{ctx: ctx, next: next, nextSchema: nextSchema, cat: cat, bound: bound,
+		accSch: accSch, rows: rows, combos: combos, sps: sps, pruned: prunedCombo, parts: parts}
 	var at [8]error
-	errs := ForEach(ctx, errorSlots(at[:], len(combos.First)), func(i int) error {
-		sp := spanAt(sps, i)
-		ictx := ctx
-		if sp != nil {
-			ictx = trace.ContextWith(ctx, sp)
-		}
-		// Relevance pruning precedes the budget check: an irrelevant
-		// invocation is free, so it must not consume a budget verdict (a
-		// pruned-then-doomed invocation would otherwise surface as a
-		// budget degradation the unpruned run never saw for free work).
-		if prunedCombo != nil && prunedCombo[i] {
-			prune.FromContext(ctx).Count(prune.ReasonUnsatWhere)
-			sp.Set("pruned", 1)
-			sp.Label("pruned-reason", prune.ReasonUnsatWhere)
-			sp.End()
-			return nil // every source tuple of this combination is doomed
-		}
-		// Deadline budget: an invocation is the unit of new work at this
-		// layer; refuse to start one once the owning object's budget is
-		// gone (work already invoked is allowed to finish).
-		if web.BudgetFrom(ctx).Exhausted() {
-			err := web.MarkOutage(fmt.Errorf("algebra: dependent-join invocation refused: %w",
-				web.ErrBudgetExhausted))
-			sp.Set("budget-exhausted", 1)
-			sp.EndErr(err)
-			return err
-		}
-		// A fed scan is handed only its schema's values, so that
-		// scanInputs finds nothing to filter and copies nothing again.
-		// The combination's bindings live as long as its evaluation.
-		lent := bindingMaps.Borrow()
-		inputs := *lent
-		if _, ok := next.(*Scan); ok {
-			for a, v := range bound {
-				if nextSchema.Has(a) && !v.IsNull() {
-					inputs[a] = v
-				}
-			}
-		} else {
-			maps.Copy(inputs, bound)
-		}
-		row := rows[combos.First[i]]
-		for _, c := range combos.Cols {
-			inputs[accSch[c]] = row[c]
-		}
-		part, err := Eval(ictx, next, cat, inputs)
-		bindingMaps.Return(lent)
-		if err != nil {
-			sp.EndErr(err)
-			return err
-		}
-		parts[i] = part
-		sp.Set("tuples", int64(part.Len()))
-		sp.End()
-		return nil
-	})
+	errs := ForEachOf(ctx, errorSlots(at[:], len(combos.First)), tasks, invocations.invoke)
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
@@ -493,6 +453,79 @@ func dependentJoin(ctx context.Context, acc *relation.Relation, next Expr, nextS
 		return relation.New("", acc.Schema().Union(nextSchema)), nil
 	}
 	return acc.NaturalJoin(merged), nil
+}
+
+// invocations is a dependent join's fan-out: combination i of acc's rows
+// invoked under span i into parts[i] (ForEachOf).
+type invocations struct {
+	ctx        context.Context
+	next       Expr
+	nextSchema relation.Schema
+	cat        Catalog
+	bound      map[string]relation.Value
+	accSch     relation.Schema
+	rows       []relation.Tuple
+	combos     relation.Combos
+	sps        []*trace.Span
+	pruned     []bool // the combinations whose every row is doomed; nil when none is
+	parts      []*relation.Relation
+}
+
+func (f invocations) invoke(i int) error {
+	sp := spanAt(f.sps, i)
+	ictx := f.ctx
+	if sp != nil {
+		ictx = trace.ContextWith(f.ctx, sp)
+	}
+	// Relevance pruning precedes the budget check: an irrelevant
+	// invocation is free, so it must not consume a budget verdict (a
+	// pruned-then-doomed invocation would otherwise surface as a
+	// budget degradation the unpruned run never saw for free work).
+	if f.pruned != nil && f.pruned[i] {
+		prune.FromContext(f.ctx).Count(prune.ReasonUnsatWhere)
+		sp.Set("pruned", 1)
+		sp.Label("pruned-reason", prune.ReasonUnsatWhere)
+		sp.End()
+		return nil // every source tuple of this combination is doomed
+	}
+	// Deadline budget: an invocation is the unit of new work at this
+	// layer; refuse to start one once the owning object's budget is
+	// gone (work already invoked is allowed to finish).
+	if web.BudgetFrom(f.ctx).Exhausted() {
+		err := web.MarkOutage(fmt.Errorf("algebra: dependent-join invocation refused: %w",
+			web.ErrBudgetExhausted))
+		sp.Set("budget-exhausted", 1)
+		sp.EndErr(err)
+		return err
+	}
+	// A fed scan is handed only its schema's values, so that
+	// scanInputs finds nothing to filter and copies nothing again.
+	// The combination's bindings live as long as its evaluation.
+	lent := bindingMaps.Borrow()
+	inputs := *lent
+	if _, ok := f.next.(*Scan); ok {
+		for a, v := range f.bound {
+			if f.nextSchema.Has(a) && !v.IsNull() {
+				inputs[a] = v
+			}
+		}
+	} else {
+		maps.Copy(inputs, f.bound)
+	}
+	row := f.rows[f.combos.First[i]]
+	for _, c := range f.combos.Cols {
+		inputs[f.accSch[c]] = row[c]
+	}
+	part, err := Eval(ictx, f.next, f.cat, inputs)
+	bindingMaps.Return(lent)
+	if err != nil {
+		sp.EndErr(err)
+		return err
+	}
+	f.parts[i] = part
+	sp.Set("tuples", int64(part.Len()))
+	sp.End()
+	return nil
 }
 
 // bindingFailure reports whether err means "this subexpression cannot be

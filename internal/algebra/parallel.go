@@ -73,18 +73,31 @@ func poolFrom(ctx context.Context) *Pool {
 // take the lowest-index one (firstError). The pool decides only how many
 // goroutines run the tasks; with no pool they all run in index order on
 // the calling goroutine. So the work a query does, and what it is billed,
-// is the same at every worker count. A task run inline writes its slot
-// itself; only once a task takes a pool token does ForEach make the wait
-// group and the cells its goroutines write, and it copies those cells into
-// the slots when they are done: a call whose every task runs inline
-// allocates nothing.
+// is the same at every worker count.
 //
 // A context cancelled before a task starts records ctx.Err() in that
 // task's slot instead of running it, which is what stops a cancelled
 // query from issuing further fetches.
+//
+// fn may be handed to a goroutine, so a closure passed here is made on the
+// heap at every call; a caller on a hot path uses ForEachOf.
 func ForEach(ctx context.Context, errs []error, fn func(i int) error) []error {
+	return ForEachOf(ctx, errs, fn, call)
+}
+
+// call is ForEach's task: fn(i).
+func call(fn func(int) error, i int) error { return fn(i) }
+
+// ForEachOf is ForEach with each task run as fn(frame, i): fn a function
+// that captures nothing, and frame the values its tasks read. A task run
+// inline writes its slot itself; only once a task takes a pool token does
+// ForEachOf make the group its goroutines share — the wait group, the
+// cells they write and a copy of the frame — and it copies those cells
+// into the slots when they are done. So a call whose every task runs
+// inline allocates nothing.
+func ForEachOf[F any](ctx context.Context, errs []error, frame F, fn func(F, int) error) []error {
 	pool := poolFrom(ctx)
-	var group *taskGroup // made when the first task takes a token
+	var group *taskGroup[F] // made when the first task takes a token
 	for i := range errs {
 		if err := ctx.Err(); err != nil {
 			errs[i] = err
@@ -93,18 +106,14 @@ func ForEach(ctx context.Context, errs []error, fn func(i int) error) []error {
 		// The last task always runs inline: the calling goroutine is
 		// itself a worker, so burning a token on it would waste a slot.
 		if i == len(errs)-1 || !pool.tryAcquire() {
-			errs[i] = fn(i)
+			errs[i] = fn(frame, i)
 			continue
 		}
 		if group == nil {
-			group = &taskGroup{errs: make([]error, len(errs))}
+			group = &taskGroup[F]{errs: make([]error, len(errs)), pool: pool, frame: frame, fn: fn}
 		}
 		group.wg.Add(1)
-		go func(g *taskGroup, i int) {
-			defer g.wg.Done()
-			defer pool.release()
-			g.errs[i] = fn(i)
-		}(group, i)
+		go group.run(i)
 	}
 	if group != nil {
 		group.wg.Wait()
@@ -117,12 +126,22 @@ func ForEach(ctx context.Context, errs []error, fn func(i int) error) []error {
 	return errs
 }
 
-// taskGroup is what the goroutines of one ForEach call share: the group it
-// waits on and the error cell of each task, written by the goroutine that
-// ran it.
-type taskGroup struct {
-	wg   sync.WaitGroup
-	errs []error
+// taskGroup is what the goroutines of one ForEachOf call share: the group
+// it waits on, the error cell of each task, written by the goroutine that
+// ran it, and the tasks.
+type taskGroup[F any] struct {
+	wg    sync.WaitGroup
+	errs  []error
+	pool  *Pool
+	frame F
+	fn    func(F, int) error
+}
+
+// run runs task i on a token of the pool, and gives the token back.
+func (g *taskGroup[F]) run(i int) {
+	defer g.wg.Done()
+	defer g.pool.release()
+	g.errs[i] = g.fn(g.frame, i)
 }
 
 // errorSlots returns n zero error slots: the first n of at when it holds

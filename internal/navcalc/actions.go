@@ -269,22 +269,22 @@ func (a extract) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tl
 	}
 	n := tbl.Len()
 	if n == 0 { // a table with no rows checks no attribute against the schema
-		return append(next, b.withRoom(0)), nil
+		return append(next, b.step()), nil
 	}
 	var cellBuf [16]int32
 	var idx [16]int
-	cols, links, envs, err := a.spec.indexes(idx[:0], b.schema)
+	cols, links, envs, err := a.spec.indexes(idx[:0], b.scratch.schema)
 	if err != nil {
 		return nil, err
 	}
-	nb := b.withRoom(n)
-	w := len(nb.schema)
-	slab := make([]relation.Value, n*w)
+	// The rows go into the scratch's row buffer, and out of it once, when
+	// the execution builds its relation (BrowseState.Relation).
+	nb, vals := b.collect(n)
+	w := len(b.scratch.schema)
 	row := cellBuf[:0]
 	for i := 0; i < n; i++ {
 		row = tbl.Row(i, row)
-		t := relation.Tuple(slab[:w:w]) // cap == len: an append cannot reach the next row
-		slab = slab[w:]
+		t := vals[i*w : (i+1)*w]
 		for k, c := range a.spec.Columns {
 			if c.Money {
 				t[cols[k]] = relation.ParseMoney(tbl.Cell(row, k))
@@ -303,7 +303,6 @@ func (a extract) Run(st tlogic.State, env tlogic.Env, next []tlogic.State) ([]tl
 				t[envs[k]] = relation.Parse(v)
 			}
 		}
-		nb.collected = append(nb.collected, t)
 	}
 	return append(next, nb), nil
 }

@@ -2,7 +2,10 @@ package navcalc_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"webbase/internal/navcalc"
@@ -204,6 +207,123 @@ func TestLoadAndExtractAllocs(t *testing.T) {
 	}
 	if got > ceiling {
 		t.Errorf("a page load and extraction allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// moreChain is a site of chains of data pages: page i of the chain of k,
+// http://more.example/k/i, holds a table of rowsAPage rows of Make and
+// Model and, but on the last page, a More link to page i+1.
+type moreChain map[string][]byte
+
+const rowsAPage = 4
+
+// newMoreChain renders the chains of each length in ks.
+func newMoreChain(ks ...int) moreChain {
+	site := moreChain{}
+	for _, k := range ks {
+		for i := 0; i < k; i++ {
+			var b strings.Builder
+			b.WriteString("<html><body><table><tr><th>Make</th><th>Model</th></tr>")
+			for r := 0; r < rowsAPage; r++ {
+				fmt.Fprintf(&b, "<tr><td>make%d</td><td>model%dx%d</td></tr>", r, i, r)
+			}
+			b.WriteString("</table>")
+			if i+1 < k {
+				fmt.Fprintf(&b, `<a href="/%d/%d">More</a>`, k, i+1)
+			}
+			b.WriteString("</body></html>")
+			site[fmt.Sprintf("http://more.example/%d/%d", k, i)] = []byte(b.String())
+		}
+	}
+	return site
+}
+
+func (m moreChain) Fetch(req *web.Request) (*web.Response, error) {
+	return &web.Response{Status: 200, URL: req.URL, Body: m[req.URL]}, nil
+}
+
+// collectMore is the navigation of the chain of k pages: collect ← extract
+// ⊗ (follow(More) ⊗ collect ∨ ε), from its first page. Each page is
+// input-free, so each is parsed on its response, not into a page slot of
+// the execution: every page of a chain costs what the others do, however
+// many slots the execution keeps.
+func collectMore(k int) *navcalc.Expression {
+	prog := tlogic.NewProgram()
+	collect := tlogic.Call{Rule: "collect"}
+	prog.Define("collect", tlogic.Seq(
+		navcalc.Extract(navcalc.ExtractSpec{Columns: []navcalc.Column{{Header: "Make", Attr: "Make"}, {Header: "Model", Attr: "Model"}}}),
+		tlogic.Alt(tlogic.Seq(navcalc.Follow("More"), collect), tlogic.Empty{})))
+	return &navcalc.Expression{Name: "more", StartURL: fmt.Sprintf("http://more.example/%d/0", k),
+		Schema: relation.NewSchema("Make", "Model"), Program: prog, Goal: collect}
+}
+
+// runChain executes collectMore(k) and fails t unless it collects every
+// row of every page.
+func runChain(t *testing.T, site moreChain, expr *navcalc.Expression, k int) {
+	_, info, err := expr.Execute(context.Background(), site, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Tuples != k*rowsAPage {
+		t.Fatalf("%d tuples over %d pages, want %d", info.Tuples, k, k*rowsAPage)
+	}
+}
+
+// TestExtractPagesAllocs: an execution that extracts one data page, and one
+// that extracts three down a More chain. The rows go into the execution's
+// lent row buffer, and out of it once: a navigation costs one slab of
+// values and one list of tuples, plus its relation, however many pages it
+// extracts. An extraction that made its own slab, or a step that copied
+// the tuples collected so far into a new list, costs two more a page.
+func TestExtractPagesAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	site := newMoreChain(1, 3)
+	for _, c := range []struct {
+		pages   int
+		ceiling float64
+	}{
+		{1, 9},  // 9 when set, as while the extraction made its own slab and its state's list
+		{3, 27}, // 27 when set; 31 while every extraction made its own slab and its state's list
+	} {
+		expr := collectMore(c.pages)
+		got := testing.AllocsPerRun(50, func() { runChain(t, site, expr, c.pages) })
+		t.Logf("an execution extracting %d pages: %.0f allocations (ceiling %.0f)", c.pages, got, c.ceiling)
+		if got > c.ceiling {
+			t.Errorf("an execution extracting %d pages allocates %.0f times, ceiling %.0f", c.pages, got, c.ceiling)
+		}
+	}
+}
+
+// TestMoreChainAllocatedBytes: the bytes a More chain allocates grow with
+// its pages, not with their square. Over a chain of 64 pages an execution
+// allocates at most 1.25 times the bytes a tuple that it does over a
+// chain of 8; a step that copied the tuples collected so far into a list
+// of its own made the long chain's tuples about 2.5 times as heavy.
+func TestMoreChainAllocatedBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const short, long = 8, 64
+	site := newMoreChain(short, long)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perTuple := func(k int) float64 {
+		expr := collectMore(k)
+		runChain(t, site, expr, k) // warm up: the scratch grows its buffers once
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			runChain(t, site, expr, k)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(k*rowsAPage)
+	}
+	s, l := perTuple(short), perTuple(long)
+	t.Logf("bytes a tuple: %.0f over %d pages, %.0f over %d (%.2f times)", s, short, l, long, l/s)
+	if l > 1.25*s {
+		t.Errorf("a tuple of a chain of %d pages costs %.0f bytes, %.2f times one of a chain of %d (%.0f); want at most 1.25 times", long, l, l/s, short, s)
 	}
 }
 

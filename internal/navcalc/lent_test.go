@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"webbase/internal/htmlkit"
@@ -409,6 +410,87 @@ func zeroScan(p htmlkit.Page) bool {
 		}
 	}
 	return true
+}
+
+// TestLentRowsEndWithTheirExecution: the rows an execution collects go
+// into its scratch's row buffer, and its relation is copied out of it, so
+// later executions lent that scratch, which collect other rows into the
+// same buffer, leave every value of the earlier relation as it was. Four
+// goroutines each run one execution and then others on the scratch it
+// gave back (under -race, a relation that still read the buffer is also a
+// race), and once every scratch is back the buffer holds nothing but zero
+// values up to its capacity: an idle scratch keeps no page's strings.
+func TestLentRowsEndWithTheirExecution(t *testing.T) {
+	site := web.FetcherFunc(func(req *web.Request) (*web.Response, error) {
+		// /rows/p/n: n rows of p, and a More link to /rows/p/n-1 while n > 1.
+		var p string
+		var n int
+		fmt.Sscanf(strings.TrimPrefix(req.URL, "http://rows.example/rows/"), "%1s/%d", &p, &n)
+		var b strings.Builder
+		b.WriteString("<table><tr><th>Make</th><th>Price</th></tr>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "<tr><td>%s%d-%d</td><td>$%d</td></tr>", p, n, i, 100*n+i)
+		}
+		b.WriteString("</table>")
+		if n > 1 {
+			fmt.Fprintf(&b, `<a href="/rows/%s/%d">More</a>`, p, n-1)
+		}
+		return web.HTML(req.URL, b.String()), nil
+	})
+	prog := tlogic.NewProgram()
+	collect := tlogic.Call{Rule: "collect"}
+	prog.Define("collect", tlogic.Seq(
+		Extract(ExtractSpec{Columns: []Column{{Header: "Make", Attr: "Make"}, {Header: "Price", Attr: "Price", Money: true}}}),
+		tlogic.Alt(tlogic.Seq(Follow("More"), collect), tlogic.Empty{})))
+	expr := &Expression{Name: "rows", StartURLVar: "Url", Schema: relation.NewSchema("Make", "Price"), Program: prog, Goal: collect}
+	run := func(start string) *relation.Relation {
+		rel, _, err := expr.Execute(context.Background(), site, map[string]string{"Url": "http://rows.example/rows/" + start})
+		if err != nil {
+			t.Error(err)
+			return relation.New("", expr.Schema)
+		}
+		return rel
+	}
+
+	const goroutines, rounds = 4, 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// One page of one row down to a chain of four pages: an answer
+			// of a single extraction, and answers of several.
+			early := run(fmt.Sprintf("a/%d", 1+g))
+			want := early.String()
+			if early.Len() != (1+g)*(2+g)/2 || !strings.Contains(want, fmt.Sprintf("a%d-0", 1+g)) {
+				t.Errorf("goroutine %d: the first execution answered %s", g, want)
+				return
+			}
+			for r := 0; r < rounds; r++ {
+				run(fmt.Sprintf("b/%d", 6+r%3))
+				if got := early.String(); got != want {
+					t.Errorf("goroutine %d round %d: an earlier answer now reads %s, was %s", g, r, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	idle, lent := scratches.Idle()
+	if lent != 0 || len(idle) == 0 {
+		t.Fatalf("%d scratches lent, %d idle", lent, len(idle))
+	}
+	kept := 0
+	for _, s := range idle {
+		kept += cap(s.rows)
+		if len(s.rows) != 0 || slices.ContainsFunc(s.rows[:cap(s.rows)], func(v relation.Value) bool { return v != relation.Value{} }) {
+			t.Errorf("an idle scratch's row buffer holds a value of a row it collected")
+		}
+	}
+	if kept == 0 {
+		t.Error("no idle scratch kept its row buffer")
+	}
 }
 
 // TestKeptSlotsKeepTheirArrays: every page slot a scratch keeps keeps its

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -251,18 +252,30 @@ func TestPageToObjectsShape(t *testing.T) {
 
 func TestBrowseStateCloneIsolation(t *testing.T) {
 	st := startAt(t, sites.BuildWorld().Server, "http://"+sites.NewsdayHost+"/", relation.NewSchema("A"))
-	st.collected = append(make([]relation.Tuple, 0, 4), relation.Tuple{relation.Int(1)})
-	cp := st.withRoom(0)
-	cp.collected = append(cp.collected, relation.Tuple{relation.Int(2)})
-	if len(st.collected) != 1 {
+	one := func(b *BrowseState, v int64) *BrowseState {
+		nb, vals := b.collect(1)
+		vals[0] = relation.Int(v)
+		return nb
+	}
+	st = one(st, 1)
+	cp := one(st, 2)
+	if st.Relation("").Len() != 1 {
 		t.Error("clone leaked collected tuples into original")
 	}
-	// Two branches from one state share its list's spare room: each must
+	// Two branches from one state share the rows before them: each must
 	// still see only its own extractions.
-	sibling := st.withRoom(0)
-	sibling.collected = append(sibling.collected, relation.Tuple{relation.Int(3)})
-	if got := cp.collected[1][0]; !got.Equal(relation.Int(2)) {
-		t.Errorf("a sibling branch's extraction replaced this branch's: %v", got)
+	sibling := one(st, 3)
+	for _, c := range []struct {
+		st   *BrowseState
+		want []int64
+	}{{st, []int64{1}}, {cp, []int64{1, 2}}, {sibling, []int64{1, 3}}} {
+		var got []int64
+		for _, tu := range c.st.Relation("").Tuples() {
+			got = append(got, tu[0].IntVal())
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("a branch collected %v, want %v", got, c.want)
+		}
 	}
 }
 
@@ -366,8 +379,8 @@ func TestExtractSchemaMismatchNeedsARow(t *testing.T) {
 				}
 			case err != nil || !ok:
 				t.Errorf("%+v on %s: ok=%v err=%v, want success", c.spec, url, ok, err)
-			case len(end.(*BrowseState).collected) != rows:
-				t.Errorf("%+v on %s: %d tuples, want %d", c.spec, url, len(end.(*BrowseState).collected), rows)
+			case end.(*BrowseState).Relation("").Len() != rows:
+				t.Errorf("%+v on %s: %d tuples, want %d", c.spec, url, end.(*BrowseState).Relation("").Len(), rows)
 			}
 		}
 	}

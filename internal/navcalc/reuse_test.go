@@ -200,7 +200,7 @@ func TestKeptPageSharedByConcurrentExecutions(t *testing.T) {
 					t.Errorf("execution %d round %d: ok=%v err=%v", g, r, ok, err)
 					return
 				}
-				if got := end.(*BrowseState).collected; len(got) != 3 || got[2][1] != relation.Int(9900) {
+				if got := end.(*BrowseState).Relation("").Tuples(); len(got) != 3 || got[2][1] != relation.Int(9900) {
 					t.Errorf("execution %d round %d extracted %v", g, r, got)
 				}
 			}

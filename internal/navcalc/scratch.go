@@ -1,8 +1,11 @@
 package navcalc
 
 import (
+	"context"
+
 	"webbase/internal/htmlkit"
 	"webbase/internal/lend"
+	"webbase/internal/relation"
 	"webbase/internal/tlogic"
 	"webbase/internal/web"
 )
@@ -28,24 +31,35 @@ const (
 	keptArray = 600
 	// keptKey is the largest key buffer, in bytes, a scratch keeps.
 	keptKey = 1024
+	// keptRows is the largest row buffer, in values, a scratch keeps.
+	keptRows = 1024
 )
 
 // scratch is what one execution (Expression.Execute) borrows and
 // nothing outlives: its page budget, its states with the request each
 // loads, the buffer each request's key is encoded into, the search's
-// stacks of those states, and the pages that only it visits, with their
-// parse arrays and their scans. Backtracking discards a branch by dropping its states, so
-// every state and lent page of an execution lives exactly as long as the
-// execution does; the scratch is reset and kept idle for the next
-// execution when it ends. What an execution hands on is never lent: its
-// request keys (web.Query.Key), its pages' text, its collected tuples, and
-// every page another execution may read — a page its query keeps
-// (web.Query.Load), and the page of an input-free request
-// (web.Response.Derived).
+// stacks of those states, the rows its extractions collect with the chunks
+// that chain them, and the pages that only it visits, with their parse
+// arrays and their scans. Backtracking discards a branch by dropping its
+// states, so every state, chunk and lent page of an execution lives
+// exactly as long as the execution does; the scratch is reset and kept
+// idle for the next execution when it ends. What an execution hands on is
+// never lent: its request keys (web.Query.Key), its pages' text, the
+// relation its end state's rows are copied into, and every page another
+// execution may read — a page its query keeps (web.Query.Load), and the
+// page of an input-free request (web.Response.Derived).
 type scratch struct {
+	// What every state of the execution reads.
+	ctx     context.Context
+	fetcher web.Fetcher
+	query   *web.Query // the query navigating, nil outside one; keeps the pages it reads twice
+	schema  relation.Schema
+
 	budget pageBudget
-	key    []byte        // the key of the request being built (web.AppendKey)
-	stacks tlogic.Stacks // the search's path and outcome stacks
+	key    []byte           // the key of the request being built (web.AppendKey)
+	stacks tlogic.Stacks    // the search's path and outcome stacks
+	rows   []relation.Value // the values of every row collected, each chunk's in turn
+	chunks slab[chunk]
 	states slab[BrowseState]
 	pages  slab[lentPage]
 }
@@ -65,9 +79,13 @@ var scratches = lend.Stack[scratch]{Max: keptScratches, Reset: (*scratch).reset}
 // reset readies s for the next execution: no state or lent page of the
 // execution that returned it may be read after it.
 func (s *scratch) reset() bool {
+	s.ctx, s.fetcher, s.query, s.schema = nil, nil, nil, nil
 	s.budget = pageBudget{}
 	s.key = lend.Fit(s.key, keptKey)
 	s.stacks = tlogic.Stacks{}
+	clear(s.rows) // an idle scratch holds no page's strings
+	s.rows = lend.Fit(s.rows, keptRows)
+	s.chunks.reset(keptStates, func(_ int, c *chunk) { *c = chunk{} })
 	s.states.reset(keptStates, func(_ int, st *BrowseState) { *st = BrowseState{} })
 	s.pages.reset(keptPages, func(_ int, p *lentPage) {
 		scan := p.scan

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"webbase/internal/flogic"
@@ -68,13 +67,11 @@ func (p *pageBudget) noteInputShortfall() { p.sawInputShortfall = true }
 var ErrPageBudget = errors.New("navcalc: page budget exceeded")
 
 // BrowseState is the database state of a navigation execution: the current
-// page, the fetcher used to move, and the tuples collected so far: the
-// tlogic.State the navigation's steps move between.
+// page and the rows collected so far: the tlogic.State the navigation's
+// steps move between. What every state of the execution shares (its
+// context, fetcher, query and schema) is its scratch's.
 type BrowseState struct {
-	ctx     context.Context
-	fetcher web.Fetcher
-	query   *web.Query  // the query navigating, nil outside one; keeps the pages it reads twice
-	scratch *scratch    // the execution's: its budget, states and lent pages
+	scratch *scratch    // the execution's: what its states share, and what it lends them
 	*page               // shared across clones
 	req     web.Request // the request load last built, lent with the scratch
 	// inputFree: no input binding can change the current page's request.
@@ -83,9 +80,18 @@ type BrowseState struct {
 	// rule applied to one request — so its parsed page is kept on the
 	// cached response (fetch).
 	inputFree bool
+	rows      *chunk // the last rows collected on the path to this state; nil before the first
+}
 
-	schema    relation.Schema
-	collected []relation.Tuple
+// chunk is the rows one extraction collected: n rows of the schema's
+// width, from value from of the scratch's row buffer on, collected after
+// the rows of the chunks before it. Chunks are the scratch's, so the rows
+// a state collected are a chain its successors extend and never change: a
+// backtracked branch's chunks, and its rows in the buffer, are reached by
+// no state that goes on.
+type chunk struct {
+	before  *chunk
+	from, n int
 }
 
 // page is everything derived from one fetched page, each part at most
@@ -126,16 +132,10 @@ func (p *page) scanned() *htmlkit.Page {
 // is fixed by the expression rather than supplied as an input.
 func (s *scratch) start(ctx context.Context, f web.Fetcher, startURL string,
 	schema relation.Schema, maxPages int, inputFree bool) (*BrowseState, error) {
+	s.ctx, s.fetcher, s.query, s.schema = ctx, f, web.QueryFrom(ctx), schema
 	s.budget.max = maxPages
 	st := s.states.next()
-	*st = BrowseState{
-		ctx:       ctx,
-		fetcher:   f,
-		query:     web.QueryFrom(ctx),
-		scratch:   s,
-		inputFree: inputFree,
-		schema:    schema,
-	}
+	*st = BrowseState{scratch: s, inputFree: inputFree}
 	if err := st.load(startURL, "", nil); err != nil {
 		return nil, err
 	}
@@ -166,28 +166,28 @@ func (s *scratch) start(ctx context.Context, f web.Fetcher, startURL string,
 // other visit allocates its own. The request is a value on this state, lent
 // with the scratch (DESIGN.md §23).
 func (b *BrowseState) load(target, method string, fields []web.Field) error {
-	if err := b.ctx.Err(); err != nil {
+	s := b.scratch
+	if err := s.ctx.Err(); err != nil {
 		return fmt.Errorf("navcalc: navigation cancelled: %w", err)
 	}
-	budget := &b.scratch.budget
-	if budget.max > 0 && budget.fetched >= budget.max {
-		return fmt.Errorf("%w (%d pages)", ErrPageBudget, budget.fetched)
+	if s.budget.max > 0 && s.budget.fetched >= s.budget.max {
+		return fmt.Errorf("%w (%d pages)", ErrPageBudget, s.budget.fetched)
 	}
-	budget.fetched++
-	b.scratch.key = web.AppendKey(b.scratch.key[:0], target, method, fields)
-	key := b.query.Key(b.scratch.key)
-	b.req = web.KeyedRequest(b.ctx, method, key)
+	s.budget.fetched++
+	s.key = web.AppendKey(s.key[:0], target, method, fields)
+	key := s.query.Key(s.key)
+	b.req = web.KeyedRequest(s.ctx, method, key)
 	// One trace span per page visit, created here — navigation within a
 	// handle invocation is sequential, so fetch spans land in deterministic
 	// order. The span outlives the page a target may have been read off, so
 	// it is named by the request's URL, a substring of the key.
 	var sp *trace.Span
-	if parent := trace.FromContext(b.ctx); parent != nil {
+	if parent := trace.FromContext(s.ctx); parent != nil {
 		sp = parent.Start(trace.KindFetch, b.req.URL)
-		b.req = web.KeyedRequest(trace.ContextWith(b.ctx, sp), method, key)
+		b.req = web.KeyedRequest(trace.ContextWith(s.ctx, sp), method, key)
 	}
 	fetched := false
-	p, reused, err := b.query.Load(b.ctx, key, func(keep bool) (any, error) {
+	p, reused, err := s.query.Load(s.ctx, key, func(keep bool) (any, error) {
 		fetched = true
 		return b.fetch(&b.req, sp, keep)
 	})
@@ -213,7 +213,7 @@ func (b *BrowseState) load(target, method string, fields []web.Field) error {
 // reads that page. Every other visit parses its own: on the heap when its
 // query keeps it (keep), else lent by the execution's scratch.
 func (b *BrowseState) fetch(req *web.Request, sp *trace.Span, keep bool) (any, error) {
-	resp, err := b.fetcher.Fetch(req)
+	resp, err := b.scratch.fetcher.Fetch(req)
 	if err != nil {
 		sp.EndErr(err)
 		return nil, err
@@ -240,27 +240,54 @@ func newPage(resp *web.Response) *page {
 	return &page{url: resp.URL, bytes: int64(len(resp.Body)), doc: htmlkit.Parse(resp.Body)}
 }
 
-// withRoom returns a copy of b, carved from its scratch, with room for n
-// more collected tuples. The page and the collected tuples are shared. With n == 0 the copy's tuple
-// list is clipped, so the first extraction on a branch copies it and
-// backtracking discards that branch's extractions; n > 0 copies the list
-// once, into a list that takes them without growing.
-func (b *BrowseState) withRoom(n int) *BrowseState {
+// step returns a copy of b, carved from its scratch: the state a step
+// moves to. The page and the rows collected are shared.
+func (b *BrowseState) step() *BrowseState {
 	nb := b.scratch.states.next()
 	*nb = *b
-	if n == 0 {
-		nb.collected = slices.Clip(b.collected)
-	} else {
-		nb.collected = append(make([]relation.Tuple, 0, len(b.collected)+n), b.collected...)
-	}
 	return nb
 }
 
-// Relation materializes the collected tuples as a relation over the
-// navigation's schema. The relation takes the tuples, not copies: they
-// were built for it, and a state never changes a tuple it has collected.
+// collect returns a step from b that has collected n more rows, and those
+// rows' values, zero, for the caller to fill: the end of the scratch's row
+// buffer, read until the next collect.
+func (b *BrowseState) collect(n int) (*BrowseState, []relation.Value) {
+	s := b.scratch
+	from := len(s.rows)
+	s.rows = append(s.rows, make([]relation.Value, n*len(s.schema))...)
+	c := s.chunks.next()
+	*c = chunk{before: b.rows, from: from, n: n}
+	nb := b.step()
+	nb.rows = c
+	return nb, s.rows[from:]
+}
+
+// Relation materializes the rows collected on the path to b as a relation
+// over the navigation's schema, in the order they were collected. It
+// copies them out of the scratch's row buffer, so it is called while the
+// execution holds its scratch: into one slab of values, each tuple carved
+// from it with capacity equal to its length, and one list of tuples.
 func (b *BrowseState) Relation(name string) *relation.Relation {
-	r, err := relation.FromTuples(name, b.schema, b.collected)
+	s := b.scratch
+	n, w := 0, len(s.schema)
+	for c := b.rows; c != nil; c = c.before {
+		n += c.n
+	}
+	var tuples []relation.Tuple
+	if n > 0 {
+		// The chain runs from the last rows back to the first: each
+		// chunk's rows go just before those of the chunk after it.
+		vals, at := make([]relation.Value, n*w), n*w
+		for c := b.rows; c != nil; c = c.before {
+			at -= c.n * w
+			copy(vals[at:], s.rows[c.from:c.from+c.n*w])
+		}
+		tuples = make([]relation.Tuple, n)
+		for i := range tuples {
+			tuples[i] = relation.Tuple(vals[i*w : (i+1)*w : (i+1)*w])
+		}
+	}
+	r, err := relation.FromTuples(name, s.schema, tuples)
 	if err != nil {
 		// Tuples were built against the same schema.
 		panic(fmt.Sprintf("navcalc: collected tuple does not match schema: %v", err))
@@ -269,10 +296,10 @@ func (b *BrowseState) Relation(name string) *relation.Relation {
 }
 
 // navigate returns a successor state on the page the request load builds
-// leads to, carrying the collected tuples forward; inputFree says whether
+// leads to, carrying the collected rows forward; inputFree says whether
 // the request is input-free.
 func (b *BrowseState) navigate(target, method string, fields []web.Field, inputFree bool) (*BrowseState, error) {
-	nb := b.withRoom(0)
+	nb := b.step()
 	nb.inputFree = inputFree
 	if err := nb.load(target, method, fields); err != nil {
 		b.scratch.budget.lastErr = err

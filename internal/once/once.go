@@ -38,8 +38,19 @@ func Successes[V any](_ V, err error) (share, keep bool) { return err == nil, er
 // others. A run that fails while its caller's ctx is done is neither shared
 // nor kept, since the failure may be that caller's alone.
 func (t *Table[V]) Do(ctx context.Context, key string, fn func() (V, error), rule func(V, error) (share, keep bool)) (v V, joined bool, err error) {
+	return do(t, ctx, key, fn, rule)
+}
+
+// DoBytes is Do with the key's bytes, which it reads only while it runs: a
+// caller that takes a kept result or joins a run allocates no key, and one
+// that starts a run allocates it once.
+func (t *Table[V]) DoBytes(ctx context.Context, key []byte, fn func() (V, error), rule func(V, error) (share, keep bool)) (v V, joined bool, err error) {
+	return do(t, ctx, key, fn, rule)
+}
+
+func do[V any, K string | []byte](t *Table[V], ctx context.Context, key K, fn func() (V, error), rule func(V, error) (share, keep bool)) (v V, joined bool, err error) {
 	t.mu.Lock()
-	for r := t.runs[key]; r != nil; r = t.runs[key] {
+	for r := t.runs[string(key)]; r != nil; r = t.runs[string(key)] {
 		if r.ended {
 			t.mu.Unlock()
 			return r.v, true, r.err
@@ -58,11 +69,11 @@ func (t *Table[V]) Do(ctx context.Context, key string, fn func() (V, error), rul
 		}
 		t.mu.Lock()
 	}
-	r := &run[V]{}
+	r, k := &run[V]{}, string(key)
 	if t.runs == nil {
 		t.runs = make(map[string]*run[V])
 	}
-	t.runs[key] = r
+	t.runs[k] = r
 	t.mu.Unlock()
 
 	v, err = fn()
@@ -73,7 +84,7 @@ func (t *Table[V]) Do(ctx context.Context, key string, fn func() (V, error), rul
 	t.mu.Lock()
 	r.v, r.err, r.share, r.ended = v, err, share, keep
 	if !keep {
-		delete(t.runs, key)
+		delete(t.runs, k)
 	}
 	done := r.done
 	t.mu.Unlock()

@@ -226,3 +226,31 @@ func TestDoAllocs(t *testing.T) {
 		t.Errorf("taking a kept result costs %.1f allocations, want 0", n)
 	}
 }
+
+// TestDoBytesAllocs: DoBytes reads its key's bytes in place, so a caller
+// allocates the key only when it starts a run: an uncontended run costs
+// the run and its key, and taking a kept result nothing.
+func TestDoBytesAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ctx := context.Background()
+	var tab Table[int]
+	fn := func() (int, error) { return 1, nil }
+	keepNothing := func(int, error) (bool, bool) { return true, false }
+	key := []byte("run")
+	if n := testing.AllocsPerRun(100, func() { tab.DoBytes(ctx, key, fn, keepNothing) }); n > 2 {
+		t.Errorf("an uncontended run costs %.1f allocations, want at most 2", n)
+	}
+	key = []byte("kept")
+	if _, joined, _ := tab.DoBytes(ctx, key, fn, Successes[int]); joined {
+		t.Fatal("the first caller of a key joined a run")
+	}
+	var joined bool
+	if n := testing.AllocsPerRun(100, func() { _, joined, _ = tab.DoBytes(ctx, key, fn, Successes[int]) }); n != 0 || !joined {
+		t.Errorf("taking a kept result costs %.1f allocations (joined: %v), want 0", n, joined)
+	}
+	if _, joined, _ := tab.Do(ctx, "kept", fn, Successes[int]); !joined {
+		t.Error("Do of the same key as a string did not take DoBytes' kept result")
+	}
+}

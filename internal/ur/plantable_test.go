@@ -228,9 +228,10 @@ func TestPlanTableRace(t *testing.T) {
 }
 
 // TestCompiledQueryAllocs holds what preparing a query of a shape already
-// compiled costs, about 10% above what it is (9, 19 and 23 allocations):
-// the table's key, the plan, and a copy of each object's σ nodes and their
-// ancestors with the query's constants in them. Planning alone costs more
+// compiled costs, about 10% above what it is (8, 18 and 22 allocations; one
+// more each while the table's key was made for every look-up): the plan,
+// and a copy of each object's σ nodes and their ancestors with the query's
+// constants in them. Planning alone costs more
 // (TestPlanAllocs), and the optimization and binding analysis of every
 // join came on top of it while each query compiled its own shape.
 func TestCompiledQueryAllocs(t *testing.T) {
@@ -249,7 +250,7 @@ func TestCompiledQueryAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := map[string]float64{"T1": 10, "T2": 21, "T3": 25}
+	ceiling := map[string]float64{"T1": 9, "T2": 20, "T3": 24}
 	for _, c := range CarDeck {
 		q, err := ParseQuery(s, c.Text)
 		if err != nil {

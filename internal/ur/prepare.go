@@ -86,7 +86,7 @@ func (s *Schema) Prepare(q Query, cat algebra.Catalog) (*Plan, error) {
 		// A wait here is for another query's compile of the shape: bounded
 		// work that no context stops, so it takes none.
 		var buf [128]byte
-		c, _, err = tab.Do(context.Background(), string(shapeKey(buf[:0], q)), compile, s.plans.keep)
+		c, _, err = tab.DoBytes(context.Background(), shapeKey(buf[:0], q), compile, s.plans.keep)
 	} else {
 		c, err = compile()
 	}

@@ -32,7 +32,7 @@ import (
 type sharedCatalog struct {
 	algebra.Catalog
 	shared []string
-	runs   once.Table[*sharedRun] // by sharedKey
+	runs   once.Table[*sharedRun] // by appendSharedKey
 
 	mu   sync.Mutex   // guards kept and each kept run's readers
 	kept []*sharedRun // the traced runs that succeeded
@@ -53,7 +53,11 @@ func (c *sharedCatalog) Populate(ctx context.Context, name string, inputs map[st
 		return c.Catalog.Populate(ctx, name, inputs)
 	}
 	sp := trace.FromContext(ctx)
-	run, joined, err := c.runs.Do(ctx, sharedKey(name, inputs), func() (*sharedRun, error) {
+	// The key is encoded on the stack: a reader that joins a run, or takes
+	// its kept result, allocates no key (once.Table.DoBytes).
+	var at [128]byte
+	key := appendSharedKey(at[:0], name, inputs)
+	run, joined, err := c.runs.DoBytes(ctx, key, func() (*sharedRun, error) {
 		rel, err := c.Catalog.Populate(ctx, name, inputs)
 		if err != nil {
 			return nil, err
@@ -82,11 +86,11 @@ func (c *sharedCatalog) placeSpans() {
 	}
 }
 
-// sharedKey identifies a population: the relation and its inputs, each
-// value by kind and exact text. Values Equal compares alike (a different
-// case, an int and a float) are different inputs here, since a site may
-// answer them differently.
-func sharedKey(name string, inputs map[string]relation.Value) string {
+// appendSharedKey appends the key that identifies a population to buf: the
+// relation and its inputs, each value by kind and exact text. Values Equal
+// compares alike (a different case, an int and a float) are different
+// inputs here, since a site may answer them differently.
+func appendSharedKey(buf []byte, name string, inputs map[string]relation.Value) []byte {
 	// The names are sorted in place on the stack; a population with more
 	// inputs than the array holds grows a slice of its own.
 	var room [16]string
@@ -95,11 +99,11 @@ func sharedKey(name string, inputs map[string]relation.Value) string {
 		attrs = append(attrs, a)
 	}
 	slices.Sort(attrs)
-	buf := strconv.AppendQuote(make([]byte, 0, 128), name)
+	buf = strconv.AppendQuote(buf, name)
 	for _, a := range attrs {
 		v := inputs[a]
 		buf = append(strconv.AppendQuote(buf, a), byte('0'+v.Kind()))
 		buf = strconv.AppendQuote(buf, v.String())
 	}
-	return string(buf)
+	return buf
 }

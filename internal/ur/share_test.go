@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"webbase/internal/algebra"
+	"webbase/internal/race"
 	"webbase/internal/relation"
 	"webbase/internal/web"
 )
@@ -69,7 +70,7 @@ type recordingCatalog struct {
 
 func (c *recordingCatalog) Populate(ctx context.Context, name string, inputs map[string]relation.Value) (*relation.Relation, error) {
 	c.mu.Lock()
-	c.calls = append(c.calls, sharedKey(name, inputs))
+	c.calls = append(c.calls, string(appendSharedKey(nil, name, inputs)))
 	first := name == c.failFirst && c.count(name) == 1
 	c.mu.Unlock()
 	if name == c.hold {
@@ -324,5 +325,32 @@ func TestSharedNothingWithoutSharedRelation(t *testing.T) {
 	}
 	if !slices.Equal(through.calls, alone.calls) {
 		t.Errorf("populations differ from the objects' own\n got: %q\nwant: %q", through.calls, alone.calls)
+	}
+}
+
+// TestSharedJoinedPopulateAllocs: a reader that takes a shared relation
+// another reader populated allocates nothing: its key is encoded on its
+// stack and looked up in place, and only the reader that starts the run
+// makes the key string the table keeps (1 allocation a joined reader while
+// every reader made its key).
+func TestSharedJoinedPopulateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	_, mem := bookWorld(1)
+	c := &sharedCatalog{Catalog: mem, shared: []string{"book"}}
+	ctx, inputs := context.Background(), map[string]relation.Value{"Make": relation.String("jaguar")}
+	first, err := c.Populate(ctx, "book", inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		rel, err := c.Populate(ctx, "book", inputs)
+		if err != nil || rel != first {
+			t.Fatalf("a joined reader got %v, %v, not the run's relation", rel, err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("a joined Populate allocates %.0f times, want 0", got)
 	}
 }
